@@ -129,7 +129,11 @@ impl ContainerdNode {
 
     /// Pulls image layers for `manifests` concurrently; returns wall time
     /// (zero when fully cached).
-    pub fn pull(&mut self, manifests: &[ImageManifest], rng: &mut SimRng) -> Duration {
+    pub fn pull<'a>(
+        &mut self,
+        manifests: impl IntoIterator<Item = &'a ImageManifest>,
+        rng: &mut SimRng,
+    ) -> Duration {
         self.store.pull_all(manifests, rng)
     }
 

@@ -75,9 +75,13 @@ impl ContentStore {
     /// Pulls several images *concurrently* (e.g. the two containers of the
     /// Nginx+Py service): wall time is the max of the individual pulls, since
     /// each registry connection is independent.
-    pub fn pull_all(&mut self, manifests: &[ImageManifest], rng: &mut SimRng) -> Duration {
+    pub fn pull_all<'a>(
+        &mut self,
+        manifests: impl IntoIterator<Item = &'a ImageManifest>,
+        rng: &mut SimRng,
+    ) -> Duration {
         manifests
-            .iter()
+            .into_iter()
             .map(|m| self.pull(m, rng).duration)
             .max()
             .unwrap_or(Duration::ZERO)

@@ -561,7 +561,7 @@ impl K8sEdgeCluster {
             replicas: 0,
             selector: labels.clone(),
             template: PodTemplate {
-                labels: labels.clone(),
+                labels: labels.clone().into(),
                 containers,
             },
             scheduler_name: self.scheduler_name.clone(),
@@ -600,17 +600,14 @@ impl EdgeCluster for K8sEdgeCluster {
         match self.entries.get(&svc.name) {
             None => InstanceState::NotDeployed,
             Some(e) if !e.scaled_up => InstanceState::Created,
-            Some(e) => {
-                let eps = self.cluster.ready_endpoints(&svc.name, now);
-                match eps.first() {
-                    Some(&(ip, port)) => InstanceState::Ready(InstanceAddr {
-                        mac: self.host_mac,
-                        ip: Ipv4Addr(ip),
-                        port,
-                    }),
-                    None => InstanceState::Starting { ready_at: e.ready_at },
-                }
-            }
+            Some(e) => match self.cluster.first_ready_endpoint(&svc.name, now) {
+                Some((ip, port)) => InstanceState::Ready(InstanceAddr {
+                    mac: self.host_mac,
+                    ip: Ipv4Addr(ip),
+                    port,
+                }),
+                None => InstanceState::Starting { ready_at: e.ready_at },
+            },
         }
     }
 

@@ -6,7 +6,13 @@ use crate::objects::{
 use crate::scheduler::{K8sScheduler, NodeView, SchedulerRegistry};
 use containerd::ContainerdNode;
 use desim::{EventQueue, FaultInjector, LogNormal, Sample, SimRng, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
+
+#[cfg(test)]
+mod oracle;
+
+type Labels = BTreeMap<String, String>;
 
 /// Control-plane latency model. Each reconciliation arrow pays a watch
 /// reaction; each object mutation pays an API round trip. The defaults are
@@ -135,19 +141,115 @@ pub struct WorkerNode {
     pub capacity: usize,
 }
 
+/// A service as the endpoints controller holds it.
+struct ServiceState {
+    spec: Service,
+    endpoints: Endpoints,
+    /// Names of the Running pods the selector matches: what `endpoints` is
+    /// derived from and what readiness queries walk, in pod-name order.
+    backends: BTreeSet<String>,
+}
+
+/// Finds the services that can select a pod without walking every service.
+/// A service is filed under the first `(key, value)` pair of its selector; a
+/// pod can only satisfy selectors filed under one of its own labels, or the
+/// empty selector, which matches everything.
+#[derive(Default)]
+struct SelectorIndex {
+    by_first_pair: BTreeMap<String, BTreeMap<String, BTreeSet<String>>>,
+    match_all: BTreeSet<String>,
+}
+
+impl SelectorIndex {
+    fn insert(&mut self, svc: &Service) {
+        match svc.selector.iter().next() {
+            Some((k, v)) => {
+                self.by_first_pair
+                    .entry(k.clone())
+                    .or_default()
+                    .entry(v.clone())
+                    .or_default()
+                    .insert(svc.name.clone());
+            }
+            None => {
+                self.match_all.insert(svc.name.clone());
+            }
+        }
+    }
+
+    fn remove(&mut self, svc: &Service) {
+        let Some((k, v)) = svc.selector.iter().next() else {
+            self.match_all.remove(&svc.name);
+            return;
+        };
+        let Some(values) = self.by_first_pair.get_mut(k) else {
+            return;
+        };
+        if let Some(names) = values.get_mut(v) {
+            names.remove(&svc.name);
+            if names.is_empty() {
+                values.remove(v);
+            }
+        }
+        if values.is_empty() {
+            self.by_first_pair.remove(k);
+        }
+    }
+
+    /// Services whose selector *may* match `labels` (each at most once); the
+    /// caller still checks the whole selector.
+    fn candidates<'a>(&'a self, labels: &'a Labels) -> impl Iterator<Item = &'a String> {
+        labels
+            .iter()
+            .filter_map(|(k, v)| self.by_first_pair.get(k)?.get(v))
+            .flatten()
+            .chain(&self.match_all)
+    }
+}
+
+/// Entry counts of the live object store and the indexes derived from it.
+/// All of them are bounded by what is deployed *now*: a cluster scaled to
+/// zero reports zeros however many pods it created before.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StoreStats {
+    /// Pod objects (terminated pods are deleted, not kept).
+    pub pods: usize,
+    /// Pod names in the per-ReplicaSet owner index.
+    pub owned: usize,
+    /// Pod names in the per-service backend sets.
+    pub backends: usize,
+    /// Pods counted against a worker node's capacity.
+    pub bound: usize,
+}
+
 /// The simulated Kubernetes cluster: control plane plus one or more worker
 /// nodes. The paper's testbed runs a single worker (the Edge Gateway
 /// Server); additional Raspberry-Pi-class workers can be added to exercise
 /// the Local Scheduler (`schedulerName`) meaningfully — image caches are
 /// per node, so placement decides who pulls.
+///
+/// Every control-loop step and query costs O(objects it touches): pods are
+/// found through the owner index, services through the selector index, and
+/// neither grows with the number of pods the cluster has ever run.
 pub struct K8sCluster {
     timings: K8sTimings,
     workers: Vec<WorkerNode>,
+    /// What the schedulers see, one per worker in the same order; `pods` is
+    /// the authoritative count of live pods bound to the node.
+    views: Vec<NodeView>,
     deployments: BTreeMap<String, Deployment>,
     replicasets: BTreeMap<String, ReplicaSet>,
+    /// Live pods only: termination deletes the object.
     pods: BTreeMap<String, Pod>,
-    services: BTreeMap<String, Service>,
-    endpoints: BTreeMap<String, Endpoints>,
+    /// ReplicaSet name → names of its live pods. Outlives the ReplicaSet
+    /// object until the last pod is gone, as the pods do.
+    owned: BTreeMap<String, BTreeSet<String>>,
+    services: BTreeMap<String, ServiceState>,
+    selectors: SelectorIndex,
+    /// Services whose endpoints object was reset by a re-apply while pods
+    /// were already running behind them; the next pod transition anywhere
+    /// brings them up to date, as the full recompute used to.
+    stale: BTreeSet<String>,
     schedulers: SchedulerRegistry,
     work: EventQueue<Work>,
     pod_seq: u64,
@@ -159,6 +261,10 @@ pub struct K8sCluster {
     injected_rejections: Vec<String>,
     /// API-server call counters for telemetry.
     pub ops: ApiOps,
+    /// Runs the endpoints controller as the full recompute (the oracle of
+    /// the differential test).
+    #[cfg(test)]
+    full_recompute: bool,
 }
 
 /// Lifetime counts of API-server calls (`kubectl apply` / `scale` /
@@ -176,18 +282,17 @@ pub struct ApiOps {
 impl K8sCluster {
     /// Creates a cluster with one worker node (named `egs`) backed by `node`.
     pub fn new(node: ContainerdNode, timings: K8sTimings, capacity: usize) -> K8sCluster {
-        K8sCluster {
+        let mut cluster = K8sCluster {
             timings,
-            workers: vec![WorkerNode {
-                name: "egs".to_owned(),
-                node,
-                capacity,
-            }],
+            workers: Vec::new(),
+            views: Vec::new(),
             deployments: BTreeMap::new(),
             replicasets: BTreeMap::new(),
             pods: BTreeMap::new(),
+            owned: BTreeMap::new(),
             services: BTreeMap::new(),
-            endpoints: BTreeMap::new(),
+            selectors: SelectorIndex::default(),
+            stale: BTreeSet::new(),
             schedulers: SchedulerRegistry::new(),
             work: EventQueue::new(),
             pod_seq: 0,
@@ -195,7 +300,11 @@ impl K8sCluster {
             faults: None,
             injected_rejections: Vec::new(),
             ops: ApiOps::default(),
-        }
+            #[cfg(test)]
+            full_recompute: false,
+        };
+        cluster.add_worker("egs", node, capacity);
+        cluster
     }
 
     /// Default cluster (public registries, default timings, 110-pod node).
@@ -224,11 +333,13 @@ impl K8sCluster {
 
     /// Adds another worker node. Returns its index.
     pub fn add_worker(&mut self, name: impl Into<String>, node: ContainerdNode, capacity: usize) -> usize {
-        self.workers.push(WorkerNode {
-            name: name.into(),
-            node,
+        let name = name.into();
+        self.views.push(NodeView {
+            name: name.clone(),
+            pods: 0,
             capacity,
         });
+        self.workers.push(WorkerNode { name, node, capacity });
         self.workers.len() - 1
     }
 
@@ -284,12 +395,44 @@ impl K8sCluster {
         let name = deployment.name.clone();
         self.deployments.insert(name.clone(), deployment);
         let t2 = self.api(t1, rng);
-        self.endpoints
-            .insert(service.name.clone(), Endpoints::default());
-        self.services.insert(service.name.clone(), service);
+        self.put_service(service);
         let react = t2 + self.timings.watch_reaction.sample_duration(rng);
         self.work.push(react, Work::DeploymentChanged(name));
         t2
+    }
+
+    /// Stores `service` with a fresh (empty) endpoints object, replacing any
+    /// service of the same name. The one place that looks at every live pod:
+    /// a new selector has to be matched against what already runs.
+    fn put_service(&mut self, service: Service) {
+        self.drop_service(&service.name);
+        let backends: BTreeSet<String> = self
+            .pods
+            .values()
+            .filter(|p| {
+                p.phase == PodPhase::Running && selector_matches(&service.selector, &p.labels)
+            })
+            .map(|p| p.name.clone())
+            .collect();
+        if !backends.is_empty() {
+            self.stale.insert(service.name.clone());
+        }
+        self.selectors.insert(&service);
+        self.services.insert(
+            service.name.clone(),
+            ServiceState {
+                spec: service,
+                endpoints: Endpoints::default(),
+                backends,
+            },
+        );
+    }
+
+    fn drop_service(&mut self, name: &str) {
+        if let Some(old) = self.services.remove(name) {
+            self.selectors.remove(&old.spec);
+            self.stale.remove(name);
+        }
     }
 
     /// Scales a deployment (the controller's **Scale Up** / **Scale Down**
@@ -316,23 +459,13 @@ impl K8sCluster {
         self.ops.deletes += 1;
         let t = self.api(now, rng);
         self.deployments.remove(name);
-        let rs_names: Vec<String> = self
-            .replicasets
-            .values()
-            .filter(|rs| rs.owner == name)
-            .map(|rs| rs.name.clone())
-            .collect();
-        for rs in rs_names {
-            self.replicasets.remove(&rs);
-            let pods: Vec<String> = self
-                .pods
-                .values()
-                .filter(|p| p.owner == rs && p.phase != PodPhase::Terminated)
-                .map(|p| p.name.clone())
-                .collect();
-            for p in pods {
+        // A deployment owns exactly the ReplicaSet `reconcile_deployment`
+        // named after it.
+        let rs_name = format!("{name}-rs");
+        if self.replicasets.remove(&rs_name).is_some() {
+            for pod in self.owned.get(&rs_name).into_iter().flatten() {
                 let react = t + self.timings.watch_reaction.sample_duration(rng);
-                self.work.push(react, Work::TerminatePod(p));
+                self.work.push(react, Work::TerminatePod(pod.clone()));
             }
         }
         t
@@ -342,8 +475,7 @@ impl K8sCluster {
     pub fn delete_service(&mut self, name: &str, now: SimTime, rng: &mut SimRng) -> SimTime {
         self.ops.deletes += 1;
         let t = self.api(now, rng);
-        self.services.remove(name);
-        self.endpoints.remove(name);
+        self.drop_service(name);
         t
     }
 
@@ -413,30 +545,28 @@ impl K8sCluster {
             return;
         };
         let desired = rs.replicas as usize;
-        let owner = rs.owner.clone();
-        let live: Vec<String> = self
-            .pods
-            .values()
-            .filter(|p| p.owner == name && p.phase != PodPhase::Terminated)
-            .map(|p| p.name.clone())
-            .collect();
-        if live.len() < desired {
-            let Some(dep) = self.deployments.get(&owner) else {
+        let live = self.owned.get(name).map_or(0, BTreeSet::len);
+        if live < desired {
+            let Some(dep) = self.deployments.get(&rs.owner) else {
                 return;
             };
-            let template_labels = dep.template.labels.clone();
+            let labels = Rc::clone(&dep.template.labels);
             let scheduler_name = dep.scheduler_name.clone();
             let mut t = now;
-            for _ in live.len()..desired {
+            for _ in live..desired {
                 self.pod_seq += 1;
                 let pod_name = format!("{name}-{}", self.pod_seq);
                 t = self.api(t, rng);
+                self.owned
+                    .entry(name.to_owned())
+                    .or_default()
+                    .insert(pod_name.clone());
                 self.pods.insert(
                     pod_name.clone(),
                     Pod {
                         name: pod_name.clone(),
                         owner: name.to_owned(),
-                        labels: template_labels.clone(),
+                        labels: Rc::clone(&labels),
                         phase: PodPhase::Pending,
                         node: None,
                         ip: None,
@@ -452,34 +582,13 @@ impl K8sCluster {
                 let sched_at = t + self.timings.scheduler_latency.sample_duration(rng);
                 self.work.push(sched_at, Work::SchedulePod(pod_name));
             }
-        } else if live.len() > desired {
+        } else if live > desired {
             // Scale down: newest pods go first (K8s victim preference).
-            let mut victims = live;
-            victims.sort();
-            let n_remove = victims.len() - desired;
-            for v in victims.into_iter().rev().take(n_remove) {
+            for victim in self.owned[name].iter().rev().take(live - desired) {
                 let react = now + self.timings.watch_reaction.sample_duration(rng);
-                self.work.push(react, Work::TerminatePod(v));
+                self.work.push(react, Work::TerminatePod(victim.clone()));
             }
         }
-    }
-
-    fn node_views(&self) -> Vec<NodeView> {
-        self.workers
-            .iter()
-            .map(|w| NodeView {
-                name: w.name.clone(),
-                pods: self
-                    .pods
-                    .values()
-                    .filter(|p| {
-                        p.node.as_deref() == Some(w.name.as_str())
-                            && p.phase != PodPhase::Terminated
-                    })
-                    .count(),
-                capacity: w.capacity,
-            })
-            .collect()
     }
 
     fn schedule_pod(
@@ -489,7 +598,6 @@ impl K8sCluster {
         rng: &mut SimRng,
         events: &mut Vec<ClusterEvent>,
     ) {
-        let views = self.node_views();
         let Some(pod) = self.pods.get(name) else {
             return;
         };
@@ -506,9 +614,17 @@ impl K8sCluster {
                 return;
             }
         }
-        match self.schedulers.schedule(pod, &views) {
+        // `capacity` is a public field of the worker; the views only own
+        // the pod counts.
+        for (view, worker) in self.views.iter_mut().zip(&self.workers) {
+            view.capacity = worker.capacity;
+        }
+        match self.schedulers.schedule(pod, &self.views) {
             Some(node) => {
                 let t = self.api(now, rng); // binding API call
+                if let Some(view) = self.views.iter_mut().find(|v| v.name == node) {
+                    view.pods += 1;
+                }
                 let pod = self.pods.get_mut(name).expect("pod exists");
                 pod.node = Some(node.clone());
                 pod.phase = PodPhase::Scheduled;
@@ -536,33 +652,31 @@ impl K8sCluster {
         rng: &mut SimRng,
         events: &mut Vec<ClusterEvent>,
     ) {
-        let Some(pod) = self.pods.get(name) else {
+        let Some(pod) = self.pods.get_mut(name) else {
             return;
         };
         if pod.phase != PodPhase::Scheduled {
             return;
         }
-        let owner_rs = pod.owner.clone();
-        let Some(rs) = self.replicasets.get(&owner_rs) else {
+        let Some(rs) = self.replicasets.get(&pod.owner) else {
             return;
         };
         let Some(dep) = self.deployments.get(&rs.owner) else {
             return;
         };
-        let containers = dep.template.containers.clone();
-        let worker_name = pod.node.clone().expect("scheduled pod has a node");
-        let worker_idx = self
+        let containers = &dep.template.containers;
+        let worker_name = pod.node.as_deref().expect("scheduled pod has a node");
+        let worker = &mut self
             .workers
-            .iter()
-            .position(|w| w.name == worker_name)
-            .expect("pod bound to a known node");
-        let worker = &mut self.workers[worker_idx].node;
+            .iter_mut()
+            .find(|w| w.name == worker_name)
+            .expect("pod bound to a known node")
+            .node;
 
         // Pull whatever is missing on *this node* (imagePullPolicy:
         // IfNotPresent) — this is the Pull phase showing up inside K8s when
         // the node's cache is cold.
-        let manifests: Vec<_> = containers.iter().map(|c| c.manifest.clone()).collect();
-        let pull_time = worker.pull(&manifests, rng);
+        let pull_time = worker.pull(containers.iter().map(|c| &c.manifest), rng);
         let mut t = now + pull_time;
 
         // Sandbox: pause container + netns + CNI.
@@ -572,7 +686,7 @@ impl K8sCluster {
         // once its task is up, so pod readiness is the max over containers.
         let mut ids = Vec::with_capacity(containers.len());
         let mut ready_at = t;
-        for c in &containers {
+        for c in containers {
             // K8s worker nodes run without containerd fault injection (the
             // runtime fault model lives on the Docker path), so create/start
             // cannot fail here.
@@ -598,11 +712,11 @@ impl K8sCluster {
 
         let ip = [10, 244, (self.next_ip >> 8) as u8, (self.next_ip & 0xff) as u8];
         self.next_ip += 1;
-        let pod = self.pods.get_mut(name).expect("pod exists");
         pod.phase = PodPhase::Running;
         pod.ip = Some(ip);
         pod.container_ids = ids;
         pod.ready_at = Some(ready_at);
+        let labels = Rc::clone(&pod.labels);
         events.push(ClusterEvent::PodReady {
             at: ready_at,
             name: name.to_owned(),
@@ -610,7 +724,7 @@ impl K8sCluster {
         });
 
         let ep_at = ready_at + self.timings.endpoint_propagation.sample_duration(rng);
-        self.recompute_endpoints(ep_at, events);
+        self.sync_endpoints(name, &labels, true, ep_at, events);
     }
 
     fn terminate_pod(
@@ -620,22 +734,23 @@ impl K8sCluster {
         rng: &mut SimRng,
         events: &mut Vec<ClusterEvent>,
     ) {
-        let Some(pod) = self.pods.get_mut(name) else {
+        // Deleting the object is what keeps the store — and with it every
+        // query — proportional to what runs now, not to what ever ran.
+        let Some(pod) = self.pods.remove(name) else {
             return;
         };
-        if pod.phase == PodPhase::Terminated {
-            return;
+        if let Some(names) = self.owned.get_mut(&pod.owner) {
+            names.remove(name);
+            if names.is_empty() {
+                self.owned.remove(&pod.owner);
+            }
         }
-        let ids = pod.container_ids.clone();
-        let worker_name = pod.node.clone();
-        pod.phase = PodPhase::Terminated;
-        pod.ready_at = None;
-        let worker = worker_name
-            .and_then(|n| self.workers.iter_mut().find(|w| w.name == n))
-            .map(|w| &mut w.node);
         let mut t = now;
-        if let Some(worker) = worker {
-            for id in ids {
+        let bound_to = pod.node.as_deref();
+        if let Some(w) = self.workers.iter().position(|w| Some(w.name.as_str()) == bound_to) {
+            self.views[w].pods -= 1;
+            let worker = &mut self.workers[w].node;
+            for &id in &pod.container_ids {
                 t = worker.stop(id, t, rng);
                 t = worker.remove(id, t, rng);
             }
@@ -644,43 +759,99 @@ impl K8sCluster {
             at: t,
             name: name.to_owned(),
         });
-        self.recompute_endpoints(t, events);
+        self.sync_endpoints(name, &pod.labels, false, t, events);
     }
 
-    fn recompute_endpoints(&mut self, at: SimTime, events: &mut Vec<ClusterEvent>) {
-        for (svc_name, svc) in &self.services {
-            let mut addrs: Vec<([u8; 4], u16)> = self
-                .pods
-                .values()
-                .filter(|p| {
-                    p.phase == PodPhase::Running && selector_matches(&svc.selector, &p.labels)
-                })
-                .filter_map(|p| p.ip.map(|ip| (ip, svc.target_port)))
+    /// The endpoints controller. `pod` either just started running
+    /// (`joined`) or was just deleted; only the services selecting its labels
+    /// can have gained or lost an address, so only those — and any `stale`
+    /// ones — are re-derived, in service-name order like the full recompute
+    /// this replaces.
+    fn sync_endpoints(
+        &mut self,
+        pod: &str,
+        labels: &Labels,
+        joined: bool,
+        at: SimTime,
+        events: &mut Vec<ClusterEvent>,
+    ) {
+        #[cfg(test)]
+        if self.full_recompute {
+            return self.recompute_endpoints(at, events);
+        }
+        let K8sCluster {
+            services,
+            selectors,
+            stale,
+            pods,
+            ..
+        } = self;
+        let mut names: Vec<&String> = selectors
+            .candidates(labels)
+            .filter(|name| selector_matches(&services[*name].spec.selector, labels))
+            .collect();
+        for name in &names {
+            let backends = &mut services
+                .get_mut(*name)
+                .expect("indexed service exists")
+                .backends;
+            if joined {
+                backends.insert(pod.to_owned());
+            } else {
+                backends.remove(pod);
+            }
+        }
+        names.extend(stale.iter());
+        names.sort_unstable();
+        names.dedup();
+        for name in names {
+            let svc = services.get_mut(name).expect("indexed service exists");
+            let mut addrs: Vec<([u8; 4], u16)> = svc
+                .backends
+                .iter()
+                .filter_map(|p| pods[p.as_str()].ip)
+                .map(|ip| (ip, svc.spec.target_port))
                 .collect();
-            addrs.sort();
-            let ep = self.endpoints.entry(svc_name.clone()).or_default();
-            if ep.addresses != addrs {
-                ep.addresses = addrs;
-                ep.updated_at = at;
+            addrs.sort_unstable();
+            if svc.endpoints.addresses != addrs {
+                svc.endpoints.addresses = addrs;
+                svc.endpoints.updated_at = at;
                 events.push(ClusterEvent::EndpointsUpdated {
                     at,
-                    service: svc_name.clone(),
-                    addresses: ep.addresses.len(),
+                    service: name.clone(),
+                    addresses: svc.endpoints.addresses.len(),
                 });
             }
         }
+        stale.clear();
+    }
+
+    /// Ready `(ip, port)` addresses behind a service at `now`, in pod-name
+    /// order.
+    fn ready_backends(
+        &self,
+        service: &str,
+        now: SimTime,
+    ) -> impl Iterator<Item = ([u8; 4], u16)> + '_ {
+        self.services.get(service).into_iter().flat_map(move |svc| {
+            svc.backends.iter().filter_map(move |name| {
+                let pod = &self.pods[name.as_str()];
+                pod.ip
+                    .filter(|_| pod.is_ready(now))
+                    .map(|ip| (ip, svc.spec.target_port))
+            })
+        })
     }
 
     /// Ready `(ip, port)` addresses behind a service at `now`.
     pub fn ready_endpoints(&self, service: &str, now: SimTime) -> Vec<([u8; 4], u16)> {
-        let Some(svc) = self.services.get(service) else {
-            return vec![];
-        };
-        self.pods
-            .values()
-            .filter(|p| p.is_ready(now) && selector_matches(&svc.selector, &p.labels))
-            .filter_map(|p| p.ip.map(|ip| (ip, svc.target_port)))
-            .collect()
+        self.ready_backends(service, now).collect()
+    }
+
+    /// The first of [`K8sCluster::ready_endpoints`], without building the
+    /// list.
+    pub fn first_ready_endpoint(&self, service: &str, now: SimTime) -> Option<([u8; 4], u16)> {
+        self.ready_backends(service, now).next()
     }
 
     /// `true` if the deployment object exists.
@@ -688,23 +859,34 @@ impl K8sCluster {
         self.deployments.contains_key(name)
     }
 
-    /// Live (non-terminated) pods of a deployment.
+    /// Live pods of a deployment.
     pub fn live_pods(&self, deployment: &str) -> Vec<&Pod> {
-        let rs_name = format!("{deployment}-rs");
-        self.pods
-            .values()
-            .filter(|p| p.owner == rs_name && p.phase != PodPhase::Terminated)
+        self.owned
+            .get(&format!("{deployment}-rs"))
+            .into_iter()
+            .flatten()
+            .map(|name| &self.pods[name.as_str()])
             .collect()
     }
 
-    /// Looks up a pod.
+    /// Looks up a (live) pod.
     pub fn pod(&self, name: &str) -> Option<&Pod> {
         self.pods.get(name)
     }
 
     /// Endpoints object of a service.
     pub fn endpoints(&self, service: &str) -> Option<&Endpoints> {
-        self.endpoints.get(service)
+        self.services.get(service).map(|svc| &svc.endpoints)
+    }
+
+    /// Sizes of the object store and its indexes (leak checks).
+    pub fn store_stats(&self) -> StoreStats {
+        StoreStats {
+            pods: self.pods.len(),
+            owned: self.owned.values().map(BTreeSet::len).sum(),
+            backends: self.services.values().map(|svc| svc.backends.len()).sum(),
+            bound: self.views.iter().map(|v| v.pods).sum(),
+        }
     }
 }
 
@@ -728,7 +910,7 @@ mod tests {
             replicas,
             selector: sel.clone(),
             template: PodTemplate {
-                labels: sel.clone(),
+                labels: sel.clone().into(),
                 containers: vec![PodContainer {
                     spec: ContainerSpec::new("nginx", ImageRef::parse("nginx:1.23.2"), Some(80)),
                     manifest: catalog::nginx(),
@@ -894,7 +1076,7 @@ mod tests {
             replicas: 1,
             selector: sel.clone(),
             template: PodTemplate {
-                labels: sel.clone(),
+                labels: sel.clone().into(),
                 containers: vec![
                     PodContainer {
                         spec: ContainerSpec::new("nginx", ImageRef::parse("nginx:1.23.2"), Some(80)),

@@ -31,6 +31,6 @@ pub mod cluster;
 pub mod objects;
 pub mod scheduler;
 
-pub use cluster::{ApiOps, ClusterEvent, K8sCluster, K8sTimings};
+pub use cluster::{ApiOps, ClusterEvent, K8sCluster, K8sTimings, StoreStats};
 pub use objects::{Deployment, Endpoints, Pod, PodPhase, PodTemplate, Service};
 pub use scheduler::{DefaultScheduler, K8sScheduler, PackFirstScheduler};

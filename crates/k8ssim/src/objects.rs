@@ -4,6 +4,7 @@ use containerd::{ContainerId, ContainerSpec};
 use desim::{LogNormal, SimTime};
 use registry::ImageManifest;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// One container within a pod template: the runtime spec, the image manifest
 /// the kubelet must ensure is pulled, and the application readiness model.
@@ -20,8 +21,9 @@ pub struct PodContainer {
 /// A pod template: labels plus the containers to run.
 #[derive(Clone, Debug)]
 pub struct PodTemplate {
-    /// Labels stamped onto created pods (must satisfy the selector).
-    pub labels: BTreeMap<String, String>,
+    /// Labels stamped onto created pods (must satisfy the selector). Shared:
+    /// every pod of the template points at this one map.
+    pub labels: Rc<BTreeMap<String, String>>,
     /// Containers to run.
     pub containers: Vec<PodContainer>,
 }
@@ -54,7 +56,8 @@ pub struct ReplicaSet {
     pub replicas: u32,
 }
 
-/// Pod lifecycle phase.
+/// Pod lifecycle phase. There is no terminated phase: a terminated pod is
+/// deleted from the cluster's store.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PodPhase {
     /// Created, not yet bound to a node.
@@ -63,8 +66,6 @@ pub enum PodPhase {
     Scheduled,
     /// Containers running; `ready_at` says when it serves.
     Running,
-    /// Terminated (scale-down).
-    Terminated,
 }
 
 /// A `Pod`.
@@ -74,8 +75,8 @@ pub struct Pod {
     pub name: String,
     /// Owning replica set.
     pub owner: String,
-    /// Labels (copied from the template).
-    pub labels: BTreeMap<String, String>,
+    /// Labels (the template's map, shared).
+    pub labels: Rc<BTreeMap<String, String>>,
     /// Phase.
     pub phase: PodPhase,
     /// Node it is bound to.
@@ -157,7 +158,7 @@ mod tests {
         let mut pod = Pod {
             name: "p".into(),
             owner: "rs".into(),
-            labels: BTreeMap::new(),
+            labels: Rc::default(),
             phase: PodPhase::Pending,
             node: None,
             ip: None,
@@ -170,7 +171,5 @@ mod tests {
         pod.ready_at = Some(SimTime::from_secs(5));
         assert!(!pod.is_ready(SimTime::from_secs(4)));
         assert!(pod.is_ready(SimTime::from_secs(5)));
-        pod.phase = PodPhase::Terminated;
-        assert!(!pod.is_ready(SimTime::from_secs(10)));
     }
 }

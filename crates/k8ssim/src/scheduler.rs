@@ -120,13 +120,12 @@ impl Default for SchedulerRegistry {
 mod tests {
     use super::*;
     use crate::objects::PodPhase;
-    use std::collections::BTreeMap;
 
     fn pod(scheduler: Option<&str>) -> Pod {
         Pod {
             name: "p".into(),
             owner: "rs".into(),
-            labels: BTreeMap::new(),
+            labels: Default::default(),
             phase: PodPhase::Pending,
             node: None,
             ip: None,

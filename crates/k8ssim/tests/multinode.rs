@@ -21,7 +21,7 @@ fn nginx_deployment(name: &str, scheduler: Option<&str>) -> (Deployment, Service
         replicas: 1,
         selector: sel.clone(),
         template: PodTemplate {
-            labels: sel.clone(),
+            labels: sel.clone().into(),
             containers: vec![PodContainer {
                 spec: ContainerSpec::new("nginx", ImageRef::parse("nginx:1.23.2"), Some(80)),
                 manifest: catalog::nginx(),

@@ -743,7 +743,7 @@ pub fn local_scheduler(seed: u64) -> Figure {
                 replicas: 1,
                 selector: sel.clone(),
                 template: PodTemplate {
-                    labels: sel.clone(),
+                    labels: sel.clone().into(),
                     containers: vec![PodContainer {
                         spec: containerd::ContainerSpec::new(
                             "nginx",

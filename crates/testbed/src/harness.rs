@@ -8,7 +8,8 @@
 //! back through the reverse-rewrite flows; and every request's
 //! `timecurl`-style `time_total` is recorded.
 
-use crate::topology::C3Topology;
+use crate::common::{Deadline, ListenerIndex};
+use crate::topology::{C3Topology, Role};
 use desim::{Duration, Engine, FaultPlan, LogNormal, Sample, SimRng, SimTime};
 use edgectl::{
     annotate_deployment, Controller, ControllerConfig, DockerCluster, EdgeService,
@@ -125,9 +126,11 @@ enum Ev {
     },
     CtrlUp(Vec<u8>),
     CtrlDown(Vec<u8>),
-    Tick,
+    /// Carries the deadline it was scheduled for (see [`Deadline`]).
+    Tick(SimTime),
     PredictTick,
-    SwitchExpiry,
+    /// Carries the deadline it was scheduled for.
+    SwitchExpiry(SimTime),
     ServerSend {
         node: NodeId,
         data: Vec<u8>,
@@ -138,6 +141,8 @@ enum Ev {
 pub struct Testbed {
     engine: Engine<Ev>,
     c3: C3Topology,
+    /// `NodeId` → what the node is, for frame dispatch.
+    roles: Vec<Role>,
     switch: Switch,
     /// The transparent-edge controller under test.
     pub controller: Controller,
@@ -147,8 +152,9 @@ pub struct Testbed {
     /// Server-side request reassembly: bytes received per connection 4-tuple.
     server_rx: HashMap<(Ipv4Addr, u16, Ipv4Addr, u16), usize>,
     next_src_port: Vec<u16>,
-    scheduled_tick: Option<SimTime>,
-    scheduled_expiry: Option<SimTime>,
+    tick: Deadline,
+    expiry: Deadline,
+    listeners: ListenerIndex,
     predictor: Box<dyn edgectl::DeploymentPredictor>,
     predict_interval: Duration,
     predict_scheduled: bool,
@@ -317,6 +323,7 @@ impl Testbed {
             // a handful of in-flight events (frames, ticks, expiries), so
             // steady-state runs never re-grow event storage mid-simulation.
             engine: Engine::with_capacity(n_clients * 64 + 1024),
+            roles: c3.roles(),
             c3,
             switch,
             controller,
@@ -325,8 +332,9 @@ impl Testbed {
             conns: HashMap::new(),
             server_rx: HashMap::new(),
             next_src_port: vec![49152; n_clients],
-            scheduled_tick: None,
-            scheduled_expiry: None,
+            tick: Deadline::default(),
+            expiry: Deadline::default(),
+            listeners: ListenerIndex::default(),
             predictor: edgectl::predictor_by_name(&config.predictor)
                 .unwrap_or_else(|e| panic!("{e}")),
             predict_interval: Duration::from_millis(500),
@@ -578,22 +586,14 @@ impl Testbed {
     }
 
     fn reschedule_tick(&mut self) {
-        if let Some(t) = self.controller.next_tick_at() {
-            let t = t.max(self.engine.now());
-            if self.scheduled_tick.is_none_or(|s| s > t || s < self.engine.now()) {
-                self.engine.schedule_at(t, Ev::Tick);
-                self.scheduled_tick = Some(t);
-            }
+        if let Some(t) = self.tick.arm(self.controller.next_tick_at(), self.engine.now()) {
+            self.engine.schedule_at(t, Ev::Tick(t));
         }
     }
 
     fn reschedule_expiry(&mut self) {
-        if let Some(t) = self.switch.next_expiry() {
-            let t = t.max(self.engine.now());
-            if self.scheduled_expiry.is_none_or(|s| s > t || s < self.engine.now()) {
-                self.engine.schedule_at(t, Ev::SwitchExpiry);
-                self.scheduled_expiry = Some(t);
-            }
+        if let Some(t) = self.expiry.arm(self.switch.next_expiry(), self.engine.now()) {
+            self.engine.schedule_at(t, Ev::SwitchExpiry(t));
         }
     }
 
@@ -642,23 +642,18 @@ impl Testbed {
                 );
                 self.send_from(client_node, PortNo(1), frame.encode());
             }
-            Ev::FrameAt { node, in_port, data } => {
-                if node == self.c3.ovs {
+            Ev::FrameAt { node, in_port, data } => match self.roles[node.0 as usize] {
+                Role::Switch(_) => {
                     if let Some(cap) = &mut self.capture {
                         cap.record(now, &data);
                     }
                     let effects = self.switch.handle_frame(now, in_port, &data);
                     self.process_switch_effects(effects);
-                } else if node == self.c3.egs
-                    || self.c3.far_edge.is_some_and(|(n, _)| n == node)
-                {
-                    self.handle_server_frame(now, node, &data, false);
-                } else if node == self.c3.cloud {
-                    self.handle_server_frame(now, node, &data, true);
-                } else if let Some(client) = self.c3.clients.iter().position(|&c| c == node) {
-                    self.handle_client_frame(now, client, &data);
                 }
-            }
+                Role::Edge(_) => self.handle_server_frame(now, node, &data, false),
+                Role::Cloud => self.handle_server_frame(now, node, &data, true),
+                Role::Client(client) => self.handle_client_frame(now, client, &data),
+            },
             Ev::CtrlUp(bytes) => {
                 match self.controller.handle_switch_message(now, &bytes, &mut self.rng) {
                     Ok(out) => {
@@ -675,10 +670,11 @@ impl Testbed {
                 Ok(effects) => self.process_switch_effects(effects),
                 Err(_) => self.drops += 1,
             },
-            Ev::Tick => {
-                self.scheduled_tick = None;
-                self.controller.tick(now, &mut self.rng);
-                self.reschedule_tick();
+            Ev::Tick(at) => {
+                if self.tick.fires(at) {
+                    self.controller.tick(now, &mut self.rng);
+                    self.reschedule_tick();
+                }
             }
             Ev::PredictTick => {
                 // Feed new observations to the predictor, then act on its
@@ -705,45 +701,16 @@ impl Testbed {
                     self.predict_scheduled = false;
                 }
             }
-            Ev::SwitchExpiry => {
-                self.scheduled_expiry = None;
-                let effects = self.switch.expire_flows(now);
-                self.process_switch_effects(effects);
+            Ev::SwitchExpiry(at) => {
+                if self.expiry.fires(at) {
+                    let effects = self.switch.expire_flows(now);
+                    self.process_switch_effects(effects);
+                }
             }
             Ev::ServerSend { node, data } => {
                 self.send_from(node, PortNo(1), data);
             }
         }
-    }
-
-    /// Which service instance (if any) listens at `(ip, port)` on the EGS.
-    /// Returns only `Copy` scalars from the profile — `(request_processing,
-    /// request_bytes, response_bytes, ready)` — so the per-frame server path
-    /// never clones a `ServiceProfile` (manifest strings and all).
-    fn egs_listener(
-        &self,
-        ip: Ipv4Addr,
-        port: u16,
-        now: SimTime,
-    ) -> Option<(LogNormal, usize, usize, bool)> {
-        for svc in self.controller.services().iter() {
-            for idx in 0..self.controller.cluster_count() {
-                let cluster = self.controller.cluster(idx);
-                if let Some(addr) = cluster.instance_addr(svc) {
-                    if addr.ip == ip && addr.port == port {
-                        let ready = cluster.state(svc, now).is_ready();
-                        let p = &svc.profile;
-                        return Some((
-                            p.request_processing,
-                            p.request_bytes,
-                            p.response_bytes,
-                            ready,
-                        ));
-                    }
-                }
-            }
-        }
-        None
     }
 
     fn handle_server_frame(&mut self, now: SimTime, node: NodeId, data: &[u8], is_cloud: bool) {
@@ -756,7 +723,8 @@ impl Testbed {
         let edge = if is_cloud {
             None
         } else {
-            self.egs_listener(frame.dst_ip, frame.dst_port, now)
+            self.listeners
+                .lookup(&self.controller, frame.dst_ip, frame.dst_port, now)
         };
         let (processing, response_bytes, listening) = if is_cloud {
             // The real cloud hosts every registered service (and a generic
@@ -767,9 +735,7 @@ impl Testbed {
             }
         } else {
             match edge {
-                Some((processing, _, response_bytes, ready)) => {
-                    (processing, response_bytes, ready)
-                }
+                Some(l) => (l.processing, l.response_bytes, l.ready),
                 None => (self.cloud_processing, 0, false),
             }
         };
@@ -801,7 +767,7 @@ impl Testbed {
                     .map(|p| p.request_bytes)
                     .unwrap_or(1)
             } else {
-                edge.map(|(_, request_bytes, _, _)| request_bytes).unwrap_or(1)
+                edge.map(|l| l.request_bytes).unwrap_or(1)
             };
             let key = (frame.src_ip, frame.src_port, frame.dst_ip, frame.dst_port);
             let acc = self.server_rx.entry(key).or_insert(0);
@@ -821,7 +787,6 @@ impl Testbed {
                 }
             }
         }
-        let _ = now;
     }
 
     fn handle_client_frame(&mut self, now: SimTime, client: usize, data: &[u8]) {
@@ -1145,5 +1110,122 @@ mod tests {
         assert_eq!(kinds[0], RequestKind::Waited);
         // After idle scale-down the service had to be scaled up again.
         assert_eq!(kinds[1], RequestKind::Waited, "kinds: {kinds:?}");
+    }
+
+    /// Runs to `deadline` like `run_until`, calling `inspect` on the testbed
+    /// and each event before it is handled.
+    fn run_inspecting(tb: &mut Testbed, deadline: SimTime, mut inspect: impl FnMut(&mut Testbed, SimTime, &Ev)) {
+        while let Some((now, ev)) = tb.engine.pop_until(deadline) {
+            inspect(tb, now, &ev);
+            tb.handle(now, ev);
+        }
+    }
+
+    #[test]
+    fn superseded_tick_and_expiry_events_do_not_fork_their_chains() {
+        // Cold K8s services idling out within seconds, the `deploy_churn`
+        // shape: on this trace a tick deadline moves earlier than the tick
+        // already queued (asserted below).
+        let mut tb = Testbed::new(TestbedConfig {
+            cluster: ClusterKind::K8s,
+            controller: ControllerConfig {
+                memory_idle: Duration::from_secs(4),
+                switch_flow_idle: Duration::from_secs(2),
+                ..ControllerConfig::default()
+            },
+            seed: 7,
+            ..TestbedConfig::default()
+        });
+        let addrs: Vec<ServiceAddr> = (10..30).map(svc_addr).collect();
+        for &a in &addrs {
+            tb.register_service(containerd::ServiceSet::by_key("nginx").unwrap(), a);
+        }
+        let trace = workload::Trace::generate(
+            workload::TraceConfig {
+                n_services: addrs.len(),
+                n_requests: 400,
+                min_per_service: 1,
+                duration: Duration::from_secs(20),
+                n_clients: 20,
+                skew: 0.9,
+                start_mean_secs: 8.0,
+            },
+            7,
+        );
+        for r in &trace.requests {
+            tb.request_at(r.at + Duration::from_secs(1), r.client, addrs[r.service]);
+        }
+        // [live, superseded] events and the instant of the last live one.
+        let mut ticks = ([0u32; 2], SimTime::ZERO);
+        let mut expiries = ([0u32; 2], SimTime::ZERO);
+        run_inspecting(&mut tb, SimTime::from_secs(200), |tb, now, ev| {
+            // `chain` is a copy: probing it does not disarm the real one.
+            let (mut chain, at, seen) = match ev {
+                Ev::Tick(at) => (tb.tick, *at, &mut ticks),
+                Ev::SwitchExpiry(at) => (tb.expiry, *at, &mut expiries),
+                _ => return,
+            };
+            let live = chain.fires(at);
+            seen.0[usize::from(!live)] += 1;
+            if live {
+                // One chain: live events never share an instant. Forked
+                // chains fire side by side at every deadline.
+                assert!(now > seen.1, "two live events of one chain at {now:?}");
+                seen.1 = now;
+            }
+        });
+        assert_eq!(tb.completed.len(), 400, "resets={}", tb.resets);
+        let ([live_ticks, stale_ticks], _) = ticks;
+        let ([live_expiries, stale_expiries], _) = expiries;
+        assert!(stale_ticks + stale_expiries > 0, "the run must supersede a queued deadline");
+        // A superseded event is popped once and dropped, so there are fewer
+        // of them than deadlines; a forked chain doubles the events instead.
+        assert!(stale_ticks < live_ticks, "{stale_ticks} stale vs {live_ticks} live ticks");
+        assert!(stale_expiries < live_expiries, "{stale_expiries} stale vs {live_expiries} live expiries");
+    }
+
+    #[test]
+    fn listener_lookup_equals_the_scan_across_a_pod_address_change() {
+        use crate::common::scan_listener;
+        let mut tb = Testbed::new(TestbedConfig {
+            cluster: ClusterKind::K8s,
+            controller: ControllerConfig {
+                memory_idle: Duration::from_secs(20),
+                ..ControllerConfig::default()
+            },
+            ..TestbedConfig::default()
+        });
+        let addr = svc_addr(10);
+        let svc = tb.register_service(containerd::ServiceSet::by_key("asm").unwrap(), addr);
+        tb.pre_pull(addr);
+        // Scale-up, idle scale-down, scale-up again: the second pod gets a
+        // new IP.
+        tb.request_at(SimTime::from_secs(1), 0, addr);
+        tb.request_at(SimTime::from_secs(60), 1, addr);
+        let mut pod_addrs = Vec::new();
+        let mut answered = 0;
+        run_inspecting(&mut tb, SimTime::from_secs(120), |tb, now, ev| {
+            let Ev::FrameAt { node, data, .. } = ev else { return };
+            if *node != tb.c3.egs {
+                return;
+            }
+            if let Some(a) = tb.controller.cluster(0).instance_addr(&svc) {
+                if pod_addrs.last() != Some(&a) {
+                    pod_addrs.push(a);
+                }
+            }
+            // Every frame the EGS sees, at every address a pod ever had.
+            let frame = TcpFrame::decode(data).unwrap();
+            let probes = pod_addrs.iter().map(|a| (a.ip, a.port));
+            for (ip, port) in probes.chain([(frame.dst_ip, frame.dst_port)]) {
+                let got = tb.listeners.lookup(&tb.controller, ip, port, now);
+                assert_eq!(got, scan_listener(&tb.controller, ip, port, now), "{ip:?}:{port} at {now:?}");
+                answered += usize::from(got.is_some());
+            }
+            assert!(tb.listeners.len() <= 1, "one pair, one remembered address");
+        });
+        assert_eq!(tb.completed.len(), 2);
+        assert_eq!(pod_addrs.len(), 2, "the redeployed pod has a new address: {pod_addrs:?}");
+        assert!(answered > 0);
     }
 }

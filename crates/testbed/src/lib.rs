@@ -22,6 +22,7 @@
 
 #![warn(missing_docs)]
 
+mod common;
 pub mod experiments;
 pub mod harness;
 pub mod mobility_run;

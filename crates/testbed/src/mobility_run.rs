@@ -17,8 +17,9 @@
 //! or double-answered, and that every byte the client sees still carries the
 //! cloud service address (transparency across handovers).
 
+use crate::common::{Deadline, ListenerIndex};
 use crate::harness::segments;
-use crate::topology::MultiGnbTopology;
+use crate::topology::{MultiGnbTopology, Role};
 use desim::{Duration, Engine, FaultPlan, LogNormal, Sample, SimRng, SimTime};
 use openflow::FlowEntry;
 use edgectl::{
@@ -158,11 +159,13 @@ enum Ev {
     CtrlProcess { gnb: usize, bytes: Vec<u8> },
     CtrlDown { gnb: usize, bytes: Vec<u8> },
     Attach(AttachmentEvent),
-    Tick,
+    /// The self-re-arming events carry the deadline they were scheduled for
+    /// (see [`Deadline`]).
+    Tick(SimTime),
     /// A live migration's transfer (and warm start) lands: flip the flows.
     /// Never scheduled unless the controller's migration policy is live.
-    MigrationTick,
-    SwitchExpiry { gnb: usize },
+    MigrationTick(SimTime),
+    SwitchExpiry { gnb: usize, at: SimTime },
     ServerSend { node: NodeId, port: PortNo, data: Vec<u8> },
     // Runtime-chaos events; none are scheduled unless the fault plan's
     // runtime rates are non-zero.
@@ -185,6 +188,8 @@ enum Ev {
 pub struct MobilityTestbed {
     engine: Engine<Ev>,
     net: MultiGnbTopology,
+    /// `NodeId` → what the node is, for frame dispatch.
+    roles: Vec<Role>,
     switches: Vec<Switch>,
     /// The controller under test (one, managing every gNB).
     pub controller: Controller,
@@ -196,9 +201,11 @@ pub struct MobilityTestbed {
     profile: Option<ServiceProfile>,
     service: Option<ServiceAddr>,
     server_rx: HashMap<(Ipv4Addr, u16, Ipv4Addr, u16), usize>,
-    scheduled_tick: Option<SimTime>,
-    scheduled_migration: Option<SimTime>,
-    scheduled_expiry: Vec<Option<SimTime>>,
+    tick: Deadline,
+    migration: Deadline,
+    /// Per gNB.
+    expiry: Vec<Deadline>,
+    listeners: ListenerIndex,
     ctrl_latency: Duration,
     accept_latency: LogNormal,
     ping_interval: Duration,
@@ -326,6 +333,7 @@ impl MobilityTestbed {
         let n_clients = config.n_clients;
         MobilityTestbed {
             engine: Engine::new(),
+            roles: net.roles(),
             net,
             switches,
             controller,
@@ -336,9 +344,10 @@ impl MobilityTestbed {
             profile: None,
             service: None,
             server_rx: HashMap::new(),
-            scheduled_tick: None,
-            scheduled_migration: None,
-            scheduled_expiry: vec![None; config.n_gnbs],
+            tick: Deadline::default(),
+            migration: Deadline::default(),
+            expiry: vec![Deadline::default(); config.n_gnbs],
+            listeners: ListenerIndex::default(),
             ctrl_latency: Duration::from_micros(200),
             accept_latency: LogNormal::from_median(0.0001, 0.3),
             ping_interval: config.ping_interval,
@@ -686,32 +695,22 @@ impl MobilityTestbed {
     }
 
     fn reschedule_tick(&mut self) {
-        if let Some(t) = self.controller.next_tick_at() {
-            let t = t.max(self.engine.now());
-            if self.scheduled_tick.is_none_or(|s| s > t || s < self.engine.now()) {
-                self.engine.schedule_at(t, Ev::Tick);
-                self.scheduled_tick = Some(t);
-            }
+        if let Some(t) = self.tick.arm(self.controller.next_tick_at(), self.engine.now()) {
+            self.engine.schedule_at(t, Ev::Tick(t));
         }
     }
 
     fn reschedule_migration(&mut self) {
-        if let Some(t) = self.controller.next_migration_at() {
-            let t = t.max(self.engine.now());
-            if self.scheduled_migration.is_none_or(|s| s > t || s < self.engine.now()) {
-                self.engine.schedule_at(t, Ev::MigrationTick);
-                self.scheduled_migration = Some(t);
-            }
+        let next = self.controller.next_migration_at();
+        if let Some(t) = self.migration.arm(next, self.engine.now()) {
+            self.engine.schedule_at(t, Ev::MigrationTick(t));
         }
     }
 
     fn reschedule_expiry(&mut self, gnb: usize) {
-        if let Some(t) = self.switches[gnb].next_expiry() {
-            let t = t.max(self.engine.now());
-            if self.scheduled_expiry[gnb].is_none_or(|s| s > t || s < self.engine.now()) {
-                self.engine.schedule_at(t, Ev::SwitchExpiry { gnb });
-                self.scheduled_expiry[gnb] = Some(t);
-            }
+        let next = self.switches[gnb].next_expiry();
+        if let Some(at) = self.expiry[gnb].arm(next, self.engine.now()) {
+            self.engine.schedule_at(at, Ev::SwitchExpiry { gnb, at });
         }
     }
 
@@ -752,16 +751,15 @@ impl MobilityTestbed {
                 self.send_syn(client);
             }
             Ev::Ping { client } => self.send_ping(now, client),
-            Ev::FrameAt { node, in_port, data } => {
-                if let Some(g) = self.net.gnbs.iter().position(|&n| n == node) {
+            Ev::FrameAt { node, in_port, data } => match self.roles[node.0 as usize] {
+                Role::Switch(g) => {
                     let effects = self.switches[g].handle_frame(now, in_port, &data);
                     self.process_switch_effects(g, effects);
-                } else if self.net.zones.contains(&node) || node == self.net.cloud {
-                    self.handle_server_frame(now, node, in_port, &data);
-                } else if let Some(c) = self.net.clients.iter().position(|&n| n == node) {
-                    self.handle_client_frame(now, c, &data);
                 }
-            }
+                Role::Edge(z) => self.handle_server_frame(now, node, Some(z), in_port, &data),
+                Role::Cloud => self.handle_server_frame(now, node, None, in_port, &data),
+                Role::Client(c) => self.handle_client_frame(now, c, &data),
+            },
             Ev::CtrlUp { gnb, bytes } => {
                 if !self.channel_up(gnb, now) || !self.controller_up(now) {
                     self.ctrl_dropped += 1;
@@ -797,16 +795,20 @@ impl MobilityTestbed {
                 }
             }
             Ev::Attach(ev) => self.handle_attach(now, ev),
-            Ev::Tick => {
-                self.scheduled_tick = None;
+            Ev::Tick(at) => {
+                if !self.tick.fires(at) {
+                    return;
+                }
                 if !self.controller_up(now) {
                     return; // rescheduled by the restart
                 }
                 self.controller.tick(now, &mut self.rng);
                 self.reschedule_tick();
             }
-            Ev::MigrationTick => {
-                self.scheduled_migration = None;
+            Ev::MigrationTick(at) => {
+                if !self.migration.fires(at) {
+                    return;
+                }
                 if !self.controller_up(now) {
                     return; // in-flight migrations are pinned until restart
                 }
@@ -821,10 +823,11 @@ impl MobilityTestbed {
                 // The flip repoints memorized flows; their next expiry moved.
                 self.reschedule_tick();
             }
-            Ev::SwitchExpiry { gnb } => {
-                self.scheduled_expiry[gnb] = None;
-                let effects = self.switches[gnb].expire_flows(now);
-                self.process_switch_effects(gnb, effects);
+            Ev::SwitchExpiry { gnb, at } => {
+                if self.expiry[gnb].fires(at) {
+                    let effects = self.switches[gnb].expire_flows(now);
+                    self.process_switch_effects(gnb, effects);
+                }
             }
             Ev::ServerSend { node, port, data } => {
                 self.send_from(node, port, data);
@@ -1038,28 +1041,28 @@ impl MobilityTestbed {
         self.reschedule_migration();
     }
 
-    /// Which instance (if any) listens at `(ip, port)` across the zones.
-    fn listener(&self, ip: Ipv4Addr, port: u16, now: SimTime) -> Option<(ServiceProfile, bool)> {
-        for svc in self.controller.services().iter() {
-            for idx in 0..self.controller.cluster_count() {
-                let cluster = self.controller.cluster(idx);
-                if let Some(addr) = cluster.instance_addr(svc) {
-                    if addr.ip == ip && addr.port == port {
-                        let ready = cluster.state(svc, now).is_ready();
-                        return Some((svc.profile.clone(), ready));
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    fn handle_server_frame(&mut self, now: SimTime, node: NodeId, in_port: u32, data: &[u8]) {
+    /// A frame reached the server at `node`: zone `zone`, or the cloud.
+    fn handle_server_frame(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        zone: Option<usize>,
+        in_port: u32,
+        data: &[u8],
+    ) {
         let Ok(frame) = TcpFrame::decode(data) else {
             self.drops += 1;
             return;
         };
-        let is_cloud = node == self.net.cloud;
+        let is_cloud = zone.is_none();
+        // One listener lookup covers the whole frame — both the SYN/response
+        // branch and the request-reassembly branch.
+        let edge = if is_cloud {
+            None
+        } else {
+            self.listeners
+                .lookup(&self.controller, frame.dst_ip, frame.dst_port, now)
+        };
         let (processing, response_bytes, listening) = if is_cloud {
             // The perceived cloud hosts the registered service too.
             match &self.profile {
@@ -1069,8 +1072,8 @@ impl MobilityTestbed {
                 _ => (LogNormal::from_median(0.002, 0.3), 500, true),
             }
         } else {
-            match self.listener(frame.dst_ip, frame.dst_port, now) {
-                Some((p, ready)) => (p.request_processing, p.response_bytes, ready),
+            match edge {
+                Some(l) => (l.processing, l.response_bytes, l.ready),
                 None => (LogNormal::from_median(0.002, 0.3), 0, false),
             }
         };
@@ -1098,9 +1101,7 @@ impl MobilityTestbed {
             let expected = if is_cloud {
                 self.profile.as_ref().map(|p| p.request_bytes).unwrap_or(1)
             } else {
-                self.listener(frame.dst_ip, frame.dst_port, now)
-                    .map(|(p, _)| p.request_bytes)
-                    .unwrap_or(1)
+                edge.map(|l| l.request_bytes).unwrap_or(1)
             };
             let key = (frame.src_ip, frame.src_port, frame.dst_ip, frame.dst_port);
             let acc = self.server_rx.entry(key).or_insert(0);
@@ -1110,13 +1111,8 @@ impl MobilityTestbed {
                 // An edge instance completed a request: its session state
                 // grows by the configured per-request bytes (no-op while
                 // migration is off or stateless).
-                if !is_cloud {
-                    if let (Some(addr), Some(z)) = (
-                        self.service,
-                        self.net.zones.iter().position(|&n| n == node),
-                    ) {
-                        self.controller.note_served(addr, z);
-                    }
+                if let (Some(addr), Some(z)) = (self.service, zone) {
+                    self.controller.note_served(addr, z);
                 }
                 let delay = processing.sample_duration(&mut self.rng);
                 let template = frame.reply(TcpFlags::PSH_ACK, Vec::new());

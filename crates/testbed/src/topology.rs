@@ -49,6 +49,33 @@ pub fn fleet_client_ip(ingress: u32, i: usize) -> Ipv4Addr {
     Ipv4Addr::new(10, 64 + ingress as u8, (host >> 8) as u8, host as u8)
 }
 
+/// What a node is to the harness that dispatches its frames, with its index
+/// among the nodes of that kind. Built once per topology ([`C3Topology::roles`],
+/// [`MultiGnbTopology::roles`]) and indexed by `NodeId`, so the per-frame
+/// path does not search the node lists.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Role {
+    /// An OpenFlow ingress switch (the OVS; gNB `g`).
+    Switch(usize),
+    /// An edge host (the EGS and the far edge; zone `z`).
+    Edge(usize),
+    /// The cloud.
+    Cloud,
+    /// Client `i`.
+    Client(usize),
+}
+
+fn role_table(topo: &Topology, roles: impl IntoIterator<Item = (NodeId, Role)>) -> Vec<Role> {
+    let mut table = vec![None; topo.nodes().len()];
+    for (node, role) in roles {
+        table[node.0 as usize] = Some(role);
+    }
+    table
+        .into_iter()
+        .map(|r| r.expect("every node of the topology has a role"))
+        .collect()
+}
+
 /// The assembled topology plus the node/port bookkeeping the harness needs.
 pub struct C3Topology {
     /// The network graph.
@@ -132,6 +159,19 @@ impl C3Topology {
     /// The IPv4 address of client `i`.
     pub fn client_ip(&self, i: usize) -> Ipv4Addr {
         self.topo.node(self.clients[i]).ip
+    }
+
+    /// The role of every node, indexed by `NodeId`.
+    pub(crate) fn roles(&self) -> Vec<Role> {
+        let clients = self.clients.iter().enumerate().map(|(i, &c)| (c, Role::Client(i)));
+        let far = self.far_edge.map(|(n, _)| (n, Role::Edge(1)));
+        role_table(
+            &self.topo,
+            [(self.ovs, Role::Switch(0)), (self.egs, Role::Edge(0)), (self.cloud, Role::Cloud)]
+                .into_iter()
+                .chain(far)
+                .chain(clients),
+        )
     }
 
     /// All OVS port numbers (for the switch FLOOD config).
@@ -262,6 +302,17 @@ impl MultiGnbTopology {
     /// The IPv4 address of client `i`.
     pub fn client_ip(&self, i: usize) -> Ipv4Addr {
         self.topo.node(self.clients[i]).ip
+    }
+
+    /// The role of every node, indexed by `NodeId`.
+    pub(crate) fn roles(&self) -> Vec<Role> {
+        let gnbs = self.gnbs.iter().enumerate().map(|(g, &n)| (n, Role::Switch(g)));
+        let zones = self.zones.iter().enumerate().map(|(z, &n)| (n, Role::Edge(z)));
+        let clients = self.clients.iter().enumerate().map(|(i, &c)| (c, Role::Client(i)));
+        role_table(
+            &self.topo,
+            gnbs.chain(zones).chain(clients).chain([(self.cloud, Role::Cloud)]),
+        )
     }
 
     /// All port numbers of gNB `g` (for the switch FLOOD config).
