@@ -4,10 +4,17 @@
 //! pipeline matches on its fields, the SDN controller's redirect logic
 //! rewrites destination (and source, on the return path) addresses, and the
 //! wire module renders it to real bytes for OpenFlow `PACKET_IN` buffers.
+//!
+//! Two cheaper views serve the per-packet paths, where a frame travels as
+//! one encoded buffer: [`TcpHeaders`] is every field of a [`TcpFrame`] with
+//! the payload's *length* in place of its bytes (parsed and verified without
+//! copying anything), and [`WireFrame`] is a verified buffer whose addresses
+//! and ports are rewritten in place, checksums patched per RFC 1624.
 
 use crate::addr::{Ipv4Addr, MacAddr, ServiceAddr};
 use crate::wire::{
-    self, EthHeader, Ipv4Header, TcpHeader, ETHERTYPE_IPV4, IPPROTO_TCP, TCP_HEADER_LEN,
+    self, EthHeader, Ipv4Header, TcpHeader, WireError, ETHERTYPE_IPV4, ETH_HEADER_LEN,
+    IPPROTO_TCP, IPV4_HEADER_LEN, TCP_HEADER_LEN,
 };
 
 /// TCP flag bits.
@@ -67,6 +74,10 @@ pub struct TcpFrame {
 }
 
 impl TcpFrame {
+    /// The longest payload one frame can carry: IPv4's `total_len` is 16
+    /// bits and counts both headers.
+    pub const MAX_PAYLOAD: usize = wire::IPV4_MAX_PAYLOAD - TCP_HEADER_LEN;
+
     /// Builds a SYN (connection-open) segment from `src` to the service `dst`.
     pub fn syn(
         src_mac: MacAddr,
@@ -102,17 +113,22 @@ impl TcpFrame {
 
     /// Builds the frame a server sends in reply: addresses and ports swapped.
     pub fn reply(&self, flags: TcpFlags, payload: Vec<u8>) -> TcpFrame {
-        TcpFrame {
-            src_mac: self.dst_mac,
-            dst_mac: self.src_mac,
-            src_ip: self.dst_ip,
-            dst_ip: self.src_ip,
-            src_port: self.dst_port,
-            dst_port: self.src_port,
-            flags,
-            seq: self.ack,
-            ack: self.seq.wrapping_add(self.payload.len().max(1) as u32),
-            payload,
+        self.headers().reply(flags, payload.len()).with_payload(payload)
+    }
+
+    /// The header fields of this frame.
+    pub fn headers(&self) -> TcpHeaders {
+        TcpHeaders {
+            src_mac: self.src_mac,
+            dst_mac: self.dst_mac,
+            src_ip: self.src_ip,
+            dst_ip: self.dst_ip,
+            src_port: self.src_port,
+            dst_port: self.dst_port,
+            flags: self.flags,
+            seq: self.seq,
+            ack: self.ack,
+            payload_len: self.payload.len(),
         }
     }
 
@@ -132,13 +148,143 @@ impl TcpFrame {
     }
 
     /// Total frame size on the wire in bytes (used for serialization-delay
-    /// modelling).
+    /// modelling). Only frames whose payload is at most
+    /// [`TcpFrame::MAX_PAYLOAD`] bytes have an encoding of this length.
     pub fn wire_len(&self) -> usize {
-        wire::ETH_HEADER_LEN + wire::IPV4_HEADER_LEN + TCP_HEADER_LEN + self.payload.len()
+        self.headers().wire_len()
     }
 
     /// Encodes to real frame bytes with valid checksums.
+    ///
+    /// The payload must not exceed [`TcpFrame::MAX_PAYLOAD`] (65 495 bytes);
+    /// see [`wire::encode_ipv4`] for what happens when it does. Senders
+    /// segment at the MSS long before that.
     pub fn encode(&self) -> Vec<u8> {
+        self.headers()
+            .encode_with(|out| out.extend_from_slice(&self.payload))
+    }
+
+    /// Decodes real frame bytes (produced by [`TcpFrame::encode`] or any
+    /// compatible encoder), verifying checksums.
+    pub fn decode(buf: &[u8]) -> Result<TcpFrame, WireError> {
+        let (headers, payload) = TcpHeaders::parse_split(buf)?;
+        Ok(headers.with_payload(payload.to_vec()))
+    }
+}
+
+/// Every field of a [`TcpFrame`] but the payload bytes: what the switch
+/// matches on and what the TCP endpoints of the testbed act on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TcpHeaders {
+    /// Source MAC.
+    pub src_mac: MacAddr,
+    /// Destination MAC.
+    pub dst_mac: MacAddr,
+    /// Source IPv4 address.
+    pub src_ip: Ipv4Addr,
+    /// Destination IPv4 address.
+    pub dst_ip: Ipv4Addr,
+    /// Source TCP port.
+    pub src_port: u16,
+    /// Destination TCP port.
+    pub dst_port: u16,
+    /// TCP flags.
+    pub flags: TcpFlags,
+    /// Sequence number.
+    pub seq: u32,
+    /// Acknowledgement number.
+    pub ack: u32,
+    /// Length of the application payload carried by the segment.
+    pub payload_len: usize,
+}
+
+impl TcpHeaders {
+    /// Parses and verifies frame bytes exactly as [`TcpFrame::decode`] does
+    /// (same checks, same [`WireError`]s, both checksums) without copying
+    /// the payload.
+    pub fn parse(buf: &[u8]) -> Result<TcpHeaders, WireError> {
+        TcpHeaders::parse_split(buf).map(|(headers, _)| headers)
+    }
+
+    /// The verified headers and the payload bytes they describe.
+    fn parse_split(buf: &[u8]) -> Result<(TcpHeaders, &[u8]), WireError> {
+        let (eth, rest) = wire::decode_eth(buf)?;
+        if eth.ethertype != ETHERTYPE_IPV4 {
+            return Err(WireError::NotIpv4(eth.ethertype));
+        }
+        let (ip, rest) = wire::decode_ipv4(rest)?;
+        if ip.protocol != IPPROTO_TCP {
+            return Err(WireError::NotTcp(ip.protocol));
+        }
+        let (tcp, payload) = wire::decode_tcp(rest, ip.src, ip.dst)?;
+        let headers = TcpHeaders {
+            src_mac: eth.src,
+            dst_mac: eth.dst,
+            src_ip: ip.src,
+            dst_ip: ip.dst,
+            src_port: tcp.src_port,
+            dst_port: tcp.dst_port,
+            flags: TcpFlags(tcp.flags),
+            seq: tcp.seq,
+            ack: tcp.ack,
+            payload_len: payload.len(),
+        };
+        Ok((headers, payload))
+    }
+
+    /// The frame with these headers carrying `payload`.
+    pub(crate) fn with_payload(self, payload: Vec<u8>) -> TcpFrame {
+        TcpFrame {
+            src_mac: self.src_mac,
+            dst_mac: self.dst_mac,
+            src_ip: self.src_ip,
+            dst_ip: self.dst_ip,
+            src_port: self.src_port,
+            dst_port: self.dst_port,
+            flags: self.flags,
+            seq: self.seq,
+            ack: self.ack,
+            payload,
+        }
+    }
+
+    /// The destination as a service address.
+    pub fn dst_service(&self) -> ServiceAddr {
+        ServiceAddr::new(self.dst_ip, self.dst_port)
+    }
+
+    /// Headers of the segment sent in reply, carrying `payload_len` bytes:
+    /// addresses and ports swapped, this segment acknowledged.
+    pub fn reply(&self, flags: TcpFlags, payload_len: usize) -> TcpHeaders {
+        TcpHeaders {
+            src_mac: self.dst_mac,
+            dst_mac: self.src_mac,
+            src_ip: self.dst_ip,
+            dst_ip: self.src_ip,
+            src_port: self.dst_port,
+            dst_port: self.src_port,
+            flags,
+            seq: self.ack,
+            ack: self.seq.wrapping_add(self.payload_len.max(1) as u32),
+            payload_len,
+        }
+    }
+
+    /// Size on the wire of the frame these headers describe.
+    pub fn wire_len(&self) -> usize {
+        ETH_HEADER_LEN + IPV4_HEADER_LEN + TCP_HEADER_LEN + self.payload_len
+    }
+
+    /// Encodes the frame whose payload is `payload_len` bytes of `fill` —
+    /// the same bytes as [`TcpFrame::encode`] on that frame, written without
+    /// a payload buffer in between.
+    pub fn encode_filled(&self, fill: u8) -> Vec<u8> {
+        self.encode_with(|out| out.resize(out.len() + self.payload_len, fill))
+    }
+
+    /// Encodes these headers around the `payload_len` bytes that
+    /// `write_payload` appends.
+    fn encode_with(&self, write_payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.wire_len());
         wire::encode_eth(
             &mut buf,
@@ -156,8 +302,8 @@ impl TcpFrame {
             total_len: 0,
             ident: (self.seq ^ (self.src_port as u32) << 8) as u16,
         };
-        wire::encode_ipv4(&mut buf, &ip, TCP_HEADER_LEN + self.payload.len());
-        wire::encode_tcp(
+        wire::encode_ipv4(&mut buf, &ip, TCP_HEADER_LEN + self.payload_len);
+        wire::encode_tcp_with(
             &mut buf,
             &TcpHeader {
                 src_port: self.src_port,
@@ -167,37 +313,116 @@ impl TcpFrame {
                 flags: self.flags.0,
                 window: 65535,
             },
-            &self.payload,
+            write_payload,
             self.src_ip,
             self.dst_ip,
         );
+        debug_assert_eq!(buf.len(), self.wire_len(), "payload writer wrote payload_len bytes");
         buf
     }
+}
 
-    /// Decodes real frame bytes (produced by [`TcpFrame::encode`] or any
-    /// compatible encoder), verifying checksums.
-    pub fn decode(buf: &[u8]) -> Result<TcpFrame, wire::WireError> {
-        let (eth, rest) = wire::decode_eth(buf)?;
-        if eth.ethertype != ETHERTYPE_IPV4 {
-            return Err(wire::WireError::NotIpv4(eth.ethertype));
+// Byte offsets of the rewritable fields in an Ethernet II / IPv4 (IHL 5) /
+// TCP frame.
+const OFF_ETH_DST: usize = 0;
+const OFF_ETH_SRC: usize = 6;
+const OFF_IP_IDENT: usize = ETH_HEADER_LEN + 4;
+const OFF_IP_CSUM: usize = ETH_HEADER_LEN + 10;
+const OFF_IP_SRC: usize = ETH_HEADER_LEN + 12;
+const OFF_IP_DST: usize = ETH_HEADER_LEN + 16;
+const OFF_TCP_SRC: usize = ETH_HEADER_LEN + IPV4_HEADER_LEN;
+const OFF_TCP_DST: usize = OFF_TCP_SRC + 2;
+const OFF_TCP_CSUM: usize = OFF_TCP_SRC + 16;
+
+/// Encoded frame bytes that passed [`TcpHeaders::parse`], rewritable in
+/// place.
+///
+/// Each setter overwrites one field and patches the checksums covering it
+/// incrementally (RFC 1624 eqn. 3: `HC' = ~(~HC + ~m + m')`), so a rewrite
+/// costs a few additions however long the payload is, and every byte the
+/// rewrite does not name — TTL, TCP options, payload, Ethernet padding —
+/// stays as it arrived. For a frame [`TcpFrame::encode`] produced the result
+/// is byte-identical to decode → [`TcpFrame::rewrite_dst`] /
+/// [`TcpFrame::rewrite_src`] → encode.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct WireFrame(Vec<u8>);
+
+impl WireFrame {
+    /// Verifies `buf` and wraps it; the headers are as parsed, before any
+    /// rewrite.
+    pub fn parse(buf: Vec<u8>) -> Result<(TcpHeaders, WireFrame), WireError> {
+        let headers = TcpHeaders::parse(&buf)?;
+        Ok((headers, WireFrame(buf)))
+    }
+
+    /// The frame bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+
+    /// Gives the buffer back.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.0
+    }
+
+    /// Rewrites the destination MAC (no checksum covers it).
+    pub fn set_eth_dst(&mut self, mac: MacAddr) {
+        self.0[OFF_ETH_DST..OFF_ETH_DST + 6].copy_from_slice(&mac.octets());
+    }
+
+    /// Rewrites the source MAC.
+    pub fn set_eth_src(&mut self, mac: MacAddr) {
+        self.0[OFF_ETH_SRC..OFF_ETH_SRC + 6].copy_from_slice(&mac.octets());
+    }
+
+    /// Rewrites the source IPv4 address.
+    pub fn set_ipv4_src(&mut self, ip: Ipv4Addr) {
+        self.set_ip(OFF_IP_SRC, ip);
+    }
+
+    /// Rewrites the destination IPv4 address.
+    pub fn set_ipv4_dst(&mut self, ip: Ipv4Addr) {
+        self.set_ip(OFF_IP_DST, ip);
+    }
+
+    /// Rewrites the source TCP port — and with it the low byte of the port
+    /// folded into the IPv4 `ident` word, which the encoder derives from the
+    /// source port.
+    pub fn set_tcp_src(&mut self, port: u16) {
+        let changed = self.word(OFF_TCP_SRC) ^ port;
+        let ident = self.word(OFF_IP_IDENT) ^ (changed << 8);
+        self.patch(OFF_IP_IDENT, ident, &[OFF_IP_CSUM]);
+        self.patch(OFF_TCP_SRC, port, &[OFF_TCP_CSUM]);
+    }
+
+    /// Rewrites the destination TCP port.
+    pub fn set_tcp_dst(&mut self, port: u16) {
+        self.patch(OFF_TCP_DST, port, &[OFF_TCP_CSUM]);
+    }
+
+    /// An address sits in the IPv4 header and in the TCP pseudo header.
+    fn set_ip(&mut self, off: usize, ip: Ipv4Addr) {
+        let [a, b, c, d] = ip.octets();
+        self.patch(off, u16::from_be_bytes([a, b]), &[OFF_IP_CSUM, OFF_TCP_CSUM]);
+        self.patch(off + 2, u16::from_be_bytes([c, d]), &[OFF_IP_CSUM, OFF_TCP_CSUM]);
+    }
+
+    fn word(&self, off: usize) -> u16 {
+        u16::from_be_bytes([self.0[off], self.0[off + 1]])
+    }
+
+    /// Overwrites the 16-bit word at `off` and updates the checksums at
+    /// `checksums` for the change. An unchanged word touches nothing.
+    fn patch(&mut self, off: usize, new: u16, checksums: &[usize]) {
+        let old = self.word(off);
+        if old == new {
+            return;
         }
-        let (ip, rest) = wire::decode_ipv4(rest)?;
-        if ip.protocol != IPPROTO_TCP {
-            return Err(wire::WireError::NotTcp(ip.protocol));
+        self.0[off..off + 2].copy_from_slice(&new.to_be_bytes());
+        for &at in checksums {
+            let sum = u64::from(!self.word(at)) + u64::from(!old) + u64::from(new);
+            self.0[at..at + 2].copy_from_slice(&(!wire::fold(sum)).to_be_bytes());
         }
-        let (tcp, payload) = wire::decode_tcp(rest, ip.src, ip.dst)?;
-        Ok(TcpFrame {
-            src_mac: eth.src,
-            dst_mac: eth.dst,
-            src_ip: ip.src,
-            dst_ip: ip.dst,
-            src_port: tcp.src_port,
-            dst_port: tcp.dst_port,
-            flags: TcpFlags(tcp.flags),
-            seq: tcp.seq,
-            ack: tcp.ack,
-            payload: payload.to_vec(),
-        })
     }
 }
 
@@ -282,6 +507,42 @@ mod tests {
         f.payload = vec![0xab; 100];
         assert_eq!(f.encode().len(), f.wire_len());
         assert_eq!(f.wire_len(), 14 + 20 + 20 + 100);
+    }
+
+    #[test]
+    fn largest_payload_roundtrips() {
+        let mut f = client_syn();
+        f.payload = vec![0x5a; TcpFrame::MAX_PAYLOAD];
+        let bytes = f.encode();
+        assert_eq!(&bytes[16..18], &[0xff, 0xff], "total_len at its maximum");
+        assert_eq!(TcpFrame::decode(&bytes).unwrap(), f);
+    }
+
+    /// One byte past [`TcpFrame::MAX_PAYLOAD`] does not fit `total_len`. The
+    /// seed cast the length silently; a release build still does (pinned
+    /// here: the length wraps to 0 and nothing decodes the frame), a debug
+    /// build refuses.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "does not fit total_len"))]
+    fn oversized_payload_panics_in_debug_and_wraps_in_release() {
+        let mut f = client_syn();
+        f.payload = vec![0; TcpFrame::MAX_PAYLOAD + 1];
+        let bytes = f.encode();
+        assert_eq!(bytes.len(), f.wire_len());
+        assert_eq!(&bytes[16..18], &[0, 0], "total_len wrapped");
+        assert!(TcpFrame::decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn headers_reply_equals_frame_reply() {
+        let mut f = client_syn();
+        f.payload = vec![1; 700];
+        f.seq = u32::MAX - 3;
+        f.ack = 9;
+        let r = f.reply(TcpFlags::PSH_ACK, vec![2; 30]);
+        assert_eq!(f.headers().reply(TcpFlags::PSH_ACK, 30), r.headers());
+        assert_eq!(r.ack, 696, "acknowledges the payload, wrapping");
+        assert_eq!(client_syn().headers().reply(TcpFlags::SYN_ACK, 0).ack, 1);
     }
 
     #[test]

@@ -10,6 +10,10 @@
 //! * [`wire`] — byte-exact Ethernet II / IPv4 / TCP encoding and parsing
 //!   (OpenFlow `PACKET_IN` carries real frame bytes, so the frames are real),
 //! * [`frame`] — a structured view of a TCP/IPv4 frame with rewrite helpers,
+//!   plus the two views the per-packet paths use on encoded bytes: a
+//!   header-only parse ([`TcpHeaders`], same verification as a full decode,
+//!   no payload copy) and an in-place rewrite ([`WireFrame`], checksums
+//!   patched incrementally per RFC 1624),
 //! * [`link`] — latency + bandwidth link models with optional jitter,
 //! * [`topo`] — the node/port/link graph plus shortest-path queries,
 //! * [`pcap`] — capture export: dump simulated traffic to standard pcap
@@ -42,7 +46,7 @@ pub mod topo;
 pub mod wire;
 
 pub use addr::{Ipv4Addr, MacAddr, ServiceAddr};
-pub use frame::{TcpFlags, TcpFrame};
+pub use frame::{TcpFlags, TcpFrame, TcpHeaders, WireFrame};
 pub use link::{Link, LinkSpec};
 pub use pcap::PcapCapture;
 pub use topo::{NodeId, NodeKind, PortNo, Topology};

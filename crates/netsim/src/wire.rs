@@ -58,19 +58,34 @@ impl std::error::Error for WireError {}
 
 /// The ones'-complement internet checksum (RFC 1071) over `data`,
 /// seeded with `initial` (used for pseudo-header sums).
+///
+/// The sum is byte-order independent (RFC 1071 §2B), so the data is added
+/// as native 32-bit words and the folded result converted to network order
+/// once, instead of one big-endian 16-bit word at a time.
 pub fn internet_checksum(data: &[u8], initial: u32) -> u16 {
-    let mut sum = initial;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
+    let mut words = data.chunks_exact(4);
+    let mut sum: u64 = 0;
+    for w in &mut words {
+        sum += u64::from(u32::from_ne_bytes([w[0], w[1], w[2], w[3]]));
     }
-    if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
+    let mut tail = words.remainder().chunks_exact(2);
+    for h in &mut tail {
+        sum += u64::from(u16::from_ne_bytes([h[0], h[1]]));
     }
+    if let [last] = tail.remainder() {
+        sum += u64::from(u16::from_ne_bytes([*last, 0]));
+    }
+    // 2^16 ≡ 1 (mod 0xffff): folding 64 → 16 bits keeps the ones'-complement
+    // sum of the native 16-bit words, which byte-swaps to the big-endian one.
+    !fold(u64::from(initial) + u64::from(u16::from_be(fold(sum))))
+}
+
+/// Folds a ones'-complement accumulator to 16 bits (end-around carry).
+pub(crate) fn fold(mut sum: u64) -> u16 {
     while sum > 0xffff {
         sum = (sum & 0xffff) + (sum >> 16);
     }
-    !(sum as u16)
+    sum as u16
 }
 
 /// Decoded Ethernet II header.
@@ -125,8 +140,19 @@ pub fn encode_eth(out: &mut Vec<u8>, h: &EthHeader) {
     out.extend_from_slice(&h.ethertype.to_be_bytes());
 }
 
+/// Largest IPv4 payload (TCP header included) `total_len` can describe.
+pub const IPV4_MAX_PAYLOAD: usize = u16::MAX as usize - IPV4_HEADER_LEN;
+
 /// Encodes an IPv4 header (with checksum) for a payload of `payload_len` bytes.
+///
+/// `payload_len` must not exceed [`IPV4_MAX_PAYLOAD`]: `total_len` is a
+/// 16-bit field. A debug build panics on a longer payload; a release build
+/// writes the length modulo 65 536, which no decoder accepts as this packet.
 pub fn encode_ipv4(out: &mut Vec<u8>, h: &Ipv4Header, payload_len: usize) {
+    debug_assert!(
+        payload_len <= IPV4_MAX_PAYLOAD,
+        "IPv4 payload of {payload_len} bytes does not fit total_len"
+    );
     let start = out.len();
     let total = (IPV4_HEADER_LEN + payload_len) as u16;
     out.push(0x45); // version 4, IHL 5
@@ -165,6 +191,19 @@ pub fn encode_tcp(
     src: Ipv4Addr,
     dst: Ipv4Addr,
 ) {
+    encode_tcp_with(out, h, |out| out.extend_from_slice(payload), src, dst);
+}
+
+/// [`encode_tcp`] for a payload the caller writes straight into `out`
+/// (`write_payload` must only append), so a generated payload needs no
+/// buffer of its own.
+pub(crate) fn encode_tcp_with(
+    out: &mut Vec<u8>,
+    h: &TcpHeader,
+    write_payload: impl FnOnce(&mut Vec<u8>),
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+) {
     let start = out.len();
     out.extend_from_slice(&h.src_port.to_be_bytes());
     out.extend_from_slice(&h.dst_port.to_be_bytes());
@@ -175,8 +214,8 @@ pub fn encode_tcp(
     out.extend_from_slice(&h.window.to_be_bytes());
     out.extend_from_slice(&[0, 0]); // checksum placeholder
     out.extend_from_slice(&[0, 0]); // urgent pointer
-    out.extend_from_slice(payload);
-    let tcp_len = TCP_HEADER_LEN + payload.len();
+    write_payload(out);
+    let tcp_len = out.len() - start;
     let pseudo = tcp_pseudo_header_sum(src, dst, tcp_len);
     let csum = internet_checksum(&out[start..start + tcp_len], pseudo);
     out[start + 16..start + 18].copy_from_slice(&csum.to_be_bytes());

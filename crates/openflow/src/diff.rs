@@ -203,7 +203,7 @@ pub fn check_seed(seed: u64, ops: usize) -> usize {
                 let v = random_view(&mut rng);
                 let len = 64 + rng.below(1400) as usize;
                 let a = naive.lookup(&v, len, now);
-                let b = indexed.lookup(&v, len, now);
+                let b = indexed.lookup(&v, len, now).map(|(c, i)| (c, i.to_vec()));
                 assert_eq!(a, b, "{ctx}: lookup results diverge");
                 hits += a.is_some() as usize;
             }

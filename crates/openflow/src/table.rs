@@ -501,14 +501,14 @@ impl FlowTable {
     }
 
     /// Looks up the highest-priority matching flow, updating its counters and
-    /// idle timer. Returns a clone of the matched entry's instructions plus
-    /// its cookie.
+    /// idle timer. Returns the matched entry's cookie and a borrow of its
+    /// instructions — the per-packet path never clones them.
     pub fn lookup(
         &mut self,
         view: &MatchView,
         frame_len: usize,
         now: SimTime,
-    ) -> Option<(u64, Vec<Instruction>)> {
+    ) -> Option<(u64, &[Instruction])> {
         self.lookup_keyed(view, frame_len, now)
             .map(|(_, cookie, instructions)| (cookie, instructions))
     }
@@ -520,7 +520,7 @@ impl FlowTable {
         view: &MatchView,
         frame_len: usize,
         now: SimTime,
-    ) -> Option<(FlowId, u64, Vec<Instruction>)> {
+    ) -> Option<(FlowId, u64, &[Instruction])> {
         let id = self.classify(view)?;
         let (cookie, instructions) = self.hit(id, frame_len, now)?;
         Some((id, cookie, instructions))
@@ -535,12 +535,12 @@ impl FlowTable {
         id: FlowId,
         frame_len: usize,
         now: SimTime,
-    ) -> Option<(u64, Vec<Instruction>)> {
+    ) -> Option<(u64, &[Instruction])> {
         let e = self.flows.get_mut(&id)?;
         e.packet_count += 1;
         e.byte_count += frame_len as u64;
         e.last_hit = now;
-        Some((e.cookie, e.instructions.clone()))
+        Some((e.cookie, &e.instructions))
     }
 
     /// Read-only lookup (no counter updates).
@@ -899,9 +899,9 @@ mod tests {
             SimTime::ZERO,
         );
         let (id, cookie, instr) = t.lookup_keyed(&view(80), 10, SimTime::ZERO).unwrap();
-        assert_eq!((cookie, &instr), (42, &fwd(1)));
+        assert_eq!((cookie, instr), (42, &fwd(1)[..]));
         let (cookie2, instr2) = t.hit(id, 20, SimTime::from_nanos(5)).unwrap();
-        assert_eq!((cookie2, &instr2), (42, &fwd(1)));
+        assert_eq!((cookie2, instr2), (42, &fwd(1)[..]));
         let e = t.entries().next().unwrap();
         assert_eq!((e.packet_count, e.byte_count), (2, 30));
         assert_eq!(e.last_hit, SimTime::from_nanos(5));

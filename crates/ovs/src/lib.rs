@@ -4,10 +4,15 @@
 //! every client request enters the edge through it. This crate implements the
 //! switch as a pure state machine:
 //!
-//! * frames arrive via [`Switch::handle_frame`] and either hit an installed
-//!   flow (actions applied in the data plane, *without* controller
-//!   involvement — the fast path the paper relies on for subsequent requests)
-//!   or miss and are buffered + sent to the controller as `PACKET_IN`;
+//! * frames arrive via [`Switch::handle_frame_owned`] (or its borrowing
+//!   wrapper [`Switch::handle_frame`]) and either hit an installed flow
+//!   (actions applied in the data plane, *without* controller involvement —
+//!   the fast path the paper relies on for subsequent requests) or miss and
+//!   are buffered + sent to the controller as `PACKET_IN`. A frame is
+//!   verified once, its `SET_FIELD`s patch the encoded bytes in place
+//!   ([`netsim::WireFrame`]) and the buffer itself leaves in the
+//!   [`Effect::Forward`] — the switch neither decodes a frame into a
+//!   structure nor encodes one;
 //! * controller messages arrive via [`Switch::handle_controller`] — flow
 //!   installation (`FLOW_MOD`, including running a buffered packet through
 //!   the new rule), packet injection (`PACKET_OUT`), session and liveness

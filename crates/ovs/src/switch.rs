@@ -1,7 +1,7 @@
 //! The switch state machine.
 
 use desim::{Duration, SimTime};
-use netsim::TcpFrame;
+use netsim::{TcpHeaders, WireFrame};
 use openflow::actions::Action;
 use openflow::messages::{FlowModCommand, Message, PacketInReason};
 use openflow::oxm::{Match, MatchView, OxmField};
@@ -112,139 +112,87 @@ impl Switch {
         self.microflow.len()
     }
 
-    fn fresh_xid(&mut self) -> u32 {
-        let x = self.next_xid;
-        self.next_xid = self.next_xid.wrapping_add(1);
-        x
+    /// Processes a frame arriving on `in_port`. Copies `data` once and takes
+    /// [`Switch::handle_frame_owned`]; callers that own the buffer skip the
+    /// copy by calling that directly.
+    pub fn handle_frame(&mut self, now: SimTime, in_port: u32, data: &[u8]) -> Vec<Effect> {
+        self.handle_frame_owned(now, in_port, data.to_vec())
     }
 
-    /// Processes a frame arriving on `in_port`.
-    pub fn handle_frame(&mut self, now: SimTime, in_port: u32, data: &[u8]) -> Vec<Effect> {
-        let Ok(frame) = TcpFrame::decode(data) else {
+    /// Processes a frame arriving on `in_port`, taking its buffer.
+    ///
+    /// The buffer is verified (EtherType, protocol, lengths, IPv4 and TCP
+    /// checksums — a switch must not forward what it cannot classify),
+    /// classified, rewritten in place and moved into the single
+    /// [`Effect::Forward`] of the usual redirect rule, or into the packet
+    /// buffer on a table miss: one frame, one allocation, no re-encode.
+    pub fn handle_frame_owned(&mut self, now: SimTime, in_port: u32, data: Vec<u8>) -> Vec<Effect> {
+        let Ok((headers, frame)) = WireFrame::parse(data) else {
             // Non-TCP/IPv4 traffic is out of scope for the edge pipeline.
             return vec![Effect::Drop];
         };
-        let view = view_of(&frame, in_port);
+        let view = view_of(&headers, in_port);
+        let len = frame.as_bytes().len();
         let revision = self.table.revision();
-        if let Some(&(cached_rev, id)) = self.microflow.get(&view) {
-            if cached_rev == revision {
-                // Warm path: one hash probe, then account the hit against
-                // the table entry so counters and the idle timer stay exact.
+        let cached = match self.microflow.get(&view) {
+            Some(&(cached_rev, id)) if cached_rev == revision => Some(id),
+            Some(_) => {
+                self.microflow.remove(&view); // table changed under the entry
+                None
+            }
+            None => None,
+        };
+        let instructions = match cached {
+            // Warm path: one hash probe, then account the hit against the
+            // table entry so counters and the idle timer stay exact.
+            Some(id) => {
+                self.microflow_hits += 1;
                 let (_cookie, instructions) = self
                     .table
-                    .hit(id, data.len(), now)
+                    .hit(id, len, now)
                     .expect("microflow id live at unchanged revision");
-                self.microflow_hits += 1;
-                self.fast_path_packets += 1;
-                let actions: Vec<Action> = instructions
-                    .iter()
-                    .flat_map(|i| i.actions().iter().copied())
-                    .collect();
-                return self.apply_actions(now, frame, in_port, &actions);
+                instructions
             }
-            self.microflow.remove(&view); // table changed under the entry
-        }
-        self.microflow_misses += 1;
-        match self.table.lookup_keyed(&view, data.len(), now) {
-            Some((id, _cookie, instructions)) => {
-                self.fast_path_packets += 1;
+            None => {
+                self.microflow_misses += 1;
+                let Some((id, _cookie, instructions)) = self.table.lookup_keyed(&view, len, now)
+                else {
+                    self.table_misses += 1;
+                    return vec![self.packet_in(in_port, frame.into_bytes())];
+                };
                 if self.microflow.len() >= MICROFLOW_CAP {
                     self.microflow.clear();
                 }
                 self.microflow.insert(view, (revision, id));
-                let actions: Vec<Action> = instructions
-                    .iter()
-                    .flat_map(|i| i.actions().iter().copied())
-                    .collect();
-                self.apply_actions(now, frame, in_port, &actions)
+                instructions
             }
-            None => {
-                self.table_misses += 1;
-                vec![self.packet_in(now, in_port, data, PacketInReason::NoMatch)]
-            }
-        }
+        };
+        self.fast_path_packets += 1;
+        execute(
+            &self.config.ports,
+            &mut self.next_xid,
+            in_port,
+            frame,
+            instructions.iter().flat_map(|i| i.actions()),
+        )
     }
 
-    fn packet_in(
-        &mut self,
-        _now: SimTime,
-        in_port: u32,
-        data: &[u8],
-        reason: PacketInReason,
-    ) -> Effect {
+    /// Parks a missed frame in a packet buffer and reports it upstream.
+    fn packet_in(&mut self, in_port: u32, data: Vec<u8>) -> Effect {
+        let total_len = data.len();
         let (buffer_id, included) = if (self.buffers.len() as u32) < self.config.n_buffers {
             let id = self.next_buffer;
             self.next_buffer = self.next_buffer.wrapping_add(1).max(1);
-            self.buffers.insert(id, (in_port, data.to_vec()));
             let n = (self.config.miss_send_len as usize).min(data.len());
-            (id, data[..n].to_vec())
+            let included = data[..n].to_vec();
+            self.buffers.insert(id, (in_port, data));
+            (id, included)
         } else {
             // No buffer space: ship the whole frame.
-            (OFP_NO_BUFFER, data.to_vec())
+            (OFP_NO_BUFFER, data)
         };
-        let msg = Message::PacketIn {
-            buffer_id,
-            total_len: data.len() as u16,
-            reason,
-            table_id: 0,
-            cookie: 0,
-            match_: Match::any().with(OxmField::InPort(in_port)),
-            data: included,
-        };
-        let xid = self.fresh_xid();
-        Effect::ToController(msg.encode(xid))
-    }
-
-    /// Applies an action list to a frame, producing forward effects.
-    fn apply_actions(
-        &mut self,
-        now: SimTime,
-        mut frame: TcpFrame,
-        in_port: u32,
-        actions: &[Action],
-    ) -> Vec<Effect> {
-        let mut effects = Vec::new();
-        for action in actions {
-            match action {
-                Action::SetField(f) => apply_set_field(&mut frame, *f),
-                Action::Output { port, max_len } => match *port {
-                    OFPP_CONTROLLER => {
-                        let data = frame.encode();
-                        let n = (*max_len as usize).min(data.len());
-                        let msg = Message::PacketIn {
-                            buffer_id: OFP_NO_BUFFER,
-                            total_len: data.len() as u16,
-                            reason: PacketInReason::Action,
-                            table_id: 0,
-                            cookie: 0,
-                            match_: Match::any().with(OxmField::InPort(in_port)),
-                            data: data[..n].to_vec(),
-                        };
-                        let xid = self.fresh_xid();
-                        effects.push(Effect::ToController(msg.encode(xid)));
-                        let _ = now;
-                    }
-                    OFPP_FLOOD => {
-                        for &p in &self.config.ports {
-                            if p != in_port {
-                                effects.push(Effect::Forward {
-                                    port: p,
-                                    data: frame.encode(),
-                                });
-                            }
-                        }
-                    }
-                    p => effects.push(Effect::Forward {
-                        port: p,
-                        data: frame.encode(),
-                    }),
-                },
-            }
-        }
-        if effects.is_empty() {
-            effects.push(Effect::Drop);
-        }
-        effects
+        let msg = packet_in_msg(buffer_id, total_len, PacketInReason::NoMatch, in_port, included);
+        Effect::ToController(msg.encode(fresh_xid(&mut self.next_xid)))
     }
 
     /// Processes an encoded OpenFlow message from the controller.
@@ -302,7 +250,7 @@ impl Switch {
                     // Run the buffered packet through the (new) table state.
                     if buffer_id != OFP_NO_BUFFER {
                         if let Some((in_port, data)) = self.buffers.remove(&buffer_id) {
-                            effects.extend(self.handle_frame(now, in_port, &data));
+                            effects.extend(self.handle_frame_owned(now, in_port, data));
                         }
                     }
                 }
@@ -331,10 +279,14 @@ impl Switch {
                 } else {
                     data
                 };
-                match TcpFrame::decode(&frame_bytes) {
-                    Ok(frame) => {
-                        effects.extend(self.apply_actions(now, frame, in_port, &actions));
-                    }
+                match WireFrame::parse(frame_bytes) {
+                    Ok((_, frame)) => effects.extend(execute(
+                        &self.config.ports,
+                        &mut self.next_xid,
+                        in_port,
+                        frame,
+                        actions.iter(),
+                    )),
                     Err(_) => effects.push(Effect::Drop),
                 }
             }
@@ -391,8 +343,7 @@ impl Switch {
             byte_count: removed.entry.byte_count,
             match_: removed.entry.match_.clone(),
         };
-        let xid = self.fresh_xid();
-        Some(Effect::ToController(msg.encode(xid)))
+        Some(Effect::ToController(msg.encode(fresh_xid(&mut self.next_xid))))
     }
 
     /// Expires timed-out flows, producing `FLOW_REMOVED` notifications for
@@ -411,8 +362,100 @@ impl Switch {
     }
 }
 
-/// Builds the match view of a decoded frame.
-pub fn view_of(frame: &TcpFrame, in_port: u32) -> MatchView {
+fn fresh_xid(next_xid: &mut u32) -> u32 {
+    let x = *next_xid;
+    *next_xid = next_xid.wrapping_add(1);
+    x
+}
+
+/// A `PACKET_IN` for a frame of `total_len` bytes, `data` of which are
+/// included. OpenFlow's `total_len` is 16 bits; a longer frame (only Ethernet
+/// padding can make one) reports 65 535.
+fn packet_in_msg(
+    buffer_id: u32,
+    total_len: usize,
+    reason: PacketInReason,
+    in_port: u32,
+    data: Vec<u8>,
+) -> Message {
+    Message::PacketIn {
+        buffer_id,
+        total_len: u16::try_from(total_len).unwrap_or(u16::MAX),
+        reason,
+        table_id: 0,
+        cookie: 0,
+        match_: Match::any().with(OxmField::InPort(in_port)),
+        data,
+    }
+}
+
+/// Runs an action list over a verified frame — the one executor behind
+/// table hits and `PACKET_OUT`. `SET_FIELD`s patch the buffer in place; the
+/// last `OUTPUT` of the list, when it names a plain port, moves the buffer
+/// into its effect, every other output copies what the frame looks like at
+/// that point. A free function so the actions can stay borrowed from the
+/// flow table while the xid counter advances.
+fn execute<'a>(
+    ports: &[u32],
+    next_xid: &mut u32,
+    in_port: u32,
+    mut frame: WireFrame,
+    actions: impl Iterator<Item = &'a Action> + Clone,
+) -> Vec<Effect> {
+    let is_output = |a: &&Action| matches!(a, Action::Output { .. });
+    let mut outputs_left = actions.clone().filter(is_output).count();
+    let mut effects = Vec::with_capacity(outputs_left.max(1));
+    for action in actions {
+        match *action {
+            Action::SetField(f) => apply_set_field(&mut frame, f),
+            Action::Output { port, max_len } => {
+                outputs_left -= 1;
+                match port {
+                    OFPP_CONTROLLER => {
+                        let data = frame.as_bytes();
+                        let n = (max_len as usize).min(data.len());
+                        let msg = packet_in_msg(
+                            OFP_NO_BUFFER,
+                            data.len(),
+                            PacketInReason::Action,
+                            in_port,
+                            data[..n].to_vec(),
+                        );
+                        effects.push(Effect::ToController(msg.encode(fresh_xid(next_xid))));
+                    }
+                    OFPP_FLOOD => {
+                        effects.extend(ports.iter().filter(|&&p| p != in_port).map(|&p| {
+                            Effect::Forward {
+                                port: p,
+                                data: frame.as_bytes().to_vec(),
+                            }
+                        }));
+                    }
+                    port if outputs_left == 0 => {
+                        // Nothing after this can be observed: hand the
+                        // buffer over instead of copying it.
+                        effects.push(Effect::Forward {
+                            port,
+                            data: frame.into_bytes(),
+                        });
+                        return effects;
+                    }
+                    port => effects.push(Effect::Forward {
+                        port,
+                        data: frame.as_bytes().to_vec(),
+                    }),
+                }
+            }
+        }
+    }
+    if effects.is_empty() {
+        effects.push(Effect::Drop);
+    }
+    effects
+}
+
+/// Builds the match view of a parsed frame.
+pub fn view_of(frame: &TcpHeaders, in_port: u32) -> MatchView {
     MatchView {
         in_port,
         eth_dst: frame.dst_mac.octets(),
@@ -427,15 +470,15 @@ pub fn view_of(frame: &TcpFrame, in_port: u32) -> MatchView {
 }
 
 /// Applies a single `SET_FIELD` rewrite to a frame.
-fn apply_set_field(frame: &mut TcpFrame, field: OxmField) {
+fn apply_set_field(frame: &mut WireFrame, field: OxmField) {
     use netsim::addr::{Ipv4Addr, MacAddr};
     match field {
-        OxmField::EthDst(m) => frame.dst_mac = MacAddr(m),
-        OxmField::EthSrc(m) => frame.src_mac = MacAddr(m),
-        OxmField::Ipv4Dst(a) => frame.dst_ip = Ipv4Addr(a),
-        OxmField::Ipv4Src(a) => frame.src_ip = Ipv4Addr(a),
-        OxmField::TcpDst(p) => frame.dst_port = p,
-        OxmField::TcpSrc(p) => frame.src_port = p,
+        OxmField::EthDst(m) => frame.set_eth_dst(MacAddr(m)),
+        OxmField::EthSrc(m) => frame.set_eth_src(MacAddr(m)),
+        OxmField::Ipv4Dst(a) => frame.set_ipv4_dst(Ipv4Addr(a)),
+        OxmField::Ipv4Src(a) => frame.set_ipv4_src(Ipv4Addr(a)),
+        OxmField::TcpDst(p) => frame.set_tcp_dst(p),
+        OxmField::TcpSrc(p) => frame.set_tcp_src(p),
         // EthType / IpProto / InPort rewrites are not meaningful here.
         OxmField::EthType(_) | OxmField::IpProto(_) | OxmField::InPort(_) => {}
     }
@@ -445,6 +488,7 @@ fn apply_set_field(frame: &mut TcpFrame, field: OxmField) {
 mod tests {
     use super::*;
     use netsim::addr::{Ipv4Addr, MacAddr, ServiceAddr};
+    use netsim::TcpFrame;
     use openflow::actions::Instruction;
     use openflow::messages::RemovedReason;
     use openflow::messages::OFPFF_SEND_FLOW_REM;

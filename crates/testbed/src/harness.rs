@@ -19,7 +19,7 @@ use containerd::ServiceProfile;
 use dockersim::DockerEngine;
 use k8ssim::K8sCluster;
 use netsim::topo::{NodeId, PortNo};
-use netsim::{Ipv4Addr, ServiceAddr, TcpFlags, TcpFrame};
+use netsim::{Ipv4Addr, ServiceAddr, TcpFlags, TcpFrame, TcpHeaders};
 use ovs::{Effect, Switch, SwitchConfig};
 use std::collections::HashMap;
 use telemetry::{MetricsRegistry, SpanLog, Telemetry};
@@ -647,7 +647,7 @@ impl Testbed {
                     if let Some(cap) = &mut self.capture {
                         cap.record(now, &data);
                     }
-                    let effects = self.switch.handle_frame(now, in_port, &data);
+                    let effects = self.switch.handle_frame_owned(now, in_port, data);
                     self.process_switch_effects(effects);
                 }
                 Role::Edge(_) => self.handle_server_frame(now, node, &data, false),
@@ -714,7 +714,7 @@ impl Testbed {
     }
 
     fn handle_server_frame(&mut self, now: SimTime, node: NodeId, data: &[u8], is_cloud: bool) {
-        let Ok(frame) = TcpFrame::decode(data) else {
+        let Ok(frame) = TcpHeaders::parse(data) else {
             self.drops += 1;
             return;
         };
@@ -742,23 +742,23 @@ impl Testbed {
 
         if frame.flags.contains(TcpFlags::SYN) {
             let reply = if listening {
-                frame.reply(TcpFlags::SYN_ACK, Vec::new())
+                frame.reply(TcpFlags::SYN_ACK, 0)
             } else {
                 // Port closed: the OS answers RST (why the controller polls
                 // before releasing the client's packet).
-                frame.reply(TcpFlags::RST, Vec::new())
+                frame.reply(TcpFlags::RST, 0)
             };
             let delay = self.accept_latency.sample_duration(&mut self.rng);
             self.engine.schedule_in(
                 delay,
                 Ev::ServerSend {
                     node,
-                    data: reply.encode(),
+                    data: reply.encode_filled(0),
                 },
             );
             return;
         }
-        if !frame.payload.is_empty() && listening {
+        if frame.payload_len != 0 && listening {
             // Reassemble the (possibly segmented) HTTP request; respond once
             // all of it arrived.
             let expected = if is_cloud {
@@ -771,26 +771,21 @@ impl Testbed {
             };
             let key = (frame.src_ip, frame.src_port, frame.dst_ip, frame.dst_port);
             let acc = self.server_rx.entry(key).or_insert(0);
-            *acc += frame.payload.len();
+            *acc += frame.payload_len;
             if *acc >= expected {
                 self.server_rx.remove(&key);
                 let delay = processing.sample_duration(&mut self.rng);
-                let template = frame.reply(TcpFlags::PSH_ACK, Vec::new());
-                for seg in segments(&template, response_bytes) {
-                    self.engine.schedule_in(
-                        delay,
-                        Ev::ServerSend {
-                            node,
-                            data: seg.encode(),
-                        },
-                    );
+                let template = frame.reply(TcpFlags::PSH_ACK, 0);
+                for data in segments(template, response_bytes) {
+                    self.engine
+                        .schedule_in(delay, Ev::ServerSend { node, data });
                 }
             }
         }
     }
 
     fn handle_client_frame(&mut self, now: SimTime, client: usize, data: &[u8]) {
-        let Ok(frame) = TcpFrame::decode(data) else {
+        let Ok(frame) = TcpHeaders::parse(data) else {
             self.drops += 1;
             return;
         };
@@ -819,19 +814,19 @@ impl Testbed {
                     .unwrap_or(120);
                 // ACK + HTTP request, segmented at the MSS (curl pipelines
                 // the ACK with the first data segment).
-                let template = frame.reply(TcpFlags::PSH_ACK, Vec::new());
+                let template = frame.reply(TcpFlags::PSH_ACK, 0);
                 let client_node = self.c3.clients[client];
-                for seg in segments(&template, request_bytes) {
-                    self.send_from(client_node, PortNo(1), seg.encode());
+                for seg in segments(template, request_bytes) {
+                    self.send_from(client_node, PortNo(1), seg);
                 }
             }
             return;
         }
-        if !frame.payload.is_empty() {
+        if frame.payload_len != 0 {
             if conn.timing.first_byte.is_none() {
                 conn.timing.first_byte = Some(now);
             }
-            conn.bytes_received += frame.payload.len();
+            conn.bytes_received += frame.payload_len;
             if conn.bytes_received >= conn.expected_bytes {
                 conn.timing.complete = Some(now);
                 let done = CompletedRequest {
@@ -859,23 +854,25 @@ impl Drop for Testbed {
 }
 
 /// Splits `total_bytes` of application payload into MSS-sized TCP segments
-/// patterned on `template` (endpoints/flags copied, payload replaced).
-pub(crate) fn segments(template: &TcpFrame, total_bytes: usize) -> Vec<TcpFrame> {
+/// patterned on `template` (endpoints copied, `PSH|ACK`, sequence numbers
+/// advancing) and yields each as encoded frame bytes — the buffer that then
+/// travels to the receiver. A transfer of zero bytes is one 1-byte segment.
+pub(crate) fn segments(template: TcpHeaders, total_bytes: usize) -> impl Iterator<Item = Vec<u8>> {
     let n = total_bytes.div_ceil(MSS).max(1);
-    let mut out = Vec::with_capacity(n);
     let mut remaining = total_bytes;
     let mut seq = template.seq;
-    for _ in 0..n {
+    (0..n).map(move |_| {
         let chunk = remaining.min(MSS);
-        let mut f = template.clone();
-        f.flags = TcpFlags::PSH_ACK;
-        f.seq = seq;
-        f.payload = vec![0x42; chunk.max(1)];
-        seq = seq.wrapping_add(f.payload.len() as u32);
-        remaining = remaining.saturating_sub(chunk);
-        out.push(f);
-    }
-    out
+        let segment = TcpHeaders {
+            flags: TcpFlags::PSH_ACK,
+            seq,
+            payload_len: chunk.max(1),
+            ..template
+        };
+        seq = seq.wrapping_add(segment.payload_len as u32);
+        remaining -= chunk;
+        segment.encode_filled(0x42)
+    })
 }
 
 #[cfg(test)]
@@ -1021,6 +1018,79 @@ mod tests {
             warm_resnet > warm_nginx * 20,
             "resnet {warm_resnet} vs nginx {warm_nginx}"
         );
+    }
+
+    #[test]
+    fn segments_never_exceed_the_mss() {
+        let template = TcpFrame::syn(
+            netsim::MacAddr::from_id(1),
+            netsim::MacAddr::from_id(2),
+            Ipv4Addr::new(192, 168, 1, 20),
+            50000,
+            svc_addr(10),
+        )
+        .headers();
+        for total in [0, 1, MSS, MSS + 1, 85_000] {
+            let mut seq = template.seq;
+            let mut carried = 0;
+            let mut count = 0;
+            for bytes in segments(template, total) {
+                let h = TcpHeaders::parse(&bytes).expect("segment verifies");
+                assert!((1..=MSS).contains(&h.payload_len), "{total}: segment of {}", h.payload_len);
+                assert!(h.payload_len <= TcpFrame::MAX_PAYLOAD);
+                assert_eq!((h.seq, h.flags), (seq, TcpFlags::PSH_ACK));
+                assert_eq!(bytes.len(), h.wire_len());
+                assert!(bytes[54..].iter().all(|&b| b == 0x42));
+                seq = seq.wrapping_add(h.payload_len as u32);
+                carried += h.payload_len;
+                count += 1;
+            }
+            assert_eq!(count, total.div_ceil(MSS).max(1), "{total} bytes");
+            assert_eq!(carried, total.max(1), "{total} bytes");
+        }
+    }
+
+    /// The frame checks of the switch and of both endpoints are all still
+    /// there: a byte flipped anywhere in the IPv4 or TCP part of a frame on
+    /// its way to the switch, to a server or to a client gets that frame
+    /// dropped by whoever receives it.
+    #[test]
+    fn corrupted_frames_are_rejected_at_the_switch_and_at_both_endpoints() {
+        for target in ["switch", "server", "client"] {
+            let mut tb = Testbed::new(TestbedConfig { n_clients: 20, ..TestbedConfig::default() });
+            let addr = svc_addr(10);
+            tb.register_service(containerd::ServiceSet::by_key("asm").unwrap(), addr);
+            tb.pre_deploy_on(addr, 0);
+            // The first request goes through untouched and warms the path.
+            tb.request_at(SimTime::from_secs(1), 0, addr);
+            tb.run_until(SimTime::from_secs(5));
+            assert_eq!((tb.completed.len(), tb.drops), (1, 0), "{target}");
+            // Then every frame reaching the target loses one byte, each
+            // request at another offset of the 40 header bytes.
+            for i in 0..40 {
+                tb.request_at(SimTime::from_secs(6) + Duration::from_millis(i), 1 + (i as usize % 19), addr);
+            }
+            let mut corrupted = 0u64;
+            while let Some((now, mut ev)) = tb.engine.pop_until(SimTime::from_secs(30)) {
+                if let Ev::FrameAt { node, data, .. } = &mut ev {
+                    let hit = match tb.roles[node.0 as usize] {
+                        Role::Switch(_) => target == "switch",
+                        Role::Edge(_) | Role::Cloud => target == "server",
+                        Role::Client(_) => target == "client",
+                    };
+                    if hit {
+                        data[14 + (corrupted as usize % 40)] ^= 0x01;
+                        corrupted += 1;
+                    }
+                }
+                tb.handle(now, ev);
+            }
+            // Nothing retransmits, so each request dies with its first
+            // frame at the target: its SYN, or the SYN-ACK at the client.
+            assert_eq!(corrupted, 40, "{target}");
+            assert_eq!(tb.drops, corrupted, "{target}: every corrupted frame dropped");
+            assert_eq!(tb.completed.len(), 1, "{target}: no corrupted exchange completed");
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ use containerd::ServiceProfile;
 use dockersim::DockerEngine;
 use mobility::{AttachmentEvent, MobilityModel};
 use netsim::topo::{NodeId, PortNo};
-use netsim::{Ipv4Addr, ServiceAddr, TcpFlags, TcpFrame};
+use netsim::{Ipv4Addr, ServiceAddr, TcpFlags, TcpFrame, TcpHeaders};
 use ovs::{Effect, Switch, SwitchConfig};
 use std::collections::HashMap;
 use telemetry::{MetricsRegistry, SpanLog, Telemetry};
@@ -133,7 +133,7 @@ struct Session {
     /// When the (latest) SYN went out; cleared once the handshake lands.
     syn_sent: Option<SimTime>,
     /// Reply template captured from the SYN-ACK (client → service).
-    template: Option<TcpFrame>,
+    template: Option<TcpHeaders>,
     /// Sent-at of the ping currently awaiting its response.
     outstanding: Option<SimTime>,
     /// Response bytes accumulated toward the outstanding ping.
@@ -731,7 +731,7 @@ impl MobilityTestbed {
     }
 
     fn send_ping(&mut self, now: SimTime, client: usize) {
-        let Some(template) = self.sessions[client].template.clone() else {
+        let Some(template) = self.sessions[client].template else {
             return;
         };
         let request_bytes = self.sessions[client].request_bytes;
@@ -739,8 +739,8 @@ impl MobilityTestbed {
         self.sessions[client].outstanding = Some(now);
         let node = self.net.clients[client];
         let uplink = self.net.uplink_ports[self.attachment[client]][client];
-        for seg in segments(&template, request_bytes) {
-            self.send_from(node, uplink, seg.encode());
+        for seg in segments(template, request_bytes) {
+            self.send_from(node, uplink, seg);
         }
     }
 
@@ -753,7 +753,7 @@ impl MobilityTestbed {
             Ev::Ping { client } => self.send_ping(now, client),
             Ev::FrameAt { node, in_port, data } => match self.roles[node.0 as usize] {
                 Role::Switch(g) => {
-                    let effects = self.switches[g].handle_frame(now, in_port, &data);
+                    let effects = self.switches[g].handle_frame_owned(now, in_port, data);
                     self.process_switch_effects(g, effects);
                 }
                 Role::Edge(z) => self.handle_server_frame(now, node, Some(z), in_port, &data),
@@ -960,12 +960,12 @@ impl MobilityTestbed {
                             // keeps the original send time so the RTT
                             // covers the loss.
                             self.retransmits += 1;
-                            let template = self.sessions[c].template.clone().unwrap();
+                            let template = self.sessions[c].template.unwrap();
                             let request_bytes = self.sessions[c].request_bytes;
                             let node = self.net.clients[c];
                             let uplink = self.net.uplink_ports[self.attachment[c]][c];
-                            for seg in segments(&template, request_bytes) {
-                                self.send_from(node, uplink, seg.encode());
+                            for seg in segments(template, request_bytes) {
+                                self.send_from(node, uplink, seg);
                             }
                         }
                     }
@@ -1050,7 +1050,7 @@ impl MobilityTestbed {
         in_port: u32,
         data: &[u8],
     ) {
-        let Ok(frame) = TcpFrame::decode(data) else {
+        let Ok(frame) = TcpHeaders::parse(data) else {
             self.drops += 1;
             return;
         };
@@ -1082,9 +1082,9 @@ impl MobilityTestbed {
         let reply_port = PortNo(in_port);
         if frame.flags.contains(TcpFlags::SYN) {
             let reply = if listening {
-                frame.reply(TcpFlags::SYN_ACK, Vec::new())
+                frame.reply(TcpFlags::SYN_ACK, 0)
             } else {
-                frame.reply(TcpFlags::RST, Vec::new())
+                frame.reply(TcpFlags::RST, 0)
             };
             let delay = self.accept_latency.sample_duration(&mut self.rng);
             self.engine.schedule_in(
@@ -1092,12 +1092,12 @@ impl MobilityTestbed {
                 Ev::ServerSend {
                     node,
                     port: reply_port,
-                    data: reply.encode(),
+                    data: reply.encode_filled(0),
                 },
             );
             return;
         }
-        if !frame.payload.is_empty() && listening {
+        if frame.payload_len != 0 && listening {
             let expected = if is_cloud {
                 self.profile.as_ref().map(|p| p.request_bytes).unwrap_or(1)
             } else {
@@ -1105,7 +1105,7 @@ impl MobilityTestbed {
             };
             let key = (frame.src_ip, frame.src_port, frame.dst_ip, frame.dst_port);
             let acc = self.server_rx.entry(key).or_insert(0);
-            *acc += frame.payload.len();
+            *acc += frame.payload_len;
             if *acc >= expected {
                 self.server_rx.remove(&key);
                 // An edge instance completed a request: its session state
@@ -1115,14 +1115,14 @@ impl MobilityTestbed {
                     self.controller.note_served(addr, z);
                 }
                 let delay = processing.sample_duration(&mut self.rng);
-                let template = frame.reply(TcpFlags::PSH_ACK, Vec::new());
-                for seg in segments(&template, response_bytes) {
+                let template = frame.reply(TcpFlags::PSH_ACK, 0);
+                for data in segments(template, response_bytes) {
                     self.engine.schedule_in(
                         delay,
                         Ev::ServerSend {
                             node,
                             port: reply_port,
-                            data: seg.encode(),
+                            data,
                         },
                     );
                 }
@@ -1131,7 +1131,7 @@ impl MobilityTestbed {
     }
 
     fn handle_client_frame(&mut self, now: SimTime, client: usize, data: &[u8]) {
-        let Ok(frame) = TcpFrame::decode(data) else {
+        let Ok(frame) = TcpHeaders::parse(data) else {
             self.drops += 1;
             return;
         };
@@ -1151,13 +1151,13 @@ impl MobilityTestbed {
         if frame.flags.contains(TcpFlags::SYN) && frame.flags.contains(TcpFlags::ACK) {
             if sess.template.is_none() {
                 sess.syn_sent = None;
-                sess.template = Some(frame.reply(TcpFlags::PSH_ACK, Vec::new()));
+                sess.template = Some(frame.reply(TcpFlags::PSH_ACK, 0));
                 self.send_ping(now, client);
             }
             return;
         }
-        if !frame.payload.is_empty() {
-            sess.pending_bytes += frame.payload.len();
+        if frame.payload_len != 0 {
+            sess.pending_bytes += frame.payload_len;
             while sess.pending_bytes >= sess.expected_bytes {
                 sess.pending_bytes -= sess.expected_bytes;
                 match sess.outstanding.take() {
