@@ -14,24 +14,36 @@
 //!
 //! Expired switch flows (`FLOW_REMOVED`) and the controller's own FlowMemory
 //! timeouts feed the idle-service scale-down (Section V).
+//! timeouts feed the idle-service scale-down (Section V).
+//!
+//! Two things keep this file honest. Everything a crashed controller can get
+//! back lives in one [`ControlState`], changed only through
+//! [`Controller::commit`] (or its self-logging components), so what runs live
+//! is what the journal replays. And every pair that reaches a switch is built
+//! by [`crate::rules`] and sent by [`Controller::emit_add_pair`]; every
+//! deletion by [`Controller::flow_delete`].
 
 use crate::autoscale::{AutoscaleConfig, LoadTracker, ScaleEvent};
 use crate::clients::ClientTracker;
-use crate::cluster::{EdgeCluster, InstanceAddr};
+use crate::cluster::{EdgeCluster, InstanceAddr, InstanceState};
 use crate::dispatch::{DispatchDecision, DispatchOutcome, Dispatcher, PhaseTimes};
 use crate::flowmemory::{FlowMemory, IngressId};
-use crate::health::{BreakerState, HealthConfig, HealthMonitor};
+use crate::health::{BreakerState, HealthConfig};
 use crate::journal::{
-    Journal, JournalConfig, JournalEvent, JournalStats, RecoveryMode, RecoveryReport, Snapshot,
+    Applied, ControlState, Journal, JournalConfig, JournalEvent, JournalStats, RecoveryMode,
+    RecoveryReport, Snapshot,
 };
 use crate::migrate::{Migration, MigrationConfig, MigrationManager, MigrationReason};
+use crate::rules::{
+    self, AggregateRule, Granularity, InstalledFlow, InstalledPair, PairSpec, Target,
+    AGGREGATE_CLIENT,
+};
 use crate::scheduler::{GlobalScheduler, RequestClass};
 use crate::service::EdgeService;
 use desim::{Duration, LogNormal, RetryPolicy, Sample, SimRng, SimTime};
 use netsim::addr::{Ipv4Addr, MacAddr};
 use netsim::{ServiceAddr, TcpFrame};
-use openflow::actions::{Action, Instruction};
-use openflow::messages::{Message, OFPFF_SEND_FLOW_REM};
+use openflow::messages::Message;
 use openflow::oxm::{Match, OxmField};
 use openflow::{FlowEntry, OfError, OFP_NO_BUFFER};
 use std::collections::HashMap;
@@ -238,67 +250,6 @@ pub struct HandoverOutcome {
     pub messages: Vec<(IngressId, OutboundMessage)>,
 }
 
-/// One flow as the controller believes it exists on a switch — enough
-/// detail to re-install it verbatim during reconciliation.
-#[derive(Clone, Debug)]
-pub(crate) struct InstalledFlow {
-    pub(crate) match_: Match,
-    pub(crate) instructions: Vec<Instruction>,
-    pub(crate) priority: u16,
-    pub(crate) cookie: u64,
-    pub(crate) flags: u16,
-}
-
-/// A forward/reverse flow pair the controller installed for one session,
-/// with enough context for the self-healing loop: which service/cluster/
-/// instance it redirects to (repair tears down exactly the pairs aimed at a
-/// dead instance) and whether a handover retires it.
-#[derive(Clone, Debug)]
-pub(crate) struct InstalledPair {
-    pub(crate) fwd: InstalledFlow,
-    pub(crate) rev: InstalledFlow,
-    pub(crate) service: ServiceAddr,
-    /// Cluster the pair redirects into; `None` for cloud-forwarding pairs.
-    pub(crate) cluster: Option<usize>,
-    /// Instance the forward flow rewrites toward; `None` for cloud pairs.
-    pub(crate) instance: Option<InstanceAddr>,
-    /// Whether an attachment-change handover tears this pair down. Redirect
-    /// and handover pairs are; plain packet-in cloud paths never were (they
-    /// just idle out), and reconciliation must not change that.
-    pub(crate) teardown_on_handover: bool,
-    /// Tombstone: the switch reported the flow gone (`FLOW_REMOVED`) or a
-    /// repair tore it down. Dead pairs are kept — not removed — so the
-    /// handover teardown's message sequence is exactly what it was before
-    /// reconciliation existed; reconciliation simply skips them.
-    pub(crate) dead: bool,
-}
-
-/// Bookkeeping client address for aggregated wildcard pairs: they belong to
-/// no single client, so they are filed under the unspecified address. It
-/// sorts before every real client, and no real client can carry it (the
-/// allocators start at 10.x/192.168.x), so repair and outage sweeps visit
-/// aggregates first and exactly once.
-const AGGREGATE_CLIENT: Ipv4Addr = Ipv4Addr::UNSPECIFIED;
-
-/// One live aggregated rule pair, keyed by `(ingress, service)` in
-/// [`Controller::aggregates`]. A packet-in whose scheduler decision matches
-/// the anchored instance (and arrives through the same client-side port,
-/// behind the same perceived gateway) is *covered*: the controller releases
-/// the packet with a bare `PACKET_OUT` and installs nothing.
-#[derive(Clone, Debug)]
-pub(crate) struct AggregateRule {
-    pub(crate) instance: InstanceAddr,
-    pub(crate) cluster: usize,
-    /// Shared client-side port replies are emitted through.
-    pub(crate) in_port: u32,
-    /// The gateway MAC clients perceive (the `eth_dst` of their requests);
-    /// replies are re-sourced from it.
-    pub(crate) gw_mac: MacAddr,
-    /// The forward rewrite, cached so a covered packet-in releases its
-    /// buffered packet without rebuilding the action list.
-    pub(crate) fwd_actions: Vec<Action>,
-}
-
 /// A control-plane inconsistency the controller detected and survived
 /// (instead of panicking): the affected request degrades gracefully — a
 /// redirect with no usable egress port becomes a cloud forward — and the
@@ -313,30 +264,38 @@ pub enum ControlPlaneError {
         /// The unroutable cluster index.
         cluster: usize,
     },
+    /// A switch message or handover named an ingress the controller does
+    /// not manage; nothing was installed for it.
+    UnknownIngress {
+        /// The unknown ingress id.
+        ingress: IngressId,
+    },
 }
+
+/// Where a pair sends the client's traffic before port resolution: an
+/// instance on a cluster, or (`None`) the cloud.
+type Placement = Option<(InstanceAddr, usize)>;
+
+/// The packet behind a packet-in: the switch's buffer id for it (or
+/// [`OFP_NO_BUFFER`]) and the packet itself.
+type Release<'a> = (u32, &'a TcpFrame);
 
 /// The transparent-edge SDN controller.
 pub struct Controller {
     services: crate::service::ServiceRegistry,
     clusters: Vec<Box<dyn EdgeCluster>>,
     dispatcher: Dispatcher,
-    memory: FlowMemory,
+    /// Everything a warm restart recovers: FlowMemory, installed pairs,
+    /// aggregates, scale-down ledger, client locations and MACs, breakers,
+    /// migrations. Mutated through [`Controller::commit`] only (its three
+    /// self-logging components aside).
+    state: ControlState,
     /// Per-ingress port maps; index = [`IngressId`]. The seed deployment's
     /// single switch lives at ingress 0.
     ingresses: Vec<PortMap>,
     /// Cluster latency as seen from a given ingress, when it differs from
     /// the cluster's advertised latency (which is measured from ingress 0).
     ingress_distances: HashMap<(IngressId, usize), Duration>,
-    /// Flow pairs installed per client, sharded by ingress (outer index =
-    /// [`IngressId`]) — the controller-side bookkeeping that makes handover
-    /// teardown, stale-redirect repair and channel-reconnect reconciliation
-    /// possible: switch-side deletion is exact-match, so the controller must
-    /// remember what it installed. Sharding keeps per-packet bookkeeping and
-    /// per-switch reconciliation O(one cell) at fleet scale.
-    installed: Vec<HashMap<Ipv4Addr, Vec<InstalledPair>>>,
-    /// Live aggregated rule pairs by `(ingress, service)`; their bookkeeping
-    /// pairs are filed under [`AGGREGATE_CLIENT`] in `installed`.
-    aggregates: HashMap<(IngressId, ServiceAddr), AggregateRule>,
     /// `FLOW_MOD` **Add** messages emitted over the controller's lifetime —
     /// the controller's own view of how much switch table space it has
     /// claimed (the scale benchmark reads this to compare exact-match vs
@@ -348,12 +307,8 @@ pub struct Controller {
     pub records: Vec<RequestRecord>,
     /// Count of `FLOW_REMOVED` notifications seen.
     pub flows_removed: u64,
-    /// Client location tracking (moves flush the client's memorized flows).
-    pub clients: ClientTracker,
     /// Errors reported by the switch.
     pub switch_errors: Vec<(openflow::messages::ErrorType, u16)>,
-    /// Services scaled down and when, awaiting possible removal.
-    scaled_down: HashMap<(ServiceAddr, usize), SimTime>,
     /// Requests currently held for a with-waiting deployment, by
     /// (service, cluster): the latest release instant. The idle sweep must
     /// not scale a service down while such a hold is pending — the held
@@ -380,14 +335,6 @@ pub struct Controller {
     /// Recycled per-packet-in buffer for resolved ingress distances, so the
     /// hot path never allocates for them.
     distance_scratch: Vec<Duration>,
-    /// Live-migration state: the session-state ledger, in-flight
-    /// transfers, and completed [`crate::migrate::MigrationRecord`]s (the
-    /// evaluation harness reads `migrate.records`).
-    pub migrate: MigrationManager,
-    /// Last seen `(client MAC, perceived gateway MAC)` per client, learned
-    /// from packet-ins and announced handovers. The migration flow flip
-    /// re-installs reverse rewrites at the client's switch and needs both.
-    client_macs: HashMap<Ipv4Addr, (MacAddr, MacAddr)>,
     /// Open telemetry spans of in-flight migrations, by request id.
     migration_spans: HashMap<u64, SpanId>,
     /// The crash-recovery write-ahead journal (inert unless
@@ -406,33 +353,23 @@ impl Controller {
     ) -> Controller {
         let mut dispatcher = Dispatcher::new(scheduler, config.poll_interval);
         dispatcher.set_retry_policy(config.retry);
-        dispatcher.health_mut().set_config(config.health);
         dispatcher.set_autoscale(config.autoscale.clone());
-        let mut migrate = MigrationManager::new(config.migration.clone());
         let journal = Journal::new(config.journal);
-        let mut memory = FlowMemory::new(config.memory_idle);
-        if journal.enabled() {
-            memory.set_logging(true);
-            dispatcher.health_mut().set_logging(true);
-            migrate.set_logging(true);
-        }
+        let mut state = ControlState::new(&config);
+        state.set_logging(journal.enabled());
         Controller {
             services: crate::service::ServiceRegistry::new(),
             clusters: Vec::new(),
             dispatcher,
-            memory,
+            state,
             ingresses: vec![ports],
             ingress_distances: HashMap::new(),
-            installed: Vec::new(),
-            aggregates: HashMap::new(),
             flow_adds: 0,
             config,
             next_xid: 1,
             records: Vec::new(),
             flows_removed: 0,
-            clients: ClientTracker::new(),
             switch_errors: Vec::new(),
-            scaled_down: HashMap::new(),
             held: HashMap::new(),
             deferred: HashMap::new(),
             last_flow_stats: None,
@@ -440,8 +377,6 @@ impl Controller {
             next_request: 0,
             crash_records: HashMap::new(),
             distance_scratch: Vec::new(),
-            migrate,
-            client_macs: HashMap::new(),
             migration_spans: HashMap::new(),
             journal,
             control_errors: Vec::new(),
@@ -454,57 +389,55 @@ impl Controller {
         self.dispatcher.coalesced_count()
     }
 
-    /// Appends one controller-level event to the journal (a never-taken
-    /// branch while the journal is off).
-    fn journal_record(&mut self, ev: JournalEvent) {
-        self.journal.record(ev);
+    /// Applies one controller-level event to the state and, while the
+    /// journal is on, appends it — the only way this file changes what
+    /// [`ControlState`] keeps outside its self-logging components. The event
+    /// is cloned for the journal only; journal-off is the same path minus
+    /// the append.
+    fn commit(&mut self, ev: JournalEvent) -> Applied {
+        if self.journal.enabled() {
+            self.journal.record(ev.clone());
+        }
+        self.state.apply(ev)
+    }
+
+    /// Runs the body of a public mutating entry point, then syncs the
+    /// journal — the one epilogue they all share, early returns included.
+    fn synced<T>(&mut self, entry: impl FnOnce(&mut Controller) -> T) -> T {
+        let out = entry(self);
+        self.journal_sync();
+        out
     }
 
     /// Drains the component op logs into the journal and compacts when the
-    /// tail passed its threshold. Called at the end of every public
-    /// mutating entry point; events of different structures commute, so
+    /// tail passed its threshold. Events of different structures commute, so
     /// batching the drain does not change what replay rebuilds. A no-op
     /// while the journal is off.
     fn journal_sync(&mut self) {
         if !self.journal.enabled() {
             return;
         }
-        for op in self.memory.take_ops() {
+        for op in self.state.memory_mut().take_ops() {
             self.journal.record(JournalEvent::Flow(op));
         }
-        for op in self.dispatcher.health_mut().take_ops() {
+        for op in self.state.health_mut().take_ops() {
             self.journal.record(JournalEvent::Health(op));
         }
-        for op in self.migrate.take_ops() {
+        for op in self.state.migrate_mut().take_ops() {
             self.journal.record(JournalEvent::Migration(op));
         }
         if self.journal.should_compact() {
             // Captured after the tail's last event took effect, so the
             // compacted snapshot equals old-snapshot + tail exactly.
-            let snap = self.capture_snapshot();
-            self.journal.compact(snap);
+            self.journal.compact(Snapshot::capture(&self.state));
         }
-    }
-
-    /// Captures the recoverable state (sorted, deterministic).
-    fn capture_snapshot(&self) -> Snapshot {
-        Snapshot::capture(
-            &self.memory,
-            &self.installed,
-            &self.aggregates,
-            &self.scaled_down,
-            &self.clients,
-            &self.client_macs,
-            self.dispatcher.health(),
-            &self.migrate,
-        )
     }
 
     /// Deterministic textual digest of the recoverable state. Two
     /// controllers with identical recoverable state produce byte-identical
     /// digests — the differential oracle the crash-recovery tests compare.
     pub fn state_digest(&self) -> String {
-        self.capture_snapshot().encode()
+        Snapshot::capture(&self.state).encode()
     }
 
     /// Rebuilds state from the journal (snapshot + tail) and digests it,
@@ -516,7 +449,7 @@ impl Controller {
             return None;
         }
         let (st, _, _) = self.journal.rebuild(&self.config);
-        Some(st.snapshot().encode())
+        Some(Snapshot::capture(&st).encode())
     }
 
     /// Journal counters (events appended, tail length, compactions).
@@ -541,102 +474,46 @@ impl Controller {
     /// each live switch table to converge the drift accrued during the
     /// blackout; a second pass returns nothing.
     pub fn crash_restart(&mut self, mode: RecoveryMode, _now: SimTime) -> RecoveryReport {
-        let t0 = std::time::Instant::now();
-        let (replayed_events, snapshot_entries) = match mode {
-            RecoveryMode::Warm if self.journal.enabled() => {
-                let (st, replayed, snap_entries) = self.journal.rebuild(&self.config);
-                self.memory = st.memory;
-                self.installed = st.installed;
-                self.aggregates = st.aggregates;
-                self.scaled_down = st.scaled_down;
-                self.clients = st.clients;
-                self.client_macs = st.client_macs;
-                *self.dispatcher.health_mut() = st.health;
-                self.migrate = st.migrate;
-                (replayed, snap_entries)
+        self.synced(|ctl| {
+            let (state, replayed_events, snapshot_entries) = match mode {
+                RecoveryMode::Warm if ctl.journal.enabled() => ctl.journal.rebuild(&ctl.config),
+                _ => (ControlState::new(&ctl.config), 0, 0),
+            };
+            ctl.state = state;
+            // The journal restarts from the recovered state's next mutation
+            // (its pre-crash contents are already folded into that state or
+            // deliberately discarded).
+            ctl.journal.reset();
+            // Volatile state a process death loses in both modes.
+            ctl.held.clear();
+            ctl.deferred.clear();
+            ctl.dispatcher.reset_volatile();
+            ctl.crash_records.clear();
+            ctl.migration_spans.clear();
+            ctl.last_flow_stats = None;
+            // Re-arm op logging on the freshly built state, and re-seed the
+            // journal with a snapshot of it — otherwise a *second* crash
+            // would rebuild from an empty journal and lose it.
+            if ctl.journal.enabled() {
+                ctl.state.set_logging(true);
+                ctl.journal.compact(Snapshot::capture(&ctl.state));
             }
-            _ => {
-                self.memory = FlowMemory::new(self.config.memory_idle);
-                self.installed = Vec::new();
-                self.aggregates = HashMap::new();
-                self.scaled_down = HashMap::new();
-                self.clients = ClientTracker::new();
-                self.client_macs = HashMap::new();
-                *self.dispatcher.health_mut() = HealthMonitor::new(self.config.health);
-                self.migrate = MigrationManager::new(self.config.migration.clone());
-                (0, 0)
+            // In-flight migrations lost their coordinator: abort them (state
+            // stays at the source; the breaker/mobility trigger re-fires).
+            let aborted_migrations = ctl.state.migrate_mut().abort_all();
+            if aborted_migrations > 0 {
+                ctl.telemetry
+                    .metrics
+                    .add("migrations_aborted", aborted_migrations as u64);
             }
-        };
-        // The journal restarts from the recovered state's next mutation
-        // (its pre-crash contents are already folded into that state or
-        // deliberately discarded).
-        self.journal.reset();
-        // Volatile state a process death loses in both modes.
-        self.held.clear();
-        self.deferred.clear();
-        self.dispatcher.reset_volatile();
-        self.crash_records.clear();
-        self.migration_spans.clear();
-        self.last_flow_stats = None;
-        // Re-arm op logging on the freshly built components, and re-seed
-        // the journal with a snapshot of the recovered state — otherwise a
-        // *second* crash would rebuild from an empty journal and lose it.
-        if self.journal.enabled() {
-            self.memory.set_logging(true);
-            self.dispatcher.health_mut().set_logging(true);
-            self.migrate.set_logging(true);
-            let snap = self.capture_snapshot();
-            self.journal.compact(snap);
-        }
-        // In-flight migrations lost their coordinator: abort them (state
-        // stays at the source; the breaker/mobility trigger re-fires).
-        let aborted_migrations = self.migrate.abort_all();
-        if aborted_migrations > 0 {
-            self.telemetry
-                .metrics
-                .add("migrations_aborted", aborted_migrations as u64);
-        }
-        self.telemetry.metrics.inc("controller_restarts");
-        self.journal_sync();
-        RecoveryReport {
-            mode,
-            replayed_events,
-            snapshot_entries,
-            aborted_migrations,
-            replay_wall_ns: t0.elapsed().as_nanos() as u64,
-        }
-    }
-
-    /// The bookkeeping shard of one ingress, grown on demand.
-    fn installed_shard_mut(&mut self, ingress: IngressId) -> &mut HashMap<Ipv4Addr, Vec<InstalledPair>> {
-        let idx = ingress.0 as usize;
-        if idx >= self.installed.len() {
-            self.installed.resize_with(idx + 1, HashMap::new);
-        }
-        &mut self.installed[idx]
-    }
-
-    /// The installed pairs of one `(client, ingress)`, if any.
-    fn installed_pairs_mut(
-        &mut self,
-        client: Ipv4Addr,
-        ingress: IngressId,
-    ) -> Option<&mut Vec<InstalledPair>> {
-        self.installed.get_mut(ingress.0 as usize)?.get_mut(&client)
-    }
-
-    /// Every `(client, ingress)` with bookkeeping, sorted — fleet-wide
-    /// repair sweeps iterate in this order so their message sequences are
-    /// deterministic (and identical to the pre-sharding layout's).
-    fn installed_keys_sorted(&self) -> Vec<(Ipv4Addr, IngressId)> {
-        let mut keys: Vec<(Ipv4Addr, IngressId)> = self
-            .installed
-            .iter()
-            .enumerate()
-            .flat_map(|(i, shard)| shard.keys().map(move |c| (*c, IngressId(i as u32))))
-            .collect();
-        keys.sort();
-        keys
+            ctl.telemetry.metrics.inc("controller_restarts");
+            RecoveryReport {
+                mode,
+                replayed_events,
+                snapshot_entries,
+                aborted_migrations,
+            }
+        })
     }
 
     /// Registers an edge cluster reachable via `switch_port` on the default
@@ -716,7 +593,19 @@ impl Controller {
 
     /// The FlowMemory (stats, tests).
     pub fn memory(&self) -> &FlowMemory {
-        &self.memory
+        self.state.memory()
+    }
+
+    /// Client location tracking (moves flush the client's memorized flows).
+    pub fn clients(&self) -> &ClientTracker {
+        self.state.clients()
+    }
+
+    /// Live-migration state: the session-state ledger, in-flight transfers,
+    /// and completed [`crate::migrate::MigrationRecord`]s (the evaluation
+    /// harness reads `migrate().records`).
+    pub fn migrate(&self) -> &MigrationManager {
+        self.state.migrate()
     }
 
     /// Cluster access by index.
@@ -788,99 +677,68 @@ impl Controller {
         rng: &mut SimRng,
     ) -> Result<Vec<OutboundMessage>, OfError> {
         let (_xid, msg, _) = Message::decode(bytes)?;
-        let out = match msg {
+        Ok(self.synced(|ctl| match msg {
             Message::EchoRequest(payload) => {
-                let x = self.xid();
-                Ok(vec![OutboundMessage {
+                let x = ctl.xid();
+                vec![OutboundMessage {
                     at: now,
                     data: Message::EchoReply(payload).encode(x),
-                }])
+                }]
             }
             Message::PacketIn {
                 buffer_id,
                 match_,
                 data,
                 ..
-            } => Ok(self.handle_packet_in(ingress, now, buffer_id, &match_, &data, rng)),
+            } => ctl.handle_packet_in(ingress, now, buffer_id, &match_, &data, rng),
             Message::FlowRemoved { match_, priority, .. } => {
-                self.flows_removed += 1;
-                self.telemetry.metrics.inc("flows_removed");
-                // Tombstone the bookkeeping: the switch no longer holds this
-                // flow, so reconciliation must not claim it. Forward flows
-                // carry `OFPFF_SEND_FLOW_REM` and match on the client source
-                // IP, which keys the bookkeeping.
-                let client = match_.fields().iter().find_map(|f| match f {
-                    OxmField::Ipv4Src(ip) => Some(Ipv4Addr(*ip)),
-                    _ => None,
-                });
-                if let Some(client) = client {
-                    let mut dead_idx: Vec<usize> = Vec::new();
-                    if let Some(pairs) = self.installed_pairs_mut(client, ingress) {
-                        for (i, p) in pairs.iter_mut().enumerate() {
-                            if !p.dead && p.fwd.priority == priority && p.fwd.match_ == match_ {
-                                p.dead = true;
-                                dead_idx.push(i);
-                            }
-                        }
-                    }
-                    for idx in dead_idx {
-                        self.journal_record(JournalEvent::PairDead { client, ingress, idx });
-                    }
-                } else {
-                    // No client source in the match: an aggregated pair's
-                    // forward flow (it wildcards the client). Tombstone it
-                    // and drop the aggregate anchor so the next packet-in
-                    // re-installs a fresh pair.
-                    let mut gone: Option<ServiceAddr> = None;
-                    let mut dead_idx: Vec<usize> = Vec::new();
-                    if let Some(pairs) = self.installed_pairs_mut(AGGREGATE_CLIENT, ingress) {
-                        for (i, p) in pairs.iter_mut().enumerate() {
-                            if !p.dead && p.fwd.priority == priority && p.fwd.match_ == match_ {
-                                p.dead = true;
-                                gone = Some(p.service);
-                                dead_idx.push(i);
-                            }
-                        }
-                    }
-                    for idx in dead_idx {
-                        self.journal_record(JournalEvent::PairDead {
-                            client: AGGREGATE_CLIENT,
-                            ingress,
-                            idx,
-                        });
-                    }
-                    if let Some(svc) = gone {
-                        self.aggregates.remove(&(ingress, svc));
-                        self.journal_record(JournalEvent::AggregateDrop {
-                            ingress,
-                            service: svc,
-                        });
-                    }
-                }
-                Ok(vec![])
+                ctl.handle_flow_removed(ingress, &match_, priority);
+                vec![]
             }
             Message::Error { error_type, code, .. } => {
-                self.switch_errors.push((error_type, code));
-                Ok(vec![])
+                ctl.switch_errors.push((error_type, code));
+                vec![]
             }
             Message::FlowStatsReply { flows } => {
-                self.last_flow_stats = Some(flows);
-                Ok(vec![])
+                ctl.last_flow_stats = Some(flows);
+                vec![]
             }
             // Session replies need no action.
             Message::Hello
             | Message::EchoReply(_)
             | Message::FeaturesReply { .. }
-            | Message::BarrierReply => Ok(vec![]),
+            | Message::BarrierReply => vec![],
             // Messages a switch should not send us.
             Message::FeaturesRequest
             | Message::PacketOut { .. }
             | Message::FlowMod { .. }
             | Message::FlowStatsRequest { .. }
-            | Message::BarrierRequest => Ok(vec![]),
-        };
-        self.journal_sync();
-        out
+            | Message::BarrierRequest => vec![],
+        }))
+    }
+
+    /// Tombstones the bookkeeping behind a `FLOW_REMOVED`: the switch no
+    /// longer holds this flow, so reconciliation must not claim it. Forward
+    /// flows carry `OFPFF_SEND_FLOW_REM` and match on the client source IP,
+    /// which keys the bookkeeping — except an aggregated pair's forward
+    /// flow, which wildcards the client: its anchor is dropped too, so the
+    /// next packet-in re-installs a fresh pair.
+    fn handle_flow_removed(&mut self, ingress: IngressId, match_: &Match, priority: u16) {
+        self.flows_removed += 1;
+        self.telemetry.metrics.inc("flows_removed");
+        let client = match_.fields().iter().find_map(|f| match f {
+            OxmField::Ipv4Src(ip) => Some(Ipv4Addr(*ip)),
+            _ => None,
+        });
+        let filed = client.unwrap_or(AGGREGATE_CLIENT);
+        let dead = self.live_pairs(filed, ingress, |p| {
+            p.fwd.priority == priority && p.fwd.match_ == *match_
+        });
+        self.tombstone(filed, ingress, &dead);
+        if let (None, Some(&idx)) = (client, dead.last()) {
+            let service = self.state.pairs(filed, ingress)[idx].service;
+            self.commit(JournalEvent::AggregateDrop { ingress, service });
+        }
     }
 
     fn in_port_of(match_: &Match) -> u32 {
@@ -892,6 +750,13 @@ impl Controller {
                 _ => None,
             })
             .unwrap_or(0)
+    }
+
+    /// Pins `(service, cluster)` against the idle sweep until `until`: a
+    /// request is held for a deployment there.
+    fn hold(&mut self, service: ServiceAddr, cluster: usize, until: SimTime) {
+        let hold = self.held.entry((service, cluster)).or_insert(until);
+        *hold = (*hold).max(until);
     }
 
     fn handle_packet_in(
@@ -913,20 +778,19 @@ impl Controller {
         // no move); an unannounced one falls back to the pre-handover
         // behavior — flush the client's memorized redirects and re-schedule,
         // since they were chosen for the old location.
-        if self.clients.observe(frame.src_ip, ingress, in_port, now).is_some() {
-            self.memory.forget_client(frame.src_ip);
-        }
-        self.journal_record(JournalEvent::ClientSeen {
+        let seen = JournalEvent::ClientSeen {
             client: frame.src_ip,
             ingress,
             in_port,
             at: now,
-        });
+        };
+        if self.commit(seen).moved {
+            self.state.memory_mut().forget_client(frame.src_ip);
+        }
         // Remember the client's MAC and the gateway MAC it perceives: a
         // later migration flow flip re-installs reverse rewrites for this
         // client without a packet of its own to crib them from.
-        self.client_macs.insert(frame.src_ip, (frame.src_mac, frame.dst_mac));
-        self.journal_record(JournalEvent::MacsSeen {
+        self.commit(JournalEvent::MacsSeen {
             client: frame.src_ip,
             client_mac: frame.src_mac,
             gw_mac: frame.dst_mac,
@@ -939,6 +803,8 @@ impl Controller {
             format!("client={} svc={svc_addr} in_port={in_port}", frame.src_ip)
         });
         let t = now + self.config.processing.sample_duration(rng);
+        let spec = PairSpec::of_frame(&frame, in_port);
+        let release = Some((buffer_id, &frame));
 
         // Shared handle: Rc clone, not a deep copy of the service definition.
         let Some(svc) = self.services.get_shared(svc_addr) else {
@@ -961,11 +827,12 @@ impl Controller {
             if self.config.record_requests {
                 self.records.push(rec);
             }
-            return self.install_cloud_path(ingress, t, buffer_id, in_port, &frame);
+            return self.install(ingress, t, spec, None, release);
         };
 
         let mut distances = std::mem::take(&mut self.distance_scratch);
         let have_distances = self.fill_distances(ingress, &mut distances);
+        let (memory, health) = self.state.dispatch_parts();
         let outcome: DispatchOutcome = self.dispatcher.dispatch_at(
             &svc,
             frame.src_ip,
@@ -974,7 +841,8 @@ impl Controller {
             RequestClass::NewFlow,
             t,
             &mut self.clusters,
-            &mut self.memory,
+            memory,
+            health,
             rng,
             &mut self.telemetry,
             request,
@@ -985,14 +853,11 @@ impl Controller {
         let background_ready = outcome.background.map(|b| b.ready_at);
         let (kind, answered_at, cluster, msgs) = match outcome.decision {
             DispatchDecision::Redirect { instance, cluster } => {
+                let to = (instance, cluster);
                 let msgs = if self.config.aggregate_rules {
-                    self.install_aggregate_or_exact(
-                        ingress, t, buffer_id, in_port, &frame, &svc, instance, cluster,
-                    )
+                    self.install_aggregated(ingress, t, spec, to, (buffer_id, &frame))
                 } else {
-                    self.install_redirect(
-                        ingress, t, buffer_id, in_port, &frame, &svc, instance, cluster,
-                    )
+                    self.install(ingress, t, spec, Some(to), release)
                 };
                 let kind = if outcome.from_memory {
                     RequestKind::MemoryHit
@@ -1006,24 +871,23 @@ impl Controller {
                 cluster,
                 ready_at,
             } => {
-                // The request is held; flows go out when the port answered.
+                // The request is held; flows go out when the port answered
+                // (as an exact pair: the deferred release predates any
+                // aggregate decision).
                 let at = ready_at.max(t);
-                // Pin the service: the idle sweep must not scale it down
-                // before this hold releases.
-                let hold = self.held.entry((svc_addr, cluster)).or_insert(at);
-                *hold = (*hold).max(at);
-                let msgs = self.install_redirect(ingress, at, buffer_id, in_port, &frame, &svc, instance, cluster);
+                self.hold(svc_addr, cluster, at);
+                let msgs = self.install(ingress, at, spec, Some((instance, cluster)), release);
                 (RequestKind::Waited, at, Some(cluster), msgs)
             }
             DispatchDecision::ForwardToCloud => {
-                let msgs = self.install_cloud_path(ingress, t, buffer_id, in_port, &frame);
+                let msgs = self.install(ingress, t, spec, None, release);
                 (RequestKind::Cloud, t, None, msgs)
             }
             DispatchDecision::FallbackCloud { released_at } => {
                 // The deployment exhausted its retries while the request was
                 // held: release it toward the cloud instead.
                 let at = released_at.max(t);
-                let msgs = self.install_cloud_path(ingress, at, buffer_id, in_port, &frame);
+                let msgs = self.install(ingress, at, spec, None, release);
                 (RequestKind::FallbackCloud, at, None, msgs)
             }
         };
@@ -1094,88 +958,96 @@ impl Controller {
         }
     }
 
-    /// The egress port toward `cluster` on `ingress`, if one is mapped.
-    /// This used to panic on a missing mapping; a malformed or
-    /// misconfigured port map must never take the controller down, so
-    /// callers now degrade to cloud forwarding and record a
-    /// [`ControlPlaneError::MissingClusterPort`].
-    fn cluster_port(&self, ingress: IngressId, cluster: usize) -> Option<u32> {
-        self.ingresses
-            .get(ingress.0 as usize)?
-            .cluster_ports
-            .get(self.clusters.get(cluster)?.name())
-            .copied()
-    }
-
-    /// Records a missing-port inconsistency (see [`ControlPlaneError`]).
-    fn note_missing_port(&mut self, ingress: IngressId, cluster: usize) {
+    /// Records a survived control-plane inconsistency (see
+    /// [`ControlPlaneError`]).
+    fn note_error(&mut self, err: ControlPlaneError) {
         self.telemetry.metrics.inc("control_plane_errors");
-        self.control_errors
-            .push(ControlPlaneError::MissingClusterPort { ingress, cluster });
+        self.control_errors.push(err);
     }
 
-    /// Builds the forward + reverse redirect flows (and a packet-out when the
-    /// switch could not buffer).
-    #[allow(clippy::too_many_arguments)]
-    fn install_redirect(
+    /// Egress resolution — once, here, and total. A malformed or
+    /// misconfigured port map must never take the controller down: a
+    /// cluster with no port mapped on `ingress` degrades to the cloud uplink
+    /// ([`ControlPlaneError::MissingClusterPort`]), and an ingress the
+    /// controller does not manage resolves to nothing
+    /// ([`ControlPlaneError::UnknownIngress`]).
+    fn resolve(&mut self, ingress: IngressId, to: Placement) -> Option<Target> {
+        let Some(ports) = self.ingresses.get(ingress.0 as usize) else {
+            self.note_error(ControlPlaneError::UnknownIngress { ingress });
+            return None;
+        };
+        let cloud = Target::Cloud {
+            out_port: ports.cloud_port,
+        };
+        let Some((instance, cluster)) = to else {
+            return Some(cloud);
+        };
+        let mapped = self
+            .clusters
+            .get(cluster)
+            .and_then(|c| ports.cluster_ports.get(c.name()))
+            .copied();
+        let Some(out_port) = mapped else {
+            self.note_error(ControlPlaneError::MissingClusterPort { ingress, cluster });
+            return Some(cloud);
+        };
+        Some(Target::Instance {
+            instance,
+            cluster,
+            out_port,
+        })
+    }
+
+    /// The one install path: resolves the egress toward `to`, builds the
+    /// pair `spec` describes (see [`crate::rules`] for the shapes), sends it
+    /// — releasing the packet behind a packet-in, if any — and files it:
+    /// switch-side deletion is exact-match, so handover teardown, repair and
+    /// reconciliation need the pair verbatim.
+    ///
+    /// Who installs what: packet-ins a `Connection` pair (or, through
+    /// [`Controller::install_aggregated`], a `Service` pair); handovers and
+    /// migration flips a `ClientService` pair, with no packet to release.
+    fn install(
         &mut self,
         ingress: IngressId,
         at: SimTime,
-        buffer_id: u32,
-        in_port: u32,
-        frame: &TcpFrame,
-        svc: &EdgeService,
-        instance: InstanceAddr,
-        cluster: usize,
+        mut spec: PairSpec,
+        to: Placement,
+        release: Option<Release>,
     ) -> Vec<OutboundMessage> {
-        let Some(out_port) = self.cluster_port(ingress, cluster) else {
-            self.note_missing_port(ingress, cluster);
-            return self.install_cloud_path(ingress, at, buffer_id, in_port, frame);
+        let Some(target) = self.resolve(ingress, to) else {
+            return Vec::new();
         };
-
-        let fwd_actions = vec![
-            Action::SetField(OxmField::EthDst(instance.mac.octets())),
-            Action::SetField(OxmField::Ipv4Dst(instance.ip.octets())),
-            Action::SetField(OxmField::TcpDst(instance.port)),
-            Action::output(out_port),
-        ];
-        let rev_actions = vec![
-            // Replies must look like they come from the cloud service.
-            Action::SetField(OxmField::EthSrc(frame.dst_mac.octets())),
-            Action::SetField(OxmField::EthDst(frame.src_mac.octets())),
-            Action::SetField(OxmField::Ipv4Src(svc.addr.ip.octets())),
-            Action::SetField(OxmField::TcpSrc(svc.addr.port)),
-            Action::output(in_port),
-        ];
-        let fwd_match = Match::connection(
-            frame.src_ip.octets(),
-            frame.src_port,
-            svc.addr.ip.octets(),
-            svc.addr.port,
-        );
-        let rev_match = Match::connection(
-            instance.ip.octets(),
-            instance.port,
-            frame.src_ip.octets(),
-            frame.src_port,
-        );
-        // Bookkeep the exact pair: switch-side deletion is exact-match, so
-        // handover teardown and stale-redirect repair need it verbatim, and
-        // reconciliation needs the full flow to re-install it.
-        self.book_pair(
-            frame.src_ip,
+        if matches!(target, Target::Cloud { .. }) && spec.granularity == Granularity::Service {
+            // Only a redirect is worth sharing: a first decision degraded to
+            // the cloud gets the exact cloud path and anchors nothing.
+            spec.granularity = Granularity::Connection;
+        }
+        let mut pair = spec.build(target, self.config.flow_priority);
+        if let (Granularity::Service, Some(instance), Some(cluster)) =
+            (spec.granularity, pair.instance, pair.cluster)
+        {
+            let rule = AggregateRule {
+                instance,
+                cluster,
+                in_port: spec.in_port,
+                gw_mac: spec.gw_mac,
+                fwd_actions: pair.fwd_actions(),
+            };
+            self.commit(JournalEvent::AggregateSet {
+                ingress,
+                service: spec.service,
+                rule,
+            });
+            self.telemetry.metrics.inc("aggregate_installed");
+        }
+        let msgs = self.emit_add_pair(at, &mut pair, release);
+        self.commit(JournalEvent::PairAdd {
+            client: spec.filed_under(),
             ingress,
-            &fwd_match,
-            &fwd_actions,
-            &rev_match,
-            &rev_actions,
-            self.config.flow_priority,
-            svc.addr,
-            Some(cluster),
-            Some(instance),
-            true,
-        );
-        self.install_pair(at, buffer_id, frame, fwd_match, fwd_actions, rev_match, rev_actions)
+            pair,
+        });
+        msgs
     }
 
     /// Rule-aggregation front end for ready-instance redirects
@@ -1189,354 +1061,97 @@ impl Controller {
     ///   differs (circuit-breaker redirect to another cluster, a different
     ///   uplink): fall back to an exact per-connection pair at base
     ///   priority, which shadows the aggregate for exactly this connection;
-    /// * **first** — no aggregate yet: install one wildcard pair for the
-    ///   whole `(service, ingress, instance)` population.
+    /// * **first** — no aggregate yet: install one `Service` pair for the
+    ///   whole `(service, ingress, instance)` population, two priority steps
+    ///   below the exact flows so both exact pairs (base) and per-client
+    ///   handover wildcards (base − 1) shadow it.
     ///
-    /// The aggregate forward flow keeps the client's source MAC intact, so
-    /// the instance's replies already carry each client's own address in
-    /// `eth_dst` — which is why one reverse rule serves every client without
-    /// a per-client rewrite.
-    #[allow(clippy::too_many_arguments)]
-    fn install_aggregate_or_exact(
+    /// The aggregate pair carries its own idle timeout, exactly like an
+    /// exact pair — per *rule*, not per client: the rule stays hot as long
+    /// as *any* client keeps using the service, which is precisely the
+    /// aggregate's lifetime of interest. (The controller-side per-client
+    /// state lives in the FlowMemory, which keeps its own per-flow idle
+    /// accounting.)
+    fn install_aggregated(
         &mut self,
         ingress: IngressId,
         at: SimTime,
-        buffer_id: u32,
-        in_port: u32,
-        frame: &TcpFrame,
-        svc: &EdgeService,
-        instance: InstanceAddr,
-        cluster: usize,
+        spec: PairSpec,
+        (instance, cluster): (InstanceAddr, usize),
+        release: Release,
     ) -> Vec<OutboundMessage> {
-        match self.aggregates.get(&(ingress, svc.addr)) {
-            Some(r) if r.instance == instance && r.in_port == in_port && r.gw_mac == frame.dst_mac => {
+        let granularity = match self.state.aggregate(ingress, spec.service) {
+            Some(r)
+                if r.instance == instance
+                    && r.in_port == spec.in_port
+                    && r.gw_mac == spec.gw_mac =>
+            {
                 let actions = r.fwd_actions.clone();
                 let x = self.xid();
-                let data = if buffer_id == OFP_NO_BUFFER {
-                    // Nothing buffered at the switch: carry the packet back.
-                    Message::PacketOut {
-                        buffer_id: OFP_NO_BUFFER,
-                        in_port: 0,
-                        actions,
-                        data: frame.encode(),
-                    }
-                    .encode(x)
-                } else {
-                    // Release the switch's buffered copy through the
-                    // aggregate's rewrite; no table change.
-                    Message::PacketOut {
-                        buffer_id,
-                        in_port: 0,
-                        actions,
-                        data: vec![],
-                    }
-                    .encode(x)
-                };
                 self.telemetry.metrics.inc("aggregate_covered");
-                vec![OutboundMessage { at, data }]
+                return vec![OutboundMessage {
+                    at,
+                    data: rules::packet_out(release.0, actions, release.1, x),
+                }];
             }
             Some(_) => {
                 self.telemetry.metrics.inc("aggregate_divergent");
-                self.install_redirect(ingress, at, buffer_id, in_port, frame, svc, instance, cluster)
+                Granularity::Connection
             }
-            None => self.install_aggregate(ingress, at, buffer_id, in_port, frame, svc, instance, cluster),
-        }
+            None => Granularity::Service,
+        };
+        let spec = PairSpec { granularity, ..spec };
+        self.install(ingress, at, spec, Some((instance, cluster)), Some(release))
     }
 
-    /// Installs the aggregated wildcard pair for `(service, ingress,
-    /// instance)` and anchors it in [`Self::aggregates`]. Two priority steps
-    /// below the exact flows so both exact pairs (base) and per-client
-    /// handover wildcards (base − 1) shadow it.
-    ///
-    /// The pair carries its own idle timeout, exactly like an exact pair —
-    /// per *rule*, not per client: the rule stays hot as long as *any*
-    /// client keeps using the service, which is precisely the aggregate's
-    /// lifetime of interest. (A per-client timeout is meaningless here; the
-    /// controller-side per-client state lives in the FlowMemory, which keeps
-    /// its own per-flow idle accounting.)
-    #[allow(clippy::too_many_arguments)]
-    fn install_aggregate(
+    /// Sends the two Adds of `pair` — reverse first: when the buffered
+    /// packet is released through the forward flow, the reply path must
+    /// already exist — and, when the switch could not buffer the packet
+    /// behind the packet-in, the `PACKET_OUT` that re-injects it.
+    fn emit_add_pair(
         &mut self,
-        ingress: IngressId,
         at: SimTime,
-        buffer_id: u32,
-        in_port: u32,
-        frame: &TcpFrame,
-        svc: &EdgeService,
-        instance: InstanceAddr,
-        cluster: usize,
+        pair: &mut InstalledPair,
+        release: Option<Release>,
     ) -> Vec<OutboundMessage> {
-        let Some(out_port) = self.cluster_port(ingress, cluster) else {
-            self.note_missing_port(ingress, cluster);
-            return self.install_cloud_path(ingress, at, buffer_id, in_port, frame);
-        };
-        // Any client, this service.
-        let fwd_match = Match::service(svc.addr.ip.octets(), svc.addr.port);
-        // Any client, replies from this instance.
-        let rev_match = Match::any()
-            .with(OxmField::EthType(0x0800))
-            .with(OxmField::IpProto(6))
-            .with(OxmField::Ipv4Src(instance.ip.octets()))
-            .with(OxmField::TcpSrc(instance.port));
-        let fwd_actions = vec![
-            Action::SetField(OxmField::EthDst(instance.mac.octets())),
-            Action::SetField(OxmField::Ipv4Dst(instance.ip.octets())),
-            Action::SetField(OxmField::TcpDst(instance.port)),
-            Action::output(out_port),
-        ];
-        // No EthDst rewrite: the reply frame already addresses the client
-        // (the instance answers to the MAC the forward path preserved).
-        let rev_actions = vec![
-            Action::SetField(OxmField::EthSrc(frame.dst_mac.octets())),
-            Action::SetField(OxmField::Ipv4Src(svc.addr.ip.octets())),
-            Action::SetField(OxmField::TcpSrc(svc.addr.port)),
-            Action::output(in_port),
-        ];
-        let priority = self.config.flow_priority.saturating_sub(2);
-        let rule = AggregateRule {
-            instance,
-            cluster,
-            in_port,
-            gw_mac: frame.dst_mac,
-            fwd_actions: fwd_actions.clone(),
-        };
-        if self.journal.enabled() {
-            self.journal.record(JournalEvent::AggregateSet {
-                ingress,
-                service: svc.addr,
-                rule: rule.clone(),
-            });
-        }
-        self.aggregates.insert((ingress, svc.addr), rule);
-        self.book_pair(
-            AGGREGATE_CLIENT,
-            ingress,
-            &fwd_match,
-            &fwd_actions,
-            &rev_match,
-            &rev_actions,
-            priority,
-            svc.addr,
-            Some(cluster),
-            Some(instance),
-            false,
-        );
-        self.telemetry.metrics.inc("aggregate_installed");
-        let idle = openflow::timeout_secs(self.config.switch_flow_idle);
+        let buffer_id = release.map_or(OFP_NO_BUFFER, |(id, _)| id);
+        let carried = release.filter(|(id, _)| *id == OFP_NO_BUFFER);
         self.flow_adds += 2;
-        let mut msgs = Vec::with_capacity(3);
-        // Reverse first, as everywhere: the reply path must exist before the
-        // buffered packet is released through the forward flow.
-        let x = self.xid();
-        msgs.push(OutboundMessage {
-            at,
-            data: Message::FlowMod {
-                cookie: 2,
-                table_id: 0,
-                command: openflow::messages::FlowModCommand::Add,
-                idle_timeout: idle,
-                hard_timeout: 0,
-                priority,
-                buffer_id: OFP_NO_BUFFER,
-                flags: 0,
-                match_: rev_match,
-                instructions: vec![Instruction::ApplyActions(rev_actions)],
-            }
-            .encode(x),
-        });
-        let x = self.xid();
-        msgs.push(OutboundMessage {
-            at,
-            data: Message::FlowMod {
-                cookie: 1,
-                table_id: 0,
-                command: openflow::messages::FlowModCommand::Add,
-                idle_timeout: idle,
-                hard_timeout: 0,
-                priority,
-                buffer_id,
-                flags: OFPFF_SEND_FLOW_REM,
-                match_: fwd_match,
-                instructions: vec![Instruction::ApplyActions(fwd_actions.clone())],
-            }
-            .encode(x),
-        });
-        if buffer_id == OFP_NO_BUFFER {
+        let mut msgs = Vec::with_capacity(2 + usize::from(carried.is_some()));
+        msgs.push(self.flow_add(at, &mut pair.rev, OFP_NO_BUFFER));
+        msgs.push(self.flow_add(at, &mut pair.fwd, buffer_id));
+        if let Some((_, frame)) = carried {
             let x = self.xid();
             msgs.push(OutboundMessage {
                 at,
-                data: Message::PacketOut {
-                    buffer_id: OFP_NO_BUFFER,
-                    in_port: 0,
-                    actions: fwd_actions,
-                    data: frame.encode(),
-                }
-                .encode(x),
+                data: rules::packet_out(OFP_NO_BUFFER, pair.fwd_actions(), frame, x),
             });
         }
         msgs
     }
 
-    /// Files a forward/reverse pair into the bookkeeping. `fwd`/`rev` carry
-    /// the conventions of [`install_pair`](Self::install_pair) /
-    /// [`install_wildcard_pair`](Self::install_wildcard_pair): forward flows
-    /// use cookie 1 and request `FLOW_REMOVED`, reverse flows cookie 2.
-    #[allow(clippy::too_many_arguments)]
-    fn book_pair(
-        &mut self,
-        client: Ipv4Addr,
-        ingress: IngressId,
-        fwd_match: &Match,
-        fwd_actions: &[Action],
-        rev_match: &Match,
-        rev_actions: &[Action],
-        priority: u16,
-        service: ServiceAddr,
-        cluster: Option<usize>,
-        instance: Option<InstanceAddr>,
-        teardown_on_handover: bool,
-    ) {
-        let pair = InstalledPair {
-            fwd: InstalledFlow {
-                match_: fwd_match.clone(),
-                instructions: vec![Instruction::ApplyActions(fwd_actions.to_vec())],
-                priority,
-                cookie: 1,
-                flags: OFPFF_SEND_FLOW_REM,
-            },
-            rev: InstalledFlow {
-                match_: rev_match.clone(),
-                instructions: vec![Instruction::ApplyActions(rev_actions.to_vec())],
-                priority,
-                cookie: 2,
-                flags: 0,
-            },
-            service,
-            cluster,
-            instance,
-            teardown_on_handover,
-            dead: false,
-        };
-        if self.journal.enabled() {
-            self.journal.record(JournalEvent::PairAdd {
-                client,
-                ingress,
-                pair: pair.clone(),
-            });
-        }
-        self.installed_shard_mut(ingress)
-            .entry(client)
-            .or_default()
-            .push(pair);
-    }
-
-    /// Builds plain bidirectional cloud-forwarding flows.
-    fn install_cloud_path(
-        &mut self,
-        ingress: IngressId,
-        at: SimTime,
-        buffer_id: u32,
-        in_port: u32,
-        frame: &TcpFrame,
-    ) -> Vec<OutboundMessage> {
-        let fwd = vec![Action::output(self.ingresses[ingress.0 as usize].cloud_port)];
-        let rev = vec![Action::output(in_port)];
-        let fwd_match = Match::connection(
-            frame.src_ip.octets(),
-            frame.src_port,
-            frame.dst_ip.octets(),
-            frame.dst_port,
-        );
-        let rev_match = Match::connection(
-            frame.dst_ip.octets(),
-            frame.dst_port,
-            frame.src_ip.octets(),
-            frame.src_port,
-        );
-        // Bookkept (reconciliation must not strict-delete live cloud paths
-        // as orphans) but *not* handover-retired: these pairs were never
-        // torn down by handovers, only idled out.
-        self.book_pair(
-            frame.src_ip,
-            ingress,
-            &fwd_match,
-            &fwd,
-            &rev_match,
-            &rev,
-            self.config.flow_priority,
-            frame.dst_service(),
-            None,
-            None,
-            false,
-        );
-        self.install_pair(at, buffer_id, frame, fwd_match, fwd, rev_match, rev)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn install_pair(
+    /// One `FLOW_MOD` Add of `flow` under the configured switch idle timeout.
+    fn flow_add(
         &mut self,
         at: SimTime,
+        flow: &mut InstalledFlow,
         buffer_id: u32,
-        frame: &TcpFrame,
-        fwd_match: Match,
-        fwd_actions: Vec<Action>,
-        rev_match: Match,
-        rev_actions: Vec<Action>,
-    ) -> Vec<OutboundMessage> {
+    ) -> OutboundMessage {
         let idle = openflow::timeout_secs(self.config.switch_flow_idle);
-        self.flow_adds += 2;
-        let mut msgs = Vec::with_capacity(3);
-        // Reverse flow first: when the buffered packet is released through
-        // the forward flow, the reply path must already exist.
         let x = self.xid();
-        msgs.push(OutboundMessage {
+        OutboundMessage {
             at,
-            data: Message::FlowMod {
-                cookie: 2,
-                table_id: 0,
-                command: openflow::messages::FlowModCommand::Add,
-                idle_timeout: idle,
-                hard_timeout: 0,
-                priority: self.config.flow_priority,
-                buffer_id: OFP_NO_BUFFER,
-                flags: 0,
-                match_: rev_match,
-                instructions: vec![Instruction::ApplyActions(rev_actions)],
-            }
-            .encode(x),
-        });
-        let x = self.xid();
-        msgs.push(OutboundMessage {
-            at,
-            data: Message::FlowMod {
-                cookie: 1,
-                table_id: 0,
-                command: openflow::messages::FlowModCommand::Add,
-                idle_timeout: idle,
-                hard_timeout: 0,
-                priority: self.config.flow_priority,
-                buffer_id,
-                flags: OFPFF_SEND_FLOW_REM,
-                match_: fwd_match,
-                instructions: vec![Instruction::ApplyActions(fwd_actions.clone())],
-            }
-            .encode(x),
-        });
-        if buffer_id == OFP_NO_BUFFER {
-            // Nothing buffered: re-inject the original packet ourselves.
-            let x = self.xid();
-            msgs.push(OutboundMessage {
-                at,
-                data: Message::PacketOut {
-                    buffer_id: OFP_NO_BUFFER,
-                    in_port: 0,
-                    actions: fwd_actions,
-                    data: frame.encode(),
-                }
-                .encode(x),
-            });
+            data: rules::flow_add(flow, idle, buffer_id, x),
         }
-        msgs
+    }
+
+    /// One `FLOW_MOD` Delete of everything matching `match_` exactly.
+    fn flow_delete(&mut self, at: SimTime, match_: Match) -> OutboundMessage {
+        let x = self.xid();
+        OutboundMessage {
+            at,
+            data: rules::flow_delete(match_, x),
+        }
     }
 
     /// Hands a client's live sessions over from ingress `from` to ingress
@@ -1575,344 +1190,165 @@ impl Controller {
         policy: HandoverPolicy,
         rng: &mut SimRng,
     ) -> HandoverOutcome {
-        self.next_request += 1;
-        let request = self.next_request;
-        let root = self.telemetry.span(request, SpanId::NONE, "handover", now);
-        self.telemetry.event(root, "attachment-change", now, || {
-            format!(
-                "client={client} gnb {} -> {} ({})",
-                from.0,
-                to.0,
-                policy.label()
-            )
-        });
-        let t = now + self.config.processing.sample_duration(rng);
-        // The tracker learns the new location *now*, so the client's first
-        // packet-in at the new switch is not mistaken for an unannounced
-        // move (which would flush the very memory we are migrating).
-        self.clients.observe(client, to, new_in_port, t);
-        self.journal_record(JournalEvent::ClientSeen {
-            client,
-            ingress: to,
-            in_port: new_in_port,
-            at: t,
-        });
-        self.client_macs.insert(client, (client_mac, gw_mac));
-        self.journal_record(JournalEvent::MacsSeen {
-            client,
-            client_mac,
-            gw_mac,
-        });
-        // Snapshot the old switch's exact matches before any new installs:
-        // with `from == to` (a re-attach to the same cell) the new wildcard
-        // pairs must not end up in their own teardown list. Cloud packet-in
-        // pairs stay filed — handovers never tore those down (they idle out
-        // and tombstone via `FLOW_REMOVED`), and reconciliation still needs
-        // to claim them until then.
-        let mut old_pairs = self.installed_shard_mut(from).remove(&client).unwrap_or_default();
-        let kept: Vec<InstalledPair> = old_pairs
-            .iter()
-            .filter(|p| !p.teardown_on_handover)
-            .cloned()
-            .collect();
-        old_pairs.retain(|p| p.teardown_on_handover);
-        if !kept.is_empty() {
-            self.installed_shard_mut(from).insert(client, kept);
-        }
-        self.journal_record(JournalEvent::HandoverSweep { client, from });
+        self.synced(|ctl| {
+            ctl.next_request += 1;
+            let request = ctl.next_request;
+            let root = ctl.telemetry.span(request, SpanId::NONE, "handover", now);
+            ctl.telemetry.event(root, "attachment-change", now, || {
+                format!(
+                    "client={client} gnb {} -> {} ({})",
+                    from.0,
+                    to.0,
+                    policy.label()
+                )
+            });
+            let t = now + ctl.config.processing.sample_duration(rng);
+            // The tracker learns the new location *now*, so the client's first
+            // packet-in at the new switch is not mistaken for an unannounced
+            // move (which would flush the very memory we are migrating).
+            ctl.commit(JournalEvent::ClientSeen {
+                client,
+                ingress: to,
+                in_port: new_in_port,
+                at: t,
+            });
+            ctl.commit(JournalEvent::MacsSeen {
+                client,
+                client_mac,
+                gw_mac,
+            });
+            // Retire the old switch's pairs before any new installs: with
+            // `from == to` (a re-attach to the same cell) the new wildcard
+            // pairs must not end up in their own teardown list. Cloud
+            // packet-in pairs stay filed — handovers never tore those down
+            // (they idle out and tombstone via `FLOW_REMOVED`), and
+            // reconciliation still needs to claim them until then.
+            let old_pairs = ctl.commit(JournalEvent::HandoverSweep { client, from }).retired;
 
-        let mut messages: Vec<(IngressId, OutboundMessage)> = Vec::new();
-        let mut completed_at = t;
-        let mut flows_migrated = 0usize;
-        let mut redispatched = 0usize;
-        let distances = self.distances_from(to);
-        for (key, flow) in self.memory.flows_of_client_at(client, from) {
-            let Some(svc) = self.services.get_shared(key.service) else {
-                self.memory.forget(&key);
-                continue;
-            };
-            // Anchoring keeps the session on its current instance — valid
-            // only while that instance still serves.
-            let anchored_instance = match policy {
-                HandoverPolicy::Anchored if flow.cluster < self.clusters.len() => {
-                    match self.clusters[flow.cluster].state(&svc, t) {
-                        crate::cluster::InstanceState::Ready(inst) => Some(inst),
-                        _ => None,
-                    }
-                }
-                _ => None,
-            };
-            let installed_at = if let Some(instance) = anchored_instance {
-                self.memory.rekey(&key, to, t);
-                let msgs = self.install_handover_redirect(
-                    to, t, client, client_mac, gw_mac, new_in_port, &svc, instance, flow.cluster,
-                );
-                messages.extend(msgs.into_iter().map(|m| (to, m)));
-                self.telemetry.event(root, "anchored", t, || {
-                    format!("{}: kept on cluster {}", svc.name, flow.cluster)
-                });
-                t
-            } else {
-                // Re-place the session through the scheduler, as a Handover.
-                self.memory.forget(&key);
-                let outcome = self.dispatcher.dispatch_at(
-                    &svc,
-                    client,
-                    to,
-                    distances.as_deref(),
-                    RequestClass::Handover,
-                    t,
-                    &mut self.clusters,
-                    &mut self.memory,
-                    rng,
-                    &mut self.telemetry,
-                    request,
-                    root,
-                );
-                redispatched += 1;
-                match outcome.decision {
-                    DispatchDecision::Redirect { instance, cluster } => {
-                        let msgs = self.install_handover_redirect(
-                            to, t, client, client_mac, gw_mac, new_in_port, &svc, instance, cluster,
-                        );
-                        messages.extend(msgs.into_iter().map(|m| (to, m)));
-                        t
-                    }
-                    DispatchDecision::WaitThenRedirect { instance, cluster, ready_at } => {
-                        let at = ready_at.max(t);
-                        // Pin the service against the idle sweep until the
-                        // deferred install goes out, as packet-ins do.
-                        let hold = self.held.entry((key.service, cluster)).or_insert(at);
-                        *hold = (*hold).max(at);
-                        let msgs = self.install_handover_redirect(
-                            to, at, client, client_mac, gw_mac, new_in_port, &svc, instance, cluster,
-                        );
-                        messages.extend(msgs.into_iter().map(|m| (to, m)));
-                        at
-                    }
-                    DispatchDecision::ForwardToCloud => {
-                        let msgs = self.install_handover_cloud(to, t, client, new_in_port, &svc);
-                        messages.extend(msgs.into_iter().map(|m| (to, m)));
-                        t
-                    }
-                    DispatchDecision::FallbackCloud { released_at } => {
-                        let at = released_at.max(t);
-                        let msgs = self.install_handover_cloud(to, at, client, new_in_port, &svc);
-                        messages.extend(msgs.into_iter().map(|m| (to, m)));
-                        at
-                    }
-                }
-            };
-            flows_migrated += 1;
-            completed_at = completed_at.max(installed_at);
-        }
-
-        // Break strictly after the make: the old paths outlive the last
-        // new-switch install by a guard interval sized to cover a full WAN
-        // round-trip, so replies to requests still in flight via the old
-        // cell (worst case: a cloud-served session) find their reverse
-        // flows intact. Deleting long-gone flows is a no-op, so generosity
-        // here costs nothing.
-        let break_at = completed_at + Duration::from_millis(50);
-        let n_old = old_pairs.len();
-        for pair in old_pairs {
-            for m in [pair.fwd.match_, pair.rev.match_] {
-                let x = self.xid();
-                messages.push((
-                    from,
-                    OutboundMessage {
-                        at: break_at,
-                        data: Message::FlowMod {
-                            cookie: 0,
-                            table_id: 0,
-                            command: openflow::messages::FlowModCommand::Delete,
-                            idle_timeout: 0,
-                            hard_timeout: 0,
-                            priority: 0,
-                            buffer_id: OFP_NO_BUFFER,
-                            flags: 0,
-                            match_: m,
-                            instructions: vec![],
+            let mut messages: Vec<(IngressId, OutboundMessage)> = Vec::new();
+            let mut completed_at = t;
+            let mut flows_migrated = 0usize;
+            let mut redispatched = 0usize;
+            let distances = ctl.distances_from(to);
+            for (key, flow) in ctl.state.memory().flows_of_client_at(client, from) {
+                let Some(svc) = ctl.services.get_shared(key.service) else {
+                    ctl.state.memory_mut().forget(&key);
+                    continue;
+                };
+                // Anchoring keeps the session on its current instance — valid
+                // only while that instance still serves.
+                let anchored_instance = match policy {
+                    HandoverPolicy::Anchored if flow.cluster < ctl.clusters.len() => {
+                        match ctl.clusters[flow.cluster].state(&svc, t) {
+                            InstanceState::Ready(inst) => Some(inst),
+                            _ => None,
                         }
-                        .encode(x),
-                    },
-                ));
+                    }
+                    _ => None,
+                };
+                let (placement, installed_at) = if let Some(instance) = anchored_instance {
+                    ctl.state.memory_mut().rekey(&key, to, t);
+                    ctl.telemetry.event(root, "anchored", t, || {
+                        format!("{}: kept on cluster {}", svc.name, flow.cluster)
+                    });
+                    (Some((instance, flow.cluster)), t)
+                } else {
+                    // Re-place the session through the scheduler, as a Handover.
+                    ctl.state.memory_mut().forget(&key);
+                    let (memory, health) = ctl.state.dispatch_parts();
+                    let outcome = ctl.dispatcher.dispatch_at(
+                        &svc,
+                        client,
+                        to,
+                        distances.as_deref(),
+                        RequestClass::Handover,
+                        t,
+                        &mut ctl.clusters,
+                        memory,
+                        health,
+                        rng,
+                        &mut ctl.telemetry,
+                        request,
+                        root,
+                    );
+                    redispatched += 1;
+                    match outcome.decision {
+                        DispatchDecision::Redirect { instance, cluster } => {
+                            (Some((instance, cluster)), t)
+                        }
+                        DispatchDecision::WaitThenRedirect { instance, cluster, ready_at } => {
+                            // Pin the service against the idle sweep until the
+                            // deferred install goes out, as packet-ins do.
+                            let at = ready_at.max(t);
+                            ctl.hold(key.service, cluster, at);
+                            (Some((instance, cluster)), at)
+                        }
+                        DispatchDecision::ForwardToCloud => (None, t),
+                        DispatchDecision::FallbackCloud { released_at } => {
+                            (None, released_at.max(t))
+                        }
+                    }
+                };
+                // Wildcarded per client↔service: no triggering frame exists
+                // to read an ephemeral port (or the MACs) from.
+                let spec = PairSpec {
+                    granularity: Granularity::ClientService,
+                    client,
+                    src_port: 0,
+                    client_mac,
+                    gw_mac,
+                    in_port: new_in_port,
+                    service: svc.addr,
+                };
+                let msgs = ctl.install(to, installed_at, spec, placement, None);
+                messages.extend(msgs.into_iter().map(|m| (to, m)));
+                flows_migrated += 1;
+                completed_at = completed_at.max(installed_at);
             }
-        }
 
-        let m = &mut self.telemetry.metrics;
-        m.inc("handovers_total");
-        m.add("flows_migrated", flows_migrated as u64);
-        if redispatched > 0 {
-            m.add("handover_redispatched_total", redispatched as u64);
-        }
-        m.observe("handover_interruption_ns", completed_at.saturating_since(now));
-        self.telemetry.event(root, "break", break_at, || {
-            format!("{n_old} exact pair(s) deleted at old gnb {}", from.0)
-        });
-        self.telemetry.end_span(root, completed_at);
-        // The mobility trigger: sessions this move left anchored on a
-        // cluster at least `mobility_hops` hops behind the best candidate
-        // follow the client — snapshot, transfer, then flip at
-        // [`Controller::migration_tick`]. Keyed off the *kept* placements,
-        // so it composes with the anchored policy (redispatch already
-        // re-placed everything).
-        if self.migrate.live() {
-            self.migrate_lagging_sessions(t, client, to, rng);
-        }
-        self.journal_sync();
-        HandoverOutcome {
-            at: now,
-            completed_at,
-            flows_migrated,
-            redispatched,
-            messages,
-        }
-    }
-
-    /// Installs the wildcard (per client↔service) redirect pair at `ingress`
-    /// for a handed-over session, bookkeeping the matches for the next
-    /// teardown. One priority step below the exact per-connection flows, so
-    /// any surviving exact flow still shadows it.
-    #[allow(clippy::too_many_arguments)]
-    fn install_handover_redirect(
-        &mut self,
-        ingress: IngressId,
-        at: SimTime,
-        client: Ipv4Addr,
-        client_mac: MacAddr,
-        gw_mac: MacAddr,
-        in_port: u32,
-        svc: &EdgeService,
-        instance: InstanceAddr,
-        cluster: usize,
-    ) -> Vec<OutboundMessage> {
-        let Some(out_port) = self.cluster_port(ingress, cluster) else {
-            self.note_missing_port(ingress, cluster);
-            return self.install_handover_cloud(ingress, at, client, in_port, svc);
-        };
-        let fwd_match = Match::service(svc.addr.ip.octets(), svc.addr.port)
-            .with(OxmField::Ipv4Src(client.octets()));
-        let rev_match = Match::any()
-            .with(OxmField::EthType(0x0800))
-            .with(OxmField::IpProto(6))
-            .with(OxmField::Ipv4Src(instance.ip.octets()))
-            .with(OxmField::TcpSrc(instance.port))
-            .with(OxmField::Ipv4Dst(client.octets()));
-        let fwd_actions = vec![
-            Action::SetField(OxmField::EthDst(instance.mac.octets())),
-            Action::SetField(OxmField::Ipv4Dst(instance.ip.octets())),
-            Action::SetField(OxmField::TcpDst(instance.port)),
-            Action::output(out_port),
-        ];
-        let rev_actions = vec![
-            Action::SetField(OxmField::EthSrc(gw_mac.octets())),
-            Action::SetField(OxmField::EthDst(client_mac.octets())),
-            Action::SetField(OxmField::Ipv4Src(svc.addr.ip.octets())),
-            Action::SetField(OxmField::TcpSrc(svc.addr.port)),
-            Action::output(in_port),
-        ];
-        self.book_pair(
-            client,
-            ingress,
-            &fwd_match,
-            &fwd_actions,
-            &rev_match,
-            &rev_actions,
-            self.config.flow_priority.saturating_sub(1),
-            svc.addr,
-            Some(cluster),
-            Some(instance),
-            true,
-        );
-        self.install_wildcard_pair(at, fwd_match, fwd_actions, rev_match, rev_actions)
-    }
-
-    /// Installs a wildcard cloud-forwarding pair at `ingress` for a
-    /// handed-over session whose edge placement fell through.
-    fn install_handover_cloud(
-        &mut self,
-        ingress: IngressId,
-        at: SimTime,
-        client: Ipv4Addr,
-        in_port: u32,
-        svc: &EdgeService,
-    ) -> Vec<OutboundMessage> {
-        let fwd_match = Match::service(svc.addr.ip.octets(), svc.addr.port)
-            .with(OxmField::Ipv4Src(client.octets()));
-        let rev_match = Match::any()
-            .with(OxmField::EthType(0x0800))
-            .with(OxmField::IpProto(6))
-            .with(OxmField::Ipv4Src(svc.addr.ip.octets()))
-            .with(OxmField::TcpSrc(svc.addr.port))
-            .with(OxmField::Ipv4Dst(client.octets()));
-        let fwd_actions = vec![Action::output(self.ingresses[ingress.0 as usize].cloud_port)];
-        let rev_actions = vec![Action::output(in_port)];
-        self.book_pair(
-            client,
-            ingress,
-            &fwd_match,
-            &fwd_actions,
-            &rev_match,
-            &rev_actions,
-            self.config.flow_priority.saturating_sub(1),
-            svc.addr,
-            None,
-            None,
-            true,
-        );
-        self.install_wildcard_pair(at, fwd_match, fwd_actions, rev_match, rev_actions)
-    }
-
-    /// Encodes an add-pair (reverse first) without a buffered packet, at one
-    /// priority step below the exact-flow priority.
-    fn install_wildcard_pair(
-        &mut self,
-        at: SimTime,
-        fwd_match: Match,
-        fwd_actions: Vec<Action>,
-        rev_match: Match,
-        rev_actions: Vec<Action>,
-    ) -> Vec<OutboundMessage> {
-        let idle = openflow::timeout_secs(self.config.switch_flow_idle);
-        let priority = self.config.flow_priority.saturating_sub(1);
-        self.flow_adds += 2;
-        let mut msgs = Vec::with_capacity(2);
-        let x = self.xid();
-        msgs.push(OutboundMessage {
-            at,
-            data: Message::FlowMod {
-                cookie: 2,
-                table_id: 0,
-                command: openflow::messages::FlowModCommand::Add,
-                idle_timeout: idle,
-                hard_timeout: 0,
-                priority,
-                buffer_id: OFP_NO_BUFFER,
-                flags: 0,
-                match_: rev_match,
-                instructions: vec![Instruction::ApplyActions(rev_actions)],
+            // Break strictly after the make: the old paths outlive the last
+            // new-switch install by a guard interval sized to cover a full WAN
+            // round-trip, so replies to requests still in flight via the old
+            // cell (worst case: a cloud-served session) find their reverse
+            // flows intact. Deleting long-gone flows is a no-op, so generosity
+            // here costs nothing.
+            let break_at = completed_at + Duration::from_millis(50);
+            let n_old = old_pairs.len();
+            for pair in old_pairs {
+                for m in [pair.fwd.match_, pair.rev.match_] {
+                    let del = ctl.flow_delete(break_at, m);
+                    messages.push((from, del));
+                }
             }
-            .encode(x),
-        });
-        let x = self.xid();
-        msgs.push(OutboundMessage {
-            at,
-            data: Message::FlowMod {
-                cookie: 1,
-                table_id: 0,
-                command: openflow::messages::FlowModCommand::Add,
-                idle_timeout: idle,
-                hard_timeout: 0,
-                priority,
-                buffer_id: OFP_NO_BUFFER,
-                flags: OFPFF_SEND_FLOW_REM,
-                match_: fwd_match,
-                instructions: vec![Instruction::ApplyActions(fwd_actions)],
+
+            let m = &mut ctl.telemetry.metrics;
+            m.inc("handovers_total");
+            m.add("flows_migrated", flows_migrated as u64);
+            if redispatched > 0 {
+                m.add("handover_redispatched_total", redispatched as u64);
             }
-            .encode(x),
-        });
-        msgs
+            m.observe("handover_interruption_ns", completed_at.saturating_since(now));
+            ctl.telemetry.event(root, "break", break_at, || {
+                format!("{n_old} exact pair(s) deleted at old gnb {}", from.0)
+            });
+            ctl.telemetry.end_span(root, completed_at);
+            // The mobility trigger: sessions this move left anchored on a
+            // cluster at least `mobility_hops` hops behind the best candidate
+            // follow the client — snapshot, transfer, then flip at
+            // [`Controller::migration_tick`]. Keyed off the *kept* placements,
+            // so it composes with the anchored policy (redispatch already
+            // re-placed everything).
+            if ctl.state.migrate().live() {
+                ctl.migrate_lagging_sessions(t, client, to, rng);
+            }
+            HandoverOutcome {
+                at: now,
+                completed_at,
+                flows_migrated,
+                redispatched,
+                messages,
+            }
+        })
     }
 
     /// Proactively deploys a service (prediction-driven, Sections I/VII):
@@ -1950,105 +1386,103 @@ impl Controller {
     /// Periodic idle sweep: expires FlowMemory entries and scales down
     /// services whose last flow vanished. Returns what was scaled down.
     pub fn tick(&mut self, now: SimTime, rng: &mut SimRng) -> Vec<ScaleDownEvent> {
-        let mut events = Vec::new();
-        // Holds whose release instant has passed no longer pin anything.
-        self.held.retain(|_, until| now < *until);
-        if !self.config.scale_down_idle {
-            self.memory.expire(now);
-            self.journal_sync();
-            return events;
-        }
-        let mut expired = self.memory.expire(now);
-        // Re-examine deferred expiries whose hold has drained since.
-        let ripe: Vec<(ServiceAddr, usize)> = self
-            .deferred
-            .keys()
-            .filter(|k| !self.held.contains_key(k) && !self.migrate.pinned(k.0, k.1))
-            .copied()
-            .collect();
-        for key in ripe {
-            self.deferred.remove(&key);
-            // Re-used while deferred? Then it is no longer idle.
-            if self.memory.flows_for(key.0) > 0 {
-                continue;
+        self.synced(|ctl| {
+            let mut events = Vec::new();
+            // Holds whose release instant has passed no longer pin anything.
+            ctl.held.retain(|_, until| now < *until);
+            let mut expired = ctl.state.memory_mut().expire(now);
+            if !ctl.config.scale_down_idle {
+                return events;
             }
-            if !expired.contains(&key) {
-                expired.push(key);
-            }
-        }
-        for (svc_addr, cluster_idx) in expired {
-            if self.held.contains_key(&(svc_addr, cluster_idx))
-                || self.migrate.pinned(svc_addr, cluster_idx)
-            {
-                // A request is still held for this service, or the pool is
-                // the source/target of an in-flight migration: defer the
-                // scale-down until the hold releases / the flip completes.
-                self.deferred.insert((svc_addr, cluster_idx), now);
-                continue;
-            }
-            let Some(svc) = self.services.get(svc_addr).cloned() else {
-                continue;
-            };
-            if cluster_idx < self.clusters.len() {
-                self.clusters[cluster_idx].scale_down(&svc, now, rng);
-                self.dispatcher.load_mut().remove_pool(svc_addr, cluster_idx, now);
-                self.scaled_down.insert((svc_addr, cluster_idx), now);
-                self.journal_record(JournalEvent::ScaledDown {
-                    service: svc_addr,
-                    cluster: cluster_idx,
-                    at: now,
-                });
-                events.push(ScaleDownEvent {
-                    at: now,
-                    service: svc_addr,
-                    cluster: self.clusters[cluster_idx].name().to_owned(),
-                    action: LifecycleAction::ScaleDown,
-                });
-            }
-        }
-        // The Remove phase: services down long enough are deleted entirely.
-        if let Some(after) = self.config.remove_after {
-            let due: Vec<(ServiceAddr, usize)> = self
-                .scaled_down
-                .iter()
-                .filter(|(_, &t)| now.saturating_since(t) >= after)
-                .map(|(&k, _)| k)
+            // Re-examine deferred expiries whose hold has drained since.
+            let ripe: Vec<(ServiceAddr, usize)> = ctl
+                .deferred
+                .keys()
+                .filter(|k| !ctl.held.contains_key(k) && !ctl.state.migrate().pinned(k.0, k.1))
+                .copied()
                 .collect();
-            for (svc_addr, cluster_idx) in due {
-                self.scaled_down.remove(&(svc_addr, cluster_idx));
-                self.journal_record(JournalEvent::ScaleRestored {
-                    service: svc_addr,
-                    cluster: cluster_idx,
-                });
-                let Some(svc) = self.services.get(svc_addr).cloned() else {
-                    continue;
-                };
-                if cluster_idx >= self.clusters.len() {
+            for key in ripe {
+                ctl.deferred.remove(&key);
+                // Re-used while deferred? Then it is no longer idle.
+                if ctl.state.memory().flows_for(key.0) > 0 {
                     continue;
                 }
-                // Redeployed in the meantime? Then it is not removable.
-                if matches!(
-                    self.clusters[cluster_idx].state(&svc, now),
-                    crate::cluster::InstanceState::Created
-                ) {
-                    self.clusters[cluster_idx].remove(&svc, now, rng);
+                if !expired.contains(&key) {
+                    expired.push(key);
+                }
+            }
+            for (svc_addr, cluster_idx) in expired {
+                if ctl.held.contains_key(&(svc_addr, cluster_idx))
+                    || ctl.state.migrate().pinned(svc_addr, cluster_idx)
+                {
+                    // A request is still held for this service, or the pool is
+                    // the source/target of an in-flight migration: defer the
+                    // scale-down until the hold releases / the flip completes.
+                    ctl.deferred.insert((svc_addr, cluster_idx), now);
+                    continue;
+                }
+                let Some(svc) = ctl.services.get(svc_addr).cloned() else {
+                    continue;
+                };
+                if cluster_idx < ctl.clusters.len() {
+                    ctl.clusters[cluster_idx].scale_down(&svc, now, rng);
+                    ctl.dispatcher.load_mut().remove_pool(svc_addr, cluster_idx, now);
+                    ctl.commit(JournalEvent::ScaledDown {
+                        service: svc_addr,
+                        cluster: cluster_idx,
+                        at: now,
+                    });
                     events.push(ScaleDownEvent {
                         at: now,
                         service: svc_addr,
-                        cluster: self.clusters[cluster_idx].name().to_owned(),
-                        action: LifecycleAction::Remove,
+                        cluster: ctl.clusters[cluster_idx].name().to_owned(),
+                        action: LifecycleAction::ScaleDown,
                     });
                 }
             }
-        }
-        for ev in &events {
-            self.telemetry.metrics.inc(match ev.action {
-                LifecycleAction::ScaleDown => "scale_downs",
-                LifecycleAction::Remove => "removes",
-            });
-        }
-        self.journal_sync();
-        events
+            // The Remove phase: services down long enough are deleted entirely.
+            if let Some(after) = ctl.config.remove_after {
+                let due: Vec<(ServiceAddr, usize)> = ctl
+                    .state
+                    .scaled_down()
+                    .iter()
+                    .filter(|(_, &t)| now.saturating_since(t) >= after)
+                    .map(|(&k, _)| k)
+                    .collect();
+                for (svc_addr, cluster_idx) in due {
+                    ctl.commit(JournalEvent::ScaleRestored {
+                        service: svc_addr,
+                        cluster: cluster_idx,
+                    });
+                    let Some(svc) = ctl.services.get(svc_addr).cloned() else {
+                        continue;
+                    };
+                    if cluster_idx >= ctl.clusters.len() {
+                        continue;
+                    }
+                    // Redeployed in the meantime? Then it is not removable.
+                    if matches!(
+                        ctl.clusters[cluster_idx].state(&svc, now),
+                        InstanceState::Created
+                    ) {
+                        ctl.clusters[cluster_idx].remove(&svc, now, rng);
+                        events.push(ScaleDownEvent {
+                            at: now,
+                            service: svc_addr,
+                            cluster: ctl.clusters[cluster_idx].name().to_owned(),
+                            action: LifecycleAction::Remove,
+                        });
+                    }
+                }
+            }
+            for ev in &events {
+                ctl.telemetry.metrics.inc(match ev.action {
+                    LifecycleAction::ScaleDown => "scale_downs",
+                    LifecycleAction::Remove => "removes",
+                });
+            }
+            events
+        })
     }
 
     /// The load tracker: per-instance queues, admission counters, pools.
@@ -2063,13 +1497,13 @@ impl Controller {
 
     /// The circuit-breaker state of `cluster` (telemetry snapshots).
     pub fn breaker_state(&self, cluster: usize) -> BreakerState {
-        self.dispatcher.health().breaker_state(cluster)
+        self.state.health().breaker_state(cluster)
     }
 
     /// The active health configuration (the harness schedules its detection
     /// sweep every `health_config().detect_interval`).
     pub fn health_config(&self) -> HealthConfig {
-        self.dispatcher.health().config()
+        self.state.health().config()
     }
 
     /// Fault injection: a *Ready* instance of `svc_addr` on `cluster`
@@ -2116,43 +1550,44 @@ impl Controller {
     /// only scaled down after its last memorized flow expired, so by then
     /// the memory holds nothing pointing at it.
     pub fn health_check(&mut self, now: SimTime) -> Vec<(IngressId, OutboundMessage)> {
-        let mut out: Vec<(IngressId, OutboundMessage)> = Vec::new();
-        for (cluster, inst, svc_addr) in self.memory.instances() {
-            let mut alive = false;
-            if cluster < self.clusters.len() {
-                if let Some(svc) = self.services.get(svc_addr) {
-                    // With autoscaling on, memorized addresses may be replica
-                    // addresses derived from the Ready base; the pool vouches
-                    // for those as long as the base instance itself is up.
-                    alive = match self.clusters[cluster].state(svc, now) {
-                        crate::cluster::InstanceState::Ready(i) => {
-                            i == inst
-                                || self
-                                    .dispatcher
-                                    .load()
-                                    .index_of(svc_addr, cluster, inst)
-                                    .is_some()
-                        }
-                        _ => false,
-                    };
+        self.synced(|ctl| {
+            let mut out: Vec<(IngressId, OutboundMessage)> = Vec::new();
+            for (cluster, inst, svc_addr) in ctl.state.memory().instances() {
+                let mut alive = false;
+                if cluster < ctl.clusters.len() {
+                    if let Some(svc) = ctl.services.get(svc_addr) {
+                        // With autoscaling on, memorized addresses may be replica
+                        // addresses derived from the Ready base; the pool vouches
+                        // for those as long as the base instance itself is up.
+                        alive = match ctl.clusters[cluster].state(svc, now) {
+                            InstanceState::Ready(i) => {
+                                i == inst
+                                    || ctl
+                                        .dispatcher
+                                        .load()
+                                        .index_of(svc_addr, cluster, inst)
+                                        .is_some()
+                            }
+                            _ => false,
+                        };
+                    }
                 }
+                if alive {
+                    continue;
+                }
+                // A crash mid-transfer retires the pool out from under its
+                // migration: abandon it first (the pin lifts; session state
+                // stays in the source ledger), then repair normally — repair
+                // never runs *while* a migration holds the pool.
+                let aborted = ctl.state.migrate_mut().abort_involving(svc_addr, cluster);
+                if aborted > 0 {
+                    ctl.telemetry.metrics.add("migrations_aborted", aborted as u64);
+                }
+                ctl.dispatcher.load_mut().remove_pool(svc_addr, cluster, now);
+                out.extend(ctl.repair_dead_instance(cluster, inst, now));
             }
-            if alive {
-                continue;
-            }
-            // A crash mid-transfer retires the pool out from under its
-            // migration: abandon it first (the pin lifts; session state
-            // stays in the source ledger), then repair normally — repair
-            // never runs *while* a migration holds the pool.
-            let aborted = self.migrate.abort_involving(svc_addr, cluster);
-            if aborted > 0 {
-                self.telemetry.metrics.add("migrations_aborted", aborted as u64);
-            }
-            self.dispatcher.load_mut().remove_pool(svc_addr, cluster, now);
-            out.extend(self.repair_dead_instance(cluster, inst, now));
-        }
-        self.journal_sync();
-        out
+            out
+        })
     }
 
     /// Stale-redirect repair for one dead instance: forget its FlowMemory
@@ -2164,7 +1599,7 @@ impl Controller {
         inst: InstanceAddr,
         now: SimTime,
     ) -> Vec<(IngressId, OutboundMessage)> {
-        let victims = self.memory.forget_instance(inst);
+        let victims = self.state.memory_mut().forget_instance(inst);
         self.next_request += 1;
         let request = self.next_request;
         let root = self.telemetry.span(request, SpanId::NONE, "recovery", now);
@@ -2180,14 +1615,13 @@ impl Controller {
         // pairs are filed under the sentinel client, so this sweep retires
         // them like any other pair; dropping the anchor below makes the next
         // packet-in install a fresh aggregate toward the replacement.
-        let keys = self.installed_keys_sorted();
         let mut out = Vec::new();
-        for (client, ing) in keys {
-            out.extend(self.teardown_pairs_for(client, ing, |p| p.instance == Some(inst), now));
+        for (client, ing) in self.state.installed_keys_sorted() {
+            let at_corpse = |p: &InstalledPair| p.instance == Some(inst);
+            out.extend(self.teardown_pairs(client, ing, at_corpse, None, now));
         }
-        self.aggregates.retain(|_, r| r.instance != inst);
-        self.journal_record(JournalEvent::AggregateRetainInstance { instance: inst });
-        self.dispatcher.health_mut().record_failure(cluster, now);
+        self.commit(JournalEvent::AggregateRetainInstance { instance: inst });
+        self.state.health_mut().record_failure(cluster, now);
         let m = &mut self.telemetry.metrics;
         m.inc("instance_failures_total");
         if n > 0 {
@@ -2222,53 +1656,64 @@ impl Controller {
         if cluster >= self.clusters.len() {
             return vec![];
         }
-        self.next_request += 1;
-        let request = self.next_request;
-        let root = self.telemetry.span(request, SpanId::NONE, "zone-outage", now);
-        let svcs: Vec<EdgeService> = self.services.iter().cloned().collect();
-        let mut failed = 0usize;
-        for svc in &svcs {
-            if self.clusters[cluster].fail_instance(svc, now, rng) {
-                failed += 1;
+        self.synced(|ctl| {
+            ctl.next_request += 1;
+            let request = ctl.next_request;
+            let root = ctl.telemetry.span(request, SpanId::NONE, "zone-outage", now);
+            let svcs: Vec<EdgeService> = ctl.services.iter().cloned().collect();
+            let mut failed = 0usize;
+            for svc in &svcs {
+                if ctl.clusters[cluster].fail_instance(svc, now, rng) {
+                    failed += 1;
+                }
+                ctl.dispatcher.load_mut().remove_pool(svc.addr, cluster, now);
             }
-            self.dispatcher.load_mut().remove_pool(svc.addr, cluster, now);
-        }
-        let victims = self.memory.forget_cluster(cluster);
-        // Migrations into or out of the dark zone cannot finish.
-        let aborted = self.migrate.abort_cluster(cluster);
-        if aborted > 0 {
-            self.telemetry.metrics.add("migrations_aborted", aborted as u64);
-        }
-        self.telemetry.event(root, "zone-dark", now, || {
-            format!(
-                "cluster {cluster}: {failed} instance(s) down, {} stale redirect(s), until {until:?}",
-                victims.len()
-            )
-        });
-        let keys = self.installed_keys_sorted();
-        let mut out = Vec::new();
-        for (client, ing) in keys {
-            out.extend(self.teardown_pairs_for(client, ing, |p| p.cluster == Some(cluster), now));
-        }
-        self.aggregates.retain(|_, r| r.cluster != cluster);
-        self.journal_record(JournalEvent::AggregateRetainCluster { cluster });
-        self.dispatcher.health_mut().begin_outage(cluster, until);
-        let m = &mut self.telemetry.metrics;
-        m.inc("zone_outages_total");
-        if !victims.is_empty() {
-            m.add("stale_redirects_repaired", victims.len() as u64);
-        }
-        self.telemetry.end_span(root, now);
-        self.journal_sync();
-        out
+            let victims = ctl.state.memory_mut().forget_cluster(cluster);
+            // Migrations into or out of the dark zone cannot finish.
+            let aborted = ctl.state.migrate_mut().abort_cluster(cluster);
+            if aborted > 0 {
+                ctl.telemetry.metrics.add("migrations_aborted", aborted as u64);
+            }
+            ctl.telemetry.event(root, "zone-dark", now, || {
+                format!(
+                    "cluster {cluster}: {failed} instance(s) down, {} stale redirect(s), until {until:?}",
+                    victims.len()
+                )
+            });
+            let mut out = Vec::new();
+            for (client, ing) in ctl.state.installed_keys_sorted() {
+                let in_zone = |p: &InstalledPair| p.cluster == Some(cluster);
+                out.extend(ctl.teardown_pairs(client, ing, in_zone, None, now));
+            }
+            ctl.commit(JournalEvent::AggregateRetainCluster { cluster });
+            ctl.state.health_mut().begin_outage(cluster, until);
+            let m = &mut ctl.telemetry.metrics;
+            m.inc("zone_outages_total");
+            if !victims.is_empty() {
+                m.add("stale_redirects_repaired", victims.len() as u64);
+            }
+            ctl.telemetry.end_span(root, now);
+            out
+        })
     }
 
     /// Clears a declared zone outage: the cluster becomes schedulable again
     /// immediately (its services were failed to Created, so the next request
     /// re-deploys through the ordinary pipeline).
     pub fn end_zone_outage(&mut self, cluster: usize) {
-        self.dispatcher.health_mut().end_outage(cluster);
-        self.journal_sync();
+        self.synced(|ctl| ctl.state.health_mut().end_outage(cluster));
+    }
+
+    /// Whether the instance `p` redirects to still serves there (cloud pairs
+    /// have nothing to die).
+    fn still_serves(&self, p: &InstalledPair, now: SimTime) -> bool {
+        let (Some(c), Some(inst)) = (p.cluster, p.instance) else {
+            return true;
+        };
+        let (Some(cluster), Some(svc)) = (self.clusters.get(c), self.services.get(p.service)) else {
+            return false;
+        };
+        matches!(cluster.state(svc, now), InstanceState::Ready(i) if i == inst)
     }
 
     /// Flow-table reconciliation after an OpenFlow channel reconnect. The
@@ -2289,189 +1734,117 @@ impl Controller {
         switch_flows: &[FlowEntry],
         now: SimTime,
     ) -> Vec<OutboundMessage> {
-        let mut clients: Vec<Ipv4Addr> = self
-            .installed
-            .get(ingress.0 as usize)
-            .map(|shard| shard.keys().copied().collect())
-            .unwrap_or_default();
-        clients.sort();
-        let mut claimed: Vec<(Match, u16)> = Vec::new();
-        let mut missing: Vec<InstalledFlow> = Vec::new();
-        let mut tombstoned: Vec<(Ipv4Addr, usize)> = Vec::new();
-        for client in clients {
-            let Some(pairs) = self
-                .installed
-                .get_mut(ingress.0 as usize)
-                .and_then(|s| s.get_mut(&client))
-            else {
-                continue;
-            };
-            for (i, p) in pairs.iter_mut().enumerate() {
-                if p.dead {
-                    continue;
-                }
+        self.synced(|ctl| {
+            let mut claimed: Vec<(Match, u16)> = Vec::new();
+            let mut missing: Vec<InstalledFlow> = Vec::new();
+            for client in ctl.state.clients_at(ingress) {
                 // A redirect pair is expected only while its instance still
-                // serves; cloud pairs have nothing to die.
-                if let (Some(c), Some(inst)) = (p.cluster, p.instance) {
-                    let mut alive = false;
-                    if c < self.clusters.len() {
-                        if let Some(svc) = self.services.get(p.service) {
-                            alive = matches!(
-                                self.clusters[c].state(svc, now),
-                                crate::cluster::InstanceState::Ready(i) if i == inst
-                            );
+                // serves.
+                let dead = ctl.live_pairs(client, ingress, |p| !ctl.still_serves(p, now));
+                ctl.tombstone(client, ingress, &dead);
+                for p in ctl.state.pairs(client, ingress).iter().filter(|p| !p.dead) {
+                    // Reverse before forward, as installs always go out: if both
+                    // directions are missing, the reply path comes back first.
+                    for f in [&p.rev, &p.fwd] {
+                        claimed.push((f.match_.clone(), f.priority));
+                        let on_switch = switch_flows
+                            .iter()
+                            .any(|e| e.priority == f.priority && e.match_ == f.match_);
+                        if !on_switch {
+                            missing.push(f.clone());
                         }
                     }
-                    if !alive {
-                        p.dead = true;
-                        tombstoned.push((client, i));
-                        continue;
-                    }
-                }
-                // Reverse before forward, as installs always go out: if both
-                // directions are missing, the reply path comes back first.
-                for f in [&p.rev, &p.fwd] {
-                    claimed.push((f.match_.clone(), f.priority));
-                    let on_switch = switch_flows
-                        .iter()
-                        .any(|e| e.priority == f.priority && e.match_ == f.match_);
-                    if !on_switch {
-                        missing.push(f.clone());
-                    }
                 }
             }
-        }
 
-        for (client, idx) in tombstoned {
-            self.journal_record(JournalEvent::PairDead { client, ingress, idx });
-        }
-
-        let idle = openflow::timeout_secs(self.config.switch_flow_idle);
-        let n_missing = missing.len();
-        let mut msgs: Vec<OutboundMessage> = Vec::with_capacity(n_missing);
-        for f in missing {
-            let x = self.xid();
-            msgs.push(OutboundMessage {
-                at: now,
-                data: Message::FlowMod {
-                    cookie: f.cookie,
-                    table_id: 0,
-                    command: openflow::messages::FlowModCommand::Add,
-                    idle_timeout: idle,
-                    hard_timeout: 0,
-                    priority: f.priority,
-                    buffer_id: OFP_NO_BUFFER,
-                    flags: f.flags,
-                    match_: f.match_,
-                    instructions: f.instructions,
+            let n_missing = missing.len();
+            let mut msgs: Vec<OutboundMessage> = Vec::with_capacity(n_missing);
+            for mut f in missing {
+                msgs.push(ctl.flow_add(now, &mut f, OFP_NO_BUFFER));
+            }
+            // Strict-delete unclaimed switch entries. Switch-side deletion is by
+            // exact match across every priority, so one Delete per distinct
+            // match suffices.
+            let mut deleted: Vec<Match> = Vec::new();
+            let mut n_orphans = 0usize;
+            for e in switch_flows {
+                if claimed
+                    .iter()
+                    .any(|(m, pr)| *pr == e.priority && *m == e.match_)
+                {
+                    continue;
                 }
-                .encode(x),
+                n_orphans += 1;
+                if deleted.contains(&e.match_) {
+                    continue;
+                }
+                deleted.push(e.match_.clone());
+                msgs.push(ctl.flow_delete(now, e.match_.clone()));
+            }
+
+            ctl.next_request += 1;
+            let request = ctl.next_request;
+            let root = ctl.telemetry.span(request, SpanId::NONE, "reconcile", now);
+            ctl.telemetry.event(root, "diff", now, || {
+                format!("ingress {}: {n_missing} missing, {n_orphans} orphan(s)", ingress.0)
             });
-        }
-        // Strict-delete unclaimed switch entries. Switch-side deletion is by
-        // exact match across every priority, so one Delete per distinct
-        // match suffices.
-        let mut deleted: Vec<Match> = Vec::new();
-        let mut n_orphans = 0usize;
-        for e in switch_flows {
-            if claimed
-                .iter()
-                .any(|(m, pr)| *pr == e.priority && *m == e.match_)
-            {
-                continue;
+            ctl.telemetry.end_span(root, now);
+            let m = &mut ctl.telemetry.metrics;
+            m.inc("reconciliations_total");
+            if n_missing > 0 {
+                m.add("reconcile_reinstalled", n_missing as u64);
             }
-            n_orphans += 1;
-            if deleted.contains(&e.match_) {
-                continue;
+            if n_orphans > 0 {
+                m.add("reconcile_orphans_deleted", n_orphans as u64);
             }
-            deleted.push(e.match_.clone());
-            let x = self.xid();
-            msgs.push(OutboundMessage {
-                at: now,
-                data: Message::FlowMod {
-                    cookie: 0,
-                    table_id: 0,
-                    command: openflow::messages::FlowModCommand::Delete,
-                    idle_timeout: 0,
-                    hard_timeout: 0,
-                    priority: 0,
-                    buffer_id: OFP_NO_BUFFER,
-                    flags: 0,
-                    match_: e.match_.clone(),
-                    instructions: vec![],
-                }
-                .encode(x),
-            });
-        }
-
-        self.next_request += 1;
-        let request = self.next_request;
-        let root = self.telemetry.span(request, SpanId::NONE, "reconcile", now);
-        self.telemetry.event(root, "diff", now, || {
-            format!("ingress {}: {n_missing} missing, {n_orphans} orphan(s)", ingress.0)
-        });
-        self.telemetry.end_span(root, now);
-        let m = &mut self.telemetry.metrics;
-        m.inc("reconciliations_total");
-        if n_missing > 0 {
-            m.add("reconcile_reinstalled", n_missing as u64);
-        }
-        if n_orphans > 0 {
-            m.add("reconcile_orphans_deleted", n_orphans as u64);
-        }
-        self.journal_sync();
-        msgs
+            msgs
+        })
     }
 
-    /// Tombstones every live pair at `(client, ingress)` matched by `pick`
-    /// and emits exact Delete FlowMods for both directions.
-    fn teardown_pairs_for(
+    /// Indices of the live pairs at `(client, ingress)` that `pick` selects.
+    fn live_pairs(
+        &self,
+        client: Ipv4Addr,
+        ingress: IngressId,
+        pick: impl Fn(&InstalledPair) -> bool,
+    ) -> Vec<usize> {
+        let pairs = self.state.pairs(client, ingress).iter().enumerate();
+        pairs.filter(|(_, p)| !p.dead && pick(p)).map(|(i, _)| i).collect()
+    }
+
+    /// Tombstones the pairs at `idx` of `(client, ingress)`.
+    fn tombstone(&mut self, client: Ipv4Addr, ingress: IngressId, idx: &[usize]) {
+        for &idx in idx {
+            self.commit(JournalEvent::PairDead { client, ingress, idx });
+        }
+    }
+
+    /// Tombstones every live pair at `(client, ingress)` that `pick` selects
+    /// and deletes both directions of each at `at`, forward first — except a
+    /// forward match equal to `replaced_fwd` (see
+    /// [`Controller::finish_migration`]).
+    fn teardown_pairs(
         &mut self,
         client: Ipv4Addr,
         ingress: IngressId,
         pick: impl Fn(&InstalledPair) -> bool,
+        replaced_fwd: Option<&Match>,
         at: SimTime,
     ) -> Vec<(IngressId, OutboundMessage)> {
-        let mut doomed: Vec<(Match, Match)> = Vec::new();
-        let mut dead_idx: Vec<usize> = Vec::new();
-        if let Some(pairs) = self.installed_pairs_mut(client, ingress) {
-            for (i, p) in pairs.iter_mut().enumerate() {
-                if !p.dead && pick(p) {
-                    p.dead = true;
-                    dead_idx.push(i);
-                    doomed.push((p.fwd.match_.clone(), p.rev.match_.clone()));
-                }
+        let dead = self.live_pairs(client, ingress, pick);
+        self.tombstone(client, ingress, &dead);
+        let mut doomed: Vec<Match> = Vec::new();
+        for &i in &dead {
+            let p = &self.state.pairs(client, ingress)[i];
+            if replaced_fwd != Some(&p.fwd.match_) {
+                doomed.push(p.fwd.match_.clone());
             }
+            doomed.push(p.rev.match_.clone());
         }
-        for idx in dead_idx {
-            self.journal_record(JournalEvent::PairDead { client, ingress, idx });
-        }
-        let mut out = Vec::new();
-        for (fwd, rev) in doomed {
-            for m in [fwd, rev] {
-                let x = self.xid();
-                out.push((
-                    ingress,
-                    OutboundMessage {
-                        at,
-                        data: Message::FlowMod {
-                            cookie: 0,
-                            table_id: 0,
-                            command: openflow::messages::FlowModCommand::Delete,
-                            idle_timeout: 0,
-                            hard_timeout: 0,
-                            priority: 0,
-                            buffer_id: OFP_NO_BUFFER,
-                            flags: 0,
-                            match_: m,
-                            instructions: vec![],
-                        }
-                        .encode(x),
-                    },
-                ));
-            }
-        }
-        out
+        doomed
+            .into_iter()
+            .map(|m| (ingress, self.flow_delete(at, m)))
+            .collect()
     }
 
     /// One horizontal-autoscaler pass, run every `autoscale.sweep_interval`
@@ -2507,7 +1880,7 @@ impl Controller {
     /// Refreshes the per-cluster breaker gauges (`breaker_state.{i}`).
     fn set_breaker_gauges(&mut self) {
         for i in 0..self.clusters.len() {
-            let s = self.dispatcher.health().breaker_state(i);
+            let s = self.state.health().breaker_state(i);
             self.telemetry.metrics.set_gauge(&format!("breaker_state.{i}"), s.gauge());
         }
     }
@@ -2515,7 +1888,7 @@ impl Controller {
     /// Earliest instant the next `tick` could have work.
     pub fn next_tick_at(&self) -> Option<SimTime> {
         let removal = self.config.remove_after.and_then(|after| {
-            self.scaled_down.values().map(|&t| t + after).min()
+            self.state.scaled_down().values().map(|&t| t + after).min()
         });
         // A deferred scale-down becomes actionable when its hold releases.
         let deferred = self
@@ -2523,7 +1896,7 @@ impl Controller {
             .keys()
             .filter_map(|k| self.held.get(k).copied())
             .min();
-        [self.memory.next_expiry(), removal, deferred]
+        [self.state.memory().next_expiry(), removal, deferred]
             .into_iter()
             .flatten()
             .min()
@@ -2534,8 +1907,7 @@ impl Controller {
     /// instance answers. A no-op while migration is off or stateless, so
     /// the hot path costs one branch by default.
     pub fn note_served(&mut self, svc_addr: ServiceAddr, cluster: usize) {
-        self.migrate.note_served(svc_addr, cluster);
-        self.journal_sync();
+        self.synced(|ctl| ctl.state.migrate_mut().note_served(svc_addr, cluster));
     }
 
     /// Earliest instant an in-flight migration's flow flip becomes due
@@ -2543,7 +1915,7 @@ impl Controller {
     /// harness schedules its migration tick from this, exactly like
     /// [`Controller::next_tick_at`] drives the idle sweep.
     pub fn next_migration_at(&self) -> Option<SimTime> {
-        self.migrate.next_due()
+        self.state.migrate().next_due()
     }
 
     /// Starts a live migration of `svc_addr`'s sessions from cluster
@@ -2563,71 +1935,71 @@ impl Controller {
         reason: MigrationReason,
         rng: &mut SimRng,
     ) -> bool {
-        if !self.config.migration.live()
-            || from >= self.clusters.len()
-            || to >= self.clusters.len()
-            || !self.migrate.can_start(svc_addr, from, to, now)
-        {
-            return false;
-        }
-        let Some(svc) = self.services.get(svc_addr).cloned() else {
-            return false;
-        };
-        if self.memory.entries_at(svc_addr, from).is_empty() {
-            // Nothing anchored at the source: nothing worth moving.
-            return false;
-        }
-        // Warm start: make sure the target will have a Ready instance.
-        let mut t = now;
-        let ready_at = match self.clusters[to].state(&svc, now) {
-            crate::cluster::InstanceState::Ready(_) => now,
-            crate::cluster::InstanceState::Starting { ready_at } => ready_at,
-            crate::cluster::InstanceState::Created => {
-                match self.clusters[to].scale_up(&svc, t, rng) {
+        self.synced(|ctl| {
+            if !ctl.config.migration.live()
+                || from >= ctl.clusters.len()
+                || to >= ctl.clusters.len()
+                || !ctl.state.migrate().can_start(svc_addr, from, to, now)
+            {
+                return false;
+            }
+            let Some(svc) = ctl.services.get(svc_addr).cloned() else {
+                return false;
+            };
+            if ctl.state.memory().entries_at(svc_addr, from).is_empty() {
+                // Nothing anchored at the source: nothing worth moving.
+                return false;
+            }
+            // Warm start: make sure the target will have a Ready instance.
+            let mut t = now;
+            let ready_at = match ctl.clusters[to].state(&svc, now) {
+                InstanceState::Ready(_) => now,
+                InstanceState::Starting { ready_at } => ready_at,
+                InstanceState::Created => match ctl.clusters[to].scale_up(&svc, t, rng) {
                     Ok((_, ready)) => ready,
                     Err(_) => return false,
-                }
-            }
-            crate::cluster::InstanceState::NotDeployed => {
-                if !self.clusters[to].has_image_cached(&svc) {
-                    match self.clusters[to].pull(&svc, t, rng) {
+                },
+                InstanceState::NotDeployed => {
+                    if !ctl.clusters[to].has_image_cached(&svc) {
+                        match ctl.clusters[to].pull(&svc, t, rng) {
+                            Ok(done) => t = done,
+                            Err(_) => return false,
+                        }
+                    }
+                    match ctl.clusters[to].create(&svc, t, rng) {
                         Ok(done) => t = done,
                         Err(_) => return false,
                     }
+                    match ctl.clusters[to].scale_up(&svc, t, rng) {
+                        Ok((_, ready)) => ready,
+                        Err(_) => return false,
+                    }
                 }
-                match self.clusters[to].create(&svc, t, rng) {
-                    Ok(done) => t = done,
-                    Err(_) => return false,
-                }
-                match self.clusters[to].scale_up(&svc, t, rng) {
-                    Ok((_, ready)) => ready,
-                    Err(_) => return false,
-                }
+            };
+            if ready_at == SimTime::MAX {
+                return false;
             }
-        };
-        if ready_at == SimTime::MAX {
-            return false;
-        }
-        self.next_request += 1;
-        let request = self.next_request;
-        let root = self.telemetry.span(request, SpanId::NONE, "migration", now);
-        let m = self
-            .migrate
-            .begin(svc_addr, from, to, reason, now, ready_at, request);
-        self.migration_spans.insert(request, root);
-        self.telemetry.event(root, "snapshot", now, || {
-            format!(
-                "{svc_addr}: cluster {from} -> {to} ({}), {} byte(s)",
-                reason.label(),
-                m.state_bytes
-            )
-        });
-        self.telemetry.event(root, "transfer-done", m.transfer_done, || {
-            format!("state landed; warm target ready at {ready_at:?}")
-        });
-        self.telemetry.metrics.inc("migrations_total");
-        self.journal_sync();
-        true
+            ctl.next_request += 1;
+            let request = ctl.next_request;
+            let root = ctl.telemetry.span(request, SpanId::NONE, "migration", now);
+            let m = ctl
+                .state
+                .migrate_mut()
+                .begin(svc_addr, from, to, reason, now, ready_at, request);
+            ctl.migration_spans.insert(request, root);
+            ctl.telemetry.event(root, "snapshot", now, || {
+                format!(
+                    "{svc_addr}: cluster {from} -> {to} ({}), {} byte(s)",
+                    reason.label(),
+                    m.state_bytes
+                )
+            });
+            ctl.telemetry.event(root, "transfer-done", m.transfer_done, || {
+                format!("state landed; warm target ready at {ready_at:?}")
+            });
+            ctl.telemetry.metrics.inc("migrations_total");
+            true
+        })
     }
 
     /// Flips every migration whose transfer (and warm start) completed by
@@ -2640,13 +2012,14 @@ impl Controller {
         now: SimTime,
         rng: &mut SimRng,
     ) -> Vec<(IngressId, OutboundMessage)> {
-        let due = self.migrate.take_due(now);
-        let mut out = Vec::new();
-        for m in due {
-            out.extend(self.finish_migration(&m, now, rng));
-        }
-        self.journal_sync();
-        out
+        self.synced(|ctl| {
+            let due = ctl.state.migrate_mut().take_due(now);
+            let mut out = Vec::new();
+            for m in due {
+                out.extend(ctl.finish_migration(&m, now, rng));
+            }
+            out
+        })
     }
 
     /// The make-before-break flow flip of one due migration.
@@ -2662,18 +2035,15 @@ impl Controller {
             .unwrap_or(SpanId::NONE);
         let svc = self.services.get_shared(m.service);
         let new_inst = svc.as_ref().and_then(|s| {
-            if m.to >= self.clusters.len() {
-                return None;
-            }
-            match self.clusters[m.to].state(s, now) {
-                crate::cluster::InstanceState::Ready(inst) => Some(inst),
+            match self.clusters.get(m.to)?.state(s, now) {
+                InstanceState::Ready(inst) => Some(inst),
                 _ => None,
             }
         });
         let (Some(svc), Some(new_inst)) = (svc, new_inst) else {
             // The warm start fell through — the target died or was scaled
             // away mid-transfer. State and flows stay at the source.
-            self.migrate.abort(m);
+            self.state.migrate_mut().abort(m);
             self.telemetry.metrics.inc("migrations_aborted");
             self.telemetry.event(root, "aborted", now, || {
                 "target not ready at flip time".to_owned()
@@ -2685,44 +2055,58 @@ impl Controller {
         let break_at = t + Duration::from_millis(50);
         let mut out: Vec<(IngressId, OutboundMessage)> = Vec::new();
         let mut flipped = 0usize;
-        for (key, _flow) in self.memory.entries_at(m.service, m.from) {
+        for (key, _flow) in self.state.memory().entries_at(m.service, m.from) {
             // Make: repoint the memorized flow, and — where the client's
             // port and MACs are known — install the wildcard redirect
             // toward the new instance, one priority below the exact flows
-            // it shadows (the handover machinery, reused verbatim).
-            self.memory.repoint(&key, new_inst, m.to, t);
+            // it shadows (the handover's pair shape, reused verbatim).
+            self.state.memory_mut().repoint(&key, new_inst, m.to, t);
             flipped += 1;
             let client = key.client_ip;
-            let macs = self.client_macs.get(&client).copied();
-            let loc = self.clients.location(client);
-            let mut installed = false;
+            let macs = self.state.client_macs(client);
+            let loc = self.state.clients().location(client);
+            let mut replaced_fwd = None;
             if let (Some((client_mac, gw_mac)), Some((ingress, in_port))) = (macs, loc) {
                 // A client mid-handover is owned by that path; only flip
                 // the switch state where the flow's ingress is current.
                 if ingress == key.ingress {
-                    let msgs = self.install_handover_redirect(
-                        key.ingress,
-                        t,
+                    let spec = PairSpec {
+                        granularity: Granularity::ClientService,
                         client,
+                        src_port: 0,
                         client_mac,
                         gw_mac,
                         in_port,
-                        &svc,
-                        new_inst,
-                        m.to,
-                    );
+                        service: svc.addr,
+                    };
+                    let msgs = self.install(key.ingress, t, spec, Some((new_inst, m.to)), None);
                     out.extend(msgs.into_iter().map(|msg| (key.ingress, msg)));
-                    installed = true;
+                    // A leftover handover wildcard for the same client and
+                    // service has this very forward match, so the ADD above
+                    // already replaced it *in place* — the switch keys flows
+                    // by `(match, priority)` — and the table's delete removes
+                    // every priority with an equal match: deleting it below
+                    // would take the fresh flow down with it. Its reverse
+                    // flow (keyed by the old instance's address, so never
+                    // colliding) is still deleted.
+                    replaced_fwd = Some(
+                        Match::service(m.service.ip.octets(), m.service.port)
+                            .with(OxmField::Ipv4Src(client.octets())),
+                    );
                 }
             }
             // Break, strictly later: the old pairs toward the source
             // outlive the installs by the guard interval, so replies to
             // requests still in flight find their reverse flows intact.
-            out.extend(self.teardown_migrated_pairs(
-                client, key.ingress, m.service, m.from, installed, break_at,
+            out.extend(self.teardown_pairs(
+                client,
+                key.ingress,
+                |p| p.service == m.service && p.cluster == Some(m.from),
+                replaced_fwd.as_ref(),
+                break_at,
             ));
         }
-        let moved = self.migrate.complete(m, t, flipped);
+        let moved = self.state.migrate_mut().complete(m, t, flipped);
         let metrics = &mut self.telemetry.metrics;
         metrics.add("state_bytes_transferred", moved);
         metrics.add("migration_flows_flipped", flipped as u64);
@@ -2748,28 +2132,29 @@ impl Controller {
     /// sweep; a no-op unless `migration.policy` is `live`. Returns how
     /// many migrations started.
     pub fn migrate_on_breaker_open(&mut self, now: SimTime, rng: &mut SimRng) -> usize {
-        if !self.migrate.live() {
+        if !self.state.migrate().live() {
             return 0;
         }
-        let mut jobs: Vec<(ServiceAddr, usize)> = Vec::new();
-        for (cluster, _inst, svc_addr) in self.memory.instances() {
-            if self.dispatcher.health().breaker_state(cluster) == BreakerState::Open {
-                jobs.push((svc_addr, cluster));
+        self.synced(|ctl| {
+            let mut jobs: Vec<(ServiceAddr, usize)> = Vec::new();
+            for (cluster, _inst, svc_addr) in ctl.state.memory().instances() {
+                if ctl.state.health().breaker_state(cluster) == BreakerState::Open {
+                    jobs.push((svc_addr, cluster));
+                }
             }
-        }
-        jobs.sort_by_key(|(s, c)| (s.ip.octets(), s.port, *c));
-        jobs.dedup();
-        let mut started = 0usize;
-        for (svc, from) in jobs {
-            let Some(to) = self.migration_target(from, None, now) else {
-                continue;
-            };
-            if self.begin_migration(now, svc, from, to, MigrationReason::BreakerOpen, rng) {
-                started += 1;
+            jobs.sort_by_key(|(s, c)| (s.ip.octets(), s.port, *c));
+            jobs.dedup();
+            let mut started = 0usize;
+            for (svc, from) in jobs {
+                let Some(to) = ctl.migration_target(from, None, now) else {
+                    continue;
+                };
+                if ctl.begin_migration(now, svc, from, to, MigrationReason::BreakerOpen, rng) {
+                    started += 1;
+                }
             }
-        }
-        self.journal_sync();
-        started
+            started
+        })
     }
 
     /// Scans the client's memorized flows after an announced move and
@@ -2785,7 +2170,7 @@ impl Controller {
     ) {
         let distances = self.distances_from(ingress);
         let mut jobs: Vec<(ServiceAddr, usize)> = Vec::new();
-        for (key, flow) in self.memory.flows_of_client_at(client, ingress) {
+        for (key, flow) in self.state.memory().flows_of_client_at(client, ingress) {
             if flow.cluster >= self.clusters.len() {
                 continue;
             }
@@ -2811,72 +2196,6 @@ impl Controller {
         }
     }
 
-    /// The migration break for one client: tombstones the pairs still
-    /// aimed at the migration source and deletes their switch flows at
-    /// `at`. One exception when a replacement wildcard was `installed`:
-    /// a forward match identical to the replacement's (a leftover
-    /// handover wildcard for the same client and service) was already
-    /// replaced *in place* by the ADD — the switch keys flows by
-    /// `(match, priority)` — and the table's delete removes every
-    /// priority with an equal match, so deleting it here would take the
-    /// fresh flow down with it. Its reverse flow (keyed by the old
-    /// instance's address, so never colliding) is still deleted.
-    fn teardown_migrated_pairs(
-        &mut self,
-        client: Ipv4Addr,
-        ingress: IngressId,
-        service: ServiceAddr,
-        from: usize,
-        installed: bool,
-        at: SimTime,
-    ) -> Vec<(IngressId, OutboundMessage)> {
-        let replaced_fwd = installed.then(|| {
-            Match::service(service.ip.octets(), service.port)
-                .with(OxmField::Ipv4Src(client.octets()))
-        });
-        let mut doomed: Vec<Match> = Vec::new();
-        let mut dead_idx: Vec<usize> = Vec::new();
-        if let Some(pairs) = self.installed_pairs_mut(client, ingress) {
-            for (i, p) in pairs.iter_mut().enumerate() {
-                if !p.dead && p.service == service && p.cluster == Some(from) {
-                    p.dead = true;
-                    dead_idx.push(i);
-                    if replaced_fwd.as_ref() != Some(&p.fwd.match_) {
-                        doomed.push(p.fwd.match_.clone());
-                    }
-                    doomed.push(p.rev.match_.clone());
-                }
-            }
-        }
-        for idx in dead_idx {
-            self.journal_record(JournalEvent::PairDead { client, ingress, idx });
-        }
-        let mut out = Vec::new();
-        for m in doomed {
-            let x = self.xid();
-            out.push((
-                ingress,
-                OutboundMessage {
-                    at,
-                    data: Message::FlowMod {
-                        cookie: 0,
-                        table_id: 0,
-                        command: openflow::messages::FlowModCommand::Delete,
-                        idle_timeout: 0,
-                        hard_timeout: 0,
-                        priority: 0,
-                        buffer_id: OFP_NO_BUFFER,
-                        flags: 0,
-                        match_: m,
-                        instructions: vec![],
-                    }
-                    .encode(x),
-                },
-            ));
-        }
-        out
-    }
-
     /// The migration-target choice: the nearest cluster that can serve —
     /// never one whose circuit breaker is Open or that sits in a declared
     /// outage window (the breaker-aware scheduler views enforce the same
@@ -2887,7 +2206,7 @@ impl Controller {
         distances: Option<&[Duration]>,
         now: SimTime,
     ) -> Option<usize> {
-        let health = self.dispatcher.health();
+        let health = self.state.health();
         (0..self.clusters.len())
             .filter(|&i| i != from)
             .filter(|&i| {
@@ -2910,6 +2229,7 @@ mod tests {
     use dockersim::DockerEngine;
     use netsim::addr::MacAddr;
     use netsim::TcpFlags;
+    use openflow::actions::{Action, Instruction};
     use ovs::{Effect, Switch, SwitchConfig};
 
     const CLIENT_PORT: u32 = 1;
@@ -3188,7 +2508,7 @@ mod tests {
         let answered = out[0].at;
         assert_eq!(ctl.memory().len(), 1);
         assert_eq!(
-            ctl.clients.location(Ipv4Addr::new(192, 168, 1, 20)),
+            ctl.clients().location(Ipv4Addr::new(192, 168, 1, 20)),
             Some((IngressId::DEFAULT, CLIENT_PORT))
         );
 
@@ -3198,9 +2518,9 @@ mod tests {
         let effects = sw.handle_frame(t1, CLOUD_PORT, &client_syn(50001).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
         ctl.handle_switch_message(t1, pkt_in, &mut rng).unwrap();
-        assert_eq!(ctl.clients.moves().len(), 1);
+        assert_eq!(ctl.clients().moves().len(), 1);
         assert_eq!(
-            ctl.clients.location(Ipv4Addr::new(192, 168, 1, 20)),
+            ctl.clients().location(Ipv4Addr::new(192, 168, 1, 20)),
             Some((IngressId::DEFAULT, CLOUD_PORT))
         );
         // Rescheduled (Redirect via scheduler), not a memory hit.
@@ -3270,8 +2590,8 @@ mod tests {
 
         // Memory re-keyed to the new ingress — nothing left on the old one.
         assert_eq!(ctl.memory().len(), 1);
-        assert!(ctl.memory.flows_of_client_at(client, IngressId::DEFAULT).is_empty());
-        assert_eq!(ctl.memory.flows_of_client_at(client, g1).len(), 1);
+        assert!(ctl.memory().flows_of_client_at(client, IngressId::DEFAULT).is_empty());
+        assert_eq!(ctl.memory().flows_of_client_at(client, g1).len(), 1);
 
         // Deliver the messages. The in-flight session (same src port, a later
         // packet) flows through the new switch without a packet-in.
@@ -3354,7 +2674,7 @@ mod tests {
         assert_eq!(ho.redispatched, 1, "scheduler consulted");
         // The re-dispatched session was memorized under the new ingress.
         assert_eq!(
-            ctl.memory
+            ctl.memory()
                 .flows_of_client_at(Ipv4Addr::new(192, 168, 1, 20), g1)
                 .len(),
             1
@@ -3570,14 +2890,14 @@ mod tests {
 
         // The waiting client moves away (its own entry is flushed) and a
         // stale entry from another client expires while the hold is live.
-        ctl.memory.forget_client(Ipv4Addr::new(192, 168, 1, 20));
+        ctl.state.memory_mut().forget_client(Ipv4Addr::new(192, 168, 1, 20));
         let svc = ctl
             .services()
             .get(ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80))
             .cloned()
             .unwrap();
         let inst = ctl.cluster(0).instance_addr(&svc).unwrap();
-        ctl.memory.memorize(
+        ctl.state.memory_mut().memorize(
             crate::flowmemory::FlowKey {
                 ingress: IngressId::DEFAULT,
                 client_ip: Ipv4Addr::new(192, 168, 1, 99),
@@ -3657,14 +2977,14 @@ mod tests {
         let held_until = out[0].at;
 
         // A stale entry from another client expires mid-hold: deferred.
-        ctl.memory.forget_client(Ipv4Addr::new(192, 168, 1, 20));
+        ctl.state.memory_mut().forget_client(Ipv4Addr::new(192, 168, 1, 20));
         let svc = ctl
             .services()
             .get(ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80))
             .cloned()
             .unwrap();
         let inst = ctl.cluster(0).instance_addr(&svc).unwrap();
-        ctl.memory.memorize(
+        ctl.state.memory_mut().memorize(
             crate::flowmemory::FlowKey {
                 ingress: IngressId::DEFAULT,
                 client_ip: Ipv4Addr::new(192, 168, 1, 99),
@@ -3877,7 +3197,7 @@ mod tests {
         // (the same record_failure path the health sweep and the
         // deployment give-up feed).
         for i in 0..threshold {
-            ctl.dispatcher
+            ctl.state
                 .health_mut()
                 .record_failure(0, t + Duration::from_millis(u64::from(i)));
         }
@@ -4261,7 +3581,7 @@ mod tests {
             sw.handle_controller(m.at, &m.data).unwrap();
         }
         assert_eq!(sw.table().entries().count(), 0, "no stale wildcard survives");
-        assert!(ctl.aggregates.is_empty(), "anchor dropped with the instance");
+        assert!(ctl.state.aggregate(IngressId::DEFAULT, svc_addr).is_none(), "anchor dropped with the instance");
     }
 
     /// Reconciliation treats aggregate pairs like any bookkept pair: lost
@@ -4384,5 +3704,110 @@ mod tests {
         assert!(ctl.records.is_empty(), "no per-request retention");
         assert_eq!(ctl.telemetry.metrics.counter("requests_total"), 2);
         assert_eq!(ctl.telemetry.metrics.counter("requests_memory_hit"), 1);
+    }
+
+    /// Regression: a message tagged with an ingress the controller does not
+    /// manage used to index `ingresses[99]` and panic. Egress resolution is
+    /// total now: the condition is recorded and nothing is emitted — for
+    /// registered and unregistered destinations and for handovers alike.
+    #[test]
+    fn unknown_ingress_is_recorded_not_a_panic() {
+        let mut rng = SimRng::new(49);
+        let (mut ctl, mut sw) = setup(&mut rng);
+        let nowhere = IngressId(99);
+        let t0 = SimTime::from_secs(1);
+        let mut unregistered = client_syn(50000);
+        unregistered.dst_port = 443;
+        for frame in [client_syn(50001), unregistered] {
+            let effects = sw.handle_frame(t0, CLIENT_PORT, &frame.encode());
+            let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
+            let out = ctl.handle_switch_message_from(nowhere, t0, pkt_in, &mut rng).unwrap();
+            assert!(out.is_empty(), "nothing can be installed on an unknown switch");
+        }
+        // The registered request was memorized at the unknown ingress;
+        // handing it over to another unknown ingress installs nothing either.
+        let ho = ctl.handle_attachment_change(
+            t0 + Duration::from_secs(5),
+            Ipv4Addr::new(192, 168, 1, 20),
+            MacAddr::from_id(1),
+            MacAddr::from_id(99),
+            nowhere,
+            IngressId(98),
+            CLIENT_PORT,
+            HandoverPolicy::Anchored,
+            &mut rng,
+        );
+        assert_eq!(ho.flows_migrated, 1);
+        assert!(ho.messages.is_empty());
+        assert_eq!(
+            ctl.control_errors,
+            vec![
+                ControlPlaneError::UnknownIngress { ingress: nowhere },
+                ControlPlaneError::UnknownIngress { ingress: nowhere },
+                ControlPlaneError::UnknownIngress { ingress: IngressId(98) },
+            ]
+        );
+        assert_eq!(ctl.telemetry.metrics.counter("control_plane_errors"), 3);
+        assert_eq!(ctl.flow_adds, 0);
+    }
+
+    /// A cluster with no egress port mapped on the ingress degrades to the
+    /// cloud path — and, under rule aggregation, anchors no aggregate.
+    #[test]
+    fn unmapped_cluster_port_degrades_to_the_cloud_path() {
+        let mut rng = SimRng::new(50);
+        let (mut ctl, mut sw0) = setup_with(&mut rng, aggregate_config());
+        let bare = ctl.add_ingress(PortMap {
+            cluster_ports: HashMap::new(),
+            cloud_port: CLOUD_PORT,
+        });
+        let answered = serve_one(&mut ctl, &mut sw0, SimTime::from_secs(1), 50000, &mut rng);
+        // The instance is Ready, so this is a first shared decision — but
+        // ingress `bare` has no port toward the cluster.
+        let t1 = answered + Duration::from_secs(1);
+        let effects = sw0.handle_frame(t1, CLIENT_PORT, &syn_from(21, 51000).encode());
+        let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
+        let out = ctl.handle_switch_message_from(bare, t1, pkt_in, &mut rng).unwrap();
+        assert_eq!(out.len(), 2, "an exact cloud pair");
+        for m in &out {
+            let (_, Message::FlowMod { priority, instructions, .. }, _) =
+                Message::decode(&m.data).unwrap()
+            else {
+                panic!("expected flow-mods");
+            };
+            assert_eq!(priority, ctl.config.flow_priority, "exact, not aggregate, priority");
+            assert_eq!(instructions[0].actions().len(), 1, "plain output, no rewrite");
+        }
+        assert_eq!(
+            ctl.control_errors,
+            vec![ControlPlaneError::MissingClusterPort { ingress: bare, cluster: 0 }]
+        );
+        let svc_addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80);
+        assert!(ctl.state.aggregate(bare, svc_addr).is_none(), "nothing anchored");
+        assert_eq!(ctl.telemetry.metrics.counter("aggregate_installed"), 0);
+    }
+
+    /// `crash_restart` is simulation code: two identical runs must report
+    /// identical recoveries (it used to read the wall clock).
+    #[test]
+    fn identical_crash_restarts_report_identically() {
+        let run = |mode: RecoveryMode| {
+            let mut rng = SimRng::new(51);
+            let cfg = ControllerConfig {
+                journal: JournalConfig { enabled: true, snapshot_every: 4 },
+                ..ControllerConfig::default()
+            };
+            let (mut ctl, mut sw) = setup_with(&mut rng, cfg);
+            let mut t = SimTime::from_secs(1);
+            for port in 50000..50006 {
+                t = serve_one(&mut ctl, &mut sw, t, port, &mut rng) + Duration::from_secs(1);
+            }
+            (ctl.crash_restart(mode, t), ctl.state_digest())
+        };
+        for mode in [RecoveryMode::Warm, RecoveryMode::Cold] {
+            assert_eq!(run(mode), run(mode), "{mode:?}");
+        }
+        let (warm, _) = run(RecoveryMode::Warm);
+        assert!(warm.replayed_events + warm.snapshot_entries > 0);
     }
 }

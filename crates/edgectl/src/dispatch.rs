@@ -191,9 +191,6 @@ pub struct Dispatcher {
     in_flight: HashMap<(ServiceAddr, usize), FailedDeploy>,
     /// Requests that coalesced onto an in-flight failure.
     coalesced: u64,
-    /// Per-cluster circuit breakers + outage windows: clusters the monitor
-    /// reports unavailable are never offered to the Global Scheduler.
-    health: HealthMonitor,
     /// Per-instance queue tracking and the horizontal autoscaler state.
     /// Disabled by default: the dispatch path never consults it then.
     tracker: LoadTracker,
@@ -210,7 +207,6 @@ impl Dispatcher {
             retry: RetryPolicy::default(),
             in_flight: HashMap::new(),
             coalesced: 0,
-            health: HealthMonitor::new(HealthConfig::default()),
             tracker: LoadTracker::default(),
         }
     }
@@ -241,17 +237,6 @@ impl Dispatcher {
         self.coalesced
     }
 
-    /// The runtime health monitor (breakers + outages).
-    pub fn health(&self) -> &HealthMonitor {
-        &self.health
-    }
-
-    /// Mutable access for the controller's repair loop: declare outages,
-    /// report detected runtime crashes.
-    pub fn health_mut(&mut self) -> &mut HealthMonitor {
-        &mut self.health
-    }
-
     /// Replaces the autoscale/queueing configuration (controller
     /// construction time).
     pub fn set_autoscale(&mut self, cfg: AutoscaleConfig) {
@@ -271,16 +256,19 @@ impl Dispatcher {
 
     /// Clears the state a controller crash would lose: the single-flight
     /// failure cache (its give-up instants refer to deployments the dead
-    /// controller was tracking). Replica pools and the health monitor are
-    /// restored separately — pools re-anchor lazily on the next dispatch,
-    /// and breakers come back from the journal.
+    /// controller was tracking). Replica pools re-anchor lazily on the next
+    /// dispatch.
     pub fn reset_volatile(&mut self) {
         self.in_flight.clear();
     }
 
-    /// Dispatches one request from `client_ip` to `svc` (Fig. 7), without
-    /// tracing — a convenience wrapper over [`Dispatcher::dispatch`] for
-    /// callers that drive the dispatcher directly (tests, examples).
+    /// Dispatches one request from `client_ip` to `svc` (Fig. 7) arriving at
+    /// the default ingress, untraced — a convenience wrapper over
+    /// [`Dispatcher::dispatch_at`] for callers that drive the dispatcher
+    /// directly (tests, examples). It runs against a throwaway
+    /// [`HealthMonitor`], so breaker feedback does not carry from one call to
+    /// the next; a caller that wants breakers owns a monitor and calls
+    /// `dispatch_at`.
     pub fn dispatch_untraced(
         &mut self,
         svc: &EdgeService,
@@ -289,41 +277,6 @@ impl Dispatcher {
         clusters: &mut [Box<dyn EdgeCluster>],
         memory: &mut FlowMemory,
         rng: &mut SimRng,
-    ) -> DispatchOutcome {
-        let mut tele = Telemetry::disabled();
-        self.dispatch(
-            svc,
-            client_ip,
-            now,
-            clusters,
-            memory,
-            rng,
-            &mut tele,
-            0,
-            SpanId::NONE,
-        )
-    }
-
-    /// Dispatches one request from `client_ip` to `svc` (Fig. 7) arriving at
-    /// the legacy default ingress.
-    ///
-    /// `tele` is the controller's telemetry endpoint; `request`/`parent`
-    /// identify the request's root span so the dispatch's child spans
-    /// (schedule, deploy phases, port poll) hang off the right node. With a
-    /// disabled endpoint every telemetry call is a never-taken branch and
-    /// the dispatch is bit-identical to an untraced one.
-    #[allow(clippy::too_many_arguments)]
-    pub fn dispatch(
-        &mut self,
-        svc: &EdgeService,
-        client_ip: Ipv4Addr,
-        now: SimTime,
-        clusters: &mut [Box<dyn EdgeCluster>],
-        memory: &mut FlowMemory,
-        rng: &mut SimRng,
-        tele: &mut Telemetry,
-        request: u64,
-        parent: SpanId,
     ) -> DispatchOutcome {
         self.dispatch_at(
             svc,
@@ -334,10 +287,11 @@ impl Dispatcher {
             now,
             clusters,
             memory,
+            &mut HealthMonitor::new(HealthConfig::default()),
             rng,
-            tele,
-            request,
-            parent,
+            &mut Telemetry::disabled(),
+            0,
+            SpanId::NONE,
         )
     }
 
@@ -362,6 +316,7 @@ impl Dispatcher {
         now: SimTime,
         clusters: &mut [Box<dyn EdgeCluster>],
         memory: &mut FlowMemory,
+        health: &mut HealthMonitor,
         rng: &mut SimRng,
         tele: &mut Telemetry,
         request: u64,
@@ -455,7 +410,6 @@ impl Dispatcher {
         // declared zone-outage window — are withheld from the candidate
         // list entirely, so no scheduler implementation can pick a flapping
         // zone. `candidates` maps view indices back to cluster indices.
-        let health = &mut self.health;
         let tracker = &mut self.tracker;
         let mut candidates: Vec<usize> = Vec::with_capacity(clusters.len());
         let mut views: Vec<ClusterView> = Vec::with_capacity(clusters.len());
@@ -535,7 +489,7 @@ impl Dispatcher {
                 let mut phases = PhaseTimes::default();
                 let bg_span = tele.span(request, parent, "background-deploy", now);
                 let outcome = self.ensure_ready(
-                    svc, b.cluster, now, clusters, &mut phases, rng, tele, request, bg_span,
+                    svc, b.cluster, now, clusters, health, &mut phases, rng, tele, request, bg_span,
                 );
                 match outcome {
                     EnsureOutcome::Ready(ready_at) => {
@@ -637,7 +591,7 @@ impl Dispatcher {
         let mut phases = PhaseTimes::default();
         let deploy_span = tele.span(request, parent, "deploy", now);
         let outcome = self.ensure_ready(
-            svc, f.cluster, now, clusters, &mut phases, rng, tele, request, deploy_span,
+            svc, f.cluster, now, clusters, health, &mut phases, rng, tele, request, deploy_span,
         );
         let ready_at = match outcome {
             EnsureOutcome::Ready(t) => {
@@ -722,6 +676,7 @@ impl Dispatcher {
         cluster: usize,
         now: SimTime,
         clusters: &mut [Box<dyn EdgeCluster>],
+        health: &mut HealthMonitor,
         phases: &mut PhaseTimes,
         rng: &mut SimRng,
         tele: &mut Telemetry,
@@ -768,7 +723,7 @@ impl Dispatcher {
                         }
                         Err(failed_at) => {
                             tele.end_span(pull_span, failed_at);
-                            return self.give_up(key, failed_at, phases);
+                            return self.give_up(key, failed_at, phases, health);
                         }
                     }
                 }
@@ -783,7 +738,7 @@ impl Dispatcher {
                     }
                     Err(failed_at) => {
                         tele.end_span(create_span, failed_at);
-                        return self.give_up(key, failed_at, phases);
+                        return self.give_up(key, failed_at, phases, health);
                     }
                 }
                 phases.scale_up_at = Some(t);
@@ -798,7 +753,7 @@ impl Dispatcher {
                     }
                     Err(failed_at) => {
                         tele.end_span(scale_span, failed_at);
-                        return self.give_up(key, failed_at, phases);
+                        return self.give_up(key, failed_at, phases, health);
                     }
                 }
             }
@@ -816,7 +771,7 @@ impl Dispatcher {
                     }
                     Err(failed_at) => {
                         tele.end_span(scale_span, failed_at);
-                        return self.give_up(key, failed_at, phases);
+                        return self.give_up(key, failed_at, phases, health);
                     }
                 }
             }
@@ -844,7 +799,7 @@ impl Dispatcher {
         });
         // A confirmed instance is breaker feedback: closes a half-open
         // probe and resets the cluster's failure streak.
-        self.health.record_success(cluster);
+        health.record_success(cluster);
         EnsureOutcome::Ready(confirmed)
     }
 
@@ -855,11 +810,12 @@ impl Dispatcher {
         key: (ServiceAddr, usize),
         at: SimTime,
         phases: &mut PhaseTimes,
+        health: &mut HealthMonitor,
     ) -> EnsureOutcome {
         phases.gave_up_at = Some(at);
         // Breaker feedback: coalesced joiners don't re-record — one
         // exhausted deployment is one failure.
-        self.health.record_failure(key.1, at);
+        health.record_failure(key.1, at);
         self.in_flight.insert(
             key,
             FailedDeploy {
@@ -1236,6 +1192,36 @@ mod tests {
         assert!(fell_back > 0, "some runs exhaust the budget");
     }
 
+    /// One untraced default-ingress dispatch against the caller's own
+    /// health monitor, so breaker state carries across calls.
+    #[allow(clippy::too_many_arguments)]
+    fn dispatch_with(
+        d: &mut Dispatcher,
+        health: &mut HealthMonitor,
+        svc: &EdgeService,
+        client_last: u8,
+        now: SimTime,
+        clusters: &mut [Box<dyn EdgeCluster>],
+        memory: &mut FlowMemory,
+        rng: &mut SimRng,
+    ) -> DispatchOutcome {
+        d.dispatch_at(
+            svc,
+            Ipv4Addr::new(192, 168, 1, client_last),
+            IngressId::DEFAULT,
+            None,
+            RequestClass::NewFlow,
+            now,
+            clusters,
+            memory,
+            health,
+            rng,
+            &mut Telemetry::disabled(),
+            0,
+            SpanId::NONE,
+        )
+    }
+
     #[test]
     fn breaker_opens_after_consecutive_give_ups_and_gates_scheduling() {
         use crate::health::BreakerState;
@@ -1248,6 +1234,7 @@ mod tests {
         };
         let mut clusters = vec![docker_faulty("near", 1, plan, 0x51, &mut rng)];
         let mut memory = FlowMemory::new(Duration::from_secs(30));
+        let mut health = HealthMonitor::new(HealthConfig::default());
         let mut d = dispatcher(Box::<ProximityScheduler>::default());
 
         // Three fresh give-ups trip the breaker (default threshold 3). Each
@@ -1255,26 +1242,26 @@ mod tests {
         // coalesce.
         let mut now = SimTime::from_secs(1);
         for i in 0..3u8 {
-            let out = d.dispatch_untraced(&svc, Ipv4Addr::new(192, 168, 1, 20 + i), now, &mut clusters, &mut memory, &mut rng);
+            let out = dispatch_with(&mut d, &mut health, &svc, 20 + i, now, &mut clusters, &mut memory, &mut rng);
             let DispatchDecision::FallbackCloud { released_at } = out.decision else {
                 panic!("expected fallback: {:?}", out.decision);
             };
             now = released_at + Duration::from_secs(1);
         }
-        assert_eq!(d.health().breaker_state(0), BreakerState::Open);
+        assert_eq!(health.breaker_state(0), BreakerState::Open);
 
         // While Open, the only cluster is withheld: straight to cloud with
         // no deployment attempt (no phases, no held request).
-        let out = d.dispatch_untraced(&svc, Ipv4Addr::new(192, 168, 1, 30), now, &mut clusters, &mut memory, &mut rng);
+        let out = dispatch_with(&mut d, &mut health, &svc, 30, now, &mut clusters, &mut memory, &mut rng);
         assert!(matches!(out.decision, DispatchDecision::ForwardToCloud), "{:?}", out.decision);
         assert!(out.phases.scale_up_at.is_none() && out.phases.gave_up_at.is_none());
 
         // After the cooldown the half-open probe re-attempts (and, still
         // faulty, re-opens with a fresh cooldown).
-        let probe_at = now + d.health().config().breaker_cooldown;
-        let out = d.dispatch_untraced(&svc, Ipv4Addr::new(192, 168, 1, 31), probe_at, &mut clusters, &mut memory, &mut rng);
+        let probe_at = now + health.config().breaker_cooldown;
+        let out = dispatch_with(&mut d, &mut health, &svc, 31, probe_at, &mut clusters, &mut memory, &mut rng);
         assert!(matches!(out.decision, DispatchDecision::FallbackCloud { .. }), "{:?}", out.decision);
-        assert_eq!(d.health().breaker_state(0), BreakerState::Open, "failed probe re-opens");
+        assert_eq!(health.breaker_state(0), BreakerState::Open, "failed probe re-opens");
     }
 
     #[test]
@@ -1284,18 +1271,19 @@ mod tests {
         let svc = make_service("asm");
         let mut clusters = vec![docker("near", 1, 100, true, &mut rng)];
         let mut memory = FlowMemory::new(Duration::from_secs(30));
+        let mut health = HealthMonitor::new(HealthConfig::default());
         let mut d = dispatcher(Box::<ProximityScheduler>::default());
         // Trip the breaker by hand (as the controller's crash detector does).
         let t = SimTime::from_secs(1);
         for _ in 0..3 {
-            d.health_mut().record_failure(0, t);
+            health.record_failure(0, t);
         }
-        assert_eq!(d.health().breaker_state(0), BreakerState::Open);
+        assert_eq!(health.breaker_state(0), BreakerState::Open);
         // The healthy cluster's probe succeeds and closes the breaker.
-        let probe_at = t + d.health().config().breaker_cooldown;
-        let out = d.dispatch_untraced(&svc, Ipv4Addr::new(192, 168, 1, 20), probe_at, &mut clusters, &mut memory, &mut rng);
+        let probe_at = t + health.config().breaker_cooldown;
+        let out = dispatch_with(&mut d, &mut health, &svc, 20, probe_at, &mut clusters, &mut memory, &mut rng);
         assert!(matches!(out.decision, DispatchDecision::WaitThenRedirect { .. }), "{:?}", out.decision);
-        assert_eq!(d.health().breaker_state(0), BreakerState::Closed);
+        assert_eq!(health.breaker_state(0), BreakerState::Closed);
     }
 
     #[test]
@@ -1307,18 +1295,19 @@ mod tests {
             docker("zone-b", 2, 500, true, &mut rng),
         ];
         let mut memory = FlowMemory::new(Duration::from_secs(30));
+        let mut health = HealthMonitor::new(HealthConfig::default());
         let mut d = dispatcher(Box::<ProximityScheduler>::default());
         let t = SimTime::from_secs(1);
         // Zone A (the nearest) goes dark: dispatch lands on zone B.
-        d.health_mut().begin_outage(0, t + Duration::from_secs(30));
-        let out = d.dispatch_untraced(&svc, Ipv4Addr::new(192, 168, 1, 20), t, &mut clusters, &mut memory, &mut rng);
+        health.begin_outage(0, t + Duration::from_secs(30));
+        let out = dispatch_with(&mut d, &mut health, &svc, 20, t, &mut clusters, &mut memory, &mut rng);
         let DispatchDecision::WaitThenRedirect { cluster, ready_at, .. } = out.decision else {
             panic!("expected deployment on the surviving zone: {:?}", out.decision);
         };
         assert_eq!(cluster, 1, "outaged zone withheld; index maps back to zone-b");
         // After the outage window, a new client is placed on zone A again.
         let later = (t + Duration::from_secs(30)).max(ready_at + Duration::from_secs(1));
-        let out = d.dispatch_untraced(&svc, Ipv4Addr::new(192, 168, 1, 21), later, &mut clusters, &mut memory, &mut rng);
+        let out = dispatch_with(&mut d, &mut health, &svc, 21, later, &mut clusters, &mut memory, &mut rng);
         match out.decision {
             DispatchDecision::WaitThenRedirect { cluster, .. } => assert_eq!(cluster, 0),
             other => panic!("expected zone-a deployment: {other:?}"),

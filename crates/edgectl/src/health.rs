@@ -150,10 +150,10 @@ impl Breaker {
     }
 }
 
-/// Per-cluster circuit breakers plus declared zone-outage windows. Owned by
-/// the Dispatcher (it gates scheduling); the controller reaches it through
-/// [`crate::Dispatcher::health_mut`] to declare outages and report runtime
-/// crashes.
+/// Per-cluster circuit breakers plus declared zone-outage windows. Part of
+/// the controller's recoverable state; the Dispatcher borrows it for every
+/// dispatch (it gates scheduling), the controller to declare outages and report
+/// runtime crashes.
 pub struct HealthMonitor {
     config: HealthConfig,
     breakers: Vec<Breaker>,

@@ -34,7 +34,8 @@
 
 use crate::clients::ClientTracker;
 use crate::cluster::InstanceAddr;
-use crate::controller::{AggregateRule, ControllerConfig, InstalledPair};
+use crate::controller::ControllerConfig;
+use crate::rules::{AggregateRule, InstalledPair};
 use crate::flowmemory::{FlowKey, FlowMemory, FlowOp, IngressId, MemorizedFlow};
 use crate::health::{BreakerSnapshot, HealthMonitor, HealthOp};
 use crate::migrate::{MigrationManager, MigrationOp, MigrationSnapshot};
@@ -153,20 +154,10 @@ pub(crate) struct Snapshot {
 }
 
 impl Snapshot {
-    /// Captures the recoverable state from the live structures (the
-    /// controller's own fields, or a [`ReplayedState`]'s).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn capture(
-        memory: &FlowMemory,
-        installed: &[HashMap<Ipv4Addr, Vec<InstalledPair>>],
-        aggregates: &HashMap<(IngressId, ServiceAddr), AggregateRule>,
-        scaled_down: &HashMap<(ServiceAddr, usize), SimTime>,
-        clients: &ClientTracker,
-        client_macs: &HashMap<Ipv4Addr, (MacAddr, MacAddr)>,
-        health: &HealthMonitor,
-        migrate: &MigrationManager,
-    ) -> Snapshot {
-        let installed = installed
+    /// Captures `st` as sorted plain data.
+    pub(crate) fn capture(st: &ControlState) -> Snapshot {
+        let installed = st
+            .installed
             .iter()
             .map(|shard| {
                 let mut v: Vec<_> = shard.iter().map(|(c, ps)| (*c, ps.clone())).collect();
@@ -174,23 +165,23 @@ impl Snapshot {
                 v
             })
             .collect();
-        let mut aggregates: Vec<_> = aggregates.iter().map(|(k, r)| (*k, r.clone())).collect();
+        let mut aggregates: Vec<_> = st.aggregates.iter().map(|(k, r)| (*k, r.clone())).collect();
         aggregates.sort_unstable_by_key(|&((i, s), _)| (i.0, s.ip.octets(), s.port));
-        let mut scaled_down: Vec<_> = scaled_down.iter().map(|(k, t)| (*k, *t)).collect();
+        let mut scaled_down: Vec<_> = st.scaled_down.iter().map(|(k, t)| (*k, *t)).collect();
         scaled_down.sort_unstable_by_key(|&((s, c), _)| (s.ip.octets(), s.port, c));
-        let mut client_macs: Vec<_> = client_macs.iter().map(|(c, m)| (*c, *m)).collect();
+        let mut client_macs: Vec<_> = st.client_macs.iter().map(|(c, m)| (*c, *m)).collect();
         client_macs.sort_unstable_by_key(|&(c, _)| c);
-        let (breakers, outages) = health.export_state();
+        let (breakers, outages) = st.health.export_state();
         Snapshot {
-            memory: memory.export_entries(),
+            memory: st.memory.export_entries(),
             installed,
             aggregates,
             scaled_down,
-            locations: clients.export_locations(),
+            locations: st.clients.export_locations(),
             client_macs,
             breakers,
             outages,
-            migrate: migrate.export_state(),
+            migrate: st.migrate.export_state(),
         }
     }
 
@@ -232,23 +223,62 @@ impl Snapshot {
     }
 }
 
-/// The recoverable state rebuilt by replay: the same component types the
-/// controller owns, with op logging off (replay must not re-log).
-pub(crate) struct ReplayedState {
-    pub(crate) memory: FlowMemory,
-    pub(crate) installed: Vec<HashMap<Ipv4Addr, Vec<InstalledPair>>>,
-    pub(crate) aggregates: HashMap<(IngressId, ServiceAddr), AggregateRule>,
-    pub(crate) scaled_down: HashMap<(ServiceAddr, usize), SimTime>,
-    pub(crate) clients: ClientTracker,
-    pub(crate) client_macs: HashMap<Ipv4Addr, (MacAddr, MacAddr)>,
-    pub(crate) health: HealthMonitor,
-    pub(crate) migrate: MigrationManager,
+/// What a live caller needs back from [`ControlState::apply`], so that
+/// nobody reads the state, decides, and then mutates around the mutator.
+#[derive(Default)]
+pub(crate) struct Applied {
+    /// `ClientSeen`: the sighting was a move. (The caller then flushes the
+    /// client's FlowMemory entries — which log their own `FlowOp`s, so the
+    /// flush is deliberately *not* part of `ClientSeen`: replay would apply
+    /// it twice.)
+    pub(crate) moved: bool,
+    /// `HandoverSweep`: the pairs it retired, in filing order (the caller
+    /// deletes their switch flows).
+    pub(crate) retired: Vec<InstalledPair>,
 }
 
-impl ReplayedState {
-    /// Fresh, empty state under the controller's configuration.
-    pub(crate) fn new(config: &ControllerConfig) -> ReplayedState {
-        ReplayedState {
+/// The controller's recoverable state — the only copy. The live controller
+/// owns one, [`Journal::rebuild`] builds another from snapshot + tail, and
+/// both change it through the same [`ControlState::apply`], so live
+/// operation, replay and the digest oracle agree by construction.
+///
+/// The fields are private to this module. The three components that keep
+/// their own op logs (FlowMemory, HealthMonitor, MigrationManager) are lent
+/// out mutably — each of their mutators logs the op that
+/// [`FlowMemory::apply`] & co. replay through the very same mutator. All
+/// other state changes only inside `apply`.
+pub(crate) struct ControlState {
+    memory: FlowMemory,
+    /// Flow pairs installed per client, sharded by ingress (outer index =
+    /// [`IngressId`]) — what makes handover teardown, stale-redirect repair
+    /// and channel-reconnect reconciliation possible: switch-side deletion
+    /// is exact-match, so the controller must remember what it installed.
+    /// Sharding keeps per-packet bookkeeping and per-switch reconciliation
+    /// O(one cell) at fleet scale.
+    installed: Vec<HashMap<Ipv4Addr, Vec<InstalledPair>>>,
+    /// Live aggregated rule pairs; their bookkeeping pairs are filed under
+    /// [`crate::rules::AGGREGATE_CLIENT`] in `installed`.
+    aggregates: HashMap<(IngressId, ServiceAddr), AggregateRule>,
+    /// Services scaled down and when, awaiting possible removal.
+    scaled_down: HashMap<(ServiceAddr, usize), SimTime>,
+    /// Client location tracking (moves flush the client's memorized flows).
+    clients: ClientTracker,
+    /// Last seen `(client MAC, perceived gateway MAC)` per client, learned
+    /// from packet-ins and announced handovers. The migration flow flip
+    /// re-installs reverse rewrites at the client's switch and needs both.
+    client_macs: HashMap<Ipv4Addr, (MacAddr, MacAddr)>,
+    /// Per-cluster circuit breakers and declared outage windows.
+    health: HealthMonitor,
+    /// The session-state ledger, in-flight transfers and completed
+    /// [`crate::migrate::MigrationRecord`]s.
+    migrate: MigrationManager,
+}
+
+impl ControlState {
+    /// Fresh, empty state under the controller's configuration, with the
+    /// component op logs off.
+    pub(crate) fn new(config: &ControllerConfig) -> ControlState {
+        ControlState {
             memory: FlowMemory::new(config.memory_idle),
             installed: Vec::new(),
             aggregates: HashMap::new(),
@@ -260,8 +290,16 @@ impl ReplayedState {
         }
     }
 
+    /// Turns the component op logs on or off (the live state logs while the
+    /// journal is on; a state being replayed into must not re-log).
+    pub(crate) fn set_logging(&mut self, on: bool) {
+        self.memory.set_logging(on);
+        self.health.set_logging(on);
+        self.migrate.set_logging(on);
+    }
+
     /// Restores a compacted snapshot into the (empty) state.
-    pub(crate) fn restore(&mut self, snap: &Snapshot) {
+    fn restore(&mut self, snap: &Snapshot) {
         self.memory.restore_entries(&snap.memory);
         self.installed = snap
             .installed
@@ -276,111 +314,161 @@ impl ReplayedState {
         self.migrate.restore_state(&snap.migrate);
     }
 
-    fn shard_mut(&mut self, ingress: IngressId) -> &mut HashMap<Ipv4Addr, Vec<InstalledPair>> {
-        let idx = ingress.0 as usize;
-        if idx >= self.installed.len() {
-            self.installed.resize_with(idx + 1, HashMap::new);
-        }
-        &mut self.installed[idx]
-    }
-
-    /// Replays one journal event.
-    pub(crate) fn apply(&mut self, ev: &JournalEvent) {
+    /// Applies one event — the single mutator behind live operation and
+    /// replay alike.
+    pub(crate) fn apply(&mut self, ev: JournalEvent) -> Applied {
+        let mut applied = Applied::default();
         match ev {
-            JournalEvent::Flow(op) => self.memory.apply(op),
-            JournalEvent::Health(op) => self.health.apply(op),
-            JournalEvent::Migration(op) => self.migrate.apply(op),
-            JournalEvent::PairAdd {
-                client,
-                ingress,
-                pair,
-            } => {
-                self.shard_mut(*ingress)
-                    .entry(*client)
-                    .or_default()
-                    .push(pair.clone());
+            JournalEvent::Flow(op) => self.memory.apply(&op),
+            JournalEvent::Health(op) => self.health.apply(&op),
+            JournalEvent::Migration(op) => self.migrate.apply(&op),
+            JournalEvent::PairAdd { client, ingress, pair } => {
+                let idx = ingress.0 as usize;
+                if idx >= self.installed.len() {
+                    self.installed.resize_with(idx + 1, HashMap::new);
+                }
+                self.installed[idx].entry(client).or_default().push(pair);
             }
-            JournalEvent::PairDead {
-                client,
-                ingress,
-                idx,
-            } => {
-                if let Some(pairs) = self
+            JournalEvent::PairDead { client, ingress, idx } => {
+                if let Some(p) = self
                     .installed
                     .get_mut(ingress.0 as usize)
-                    .and_then(|s| s.get_mut(client))
+                    .and_then(|s| s.get_mut(&client))
+                    .and_then(|pairs| pairs.get_mut(idx))
                 {
-                    if let Some(p) = pairs.get_mut(*idx) {
-                        p.dead = true;
-                    }
+                    p.dead = true;
                 }
             }
             JournalEvent::HandoverSweep { client, from } => {
                 if let Some(shard) = self.installed.get_mut(from.0 as usize) {
-                    if let Some(mut pairs) = shard.remove(client) {
-                        pairs.retain(|p| !p.teardown_on_handover);
-                        if !pairs.is_empty() {
-                            shard.insert(*client, pairs);
+                    if let Some(mut pairs) = shard.remove(&client) {
+                        let kept: Vec<InstalledPair> =
+                            pairs.extract_if(.., |p| !p.teardown_on_handover).collect();
+                        if !kept.is_empty() {
+                            shard.insert(client, kept);
                         }
+                        applied.retired = pairs;
                     }
                 }
             }
-            JournalEvent::AggregateSet {
-                ingress,
-                service,
-                rule,
-            } => {
-                self.aggregates.insert((*ingress, *service), rule.clone());
+            JournalEvent::AggregateSet { ingress, service, rule } => {
+                self.aggregates.insert((ingress, service), rule);
             }
             JournalEvent::AggregateDrop { ingress, service } => {
-                self.aggregates.remove(&(*ingress, *service));
+                self.aggregates.remove(&(ingress, service));
             }
             JournalEvent::AggregateRetainInstance { instance } => {
-                self.aggregates.retain(|_, r| r.instance != *instance);
+                self.aggregates.retain(|_, r| r.instance != instance);
             }
             JournalEvent::AggregateRetainCluster { cluster } => {
-                self.aggregates.retain(|_, r| r.cluster != *cluster);
+                self.aggregates.retain(|_, r| r.cluster != cluster);
             }
-            JournalEvent::ScaledDown {
-                service,
-                cluster,
-                at,
-            } => {
-                self.scaled_down.insert((*service, *cluster), *at);
+            JournalEvent::ScaledDown { service, cluster, at } => {
+                self.scaled_down.insert((service, cluster), at);
             }
             JournalEvent::ScaleRestored { service, cluster } => {
-                self.scaled_down.remove(&(*service, *cluster));
+                self.scaled_down.remove(&(service, cluster));
             }
-            JournalEvent::ClientSeen {
-                client,
-                ingress,
-                in_port,
-                at,
-            } => {
-                self.clients.observe(*client, *ingress, *in_port, *at);
+            JournalEvent::ClientSeen { client, ingress, in_port, at } => {
+                applied.moved = self.clients.observe(client, ingress, in_port, at).is_some();
             }
-            JournalEvent::MacsSeen {
-                client,
-                client_mac,
-                gw_mac,
-            } => {
-                self.client_macs.insert(*client, (*client_mac, *gw_mac));
+            JournalEvent::MacsSeen { client, client_mac, gw_mac } => {
+                self.client_macs.insert(client, (client_mac, gw_mac));
             }
         }
+        applied
     }
 
-    /// The rebuilt state's own snapshot (for the differential oracle).
-    pub(crate) fn snapshot(&self) -> Snapshot {
-        Snapshot::capture(
-            &self.memory,
-            &self.installed,
-            &self.aggregates,
-            &self.scaled_down,
-            &self.clients,
-            &self.client_macs,
-            &self.health,
-            &self.migrate,
-        )
+    /// The FlowMemory.
+    pub(crate) fn memory(&self) -> &FlowMemory {
+        &self.memory
+    }
+
+    /// The FlowMemory, to mutate through its self-logging mutators.
+    pub(crate) fn memory_mut(&mut self) -> &mut FlowMemory {
+        &mut self.memory
+    }
+
+    /// The breakers and outage windows.
+    pub(crate) fn health(&self) -> &HealthMonitor {
+        &self.health
+    }
+
+    /// The health monitor, to mutate through its self-logging mutators.
+    pub(crate) fn health_mut(&mut self) -> &mut HealthMonitor {
+        &mut self.health
+    }
+
+    /// What one dispatch reads and writes: the FlowMemory and the breakers.
+    pub(crate) fn dispatch_parts(&mut self) -> (&mut FlowMemory, &mut HealthMonitor) {
+        (&mut self.memory, &mut self.health)
+    }
+
+    /// The migration manager.
+    pub(crate) fn migrate(&self) -> &MigrationManager {
+        &self.migrate
+    }
+
+    /// The migration manager, to mutate through its self-logging mutators.
+    pub(crate) fn migrate_mut(&mut self) -> &mut MigrationManager {
+        &mut self.migrate
+    }
+
+    /// Where each client was last seen.
+    pub(crate) fn clients(&self) -> &ClientTracker {
+        &self.clients
+    }
+
+    /// The client's `(own MAC, perceived gateway MAC)`, once learned.
+    pub(crate) fn client_macs(&self, client: Ipv4Addr) -> Option<(MacAddr, MacAddr)> {
+        self.client_macs.get(&client).copied()
+    }
+
+    /// The live aggregated rule of `(ingress, service)`, if any.
+    pub(crate) fn aggregate(
+        &self,
+        ingress: IngressId,
+        service: ServiceAddr,
+    ) -> Option<&AggregateRule> {
+        self.aggregates.get(&(ingress, service))
+    }
+
+    /// Scaled-down services awaiting removal, and since when.
+    pub(crate) fn scaled_down(&self) -> &HashMap<(ServiceAddr, usize), SimTime> {
+        &self.scaled_down
+    }
+
+    /// The pairs filed under `(client, ingress)`, tombstones included.
+    pub(crate) fn pairs(&self, client: Ipv4Addr, ingress: IngressId) -> &[InstalledPair] {
+        self.installed
+            .get(ingress.0 as usize)
+            .and_then(|shard| shard.get(&client))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// Every client with bookkeeping at `ingress`, sorted — sweeps iterate
+    /// in this order so their message sequences are deterministic.
+    pub(crate) fn clients_at(&self, ingress: IngressId) -> Vec<Ipv4Addr> {
+        let mut clients: Vec<Ipv4Addr> = self
+            .installed
+            .get(ingress.0 as usize)
+            .map(|shard| shard.keys().copied().collect())
+            .unwrap_or_default();
+        clients.sort();
+        clients
+    }
+
+    /// Every `(client, ingress)` with bookkeeping, sorted by client first —
+    /// the order of the fleet-wide repair sweeps.
+    pub(crate) fn installed_keys_sorted(&self) -> Vec<(Ipv4Addr, IngressId)> {
+        let mut keys: Vec<(Ipv4Addr, IngressId)> = self
+            .installed
+            .iter()
+            .enumerate()
+            .flat_map(|(i, shard)| shard.keys().map(move |c| (*c, IngressId(i as u32))))
+            .collect();
+        keys.sort();
+        keys
     }
 }
 
@@ -451,17 +539,17 @@ impl Journal {
     }
 
     /// Rebuilds the recoverable state: restore the snapshot, replay the
-    /// tail. Returns the state, the tail events replayed, and the entries
-    /// restored from the snapshot.
-    pub(crate) fn rebuild(&self, config: &ControllerConfig) -> (ReplayedState, usize, usize) {
-        let mut st = ReplayedState::new(config);
+    /// tail. Returns the state (op logs off), the tail events replayed, and
+    /// the entries restored from the snapshot.
+    pub(crate) fn rebuild(&self, config: &ControllerConfig) -> (ControlState, usize, usize) {
+        let mut st = ControlState::new(config);
         let mut snapshot_entries = 0;
         if let Some(snap) = &self.snapshot {
             snapshot_entries = snap.entry_count();
             st.restore(snap);
         }
         for ev in &self.tail {
-            st.apply(ev);
+            st.apply(ev.clone());
         }
         (st, self.tail.len(), snapshot_entries)
     }
@@ -505,8 +593,10 @@ impl RecoveryMode {
     }
 }
 
-/// What a crash-restart did (the HA bench reads this).
-#[derive(Clone, Copy, Debug)]
+/// What a crash-restart did (the HA bench reads this). Sim-deterministic:
+/// two identical runs report equal values (how long the rebuild took on the
+/// wall clock is for the caller to time, outside the simulation).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// The mode that ran.
     pub mode: RecoveryMode,
@@ -518,9 +608,6 @@ pub struct RecoveryReport {
     /// In-flight migrations aborted because their pinned transfer cannot
     /// survive the crash.
     pub aborted_migrations: usize,
-    /// Wall-clock nanoseconds the rebuild took (replay throughput; not
-    /// simulation time and not deterministic across machines).
-    pub replay_wall_ns: u64,
 }
 
 #[cfg(test)]

@@ -72,6 +72,7 @@ pub mod health;
 pub mod journal;
 pub mod migrate;
 pub mod predict;
+mod rules;
 pub mod scheduler;
 pub mod service;
 

@@ -1403,8 +1403,8 @@ pub fn migration_stats(
     tb.drain(SimTime::from_secs(secs) + Duration::from_secs(10));
     let mut run = MigrationStats {
         handovers: tb.handovers.len() as u64,
-        migrations: tb.controller.migrate.records.len() as u64,
-        migrations_aborted: tb.controller.migrate.aborted,
+        migrations: tb.controller.migrate().records.len() as u64,
+        migrations_aborted: tb.controller.migrate().aborted,
         pings_sent: tb.pings_sent(),
         pings_done: tb.pings_done(),
         drops: tb.drops,
@@ -1432,7 +1432,7 @@ pub fn migration_stats(
         }
         run.interruptions.push(interruption);
     }
-    for r in &tb.controller.migrate.records {
+    for r in &tb.controller.migrate().records {
         run.state_bytes_transferred += r.state_bytes;
         run.flows_flipped += r.flows_flipped as u64;
         run.interruptions.push(r.interruption().as_secs_f64());
@@ -1695,7 +1695,7 @@ pub fn ha_stats(
         recovery_secs: tb.recovery_times_secs(),
         replayed_events: report.map_or(0, |r| r.replayed_events as u64),
         snapshot_entries: report.map_or(0, |r| r.snapshot_entries as u64),
-        replay_wall_ns: report.map_or(0, |r| r.replay_wall_ns),
+        replay_wall_ns: tb.replay_wall_ns,
         journal_appended: journal.appended,
         snapshots_taken: journal.snapshots_taken,
         aborted_migrations: report.map_or(0, |r| r.aborted_migrations as u64),

@@ -252,6 +252,9 @@ pub struct MobilityTestbed {
     pub restarted_at: Option<SimTime>,
     /// The last restart's recovery report.
     pub recovery_report: Option<RecoveryReport>,
+    /// Wall-clock nanoseconds the last restart's state rebuild took (replay
+    /// throughput for the HA bench; feeds nothing inside the simulation).
+    pub replay_wall_ns: u64,
     /// Attachment changes that happened while the controller was down —
     /// the physical move still happens; the controller only learns of it
     /// from post-restart traffic (the unannounced-move path).
@@ -371,6 +374,7 @@ impl MobilityTestbed {
             blackout: Duration::ZERO,
             restarted_at: None,
             recovery_report: None,
+            replay_wall_ns: 0,
             missed_handovers: 0,
             ctrl_service_time: config.ctrl_service_time,
             ctrl_busy_until: SimTime::ZERO,
@@ -884,7 +888,9 @@ impl MobilityTestbed {
                 self.ctrl_blackout_until = None;
                 // The old process's queue died with it.
                 self.ctrl_busy_until = now;
+                let wall = std::time::Instant::now();
                 let report = self.controller.crash_restart(self.recovery, now);
+                self.replay_wall_ns = wall.elapsed().as_nanos() as u64;
                 self.recovery_report = Some(report);
                 self.restarted_at = Some(now);
                 for s in &mut self.sessions {
@@ -1495,7 +1501,7 @@ mod tests {
             ],
         );
         tb.run(&mut model, SimTime::from_secs(1), SimTime::from_secs(20));
-        let records = &tb.controller.migrate.records;
+        let records = &tb.controller.migrate().records;
         assert!(!records.is_empty(), "the mobility trigger fired");
         assert!(records
             .iter()
@@ -1513,7 +1519,7 @@ mod tests {
         assert_eq!(tb.double_answered, 0);
         assert_eq!(tb.transparency_violations, 0);
         assert!(tb.controller.telemetry.metrics.counter("migrations_total") >= 1);
-        assert_eq!(tb.controller.migrate.aborted, 0);
+        assert_eq!(tb.controller.migrate().aborted, 0);
     }
 
     /// Satellite 3, degenerate case: at state size zero a live migration
@@ -1531,17 +1537,17 @@ mod tests {
             ],
         );
         tb.run(&mut model, SimTime::from_secs(1), SimTime::from_secs(20));
-        let records = &tb.controller.migrate.records;
+        let records = &tb.controller.migrate().records;
         assert!(!records.is_empty(), "migrations still run at state zero");
         for r in records {
             assert_eq!(r.state_bytes, 0);
             assert_eq!(
                 r.transfer_time(),
-                tb.controller.migrate.config().transfer_propagation,
+                tb.controller.migrate().config().transfer_propagation,
                 "zero bytes: the transfer is pure propagation"
             );
         }
-        assert_eq!(tb.controller.migrate.ledger().total(), 0);
+        assert_eq!(tb.controller.migrate().ledger().total(), 0);
         assert_eq!(tb.pings_sent(), tb.pings_done(), "zero dropped pings");
         assert_eq!(tb.drops, 0);
         assert_eq!(tb.transparency_violations, 0);
@@ -1572,8 +1578,8 @@ mod tests {
             tb.controller.telemetry.metrics.counter("migrations_total") >= 1,
             "a migration was in flight"
         );
-        assert!(tb.controller.migrate.aborted >= 1, "it was aborted, not wedged");
-        assert!(tb.controller.migrate.active().is_empty(), "the pin lifted");
+        assert!(tb.controller.migrate().aborted >= 1, "it was aborted, not wedged");
+        assert!(tb.controller.migrate().active().is_empty(), "the pin lifted");
         assert_eq!(tb.stranded(), 0, "the session recovered via redispatch");
         assert_eq!(tb.transparency_violations, 0);
         tb.reconcile_now();
