@@ -7,7 +7,7 @@
 //! |------------------|-------------------------------|--------------------------------|----------|-------------|
 //! | `Connection`     | client ip+port → service      | source ip+port → client ip+port | base     | the client  |
 //! | `ClientService`  | client ip → service           | source ip+port → client ip      | base − 1 | the client  |
-//! | `Service`        | anyone → service              | source ip+port → anyone         | base − 2 | [`AGGREGATE_CLIENT`] |
+//! | `Service`        | anyone on the in-port → service | source ip+port → anyone       | base − 2 | [`AGGREGATE_CLIENT`] |
 //!
 //! | target     | forward actions                                   | reverse actions                                      | reverse source |
 //! |------------|---------------------------------------------------|------------------------------------------------------|----------------|
@@ -195,7 +195,14 @@ impl PairSpec {
                 from_source().with(OxmField::Ipv4Dst(client)),
                 1,
             ),
-            Granularity::Service => (Match::service(svc_ip, svc_port), from_source(), 2),
+            // Pinned to the shared client-side port: the reverse flow sends
+            // every reply out of it, so a client behind another port must
+            // miss the table and reach the controller's divergent check.
+            Granularity::Service => (
+                Match::service(svc_ip, svc_port).with(OxmField::InPort(self.in_port)),
+                from_source(),
+                2,
+            ),
         };
         let (fwd_actions, rev_actions) = match target {
             Target::Instance {

@@ -659,13 +659,15 @@ fn flow_removed_tombstone() {
 }
 
 // ---- the pinned transcripts (taken at commit 93c467a, before the
-// ControlState / rule-builder refactor) -----------------------------------
+// ControlState / rule-builder refactor). AGGREGATE_FIRST alone was re-pinned
+// since (was 0xd8c4_f50a_ae91_213d): the aggregate forward match gained the
+// in-port field, a deliberate change to that one shape. ------------------
 
 const EXACT_REDIRECT_BUFFERED: u64 = 0xbe88_4a41_0d54_8251;
 const EXACT_REDIRECT_UNBUFFERED: u64 = 0x703c_f97e_f008_e9f2;
 const CLOUD_AND_UNREGISTERED: u64 = 0x37a8_4580_c190_af99;
 const FALLBACK_CLOUD: u64 = 0xb639_9d86_66de_ea2b;
-const AGGREGATE_FIRST: u64 = 0xd8c4_f50a_ae91_213d;
+const AGGREGATE_FIRST: u64 = 0x9bd9_d091_1b19_a8bd;
 const AGGREGATE_COVERED: u64 = 0xd031_6aaa_7c61_33dc;
 const AGGREGATE_DIVERGENT: u64 = 0xd8a2_f527_2a46_1236;
 const HANDOVER_ANCHORED: u64 = 0xea80_a16b_5314_be53;

@@ -967,6 +967,45 @@ mod tests {
         assert!(tb.controller.records.len() == 2);
     }
 
+    /// Regression: the aggregated forward rule used to match the service for
+    /// *any* in-port, so a client on another switch port never missed the
+    /// table, never reached the controller's divergent check, and its
+    /// replies left through the first client's port.
+    #[test]
+    fn aggregate_rules_serve_clients_on_several_switch_ports() {
+        let mut tb = Testbed::new(TestbedConfig {
+            controller: ControllerConfig {
+                aggregate_rules: true,
+                ..ControllerConfig::default()
+            },
+            ..TestbedConfig::default()
+        });
+        let profile = containerd::ServiceSet::by_key("nginx").unwrap();
+        let addr = svc_addr(10);
+        tb.register_service(profile, addr);
+        tb.pre_pull(addr);
+        tb.pre_create(addr);
+        // Client 0 deploys (an exact pair), client 1 is the first shared
+        // decision (the aggregate, on its port), client 2 sits on another
+        // port, client 1's second connection rides the aggregate.
+        for (secs, client) in [(1, 0), (3, 1), (4, 2), (5, 1)] {
+            tb.request_at(SimTime::from_secs(secs), client, addr);
+        }
+        tb.run_until(SimTime::from_secs(8));
+        assert_eq!(tb.completed.len(), 4, "every request completes");
+        assert_eq!(tb.transparency_violations, 0);
+        assert_eq!(tb.resets, 0);
+        let metrics = &tb.controller.telemetry.metrics;
+        assert_eq!(metrics.counter("aggregate_installed"), 1);
+        assert_eq!(metrics.counter("aggregate_divergent"), 1, "client 2, on another port");
+        let base = ControllerConfig::default().flow_priority;
+        let at = |priority: u16| {
+            tb.switch().table().entries().filter(|e| e.priority == priority).count()
+        };
+        assert_eq!(at(base - 2), 2, "the one aggregate pair");
+        assert_eq!(at(base), 4, "exact pairs for the clients on the other two ports");
+    }
+
     #[test]
     fn unregistered_traffic_reaches_cloud_with_wan_latency() {
         let mut tb = Testbed::new(TestbedConfig::default());
