@@ -29,9 +29,16 @@ impl MetricsRegistry {
         self.add(name, 1);
     }
 
-    /// Increments counter `name` by `n` (creating it at zero first).
+    /// Increments counter `name` by `n` (creating it at zero first). The
+    /// key is allocated on first sight only; every later bump is a lookup
+    /// and an integer add.
     pub fn add(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += n;
+        match self.counters.get_mut(name) {
+            Some(v) => *v += n,
+            None => {
+                self.counters.insert(name.to_owned(), n);
+            }
+        }
     }
 
     /// Current value of counter `name` (zero if never incremented).
@@ -41,7 +48,12 @@ impl MetricsRegistry {
 
     /// Sets gauge `name` to `value` (last write wins).
     pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_owned(), value);
+        match self.gauges.get_mut(name) {
+            Some(v) => *v = value,
+            None => {
+                self.gauges.insert(name.to_owned(), value);
+            }
+        }
     }
 
     /// Current value of gauge `name`.
@@ -51,10 +63,12 @@ impl MetricsRegistry {
 
     /// Records `d` into histogram `name`.
     pub fn observe(&mut self, name: &str, d: Duration) {
-        self.hists
-            .entry(name.to_owned())
-            .or_default()
-            .record_duration(d);
+        if !self.hists.contains_key(name) {
+            self.hists.insert(name.to_owned(), LogHistogram::default());
+        }
+        if let Some(h) = self.hists.get_mut(name) {
+            h.record_duration(d);
+        }
     }
 
     /// The histogram behind `name`, if any observation was recorded.

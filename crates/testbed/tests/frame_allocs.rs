@@ -14,31 +14,30 @@ use desim::SimTime;
 use netsim::{Ipv4Addr, ServiceAddr};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use telemetry::MetricsRegistry;
 use testbed::{Testbed, TestbedConfig};
-
-static CALLS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// Set on the measuring thread for the timed region only, so the test
     /// harness's own threads are not counted.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// Per thread, so the cases in this binary can run side by side.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct CountingAlloc;
 
 fn count(bytes: usize) {
     if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        // Statistics only: nothing is published through these counters.
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+        CALLS.with(|c| c.set(c.get() + 1));
+        BYTES.with(|b| b.set(b.get() + bytes as u64));
     }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters and the const-initialised,
-// destructor-free thread-local flag touch no allocator state.
+// upholds the `GlobalAlloc` contract; the const-initialised, destructor-free
+// thread-local flag and counters touch no allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
@@ -90,7 +89,7 @@ fn a_warm_upload_costs_at_most_four_heap_calls_and_twice_its_bytes_per_frame() {
     COUNTING.set(true);
     tb.run_until(SimTime::from_secs(29));
     COUNTING.set(false);
-    let (calls, bytes) = (CALLS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
+    let (calls, bytes) = (CALLS.get(), BYTES.get());
 
     assert_eq!((tb.completed.len(), tb.drops, tb.resets), (2, 0, 0));
     let frames = tb.switch().fast_path_packets - before;
@@ -103,4 +102,27 @@ fn a_warm_upload_costs_at_most_four_heap_calls_and_twice_its_bytes_per_frame() {
     );
     assert!(calls <= 4 * frames, "{calls} heap calls for {frames} frames");
     assert!(bytes <= 2 * wire_bytes, "{bytes} bytes allocated for {wire_bytes} on the wire");
+}
+
+/// A counter bump or a histogram observation under a name the registry has
+/// already seen is an integer update: no key is allocated for it. (It used
+/// to build a `String` per bump — three per request on the controller path.)
+#[test]
+fn bumping_an_existing_metric_does_not_touch_the_heap() {
+    let mut m = MetricsRegistry::new();
+    m.inc("requests_total");
+    // The histogram grows its bucket array up to the largest value seen.
+    m.observe("answer_delay_ns", desim::Duration::from_micros(2000));
+    m.set_gauge("breaker_state.0", 0.0);
+    COUNTING.set(true);
+    for i in 0..1000u64 {
+        m.inc("requests_total");
+        m.add("requests_total", 2);
+        m.observe("answer_delay_ns", desim::Duration::from_micros(1000 + i));
+        m.set_gauge("breaker_state.0", 1.0);
+    }
+    COUNTING.set(false);
+    assert_eq!(CALLS.get(), 0, "heap calls for 4000 bumps of existing metrics");
+    assert_eq!(m.counter("requests_total"), 3001);
+    assert_eq!(m.histogram("answer_delay_ns").unwrap().count(), 1001);
 }
