@@ -1812,9 +1812,9 @@ impl Controller {
         pairs.filter(|(_, p)| !p.dead && pick(p)).map(|(i, _)| i).collect()
     }
 
-    /// Tombstones the pairs at `idx` of `(client, ingress)`.
-    fn tombstone(&mut self, client: Ipv4Addr, ingress: IngressId, idx: &[usize]) {
-        for &idx in idx {
+    /// Tombstones the pairs of `(client, ingress)` at the indices in `dead`.
+    fn tombstone(&mut self, client: Ipv4Addr, ingress: IngressId, dead: &[usize]) {
+        for &idx in dead {
             self.commit(JournalEvent::PairDead { client, ingress, idx });
         }
     }
@@ -2089,10 +2089,7 @@ impl Controller {
                     // would take the fresh flow down with it. Its reverse
                     // flow (keyed by the old instance's address, so never
                     // colliding) is still deleted.
-                    replaced_fwd = Some(
-                        Match::service(m.service.ip.octets(), m.service.port)
-                            .with(OxmField::Ipv4Src(client.octets())),
-                    );
+                    replaced_fwd = Some(spec.fwd_match());
                 }
             }
             // Break, strictly later: the old pairs toward the source

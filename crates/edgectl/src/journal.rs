@@ -1,36 +1,39 @@
-//! Controller crash-recovery: a write-ahead journal of state mutations
-//! with periodic compacted snapshots and deterministic replay.
+//! The controller's recoverable state and its crash-recovery: one
+//! [`ControlState`] with a single mutator, a write-ahead journal of what
+//! was applied, periodic compacted snapshots and deterministic replay.
 //!
 //! The controller is the last single point of failure in the transparent
-//! edge: PR 5 recovers from instance crashes, zone outages, and channel
-//! loss, but a controller death used to lose the FlowMemory, the
+//! edge: instance crashes, zone outages and channel loss are recovered
+//! from, but a controller death used to lose the FlowMemory, the
 //! installed-pair bookkeeping, breaker state, and in-flight migrations
 //! outright. The journal closes that gap:
 //!
-//! * every state mutation the controller performs is appended as a
-//!   [`JournalEvent`] — component-level ops ([`FlowOp`], [`HealthOp`],
-//!   [`MigrationOp`]) drained from the mutated structures, plus
-//!   controller-level events (pair add/tombstone, aggregate anchor
-//!   changes, scale-down bookkeeping, client sightings);
+//! * everything recoverable lives in one [`ControlState`]; the live
+//!   controller changes it only through [`ControlState::apply`] (for
+//!   controller-level events: pair add/tombstone, aggregate anchor changes,
+//!   scale-down bookkeeping, client sightings) or through its three
+//!   self-logging components ([`FlowOp`], [`HealthOp`], [`MigrationOp`]);
+//! * every applied event is appended as a [`JournalEvent`], the component
+//!   ops drained in at the end of each controller entry point;
 //! * every `snapshot_every` events the tail is **compacted** into a
 //!   [`Snapshot`] — a sorted, deterministic export of the full recoverable
 //!   state — and the tail restarts empty;
-//! * a **warm restart** rebuilds the controller's state by restoring the
-//!   snapshot and replaying the tail ([`Journal::rebuild`]); a **cold
-//!   restart** starts empty and leans on reconciliation plus packet-in
-//!   re-dispatch alone.
+//! * a **warm restart** rebuilds the state by restoring the snapshot and
+//!   applying the tail ([`Journal::rebuild`]) — through the very `apply` the
+//!   live controller used; a **cold restart** starts empty and leans on
+//!   reconciliation plus packet-in re-dispatch alone.
 //!
 //! Replay is deterministic: the same journal always rebuilds the same
 //! state, and a rebuilt state's [`Snapshot::encode`] is byte-identical to
 //! the uncrashed controller's at every mutation boundary (the differential
 //! oracle the tests enforce). Volatile state — held requests, deferred
 //! expiries, in-flight single-flight deployments, per-request records,
-//! telemetry — is deliberately *not* journaled: it is either rebuilt on
-//! demand by the ordinary pipeline or pure diagnostics.
+//! telemetry — is deliberately *not* part of the state: it is either
+//! rebuilt on demand by the ordinary pipeline or pure diagnostics.
 //!
 //! The journal is **off by default** ([`JournalConfig::enabled`] =
-//! `false`): no component logs ops, `record` is a never-taken branch, and
-//! every previously committed figure stays byte-identical.
+//! `false`): no component logs ops, `record` is never reached, and every
+//! previously committed figure stays byte-identical.
 
 use crate::clients::ClientTracker;
 use crate::cluster::InstanceAddr;
@@ -64,9 +67,10 @@ impl Default for JournalConfig {
     }
 }
 
-/// One journaled state mutation. Component ops are drained from the
-/// mutated structures' own logs; the rest are controller-level mutations
-/// of the installed-pair bookkeeping and its satellites.
+/// One state mutation. Component ops are drained from the mutated
+/// structures' own logs; the rest are the controller-level mutations of the
+/// installed-pair bookkeeping and its satellites, each implemented exactly
+/// once, in [`ControlState::apply`].
 ///
 /// Events touching *different* structures commute, so the controller may
 /// batch component-op drains at the end of an entry point; events touching

@@ -39,11 +39,13 @@
 //!   session-state ledger growing with served requests, snapshot transfer
 //!   over a bandwidth-modelled metro link, warm start at the target, and a
 //!   make-before-break flow flip (off by default);
-//! * [`journal`] — controller crash-recovery: a write-ahead journal of
-//!   state mutations with periodic compacted snapshots, and deterministic
-//!   replay rebuilding the controller's recoverable state after a crash
-//!   (off by default — with the journal disabled every mutation hook is a
-//!   never-taken branch);
+//! * [`journal`] — the controller's recoverable state (`ControlState`, with
+//!   one `apply` behind live operation and replay alike) and its
+//!   crash-recovery: a write-ahead journal of the applied events with
+//!   periodic compacted snapshots, and deterministic replay (off by default
+//!   — journal-off is the same path minus the append);
+//! * `rules` — the rule builder: match granularity × target → one
+//!   forward/reverse pair, and the three OpenFlow messages that carry them;
 //! * [`predict`] — proactive-deployment predictors (Sections I/VII);
 //! * [`config`] — the controller's YAML configuration file;
 //! * [`dispatch`] — the Dispatcher: the flow chart of Fig. 7, including

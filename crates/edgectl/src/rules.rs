@@ -167,6 +167,25 @@ impl PairSpec {
         }
     }
 
+    /// The forward match: the same whatever the target, so an Add for this
+    /// spec replaces in place any flow an earlier one installed.
+    pub(crate) fn fwd_match(&self) -> Match {
+        let client = self.client.octets();
+        let (svc_ip, svc_port) = (self.service.ip.octets(), self.service.port);
+        match self.granularity {
+            Granularity::Connection => Match::connection(client, self.src_port, svc_ip, svc_port),
+            Granularity::ClientService => {
+                Match::service(svc_ip, svc_port).with(OxmField::Ipv4Src(client))
+            }
+            // Pinned to the shared client-side port: the reverse flow sends
+            // every reply out of it, so a client behind another port must
+            // miss the table and reach the controller's divergent check.
+            Granularity::Service => {
+                Match::service(svc_ip, svc_port).with(OxmField::InPort(self.in_port))
+            }
+        }
+    }
+
     /// Builds the pair toward `target` (see the module table).
     pub(crate) fn build(&self, target: Target, base_priority: u16) -> InstalledPair {
         let client = self.client.octets();
@@ -184,25 +203,14 @@ impl PairSpec {
                 .with(OxmField::Ipv4Src(from_ip))
                 .with(OxmField::TcpSrc(from_port))
         };
-        let (fwd_match, rev_match, step) = match self.granularity {
+        let fwd_match = self.fwd_match();
+        let (rev_match, step) = match self.granularity {
             Granularity::Connection => (
-                Match::connection(client, self.src_port, svc_ip, svc_port),
                 Match::connection(from_ip, from_port, client, self.src_port),
                 0,
             ),
-            Granularity::ClientService => (
-                Match::service(svc_ip, svc_port).with(OxmField::Ipv4Src(client)),
-                from_source().with(OxmField::Ipv4Dst(client)),
-                1,
-            ),
-            // Pinned to the shared client-side port: the reverse flow sends
-            // every reply out of it, so a client behind another port must
-            // miss the table and reach the controller's divergent check.
-            Granularity::Service => (
-                Match::service(svc_ip, svc_port).with(OxmField::InPort(self.in_port)),
-                from_source(),
-                2,
-            ),
+            Granularity::ClientService => (from_source().with(OxmField::Ipv4Dst(client)), 1),
+            Granularity::Service => (from_source(), 2),
         };
         let (fwd_actions, rev_actions) = match target {
             Target::Instance {

@@ -63,11 +63,13 @@ impl MetricsRegistry {
 
     /// Records `d` into histogram `name`.
     pub fn observe(&mut self, name: &str, d: Duration) {
-        if !self.hists.contains_key(name) {
-            self.hists.insert(name.to_owned(), LogHistogram::default());
-        }
-        if let Some(h) = self.hists.get_mut(name) {
-            h.record_duration(d);
+        match self.hists.get_mut(name) {
+            Some(h) => h.record_duration(d),
+            None => {
+                let mut h = LogHistogram::default();
+                h.record_duration(d);
+                self.hists.insert(name.to_owned(), h);
+            }
         }
     }
 
