@@ -35,6 +35,7 @@ pub mod calendar;
 pub mod dist;
 pub mod engine;
 pub mod fault;
+pub mod hash;
 pub mod queue;
 pub mod rng;
 pub mod stats;
@@ -45,6 +46,7 @@ pub use calendar::EventQueue;
 pub use dist::{Constant, Empirical, Exponential, LogNormal, Normal, Sample, Shifted, Uniform};
 pub use engine::Engine;
 pub use fault::{FaultInjector, FaultPlan, RetryPolicy};
+pub use hash::{FastMap, FastSet};
 pub use queue::NaiveEventQueue;
 pub use rng::SimRng;
 pub use stats::{Histogram, LogHistogram, Summary};

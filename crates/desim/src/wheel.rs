@@ -16,17 +16,28 @@
 //! * [`TimerWheel::expired`] advances the wheel to `now` and returns every
 //!   live key whose deadline is `<= now`, each exactly once. Keys are never
 //!   returned early.
-//! * [`TimerWheel::next_deadline`] is a constant-time (independent of entry
-//!   count) *lower bound* on the earliest live deadline: never later than
-//!   the true earliest, `None` iff the wheel is empty, and exact whenever no
-//!   reschedule/cancel left a stale slot copy ahead of the clock. Callers
-//!   treat it as "the next instant worth polling [`TimerWheel::expired`]";
-//!   a spurious early poll drains the stale copies that caused it, so
-//!   repeated polling always makes progress.
+//! * [`TimerWheel::next_deadline`] is a constant-time *lower bound* on the
+//!   earliest live deadline: never later than the true earliest, `None` iff
+//!   the wheel is empty, and exact whenever no reschedule/cancel left a
+//!   stale slot copy ahead of the clock. Callers treat it as "the next
+//!   instant worth polling [`TimerWheel::expired`]"; a spurious early poll
+//!   drains the stale copies that caused it, so repeated polling always
+//!   makes progress.
+//!
+//! # Occupancy bitmaps
+//!
+//! Each level keeps one `u64` with a bit per slot, set exactly when the
+//! slot's `Vec` is non-empty (stale lazily-cancelled copies included).
+//! Finding a level's first occupied slot at or after the clock is then one
+//! rotate and one count-trailing-zeros, so `next_deadline` costs O(levels)
+//! — eight word operations — however many slots are empty, and sweeps skip
+//! empty slots without touching them. Callers ask for the bound after every
+//! batch of work, far more often than they sweep, which is why it is the
+//! operation kept cheapest.
 
-use std::collections::HashMap;
 use std::hash::Hash;
 
+use crate::hash::FastMap;
 use crate::time::SimTime;
 
 /// log2 of the slots per level.
@@ -55,8 +66,10 @@ pub struct TimerWheel<K> {
     /// Per-slot lower bound on the deadlines it holds (`u64::MAX` when the
     /// slot was last drained empty).
     slot_min: Vec<u64>,
+    /// Per level, bit `i` set iff `slots[level * SLOTS + i]` is non-empty.
+    occupied: [u64; LEVELS],
     /// Authoritative deadline per live key.
-    deadlines: HashMap<K, u64>,
+    deadlines: FastMap<K, u64>,
     /// The instant the wheel last advanced to.
     now_ns: u64,
     /// Recycled drain buffer: slot storage rotates through here during
@@ -71,7 +84,8 @@ impl<K: Eq + Hash + Clone> TimerWheel<K> {
         TimerWheel {
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             slot_min: vec![u64::MAX; LEVELS * SLOTS],
-            deadlines: HashMap::new(),
+            occupied: [0; LEVELS],
+            deadlines: FastMap::default(),
             now_ns: 0,
             scratch: Vec::new(),
         }
@@ -116,6 +130,7 @@ impl<K: Eq + Hash + Clone> TimerWheel<K> {
             s.clear();
         }
         self.slot_min.fill(u64::MAX);
+        self.occupied = [0; LEVELS];
         self.deadlines.clear();
     }
 
@@ -131,8 +146,10 @@ impl<K: Eq + Hash + Clone> TimerWheel<K> {
             let tick_dl = eff >> sh;
             let tick_now = self.now_ns >> sh;
             if tick_dl - tick_now < SLOTS as u64 {
-                let idx = level * SLOTS + (tick_dl as usize & (SLOTS - 1));
+                let slot = tick_dl as usize & (SLOTS - 1);
+                let idx = level * SLOTS + slot;
                 self.slots[idx].push((key, dl));
+                self.occupied[level] |= 1 << slot;
                 if dl < self.slot_min[idx] {
                     self.slot_min[idx] = dl;
                 }
@@ -175,11 +192,21 @@ impl<K: Eq + Hash + Clone> TimerWheel<K> {
             if start > new_t {
                 continue;
             }
-            for t in start..=new_t {
-                let idx = level * SLOTS + (t as usize & (SLOTS - 1));
-                if self.slots[idx].is_empty() {
-                    continue;
-                }
+            // The crossed slots as a bitmap (`start..=new_t` spans at most
+            // one revolution): only occupied ones are visited, in clock order.
+            let first = start as usize & (SLOTS - 1);
+            let span = (new_t - start) as u32 + 1;
+            let window = if span >= SLOTS as u32 { u64::MAX } else { (1u64 << span) - 1 };
+            let mut due_slots = self.occupied[level].rotate_right(first as u32) & window;
+            while due_slots != 0 {
+                let off = due_slots.trailing_zeros() as usize;
+                due_slots &= due_slots - 1;
+                let slot = (first + off) & (SLOTS - 1);
+                let idx = level * SLOTS + slot;
+                // Clear the bit before draining: `place` may push a
+                // not-yet-due entry back into this very slot (level 0's
+                // current tick) and must be able to set it again.
+                self.occupied[level] &= !(1 << slot);
                 // Swap the slot's storage out through the scratch buffer so
                 // its capacity is recycled instead of freed: the (empty)
                 // scratch becomes the new slot Vec, and the drained Vec is
@@ -204,11 +231,32 @@ impl<K: Eq + Hash + Clone> TimerWheel<K> {
         }
     }
 
-    /// A lower bound on the earliest live deadline, in time independent of
-    /// the number of scheduled keys (it scans the fixed 512 slots at worst).
-    /// `None` iff the wheel is empty; never later than the true earliest
-    /// deadline; exact in the absence of stale slot copies.
+    /// A lower bound on the earliest live deadline in O(levels): per level,
+    /// one rotate and one count-trailing-zeros over the occupancy bitmap
+    /// find the first non-empty slot at or after the clock. `None` iff the
+    /// wheel is empty; never later than the true earliest deadline; exact in
+    /// the absence of stale slot copies.
     pub fn next_deadline(&self) -> Option<SimTime> {
+        if self.deadlines.is_empty() {
+            return None;
+        }
+        let mut best = u64::MAX;
+        for level in 0..LEVELS {
+            let bits = self.occupied[level];
+            if bits != 0 {
+                let cur = (self.now_ns >> shift(level)) as usize & (SLOTS - 1);
+                let off = bits.rotate_right(cur as u32).trailing_zeros() as usize;
+                best = best.min(self.slot_min[level * SLOTS + ((cur + off) & (SLOTS - 1))]);
+            }
+        }
+        debug_assert_ne!(best, u64::MAX, "live key with no slot copy");
+        Some(SimTime::from_nanos(best))
+    }
+
+    /// The slot scan [`TimerWheel::next_deadline`] replaced, kept as the
+    /// oracle the bitmap is tested against.
+    #[cfg(test)]
+    fn next_deadline_by_scan(&self) -> Option<SimTime> {
         if self.deadlines.is_empty() {
             return None;
         }
@@ -223,7 +271,6 @@ impl<K: Eq + Hash + Clone> TimerWheel<K> {
                 }
             }
         }
-        debug_assert_ne!(best, u64::MAX, "live key with no slot copy");
         Some(SimTime::from_nanos(best))
     }
 }
@@ -336,13 +383,13 @@ mod tests {
             let mut rng = SimRng::new(seed);
             let mut w: TimerWheel<u64> = TimerWheel::new();
             let n = 40 + (seed as usize % 60);
-            let mut deadline_of = std::collections::HashMap::new();
+            let mut deadline_of = std::collections::BTreeMap::new();
             for k in 0..n as u64 {
                 let dl = SimTime::from_nanos(rng.below(20_000_000_000)); // < 20 s
                 w.schedule(k, dl);
                 deadline_of.insert(k, dl);
             }
-            let mut fired = std::collections::HashSet::new();
+            let mut fired = std::collections::BTreeSet::new();
             let mut now = SimTime::ZERO;
             while now < SimTime::from_secs(25) {
                 if let Some(nd) = w.next_deadline() {
@@ -369,6 +416,103 @@ mod tests {
             }
             assert_eq!(fired.len(), n, "seed {seed}: all keys fired");
             assert!(w.is_empty());
+        }
+    }
+    /// One step of the interleaving property below.
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// (Re-)schedule `key` at `now + ahead_ns` (0 = already due).
+        Schedule { key: u8, ahead_ns: u64 },
+        Cancel { key: u8 },
+        /// Sweep after advancing the clock by `by_ns`.
+        Advance { by_ns: u64 },
+        Clear,
+    }
+
+    /// Spans that land in every level that matters: sub-tick, within level
+    /// 0's revolution (67 ms), and past one revolution of levels 0, 1 (4.3 s)
+    /// and 2 (275 s).
+    fn arb_span() -> impl proptest::strategy::Strategy<Value = u64> {
+        use proptest::prelude::*;
+        prop_oneof![
+            0u64..2_000_000,
+            0u64..70_000_000,
+            0u64..5_000_000_000,
+            0u64..300_000_000_000,
+            0u64..20_000_000_000_000,
+        ]
+    }
+
+    fn arb_op() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        prop_oneof![
+            4 => (0u8..24, arb_span()).prop_map(|(key, ahead_ns)| Op::Schedule { key, ahead_ns }),
+            1 => (0u8..24).prop_map(|key| Op::Cancel { key }),
+            3 => arb_span().prop_map(|by_ns| Op::Advance { by_ns }),
+            1 => Just(Op::Clear),
+        ]
+    }
+
+    impl<K: Eq + Hash + Clone> TimerWheel<K> {
+        /// The bitmap invariant and the bound, checked against the slot scan.
+        fn assert_bitmap_mirrors_slots(&self) {
+            for level in 0..LEVELS {
+                for slot in 0..SLOTS {
+                    assert_eq!(
+                        self.occupied[level] >> slot & 1 == 1,
+                        !self.slots[level * SLOTS + slot].is_empty(),
+                        "level {level} slot {slot}"
+                    );
+                }
+            }
+            assert_eq!(self.next_deadline(), self.next_deadline_by_scan());
+        }
+    }
+
+    proptest::proptest! {
+        /// Random interleavings of schedule / re-schedule / cancel / sweep
+        /// (jumps longer than a revolution included) / clear: after every
+        /// step the bitmap mirrors slot occupancy, the bound equals the slot
+        /// scan's, it never overshoots the true earliest live deadline, and a
+        /// sweep returns exactly the live keys that are due.
+        #[test]
+        fn bitmap_bound_equals_slot_scan(ops in proptest::collection::vec(arb_op(), 1..120)) {
+            let mut w: TimerWheel<u8> = TimerWheel::new();
+            let mut model: std::collections::BTreeMap<u8, u64> = Default::default();
+            let mut now = 0u64;
+            for op in ops {
+                match op {
+                    Op::Schedule { key, ahead_ns } => {
+                        w.schedule(key, SimTime::from_nanos(now + ahead_ns));
+                        model.insert(key, now + ahead_ns);
+                    }
+                    Op::Cancel { key } => {
+                        assert_eq!(w.cancel(&key), model.remove(&key).is_some());
+                    }
+                    Op::Advance { by_ns } => {
+                        now += by_ns;
+                        let mut fired = w.expired(SimTime::from_nanos(now));
+                        fired.sort_unstable();
+                        let due: Vec<u8> =
+                            model.iter().filter(|(_, &dl)| dl <= now).map(|(&k, _)| k).collect();
+                        assert_eq!(fired, due, "sweep at {now}");
+                        model.retain(|_, dl| *dl > now);
+                    }
+                    Op::Clear => {
+                        w.clear();
+                        model.clear();
+                    }
+                }
+                w.assert_bitmap_mirrors_slots();
+                assert_eq!(w.len(), model.len());
+                match (w.next_deadline(), model.values().min()) {
+                    (None, None) => {}
+                    (Some(bound), Some(&earliest)) => {
+                        assert!(bound.as_nanos() <= earliest, "bound {bound:?} > {earliest}");
+                    }
+                    (bound, earliest) => panic!("bound {bound:?} vs earliest {earliest:?}"),
+                }
+            }
         }
     }
 }

@@ -13,9 +13,8 @@
 //! handover procedure, flush its memorized flows and re-schedule).
 
 use crate::flowmemory::IngressId;
-use desim::SimTime;
+use desim::{FastMap, SimTime};
 use netsim::addr::Ipv4Addr;
-use std::collections::HashMap;
 
 /// A detected client move.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,7 +51,7 @@ struct Location {
 /// Tracks where each client currently enters the network.
 #[derive(Default)]
 pub struct ClientTracker {
-    locations: HashMap<Ipv4Addr, Location>,
+    locations: FastMap<Ipv4Addr, Location>,
     /// All moves observed, in order.
     moves: Vec<ClientMove>,
 }

@@ -270,6 +270,12 @@ pub enum ControlPlaneError {
         /// The unknown ingress id.
         ingress: IngressId,
     },
+    /// A packet that came up unbuffered is too large to carry back in one
+    /// `PACKET_OUT`; it was dropped (its flows are installed regardless).
+    OversizePacketOut {
+        /// The ingress whose packet was dropped.
+        ingress: IngressId,
+    },
 }
 
 /// Where a pair sends the client's traffic before port resolution: an
@@ -629,31 +635,23 @@ impl Controller {
         x
     }
 
+    /// `msg` for the switch at `at`, under the next transaction id.
+    fn outbound(&mut self, at: SimTime, msg: &Message) -> OutboundMessage {
+        OutboundMessage { at, data: msg.encode(self.xid()) }
+    }
+
     /// Asks the switch for its installed flows (diagnostics; the reply lands
     /// in [`Controller::last_flow_stats`]).
     pub fn request_flow_stats(&mut self, at: SimTime) -> OutboundMessage {
-        let x = self.xid();
-        OutboundMessage {
-            at,
-            data: Message::FlowStatsRequest {
-                table_id: 0xff,
-                match_: Match::any(),
-            }
-            .encode(x),
-        }
+        let all = Message::FlowStatsRequest { table_id: 0xff, match_: Match::any() };
+        self.outbound(at, &all)
     }
 
     /// Session bootstrap: HELLO + FEATURES_REQUEST.
     pub fn bootstrap(&mut self) -> Vec<OutboundMessage> {
         vec![
-            OutboundMessage {
-                at: SimTime::ZERO,
-                data: Message::Hello.encode(self.xid()),
-            },
-            OutboundMessage {
-                at: SimTime::ZERO,
-                data: Message::FeaturesRequest.encode(self.xid()),
-            },
+            self.outbound(SimTime::ZERO, &Message::Hello),
+            self.outbound(SimTime::ZERO, &Message::FeaturesRequest),
         ]
     }
 
@@ -679,11 +677,7 @@ impl Controller {
         let (_xid, msg, _) = Message::decode(bytes)?;
         Ok(self.synced(|ctl| match msg {
             Message::EchoRequest(payload) => {
-                let x = ctl.xid();
-                vec![OutboundMessage {
-                    at: now,
-                    data: Message::EchoReply(payload).encode(x),
-                }]
+                vec![ctl.outbound(now, &Message::EchoReply(payload))]
             }
             Message::PacketIn {
                 buffer_id,
@@ -1041,7 +1035,7 @@ impl Controller {
             });
             self.telemetry.metrics.inc("aggregate_installed");
         }
-        let msgs = self.emit_add_pair(at, &mut pair, release);
+        let msgs = self.emit_add_pair(ingress, at, &mut pair, release);
         self.commit(JournalEvent::PairAdd {
             client: spec.filed_under(),
             ingress,
@@ -1087,12 +1081,8 @@ impl Controller {
                     && r.gw_mac == spec.gw_mac =>
             {
                 let actions = r.fwd_actions.clone();
-                let x = self.xid();
                 self.telemetry.metrics.inc("aggregate_covered");
-                return vec![OutboundMessage {
-                    at,
-                    data: rules::packet_out(release.0, actions, release.1, x),
-                }];
+                return self.packet_out(ingress, at, release, actions).into_iter().collect();
             }
             Some(_) => {
                 self.telemetry.metrics.inc("aggregate_divergent");
@@ -1110,6 +1100,7 @@ impl Controller {
     /// behind the packet-in, the `PACKET_OUT` that re-injects it.
     fn emit_add_pair(
         &mut self,
+        ingress: IngressId,
         at: SimTime,
         pair: &mut InstalledPair,
         release: Option<Release>,
@@ -1120,14 +1111,27 @@ impl Controller {
         let mut msgs = Vec::with_capacity(2 + usize::from(carried.is_some()));
         msgs.push(self.flow_add(at, &mut pair.rev, OFP_NO_BUFFER));
         msgs.push(self.flow_add(at, &mut pair.fwd, buffer_id));
-        if let Some((_, frame)) = carried {
-            let x = self.xid();
-            msgs.push(OutboundMessage {
-                at,
-                data: rules::packet_out(OFP_NO_BUFFER, pair.fwd_actions(), frame, x),
-            });
+        if let Some(release) = carried {
+            msgs.extend(self.packet_out(ingress, at, release, pair.fwd_actions()));
         }
         msgs
+    }
+
+    /// The `PACKET_OUT` releasing the packet behind a packet-in through
+    /// `actions`. A carried packet that does not fit one message is dropped
+    /// and recorded: a wrapped header length would desynchronise the stream.
+    fn packet_out(
+        &mut self,
+        ingress: IngressId,
+        at: SimTime,
+        (buffer_id, frame): Release,
+        actions: Vec<openflow::Action>,
+    ) -> Option<OutboundMessage> {
+        let Some(msg) = rules::packet_out(buffer_id, actions, frame) else {
+            self.note_error(ControlPlaneError::OversizePacketOut { ingress });
+            return None;
+        };
+        Some(self.outbound(at, &msg))
     }
 
     /// One `FLOW_MOD` Add of `flow` under the configured switch idle timeout.
@@ -1138,20 +1142,13 @@ impl Controller {
         buffer_id: u32,
     ) -> OutboundMessage {
         let idle = openflow::timeout_secs(self.config.switch_flow_idle);
-        let x = self.xid();
-        OutboundMessage {
-            at,
-            data: rules::flow_add(flow, idle, buffer_id, x),
-        }
+        let data = rules::flow_add(flow, idle, buffer_id, self.xid());
+        OutboundMessage { at, data }
     }
 
     /// One `FLOW_MOD` Delete of everything matching `match_` exactly.
     fn flow_delete(&mut self, at: SimTime, match_: Match) -> OutboundMessage {
-        let x = self.xid();
-        OutboundMessage {
-            at,
-            data: rules::flow_delete(match_, x),
-        }
+        self.outbound(at, &rules::flow_delete(match_))
     }
 
     /// Hands a client's live sessions over from ingress `from` to ingress
@@ -1442,13 +1439,14 @@ impl Controller {
             }
             // The Remove phase: services down long enough are deleted entirely.
             if let Some(after) = ctl.config.remove_after {
-                let due: Vec<(ServiceAddr, usize)> = ctl
+                let mut due: Vec<(ServiceAddr, usize)> = ctl
                     .state
                     .scaled_down()
                     .iter()
                     .filter(|(_, &t)| now.saturating_since(t) >= after)
                     .map(|(&k, _)| k)
                     .collect();
+                due.sort_unstable(); // map order must not decide removal order
                 for (svc_addr, cluster_idx) in due {
                     ctl.commit(JournalEvent::ScaleRestored {
                         service: svc_addr,
@@ -3746,6 +3744,43 @@ mod tests {
         );
         assert_eq!(ctl.telemetry.metrics.counter("control_plane_errors"), 3);
         assert_eq!(ctl.flow_adds, 0);
+    }
+
+    /// A `PACKET_OUT` has more overhead than a `PACKET_IN`: a frame that just
+    /// fitted coming up unbuffered does not fit going back down with its
+    /// action list. The controller installs the flows, drops the packet and
+    /// records it — it never emits a message whose header length wrapped.
+    #[test]
+    fn a_carried_packet_too_large_for_one_packet_out_is_dropped_and_recorded() {
+        let mut rng = SimRng::new(51);
+        let (mut ctl, _) = setup(&mut rng);
+        let mut sw = Switch::new(SwitchConfig {
+            n_buffers: 0,
+            ports: vec![CLIENT_PORT, EDGE_PORT, CLOUD_PORT],
+            ..SwitchConfig::default()
+        });
+        let mut frame = client_syn(50000);
+        let packet_in_overhead = 42;
+        frame.payload = vec![0x5a; Message::MAX_LEN - packet_in_overhead - frame.wire_len()];
+        let effects = sw.handle_frame(SimTime::from_secs(1), CLIENT_PORT, &frame.encode());
+        let [Effect::ToController(pkt_in)] = &effects[..] else {
+            panic!("the frame fits one PACKET_IN exactly: {effects:?}");
+        };
+        assert_eq!(pkt_in.len(), Message::MAX_LEN);
+
+        let out = ctl
+            .handle_switch_message(SimTime::from_secs(1), pkt_in, &mut rng)
+            .unwrap();
+        assert_eq!(out.len(), 2, "the pair's two FLOW_MODs, no PACKET_OUT");
+        for m in &out {
+            let (_, msg, used) = Message::decode(&m.data).unwrap();
+            assert_eq!(used, m.data.len(), "header length is the message's size");
+            assert!(matches!(msg, Message::FlowMod { .. }), "{msg:?}");
+        }
+        assert_eq!(
+            ctl.control_errors,
+            vec![ControlPlaneError::OversizePacketOut { ingress: IngressId::DEFAULT }]
+        );
     }
 
     /// A cluster with no egress port mapped on the ingress degrades to the

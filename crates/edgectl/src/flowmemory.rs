@@ -17,10 +17,10 @@
 //! remaining flows" scale-down check O(1) per expired service.
 
 use crate::cluster::InstanceAddr;
-use desim::{Duration, SimTime, TimerWheel};
+use desim::{Duration, FastMap, SimTime, TimerWheel};
 use netsim::addr::Ipv4Addr;
 use netsim::ServiceAddr;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Identifies one ingress switch (gNB) managed by the controller.
 ///
@@ -124,7 +124,7 @@ pub enum FlowOp {
 /// lookup and every expiry sweep O(one cell), not O(fleet).
 #[derive(Default)]
 struct Shard {
-    flows: HashMap<FlowKey, MemorizedFlow>,
+    flows: FastMap<FlowKey, MemorizedFlow>,
     /// Expiry wheel; a key's deadline is never later than its true expiry
     /// (refreshes are applied lazily at sweep time).
     wheel: TimerWheel<FlowKey>,
@@ -143,7 +143,7 @@ pub struct FlowMemory {
     /// Live flow count per service **across all ingresses** (the instance
     /// serves every cell); an expiring service is a scale-down candidate
     /// exactly when its count reaches zero.
-    per_service: HashMap<ServiceAddr, usize>,
+    per_service: FastMap<ServiceAddr, usize>,
     /// Recycled buffer for expiry sweeps so periodic ticks allocate nothing
     /// in the steady state.
     expiry_scratch: Vec<FlowKey>,
@@ -161,7 +161,7 @@ impl FlowMemory {
             idle_timeout,
             shards: Vec::new(),
             len: 0,
-            per_service: HashMap::new(),
+            per_service: FastMap::default(),
             expiry_scratch: Vec::new(),
             log: None,
         }

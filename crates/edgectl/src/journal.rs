@@ -42,10 +42,9 @@ use crate::rules::{AggregateRule, InstalledPair};
 use crate::flowmemory::{FlowKey, FlowMemory, FlowOp, IngressId, MemorizedFlow};
 use crate::health::{BreakerSnapshot, HealthMonitor, HealthOp};
 use crate::migrate::{MigrationManager, MigrationOp, MigrationSnapshot};
-use desim::SimTime;
+use desim::{FastMap, SimTime};
 use netsim::addr::{Ipv4Addr, MacAddr};
 use netsim::ServiceAddr;
-use std::collections::HashMap;
 
 /// Write-ahead journal configuration (the `journal:` YAML block).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -259,18 +258,18 @@ pub(crate) struct ControlState {
     /// is exact-match, so the controller must remember what it installed.
     /// Sharding keeps per-packet bookkeeping and per-switch reconciliation
     /// O(one cell) at fleet scale.
-    installed: Vec<HashMap<Ipv4Addr, Vec<InstalledPair>>>,
+    installed: Vec<FastMap<Ipv4Addr, Vec<InstalledPair>>>,
     /// Live aggregated rule pairs; their bookkeeping pairs are filed under
     /// [`crate::rules::AGGREGATE_CLIENT`] in `installed`.
-    aggregates: HashMap<(IngressId, ServiceAddr), AggregateRule>,
+    aggregates: FastMap<(IngressId, ServiceAddr), AggregateRule>,
     /// Services scaled down and when, awaiting possible removal.
-    scaled_down: HashMap<(ServiceAddr, usize), SimTime>,
+    scaled_down: FastMap<(ServiceAddr, usize), SimTime>,
     /// Client location tracking (moves flush the client's memorized flows).
     clients: ClientTracker,
     /// Last seen `(client MAC, perceived gateway MAC)` per client, learned
     /// from packet-ins and announced handovers. The migration flow flip
     /// re-installs reverse rewrites at the client's switch and needs both.
-    client_macs: HashMap<Ipv4Addr, (MacAddr, MacAddr)>,
+    client_macs: FastMap<Ipv4Addr, (MacAddr, MacAddr)>,
     /// Per-cluster circuit breakers and declared outage windows.
     health: HealthMonitor,
     /// The session-state ledger, in-flight transfers and completed
@@ -285,10 +284,10 @@ impl ControlState {
         ControlState {
             memory: FlowMemory::new(config.memory_idle),
             installed: Vec::new(),
-            aggregates: HashMap::new(),
-            scaled_down: HashMap::new(),
+            aggregates: FastMap::default(),
+            scaled_down: FastMap::default(),
             clients: ClientTracker::new(),
-            client_macs: HashMap::new(),
+            client_macs: FastMap::default(),
             health: HealthMonitor::new(config.health),
             migrate: MigrationManager::new(config.migration.clone()),
         }
@@ -329,7 +328,7 @@ impl ControlState {
             JournalEvent::PairAdd { client, ingress, pair } => {
                 let idx = ingress.0 as usize;
                 if idx >= self.installed.len() {
-                    self.installed.resize_with(idx + 1, HashMap::new);
+                    self.installed.resize_with(idx + 1, FastMap::default);
                 }
                 self.installed[idx].entry(client).or_default().push(pair);
             }
@@ -438,7 +437,7 @@ impl ControlState {
     }
 
     /// Scaled-down services awaiting removal, and since when.
-    pub(crate) fn scaled_down(&self) -> &HashMap<(ServiceAddr, usize), SimTime> {
+    pub(crate) fn scaled_down(&self) -> &FastMap<(ServiceAddr, usize), SimTime> {
         &self.scaled_down
     }
 

@@ -309,10 +309,10 @@ pub(crate) fn flow_add(
     data
 }
 
-/// Encodes the `FLOW_MOD` Delete of everything matching `match_` exactly
+/// The `FLOW_MOD` Delete of everything matching `match_` exactly
 /// (switch-side deletion spans every priority) — the only Delete the
 /// controller ever sends.
-pub(crate) fn flow_delete(match_: Match, xid: u32) -> Vec<u8> {
+pub(crate) fn flow_delete(match_: Match) -> Message {
     Message::FlowMod {
         cookie: 0,
         table_id: 0,
@@ -325,28 +325,24 @@ pub(crate) fn flow_delete(match_: Match, xid: u32) -> Vec<u8> {
         match_,
         instructions: vec![],
     }
-    .encode(xid)
 }
 
-/// Encodes the `PACKET_OUT` that sends the packet behind a packet-in through
+/// The `PACKET_OUT` that sends the packet behind a packet-in through
 /// `actions`: the switch's buffered copy when it kept one, otherwise the
-/// frame itself, carried back.
-pub(crate) fn packet_out(
-    buffer_id: u32,
-    actions: Vec<Action>,
-    frame: &TcpFrame,
-    xid: u32,
-) -> Vec<u8> {
+/// frame itself, carried back. `None` when the carried frame plus the action
+/// list is more than one OpenFlow message can hold ([`Message::MAX_LEN`]; a
+/// `PACKET_OUT` has more overhead than the `PACKET_IN` the frame came in).
+pub(crate) fn packet_out(buffer_id: u32, actions: Vec<Action>, frame: &TcpFrame) -> Option<Message> {
     let data = if buffer_id == OFP_NO_BUFFER {
         frame.encode()
     } else {
         Vec::new()
     };
-    Message::PacketOut {
+    let msg = Message::PacketOut {
         buffer_id,
         in_port: 0,
         actions,
         data,
-    }
-    .encode(xid)
+    };
+    (msg.encoded_len() <= Message::MAX_LEN).then_some(msg)
 }

@@ -38,7 +38,15 @@ impl Action {
         }
     }
 
-    /// Encodes this action (8-byte aligned).
+    /// Bytes [`Action::encode`] appends (a multiple of 8).
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            Action::Output { .. } => 16,
+            Action::SetField(field) => (4 + field.encoded_len()).next_multiple_of(8),
+        }
+    }
+
+    /// Encodes this action (8-byte aligned) straight into `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
             Action::Output { port, max_len } => {
@@ -49,13 +57,11 @@ impl Action {
                 out.extend_from_slice(&[0u8; 6]);
             }
             Action::SetField(field) => {
-                let mut oxm = Vec::new();
-                field.encode(&mut oxm);
-                let unpadded = 4 + oxm.len();
-                let padded = unpadded.div_ceil(8) * 8;
+                let unpadded = 4 + field.encoded_len();
+                let padded = self.encoded_len();
                 out.extend_from_slice(&OFPAT_SET_FIELD.to_be_bytes());
                 out.extend_from_slice(&(padded as u16).to_be_bytes());
-                out.extend_from_slice(&oxm);
+                field.encode(out);
                 out.extend(std::iter::repeat_n(0u8, padded - unpadded));
             }
         }
@@ -146,16 +152,21 @@ impl Instruction {
         }
     }
 
-    /// Encodes this instruction.
+    /// Bytes [`Instruction::encode`] appends.
+    pub fn encoded_len(&self) -> usize {
+        8 + self.actions().iter().map(Action::encoded_len).sum::<usize>()
+    }
+
+    /// Encodes this instruction straight into `out`; its length field is
+    /// patched in once the actions are written.
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
             Instruction::ApplyActions(actions) => {
-                let mut body = Vec::new();
-                Action::encode_list(actions, &mut body);
+                let start = out.len();
                 out.extend_from_slice(&OFPIT_APPLY_ACTIONS.to_be_bytes());
-                out.extend_from_slice(&((8 + body.len()) as u16).to_be_bytes());
-                out.extend_from_slice(&[0u8; 4]);
-                out.extend_from_slice(&body);
+                out.extend_from_slice(&[0u8; 6]); // length (patched below) + pad
+                Action::encode_list(actions, out);
+                crate::patch_len(out, start + 2, start);
             }
         }
     }

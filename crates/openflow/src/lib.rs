@@ -68,6 +68,14 @@ pub const OFPP_FLOOD: u32 = 0xffff_fffb;
 /// Reserved port: packet-in "no buffer" marker.
 pub const OFP_NO_BUFFER: u32 = 0xffff_ffff;
 
+/// Back-patches the 16-bit big-endian length field at `out[at..at + 2]` with
+/// the number of bytes from `from` to the end of `out` — called once what the
+/// field covers has been written.
+fn patch_len(out: &mut [u8], at: usize, from: usize) {
+    let len = (out.len() - from) as u16;
+    out[at..at + 2].copy_from_slice(&len.to_be_bytes());
+}
+
 /// Errors from decoding OpenFlow bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum OfError {

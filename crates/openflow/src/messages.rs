@@ -160,23 +160,27 @@ pub struct FlowStatsEntry {
 }
 
 impl FlowStatsEntry {
+    fn encoded_len(&self) -> usize {
+        48 + self.match_.encoded_len()
+    }
+
     fn encode(&self, out: &mut Vec<u8>) {
-        let mut body = Vec::new();
-        body.push(self.table_id);
-        body.push(0); // pad
-        body.extend_from_slice(&self.duration_sec.to_be_bytes());
-        body.extend_from_slice(&0u32.to_be_bytes()); // duration_nsec
-        body.extend_from_slice(&self.priority.to_be_bytes());
-        body.extend_from_slice(&self.idle_timeout.to_be_bytes());
-        body.extend_from_slice(&self.hard_timeout.to_be_bytes());
-        body.extend_from_slice(&[0u8; 6]); // flags + pad
-        body.extend_from_slice(&self.cookie.to_be_bytes());
-        body.extend_from_slice(&self.packet_count.to_be_bytes());
-        body.extend_from_slice(&self.byte_count.to_be_bytes());
-        self.match_.encode(&mut body);
-        // length prefix covers the whole entry including itself.
-        out.extend_from_slice(&((body.len() + 2) as u16).to_be_bytes());
-        out.extend_from_slice(&body);
+        let start = out.len();
+        out.extend_from_slice(&[0u8; 2]); // length, patched below
+        out.push(self.table_id);
+        out.push(0); // pad
+        out.extend_from_slice(&self.duration_sec.to_be_bytes());
+        out.extend_from_slice(&0u32.to_be_bytes()); // duration_nsec
+        out.extend_from_slice(&self.priority.to_be_bytes());
+        out.extend_from_slice(&self.idle_timeout.to_be_bytes());
+        out.extend_from_slice(&self.hard_timeout.to_be_bytes());
+        out.extend_from_slice(&[0u8; 6]); // flags + pad
+        out.extend_from_slice(&self.cookie.to_be_bytes());
+        out.extend_from_slice(&self.packet_count.to_be_bytes());
+        out.extend_from_slice(&self.byte_count.to_be_bytes());
+        self.match_.encode(out);
+        // The length prefix covers the whole entry including itself.
+        crate::patch_len(out, start, start);
     }
 
     fn decode(buf: &[u8]) -> Result<(FlowStatsEntry, usize), OfError> {
@@ -386,29 +390,70 @@ impl Message {
         }
     }
 
-    /// Encodes the message with the given transaction id.
+    /// Exactly how many bytes [`Message::encode`] returns — header, body
+    /// and padding. The encoder allocates this much once and never grows;
+    /// callers use it to refuse a message the 16-bit header length cannot
+    /// describe ([`Message::MAX_LEN`]) before building it.
+    pub fn encoded_len(&self) -> usize {
+        8 + match self {
+            Message::Hello
+            | Message::FeaturesRequest
+            | Message::BarrierRequest
+            | Message::BarrierReply => 0,
+            Message::EchoRequest(data) | Message::EchoReply(data) => data.len(),
+            Message::FeaturesReply { .. } => 24,
+            Message::PacketIn { match_, data, .. } => 16 + match_.encoded_len() + 2 + data.len(),
+            Message::PacketOut { actions, data, .. } => {
+                16 + actions.iter().map(Action::encoded_len).sum::<usize>() + data.len()
+            }
+            Message::FlowMod { match_, instructions, .. } => {
+                40 + match_.encoded_len()
+                    + instructions.iter().map(Instruction::encoded_len).sum::<usize>()
+            }
+            Message::Error { data, .. } => 4 + data.len().min(64),
+            Message::FlowStatsRequest { match_, .. } => 40 + match_.encoded_len(),
+            Message::FlowStatsReply { flows } => {
+                8 + flows.iter().map(FlowStatsEntry::encoded_len).sum::<usize>()
+            }
+            Message::FlowRemoved { match_, .. } => 40 + match_.encoded_len(),
+        }
+    }
+
+    /// The longest message the header's 16-bit length field can describe.
+    /// A sender must not build anything longer: its length would wrap and
+    /// the receiver would cut the stream in the wrong place.
+    pub const MAX_LEN: usize = u16::MAX as usize;
+
+    /// Encodes the message with the given transaction id into one buffer of
+    /// exactly [`Message::encoded_len`] bytes: header first, body written
+    /// straight behind it, the header length patched in last from the size
+    /// actually written.
     pub fn encode(&self, xid: u32) -> Vec<u8> {
-        let mut body = Vec::new();
+        let mut out = Vec::with_capacity(self.encoded_len());
+        out.push(OFP_VERSION);
+        out.push(self.type_byte());
+        out.extend_from_slice(&[0u8; 2]); // length, patched below
+        out.extend_from_slice(&xid.to_be_bytes());
         match self {
             Message::Hello
             | Message::FeaturesRequest
             | Message::BarrierRequest
             | Message::BarrierReply => {}
             Message::EchoRequest(data) | Message::EchoReply(data) => {
-                body.extend_from_slice(data);
+                out.extend_from_slice(data);
             }
             Message::FeaturesReply {
                 datapath_id,
                 n_buffers,
                 n_tables,
             } => {
-                body.extend_from_slice(&datapath_id.to_be_bytes());
-                body.extend_from_slice(&n_buffers.to_be_bytes());
-                body.push(*n_tables);
-                body.push(0); // auxiliary_id
-                body.extend_from_slice(&[0u8; 2]); // pad
-                body.extend_from_slice(&0u32.to_be_bytes()); // capabilities
-                body.extend_from_slice(&0u32.to_be_bytes()); // reserved
+                out.extend_from_slice(&datapath_id.to_be_bytes());
+                out.extend_from_slice(&n_buffers.to_be_bytes());
+                out.push(*n_tables);
+                out.push(0); // auxiliary_id
+                out.extend_from_slice(&[0u8; 2]); // pad
+                out.extend_from_slice(&0u32.to_be_bytes()); // capabilities
+                out.extend_from_slice(&0u32.to_be_bytes()); // reserved
             }
             Message::PacketIn {
                 buffer_id,
@@ -419,14 +464,14 @@ impl Message {
                 match_,
                 data,
             } => {
-                body.extend_from_slice(&buffer_id.to_be_bytes());
-                body.extend_from_slice(&total_len.to_be_bytes());
-                body.push(reason.to_u8());
-                body.push(*table_id);
-                body.extend_from_slice(&cookie.to_be_bytes());
-                match_.encode(&mut body);
-                body.extend_from_slice(&[0u8; 2]); // pad before data
-                body.extend_from_slice(data);
+                out.extend_from_slice(&buffer_id.to_be_bytes());
+                out.extend_from_slice(&total_len.to_be_bytes());
+                out.push(reason.to_u8());
+                out.push(*table_id);
+                out.extend_from_slice(&cookie.to_be_bytes());
+                match_.encode(&mut out);
+                out.extend_from_slice(&[0u8; 2]); // pad before data
+                out.extend_from_slice(data);
             }
             Message::PacketOut {
                 buffer_id,
@@ -434,14 +479,13 @@ impl Message {
                 actions,
                 data,
             } => {
-                let mut abuf = Vec::new();
-                Action::encode_list(actions, &mut abuf);
-                body.extend_from_slice(&buffer_id.to_be_bytes());
-                body.extend_from_slice(&in_port.to_be_bytes());
-                body.extend_from_slice(&(abuf.len() as u16).to_be_bytes());
-                body.extend_from_slice(&[0u8; 6]); // pad
-                body.extend_from_slice(&abuf);
-                body.extend_from_slice(data);
+                out.extend_from_slice(&buffer_id.to_be_bytes());
+                out.extend_from_slice(&in_port.to_be_bytes());
+                let actions_len_at = out.len();
+                out.extend_from_slice(&[0u8; 8]); // actions_len (patched below) + pad
+                Action::encode_list(actions, &mut out);
+                crate::patch_len(&mut out, actions_len_at, actions_len_at + 8);
+                out.extend_from_slice(data);
             }
             Message::FlowMod {
                 cookie,
@@ -455,43 +499,43 @@ impl Message {
                 match_,
                 instructions,
             } => {
-                body.extend_from_slice(&cookie.to_be_bytes());
-                body.extend_from_slice(&u64::MAX.to_be_bytes()); // cookie_mask
-                body.push(*table_id);
-                body.push(command.to_u8());
-                body.extend_from_slice(&idle_timeout.to_be_bytes());
-                body.extend_from_slice(&hard_timeout.to_be_bytes());
-                body.extend_from_slice(&priority.to_be_bytes());
-                body.extend_from_slice(&buffer_id.to_be_bytes());
-                body.extend_from_slice(&0xffff_ffffu32.to_be_bytes()); // out_port ANY
-                body.extend_from_slice(&0xffff_ffffu32.to_be_bytes()); // out_group ANY
-                body.extend_from_slice(&flags.to_be_bytes());
-                body.extend_from_slice(&[0u8; 2]); // pad
-                match_.encode(&mut body);
-                Instruction::encode_list(instructions, &mut body);
+                out.extend_from_slice(&cookie.to_be_bytes());
+                out.extend_from_slice(&u64::MAX.to_be_bytes()); // cookie_mask
+                out.push(*table_id);
+                out.push(command.to_u8());
+                out.extend_from_slice(&idle_timeout.to_be_bytes());
+                out.extend_from_slice(&hard_timeout.to_be_bytes());
+                out.extend_from_slice(&priority.to_be_bytes());
+                out.extend_from_slice(&buffer_id.to_be_bytes());
+                out.extend_from_slice(&0xffff_ffffu32.to_be_bytes()); // out_port ANY
+                out.extend_from_slice(&0xffff_ffffu32.to_be_bytes()); // out_group ANY
+                out.extend_from_slice(&flags.to_be_bytes());
+                out.extend_from_slice(&[0u8; 2]); // pad
+                match_.encode(&mut out);
+                Instruction::encode_list(instructions, &mut out);
             }
             Message::Error { error_type, code, data } => {
-                body.extend_from_slice(&error_type.to_u16().to_be_bytes());
-                body.extend_from_slice(&code.to_be_bytes());
-                body.extend_from_slice(&data[..data.len().min(64)]);
+                out.extend_from_slice(&error_type.to_u16().to_be_bytes());
+                out.extend_from_slice(&code.to_be_bytes());
+                out.extend_from_slice(&data[..data.len().min(64)]);
             }
             Message::FlowStatsRequest { table_id, match_ } => {
-                body.extend_from_slice(&OFPMP_FLOW.to_be_bytes());
-                body.extend_from_slice(&[0u8; 6]); // flags + pad
-                body.push(*table_id);
-                body.extend_from_slice(&[0u8; 3]); // pad
-                body.extend_from_slice(&0xffff_ffffu32.to_be_bytes()); // out_port ANY
-                body.extend_from_slice(&0xffff_ffffu32.to_be_bytes()); // out_group ANY
-                body.extend_from_slice(&[0u8; 4]); // pad
-                body.extend_from_slice(&0u64.to_be_bytes()); // cookie
-                body.extend_from_slice(&0u64.to_be_bytes()); // cookie mask
-                match_.encode(&mut body);
+                out.extend_from_slice(&OFPMP_FLOW.to_be_bytes());
+                out.extend_from_slice(&[0u8; 6]); // flags + pad
+                out.push(*table_id);
+                out.extend_from_slice(&[0u8; 3]); // pad
+                out.extend_from_slice(&0xffff_ffffu32.to_be_bytes()); // out_port ANY
+                out.extend_from_slice(&0xffff_ffffu32.to_be_bytes()); // out_group ANY
+                out.extend_from_slice(&[0u8; 4]); // pad
+                out.extend_from_slice(&0u64.to_be_bytes()); // cookie
+                out.extend_from_slice(&0u64.to_be_bytes()); // cookie mask
+                match_.encode(&mut out);
             }
             Message::FlowStatsReply { flows } => {
-                body.extend_from_slice(&OFPMP_FLOW.to_be_bytes());
-                body.extend_from_slice(&[0u8; 6]); // flags + pad
+                out.extend_from_slice(&OFPMP_FLOW.to_be_bytes());
+                out.extend_from_slice(&[0u8; 6]); // flags + pad
                 for f in flows {
-                    f.encode(&mut body);
+                    f.encode(&mut out);
                 }
             }
             Message::FlowRemoved {
@@ -507,25 +551,26 @@ impl Message {
                 byte_count,
                 match_,
             } => {
-                body.extend_from_slice(&cookie.to_be_bytes());
-                body.extend_from_slice(&priority.to_be_bytes());
-                body.push(reason.to_u8());
-                body.push(*table_id);
-                body.extend_from_slice(&duration_sec.to_be_bytes());
-                body.extend_from_slice(&duration_nsec.to_be_bytes());
-                body.extend_from_slice(&idle_timeout.to_be_bytes());
-                body.extend_from_slice(&hard_timeout.to_be_bytes());
-                body.extend_from_slice(&packet_count.to_be_bytes());
-                body.extend_from_slice(&byte_count.to_be_bytes());
-                match_.encode(&mut body);
+                out.extend_from_slice(&cookie.to_be_bytes());
+                out.extend_from_slice(&priority.to_be_bytes());
+                out.push(reason.to_u8());
+                out.push(*table_id);
+                out.extend_from_slice(&duration_sec.to_be_bytes());
+                out.extend_from_slice(&duration_nsec.to_be_bytes());
+                out.extend_from_slice(&idle_timeout.to_be_bytes());
+                out.extend_from_slice(&hard_timeout.to_be_bytes());
+                out.extend_from_slice(&packet_count.to_be_bytes());
+                out.extend_from_slice(&byte_count.to_be_bytes());
+                match_.encode(&mut out);
             }
         }
-        let mut out = Vec::with_capacity(8 + body.len());
-        out.push(OFP_VERSION);
-        out.push(self.type_byte());
-        out.extend_from_slice(&((8 + body.len()) as u16).to_be_bytes());
-        out.extend_from_slice(&xid.to_be_bytes());
-        out.extend_from_slice(&body);
+        debug_assert_eq!(out.len(), self.encoded_len(), "encoded_len out of step with encode");
+        debug_assert!(
+            out.len() <= Message::MAX_LEN,
+            "a {}-byte message overflows the 16-bit header length; senders check encoded_len()",
+            out.len()
+        );
+        crate::patch_len(&mut out, 2, 0);
         out
     }
 
@@ -714,6 +759,195 @@ impl Message {
             other => return Err(OfError::BadType(other)),
         };
         Ok((xid, msg, length))
+    }
+}
+
+/// The encoder [`Message::encode`] replaced, kept as the oracle it is tested
+/// against: every nested structure is built in a temporary `Vec` of its own
+/// (so its length is known when its header is written) and the finished body
+/// is copied behind the message header.
+#[cfg(test)]
+mod two_buffer {
+    use super::*;
+
+    fn match_(m: &Match, out: &mut Vec<u8>) {
+        let mut body = Vec::new();
+        for f in m.fields() {
+            f.encode(&mut body);
+        }
+        let length = 4 + body.len();
+        out.extend_from_slice(&1u16.to_be_bytes());
+        out.extend_from_slice(&(length as u16).to_be_bytes());
+        out.extend_from_slice(&body);
+        out.extend(std::iter::repeat_n(0u8, (8 - length % 8) % 8));
+    }
+
+    fn action(a: &Action, out: &mut Vec<u8>) {
+        match a {
+            Action::Output { port, max_len } => {
+                out.extend_from_slice(&0u16.to_be_bytes());
+                out.extend_from_slice(&16u16.to_be_bytes());
+                out.extend_from_slice(&port.to_be_bytes());
+                out.extend_from_slice(&max_len.to_be_bytes());
+                out.extend_from_slice(&[0u8; 6]);
+            }
+            Action::SetField(field) => {
+                let mut oxm = Vec::new();
+                field.encode(&mut oxm);
+                let unpadded = 4 + oxm.len();
+                let padded = unpadded.div_ceil(8) * 8;
+                out.extend_from_slice(&25u16.to_be_bytes());
+                out.extend_from_slice(&(padded as u16).to_be_bytes());
+                out.extend_from_slice(&oxm);
+                out.extend(std::iter::repeat_n(0u8, padded - unpadded));
+            }
+        }
+    }
+
+    fn instruction(i: &Instruction, out: &mut Vec<u8>) {
+        let mut body = Vec::new();
+        for a in i.actions() {
+            action(a, &mut body);
+        }
+        out.extend_from_slice(&4u16.to_be_bytes());
+        out.extend_from_slice(&((8 + body.len()) as u16).to_be_bytes());
+        out.extend_from_slice(&[0u8; 4]);
+        out.extend_from_slice(&body);
+    }
+
+    fn flow_stats(f: &FlowStatsEntry, out: &mut Vec<u8>) {
+        let mut body = vec![f.table_id, 0];
+        body.extend_from_slice(&f.duration_sec.to_be_bytes());
+        body.extend_from_slice(&0u32.to_be_bytes());
+        body.extend_from_slice(&f.priority.to_be_bytes());
+        body.extend_from_slice(&f.idle_timeout.to_be_bytes());
+        body.extend_from_slice(&f.hard_timeout.to_be_bytes());
+        body.extend_from_slice(&[0u8; 6]);
+        body.extend_from_slice(&f.cookie.to_be_bytes());
+        body.extend_from_slice(&f.packet_count.to_be_bytes());
+        body.extend_from_slice(&f.byte_count.to_be_bytes());
+        match_(&f.match_, &mut body);
+        out.extend_from_slice(&((body.len() + 2) as u16).to_be_bytes());
+        out.extend_from_slice(&body);
+    }
+
+    pub(super) fn encode(msg: &Message, xid: u32) -> Vec<u8> {
+        let mut body = Vec::new();
+        match msg {
+            Message::Hello
+            | Message::FeaturesRequest
+            | Message::BarrierRequest
+            | Message::BarrierReply => {}
+            Message::EchoRequest(data) | Message::EchoReply(data) => body.extend_from_slice(data),
+            Message::FeaturesReply { datapath_id, n_buffers, n_tables } => {
+                body.extend_from_slice(&datapath_id.to_be_bytes());
+                body.extend_from_slice(&n_buffers.to_be_bytes());
+                body.extend_from_slice(&[*n_tables, 0, 0, 0]);
+                body.extend_from_slice(&[0u8; 8]);
+            }
+            Message::PacketIn { buffer_id, total_len, reason, table_id, cookie, match_: m, data } => {
+                body.extend_from_slice(&buffer_id.to_be_bytes());
+                body.extend_from_slice(&total_len.to_be_bytes());
+                body.push(reason.to_u8());
+                body.push(*table_id);
+                body.extend_from_slice(&cookie.to_be_bytes());
+                match_(m, &mut body);
+                body.extend_from_slice(&[0u8; 2]);
+                body.extend_from_slice(data);
+            }
+            Message::PacketOut { buffer_id, in_port, actions, data } => {
+                let mut abuf = Vec::new();
+                for a in actions {
+                    action(a, &mut abuf);
+                }
+                body.extend_from_slice(&buffer_id.to_be_bytes());
+                body.extend_from_slice(&in_port.to_be_bytes());
+                body.extend_from_slice(&(abuf.len() as u16).to_be_bytes());
+                body.extend_from_slice(&[0u8; 6]);
+                body.extend_from_slice(&abuf);
+                body.extend_from_slice(data);
+            }
+            Message::FlowMod {
+                cookie,
+                table_id,
+                command,
+                idle_timeout,
+                hard_timeout,
+                priority,
+                buffer_id,
+                flags,
+                match_: m,
+                instructions,
+            } => {
+                body.extend_from_slice(&cookie.to_be_bytes());
+                body.extend_from_slice(&u64::MAX.to_be_bytes());
+                body.push(*table_id);
+                body.push(command.to_u8());
+                body.extend_from_slice(&idle_timeout.to_be_bytes());
+                body.extend_from_slice(&hard_timeout.to_be_bytes());
+                body.extend_from_slice(&priority.to_be_bytes());
+                body.extend_from_slice(&buffer_id.to_be_bytes());
+                body.extend_from_slice(&[0xff; 8]);
+                body.extend_from_slice(&flags.to_be_bytes());
+                body.extend_from_slice(&[0u8; 2]);
+                match_(m, &mut body);
+                for i in instructions {
+                    instruction(i, &mut body);
+                }
+            }
+            Message::Error { error_type, code, data } => {
+                body.extend_from_slice(&error_type.to_u16().to_be_bytes());
+                body.extend_from_slice(&code.to_be_bytes());
+                body.extend_from_slice(&data[..data.len().min(64)]);
+            }
+            Message::FlowStatsRequest { table_id, match_: m } => {
+                body.extend_from_slice(&OFPMP_FLOW.to_be_bytes());
+                body.extend_from_slice(&[0u8; 6]);
+                body.extend_from_slice(&[*table_id, 0, 0, 0]);
+                body.extend_from_slice(&[0xff; 8]);
+                body.extend_from_slice(&[0u8; 20]);
+                match_(m, &mut body);
+            }
+            Message::FlowStatsReply { flows } => {
+                body.extend_from_slice(&OFPMP_FLOW.to_be_bytes());
+                body.extend_from_slice(&[0u8; 6]);
+                for f in flows {
+                    flow_stats(f, &mut body);
+                }
+            }
+            Message::FlowRemoved {
+                cookie,
+                priority,
+                reason,
+                table_id,
+                duration_sec,
+                duration_nsec,
+                idle_timeout,
+                hard_timeout,
+                packet_count,
+                byte_count,
+                match_: m,
+            } => {
+                body.extend_from_slice(&cookie.to_be_bytes());
+                body.extend_from_slice(&priority.to_be_bytes());
+                body.push(reason.to_u8());
+                body.push(*table_id);
+                body.extend_from_slice(&duration_sec.to_be_bytes());
+                body.extend_from_slice(&duration_nsec.to_be_bytes());
+                body.extend_from_slice(&idle_timeout.to_be_bytes());
+                body.extend_from_slice(&hard_timeout.to_be_bytes());
+                body.extend_from_slice(&packet_count.to_be_bytes());
+                body.extend_from_slice(&byte_count.to_be_bytes());
+                match_(m, &mut body);
+            }
+        }
+        let mut out = Vec::with_capacity(8 + body.len());
+        out.push(OFP_VERSION);
+        out.push(msg.type_byte());
+        out.extend_from_slice(&((8 + body.len()) as u16).to_be_bytes());
+        out.extend_from_slice(&xid.to_be_bytes());
+        out.extend_from_slice(&body);
+        out
     }
 }
 
@@ -948,5 +1182,217 @@ mod tests {
         // A 20-hour timeout saturates instead of wrapping (72 000 s would
         // truncate to 6 464 s as a plain cast).
         assert_eq!(timeout_secs(Duration::from_secs(20 * 3600)), u16::MAX);
+    }
+    // -- single-buffer encoder vs the two-buffer oracle -----------------------
+
+    use proptest::prelude::*;
+
+    fn arb_field() -> impl Strategy<Value = OxmField> {
+        prop_oneof![
+            any::<u32>().prop_map(OxmField::InPort),
+            any::<[u8; 6]>().prop_map(OxmField::EthDst),
+            any::<[u8; 6]>().prop_map(OxmField::EthSrc),
+            any::<u16>().prop_map(OxmField::EthType),
+            any::<u8>().prop_map(OxmField::IpProto),
+            any::<[u8; 4]>().prop_map(OxmField::Ipv4Src),
+            any::<[u8; 4]>().prop_map(OxmField::Ipv4Dst),
+            any::<u16>().prop_map(OxmField::TcpSrc),
+            any::<u16>().prop_map(OxmField::TcpDst),
+        ]
+    }
+
+    /// Empty up to all nine kinds; 12 draws so that nine distinct kinds do
+    /// come up (`with` replaces a repeated kind).
+    fn arb_match() -> impl Strategy<Value = Match> {
+        prop::collection::vec(arb_field(), 0..13)
+            .prop_map(|fs| fs.into_iter().fold(Match::any(), |m, f| m.with(f)))
+    }
+
+    /// Empty lists and lists of `SetField`s only (odd unpadded lengths: a
+    /// 1-byte `IpProto` pads 9 → 16, a 6-byte MAC 14 → 16) included.
+    fn arb_actions() -> impl Strategy<Value = Vec<Action>> {
+        prop::collection::vec(
+            prop_oneof![
+                1 => (any::<u32>(), any::<u16>())
+                    .prop_map(|(port, max_len)| Action::Output { port, max_len }),
+                3 => arb_field().prop_map(Action::SetField),
+            ],
+            0..6,
+        )
+    }
+
+    fn arb_stats_entry() -> impl Strategy<Value = FlowStatsEntry> {
+        (any::<u8>(), any::<u32>(), any::<(u16, u16, u16)>(), any::<(u64, u64, u64)>(), arb_match()).prop_map(
+            |(table_id, duration_sec, (priority, idle_timeout, hard_timeout), (cookie, packet_count, byte_count), match_)| {
+                FlowStatsEntry {
+                    table_id,
+                    duration_sec,
+                    priority,
+                    idle_timeout,
+                    hard_timeout,
+                    cookie,
+                    packet_count,
+                    byte_count,
+                    match_,
+                }
+            },
+        )
+    }
+
+    fn arb_bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
+        prop::collection::vec(any::<u8>(), 0..max)
+    }
+
+    /// Every variant of [`Message`].
+    fn arb_message() -> impl Strategy<Value = Message> {
+        let reason = prop_oneof![
+            Just(PacketInReason::NoMatch),
+            Just(PacketInReason::Action),
+            Just(PacketInReason::InvalidTtl)
+        ];
+        let removed = prop_oneof![
+            Just(RemovedReason::IdleTimeout),
+            Just(RemovedReason::HardTimeout),
+            Just(RemovedReason::Delete)
+        ];
+        let command = prop_oneof![
+            Just(FlowModCommand::Add),
+            Just(FlowModCommand::Modify),
+            Just(FlowModCommand::Delete)
+        ];
+        let error_type = prop_oneof![
+            Just(ErrorType::BadRequest),
+            Just(ErrorType::BadAction),
+            Just(ErrorType::FlowModFailed)
+        ];
+        prop_oneof![
+            Just(Message::Hello),
+            Just(Message::FeaturesRequest),
+            Just(Message::BarrierRequest),
+            Just(Message::BarrierReply),
+            arb_bytes(40).prop_map(Message::EchoRequest),
+            arb_bytes(40).prop_map(Message::EchoReply),
+            (any::<u64>(), any::<u32>(), any::<u8>()).prop_map(|(datapath_id, n_buffers, n_tables)| {
+                Message::FeaturesReply { datapath_id, n_buffers, n_tables }
+            }),
+            (any::<u32>(), any::<u16>(), reason, any::<u8>(), any::<u64>(), arb_match(), arb_bytes(200))
+                .prop_map(|(buffer_id, total_len, reason, table_id, cookie, match_, data)| {
+                    Message::PacketIn { buffer_id, total_len, reason, table_id, cookie, match_, data }
+                }),
+            (any::<u32>(), any::<u32>(), arb_actions(), arb_bytes(200)).prop_map(
+                |(buffer_id, in_port, actions, data)| Message::PacketOut { buffer_id, in_port, actions, data }
+            ),
+            (
+                (any::<u64>(), any::<u8>(), command, any::<(u16, u16, u16, u16)>(), any::<u32>()),
+                arb_match(),
+                prop::collection::vec(arb_actions().prop_map(Instruction::ApplyActions), 0..3),
+            )
+                .prop_map(
+                    |((cookie, table_id, command, (idle_timeout, hard_timeout, priority, flags), buffer_id), match_, instructions)| {
+                        Message::FlowMod {
+                            cookie,
+                            table_id,
+                            command,
+                            idle_timeout,
+                            hard_timeout,
+                            priority,
+                            buffer_id,
+                            flags,
+                            match_,
+                            instructions,
+                        }
+                    }
+                ),
+            (any::<(u64, u64, u64)>(), any::<(u16, u16, u16)>(), removed, any::<u8>(), any::<(u32, u32)>(), arb_match()).prop_map(
+                |((cookie, packet_count, byte_count), (priority, idle_timeout, hard_timeout), reason, table_id, (duration_sec, duration_nsec), match_)| {
+                    Message::FlowRemoved {
+                        cookie,
+                        priority,
+                        reason,
+                        table_id,
+                        duration_sec,
+                        duration_nsec,
+                        idle_timeout,
+                        hard_timeout,
+                        packet_count,
+                        byte_count,
+                        match_,
+                    }
+                }
+            ),
+            // Payloads past the 64 bytes an `ERROR` carries included.
+            (error_type, any::<u16>(), arb_bytes(100))
+                .prop_map(|(error_type, code, data)| Message::Error { error_type, code, data }),
+            (any::<u8>(), arb_match())
+                .prop_map(|(table_id, match_)| Message::FlowStatsRequest { table_id, match_ }),
+            prop::collection::vec(arb_stats_entry(), 0..5)
+                .prop_map(|flows| Message::FlowStatsReply { flows }),
+        ]
+    }
+
+    proptest! {
+        /// The single-buffer encoder writes the bytes the two-buffer one
+        /// did, `encoded_len` predicts their number (so the one allocation
+        /// never grows — `frame_allocs` counts it), and the header announces
+        /// it.
+        #[test]
+        fn encode_equals_the_two_buffer_oracle(msg in arb_message(), xid in any::<u32>()) {
+            let bytes = msg.encode(xid);
+            prop_assert_eq!(&bytes, &two_buffer::encode(&msg, xid));
+            prop_assert_eq!(bytes.len(), msg.encoded_len());
+            prop_assert_eq!(u16::from_be_bytes([bytes[2], bytes[3]]) as usize, bytes.len());
+        }
+
+        /// The parts report the length they append, at any offset.
+        #[test]
+        fn part_lengths_are_what_encode_appends(
+            m in arb_match(),
+            actions in arb_actions(),
+            prefix in arb_bytes(9),
+        ) {
+            let mut out = prefix.clone();
+            m.encode(&mut out);
+            prop_assert_eq!(out.len() - prefix.len(), m.encoded_len());
+            for a in &actions {
+                let before = out.len();
+                a.encode(&mut out);
+                prop_assert_eq!(out.len() - before, a.encoded_len());
+            }
+            let i = Instruction::ApplyActions(actions);
+            let before = out.len();
+            i.encode(&mut out);
+            prop_assert_eq!(out.len() - before, i.encoded_len());
+            prop_assert_eq!(Instruction::decode(&out[before..]).unwrap(), (i, out.len() - before));
+        }
+    }
+
+    /// The largest message the header can describe still encodes with a true
+    /// length; `encoded_len` is how a sender sees that one more byte cannot.
+    #[test]
+    fn header_length_is_exact_up_to_the_16_bit_limit() {
+        let packet_in = |n: usize| Message::PacketIn {
+            buffer_id: crate::OFP_NO_BUFFER,
+            total_len: u16::MAX,
+            reason: PacketInReason::NoMatch,
+            table_id: 0,
+            cookie: 0,
+            match_: Match::any().with(OxmField::InPort(1)),
+            data: vec![0xab; n],
+        };
+        let overhead = packet_in(0).encoded_len();
+        let largest = packet_in(Message::MAX_LEN - overhead);
+        let bytes = largest.encode(1);
+        assert_eq!(bytes.len(), Message::MAX_LEN);
+        assert_eq!(u16::from_be_bytes([bytes[2], bytes[3]]), u16::MAX);
+        assert_eq!(Message::decode(&bytes).unwrap(), (1, largest, Message::MAX_LEN));
+        assert_eq!(packet_in(Message::MAX_LEN - overhead + 1).encoded_len(), Message::MAX_LEN + 1);
+    }
+
+    /// What the wrap used to do: 65 591 bytes announced as 55.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "overflows the 16-bit header length")]
+    fn encoding_an_unrepresentable_message_is_a_bug() {
+        Message::EchoRequest(vec![0; Message::MAX_LEN]).encode(1);
     }
 }

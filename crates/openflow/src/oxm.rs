@@ -68,6 +68,12 @@ impl OxmField {
         }
     }
 
+    /// Bytes [`OxmField::encode`] appends: the 4-byte TLV header plus the
+    /// value.
+    pub fn encoded_len(&self) -> usize {
+        4 + self.payload_len()
+    }
+
     /// Encodes the TLV: class(2) | field<<1|hasmask(1) | length(1) | value.
     pub fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&OXM_CLASS_OPENFLOW_BASIC.to_be_bytes());
@@ -188,6 +194,16 @@ pub struct MatchView {
     pub tcp_dst: u16,
 }
 
+/// The four fields of the registered-service match, in wire order.
+fn service_fields(dst_ip: [u8; 4], dst_port: u16) -> [OxmField; 4] {
+    [
+        OxmField::EthType(0x0800),
+        OxmField::IpProto(6),
+        OxmField::Ipv4Dst(dst_ip),
+        OxmField::TcpDst(dst_port),
+    ]
+}
+
 /// An OpenFlow match: a conjunction of exact-match fields. An empty match is
 /// the table-miss wildcard that matches everything.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -211,24 +227,26 @@ impl Match {
     /// Convenience: match TCP/IPv4 packets toward `dst_ip:dst_port` — the
     /// registered-service match of the paper.
     pub fn service(dst_ip: [u8; 4], dst_port: u16) -> Match {
-        Match::any()
-            .with(OxmField::EthType(0x0800))
-            .with(OxmField::IpProto(6))
-            .with(OxmField::Ipv4Dst(dst_ip))
-            .with(OxmField::TcpDst(dst_port))
+        Match {
+            fields: service_fields(dst_ip, dst_port).to_vec(),
+        }
     }
 
     /// Convenience: exact per-connection match (the redirect flows installed
-    /// after scheduling).
+    /// after scheduling). Built at its exact capacity: the controller keeps
+    /// one of these per bookkept rule, so growth slack would be paid for the
+    /// life of every pair.
     pub fn connection(
         src_ip: [u8; 4],
         src_port: u16,
         dst_ip: [u8; 4],
         dst_port: u16,
     ) -> Match {
-        Match::service(dst_ip, dst_port)
-            .with(OxmField::Ipv4Src(src_ip))
-            .with(OxmField::TcpSrc(src_port))
+        let mut fields = Vec::with_capacity(6);
+        fields.extend_from_slice(&service_fields(dst_ip, dst_port));
+        fields.push(OxmField::Ipv4Src(src_ip));
+        fields.push(OxmField::TcpSrc(src_port));
+        Match { fields }
     }
 
     /// The fields of this match.
@@ -261,19 +279,26 @@ impl Match {
         })
     }
 
+    /// The `ofp_match` length field: type + length + fields, no padding.
+    fn unpadded_len(&self) -> usize {
+        4 + self.fields.iter().map(OxmField::encoded_len).sum::<usize>()
+    }
+
+    /// Bytes [`Match::encode`] appends (padding included).
+    pub fn encoded_len(&self) -> usize {
+        self.unpadded_len().next_multiple_of(8)
+    }
+
     /// Encodes as an `ofp_match`: type=1 (OXM), length, fields, zero-padded
-    /// to a multiple of 8.
+    /// to a multiple of 8 — written straight into `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let mut body = Vec::new();
-        for f in &self.fields {
-            f.encode(&mut body);
-        }
-        let length = 4 + body.len(); // length covers type+length+fields, not padding
+        let length = self.unpadded_len();
         out.extend_from_slice(&1u16.to_be_bytes());
         out.extend_from_slice(&(length as u16).to_be_bytes());
-        out.extend_from_slice(&body);
-        let pad = (8 - length % 8) % 8;
-        out.extend(std::iter::repeat_n(0u8, pad));
+        for f in &self.fields {
+            f.encode(out);
+        }
+        out.extend(std::iter::repeat_n(0u8, length.next_multiple_of(8) - length));
     }
 
     /// Decodes an `ofp_match`, returning the match and total bytes consumed
@@ -298,7 +323,9 @@ impl Match {
                 have: buf.len(),
             });
         }
-        let mut fields = Vec::new();
+        // A TLV is at least 5 bytes (header + one value byte), which bounds
+        // the field count from the declared length: one allocation, no growth.
+        let mut fields = Vec::with_capacity((length - 4) / 5);
         let mut off = 4;
         while off < length {
             let (f, used) = OxmField::decode(&buf[off..length])?;

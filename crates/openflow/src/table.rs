@@ -35,8 +35,7 @@
 use crate::actions::Instruction;
 use crate::messages::{RemovedReason, OFPFF_SEND_FLOW_REM};
 use crate::oxm::{Match, MatchView, OxmField};
-use desim::{Duration, SimTime, TimerWheel};
-use std::collections::HashMap;
+use desim::{Duration, FastMap, SimTime, TimerWheel};
 
 /// One installed flow.
 #[derive(Clone, Debug)]
@@ -254,12 +253,12 @@ fn slot_of(m: &Match) -> Slot {
 #[derive(Default)]
 pub struct FlowTable {
     /// Entry storage, keyed by stable id.
-    flows: HashMap<FlowId, FlowEntry>,
+    flows: FastMap<FlowId, FlowEntry>,
     /// Exact-match index: shape+values → ids, each bucket sorted by
     /// (priority desc, id asc) so its head is the bucket's best candidate.
-    index: HashMap<ShapeKey, Vec<FlowId>>,
+    index: FastMap<ShapeKey, Vec<FlowId>>,
     /// Live entry count per shape mask — the set of probes a lookup makes.
-    shape_counts: HashMap<u16, usize>,
+    shape_counts: FastMap<u16, usize>,
     /// Entries whose match cannot be keyed (duplicate field kinds); scanned
     /// linearly. Sorted by (priority desc, id asc).
     residual: Vec<FlowId>,
@@ -317,7 +316,7 @@ impl FlowTable {
 
     /// Inserts `id` into `bucket` keeping (priority desc, id asc) order.
     /// `id` is always the newest, so it goes after every equal priority.
-    fn file(flows: &HashMap<FlowId, FlowEntry>, bucket: &mut Vec<FlowId>, id: FlowId) {
+    fn file(flows: &FastMap<FlowId, FlowEntry>, bucket: &mut Vec<FlowId>, id: FlowId) {
         let prio = flows[&id].priority;
         let pos = bucket
             .iter()
@@ -941,5 +940,25 @@ mod tests {
         assert_eq!(removed.len(), 1);
         assert_eq!(removed[0].entry.cookie, 1);
         assert_eq!(t.len(), 1);
+    }
+    /// The index key under the deterministic hasher: 4 096 connections of
+    /// one client to one service differ only in `tcp_src` — two bytes deep
+    /// inside the packed key — and must still use both ends of the hash
+    /// (hashbrown takes the bucket from the low bits, its control tag from
+    /// the top seven).
+    #[test]
+    fn shape_keys_differing_only_in_tcp_src_spread_over_buckets_and_tags() {
+        use std::hash::BuildHasher;
+        let hasher = desim::hash::FastBuildHasher::default();
+        let (mut buckets, mut tags) = (desim::FastSet::default(), desim::FastSet::default());
+        for port in 0..4096u16 {
+            let m = Match::connection([192, 168, 1, 20], 40_000 + port, [203, 0, 113, 10], 80);
+            let h = hasher.hash_one(ShapeKey::of_match(&m).expect("no duplicate kinds"));
+            buckets.insert(h & 1023);
+            tags.insert(h >> 57);
+        }
+        // A uniform hash fills 1024·(1 − e⁻⁴) ≈ 1 005 buckets; ask for 90 %.
+        assert!(buckets.len() >= 905, "{} of 1024 buckets", buckets.len());
+        assert!(tags.len() > 1, "constant control tag");
     }
 }

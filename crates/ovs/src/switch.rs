@@ -1,13 +1,12 @@
 //! The switch state machine.
 
-use desim::{Duration, SimTime};
+use desim::{Duration, FastMap, SimTime};
 use netsim::{TcpHeaders, WireFrame};
 use openflow::actions::Action;
 use openflow::messages::{FlowModCommand, Message, PacketInReason};
 use openflow::oxm::{Match, MatchView, OxmField};
 use openflow::table::{entry, FlowId, FlowTable, Removed};
 use openflow::{OfError, OFPP_CONTROLLER, OFPP_FLOOD, OFP_NO_BUFFER};
-use std::collections::HashMap;
 
 /// Microflow cache capacity; the cache is cleared wholesale when full (the
 /// OVS approach — entries are cheap to re-establish from the flow table).
@@ -65,9 +64,9 @@ pub enum Effect {
 pub struct Switch {
     config: SwitchConfig,
     table: FlowTable,
-    buffers: HashMap<u32, (u32, Vec<u8>)>, // buffer_id -> (in_port, frame)
+    buffers: FastMap<u32, (u32, Vec<u8>)>, // buffer_id -> (in_port, frame)
     /// Exact-match fast path: packet view -> (table revision, flow id).
-    microflow: HashMap<MatchView, (u64, FlowId)>,
+    microflow: FastMap<MatchView, (u64, FlowId)>,
     next_buffer: u32,
     next_xid: u32,
     /// Count of packets handled on the fast path (no controller).
@@ -86,8 +85,8 @@ impl Switch {
         Switch {
             config,
             table: FlowTable::new(),
-            buffers: HashMap::new(),
-            microflow: HashMap::new(),
+            buffers: FastMap::default(),
+            microflow: FastMap::default(),
             next_buffer: 1,
             next_xid: 1,
             fast_path_packets: 0,
@@ -177,7 +176,9 @@ impl Switch {
         )
     }
 
-    /// Parks a missed frame in a packet buffer and reports it upstream.
+    /// Parks a missed frame in a packet buffer and reports it upstream. With
+    /// no buffer free the frame travels whole in the `PACKET_IN`. Either way,
+    /// a frame whose report does not fit one message is dropped.
     fn packet_in(&mut self, in_port: u32, data: Vec<u8>) -> Effect {
         let total_len = data.len();
         let (buffer_id, included) = if (self.buffers.len() as u32) < self.config.n_buffers {
@@ -192,7 +193,12 @@ impl Switch {
             (OFP_NO_BUFFER, data)
         };
         let msg = packet_in_msg(buffer_id, total_len, PacketInReason::NoMatch, in_port, included);
-        Effect::ToController(msg.encode(fresh_xid(&mut self.next_xid)))
+        let effect = to_controller(&msg, &mut self.next_xid);
+        if matches!(effect, Effect::Drop) {
+            // Nobody upstream will ever name the slot: free it again.
+            self.buffers.remove(&buffer_id);
+        }
+        effect
     }
 
     /// Processes an encoded OpenFlow message from the controller.
@@ -237,7 +243,7 @@ impl Switch {
                 FlowModCommand::Add => {
                     self.table.add(
                         entry(
-                            match_.clone(),
+                            match_,
                             priority,
                             cookie,
                             instructions,
@@ -259,9 +265,7 @@ impl Switch {
                 }
                 FlowModCommand::Delete => {
                     for removed in self.table.delete(&match_, now) {
-                        if let Some(e) = self.flow_removed_msg(&removed) {
-                            effects.push(e);
-                        }
+                        effects.extend(self.flow_removed_msg(removed));
                     }
                 }
             },
@@ -325,7 +329,9 @@ impl Switch {
         Ok(effects)
     }
 
-    fn flow_removed_msg(&mut self, removed: &Removed) -> Option<Effect> {
+    /// The `FLOW_REMOVED` for a removal record, if the entry asked for one;
+    /// the record's match moves into the message.
+    fn flow_removed_msg(&mut self, removed: Removed) -> Option<Effect> {
         if !removed.entry.wants_removed_msg() {
             return None;
         }
@@ -341,7 +347,7 @@ impl Switch {
             hard_timeout: openflow::timeout_secs(removed.entry.hard_timeout),
             packet_count: removed.entry.packet_count,
             byte_count: removed.entry.byte_count,
-            match_: removed.entry.match_.clone(),
+            match_: removed.entry.match_,
         };
         Some(Effect::ToController(msg.encode(fresh_xid(&mut self.next_xid))))
     }
@@ -351,7 +357,7 @@ impl Switch {
     pub fn expire_flows(&mut self, now: SimTime) -> Vec<Effect> {
         let removed = self.table.expire(now);
         removed
-            .iter()
+            .into_iter()
             .filter_map(|r| self.flow_removed_msg(r))
             .collect()
     }
@@ -366,6 +372,18 @@ fn fresh_xid(next_xid: &mut u32) -> u32 {
     let x = *next_xid;
     *next_xid = next_xid.wrapping_add(1);
     x
+}
+
+/// Ships `msg` up the control channel — or drops it when it is longer than
+/// the 16-bit header length can say ([`Message::MAX_LEN`]): a message whose
+/// announced length disagrees with its size would desynchronise the
+/// controller's stream, so it must never be emitted. Only a `PACKET_IN`
+/// carrying a near-maximal frame whole can get there.
+fn to_controller(msg: &Message, next_xid: &mut u32) -> Effect {
+    if msg.encoded_len() > Message::MAX_LEN {
+        return Effect::Drop;
+    }
+    Effect::ToController(msg.encode(fresh_xid(next_xid)))
 }
 
 /// A `PACKET_IN` for a frame of `total_len` bytes, `data` of which are
@@ -421,7 +439,7 @@ fn execute<'a>(
                             in_port,
                             data[..n].to_vec(),
                         );
-                        effects.push(Effect::ToController(msg.encode(fresh_xid(next_xid))));
+                        effects.push(to_controller(&msg, next_xid));
                     }
                     OFPP_FLOOD => {
                         effects.extend(ports.iter().filter(|&&p| p != in_port).map(|&p| {
@@ -783,6 +801,68 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// A frame the switch can neither buffer nor ship whole is dropped: the
+    /// `PACKET_IN` around a maximum-size frame would be 65 591 bytes, which
+    /// the 16-bit header length used to announce as 55 — the controller then
+    /// decoded 13 bytes of frame and a stream reader would have parsed the
+    /// other 65 536 as further messages.
+    #[test]
+    fn a_frame_too_large_to_ship_whole_is_dropped_not_mis_framed() {
+        let mut s = Switch::new(SwitchConfig {
+            n_buffers: 0,
+            ..SwitchConfig::default()
+        });
+        let mut f = client_frame();
+        f.payload = vec![0x5a; TcpFrame::MAX_PAYLOAD];
+        assert_eq!(s.handle_frame(SimTime::ZERO, 1, &f.encode()), vec![Effect::Drop]);
+        assert_eq!(s.table_misses, 1);
+        // Nor does a free buffer help when `miss_send_len` asks for all of it.
+        let mut roomy = Switch::new(SwitchConfig {
+            miss_send_len: 0xffff,
+            ..SwitchConfig::default()
+        });
+        assert_eq!(roomy.handle_frame(SimTime::ZERO, 1, &f.encode()), vec![Effect::Drop]);
+        assert_eq!(roomy.buffered(), 0, "the dropped frame holds no buffer");
+
+        // The largest frame one PACKET_IN can carry still goes up, and the
+        // header says exactly how long the message is.
+        let overhead = packet_in_msg(OFP_NO_BUFFER, 0, PacketInReason::NoMatch, 1, vec![]).encoded_len();
+        f.payload.truncate(Message::MAX_LEN - overhead - client_frame().encode().len());
+        let effects = s.handle_frame(SimTime::ZERO, 1, &f.encode());
+        let [Effect::ToController(bytes)] = &effects[..] else {
+            panic!("expected one PACKET_IN, got {effects:?}");
+        };
+        assert_eq!(bytes.len(), Message::MAX_LEN);
+        assert_eq!(u16::from_be_bytes([bytes[2], bytes[3]]) as usize, bytes.len());
+        assert!(matches!(
+            decode_controller(&effects[0]),
+            Message::PacketIn { data, .. } if data == f.encode()
+        ));
+    }
+
+    /// The same rule on the explicit output-to-controller action, which
+    /// ships up to `max_len` = 65 535 bytes of the frame unbuffered.
+    #[test]
+    fn output_to_controller_of_an_oversize_frame_drops() {
+        let mut s = sw();
+        let fm = Message::FlowMod {
+            cookie: 0,
+            table_id: 0,
+            command: FlowModCommand::Add,
+            idle_timeout: 0,
+            hard_timeout: 0,
+            priority: 1,
+            buffer_id: OFP_NO_BUFFER,
+            flags: 0,
+            match_: Match::any(),
+            instructions: vec![Instruction::ApplyActions(vec![Action::output(OFPP_CONTROLLER)])],
+        };
+        s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
+        let mut f = client_frame();
+        f.payload = vec![0x5a; TcpFrame::MAX_PAYLOAD];
+        assert_eq!(s.handle_frame(SimTime::ZERO, 1, &f.encode()), vec![Effect::Drop]);
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //! share: the self-re-arming deadline behind controller ticks and switch
 //! expiries, and the listener lookup of the per-frame server path.
 
-use desim::{LogNormal, SimTime};
+use desim::{FastMap, LogNormal, SimTime};
 use edgectl::{Controller, EdgeService};
 use netsim::{Ipv4Addr, ServiceAddr};
-use std::collections::HashMap;
 
 /// One self-re-arming timer chain (controller tick, flow expiry, ...). The
 /// event carries the deadline it was scheduled for; when a nearer deadline
@@ -102,8 +101,8 @@ pub(crate) fn scan_listener(
 /// address (a new pod) replaces its old entry.
 #[derive(Default)]
 pub(crate) struct ListenerIndex {
-    by_addr: HashMap<(Ipv4Addr, u16), (ServiceAddr, usize)>,
-    addr_of: HashMap<(ServiceAddr, usize), (Ipv4Addr, u16)>,
+    by_addr: FastMap<(Ipv4Addr, u16), (ServiceAddr, usize)>,
+    addr_of: FastMap<(ServiceAddr, usize), (Ipv4Addr, u16)>,
 }
 
 impl ListenerIndex {

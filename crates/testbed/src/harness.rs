@@ -10,7 +10,7 @@
 
 use crate::common::{Deadline, ListenerIndex};
 use crate::topology::{C3Topology, Role};
-use desim::{Duration, Engine, FaultPlan, LogNormal, Sample, SimRng, SimTime};
+use desim::{Duration, Engine, FastMap, FaultPlan, LogNormal, Sample, SimRng, SimTime};
 use edgectl::{
     annotate_deployment, Controller, ControllerConfig, DockerCluster, EdgeService,
     K8sEdgeCluster, PortMap,
@@ -147,10 +147,10 @@ pub struct Testbed {
     /// The transparent-edge controller under test.
     pub controller: Controller,
     rng: SimRng,
-    profiles: HashMap<ServiceAddr, ServiceProfile>,
-    conns: HashMap<(usize, u16), ConnState>,
+    profiles: FastMap<ServiceAddr, ServiceProfile>,
+    conns: FastMap<(usize, u16), ConnState>,
     /// Server-side request reassembly: bytes received per connection 4-tuple.
-    server_rx: HashMap<(Ipv4Addr, u16, Ipv4Addr, u16), usize>,
+    server_rx: FastMap<(Ipv4Addr, u16, Ipv4Addr, u16), usize>,
     next_src_port: Vec<u16>,
     tick: Deadline,
     expiry: Deadline,
@@ -328,9 +328,9 @@ impl Testbed {
             switch,
             controller,
             rng: rng.fork(0xbed),
-            profiles: HashMap::new(),
-            conns: HashMap::new(),
-            server_rx: HashMap::new(),
+            profiles: FastMap::default(),
+            conns: FastMap::default(),
+            server_rx: FastMap::default(),
             next_src_port: vec![49152; n_clients],
             tick: Deadline::default(),
             expiry: Deadline::default(),

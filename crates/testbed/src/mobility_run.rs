@@ -20,7 +20,7 @@
 use crate::common::{Deadline, ListenerIndex};
 use crate::harness::segments;
 use crate::topology::{MultiGnbTopology, Role};
-use desim::{Duration, Engine, FaultPlan, LogNormal, Sample, SimRng, SimTime};
+use desim::{Duration, Engine, FastMap, FaultPlan, LogNormal, Sample, SimRng, SimTime};
 use openflow::FlowEntry;
 use edgectl::{
     annotate_deployment, Controller, ControllerConfig, DockerCluster, EdgeService,
@@ -200,7 +200,7 @@ pub struct MobilityTestbed {
     sessions: Vec<Session>,
     profile: Option<ServiceProfile>,
     service: Option<ServiceAddr>,
-    server_rx: HashMap<(Ipv4Addr, u16, Ipv4Addr, u16), usize>,
+    server_rx: FastMap<(Ipv4Addr, u16, Ipv4Addr, u16), usize>,
     tick: Deadline,
     migration: Deadline,
     /// Per gNB.
@@ -346,7 +346,7 @@ impl MobilityTestbed {
             sessions: Vec::new(),
             profile: None,
             service: None,
-            server_rx: HashMap::new(),
+            server_rx: FastMap::default(),
             tick: Deadline::default(),
             migration: Deadline::default(),
             expiry: vec![Deadline::default(); config.n_gnbs],

@@ -9,6 +9,12 @@
 //! the new connection included — asks of the heap per frame. Before the
 //! frame journey was one buffer the same region measured 10.7 calls per
 //! frame and 5× the wire bytes.
+//!
+//! The control path has its gates here too: one OpenFlow message is encoded
+//! into one buffer, and one warm short connection — table miss, packet-in,
+//! scheduling, two flow-mods, release, idle expiry, `FLOW_REMOVED` — stays
+//! under a ceiling that the encoder's old nested temporaries alone would
+//! break.
 
 use desim::SimTime;
 use netsim::{Ipv4Addr, ServiceAddr};
@@ -125,4 +131,117 @@ fn bumping_an_existing_metric_does_not_touch_the_heap() {
     assert_eq!(CALLS.get(), 0, "heap calls for 4000 bumps of existing metrics");
     assert_eq!(m.counter("requests_total"), 3001);
     assert_eq!(m.histogram("answer_delay_ns").unwrap().count(), 1001);
+}
+
+/// Runs `f` with this thread's heap calls counted.
+fn heap_calls<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = CALLS.get();
+    COUNTING.set(true);
+    let out = f();
+    COUNTING.set(false);
+    (CALLS.get() - before, out)
+}
+
+/// `Message::encode` sizes its buffer up front and writes header, body and
+/// every nested length into it: one heap call, whatever the message nests.
+/// (The encoder it replaced built five temporaries for a `FLOW_MOD` — about
+/// 18 calls.)
+#[test]
+fn encoding_a_control_message_is_one_heap_call() {
+    use openflow::actions::{Action, Instruction};
+    use openflow::messages::{FlowModCommand, Message, PacketInReason, RemovedReason};
+    use openflow::oxm::{Match, OxmField};
+    let connection = || Match::connection([192, 168, 1, 20], 50000, [203, 0, 113, 10], 80);
+    let rewrite = || {
+        vec![
+            Action::SetField(OxmField::EthDst([2, 0, 0, 0, 0, 9])),
+            Action::SetField(OxmField::Ipv4Dst([10, 0, 0, 5])),
+            Action::SetField(OxmField::TcpDst(31080)),
+            Action::output(7),
+        ]
+    };
+    let messages = [
+        Message::FlowMod {
+            cookie: 7,
+            table_id: 0,
+            command: FlowModCommand::Add,
+            idle_timeout: 10,
+            hard_timeout: 0,
+            priority: 100,
+            buffer_id: 3,
+            flags: 1,
+            match_: connection(),
+            instructions: vec![Instruction::ApplyActions(rewrite())],
+        },
+        Message::PacketIn {
+            buffer_id: 3,
+            total_len: 54,
+            reason: PacketInReason::NoMatch,
+            table_id: 0,
+            cookie: 0,
+            match_: Match::any().with(OxmField::InPort(1)),
+            data: vec![0xaa; 54],
+        },
+        Message::PacketOut {
+            buffer_id: openflow::OFP_NO_BUFFER,
+            in_port: 0,
+            actions: rewrite(),
+            data: vec![0xaa; 54],
+        },
+        Message::FlowRemoved {
+            cookie: 7,
+            priority: 100,
+            reason: RemovedReason::IdleTimeout,
+            table_id: 0,
+            duration_sec: 10,
+            duration_nsec: 0,
+            idle_timeout: 10,
+            hard_timeout: 0,
+            packet_count: 4,
+            byte_count: 1200,
+            match_: connection(),
+        },
+    ];
+    for msg in &messages {
+        let (calls, bytes) = heap_calls(|| msg.encode(1));
+        assert_eq!(calls, 1, "{msg:?}");
+        assert_eq!(bytes.len(), msg.encoded_len());
+    }
+}
+
+/// The whole control path of one warm, short connection: four frames
+/// through the switch (SYN, SYN-ACK, request, response), one table miss and
+/// packet-in, the FlowMemory/scheduler decision, two flow-mods, the buffered
+/// SYN's release, then idle expiry of the pair with its `FLOW_REMOVED` and
+/// the controller's bookkeeping for it. Measures 48 heap calls (`e2ebench`'s
+/// steady state is 38 per request; here the connection also pays the first
+/// push into a few timer-wheel slots no earlier one touched). With the
+/// encoder's nested temporaries and the cloned matches it was 111.
+#[test]
+fn a_warm_short_connection_costs_at_most_sixty_heap_calls() {
+    let profile = containerd::ServiceSet::by_key("nginx").unwrap();
+    let addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), profile.listen_port);
+    let mut tb = Testbed::new(TestbedConfig::default());
+    tb.register_service(profile, addr);
+    tb.pre_deploy_on(addr, 0);
+    // Warm: the instance is up, and a few connections from other clients
+    // have come and gone, so every map, wheel slot and the event storage
+    // have their steady-state capacity.
+    for (i, client) in [0usize, 1, 2, 3].into_iter().enumerate() {
+        tb.request_at(SimTime::from_secs(20 + i as u64), client, addr);
+    }
+    tb.run_until(SimTime::from_secs(60));
+    assert_eq!(tb.completed.len(), 4);
+    assert!(tb.switch().table().is_empty(), "warm-up flows idled out");
+
+    tb.request_at(SimTime::from_secs(60), 4, addr);
+    let (misses, removed) = (tb.switch().table_misses, tb.controller.flows_removed);
+    let (calls, _) = heap_calls(|| tb.run_until(SimTime::from_secs(75)));
+
+    assert_eq!((tb.completed.len(), tb.drops, tb.resets), (5, 0, 0));
+    assert_eq!(tb.switch().table_misses - misses, 1, "one packet-in");
+    assert_eq!(tb.controller.flows_removed - removed, 1, "the pair idled out and said so");
+    assert!(tb.switch().table().is_empty());
+    println!("one warm nginx connection, miss to FLOW_REMOVED: {calls} heap calls");
+    assert!(calls <= 60, "{calls} heap calls for one warm short connection");
 }

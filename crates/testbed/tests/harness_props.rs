@@ -89,3 +89,47 @@ proptest! {
         prop_assert_eq!(tb.transparency_violations, 0);
     }
 }
+
+/// One smoke run: two services, a dozen clients, connections that miss,
+/// get scheduled, idle out of the switch and the FlowMemory, and let the
+/// service scale down. Returns everything a report is built from.
+fn smoke_run() -> (String, Vec<(usize, ServiceAddr, workload::RequestTiming)>) {
+    let mut tb = Testbed::new(TestbedConfig {
+        seed: 7,
+        controller: ControllerConfig {
+            memory_idle: Duration::from_secs(20),
+            ..ControllerConfig::default()
+        },
+        ..TestbedConfig::default()
+    });
+    let addrs: Vec<ServiceAddr> = ["nginx", "asm"]
+        .iter()
+        .enumerate()
+        .map(|(i, key)| {
+            let profile = containerd::ServiceSet::by_key(key).unwrap();
+            let addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10 + i as u8), profile.listen_port);
+            tb.register_service(profile, addr);
+            addr
+        })
+        .collect();
+    for i in 0..60u64 {
+        tb.request_at(SimTime::from_millis(1000 + 137 * i), (i % 12) as usize, addrs[(i % 2) as usize]);
+    }
+    tb.run_until(SimTime::from_secs(120));
+    let done = tb.completed.iter().map(|c| (c.client, c.service, c.timing)).collect();
+    (tb.telemetry_snapshot().to_json(), done)
+}
+
+/// The hot maps hash with a fixed function, so a run is a pure function of
+/// its configuration: the metrics snapshot and every completed request's
+/// milestones repeat exactly. A std `HashMap` iterated into output would
+/// break this (its seed differs per map instance), as would any other
+/// hidden per-run state.
+#[test]
+fn a_run_repeats_exactly_within_one_process() {
+    let (json_a, done_a) = smoke_run();
+    let (json_b, done_b) = smoke_run();
+    assert_eq!(done_a.len(), 60);
+    assert_eq!(done_a, done_b);
+    assert_eq!(json_a, json_b);
+}
