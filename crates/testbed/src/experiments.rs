@@ -1121,7 +1121,7 @@ fn mobility_run(
     seed: u64,
     telemetry: bool,
 ) -> (MobilityStats, Option<(SpanLog, MetricsRegistry)>) {
-    use crate::mobility_run::{MobilityConfig, MobilityTestbed};
+    use crate::harness::{MobilityConfig, MobilityTestbed};
     let (n_gnbs, n_clients, secs) = if smoke { (3, 4, 20) } else { (4, 12, 60) };
     let mut tb = MobilityTestbed::new(MobilityConfig {
         n_gnbs,
@@ -1359,7 +1359,7 @@ pub fn migration_stats(
     seed: u64,
     smoke: bool,
 ) -> MigrationStats {
-    use crate::mobility_run::{MobilityConfig, MobilityTestbed};
+    use crate::harness::{MobilityConfig, MobilityTestbed};
     let (n_gnbs, n_clients, secs) = if smoke { (3, 4, 20) } else { (4, 12, 60) };
     let mut controller = edgectl::ControllerConfig::default();
     let policy = if live {
@@ -1400,7 +1400,7 @@ pub fn migration_stats(
     }
     tb.run(&mut model, SimTime::from_secs(1), SimTime::from_secs(secs));
     // Let in-flight transfers reach their flip before reading the records.
-    tb.drain(SimTime::from_secs(secs) + Duration::from_secs(10));
+    tb.run_until(SimTime::from_secs(secs) + Duration::from_secs(10));
     let mut run = MigrationStats {
         handovers: tb.handovers.len() as u64,
         migrations: tb.controller.migrate().records.len() as u64,
@@ -1495,7 +1495,7 @@ fn recovery_run(
     seed: u64,
     telemetry: bool,
 ) -> (RecoveryStats, Option<(SpanLog, MetricsRegistry)>) {
-    use crate::mobility_run::{MobilityConfig, MobilityTestbed};
+    use crate::harness::{MobilityConfig, MobilityTestbed};
     // Identical scenario constants to `mobility_run`: at fault rate 0 the
     // two runs are the same simulation, which is exactly the determinism
     // guarantee the tests pin down.
@@ -1527,7 +1527,7 @@ fn recovery_run(
     tb.run(&mut model, SimTime::from_secs(1), SimTime::from_secs(secs));
     // Let recovery settle: the longest channel-reconnect window plus
     // detection, redeployment, and a client retransmit all fit in 15 s.
-    tb.drain(SimTime::from_secs(secs) + Duration::from_secs(15));
+    tb.run_until(SimTime::from_secs(secs) + Duration::from_secs(15));
     let reconcile_fixes = tb.reconcile_now() as u64;
     let reconcile_residual = tb.reconcile_now() as u64;
     let run = RecoveryStats {
@@ -1626,7 +1626,7 @@ pub fn ha_stats(
     crash_rate: f64,
     smoke: bool,
 ) -> HaStats {
-    use crate::mobility_run::{MobilityConfig, MobilityTestbed};
+    use crate::harness::{MobilityConfig, MobilityTestbed};
     let (n_gnbs, secs) = if smoke { (3, 20) } else { (4, 60) };
     let controller = edgectl::ControllerConfig {
         // The journal records in BOTH modes so the pre-crash simulation is
@@ -1678,7 +1678,7 @@ pub fn ha_stats(
     tb.run(&mut model, SimTime::from_secs(1), SimTime::from_secs(secs));
     // Let the restart land (it may fall past the run deadline) and client
     // retransmits settle before judging strandedness.
-    tb.drain(SimTime::from_secs(secs) + Duration::from_secs(15));
+    tb.run_until(SimTime::from_secs(secs) + Duration::from_secs(15));
     let journal = tb.controller.journal_stats();
     let reconcile_fixes = tb.reconcile_now() as u64;
     let reconcile_residual = tb.reconcile_now() as u64;

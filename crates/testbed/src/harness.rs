@@ -1,94 +1,52 @@
-//! The end-to-end event-driven harness.
+//! The end-to-end event-driven harness: one event loop under both testbeds.
 //!
-//! One [`Testbed`] wires the whole stack together and runs it in simulated
+//! A [`Harness`] wires the whole stack together and runs it in simulated
 //! time: emulated clients open TCP connections toward registered cloud
 //! addresses; frames traverse the OVS data plane byte-for-byte; table misses
 //! become OpenFlow `PACKET_IN`s to the transparent-edge controller, which
-//! deploys services on demand into the configured cluster; responses flow
-//! back through the reverse-rewrite flows; and every request's
-//! `timecurl`-style `time_total` is recorded.
+//! deploys services on demand into the configured clusters; responses flow
+//! back through the reverse-rewrite flows. It is generic only over the
+//! network it owns ([`Net`]):
+//!
+//! * [`Testbed`] = `Harness<C3Topology>` — the paper's C³ evaluation testbed,
+//!   one OVS and one gateway server (`harness/c3.rs`). Its clients issue
+//!   one-shot requests ([`Harness::request_at`]) whose `timecurl`-style
+//!   `time_total` lands in [`Harness::completed`].
+//! * [`MobilityTestbed`] = `Harness<MultiGnbTopology>` — N gNB ingress
+//!   switches, each fronting its own near-edge zone, one controller managing
+//!   them all (`harness/multi_gnb.rs`). Each client opens **one** TCP session
+//!   and pings over it at a fixed interval while a
+//!   [`mobility::MobilityModel`] moves it between gNBs; the session outlives
+//!   every handover, which is the continuity property under test: nothing
+//!   dropped, nothing answered twice, and every byte the client sees still
+//!   carries the cloud address.
+//!
+//! The C³ testbed is the N = 1 case of the same loop. Everything one of the
+//! two never uses — handover, runtime chaos, controller crash, live
+//! migration and the queueing control channel on C³; the predictor on the
+//! multi-gNB network — is present and inert: its events are never scheduled,
+//! so it neither draws randomness nor reorders anything.
 
-use crate::common::{Deadline, ListenerIndex};
-use crate::topology::{C3Topology, Role};
+mod c3;
+mod multi_gnb;
+
+pub use c3::{ClusterKind, TestbedConfig};
+pub use multi_gnb::MobilityConfig;
+
+use crate::topology::{C3Topology, MultiGnbTopology, Net, Role};
+use containerd::ServiceProfile;
 use desim::{Duration, Engine, FastMap, FaultPlan, LogNormal, Sample, SimRng, SimTime};
 use edgectl::{
-    annotate_deployment, Controller, ControllerConfig, DockerCluster, EdgeService,
-    K8sEdgeCluster, PortMap,
+    annotate_deployment, Controller, EdgeCluster, EdgeService, HandoverPolicy, IngressId,
+    OutboundMessage, RecoveryMode, RecoveryReport,
 };
-use containerd::ServiceProfile;
-use dockersim::DockerEngine;
-use k8ssim::K8sCluster;
+use mobility::AttachmentEvent;
 use netsim::topo::{NodeId, PortNo};
 use netsim::{Ipv4Addr, ServiceAddr, TcpFlags, TcpFrame, TcpHeaders};
-use ovs::{Effect, Switch, SwitchConfig};
-use std::collections::HashMap;
-use telemetry::{MetricsRegistry, SpanLog, Telemetry};
+use openflow::FlowEntry;
+use ovs::{Effect, Switch};
+use telemetry::{MetricsRegistry, SpanLog};
 use workload::RequestTiming;
-
-/// Which cluster type backs the edge (the paper evaluates both).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ClusterKind {
-    /// Docker engine (lightweight, sub-second starts).
-    Docker,
-    /// Kubernetes (automated management, ≈3 s starts).
-    K8s,
-}
-
-impl ClusterKind {
-    /// Display name.
-    pub fn label(self) -> &'static str {
-        match self {
-            ClusterKind::Docker => "Docker",
-            ClusterKind::K8s => "K8s",
-        }
-    }
-}
-
-/// Harness configuration.
-#[derive(Clone, Debug)]
-pub struct TestbedConfig {
-    /// Number of emulated Raspberry Pi clients.
-    pub n_clients: usize,
-    /// Edge cluster type.
-    pub cluster: ClusterKind,
-    /// Global Scheduler name (see [`edgectl::scheduler_by_name`]).
-    pub scheduler: String,
-    /// Controller configuration.
-    pub controller: ControllerConfig,
-    /// Use the private in-network registry instead of public ones.
-    pub private_registry: bool,
-    /// Proactive-deployment predictor name (see
-    /// [`edgectl::predictor_by_name`]); `"none"` = pure reactive.
-    pub predictor: String,
-    /// Add a hierarchical *far edge* Docker cluster on the route to the
-    /// cloud (Section IV-A-2).
-    pub far_edge: bool,
-    /// Fault-injection plan (all rates 0 = faults disabled, byte-identical
-    /// behaviour to a build without the fault layer).
-    pub faults: FaultPlan,
-    /// Record per-request span trees ([`Telemetry::recording`]); disabled
-    /// runs keep the no-op tracer and stay byte-identical.
-    pub telemetry: bool,
-    /// Simulation seed.
-    pub seed: u64,
-}
-
-impl Default for TestbedConfig {
-    fn default() -> Self {
-        TestbedConfig {
-            n_clients: 20,
-            cluster: ClusterKind::Docker,
-            scheduler: "proximity".to_owned(),
-            controller: ControllerConfig::default(),
-            private_registry: false,
-            predictor: "none".to_owned(),
-            far_edge: false,
-            faults: FaultPlan::default(),
-            telemetry: false,
-            seed: 1,
-        }
-    }
-}
 
 /// A finished client request.
 #[derive(Clone, Debug)]
@@ -101,6 +59,34 @@ pub struct CompletedRequest {
     pub timing: RequestTiming,
 }
 
+/// One completed handover, as observed by the harness.
+#[derive(Clone, Copy, Debug)]
+pub struct HandoverRecord {
+    /// The client that moved.
+    pub client: usize,
+    /// gNB left.
+    pub from: usize,
+    /// gNB joined.
+    pub to: usize,
+    /// When the attachment change was announced.
+    pub at: SimTime,
+    /// When the last new-switch flow install went out — `completed_at - at`
+    /// is the control-plane interruption.
+    pub completed_at: SimTime,
+    /// FlowMemory entries migrated.
+    pub flows_migrated: usize,
+    /// Sessions re-placed through the Global Scheduler.
+    pub redispatched: usize,
+}
+
+impl HandoverRecord {
+    /// Control-plane interruption: announce → last install.
+    pub fn interruption(&self) -> Duration {
+        self.completed_at.saturating_since(self.at)
+    }
+}
+
+/// One one-shot request connection, keyed by `(client, source port)`.
 struct ConnState {
     service: ServiceAddr,
     client: usize,
@@ -110,307 +96,263 @@ struct ConnState {
     request_sent: bool,
 }
 
+/// Per-client session state (one long-lived connection each).
+struct Session {
+    service: ServiceAddr,
+    src_port: u16,
+    /// When the (latest) SYN went out; cleared once the handshake lands.
+    syn_sent: Option<SimTime>,
+    /// Reply template captured from the SYN-ACK (client → service).
+    template: Option<TcpHeaders>,
+    /// Sent-at of the ping currently awaiting its response.
+    outstanding: Option<SimTime>,
+    /// Response bytes accumulated toward the outstanding ping.
+    pending_bytes: usize,
+    expected_bytes: usize,
+    request_bytes: usize,
+    pings_sent: u64,
+    pings_done: u64,
+    /// Per-ping round-trip times, in completion order.
+    rtts: Vec<Duration>,
+    /// First ping completed after a controller restart — the session's
+    /// recovery instant.
+    first_done_after_restart: Option<SimTime>,
+}
+
 /// TCP maximum segment size used when chunking request/response payloads
 /// (1500 MTU − 20 IPv4 − 20 TCP − a little slack).
 const MSS: usize = 1448;
 
+/// First ephemeral source port of every client.
+const FIRST_SRC_PORT: u16 = 49152;
+
+/// Everything the loop schedules. `sw` indexes the ingress switch (always 0
+/// on the C³ testbed).
 enum Ev {
-    StartRequest {
-        client: usize,
-        service: ServiceAddr,
-    },
-    FrameAt {
-        node: NodeId,
-        in_port: u32,
-        data: Vec<u8>,
-    },
-    CtrlUp(Vec<u8>),
-    CtrlDown(Vec<u8>),
-    /// Carries the deadline it was scheduled for (see [`Deadline`]).
+    StartRequest { client: usize, service: ServiceAddr },
+    StartSession { client: usize },
+    Ping { client: usize },
+    FrameAt { node: NodeId, in_port: u32, data: Vec<u8> },
+    CtrlUp { sw: usize, bytes: Vec<u8> },
+    /// A queued switch→controller message finishes its service time and is
+    /// actually handled. Only scheduled when `ctrl_service_time` is non-zero.
+    CtrlProcess { sw: usize, bytes: Vec<u8> },
+    CtrlDown { sw: usize, bytes: Vec<u8> },
+    Attach(AttachmentEvent),
+    /// The self-re-arming events carry the deadline they were scheduled for
+    /// (see [`Deadline`]).
     Tick(SimTime),
+    /// A live migration's transfer (and warm start) lands: flip the flows.
+    /// Never scheduled unless the controller's migration policy is live.
+    MigrationTick(SimTime),
+    /// Never scheduled unless a predictor other than `none` is configured.
     PredictTick,
-    /// Carries the deadline it was scheduled for.
-    SwitchExpiry(SimTime),
-    ServerSend {
-        node: NodeId,
-        data: Vec<u8>,
-    },
+    SwitchExpiry { sw: usize, at: SimTime },
+    /// A server's reply leaves through the port its request came in by.
+    ServerSend { node: NodeId, port: PortNo, data: Vec<u8> },
+    // Runtime-chaos events; none are scheduled unless the fault plan's
+    // runtime rates are non-zero.
+    CrashZone { zone: usize },
+    OutageBegin { zone: usize, until: SimTime },
+    OutageEnd { zone: usize },
+    ChannelDown { sw: usize, until: SimTime },
+    ChannelUp { sw: usize },
+    /// The controller process dies: every control-plane interaction is a
+    /// no-op until the restart; switches keep forwarding on installed rules.
+    ControllerCrash { restart_at: SimTime },
+    /// The controller comes back: crash-restart (warm journal replay or
+    /// cold empty start), then reconcile every switch table.
+    ControllerRestart,
+    HealthTick,
+    RetransmitCheck,
 }
 
-/// The assembled, runnable testbed.
-pub struct Testbed {
+/// The assembled, runnable testbed on network `T`.
+pub struct Harness<T: Net> {
     engine: Engine<Ev>,
-    c3: C3Topology,
+    net: T,
     /// `NodeId` → what the node is, for frame dispatch.
     roles: Vec<Role>,
-    switch: Switch,
-    /// The transparent-edge controller under test.
+    /// One per ingress.
+    switches: Vec<Switch>,
+    /// The transparent-edge controller under test (one, managing every
+    /// ingress switch).
     pub controller: Controller,
     rng: SimRng,
     profiles: FastMap<ServiceAddr, ServiceProfile>,
-    conns: FastMap<(usize, u16), ConnState>,
     /// Server-side request reassembly: bytes received per connection 4-tuple.
     server_rx: FastMap<(Ipv4Addr, u16, Ipv4Addr, u16), usize>,
-    next_src_port: Vec<u16>,
     tick: Deadline,
-    expiry: Deadline,
+    migration: Deadline,
+    /// Per switch.
+    expiry: Vec<Deadline>,
     listeners: ListenerIndex,
+    accept_latency: LogNormal,
+    cloud_processing: LogNormal,
+    capture: Option<netsim::PcapCapture>,
+    faults: FaultPlan,
+    /// Current ingress switch per client.
+    attachment: Vec<usize>,
+    /// Frames dropped by the data plane (must stay 0 across handovers).
+    pub drops: u64,
+    /// Connections refused (RST) — should stay zero thanks to port polling.
+    pub resets: u64,
+    /// Frames that reached a client exposing a non-cloud source address —
+    /// transparency violations (must stay zero: the redirect must be
+    /// invisible to clients, whichever zone answered).
+    pub transparency_violations: u64,
+    // -- one-shot request connections ---------------------------------------
+    conns: FastMap<(usize, u16), ConnState>,
+    next_src_port: Vec<u16>,
+    /// Completed requests, in completion order.
+    pub completed: Vec<CompletedRequest>,
     predictor: Box<dyn edgectl::DeploymentPredictor>,
     predict_interval: Duration,
     predict_scheduled: bool,
     last_request_at: SimTime,
     observed_records: usize,
-    ctrl_latency: Duration,
-    accept_latency: LogNormal,
-    cloud_processing: LogNormal,
-    /// Completed requests, in completion order.
-    pub completed: Vec<CompletedRequest>,
-    /// Connections refused (RST) — should stay zero thanks to port polling.
-    pub resets: u64,
-    /// Frames dropped by the data plane.
-    pub drops: u64,
-    /// Frames that reached a client exposing a non-cloud source address —
-    /// transparency violations (must stay zero: the redirect must be
-    /// invisible to clients).
-    pub transparency_violations: u64,
     /// Deployments triggered by the predictor rather than a request.
     pub proactive_deployments: u64,
-    capture: Option<netsim::PcapCapture>,
-    faults: FaultPlan,
+    // -- long-lived pinging sessions ----------------------------------------
+    /// The service sessions talk to: the last one registered.
+    service: Option<ServiceAddr>,
+    /// Indexed by client; empty until [`MobilityTestbed::run`] opens them.
+    sessions: Vec<Session>,
+    policy: HandoverPolicy,
+    ping_interval: Duration,
+    /// Stop scheduling new pings after this instant (lets in-flight pings
+    /// drain before the run deadline).
+    ping_end: SimTime,
+    retransmit: Option<Duration>,
+    /// Handovers performed, in order.
+    pub handovers: Vec<HandoverRecord>,
+    /// Responses arriving with no ping outstanding.
+    pub double_answered: u64,
+    /// Client retransmissions (SYNs and pings).
+    pub retransmits: u64,
+    // -- the control channel (transparent at defaults) ----------------------
+    ctrl_latency: Duration,
+    /// While `Some(t)`, switch `sw`'s control channel is down until `t`:
+    /// control messages in either direction are dropped, not delayed.
+    channel_down_until: Vec<Option<SimTime>>,
+    /// While `Some(t)`, the controller is dead until `t`: packet-ins go
+    /// unanswered (clients retransmit), ticks and sweeps are skipped, but
+    /// switches keep forwarding on the rules already installed.
+    ctrl_blackout_until: Option<SimTime>,
+    /// Per-message controller service time (see [`MobilityConfig`]).
+    ctrl_service_time: Duration,
+    /// The controller is busy serving queued messages until this instant.
+    ctrl_busy_until: SimTime,
+    /// Control messages lost to a down channel.
+    pub ctrl_dropped: u64,
+    // -- runtime chaos and crash recovery (inert at zero fault rates) -------
+    /// Restart mode applied when a controller crash fires.
+    recovery: RecoveryMode,
+    /// Instance crashes injected.
+    pub instance_crashes: u64,
+    /// Zone outages injected.
+    pub zone_outages: u64,
+    /// Control-channel drops injected.
+    pub channel_losses: u64,
+    /// Controller crashes injected.
+    pub controller_crashes: u64,
+    /// Duration of the (last) control-plane blackout.
+    pub blackout: Duration,
+    /// When the controller (last) came back.
+    pub restarted_at: Option<SimTime>,
+    /// The last restart's recovery report.
+    pub recovery_report: Option<RecoveryReport>,
+    /// Wall-clock nanoseconds the last restart's state rebuild took (replay
+    /// throughput for the HA bench; feeds nothing inside the simulation).
+    pub replay_wall_ns: u64,
+    /// Attachment changes that happened while the controller was down —
+    /// the physical move still happens; the controller only learns of it
+    /// from post-restart traffic (the unannounced-move path).
+    pub missed_handovers: u64,
+    /// Flow mods the restart-time reconcile issued — cold restarts tear
+    /// down (and later re-install) every surviving rule, warm restarts
+    /// find the tables already consistent with the replayed state.
+    pub restart_fixes: u64,
 }
 
-impl TestbedConfig {
-    /// Maps a parsed controller configuration file ([`edgectl::EdgeConfig`])
-    /// to a testbed configuration. The first declared cluster decides the
-    /// primary cluster kind (default Docker); a declared second cluster of
-    /// the other kind is reported back so callers can add it (hybrid setup).
-    pub fn from_edge_config(cfg: &edgectl::EdgeConfig, seed: u64) -> (TestbedConfig, bool) {
-        let primary = cfg
-            .clusters
-            .first()
-            .map(|c| {
-                if c.kind == "k8s" {
-                    ClusterKind::K8s
-                } else {
-                    ClusterKind::Docker
-                }
-            })
-            .unwrap_or(ClusterKind::Docker);
-        let wants_hybrid = cfg.clusters.len() > 1
-            && primary == ClusterKind::Docker
-            && cfg.clusters[1].kind == "k8s";
-        (
-            TestbedConfig {
-                cluster: primary,
-                scheduler: cfg.scheduler.clone(),
-                predictor: cfg.predictor.clone(),
-                controller: cfg.controller.clone(),
-                faults: cfg.faults.clone(),
-                seed,
-                ..TestbedConfig::default()
-            },
-            wants_hybrid,
-        )
-    }
-}
+/// The paper's C³ evaluation testbed: one OVS, one gateway server.
+pub type Testbed = Harness<C3Topology>;
 
-impl Testbed {
-    /// Builds a testbed straight from a controller configuration file.
-    pub fn from_edge_config(cfg: &edgectl::EdgeConfig, seed: u64) -> Testbed {
-        let (tc, hybrid) = TestbedConfig::from_edge_config(cfg, seed);
-        let mut tb = Testbed::new(tc);
-        if hybrid {
-            tb.add_hybrid_k8s();
-        }
-        tb
-    }
+/// The multi-gNB testbed: long-lived sessions under user mobility.
+pub type MobilityTestbed = Harness<MultiGnbTopology>;
 
-    /// Builds a testbed per `config`.
-    pub fn new(config: TestbedConfig) -> Testbed {
-        let mut rng = SimRng::new(config.seed);
-        let c3 = C3Topology::build_with_far_edge(config.n_clients, config.far_edge);
-        let switch = Switch::new(SwitchConfig {
-            datapath_id: 0xC3,
-            n_buffers: 1024,
-            miss_send_len: 0xffff,
-            ports: c3.ovs_ports(),
-        });
-        let scheduler =
-            edgectl::scheduler_by_name(&config.scheduler).unwrap_or_else(|e| panic!("{e}"));
-        let mut controller = Controller::new(
-            scheduler,
-            PortMap {
-                cluster_ports: HashMap::new(),
-                cloud_port: c3.cloud_port.0,
-            },
-            config.controller.clone(),
-        );
-        if config.telemetry {
-            controller.telemetry = Telemetry::recording();
-        }
-        let egs_mac = c3.topo.node(c3.egs).mac;
-        let egs_ip = c3.topo.node(c3.egs).ip;
-        let edge_latency = Duration::from_micros(50);
-        let store = if config.private_registry {
-            containerd::ContentStore::with_mirror(registry::RegistryProfile::private_local())
-        } else {
-            containerd::ContentStore::new()
-        };
-        let mut node = containerd::ContainerdNode::new(store, containerd::RuntimeTimings::default());
-        // Fault injectors get one label per site so their draw streams stay
-        // independent; with all rates at zero nothing is wired at all,
-        // keeping fault-free runs byte-identical.
-        let chaos = config.faults.enabled();
-        match config.cluster {
-            ClusterKind::Docker => {
-                if chaos {
-                    node.store_mut().set_faults(config.faults.injector(0));
-                    node.set_faults(config.faults.injector(1));
-                }
-                let engine = DockerEngine::new(node, dockersim::EngineTimings::default());
-                controller.add_cluster(
-                    Box::new(DockerCluster::new(
-                        "egs-docker",
-                        engine,
-                        egs_mac,
-                        egs_ip,
-                        edge_latency,
-                    )),
-                    c3.egs_port.0,
-                );
-            }
-            ClusterKind::K8s => {
-                // Kubernetes faults (scale-up rejection, probe flaps) live on
-                // the cluster; its worker containerd nodes stay fault-free.
-                let mut cluster = K8sCluster::new(node, k8ssim::K8sTimings::default(), 110);
-                if chaos {
-                    cluster.set_faults(config.faults.injector(2));
-                }
-                controller.add_cluster(
-                    Box::new(K8sEdgeCluster::new(
-                        "egs-k8s",
-                        cluster,
-                        egs_mac,
-                        edge_latency,
-                        None,
-                    )),
-                    c3.egs_port.0,
-                );
-            }
-        }
-        if let Some((far_node, far_port)) = c3.far_edge {
-            let far_mac = c3.topo.node(far_node).mac;
-            let far_ip = c3.topo.node(far_node).ip;
-            let mut engine = DockerEngine::with_defaults();
-            if chaos {
-                engine.node_mut().store_mut().set_faults(config.faults.injector(5));
-                engine.node_mut().set_faults(config.faults.injector(3));
-            }
-            controller.add_cluster(
-                Box::new(DockerCluster::new(
-                    "far-edge",
-                    engine,
-                    far_mac,
-                    far_ip,
-                    Duration::from_millis(2),
-                )),
-                far_port.0,
-            );
-        }
-        let n_clients = config.n_clients;
-        Testbed {
-            // Pre-size the event core from the population: each client keeps
-            // a handful of in-flight events (frames, ticks, expiries), so
-            // steady-state runs never re-grow event storage mid-simulation.
-            engine: Engine::with_capacity(n_clients * 64 + 1024),
-            roles: c3.roles(),
-            c3,
-            switch,
+impl<T: Net> Harness<T> {
+    /// What both constructors share. `engine`, `switches` and `controller`
+    /// are the constructor's own; every subsystem it does not configure
+    /// afterwards stays at its inert default.
+    fn assemble(
+        engine: Engine<Ev>,
+        net: T,
+        switches: Vec<Switch>,
+        controller: Controller,
+        n_clients: usize,
+        seed: u64,
+    ) -> Self {
+        Harness {
+            engine,
+            roles: net.roles(),
+            net,
             controller,
-            rng: rng.fork(0xbed),
+            rng: SimRng::new(seed).fork(0xbed),
             profiles: FastMap::default(),
-            conns: FastMap::default(),
             server_rx: FastMap::default(),
-            next_src_port: vec![49152; n_clients],
             tick: Deadline::default(),
-            expiry: Deadline::default(),
+            migration: Deadline::default(),
+            expiry: vec![Deadline::default(); switches.len()],
             listeners: ListenerIndex::default(),
-            predictor: edgectl::predictor_by_name(&config.predictor)
-                .unwrap_or_else(|e| panic!("{e}")),
+            accept_latency: LogNormal::from_median(0.0001, 0.3),
+            cloud_processing: LogNormal::from_median(0.002, 0.3),
+            capture: None,
+            faults: FaultPlan::default(),
+            attachment: vec![0; n_clients],
+            drops: 0,
+            resets: 0,
+            transparency_violations: 0,
+            conns: FastMap::default(),
+            next_src_port: vec![FIRST_SRC_PORT; n_clients],
+            completed: Vec::new(),
+            predictor: edgectl::predictor_by_name("none").expect("the null predictor exists"),
             predict_interval: Duration::from_millis(500),
             predict_scheduled: false,
             last_request_at: SimTime::ZERO,
-            ctrl_latency: Duration::from_micros(200),
-            accept_latency: LogNormal::from_median(0.0001, 0.3),
-            cloud_processing: LogNormal::from_median(0.002, 0.3),
             observed_records: 0,
-            completed: Vec::new(),
-            resets: 0,
-            drops: 0,
-            transparency_violations: 0,
             proactive_deployments: 0,
-            capture: None,
-            faults: config.faults,
+            service: None,
+            sessions: Vec::new(),
+            policy: HandoverPolicy::Anchored,
+            ping_interval: Duration::from_millis(200),
+            ping_end: SimTime::MAX,
+            retransmit: None,
+            handovers: Vec::new(),
+            double_answered: 0,
+            retransmits: 0,
+            ctrl_latency: Duration::from_micros(200),
+            channel_down_until: vec![None; switches.len()],
+            ctrl_blackout_until: None,
+            ctrl_service_time: Duration::ZERO,
+            ctrl_busy_until: SimTime::ZERO,
+            ctrl_dropped: 0,
+            recovery: RecoveryMode::Warm,
+            instance_crashes: 0,
+            zone_outages: 0,
+            channel_losses: 0,
+            controller_crashes: 0,
+            blackout: Duration::ZERO,
+            restarted_at: None,
+            recovery_report: None,
+            replay_wall_ns: 0,
+            missed_handovers: 0,
+            restart_fixes: 0,
+            switches,
         }
     }
 
-    /// Adds a *second* edge cluster of the other kind on the same gateway —
-    /// the Section VII hybrid setup (Docker answers first, Kubernetes takes
-    /// over). The added cluster gets a marginally smaller distance so the
-    /// nearest-ready rule hands steady-state traffic to it.
-    pub fn add_hybrid_k8s(&mut self) {
-        let egs_mac = self.c3.topo.node(self.c3.egs).mac;
-        let mut cluster = K8sCluster::with_defaults();
-        if self.faults.enabled() {
-            cluster.set_faults(self.faults.injector(4));
-        }
-        self.controller.add_cluster(
-            Box::new(K8sEdgeCluster::new(
-                "egs-k8s",
-                cluster,
-                egs_mac,
-                Duration::from_micros(45),
-                None,
-            )),
-            self.c3.egs_port.0,
-        );
-    }
-
-    /// Fully pre-deploys a service on cluster `idx` (pull + create +
-    /// scale-up): the "already running in a farther edge" setup of Fig. 3.
-    pub fn pre_deploy_on(&mut self, addr: ServiceAddr, idx: usize) {
-        let svc = self
-            .controller
-            .services()
-            .get(addr)
-            .cloned()
-            .expect("service registered");
-        let now = self.engine.now();
-        let rng = &mut self.rng;
-        let cluster = self.controller.cluster_mut(idx);
-        let t = cluster.pull(&svc, now, rng).expect("pre-deploy: pull");
-        let t = cluster.create(&svc, t, rng).expect("pre-deploy: create");
-        cluster
-            .scale_up(&svc, t, rng)
-            .expect("pre-deploy: scale-up");
-    }
-
-    /// Pre-pulls a service's images on cluster `idx` (hybrid setups).
-    pub fn pre_pull_on(&mut self, addr: ServiceAddr, idx: usize) {
-        let svc = self
-            .controller
-            .services()
-            .get(addr)
-            .cloned()
-            .expect("service registered");
-        let now = self.engine.now();
-        self.controller
-            .cluster_mut(idx)
-            .pull(&svc, now, &mut self.rng)
-            .expect("pre-pull");
-    }
-
-    /// Starts capturing every frame that traverses the OVS into a pcap
+    /// Starts capturing every frame that traverses a switch into a pcap
     /// recording (inspect runs with Wireshark/tcpdump).
     pub fn enable_capture(&mut self) {
         self.capture = Some(netsim::PcapCapture::new());
@@ -422,13 +364,13 @@ impl Testbed {
     }
 
     /// The topology (addressing, stats).
-    pub fn topology(&self) -> &C3Topology {
-        &self.c3
+    pub fn topology(&self) -> &T {
+        &self.net
     }
 
-    /// The OVS switch (fast-path statistics).
-    pub fn switch(&self) -> &Switch {
-        &self.switch
+    /// The ingress switches (fast-path statistics).
+    pub fn switches(&self) -> &[Switch] {
+        &self.switches
     }
 
     /// Current simulated time.
@@ -437,22 +379,23 @@ impl Testbed {
     }
 
     /// A point-in-time metrics snapshot: the controller's registry plus
-    /// gauges folded in from every subsystem counter — switch fast-path
-    /// and microflow statistics, FlowMemory lookup accounting, and each
-    /// cluster's engine operations, layer-cache hit rate, and load.
+    /// gauges folded in from every subsystem counter — each switch's
+    /// fast-path and microflow statistics, FlowMemory lookup accounting, the
+    /// event core, and each cluster's engine operations, layer-cache hit
+    /// rate, and load; under runtime chaos, also the breaker states.
     pub fn telemetry_snapshot(&self) -> MetricsRegistry {
         let mut m = self.controller.telemetry.metrics.clone();
-        let sw = &self.switch;
-        m.set_gauge("switch.fast_path_packets", sw.fast_path_packets as f64);
-        m.set_gauge("switch.table_misses", sw.table_misses as f64);
-        m.set_gauge("switch.microflow_hits", sw.microflow_hits as f64);
-        m.set_gauge("switch.microflow_misses", sw.microflow_misses as f64);
-        let probes = sw.microflow_hits + sw.microflow_misses;
-        if probes > 0 {
-            m.set_gauge(
-                "switch.microflow_hit_rate",
-                sw.microflow_hits as f64 / probes as f64,
-            );
+        for (i, sw) in self.switches.iter().enumerate() {
+            let label = self.net.switch_label(i);
+            let mut gauge = |name: &str, v: f64| m.set_gauge(&format!("{label}.{name}"), v);
+            gauge("fast_path_packets", sw.fast_path_packets as f64);
+            gauge("table_misses", sw.table_misses as f64);
+            gauge("microflow_hits", sw.microflow_hits as f64);
+            gauge("microflow_misses", sw.microflow_misses as f64);
+            let probes = sw.microflow_hits + sw.microflow_misses;
+            if probes > 0 {
+                gauge("microflow_hit_rate", sw.microflow_hits as f64 / probes as f64);
+            }
         }
         let fm = self.controller.memory().stats;
         m.set_gauge("flowmemory.lookups", fm.lookups as f64);
@@ -469,6 +412,12 @@ impl Testbed {
             for (k, v) in c.telemetry_stats() {
                 m.set_gauge(&format!("cluster.{}.{k}", c.name()), v);
             }
+            if self.faults.runtime_enabled() {
+                m.set_gauge(
+                    &format!("cluster.{idx}.breaker_state"),
+                    self.controller.breaker_state(idx).gauge(),
+                );
+            }
         }
         m
     }
@@ -480,7 +429,7 @@ impl Testbed {
     }
 
     /// Registers `profile` as an edge service at `addr` and returns the
-    /// created registration.
+    /// created registration. Sessions talk to the service registered last.
     pub fn register_service(&mut self, profile: ServiceProfile, addr: ServiceAddr) -> EdgeService {
         let containers: String = profile
             .manifests
@@ -507,13 +456,19 @@ impl Testbed {
             profile: profile.clone(),
         };
         self.profiles.insert(addr, profile);
+        self.service = Some(addr);
         self.controller.register_service(svc.clone());
         svc
     }
 
-    /// Pre-pulls a service's images onto the edge cluster (experiment
-    /// setup for the cached-image scenarios).
-    pub fn pre_pull(&mut self, addr: ServiceAddr) {
+    /// Runs `phases` — deployment phases ahead of the run — for the service
+    /// registered at `addr` on cluster `idx`, at the current instant.
+    fn on_cluster<R>(
+        &mut self,
+        addr: ServiceAddr,
+        idx: usize,
+        phases: impl FnOnce(&mut dyn EdgeCluster, &EdgeService, SimTime, &mut SimRng) -> R,
+    ) -> R {
         let svc = self
             .controller
             .services()
@@ -521,31 +476,26 @@ impl Testbed {
             .cloned()
             .expect("service registered");
         let now = self.engine.now();
-        self.controller
-            .cluster_mut(0)
-            .pull(&svc, now, &mut self.rng)
-            .expect("pre-pull");
+        phases(self.controller.cluster_mut(idx).as_mut(), &svc, now, &mut self.rng)
     }
 
-    /// Pre-creates a service (Create phase done ahead of time; scale-up
-    /// remains on demand) — the Fig. 11 scenario.
-    pub fn pre_create(&mut self, addr: ServiceAddr) {
-        let svc = self
-            .controller
-            .services()
-            .get(addr)
-            .cloned()
-            .expect("service registered");
-        let now = self.engine.now();
-        self.controller
-            .cluster_mut(0)
-            .create(&svc, now, &mut self.rng)
-            .expect("pre-create");
+    /// Fully deploys `addr` on cluster `idx`: scale-up, after pull and create
+    /// where the cluster has not seen the service yet.
+    fn pre_deploy(&mut self, addr: ServiceAddr, idx: usize) {
+        self.on_cluster(addr, idx, |cluster, svc, now, rng| {
+            let t = if cluster.state(svc, now) == edgectl::InstanceState::NotDeployed {
+                let t = cluster.pull(svc, now, rng).expect("pre-deploy: pull");
+                cluster.create(svc, t, rng).expect("pre-deploy: create")
+            } else {
+                now
+            };
+            cluster.scale_up(svc, t, rng).expect("pre-deploy: scale-up");
+        });
     }
 
-    /// Schedules a client request at `at`.
+    /// Schedules a one-shot request of `client` at `at`.
     pub fn request_at(&mut self, at: SimTime, client: usize, service: ServiceAddr) {
-        assert!(client < self.c3.clients.len());
+        assert!(client < self.attachment.len());
         self.last_request_at = self.last_request_at.max(at);
         self.engine
             .schedule_at(at, Ev::StartRequest { client, service });
@@ -556,7 +506,11 @@ impl Testbed {
     }
 
     /// Runs until the event queue drains or `deadline` passes. Returns the
-    /// number of events processed.
+    /// number of events processed. Calling it again with a later deadline
+    /// continues the run: after [`MobilityTestbed::run`] no new pings are
+    /// sent, so in-flight recovery (channel reconnects, health sweeps, client
+    /// retransmits) settles and "permanently stranded" is distinguishable
+    /// from "still in flight".
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut n = 0;
         while let Some((now, ev)) = self.engine.pop_until(deadline) {
@@ -566,14 +520,80 @@ impl Testbed {
         n
     }
 
+    /// Total pings sent across all sessions.
+    pub fn pings_sent(&self) -> u64 {
+        self.sessions.iter().map(|s| s.pings_sent).sum()
+    }
+
+    /// Total pings answered across all sessions.
+    pub fn pings_done(&self) -> u64 {
+        self.sessions.iter().map(|s| s.pings_done).sum()
+    }
+
+    /// Every recorded ping round-trip time, in seconds.
+    pub fn rtts_secs(&self) -> Vec<f64> {
+        self.sessions
+            .iter()
+            .flat_map(|s| s.rtts.iter().map(|d| d.as_secs_f64()))
+            .collect()
+    }
+
+    /// Sessions left permanently stranded: never connected, or still
+    /// waiting on a ping answer. Zero after a settled chaos run is the
+    /// self-healing acceptance bar.
+    pub fn stranded(&self) -> u64 {
+        self.sessions
+            .iter()
+            .filter(|s| s.template.is_none() || s.outstanding.is_some())
+            .count() as u64
+    }
+
+    /// Per-session recovery time after the (last) controller restart: the
+    /// first ping completed after the restart, relative to the restart
+    /// instant. Sessions with nothing completed afterwards are excluded
+    /// (use [`Self::stranded`] for those). Sessions whose installed flows
+    /// carried them straight through score near zero — that is the
+    /// data-plane-continuity half of the recovery story.
+    pub fn recovery_times_secs(&self) -> Vec<f64> {
+        let Some(restart) = self.restarted_at else {
+            return Vec::new();
+        };
+        self.sessions
+            .iter()
+            .filter_map(|s| s.first_done_after_restart)
+            .map(|t| t.saturating_since(restart).as_secs_f64())
+            .collect()
+    }
+
+    /// Reconciles every switch table against the controller's bookkeeping
+    /// *now*, applying the fixes synchronously (no control latency), and
+    /// returns the number of fix messages issued. A converged control plane
+    /// returns 0; experiments call this twice after a chaos run to prove the
+    /// tables diff clean.
+    pub fn reconcile_now(&mut self) -> usize {
+        let now = self.engine.now();
+        let mut fixes = 0;
+        for sw in 0..self.switches.len() {
+            let out = self.reconcile(sw, now);
+            fixes += out.len();
+            for m in out {
+                if let Ok(effects) = self.switches[sw].handle_controller(now, &m.data) {
+                    self.process_switch_effects(sw, effects);
+                }
+            }
+        }
+        fixes
+    }
+
     // -- internal plumbing --------------------------------------------------
 
     fn send_from(&mut self, node: NodeId, out_port: PortNo, data: Vec<u8>) {
-        let Some((peer, peer_port)) = self.c3.topo.peer_of(node, out_port) else {
+        let topo = self.net.topo();
+        let Some((peer, peer_port)) = topo.peer_of(node, out_port) else {
             self.drops += 1;
             return;
         };
-        let link = self.c3.topo.link_at(node, out_port).expect("link exists");
+        let link = topo.link_at(node, out_port).expect("link exists");
         let delay = link.traversal_time(data.len(), &mut self.rng);
         self.engine.schedule_in(
             delay,
@@ -591,90 +611,176 @@ impl Testbed {
         }
     }
 
-    fn reschedule_expiry(&mut self) {
-        if let Some(t) = self.expiry.arm(self.switch.next_expiry(), self.engine.now()) {
-            self.engine.schedule_at(t, Ev::SwitchExpiry(t));
+    fn reschedule_migration(&mut self) {
+        let next = self.controller.next_migration_at();
+        if let Some(t) = self.migration.arm(next, self.engine.now()) {
+            self.engine.schedule_at(t, Ev::MigrationTick(t));
         }
     }
 
-    fn process_switch_effects(&mut self, effects: Vec<Effect>) {
+    fn reschedule_expiry(&mut self, sw: usize) {
+        let next = self.switches[sw].next_expiry();
+        if let Some(at) = self.expiry[sw].arm(next, self.engine.now()) {
+            self.engine.schedule_at(at, Ev::SwitchExpiry { sw, at });
+        }
+    }
+
+    fn process_switch_effects(&mut self, sw: usize, effects: Vec<Effect>) {
         for e in effects {
             match e {
                 Effect::Forward { port, data } => {
-                    self.send_from(self.c3.ovs, PortNo(port), data);
+                    self.send_from(self.net.switch_node(sw), PortNo(port), data);
                 }
                 Effect::ToController(bytes) => {
-                    self.engine.schedule_in(self.ctrl_latency, Ev::CtrlUp(bytes));
+                    self.engine
+                        .schedule_in(self.ctrl_latency, Ev::CtrlUp { sw, bytes });
                 }
                 Effect::Drop => self.drops += 1,
             }
         }
-        self.reschedule_expiry();
+        self.reschedule_expiry(sw);
+    }
+
+    /// Puts a controller message on the channel down to switch `sw`.
+    fn send_down(&mut self, sw: usize, m: OutboundMessage) {
+        let at = m.at.max(self.engine.now()) + self.ctrl_latency;
+        self.engine.schedule_at(at, Ev::CtrlDown { sw, bytes: m.data });
+    }
+
+    /// [`Self::send_down`] for messages tagged with their switch.
+    fn send_down_each(&mut self, msgs: Vec<(IngressId, OutboundMessage)>) {
+        for (ingress, m) in msgs {
+            self.send_down(ingress.0 as usize, m);
+        }
+    }
+
+    /// Diffs switch `sw`'s table against the controller's bookkeeping and
+    /// returns the controller's fixes, not yet sent.
+    fn reconcile(&mut self, sw: usize, now: SimTime) -> Vec<OutboundMessage> {
+        let flows: Vec<FlowEntry> = self.switches[sw].table().entries().cloned().collect();
+        self.controller.reconcile(IngressId(sw as u32), &flows, now)
+    }
+
+    /// Whether switch `sw`'s control channel is up at `now`.
+    fn channel_up(&self, sw: usize, now: SimTime) -> bool {
+        self.channel_down_until[sw].is_none_or(|until| now >= until)
+    }
+
+    /// Whether the controller process is alive at `now` (not inside a
+    /// crash blackout).
+    fn controller_up(&self, now: SimTime) -> bool {
+        self.ctrl_blackout_until.is_none_or(|until| now >= until)
+    }
+
+    /// Hands a switch→controller message to the controller and schedules
+    /// whatever it sends back down. Called straight from `Ev::CtrlUp` when
+    /// service time is zero, or from `Ev::CtrlProcess` once the message's
+    /// turn in the controller queue comes up.
+    fn process_ctrl_up(&mut self, now: SimTime, sw: usize, bytes: &[u8]) {
+        let ingress = IngressId(sw as u32);
+        match self
+            .controller
+            .handle_switch_message_from(ingress, now, bytes, &mut self.rng)
+        {
+            Ok(out) => {
+                for m in out {
+                    self.send_down(sw, m);
+                }
+            }
+            Err(_) => self.drops += 1,
+        }
+        self.reschedule_tick();
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev) {
         match ev {
             Ev::StartRequest { client, service } => {
-                let src_port = self.next_src_port[client];
-                self.next_src_port[client] = src_port.wrapping_add(1).max(49152);
-                let client_node = self.c3.clients[client];
-                let frame = TcpFrame::syn(
-                    self.c3.topo.node(client_node).mac,
-                    self.c3.topo.node(self.c3.cloud).mac, // perceived cloud gateway
-                    self.c3.topo.node(client_node).ip,
-                    src_port,
+                let src_port = self.next_request_port(client);
+                let conn = ConnState {
                     service,
-                );
-                self.conns.insert(
-                    (client, src_port),
-                    ConnState {
-                        service,
-                        client,
-                        timing: RequestTiming::started(now),
-                        bytes_received: 0,
-                        expected_bytes: self
-                            .profiles
-                            .get(&service)
-                            .map(|p| p.response_bytes)
-                            .unwrap_or(500),
-                        request_sent: false,
-                    },
-                );
-                self.send_from(client_node, PortNo(1), frame.encode());
+                    client,
+                    timing: RequestTiming::started(now),
+                    bytes_received: 0,
+                    expected_bytes: self.answer_bytes(service),
+                    request_sent: false,
+                };
+                self.conns.insert((client, src_port), conn);
+                self.send_syn(client, src_port, service);
             }
+            Ev::StartSession { client } => {
+                self.sessions[client].syn_sent = Some(now);
+                self.send_session_syn(client);
+            }
+            Ev::Ping { client } => self.send_ping(now, client),
             Ev::FrameAt { node, in_port, data } => match self.roles[node.0 as usize] {
-                Role::Switch(_) => {
+                Role::Switch(sw) => {
                     if let Some(cap) = &mut self.capture {
                         cap.record(now, &data);
                     }
-                    let effects = self.switch.handle_frame_owned(now, in_port, data);
-                    self.process_switch_effects(effects);
+                    let effects = self.switches[sw].handle_frame_owned(now, in_port, data);
+                    self.process_switch_effects(sw, effects);
                 }
-                Role::Edge(_) => self.handle_server_frame(now, node, &data, false),
-                Role::Cloud => self.handle_server_frame(now, node, &data, true),
+                Role::Edge => self.handle_server_frame(now, node, in_port, &data, false),
+                Role::Cloud => self.handle_server_frame(now, node, in_port, &data, true),
                 Role::Client(client) => self.handle_client_frame(now, client, &data),
             },
-            Ev::CtrlUp(bytes) => {
-                match self.controller.handle_switch_message(now, &bytes, &mut self.rng) {
-                    Ok(out) => {
-                        for m in out {
-                            let at = m.at.max(now) + self.ctrl_latency;
-                            self.engine.schedule_at(at, Ev::CtrlDown(m.data));
-                        }
-                    }
+            Ev::CtrlUp { sw, bytes } => {
+                if !self.channel_up(sw, now) || !self.controller_up(now) {
+                    self.ctrl_dropped += 1;
+                    return;
+                }
+                if self.ctrl_service_time > Duration::ZERO {
+                    // The controller is a single queue: this message waits
+                    // behind whatever is already being served, then takes
+                    // its own service time before the handling runs.
+                    let done = self.ctrl_busy_until.max(now) + self.ctrl_service_time;
+                    self.ctrl_busy_until = done;
+                    self.engine.schedule_at(done, Ev::CtrlProcess { sw, bytes });
+                    return;
+                }
+                self.process_ctrl_up(now, sw, &bytes);
+            }
+            Ev::CtrlProcess { sw, bytes } => {
+                // A crash may have landed between arrival and service.
+                if !self.controller_up(now) {
+                    self.ctrl_dropped += 1;
+                    return;
+                }
+                self.process_ctrl_up(now, sw, &bytes);
+            }
+            Ev::CtrlDown { sw, bytes } => {
+                if !self.channel_up(sw, now) {
+                    self.ctrl_dropped += 1;
+                    return;
+                }
+                match self.switches[sw].handle_controller(now, &bytes) {
+                    Ok(effects) => self.process_switch_effects(sw, effects),
                     Err(_) => self.drops += 1,
                 }
+            }
+            Ev::Attach(ev) => self.handle_attach(now, ev),
+            Ev::Tick(at) => {
+                if !self.tick.fires(at) {
+                    return;
+                }
+                if !self.controller_up(now) {
+                    return; // rescheduled by the restart
+                }
+                self.controller.tick(now, &mut self.rng);
                 self.reschedule_tick();
             }
-            Ev::CtrlDown(bytes) => match self.switch.handle_controller(now, &bytes) {
-                Ok(effects) => self.process_switch_effects(effects),
-                Err(_) => self.drops += 1,
-            },
-            Ev::Tick(at) => {
-                if self.tick.fires(at) {
-                    self.controller.tick(now, &mut self.rng);
-                    self.reschedule_tick();
+            Ev::MigrationTick(at) => {
+                if !self.migration.fires(at) {
+                    return;
                 }
+                if !self.controller_up(now) {
+                    return; // in-flight migrations are pinned until restart
+                }
+                let flips = self.controller.migration_tick(now, &mut self.rng);
+                self.send_down_each(flips);
+                self.reschedule_migration();
+                // The flip repoints memorized flows; their next expiry moved.
+                self.reschedule_tick();
             }
             Ev::PredictTick => {
                 // Feed new observations to the predictor, then act on its
@@ -701,19 +807,261 @@ impl Testbed {
                     self.predict_scheduled = false;
                 }
             }
-            Ev::SwitchExpiry(at) => {
-                if self.expiry.fires(at) {
-                    let effects = self.switch.expire_flows(now);
-                    self.process_switch_effects(effects);
+            Ev::SwitchExpiry { sw, at } => {
+                if self.expiry[sw].fires(at) {
+                    let effects = self.switches[sw].expire_flows(now);
+                    self.process_switch_effects(sw, effects);
                 }
             }
-            Ev::ServerSend { node, data } => {
-                self.send_from(node, PortNo(1), data);
+            Ev::ServerSend { node, port, data } => {
+                self.send_from(node, port, data);
+            }
+            Ev::CrashZone { zone } => {
+                // Silent death: nothing is announced; the health sweep has
+                // to notice and repair.
+                if let Some(addr) = self.service {
+                    if self.controller.inject_instance_crash(zone, addr, now, &mut self.rng) {
+                        self.instance_crashes += 1;
+                    }
+                }
+            }
+            Ev::OutageBegin { zone, until } => {
+                self.zone_outages += 1;
+                let repairs = self.controller.begin_zone_outage(zone, now, until, &mut self.rng);
+                self.send_down_each(repairs);
+                self.engine.schedule_at(until, Ev::OutageEnd { zone });
+            }
+            Ev::OutageEnd { zone } => self.controller.end_zone_outage(zone),
+            Ev::ChannelDown { sw, until } => {
+                self.channel_losses += 1;
+                self.channel_down_until[sw] = Some(until);
+                self.engine.schedule_at(until, Ev::ChannelUp { sw });
+            }
+            Ev::ChannelUp { sw } => {
+                self.channel_down_until[sw] = None;
+                if !self.controller_up(now) {
+                    return; // the restart reconciles every switch anyway
+                }
+                // The switch's table and the controller's bookkeeping both
+                // drifted while the channel was down.
+                for m in self.reconcile(sw, now) {
+                    self.send_down(sw, m);
+                }
+            }
+            Ev::ControllerCrash { restart_at } => {
+                self.controller_crashes += 1;
+                self.blackout = restart_at.saturating_since(now);
+                self.ctrl_blackout_until = Some(restart_at);
+                self.engine.schedule_at(restart_at, Ev::ControllerRestart);
+            }
+            Ev::ControllerRestart => {
+                self.ctrl_blackout_until = None;
+                // The old process's queue died with it.
+                self.ctrl_busy_until = now;
+                let wall = std::time::Instant::now();
+                let report = self.controller.crash_restart(self.recovery, now);
+                self.replay_wall_ns = wall.elapsed().as_nanos() as u64;
+                self.recovery_report = Some(report);
+                self.restarted_at = Some(now);
+                for s in &mut self.sessions {
+                    s.first_done_after_restart = None;
+                }
+                // Replay (or cold start) done — diff every switch table
+                // against the recovered bookkeeping and fix the drift. Each
+                // fix occupies the controller for one service time, so a
+                // cold restart (which tears down every surviving rule)
+                // keeps post-restart packet-ins waiting behind the sweep;
+                // a warm restart finds the tables consistent and serves
+                // them immediately.
+                for sw in 0..self.switches.len() {
+                    let out = self.reconcile(sw, now);
+                    self.restart_fixes += out.len() as u64;
+                    for m in out {
+                        let mut at = m.at.max(now);
+                        if self.ctrl_service_time > Duration::ZERO {
+                            self.ctrl_busy_until =
+                                self.ctrl_busy_until.max(at) + self.ctrl_service_time;
+                            at = self.ctrl_busy_until;
+                        }
+                        self.engine
+                            .schedule_at(at + self.ctrl_latency, Ev::CtrlDown { sw, bytes: m.data });
+                    }
+                }
+                self.reschedule_tick();
+                self.reschedule_migration();
+            }
+            Ev::HealthTick => {
+                let detect = self.controller.health_config().detect_interval;
+                // The sweep keeps its cadence through a blackout so detection
+                // resumes immediately after the restart.
+                if self.controller_up(now) {
+                    let repairs = self.controller.health_check(now);
+                    self.send_down_each(repairs);
+                    // A sweep that tripped a breaker open evacuates the zone:
+                    // every service still anchored there live-migrates to the
+                    // nearest serving cluster (a no-op unless policy is live).
+                    self.controller.migrate_on_breaker_open(now, &mut self.rng);
+                    self.reschedule_migration();
+                }
+                self.engine.schedule_at(now + detect, Ev::HealthTick);
+            }
+            Ev::RetransmitCheck => {
+                let rto = self.retransmit.expect("scheduled only with a timer");
+                for c in 0..self.sessions.len() {
+                    let sess = &mut self.sessions[c];
+                    let stale = |sent: SimTime| now.saturating_since(sent) >= rto;
+                    if sess.template.is_none() {
+                        // Handshake still pending: resend the SYN if stale.
+                        if sess.syn_sent.is_some_and(stale) {
+                            sess.syn_sent = Some(now);
+                            self.retransmits += 1;
+                            self.send_session_syn(c);
+                        }
+                    } else if sess.outstanding.is_some_and(stale) {
+                        // Resend the ping's segments; `outstanding` keeps the
+                        // original send time so the RTT covers the loss.
+                        self.retransmits += 1;
+                        self.send_ping_segments(c);
+                    }
+                }
+                self.engine.schedule_at(now + rto, Ev::RetransmitCheck);
             }
         }
     }
 
-    fn handle_server_frame(&mut self, now: SimTime, node: NodeId, data: &[u8], is_cloud: bool) {
+    // -- the client side ----------------------------------------------------
+
+    /// Bytes of one answer from `service` as its client counts them: the
+    /// profile's response size (500 from the generic cloud web server) —
+    /// and at least the one byte even an empty response puts on the wire
+    /// (see [`segments`]), or a zero-byte answer could never be told apart
+    /// from no answer.
+    fn answer_bytes(&self, service: ServiceAddr) -> usize {
+        self.profiles
+            .get(&service)
+            .map_or(500, |p| p.response_bytes)
+            .max(1)
+    }
+
+    /// Bytes of one request to `service` (120 for an unregistered address).
+    fn request_bytes(&self, service: ServiceAddr) -> usize {
+        self.profiles.get(&service).map_or(120, |p| p.request_bytes)
+    }
+
+    /// Allocates `client`'s next request source port, skipping the one its
+    /// session (if any) holds.
+    fn next_request_port(&mut self, client: usize) -> u16 {
+        let held = self.sessions.get(client).map(|s| s.src_port);
+        loop {
+            let port = self.next_src_port[client];
+            self.next_src_port[client] = port.wrapping_add(1).max(FIRST_SRC_PORT);
+            if Some(port) != held {
+                return port;
+            }
+        }
+    }
+
+    /// Opens a connection of `client` toward `service` through the switch
+    /// the client is attached to.
+    fn send_syn(&mut self, client: usize, src_port: u16, service: ServiceAddr) {
+        let topo = self.net.topo();
+        let node = self.net.client_node(client);
+        let frame = TcpFrame::syn(
+            topo.node(node).mac,
+            topo.node(self.net.cloud_node()).mac, // perceived cloud gateway
+            topo.node(node).ip,
+            src_port,
+            service,
+        );
+        let uplink = self.net.uplink_port(self.attachment[client], client);
+        self.send_from(node, uplink, frame.encode());
+    }
+
+    /// (Re)sends the opening SYN of `client`'s session.
+    fn send_session_syn(&mut self, client: usize) {
+        let Session { src_port, service, .. } = self.sessions[client];
+        self.send_syn(client, src_port, service);
+    }
+
+    /// Sends `bytes` of request payload from `client`, segmented at the MSS
+    /// and patterned on `template`, through the switch it is attached to.
+    fn send_request(&mut self, client: usize, template: TcpHeaders, bytes: usize) {
+        let node = self.net.client_node(client);
+        let uplink = self.net.uplink_port(self.attachment[client], client);
+        for seg in segments(template, bytes) {
+            self.send_from(node, uplink, seg);
+        }
+    }
+
+    fn send_ping(&mut self, now: SimTime, client: usize) {
+        let sess = &mut self.sessions[client];
+        if sess.template.is_none() {
+            return;
+        }
+        sess.pings_sent += 1;
+        sess.outstanding = Some(now);
+        self.send_ping_segments(client);
+    }
+
+    /// Puts the segments of `client`'s current ping on the wire.
+    fn send_ping_segments(&mut self, client: usize) {
+        let Session { template, request_bytes, .. } = self.sessions[client];
+        let template = template.expect("pings follow the handshake");
+        self.send_request(client, template, request_bytes);
+    }
+
+    fn handle_attach(&mut self, now: SimTime, ev: AttachmentEvent) {
+        let to = ev.to_cell % self.switches.len();
+        let from = self.attachment[ev.client];
+        if to == from {
+            return; // intra-gNB cell change: nothing to hand over
+        }
+        self.attachment[ev.client] = to;
+        if !self.controller_up(now) {
+            // The move happens physically but nobody hears the announcement;
+            // post-restart traffic from the new gNB takes the unannounced-
+            // move path (flush + re-dispatch).
+            self.missed_handovers += 1;
+            return;
+        }
+        let topo = self.net.topo();
+        let client = topo.node(self.net.client_node(ev.client));
+        let outcome = self.controller.handle_attachment_change(
+            now,
+            client.ip,
+            client.mac,
+            topo.node(self.net.cloud_node()).mac,
+            IngressId(from as u32),
+            IngressId(to as u32),
+            self.net.client_port(to, ev.client).0,
+            self.policy,
+            &mut self.rng,
+        );
+        self.handovers.push(HandoverRecord {
+            client: ev.client,
+            from,
+            to,
+            at: outcome.at,
+            completed_at: outcome.completed_at,
+            flows_migrated: outcome.flows_migrated,
+            redispatched: outcome.redispatched,
+        });
+        self.send_down_each(outcome.messages);
+        // A redispatch may have started an on-demand deployment.
+        self.reschedule_tick();
+        // The move may have started a mobility-triggered live migration.
+        self.reschedule_migration();
+    }
+
+    /// A frame reached the server at `node`: an edge host, or the cloud.
+    fn handle_server_frame(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        in_port: u32,
+        data: &[u8],
+        is_cloud: bool,
+    ) {
         let Ok(frame) = TcpHeaders::parse(data) else {
             self.drops += 1;
             return;
@@ -726,20 +1074,23 @@ impl Testbed {
             self.listeners
                 .lookup(&self.controller, frame.dst_ip, frame.dst_port, now)
         };
-        let (processing, response_bytes, listening) = if is_cloud {
+        let (processing, request_bytes, response_bytes, listening) = if is_cloud {
             // The real cloud hosts every registered service (and a generic
             // web server for everything else) — the "perceived cloud".
             match self.profiles.get(&frame.dst_service()) {
-                Some(p) => (p.request_processing, p.response_bytes, true),
-                None => (self.cloud_processing, 500, true),
+                Some(p) => (p.request_processing, p.request_bytes, p.response_bytes, true),
+                None => (self.cloud_processing, 1, 500, true),
             }
         } else {
             match edge {
-                Some(l) => (l.processing, l.response_bytes, l.ready),
-                None => (self.cloud_processing, 0, false),
+                Some(l) => (l.processing, l.request_bytes, l.response_bytes, l.ready),
+                None => (self.cloud_processing, 1, 0, false),
             }
         };
-
+        // Replies retrace the link they arrived by — with several ingress
+        // switches, the one whose flows carried the request rewrites them
+        // back.
+        let port = PortNo(in_port);
         if frame.flags.contains(TcpFlags::SYN) {
             let reply = if listening {
                 frame.reply(TcpFlags::SYN_ACK, 0)
@@ -749,76 +1100,90 @@ impl Testbed {
                 frame.reply(TcpFlags::RST, 0)
             };
             let delay = self.accept_latency.sample_duration(&mut self.rng);
-            self.engine.schedule_in(
-                delay,
-                Ev::ServerSend {
-                    node,
-                    data: reply.encode_filled(0),
-                },
-            );
+            let data = reply.encode_filled(0);
+            self.engine
+                .schedule_in(delay, Ev::ServerSend { node, port, data });
             return;
         }
         if frame.payload_len != 0 && listening {
             // Reassemble the (possibly segmented) HTTP request; respond once
             // all of it arrived.
-            let expected = if is_cloud {
-                self.profiles
-                    .get(&frame.dst_service())
-                    .map(|p| p.request_bytes)
-                    .unwrap_or(1)
-            } else {
-                edge.map(|l| l.request_bytes).unwrap_or(1)
-            };
             let key = (frame.src_ip, frame.src_port, frame.dst_ip, frame.dst_port);
             let acc = self.server_rx.entry(key).or_insert(0);
             *acc += frame.payload_len;
-            if *acc >= expected {
+            if *acc >= request_bytes {
                 self.server_rx.remove(&key);
+                // An edge instance completed a request: its session state
+                // grows by the configured per-request bytes (no-op while
+                // migration is off or stateless).
+                if let Some(l) = edge {
+                    self.controller.note_served(l.service, l.cluster);
+                }
                 let delay = processing.sample_duration(&mut self.rng);
                 let template = frame.reply(TcpFlags::PSH_ACK, 0);
                 for data in segments(template, response_bytes) {
                     self.engine
-                        .schedule_in(delay, Ev::ServerSend { node, data });
+                        .schedule_in(delay, Ev::ServerSend { node, port, data });
                 }
             }
         }
     }
 
+    /// A frame reached `client`: for its session, or for one of its request
+    /// connections.
     fn handle_client_frame(&mut self, now: SimTime, client: usize, data: &[u8]) {
         let Ok(frame) = TcpHeaders::parse(data) else {
             self.drops += 1;
             return;
         };
         let key = (client, frame.dst_port);
-        let Some(conn) = self.conns.get_mut(&key) else {
+        let is_session = self
+            .sessions
+            .get(client)
+            .is_some_and(|s| s.src_port == frame.dst_port);
+        let service = if is_session {
+            self.sessions[client].service
+        } else if let Some(conn) = self.conns.get(&key) {
+            conn.service
+        } else {
             return; // stray frame for a finished connection
         };
         // Transparency invariant: everything the client receives must look
         // like it came from the registered cloud address.
-        if frame.src_ip != conn.service.ip || frame.src_port != conn.service.port {
+        if frame.src_ip != service.ip || frame.src_port != service.port {
             self.transparency_violations += 1;
         }
         if frame.flags.contains(TcpFlags::RST) {
             self.resets += 1;
-            self.conns.remove(&key);
+            // A refused request is over; a session keeps retrying.
+            if !is_session {
+                self.conns.remove(&key);
+            }
             return;
         }
-        if frame.flags.contains(TcpFlags::SYN) && frame.flags.contains(TcpFlags::ACK) {
+        let syn_ack = frame.flags.contains(TcpFlags::SYN) && frame.flags.contains(TcpFlags::ACK);
+        if is_session {
+            self.session_frame(now, client, &frame, syn_ack);
+        } else {
+            self.request_frame(now, key, &frame, syn_ack);
+        }
+    }
+
+    /// The one-shot request state machine: SYN-ACK → send the request;
+    /// response bytes → complete once all arrived.
+    fn request_frame(&mut self, now: SimTime, key: (usize, u16), frame: &TcpHeaders, syn_ack: bool) {
+        let Some(conn) = self.conns.get_mut(&key) else {
+            return;
+        };
+        if syn_ack {
             conn.timing.connected = Some(now);
             if !conn.request_sent {
                 conn.request_sent = true;
-                let request_bytes = self
-                    .profiles
-                    .get(&conn.service)
-                    .map(|p| p.request_bytes)
-                    .unwrap_or(120);
+                let service = conn.service;
                 // ACK + HTTP request, segmented at the MSS (curl pipelines
                 // the ACK with the first data segment).
-                let template = frame.reply(TcpFlags::PSH_ACK, 0);
-                let client_node = self.c3.clients[client];
-                for seg in segments(template, request_bytes) {
-                    self.send_from(client_node, PortNo(1), seg);
-                }
+                let request_bytes = self.request_bytes(service);
+                self.send_request(key.0, frame.reply(TcpFlags::PSH_ACK, 0), request_bytes);
             }
             return;
         }
@@ -839,9 +1204,43 @@ impl Testbed {
             }
         }
     }
+
+    /// The session state machine: SYN-ACK → first ping; response bytes →
+    /// the outstanding ping is answered and the next one scheduled.
+    fn session_frame(&mut self, now: SimTime, client: usize, frame: &TcpHeaders, syn_ack: bool) {
+        let sess = &mut self.sessions[client];
+        if syn_ack {
+            if sess.template.is_none() {
+                sess.syn_sent = None;
+                sess.template = Some(frame.reply(TcpFlags::PSH_ACK, 0));
+                self.send_ping(now, client);
+            }
+            return;
+        }
+        if frame.payload_len != 0 {
+            sess.pending_bytes += frame.payload_len;
+            while sess.pending_bytes >= sess.expected_bytes {
+                sess.pending_bytes -= sess.expected_bytes;
+                match sess.outstanding.take() {
+                    Some(sent_at) => {
+                        sess.pings_done += 1;
+                        sess.rtts.push(now.saturating_since(sent_at));
+                        if self.restarted_at.is_some() && sess.first_done_after_restart.is_none() {
+                            sess.first_done_after_restart = Some(now);
+                        }
+                        if now + self.ping_interval < self.ping_end {
+                            self.engine
+                                .schedule_at(now + self.ping_interval, Ev::Ping { client });
+                        }
+                    }
+                    None => self.double_answered += 1,
+                }
+            }
+        }
+    }
 }
 
-impl Drop for Testbed {
+impl<T: Net> Drop for Harness<T> {
     /// Every finished testbed run contributes its metrics snapshot to the
     /// process-global collection point when one was enabled
     /// ([`telemetry::global`], `repro --telemetry`). With collection off —
@@ -857,7 +1256,7 @@ impl Drop for Testbed {
 /// patterned on `template` (endpoints copied, `PSH|ACK`, sequence numbers
 /// advancing) and yields each as encoded frame bytes — the buffer that then
 /// travels to the receiver. A transfer of zero bytes is one 1-byte segment.
-pub(crate) fn segments(template: TcpHeaders, total_bytes: usize) -> impl Iterator<Item = Vec<u8>> {
+fn segments(template: TcpHeaders, total_bytes: usize) -> impl Iterator<Item = Vec<u8>> {
     let n = total_bytes.div_ceil(MSS).max(1);
     let mut remaining = total_bytes;
     let mut seq = template.seq;
@@ -875,188 +1274,217 @@ pub(crate) fn segments(template: TcpHeaders, total_bytes: usize) -> impl Iterato
     })
 }
 
+/// One self-re-arming timer chain (controller tick, flow expiry, ...). The
+/// event carries the deadline it was scheduled for; when a nearer deadline
+/// supersedes it, the later event stays queued and is recognised as stale
+/// when it fires — so a chain never forks into two.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Deadline(Option<SimTime>);
+
+impl Deadline {
+    /// The chain wants to fire at `next`. Returns the instant to schedule an
+    /// event for (carrying that instant), unless a live event at or before
+    /// it is already queued.
+    fn arm(&mut self, next: Option<SimTime>, now: SimTime) -> Option<SimTime> {
+        let t = next?.max(now);
+        if self.0.is_none_or(|s| s > t || s < now) {
+            self.0 = Some(t);
+            Some(t)
+        } else {
+            None
+        }
+    }
+
+    /// `true` if the event scheduled for `at` is the live one (and disarms);
+    /// `false` for a superseded event, which the caller drops.
+    fn fires(&mut self, at: SimTime) -> bool {
+        let live = self.0 == Some(at);
+        if live {
+            self.0 = None;
+        }
+        live
+    }
+}
+
+/// What the server side of a frame needs to know about the instance
+/// listening at its destination: `Copy` scalars only, so the per-frame path
+/// never clones a `ServiceProfile` (manifest strings and all).
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Listener {
+    /// The service it is an instance of, and the cluster it runs on.
+    service: ServiceAddr,
+    cluster: usize,
+    processing: LogNormal,
+    request_bytes: usize,
+    response_bytes: usize,
+    ready: bool,
+}
+
+/// The (service, cluster) pair whose instance serves at `(ip, port)`: the
+/// first match in registry × cluster order.
+fn scan(controller: &Controller, ip: Ipv4Addr, port: u16) -> Option<(&EdgeService, usize)> {
+    controller.services().iter().find_map(|svc| {
+        (0..controller.cluster_count())
+            .find(|&idx| serves_at(controller, svc, idx, ip, port))
+            .map(|idx| (svc, idx))
+    })
+}
+
+fn serves_at(
+    controller: &Controller,
+    svc: &EdgeService,
+    idx: usize,
+    ip: Ipv4Addr,
+    port: u16,
+) -> bool {
+    controller
+        .cluster(idx)
+        .instance_addr(svc)
+        .is_some_and(|a| a.ip == ip && a.port == port)
+}
+
+fn listener(controller: &Controller, svc: &EdgeService, idx: usize, now: SimTime) -> Listener {
+    let p = &svc.profile;
+    Listener {
+        service: svc.addr,
+        cluster: idx,
+        processing: p.request_processing,
+        request_bytes: p.request_bytes,
+        response_bytes: p.response_bytes,
+        ready: controller.cluster(idx).state(svc, now).is_ready(),
+    }
+}
+
+/// The answer [`ListenerIndex::lookup`] must give, by scan alone.
+#[cfg(test)]
+fn scan_listener(controller: &Controller, ip: Ipv4Addr, port: u16, now: SimTime) -> Option<Listener> {
+    scan(controller, ip, port).map(|(svc, idx)| listener(controller, svc, idx, now))
+}
+
+/// `(ip, port)` → listening instance, remembered between frames. An entry
+/// is only trusted while the pair still reports that address, and every
+/// cluster hands out addresses from its own host or pod range, so a valid
+/// entry is the scan's answer; anything else falls back to the scan. One
+/// entry per (service, cluster) pair: an instance that comes back at a new
+/// address (a new pod) replaces its old entry.
+#[derive(Default)]
+struct ListenerIndex {
+    by_addr: FastMap<(Ipv4Addr, u16), (ServiceAddr, usize)>,
+    addr_of: FastMap<(ServiceAddr, usize), (Ipv4Addr, u16)>,
+}
+
+impl ListenerIndex {
+    /// Which instance (if any) listens at `(ip, port)`, and is it ready at
+    /// `now`?
+    fn lookup(
+        &mut self,
+        controller: &Controller,
+        ip: Ipv4Addr,
+        port: u16,
+        now: SimTime,
+    ) -> Option<Listener> {
+        let (svc, idx) = self.resolve(controller, ip, port)?;
+        Some(listener(controller, svc, idx, now))
+    }
+
+    /// Remembered addresses (bounded by services × clusters).
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        assert_eq!(self.by_addr.len(), self.addr_of.len());
+        self.by_addr.len()
+    }
+
+    fn resolve<'a>(
+        &mut self,
+        controller: &'a Controller,
+        ip: Ipv4Addr,
+        port: u16,
+    ) -> Option<(&'a EdgeService, usize)> {
+        let key = (ip, port);
+        if let Some(&(addr, idx)) = self.by_addr.get(&key) {
+            if let Some(svc) = controller.services().get(addr) {
+                if serves_at(controller, svc, idx, ip, port) {
+                    return Some((svc, idx));
+                }
+            }
+            self.by_addr.remove(&key);
+            self.addr_of.remove(&(addr, idx));
+        }
+        let (svc, idx) = scan(controller, ip, port)?;
+        if let Some(old) = self.addr_of.insert((svc.addr, idx), key) {
+            self.by_addr.remove(&old);
+        }
+        self.by_addr.insert(key, (svc.addr, idx));
+        Some((svc, idx))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use desim::Summary;
+    use edgectl::ControllerConfig;
+    use mobility::{CellHops, Static};
 
     fn svc_addr(i: u8) -> ServiceAddr {
         ServiceAddr::new(Ipv4Addr::new(203, 0, 113, i), 80)
     }
 
-    fn run_one(kind: ClusterKind, profile_key: &str, pre_pull: bool, pre_create: bool, seed: u64) -> (Testbed, Duration) {
-        let mut tb = Testbed::new(TestbedConfig {
-            cluster: kind,
+    /// Three gNBs with 20 clients spread over them, driven — like the C³
+    /// testbed — by one-shot requests.
+    fn three_gnbs(controller: ControllerConfig, seed: u64) -> MobilityTestbed {
+        let mut tb = MobilityTestbed::new(MobilityConfig {
+            n_gnbs: 3,
+            n_clients: 20,
+            controller,
             seed,
-            ..TestbedConfig::default()
+            ..MobilityConfig::default()
         });
-        let profile = containerd::ServiceSet::by_key(profile_key).unwrap();
-        let addr = svc_addr(10);
-        tb.register_service(profile, addr);
-        if pre_pull {
-            tb.pre_pull(addr);
+        for c in 0..20 {
+            tb.attachment[c] = c % 3;
         }
-        if pre_create {
-            tb.pre_create(addr);
-        }
-        tb.request_at(SimTime::from_secs(1), 0, addr);
-        tb.run_until(SimTime::from_secs(120));
-        assert_eq!(tb.completed.len(), 1, "request completed (resets={})", tb.resets);
-        let total = tb.completed[0].timing.time_total().unwrap();
-        (tb, total)
+        tb
     }
 
-    #[test]
-    fn docker_scale_up_first_request_is_sub_second() {
-        // The headline result: nginx on Docker, image cached & created —
-        // first-request time_total ≈ 0.5 s, well under a second.
-        let mut totals = Vec::new();
-        for seed in 0..10 {
-            let (_, total) = run_one(ClusterKind::Docker, "nginx", true, true, seed);
-            totals.push(total.as_secs_f64());
-        }
-        let med = Summary::new(totals).median().unwrap();
-        assert!((0.3..1.0).contains(&med), "docker median {med:.3}s");
-    }
-
-    #[test]
-    fn k8s_scale_up_first_request_is_about_three_seconds() {
-        let mut totals = Vec::new();
-        for seed in 0..10 {
-            let (_, total) = run_one(ClusterKind::K8s, "nginx", true, true, seed);
-            totals.push(total.as_secs_f64());
-        }
-        let med = Summary::new(totals).median().unwrap();
-        assert!((2.0..4.5).contains(&med), "k8s median {med:.3}s");
-    }
-
-    #[test]
-    fn no_resets_thanks_to_port_polling() {
-        for seed in [1, 7, 42] {
-            let (tb, _) = run_one(ClusterKind::Docker, "resnet", true, true, seed);
-            assert_eq!(tb.resets, 0, "client never hits a closed port");
+    /// Runs to `deadline` like `run_until`, calling `inspect` on the testbed
+    /// and each event before it is handled.
+    fn run_inspecting<T: Net>(
+        tb: &mut Harness<T>,
+        deadline: SimTime,
+        mut inspect: impl FnMut(&mut Harness<T>, SimTime, &mut Ev),
+    ) {
+        while let Some((now, mut ev)) = tb.engine.pop_until(deadline) {
+            inspect(tb, now, &mut ev);
+            tb.handle(now, ev);
         }
     }
 
     #[test]
-    fn cold_pull_dominates_when_not_cached() {
-        let (tb, total) = run_one(ClusterKind::Docker, "nginx", false, false, 3);
-        assert!(total > Duration::from_secs(2), "cold total {total}");
-        let rec = &tb.controller.records[0];
-        assert!(rec.phases.pull_done.is_some());
+    fn an_event_is_forty_bytes() {
+        // Every frame, control message and timer of a run is one of these.
+        assert_eq!(std::mem::size_of::<Ev>(), 40);
     }
 
     #[test]
-    fn second_request_is_milliseconds() {
-        let mut tb = Testbed::new(TestbedConfig::default());
-        let profile = containerd::ServiceSet::by_key("nginx").unwrap();
-        let addr = svc_addr(10);
-        tb.register_service(profile, addr);
-        tb.pre_pull(addr);
-        tb.pre_create(addr);
-        tb.request_at(SimTime::from_secs(1), 0, addr);
-        tb.request_at(SimTime::from_secs(10), 1, addr);
-        tb.run_until(SimTime::from_secs(120));
-        assert_eq!(tb.completed.len(), 2);
-        let warm = tb.completed[1].timing.time_total().unwrap();
-        // Fig. 16: ~1 ms for static services once running.
-        assert!(warm < Duration::from_millis(10), "warm total {warm}");
-        // And the switch served it without a second dispatch round:
-        // the first request already installed per-connection flows, but a
-        // new connection needs one more packet-in → memory hit.
-        assert!(tb.controller.records.len() == 2);
-    }
-
-    /// Regression: the aggregated forward rule used to match the service for
-    /// *any* in-port, so a client on another switch port never missed the
-    /// table, never reached the controller's divergent check, and its
-    /// replies left through the first client's port.
-    #[test]
-    fn aggregate_rules_serve_clients_on_several_switch_ports() {
-        let mut tb = Testbed::new(TestbedConfig {
-            controller: ControllerConfig {
-                aggregate_rules: true,
-                ..ControllerConfig::default()
-            },
-            ..TestbedConfig::default()
-        });
-        let profile = containerd::ServiceSet::by_key("nginx").unwrap();
-        let addr = svc_addr(10);
-        tb.register_service(profile, addr);
-        tb.pre_pull(addr);
-        tb.pre_create(addr);
-        // Client 0 deploys (an exact pair), client 1 is the first shared
-        // decision (the aggregate, on its port), client 2 sits on another
-        // port, client 1's second connection rides the aggregate.
-        for (secs, client) in [(1, 0), (3, 1), (4, 2), (5, 1)] {
-            tb.request_at(SimTime::from_secs(secs), client, addr);
-        }
-        tb.run_until(SimTime::from_secs(8));
-        assert_eq!(tb.completed.len(), 4, "every request completes");
-        assert_eq!(tb.transparency_violations, 0);
-        assert_eq!(tb.resets, 0);
-        let metrics = &tb.controller.telemetry.metrics;
-        assert_eq!(metrics.counter("aggregate_installed"), 1);
-        assert_eq!(metrics.counter("aggregate_divergent"), 1, "client 2, on another port");
-        let base = ControllerConfig::default().flow_priority;
-        let at = |priority: u16| {
-            tb.switch().table().entries().filter(|e| e.priority == priority).count()
-        };
-        assert_eq!(at(base - 2), 2, "the one aggregate pair");
-        assert_eq!(at(base), 4, "exact pairs for the clients on the other two ports");
-    }
-
-    #[test]
-    fn unregistered_traffic_reaches_cloud_with_wan_latency() {
-        let mut tb = Testbed::new(TestbedConfig::default());
-        // No registration at all: everything flows to the cloud.
-        let addr = svc_addr(99);
-        tb.request_at(SimTime::from_secs(1), 0, addr);
-        tb.run_until(SimTime::from_secs(30));
-        assert_eq!(tb.completed.len(), 1);
-        let total = tb.completed[0].timing.time_total().unwrap();
-        // ≥ 4 WAN traversals (SYN, SYN-ACK, request, response) ≈ ≥60 ms.
-        assert!(total > Duration::from_millis(50), "cloud total {total}");
-    }
-
-    #[test]
-    fn resnet_is_much_slower_warm_than_nginx() {
-        let mut tb = Testbed::new(TestbedConfig::default());
-        let nginx = svc_addr(10);
-        let resnet = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 11), 8501);
-        tb.register_service(containerd::ServiceSet::by_key("nginx").unwrap(), nginx);
-        tb.register_service(containerd::ServiceSet::by_key("resnet").unwrap(), resnet);
-        for a in [nginx, resnet] {
-            tb.pre_pull(a);
-            tb.pre_create(a);
-        }
-        tb.request_at(SimTime::from_secs(1), 0, nginx);
-        tb.request_at(SimTime::from_secs(1), 1, resnet);
-        // Warm round after both deployed.
-        tb.request_at(SimTime::from_secs(30), 2, nginx);
-        tb.request_at(SimTime::from_secs(30), 3, resnet);
-        tb.run_until(SimTime::from_secs(60));
-        assert_eq!(tb.completed.len(), 4);
-        let warm_nginx = tb
-            .completed
-            .iter()
-            .find(|c| c.client == 2)
-            .unwrap()
-            .timing
-            .time_total()
-            .unwrap();
-        let warm_resnet = tb
-            .completed
-            .iter()
-            .find(|c| c.client == 3)
-            .unwrap()
-            .timing
-            .time_total()
-            .unwrap();
-        assert!(
-            warm_resnet > warm_nginx * 20,
-            "resnet {warm_resnet} vs nginx {warm_nginx}"
+    fn a_nearer_deadline_supersedes_without_forking_the_chain() {
+        let t = SimTime::from_secs;
+        let mut d = Deadline::default();
+        assert_eq!(d.arm(Some(t(10)), t(0)), Some(t(10)));
+        assert_eq!(d.arm(Some(t(10)), t(1)), None, "already queued");
+        assert_eq!(
+            d.arm(Some(t(12)), t(1)),
+            None,
+            "a later wish waits for the re-arm"
         );
+        assert_eq!(d.arm(Some(t(5)), t(2)), Some(t(5)), "nearer: schedule it");
+        assert!(d.fires(t(5)));
+        // Re-armed for the old instant while the superseded event is still
+        // queued: exactly one of the two events at t=10 is live.
+        assert_eq!(d.arm(Some(t(10)), t(5)), Some(t(10)));
+        assert!(d.fires(t(10)));
+        assert_eq!(d.arm(Some(t(20)), t(10)), Some(t(20)));
+        assert!(!d.fires(t(10)), "the superseded event is dropped");
+        assert!(d.fires(t(20)));
+        assert_eq!(d.arm(None, t(20)), None);
     }
 
     #[test]
@@ -1096,155 +1524,66 @@ mod tests {
     #[test]
     fn corrupted_frames_are_rejected_at_the_switch_and_at_both_endpoints() {
         for target in ["switch", "server", "client"] {
-            let mut tb = Testbed::new(TestbedConfig { n_clients: 20, ..TestbedConfig::default() });
-            let addr = svc_addr(10);
-            tb.register_service(containerd::ServiceSet::by_key("asm").unwrap(), addr);
-            tb.pre_deploy_on(addr, 0);
-            // The first request goes through untouched and warms the path.
-            tb.request_at(SimTime::from_secs(1), 0, addr);
-            tb.run_until(SimTime::from_secs(5));
-            assert_eq!((tb.completed.len(), tb.drops), (1, 0), "{target}");
-            // Then every frame reaching the target loses one byte, each
-            // request at another offset of the 40 header bytes.
-            for i in 0..40 {
-                tb.request_at(SimTime::from_secs(6) + Duration::from_millis(i), 1 + (i as usize % 19), addr);
-            }
-            let mut corrupted = 0u64;
-            while let Some((now, mut ev)) = tb.engine.pop_until(SimTime::from_secs(30)) {
-                if let Ev::FrameAt { node, data, .. } = &mut ev {
-                    let hit = match tb.roles[node.0 as usize] {
-                        Role::Switch(_) => target == "switch",
-                        Role::Edge(_) | Role::Cloud => target == "server",
-                        Role::Client(_) => target == "client",
-                    };
-                    if hit {
-                        data[14 + (corrupted as usize % 40)] ^= 0x01;
-                        corrupted += 1;
-                    }
-                }
-                tb.handle(now, ev);
-            }
-            // Nothing retransmits, so each request dies with its first
-            // frame at the target: its SYN, or the SYN-ACK at the client.
-            assert_eq!(corrupted, 40, "{target}");
-            assert_eq!(tb.drops, corrupted, "{target}: every corrupted frame dropped");
-            assert_eq!(tb.completed.len(), 1, "{target}: no corrupted exchange completed");
+            corrupted_frames_are_rejected(Testbed::new(TestbedConfig::default()), target);
+            corrupted_frames_are_rejected(three_gnbs(ControllerConfig::default(), 1), target);
         }
     }
 
-    #[test]
-    fn pcap_capture_records_decodable_traffic() {
-        let mut tb = Testbed::new(TestbedConfig::default());
-        tb.enable_capture();
+    fn corrupted_frames_are_rejected<T: Net>(mut tb: Harness<T>, target: &str) {
         let addr = svc_addr(10);
         tb.register_service(containerd::ServiceSet::by_key("asm").unwrap(), addr);
-        tb.pre_pull(addr);
-        tb.pre_create(addr);
-        tb.request_at(SimTime::from_secs(1), 0, addr);
-        tb.run_until(SimTime::from_secs(30));
-        let cap = tb.capture().unwrap();
-        // SYN, SYN-ACK, request, response at minimum.
-        assert!(cap.len() >= 4, "captured {}", cap.len());
-        for (at, data) in cap.records() {
-            assert!(*at >= SimTime::from_secs(1));
-            TcpFrame::decode(data).expect("every captured frame decodes");
+        for idx in 0..tb.controller.cluster_count() {
+            tb.pre_deploy(addr, idx);
         }
-        // The serialized capture round-trips.
-        let bytes = cap.to_bytes();
-        let back = netsim::PcapCapture::from_bytes(&bytes).unwrap();
-        assert_eq!(back.len(), cap.len());
-    }
-
-    #[test]
-    fn telemetry_records_spans_and_metrics_without_changing_results() {
-        let run = |telemetry: bool| {
-            let mut tb = Testbed::new(TestbedConfig {
-                telemetry,
-                seed: 5,
-                ..TestbedConfig::default()
-            });
-            let addr = svc_addr(10);
-            tb.register_service(containerd::ServiceSet::by_key("nginx").unwrap(), addr);
-            tb.pre_pull(addr);
-            tb.request_at(SimTime::from_secs(1), 0, addr);
-            tb.request_at(SimTime::from_secs(5), 1, addr);
-            tb.run_until(SimTime::from_secs(60));
-            tb
-        };
-        let plain = run(false);
-        let traced = run(true);
-        // Telemetry is observation only: identical timings either way.
-        let totals = |tb: &Testbed| {
-            tb.completed
-                .iter()
-                .map(|c| (c.client, c.timing.time_total()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(totals(&plain), totals(&traced));
-        assert!(plain.span_log().is_none(), "disabled runs record nothing");
-        let log = traced.span_log().unwrap();
-        assert!(log.check().ok(), "span log consistent: {:?}", log.check());
-        assert_eq!(log.request_ids(), vec![1, 2]);
-        // The snapshot folds every subsystem counter into one registry.
-        let m = traced.telemetry_snapshot();
-        assert_eq!(m.counter("requests_total"), 2);
-        assert!(m.gauge("switch.microflow_hit_rate").is_some());
-        assert!(m.gauge("flowmemory.lookups").unwrap() >= 2.0);
-        assert!(m.gauge("cluster.egs-docker.ops_pulls").unwrap() >= 1.0);
-        assert!(m.gauge("cluster.egs-docker.layer_cache_hit_rate").is_some());
-        assert!(m.gauge("cluster.egs-docker.load").is_some());
-        assert!(m.histogram("answer_delay_ns").is_some());
-    }
-
-    #[test]
-    fn idle_service_scales_down_and_redeploys() {
-        let mut tb = Testbed::new(TestbedConfig {
-            controller: ControllerConfig {
-                memory_idle: Duration::from_secs(20),
-                ..ControllerConfig::default()
-            },
-            ..TestbedConfig::default()
+        // The first request goes through untouched and warms the path.
+        tb.request_at(SimTime::from_secs(1), 0, addr);
+        tb.run_until(SimTime::from_secs(5));
+        assert_eq!((tb.completed.len(), tb.drops), (1, 0), "{target}");
+        // Then every frame reaching the target loses one byte, each
+        // request at another offset of the 40 header bytes.
+        for i in 0..40 {
+            tb.request_at(SimTime::from_secs(6) + Duration::from_millis(i), 1 + (i as usize % 19), addr);
+        }
+        let mut corrupted = 0u64;
+        run_inspecting(&mut tb, SimTime::from_secs(30), |tb, _, ev| {
+            let Ev::FrameAt { node, data, .. } = ev else { return };
+            let hit = match tb.roles[node.0 as usize] {
+                Role::Switch(_) => target == "switch",
+                Role::Edge | Role::Cloud => target == "server",
+                Role::Client(_) => target == "client",
+            };
+            if hit {
+                data[14 + (corrupted as usize % 40)] ^= 0x01;
+                corrupted += 1;
+            }
         });
-        let addr = svc_addr(10);
-        tb.register_service(containerd::ServiceSet::by_key("asm").unwrap(), addr);
-        tb.pre_pull(addr);
-        tb.pre_create(addr);
-        tb.request_at(SimTime::from_secs(1), 0, addr);
-        // Long idle gap, then a second request.
-        tb.request_at(SimTime::from_secs(60), 1, addr);
-        tb.run_until(SimTime::from_secs(120));
-        assert_eq!(tb.completed.len(), 2);
-        let kinds: Vec<_> = tb.controller.records.iter().map(|r| r.kind).collect();
-        use edgectl::controller::RequestKind;
-        assert_eq!(kinds[0], RequestKind::Waited);
-        // After idle scale-down the service had to be scaled up again.
-        assert_eq!(kinds[1], RequestKind::Waited, "kinds: {kinds:?}");
-    }
-
-    /// Runs to `deadline` like `run_until`, calling `inspect` on the testbed
-    /// and each event before it is handled.
-    fn run_inspecting(tb: &mut Testbed, deadline: SimTime, mut inspect: impl FnMut(&mut Testbed, SimTime, &Ev)) {
-        while let Some((now, ev)) = tb.engine.pop_until(deadline) {
-            inspect(tb, now, &ev);
-            tb.handle(now, ev);
-        }
+        // Nothing retransmits, so each request dies with its first
+        // frame at the target: its SYN, or the SYN-ACK at the client.
+        assert_eq!(corrupted, 40, "{target}");
+        assert_eq!(tb.drops, corrupted, "{target}: every corrupted frame dropped");
+        assert_eq!(tb.completed.len(), 1, "{target}: no corrupted exchange completed");
     }
 
     #[test]
     fn superseded_tick_and_expiry_events_do_not_fork_their_chains() {
-        // Cold K8s services idling out within seconds, the `deploy_churn`
+        // Cold services idling out within seconds, the `deploy_churn`
         // shape: on this trace a tick deadline moves earlier than the tick
         // already queued (asserted below).
-        let mut tb = Testbed::new(TestbedConfig {
+        let controller = ControllerConfig {
+            memory_idle: Duration::from_secs(4),
+            switch_flow_idle: Duration::from_secs(2),
+            ..ControllerConfig::default()
+        };
+        superseded_events_do_not_fork_their_chains(Testbed::new(TestbedConfig {
             cluster: ClusterKind::K8s,
-            controller: ControllerConfig {
-                memory_idle: Duration::from_secs(4),
-                switch_flow_idle: Duration::from_secs(2),
-                ..ControllerConfig::default()
-            },
+            controller: controller.clone(),
             seed: 7,
             ..TestbedConfig::default()
-        });
+        }));
+        superseded_events_do_not_fork_their_chains(three_gnbs(controller, 7));
+    }
+
+    fn superseded_events_do_not_fork_their_chains<T: Net>(mut tb: Harness<T>) {
         let addrs: Vec<ServiceAddr> = (10..30).map(svc_addr).collect();
         for &a in &addrs {
             tb.register_service(containerd::ServiceSet::by_key("nginx").unwrap(), a);
@@ -1264,14 +1603,14 @@ mod tests {
         for r in &trace.requests {
             tb.request_at(r.at + Duration::from_secs(1), r.client, addrs[r.service]);
         }
-        // [live, superseded] events and the instant of the last live one.
-        let mut ticks = ([0u32; 2], SimTime::ZERO);
-        let mut expiries = ([0u32; 2], SimTime::ZERO);
+        // Per chain (the tick, each switch's expiry): [live, superseded]
+        // events and the instant of the last live one.
+        let mut chains = vec![([0u32; 2], SimTime::ZERO); 1 + tb.switches.len()];
         run_inspecting(&mut tb, SimTime::from_secs(200), |tb, now, ev| {
             // `chain` is a copy: probing it does not disarm the real one.
-            let (mut chain, at, seen) = match ev {
-                Ev::Tick(at) => (tb.tick, *at, &mut ticks),
-                Ev::SwitchExpiry(at) => (tb.expiry, *at, &mut expiries),
+            let (mut chain, at, seen) = match *ev {
+                Ev::Tick(at) => (tb.tick, at, &mut chains[0]),
+                Ev::SwitchExpiry { sw, at } => (tb.expiry[sw], at, &mut chains[1 + sw]),
                 _ => return,
             };
             let live = chain.fires(at);
@@ -1284,57 +1623,125 @@ mod tests {
             }
         });
         assert_eq!(tb.completed.len(), 400, "resets={}", tb.resets);
-        let ([live_ticks, stale_ticks], _) = ticks;
-        let ([live_expiries, stale_expiries], _) = expiries;
-        assert!(stale_ticks + stale_expiries > 0, "the run must supersede a queued deadline");
+        let stale: u32 = chains.iter().map(|(n, _)| n[1]).sum();
+        assert!(stale > 0, "the run must supersede a queued deadline");
         // A superseded event is popped once and dropped, so there are fewer
         // of them than deadlines; a forked chain doubles the events instead.
-        assert!(stale_ticks < live_ticks, "{stale_ticks} stale vs {live_ticks} live ticks");
-        assert!(stale_expiries < live_expiries, "{stale_expiries} stale vs {live_expiries} live expiries");
+        for ([live, stale], _) in chains {
+            assert!(stale < live, "{stale} stale vs {live} live events of one chain");
+        }
     }
 
     #[test]
     fn listener_lookup_equals_the_scan_across_a_pod_address_change() {
-        use crate::common::scan_listener;
-        let mut tb = Testbed::new(TestbedConfig {
-            cluster: ClusterKind::K8s,
-            controller: ControllerConfig {
-                memory_idle: Duration::from_secs(20),
-                ..ControllerConfig::default()
-            },
-            ..TestbedConfig::default()
-        });
-        let addr = svc_addr(10);
-        let svc = tb.register_service(containerd::ServiceSet::by_key("asm").unwrap(), addr);
-        tb.pre_pull(addr);
+        let controller = ControllerConfig {
+            memory_idle: Duration::from_secs(20),
+            ..ControllerConfig::default()
+        };
         // Scale-up, idle scale-down, scale-up again: the second pod gets a
         // new IP.
-        tb.request_at(SimTime::from_secs(1), 0, addr);
-        tb.request_at(SimTime::from_secs(60), 1, addr);
-        let mut pod_addrs = Vec::new();
+        let tb = Testbed::new(TestbedConfig {
+            cluster: ClusterKind::K8s,
+            controller: controller.clone(),
+            ..TestbedConfig::default()
+        });
+        listener_lookup_equals_the_scan(tb, 2);
+        // Docker zones keep their address across a redeploy; each of the
+        // three zones runs its own instance.
+        listener_lookup_equals_the_scan(three_gnbs(controller, 1), 3);
+    }
+
+    /// Clients 0, 1 and 2 (one per switch, where there are three) request
+    /// the service twice, an idle scale-down apart; `want_addrs` is the
+    /// number of distinct addresses its instances serve at over the run.
+    fn listener_lookup_equals_the_scan<T: Net>(mut tb: Harness<T>, want_addrs: usize) {
+        let addr = svc_addr(10);
+        let svc = tb.register_service(containerd::ServiceSet::by_key("asm").unwrap(), addr);
+        let clusters = tb.controller.cluster_count();
+        for idx in 0..clusters {
+            tb.on_cluster(addr, idx, |cluster, svc, now, rng| {
+                cluster.pull(svc, now, rng).expect("pre-pull");
+            });
+        }
+        for client in 0..3 {
+            tb.request_at(SimTime::from_secs(1), client, addr);
+            tb.request_at(SimTime::from_secs(60), client, addr);
+        }
+        let mut instance_addrs = Vec::new();
         let mut answered = 0;
         run_inspecting(&mut tb, SimTime::from_secs(120), |tb, now, ev| {
             let Ev::FrameAt { node, data, .. } = ev else { return };
-            if *node != tb.c3.egs {
+            if !matches!(tb.roles[node.0 as usize], Role::Edge) {
                 return;
             }
-            if let Some(a) = tb.controller.cluster(0).instance_addr(&svc) {
-                if pod_addrs.last() != Some(&a) {
-                    pod_addrs.push(a);
+            for idx in 0..clusters {
+                if let Some(a) = tb.controller.cluster(idx).instance_addr(&svc) {
+                    if !instance_addrs.contains(&a) {
+                        instance_addrs.push(a);
+                    }
                 }
             }
-            // Every frame the EGS sees, at every address a pod ever had.
+            // Every frame an edge host sees, at every address an instance
+            // ever had.
             let frame = TcpFrame::decode(data).unwrap();
-            let probes = pod_addrs.iter().map(|a| (a.ip, a.port));
+            let probes = instance_addrs.iter().map(|a| (a.ip, a.port));
             for (ip, port) in probes.chain([(frame.dst_ip, frame.dst_port)]) {
                 let got = tb.listeners.lookup(&tb.controller, ip, port, now);
                 assert_eq!(got, scan_listener(&tb.controller, ip, port, now), "{ip:?}:{port} at {now:?}");
                 answered += usize::from(got.is_some());
             }
-            assert!(tb.listeners.len() <= 1, "one pair, one remembered address");
+            assert!(tb.listeners.len() <= clusters, "one pair, one remembered address");
         });
-        assert_eq!(tb.completed.len(), 2);
-        assert_eq!(pod_addrs.len(), 2, "the redeployed pod has a new address: {pod_addrs:?}");
+        assert_eq!(tb.completed.len(), 6);
+        assert_eq!(instance_addrs.len(), want_addrs, "{instance_addrs:?}");
         assert!(answered > 0);
+    }
+
+    /// A profile whose response is empty still answers with one byte on the
+    /// wire (see [`segments`]); both client kinds count that as the answer.
+    #[test]
+    fn a_zero_byte_response_completes_a_request_and_a_session() {
+        let mut profile = containerd::ServiceSet::by_key("asm").unwrap();
+        profile.response_bytes = 0;
+        let addr = svc_addr(10);
+
+        let mut tb = Testbed::new(TestbedConfig::default());
+        tb.register_service(profile.clone(), addr);
+        tb.pre_deploy_on(addr, 0);
+        tb.request_at(SimTime::from_secs(1), 0, addr);
+        tb.run_until(SimTime::from_secs(10));
+        assert_eq!(tb.completed.len(), 1);
+
+        let mut tb = MobilityTestbed::new(MobilityConfig { n_clients: 1, ..MobilityConfig::default() });
+        tb.register_service(profile, addr);
+        tb.warm_all_zones();
+        tb.pre_deploy_on(0);
+        tb.run(&mut Static::round_robin(1, 3), SimTime::from_secs(1), SimTime::from_secs(10));
+        assert!(tb.pings_done() > 10, "the session pings steadily");
+        assert_eq!(tb.pings_sent(), tb.pings_done(), "every ping answered");
+        assert_eq!((tb.double_answered, tb.stranded()), (0, 0));
+    }
+
+    /// One loop, both client kinds at once: a client's one-shot requests
+    /// run beside its pinging session (on another source port), before and
+    /// after it hops gNBs.
+    #[test]
+    fn requests_and_sessions_share_one_loop() {
+        let mut tb = MobilityTestbed::new(MobilityConfig { n_clients: 3, ..MobilityConfig::default() });
+        let addr = svc_addr(10);
+        tb.register_service(containerd::ServiceSet::by_key("asm").unwrap(), addr);
+        tb.warm_all_zones();
+        tb.pre_deploy_on(0);
+        for (secs, client) in [(3, 0), (4, 1), (8, 0)] {
+            tb.request_at(SimTime::from_secs(secs), client, addr);
+        }
+        let mut model = CellHops::new(vec![0, 1, 2], &[(SimTime::from_secs(6), 0, 1)]);
+        tb.run(&mut model, SimTime::from_secs(1), SimTime::from_secs(20));
+        assert_eq!(tb.handovers.len(), 1);
+        assert_eq!(tb.completed.len(), 3, "every request completes");
+        assert!(tb.pings_sent() > 50, "sessions ping steadily");
+        assert_eq!(tb.pings_sent(), tb.pings_done(), "no ping lost");
+        assert_eq!((tb.drops, tb.resets, tb.double_answered), (0, 0, 0));
+        assert_eq!(tb.transparency_violations, 0);
     }
 }

@@ -9,26 +9,27 @@
 //!
 //! * [`topology`] — the virtual network of Fig. 8, plus the multi-cell
 //!   [`topology::MultiGnbTopology`] used by the mobility experiments;
-//! * [`mobility_run`] — the multi-gNB harness: long-lived sessions under
-//!   user mobility with transparent make-before-break flow handover;
-//! * [`harness`] — the event-driven end-to-end simulator: client TCP
-//!   connections traverse the OVS data plane as real frames, table misses
-//!   travel to the controller as real OpenFlow bytes, deployments run
-//!   against the simulated Docker/Kubernetes clusters, and `timecurl`-style
-//!   `time_total` is recorded per request;
+//! * [`harness`] — the event-driven end-to-end simulator, one loop for both
+//!   networks: client TCP connections traverse the OVS data plane as real
+//!   frames, table misses travel to the controller as real OpenFlow bytes,
+//!   deployments run against the simulated Docker/Kubernetes clusters.
+//!   [`Testbed`] (one switch, one-shot requests with `timecurl`-style
+//!   `time_total`) and [`MobilityTestbed`] (N gNBs, long-lived sessions
+//!   under user mobility with make-before-break flow handover) are its two
+//!   constructors;
 //! * [`experiments`] — one entry point per table/figure of the paper
 //!   (Table I, Figs. 9–16) plus the ablations discussed in Sections V/VII;
 //! * [`report`] — text rendering: aligned tables, ASCII bar charts, CSV.
 
 #![warn(missing_docs)]
 
-mod common;
 pub mod experiments;
 pub mod harness;
-pub mod mobility_run;
 pub mod report;
 pub mod topology;
 
-pub use harness::{ClusterKind, CompletedRequest, Testbed, TestbedConfig};
-pub use mobility_run::{HandoverRecord, MobilityConfig, MobilityTestbed};
+pub use harness::{
+    ClusterKind, CompletedRequest, HandoverRecord, Harness, MobilityConfig, MobilityTestbed,
+    Testbed, TestbedConfig,
+};
 pub use topology::{client_ip_for, fleet_client_ip, C3Topology, MultiGnbTopology};

@@ -49,20 +49,43 @@ pub fn fleet_client_ip(ingress: u32, i: usize) -> Ipv4Addr {
     Ipv4Addr::new(10, 64 + ingress as u8, (host >> 8) as u8, host as u8)
 }
 
-/// What a node is to the harness that dispatches its frames, with its index
-/// among the nodes of that kind. Built once per topology ([`C3Topology::roles`],
-/// [`MultiGnbTopology::roles`]) and indexed by `NodeId`, so the per-frame
-/// path does not search the node lists.
+/// What a node is to the harness that dispatches its frames; switches and
+/// clients with their index among the nodes of that kind. Built once per
+/// topology ([`Net::roles`]) and indexed by `NodeId`, so the per-frame path
+/// does not search the node lists.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Role {
+pub enum Role {
     /// An OpenFlow ingress switch (the OVS; gNB `g`).
     Switch(usize),
-    /// An edge host (the EGS and the far edge; zone `z`).
-    Edge(usize),
+    /// An edge host (the EGS, the far edge, a zone).
+    Edge,
     /// The cloud.
     Cloud,
     /// Client `i`.
     Client(usize),
+}
+
+/// What the event loop ([`crate::harness::Harness`]) needs of the network it
+/// runs on. [`C3Topology`] is the one-switch case: every client is attached
+/// to switch 0 and every host has one link.
+pub trait Net {
+    /// The network graph.
+    fn topo(&self) -> &Topology;
+    /// The role of every node, indexed by `NodeId`.
+    fn roles(&self) -> Vec<Role>;
+    /// The node of ingress switch `sw`.
+    fn switch_node(&self, sw: usize) -> NodeId;
+    /// The node of client `client`.
+    fn client_node(&self, client: usize) -> NodeId;
+    /// The cloud node; its MAC is the gateway clients address frames to.
+    fn cloud_node(&self) -> NodeId;
+    /// Switch `sw`'s port toward `client`.
+    fn client_port(&self, sw: usize, client: usize) -> PortNo;
+    /// `client`'s own port toward switch `sw` — the leg it transmits on
+    /// while attached there.
+    fn uplink_port(&self, sw: usize, client: usize) -> PortNo;
+    /// Name prefix of switch `sw`'s gauges in a telemetry snapshot.
+    fn switch_label(&self, sw: usize) -> String;
 }
 
 fn role_table(topo: &Topology, roles: impl IntoIterator<Item = (NodeId, Role)>) -> Vec<Role> {
@@ -161,19 +184,6 @@ impl C3Topology {
         self.topo.node(self.clients[i]).ip
     }
 
-    /// The role of every node, indexed by `NodeId`.
-    pub(crate) fn roles(&self) -> Vec<Role> {
-        let clients = self.clients.iter().enumerate().map(|(i, &c)| (c, Role::Client(i)));
-        let far = self.far_edge.map(|(n, _)| (n, Role::Edge(1)));
-        role_table(
-            &self.topo,
-            [(self.ovs, Role::Switch(0)), (self.egs, Role::Edge(0)), (self.cloud, Role::Cloud)]
-                .into_iter()
-                .chain(far)
-                .chain(clients),
-        )
-    }
-
     /// All OVS port numbers (for the switch FLOOD config).
     pub fn ovs_ports(&self) -> Vec<u32> {
         let mut v: Vec<u32> = self.client_ports.iter().map(|p| p.0).collect();
@@ -184,6 +194,49 @@ impl C3Topology {
         }
         v.sort_unstable();
         v
+    }
+}
+
+impl Net for C3Topology {
+    fn topo(&self) -> &Topology {
+        &self.topo
+    }
+
+    fn roles(&self) -> Vec<Role> {
+        let clients = self.clients.iter().enumerate().map(|(i, &c)| (c, Role::Client(i)));
+        let far = self.far_edge.map(|(n, _)| (n, Role::Edge));
+        role_table(
+            &self.topo,
+            [(self.ovs, Role::Switch(0)), (self.egs, Role::Edge), (self.cloud, Role::Cloud)]
+                .into_iter()
+                .chain(far)
+                .chain(clients),
+        )
+    }
+
+    fn switch_node(&self, _sw: usize) -> NodeId {
+        self.ovs
+    }
+
+    fn client_node(&self, client: usize) -> NodeId {
+        self.clients[client]
+    }
+
+    fn cloud_node(&self) -> NodeId {
+        self.cloud
+    }
+
+    fn client_port(&self, _sw: usize, client: usize) -> PortNo {
+        self.client_ports[client]
+    }
+
+    /// A Pi has one link, to the OVS.
+    fn uplink_port(&self, _sw: usize, _client: usize) -> PortNo {
+        PortNo(1)
+    }
+
+    fn switch_label(&self, _sw: usize) -> String {
+        "switch".to_owned()
     }
 }
 
@@ -304,17 +357,6 @@ impl MultiGnbTopology {
         self.topo.node(self.clients[i]).ip
     }
 
-    /// The role of every node, indexed by `NodeId`.
-    pub(crate) fn roles(&self) -> Vec<Role> {
-        let gnbs = self.gnbs.iter().enumerate().map(|(g, &n)| (n, Role::Switch(g)));
-        let zones = self.zones.iter().enumerate().map(|(z, &n)| (n, Role::Edge(z)));
-        let clients = self.clients.iter().enumerate().map(|(i, &c)| (c, Role::Client(i)));
-        role_table(
-            &self.topo,
-            gnbs.chain(zones).chain(clients).chain([(self.cloud, Role::Cloud)]),
-        )
-    }
-
     /// All port numbers of gNB `g` (for the switch FLOOD config).
     pub fn gnb_ports(&self, g: usize) -> Vec<u32> {
         let mut v: Vec<u32> = self.client_ports[g].iter().map(|p| p.0).collect();
@@ -322,6 +364,46 @@ impl MultiGnbTopology {
         v.push(self.cloud_ports[g].0);
         v.sort_unstable();
         v
+    }
+}
+
+impl Net for MultiGnbTopology {
+    fn topo(&self) -> &Topology {
+        &self.topo
+    }
+
+    fn roles(&self) -> Vec<Role> {
+        let gnbs = self.gnbs.iter().enumerate().map(|(g, &n)| (n, Role::Switch(g)));
+        let zones = self.zones.iter().map(|&n| (n, Role::Edge));
+        let clients = self.clients.iter().enumerate().map(|(i, &c)| (c, Role::Client(i)));
+        role_table(
+            &self.topo,
+            gnbs.chain(zones).chain(clients).chain([(self.cloud, Role::Cloud)]),
+        )
+    }
+
+    fn switch_node(&self, sw: usize) -> NodeId {
+        self.gnbs[sw]
+    }
+
+    fn client_node(&self, client: usize) -> NodeId {
+        self.clients[client]
+    }
+
+    fn cloud_node(&self) -> NodeId {
+        self.cloud
+    }
+
+    fn client_port(&self, sw: usize, client: usize) -> PortNo {
+        self.client_ports[sw][client]
+    }
+
+    fn uplink_port(&self, sw: usize, client: usize) -> PortNo {
+        self.uplink_ports[sw][client]
+    }
+
+    fn switch_label(&self, sw: usize) -> String {
+        format!("gnb.{sw}")
     }
 }
 

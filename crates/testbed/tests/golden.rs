@@ -232,7 +232,7 @@ fn session_run(config: MobilityConfig, settle: Option<SimTime>) -> u64 {
     let mut events = tb.run(&mut hops(), SimTime::from_secs(1), SimTime::from_secs(20));
     let mut h = Fnv::new();
     if let Some(until) = settle {
-        events += tb.drain(until);
+        events += tb.run_until(until);
         h.u64(tb.reconcile_now() as u64);
         assert_eq!(tb.reconcile_now(), 0, "tables converged to bookkeeping");
         assert_eq!(tb.stranded(), 0, "no session permanently stranded");
