@@ -1,6 +1,7 @@
 //! Microbenchmarks of the data-plane hot paths: flow-table lookup (naive
 //! linear scan vs indexed classification), microflow-cache hits, OXM match
-//! handling, frame/OpenFlow codec throughput, and expiry sweeps.
+//! handling, frame/OpenFlow codec throughput, expiry sweeps, and the table's
+//! steady state under connection churn.
 //!
 //! After the criterion groups run, `main` emits `BENCH_flowtable.json` at
 //! the repository root (via [`bench::fastpath`]) so the headline ns/op
@@ -195,12 +196,54 @@ fn bench_expiry(c: &mut Criterion) {
     });
 }
 
+/// The flow table's steady state under connection churn (`e2ebench`'s
+/// `flow_churn`): 40 000 exact-connection flows resident, and per iteration
+/// one flow installed, hit three times, and the oldest one idling out — so
+/// the table's size stays put while its entries turn over. One flow is
+/// installed every 2 ms under an 80 s idle timeout.
+fn bench_churn(c: &mut Criterion) {
+    const RESIDENT: u32 = 40_000;
+    let tick = Duration::from_millis(2);
+    let client = |i: u32| {
+        let [_, b, c, d] = i.to_be_bytes();
+        [10, b, c, d]
+    };
+    let connection = |i: u32| {
+        let m = Match::connection(client(i), 50000, [203, 0, 113, 10], 80);
+        let out = vec![Instruction::ApplyActions(vec![Action::output(2)])];
+        entry(m, 100, u64::from(i), out, tick * u64::from(RESIDENT), Duration::ZERO, 0)
+    };
+    c.bench_function("flowtable_churn_40k", |b| {
+        let mut t = FlowTable::new();
+        let mut now = SimTime::ZERO;
+        for i in 0..RESIDENT {
+            t.add(connection(i), now);
+            now += tick;
+        }
+        let mut next = RESIDENT;
+        b.iter(|| {
+            t.add(connection(next), now);
+            let mut v = view(80);
+            v.ipv4_src = client(next);
+            let (id, ..) = t.lookup_keyed(black_box(&v), 64, now).expect("just installed");
+            t.hit(id, 1500, now);
+            t.hit(id, 64, now);
+            let expired = t.expire(now);
+            assert_eq!((expired.len(), t.len()), (1, RESIDENT as usize));
+            next += 1;
+            now += tick;
+            expired
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_flow_lookup,
     bench_microflow,
     bench_codecs,
-    bench_expiry
+    bench_expiry,
+    bench_churn
 );
 
 fn main() {

@@ -149,8 +149,12 @@ mod tests {
     /// `ShapeKey` is checked next to its definition in `openflow::table`).
     #[test]
     fn structured_keys_spread_over_both_ends_of_the_hash() {
-        // `FlowId`s: sequential u64.
-        assert_spreads("flow ids", 0..4096u64);
+        // Sequential u64 ids.
+        assert_spreads("sequential ids", 0..4096u64);
+        // `FlowId`s: an insertion count above a 28-bit slot number — a
+        // growing table (fresh slots) and a churning one (64 slots reused).
+        assert_spreads("flow ids, growing", (0..4096u64).map(|i| i << 28 | i));
+        assert_spreads("flow ids, churning", (0..4096u64).map(|i| i << 28 | (i % 64)));
         // `Ipv4Addr([u8; 4])`s of neighbouring /24s.
         #[derive(Hash)]
         struct Ip([u8; 4]);

@@ -14,7 +14,6 @@
 //!
 //! Expired switch flows (`FLOW_REMOVED`) and the controller's own FlowMemory
 //! timeouts feed the idle-service scale-down (Section V).
-//! timeouts feed the idle-service scale-down (Section V).
 //!
 //! Two things keep this file honest. Everything a crashed controller can get
 //! back lives in one [`ControlState`], changed only through
@@ -274,6 +273,12 @@ pub enum ControlPlaneError {
     /// `PACKET_OUT`; it was dropped (its flows are installed regardless).
     OversizePacketOut {
         /// The ingress whose packet was dropped.
+        ingress: IngressId,
+    },
+    /// A packet-in carried no decodable TCP/IPv4 frame (typically a segment
+    /// truncated to `miss_send_len`); its switch buffer was released unused.
+    UndecodablePacketIn {
+        /// The ingress that reported the packet.
         ingress: IngressId,
     },
 }
@@ -725,9 +730,7 @@ impl Controller {
             _ => None,
         });
         let filed = client.unwrap_or(AGGREGATE_CLIENT);
-        let dead = self.live_pairs(filed, ingress, |p| {
-            p.fwd.priority == priority && p.fwd.match_ == *match_
-        });
+        let dead = self.state.live_pairs_with_fwd(filed, ingress, priority, match_);
         self.tombstone(filed, ingress, &dead);
         if let (None, Some(&idx)) = (client, dead.last()) {
             let service = self.state.pairs(filed, ingress)[idx].service;
@@ -764,7 +767,11 @@ impl Controller {
     ) -> Vec<OutboundMessage> {
         let in_port = Self::in_port_of(match_);
         let Ok(frame) = TcpFrame::decode(data) else {
-            return vec![];
+            // Nothing to schedule on — but only the controller can name the
+            // buffer the switch parked the packet in: have it dropped.
+            self.note_error(ControlPlaneError::UndecodablePacketIn { ingress });
+            let release = rules::drop_buffered(buffer_id);
+            return release.map(|m| self.outbound(now, &m)).into_iter().collect();
         };
         // Location tracking: a client arriving at a new location moved. An
         // *announced* move goes through [`Controller::handle_attachment_change`]
@@ -1738,7 +1745,8 @@ impl Controller {
             for client in ctl.state.clients_at(ingress) {
                 // A redirect pair is expected only while its instance still
                 // serves.
-                let dead = ctl.live_pairs(client, ingress, |p| !ctl.still_serves(p, now));
+                let gone = |p: &InstalledPair| !ctl.still_serves(p, now);
+                let dead = ctl.state.live_pairs(client, ingress, gone);
                 ctl.tombstone(client, ingress, &dead);
                 for p in ctl.state.pairs(client, ingress).iter().filter(|p| !p.dead) {
                     // Reverse before forward, as installs always go out: if both
@@ -1799,17 +1807,6 @@ impl Controller {
         })
     }
 
-    /// Indices of the live pairs at `(client, ingress)` that `pick` selects.
-    fn live_pairs(
-        &self,
-        client: Ipv4Addr,
-        ingress: IngressId,
-        pick: impl Fn(&InstalledPair) -> bool,
-    ) -> Vec<usize> {
-        let pairs = self.state.pairs(client, ingress).iter().enumerate();
-        pairs.filter(|(_, p)| !p.dead && pick(p)).map(|(i, _)| i).collect()
-    }
-
     /// Tombstones the pairs of `(client, ingress)` at the indices in `dead`.
     fn tombstone(&mut self, client: Ipv4Addr, ingress: IngressId, dead: &[usize]) {
         for &idx in dead {
@@ -1829,7 +1826,7 @@ impl Controller {
         replaced_fwd: Option<&Match>,
         at: SimTime,
     ) -> Vec<(IngressId, OutboundMessage)> {
-        let dead = self.live_pairs(client, ingress, pick);
+        let dead = self.state.live_pairs(client, ingress, pick);
         self.tombstone(client, ingress, &dead);
         let mut doomed: Vec<Match> = Vec::new();
         for &i in &dead {
@@ -3344,6 +3341,36 @@ mod tests {
         assert!(fixes.is_empty(), "expired pairs are tombstoned, not resurrected: {}", fixes.len());
     }
 
+    /// What a `FLOW_REMOVED` costs does not grow with the client's history:
+    /// after 5 000 install → expire cycles — 4 999 tombstones filed under the
+    /// one client — the last notification compares its own pair only.
+    #[test]
+    fn flow_removed_examines_its_own_pair_whatever_the_history() {
+        let mut rng = SimRng::new(36);
+        let (mut ctl, mut sw) = setup(&mut rng);
+        let client = Ipv4Addr::new(192, 168, 1, 20);
+        let mut now = SimTime::from_secs(1);
+        let mut examined_by_last = 0;
+        for cycle in 0..5_000u16 {
+            let answered = serve_one(&mut ctl, &mut sw, now, 10_000 + cycle, &mut rng);
+            now = answered + ctl.config.switch_flow_idle + Duration::from_secs(1);
+            let before = ctl.state.pairs_examined();
+            for fx in sw.expire_flows(now) {
+                if let Effect::ToController(bytes) = fx {
+                    ctl.handle_switch_message(now, &bytes, &mut rng).unwrap();
+                }
+            }
+            examined_by_last = ctl.state.pairs_examined() - before;
+        }
+        let pairs = ctl.state.pairs(client, IngressId::DEFAULT);
+        assert_eq!(pairs.len(), 5_000);
+        assert!(pairs.iter().all(|p| p.dead), "every cycle's pair was found and tombstoned");
+        assert!(
+            (1..=2).contains(&examined_by_last),
+            "a FLOW_REMOVED examined {examined_by_last} pairs"
+        );
+    }
+
     /// Reconciliation tombstones pairs whose instance died while the channel
     /// was down: their surviving switch flows become orphans and are
     /// deleted, not re-installed.
@@ -3781,6 +3808,63 @@ mod tests {
             ctl.control_errors,
             vec![ControlPlaneError::OversizePacketOut { ingress: IngressId::DEFAULT }]
         );
+    }
+
+    /// Under the default switch configuration (`miss_send_len` 128) a missed
+    /// segment longer than that comes up truncated and does not decode. The
+    /// controller records it and has the switch drop the packet it parked,
+    /// instead of leaking one of its buffers per such packet.
+    #[test]
+    fn truncated_packet_in_is_recorded_and_its_buffer_released() {
+        let mut rng = SimRng::new(52);
+        let (mut ctl, _) = setup(&mut rng);
+        let mut sw = Switch::new(SwitchConfig {
+            ports: vec![CLIENT_PORT, EDGE_PORT, CLOUD_PORT],
+            ..SwitchConfig::default()
+        });
+        let t0 = SimTime::from_secs(1);
+        let mut segment = client_syn(50000);
+        segment.flags = TcpFlags::ACK;
+        segment.payload = vec![0x5a; 300];
+        let effects = sw.handle_frame(t0, CLIENT_PORT, &segment.encode());
+        let [Effect::ToController(pkt_in)] = &effects[..] else {
+            panic!("a table miss: {effects:?}");
+        };
+        assert_eq!(sw.buffered(), 1);
+
+        let out = ctl.handle_switch_message(t0, pkt_in, &mut rng).unwrap();
+        let [release] = &out[..] else {
+            panic!("one PACKET_OUT, got {} messages", out.len());
+        };
+        let (_, msg, _) = Message::decode(&release.data).unwrap();
+        assert!(
+            matches!(&msg, Message::PacketOut { actions, data, .. }
+                if actions.is_empty() && data.is_empty()),
+            "{msg:?}"
+        );
+        let effects = sw.handle_controller(release.at, &release.data).unwrap();
+        assert!(matches!(effects[..], [Effect::Drop]), "{effects:?}");
+        assert_eq!(sw.buffered(), 0, "the buffer is free again");
+
+        // Unbuffered, there is nothing to release — but it is still counted.
+        let junk = Message::PacketIn {
+            buffer_id: OFP_NO_BUFFER,
+            total_len: 3,
+            reason: openflow::PacketInReason::NoMatch,
+            table_id: 0,
+            cookie: 0,
+            match_: Match::any().with(OxmField::InPort(CLIENT_PORT)),
+            data: vec![1, 2, 3],
+        };
+        let out = ctl.handle_switch_message(t0, &junk.encode(7), &mut rng).unwrap();
+        assert!(out.is_empty());
+
+        let undecodable = ControlPlaneError::UndecodablePacketIn {
+            ingress: IngressId::DEFAULT,
+        };
+        assert_eq!(ctl.control_errors, vec![undecodable; 2]);
+        assert_eq!(ctl.telemetry.metrics.counter("control_plane_errors"), 2);
+        assert!(ctl.records.is_empty() && ctl.flow_adds == 0);
     }
 
     /// A cluster with no egress port mapped on the ingress degrades to the

@@ -42,9 +42,13 @@ use crate::rules::{AggregateRule, InstalledPair};
 use crate::flowmemory::{FlowKey, FlowMemory, FlowOp, IngressId, MemorizedFlow};
 use crate::health::{BreakerSnapshot, HealthMonitor, HealthOp};
 use crate::migrate::{MigrationManager, MigrationOp, MigrationSnapshot};
+use desim::hash::FastHasher;
 use desim::{FastMap, SimTime};
 use netsim::addr::{Ipv4Addr, MacAddr};
 use netsim::ServiceAddr;
+use openflow::oxm::{Match, OxmField};
+use std::collections::hash_map::Entry;
+use std::hash::Hasher;
 
 /// Write-ahead journal configuration (the `journal:` YAML block).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -240,6 +244,99 @@ pub(crate) struct Applied {
     pub(crate) retired: Vec<InstalledPair>,
 }
 
+/// Key of the forward-flow index: whose pair, where, and what its forward
+/// flow matches — the match by content hash, so filing a pair clones nothing
+/// and a lookup's candidates are confirmed against the pairs themselves.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct FwdKey {
+    ingress: IngressId,
+    client: Ipv4Addr,
+    priority: u16,
+    fingerprint: u64,
+}
+
+impl FwdKey {
+    fn new(client: Ipv4Addr, ingress: IngressId, priority: u16, match_: &Match) -> FwdKey {
+        let mut h = FastHasher::default();
+        let mac = |m: [u8; 6]| m.iter().fold(0u64, |v, &b| v << 8 | u64::from(b));
+        for f in match_.fields() {
+            // Field kind in the top byte, value (48 bits at most) below it.
+            let (kind, value) = match *f {
+                OxmField::InPort(p) => (0u64, u64::from(p)),
+                OxmField::EthDst(m) => (1, mac(m)),
+                OxmField::EthSrc(m) => (2, mac(m)),
+                OxmField::EthType(t) => (3, u64::from(t)),
+                OxmField::IpProto(p) => (4, u64::from(p)),
+                OxmField::Ipv4Src(a) => (5, u64::from(u32::from_be_bytes(a))),
+                OxmField::Ipv4Dst(a) => (6, u64::from(u32::from_be_bytes(a))),
+                OxmField::TcpSrc(p) => (7, u64::from(p)),
+                OxmField::TcpDst(p) => (8, u64::from(p)),
+            };
+            h.write_u64(kind << 56 | value);
+        }
+        FwdKey {
+            ingress,
+            client,
+            priority,
+            fingerprint: h.finish(),
+        }
+    }
+
+    fn of(client: Ipv4Addr, ingress: IngressId, pair: &InstalledPair) -> FwdKey {
+        FwdKey::new(client, ingress, pair.fwd.priority, &pair.fwd.match_)
+    }
+}
+
+/// Positions in one client's pair vector, ascending. The first sits inline:
+/// a key has a second live pair only while a re-install races the
+/// `FLOW_REMOVED` of the flow it replaced, so filing a pair costs no heap
+/// call.
+struct Positions {
+    first: usize,
+    more: Vec<usize>,
+}
+
+type FwdIndex = FastMap<FwdKey, Positions>;
+
+/// The index key and position of every live pair in `pairs`, the vector
+/// filed under `(client, ingress)`, in position order.
+fn live_keys(
+    client: Ipv4Addr,
+    ingress: IngressId,
+    pairs: &[InstalledPair],
+) -> impl Iterator<Item = (FwdKey, usize)> + '_ {
+    let live = pairs.iter().enumerate().filter(|(_, p)| !p.dead);
+    live.map(move |(pos, p)| (FwdKey::of(client, ingress, p), pos))
+}
+
+/// Files `pos` — larger than every position already under `key`.
+fn file(index: &mut FwdIndex, key: FwdKey, pos: usize) {
+    match index.entry(key) {
+        Entry::Vacant(v) => {
+            v.insert(Positions {
+                first: pos,
+                more: Vec::new(),
+            });
+        }
+        Entry::Occupied(o) => o.into_mut().more.push(pos),
+    }
+}
+
+/// Unfiles `pos` from under `key`.
+fn unfile(index: &mut FwdIndex, key: FwdKey, pos: usize) {
+    let Entry::Occupied(mut o) = index.entry(key) else {
+        return;
+    };
+    let found = o.get_mut();
+    if found.first != pos {
+        found.more.retain(|&p| p != pos);
+    } else if found.more.is_empty() {
+        o.remove();
+    } else {
+        found.first = found.more.remove(0);
+    }
+}
+
 /// The controller's recoverable state — the only copy. The live controller
 /// owns one, [`Journal::rebuild`] builds another from snapshot + tail, and
 /// both change it through the same [`ControlState::apply`], so live
@@ -259,6 +356,15 @@ pub(crate) struct ControlState {
     /// Sharding keeps per-packet bookkeeping and per-switch reconciliation
     /// O(one cell) at fleet scale.
     installed: Vec<FastMap<Ipv4Addr, Vec<InstalledPair>>>,
+    /// Where in `installed` the live pairs with a given forward flow sit, so
+    /// a `FLOW_REMOVED` finds its pair without walking everything the client
+    /// ever had. Derived from `installed` — kept in step by
+    /// [`ControlState::apply`], rebuilt by `restore`, and therefore neither
+    /// journaled nor part of a [`Snapshot`].
+    fwd_index: FwdIndex,
+    /// Pairs [`ControlState::live_pairs_with_fwd`] compared so far.
+    #[cfg(test)]
+    examined: std::cell::Cell<usize>,
     /// Live aggregated rule pairs; their bookkeeping pairs are filed under
     /// [`crate::rules::AGGREGATE_CLIENT`] in `installed`.
     aggregates: FastMap<(IngressId, ServiceAddr), AggregateRule>,
@@ -284,6 +390,9 @@ impl ControlState {
         ControlState {
             memory: FlowMemory::new(config.memory_idle),
             installed: Vec::new(),
+            fwd_index: FastMap::default(),
+            #[cfg(test)]
+            examined: std::cell::Cell::new(0),
             aggregates: FastMap::default(),
             scaled_down: FastMap::default(),
             clients: ClientTracker::new(),
@@ -309,6 +418,15 @@ impl ControlState {
             .iter()
             .map(|shard| shard.iter().map(|(c, ps)| (*c, ps.clone())).collect())
             .collect();
+        self.fwd_index.clear();
+        for (ingress, shard) in self.installed.iter().enumerate() {
+            let ingress = IngressId(ingress as u32);
+            for (&client, pairs) in shard {
+                for (key, pos) in live_keys(client, ingress, pairs) {
+                    file(&mut self.fwd_index, key, pos);
+                }
+            }
+        }
         self.aggregates = snap.aggregates.iter().map(|(k, r)| (*k, r.clone())).collect();
         self.scaled_down = snap.scaled_down.iter().copied().collect();
         self.clients.restore_locations(&snap.locations);
@@ -330,7 +448,11 @@ impl ControlState {
                 if idx >= self.installed.len() {
                     self.installed.resize_with(idx + 1, FastMap::default);
                 }
-                self.installed[idx].entry(client).or_default().push(pair);
+                let pairs = self.installed[idx].entry(client).or_default();
+                if !pair.dead {
+                    file(&mut self.fwd_index, FwdKey::of(client, ingress, &pair), pairs.len());
+                }
+                pairs.push(pair);
             }
             JournalEvent::PairDead { client, ingress, idx } => {
                 if let Some(p) = self
@@ -339,14 +461,25 @@ impl ControlState {
                     .and_then(|s| s.get_mut(&client))
                     .and_then(|pairs| pairs.get_mut(idx))
                 {
+                    if !p.dead {
+                        unfile(&mut self.fwd_index, FwdKey::of(client, ingress, p), idx);
+                    }
                     p.dead = true;
                 }
             }
             JournalEvent::HandoverSweep { client, from } => {
                 if let Some(shard) = self.installed.get_mut(from.0 as usize) {
                     if let Some(mut pairs) = shard.remove(&client) {
+                        // Survivors move up: unfile every position, re-file
+                        // the kept pairs at their new ones.
+                        for (key, pos) in live_keys(client, from, &pairs) {
+                            unfile(&mut self.fwd_index, key, pos);
+                        }
                         let kept: Vec<InstalledPair> =
                             pairs.extract_if(.., |p| !p.teardown_on_handover).collect();
+                        for (key, pos) in live_keys(client, from, &kept) {
+                            file(&mut self.fwd_index, key, pos);
+                        }
                         if !kept.is_empty() {
                             shard.insert(client, kept);
                         }
@@ -447,6 +580,51 @@ impl ControlState {
             .get(ingress.0 as usize)
             .and_then(|shard| shard.get(&client))
             .map_or(&[], Vec::as_slice)
+    }
+
+    /// Positions of the live pairs at `(client, ingress)` whose forward flow
+    /// is exactly `(priority, match_)`, ascending — what a `FLOW_REMOVED`
+    /// retires. Examines only the pairs filed under that flow, however many
+    /// the client has had.
+    pub(crate) fn live_pairs_with_fwd(
+        &self,
+        client: Ipv4Addr,
+        ingress: IngressId,
+        priority: u16,
+        match_: &Match,
+    ) -> Vec<usize> {
+        let pairs = self.pairs(client, ingress);
+        let same_flow = |p: &InstalledPair| p.fwd.priority == priority && p.fwd.match_ == *match_;
+        let found = self.fwd_index.get(&FwdKey::new(client, ingress, priority, match_));
+        let mut live = Vec::with_capacity(found.map_or(0, |f| 1 + f.more.len()));
+        for &pos in found.iter().flat_map(|f| std::iter::once(&f.first).chain(&f.more)) {
+            #[cfg(test)]
+            self.examined.set(self.examined.get() + 1);
+            if !pairs[pos].dead && same_flow(&pairs[pos]) {
+                live.push(pos);
+            }
+        }
+        debug_assert_eq!(live, self.live_pairs(client, ingress, same_flow), "index ≠ scan");
+        live
+    }
+
+    /// Indices of the live pairs at `(client, ingress)` that `pick` selects,
+    /// by walking all of them — for the sweeps (repair, outage, migration
+    /// flip, reconcile), and the oracle of the index above.
+    pub(crate) fn live_pairs(
+        &self,
+        client: Ipv4Addr,
+        ingress: IngressId,
+        pick: impl Fn(&InstalledPair) -> bool,
+    ) -> Vec<usize> {
+        let pairs = self.pairs(client, ingress).iter().enumerate();
+        pairs.filter(|(_, p)| !p.dead && pick(p)).map(|(i, _)| i).collect()
+    }
+
+    /// How many pairs [`ControlState::live_pairs_with_fwd`] has compared.
+    #[cfg(test)]
+    pub(crate) fn pairs_examined(&self) -> usize {
+        self.examined.get()
     }
 
     /// Every client with bookkeeping at `ingress`, sorted — sweeps iterate
@@ -616,6 +794,134 @@ pub struct RecoveryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::InstalledFlow;
+    use proptest::prelude::*;
+
+    /// One step of the index-vs-scan property; small pools so keys collide.
+    #[derive(Clone, Debug)]
+    enum PairOp {
+        Add { client: u8, ingress: u32, fwd: usize, priority: u16, teardown: bool, dead: bool },
+        Dead { client: u8, ingress: u32, idx: usize },
+        Sweep { client: u8, from: u32 },
+        /// Snapshot the state and restore it into a fresh one.
+        Restore,
+    }
+
+    const PRIORITIES: [u16; 2] = [100, 99];
+
+    fn client_ip(client: u8) -> Ipv4Addr {
+        Ipv4Addr::new(192, 168, 1, client)
+    }
+
+    /// Forward matches two clients' pairs can share: exact connections, the
+    /// per-client wildcard, and two matches that carry no client at all.
+    fn fwd_pool(client: u8) -> [Match; 5] {
+        let (ip, svc) = (client_ip(client).octets(), [203, 0, 113, 10]);
+        [
+            Match::connection(ip, 50_000, svc, 80),
+            Match::connection(ip, 50_001, svc, 80),
+            Match::service(svc, 80).with(OxmField::Ipv4Src(ip)),
+            Match::service(svc, 80).with(OxmField::InPort(1)),
+            Match::any(),
+        ]
+    }
+
+    fn flow(match_: Match, priority: u16) -> InstalledFlow {
+        InstalledFlow {
+            match_,
+            instructions: vec![],
+            priority,
+            cookie: 1,
+            flags: 0,
+        }
+    }
+
+    fn arb_pair_op() -> impl Strategy<Value = PairOp> {
+        let add = (0u8..3, 0u32..2, 0usize..5, 0usize..2, any::<bool>(), 0u8..8);
+        prop_oneof![
+            6 => add.prop_map(|(client, ingress, fwd, prio, teardown, dead)| PairOp::Add {
+                client,
+                ingress,
+                fwd,
+                priority: PRIORITIES[prio],
+                teardown,
+                dead: dead == 0,
+            }),
+            5 => (0u8..3, 0u32..2, 0usize..10)
+                .prop_map(|(client, ingress, idx)| PairOp::Dead { client, ingress, idx }),
+            1 => (0u8..3, 0u32..2).prop_map(|(client, from)| PairOp::Sweep { client, from }),
+            1 => Just(PairOp::Restore),
+        ]
+    }
+
+    proptest! {
+        /// After every event the index answers exactly what the scan
+        /// answers, in the same order, for every key a `FLOW_REMOVED` could
+        /// name — and files nothing but live pairs.
+        #[test]
+        fn fwd_index_answers_what_the_scan_answers(
+            ops in proptest::collection::vec(arb_pair_op(), 1..80),
+        ) {
+            let cfg = ControllerConfig::default();
+            let mut st = ControlState::new(&cfg);
+            for op in ops {
+                match op {
+                    PairOp::Add { client, ingress, fwd, priority, teardown, dead } => {
+                        let pair = InstalledPair {
+                            fwd: flow(fwd_pool(client)[fwd].clone(), priority),
+                            rev: flow(Match::any(), priority),
+                            service: ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80),
+                            cluster: None,
+                            instance: None,
+                            teardown_on_handover: teardown,
+                            dead,
+                        };
+                        st.apply(JournalEvent::PairAdd {
+                            client: client_ip(client),
+                            ingress: IngressId(ingress),
+                            pair,
+                        });
+                    }
+                    PairOp::Dead { client, ingress, idx } => {
+                        st.apply(JournalEvent::PairDead {
+                            client: client_ip(client),
+                            ingress: IngressId(ingress),
+                            idx,
+                        });
+                    }
+                    PairOp::Sweep { client, from } => {
+                        st.apply(JournalEvent::HandoverSweep {
+                            client: client_ip(client),
+                            from: IngressId(from),
+                        });
+                    }
+                    PairOp::Restore => {
+                        let mut restored = ControlState::new(&cfg);
+                        restored.restore(&Snapshot::capture(&st));
+                        st = restored;
+                    }
+                }
+                let mut live = 0;
+                for (client, ingress) in (0u8..3).flat_map(|c| [(c, 0), (c, 1)]) {
+                    let (ip, ingress) = (client_ip(client), IngressId(ingress));
+                    live += st.pairs(ip, ingress).iter().filter(|p| !p.dead).count();
+                    // Another client's matches too: they must find nothing.
+                    for m in fwd_pool(client).iter().chain(&fwd_pool((client + 1) % 3)) {
+                        for priority in PRIORITIES {
+                            let same_flow =
+                                |p: &InstalledPair| p.fwd.priority == priority && p.fwd.match_ == *m;
+                            prop_assert_eq!(
+                                st.live_pairs_with_fwd(ip, ingress, priority, m),
+                                st.live_pairs(ip, ingress, same_flow)
+                            );
+                        }
+                    }
+                }
+                let filed: usize = st.fwd_index.values().map(|f| 1 + f.more.len()).sum();
+                prop_assert_eq!(filed, live, "the index files exactly the live pairs");
+            }
+        }
+    }
 
     #[test]
     fn default_config_is_off() {

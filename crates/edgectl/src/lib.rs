@@ -45,7 +45,7 @@
 //!   periodic compacted snapshots, and deterministic replay (off by default
 //!   — journal-off is the same path minus the append);
 //! * `rules` — the rule builder: match granularity × target → one
-//!   forward/reverse pair, and the three OpenFlow messages that carry them;
+//!   forward/reverse pair, and the OpenFlow messages that carry them;
 //! * [`predict`] — proactive-deployment predictors (Sections I/VII);
 //! * [`config`] — the controller's YAML configuration file;
 //! * [`dispatch`] — the Dispatcher: the flow chart of Fig. 7, including

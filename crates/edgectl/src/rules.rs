@@ -1,5 +1,5 @@
 //! The rule builder: every forward/reverse flow pair the controller puts on
-//! a switch, and the three OpenFlow messages that carry them.
+//! a switch, and the OpenFlow messages that carry them.
 //!
 //! A pair is the product of two independent choices:
 //!
@@ -345,4 +345,16 @@ pub(crate) fn packet_out(buffer_id: u32, actions: Vec<Action>, frame: &TcpFrame)
         data,
     };
     (msg.encoded_len() <= Message::MAX_LEN).then_some(msg)
+}
+
+/// The `PACKET_OUT` that frees switch buffer `buffer_id` without forwarding
+/// what it holds — an empty action list drops the packet — or `None` when
+/// the packet came up unbuffered and there is nothing to free.
+pub(crate) fn drop_buffered(buffer_id: u32) -> Option<Message> {
+    (buffer_id != OFP_NO_BUFFER).then(|| Message::PacketOut {
+        buffer_id,
+        in_port: 0,
+        actions: vec![],
+        data: vec![],
+    })
 }

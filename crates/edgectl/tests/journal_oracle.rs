@@ -311,3 +311,73 @@ fn warm_restart_preserves_recoverable_state_and_cold_does_not() {
         );
     }
 }
+
+/// The forward-flow index is derived state: a warm restart rebuilds it from
+/// the snapshot and the replayed tail, and the rebuilt controller must find
+/// — and tombstone — exactly the pairs its uncrashed twin does when the
+/// flows installed before the crash expire after it. Includes a client whose
+/// handover sweep renumbered its surviving pairs, and two live pairs under
+/// one forward match (a re-install the first one's expiry has not caught up
+/// with).
+#[test]
+fn rebuilt_state_answers_flow_removed_like_the_live_one() {
+    let run = |crash: bool| {
+        let mut rng = SimRng::new(79);
+        let (mut ctl, mut sws) = setup(&mut rng, false);
+        let mut now = SimTime::from_secs(1);
+        // Client 20 opens three sessions at ingress 0 (one to an
+        // unregistered port: a cloud path, which a handover keeps), 21 one
+        // at ingress 1; 20's first connection is installed twice.
+        let mut cloud = client_syn(20, 50_002, 10);
+        cloud.dst_port = 443;
+        let opens = [
+            (0, client_syn(20, 50_000, 10)),
+            (0, cloud),
+            (0, client_syn(20, 50_001, 11)),
+            (1, client_syn(21, 50_000, 10)),
+            (0, client_syn(20, 50_000, 10)),
+        ];
+        // An empty, bufferless switch turns every frame into a packet-in
+        // that carries it whole: the real one would not miss twice.
+        let mut tap = Switch::new(SwitchConfig {
+            n_buffers: 0,
+            ports: vec![CLIENT_PORT],
+            ..SwitchConfig::default()
+        });
+        for (g, f) in &opens {
+            let effects = tap.handle_frame(now, CLIENT_PORT, &f.encode());
+            deliver(&mut ctl, &mut sws[*g], IngressId(*g as u32), now, effects, &mut rng);
+            now += Duration::from_secs(1);
+        }
+        let ho = ctl.handle_attachment_change(
+            now,
+            Ipv4Addr::new(192, 168, 1, 21),
+            MacAddr::from_id(21),
+            MacAddr::from_id(99),
+            IngressId(1),
+            IngressId(0),
+            CLIENT_PORT,
+            HandoverPolicy::Anchored,
+            &mut rng,
+        );
+        for (g, m) in &ho.messages {
+            let _ = sws[g.0 as usize].handle_controller(m.at, &m.data);
+        }
+        now = ho.completed_at + Duration::from_secs(1);
+        if crash {
+            ctl.crash_restart(RecoveryMode::Warm, now);
+        }
+        let before = ctl.flows_removed;
+        now += Duration::from_secs(60);
+        for (g, sw) in sws.iter_mut().enumerate() {
+            let effects = sw.expire_flows(now);
+            deliver(&mut ctl, sw, IngressId(g as u32), now, effects, &mut rng);
+        }
+        assert!(ctl.flows_removed > before, "flows expired and were reported");
+        assert_oracle(&ctl, "flow-removed after the handover");
+        ctl.state_digest()
+    };
+    let live = run(false);
+    assert!(live.contains("dead: true"), "FLOW_REMOVED tombstoned pairs");
+    assert_eq!(run(true), live, "the rebuilt index found the same pairs");
+}

@@ -26,6 +26,26 @@
 //!   refreshes are lazy: a packet hit does not touch the wheel; a sweep that
 //!   reaches a refreshed entry simply reschedules it.
 //!
+//! # Storage
+//!
+//! Entries live in a **slab**: a `Vec` of slots, vacated slots recycled
+//! through a free list, so installing and removing a flow moves no other
+//! entry and resolving a [`FlowId`] is an array index, not a hash probe. A
+//! [`FlowId`] is `sequence << 28 | slot`: the low 28 bits say where the entry
+//! sits, the high bits count insertions. Ids therefore still grow with
+//! insertion order — the first-added tie-break, every sort key and the
+//! switch's `(revision, id)` cache guard compare ids exactly as before,
+//! whichever slot an entry happens to occupy — and a slot remembers its
+//! tenant's id, so the id of a removed flow never resolves to the flow that
+//! took its slot.
+//!
+//! An index bucket holds its best candidate **inline** (`head`) and any
+//! others in a `Vec` that stays unallocated until it is needed. A bucket has
+//! more than one id only while flows with the same field values coexist — one
+//! match at several priorities, or a reordered spelling of it — so the usual
+//! flow costs no heap call to file, and [`FlowTable::add`] and removal probe
+//! the index once each, through the map's entry API.
+//!
 //! Observable semantics are identical to the naive table: priority order,
 //! first-added-wins among equal priorities, hard-over-idle timeout
 //! precedence, order-sensitive match equality for ADD/MODIFY/DELETE, and
@@ -36,6 +56,7 @@ use crate::actions::Instruction;
 use crate::messages::{RemovedReason, OFPFF_SEND_FLOW_REM};
 use crate::oxm::{Match, MatchView, OxmField};
 use desim::{Duration, FastMap, SimTime, TimerWheel};
+use std::collections::hash_map::Entry;
 
 /// One installed flow.
 #[derive(Clone, Debug)]
@@ -105,8 +126,144 @@ impl Removed {
 /// Stable handle of an installed flow, valid until the entry is removed.
 /// Any removal bumps [`FlowTable::revision`], so a caller that caches ids
 /// alongside the revision (the switch's microflow cache) never dereferences
-/// a dangling one.
+/// a dangling one. Opaque, but ordered: a later insertion has a larger id
+/// (see the module docs for the layout).
 pub type FlowId = u64;
+
+/// Low bits of a [`FlowId`] that name the slab slot; the rest count
+/// insertions. 2²⁸ resident flows and 2³⁶ insertions per table.
+const SLOT_BITS: u32 = 28;
+const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
+
+/// One slab cell: the id of its tenant (of its last tenant, once vacated)
+/// and the tenant itself.
+struct SlabSlot {
+    id: FlowId,
+    entry: Option<FlowEntry>,
+}
+
+/// Entry storage: slots addressed by the low bits of a [`FlowId`], vacated
+/// ones reused last-out-first-in.
+#[derive(Default)]
+struct Slab {
+    slots: Vec<SlabSlot>,
+    /// Vacant slot numbers.
+    free: Vec<u32>,
+    /// Insertions so far — the high bits of the next id, so id order is
+    /// insertion order (the OpenFlow tiebreak among equal priorities)
+    /// whichever slots get reused.
+    next_seq: u64,
+}
+
+impl Slab {
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    fn insert(&mut self, entry: FlowEntry) -> FlowId {
+        let slot = self.free.pop().unwrap_or(self.slots.len() as u32);
+        // Ids must stay unique and ordered: lookups and tie-breaks rely on it.
+        assert!(
+            u64::from(slot) <= SLOT_MASK && self.next_seq < 1 << (64 - SLOT_BITS),
+            "flow table id space exhausted"
+        );
+        let id = self.next_seq << SLOT_BITS | u64::from(slot);
+        self.next_seq += 1;
+        let cell = SlabSlot {
+            id,
+            entry: Some(entry),
+        };
+        match self.slots.get_mut(slot as usize) {
+            Some(vacant) => *vacant = cell,
+            None => self.slots.push(cell),
+        }
+        id
+    }
+
+    fn get(&self, id: FlowId) -> Option<&FlowEntry> {
+        let cell = self.slots.get((id & SLOT_MASK) as usize)?;
+        if cell.id == id { cell.entry.as_ref() } else { None }
+    }
+
+    fn get_mut(&mut self, id: FlowId) -> Option<&mut FlowEntry> {
+        let cell = self.slots.get_mut((id & SLOT_MASK) as usize)?;
+        if cell.id == id { cell.entry.as_mut() } else { None }
+    }
+
+    fn remove(&mut self, id: FlowId) -> Option<FlowEntry> {
+        let slot = (id & SLOT_MASK) as usize;
+        let cell = self.slots.get_mut(slot)?;
+        if cell.id != id {
+            return None;
+        }
+        let entry = cell.entry.take()?;
+        self.free.push(slot as u32);
+        Some(entry)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (FlowId, &FlowEntry)> {
+        self.slots.iter().filter_map(|c| Some((c.id, c.entry.as_ref()?)))
+    }
+
+    /// Empties the slab. The insertion count carries on, so ids handed out
+    /// before stay stale.
+    fn drain(&mut self) -> Vec<(FlowId, FlowEntry)> {
+        self.free.clear();
+        self.slots.drain(..).filter_map(|c| Some((c.id, c.entry?))).collect()
+    }
+}
+
+impl std::ops::Index<FlowId> for Slab {
+    type Output = FlowEntry;
+
+    fn index(&self, id: FlowId) -> &FlowEntry {
+        self.get(id).expect("live flow id")
+    }
+}
+
+/// The ids filed under one [`ShapeKey`], sorted by (priority desc, id asc):
+/// `head` is the bucket's best candidate, `rest` everything after it.
+struct Bucket {
+    head: FlowId,
+    rest: Vec<FlowId>,
+}
+
+impl Bucket {
+    fn iter(&self) -> impl Iterator<Item = FlowId> + '_ {
+        std::iter::once(self.head).chain(self.rest.iter().copied())
+    }
+
+    /// Files `id` keeping the order. `id` is always the newest, so it goes
+    /// after every equal priority.
+    fn file(&mut self, flows: &Slab, id: FlowId) {
+        let prio = flows[id].priority;
+        if flows[self.head].priority < prio {
+            self.rest.insert(0, std::mem::replace(&mut self.head, id));
+        } else {
+            file(flows, &mut self.rest, id);
+        }
+    }
+
+    /// Unfiles `id`; the bucket must hold another.
+    fn unfile(&mut self, id: FlowId) {
+        if self.head == id {
+            self.head = self.rest.remove(0);
+        } else {
+            self.rest.retain(|&x| x != id);
+        }
+    }
+}
+
+/// Inserts `id` into `ids` keeping (priority desc, id asc) order. `id` is
+/// always the newest, so it goes after every equal priority.
+fn file(flows: &Slab, ids: &mut Vec<FlowId>, id: FlowId) {
+    let prio = flows[id].priority;
+    let pos = ids
+        .iter()
+        .position(|&other| flows[other].priority < prio)
+        .unwrap_or(ids.len());
+    ids.insert(pos, id);
+}
 
 // Shape-mask bits, one per OXM field kind.
 const B_IN_PORT: u16 = 1 << 0;
@@ -237,26 +394,25 @@ impl ShapeKey {
 }
 
 /// Where an entry's id is filed.
-enum Slot {
+enum Filing {
     Keyed(ShapeKey),
     Residual,
 }
 
-fn slot_of(m: &Match) -> Slot {
+fn filing_of(m: &Match) -> Filing {
     match ShapeKey::of_match(m) {
-        Some(k) => Slot::Keyed(k),
-        None => Slot::Residual,
+        Some(k) => Filing::Keyed(k),
+        None => Filing::Residual,
     }
 }
 
 /// A single OpenFlow table, indexed for O(1) exact-match classification.
 #[derive(Default)]
 pub struct FlowTable {
-    /// Entry storage, keyed by stable id.
-    flows: FastMap<FlowId, FlowEntry>,
-    /// Exact-match index: shape+values → ids, each bucket sorted by
-    /// (priority desc, id asc) so its head is the bucket's best candidate.
-    index: FastMap<ShapeKey, Vec<FlowId>>,
+    /// Entry storage, addressed by stable id.
+    flows: Slab,
+    /// Exact-match index: shape+values → the ids carrying them.
+    index: FastMap<ShapeKey, Bucket>,
     /// Live entry count per shape mask — the set of probes a lookup makes.
     shape_counts: FastMap<u16, usize>,
     /// Entries whose match cannot be keyed (duplicate field kinds); scanned
@@ -265,9 +421,6 @@ pub struct FlowTable {
     /// Expiry wheel; per-entry deadlines are never later than the true
     /// expiry instant (idle refreshes are applied lazily on sweep).
     wheel: TimerWheel<FlowId>,
-    /// Next id to assign; ids grow monotonically, so id order is
-    /// insertion order (the OpenFlow tiebreak among equal priorities).
-    next_id: FlowId,
     /// Bumped on every mutation that can change classification results
     /// (add/modify/delete/expire). Caches key on this to self-invalidate.
     revision: u64,
@@ -295,7 +448,7 @@ impl FlowTable {
 
     /// `true` if no flows are installed.
     pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
+        self.flows.len() == 0
     }
 
     /// Mutation counter: changes whenever a lookup could now resolve
@@ -309,31 +462,36 @@ impl FlowTable {
     /// Iterates over entries in priority order (descending; first-added
     /// first among equal priorities) — diagnostics / stats.
     pub fn entries(&self) -> impl Iterator<Item = &FlowEntry> {
-        let mut ids: Vec<(&FlowId, &FlowEntry)> = self.flows.iter().collect();
-        ids.sort_by_key(|(id, e)| (std::cmp::Reverse(e.priority), **id));
+        let mut ids: Vec<(FlowId, &FlowEntry)> = self.flows.iter().collect();
+        ids.sort_by_key(|&(id, e)| (std::cmp::Reverse(e.priority), id));
         ids.into_iter().map(|(_, e)| e)
     }
 
-    /// Inserts `id` into `bucket` keeping (priority desc, id asc) order.
-    /// `id` is always the newest, so it goes after every equal priority.
-    fn file(flows: &FastMap<FlowId, FlowEntry>, bucket: &mut Vec<FlowId>, id: FlowId) {
-        let prio = flows[&id].priority;
-        let pos = bucket
-            .iter()
-            .position(|other| flows[other].priority < prio)
-            .unwrap_or(bucket.len());
-        bucket.insert(pos, id);
+    /// The ids filed where a flow matching exactly `filing`'s match would be.
+    fn filed_at(&self, filing: &Filing) -> impl Iterator<Item = FlowId> + '_ {
+        let (head, rest): (Option<FlowId>, &[FlowId]) = match filing {
+            Filing::Keyed(key) => match self.index.get(key) {
+                Some(b) => (Some(b.head), &b.rest),
+                None => (None, &[]),
+            },
+            Filing::Residual => (None, &self.residual),
+        };
+        head.into_iter().chain(rest.iter().copied())
     }
 
     /// Unfiles and drops entry `id`, returning it.
     fn remove_entry(&mut self, id: FlowId) -> FlowEntry {
-        let entry = self.flows.remove(&id).expect("live flow id");
-        match slot_of(&entry.match_) {
-            Slot::Keyed(key) => {
-                let bucket = self.index.get_mut(&key).expect("indexed entry has bucket");
-                bucket.retain(|&x| x != id);
-                if bucket.is_empty() {
-                    self.index.remove(&key);
+        let entry = self.flows.remove(id).expect("live flow id");
+        match filing_of(&entry.match_) {
+            Filing::Keyed(key) => {
+                let Entry::Occupied(mut bucket) = self.index.entry(key) else {
+                    unreachable!("indexed entry has bucket");
+                };
+                if bucket.get().rest.is_empty() {
+                    debug_assert_eq!(bucket.get().head, id);
+                    bucket.remove();
+                } else {
+                    bucket.get_mut().unfile(id);
                 }
                 let n = self.shape_counts.get_mut(&key.mask).expect("shape count");
                 *n -= 1;
@@ -341,7 +499,7 @@ impl FlowTable {
                     self.shape_counts.remove(&key.mask);
                 }
             }
-            Slot::Residual => self.residual.retain(|&x| x != id),
+            Filing::Residual => self.residual.retain(|&x| x != id),
         }
         self.wheel.cancel(&id);
         entry
@@ -354,34 +512,50 @@ impl FlowTable {
         entry.last_hit = now;
         entry.packet_count = 0;
         entry.byte_count = 0;
-        let slot = slot_of(&entry.match_);
-        let candidates: &[FlowId] = match &slot {
-            Slot::Keyed(key) => self.index.get(key).map_or(&[], |b| b.as_slice()),
-            Slot::Residual => &self.residual,
-        };
-        let victims: Vec<FlowId> = candidates
-            .iter()
-            .copied()
-            .filter(|id| {
-                let e = &self.flows[id];
-                e.priority == entry.priority && e.match_ == entry.match_
-            })
-            .collect();
-        for id in victims {
-            self.remove_entry(id);
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        if let Some(deadline) = entry.next_deadline() {
+        let filing = filing_of(&entry.match_);
+        let deadline = entry.next_deadline();
+        let id = self.flows.insert(entry);
+        if let Some(deadline) = deadline {
             self.wheel.schedule(id, deadline);
         }
-        self.flows.insert(id, entry);
-        match slot {
-            Slot::Keyed(key) => {
-                *self.shape_counts.entry(key.mask).or_insert(0) += 1;
-                Self::file(&self.flows, self.index.entry(key).or_default(), id);
+        // ADD keeps `(priority, match)` unique, so it replaces at most one
+        // flow — found among the ids the new one is filed with.
+        let flows = &self.flows;
+        let replaces = |&old: &FlowId| {
+            let (old, new) = (&flows[old], &flows[id]);
+            old.priority == new.priority && old.match_ == new.match_
+        };
+        let replaced = match filing {
+            Filing::Keyed(key) => match self.index.entry(key) {
+                Entry::Vacant(v) => {
+                    v.insert(Bucket {
+                        head: id,
+                        rest: Vec::new(),
+                    });
+                    *self.shape_counts.entry(key.mask).or_insert(0) += 1;
+                    None
+                }
+                Entry::Occupied(o) => {
+                    let bucket = o.into_mut();
+                    let replaced = bucket.iter().find(replaces);
+                    bucket.file(flows, id);
+                    match replaced {
+                        Some(old) => bucket.unfile(old),
+                        None => *self.shape_counts.get_mut(&key.mask).expect("shape count") += 1,
+                    }
+                    replaced
+                }
+            },
+            Filing::Residual => {
+                let replaced = self.residual.iter().copied().find(replaces);
+                file(flows, &mut self.residual, id);
+                self.residual.retain(|&x| Some(x) != replaced);
+                replaced
             }
-            Slot::Residual => Self::file(&self.flows, &mut self.residual, id),
+        };
+        if let Some(old) = replaced {
+            self.flows.remove(old);
+            self.wheel.cancel(&old);
         }
         self.revision += 1;
     }
@@ -389,14 +563,8 @@ impl FlowTable {
     /// The ids whose match equals `match_` (order-sensitive equality, like
     /// the wire protocol), optionally restricted to one priority.
     fn ids_matching(&self, match_: &Match, priority: Option<u16>) -> Vec<FlowId> {
-        let candidates: &[FlowId] = match slot_of(match_) {
-            Slot::Keyed(key) => self.index.get(&key).map_or(&[], |b| b.as_slice()),
-            Slot::Residual => &self.residual,
-        };
-        candidates
-            .iter()
-            .copied()
-            .filter(|id| {
+        self.filed_at(&filing_of(match_))
+            .filter(|&id| {
                 let e = &self.flows[id];
                 e.match_ == *match_ && priority.is_none_or(|p| e.priority == p)
             })
@@ -410,7 +578,7 @@ impl FlowTable {
     /// tests; use [`FlowTable::modify_strict`] to target one priority.
     pub fn modify(&mut self, match_: &Match, instructions: &[Instruction]) -> usize {
         let ids = self.ids_matching(match_, None);
-        for id in &ids {
+        for &id in &ids {
             self.flows.get_mut(id).expect("live flow id").instructions =
                 instructions.to_vec();
         }
@@ -431,7 +599,7 @@ impl FlowTable {
         instructions: &[Instruction],
     ) -> usize {
         let ids = self.ids_matching(match_, Some(priority));
-        for id in &ids {
+        for &id in &ids {
             self.flows.get_mut(id).expect("live flow id").instructions =
                 instructions.to_vec();
         }
@@ -446,7 +614,7 @@ impl FlowTable {
     /// deletes everything. Returns removal records in priority order.
     pub fn delete(&mut self, match_: &Match, now: SimTime) -> Vec<Removed> {
         let mut taken: Vec<(FlowId, FlowEntry)> = if match_.is_empty() {
-            let all = self.flows.drain().collect();
+            let all = self.flows.drain();
             self.index.clear();
             self.shape_counts.clear();
             self.residual.clear();
@@ -479,15 +647,15 @@ impl FlowTable {
         let mut best: Option<(u16, FlowId)> = None;
         for &mask in self.shape_counts.keys() {
             let key = ShapeKey::of_view(mask, view);
-            if let Some(&id) = self.index.get(&key).and_then(|b| b.first()) {
-                let cand = (self.flows[&id].priority, id);
+            if let Some(id) = self.index.get(&key).map(|b| b.head) {
+                let cand = (self.flows[id].priority, id);
                 if best.is_none_or(|b| beats(cand, b)) {
                     best = Some(cand);
                 }
             }
         }
         for &id in &self.residual {
-            let e = &self.flows[&id];
+            let e = &self.flows[id];
             if e.match_.matches(view) {
                 let cand = (e.priority, id);
                 if best.is_none_or(|b| beats(cand, b)) {
@@ -535,7 +703,7 @@ impl FlowTable {
         frame_len: usize,
         now: SimTime,
     ) -> Option<(u64, &[Instruction])> {
-        let e = self.flows.get_mut(&id)?;
+        let e = self.flows.get_mut(id)?;
         e.packet_count += 1;
         e.byte_count += frame_len as u64;
         e.last_hit = now;
@@ -544,7 +712,7 @@ impl FlowTable {
 
     /// Read-only lookup (no counter updates).
     pub fn peek(&self, view: &MatchView) -> Option<&FlowEntry> {
-        self.classify(view).map(|id| &self.flows[&id])
+        self.classify(view).map(|id| &self.flows[id])
     }
 
     /// Removes every flow whose idle or hard timeout has elapsed at `now`,
@@ -558,7 +726,7 @@ impl FlowTable {
         due.clear();
         self.wheel.expired_into(now, &mut due);
         for id in due.drain(..) {
-            let e = &self.flows[&id];
+            let e = &self.flows[id];
             let hard_exp =
                 e.hard_timeout != Duration::ZERO && now - e.installed_at >= e.hard_timeout;
             let idle_exp =
@@ -906,6 +1074,90 @@ mod tests {
         assert_eq!(e.last_hit, SimTime::from_nanos(5));
         t.delete(&Match::any(), SimTime::from_nanos(6));
         assert!(t.hit(id, 1, SimTime::from_nanos(7)).is_none(), "stale id");
+    }
+
+    fn plain(match_: Match, priority: u16, cookie: u64) -> FlowEntry {
+        entry(match_, priority, cookie, fwd(1), Duration::ZERO, Duration::ZERO, 0)
+    }
+
+    fn slot_of(id: FlowId) -> u64 {
+        id & SLOT_MASK
+    }
+
+    /// An id kept from before its flow expired must not resolve to the flow
+    /// that took over the slot.
+    #[test]
+    fn stale_id_does_not_resolve_to_the_slots_next_tenant() {
+        let mut t = FlowTable::new();
+        let idle = Duration::from_secs(1);
+        t.add(entry(Match::any(), 0, 1, fwd(1), idle, Duration::ZERO, 0), SimTime::ZERO);
+        let (old, ..) = t.lookup_keyed(&view(80), 64, SimTime::ZERO).unwrap();
+        assert_eq!(t.expire(SimTime::from_secs(2)).len(), 1);
+        t.add(plain(Match::any(), 0, 2), SimTime::from_secs(2));
+        let (new, cookie, _) = t.lookup_keyed(&view(80), 64, SimTime::from_secs(2)).unwrap();
+        assert_eq!(cookie, 2);
+        assert_eq!(slot_of(new), slot_of(old), "the vacated slot was reused");
+        assert!(new > old, "ids still grow with insertion order");
+        assert!(t.hit(old, 64, SimTime::from_secs(3)).is_none(), "stale id");
+        assert_eq!(t.hit(new, 64, SimTime::from_secs(3)).unwrap().0, 2);
+        assert_eq!(t.entries().next().unwrap().packet_count, 2, "the stale hit counted nothing");
+    }
+
+    /// Insertion order — not slot order — breaks priority ties and orders
+    /// [`FlowTable::entries`], also once an older flow sits in a higher slot
+    /// than a newer one.
+    #[test]
+    fn slot_reuse_keeps_insertion_order() {
+        let mut t = FlowTable::new();
+        let by_port = Match::any().with(OxmField::TcpDst(80));
+        let by_ip = Match::any().with(OxmField::Ipv4Dst([203, 0, 113, 10]));
+        let filler = Match::service([9, 9, 9, 9], 9);
+        t.add(plain(filler.clone(), 5, 1), SimTime::ZERO); // slot 0
+        t.add(plain(by_port.clone(), 5, 2), SimTime::ZERO); // slot 1
+        t.add(plain(Match::service([8, 8, 8, 8], 8), 7, 3), SimTime::ZERO); // slot 2
+        assert_eq!(t.delete(&filler, SimTime::ZERO).len(), 1);
+        t.add(plain(by_ip, 5, 4), SimTime::ZERO); // slot 0 again
+        // Both shapes match the view at one priority: the older flow wins.
+        let (older, cookie, _) = t.lookup_keyed(&view(80), 64, SimTime::ZERO).unwrap();
+        assert_eq!(cookie, 2, "first-added wins the tie");
+        assert_eq!(
+            t.entries().map(|e| e.cookie).collect::<Vec<_>>(),
+            vec![3, 2, 4],
+            "priority, then insertion order"
+        );
+        assert_eq!(t.delete(&by_port, SimTime::ZERO).len(), 1);
+        let (newer, cookie, _) = t.lookup_keyed(&view(80), 64, SimTime::ZERO).unwrap();
+        assert_eq!(cookie, 4);
+        assert!(slot_of(older) > slot_of(newer) && older < newer);
+    }
+
+    /// Several ids under one index key — one match at three priorities and a
+    /// reordered spelling of it — stay sorted as the head is replaced,
+    /// unfiled and re-filed.
+    #[test]
+    fn a_bucket_of_several_ids_keeps_its_best_at_the_head() {
+        let mut t = FlowTable::new();
+        let m = Match::service([203, 0, 113, 10], 80);
+        let reordered = Match::any()
+            .with(OxmField::TcpDst(80))
+            .with(OxmField::Ipv4Dst([203, 0, 113, 10]))
+            .with(OxmField::IpProto(6))
+            .with(OxmField::EthType(0x0800));
+        let winner = |t: &mut FlowTable| t.lookup(&view(80), 64, SimTime::ZERO).unwrap().0;
+        t.add(plain(m.clone(), 5, 1), SimTime::ZERO);
+        t.add(plain(m.clone(), 9, 2), SimTime::ZERO); // new head
+        t.add(plain(reordered.clone(), 9, 3), SimTime::ZERO); // ties with the head, newer
+        t.add(plain(m.clone(), 1, 4), SimTime::ZERO);
+        assert_eq!(winner(&mut t), 2);
+        t.add(plain(m.clone(), 9, 5), SimTime::ZERO); // replaces the head; now newest at 9
+        assert_eq!(t.len(), 4);
+        assert_eq!(winner(&mut t), 3, "the reordered spelling is now the oldest at 9");
+        assert_eq!(t.delete(&reordered, SimTime::ZERO).len(), 1);
+        assert_eq!(winner(&mut t), 5);
+        assert_eq!(t.entries().map(|e| e.cookie).collect::<Vec<_>>(), vec![5, 1, 4]);
+        let removed = t.delete(&m, SimTime::ZERO);
+        assert_eq!(removed.iter().map(|r| r.entry.cookie).collect::<Vec<_>>(), vec![5, 1, 4]);
+        assert!(t.is_empty() && t.peek(&view(80)).is_none());
     }
 
     /// A match with a duplicated field kind (only constructible from wire
