@@ -14,7 +14,7 @@
 
 use crate::annotate::EDGE_SERVICE_LABEL;
 use crate::service::EdgeService;
-use containerd::{RuntimeError, ServiceProfile};
+use containerd::{ContainerId, RuntimeError, ServiceProfile};
 use desim::{Duration, LogNormal, Sample, SimRng, SimTime};
 use dockersim::{DockerEngine, DockerError};
 use k8ssim::objects::{PodContainer, PodTemplate};
@@ -212,6 +212,11 @@ fn manifest_for<'a>(image: &ImageRef, profile: &'a ServiceProfile) -> &'a ImageM
 struct DockerEntry {
     host_port: u16,
     containers: Vec<String>, // engine names, serving container first
+    /// The serving container and the port its readiness probe asks about,
+    /// fixed at create: [`EdgeCluster::state`] runs for every frame a server
+    /// receives and probes by id, with no name to hash or compare. The id
+    /// lives and dies with this entry (a re-created service gets a new one).
+    serving: (ContainerId, u16),
     created: bool,
     running: bool,
     ready_at: SimTime,
@@ -253,14 +258,6 @@ impl DockerCluster {
     pub fn engine_mut(&mut self) -> &mut DockerEngine {
         &mut self.engine
     }
-
-    fn serving_container<'a>(&self, svc: &'a EdgeService) -> &'a containerd::ContainerSpec {
-        svc.annotated
-            .containers
-            .iter()
-            .find(|c| c.listen_port.is_some())
-            .unwrap_or(&svc.annotated.containers[0])
-    }
 }
 
 impl EdgeCluster for DockerCluster {
@@ -288,9 +285,8 @@ impl EdgeCluster for DockerCluster {
             None => InstanceState::NotDeployed,
             Some(e) if !e.running => InstanceState::Created,
             Some(e) => {
-                let serving = self.serving_container(svc);
-                let port = serving.listen_port.unwrap_or(svc.annotated.target_port);
-                if self.engine.port_open(&serving.name, port, now) {
+                let (id, port) = e.serving;
+                if self.engine.node().port_open(id, port, now) {
                     InstanceState::Ready(InstanceAddr {
                         mac: self.host_mac,
                         ip: self.host_ip,
@@ -323,15 +319,17 @@ impl EdgeCluster for DockerCluster {
         );
         let mut t = now;
         let mut names = Vec::new();
+        let mut serving = None;
         // Serving container first so readiness probes target it.
         let mut specs: Vec<_> = svc.annotated.containers.iter().collect();
         specs.sort_by_key(|c| c.listen_port.is_none());
         for spec in specs {
             let manifest = manifest_for(&spec.image, &svc.profile).clone();
             match self.engine.create(spec.clone(), &manifest, t, rng) {
-                Ok((_, done)) => {
+                Ok((id, done)) => {
                     t = done;
                     names.push(spec.name.clone());
+                    serving.get_or_insert((id, spec.listen_port.unwrap_or(svc.annotated.target_port)));
                 }
                 Err(e) => {
                     let mut at = match &e {
@@ -361,6 +359,7 @@ impl EdgeCluster for DockerCluster {
             DockerEntry {
                 host_port,
                 containers: names,
+                serving: serving.expect("a service has at least one container"),
                 created: true,
                 running: false,
                 ready_at: SimTime::MAX,
@@ -384,10 +383,10 @@ impl EdgeCluster for DockerCluster {
         let mut t = now;
         let mut ready = now;
         let mut started = Vec::new();
-        for name in &containers {
-            // The serving container draws from the service profile; sidecars
-            // from the generic sidecar model.
-            let serving = self.serving_container(svc).name == *name;
+        for (i, name) in containers.iter().enumerate() {
+            // The serving container — created first — draws from the service
+            // profile; sidecars from the generic sidecar model.
+            let serving = i == 0;
             let delay = if serving {
                 svc.profile.ready_delay.sample_duration(rng)
             } else {
@@ -794,6 +793,12 @@ mod tests {
     use netsim::ServiceAddr;
 
     fn make_service(key: &str, port: u16) -> EdgeService {
+        make_service_serving_from(key, port, 0)
+    }
+
+    /// `make_service` with the listen port on container `serving` of the
+    /// manifest instead of the first.
+    fn make_service_serving_from(key: &str, port: u16, serving: usize) -> EdgeService {
         let profile = containerd::ServiceSet::by_key(key).unwrap();
         let addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), port);
         let containers: String = profile
@@ -801,7 +806,7 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, m)| {
-                let ports = if i == 0 {
+                let ports = if i == serving {
                     format!("\n          ports:\n            - containerPort: {}", profile.listen_port)
                 } else {
                     String::new()
@@ -1070,6 +1075,127 @@ mod tests {
             let (_, again) = c.scale_up(&svc, ready + Duration::from_secs(5), &mut rng).unwrap();
             assert!(c.state(&svc, again).is_ready(), "{label}: redeployed");
         }
+    }
+
+    /// The container of `svc` that answers its readiness probe, found in the
+    /// service definition: the first with a listen port, else the first.
+    fn serving_container(svc: &EdgeService) -> &containerd::ContainerSpec {
+        let containers = &svc.annotated.containers;
+        containers.iter().find(|c| c.listen_port.is_some()).unwrap_or(&containers[0])
+    }
+
+    /// `DockerCluster::state` as it was before the entry remembered its
+    /// serving container's id: find the serving container in the service
+    /// definition and probe the engine by *name*. Kept as the oracle.
+    fn state_by_name(c: &DockerCluster, svc: &EdgeService, now: SimTime) -> InstanceState {
+        match c.entries.get(&svc.name) {
+            None => InstanceState::NotDeployed,
+            Some(e) if !e.running => InstanceState::Created,
+            Some(e) => {
+                let serving = serving_container(svc);
+                let port = serving.listen_port.unwrap_or(svc.annotated.target_port);
+                if c.engine.port_open(&serving.name, port, now) {
+                    InstanceState::Ready(InstanceAddr { mac: c.host_mac, ip: c.host_ip, port: e.host_port })
+                } else {
+                    InstanceState::Starting { ready_at: e.ready_at }
+                }
+            }
+        }
+    }
+
+    /// The state at `at`, which the by-name probe must agree with — as it
+    /// must a little and much later.
+    fn probed(c: &DockerCluster, svc: &EdgeService, at: SimTime) -> InstanceState {
+        for t in [at, at + Duration::from_millis(1), at + Duration::from_secs(3600)] {
+            assert_eq!(c.state(svc, t), state_by_name(c, svc, t), "{} at {t:?}", svc.name);
+        }
+        c.state(svc, at)
+    }
+
+    #[test]
+    fn the_remembered_container_id_answers_what_the_by_name_probe_answers() {
+        let mut rng = SimRng::new(12);
+        // One container; two with the serving one first; two with it last.
+        for svc in [
+            make_service("nginx", 80),
+            make_service("nginx-py", 80),
+            make_service_serving_from("nginx-py", 80, 1),
+        ] {
+            let mut c = docker_cluster();
+            // A neighbour, so ids and names are not the only ones around.
+            let other = make_service("asm", 81);
+            let t = c.pull(&other, SimTime::ZERO, &mut rng).unwrap();
+            let t = c.create(&other, t, &mut rng).unwrap();
+            c.scale_up(&other, t, &mut rng).unwrap();
+
+            assert_eq!(probed(&c, &svc, t), InstanceState::NotDeployed);
+            let t = c.pull(&svc, t, &mut rng).unwrap();
+            let t = c.create(&svc, t, &mut rng).unwrap();
+            assert_eq!(probed(&c, &svc, t), InstanceState::Created);
+            let first_id = c.entries[&svc.name].serving.0;
+            let serving = serving_container(&svc);
+            assert_eq!(c.engine.id_of(&serving.name), Ok(first_id));
+            assert_eq!(c.entries[&svc.name].containers[0], serving.name);
+
+            let (_, ready) = c.scale_up(&svc, t, &mut rng).unwrap();
+            assert_eq!(probed(&c, &svc, t), InstanceState::Starting { ready_at: ready });
+            assert!(probed(&c, &svc, ready).is_ready());
+
+            assert!(c.fail_instance(&svc, ready, &mut rng));
+            assert_eq!(probed(&c, &svc, ready), InstanceState::Created);
+            let t = c.scale_down(&svc, ready + Duration::from_secs(1), &mut rng);
+            assert_eq!(probed(&c, &svc, t), InstanceState::Created, "nothing left to scale down");
+            let (_, ready) = c.scale_up(&svc, t, &mut rng).unwrap();
+            assert!(probed(&c, &svc, ready).is_ready(), "same container, started again");
+            assert_eq!(c.entries[&svc.name].serving.0, first_id);
+
+            // Removed while running, created again: a new container id.
+            let t = c.remove(&svc, ready + Duration::from_secs(1), &mut rng);
+            assert_eq!(probed(&c, &svc, t), InstanceState::NotDeployed);
+            let t = c.create(&svc, t, &mut rng).unwrap();
+            assert_eq!(probed(&c, &svc, t), InstanceState::Created);
+            assert_ne!(c.entries[&svc.name].serving.0, first_id);
+            let (_, ready) = c.scale_up(&svc, t, &mut rng).unwrap();
+            assert!(probed(&c, &svc, ready).is_ready());
+            assert!(probed(&c, &other, ready).is_ready(), "the neighbour is still its own");
+        }
+    }
+
+    /// A create that fails on its second container rolls the first one back:
+    /// no entry, so no remembered id, and the retry remembers the new one.
+    #[test]
+    fn a_rolled_back_create_leaves_no_container_id_behind() {
+        use desim::FaultPlan;
+        let mut rng = SimRng::new(13);
+        let mut c = docker_cluster();
+        let svc = make_service_serving_from("nginx-py", 80, 1);
+        let mut t = c.pull(&svc, SimTime::ZERO, &mut rng).unwrap();
+        let plan = FaultPlan { create_failure: 0.5, seed: 41, ..FaultPlan::default() };
+        c.engine_mut().node_mut().set_faults(plan.injector(0x37));
+        let mut earlier_ids = Vec::new();
+        loop {
+            let removes = c.engine.ops.removes;
+            match c.create(&svc, t, &mut rng) {
+                Ok(done) => {
+                    earlier_ids.push(c.entries[&svc.name].serving.0);
+                    assert_eq!(probed(&c, &svc, done), InstanceState::Created);
+                    t = c.remove(&svc, done, &mut rng);
+                }
+                Err(e) => {
+                    t = e.at;
+                    assert_eq!(probed(&c, &svc, t), InstanceState::NotDeployed);
+                    assert_eq!(c.engine.container_count(), 0);
+                    if c.engine.ops.removes > removes {
+                        break; // the serving container had been created
+                    }
+                }
+            }
+        }
+        c.engine_mut().node_mut().set_faults(FaultPlan::default().injector(0x38));
+        let done = c.create(&svc, t, &mut rng).unwrap();
+        assert!(!earlier_ids.contains(&c.entries[&svc.name].serving.0));
+        let (_, ready) = c.scale_up(&svc, done, &mut rng).unwrap();
+        assert!(probed(&c, &svc, ready).is_ready());
     }
 
     #[test]

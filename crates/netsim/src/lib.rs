@@ -13,7 +13,8 @@
 //!   plus the two views the per-packet paths use on encoded bytes: a
 //!   header-only parse ([`TcpHeaders`], same verification as a full decode,
 //!   no payload copy) and an in-place rewrite ([`WireFrame`], checksums
-//!   patched incrementally per RFC 1624),
+//!   patched incrementally per RFC 1624), and the bounded [`FramePool`] that
+//!   hands a consumed frame's buffer to the next encoder,
 //! * [`link`] — latency + bandwidth link models with optional jitter,
 //! * [`topo`] — the node/port/link graph plus shortest-path queries,
 //! * [`pcap`] — capture export: dump simulated traffic to standard pcap
@@ -46,7 +47,7 @@ pub mod topo;
 pub mod wire;
 
 pub use addr::{Ipv4Addr, MacAddr, ServiceAddr};
-pub use frame::{TcpFlags, TcpFrame, TcpHeaders, WireFrame};
+pub use frame::{FramePool, TcpFlags, TcpFrame, TcpHeaders, WireFrame};
 pub use link::{Link, LinkSpec};
 pub use pcap::PcapCapture;
 pub use topo::{NodeId, NodeKind, PortNo, Topology};

@@ -4,6 +4,14 @@
 //! attach through an access switch to the Edge Gateway Server, which hosts
 //! the OVS instance, the SDN controller and the edge clusters; a WAN link
 //! continues toward the cloud.
+//!
+//! Ports are dense: [`Topology::connect`] hands a node its ports in order
+//! from 1, so a node's links live in a `Vec` indexed by `port − 1` and the
+//! per-hop lookups ([`Topology::peer_of`], [`Topology::link_at`]) are an
+//! index, not a hash probe. Where two nodes share several links, every query
+//! that has to pick one ([`Topology::port_toward`],
+//! [`Topology::path_latency`]) picks the lowest-numbered port — the same
+//! answer in every process.
 
 use crate::addr::{Ipv4Addr, MacAddr};
 use crate::link::{Link, LinkSpec};
@@ -62,9 +70,8 @@ pub struct Topology {
     nodes: Vec<Node>,
     by_name: HashMap<String, NodeId>,
     by_ip: HashMap<Ipv4Addr, NodeId>,
-    /// adjacency[node] : port -> edge
-    adjacency: Vec<HashMap<PortNo, Edge>>,
-    next_port: Vec<u32>,
+    /// `adjacency[node][port - 1]`: ports are handed out densely from 1.
+    adjacency: Vec<Vec<Edge>>,
 }
 
 impl Topology {
@@ -94,36 +101,39 @@ impl Topology {
             mac: MacAddr::from_id(id.0),
             ip,
         });
-        self.adjacency.push(HashMap::new());
-        self.next_port.push(1);
+        self.adjacency.push(Vec::new());
         id
     }
 
-    /// Connects two nodes with a symmetric link, allocating a port on each
-    /// side. Returns `(port on a, port on b)`.
+    /// Connects two nodes with a symmetric link, allocating the next free
+    /// port (1, 2, ...) on each side. Returns `(port on a, port on b)`.
     pub fn connect(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) -> (PortNo, PortNo) {
         assert_ne!(a, b, "self-links are not supported");
-        let pa = PortNo(self.next_port[a.0 as usize]);
-        self.next_port[a.0 as usize] += 1;
-        let pb = PortNo(self.next_port[b.0 as usize]);
-        self.next_port[b.0 as usize] += 1;
-        self.adjacency[a.0 as usize].insert(
-            pa,
-            Edge {
-                peer: b,
-                peer_port: pb,
-                link: Link::new(spec.clone()),
-            },
-        );
-        self.adjacency[b.0 as usize].insert(
-            pb,
-            Edge {
-                peer: a,
-                peer_port: pa,
-                link: Link::new(spec),
-            },
-        );
+        let pa = PortNo(self.adjacency[a.0 as usize].len() as u32 + 1);
+        let pb = PortNo(self.adjacency[b.0 as usize].len() as u32 + 1);
+        self.adjacency[a.0 as usize].push(Edge {
+            peer: b,
+            peer_port: pb,
+            link: Link::new(spec.clone()),
+        });
+        self.adjacency[b.0 as usize].push(Edge {
+            peer: a,
+            peer_port: pa,
+            link: Link::new(spec),
+        });
         (pa, pb)
+    }
+
+    /// The edge behind `port` of `node`.
+    fn edge(&self, node: NodeId, port: PortNo) -> Option<&Edge> {
+        self.adjacency[node.0 as usize].get(port.0.checked_sub(1)? as usize)
+    }
+
+    /// The lowest-numbered port of `node` whose link ends at `peer`, and
+    /// that link's edge.
+    fn first_edge_to(&self, node: NodeId, peer: NodeId) -> Option<(PortNo, &Edge)> {
+        let (at, edge) = self.adjacency[node.0 as usize].iter().enumerate().find(|(_, e)| e.peer == peer)?;
+        Some((PortNo(at as u32 + 1), edge))
     }
 
     /// Node metadata.
@@ -148,32 +158,26 @@ impl Topology {
 
     /// The `(peer, peer port)` on the far end of `port` of `node`.
     pub fn peer_of(&self, node: NodeId, port: PortNo) -> Option<(NodeId, PortNo)> {
-        self.adjacency[node.0 as usize]
-            .get(&port)
-            .map(|e| (e.peer, e.peer_port))
+        self.edge(node, port).map(|e| (e.peer, e.peer_port))
     }
 
     /// The link attached to `port` of `node`.
     pub fn link_at(&self, node: NodeId, port: PortNo) -> Option<&Link> {
-        self.adjacency[node.0 as usize].get(&port).map(|e| &e.link)
+        self.edge(node, port).map(|e| &e.link)
     }
 
-    /// The ports of `node`, sorted.
+    /// The ports of `node`, ascending.
     pub fn ports(&self, node: NodeId) -> Vec<PortNo> {
-        let mut v: Vec<PortNo> = self.adjacency[node.0 as usize].keys().copied().collect();
-        v.sort_unstable();
-        v
+        (1..=self.adjacency[node.0 as usize].len() as u32).map(PortNo).collect()
     }
 
     /// The port of `node` whose link leads (by next hop) toward `dst`,
-    /// following the shortest path. `None` if unreachable.
+    /// following the shortest path. `None` if unreachable. Among parallel
+    /// links to the next hop, the lowest-numbered port.
     pub fn port_toward(&self, node: NodeId, dst: NodeId) -> Option<PortNo> {
         let path = self.shortest_path(node, dst)?;
         let next = *path.get(1)?;
-        self.adjacency[node.0 as usize]
-            .iter()
-            .find(|(_, e)| e.peer == next)
-            .map(|(p, _)| *p)
+        self.first_edge_to(node, next).map(|(port, _)| port)
     }
 
     /// Dijkstra shortest path (by propagation delay), returning the node
@@ -203,7 +207,7 @@ impl Topology {
                 break;
             }
             visited[u] = true;
-            for edge in self.adjacency[u].values() {
+            for edge in &self.adjacency[u] {
                 let v = edge.peer.0 as usize;
                 let alt = dist[u] + edge.link.spec().propagation;
                 if alt < dist[v] {
@@ -226,7 +230,9 @@ impl Topology {
     }
 
     /// One-way latency of the shortest path for a frame of `bytes`,
-    /// including per-hop serialization and jitter.
+    /// including per-hop serialization and jitter. A hop between two nodes
+    /// that share several links is priced by the link on the lowest-numbered
+    /// port — the one [`Topology::port_toward`] names.
     pub fn path_latency(
         &self,
         from: NodeId,
@@ -238,10 +244,7 @@ impl Topology {
         let mut total = Duration::ZERO;
         for pair in path.windows(2) {
             let (a, b) = (pair[0], pair[1]);
-            let edge = self.adjacency[a.0 as usize]
-                .values()
-                .find(|e| e.peer == b)
-                .expect("path edge exists");
+            let (_, edge) = self.first_edge_to(a, b).expect("path edge exists");
             total += edge.link.traversal_time(bytes, rng);
         }
         Some(total)
@@ -340,6 +343,50 @@ mod tests {
         t.connect(a, b, LinkSpec::gigabit(Duration::from_micros(100)));
         t.connect(b, c, LinkSpec::gigabit(Duration::from_micros(100)));
         assert_eq!(t.shortest_path(a, c), Some(vec![a, b, c]));
+    }
+
+    /// Two nodes sharing three links of different specs: every query that
+    /// has to pick one picks the lowest-numbered port. (The ports used to
+    /// live in a `RandomState` map, and the answer was whichever link the
+    /// process's hash seed listed first.)
+    #[test]
+    fn parallel_links_resolve_to_the_lowest_port() {
+        let link = |propagation_us| LinkSpec {
+            propagation: Duration::from_micros(propagation_us),
+            bandwidth_bps: 1_000_000_000,
+            jitter_max: Duration::ZERO,
+        };
+        let mut t = Topology::new();
+        let a = t.add_node("a", NodeKind::Switch, Ipv4Addr::new(1, 0, 0, 1));
+        let b = t.add_node("b", NodeKind::Switch, Ipv4Addr::new(1, 0, 0, 2));
+        let c = t.add_node("c", NodeKind::Client, Ipv4Addr::new(1, 0, 0, 3));
+        t.connect(c, a, link(10));
+        // The slowest of the three comes first, so "lowest port" and
+        // "fastest link" give different answers.
+        for propagation_us in [700, 300, 500] {
+            t.connect(a, b, link(propagation_us));
+        }
+        assert_eq!(t.ports(a), vec![PortNo(1), PortNo(2), PortNo(3), PortNo(4)]);
+        assert_eq!(t.ports(b), vec![PortNo(1), PortNo(2), PortNo(3)]);
+        for (pa, pb) in [(2, 1), (3, 2), (4, 3)] {
+            assert_eq!(t.peer_of(a, PortNo(pa)), Some((b, PortNo(pb))));
+            assert_eq!(t.peer_of(b, PortNo(pb)), Some((a, PortNo(pa))));
+        }
+        assert!(t.peer_of(a, PortNo(0)).is_none() && t.link_at(a, PortNo(5)).is_none());
+        assert_eq!(t.port_toward(a, b), Some(PortNo(2)));
+        assert_eq!(t.port_toward(c, b), Some(PortNo(1)));
+        assert_eq!(t.port_toward(b, c), Some(PortNo(1)));
+        assert_eq!(t.shortest_path(c, b), Some(vec![c, a, b]));
+        let mut rng = SimRng::new(1);
+        let priced = |l: &Link| l.spec().propagation + l.serialization_delay(125);
+        let first = priced(t.link_at(a, PortNo(2)).unwrap());
+        assert_eq!(first, Duration::from_micros(701));
+        assert_eq!(t.path_latency(a, b, 125, &mut rng), Some(first));
+        assert_eq!(t.path_latency(b, a, 125, &mut rng), Some(first));
+        assert_eq!(
+            t.path_latency(c, b, 125, &mut rng),
+            Some(Duration::from_micros(11) + first)
+        );
     }
 
     #[test]

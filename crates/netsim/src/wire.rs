@@ -182,28 +182,9 @@ fn tcp_pseudo_header_sum(src: Ipv4Addr, dst: Ipv4Addr, tcp_len: usize) -> u32 {
     sum
 }
 
-/// Encodes a TCP header + payload, computing the checksum over the pseudo
-/// header for `src`/`dst`.
-pub fn encode_tcp(
-    out: &mut Vec<u8>,
-    h: &TcpHeader,
-    payload: &[u8],
-    src: Ipv4Addr,
-    dst: Ipv4Addr,
-) {
-    encode_tcp_with(out, h, |out| out.extend_from_slice(payload), src, dst);
-}
-
-/// [`encode_tcp`] for a payload the caller writes straight into `out`
-/// (`write_payload` must only append), so a generated payload needs no
-/// buffer of its own.
-pub(crate) fn encode_tcp_with(
-    out: &mut Vec<u8>,
-    h: &TcpHeader,
-    write_payload: impl FnOnce(&mut Vec<u8>),
-    src: Ipv4Addr,
-    dst: Ipv4Addr,
-) {
+/// Appends the 20 TCP header bytes with the checksum field zero; returns
+/// the offset of the segment in `out`.
+fn encode_tcp_header(out: &mut Vec<u8>, h: &TcpHeader) -> usize {
     let start = out.len();
     out.extend_from_slice(&h.src_port.to_be_bytes());
     out.extend_from_slice(&h.dst_port.to_be_bytes());
@@ -214,10 +195,52 @@ pub(crate) fn encode_tcp_with(
     out.extend_from_slice(&h.window.to_be_bytes());
     out.extend_from_slice(&[0, 0]); // checksum placeholder
     out.extend_from_slice(&[0, 0]); // urgent pointer
-    write_payload(out);
-    let tcp_len = out.len() - start;
-    let pseudo = tcp_pseudo_header_sum(src, dst, tcp_len);
-    let csum = internet_checksum(&out[start..start + tcp_len], pseudo);
+    start
+}
+
+/// Encodes a TCP header + payload, computing the checksum over the pseudo
+/// header for `src`/`dst`.
+pub fn encode_tcp(
+    out: &mut Vec<u8>,
+    h: &TcpHeader,
+    payload: &[u8],
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+) {
+    let start = encode_tcp_header(out, h);
+    out.extend_from_slice(payload);
+    let pseudo = tcp_pseudo_header_sum(src, dst, out.len() - start);
+    let csum = internet_checksum(&out[start..], pseudo);
+    out[start + 16..start + 18].copy_from_slice(&csum.to_be_bytes());
+}
+
+/// [`encode_tcp`] for a generated payload of `len` bytes of `fill`: the same
+/// bytes, without a payload buffer to copy from and without a pass over the
+/// payload to sum it.
+///
+/// The payload starts 20 bytes into the segment, on a 16-bit boundary, so
+/// its ones'-complement sum is known in closed form: `len / 2` words of
+/// `fill·0x0101` and, for an odd `len`, a last word of `fill` and a zero pad
+/// byte (RFC 1071 pads on the right). That sum seeds the checksum beside the
+/// pseudo header and only the header bytes are added up. Whoever receives
+/// the segment still verifies every byte of it ([`decode_tcp`]).
+pub(crate) fn encode_tcp_filled(
+    out: &mut Vec<u8>,
+    h: &TcpHeader,
+    fill: u8,
+    len: usize,
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+) {
+    let start = encode_tcp_header(out, h);
+    out.resize(out.len() + len, fill);
+    let fill = u64::from(fill);
+    // ≈ 2.1 × 10⁹ at `TcpFrame::MAX_PAYLOAD` bytes of 0xff: summed in the
+    // `u64` that `fold` takes, where nothing can wrap.
+    let payload_sum = (len as u64 / 2) * (fill * 0x0101) + (len as u64 % 2) * (fill << 8);
+    let pseudo = tcp_pseudo_header_sum(src, dst, TCP_HEADER_LEN + len);
+    let seed = fold(u64::from(pseudo) + payload_sum);
+    let csum = internet_checksum(&out[start..start + TCP_HEADER_LEN], u32::from(seed));
     out[start + 16..start + 18].copy_from_slice(&csum.to_be_bytes());
 }
 

@@ -5,7 +5,7 @@ use netsim::addr::{Ipv4Addr, MacAddr};
 use netsim::link::LinkSpec;
 use netsim::topo::{NodeKind, Topology};
 use netsim::wire::{self, WireError};
-use netsim::{TcpFlags, TcpFrame, TcpHeaders, WireFrame};
+use netsim::{FramePool, TcpFlags, TcpFrame, TcpHeaders, WireFrame};
 use proptest::prelude::*;
 
 fn arb_frame() -> impl Strategy<Value = TcpFrame> {
@@ -158,6 +158,18 @@ fn patch_rewrite(bytes: &[u8], dst: Rewrite, src: Rewrite) -> Vec<u8> {
     w.into_bytes()
 }
 
+/// Fill bytes, with the two whose words are a zero of ones'-complement
+/// arithmetic made likely: `0x00` and `0xff`.
+fn arb_fill() -> impl Strategy<Value = u8> {
+    prop_oneof![Just(0x00u8), Just(0xffu8), any::<u8>()]
+}
+
+/// Payload lengths over everything one frame can carry, with short ones —
+/// empty, one byte, both parities — made likely.
+fn arb_len() -> impl Strategy<Value = usize> {
+    prop_oneof![0usize..64, 0usize..=TcpFrame::MAX_PAYLOAD]
+}
+
 const NO_REWRITE: Rewrite = Rewrite { mac: None, ip: None, port: None };
 const IP_CSUM: usize = 14 + 10;
 const TCP_CSUM: usize = 14 + 20 + 16;
@@ -208,13 +220,40 @@ proptest! {
         let _ = WireFrame::parse(bytes);
     }
 
-    /// A segment encoded straight from its headers and a fill byte is the
-    /// frame `TcpFrame::encode` renders from a payload buffer of that byte.
+    /// A segment encoded straight from its headers and a fill byte — its
+    /// payload summed in closed form — is the frame `TcpFrame::encode`
+    /// renders, and sums, from a payload buffer of that byte; and it passes
+    /// the receivers' parse, which adds up every byte.
     #[test]
-    fn filled_encoding_equals_encode(frame in arb_frame(), fill in any::<u8>(), len in 0usize..3000) {
+    fn filled_encoding_equals_encode(frame in arb_frame(), fill in arb_fill(), len in arb_len()) {
         let mut f = frame;
         f.payload = vec![fill; len];
-        prop_assert_eq!(f.headers().encode_filled(fill), f.encode());
+        let bytes = f.headers().encode_filled(fill);
+        prop_assert_eq!(TcpHeaders::parse(&bytes), Ok(f.headers()));
+        prop_assert_eq!(bytes, f.encode());
+    }
+
+    /// A recycled buffer contributes its capacity and nothing else: after
+    /// carrying a longer frame, a shorter one and one more, each with a bit
+    /// flipped on the way, it encodes the frame a fresh buffer would.
+    #[test]
+    fn encoding_into_a_recycled_buffer_equals_a_fresh_encoding(frame in arb_frame(), fill in arb_fill(), len in 0usize..3000,
+                                                               other in arb_frame(), other_fill in any::<u8>(),
+                                                               longer in 1usize..3000, flip in any::<u16>()) {
+        let mut pool = FramePool::new();
+        for earlier_len in [len + longer, len / 2, len] {
+            let earlier = TcpHeaders { payload_len: earlier_len, ..other.headers() };
+            let mut buf = pool.encode_filled(&earlier, other_fill);
+            prop_assert_eq!(&buf, &earlier.encode_filled(other_fill));
+            let at = flip as usize % buf.len();
+            buf[at] ^= 1 << (flip % 8);
+            pool.recycle(buf);
+            prop_assert_eq!(pool.held(), 1);
+        }
+        let headers = TcpHeaders { payload_len: len, ..frame.headers() };
+        let bytes = pool.encode_filled(&headers, fill);
+        prop_assert_eq!(pool.held(), 0);
+        prop_assert_eq!(bytes, headers.encode_filled(fill));
     }
 
     /// Patching encoded bytes in place gives, byte for byte, the frame that
@@ -294,6 +333,83 @@ proptest! {
         prop_assert_eq!(&patched[54..], &bytes[54..], "payload and padding untouched");
         let expected = TcpFrame::decode(&oracle_rewrite(&bytes, dst, src)).unwrap();
         prop_assert_eq!(TcpFrame::decode(&patched), Ok(expected));
+    }
+}
+
+fn client_segment(fill: u8, len: usize) -> TcpFrame {
+    let mut f = TcpFrame::syn(
+        MacAddr::from_id(1),
+        MacAddr::from_id(2),
+        Ipv4Addr::new(192, 168, 1, 20),
+        50000,
+        netsim::ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80),
+    );
+    f.flags = TcpFlags::PSH_ACK;
+    f.seq = 0x0102_0304;
+    f.payload = vec![fill; len];
+    f
+}
+
+/// The closed-form payload sum at its edges: no payload, one byte (all pad),
+/// both parities around the MSS, the longest payload a frame carries (where
+/// the sum is just under 2³¹), for fill bytes that add nothing, carry out of
+/// every word, or sit in between.
+#[test]
+fn filled_encoding_equals_encode_at_the_edges() {
+    for fill in [0x00, 0x01, 0x42, 0x80, 0xfe, 0xff] {
+        for len in [0, 1, 2, 3, 1447, 1448, 1449, TcpFrame::MAX_PAYLOAD - 1, TcpFrame::MAX_PAYLOAD] {
+            let f = client_segment(fill, len);
+            let bytes = f.headers().encode_filled(fill);
+            assert_eq!(TcpHeaders::parse(&bytes), Ok(f.headers()), "fill {fill:#04x}, {len} bytes");
+            assert_eq!(bytes, f.encode(), "fill {fill:#04x}, {len} bytes");
+        }
+    }
+}
+
+/// Frames steered onto the two zeros of ones'-complement arithmetic. First
+/// the checksum itself: with the total at `0xffff` the field must read
+/// `0x0000` from the closed form as from the summed encoder, and the frame's
+/// twin carrying `0xffff` there (valid on the wire, produced by neither)
+/// still verifies. Then the seed: pseudo header plus payload summing to the
+/// other zero, so that the checksum is that of the header bytes alone.
+#[test]
+fn filled_checksums_landing_on_zero() {
+    for (fill, len) in [(0x42, 1447), (0x42, 1448), (0xff, 1448), (0xff, 1), (0x00, 0), (0x9c, TcpFrame::MAX_PAYLOAD)] {
+        let mut f = client_segment(fill, len);
+        // With the word zeroed the checksum is ~S; that checksum written
+        // into the word makes the sum 0xffff.
+        f.dst_port = 0;
+        let bytes = f.headers().encode_filled(fill);
+        f.dst_port = u16::from_be_bytes([bytes[TCP_CSUM], bytes[TCP_CSUM + 1]]);
+        let bytes = f.headers().encode_filled(fill);
+        assert_eq!(&bytes[TCP_CSUM..TCP_CSUM + 2], &[0, 0], "fill {fill:#04x}, {len} bytes");
+        assert_eq!(bytes, f.encode());
+        assert_eq!(TcpHeaders::parse(&bytes), Ok(f.headers()));
+        let mut twin = bytes;
+        twin[TCP_CSUM..TCP_CSUM + 2].copy_from_slice(&[0xff, 0xff]);
+        assert_eq!(TcpHeaders::parse(&twin), Ok(f.headers()));
+
+        // Everything the seed covers, as bytes: the pseudo header (12
+        // bytes, so the payload stays word-aligned) and the payload.
+        let mut f = client_segment(fill, len);
+        f.src_ip.0[2..].copy_from_slice(&[0, 0]);
+        let mut seeded = Vec::new();
+        seeded.extend_from_slice(&f.src_ip.0);
+        seeded.extend_from_slice(&f.dst_ip.0);
+        seeded.extend_from_slice(&[0, wire::IPPROTO_TCP]);
+        seeded.extend_from_slice(&((wire::TCP_HEADER_LEN + len) as u16).to_be_bytes());
+        seeded.extend_from_slice(&f.payload);
+        // Its checksum is what the free word must hold for a sum of 0xffff.
+        let [a, b] = reference_checksum(&seeded, 0).to_be_bytes();
+        f.src_ip.0[2..].copy_from_slice(&[a, b]);
+        seeded[2..4].copy_from_slice(&[a, b]);
+        assert_eq!(reference_checksum(&seeded, 0), 0, "seed steered onto 0xffff");
+        let bytes = f.headers().encode_filled(fill);
+        assert_eq!(bytes, f.encode(), "fill {fill:#04x}, {len} bytes");
+        assert_eq!(TcpHeaders::parse(&bytes), Ok(f.headers()));
+        let mut header = bytes[34..54].to_vec();
+        header[16..18].copy_from_slice(&[0, 0]);
+        assert_eq!(bytes[TCP_CSUM..TCP_CSUM + 2], reference_checksum(&header, 0).to_be_bytes());
     }
 }
 

@@ -42,7 +42,7 @@ use edgectl::{
 };
 use mobility::AttachmentEvent;
 use netsim::topo::{NodeId, PortNo};
-use netsim::{Ipv4Addr, ServiceAddr, TcpFlags, TcpFrame, TcpHeaders};
+use netsim::{FramePool, Ipv4Addr, ServiceAddr, TcpFlags, TcpFrame, TcpHeaders};
 use openflow::FlowEntry;
 use ovs::{Effect, Switch};
 use telemetry::{MetricsRegistry, SpanLog};
@@ -123,6 +123,9 @@ struct Session {
 /// (1500 MTU − 20 IPv4 − 20 TCP − a little slack).
 const MSS: usize = 1448;
 
+/// The byte every generated request and response payload consists of.
+const PAYLOAD_FILL: u8 = 0x42;
+
 /// First ephemeral source port of every client.
 const FIRST_SRC_PORT: u16 = 49152;
 
@@ -187,6 +190,8 @@ pub struct Harness<T: Net> {
     /// Per switch.
     expiry: Vec<Deadline>,
     listeners: ListenerIndex,
+    /// Buffers of the frames the endpoints consumed, for the next encoder.
+    frames: FramePool,
     accept_latency: LogNormal,
     cloud_processing: LogNormal,
     capture: Option<netsim::PcapCapture>,
@@ -305,6 +310,7 @@ impl<T: Net> Harness<T> {
             migration: Deadline::default(),
             expiry: vec![Deadline::default(); switches.len()],
             listeners: ListenerIndex::default(),
+            frames: FramePool::new(),
             accept_latency: LogNormal::from_median(0.0001, 0.3),
             cloud_processing: LogNormal::from_median(0.002, 0.3),
             capture: None,
@@ -712,18 +718,26 @@ impl<T: Net> Harness<T> {
                 self.send_session_syn(client);
             }
             Ev::Ping { client } => self.send_ping(now, client),
-            Ev::FrameAt { node, in_port, data } => match self.roles[node.0 as usize] {
-                Role::Switch(sw) => {
+            Ev::FrameAt { node, in_port, data } => {
+                let role = self.roles[node.0 as usize];
+                if let Role::Switch(sw) = role {
                     if let Some(cap) = &mut self.capture {
                         cap.record(now, &data);
                     }
                     let effects = self.switches[sw].handle_frame_owned(now, in_port, data);
-                    self.process_switch_effects(sw, effects);
+                    return self.process_switch_effects(sw, effects);
                 }
-                Role::Edge => self.handle_server_frame(now, node, in_port, &data, false),
-                Role::Cloud => self.handle_server_frame(now, node, in_port, &data, true),
-                Role::Client(client) => self.handle_client_frame(now, client, &data),
-            },
+                // An endpoint acts on the verified headers alone: the journey
+                // ends here and the buffer starts another.
+                match TcpHeaders::parse(&data) {
+                    Err(_) => self.drops += 1,
+                    Ok(frame) => match role {
+                        Role::Client(client) => self.handle_client_frame(now, client, &frame),
+                        _ => self.handle_server_frame(now, node, in_port, &frame, role == Role::Cloud),
+                    },
+                }
+                self.frames.recycle(data);
+            }
             Ev::CtrlUp { sw, bytes } => {
                 if !self.channel_up(sw, now) || !self.controller_up(now) {
                     self.ctrl_dropped += 1;
@@ -966,15 +980,12 @@ impl<T: Net> Harness<T> {
     fn send_syn(&mut self, client: usize, src_port: u16, service: ServiceAddr) {
         let topo = self.net.topo();
         let node = self.net.client_node(client);
-        let frame = TcpFrame::syn(
-            topo.node(node).mac,
-            topo.node(self.net.cloud_node()).mac, // perceived cloud gateway
-            topo.node(node).ip,
-            src_port,
-            service,
-        );
+        // Addressed to the perceived cloud gateway.
+        let (from, gateway) = (topo.node(node), topo.node(self.net.cloud_node()));
+        let syn = TcpFrame::syn(from.mac, gateway.mac, from.ip, src_port, service).headers();
         let uplink = self.net.uplink_port(self.attachment[client], client);
-        self.send_from(node, uplink, frame.encode());
+        let data = self.frames.encode_filled(&syn, 0);
+        self.send_from(node, uplink, data);
     }
 
     /// (Re)sends the opening SYN of `client`'s session.
@@ -989,7 +1000,8 @@ impl<T: Net> Harness<T> {
         let node = self.net.client_node(client);
         let uplink = self.net.uplink_port(self.attachment[client], client);
         for seg in segments(template, bytes) {
-            self.send_from(node, uplink, seg);
+            let data = self.frames.encode_filled(&seg, PAYLOAD_FILL);
+            self.send_from(node, uplink, data);
         }
     }
 
@@ -1053,19 +1065,15 @@ impl<T: Net> Harness<T> {
         self.reschedule_migration();
     }
 
-    /// A frame reached the server at `node`: an edge host, or the cloud.
+    /// A verified frame reached the server at `node`: an edge host, or the cloud.
     fn handle_server_frame(
         &mut self,
         now: SimTime,
         node: NodeId,
         in_port: u32,
-        data: &[u8],
+        frame: &TcpHeaders,
         is_cloud: bool,
     ) {
-        let Ok(frame) = TcpHeaders::parse(data) else {
-            self.drops += 1;
-            return;
-        };
         // What serves here? One listener lookup covers the whole frame —
         // both the SYN/response branch and the request-reassembly branch.
         let edge = if is_cloud {
@@ -1092,15 +1100,11 @@ impl<T: Net> Harness<T> {
         // back.
         let port = PortNo(in_port);
         if frame.flags.contains(TcpFlags::SYN) {
-            let reply = if listening {
-                frame.reply(TcpFlags::SYN_ACK, 0)
-            } else {
-                // Port closed: the OS answers RST (why the controller polls
-                // before releasing the client's packet).
-                frame.reply(TcpFlags::RST, 0)
-            };
+            // Port closed: the OS answers RST (why the controller polls
+            // before releasing the client's packet).
+            let flags = if listening { TcpFlags::SYN_ACK } else { TcpFlags::RST };
             let delay = self.accept_latency.sample_duration(&mut self.rng);
-            let data = reply.encode_filled(0);
+            let data = self.frames.encode_filled(&frame.reply(flags, 0), 0);
             self.engine
                 .schedule_in(delay, Ev::ServerSend { node, port, data });
             return;
@@ -1121,21 +1125,17 @@ impl<T: Net> Harness<T> {
                 }
                 let delay = processing.sample_duration(&mut self.rng);
                 let template = frame.reply(TcpFlags::PSH_ACK, 0);
-                for data in segments(template, response_bytes) {
-                    self.engine
-                        .schedule_in(delay, Ev::ServerSend { node, port, data });
+                for seg in segments(template, response_bytes) {
+                    let data = self.frames.encode_filled(&seg, PAYLOAD_FILL);
+                    self.engine.schedule_in(delay, Ev::ServerSend { node, port, data });
                 }
             }
         }
     }
 
-    /// A frame reached `client`: for its session, or for one of its request
-    /// connections.
-    fn handle_client_frame(&mut self, now: SimTime, client: usize, data: &[u8]) {
-        let Ok(frame) = TcpHeaders::parse(data) else {
-            self.drops += 1;
-            return;
-        };
+    /// A verified frame reached `client`: for its session, or for one of its
+    /// request connections.
+    fn handle_client_frame(&mut self, now: SimTime, client: usize, frame: &TcpHeaders) {
         let key = (client, frame.dst_port);
         let is_session = self
             .sessions
@@ -1163,9 +1163,9 @@ impl<T: Net> Harness<T> {
         }
         let syn_ack = frame.flags.contains(TcpFlags::SYN) && frame.flags.contains(TcpFlags::ACK);
         if is_session {
-            self.session_frame(now, client, &frame, syn_ack);
+            self.session_frame(now, client, frame, syn_ack);
         } else {
-            self.request_frame(now, key, &frame, syn_ack);
+            self.request_frame(now, key, frame, syn_ack);
         }
     }
 
@@ -1254,9 +1254,9 @@ impl<T: Net> Drop for Harness<T> {
 
 /// Splits `total_bytes` of application payload into MSS-sized TCP segments
 /// patterned on `template` (endpoints copied, `PSH|ACK`, sequence numbers
-/// advancing) and yields each as encoded frame bytes — the buffer that then
-/// travels to the receiver. A transfer of zero bytes is one 1-byte segment.
-fn segments(template: TcpHeaders, total_bytes: usize) -> impl Iterator<Item = Vec<u8>> {
+/// advancing) and yields the headers of each, for the sender to encode around
+/// [`PAYLOAD_FILL`] bytes. A transfer of zero bytes is one 1-byte segment.
+fn segments(template: TcpHeaders, total_bytes: usize) -> impl Iterator<Item = TcpHeaders> {
     let n = total_bytes.div_ceil(MSS).max(1);
     let mut remaining = total_bytes;
     let mut seq = template.seq;
@@ -1270,7 +1270,7 @@ fn segments(template: TcpHeaders, total_bytes: usize) -> impl Iterator<Item = Ve
         };
         seq = seq.wrapping_add(segment.payload_len as u32);
         remaining -= chunk;
-        segment.encode_filled(0x42)
+        segment
     })
 }
 
@@ -1501,13 +1501,15 @@ mod tests {
             let mut seq = template.seq;
             let mut carried = 0;
             let mut count = 0;
-            for bytes in segments(template, total) {
+            for segment in segments(template, total) {
+                let bytes = segment.encode_filled(PAYLOAD_FILL);
                 let h = TcpHeaders::parse(&bytes).expect("segment verifies");
+                assert_eq!(h, segment);
                 assert!((1..=MSS).contains(&h.payload_len), "{total}: segment of {}", h.payload_len);
                 assert!(h.payload_len <= TcpFrame::MAX_PAYLOAD);
                 assert_eq!((h.seq, h.flags), (seq, TcpFlags::PSH_ACK));
                 assert_eq!(bytes.len(), h.wire_len());
-                assert!(bytes[54..].iter().all(|&b| b == 0x42));
+                assert!(bytes[54..].iter().all(|&b| b == PAYLOAD_FILL));
                 seq = seq.wrapping_add(h.payload_len as u32);
                 carried += h.payload_len;
                 count += 1;
@@ -1562,6 +1564,72 @@ mod tests {
         assert_eq!(corrupted, 40, "{target}");
         assert_eq!(tb.drops, corrupted, "{target}: every corrupted frame dropped");
         assert_eq!(tb.completed.len(), 1, "{target}: no corrupted exchange completed");
+    }
+
+    /// A frame refused by an endpoint gives its buffer — damaged bytes and
+    /// all — to the pool like any other, and the pool hands the most recent
+    /// buffer out first: the next request is encoded into exactly those
+    /// buffers and must verify at the switch and at both endpoints.
+    #[test]
+    fn a_request_encoded_into_the_buffers_of_dropped_frames_completes() {
+        let addr = svc_addr(10);
+        let mut tb = Testbed::new(TestbedConfig::default());
+        tb.register_service(containerd::ServiceSet::by_key("resnet").unwrap(), addr);
+        tb.pre_deploy_on(addr, 0);
+        tb.request_at(SimTime::from_secs(20), 0, addr);
+        tb.run_until(SimTime::from_secs(25));
+        assert_eq!((tb.completed.len(), tb.drops), (1, 0));
+        // Client 1's upload arrives at the server with every byte past the
+        // Ethernet header inverted; client 2's SYN-ACK reaches it likewise.
+        tb.request_at(SimTime::from_secs(25), 1, addr);
+        tb.request_at(SimTime::from_secs(26), 2, addr);
+        let mut seen_handshake = false;
+        let mut damaged = 0u64;
+        run_inspecting(&mut tb, SimTime::from_secs(30), |tb, now, ev| {
+            let Ev::FrameAt { node, data, .. } = ev else { return };
+            let hit = match tb.roles[node.0 as usize] {
+                Role::Switch(_) => false,
+                // Not the SYN: the upload's 59 segments.
+                Role::Edge | Role::Cloud => now < SimTime::from_secs(26) && std::mem::replace(&mut seen_handshake, true),
+                Role::Client(c) => c == 2,
+            };
+            if hit {
+                data[14..].iter_mut().for_each(|b| *b = !*b);
+                damaged += 1;
+            }
+        });
+        assert_eq!(damaged, 59 + 1, "the upload's segments and one SYN-ACK");
+        assert_eq!((tb.completed.len(), tb.drops), (1, damaged), "all refused, nothing completed");
+        assert!(tb.frames.held() as u64 >= damaged, "refused frames are recycled too");
+
+        tb.request_at(SimTime::from_secs(30), 3, addr);
+        tb.run_until(SimTime::from_secs(35));
+        assert_eq!((tb.completed.len(), tb.drops, tb.resets), (2, damaged, 0));
+        assert_eq!(tb.transparency_violations, 0);
+    }
+
+    /// A burst far above the pool's cap — 1.5 MB uploads, a thousand
+    /// segments in flight from each client at once, all consumed by one
+    /// server — leaves the pool full and no fuller: what does not fit is
+    /// freed.
+    #[test]
+    fn a_burst_of_frames_leaves_the_pool_at_its_cap() {
+        let addr = svc_addr(10);
+        let mut profile = containerd::ServiceSet::by_key("resnet").unwrap();
+        profile.request_bytes = 1_500_000;
+        let mut tb = Testbed::new(TestbedConfig::default());
+        tb.register_service(profile, addr);
+        tb.pre_deploy_on(addr, 0);
+        for client in 0..3 {
+            tb.request_at(SimTime::from_secs(20), client, addr);
+        }
+        run_inspecting(&mut tb, SimTime::from_secs(30), |tb, _, _| {
+            assert!(tb.frames.held() <= FramePool::CAP);
+        });
+        assert_eq!((tb.completed.len(), tb.drops, tb.resets), (3, 0, 0));
+        let peak = tb.engine.peak_pending();
+        assert!(peak > 4 * FramePool::CAP, "{peak} events pending at the peak");
+        assert_eq!(tb.frames.held(), FramePool::CAP);
     }
 
     #[test]

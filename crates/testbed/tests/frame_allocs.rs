@@ -1,14 +1,16 @@
 //! Heap traffic per data frame, as a gate that can fail.
 //!
-//! A frame travels client → switch → server as one buffer: allocated by the
-//! sender's encoder, verified and patched in place by the switch, moved
-//! through every event and link, parsed without a copy by the receiver. This
-//! binary installs its own counting allocator, pushes one warm `resnet`
-//! upload (83 KiB, 62 frames through the switch) through the real
-//! [`Testbed`] and bounds what the whole stack — controller round trip for
-//! the new connection included — asks of the heap per frame. Before the
-//! frame journey was one buffer the same region measured 10.7 calls per
-//! frame and 5× the wire bytes.
+//! A frame travels client → switch → server as one buffer: written by the
+//! sender's encoder into a buffer an earlier frame travelled in (the
+//! harness's bounded `netsim::FramePool`), verified and patched in place by
+//! the switch, moved through every event and link, parsed without a copy by
+//! the receiver, which hands the buffer back to the pool. This binary
+//! installs its own counting allocator, pushes one warm `resnet` upload
+//! (83 KiB, 62 frames through the switch) through the real [`Testbed`] and
+//! bounds what the whole stack — controller round trip for the new
+//! connection included — asks of the heap per frame. Before the frame
+//! journey was one buffer the same region measured 10.7 calls per frame and
+//! 5× the wire bytes; with one fresh buffer per frame, 2.53 and 1.09×.
 //!
 //! The control path has its gates here too: one OpenFlow message is encoded
 //! into one buffer, and one warm short connection — table miss, packet-in,
@@ -76,7 +78,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
-fn a_warm_upload_costs_at_most_four_heap_calls_and_twice_its_bytes_per_frame() {
+fn a_warm_upload_costs_at_most_two_heap_calls_and_a_quarter_of_its_bytes_per_frame() {
     let profile = containerd::ServiceSet::by_key("resnet").unwrap();
     let addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 11), profile.listen_port);
     let payload_bytes = profile.request_bytes + profile.response_bytes;
@@ -107,8 +109,8 @@ fn a_warm_upload_costs_at_most_four_heap_calls_and_twice_its_bytes_per_frame() {
         calls as f64 / frames as f64,
         bytes as f64 / wire_bytes as f64
     );
-    assert!(calls <= 4 * frames, "{calls} heap calls for {frames} frames");
-    assert!(bytes <= 2 * wire_bytes, "{bytes} bytes allocated for {wire_bytes} on the wire");
+    assert!(calls <= 2 * frames, "{calls} heap calls for {frames} frames");
+    assert!(4 * bytes <= wire_bytes, "{bytes} bytes allocated for {wire_bytes} on the wire");
 }
 
 /// A counter bump or a histogram observation under a name the registry has
@@ -214,11 +216,12 @@ fn encoding_a_control_message_is_one_heap_call() {
 /// through the switch (SYN, SYN-ACK, request, response), one table miss and
 /// packet-in, the FlowMemory/scheduler decision, two flow-mods, the buffered
 /// SYN's release, then idle expiry of the pair with its `FLOW_REMOVED` and
-/// the controller's bookkeeping for it. Measures 47 heap calls (`e2ebench`'s
-/// steady state is 36 per request; here the connection also pays the first
-/// push into a few timer-wheel slots no earlier one touched). With a `Vec`
-/// allocated per flow-table index bucket it was 48; with the encoder's
-/// nested temporaries and the cloned matches, 111.
+/// the controller's bookkeeping for it. Measures 43 heap calls (`e2ebench`'s
+/// steady state is 32 per request; here the connection also pays the first
+/// push into a few timer-wheel slots no earlier one touched). With a fresh
+/// buffer for each of its four frames it was 47; with a `Vec` allocated per
+/// flow-table index bucket, 48; with the encoder's nested temporaries and
+/// the cloned matches, 111.
 #[test]
 fn a_warm_short_connection_costs_at_most_fifty_heap_calls() {
     let profile = containerd::ServiceSet::by_key("nginx").unwrap();
