@@ -251,10 +251,8 @@ fn main() {
     Criterion::default().configure_from_args().final_summary();
     // Emit the machine-readable summary for the perf trajectory.
     let report = bench::fastpath::run();
-    let path = bench::fastpath::default_output_path();
-    match std::fs::write(&path, report.to_json()) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
+    if let Err(e) = bench::artifact::write("BENCH_flowtable.json", &report.artifact()) {
+        eprintln!("{e}");
     }
     print!("{}", report.render());
 }

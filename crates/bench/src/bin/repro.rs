@@ -3,413 +3,110 @@
 //! ```text
 //! repro all [--seed N] [--csv] [--telemetry]   # everything, publication order
 //! repro fig11 [--seed N] [--csv]    # one figure
-//! repro list                        # available figure ids
+//! repro list                        # available figure and bench ids
 //! repro summary [--seed N]          # verify every textual claim
-//! repro fastpath                    # data-plane bench -> BENCH_flowtable.json
-//! repro engine [--smoke]            # event-core bench -> BENCH_engine.json
-//! repro telemetry                   # telemetry-overhead bench
-//! repro chaos [--seed N] [--fault-rate F] [--smoke] [--telemetry]
-//! repro mobility [--seed N] [--smoke] [--telemetry]   # -> BENCH_mobility.json
-//! repro recovery [--seed N] [--fault-rate F] [--smoke] [--telemetry]
-//!                                   # runtime chaos -> BENCH_recovery.json
-//! repro scale [--seed N] [--smoke]  # fleet-scale controller (1M clients,
-//!                                   # aggregated vs exact) -> BENCH_scale.json
-//! repro tournament [--seed N] [--smoke]   # scheduler tournament, bursty
-//!                                   # workload -> BENCH_tournament.json
-//! repro migrate [--seed N] [--smoke]   # live migration, state-size sweep
-//!                                   # -> BENCH_migrate.json
-//! repro ha [--seed N] [--smoke]     # controller crash-recovery, warm vs
-//!                                   # cold restart -> BENCH_ha.json
+//! repro check [BENCH_x.json ...]    # gate committed artifacts (default: all)
+//! repro <bench> [--seed N] [--smoke] [--fault-rate F] [--telemetry]
 //! ```
 //!
-//! `--telemetry` turns observability output on: `chaos` records per-request
-//! span trees (printed as a one-line JSON log, a validation line, and an
-//! ASCII timeline of the busiest request); every mode appends a `metrics:`
-//! JSON snapshot. Simulation results are byte-identical either way.
+//! The benches are the rows of `bench::runner::BENCHES` (`fastpath`,
+//! `engine`, `telemetry`, `chaos`, `mobility`, `recovery`, `scale`,
+//! `tournament`, `migrate`, `ha`): each prints its report, writes its
+//! `BENCH_*.json` artifact if it has one and exits non-zero if what it wrote
+//! fails the artifact's gate — the gate `check` applies to the files as
+//! committed. `--fault-rate` is read by `chaos` and `recovery`.
+//!
+//! `--telemetry` turns observability output on: `chaos`, `mobility` and
+//! `recovery` record per-request span trees (printed as a one-line JSON log
+//! and a validation line; `chaos` adds an ASCII timeline of the busiest
+//! request) and fail on a malformed or incomplete log; every mode appends a
+//! `metrics:` JSON snapshot. Simulation results are byte-identical either
+//! way.
 
+use bench::runner::{self, Opts, BENCHES};
 use std::env;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
-    let mut id: Option<String> = None;
-    let mut seed = 7u64;
-    let mut csv = false;
-    let mut fault_rate = 0.1f64;
-    let mut smoke = false;
-    let mut telemetry_on = false;
+    let mut positional: Vec<String> = Vec::new();
+    let mut opts = Opts {
+        seed: 7,
+        smoke: false,
+        fault_rate: 0.1,
+        csv: false,
+        telemetry: false,
+    };
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--seed" => {
                 i += 1;
-                seed = match args.get(i).and_then(|s| s.parse().ok()) {
+                opts.seed = match args.get(i).and_then(|s| s.parse().ok()) {
                     Some(s) => s,
-                    None => {
-                        eprintln!("--seed needs an integer");
-                        return ExitCode::FAILURE;
-                    }
+                    None => return fail("--seed needs an integer"),
                 };
             }
             "--fault-rate" => {
                 i += 1;
-                fault_rate = match args.get(i).and_then(|s| s.parse().ok()) {
+                opts.fault_rate = match args.get(i).and_then(|s| s.parse().ok()) {
                     Some(r) if (0.0..=1.0).contains(&r) => r,
-                    _ => {
-                        eprintln!("--fault-rate needs a number in [0, 1]");
-                        return ExitCode::FAILURE;
-                    }
+                    _ => return fail("--fault-rate needs a number in [0, 1]"),
                 };
             }
-            "--smoke" => smoke = true,
-            "--csv" => csv = true,
-            "--telemetry" => telemetry_on = true,
-            other if id.is_none() => id = Some(other.to_owned()),
-            other => {
-                eprintln!("unexpected argument `{other}`");
-                return ExitCode::FAILURE;
-            }
+            "--smoke" => opts.smoke = true,
+            "--csv" => opts.csv = true,
+            "--telemetry" => opts.telemetry = true,
+            other => positional.push(other.to_owned()),
         }
         i += 1;
     }
-    let id = id.unwrap_or_else(|| "all".to_owned());
+    let id = positional.first().map_or("all", String::as_str);
+    // Only `check` takes further positional arguments: the artifacts to gate.
+    if let (true, Some(extra)) = (id != "check", positional.get(1)) {
+        return fail(&format!("unexpected argument `{extra}`"));
+    }
+    let seed = opts.seed;
     // Figure modes collect metrics through the process-global registry
-    // (every finished testbed run merges its snapshot); chaos records and
-    // prints its own, richer output below.
-    if telemetry_on && id != "chaos" && id != "mobility" && id != "recovery" {
+    // (every finished testbed run merges its snapshot); chaos, mobility and
+    // recovery record and print their own, richer output.
+    if opts.telemetry && !matches!(id, "chaos" | "mobility" | "recovery") {
         telemetry::global::enable();
     }
 
-    match id.as_str() {
+    let done = match id {
+        "check" => runner::check(&positional[1..]),
         "summary" => {
             println!("transparent-edge-rs — paper claims, measured fresh (seed {seed})\n");
             let claims = bench::summary::verify_claims(seed);
             print!("{}", bench::summary::render(&claims));
-            let all_hold = claims.iter().all(|c| c.holds);
-            println!("\n{} / {} claims hold", claims.iter().filter(|c| c.holds).count(), claims.len());
+            let holding = claims.iter().filter(|c| c.holds).count();
+            println!("\n{holding} / {} claims hold", claims.len());
             println!("\nperf trajectory (committed BENCH_*.json artifacts):\n");
             print!(
                 "{}",
                 bench::summary::render_trajectory(&bench::summary::perf_trajectory())
             );
-            print_global_metrics(telemetry_on);
-            if all_hold {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        "fastpath" => {
-            println!("transparent-edge-rs — data-plane fast path (naive vs indexed vs microflow)\n");
-            let report = bench::fastpath::run();
-            print!("{}", report.render());
-            let path = bench::fastpath::default_output_path();
-            match std::fs::write(&path, report.to_json()) {
-                Ok(()) => {
-                    println!("\nwrote {}", path.display());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "engine" => {
-            println!(
-                "transparent-edge-rs — event-core throughput (calendar queue vs naive heap)\n"
-            );
-            let report = bench::engine::run(smoke);
-            print!("{}", report.render());
-            let path = bench::engine::default_output_path();
-            if let Err(e) = std::fs::write(&path, report.to_json()) {
-                eprintln!("cannot write {}: {e}", path.display());
+            print_global_metrics(opts.telemetry);
+            if holding < claims.len() {
                 return ExitCode::FAILURE;
             }
-            println!("\nwrote {}", path.display());
-            if report.mixed_speedup() < bench::engine::MIXED_SPEEDUP_FLOOR {
-                eprintln!(
-                    "mixed speedup {:.2}x below the {:.0}x floor",
-                    report.mixed_speedup(),
-                    bench::engine::MIXED_SPEEDUP_FLOOR
-                );
-                return ExitCode::FAILURE;
-            }
-            // The absolute floor is machine-dependent; smoke runs (scaled
-            // ~20x down for CI) check only the relative bar above.
-            if !smoke && !report.floor_met() {
-                eprintln!(
-                    "calendar mixed throughput {:.0} ev/s below the {:.0} ev/s floor",
-                    report.mixed().calendar_events_per_sec,
-                    bench::engine::EVENTS_PER_SEC_FLOOR
-                );
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
-        }
-        "chaos" => {
-            println!(
-                "transparent-edge-rs — chaos: deployment pipeline under faults \
-(seed {seed}, rate {fault_rate})\n"
-            );
-            let (fig, traced) = if telemetry_on {
-                let (fig, log, metrics) = bench::chaos_figure_traced(seed, fault_rate, smoke);
-                (fig, Some((log, metrics)))
-            } else {
-                (bench::chaos_figure(seed, fault_rate, smoke), None)
-            };
-            if csv {
-                print!("{}", fig.table.to_csv());
-                // Keep the machine-readable summary even in CSV mode.
-                if let Some(line) = fig.body.lines().find(|l| l.starts_with("chaos-summary ")) {
-                    println!("{line}");
-                }
-            } else {
-                println!("{}", fig.body);
-            }
-            if let Some((log, metrics)) = traced {
-                println!("spans: {}", log.to_json());
-                println!("{}", log.check().to_json_line());
-                if let Some(busiest) = log
-                    .request_ids()
-                    .into_iter()
-                    .max_by_key(|r| log.spans_for_request(*r).count())
-                {
-                    println!("\nbusiest request timeline:");
-                    print!("{}", testbed::report::span_timeline(&log, busiest, 48));
-                }
-                println!("\nmetrics: {}", metrics.to_json());
-            }
-            ExitCode::SUCCESS
-        }
-        "mobility" => {
-            println!(
-                "transparent-edge-rs — mobility: multi-gNB handover, anchored vs re-dispatch \
-(seed {seed})\n"
-            );
-            let (fig, traced) = if telemetry_on {
-                let (fig, log, metrics) = bench::mobility_figure_traced(seed, smoke);
-                (fig, Some((log, metrics)))
-            } else {
-                (bench::mobility_figure(seed, smoke), None)
-            };
-            if csv {
-                print!("{}", fig.table.to_csv());
-                if let Some(line) = fig.body.lines().find(|l| l.starts_with("mobility-summary ")) {
-                    println!("{line}");
-                }
-            } else {
-                println!("{}", fig.body);
-            }
-            if let Some((log, metrics)) = traced {
-                println!("spans: {}", log.to_json());
-                println!("{}", log.check().to_json_line());
-                println!("\nmetrics: {}", metrics.to_json());
-            }
-            let report = bench::mobility::run(seed, smoke);
-            print!("{}", report.render());
-            let path = bench::mobility::default_output_path();
-            match std::fs::write(&path, report.to_json()) {
-                Ok(()) => {
-                    println!("\nwrote {}", path.display());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "recovery" => {
-            println!(
-                "transparent-edge-rs — recovery: self-healing control plane under runtime \
-chaos (seed {seed}, rate {fault_rate})\n"
-            );
-            let (fig, traced) = if telemetry_on {
-                let (fig, log, metrics) = bench::recovery_figure_traced(seed, fault_rate, smoke);
-                (fig, Some((log, metrics)))
-            } else {
-                (bench::recovery_figure(seed, fault_rate, smoke), None)
-            };
-            if csv {
-                print!("{}", fig.table.to_csv());
-                if let Some(line) = fig.body.lines().find(|l| l.starts_with("recovery-summary ")) {
-                    println!("{line}");
-                }
-            } else {
-                println!("{}", fig.body);
-            }
-            if let Some((log, metrics)) = traced {
-                println!("spans: {}", log.to_json());
-                println!("{}", log.check().to_json_line());
-                println!("\nmetrics: {}", metrics.to_json());
-            }
-            let report = bench::recovery::run(seed, fault_rate, smoke);
-            print!("{}", report.render());
-            let path = bench::recovery::default_output_path();
-            match std::fs::write(&path, report.to_json()) {
-                Ok(()) => {
-                    println!("\nwrote {}", path.display());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "scale" => {
-            println!(
-                "transparent-edge-rs — fleet scale: sharded controller, aggregated vs \
-exact rules (seed {seed}{})\n",
-                if smoke { ", smoke" } else { "" }
-            );
-            let report = bench::scale::run(seed, smoke);
-            print!("{}", report.render());
-            let path = bench::scale::default_output_path();
-            if let Err(e) = std::fs::write(&path, report.to_json()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("\nwrote {}", path.display());
-            if report.aggregated().table_flows >= report.exact().table_flows {
-                eprintln!(
-                    "aggregated table ({} flows) not smaller than exact ({} flows)",
-                    report.aggregated().table_flows,
-                    report.exact().table_flows
-                );
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
-        }
-        "tournament" => {
-            println!(
-                "transparent-edge-rs — scheduler tournament: bursty workload, autoscaling \
-on (seed {seed}{})\n",
-                if smoke { ", smoke" } else { "" }
-            );
-            let report = bench::tournament::run(seed, smoke);
-            print!("{}", report.render());
-            let path = bench::tournament::default_output_path();
-            if let Err(e) = std::fs::write(&path, report.to_json()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("\nwrote {}", path.display());
-            let lc = report.arm("least-connections").p99_ms;
-            let random = report.arm("random").p99_ms;
-            if lc > random {
-                eprintln!(
-                    "least-connections p99 ({lc:.2} ms) worse than random ({random:.2} ms)"
-                );
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
-        }
-        "migrate" => {
-            println!(
-                "transparent-edge-rs — live migration: interruption vs state size, live \
-vs cold re-dispatch (seed {seed}{})\n",
-                if smoke { ", smoke" } else { "" }
-            );
-            let report = bench::migrate::run(seed, smoke);
-            print!("{}", report.render());
-            let path = bench::migrate::default_output_path();
-            if let Err(e) = std::fs::write(&path, report.to_json()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("\nwrote {}", path.display());
-            if report.total_dropped() > 0 {
-                eprintln!("{} pings/frames dropped (want 0)", report.total_dropped());
-                return ExitCode::FAILURE;
-            }
-            if !report.gate_holds() {
-                let live = report.sizes.last().map(|p| p.p99_ms).unwrap_or(f64::NAN);
-                let cold = report.sizes.last().map(|p| p.cold_p99_ms).unwrap_or(f64::NAN);
-                eprintln!(
-                    "live interruption p99 ({live:.2} ms) at the largest state size \
-exceeds the cold baseline ({cold:.2} ms)"
-                );
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
-        }
-        "ha" => {
-            println!(
-                "transparent-edge-rs — crash recovery: warm journal replay vs cold \
-restart, crash rate 1.0 (seed {seed}{})\n",
-                if smoke { ", smoke" } else { "" }
-            );
-            let report = bench::ha::run(seed, smoke);
-            print!("{}", report.render());
-            let path = bench::ha::default_output_path();
-            if let Err(e) = std::fs::write(&path, report.to_json()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("\nwrote {}", path.display());
-            if report.panics > 0 {
-                eprintln!("{} restart runs panicked (want 0)", report.panics);
-                return ExitCode::FAILURE;
-            }
-            if report.total_stranded() > 0 {
-                eprintln!(
-                    "{} sessions permanently stranded (want 0)",
-                    report.total_stranded()
-                );
-                return ExitCode::FAILURE;
-            }
-            if report.total_residual() > 0 {
-                eprintln!(
-                    "reconciliation left {} residual fixes (want 0)",
-                    report.total_residual()
-                );
-                return ExitCode::FAILURE;
-            }
-            if !report.warm_gate_holds() {
-                let warm = report.points.last().map(|p| p.warm_p99_ms).unwrap_or(f64::NAN);
-                let cold = report.points.last().map(|p| p.cold_p99_ms).unwrap_or(f64::NAN);
-                eprintln!(
-                    "warm recovery p99 ({warm:.2} ms) at the largest state size \
-exceeds the cold baseline ({cold:.2} ms)"
-                );
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
-        }
-        "telemetry" => {
-            println!("transparent-edge-rs — telemetry overhead (disabled path vs fast path)\n");
-            let report = bench::telemetry::run();
-            print!("{}", report.render());
-            println!("{}", report.summary_line());
-            if report.overhead_pct() < 2.0 {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("disabled telemetry overhead exceeds the 2% budget");
-                ExitCode::FAILURE
-            }
+            Ok(())
         }
         "list" => {
-            for f in bench::FIGURE_IDS {
-                println!("{f}");
+            for id in bench::FIGURE_IDS
+                .iter()
+                .copied()
+                .chain(BENCHES.iter().map(|b| b.id))
+            {
+                println!("{id}");
             }
-            println!("fastpath");
-            println!("engine");
-            println!("telemetry");
-            println!("chaos");
-            println!("mobility");
-            println!("recovery");
-            println!("scale");
-            println!("tournament");
-            println!("migrate");
-            println!("ha");
-            ExitCode::SUCCESS
+            Ok(())
         }
         "all" => {
             println!("transparent-edge-rs — reproducing the full evaluation (seed {seed})\n");
             for fig in bench::all_figures(seed) {
-                if csv {
+                if opts.csv {
                     println!("# {}: {}", fig.id, fig.title);
                     print!("{}", fig.table.to_csv());
                     println!();
@@ -417,25 +114,34 @@ exceeds the cold baseline ({cold:.2} ms)"
                     println!("{}", fig.body);
                 }
             }
-            print_global_metrics(telemetry_on);
-            ExitCode::SUCCESS
+            print_global_metrics(opts.telemetry);
+            Ok(())
         }
-        other => match bench::figure_by_id(other, seed) {
-            Some(fig) => {
-                if csv {
-                    print!("{}", fig.table.to_csv());
-                } else {
-                    println!("{}", fig.body);
+        other => match BENCHES.iter().find(|b| b.id == other) {
+            Some(b) => b.execute(&opts),
+            None => match bench::figure_by_id(other, seed) {
+                Some(fig) => {
+                    if opts.csv {
+                        print!("{}", fig.table.to_csv());
+                    } else {
+                        println!("{}", fig.body);
+                    }
+                    print_global_metrics(opts.telemetry);
+                    Ok(())
                 }
-                print_global_metrics(telemetry_on);
-                ExitCode::SUCCESS
-            }
-            None => {
-                eprintln!("unknown figure `{other}`; try `repro list`");
-                ExitCode::FAILURE
-            }
+                None => Err(format!("unknown figure `{other}`; try `repro list`")),
+            },
         },
+    };
+    match done {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => fail(&message),
     }
+}
+
+fn fail(message: &str) -> ExitCode {
+    eprintln!("{message}");
+    ExitCode::FAILURE
 }
 
 /// Prints the process-global metrics snapshot (`--telemetry` figure modes).

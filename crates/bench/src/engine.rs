@@ -1,10 +1,8 @@
 //! Event-core throughput: the desim calendar queue vs the naive binary heap.
 //!
-//! This module is plain `std` (no criterion) so it can run both from the
-//! `repro engine` subcommand and from the `engine` criterion bench; it emits
-//! the machine-readable `BENCH_engine.json` summary that tracks the perf
-//! trajectory across PRs. Three workload shapes, each run over both queue
-//! implementations with identical seeds:
+//! Plain `std` (no criterion): run by `repro engine` and by the `engine`
+//! criterion bench, both of which write `BENCH_engine.json`. Three workload
+//! shapes, each run over both queue implementations with identical seeds:
 //!
 //! * **schedule_heavy** — push a large batch of uniformly-spread future
 //!   events, then drain. Dominated by insertion cost.
@@ -22,10 +20,12 @@
 //! runs; smoke runs check only the relative bar, which is
 //! machine-independent).
 
+use crate::artifact;
 use desim::{EventQueue, NaiveEventQueue, SimRng, SimTime};
+use std::collections::BTreeSet;
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::time::Instant;
+use yamlite::Value;
 
 /// Relative bar: calendar mixed throughput over naive, same run (want ≥ 3).
 pub const MIXED_SPEEDUP_FLOOR: f64 = 3.0;
@@ -89,35 +89,23 @@ impl Report {
         self.mixed().calendar_events_per_sec >= EVENTS_PER_SEC_FLOOR
     }
 
-    /// Renders the hand-rolled JSON summary (`serde` is deliberately not a
-    /// dependency of this workspace).
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\n  \"bench\": \"engine\",\n  \"smoke\": {},\n  \"workloads\": [\n",
-            self.smoke
-        );
-        for (i, p) in self.points.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"events\": {}, \
-                 \"calendar_events_per_sec\": {:.0}, \"naive_events_per_sec\": {:.0}, \
-                 \"speedup\": {:.2}, \"peak_pending\": {}}}{}\n",
-                p.name,
-                p.events,
-                p.calendar_events_per_sec,
-                p.naive_events_per_sec,
-                p.speedup(),
-                p.peak_pending,
-                if i + 1 < self.points.len() { "," } else { "" }
-            ));
-        }
-        s.push_str(&format!(
-            "  ],\n  \"mixed_speedup\": {:.2},\n  \
-             \"events_per_sec_floor\": {:.0},\n  \"floor_met\": {}\n}}\n",
-            self.mixed_speedup(),
-            EVENTS_PER_SEC_FLOOR,
-            self.floor_met()
-        ));
-        s
+    /// The `BENCH_engine.json` text.
+    pub fn artifact(&self) -> String {
+        artifact::object(|o| {
+            o.str("bench", "engine");
+            o.bool("smoke", self.smoke);
+            o.rows("workloads", &self.points, |r, p| {
+                r.str("name", p.name);
+                r.int("events", p.events as u64);
+                r.fixed("calendar_events_per_sec", p.calendar_events_per_sec, 0);
+                r.fixed("naive_events_per_sec", p.naive_events_per_sec, 0);
+                r.fixed("speedup", p.speedup(), 2);
+                r.int("peak_pending", p.peak_pending as u64);
+            });
+            o.fixed("mixed_speedup", self.mixed_speedup(), 2);
+            o.fixed("events_per_sec_floor", EVENTS_PER_SEC_FLOOR, 0);
+            o.bool("floor_met", self.floor_met());
+        })
     }
 
     /// Renders a human-readable table.
@@ -152,9 +140,31 @@ impl Report {
     }
 }
 
-/// Where `BENCH_engine.json` is written: the repository root.
-pub fn default_output_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine.json")
+/// The artifact's gate: the three workloads, each measured on both queues,
+/// and the module's two acceptance numbers — the absolute floor on full runs
+/// only (it is machine-dependent and smoke runs are scaled down for CI).
+pub fn gates(v: &Value) -> Result<(), String> {
+    let expected = BTreeSet::from(["mixed", "pop_heavy", "schedule_heavy"]);
+    let names = artifact::names(v, "workloads", "name");
+    artifact::clause(
+        "workloads are schedule_heavy, pop_heavy, mixed",
+        Some(names == expected),
+    )?;
+    let measured = [
+        "calendar_events_per_sec",
+        "naive_events_per_sec",
+        "peak_pending",
+    ];
+    artifact::positive(v, "workloads", &measured)?;
+    artifact::clause(
+        "mixed_speedup >= 3.0",
+        artifact::num(v, "mixed_speedup").map(|x| x >= MIXED_SPEEDUP_FLOOR),
+    )?;
+    artifact::clause("has smoke", v["smoke"].as_bool().map(|_| true))?;
+    if v["smoke"].as_bool() == Some(false) {
+        artifact::is_true(v, "floor_met")?;
+    }
+    Ok(())
 }
 
 /// The two queue implementations measured, behind one trait so every
@@ -316,6 +326,18 @@ fn run_sized(n_batch: usize, n_mixed: usize, depth: usize, smoke: bool) -> Repor
 mod tests {
     use super::*;
 
+    const FIXTURE: &str = r#"{
+  "bench": "engine",
+  "smoke": true,
+  "workloads": [
+    {"name": "mixed", "events": 100, "calendar_events_per_sec": 20000000, "naive_events_per_sec": 4000000, "speedup": 5.00, "peak_pending": 50}
+  ],
+  "mixed_speedup": 5.00,
+  "events_per_sec_floor": 3800000,
+  "floor_met": true
+}
+"#;
+
     #[test]
     fn json_shape_is_stable() {
         let r = Report {
@@ -328,15 +350,64 @@ mod tests {
             }],
             smoke: true,
         };
-        let j = r.to_json();
-        assert!(j.contains("\"bench\": \"engine\""));
-        assert!(j.contains("\"smoke\": true"));
-        assert!(j.contains("\"name\": \"mixed\""));
-        assert!(j.contains("\"speedup\": 5.00"));
-        assert!(j.contains("\"mixed_speedup\": 5.00"));
-        assert!(j.contains("\"events_per_sec_floor\""));
-        assert!(j.contains("\"floor_met\": true"));
+        assert_eq!(r.artifact(), FIXTURE);
         assert!(r.render().contains("mixed speedup"));
+    }
+
+    #[test]
+    fn every_gate_clause_can_fail() {
+        // The shape fixture has one workload; the gate wants all three.
+        let row = FIXTURE
+            .lines()
+            .find(|l| l.contains("\"name\": \"mixed\""))
+            .unwrap();
+        let full = FIXTURE.replace(
+            row,
+            &format!(
+                "{},\n{},\n{row}",
+                row.replace("\"mixed\"", "\"schedule_heavy\""),
+                row.replace("\"mixed\"", "\"pop_heavy\"")
+            ),
+        );
+        let names = "workloads are schedule_heavy, pop_heavy, mixed";
+        artifact::tests::assert_gate_clauses(
+            gates,
+            &full,
+            &[
+                ("\"pop_heavy\"", "\"mixed\"", names),
+                ("\"schedule_heavy\"", "\"other\"", names),
+                (
+                    "\"calendar_events_per_sec\": 20000000",
+                    "\"calendar_events_per_sec\": 0",
+                    "workloads[0]: calendar_events_per_sec > 0",
+                ),
+                (
+                    "\"naive_events_per_sec\": 4000000",
+                    "\"naive_events_per_sec\": 0",
+                    "workloads[0]: naive_events_per_sec > 0",
+                ),
+                (
+                    "\"peak_pending\": 50",
+                    "\"peak_pending\": 0",
+                    "workloads[0]: peak_pending > 0",
+                ),
+                (
+                    "\"mixed_speedup\": 5.00",
+                    "\"mixed_speedup\": 2.99",
+                    "mixed_speedup >= 3.0",
+                ),
+                ("  \"smoke\": true,\n", "", "has smoke"),
+            ],
+        );
+        assert!(gates(&artifact::parse(FIXTURE).unwrap())
+            .unwrap_err()
+            .contains(names));
+        // The absolute floor binds full runs only.
+        let slow = full.replace("\"floor_met\": true", "\"floor_met\": false");
+        assert_eq!(gates(&artifact::parse(&slow).unwrap()), Ok(()));
+        let slow_full = slow.replace("\"smoke\": true", "\"smoke\": false");
+        let err = gates(&artifact::parse(&slow_full).unwrap()).unwrap_err();
+        assert!(err.contains("floor_met is true"), "{err}");
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! Data-plane fast-path measurement: naive vs indexed flow table, plus the
 //! switch's microflow cache, at several table sizes.
 //!
-//! This module is plain `std` (no criterion) so it can run both from the
-//! `repro fastpath` subcommand and from the tail of the `flowtable` criterion
-//! bench, where it emits the machine-readable `BENCH_flowtable.json` summary
-//! that tracks the perf trajectory across PRs. The headline acceptance
-//! numbers live here:
+//! Plain `std` (no criterion): run by `repro fastpath` and by the tail of
+//! the `flowtable` criterion bench, both of which write
+//! `BENCH_flowtable.json`. The headline acceptance numbers live here:
 //!
 //! * indexed lookup at 100k installed flows within 3× of the 10-flow cost
 //!   (size-independent exact-match classification), and
 //! * a warm microflow-cache hit at least 10× faster than the seed's
 //!   linear-scan lookup at 100k flows.
 
+use crate::artifact;
 use desim::{Duration, SimTime};
 use netsim::addr::{Ipv4Addr, MacAddr, ServiceAddr};
 use netsim::TcpFrame;
@@ -22,8 +21,8 @@ use openflow::table::{entry, FlowEntry, FlowTable};
 use openflow::{NaiveFlowTable, OFP_NO_BUFFER};
 use ovs::{Switch, SwitchConfig};
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::time::Instant;
+use yamlite::Value;
 
 /// Table sizes the fast path is measured at.
 pub const SIZES: [usize; 3] = [10, 1_000, 100_000];
@@ -68,29 +67,28 @@ impl Report {
             .map_or(1.0, |p| p.naive_lookup_ns / p.microflow_hit_ns)
     }
 
-    /// Renders the hand-rolled JSON summary (`serde` is deliberately not a
-    /// dependency of this workspace).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"bench\": \"flowtable\",\n  \"sizes\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"flows\": {}, \"naive_lookup_ns\": {:.1}, \
-                 \"indexed_lookup_ns\": {:.1}, \"microflow_hit_ns\": {:.1}}}{}\n",
-                p.flows,
-                p.naive_lookup_ns,
-                p.indexed_lookup_ns,
-                p.microflow_hit_ns,
-                if i + 1 < self.points.len() { "," } else { "" }
-            ));
-        }
-        s.push_str(&format!(
-            "  ],\n  \"cache_hit_rate\": {:.6},\n  \"indexed_100k_over_10_ratio\": {:.3},\n  \
-             \"microflow_speedup_vs_naive_100k\": {:.1}\n}}\n",
-            self.cache_hit_rate,
-            self.indexed_scaling_ratio(),
-            self.microflow_speedup()
-        ));
-        s
+    /// The `BENCH_flowtable.json` text.
+    pub fn artifact(&self) -> String {
+        artifact::object(|o| {
+            o.str("bench", "flowtable");
+            o.rows("sizes", &self.points, |r, p| {
+                r.int("flows", p.flows as u64);
+                r.fixed("naive_lookup_ns", p.naive_lookup_ns, 1);
+                r.fixed("indexed_lookup_ns", p.indexed_lookup_ns, 1);
+                r.fixed("microflow_hit_ns", p.microflow_hit_ns, 1);
+            });
+            o.fixed("cache_hit_rate", self.cache_hit_rate, 6);
+            o.fixed(
+                "indexed_100k_over_10_ratio",
+                self.indexed_scaling_ratio(),
+                3,
+            );
+            o.fixed(
+                "microflow_speedup_vs_naive_100k",
+                self.microflow_speedup(),
+                1,
+            );
+        })
     }
 
     /// Renders a human-readable table.
@@ -115,9 +113,22 @@ impl Report {
     }
 }
 
-/// Where `BENCH_flowtable.json` is written: the repository root.
-pub fn default_output_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_flowtable.json")
+/// The artifact's gate. CI never judged this artifact and its acceptance
+/// numbers are wall-clock ratios, so the gate is shape only: every lookup
+/// timed at every size, and a hit rate that is a rate.
+pub fn gates(v: &Value) -> Result<(), String> {
+    let timed = [
+        "flows",
+        "naive_lookup_ns",
+        "indexed_lookup_ns",
+        "microflow_hit_ns",
+    ];
+    artifact::positive(v, "sizes", &timed)?;
+    let rate = artifact::num(v, "cache_hit_rate");
+    artifact::clause(
+        "0 <= cache_hit_rate <= 1",
+        rate.map(|r| (0.0..=1.0).contains(&r)),
+    )
 }
 
 /// The i-th per-connection redirect flow (distinct src ip/port for every
@@ -166,7 +177,8 @@ fn sample_views(size: usize) -> Vec<MatchView> {
     (0..n).map(|k| view_for(k * size / n)).collect()
 }
 
-fn ns_per_op(iters: usize, mut op: impl FnMut(usize)) -> f64 {
+/// Wall-clock nanoseconds per call of `op`, over `iters` calls.
+pub(crate) fn ns_per_op(iters: usize, mut op: impl FnMut(usize)) -> f64 {
     let start = Instant::now();
     for k in 0..iters {
         op(k);
@@ -260,6 +272,17 @@ pub fn run() -> Report {
 mod tests {
     use super::*;
 
+    const FIXTURE: &str = r#"{
+  "bench": "flowtable",
+  "sizes": [
+    {"flows": 10, "naive_lookup_ns": 12.5, "indexed_lookup_ns": 30.0, "microflow_hit_ns": 100.0}
+  ],
+  "cache_hit_rate": 0.500000,
+  "indexed_100k_over_10_ratio": 1.000,
+  "microflow_speedup_vs_naive_100k": 0.1
+}
+"#;
+
     #[test]
     fn json_shape_is_stable() {
         let r = Report {
@@ -271,10 +294,38 @@ mod tests {
             }],
             cache_hit_rate: 0.5,
         };
-        let j = r.to_json();
-        assert!(j.contains("\"bench\": \"flowtable\""));
-        assert!(j.contains("\"flows\": 10"));
-        assert!(j.contains("\"cache_hit_rate\": 0.500000"));
+        assert_eq!(r.artifact(), FIXTURE);
         assert!(r.render().contains("cache hit rate"));
+    }
+
+    #[test]
+    fn every_gate_clause_can_fail() {
+        artifact::tests::assert_gate_clauses(
+            gates,
+            FIXTURE,
+            &[
+                ("\"flows\": 10,", "\"flows\": 0,", "sizes[0]: flows > 0"),
+                (
+                    "\"naive_lookup_ns\": 12.5",
+                    "\"naive_lookup_ns\": 0.0",
+                    "sizes[0]: naive_lookup_ns > 0",
+                ),
+                (
+                    "\"indexed_lookup_ns\": 30.0",
+                    "\"indexed_lookup_ns\": 0.0",
+                    "sizes[0]: indexed_lookup_ns > 0",
+                ),
+                (
+                    "\"microflow_hit_ns\": 100.0",
+                    "\"microflow_hit_ns\": null",
+                    "sizes[0]: microflow_hit_ns > 0",
+                ),
+                (
+                    "\"cache_hit_rate\": 0.500000",
+                    "\"cache_hit_rate\": 1.500000",
+                    "0 <= cache_hit_rate <= 1",
+                ),
+            ],
+        );
     }
 }

@@ -1,10 +1,8 @@
 //! Controller crash-recovery bench: warm journal replay vs cold restart.
 //!
-//! Like [`crate::recovery`] this is plain `std` (no criterion) so the
-//! `repro ha` subcommand can run it directly and emit the machine-readable
-//! `BENCH_ha.json` summary. Per swept session count (the recoverable-state
-//! knob) it replays the deterministic mobility scenario twice under a
-//! `controller_crash` fault at rate 1.0:
+//! Run by `repro ha`, which writes `BENCH_ha.json`. Per swept session count
+//! (the recoverable-state knob) it replays the deterministic mobility
+//! scenario twice under a `controller_crash` fault at rate 1.0:
 //!
 //! * **warm** — the restarted controller restores the journal's compacted
 //!   snapshot and replays the tail, so its bookkeeping comes back exactly
@@ -20,10 +18,11 @@
 //! second reconciliation pass, zero panics, and warm recovery p99 no worse
 //! than cold at the largest swept state.
 
-use desim::Summary;
+use crate::artifact::{self, num};
+use crate::mobility::pct;
 use edgectl::RecoveryMode;
-use std::path::PathBuf;
 use testbed::experiments::{self, HaStats};
+use yamlite::Value;
 
 /// One swept session count: warm and cold racing the same blackout (times
 /// in milliseconds unless noted).
@@ -115,68 +114,55 @@ impl Report {
             .unwrap_or(false)
     }
 
-    /// Renders the hand-rolled JSON summary (`serde` is deliberately not a
-    /// dependency of this workspace).
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\n  \"bench\": \"ha\",\n  \"seed\": {},\n  \"crash_rate\": {},\n  \
-             \"smoke\": {},\n  \"sizes\": [\n",
-            self.seed, self.crash_rate, self.smoke
-        );
-        for (i, p) in self.points.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"sessions\": {}, \"blackout_ms\": {:.3}, \
-                 \"journal_appended\": {}, \"snapshots_taken\": {}, \
-                 \"replayed_events\": {}, \"snapshot_entries\": {}, \
-                 \"replay_wall_ns\": {}, \"replay_events_per_sec\": {:.0}, \
-                 \"warm_recovery_p50_ms\": {:.3}, \"warm_recovery_p99_ms\": {:.3}, \
-                 \"warm_recovered\": {}, \"cold_recovery_p50_ms\": {:.3}, \
-                 \"cold_recovery_p99_ms\": {:.3}, \"cold_recovered\": {}, \
-                 \"warm_restart_fixes\": {}, \"cold_restart_fixes\": {}, \
-                 \"aborted_migrations\": {}, \"missed_handovers\": {}, \
-                 \"ctrl_dropped\": {}, \"retransmits\": {}, \"stranded\": {}, \
-                 \"reconcile_fixes\": {}, \"reconcile_residual\": {}}}{}\n",
-                p.sessions,
-                p.blackout_ms,
-                p.journal_appended,
-                p.snapshots_taken,
-                p.replayed_events,
-                p.snapshot_entries,
-                p.replay_wall_ns,
-                p.replay_events_per_sec,
-                p.warm_p50_ms,
-                p.warm_p99_ms,
-                p.warm_recovered,
-                p.cold_p50_ms,
-                p.cold_p99_ms,
-                p.cold_recovered,
-                p.warm_restart_fixes,
-                p.cold_restart_fixes,
-                p.aborted_migrations,
-                p.missed_handovers,
-                p.ctrl_dropped,
-                p.retransmits,
-                p.stranded,
-                p.reconcile_fixes,
-                p.reconcile_residual,
-                if i + 1 < self.points.len() { "," } else { "" }
-            ));
-        }
+    /// The `BENCH_ha.json` text.
+    pub fn artifact(&self) -> String {
         let last = self.points.last();
-        s.push_str(&format!(
-            "  ],\n  \"largest_sessions\": {},\n  \"warm_p99_ms_at_largest\": {:.3},\n  \
-             \"cold_p99_ms_at_largest\": {:.3},\n  \
-             \"gate_warm_p99_le_cold_p99\": {},\n  \"total_stranded\": {},\n  \
-             \"total_reconcile_residual\": {},\n  \"panics\": {}\n}}\n",
-            last.map(|p| p.sessions).unwrap_or(0),
-            last.map(|p| p.warm_p99_ms).unwrap_or(f64::NAN),
-            last.map(|p| p.cold_p99_ms).unwrap_or(f64::NAN),
-            self.warm_gate_holds(),
-            self.total_stranded(),
-            self.total_residual(),
-            self.panics
-        ));
-        s
+        artifact::object(|o| {
+            o.str("bench", "ha");
+            o.int("seed", self.seed);
+            o.num("crash_rate", self.crash_rate);
+            o.bool("smoke", self.smoke);
+            o.rows("sizes", &self.points, |r, p| {
+                r.int("sessions", p.sessions);
+                r.fixed("blackout_ms", p.blackout_ms, 3);
+                r.int("journal_appended", p.journal_appended);
+                r.int("snapshots_taken", p.snapshots_taken);
+                r.int("replayed_events", p.replayed_events);
+                r.int("snapshot_entries", p.snapshot_entries);
+                r.int("replay_wall_ns", p.replay_wall_ns);
+                r.fixed("replay_events_per_sec", p.replay_events_per_sec, 0);
+                r.fixed("warm_recovery_p50_ms", p.warm_p50_ms, 3);
+                r.fixed("warm_recovery_p99_ms", p.warm_p99_ms, 3);
+                r.int("warm_recovered", p.warm_recovered);
+                r.fixed("cold_recovery_p50_ms", p.cold_p50_ms, 3);
+                r.fixed("cold_recovery_p99_ms", p.cold_p99_ms, 3);
+                r.int("cold_recovered", p.cold_recovered);
+                r.int("warm_restart_fixes", p.warm_restart_fixes);
+                r.int("cold_restart_fixes", p.cold_restart_fixes);
+                r.int("aborted_migrations", p.aborted_migrations);
+                r.int("missed_handovers", p.missed_handovers);
+                r.int("ctrl_dropped", p.ctrl_dropped);
+                r.int("retransmits", p.retransmits);
+                r.int("stranded", p.stranded);
+                r.int("reconcile_fixes", p.reconcile_fixes);
+                r.int("reconcile_residual", p.reconcile_residual);
+            });
+            o.int("largest_sessions", last.map_or(0, |p| p.sessions));
+            o.fixed(
+                "warm_p99_ms_at_largest",
+                last.map_or(f64::NAN, |p| p.warm_p99_ms),
+                3,
+            );
+            o.fixed(
+                "cold_p99_ms_at_largest",
+                last.map_or(f64::NAN, |p| p.cold_p99_ms),
+                3,
+            );
+            o.bool("gate_warm_p99_le_cold_p99", self.warm_gate_holds());
+            o.int("total_stranded", self.total_stranded());
+            o.int("total_reconcile_residual", self.total_residual());
+            o.int("panics", self.panics);
+        })
     }
 
     /// Renders a human-readable table.
@@ -217,16 +203,32 @@ impl Report {
     }
 }
 
-/// Where `BENCH_ha.json` is written: the repository root.
-pub fn default_output_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_ha.json")
-}
-
-fn pct(xs: &[f64], p: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    Summary::new(xs.to_vec()).percentile(p).unwrap_or(0.0) * 1e3
+/// The artifact's gate: the module's acceptance gates, and that the sweep
+/// measured what it claims — the crash fired, the journal recorded, the warm
+/// restart replayed it and left the reconcile less to fix than cold did.
+pub fn gates(v: &Value) -> Result<(), String> {
+    artifact::clause("crash_rate == 1.0", num(v, "crash_rate").map(|r| r == 1.0))?;
+    let largest = artifact::ascending(v, "sizes", "sessions")?;
+    let measured = [
+        "blackout_ms",
+        "journal_appended",
+        "warm_recovered",
+        "cold_recovered",
+    ];
+    artifact::positive(v, "sizes", &measured)?;
+    artifact::each_row(v, "sizes", "replayed_events + snapshot_entries > 0", |p| {
+        Some(num(p, "replayed_events")? + num(p, "snapshot_entries")? > 0.0)
+    })?;
+    artifact::zero(v, "sizes", &["stranded", "reconcile_residual"])?;
+    artifact::each_row(v, "sizes", "warm_restart_fixes < cold_restart_fixes", |p| {
+        Some(num(p, "warm_restart_fixes")? < num(p, "cold_restart_fixes")?)
+    })?;
+    artifact::clause(
+        "largest size: warm_recovery_p99_ms <= cold_recovery_p99_ms",
+        artifact::le(largest, "warm_recovery_p99_ms", "cold_recovery_p99_ms"),
+    )?;
+    artifact::is_true(v, "gate_warm_p99_le_cold_p99")?;
+    artifact::zero_fields(v, &["total_stranded", "total_reconcile_residual", "panics"])
 }
 
 /// The swept session counts: recoverable state (FlowMemory entries,
@@ -328,6 +330,25 @@ mod tests {
         }
     }
 
+    const FIXTURE: &str = r#"{
+  "bench": "ha",
+  "seed": 7,
+  "crash_rate": 1,
+  "smoke": true,
+  "sizes": [
+    {"sessions": 3, "blackout_ms": 3000.000, "journal_appended": 400, "snapshots_taken": 3, "replayed_events": 20, "snapshot_entries": 60, "replay_wall_ns": 40000, "replay_events_per_sec": 2000000, "warm_recovery_p50_ms": 2.500, "warm_recovery_p99_ms": 5.000, "warm_recovered": 3, "cold_recovery_p50_ms": 20.000, "cold_recovery_p99_ms": 40.000, "cold_recovered": 3, "warm_restart_fixes": 0, "cold_restart_fixes": 12, "aborted_migrations": 1, "missed_handovers": 2, "ctrl_dropped": 5, "retransmits": 4, "stranded": 0, "reconcile_fixes": 3, "reconcile_residual": 0},
+    {"sessions": 6, "blackout_ms": 3000.000, "journal_appended": 400, "snapshots_taken": 3, "replayed_events": 20, "snapshot_entries": 60, "replay_wall_ns": 40000, "replay_events_per_sec": 2000000, "warm_recovery_p50_ms": 3.000, "warm_recovery_p99_ms": 6.000, "warm_recovered": 6, "cold_recovery_p50_ms": 45.000, "cold_recovery_p99_ms": 90.000, "cold_recovered": 6, "warm_restart_fixes": 0, "cold_restart_fixes": 12, "aborted_migrations": 1, "missed_handovers": 2, "ctrl_dropped": 5, "retransmits": 4, "stranded": 0, "reconcile_fixes": 3, "reconcile_residual": 0}
+  ],
+  "largest_sessions": 6,
+  "warm_p99_ms_at_largest": 6.000,
+  "cold_p99_ms_at_largest": 90.000,
+  "gate_warm_p99_le_cold_p99": true,
+  "total_stranded": 0,
+  "total_reconcile_residual": 0,
+  "panics": 0
+}
+"#;
+
     #[test]
     fn json_shape_is_stable() {
         let r = Report {
@@ -337,19 +358,102 @@ mod tests {
             panics: 0,
             points: vec![point(3, 5.0, 40.0), point(6, 6.0, 90.0)],
         };
-        let j = r.to_json();
-        assert!(j.contains("\"bench\": \"ha\""));
-        assert!(j.contains("\"crash_rate\": 1"));
-        assert!(j.contains("\"sessions\": 6"));
-        assert!(j.contains("\"warm_recovery_p99_ms\": 6.000"));
-        assert!(j.contains("\"cold_recovery_p99_ms\": 90.000"));
-        assert!(j.contains("\"replay_events_per_sec\": 2000000"));
-        assert!(j.contains("\"largest_sessions\": 6"));
-        assert!(j.contains("\"gate_warm_p99_le_cold_p99\": true"));
-        assert!(j.contains("\"total_stranded\": 0"));
-        assert!(j.contains("\"total_reconcile_residual\": 0"));
-        assert!(j.contains("\"panics\": 0"));
+        assert_eq!(r.artifact(), FIXTURE);
         assert!(r.render().contains("holds"));
+    }
+
+    #[test]
+    fn every_gate_clause_can_fail() {
+        artifact::tests::assert_gate_clauses(
+            gates,
+            FIXTURE,
+            &[
+                (
+                    "\"crash_rate\": 1,",
+                    "\"crash_rate\": 0.5,",
+                    "crash_rate == 1.0",
+                ),
+                (
+                    "\"sessions\": 3,",
+                    "\"sessions\": 9,",
+                    "`sizes` ascending by sessions",
+                ),
+                (
+                    "\"blackout_ms\": 3000.000",
+                    "\"blackout_ms\": 0.000",
+                    "sizes[0]: blackout_ms > 0",
+                ),
+                (
+                    "\"journal_appended\": 400",
+                    "\"journal_appended\": 0",
+                    "sizes[0]: journal_appended > 0",
+                ),
+                (
+                    "\"replayed_events\": 20, \"snapshot_entries\": 60",
+                    "\"replayed_events\": 0, \"snapshot_entries\": 0",
+                    "sizes[0]: replayed_events + snapshot_entries > 0",
+                ),
+                (
+                    "\"warm_recovered\": 3",
+                    "\"warm_recovered\": 0",
+                    "sizes[0]: warm_recovered > 0",
+                ),
+                (
+                    "\"cold_recovered\": 3",
+                    "\"cold_recovered\": 0",
+                    "sizes[0]: cold_recovered > 0",
+                ),
+                (
+                    "\"stranded\": 0",
+                    "\"stranded\": 1",
+                    "sizes[0]: stranded == 0",
+                ),
+                (
+                    "\"reconcile_residual\": 0}",
+                    "\"reconcile_residual\": 2}",
+                    "sizes[0]: reconcile_residual == 0",
+                ),
+                (
+                    "\"cold_restart_fixes\": 12",
+                    "\"cold_restart_fixes\": 0",
+                    "sizes[0]: warm_restart_fixes < cold_restart_fixes",
+                ),
+                (
+                    "\"cold_recovery_p99_ms\": 90.000",
+                    "\"cold_recovery_p99_ms\": 5.999",
+                    "largest size: warm_recovery_p99_ms <= cold_recovery_p99_ms",
+                ),
+                (
+                    "\"gate_warm_p99_le_cold_p99\": true",
+                    "\"gate_warm_p99_le_cold_p99\": false",
+                    "gate_warm_p99_le_cold_p99 is true",
+                ),
+                (
+                    "\"total_stranded\": 0",
+                    "\"total_stranded\": 1",
+                    "total_stranded == 0",
+                ),
+                (
+                    "\"total_reconcile_residual\": 0",
+                    "\"total_reconcile_residual\": 1",
+                    "total_reconcile_residual == 0",
+                ),
+                ("\"panics\": 0", "\"panics\": 1", "panics == 0"),
+            ],
+        );
+        let empty = Report {
+            seed: 7,
+            crash_rate: 1.0,
+            smoke: true,
+            panics: 0,
+            points: vec![],
+        }
+        .artifact();
+        assert!(
+            empty.contains("\"warm_p99_ms_at_largest\": null"),
+            "never NaN: {empty}"
+        );
+        assert!(gates(&artifact::parse(&empty).unwrap()).is_err());
     }
 
     #[test]

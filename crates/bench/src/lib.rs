@@ -2,12 +2,14 @@
 
 #![warn(missing_docs)]
 
+pub mod artifact;
 pub mod engine;
 pub mod fastpath;
 pub mod ha;
 pub mod migrate;
 pub mod mobility;
 pub mod recovery;
+pub mod runner;
 pub mod scale;
 pub mod summary;
 pub mod telemetry;
@@ -60,57 +62,6 @@ pub fn figure_by_id(id: &str, seed: u64) -> Option<Figure> {
         "hierarchy" => experiments::hierarchy(seed),
         _ => return None,
     })
-}
-
-/// The chaos experiment: fault injection over the deployment pipeline.
-/// Not part of [`all_figures`] — its output depends on the fault rate, so
-/// the `repro chaos` subcommand drives it explicitly.
-pub fn chaos_figure(seed: u64, fault_rate: f64, smoke: bool) -> Figure {
-    experiments::chaos(seed, fault_rate, smoke)
-}
-
-/// The chaos experiment with span recording on: the same figure plus the
-/// merged span log and metrics snapshot (`repro chaos --telemetry`).
-pub fn chaos_figure_traced(
-    seed: u64,
-    fault_rate: f64,
-    smoke: bool,
-) -> (Figure, ::telemetry::SpanLog, ::telemetry::MetricsRegistry) {
-    experiments::chaos_traced(seed, fault_rate, smoke)
-}
-
-/// The mobility experiment: multi-gNB handover under user mobility. Like
-/// chaos, not part of [`all_figures`] — the `repro mobility` subcommand
-/// drives it explicitly (and writes `BENCH_mobility.json`).
-pub fn mobility_figure(seed: u64, smoke: bool) -> Figure {
-    experiments::mobility(seed, smoke)
-}
-
-/// The mobility experiment with span recording on: the same figure plus the
-/// merged span log and metrics snapshot (`repro mobility --telemetry`).
-pub fn mobility_figure_traced(
-    seed: u64,
-    smoke: bool,
-) -> (Figure, ::telemetry::SpanLog, ::telemetry::MetricsRegistry) {
-    experiments::mobility_traced(seed, smoke)
-}
-
-/// The recovery experiment: runtime chaos (instance crashes, zone outages,
-/// channel loss) against the self-healing control plane. Like chaos, not
-/// part of [`all_figures`] — the `repro recovery` subcommand drives it
-/// explicitly (and writes `BENCH_recovery.json`).
-pub fn recovery_figure(seed: u64, fault_rate: f64, smoke: bool) -> Figure {
-    experiments::recovery(seed, fault_rate, smoke)
-}
-
-/// The recovery experiment with span recording on: the same figure plus the
-/// merged span log and metrics snapshot (`repro recovery --telemetry`).
-pub fn recovery_figure_traced(
-    seed: u64,
-    fault_rate: f64,
-    smoke: bool,
-) -> (Figure, ::telemetry::SpanLog, ::telemetry::MetricsRegistry) {
-    experiments::recovery_traced(seed, fault_rate, smoke)
 }
 
 /// The figure ids `figure_by_id` accepts, in order.

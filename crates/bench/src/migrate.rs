@@ -1,10 +1,8 @@
 //! Live-migration bench: interruption and transfer cost as session state
 //! grows.
 //!
-//! Like [`crate::mobility`] this is plain `std` (no criterion) so the
-//! `repro migrate` subcommand can run it directly and emit the
-//! machine-readable `BENCH_migrate.json` summary. It replays the
-//! deterministic mobility scenario twice per swept state size:
+//! Run by `repro migrate`, which writes `BENCH_migrate.json`. It replays
+//! the deterministic mobility scenario twice per swept state size:
 //!
 //! * **live** — anchored handovers plus `edgectl::migrate` chasing the
 //!   client (snapshot + background transfer + make-before-break flip);
@@ -19,9 +17,10 @@
 //! the source keeps serving throughout — so live p99 stays below cold p99 at
 //! every swept size.
 
-use desim::Summary;
-use std::path::PathBuf;
+use crate::artifact;
+use crate::mobility::pct;
 use testbed::experiments;
+use yamlite::Value;
 
 /// One swept state size: the live arm and its cold baseline, side by side
 /// (times in milliseconds).
@@ -86,56 +85,51 @@ impl Report {
             .unwrap_or(false)
     }
 
-    /// Renders the hand-rolled JSON summary (`serde` is deliberately not a
-    /// dependency of this workspace).
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\n  \"bench\": \"migrate\",\n  \"seed\": {},\n  \"smoke\": {},\n  \
-             \"sizes\": [\n",
-            self.seed, self.smoke
-        );
-        for (i, p) in self.sizes.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"state_bytes_per_request\": {}, \"migrations\": {}, \
-                 \"aborted\": {}, \"state_bytes_transferred\": {}, \
-                 \"flows_flipped\": {}, \"transfer_p50_ms\": {:.3}, \
-                 \"transfer_p99_ms\": {:.3}, \"interruption_p50_ms\": {:.3}, \
-                 \"interruption_p99_ms\": {:.3}, \"pings\": {}, \"dropped\": {}, \
-                 \"cold_handovers\": {}, \"cold_interruption_p50_ms\": {:.3}, \
-                 \"cold_interruption_p99_ms\": {:.3}, \"cold_dropped\": {}}}{}\n",
-                p.state_bytes_per_request,
-                p.migrations,
-                p.aborted,
-                p.state_bytes_transferred,
-                p.flows_flipped,
-                p.transfer_p50_ms,
-                p.transfer_p99_ms,
-                p.p50_ms,
-                p.p99_ms,
-                p.pings,
-                p.dropped,
-                p.cold_handovers,
-                p.cold_p50_ms,
-                p.cold_p99_ms,
-                p.cold_dropped,
-                if i + 1 < self.sizes.len() { "," } else { "" }
-            ));
-        }
+    /// The `BENCH_migrate.json` text.
+    pub fn artifact(&self) -> String {
         let last = self.sizes.last();
-        s.push_str(&format!(
-            "  ],\n  \"largest_state_bytes_per_request\": {},\n  \
-             \"live_p99_ms_at_largest\": {:.3},\n  \"cold_p99_ms\": {:.3},\n  \
-             \"total_migrations\": {},\n  \"total_state_bytes_transferred\": {},\n  \
-             \"gate_live_p99_le_cold_p99\": {},\n  \"total_dropped\": {}\n}}\n",
-            last.map(|p| p.state_bytes_per_request).unwrap_or(0),
-            last.map(|p| p.p99_ms).unwrap_or(f64::NAN),
-            last.map(|p| p.cold_p99_ms).unwrap_or(f64::NAN),
-            self.sizes.iter().map(|p| p.migrations).sum::<u64>(),
-            self.sizes.iter().map(|p| p.state_bytes_transferred).sum::<u64>(),
-            self.gate_holds(),
-            self.total_dropped()
-        ));
-        s
+        artifact::object(|o| {
+            o.str("bench", "migrate");
+            o.int("seed", self.seed);
+            o.bool("smoke", self.smoke);
+            o.rows("sizes", &self.sizes, |r, p| {
+                r.int("state_bytes_per_request", p.state_bytes_per_request);
+                r.int("migrations", p.migrations);
+                r.int("aborted", p.aborted);
+                r.int("state_bytes_transferred", p.state_bytes_transferred);
+                r.int("flows_flipped", p.flows_flipped);
+                r.fixed("transfer_p50_ms", p.transfer_p50_ms, 3);
+                r.fixed("transfer_p99_ms", p.transfer_p99_ms, 3);
+                r.fixed("interruption_p50_ms", p.p50_ms, 3);
+                r.fixed("interruption_p99_ms", p.p99_ms, 3);
+                r.int("pings", p.pings);
+                r.int("dropped", p.dropped);
+                r.int("cold_handovers", p.cold_handovers);
+                r.fixed("cold_interruption_p50_ms", p.cold_p50_ms, 3);
+                r.fixed("cold_interruption_p99_ms", p.cold_p99_ms, 3);
+                r.int("cold_dropped", p.cold_dropped);
+            });
+            o.int(
+                "largest_state_bytes_per_request",
+                last.map_or(0, |p| p.state_bytes_per_request),
+            );
+            o.fixed(
+                "live_p99_ms_at_largest",
+                last.map_or(f64::NAN, |p| p.p99_ms),
+                3,
+            );
+            o.fixed("cold_p99_ms", last.map_or(f64::NAN, |p| p.cold_p99_ms), 3);
+            o.int(
+                "total_migrations",
+                self.sizes.iter().map(|p| p.migrations).sum(),
+            );
+            o.int(
+                "total_state_bytes_transferred",
+                self.sizes.iter().map(|p| p.state_bytes_transferred).sum(),
+            );
+            o.bool("gate_live_p99_le_cold_p99", self.gate_holds());
+            o.int("total_dropped", self.total_dropped());
+        })
     }
 
     /// Renders a human-readable table.
@@ -170,16 +164,19 @@ impl Report {
     }
 }
 
-/// Where `BENCH_migrate.json` is written: the repository root.
-pub fn default_output_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_migrate.json")
-}
-
-fn pct(xs: &[f64], p: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    Summary::new(xs.to_vec()).percentile(p).unwrap_or(0.0) * 1e3
+/// The artifact's gate: an ascending sweep in which every size migrated
+/// live, handed over cold and dropped nothing, and live interruption p99 at
+/// the largest state no worse than the cold baseline's.
+pub fn gates(v: &Value) -> Result<(), String> {
+    let largest = artifact::ascending(v, "sizes", "state_bytes_per_request")?;
+    artifact::positive(v, "sizes", &["migrations", "cold_handovers"])?;
+    artifact::zero(v, "sizes", &["dropped", "cold_dropped"])?;
+    artifact::clause(
+        "largest size: interruption_p99_ms <= cold_interruption_p99_ms",
+        artifact::le(largest, "interruption_p99_ms", "cold_interruption_p99_ms"),
+    )?;
+    artifact::is_true(v, "gate_live_p99_le_cold_p99")?;
+    artifact::zero_fields(v, &["total_dropped"])
 }
 
 /// The swept per-request state sizes: 0 bytes (the degenerate case — a live
@@ -227,6 +224,24 @@ pub fn run(seed: u64, smoke: bool) -> Report {
 mod tests {
     use super::*;
 
+    const FIXTURE: &str = r#"{
+  "bench": "migrate",
+  "seed": 7,
+  "smoke": true,
+  "sizes": [
+    {"state_bytes_per_request": 0, "migrations": 5, "aborted": 0, "state_bytes_transferred": 0, "flows_flipped": 18, "transfer_p50_ms": 1.000, "transfer_p99_ms": 2.000, "interruption_p50_ms": 1.700, "interruption_p99_ms": 3.400, "pings": 300, "dropped": 0, "cold_handovers": 9, "cold_interruption_p50_ms": 251.000, "cold_interruption_p99_ms": 502.000, "cold_dropped": 0},
+    {"state_bytes_per_request": 65536, "migrations": 5, "aborted": 0, "state_bytes_transferred": 6553600, "flows_flipped": 18, "transfer_p50_ms": 425.000, "transfer_p99_ms": 850.000, "interruption_p50_ms": 1.700, "interruption_p99_ms": 3.400, "pings": 300, "dropped": 0, "cold_handovers": 9, "cold_interruption_p50_ms": 450.000, "cold_interruption_p99_ms": 900.000, "cold_dropped": 0}
+  ],
+  "largest_state_bytes_per_request": 65536,
+  "live_p99_ms_at_largest": 3.400,
+  "cold_p99_ms": 900.000,
+  "total_migrations": 10,
+  "total_state_bytes_transferred": 6553600,
+  "gate_live_p99_le_cold_p99": true,
+  "total_dropped": 0
+}
+"#;
+
     fn size(bytes: u64, p99: f64, transfer_p99: f64, cold_p99: f64) -> SizePoint {
         SizePoint {
             state_bytes_per_request: bytes,
@@ -254,18 +269,66 @@ mod tests {
             smoke: true,
             sizes: vec![size(0, 3.4, 2.0, 502.0), size(65_536, 3.4, 850.0, 900.0)],
         };
-        let j = r.to_json();
-        assert!(j.contains("\"bench\": \"migrate\""));
-        assert!(j.contains("\"state_bytes_per_request\": 65536"));
-        assert!(j.contains("\"transfer_p99_ms\": 850.000"));
-        assert!(j.contains("\"cold_interruption_p99_ms\": 900.000"));
-        assert!(j.contains("\"largest_state_bytes_per_request\": 65536"));
-        assert!(j.contains("\"live_p99_ms_at_largest\": 3.400"));
-        assert!(j.contains("\"cold_p99_ms\": 900.000"));
-        assert!(j.contains("\"total_migrations\": 10"));
-        assert!(j.contains("\"gate_live_p99_le_cold_p99\": true"));
-        assert!(j.contains("\"total_dropped\": 0"));
+        assert_eq!(r.artifact(), FIXTURE);
         assert!(r.render().contains("holds"));
+    }
+
+    #[test]
+    fn every_gate_clause_can_fail() {
+        artifact::tests::assert_gate_clauses(
+            gates,
+            FIXTURE,
+            &[
+                (
+                    "\"state_bytes_per_request\": 0,",
+                    "\"state_bytes_per_request\": 70000,",
+                    "`sizes` ascending",
+                ),
+                (
+                    "\"migrations\": 5",
+                    "\"migrations\": 0",
+                    "sizes[0]: migrations > 0",
+                ),
+                (
+                    "\"cold_handovers\": 9",
+                    "\"cold_handovers\": 0",
+                    "sizes[0]: cold_handovers > 0",
+                ),
+                ("\"dropped\": 0", "\"dropped\": 1", "sizes[0]: dropped == 0"),
+                (
+                    "\"cold_dropped\": 0",
+                    "\"cold_dropped\": 1",
+                    "sizes[0]: cold_dropped == 0",
+                ),
+                (
+                    "\"cold_interruption_p99_ms\": 900.000",
+                    "\"cold_interruption_p99_ms\": 3.399",
+                    "largest size: interruption_p99_ms <= cold_interruption_p99_ms",
+                ),
+                (
+                    "\"gate_live_p99_le_cold_p99\": true",
+                    "\"gate_live_p99_le_cold_p99\": false",
+                    "gate_live_p99_le_cold_p99 is true",
+                ),
+                (
+                    "\"total_dropped\": 0",
+                    "\"total_dropped\": 1",
+                    "total_dropped == 0",
+                ),
+            ],
+        );
+        let empty = Report {
+            seed: 7,
+            smoke: true,
+            sizes: vec![],
+        }
+        .artifact();
+        assert!(
+            empty.contains("\"live_p99_ms_at_largest\": null"),
+            "never NaN: {empty}"
+        );
+        let err = gates(&artifact::parse(&empty).unwrap()).unwrap_err();
+        assert!(err.contains("`sizes` is missing or empty"), "{err}");
     }
 
     #[test]
@@ -316,6 +379,6 @@ mod tests {
     fn repro_artifact_is_deterministic() {
         let a = run(7, true);
         let b = run(7, true);
-        assert_eq!(a.to_json(), b.to_json(), "same seed ⇒ same artifact");
+        assert_eq!(a.artifact(), b.artifact(), "same seed ⇒ same artifact");
     }
 }

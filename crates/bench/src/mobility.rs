@@ -1,17 +1,14 @@
 //! Mobility/handover bench: per-policy handover-interruption percentiles.
 //!
-//! Like [`crate::fastpath`] this is plain `std` (no criterion) so the
-//! `repro mobility` subcommand can run it directly and emit the
-//! machine-readable `BENCH_mobility.json` summary that tracks the handover
-//! numbers across PRs. It replays the same deterministic mobility scenario
-//! as `testbed::experiments::mobility` — once per [`HandoverPolicy`] — and
-//! reduces each run to handover counts plus the interruption distribution
-//! (announce → last new-switch install) at p50/p95/p99.
+//! Run by `repro mobility`, which writes `BENCH_mobility.json`. It reduces
+//! the per-policy runs of `testbed::experiments::mobility` — the same
+//! simulation the figure shows — to handover counts plus the interruption
+//! distribution (announce → last new-switch install) at p50/p95/p99.
 
+use crate::artifact;
 use desim::Summary;
-use edgectl::HandoverPolicy;
-use std::path::PathBuf;
-use testbed::experiments;
+use testbed::experiments::{self, Experiment, MobilityStats};
+use yamlite::Value;
 
 /// One policy's measurements (times in milliseconds).
 #[derive(Clone, Debug)]
@@ -53,36 +50,25 @@ impl Report {
         self.points.iter().map(|p| p.dropped).sum()
     }
 
-    /// Renders the hand-rolled JSON summary (`serde` is deliberately not a
-    /// dependency of this workspace).
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\n  \"bench\": \"mobility\",\n  \"seed\": {},\n  \"smoke\": {},\n  \"policies\": [\n",
-            self.seed, self.smoke
-        );
-        for (i, p) in self.points.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"policy\": \"{}\", \"handovers\": {}, \"flows_migrated\": {}, \
-                 \"redispatched\": {}, \"interruption_p50_ms\": {:.3}, \
-                 \"interruption_p95_ms\": {:.3}, \"interruption_p99_ms\": {:.3}, \
-                 \"pings\": {}, \"dropped\": {}}}{}\n",
-                p.policy,
-                p.handovers,
-                p.flows_migrated,
-                p.redispatched,
-                p.p50_ms,
-                p.p95_ms,
-                p.p99_ms,
-                p.pings,
-                p.dropped,
-                if i + 1 < self.points.len() { "," } else { "" }
-            ));
-        }
-        s.push_str(&format!(
-            "  ],\n  \"total_dropped\": {}\n}}\n",
-            self.total_dropped()
-        ));
-        s
+    /// The `BENCH_mobility.json` text.
+    pub fn artifact(&self) -> String {
+        artifact::object(|o| {
+            o.str("bench", "mobility");
+            o.int("seed", self.seed);
+            o.bool("smoke", self.smoke);
+            o.rows("policies", &self.points, |r, p| {
+                r.str("policy", p.policy);
+                r.int("handovers", p.handovers);
+                r.int("flows_migrated", p.flows_migrated);
+                r.int("redispatched", p.redispatched);
+                r.fixed("interruption_p50_ms", p.p50_ms, 3);
+                r.fixed("interruption_p95_ms", p.p95_ms, 3);
+                r.fixed("interruption_p99_ms", p.p99_ms, 3);
+                r.int("pings", p.pings);
+                r.int("dropped", p.dropped);
+            });
+            o.int("total_dropped", self.total_dropped());
+        })
     }
 
     /// Renders a human-readable table.
@@ -109,43 +95,67 @@ impl Report {
     }
 }
 
-/// Where `BENCH_mobility.json` is written: the repository root.
-pub fn default_output_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_mobility.json")
-}
-
-fn pct(xs: &[f64], p: f64) -> f64 {
+/// The `p`-th percentile of a sample of seconds, in milliseconds; 0 for an
+/// empty sample.
+pub(crate) fn pct(xs: &[f64], p: f64) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
     Summary::new(xs.to_vec()).percentile(p).unwrap_or(0.0) * 1e3
 }
 
-/// Runs the mobility scenario under both policies and reduces the results.
-pub fn run(seed: u64, smoke: bool) -> Report {
-    let points = [HandoverPolicy::Anchored, HandoverPolicy::Redispatch]
-        .into_iter()
-        .map(|policy| {
-            let s = experiments::mobility_stats(policy, seed, smoke);
-            PolicyPoint {
-                policy: policy.label(),
-                handovers: s.handovers,
-                flows_migrated: s.flows_migrated,
-                redispatched: s.redispatched,
-                p50_ms: pct(&s.interruptions, 50.0),
-                p95_ms: pct(&s.interruptions, 95.0),
-                p99_ms: pct(&s.interruptions, 99.0),
-                pings: s.pings_done,
-                dropped: (s.pings_sent - s.pings_done) + s.drops,
-            }
+/// The artifact's gate: nothing dropped, and every policy reports its
+/// interruption p99.
+pub fn gates(v: &Value) -> Result<(), String> {
+    artifact::zero_fields(v, &["total_dropped"])?;
+    artifact::each_row(v, "policies", "has interruption_p99_ms", |p| {
+        Some(artifact::num(p, "interruption_p99_ms").is_some())
+    })
+}
+
+/// Runs the mobility experiment once — both policies — and reduces the very
+/// runs its figure was built from to the report.
+pub fn run(seed: u64, smoke: bool, telemetry: bool) -> (Experiment<MobilityStats>, Report) {
+    let experiment = experiments::mobility(seed, smoke, telemetry);
+    let points = experiment
+        .runs
+        .iter()
+        .map(|(policy, s)| PolicyPoint {
+            policy,
+            handovers: s.handovers,
+            flows_migrated: s.flows_migrated,
+            redispatched: s.redispatched,
+            p50_ms: pct(&s.interruptions, 50.0),
+            p95_ms: pct(&s.interruptions, 95.0),
+            p99_ms: pct(&s.interruptions, 99.0),
+            pings: s.pings_done,
+            dropped: (s.pings_sent - s.pings_done) + s.drops,
         })
         .collect();
-    Report { seed, smoke, points }
+    (
+        experiment,
+        Report {
+            seed,
+            smoke,
+            points,
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const FIXTURE: &str = r#"{
+  "bench": "mobility",
+  "seed": 7,
+  "smoke": true,
+  "policies": [
+    {"policy": "anchored", "handovers": 4, "flows_migrated": 4, "redispatched": 0, "interruption_p50_ms": 0.350, "interruption_p95_ms": 0.400, "interruption_p99_ms": 0.400, "pings": 300, "dropped": 0}
+  ],
+  "total_dropped": 0
+}
+"#;
 
     #[test]
     fn json_shape_is_stable() {
@@ -164,17 +174,33 @@ mod tests {
                 dropped: 0,
             }],
         };
-        let j = r.to_json();
-        assert!(j.contains("\"bench\": \"mobility\""));
-        assert!(j.contains("\"policy\": \"anchored\""));
-        assert!(j.contains("\"interruption_p99_ms\": 0.400"));
-        assert!(j.contains("\"total_dropped\": 0"));
+        assert_eq!(r.artifact(), FIXTURE);
         assert!(r.render().contains("want 0"));
     }
 
     #[test]
+    fn every_gate_clause_can_fail() {
+        artifact::tests::assert_gate_clauses(
+            gates,
+            FIXTURE,
+            &[
+                (
+                    "\"total_dropped\": 0",
+                    "\"total_dropped\": 2",
+                    "total_dropped == 0",
+                ),
+                (
+                    "\"interruption_p99_ms\": 0.400, ",
+                    "",
+                    "policies[0]: has interruption_p99_ms",
+                ),
+            ],
+        );
+    }
+
+    #[test]
     fn smoke_run_is_clean() {
-        let r = run(7, true);
+        let (_, r) = run(7, true, false);
         assert_eq!(r.points.len(), 2);
         assert_eq!(r.total_dropped(), 0, "no ping lost, no frame dropped");
         assert!(r.points.iter().all(|p| p.handovers > 0));
@@ -185,8 +211,12 @@ mod tests {
     fn repro_artifact_is_deterministic() {
         // The whole BENCH_mobility.json artifact — not just the figure —
         // must be byte-identical per seed on the calendar event core.
-        let a = run(7, true);
-        let b = run(7, true);
-        assert_eq!(a.to_json(), b.to_json(), "same seed ⇒ same artifact");
+        let (_, a) = run(7, true, false);
+        let (_, b) = run(7, true, true);
+        assert_eq!(
+            a.artifact(),
+            b.artifact(),
+            "same seed ⇒ same artifact, recording or not"
+        );
     }
 }

@@ -1,18 +1,15 @@
 //! Runtime-chaos recovery bench: the self-healing control plane in numbers.
 //!
-//! Like [`crate::mobility`] this is plain `std` (no criterion) so the
-//! `repro recovery` subcommand can run it directly and emit the
-//! machine-readable `BENCH_recovery.json` summary that tracks the
-//! self-healing numbers across PRs. It replays the deterministic
-//! runtime-chaos scenario behind `testbed::experiments::recovery` — once per
-//! [`HandoverPolicy`] — and reduces each run to the injected-fault counts,
-//! the client-visible repair work (retransmits), and the two acceptance
-//! gates: permanently stranded sessions and the residual of the final
-//! switch-table reconciliation pass (both must be 0).
+//! Run by `repro recovery`, which writes `BENCH_recovery.json`. It reduces
+//! the per-policy runs of `testbed::experiments::recovery` — the same
+//! simulation the figure shows — to the injected-fault counts, the
+//! client-visible repair work (retransmits), and the two acceptance gates:
+//! permanently stranded sessions and the residual of the final switch-table
+//! reconciliation pass (both must be 0).
 
-use edgectl::HandoverPolicy;
-use std::path::PathBuf;
-use testbed::experiments;
+use crate::artifact;
+use testbed::experiments::{self, Experiment, RecoveryStats};
+use yamlite::Value;
 
 /// One policy's measurements.
 #[derive(Clone, Debug)]
@@ -66,40 +63,29 @@ impl Report {
         self.points.iter().map(|p| p.reconcile_residual).sum()
     }
 
-    /// Renders the hand-rolled JSON summary (`serde` is deliberately not a
-    /// dependency of this workspace).
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\n  \"bench\": \"recovery\",\n  \"seed\": {},\n  \"fault_rate\": {},\n  \
-             \"smoke\": {},\n  \"policies\": [\n",
-            self.seed, self.fault_rate, self.smoke
-        );
-        for (i, p) in self.points.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"policy\": \"{}\", \"crashes\": {}, \"outages\": {}, \
-                 \"channel_losses\": {}, \"ctrl_dropped\": {}, \"retransmits\": {}, \
-                 \"pings_sent\": {}, \"pings_done\": {}, \"stranded\": {}, \
-                 \"reconcile_fixes\": {}, \"reconcile_residual\": {}}}{}\n",
-                p.policy,
-                p.crashes,
-                p.outages,
-                p.channel_losses,
-                p.ctrl_dropped,
-                p.retransmits,
-                p.pings_sent,
-                p.pings_done,
-                p.stranded,
-                p.reconcile_fixes,
-                p.reconcile_residual,
-                if i + 1 < self.points.len() { "," } else { "" }
-            ));
-        }
-        s.push_str(&format!(
-            "  ],\n  \"total_stranded\": {},\n  \"total_reconcile_residual\": {}\n}}\n",
-            self.total_stranded(),
-            self.total_residual()
-        ));
-        s
+    /// The `BENCH_recovery.json` text.
+    pub fn artifact(&self) -> String {
+        artifact::object(|o| {
+            o.str("bench", "recovery");
+            o.int("seed", self.seed);
+            o.num("fault_rate", self.fault_rate);
+            o.bool("smoke", self.smoke);
+            o.rows("policies", &self.points, |r, p| {
+                r.str("policy", p.policy);
+                r.int("crashes", p.crashes);
+                r.int("outages", p.outages);
+                r.int("channel_losses", p.channel_losses);
+                r.int("ctrl_dropped", p.ctrl_dropped);
+                r.int("retransmits", p.retransmits);
+                r.int("pings_sent", p.pings_sent);
+                r.int("pings_done", p.pings_done);
+                r.int("stranded", p.stranded);
+                r.int("reconcile_fixes", p.reconcile_fixes);
+                r.int("reconcile_residual", p.reconcile_residual);
+            });
+            o.int("total_stranded", self.total_stranded());
+            o.int("total_reconcile_residual", self.total_residual());
+        })
     }
 
     /// Renders a human-readable table.
@@ -132,39 +118,72 @@ impl Report {
     }
 }
 
-/// Where `BENCH_recovery.json` is written: the repository root.
-pub fn default_output_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_recovery.json")
+/// The artifact's gate: the two acceptance gates, and that a run at fault
+/// rate 1 — where every zone suffers an outage and every channel drops —
+/// exercised both under every policy (a lower rate may draw no fault).
+pub fn gates(v: &Value) -> Result<(), String> {
+    artifact::zero_fields(v, &["total_stranded", "total_reconcile_residual"])?;
+    let rate = artifact::num(v, "fault_rate");
+    artifact::clause("has fault_rate", rate.map(|_| true))?;
+    if rate == Some(1.0) {
+        artifact::positive(v, "policies", &["outages", "channel_losses"])?;
+    }
+    Ok(())
 }
 
-/// Runs the runtime-chaos scenario under both policies and reduces the
-/// results.
-pub fn run(seed: u64, fault_rate: f64, smoke: bool) -> Report {
-    let points = [HandoverPolicy::Anchored, HandoverPolicy::Redispatch]
-        .into_iter()
-        .map(|policy| {
-            let s = experiments::recovery_stats(policy, seed, fault_rate, smoke);
-            PolicyPoint {
-                policy: policy.label(),
-                crashes: s.instance_crashes,
-                outages: s.zone_outages,
-                channel_losses: s.channel_losses,
-                ctrl_dropped: s.ctrl_dropped,
-                retransmits: s.retransmits,
-                pings_sent: s.pings_sent,
-                pings_done: s.pings_done,
-                stranded: s.stranded,
-                reconcile_fixes: s.reconcile_fixes,
-                reconcile_residual: s.reconcile_residual,
-            }
+/// Runs the recovery experiment once — both policies — and reduces the very
+/// runs its figure was built from to the report.
+pub fn run(
+    seed: u64,
+    fault_rate: f64,
+    smoke: bool,
+    telemetry: bool,
+) -> (Experiment<RecoveryStats>, Report) {
+    let experiment = experiments::recovery(seed, fault_rate, smoke, telemetry);
+    let points = experiment
+        .runs
+        .iter()
+        .map(|(policy, s)| PolicyPoint {
+            policy,
+            crashes: s.instance_crashes,
+            outages: s.zone_outages,
+            channel_losses: s.channel_losses,
+            ctrl_dropped: s.ctrl_dropped,
+            retransmits: s.retransmits,
+            pings_sent: s.pings_sent,
+            pings_done: s.pings_done,
+            stranded: s.stranded,
+            reconcile_fixes: s.reconcile_fixes,
+            reconcile_residual: s.reconcile_residual,
         })
         .collect();
-    Report { seed, fault_rate, smoke, points }
+    (
+        experiment,
+        Report {
+            seed,
+            fault_rate,
+            smoke,
+            points,
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const FIXTURE: &str = r#"{
+  "bench": "recovery",
+  "seed": 7,
+  "fault_rate": 1,
+  "smoke": true,
+  "policies": [
+    {"policy": "anchored", "crashes": 2, "outages": 3, "channel_losses": 3, "ctrl_dropped": 5, "retransmits": 4, "pings_sent": 300, "pings_done": 300, "stranded": 0, "reconcile_fixes": 1, "reconcile_residual": 0}
+  ],
+  "total_stranded": 0,
+  "total_reconcile_residual": 0
+}
+"#;
 
     #[test]
     fn json_shape_is_stable() {
@@ -186,18 +205,49 @@ mod tests {
                 reconcile_residual: 0,
             }],
         };
-        let j = r.to_json();
-        assert!(j.contains("\"bench\": \"recovery\""));
-        assert!(j.contains("\"policy\": \"anchored\""));
-        assert!(j.contains("\"channel_losses\": 3"));
-        assert!(j.contains("\"total_stranded\": 0"));
-        assert!(j.contains("\"total_reconcile_residual\": 0"));
+        assert_eq!(r.artifact(), FIXTURE);
         assert!(r.render().contains("want 0"));
     }
 
     #[test]
+    fn every_gate_clause_can_fail() {
+        artifact::tests::assert_gate_clauses(
+            gates,
+            FIXTURE,
+            &[
+                (
+                    "\"total_stranded\": 0",
+                    "\"total_stranded\": 1",
+                    "total_stranded == 0",
+                ),
+                (
+                    "\"total_reconcile_residual\": 0",
+                    "\"total_reconcile_residual\": 3",
+                    "total_reconcile_residual == 0",
+                ),
+                (
+                    "\"outages\": 3",
+                    "\"outages\": 0",
+                    "policies[0]: outages > 0",
+                ),
+                (
+                    "\"channel_losses\": 3",
+                    "\"channel_losses\": 0",
+                    "policies[0]: channel_losses > 0",
+                ),
+                ("  \"fault_rate\": 1,\n", "", "has fault_rate"),
+            ],
+        );
+        // Below rate 1 a run may draw no fault at all, and that is no failure.
+        let quiet = FIXTURE
+            .replace("\"fault_rate\": 1,", "\"fault_rate\": 0.1,")
+            .replace("\"outages\": 3", "\"outages\": 0");
+        assert_eq!(gates(&artifact::parse(&quiet).unwrap()), Ok(()));
+    }
+
+    #[test]
     fn full_chaos_smoke_run_self_heals() {
-        let r = run(7, 1.0, true);
+        let (_, r) = run(7, 1.0, true, false);
         assert_eq!(r.points.len(), 2);
         assert_eq!(r.total_stranded(), 0, "no session permanently stranded");
         assert_eq!(r.total_residual(), 0, "switch tables reconcile clean");
@@ -209,8 +259,12 @@ mod tests {
     fn repro_artifact_is_deterministic() {
         // The whole BENCH_recovery.json artifact — not just the figure —
         // must be byte-identical per seed on the calendar event core.
-        let a = run(7, 1.0, true);
-        let b = run(7, 1.0, true);
-        assert_eq!(a.to_json(), b.to_json(), "same seed ⇒ same artifact");
+        let (_, a) = run(7, 1.0, true, false);
+        let (_, b) = run(7, 1.0, true, true);
+        assert_eq!(
+            a.artifact(),
+            b.artifact(),
+            "same seed ⇒ same artifact, recording or not"
+        );
     }
 }

@@ -1,8 +1,6 @@
 //! Fleet-scale controller bench: 1M clients, 10M packet-ins per arm.
 //!
-//! Like [`crate::mobility`] this is plain `std` (no criterion) so the
-//! `repro scale` subcommand can run it directly and emit the
-//! machine-readable `BENCH_scale.json` artifact. It bypasses the emulated
+//! Run by `repro scale`, which writes `BENCH_scale.json`. It bypasses the emulated
 //! switch entirely and drives [`edgectl::Controller`] with hand-built
 //! `PACKET_IN` messages — the switch would absorb repeat connections on its
 //! fast path long before 10M misses, so to exercise the *controller* at
@@ -19,6 +17,7 @@
 //! the same client population, plus controller packet-in throughput and the
 //! process peak RSS.
 
+use crate::artifact::{self, num};
 use desim::{Duration, SimRng, SimTime};
 use edgectl::annotate_deployment;
 use edgectl::{Controller, ControllerConfig, DockerCluster, EdgeService, PortMap};
@@ -29,9 +28,9 @@ use netsim::{ServiceAddr, TcpFrame};
 use openflow::messages::Message;
 use openflow::oxm::{Match, OxmField};
 use openflow::PacketInReason;
-use std::collections::HashMap;
-use std::path::PathBuf;
+use std::collections::{BTreeSet, HashMap};
 use testbed::{client_ip_for, fleet_client_ip};
+use yamlite::Value;
 
 /// Ingress-side port clients arrive on (every gNB uses the same layout).
 const CLIENT_PORT: u32 = 1;
@@ -123,43 +122,30 @@ impl Report {
         self.exact().table_flows as f64 / (self.aggregated().table_flows as f64).max(1.0)
     }
 
-    /// Renders the hand-rolled JSON artifact (`serde` is deliberately not a
-    /// dependency of this workspace).
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\n  \"bench\": \"scale\",\n  \"seed\": {},\n  \"smoke\": {},\n  \
-             \"ingresses\": {},\n  \"services\": {},\n  \"clients\": {},\n  \"arms\": [\n",
-            self.seed,
-            self.smoke,
-            self.params.ingresses,
-            self.params.services,
-            self.params.clients()
-        );
-        for (i, a) in self.arms.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"arm\": \"{}\", \"packet_ins\": {}, \"covered\": {}, \
-                 \"messages_out\": {}, \"wall_s\": {:.3}, \"packet_ins_per_sec\": {:.0}, \
-                 \"table_flows\": {}, \"memory_entries\": {}, \"peak_rss_mb\": {:.1}}}{}\n",
-                a.arm,
-                a.packet_ins,
-                a.covered,
-                a.messages_out,
-                a.wall_s,
-                a.packet_ins_per_sec,
-                a.table_flows,
-                a.memory_entries,
-                a.peak_rss_mb,
-                if i + 1 < self.arms.len() { "," } else { "" }
-            ));
-        }
-        s.push_str(&format!(
-            "  ],\n  \"aggregated_table_flows\": {},\n  \"exact_table_flows\": {},\n  \
-             \"table_reduction_x\": {:.1}\n}}\n",
-            self.aggregated().table_flows,
-            self.exact().table_flows,
-            self.table_reduction()
-        ));
-        s
+    /// The `BENCH_scale.json` text.
+    pub fn artifact(&self) -> String {
+        artifact::object(|o| {
+            o.str("bench", "scale");
+            o.int("seed", self.seed);
+            o.bool("smoke", self.smoke);
+            o.int("ingresses", self.params.ingresses.into());
+            o.int("services", self.params.services.into());
+            o.int("clients", self.params.clients() as u64);
+            o.rows("arms", &self.arms, |r, a| {
+                r.str("arm", a.arm);
+                r.int("packet_ins", a.packet_ins);
+                r.int("covered", a.covered);
+                r.int("messages_out", a.messages_out);
+                r.fixed("wall_s", a.wall_s, 3);
+                r.fixed("packet_ins_per_sec", a.packet_ins_per_sec, 0);
+                r.int("table_flows", a.table_flows);
+                r.int("memory_entries", a.memory_entries);
+                r.fixed("peak_rss_mb", a.peak_rss_mb, 1);
+            });
+            o.int("aggregated_table_flows", self.aggregated().table_flows);
+            o.int("exact_table_flows", self.exact().table_flows);
+            o.fixed("table_reduction_x", self.table_reduction(), 1);
+        })
     }
 
     /// Renders a human-readable table.
@@ -192,9 +178,33 @@ impl Report {
     }
 }
 
-/// Where `BENCH_scale.json` is written: the repository root.
-pub fn default_output_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_scale.json")
+/// The artifact's gate: both arms ran the workload, the aggregated switch
+/// table is strictly smaller than the exact arm's, and the exact arm never
+/// answered through an aggregate.
+pub fn gates(v: &Value) -> Result<(), String> {
+    let arms = artifact::names(v, "arms", "arm") == BTreeSet::from(["aggregated", "exact"]);
+    artifact::clause("arms are aggregated and exact", Some(arms))?;
+    let ran = [
+        "packet_ins",
+        "packet_ins_per_sec",
+        "table_flows",
+        "memory_entries",
+    ];
+    artifact::positive(v, "arms", &ran)?;
+    let arm = |name, field| num(artifact::row(v, "arms", "arm", name)?, field);
+    let flows = arm("aggregated", "table_flows").zip(arm("exact", "table_flows"));
+    artifact::clause(
+        "aggregated table_flows < exact table_flows",
+        flows.map(|(a, e)| a < e),
+    )?;
+    artifact::clause(
+        "exact covered == 0",
+        arm("exact", "covered").map(|c| c == 0.0),
+    )?;
+    artifact::clause(
+        "table_reduction_x > 1.0",
+        num(v, "table_reduction_x").map(|x| x > 1.0),
+    )
 }
 
 /// Process peak RSS from `/proc/self/status` (`VmHWM`), MB; 0 where absent.
@@ -265,7 +275,7 @@ fn build_controller(p: Params, aggregate: bool, rng: &mut SimRng) -> Controller 
 
 /// Encodes a `PACKET_IN` carrying `frame`, as the ingress switch would send
 /// it on a table miss.
-fn packet_in(frame: &TcpFrame, buffer_id: u32) -> Vec<u8> {
+pub(crate) fn packet_in(frame: &TcpFrame, buffer_id: u32) -> Vec<u8> {
     let data = frame.encode();
     Message::PacketIn {
         buffer_id,
@@ -367,6 +377,23 @@ pub fn run(seed: u64, smoke: bool) -> Report {
 mod tests {
     use super::*;
 
+    const FIXTURE: &str = r#"{
+  "bench": "scale",
+  "seed": 7,
+  "smoke": true,
+  "ingresses": 4,
+  "services": 2,
+  "clients": 2000,
+  "arms": [
+    {"arm": "aggregated", "packet_ins": 4000, "covered": 3990, "messages_out": 4000, "wall_s": 0.500, "packet_ins_per_sec": 8000, "table_flows": 20, "memory_entries": 4000, "peak_rss_mb": 12.0},
+    {"arm": "exact", "packet_ins": 4000, "covered": 3990, "messages_out": 4000, "wall_s": 0.500, "packet_ins_per_sec": 8000, "table_flows": 8004, "memory_entries": 4000, "peak_rss_mb": 12.0}
+  ],
+  "aggregated_table_flows": 20,
+  "exact_table_flows": 8004,
+  "table_reduction_x": 400.2
+}
+"#;
+
     #[test]
     fn json_shape_is_stable() {
         let stats = |arm, table_flows| ArmStats {
@@ -386,13 +413,63 @@ mod tests {
             params: Params::smoke(),
             arms: vec![stats("aggregated", 20), stats("exact", 8004)],
         };
-        let j = r.to_json();
-        assert!(j.contains("\"bench\": \"scale\""));
-        assert!(j.contains("\"arm\": \"aggregated\""));
-        assert!(j.contains("\"aggregated_table_flows\": 20"));
-        assert!(j.contains("\"exact_table_flows\": 8004"));
-        assert!(j.contains("\"table_reduction_x\": 400.2"));
+        assert_eq!(r.artifact(), FIXTURE);
         assert!(r.render().contains("want > 1x"));
+    }
+
+    #[test]
+    fn every_gate_clause_can_fail() {
+        // The shape fixture gives both arms the same counters; a real exact
+        // arm covers nothing.
+        let passing = FIXTURE.replace(
+            "\"arm\": \"exact\", \"packet_ins\": 4000, \"covered\": 3990",
+            "\"arm\": \"exact\", \"packet_ins\": 4000, \"covered\": 0",
+        );
+        artifact::tests::assert_gate_clauses(
+            gates,
+            &passing,
+            &[
+                (
+                    "\"arm\": \"exact\"",
+                    "\"arm\": \"other\"",
+                    "arms are aggregated and exact",
+                ),
+                (
+                    "\"packet_ins\": 4000",
+                    "\"packet_ins\": 0",
+                    "arms[0]: packet_ins > 0",
+                ),
+                (
+                    "\"packet_ins_per_sec\": 8000",
+                    "\"packet_ins_per_sec\": 0",
+                    "arms[0]: packet_ins_per_sec > 0",
+                ),
+                (
+                    "\"table_flows\": 20,",
+                    "\"table_flows\": 0,",
+                    "arms[0]: table_flows > 0",
+                ),
+                (
+                    "\"memory_entries\": 4000",
+                    "\"memory_entries\": 0",
+                    "arms[0]: memory_entries > 0",
+                ),
+                (
+                    "\"table_flows\": 8004",
+                    "\"table_flows\": 20",
+                    "aggregated table_flows < exact table_flows",
+                ),
+                ("\"covered\": 0", "\"covered\": 1", "exact covered == 0"),
+                (
+                    "\"table_reduction_x\": 400.2",
+                    "\"table_reduction_x\": 1.0",
+                    "table_reduction_x > 1.0",
+                ),
+            ],
+        );
+        assert!(gates(&artifact::parse(FIXTURE).unwrap())
+            .unwrap_err()
+            .contains("exact covered == 0"));
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //! paper's evaluation text, measured fresh and judged — plus the perf
 //! trajectory folded from the committed `BENCH_*.json` artifacts.
 
+use crate::artifact::{self, num, row, sum};
 use desim::Summary;
-use std::path::PathBuf;
 use testbed::experiments::{self, run_trace_experiment};
 use testbed::report::Table;
 use testbed::ClusterKind;
 use workload::{Trace, TraceConfig};
+use yamlite::Value;
 
 fn median(v: &[f64]) -> f64 {
     Summary::new(v.to_vec()).median().unwrap_or(f64::NAN)
@@ -163,217 +164,147 @@ pub struct PerfPoint {
     pub detail: String,
 }
 
-/// Pulls the number following `"key":` out of hand-rolled bench JSON
-/// (`serde` is deliberately not a workspace dependency). Matches the first
-/// occurrence at any nesting depth.
-fn json_number(json: &str, key: &str) -> Option<f64> {
-    let tail = &json[json.find(&format!("\"{key}\":"))? + key.len() + 3..];
-    tail.trim_start()
-        .split([',', '}', '\n', ']'])
-        .next()?
-        .trim()
-        .parse()
-        .ok()
-}
+/// How an artifact's parsed value becomes its `(headline, detail)` cells;
+/// `None` when a field it reads is absent.
+type Cells = fn(&Value) -> Option<(String, String)>;
 
-/// Like [`json_number`], but scoped to the text after `anchor` — used to
-/// reach into a specific element of a JSON array (e.g. the `mixed` workload
-/// row) without a parser.
-fn json_number_after(json: &str, anchor: &str, key: &str) -> Option<f64> {
-    json_number(&json[json.find(anchor)?..], key)
-}
+/// The trajectory, one entry per committed artifact: file, subsystem, cells.
+/// A number quoted from a single row of an artifact says which row; counts
+/// a reader would take for the run's are summed over its rows.
+const TRAJECTORY: [(&str, &str, Cells); 8] = [
+    ("BENCH_flowtable.json", "data plane", |v| {
+        Some((
+            format!(
+                "microflow {:.0}x vs naive lookup @100k flows",
+                num(v, "microflow_speedup_vs_naive_100k")?
+            ),
+            format!("cache hit rate {:.4}", num(v, "cache_hit_rate")?),
+        ))
+    }),
+    ("BENCH_engine.json", "event core", |v| {
+        let mixed = row(v, "workloads", "name", "mixed")?;
+        Some((
+            format!(
+                "calendar {:.2}M ev/s mixed ({:.2}x naive)",
+                num(mixed, "calendar_events_per_sec")? / 1e6,
+                num(v, "mixed_speedup")?
+            ),
+            format!(
+                "CI floor {:.1}M ev/s, met: {}",
+                num(v, "events_per_sec_floor")? / 1e6,
+                v["floor_met"].as_bool()?
+            ),
+        ))
+    }),
+    ("BENCH_mobility.json", "handover", |v| {
+        let anchored = row(v, "policies", "policy", "anchored")?;
+        Some((
+            format!(
+                "anchored p99 interruption {:.3} ms",
+                num(anchored, "interruption_p99_ms")?
+            ),
+            format!(
+                "{:.0} handovers (anchored), {:.0} pings dropped",
+                num(anchored, "handovers")?,
+                num(v, "total_dropped")?
+            ),
+        ))
+    }),
+    ("BENCH_recovery.json", "self-healing", |v| {
+        Some((
+            format!(
+                "{:.0} stranded, {:.0} reconcile residual",
+                num(v, "total_stranded")?,
+                num(v, "total_reconcile_residual")?
+            ),
+            format!(
+                "{:.0} crashes, {:.0} outages survived",
+                sum(v, "policies", "crashes")?,
+                sum(v, "policies", "outages")?
+            ),
+        ))
+    }),
+    ("BENCH_scale.json", "fleet scale", |v| {
+        Some((
+            format!(
+                "aggregated table {:.0}x smaller @{:.0}M clients",
+                num(v, "table_reduction_x")?,
+                num(v, "clients")? / 1e6
+            ),
+            format!(
+                "{:.0} vs {:.0} flows, {:.0}k pkt-in/s",
+                num(v, "aggregated_table_flows")?,
+                num(v, "exact_table_flows")?,
+                num(row(v, "arms", "arm", "aggregated")?, "packet_ins_per_sec")? / 1e3
+            ),
+        ))
+    }),
+    ("BENCH_tournament.json", "load-aware scheduling", |v| {
+        Some((
+            format!(
+                "least-connections p99 {:.1} ms vs random {:.1} ms",
+                num(v, "least_connections_p99_ms")?,
+                num(v, "random_p99_ms")?
+            ),
+            format!(
+                "{} arms, lc cost {:.2} mean replicas",
+                crate::tournament::ARMS.len(),
+                num(row(v, "arms", "arm", "least-connections")?, "mean_replicas")?
+            ),
+        ))
+    }),
+    ("BENCH_migrate.json", "live migration", |v| {
+        Some((
+            format!(
+                "live p99 {:.2} ms vs cold {:.1} ms at largest state",
+                num(v, "live_p99_ms_at_largest")?,
+                num(v, "cold_p99_ms")?
+            ),
+            format!(
+                "{:.0} migrations, {:.1} MB shipped, {:.0} dropped",
+                num(v, "total_migrations")?,
+                num(v, "total_state_bytes_transferred")? / 1e6,
+                num(v, "total_dropped")?
+            ),
+        ))
+    }),
+    ("BENCH_ha.json", "crash recovery", |v| {
+        Some((
+            format!(
+                "warm p99 {:.1} ms vs cold {:.1} ms at largest state",
+                num(v, "warm_p99_ms_at_largest")?,
+                num(v, "cold_p99_ms_at_largest")?
+            ),
+            format!(
+                "{:.0} stranded, {:.0} residual, {:.0} panics at crash rate {:.0}",
+                num(v, "total_stranded")?,
+                num(v, "total_reconcile_residual")?,
+                num(v, "panics")?,
+                num(v, "crash_rate")?
+            ),
+        ))
+    }),
+];
 
-/// Reads the seven committed bench artifacts and condenses each into one
+/// Reads the eight committed bench artifacts and condenses each into one
 /// trajectory row. Artifacts that have not been generated yet show up as
 /// `missing` rather than failing the summary.
 pub fn perf_trajectory() -> Vec<PerfPoint> {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let read = |name: &str| std::fs::read_to_string(root.join(name)).ok();
     let missing = || ("(missing — see README for the repro command)".to_string(), String::new());
-
-    let flowtable = read("BENCH_flowtable.json")
-        .and_then(|j| {
-            Some((
-                format!(
-                    "microflow {:.0}x vs naive lookup @100k flows",
-                    json_number(&j, "microflow_speedup_vs_naive_100k")?
-                ),
-                format!("cache hit rate {:.4}", json_number(&j, "cache_hit_rate")?),
-            ))
+    TRAJECTORY
+        .iter()
+        .map(|&(artifact, subsystem, cells)| {
+            let read = artifact::read(artifact).ok();
+            let (headline, detail) = read.and_then(|v| cells(&v)).unwrap_or_else(missing);
+            PerfPoint {
+                artifact,
+                subsystem,
+                headline,
+                detail,
+            }
         })
-        .unwrap_or_else(missing);
-    let engine = read("BENCH_engine.json")
-        .and_then(|j| {
-            Some((
-                format!(
-                    "calendar {:.2}M ev/s mixed ({:.2}x naive)",
-                    json_number_after(&j, "\"name\": \"mixed\"", "calendar_events_per_sec")? / 1e6,
-                    json_number(&j, "mixed_speedup")?
-                ),
-                format!(
-                    "CI floor {:.1}M ev/s, met: {}",
-                    json_number(&j, "events_per_sec_floor")? / 1e6,
-                    j.contains("\"floor_met\": true")
-                ),
-            ))
-        })
-        .unwrap_or_else(missing);
-    let mobility = read("BENCH_mobility.json")
-        .and_then(|j| {
-            Some((
-                format!(
-                    "anchored p99 interruption {:.3} ms",
-                    json_number(&j, "interruption_p99_ms")?
-                ),
-                format!(
-                    "{:.0} handovers, {:.0} pings dropped",
-                    json_number(&j, "handovers")?,
-                    json_number(&j, "total_dropped")?
-                ),
-            ))
-        })
-        .unwrap_or_else(missing);
-    let recovery = read("BENCH_recovery.json")
-        .and_then(|j| {
-            Some((
-                format!(
-                    "{:.0} stranded, {:.0} reconcile residual",
-                    json_number(&j, "total_stranded")?,
-                    json_number(&j, "total_reconcile_residual")?
-                ),
-                format!(
-                    "{:.0} crashes, {:.0} outages survived",
-                    json_number(&j, "crashes")?,
-                    json_number(&j, "outages")?
-                ),
-            ))
-        })
-        .unwrap_or_else(missing);
-    let scale = read("BENCH_scale.json")
-        .and_then(|j| {
-            Some((
-                format!(
-                    "aggregated table {:.0}x smaller @{:.0}M clients",
-                    json_number(&j, "table_reduction_x")?,
-                    json_number(&j, "clients")? / 1e6
-                ),
-                format!(
-                    "{:.0} vs {:.0} flows, {:.0}k pkt-in/s",
-                    json_number(&j, "aggregated_table_flows")?,
-                    json_number(&j, "exact_table_flows")?,
-                    json_number_after(&j, "\"arm\": \"aggregated\"", "packet_ins_per_sec")?
-                        / 1e3
-                ),
-            ))
-        })
-        .unwrap_or_else(missing);
-    let migrate = read("BENCH_migrate.json")
-        .and_then(|j| {
-            Some((
-                format!(
-                    "live p99 {:.2} ms vs cold {:.1} ms at largest state",
-                    json_number(&j, "live_p99_ms_at_largest")?,
-                    json_number(&j, "cold_p99_ms")?
-                ),
-                format!(
-                    "{:.0} migrations, {:.1} MB shipped, {:.0} dropped",
-                    json_number(&j, "total_migrations")?,
-                    json_number(&j, "total_state_bytes_transferred")? / 1e6,
-                    json_number(&j, "total_dropped")?
-                ),
-            ))
-        })
-        .unwrap_or_else(missing);
-    let ha = read("BENCH_ha.json")
-        .and_then(|j| {
-            Some((
-                format!(
-                    "warm p99 {:.1} ms vs cold {:.1} ms at largest state",
-                    json_number(&j, "warm_p99_ms_at_largest")?,
-                    json_number(&j, "cold_p99_ms_at_largest")?
-                ),
-                format!(
-                    "{:.0} stranded, {:.0} residual, {:.0} panics at crash rate {:.0}",
-                    json_number(&j, "total_stranded")?,
-                    json_number(&j, "total_reconcile_residual")?,
-                    json_number(&j, "panics")?,
-                    json_number(&j, "crash_rate")?
-                ),
-            ))
-        })
-        .unwrap_or_else(missing);
-    let tournament = read("BENCH_tournament.json")
-        .and_then(|j| {
-            Some((
-                format!(
-                    "least-connections p99 {:.1} ms vs random {:.1} ms",
-                    json_number(&j, "least_connections_p99_ms")?,
-                    json_number(&j, "random_p99_ms")?
-                ),
-                format!(
-                    "{:.0} arms, lc cost {:.2} mean replicas",
-                    ARMS_IN_TOURNAMENT,
-                    json_number_after(&j, "\"arm\": \"least-connections\"", "mean_replicas")?
-                ),
-            ))
-        })
-        .unwrap_or_else(missing);
-
-    vec![
-        PerfPoint {
-            artifact: "BENCH_flowtable.json",
-            subsystem: "data plane",
-            headline: flowtable.0,
-            detail: flowtable.1,
-        },
-        PerfPoint {
-            artifact: "BENCH_engine.json",
-            subsystem: "event core",
-            headline: engine.0,
-            detail: engine.1,
-        },
-        PerfPoint {
-            artifact: "BENCH_mobility.json",
-            subsystem: "handover",
-            headline: mobility.0,
-            detail: mobility.1,
-        },
-        PerfPoint {
-            artifact: "BENCH_recovery.json",
-            subsystem: "self-healing",
-            headline: recovery.0,
-            detail: recovery.1,
-        },
-        PerfPoint {
-            artifact: "BENCH_scale.json",
-            subsystem: "fleet scale",
-            headline: scale.0,
-            detail: scale.1,
-        },
-        PerfPoint {
-            artifact: "BENCH_tournament.json",
-            subsystem: "load-aware scheduling",
-            headline: tournament.0,
-            detail: tournament.1,
-        },
-        PerfPoint {
-            artifact: "BENCH_migrate.json",
-            subsystem: "live migration",
-            headline: migrate.0,
-            detail: migrate.1,
-        },
-        PerfPoint {
-            artifact: "BENCH_ha.json",
-            subsystem: "crash recovery",
-            headline: ha.0,
-            detail: ha.1,
-        },
-    ]
+        .collect()
 }
-
-/// Arms in the scheduler tournament (kept in sync with
-/// [`crate::tournament::ARMS`]).
-const ARMS_IN_TOURNAMENT: usize = crate::tournament::ARMS.len();
 
 /// Renders the perf trajectory table.
 pub fn render_trajectory(points: &[PerfPoint]) -> String {
@@ -394,14 +325,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_extractor_reads_ints_floats_and_anchored_keys() {
-        let j = "{\n  \"a\": 3,\n  \"rows\": [\n    {\"name\": \"x\", \"v\": 1.5},\n    {\"name\": \"y\", \"v\": 2.5}\n  ],\n  \"last\": 0.25\n}\n";
-        assert_eq!(json_number(j, "a"), Some(3.0));
-        assert_eq!(json_number(j, "v"), Some(1.5), "first match wins");
-        assert_eq!(json_number_after(j, "\"name\": \"y\"", "v"), Some(2.5));
-        assert_eq!(json_number(j, "last"), Some(0.25));
-        assert_eq!(json_number(j, "absent"), None);
-        assert_eq!(json_number_after(j, "no-such-anchor", "v"), None);
+    fn trajectory_sums_counts_over_policies_and_names_the_row_it_quotes() {
+        // Two policy rows that differ: the first-match scanner this replaced
+        // reported the anchored row's 3 crashes / 4 outages / 94 handovers
+        // as the run's.
+        let cells = |file: &str, text: &str| {
+            let (_, _, cells) = TRAJECTORY.iter().find(|(f, ..)| *f == file).unwrap();
+            cells(&artifact::parse(text).unwrap()).unwrap()
+        };
+        let (headline, detail) = cells(
+            "BENCH_recovery.json",
+            "{\"policies\": [{\"policy\": \"anchored\", \"crashes\": 3, \"outages\": 4},\n              {\"policy\": \"redispatch\", \"crashes\": 2, \"outages\": 5}],\n              \"total_stranded\": 0, \"total_reconcile_residual\": 0}",
+        );
+        assert_eq!(headline, "0 stranded, 0 reconcile residual");
+        assert_eq!(detail, "5 crashes, 9 outages survived");
+        let (headline, detail) = cells(
+            "BENCH_mobility.json",
+            "{\"policies\": [{\"policy\": \"redispatch\", \"handovers\": 90, \"interruption_p99_ms\": 302.5},\n              {\"policy\": \"anchored\", \"handovers\": 94, \"interruption_p99_ms\": 2.004}],\n              \"total_dropped\": 0}",
+        );
+        assert_eq!(
+            headline, "anchored p99 interruption 2.004 ms",
+            "whatever the row order"
+        );
+        assert_eq!(detail, "94 handovers (anchored), 0 pings dropped");
+    }
+
+    #[test]
+    fn a_trajectory_row_with_a_missing_field_reads_as_missing_not_as_a_panic() {
+        for (file, _, cells) in TRAJECTORY {
+            assert!(
+                cells(&artifact::parse("{\"bench\": \"x\"}").unwrap()).is_none(),
+                "{file}"
+            );
+        }
     }
 
     #[test]

@@ -12,12 +12,11 @@
 //! proper is untouched by construction; this bench bounds the controller
 //! side.)
 
-use crate::fastpath::{loaded_switch, src_ip, src_port};
+use crate::fastpath::{loaded_switch, ns_per_op, src_ip, src_port};
 use desim::SimTime;
 use netsim::addr::{Ipv4Addr, MacAddr, ServiceAddr};
 use netsim::TcpFrame;
 use std::hint::black_box;
-use std::time::Instant;
 use telemetry::{SpanId, Telemetry};
 
 /// Measured costs, all ns per operation.
@@ -66,14 +65,6 @@ impl Report {
             self.overhead_pct()
         )
     }
-}
-
-fn ns_per_op(iters: usize, mut op: impl FnMut(usize)) -> f64 {
-    let start = Instant::now();
-    for k in 0..iters {
-        op(k);
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
 }
 
 /// One request's worth of telemetry calls, mirroring the controller's

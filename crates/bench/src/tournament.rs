@@ -10,11 +10,12 @@
 //! while instance-granular ones (least-connections, latency-ewma) spread it
 //! across the replicas the autoscaler adds.
 //!
-//! Like [`crate::scale`] this is plain `std` (no criterion): the
-//! `repro tournament` subcommand runs it directly and emits
-//! `BENCH_tournament.json`. Every reported field is sim-derived — no
-//! wall-clock values — so the artifact is byte-identical per `(seed, smoke)`.
+//! Run by `repro tournament`, which writes `BENCH_tournament.json`. Every
+//! reported field is sim-derived — no wall-clock values — so the artifact is
+//! byte-identical per `(seed, smoke)`.
 
+use crate::artifact::{self, num};
+use crate::scale::packet_in;
 use desim::{Duration, SimRng, SimTime};
 use edgectl::annotate_deployment;
 use edgectl::{AutoscaleConfig, QueueConfig};
@@ -22,16 +23,11 @@ use edgectl::{Controller, ControllerConfig, DockerCluster, EdgeService, PortMap}
 use dockersim::DockerEngine;
 use netsim::addr::{Ipv4Addr, MacAddr};
 use netsim::{ServiceAddr, TcpFrame};
-use openflow::messages::Message;
-use openflow::oxm::{Match, OxmField};
-use openflow::PacketInReason;
 use std::collections::HashMap;
-use std::path::PathBuf;
 use testbed::client_ip_for;
 use workload::BurstConfig;
+use yamlite::Value;
 
-/// Ingress-side port clients arrive on.
-const CLIENT_PORT: u32 = 1;
 /// Egress port toward the near edge cluster.
 const NEAR_PORT: u32 = 2;
 /// Port toward the cloud uplink.
@@ -102,40 +98,34 @@ impl Report {
             .unwrap_or_else(|| panic!("no arm `{name}`"))
     }
 
-    /// Renders the hand-rolled JSON artifact (`serde` is deliberately not a
-    /// dependency of this workspace).
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\n  \"bench\": \"tournament\",\n  \"seed\": {},\n  \"smoke\": {},\n  \
-             \"services\": {},\n  \"requests\": {},\n  \"arms\": [\n",
-            self.seed, self.smoke, self.services, self.requests
-        );
-        for (i, a) in self.arms.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"arm\": \"{}\", \"requests\": {}, \"p50_ms\": {:.3}, \
-                 \"p99_ms\": {:.3}, \"mean_ms\": {:.3}, \"fallback_rate\": {:.4}, \
-                 \"rejections\": {}, \"rejection_rate\": {:.4}, \"scale_ups\": {}, \
-                 \"scale_downs\": {}, \"mean_replicas\": {:.3}}}{}\n",
-                a.arm,
-                a.requests,
-                a.p50_ms,
-                a.p99_ms,
-                a.mean_ms,
-                a.fallback_rate,
-                a.rejections,
-                a.rejection_rate,
-                a.scale_ups,
-                a.scale_downs,
-                a.mean_replicas,
-                if i + 1 < self.arms.len() { "," } else { "" }
-            ));
-        }
-        s.push_str(&format!(
-            "  ],\n  \"least_connections_p99_ms\": {:.3},\n  \"random_p99_ms\": {:.3}\n}}\n",
-            self.arm("least-connections").p99_ms,
-            self.arm("random").p99_ms
-        ));
-        s
+    /// The `BENCH_tournament.json` text.
+    pub fn artifact(&self) -> String {
+        artifact::object(|o| {
+            o.str("bench", "tournament");
+            o.int("seed", self.seed);
+            o.bool("smoke", self.smoke);
+            o.int("services", self.services as u64);
+            o.int("requests", self.requests);
+            o.rows("arms", &self.arms, |r, a| {
+                r.str("arm", a.arm);
+                r.int("requests", a.requests);
+                r.fixed("p50_ms", a.p50_ms, 3);
+                r.fixed("p99_ms", a.p99_ms, 3);
+                r.fixed("mean_ms", a.mean_ms, 3);
+                r.fixed("fallback_rate", a.fallback_rate, 4);
+                r.int("rejections", a.rejections);
+                r.fixed("rejection_rate", a.rejection_rate, 4);
+                r.int("scale_ups", a.scale_ups);
+                r.int("scale_downs", a.scale_downs);
+                r.fixed("mean_replicas", a.mean_replicas, 3);
+            });
+            o.fixed(
+                "least_connections_p99_ms",
+                self.arm("least-connections").p99_ms,
+                3,
+            );
+            o.fixed("random_p99_ms", self.arm("random").p99_ms, 3);
+        })
     }
 
     /// Renders a human-readable table.
@@ -170,9 +160,27 @@ impl Report {
     }
 }
 
-/// Where `BENCH_tournament.json` is written: the repository root.
-pub fn default_output_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_tournament.json")
+/// The artifact's gate: every scheduler of [`ARMS`] ran the trace with
+/// rates that are rates, and seeing per-instance load (least-connections)
+/// gave a p99 no worse than ignoring it (random).
+pub fn gates(v: &Value) -> Result<(), String> {
+    let names = artifact::names(v, "arms", "arm");
+    artifact::clause(
+        "arms include every scheduler",
+        Some(ARMS.iter().all(|a| names.contains(a))),
+    )?;
+    artifact::positive(v, "arms", &["requests", "p99_ms", "mean_replicas"])?;
+    for rate in ["fallback_rate", "rejection_rate"] {
+        artifact::each_row(v, "arms", &format!("0 <= {rate} <= 1"), |a| {
+            Some((0.0..=1.0).contains(&num(a, rate)?))
+        })?;
+    }
+    let p99 = |name| num(artifact::row(v, "arms", "arm", name)?, "p99_ms");
+    let tails = p99("least-connections").zip(p99("random"));
+    artifact::clause(
+        "least-connections p99_ms <= random p99_ms",
+        tails.map(|(lc, r)| lc <= r),
+    )
 }
 
 /// An edge service at `203.0.113.20:port` backed by the cached `asm`
@@ -243,22 +251,6 @@ fn build_controller(scheduler: &str, services: usize, rng: &mut SimRng) -> Contr
         ctl.register_service(tournament_service(9000 + s as u16));
     }
     ctl
-}
-
-/// Encodes a `PACKET_IN` carrying `frame`, as the ingress switch would send
-/// it on a table miss.
-fn packet_in(frame: &TcpFrame, buffer_id: u32) -> Vec<u8> {
-    let data = frame.encode();
-    Message::PacketIn {
-        buffer_id,
-        total_len: data.len() as u16,
-        reason: PacketInReason::NoMatch,
-        table_id: 0,
-        cookie: 0,
-        match_: Match::any().with(OxmField::InPort(CLIENT_PORT)),
-        data,
-    }
-    .encode(1)
 }
 
 /// `q`-th percentile (nearest-rank) of an unsorted sample, in ms.
@@ -356,6 +348,21 @@ pub fn run(seed: u64, smoke: bool) -> Report {
 mod tests {
     use super::*;
 
+    const FIXTURE: &str = r#"{
+  "bench": "tournament",
+  "seed": 7,
+  "smoke": true,
+  "services": 4,
+  "requests": 100,
+  "arms": [
+    {"arm": "random", "requests": 100, "p50_ms": 1.000, "p99_ms": 40.000, "mean_ms": 2.000, "fallback_rate": 0.0100, "rejections": 3, "rejection_rate": 0.0300, "scale_ups": 2, "scale_downs": 1, "mean_replicas": 1.500},
+    {"arm": "least-connections", "requests": 100, "p50_ms": 1.000, "p99_ms": 20.000, "mean_ms": 2.000, "fallback_rate": 0.0100, "rejections": 3, "rejection_rate": 0.0300, "scale_ups": 2, "scale_downs": 1, "mean_replicas": 1.500}
+  ],
+  "least_connections_p99_ms": 20.000,
+  "random_p99_ms": 40.000
+}
+"#;
+
     #[test]
     fn json_shape_is_stable() {
         let stats = |arm, p99_ms| ArmStats {
@@ -378,12 +385,66 @@ mod tests {
             requests: 100,
             arms: vec![stats("random", 40.0), stats("least-connections", 20.0)],
         };
-        let j = r.to_json();
-        assert!(j.contains("\"bench\": \"tournament\""));
-        assert!(j.contains("\"arm\": \"least-connections\""));
-        assert!(j.contains("\"least_connections_p99_ms\": 20.000"));
-        assert!(j.contains("\"random_p99_ms\": 40.000"));
+        assert_eq!(r.artifact(), FIXTURE);
         assert!(r.render().contains("want <="));
+    }
+
+    #[test]
+    fn every_gate_clause_can_fail() {
+        // The shape fixture enters two schedulers; the gate wants all six.
+        let row = FIXTURE
+            .lines()
+            .find(|l| l.contains("\"arm\": \"random\""))
+            .unwrap();
+        let others: String = ["proximity", "round-robin", "latency-ewma", "predictive"]
+            .iter()
+            .map(|a| format!("{}\n", row.replace("\"random\"", &format!("\"{a}\""))))
+            .collect();
+        let full = FIXTURE.replace(row, &format!("{others}{row}"));
+        artifact::tests::assert_gate_clauses(
+            gates,
+            &full,
+            &[
+                (
+                    "\"arm\": \"predictive\"",
+                    "\"arm\": \"other\"",
+                    "arms include every scheduler",
+                ),
+                (
+                    "\"proximity\", \"requests\": 100",
+                    "\"proximity\", \"requests\": 0",
+                    "arms[0]: requests > 0",
+                ),
+                (
+                    "\"p99_ms\": 40.000",
+                    "\"p99_ms\": 0.000",
+                    "arms[0]: p99_ms > 0",
+                ),
+                (
+                    "\"mean_replicas\": 1.500",
+                    "\"mean_replicas\": 0.000",
+                    "arms[0]: mean_replicas > 0",
+                ),
+                (
+                    "\"fallback_rate\": 0.0100",
+                    "\"fallback_rate\": 1.0100",
+                    "arms[0]: 0 <= fallback_rate <= 1",
+                ),
+                (
+                    "\"rejection_rate\": 0.0300",
+                    "\"rejection_rate\": -0.0300",
+                    "arms[0]: 0 <= rejection_rate <= 1",
+                ),
+                (
+                    "\"p99_ms\": 20.000",
+                    "\"p99_ms\": 40.001",
+                    "least-connections p99_ms <= random p99_ms",
+                ),
+            ],
+        );
+        assert!(gates(&artifact::parse(FIXTURE).unwrap())
+            .unwrap_err()
+            .contains("every scheduler"));
     }
 
     #[test]
@@ -407,6 +468,6 @@ mod tests {
         // Bursts overload single replicas: the autoscaler must have acted.
         assert!(r.arms.iter().any(|a| a.scale_ups > 0));
         let again = run(7, true);
-        assert_eq!(r.to_json(), again.to_json(), "same seed ⇒ same artifact");
+        assert_eq!(r.artifact(), again.artifact(), "same seed ⇒ same artifact");
     }
 }

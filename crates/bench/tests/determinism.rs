@@ -60,8 +60,8 @@ fn fig13_is_byte_identical_across_runs() {
 
 #[test]
 fn mobility_figure_is_byte_identical_across_runs() {
-    let a = bench::mobility_figure(7, true);
-    let b = bench::mobility_figure(7, true);
+    let a = testbed::experiments::mobility(7, true, false).figure;
+    let b = testbed::experiments::mobility(7, true, false).figure;
     assert_eq!(a.body, b.body);
     assert_eq!(a.table.to_csv(), b.table.to_csv());
 }
@@ -70,8 +70,8 @@ fn mobility_figure_is_byte_identical_across_runs() {
 fn recovery_figure_at_rate_zero_is_byte_identical_across_runs() {
     // Fault rate 0: the pure control path, no chaos — exactly the regime
     // the committed baseline artifacts were generated in.
-    let a = bench::recovery_figure(7, 0.0, true);
-    let b = bench::recovery_figure(7, 0.0, true);
+    let a = testbed::experiments::recovery(7, 0.0, true, false).figure;
+    let b = testbed::experiments::recovery(7, 0.0, true, false).figure;
     assert_eq!(a.body, b.body);
     assert_eq!(a.table.to_csv(), b.table.to_csv());
 }

@@ -37,6 +37,15 @@ fn arb_frame() -> impl Strategy<Value = TcpFrame> {
         )
 }
 
+/// Runs `bytes` through `TcpFrame::decode`, `TcpHeaders::parse` and
+/// `WireFrame::parse`: none may panic, and all three accept or refuse alike.
+fn all_decoders_agree(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let structured = TcpFrame::decode(bytes).is_ok();
+    prop_assert_eq!(TcpHeaders::parse(bytes).is_ok(), structured);
+    prop_assert_eq!(WireFrame::parse(bytes.to_vec()).is_ok(), structured);
+    Ok(())
+}
+
 proptest! {
     /// Arbitrary frames encode then decode to the identical structure, and
     /// the checksums self-verify.
@@ -62,10 +71,26 @@ proptest! {
         }
     }
 
-    /// Decoding arbitrary garbage never panics.
+    /// Decoding arbitrary garbage never panics, through any of the three
+    /// entry points, and they agree on what is a frame.
     #[test]
     fn decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
-        let _ = TcpFrame::decode(&bytes);
+        all_decoders_agree(&bytes)?;
+    }
+
+    /// Nor does a valid frame cut short at any offset, or with one byte
+    /// damaged: the zero-copy parsers index by the lengths the headers
+    /// declare, so this is where a missing bounds check would show.
+    #[test]
+    fn decode_never_panics_on_damaged_frames(frame in arb_frame(), flip in any::<(usize, u8)>()) {
+        let bytes = frame.encode();
+        for cut in 0..bytes.len() {
+            all_decoders_agree(&bytes[..cut])?;
+        }
+        let mut damaged = bytes;
+        let idx = flip.0 % damaged.len();
+        damaged[idx] ^= flip.1 | 1;
+        all_decoders_agree(&damaged)?;
     }
 
     /// Rewriting destination then encoding keeps a decodable frame whose

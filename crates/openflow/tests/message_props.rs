@@ -220,6 +220,20 @@ fn arb_message() -> impl Strategy<Value = Message> {
     ]
 }
 
+/// What every decode must satisfy whatever it is given: it returns (no
+/// panic), and a success consumed a whole header and no more than the
+/// buffer holds.
+fn decode_is_sane(bytes: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok((_, _, used)) = Message::decode(bytes) {
+        prop_assert!(
+            (8..=bytes.len()).contains(&used),
+            "consumed {used} of {} bytes",
+            bytes.len()
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -236,7 +250,7 @@ proptest! {
 
     #[test]
     fn decoder_is_total(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = Message::decode(&bytes);
+        decode_is_sane(&bytes)?;
     }
 
     #[test]
@@ -244,7 +258,29 @@ proptest! {
         let mut bytes = msg.encode(7);
         let idx = flip.0 % bytes.len();
         bytes[idx] ^= flip.1 | 1;
-        let _ = Message::decode(&bytes); // must not panic
+        decode_is_sane(&bytes)?;
+    }
+
+    /// The declared length is what the decoder trusts to slice the body:
+    /// any value in it — shorter, longer, or less than a header — must be
+    /// refused or honoured within the buffer.
+    #[test]
+    fn decoder_total_on_perturbed_length(msg in arb_message(), length in any::<u16>(), tail in 0usize..16) {
+        let mut bytes = msg.encode(7);
+        bytes[2..4].copy_from_slice(&length.to_be_bytes());
+        bytes.extend(std::iter::repeat_n(0xAB, tail));
+        decode_is_sane(&bytes)?;
+    }
+
+    /// A message cut short at every offset is an error, never a panic and
+    /// never a success (the declared length no longer fits).
+    #[test]
+    fn decoder_total_on_every_truncation(msg in arb_message()) {
+        let bytes = msg.encode(7);
+        for cut in 0..bytes.len() {
+            decode_is_sane(&bytes[..cut])?;
+            prop_assert!(Message::decode(&bytes[..cut]).is_err(), "decoded {cut} of {} bytes", bytes.len());
+        }
     }
 
     #[test]

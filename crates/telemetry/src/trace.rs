@@ -184,6 +184,28 @@ impl SpanLog {
         }
     }
 
+    /// What CI requires of an exported log beyond [`SpanLog::check`]: it is
+    /// not empty, no span is still open (so [`SpanLog::to_json`] carries no
+    /// `"end_ns":null`) and, when `must_include` names one, some span's name
+    /// ends with it — the run really took that path.
+    pub fn check_export(&self, must_include: Option<&str>) -> Result<(), String> {
+        if self.spans.is_empty() {
+            return Err("span export is empty".to_owned());
+        }
+        if let Some(open) = self.spans.iter().find(|s| s.end.is_none()) {
+            return Err(format!(
+                "open span in export: `{}` (id {})",
+                open.name, open.id.0
+            ));
+        }
+        match must_include {
+            Some(name) if !self.spans.iter().any(|s| s.name.ends_with(name)) => {
+                Err(format!("no `{name}` span in export"))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Appends every span of `other`, remapping span ids to stay
     /// consecutive, offsetting request ids by `request_offset`, and tagging
     /// span names with `label` (`"docker/request"`). Used to combine the
@@ -417,6 +439,28 @@ mod tests {
         assert!(!c.ok());
         assert_eq!(c.unclosed, 2); // r and the orphan are still open
         assert_eq!(c.orphans, 2);
+    }
+
+    #[test]
+    fn export_check_rejects_empty_open_and_missing_spans() {
+        let mut merged = SpanLog::new();
+        merged.absorb(&sample_log(), "anchored", 0);
+        assert_eq!(merged.check_export(None), Ok(()));
+        assert_eq!(
+            merged.check_export(Some("deploy-pull")),
+            Ok(()),
+            "matches the name's tail"
+        );
+        let e = merged.check_export(Some("handover")).unwrap_err();
+        assert!(e.contains("no `handover` span"), "{e}");
+        let e = SpanLog::new().check_export(None).unwrap_err();
+        assert!(e.contains("empty"), "{e}");
+        let mut t = SimTracer::new();
+        let done = t.span_start(0, SpanId::NONE, "handover", SimTime::ZERO);
+        t.span_end(done, SimTime::ZERO);
+        t.span_start(1, SpanId::NONE, "request", SimTime::ZERO);
+        let e = t.log().unwrap().check_export(Some("handover")).unwrap_err();
+        assert!(e.contains("open span") && e.contains("request"), "{e}");
     }
 
     #[test]

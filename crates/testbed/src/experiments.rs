@@ -5,7 +5,7 @@
 //! `bench` crate prints these; `EXPERIMENTS.md` records them against the
 //! paper's numbers.
 
-use crate::harness::{ClusterKind, Testbed, TestbedConfig};
+use crate::harness::{ClusterKind, MobilityConfig, MobilityTestbed, Testbed, TestbedConfig};
 use crate::report::{bar_chart, timeline, Table};
 use containerd::{ContentStore, ServiceProfile, ServiceSet};
 use desim::{Duration, SimRng, SimTime, Summary};
@@ -14,7 +14,6 @@ use edgectl::ControllerConfig;
 use netsim::{Ipv4Addr, ServiceAddr};
 use registry::RegistryProfile;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use telemetry::{MetricsRegistry, SpanLog};
 use workload::{Trace, TraceConfig};
 
@@ -45,6 +44,44 @@ impl Figure {
         }
         self
     }
+}
+
+/// How far a replay's services are deployed before its traffic starts:
+/// registered only, images pulled, or containers created as well.
+#[derive(Clone, Copy, PartialEq, PartialOrd)]
+enum Warmth {
+    Cold,
+    Pulled,
+    Created,
+}
+
+/// Replays `trace` on `tb` until `until`: one service per trace service,
+/// all bound to `profile` and deployed as far as `warmth` says, every
+/// request offset by 1 s so setup happens strictly before traffic.
+fn replay(
+    tb: &mut Testbed,
+    profile: &ServiceProfile,
+    warmth: Warmth,
+    trace: &Trace,
+    until: SimTime,
+) {
+    let addrs: Vec<ServiceAddr> = (0..trace.config.n_services)
+        .map(|i| {
+            let addr = addr_of(profile, i);
+            tb.register_service(profile.clone(), addr);
+            if warmth >= Warmth::Pulled {
+                tb.pre_pull(addr);
+            }
+            if warmth >= Warmth::Created {
+                tb.pre_create(addr);
+            }
+            addr
+        })
+        .collect();
+    for r in &trace.requests {
+        tb.request_at(r.at + Duration::from_secs(1), r.client, addrs[r.service]);
+    }
+    tb.run_until(until);
 }
 
 fn addr_of(profile: &ServiceProfile, index: usize) -> ServiceAddr {
@@ -185,22 +222,12 @@ pub fn run_trace_experiment(
         },
         ..TestbedConfig::default()
     });
-    let n_services = trace.config.n_services;
-    let mut addrs = Vec::with_capacity(n_services);
-    for i in 0..n_services {
-        let addr = addr_of(profile, i);
-        tb.register_service(profile.clone(), addr);
-        tb.pre_pull(addr);
-        if pre_create {
-            tb.pre_create(addr);
-        }
-        addrs.push(addr);
-    }
-    for r in &trace.requests {
-        // Offset by 1 s so setup happens strictly before traffic.
-        tb.request_at(r.at + Duration::from_secs(1), r.client, addrs[r.service]);
-    }
-    tb.run_until(SimTime::from_secs(400));
+    let warmth = if pre_create {
+        Warmth::Created
+    } else {
+        Warmth::Pulled
+    };
+    replay(&mut tb, profile, warmth, &trace, SimTime::from_secs(400));
 
     let mut first_done: BTreeMap<ServiceAddr, f64> = BTreeMap::new();
     let mut warm = Vec::new();
@@ -443,7 +470,7 @@ pub fn hybrid(seed: u64) -> Figure {
             .and_then(|r| r.cluster)
             .map(|i| tb.controller.cluster(i).name().to_owned())
             .unwrap_or_else(|| "-".to_owned());
-        let k8s_only = run_single(ClusterKind::K8s, &profile, seed);
+        let (k8s_only, _) = first_request_under(ClusterKind::K8s, &profile, "proximity", seed);
         t.row(vec![
             profile.key.to_string(),
             format!("{first:.3} s"),
@@ -462,25 +489,6 @@ pub fn hybrid(seed: u64) -> Figure {
     .with_extra("\nFirst response arrives at Docker speed while Kubernetes deploys in the background; once its pod is ready, new clients are served by K8s.\n")
 }
 
-fn run_single(kind: ClusterKind, profile: &ServiceProfile, seed: u64) -> f64 {
-    let mut tb = Testbed::new(TestbedConfig {
-        cluster: kind,
-        seed,
-        ..TestbedConfig::default()
-    });
-    let addr = addr_of(profile, 0);
-    tb.register_service(profile.clone(), addr);
-    tb.pre_pull(addr);
-    tb.pre_create(addr);
-    tb.request_at(SimTime::from_secs(1), 0, addr);
-    tb.run_until(SimTime::from_secs(60));
-    tb.completed
-        .first()
-        .and_then(|c| c.timing.time_total())
-        .map(|d| d.as_secs_f64())
-        .unwrap_or(f64::NAN)
-}
-
 /// On-demand deployment *with* vs *without* waiting (Figs. 3/5): when a
 /// farther edge already runs the service, the without-waiting scheduler
 /// answers the first request immediately from there while the nearby edge
@@ -494,8 +502,9 @@ pub fn waiting_comparison(seed: u64) -> Figure {
         "Near edge ready (bg)",
     ]);
     for profile in ServiceSet::all() {
-        let (with_wait, _) = first_request_under(&profile, "proximity", seed);
-        let (without_wait, bg_ready) = first_request_under(&profile, "latency-aware", seed);
+        let docker = ClusterKind::Docker;
+        let (with_wait, _) = first_request_under(docker, &profile, "proximity", seed);
+        let (without_wait, bg_ready) = first_request_under(docker, &profile, "latency-aware", seed);
         t.row(vec![
             profile.key.to_string(),
             format!("{with_wait:.3} s"),
@@ -512,12 +521,19 @@ pub fn waiting_comparison(seed: u64) -> Figure {
     )
 }
 
-/// First-request `time_total` under a given Global Scheduler, in a two-edge
-/// scenario: the near edge is empty (images cached) and a *far* instance is
-/// already running — emulated by the cloud hosting the service.
-fn first_request_under(profile: &ServiceProfile, scheduler: &str, seed: u64) -> (f64, Option<f64>) {
+/// First-request `time_total`, and when the near instance became ready,
+/// on a cluster of `kind` under a given Global Scheduler, in a two-edge
+/// scenario: the near edge is empty (images cached, containers created) and
+/// a *far* instance is already running — emulated by the cloud hosting the
+/// service.
+fn first_request_under(
+    kind: ClusterKind,
+    profile: &ServiceProfile,
+    scheduler: &str,
+    seed: u64,
+) -> (f64, Option<f64>) {
     let mut tb = Testbed::new(TestbedConfig {
-        cluster: ClusterKind::Docker,
+        cluster: kind,
         scheduler: scheduler.to_owned(),
         seed,
         ..TestbedConfig::default()
@@ -575,18 +591,13 @@ pub fn timeout_sweep(seed: u64) -> Figure {
             },
             ..TestbedConfig::default()
         });
-        let mut addrs = Vec::new();
-        for i in 0..trace.config.n_services {
-            let addr = addr_of(&profile, i);
-            tb.register_service(profile.clone(), addr);
-            tb.pre_pull(addr);
-            tb.pre_create(addr);
-            addrs.push(addr);
-        }
-        for r in &trace.requests {
-            tb.request_at(r.at + Duration::from_secs(1), r.client, addrs[r.service]);
-        }
-        tb.run_until(SimTime::from_secs(400));
+        replay(
+            &mut tb,
+            &profile,
+            Warmth::Created,
+            &trace,
+            SimTime::from_secs(400),
+        );
         // A deployment = a record that actually issued a scale-up (several
         // concurrent requests may wait on one in-flight deployment).
         let deployments = tb
@@ -662,18 +673,13 @@ pub fn proactive(seed: u64) -> Figure {
             },
             ..TestbedConfig::default()
         });
-        let mut addrs = Vec::new();
-        for i in 0..trace.config.n_services {
-            let addr = addr_of(&profile, i);
-            tb.register_service(profile.clone(), addr);
-            tb.pre_pull(addr);
-            tb.pre_create(addr);
-            addrs.push(addr);
-        }
-        for r in &trace.requests {
-            tb.request_at(r.at + Duration::from_secs(1), r.client, addrs[r.service]);
-        }
-        tb.run_until(SimTime::from_secs(400));
+        replay(
+            &mut tb,
+            &profile,
+            Warmth::Created,
+            &trace,
+            SimTime::from_secs(400),
+        );
         let waited = tb
             .controller
             .records
@@ -871,12 +877,67 @@ fn hierarchy_run(
 }
 
 // ---------------------------------------------------------------------------
+// Experiments with arms that can record telemetry (chaos, mobility, recovery)
+// ---------------------------------------------------------------------------
+
+/// What a recording run hands back: its span log and metrics snapshot.
+pub type Recording = (SpanLog, MetricsRegistry);
+
+/// The result of an experiment whose arms can record telemetry.
+pub struct Experiment<S> {
+    /// The rendered figure, ending in a machine-readable summary line.
+    pub figure: Figure,
+    /// Each arm's label and aggregates, in figure-row order: the runs the
+    /// figure was built from, for a bench report to reduce.
+    pub runs: Vec<(&'static str, S)>,
+    /// With telemetry on: the arms' span logs merged into one (names
+    /// prefixed `label/`, request ids offset so arms do not collide) and
+    /// their metrics summed. Recording is observation only — `figure` and
+    /// `runs` are the same either way.
+    pub recording: Option<Recording>,
+}
+
+/// Takes what a recording harness recorded.
+fn take_recording<T: crate::topology::Net>(tb: &mut crate::Harness<T>) -> Recording {
+    let metrics = tb.telemetry_snapshot();
+    let log = std::mem::take(&mut tb.controller.telemetry)
+        .into_span_log()
+        .expect("recording tracer keeps a log");
+    (log, metrics)
+}
+
+/// Runs every arm of an experiment and merges what they recorded.
+/// `ids_used` is how many request ids an arm's spans may occupy.
+fn run_arms<A, S>(
+    arms: impl IntoIterator<Item = (A, &'static str)>,
+    telemetry: bool,
+    ids_used: impl Fn(&S) -> u64,
+    mut run: impl FnMut(A) -> (S, Option<Recording>),
+) -> (Vec<(&'static str, S)>, Option<Recording>) {
+    let mut merged = telemetry.then(|| (SpanLog::new(), MetricsRegistry::new()));
+    let mut request_offset = 0;
+    let runs = arms
+        .into_iter()
+        .map(|(arm, label)| {
+            let (stats, recorded) = run(arm);
+            if let (Some((log, metrics)), Some((arm_log, arm_metrics))) = (&mut merged, recorded) {
+                log.absorb(&arm_log, label, request_offset);
+                metrics.merge(&arm_metrics);
+                request_offset += ids_used(&stats);
+            }
+            (label, stats)
+        })
+        .collect();
+    (runs, merged)
+}
+
+// ---------------------------------------------------------------------------
 // Chaos: the hardened deployment pipeline under fault injection
 // ---------------------------------------------------------------------------
 
 /// Per-cluster aggregates of one chaos replay.
 #[derive(Clone, Copy, Debug, Default)]
-struct ChaosRun {
+pub struct ChaosRun {
     requests: u64,
     completed: u64,
     waited: u64,
@@ -895,13 +956,13 @@ fn chaos_run(
     smoke: bool,
     seed: u64,
     telemetry: bool,
-) -> (ChaosRun, Option<(SpanLog, MetricsRegistry)>) {
+) -> (ChaosRun, Option<Recording>) {
     let trace_cfg = if smoke {
         TraceConfig::chaos_smoke()
     } else {
         TraceConfig::chaos()
     };
-    let trace = Trace::generate(trace_cfg.clone(), seed);
+    let trace = Trace::generate(trace_cfg, seed);
     let profile = ServiceSet::by_key("asm").expect("asm profile");
     let mut tb = Testbed::new(TestbedConfig {
         cluster: kind,
@@ -916,18 +977,10 @@ fn chaos_run(
         },
         ..TestbedConfig::default()
     });
-    let mut addrs = Vec::with_capacity(trace_cfg.n_services);
-    for i in 0..trace_cfg.n_services {
-        let addr = addr_of(&profile, i);
-        tb.register_service(profile.clone(), addr);
-        // Deliberately no pre-pull: cold pulls keep the Pull phase (and its
-        // faults) on the critical path.
-        addrs.push(addr);
-    }
-    for r in &trace.requests {
-        tb.request_at(r.at + Duration::from_secs(1), r.client, addrs[r.service]);
-    }
-    tb.run_until(SimTime::ZERO + trace_cfg.duration + Duration::from_secs(120));
+    // Deliberately cold: the pulls keep the Pull phase (and its faults) on
+    // the critical path.
+    let until = SimTime::ZERO + trace.config.duration + Duration::from_secs(120);
+    replay(&mut tb, &profile, Warmth::Cold, &trace, until);
 
     let mut run = ChaosRun {
         requests: tb.controller.records.len() as u64,
@@ -947,14 +1000,7 @@ fn chaos_run(
         run.create_retries += u64::from(r.phases.create_retries);
         run.scale_up_retries += u64::from(r.phases.scale_up_retries);
     }
-    let tele = telemetry.then(|| {
-        let metrics = tb.telemetry_snapshot();
-        let log = std::mem::take(&mut tb.controller.telemetry)
-            .into_span_log()
-            .expect("recording tracer keeps a log");
-        (log, metrics)
-    });
-    (run, tele)
+    (run, telemetry.then(|| take_recording(&mut tb)))
 }
 
 /// The chaos experiment (deployment-pipeline hardening): replays a bursty
@@ -964,28 +1010,15 @@ fn chaos_run(
 /// exhaust their budget release held requests toward the cloud. The figure
 /// reports per-phase retry totals and the cloud-fallback rate, plus a
 /// machine-readable `chaos-summary` line for CI. Deterministic per seed.
-pub fn chaos(seed: u64, fault_rate: f64, smoke: bool) -> Figure {
-    chaos_impl(seed, fault_rate, smoke, false).0
-}
-
-/// The chaos experiment with telemetry recording on: the exact same
-/// deterministic figure as [`chaos`] (recording is observation only), plus
-/// the merged span log of both testbed runs (span names prefixed
-/// `docker/` and `k8s/`, Kubernetes request ids offset past Docker's) and
-/// the combined metrics snapshot with a derived `fallback_cloud_rate`
-/// gauge.
-pub fn chaos_traced(seed: u64, fault_rate: f64, smoke: bool) -> (Figure, SpanLog, MetricsRegistry) {
-    let (fig, tele) = chaos_impl(seed, fault_rate, smoke, true);
-    let (log, metrics) = tele.expect("telemetry recorded");
-    (fig, log, metrics)
-}
-
-fn chaos_impl(
-    seed: u64,
-    fault_rate: f64,
-    smoke: bool,
-    telemetry: bool,
-) -> (Figure, Option<(SpanLog, MetricsRegistry)>) {
+/// With `telemetry` on, the recording's arms are `docker/` and `k8s/` and
+/// its metrics gain a derived `fallback_cloud_rate` gauge.
+pub fn chaos(seed: u64, fault_rate: f64, smoke: bool, telemetry: bool) -> Experiment<ChaosRun> {
+    let (runs, mut recording) = run_arms(
+        [(ClusterKind::Docker, "docker"), (ClusterKind::K8s, "k8s")],
+        telemetry,
+        |run: &ChaosRun| run.requests,
+        |kind| chaos_run(kind, fault_rate, smoke, seed, telemetry),
+    );
     let mut t = Table::new(&[
         "Cluster",
         "Requests",
@@ -997,21 +1030,10 @@ fn chaos_impl(
         "Coalesced",
         "Resets",
     ]);
-    let mut total = ChaosRun::default();
-    let mut merged_log = SpanLog::new();
-    let mut merged_metrics = MetricsRegistry::new();
-    let mut request_offset = 0u64;
-    for kind in [ClusterKind::Docker, ClusterKind::K8s] {
-        let (run, tele) = chaos_run(kind, fault_rate, smoke, seed, telemetry);
-        if let Some((log, metrics)) = tele {
-            let label = match kind {
-                ClusterKind::Docker => "docker",
-                ClusterKind::K8s => "k8s",
-            };
-            merged_log.absorb(&log, label, request_offset);
-            merged_metrics.merge(&metrics);
-            request_offset += run.requests;
-        }
+    for (kind, (_, run)) in [ClusterKind::Docker, ClusterKind::K8s]
+        .into_iter()
+        .zip(&runs)
+    {
         t.row(vec![
             kind.label().to_string(),
             run.requests.to_string(),
@@ -1026,38 +1048,33 @@ fn chaos_impl(
             run.coalesced.to_string(),
             run.resets.to_string(),
         ]);
-        total.requests += run.requests;
-        total.completed += run.completed;
-        total.waited += run.waited;
-        total.memory_hits += run.memory_hits;
-        total.fallbacks += run.fallbacks;
-        total.pull_retries += run.pull_retries;
-        total.create_retries += run.create_retries;
-        total.scale_up_retries += run.scale_up_retries;
-        total.coalesced += run.coalesced;
-        total.resets += run.resets;
     }
-    let total_retries = total.pull_retries + total.create_retries + total.scale_up_retries;
-    let fallback_rate = if total.requests > 0 {
-        total.fallbacks as f64 / total.requests as f64
-    } else {
-        0.0
+    let total = |field: fn(&ChaosRun) -> u64| runs.iter().map(|(_, run)| field(run)).sum::<u64>();
+    let retries = [
+        total(|r| r.pull_retries),
+        total(|r| r.create_retries),
+        total(|r| r.scale_up_retries),
+    ];
+    let total_retries: u64 = retries.iter().sum();
+    let fallback_rate = match total(|r| r.requests) {
+        0 => 0.0,
+        requests => total(|r| r.fallbacks) as f64 / requests as f64,
     };
     let summary = format!(
         "\nchaos-summary {{\"seed\":{seed},\"faultRate\":{fault_rate},\"smoke\":{smoke},\
 \"requests\":{},\"completed\":{},\"fallbacks\":{},\"fallbackRate\":{fallback_rate:.4},\
 \"retries\":{{\"pull\":{},\"create\":{},\"scaleUp\":{}}},\"totalRetries\":{total_retries},\
 \"coalesced\":{},\"resets\":{},\"panics\":0}}\n",
-        total.requests,
-        total.completed,
-        total.fallbacks,
-        total.pull_retries,
-        total.create_retries,
-        total.scale_up_retries,
-        total.coalesced,
-        total.resets,
+        total(|r| r.requests),
+        total(|r| r.completed),
+        total(|r| r.fallbacks),
+        retries[0],
+        retries[1],
+        retries[2],
+        total(|r| r.coalesced),
+        total(|r| r.resets),
     );
-    let fig = Figure::new(
+    let figure = Figure::new(
         "chaos",
         format!(
             "Deployment pipeline under fault injection (rate {fault_rate}, {} trace)",
@@ -1066,22 +1083,74 @@ fn chaos_impl(
         t,
     )
     .with_extra(&summary);
-    if !telemetry {
-        return (fig, None);
+    if let Some((_, metrics)) = &mut recording {
+        if metrics.counter("requests_total") > 0 {
+            metrics.set_gauge(
+                "fallback_cloud_rate",
+                metrics.counter("requests_fallback_cloud") as f64
+                    / metrics.counter("requests_total") as f64,
+            );
+        }
     }
-    if merged_metrics.counter("requests_total") > 0 {
-        merged_metrics.set_gauge(
-            "fallback_cloud_rate",
-            merged_metrics.counter("requests_fallback_cloud") as f64
-                / merged_metrics.counter("requests_total") as f64,
-        );
+    Experiment {
+        figure,
+        runs,
+        recording,
     }
-    (fig, Some((merged_log, merged_metrics)))
 }
 
 // ---------------------------------------------------------------------------
 // Mobility: multi-gNB ingress, user mobility, transparent handover
 // ---------------------------------------------------------------------------
+
+/// The mobility family's scenario size for a smoke or full run, as the
+/// config its members (mobility, migration, recovery, HA) extend.
+fn mobility_family(smoke: bool, seed: u64) -> MobilityConfig {
+    let (n_gnbs, n_clients) = if smoke { (3, 4) } else { (4, 12) };
+    MobilityConfig {
+        n_gnbs,
+        n_clients,
+        seed,
+        ..MobilityConfig::default()
+    }
+}
+
+/// Runs the mobility family's one scenario under `cfg` and returns the
+/// finished testbed: the `asm` service at `203.0.113.10:80`; images cached
+/// and containers created in every zone (a redispatch pays only the
+/// on-demand scale-up) but instances *running* only where clients start, so
+/// moving onto a cold zone exercises the deployment pipeline; vehicular
+/// mobility across a one-dimensional strip of small cells, one grid cell per
+/// gNB, crossings every few seconds; sessions from 1 s to 20 s (smoke) or
+/// 60 s, then `drain` more for whatever is in flight to settle. Every member
+/// shares these constants, so with its own knobs at zero a member *is* the
+/// plain mobility run — the determinism guarantee the tests pin down.
+fn run_mobility_family(cfg: MobilityConfig, smoke: bool, drain: Duration) -> MobilityTestbed {
+    let (n_gnbs, n_clients) = (cfg.n_gnbs, cfg.n_clients);
+    let model_seed = cfg.seed ^ 0x6d6f_7665;
+    let mut tb = MobilityTestbed::new(cfg);
+    let profile = ServiceSet::by_key("asm").expect("asm profile");
+    tb.register_service(
+        profile,
+        ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80),
+    );
+    tb.warm_all_zones();
+    let grid = mobility::CellGrid::new(n_gnbs as u32, 1, 120.0);
+    let mut model =
+        mobility::RandomWaypoint::new(grid, n_clients, model_seed).with_speed(30.0, 50.0);
+    let mut seeded: Vec<usize> = (0..n_clients)
+        .map(|c| mobility::MobilityModel::initial_cell(&model, c) % n_gnbs)
+        .collect();
+    seeded.sort_unstable();
+    seeded.dedup();
+    for z in seeded {
+        tb.pre_deploy_on(z);
+    }
+    let end = SimTime::from_secs(if smoke { 20 } else { 60 });
+    tb.run(&mut model, SimTime::from_secs(1), end);
+    tb.run_until(end + drain);
+    tb
+}
 
 /// Aggregates of one mobility run (one policy). Also consumed by the
 /// `bench` crate to emit `BENCH_mobility.json`.
@@ -1109,52 +1178,18 @@ pub struct MobilityStats {
     pub transparency_violations: u64,
 }
 
-/// One mobility run's aggregates for `policy` (no telemetry recording) —
-/// the building block behind [`mobility`], exposed for the bench harness.
-pub fn mobility_stats(policy: edgectl::HandoverPolicy, seed: u64, smoke: bool) -> MobilityStats {
-    mobility_run(policy, smoke, seed, false).0
-}
-
 fn mobility_run(
     policy: edgectl::HandoverPolicy,
     smoke: bool,
     seed: u64,
     telemetry: bool,
-) -> (MobilityStats, Option<(SpanLog, MetricsRegistry)>) {
-    use crate::harness::{MobilityConfig, MobilityTestbed};
-    let (n_gnbs, n_clients, secs) = if smoke { (3, 4, 20) } else { (4, 12, 60) };
-    let mut tb = MobilityTestbed::new(MobilityConfig {
-        n_gnbs,
-        n_clients,
+) -> (MobilityStats, Option<Recording>) {
+    let cfg = MobilityConfig {
         policy,
         telemetry,
-        seed,
-        ..MobilityConfig::default()
-    });
-    let profile = ServiceSet::by_key("asm").expect("asm profile");
-    tb.register_service(profile, ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80));
-    // Images cached and containers created in every zone (a redispatch pays
-    // only the on-demand scale-up); instances *run* only where clients
-    // start, so moving onto a cold zone exercises the deployment pipeline.
-    tb.warm_all_zones();
-    // Vehicular mobility across a one-dimensional strip of small cells: one
-    // grid cell per gNB, crossings every few seconds.
-    let grid = mobility::CellGrid::new(n_gnbs as u32, 1, 120.0);
-    let mut model =
-        mobility::RandomWaypoint::new(grid, n_clients, seed ^ 0x6d6f_7665).with_speed(30.0, 50.0);
-    let mut seeded: Vec<usize> = (0..n_clients)
-        .map(|c| mobility::MobilityModel::initial_cell(&model, c) % n_gnbs)
-        .collect();
-    seeded.sort_unstable();
-    seeded.dedup();
-    for z in seeded {
-        tb.pre_deploy_on(z);
-    }
-    tb.run(
-        &mut model,
-        SimTime::from_secs(1),
-        SimTime::from_secs(secs),
-    );
+        ..mobility_family(smoke, seed)
+    };
+    let mut tb = run_mobility_family(cfg, smoke, Duration::ZERO);
     let mut run = MobilityStats {
         handovers: tb.handovers.len() as u64,
         pings_sent: tb.pings_sent(),
@@ -1170,14 +1205,7 @@ fn mobility_run(
         run.redispatched += h.redispatched as u64;
         run.interruptions.push(h.interruption().as_secs_f64());
     }
-    let tele = telemetry.then(|| {
-        let metrics = tb.telemetry_snapshot();
-        let log = std::mem::take(&mut tb.controller.telemetry)
-            .into_span_log()
-            .expect("recording tracer keeps a log");
-        (log, metrics)
-    });
-    (run, tele)
+    (run, telemetry.then(|| take_recording(&mut tb)))
 }
 
 fn fmt_pcts(interruptions: &[f64]) -> String {
@@ -1193,6 +1221,16 @@ fn fmt_pcts(interruptions: &[f64]) -> String {
     )
 }
 
+/// Both handover policies with their labels: the arms of the mobility and
+/// recovery experiments.
+fn handover_policies() -> [(edgectl::HandoverPolicy, &'static str); 2] {
+    [
+        edgectl::HandoverPolicy::Anchored,
+        edgectl::HandoverPolicy::Redispatch,
+    ]
+    .map(|p| (p, p.label()))
+}
+
 /// The mobility experiment: user mobility across a multi-gNB RAN with
 /// transparent flow handover, comparing the **anchored** policy (sessions
 /// stay on their old zone's instance, reached across the metro link) against
@@ -1201,25 +1239,16 @@ fn fmt_pcts(interruptions: &[f64]) -> String {
 /// Reports handover counts and control-plane interruption percentiles, plus
 /// the session-continuity invariants (no ping dropped or double-answered,
 /// transparency preserved). Deterministic per seed; ends with a
-/// machine-readable `mobility-summary` line for CI.
-pub fn mobility(seed: u64, smoke: bool) -> Figure {
-    mobility_impl(seed, smoke, false).0
-}
-
-/// [`mobility`] with telemetry recording on: the same deterministic figure,
-/// plus the merged span log (anchored run prefixed `anchored/`, re-dispatch
-/// `redispatch/`) and combined metrics snapshot.
-pub fn mobility_traced(seed: u64, smoke: bool) -> (Figure, SpanLog, MetricsRegistry) {
-    let (fig, tele) = mobility_impl(seed, smoke, true);
-    let (log, metrics) = tele.expect("telemetry recorded");
-    (fig, log, metrics)
-}
-
-fn mobility_impl(
-    seed: u64,
-    smoke: bool,
-    telemetry: bool,
-) -> (Figure, Option<(SpanLog, MetricsRegistry)>) {
+/// machine-readable `mobility-summary` line for CI. With `telemetry` on, the
+/// recording's arms are `anchored/` and `redispatch/` and its metrics gain a
+/// `handover_interruption_p99_ms` gauge over both.
+pub fn mobility(seed: u64, smoke: bool, telemetry: bool) -> Experiment<MobilityStats> {
+    let (runs, mut recording) = run_arms(
+        handover_policies(),
+        telemetry,
+        |run: &MobilityStats| run.pings_sent + run.handovers + 8,
+        |policy| mobility_run(policy, smoke, seed, telemetry),
+    );
     let mut t = Table::new(&[
         "Policy",
         "Handovers",
@@ -1230,35 +1259,15 @@ fn mobility_impl(
         "Answered",
         "Drops",
     ]);
-    let mut merged_log = SpanLog::new();
-    let mut merged_metrics = MetricsRegistry::new();
-    let mut request_offset = 0u64;
-    let mut total_handovers = 0u64;
-    let mut total_migrated = 0u64;
-    let mut dropped_flows = 0u64;
-    let mut double_answered = 0u64;
-    let mut resets = 0u64;
-    let mut violations = 0u64;
-    let mut all_interruptions = Vec::new();
-    for policy in [
-        edgectl::HandoverPolicy::Anchored,
-        edgectl::HandoverPolicy::Redispatch,
-    ] {
-        let (run, tele) = mobility_run(policy, smoke, seed, telemetry);
-        if let Some((log, metrics)) = tele {
-            merged_log.absorb(&log, policy.label(), request_offset);
-            merged_metrics.merge(&metrics);
-            request_offset += run.pings_sent + run.handovers + 8;
-        }
+    for (label, run) in &runs {
         // The continuity invariants hold per policy, not just in aggregate.
         assert_eq!(
             run.pings_sent, run.pings_done,
-            "{}: every ping answered across handovers",
-            policy.label()
+            "{label}: every ping answered across handovers"
         );
-        assert_eq!(run.double_answered, 0, "{}: no duplicates", policy.label());
+        assert_eq!(run.double_answered, 0, "{label}: no duplicates");
         t.row(vec![
-            policy.label().to_string(),
+            label.to_string(),
             run.handovers.to_string(),
             run.flows_migrated.to_string(),
             run.redispatched.to_string(),
@@ -1267,21 +1276,21 @@ fn mobility_impl(
             run.pings_done.to_string(),
             run.drops.to_string(),
         ]);
-        total_handovers += run.handovers;
-        total_migrated += run.flows_migrated;
-        dropped_flows += run.pings_sent - run.pings_done + run.drops;
-        double_answered += run.double_answered;
-        resets += run.resets;
-        violations += run.transparency_violations;
-        all_interruptions.extend(run.interruptions);
     }
+    let total =
+        |field: fn(&MobilityStats) -> u64| runs.iter().map(|(_, run)| field(run)).sum::<u64>();
     let summary = format!(
-        "\nmobility-summary {{\"seed\":{seed},\"smoke\":{smoke},\"handovers\":{total_handovers},\
-\"flowsMigrated\":{total_migrated},\"droppedFlows\":{dropped_flows},\
-\"doubleAnswered\":{double_answered},\"resets\":{resets},\
-\"transparencyViolations\":{violations},\"panics\":0}}\n",
+        "\nmobility-summary {{\"seed\":{seed},\"smoke\":{smoke},\"handovers\":{},\
+\"flowsMigrated\":{},\"droppedFlows\":{},\"doubleAnswered\":{},\"resets\":{},\
+\"transparencyViolations\":{},\"panics\":0}}\n",
+        total(|r| r.handovers),
+        total(|r| r.flows_migrated),
+        total(|r| r.pings_sent - r.pings_done + r.drops),
+        total(|r| r.double_answered),
+        total(|r| r.resets),
+        total(|r| r.transparency_violations),
     );
-    let fig = Figure::new(
+    let figure = Figure::new(
         "mobility",
         format!(
             "Session continuity under user mobility: anchored vs re-dispatch ({} trace)",
@@ -1290,17 +1299,22 @@ fn mobility_impl(
         t,
     )
     .with_extra(&summary);
-    if !telemetry {
-        return (fig, None);
-    }
-    if !all_interruptions.is_empty() {
+    let all_interruptions: Vec<f64> = runs
+        .iter()
+        .flat_map(|(_, run)| run.interruptions.iter().copied())
+        .collect();
+    if let (Some((_, metrics)), false) = (&mut recording, all_interruptions.is_empty()) {
         let s = Summary::new(all_interruptions);
-        merged_metrics.set_gauge(
+        metrics.set_gauge(
             "handover_interruption_p99_ms",
             s.percentile(99.0).unwrap_or(0.0) * 1e3,
         );
     }
-    (fig, Some((merged_log, merged_metrics)))
+    Experiment {
+        figure,
+        runs,
+        recording,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1341,8 +1355,8 @@ pub struct MigrationStats {
 /// crate's `BENCH_migrate.json`. The **live** arm anchors handovers and lets
 /// `edgectl::migrate` chase the client with snapshot + transfer + flip; the
 /// **cold** arm is the PR 4 re-dispatch baseline (state lost, sessions
-/// re-placed through the Global Scheduler). Same scenario constants as
-/// [`mobility_stats`], so the two compose into one comparison table.
+/// re-placed through the Global Scheduler). The mobility family's scenario,
+/// so the two compose into one comparison table.
 ///
 /// Both arms ship the same session state over the same metro link — the
 /// difference is *where* the cost lands. Live snapshots in the background
@@ -1359,48 +1373,29 @@ pub fn migration_stats(
     seed: u64,
     smoke: bool,
 ) -> MigrationStats {
-    use crate::harness::{MobilityConfig, MobilityTestbed};
-    let (n_gnbs, n_clients, secs) = if smoke { (3, 4, 20) } else { (4, 12, 60) };
-    let mut controller = edgectl::ControllerConfig::default();
-    let policy = if live {
-        controller.migration = edgectl::MigrationConfig {
-            policy: edgectl::MigrationPolicy::Live,
-            state_bytes_per_request,
-            // A metro link slow enough that the swept state sizes produce
-            // visibly linear transfer cost (the default 10 Gbps ships even
-            // megabytes in microseconds).
-            transfer_bandwidth_bps: 200_000_000,
-            ..edgectl::MigrationConfig::default()
-        };
-        edgectl::HandoverPolicy::Anchored
-    } else {
-        edgectl::HandoverPolicy::Redispatch
+    // Same per-request state and metro bandwidth on both arms — live ships
+    // it in the background, cold's rebuild cost model below charges it to
+    // the client — so the comparison isolates *where* the transfer happens,
+    // not how much is transferred. The link is slow enough that the swept
+    // state sizes produce visibly linear transfer cost (the default 10 Gbps
+    // ships even megabytes in microseconds).
+    let transfer = edgectl::MigrationConfig {
+        state_bytes_per_request,
+        transfer_bandwidth_bps: 200_000_000,
+        ..edgectl::MigrationConfig::default()
     };
-    let mut tb = MobilityTestbed::new(MobilityConfig {
-        n_gnbs,
-        n_clients,
-        policy,
-        seed,
-        controller,
-        ..MobilityConfig::default()
-    });
-    let profile = ServiceSet::by_key("asm").expect("asm profile");
-    tb.register_service(profile, ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80));
-    tb.warm_all_zones();
-    let grid = mobility::CellGrid::new(n_gnbs as u32, 1, 120.0);
-    let mut model =
-        mobility::RandomWaypoint::new(grid, n_clients, seed ^ 0x6d6f_7665).with_speed(30.0, 50.0);
-    let mut seeded: Vec<usize> = (0..n_clients)
-        .map(|c| mobility::MobilityModel::initial_cell(&model, c) % n_gnbs)
-        .collect();
-    seeded.sort_unstable();
-    seeded.dedup();
-    for z in seeded {
-        tb.pre_deploy_on(z);
+    let mut cfg = mobility_family(smoke, seed);
+    if live {
+        cfg.controller.migration = edgectl::MigrationConfig {
+            policy: edgectl::MigrationPolicy::Live,
+            ..transfer
+        };
+    } else {
+        cfg.policy = edgectl::HandoverPolicy::Redispatch;
     }
-    tb.run(&mut model, SimTime::from_secs(1), SimTime::from_secs(secs));
-    // Let in-flight transfers reach their flip before reading the records.
-    tb.run_until(SimTime::from_secs(secs) + Duration::from_secs(10));
+    // The drain lets in-flight transfers reach their flip before the
+    // records are read.
+    let tb = run_mobility_family(cfg, smoke, Duration::from_secs(10));
     let mut run = MigrationStats {
         handovers: tb.handovers.len() as u64,
         migrations: tb.controller.migrate().records.len() as u64,
@@ -1411,14 +1406,6 @@ pub fn migration_stats(
         transparency_violations: tb.transparency_violations,
         ..MigrationStats::default()
     };
-    // The cold arm's state-rebuild cost model: same per-request state and
-    // metro bandwidth as the live arm, so the comparison isolates *where*
-    // the transfer happens, not how much is transferred.
-    let rebuild = edgectl::MigrationConfig {
-        state_bytes_per_request,
-        transfer_bandwidth_bps: 200_000_000,
-        ..edgectl::MigrationConfig::default()
-    };
     let session_start = SimTime::from_secs(1);
     let ping_interval = MobilityConfig::default().ping_interval;
     for h in &tb.handovers {
@@ -1428,7 +1415,7 @@ pub fn migration_stats(
                 h.at.saturating_since(session_start).as_nanos() / ping_interval.as_nanos();
             let lost = state_bytes_per_request * requests;
             run.state_bytes_transferred += lost;
-            interruption += rebuild.transfer_time(lost).as_secs_f64();
+            interruption += transfer.transfer_time(lost).as_secs_f64();
         }
         run.interruptions.push(interruption);
     }
@@ -1477,57 +1464,23 @@ pub struct RecoveryStats {
     pub reconcile_residual: u64,
 }
 
-/// One recovery run's aggregates for `policy` — the building block behind
-/// [`recovery`], exposed for the bench harness.
-pub fn recovery_stats(
-    policy: edgectl::HandoverPolicy,
-    seed: u64,
-    fault_rate: f64,
-    smoke: bool,
-) -> RecoveryStats {
-    recovery_run(policy, fault_rate, smoke, seed, false).0
-}
-
 fn recovery_run(
     policy: edgectl::HandoverPolicy,
     fault_rate: f64,
     smoke: bool,
     seed: u64,
     telemetry: bool,
-) -> (RecoveryStats, Option<(SpanLog, MetricsRegistry)>) {
-    use crate::harness::{MobilityConfig, MobilityTestbed};
-    // Identical scenario constants to `mobility_run`: at fault rate 0 the
-    // two runs are the same simulation, which is exactly the determinism
-    // guarantee the tests pin down.
-    let (n_gnbs, n_clients, secs) = if smoke { (3, 4, 20) } else { (4, 12, 60) };
-    let mut tb = MobilityTestbed::new(MobilityConfig {
-        n_gnbs,
-        n_clients,
+) -> (RecoveryStats, Option<Recording>) {
+    let cfg = MobilityConfig {
         policy,
         telemetry,
-        seed,
         faults: desim::FaultPlan::runtime(fault_rate, seed ^ 0x5E1F_4EA1),
         retransmit: Some(Duration::from_secs(1)),
-        ..MobilityConfig::default()
-    });
-    let profile = ServiceSet::by_key("asm").expect("asm profile");
-    tb.register_service(profile, ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80));
-    tb.warm_all_zones();
-    let grid = mobility::CellGrid::new(n_gnbs as u32, 1, 120.0);
-    let mut model =
-        mobility::RandomWaypoint::new(grid, n_clients, seed ^ 0x6d6f_7665).with_speed(30.0, 50.0);
-    let mut seeded: Vec<usize> = (0..n_clients)
-        .map(|c| mobility::MobilityModel::initial_cell(&model, c) % n_gnbs)
-        .collect();
-    seeded.sort_unstable();
-    seeded.dedup();
-    for z in seeded {
-        tb.pre_deploy_on(z);
-    }
-    tb.run(&mut model, SimTime::from_secs(1), SimTime::from_secs(secs));
-    // Let recovery settle: the longest channel-reconnect window plus
-    // detection, redeployment, and a client retransmit all fit in 15 s.
-    tb.run_until(SimTime::from_secs(secs) + Duration::from_secs(15));
+        ..mobility_family(smoke, seed)
+    };
+    // The drain lets recovery settle: the longest channel-reconnect window
+    // plus detection, redeployment, and a client retransmit all fit in 15 s.
+    let mut tb = run_mobility_family(cfg, smoke, Duration::from_secs(15));
     let reconcile_fixes = tb.reconcile_now() as u64;
     let reconcile_residual = tb.reconcile_now() as u64;
     let run = RecoveryStats {
@@ -1544,14 +1497,7 @@ fn recovery_run(
         reconcile_fixes,
         reconcile_residual,
     };
-    let tele = telemetry.then(|| {
-        let metrics = tb.telemetry_snapshot();
-        let log = std::mem::take(&mut tb.controller.telemetry)
-            .into_span_log()
-            .expect("recording tracer keeps a log");
-        (log, metrics)
-    });
-    (run, tele)
+    (run, telemetry.then(|| take_recording(&mut tb)))
 }
 
 // ---------------------------------------------------------------------------
@@ -1626,8 +1572,6 @@ pub fn ha_stats(
     crash_rate: f64,
     smoke: bool,
 ) -> HaStats {
-    use crate::harness::{MobilityConfig, MobilityTestbed};
-    let (n_gnbs, secs) = if smoke { (3, 20) } else { (4, 60) };
     let controller = edgectl::ControllerConfig {
         // The journal records in BOTH modes so the pre-crash simulation is
         // identical; only the restart path differs.
@@ -1641,12 +1585,9 @@ pub fn ha_stats(
         },
         ..edgectl::ControllerConfig::default()
     };
-    let mut tb = MobilityTestbed::new(MobilityConfig {
-        n_gnbs,
+    let cfg = MobilityConfig {
         n_clients,
-        policy: edgectl::HandoverPolicy::Anchored,
         controller,
-        seed,
         faults: desim::FaultPlan {
             controller_crash: crash_rate,
             seed: seed ^ 0x4A11_0C4A,
@@ -1659,26 +1600,11 @@ pub fn ha_stats(
         // serializes through the controller queue, which is what the warm
         // path saves.
         ctrl_service_time: Duration::from_millis(1),
-        ..MobilityConfig::default()
-    });
-    let profile = ServiceSet::by_key("asm").expect("asm profile");
-    tb.register_service(profile, ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80));
-    tb.warm_all_zones();
-    let grid = mobility::CellGrid::new(n_gnbs as u32, 1, 120.0);
-    let mut model =
-        mobility::RandomWaypoint::new(grid, n_clients, seed ^ 0x6d6f_7665).with_speed(30.0, 50.0);
-    let mut seeded: Vec<usize> = (0..n_clients)
-        .map(|c| mobility::MobilityModel::initial_cell(&model, c) % n_gnbs)
-        .collect();
-    seeded.sort_unstable();
-    seeded.dedup();
-    for z in seeded {
-        tb.pre_deploy_on(z);
-    }
-    tb.run(&mut model, SimTime::from_secs(1), SimTime::from_secs(secs));
-    // Let the restart land (it may fall past the run deadline) and client
-    // retransmits settle before judging strandedness.
-    tb.run_until(SimTime::from_secs(secs) + Duration::from_secs(15));
+        ..mobility_family(smoke, seed)
+    };
+    // The drain lets the restart land (it may fall past the run deadline)
+    // and client retransmits settle before judging strandedness.
+    let mut tb = run_mobility_family(cfg, smoke, Duration::from_secs(15));
     let journal = tb.controller.journal_stats();
     let reconcile_fixes = tb.reconcile_now() as u64;
     let reconcile_residual = tb.reconcile_now() as u64;
@@ -1716,30 +1642,21 @@ pub fn ha_stats(
 /// Reports per-policy fault and recovery counts; panics if any session is
 /// permanently stranded or the final reconciliation does not converge.
 /// Deterministic per seed; ends with a machine-readable `recovery-summary`
-/// line for CI.
-pub fn recovery(seed: u64, fault_rate: f64, smoke: bool) -> Figure {
-    recovery_impl(seed, fault_rate, smoke, false).0
-}
-
-/// [`recovery`] with telemetry recording on: the same deterministic figure,
-/// plus the merged span log (runs prefixed by policy label) and the combined
-/// metrics snapshot with the failure/repair counters and breaker gauges.
-pub fn recovery_traced(
-    seed: u64,
-    fault_rate: f64,
-    smoke: bool,
-) -> (Figure, SpanLog, MetricsRegistry) {
-    let (fig, tele) = recovery_impl(seed, fault_rate, smoke, true);
-    let (log, metrics) = tele.expect("telemetry recorded");
-    (fig, log, metrics)
-}
-
-fn recovery_impl(
+/// line for CI. With `telemetry` on, the recording's arms are the policy
+/// labels and its metrics carry the failure/repair counters and breaker
+/// gauges.
+pub fn recovery(
     seed: u64,
     fault_rate: f64,
     smoke: bool,
     telemetry: bool,
-) -> (Figure, Option<(SpanLog, MetricsRegistry)>) {
+) -> Experiment<RecoveryStats> {
+    let (runs, recording) = run_arms(
+        handover_policies(),
+        telemetry,
+        |run: &RecoveryStats| run.pings_sent + run.handovers + 8,
+        |policy| recovery_run(policy, fault_rate, smoke, seed, telemetry),
+    );
     let mut t = Table::new(&[
         "Policy",
         "Crashes",
@@ -1752,33 +1669,18 @@ fn recovery_impl(
         "Stranded",
         "Reconcile fix/residual",
     ]);
-    let mut merged_log = SpanLog::new();
-    let mut merged_metrics = MetricsRegistry::new();
-    let mut request_offset = 0u64;
-    let mut total = RecoveryStats::default();
-    for policy in [
-        edgectl::HandoverPolicy::Anchored,
-        edgectl::HandoverPolicy::Redispatch,
-    ] {
-        let (run, tele) = recovery_run(policy, fault_rate, smoke, seed, telemetry);
-        if let Some((log, metrics)) = tele {
-            merged_log.absorb(&log, policy.label(), request_offset);
-            merged_metrics.merge(&metrics);
-            request_offset += run.pings_sent + run.handovers + 8;
-        }
+    for (label, run) in &runs {
         // The self-healing acceptance bar, per policy: no session may be
         // permanently stranded, and the switch tables must diff clean
         // against the controller's bookkeeping once recovery settles.
-        assert_eq!(run.stranded, 0, "{}: stranded sessions", policy.label());
+        assert_eq!(run.stranded, 0, "{label}: stranded sessions");
         assert_eq!(
-            run.reconcile_residual,
-            0,
-            "{}: reconciliation did not converge",
-            policy.label()
+            run.reconcile_residual, 0,
+            "{label}: reconciliation did not converge"
         );
-        assert!(run.pings_done > 0, "{}: nothing was served", policy.label());
+        assert!(run.pings_done > 0, "{label}: nothing was served");
         t.row(vec![
-            policy.label().to_string(),
+            label.to_string(),
             run.instance_crashes.to_string(),
             run.zone_outages.to_string(),
             run.channel_losses.to_string(),
@@ -1789,36 +1691,26 @@ fn recovery_impl(
             run.stranded.to_string(),
             format!("{}/{}", run.reconcile_fixes, run.reconcile_residual),
         ]);
-        total.handovers += run.handovers;
-        total.pings_sent += run.pings_sent;
-        total.pings_done += run.pings_done;
-        total.retransmits += run.retransmits;
-        total.instance_crashes += run.instance_crashes;
-        total.zone_outages += run.zone_outages;
-        total.channel_losses += run.channel_losses;
-        total.ctrl_dropped += run.ctrl_dropped;
-        total.double_answered += run.double_answered;
-        total.stranded += run.stranded;
-        total.reconcile_fixes += run.reconcile_fixes;
-        total.reconcile_residual += run.reconcile_residual;
     }
+    let total =
+        |field: fn(&RecoveryStats) -> u64| runs.iter().map(|(_, run)| field(run)).sum::<u64>();
     let summary = format!(
         "\nrecovery-summary {{\"seed\":{seed},\"faultRate\":{fault_rate},\"smoke\":{smoke},\
 \"crashes\":{},\"outages\":{},\"channelLosses\":{},\"ctrlDropped\":{},\
 \"retransmits\":{},\"doubleAnswered\":{},\"stranded\":{},\
 \"reconcileFixes\":{},\"reconcileResidual\":{},\"handovers\":{},\"panics\":0}}\n",
-        total.instance_crashes,
-        total.zone_outages,
-        total.channel_losses,
-        total.ctrl_dropped,
-        total.retransmits,
-        total.double_answered,
-        total.stranded,
-        total.reconcile_fixes,
-        total.reconcile_residual,
-        total.handovers,
+        total(|r| r.instance_crashes),
+        total(|r| r.zone_outages),
+        total(|r| r.channel_losses),
+        total(|r| r.ctrl_dropped),
+        total(|r| r.retransmits),
+        total(|r| r.double_answered),
+        total(|r| r.stranded),
+        total(|r| r.reconcile_fixes),
+        total(|r| r.reconcile_residual),
+        total(|r| r.handovers),
     );
-    let fig = Figure::new(
+    let figure = Figure::new(
         "recovery",
         format!(
             "Self-healing control plane under runtime chaos (rate {fault_rate}, {} trace)",
@@ -1827,17 +1719,11 @@ fn recovery_impl(
         t,
     )
     .with_extra(&summary);
-    if !telemetry {
-        return (fig, None);
+    Experiment {
+        figure,
+        runs,
+        recording,
     }
-    (fig, Some((merged_log, merged_metrics)))
-}
-
-/// Renders a quick summary of every figure (used by `repro all`).
-pub fn summary_line(fig: &Figure) -> String {
-    let mut s = String::new();
-    let _ = write!(s, "{:14} {}", fig.id, fig.title);
-    s
 }
 
 #[cfg(test)]
@@ -1957,8 +1843,8 @@ mod tests {
 
     #[test]
     fn chaos_is_deterministic_and_degrades_gracefully() {
-        let a = chaos(7, 0.15, true);
-        let b = chaos(7, 0.15, true);
+        let a = chaos(7, 0.15, true, false).figure;
+        let b = chaos(7, 0.15, true, false).figure;
         assert_eq!(a.body, b.body, "same seed ⇒ byte-identical output");
         let line = a
             .body
@@ -1990,9 +1876,14 @@ mod tests {
 
     #[test]
     fn chaos_traced_matches_untraced_figure_and_validates() {
-        let plain = chaos(7, 0.15, true);
-        let (fig, log, metrics) = chaos_traced(7, 0.15, true);
-        assert_eq!(plain.body, fig.body, "recording must not change the figure");
+        let plain = chaos(7, 0.15, true, false);
+        assert!(plain.recording.is_none());
+        let traced = chaos(7, 0.15, true, true);
+        let (log, metrics) = traced.recording.expect("telemetry recorded");
+        assert_eq!(
+            plain.figure.body, traced.figure.body,
+            "recording must not change the figure"
+        );
         // The merged log is well-formed and spans both testbed runs.
         let check = log.check();
         assert!(check.ok(), "{check:?}");
@@ -2011,7 +1902,7 @@ mod tests {
 
     #[test]
     fn chaos_with_zero_fault_rate_is_clean() {
-        let f = chaos(7, 0.0, true);
+        let f = chaos(7, 0.0, true, false).figure;
         let line = f
             .body
             .lines()
@@ -2024,8 +1915,8 @@ mod tests {
 
     #[test]
     fn mobility_smoke_is_clean_and_deterministic() {
-        let f = mobility(7, true);
-        let again = mobility(7, true);
+        let f = mobility(7, true, false).figure;
+        let again = mobility(7, true, false).figure;
         assert_eq!(f.body, again.body, "deterministic per seed");
         let line = f
             .body
@@ -2046,9 +1937,13 @@ mod tests {
 
     #[test]
     fn mobility_traced_matches_untraced_figure_and_validates() {
-        let plain = mobility(7, true);
-        let (fig, log, metrics) = mobility_traced(7, true);
-        assert_eq!(plain.body, fig.body, "recording must not change the figure");
+        let plain = mobility(7, true, false);
+        let traced = mobility(7, true, true);
+        let (log, metrics) = traced.recording.expect("telemetry recorded");
+        assert_eq!(
+            plain.figure.body, traced.figure.body,
+            "recording must not change the figure"
+        );
         let check = log.check();
         assert!(check.ok(), "{check:?}");
         assert!(log.spans().any(|s| s.name.starts_with("anchored/")));
@@ -2062,8 +1957,8 @@ mod tests {
 
     #[test]
     fn recovery_is_deterministic_and_self_heals() {
-        let a = recovery(7, 1.0, true);
-        let b = recovery(7, 1.0, true);
+        let a = recovery(7, 1.0, true, false).figure;
+        let b = recovery(7, 1.0, true, false).figure;
         assert_eq!(a.body, b.body, "same seed ⇒ byte-identical output");
         let line = a
             .body
@@ -2094,9 +1989,13 @@ mod tests {
 
     #[test]
     fn recovery_traced_matches_untraced_figure_and_validates() {
-        let plain = recovery(7, 1.0, true);
-        let (fig, log, metrics) = recovery_traced(7, 1.0, true);
-        assert_eq!(plain.body, fig.body, "recording must not change the figure");
+        let plain = recovery(7, 1.0, true, false);
+        let traced = recovery(7, 1.0, true, true);
+        let (log, metrics) = traced.recording.expect("telemetry recorded");
+        assert_eq!(
+            plain.figure.body, traced.figure.body,
+            "recording must not change the figure"
+        );
         let check = log.check();
         assert!(check.ok(), "{check:?}");
         assert!(log.spans().any(|s| s.name.starts_with("anchored/")));
@@ -2117,8 +2016,8 @@ mod tests {
             edgectl::HandoverPolicy::Anchored,
             edgectl::HandoverPolicy::Redispatch,
         ] {
-            let base = mobility_stats(policy, 7, true);
-            let quiet = recovery_stats(policy, 7, 0.0, true);
+            let base = mobility_run(policy, true, 7, false).0;
+            let quiet = recovery_run(policy, 0.0, true, 7, false).0;
             assert_eq!(quiet.pings_sent, base.pings_sent);
             assert_eq!(quiet.pings_done, base.pings_done);
             assert_eq!(quiet.handovers, base.handovers);

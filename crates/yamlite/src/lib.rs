@@ -8,7 +8,8 @@
 //! * block mappings and sequences with indentation-based nesting,
 //! * plain / single-quoted / double-quoted scalars with type resolution
 //!   (null, bool, int, float, string),
-//! * flow collections (`[a, b]`, `{k: v}`),
+//! * flow collections (`[a, b]`, `{k: v}`), which may span lines — so the
+//!   JSON the bench artifacts are written in parses as-is,
 //! * literal (`|`) and folded (`>`) block scalars,
 //! * comments, blank lines and multi-document streams (`---`).
 //!
@@ -44,5 +45,5 @@ pub(crate) use parser::looks_numeric as parser_numeric_check;
 
 pub use emitter::to_string;
 pub use error::{ParseError, Result};
-pub use parser::{parse_documents, parse_str};
+pub use parser::{parse_documents, parse_str, MAX_DEPTH};
 pub use value::Value;

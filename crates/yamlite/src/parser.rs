@@ -82,6 +82,7 @@ fn parse_chunk(lines: &[(usize, &str)]) -> Result<Value> {
     let mut p = Parser {
         lines: structured,
         pos: 0,
+        depth: 0,
     };
     p.skip_blank();
     if p.eof() {
@@ -100,14 +101,12 @@ fn parse_chunk(lines: &[(usize, &str)]) -> Result<Value> {
     Ok(v)
 }
 
-/// Removes a trailing `#` comment, respecting quoted strings. A `#` only
-/// starts a comment at the beginning of the content or after whitespace.
-fn strip_comment(line: &str) -> &str {
-    let bytes = line.as_bytes();
-    let mut in_single = false;
-    let mut in_double = false;
-    let mut escaped = false;
-    for (i, &b) in bytes.iter().enumerate() {
+/// The bytes of `s` outside quoted scalars, with their offsets (the quote
+/// characters themselves are skipped too): what structural scanning —
+/// comments, `key:` splits, flow brackets — has to look at.
+fn unquoted(s: &str) -> impl Iterator<Item = (usize, u8)> + '_ {
+    let (mut in_single, mut in_double, mut escaped) = (false, false, false);
+    s.bytes().enumerate().filter(move |&(_, b)| {
         if in_double {
             if escaped {
                 escaped = false;
@@ -116,29 +115,50 @@ fn strip_comment(line: &str) -> &str {
             } else if b == b'"' {
                 in_double = false;
             }
-            continue;
+            false
+        } else if in_single {
+            in_single = b != b'\'';
+            false
+        } else {
+            in_double = b == b'"';
+            in_single = b == b'\'';
+            !(in_double || in_single)
         }
-        if in_single {
-            if b == b'\'' {
-                in_single = false;
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_double = true,
-            b'\'' => in_single = true,
-            b'#' if i == 0 || bytes[i - 1] == b' ' || bytes[i - 1] == b'\t' => {
-                return &line[..i];
-            }
-            _ => {}
-        }
-    }
-    line
+    })
+}
+
+/// Removes a trailing `#` comment, respecting quoted strings. A `#` only
+/// starts a comment at the beginning of the content or after whitespace.
+fn strip_comment(line: &str) -> &str {
+    let bytes = line.as_bytes();
+    let hash = unquoted(line)
+        .find(|&(i, b)| b == b'#' && (i == 0 || bytes[i - 1] == b' ' || bytes[i - 1] == b'\t'));
+    hash.map_or(line, |(i, _)| &line[..i])
+}
+
+/// Flow brackets `content` opens minus those it closes.
+fn flow_balance(content: &str) -> i32 {
+    unquoted(content).fold(0, |depth, (_, b)| match b {
+        b'[' | b'{' => depth + 1,
+        b']' | b'}' => depth - 1,
+        _ => depth,
+    })
+}
+
+/// Deepest nesting either parser accepts — block (indentation, `- - -`) or
+/// flow (`[[[`). Both recurse once per level, so unbounded input would
+/// overflow the stack: an abort, not an error. 64 is several times what any
+/// manifest or bench artifact in this repository needs.
+pub const MAX_DEPTH: usize = 64;
+
+fn too_deep(line: usize) -> ParseError {
+    ParseError::new(line, format!("nesting deeper than {MAX_DEPTH} levels"))
 }
 
 struct Parser {
     lines: Vec<Line>,
     pos: usize,
+    depth: usize,
 }
 
 impl Parser {
@@ -163,6 +183,16 @@ impl Parser {
         if self.eof() || self.peek().indent < indent {
             return Ok(Value::Null);
         }
+        if self.depth == MAX_DEPTH {
+            return Err(too_deep(self.peek().number));
+        }
+        self.depth += 1;
+        let node = self.parse_block_node(indent);
+        self.depth -= 1;
+        node
+    }
+
+    fn parse_block_node(&mut self, indent: usize) -> Result<Value> {
         let line = self.peek();
         if let Some(style) = block_scalar_header(&line.content) {
             let number = line.number;
@@ -175,11 +205,28 @@ impl Parser {
             self.parse_mapping(indent)
         } else {
             // Bare scalar document / node.
-            let line = &self.lines[self.pos];
-            let v = parse_scalar_or_flow(&line.content, line.number)?;
+            let number = line.number;
+            let content = std::mem::take(&mut self.lines[self.pos].content);
             self.pos += 1;
-            Ok(v)
+            parse_scalar_or_flow(&self.join_flow(content), number)
         }
+    }
+
+    /// A flow collection may continue on the following lines: appends them
+    /// to `text` until its brackets balance. If the input ends first, the
+    /// flow parser reports it unterminated, at the line it started on.
+    fn join_flow(&mut self, mut text: String) -> String {
+        if text.starts_with(['[', '{']) {
+            let mut open = flow_balance(&text);
+            while open > 0 && !self.eof() {
+                let next = &self.lines[self.pos].content;
+                open += flow_balance(next);
+                text.push(' ');
+                text.push_str(next);
+                self.pos += 1;
+            }
+        }
+        text
     }
 
     fn parse_sequence(&mut self, indent: usize) -> Result<Value> {
@@ -286,7 +333,7 @@ impl Parser {
             } else if let Some(style) = block_scalar_header(&rest) {
                 self.parse_block_scalar(indent, style, number)?
             } else {
-                parse_scalar_or_flow(&rest, number)?
+                parse_scalar_or_flow(&self.join_flow(rest), number)?
             };
             map.push((key, value));
         }
@@ -386,30 +433,9 @@ fn is_seq_entry(content: &str) -> bool {
 /// line is not a mapping entry.
 fn split_key(content: &str) -> Option<(&str, &str)> {
     let bytes = content.as_bytes();
-    let mut in_single = false;
-    let mut in_double = false;
-    let mut escaped = false;
     let mut depth = 0i32; // flow brackets in keys are unusual but harmless
-    for (i, &b) in bytes.iter().enumerate() {
-        if in_double {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_double = false;
-            }
-            continue;
-        }
-        if in_single {
-            if b == b'\'' {
-                in_single = false;
-            }
-            continue;
-        }
+    for (i, b) in unquoted(content) {
         match b {
-            b'"' => in_double = true,
-            b'\'' => in_single = true,
             b'[' | b'{' => depth += 1,
             b']' | b'}' => depth -= 1,
             b':' if depth == 0 => {
@@ -446,6 +472,7 @@ fn parse_scalar_or_flow(s: &str, line: usize) -> Result<Value> {
         let mut fp = FlowParser {
             chars: s.char_indices().collect(),
             pos: 0,
+            depth: 0,
             line,
             src: s,
         };
@@ -545,6 +572,7 @@ pub(crate) fn looks_numeric(s: &str) -> bool {
 struct FlowParser<'a> {
     chars: Vec<(usize, char)>,
     pos: usize,
+    depth: usize,
     line: usize,
     src: &'a str,
 }
@@ -571,8 +599,19 @@ impl FlowParser<'_> {
     fn parse_value(&mut self) -> Result<Value> {
         self.skip_ws();
         match self.peek() {
-            Some('[') => self.parse_seq(),
-            Some('{') => self.parse_map(),
+            Some(open @ ('[' | '{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(too_deep(self.line));
+                }
+                self.depth += 1;
+                let v = if open == '[' {
+                    self.parse_seq()
+                } else {
+                    self.parse_map()
+                };
+                self.depth -= 1;
+                v
+            }
             Some('"') => {
                 self.pos += 1;
                 let start = self.byte_offset();

@@ -83,6 +83,16 @@ proptest! {
         let _ = parse_str(&input);
     }
 
+    /// `[\[\]{},:a \n]{0,4000}` — brackets, separators and newlines only, so
+    /// the flow parser, its line joining and the depth cap see dense input.
+    #[test]
+    fn parser_never_panics_on_bracket_soup(
+        input in prop::collection::vec(0usize..9, 0..4000)
+            .prop_map(|ix| ix.into_iter().map(|i| b"[]{},:a \n"[i] as char).collect::<String>())
+    ) {
+        let _ = parse_str(&input);
+    }
+
     #[test]
     fn emitted_text_is_stable(doc in doc_strategy()) {
         // emit(parse(emit(x))) == emit(x): the canonical form is a fixed point.

@@ -73,10 +73,10 @@ fn figures_are_deterministic() {
 
 #[test]
 fn mobility_figure_is_deterministic() {
-    let a = testbed::experiments::mobility(11, true);
-    let b = testbed::experiments::mobility(11, true);
+    let a = testbed::experiments::mobility(11, true, false).figure;
+    let b = testbed::experiments::mobility(11, true, false).figure;
     assert_eq!(a.body, b.body, "same seed, byte-identical mobility figure");
-    let c = testbed::experiments::mobility(12, true);
+    let c = testbed::experiments::mobility(12, true, false).figure;
     assert_ne!(a.body, c.body, "seeds must matter");
 }
 
