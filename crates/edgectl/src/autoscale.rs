@@ -393,12 +393,6 @@ impl LoadTracker {
         self.pools.get(&(service, cluster))?.index_of(addr)
     }
 
-    /// Whether any pool currently owns `addr` (used by the health sweep so
-    /// synthetic replica addresses are not mistaken for dead instances).
-    pub fn owns_addr(&self, addr: InstanceAddr) -> bool {
-        self.pools.values().any(|p| p.index_of(addr).is_some())
-    }
-
     /// Drops the pool for `(service, cluster)` (service scaled to zero or
     /// its zone died), retiring its replica-time into the running total.
     pub fn remove_pool(&mut self, service: ServiceAddr, cluster: usize, now: SimTime) {
@@ -698,7 +692,7 @@ mod tests {
         }
         assert_eq!(tr.admissions(), 4, "2 in service + 2 backlogged + clamped first");
         assert_eq!(tr.rejections(), 5);
-        assert!(tr.owns_addr(base()));
-        assert!(!tr.owns_addr(InstanceAddr { port: 999, ..base() }));
+        assert_eq!(tr.index_of(svc(1), 0, base()), Some(0));
+        assert_eq!(tr.index_of(svc(1), 0, InstanceAddr { port: 999, ..base() }), None);
     }
 }

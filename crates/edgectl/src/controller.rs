@@ -15,24 +15,37 @@
 //! Expired switch flows (`FLOW_REMOVED`) and the controller's own FlowMemory
 //! timeouts feed the idle-service scale-down (Section V).
 //!
-//! Two things keep this file honest. Everything a crashed controller can get
+//! This file is the request path: construction, journal plumbing, decode →
+//! packet-in / flow-removed / attachment-change → [`Controller::install`] →
+//! emit. The other subsystems are `impl Controller` blocks in child modules,
+//! which see the private fields here: self-healing in `repair`, live
+//! migration in `migration`, and holds, the idle sweep, proactive deployment
+//! and autoscaling in `lifecycle`. What they share lives here too — above
+//! all [`Controller::serving`], the one answer to "is this redirect still
+//! served?".
+//!
+//! Two things keep these files honest. Everything a crashed controller can get
 //! back lives in one [`ControlState`], changed only through
 //! [`Controller::commit`] (or its self-logging components), so what runs live
 //! is what the journal replays. And every pair that reaches a switch is built
 //! by [`crate::rules`] and sent by [`Controller::emit_add_pair`]; every
 //! deletion by [`Controller::flow_delete`].
 
-use crate::autoscale::{AutoscaleConfig, LoadTracker, ScaleEvent};
+mod lifecycle;
+mod migration;
+mod repair;
+
+use crate::autoscale::{AutoscaleConfig, LoadTracker};
 use crate::clients::ClientTracker;
-use crate::cluster::{EdgeCluster, InstanceAddr, InstanceState};
-use crate::dispatch::{DispatchDecision, DispatchOutcome, Dispatcher, PhaseTimes};
+use crate::cluster::{EdgeCluster, InstanceAddr};
+use crate::dispatch::{DispatchDecision, DispatchOutcome, Dispatcher, PhaseTimes, Serving};
 use crate::flowmemory::{FlowMemory, IngressId};
 use crate::health::{BreakerState, HealthConfig};
 use crate::journal::{
     Applied, ControlState, Journal, JournalConfig, JournalEvent, JournalStats, RecoveryMode,
     RecoveryReport, Snapshot,
 };
-use crate::migrate::{Migration, MigrationConfig, MigrationManager, MigrationReason};
+use crate::migrate::{MigrationConfig, MigrationManager};
 use crate::rules::{
     self, AggregateRule, Granularity, InstalledFlow, InstalledPair, PairSpec, Target,
     AGGREGATE_CLIENT,
@@ -44,7 +57,7 @@ use netsim::addr::{Ipv4Addr, MacAddr};
 use netsim::{ServiceAddr, TcpFrame};
 use openflow::messages::Message;
 use openflow::oxm::{Match, OxmField};
-use openflow::{FlowEntry, OfError, OFP_NO_BUFFER};
+use openflow::{OfError, OFP_NO_BUFFER};
 use std::collections::HashMap;
 use telemetry::{SpanId, Telemetry};
 
@@ -512,11 +525,7 @@ impl Controller {
             // In-flight migrations lost their coordinator: abort them (state
             // stays at the source; the breaker/mobility trigger re-fires).
             let aborted_migrations = ctl.state.migrate_mut().abort_all();
-            if aborted_migrations > 0 {
-                ctl.telemetry
-                    .metrics
-                    .add("migrations_aborted", aborted_migrations as u64);
-            }
+            ctl.count("migrations_aborted", aborted_migrations);
             ctl.telemetry.metrics.inc("controller_restarts");
             RecoveryReport {
                 mode,
@@ -530,9 +539,7 @@ impl Controller {
     /// Registers an edge cluster reachable via `switch_port` on the default
     /// ingress. Returns its index.
     pub fn add_cluster(&mut self, cluster: Box<dyn EdgeCluster>, switch_port: u32) -> usize {
-        self.ingresses[0]
-            .cluster_ports
-            .insert(cluster.name().to_owned(), switch_port);
+        self.map_cluster_port(IngressId::DEFAULT, cluster.name(), switch_port);
         self.clusters.push(cluster);
         self.clusters.len() - 1
     }
@@ -564,31 +571,25 @@ impl Controller {
         self.ingress_distances.insert((ingress, cluster), d);
     }
 
-    /// Resolved per-cluster distances from `ingress`; `None` when no
-    /// override exists for this ingress (advertised latencies apply).
-    fn distances_from(&self, ingress: IngressId) -> Option<Vec<Duration>> {
-        let mut out = Vec::new();
-        self.fill_distances(ingress, &mut out).then_some(out)
+    /// The latency toward `cluster` as seen from `ingress`: its override if
+    /// one is set, the cluster's advertised latency otherwise (and always
+    /// when no ingress is given).
+    fn distance(&self, ingress: Option<IngressId>, cluster: usize) -> Duration {
+        ingress
+            .and_then(|g| self.ingress_distances.get(&(g, cluster)).copied())
+            .unwrap_or_else(|| self.clusters[cluster].latency())
     }
 
-    /// Allocation-free form of [`Controller::distances_from`]: fills `out`
-    /// (cleared first) and returns whether an override exists for `ingress`.
-    /// The packet-in fast path calls this with a recycled buffer.
+    /// Resolved per-cluster distances from `ingress`: fills `out` (cleared
+    /// first) and returns whether an override exists for `ingress` at all
+    /// (advertised latencies apply otherwise). The packet-in fast path calls
+    /// this with a recycled buffer.
     fn fill_distances(&self, ingress: IngressId, out: &mut Vec<Duration>) -> bool {
         out.clear();
-        if !self
-            .ingress_distances
-            .keys()
-            .any(|(i, _)| *i == ingress)
-        {
+        if !self.ingress_distances.keys().any(|(i, _)| *i == ingress) {
             return false;
         }
-        out.extend((0..self.clusters.len()).map(|c| {
-            self.ingress_distances
-                .get(&(ingress, c))
-                .copied()
-                .unwrap_or_else(|| self.clusters[c].latency())
-        }));
+        out.extend((0..self.clusters.len()).map(|c| self.distance(Some(ingress), c)));
         true
     }
 
@@ -638,6 +639,38 @@ impl Controller {
         let x = self.next_xid;
         self.next_xid = self.next_xid.wrapping_add(1);
         x
+    }
+
+    /// Adds `n` to counter `name` — unless `n` is zero: a counter shows in a
+    /// snapshot only once something was counted.
+    fn count(&mut self, name: &str, n: usize) {
+        if n > 0 {
+            self.telemetry.metrics.add(name, n as u64);
+        }
+    }
+
+    /// Opens the root span `name` of a new controller-level operation under
+    /// the next request id.
+    fn open_request(&mut self, name: &str, now: SimTime) -> (u64, SpanId) {
+        self.next_request += 1;
+        let request = self.next_request;
+        (request, self.telemetry.span(request, SpanId::NONE, name, now))
+    }
+
+    /// Does the `instance` a bookkept redirect points at on `cluster` still
+    /// serve `service` ([`Dispatcher::serving`])? A service that is no longer
+    /// registered is served nowhere.
+    fn serving(
+        &self,
+        cluster: usize,
+        service: ServiceAddr,
+        instance: InstanceAddr,
+        now: SimTime,
+    ) -> Serving {
+        match self.services.get(service) {
+            Some(svc) => self.dispatcher.serving(&self.clusters, svc, cluster, instance, now),
+            None => Serving::Gone,
+        }
     }
 
     /// `msg` for the switch at `at`, under the next transaction id.
@@ -749,13 +782,6 @@ impl Controller {
             .unwrap_or(0)
     }
 
-    /// Pins `(service, cluster)` against the idle sweep until `until`: a
-    /// request is held for a deployment there.
-    fn hold(&mut self, service: ServiceAddr, cluster: usize, until: SimTime) {
-        let hold = self.held.entry((service, cluster)).or_insert(until);
-        *hold = (*hold).max(until);
-    }
-
     fn handle_packet_in(
         &mut self,
         ingress: IngressId,
@@ -797,9 +823,7 @@ impl Controller {
             gw_mac: frame.dst_mac,
         });
         let svc_addr = frame.dst_service();
-        self.next_request += 1;
-        let request = self.next_request;
-        let root = self.telemetry.span(request, SpanId::NONE, "request", now);
+        let (request, root) = self.open_request("request", now);
         self.telemetry.event(root, "packet-in", now, || {
             format!("client={} svc={svc_addr} in_port={in_port}", frame.src_ip)
         });
@@ -807,27 +831,24 @@ impl Controller {
         let spec = PairSpec::of_frame(&frame, in_port);
         let release = Some((buffer_id, &frame));
 
+        // The request's record, as it stands until a registered service answers.
+        let rec = RequestRecord {
+            at: now,
+            service: svc_addr,
+            client: frame.src_ip,
+            kind: RequestKind::Unregistered,
+            answered_at: t,
+            phases: PhaseTimes::default(),
+            cluster: None,
+            background_ready: None,
+        };
         // Shared handle: Rc clone, not a deep copy of the service definition.
         let Some(svc) = self.services.get_shared(svc_addr) else {
             // Not an edge service: plain cloud forwarding flows.
             self.telemetry.event(root, "unregistered", t, || {
                 "not an edge service; plain cloud forwarding".to_owned()
             });
-            self.telemetry.end_span(root, t);
-            let rec = RequestRecord {
-                at: now,
-                service: svc_addr,
-                client: frame.src_ip,
-                kind: RequestKind::Unregistered,
-                answered_at: t,
-                phases: PhaseTimes::default(),
-                cluster: None,
-                background_ready: None,
-            };
-            self.record_request_metrics(&rec);
-            if self.config.record_requests {
-                self.records.push(rec);
-            }
+            self.close_request(root, rec);
             return self.install(ingress, t, spec, None, release);
         };
 
@@ -852,46 +873,23 @@ impl Controller {
         self.distance_scratch = distances;
 
         let background_ready = outcome.background.map(|b| b.ready_at);
-        let (kind, answered_at, cluster, msgs) = match outcome.decision {
-            DispatchDecision::Redirect { instance, cluster } => {
-                let to = (instance, cluster);
-                let msgs = if self.config.aggregate_rules {
-                    self.install_aggregated(ingress, t, spec, to, (buffer_id, &frame))
-                } else {
-                    self.install(ingress, t, spec, Some(to), release)
-                };
-                let kind = if outcome.from_memory {
-                    RequestKind::MemoryHit
-                } else {
-                    RequestKind::Redirect
-                };
-                (kind, t, Some(cluster), msgs)
-            }
-            DispatchDecision::WaitThenRedirect {
-                instance,
-                cluster,
-                ready_at,
-            } => {
-                // The request is held; flows go out when the port answered
-                // (as an exact pair: the deferred release predates any
-                // aggregate decision).
-                let at = ready_at.max(t);
-                self.hold(svc_addr, cluster, at);
-                let msgs = self.install(ingress, at, spec, Some((instance, cluster)), release);
-                (RequestKind::Waited, at, Some(cluster), msgs)
-            }
-            DispatchDecision::ForwardToCloud => {
-                let msgs = self.install(ingress, t, spec, None, release);
-                (RequestKind::Cloud, t, None, msgs)
-            }
-            DispatchDecision::FallbackCloud { released_at } => {
-                // The deployment exhausted its retries while the request was
-                // held: release it toward the cloud instead.
-                let at = released_at.max(t);
-                let msgs = self.install(ingress, at, spec, None, release);
-                (RequestKind::FallbackCloud, at, None, msgs)
-            }
+        let kind = match outcome.decision {
+            DispatchDecision::Redirect { .. } if outcome.from_memory => RequestKind::MemoryHit,
+            DispatchDecision::Redirect { .. } => RequestKind::Redirect,
+            DispatchDecision::WaitThenRedirect { .. } => RequestKind::Waited,
+            DispatchDecision::ForwardToCloud => RequestKind::Cloud,
+            DispatchDecision::FallbackCloud { .. } => RequestKind::FallbackCloud,
         };
+        let (to, answered_at) = self.placement(&outcome.decision, svc_addr, t);
+        let msgs = match to {
+            // A held request gets an exact pair: its deferred release
+            // predates any aggregate decision.
+            Some(to) if self.config.aggregate_rules && kind != RequestKind::Waited => {
+                self.install_aggregated(ingress, t, spec, to, (buffer_id, &frame))
+            }
+            _ => self.install(ingress, answered_at, spec, to, release),
+        };
+        let cluster = to.map(|(_, cluster)| cluster);
 
         // The span closes exactly once per request, at the instant the
         // answer goes out — possibly in the sim-future for held requests
@@ -900,22 +898,50 @@ impl Controller {
         self.telemetry.event(root, "flow-install", answered_at, || {
             format!("{kind:?}: {n_msgs} message(s) toward the switch")
         });
-        self.telemetry.end_span(root, answered_at);
         let rec = RequestRecord {
-            at: now,
-            service: svc_addr,
-            client: frame.src_ip,
             kind,
             answered_at,
             phases: outcome.phases,
             cluster,
             background_ready,
+            ..rec
         };
+        self.close_request(root, rec);
+        msgs
+    }
+
+    /// The one epilogue of a packet-in: closes the request's span at the
+    /// instant its answer goes out, folds it into the metrics and keeps its
+    /// record (while `record_requests` is on).
+    fn close_request(&mut self, root: SpanId, rec: RequestRecord) {
+        self.telemetry.end_span(root, rec.answered_at);
         self.record_request_metrics(&rec);
         if self.config.record_requests {
             self.records.push(rec);
         }
-        msgs
+    }
+
+    /// Where a dispatch decision made at `t` puts the session, and when its
+    /// pair goes out: at once, or — for a request held for a deployment, or
+    /// released toward the cloud when that deployment exhausted its retries —
+    /// at the already known release instant. A held request pins its service
+    /// against the idle sweep until then.
+    fn placement(
+        &mut self,
+        decision: &DispatchDecision,
+        service: ServiceAddr,
+        t: SimTime,
+    ) -> (Placement, SimTime) {
+        match *decision {
+            DispatchDecision::Redirect { instance, cluster } => (Some((instance, cluster)), t),
+            DispatchDecision::WaitThenRedirect { instance, cluster, ready_at } => {
+                let at = ready_at.max(t);
+                self.hold(service, cluster, at);
+                (Some((instance, cluster)), at)
+            }
+            DispatchDecision::ForwardToCloud => (None, t),
+            DispatchDecision::FallbackCloud { released_at } => (None, released_at.max(t)),
+        }
     }
 
     /// Folds one finished request into the metrics registry. Phase durations
@@ -1195,9 +1221,7 @@ impl Controller {
         rng: &mut SimRng,
     ) -> HandoverOutcome {
         self.synced(|ctl| {
-            ctl.next_request += 1;
-            let request = ctl.next_request;
-            let root = ctl.telemetry.span(request, SpanId::NONE, "handover", now);
+            let (request, root) = ctl.open_request("handover", now);
             ctl.telemetry.event(root, "attachment-change", now, || {
                 format!(
                     "client={client} gnb {} -> {} ({})",
@@ -1233,7 +1257,8 @@ impl Controller {
             let mut completed_at = t;
             let mut flows_migrated = 0usize;
             let mut redispatched = 0usize;
-            let distances = ctl.distances_from(to);
+            let mut distances = Vec::new();
+            let have_distances = ctl.fill_distances(to, &mut distances);
             for (key, flow) in ctl.state.memory().flows_of_client_at(client, from) {
                 let Some(svc) = ctl.services.get_shared(key.service) else {
                     ctl.state.memory_mut().forget(&key);
@@ -1241,21 +1266,14 @@ impl Controller {
                 };
                 // Anchoring keeps the session on its current instance — valid
                 // only while that instance still serves.
-                let anchored_instance = match policy {
-                    HandoverPolicy::Anchored if flow.cluster < ctl.clusters.len() => {
-                        match ctl.clusters[flow.cluster].state(&svc, t) {
-                            InstanceState::Ready(inst) => Some(inst),
-                            _ => None,
-                        }
-                    }
-                    _ => None,
-                };
-                let (placement, installed_at) = if let Some(instance) = anchored_instance {
+                let anchored = policy == HandoverPolicy::Anchored
+                    && ctl.serving(flow.cluster, key.service, flow.instance, t) == Serving::Yes;
+                let (placement, installed_at) = if anchored {
                     ctl.state.memory_mut().rekey(&key, to, t);
                     ctl.telemetry.event(root, "anchored", t, || {
                         format!("{}: kept on cluster {}", svc.name, flow.cluster)
                     });
-                    (Some((instance, flow.cluster)), t)
+                    (Some((flow.instance, flow.cluster)), t)
                 } else {
                     // Re-place the session through the scheduler, as a Handover.
                     ctl.state.memory_mut().forget(&key);
@@ -1264,7 +1282,7 @@ impl Controller {
                         &svc,
                         client,
                         to,
-                        distances.as_deref(),
+                        have_distances.then_some(distances.as_slice()),
                         RequestClass::Handover,
                         t,
                         &mut ctl.clusters,
@@ -1276,22 +1294,7 @@ impl Controller {
                         root,
                     );
                     redispatched += 1;
-                    match outcome.decision {
-                        DispatchDecision::Redirect { instance, cluster } => {
-                            (Some((instance, cluster)), t)
-                        }
-                        DispatchDecision::WaitThenRedirect { instance, cluster, ready_at } => {
-                            // Pin the service against the idle sweep until the
-                            // deferred install goes out, as packet-ins do.
-                            let at = ready_at.max(t);
-                            ctl.hold(key.service, cluster, at);
-                            (Some((instance, cluster)), at)
-                        }
-                        DispatchDecision::ForwardToCloud => (None, t),
-                        DispatchDecision::FallbackCloud { released_at } => {
-                            (None, released_at.max(t))
-                        }
-                    }
+                    ctl.placement(&outcome.decision, key.service, t)
                 };
                 // Wildcarded per client↔service: no triggering frame exists
                 // to read an ephemeral port (or the MACs) from.
@@ -1328,10 +1331,8 @@ impl Controller {
             let m = &mut ctl.telemetry.metrics;
             m.inc("handovers_total");
             m.add("flows_migrated", flows_migrated as u64);
-            if redispatched > 0 {
-                m.add("handover_redispatched_total", redispatched as u64);
-            }
             m.observe("handover_interruption_ns", completed_at.saturating_since(now));
+            ctl.count("handover_redispatched_total", redispatched);
             ctl.telemetry.event(root, "break", break_at, || {
                 format!("{n_old} exact pair(s) deleted at old gnb {}", from.0)
             });
@@ -1355,141 +1356,6 @@ impl Controller {
         })
     }
 
-    /// Proactively deploys a service (prediction-driven, Sections I/VII):
-    /// ensures an instance exists on the nearest cluster without a client
-    /// request. Returns the instant the instance will be ready, or `None`
-    /// if the service is unknown or already deployed/starting.
-    pub fn proactive_deploy(
-        &mut self,
-        addr: ServiceAddr,
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> Option<SimTime> {
-        let svc = self.services.get(addr)?.clone();
-        let idx = (0..self.clusters.len()).min_by_key(|&i| self.clusters[i].latency())?;
-        let cluster = &mut self.clusters[idx];
-        let mut t = now;
-        match cluster.state(&svc, now) {
-            crate::cluster::InstanceState::Ready(_)
-            | crate::cluster::InstanceState::Starting { .. } => None,
-            crate::cluster::InstanceState::NotDeployed => {
-                if !cluster.has_image_cached(&svc) {
-                    t = cluster.pull(&svc, t, rng).ok()?;
-                }
-                t = cluster.create(&svc, t, rng).ok()?;
-                let (_, ready) = cluster.scale_up(&svc, t, rng).ok()?;
-                (ready != SimTime::MAX).then_some(ready)
-            }
-            crate::cluster::InstanceState::Created => {
-                let (_, ready) = cluster.scale_up(&svc, t, rng).ok()?;
-                (ready != SimTime::MAX).then_some(ready)
-            }
-        }
-    }
-
-    /// Periodic idle sweep: expires FlowMemory entries and scales down
-    /// services whose last flow vanished. Returns what was scaled down.
-    pub fn tick(&mut self, now: SimTime, rng: &mut SimRng) -> Vec<ScaleDownEvent> {
-        self.synced(|ctl| {
-            let mut events = Vec::new();
-            // Holds whose release instant has passed no longer pin anything.
-            ctl.held.retain(|_, until| now < *until);
-            let mut expired = ctl.state.memory_mut().expire(now);
-            if !ctl.config.scale_down_idle {
-                return events;
-            }
-            // Re-examine deferred expiries whose hold has drained since.
-            let ripe: Vec<(ServiceAddr, usize)> = ctl
-                .deferred
-                .keys()
-                .filter(|k| !ctl.held.contains_key(k) && !ctl.state.migrate().pinned(k.0, k.1))
-                .copied()
-                .collect();
-            for key in ripe {
-                ctl.deferred.remove(&key);
-                // Re-used while deferred? Then it is no longer idle.
-                if ctl.state.memory().flows_for(key.0) > 0 {
-                    continue;
-                }
-                if !expired.contains(&key) {
-                    expired.push(key);
-                }
-            }
-            for (svc_addr, cluster_idx) in expired {
-                if ctl.held.contains_key(&(svc_addr, cluster_idx))
-                    || ctl.state.migrate().pinned(svc_addr, cluster_idx)
-                {
-                    // A request is still held for this service, or the pool is
-                    // the source/target of an in-flight migration: defer the
-                    // scale-down until the hold releases / the flip completes.
-                    ctl.deferred.insert((svc_addr, cluster_idx), now);
-                    continue;
-                }
-                let Some(svc) = ctl.services.get(svc_addr).cloned() else {
-                    continue;
-                };
-                if cluster_idx < ctl.clusters.len() {
-                    ctl.clusters[cluster_idx].scale_down(&svc, now, rng);
-                    ctl.dispatcher.load_mut().remove_pool(svc_addr, cluster_idx, now);
-                    ctl.commit(JournalEvent::ScaledDown {
-                        service: svc_addr,
-                        cluster: cluster_idx,
-                        at: now,
-                    });
-                    events.push(ScaleDownEvent {
-                        at: now,
-                        service: svc_addr,
-                        cluster: ctl.clusters[cluster_idx].name().to_owned(),
-                        action: LifecycleAction::ScaleDown,
-                    });
-                }
-            }
-            // The Remove phase: services down long enough are deleted entirely.
-            if let Some(after) = ctl.config.remove_after {
-                let mut due: Vec<(ServiceAddr, usize)> = ctl
-                    .state
-                    .scaled_down()
-                    .iter()
-                    .filter(|(_, &t)| now.saturating_since(t) >= after)
-                    .map(|(&k, _)| k)
-                    .collect();
-                due.sort_unstable(); // map order must not decide removal order
-                for (svc_addr, cluster_idx) in due {
-                    ctl.commit(JournalEvent::ScaleRestored {
-                        service: svc_addr,
-                        cluster: cluster_idx,
-                    });
-                    let Some(svc) = ctl.services.get(svc_addr).cloned() else {
-                        continue;
-                    };
-                    if cluster_idx >= ctl.clusters.len() {
-                        continue;
-                    }
-                    // Redeployed in the meantime? Then it is not removable.
-                    if matches!(
-                        ctl.clusters[cluster_idx].state(&svc, now),
-                        InstanceState::Created
-                    ) {
-                        ctl.clusters[cluster_idx].remove(&svc, now, rng);
-                        events.push(ScaleDownEvent {
-                            at: now,
-                            service: svc_addr,
-                            cluster: ctl.clusters[cluster_idx].name().to_owned(),
-                            action: LifecycleAction::Remove,
-                        });
-                    }
-                }
-            }
-            for ev in &events {
-                ctl.telemetry.metrics.inc(match ev.action {
-                    LifecycleAction::ScaleDown => "scale_downs",
-                    LifecycleAction::Remove => "removes",
-                });
-            }
-            events
-        })
-    }
-
     /// The load tracker: per-instance queues, admission counters, pools.
     pub fn load(&self) -> &LoadTracker {
         self.dispatcher.load()
@@ -1510,718 +1376,19 @@ impl Controller {
     pub fn health_config(&self) -> HealthConfig {
         self.state.health().config()
     }
-
-    /// Fault injection: a *Ready* instance of `svc_addr` on `cluster`
-    /// crashes while serving. The crash itself is silent — clients keep
-    /// being redirected at the corpse until the next [`health_check`] sweep
-    /// notices; the instant is recorded so `stale_redirect_repair_ns`
-    /// measures crash→repair latency. Returns `false` if there was nothing
-    /// running to kill.
-    ///
-    /// [`health_check`]: Self::health_check
-    pub fn inject_instance_crash(
-        &mut self,
-        cluster: usize,
-        svc_addr: ServiceAddr,
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> bool {
-        if cluster >= self.clusters.len() {
-            return false;
-        }
-        let Some(svc) = self.services.get(svc_addr).cloned() else {
-            return false;
-        };
-        let instance = self.clusters[cluster].instance_addr(&svc);
-        if !self.clusters[cluster].fail_instance(&svc, now, rng) {
-            return false;
-        }
-        if let Some(inst) = instance {
-            self.crash_records.insert(inst, now);
-        }
-        true
-    }
-
-    /// The failure-detection sweep, run every `health.detect_interval`:
-    /// walks every instance the FlowMemory still redirects clients at and
-    /// repairs the state around each one that is no longer Ready — forgets
-    /// its memory entries (no lookup ever returns the dead address again),
-    /// tombstones and deletes the matching switch flows, and feeds the
-    /// cluster's circuit breaker. Subsequent packets from the affected
-    /// clients miss the table and re-enter the ordinary dispatch pipeline.
-    /// Returns the Delete FlowMods, tagged with the ingress they go to.
-    ///
-    /// Ordinary idle scale-down cannot false-positive here: a service is
-    /// only scaled down after its last memorized flow expired, so by then
-    /// the memory holds nothing pointing at it.
-    pub fn health_check(&mut self, now: SimTime) -> Vec<(IngressId, OutboundMessage)> {
-        self.synced(|ctl| {
-            let mut out: Vec<(IngressId, OutboundMessage)> = Vec::new();
-            for (cluster, inst, svc_addr) in ctl.state.memory().instances() {
-                let mut alive = false;
-                if cluster < ctl.clusters.len() {
-                    if let Some(svc) = ctl.services.get(svc_addr) {
-                        // With autoscaling on, memorized addresses may be replica
-                        // addresses derived from the Ready base; the pool vouches
-                        // for those as long as the base instance itself is up.
-                        alive = match ctl.clusters[cluster].state(svc, now) {
-                            InstanceState::Ready(i) => {
-                                i == inst
-                                    || ctl
-                                        .dispatcher
-                                        .load()
-                                        .index_of(svc_addr, cluster, inst)
-                                        .is_some()
-                            }
-                            _ => false,
-                        };
-                    }
-                }
-                if alive {
-                    continue;
-                }
-                // A crash mid-transfer retires the pool out from under its
-                // migration: abandon it first (the pin lifts; session state
-                // stays in the source ledger), then repair normally — repair
-                // never runs *while* a migration holds the pool.
-                let aborted = ctl.state.migrate_mut().abort_involving(svc_addr, cluster);
-                if aborted > 0 {
-                    ctl.telemetry.metrics.add("migrations_aborted", aborted as u64);
-                }
-                ctl.dispatcher.load_mut().remove_pool(svc_addr, cluster, now);
-                out.extend(ctl.repair_dead_instance(cluster, inst, now));
-            }
-            out
-        })
-    }
-
-    /// Stale-redirect repair for one dead instance: forget its FlowMemory
-    /// entries, tombstone + delete its switch flows everywhere, record the
-    /// failure with the cluster's breaker, and update the repair metrics.
-    fn repair_dead_instance(
-        &mut self,
-        cluster: usize,
-        inst: InstanceAddr,
-        now: SimTime,
-    ) -> Vec<(IngressId, OutboundMessage)> {
-        let victims = self.state.memory_mut().forget_instance(inst);
-        self.next_request += 1;
-        let request = self.next_request;
-        let root = self.telemetry.span(request, SpanId::NONE, "recovery", now);
-        let n = victims.len();
-        self.telemetry.event(root, "instance-failure", now, || {
-            format!(
-                "cluster {cluster}: instance {}:{} dead, {n} stale redirect(s)",
-                inst.ip, inst.port
-            )
-        });
-        // Tear down every bookkept pair aimed at the corpse — not only the
-        // memorized ones: handover leftovers reference it too. Aggregated
-        // pairs are filed under the sentinel client, so this sweep retires
-        // them like any other pair; dropping the anchor below makes the next
-        // packet-in install a fresh aggregate toward the replacement.
-        let mut out = Vec::new();
-        for (client, ing) in self.state.installed_keys_sorted() {
-            let at_corpse = |p: &InstalledPair| p.instance == Some(inst);
-            out.extend(self.teardown_pairs(client, ing, at_corpse, None, now));
-        }
-        self.commit(JournalEvent::AggregateRetainInstance { instance: inst });
-        self.state.health_mut().record_failure(cluster, now);
-        let m = &mut self.telemetry.metrics;
-        m.inc("instance_failures_total");
-        if n > 0 {
-            m.add("stale_redirects_repaired", n as u64);
-        }
-        if let Some(crashed_at) = self.crash_records.remove(&inst) {
-            m.observe("stale_redirect_repair_ns", now.saturating_since(crashed_at));
-        }
-        self.set_breaker_gauges();
-        self.telemetry.event(root, "repaired", now, || {
-            format!("{} flow delete(s) toward the switches", out.len())
-        });
-        self.telemetry.end_span(root, now);
-        out
-    }
-
-    /// Declares `cluster` dark until `until` — the zone-outage fault: every
-    /// Ready/Starting instance in the zone fails at once, all memorized
-    /// redirects into it are forgotten, their switch flows torn down, and
-    /// the zone is blocked for scheduling until the window passes (or
-    /// [`end_zone_outage`] is called). Returns the Delete FlowMods per
-    /// ingress.
-    ///
-    /// [`end_zone_outage`]: Self::end_zone_outage
-    pub fn begin_zone_outage(
-        &mut self,
-        cluster: usize,
-        now: SimTime,
-        until: SimTime,
-        rng: &mut SimRng,
-    ) -> Vec<(IngressId, OutboundMessage)> {
-        if cluster >= self.clusters.len() {
-            return vec![];
-        }
-        self.synced(|ctl| {
-            ctl.next_request += 1;
-            let request = ctl.next_request;
-            let root = ctl.telemetry.span(request, SpanId::NONE, "zone-outage", now);
-            let svcs: Vec<EdgeService> = ctl.services.iter().cloned().collect();
-            let mut failed = 0usize;
-            for svc in &svcs {
-                if ctl.clusters[cluster].fail_instance(svc, now, rng) {
-                    failed += 1;
-                }
-                ctl.dispatcher.load_mut().remove_pool(svc.addr, cluster, now);
-            }
-            let victims = ctl.state.memory_mut().forget_cluster(cluster);
-            // Migrations into or out of the dark zone cannot finish.
-            let aborted = ctl.state.migrate_mut().abort_cluster(cluster);
-            if aborted > 0 {
-                ctl.telemetry.metrics.add("migrations_aborted", aborted as u64);
-            }
-            ctl.telemetry.event(root, "zone-dark", now, || {
-                format!(
-                    "cluster {cluster}: {failed} instance(s) down, {} stale redirect(s), until {until:?}",
-                    victims.len()
-                )
-            });
-            let mut out = Vec::new();
-            for (client, ing) in ctl.state.installed_keys_sorted() {
-                let in_zone = |p: &InstalledPair| p.cluster == Some(cluster);
-                out.extend(ctl.teardown_pairs(client, ing, in_zone, None, now));
-            }
-            ctl.commit(JournalEvent::AggregateRetainCluster { cluster });
-            ctl.state.health_mut().begin_outage(cluster, until);
-            let m = &mut ctl.telemetry.metrics;
-            m.inc("zone_outages_total");
-            if !victims.is_empty() {
-                m.add("stale_redirects_repaired", victims.len() as u64);
-            }
-            ctl.telemetry.end_span(root, now);
-            out
-        })
-    }
-
-    /// Clears a declared zone outage: the cluster becomes schedulable again
-    /// immediately (its services were failed to Created, so the next request
-    /// re-deploys through the ordinary pipeline).
-    pub fn end_zone_outage(&mut self, cluster: usize) {
-        self.synced(|ctl| ctl.state.health_mut().end_outage(cluster));
-    }
-
-    /// Whether the instance `p` redirects to still serves there (cloud pairs
-    /// have nothing to die).
-    fn still_serves(&self, p: &InstalledPair, now: SimTime) -> bool {
-        let (Some(c), Some(inst)) = (p.cluster, p.instance) else {
-            return true;
-        };
-        let (Some(cluster), Some(svc)) = (self.clusters.get(c), self.services.get(p.service)) else {
-            return false;
-        };
-        matches!(cluster.state(svc, now), InstanceState::Ready(i) if i == inst)
-    }
-
-    /// Flow-table reconciliation after an OpenFlow channel reconnect. The
-    /// switch kept forwarding on its installed flows while control messages
-    /// were lost, so its table and the controller's bookkeeping may have
-    /// drifted: installs the controller sent into the void are *missing*,
-    /// and switch flows whose teardown was lost are *orphans*. Compares
-    /// `switch_flows` — the switch's current table — against the bookkeeping
-    /// for `ingress`: live expected flows missing from the switch are
-    /// re-installed verbatim, and switch entries the controller does not
-    /// claim are strict-deleted. Expected pairs whose instance died while
-    /// the channel was down are tombstoned here (their switch entries, if
-    /// any, become orphans). A second pass right after the returned FlowMods
-    /// are applied returns nothing.
-    pub fn reconcile(
-        &mut self,
-        ingress: IngressId,
-        switch_flows: &[FlowEntry],
-        now: SimTime,
-    ) -> Vec<OutboundMessage> {
-        self.synced(|ctl| {
-            let mut claimed: Vec<(Match, u16)> = Vec::new();
-            let mut missing: Vec<InstalledFlow> = Vec::new();
-            for client in ctl.state.clients_at(ingress) {
-                // A redirect pair is expected only while its instance still
-                // serves.
-                let gone = |p: &InstalledPair| !ctl.still_serves(p, now);
-                let dead = ctl.state.live_pairs(client, ingress, gone);
-                ctl.tombstone(client, ingress, &dead);
-                for p in ctl.state.pairs(client, ingress).iter().filter(|p| !p.dead) {
-                    // Reverse before forward, as installs always go out: if both
-                    // directions are missing, the reply path comes back first.
-                    for f in [&p.rev, &p.fwd] {
-                        claimed.push((f.match_.clone(), f.priority));
-                        let on_switch = switch_flows
-                            .iter()
-                            .any(|e| e.priority == f.priority && e.match_ == f.match_);
-                        if !on_switch {
-                            missing.push(f.clone());
-                        }
-                    }
-                }
-            }
-
-            let n_missing = missing.len();
-            let mut msgs: Vec<OutboundMessage> = Vec::with_capacity(n_missing);
-            for mut f in missing {
-                msgs.push(ctl.flow_add(now, &mut f, OFP_NO_BUFFER));
-            }
-            // Strict-delete unclaimed switch entries. Switch-side deletion is by
-            // exact match across every priority, so one Delete per distinct
-            // match suffices.
-            let mut deleted: Vec<Match> = Vec::new();
-            let mut n_orphans = 0usize;
-            for e in switch_flows {
-                if claimed
-                    .iter()
-                    .any(|(m, pr)| *pr == e.priority && *m == e.match_)
-                {
-                    continue;
-                }
-                n_orphans += 1;
-                if deleted.contains(&e.match_) {
-                    continue;
-                }
-                deleted.push(e.match_.clone());
-                msgs.push(ctl.flow_delete(now, e.match_.clone()));
-            }
-
-            ctl.next_request += 1;
-            let request = ctl.next_request;
-            let root = ctl.telemetry.span(request, SpanId::NONE, "reconcile", now);
-            ctl.telemetry.event(root, "diff", now, || {
-                format!("ingress {}: {n_missing} missing, {n_orphans} orphan(s)", ingress.0)
-            });
-            ctl.telemetry.end_span(root, now);
-            let m = &mut ctl.telemetry.metrics;
-            m.inc("reconciliations_total");
-            if n_missing > 0 {
-                m.add("reconcile_reinstalled", n_missing as u64);
-            }
-            if n_orphans > 0 {
-                m.add("reconcile_orphans_deleted", n_orphans as u64);
-            }
-            msgs
-        })
-    }
-
-    /// Tombstones the pairs of `(client, ingress)` at the indices in `dead`.
-    fn tombstone(&mut self, client: Ipv4Addr, ingress: IngressId, dead: &[usize]) {
-        for &idx in dead {
-            self.commit(JournalEvent::PairDead { client, ingress, idx });
-        }
-    }
-
-    /// Tombstones every live pair at `(client, ingress)` that `pick` selects
-    /// and deletes both directions of each at `at`, forward first — except a
-    /// forward match equal to `replaced_fwd` (see
-    /// [`Controller::finish_migration`]).
-    fn teardown_pairs(
-        &mut self,
-        client: Ipv4Addr,
-        ingress: IngressId,
-        pick: impl Fn(&InstalledPair) -> bool,
-        replaced_fwd: Option<&Match>,
-        at: SimTime,
-    ) -> Vec<(IngressId, OutboundMessage)> {
-        let dead = self.state.live_pairs(client, ingress, pick);
-        self.tombstone(client, ingress, &dead);
-        let mut doomed: Vec<Match> = Vec::new();
-        for &i in &dead {
-            let p = &self.state.pairs(client, ingress)[i];
-            if replaced_fwd != Some(&p.fwd.match_) {
-                doomed.push(p.fwd.match_.clone());
-            }
-            doomed.push(p.rev.match_.clone());
-        }
-        doomed
-            .into_iter()
-            .map(|m| (ingress, self.flow_delete(at, m)))
-            .collect()
-    }
-
-    /// One horizontal-autoscaler pass, run every `autoscale.sweep_interval`
-    /// of simulated time: flexes each service's replica pool on queue depth
-    /// and utilization (hysteresis + cooldown live in
-    /// [`LoadTracker::sweep`](crate::autoscale::LoadTracker::sweep)), bumps
-    /// the `autoscale_ups`/`autoscale_downs` counters, and refreshes the
-    /// per-pool `replicas.{service}.{cluster}` gauges. A no-op while
-    /// autoscaling is disabled (the default), so experiments that never
-    /// opt in stay byte-identical.
-    pub fn autoscale_sweep(&mut self, now: SimTime) -> Vec<ScaleEvent> {
-        if !self.dispatcher.load().enabled() {
-            return Vec::new();
-        }
-        let events = self.dispatcher.load_mut().sweep(now);
-        for ev in &events {
-            self.telemetry.metrics.inc(if ev.up {
-                "autoscale_ups"
-            } else {
-                "autoscale_downs"
-            });
-        }
-        let counts = self.dispatcher.load().replica_counts();
-        for ((svc, cluster), n) in counts {
-            self.telemetry.metrics.set_gauge(
-                &format!("replicas.{}:{}.{cluster}", svc.ip, svc.port),
-                n as f64,
-            );
-        }
-        events
-    }
-
-    /// Refreshes the per-cluster breaker gauges (`breaker_state.{i}`).
-    fn set_breaker_gauges(&mut self) {
-        for i in 0..self.clusters.len() {
-            let s = self.state.health().breaker_state(i);
-            self.telemetry.metrics.set_gauge(&format!("breaker_state.{i}"), s.gauge());
-        }
-    }
-
-    /// Earliest instant the next `tick` could have work.
-    pub fn next_tick_at(&self) -> Option<SimTime> {
-        let removal = self.config.remove_after.and_then(|after| {
-            self.state.scaled_down().values().map(|&t| t + after).min()
-        });
-        // A deferred scale-down becomes actionable when its hold releases.
-        let deferred = self
-            .deferred
-            .keys()
-            .filter_map(|k| self.held.get(k).copied())
-            .min();
-        [self.state.memory().next_expiry(), removal, deferred]
-            .into_iter()
-            .flatten()
-            .min()
-    }
-
-    /// Books one served request's worth of session state for
-    /// `(svc_addr, cluster)` — the harness calls this when an edge
-    /// instance answers. A no-op while migration is off or stateless, so
-    /// the hot path costs one branch by default.
-    pub fn note_served(&mut self, svc_addr: ServiceAddr, cluster: usize) {
-        self.synced(|ctl| ctl.state.migrate_mut().note_served(svc_addr, cluster));
-    }
-
-    /// Earliest instant an in-flight migration's flow flip becomes due
-    /// (transfer landed *and* the warm-started target is ready). The
-    /// harness schedules its migration tick from this, exactly like
-    /// [`Controller::next_tick_at`] drives the idle sweep.
-    pub fn next_migration_at(&self) -> Option<SimTime> {
-        self.state.migrate().next_due()
-    }
-
-    /// Starts a live migration of `svc_addr`'s sessions from cluster
-    /// `from` to `to` — the explicit API trigger; the mobility and
-    /// breaker-open triggers funnel through here too. Warm-starts the
-    /// target (pull/create/scale-up, whatever its state requires) and
-    /// snapshots the session ledger; the make-before-break flow flip
-    /// happens at [`Controller::migration_tick`] once both the state
-    /// transfer and the warm start are done. Returns whether a migration
-    /// actually started.
-    pub fn begin_migration(
-        &mut self,
-        now: SimTime,
-        svc_addr: ServiceAddr,
-        from: usize,
-        to: usize,
-        reason: MigrationReason,
-        rng: &mut SimRng,
-    ) -> bool {
-        self.synced(|ctl| {
-            if !ctl.config.migration.live()
-                || from >= ctl.clusters.len()
-                || to >= ctl.clusters.len()
-                || !ctl.state.migrate().can_start(svc_addr, from, to, now)
-            {
-                return false;
-            }
-            let Some(svc) = ctl.services.get(svc_addr).cloned() else {
-                return false;
-            };
-            if ctl.state.memory().entries_at(svc_addr, from).is_empty() {
-                // Nothing anchored at the source: nothing worth moving.
-                return false;
-            }
-            // Warm start: make sure the target will have a Ready instance.
-            let mut t = now;
-            let ready_at = match ctl.clusters[to].state(&svc, now) {
-                InstanceState::Ready(_) => now,
-                InstanceState::Starting { ready_at } => ready_at,
-                InstanceState::Created => match ctl.clusters[to].scale_up(&svc, t, rng) {
-                    Ok((_, ready)) => ready,
-                    Err(_) => return false,
-                },
-                InstanceState::NotDeployed => {
-                    if !ctl.clusters[to].has_image_cached(&svc) {
-                        match ctl.clusters[to].pull(&svc, t, rng) {
-                            Ok(done) => t = done,
-                            Err(_) => return false,
-                        }
-                    }
-                    match ctl.clusters[to].create(&svc, t, rng) {
-                        Ok(done) => t = done,
-                        Err(_) => return false,
-                    }
-                    match ctl.clusters[to].scale_up(&svc, t, rng) {
-                        Ok((_, ready)) => ready,
-                        Err(_) => return false,
-                    }
-                }
-            };
-            if ready_at == SimTime::MAX {
-                return false;
-            }
-            ctl.next_request += 1;
-            let request = ctl.next_request;
-            let root = ctl.telemetry.span(request, SpanId::NONE, "migration", now);
-            let m = ctl
-                .state
-                .migrate_mut()
-                .begin(svc_addr, from, to, reason, now, ready_at, request);
-            ctl.migration_spans.insert(request, root);
-            ctl.telemetry.event(root, "snapshot", now, || {
-                format!(
-                    "{svc_addr}: cluster {from} -> {to} ({}), {} byte(s)",
-                    reason.label(),
-                    m.state_bytes
-                )
-            });
-            ctl.telemetry.event(root, "transfer-done", m.transfer_done, || {
-                format!("state landed; warm target ready at {ready_at:?}")
-            });
-            ctl.telemetry.metrics.inc("migrations_total");
-            true
-        })
-    }
-
-    /// Flips every migration whose transfer (and warm start) completed by
-    /// `now`: repoints the memorized flows at the new instance, installs
-    /// wildcard redirects at each affected client's switch, and deletes
-    /// the old pairs strictly later (the same make-before-break guard
-    /// interval the handover uses). Returns the FlowMods per ingress.
-    pub fn migration_tick(
-        &mut self,
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> Vec<(IngressId, OutboundMessage)> {
-        self.synced(|ctl| {
-            let due = ctl.state.migrate_mut().take_due(now);
-            let mut out = Vec::new();
-            for m in due {
-                out.extend(ctl.finish_migration(&m, now, rng));
-            }
-            out
-        })
-    }
-
-    /// The make-before-break flow flip of one due migration.
-    fn finish_migration(
-        &mut self,
-        m: &Migration,
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> Vec<(IngressId, OutboundMessage)> {
-        let root = self
-            .migration_spans
-            .remove(&m.request)
-            .unwrap_or(SpanId::NONE);
-        let svc = self.services.get_shared(m.service);
-        let new_inst = svc.as_ref().and_then(|s| {
-            match self.clusters.get(m.to)?.state(s, now) {
-                InstanceState::Ready(inst) => Some(inst),
-                _ => None,
-            }
-        });
-        let (Some(svc), Some(new_inst)) = (svc, new_inst) else {
-            // The warm start fell through — the target died or was scaled
-            // away mid-transfer. State and flows stay at the source.
-            self.state.migrate_mut().abort(m);
-            self.telemetry.metrics.inc("migrations_aborted");
-            self.telemetry.event(root, "aborted", now, || {
-                "target not ready at flip time".to_owned()
-            });
-            self.telemetry.end_span(root, now);
-            return Vec::new();
-        };
-        let t = now + self.config.processing.sample_duration(rng);
-        let break_at = t + Duration::from_millis(50);
-        let mut out: Vec<(IngressId, OutboundMessage)> = Vec::new();
-        let mut flipped = 0usize;
-        for (key, _flow) in self.state.memory().entries_at(m.service, m.from) {
-            // Make: repoint the memorized flow, and — where the client's
-            // port and MACs are known — install the wildcard redirect
-            // toward the new instance, one priority below the exact flows
-            // it shadows (the handover's pair shape, reused verbatim).
-            self.state.memory_mut().repoint(&key, new_inst, m.to, t);
-            flipped += 1;
-            let client = key.client_ip;
-            let macs = self.state.client_macs(client);
-            let loc = self.state.clients().location(client);
-            let mut replaced_fwd = None;
-            if let (Some((client_mac, gw_mac)), Some((ingress, in_port))) = (macs, loc) {
-                // A client mid-handover is owned by that path; only flip
-                // the switch state where the flow's ingress is current.
-                if ingress == key.ingress {
-                    let spec = PairSpec {
-                        granularity: Granularity::ClientService,
-                        client,
-                        src_port: 0,
-                        client_mac,
-                        gw_mac,
-                        in_port,
-                        service: svc.addr,
-                    };
-                    let msgs = self.install(key.ingress, t, spec, Some((new_inst, m.to)), None);
-                    out.extend(msgs.into_iter().map(|msg| (key.ingress, msg)));
-                    // A leftover handover wildcard for the same client and
-                    // service has this very forward match, so the ADD above
-                    // already replaced it *in place* — the switch keys flows
-                    // by `(match, priority)` — and the table's delete removes
-                    // every priority with an equal match: deleting it below
-                    // would take the fresh flow down with it. Its reverse
-                    // flow (keyed by the old instance's address, so never
-                    // colliding) is still deleted.
-                    replaced_fwd = Some(spec.fwd_match());
-                }
-            }
-            // Break, strictly later: the old pairs toward the source
-            // outlive the installs by the guard interval, so replies to
-            // requests still in flight find their reverse flows intact.
-            out.extend(self.teardown_pairs(
-                client,
-                key.ingress,
-                |p| p.service == m.service && p.cluster == Some(m.from),
-                replaced_fwd.as_ref(),
-                break_at,
-            ));
-        }
-        let moved = self.state.migrate_mut().complete(m, t, flipped);
-        let metrics = &mut self.telemetry.metrics;
-        metrics.add("state_bytes_transferred", moved);
-        metrics.add("migration_flows_flipped", flipped as u64);
-        metrics.observe(
-            "migration_transfer_ns",
-            m.transfer_done.saturating_since(m.started_at),
-        );
-        metrics.observe("migration_interruption_ns", t.saturating_since(m.transfer_done));
-        self.telemetry.event(root, "flip", t, || {
-            format!(
-                "{flipped} flow(s) repointed to cluster {}; {moved} byte(s) moved",
-                m.to
-            )
-        });
-        self.telemetry.end_span(root, t);
-        out
-    }
-
-    /// The breaker-open trigger: every service the FlowMemory still
-    /// anchors on a cluster whose circuit breaker is Open is live-migrated
-    /// to the nearest serving cluster — instance-granular (each service
-    /// moves individually), never to the cloud. Call right after a health
-    /// sweep; a no-op unless `migration.policy` is `live`. Returns how
-    /// many migrations started.
-    pub fn migrate_on_breaker_open(&mut self, now: SimTime, rng: &mut SimRng) -> usize {
-        if !self.state.migrate().live() {
-            return 0;
-        }
-        self.synced(|ctl| {
-            let mut jobs: Vec<(ServiceAddr, usize)> = Vec::new();
-            for (cluster, _inst, svc_addr) in ctl.state.memory().instances() {
-                if ctl.state.health().breaker_state(cluster) == BreakerState::Open {
-                    jobs.push((svc_addr, cluster));
-                }
-            }
-            jobs.sort_by_key(|(s, c)| (s.ip.octets(), s.port, *c));
-            jobs.dedup();
-            let mut started = 0usize;
-            for (svc, from) in jobs {
-                let Some(to) = ctl.migration_target(from, None, now) else {
-                    continue;
-                };
-                if ctl.begin_migration(now, svc, from, to, MigrationReason::BreakerOpen, rng) {
-                    started += 1;
-                }
-            }
-            started
-        })
-    }
-
-    /// Scans the client's memorized flows after an announced move and
-    /// starts a live migration for each session whose cluster fell at
-    /// least `mobility_hops` clusters behind the nearest candidate, as
-    /// seen from the new ingress.
-    fn migrate_lagging_sessions(
-        &mut self,
-        now: SimTime,
-        client: Ipv4Addr,
-        ingress: IngressId,
-        rng: &mut SimRng,
-    ) {
-        let distances = self.distances_from(ingress);
-        let mut jobs: Vec<(ServiceAddr, usize)> = Vec::new();
-        for (key, flow) in self.state.memory().flows_of_client_at(client, ingress) {
-            if flow.cluster >= self.clusters.len() {
-                continue;
-            }
-            let dist = |i: usize| {
-                distances
-                    .as_deref()
-                    .and_then(|d| d.get(i).copied())
-                    .unwrap_or_else(|| self.clusters[i].latency())
-            };
-            let here = dist(flow.cluster);
-            let closer = (0..self.clusters.len()).filter(|&i| dist(i) < here).count();
-            if closer >= self.config.migration.mobility_hops {
-                jobs.push((key.service, flow.cluster));
-            }
-        }
-        jobs.sort_by_key(|(s, c)| (s.ip.octets(), s.port, *c));
-        jobs.dedup();
-        for (svc, from) in jobs {
-            let Some(to) = self.migration_target(from, distances.as_deref(), now) else {
-                continue;
-            };
-            self.begin_migration(now, svc, from, to, MigrationReason::Mobility, rng);
-        }
-    }
-
-    /// The migration-target choice: the nearest cluster that can serve —
-    /// never one whose circuit breaker is Open or that sits in a declared
-    /// outage window (the breaker-aware scheduler views enforce the same
-    /// rule for dispatch).
-    fn migration_target(
-        &self,
-        from: usize,
-        distances: Option<&[Duration]>,
-        now: SimTime,
-    ) -> Option<usize> {
-        let health = self.state.health();
-        (0..self.clusters.len())
-            .filter(|&i| i != from)
-            .filter(|&i| {
-                health.breaker_state(i) != BreakerState::Open && !health.in_outage(i, now)
-            })
-            .min_by_key(|&i| {
-                distances
-                    .and_then(|d| d.get(i).copied())
-                    .unwrap_or_else(|| self.clusters[i].latency())
-            })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::annotate::annotate_deployment;
-    use crate::cluster::DockerCluster;
+    use crate::cluster::{DockerCluster, InstanceState};
     use crate::scheduler::ProximityScheduler;
     use dockersim::DockerEngine;
     use netsim::addr::MacAddr;
     use netsim::TcpFlags;
     use openflow::actions::{Action, Instruction};
+    use openflow::FlowEntry;
     use ovs::{Effect, Switch, SwitchConfig};
 
     const CLIENT_PORT: u32 = 1;
@@ -3925,5 +3092,215 @@ mod tests {
         }
         let (warm, _) = run(RecoveryMode::Warm);
         assert!(warm.replayed_events + warm.snapshot_entries > 0);
+    }
+
+    // -- the one liveness predicate ------------------------------------------
+
+    /// `Controller::serving` against the data plane's own truth, over every
+    /// instance state × {base, replica, stale address} × autoscaling off/on.
+    /// The oracle is the harness's listener: a SYN to an address is answered
+    /// at `t` iff the cluster reports that address as the instance's — or,
+    /// with autoscaling on, the pool derives it from that base — and the
+    /// instance is ready at `t`.
+    #[test]
+    fn serving_agrees_with_what_the_data_plane_answers() {
+        let svc = make_service("asm", 80);
+        let mut answered = Vec::new();
+        for autoscale in [false, true] {
+            for state in ["not-deployed", "created", "starting", "ready"] {
+                let mut rng = SimRng::new(70);
+                let mut config = ControllerConfig::default();
+                config.autoscale.enabled = autoscale;
+                config.autoscale.min_replicas = 2;
+                let (mut ctl, _) = setup_with(&mut rng, config);
+                let mut now = SimTime::from_secs(1);
+                if state != "not-deployed" {
+                    now = ctl.cluster_mut(0).create(&svc, now, &mut rng).unwrap();
+                }
+                if state == "starting" || state == "ready" {
+                    let (started, ready) = ctl.cluster_mut(0).scale_up(&svc, now, &mut rng).unwrap();
+                    now = if state == "ready" { ready } else { started };
+                }
+                let base = ctl.cluster(0).instance_addr(&svc).unwrap_or(InstanceAddr {
+                    mac: MacAddr::from_id(200),
+                    ip: Ipv4Addr::new(10, 0, 0, 10),
+                    port: 31000,
+                });
+                if autoscale && state != "not-deployed" {
+                    // What the dispatcher does when it first sees the instance.
+                    ctl.load_mut().ensure_pool(svc.addr, 0, base, now);
+                }
+                let mut pools = LoadTracker::new(ctl.config.autoscale.clone());
+                pools.ensure_pool(svc.addr, 0, base, now);
+                let replica = pools.pool(svc.addr, 0).unwrap().addr(1);
+                let stale = InstanceAddr { port: base.port - 1, ..base };
+                for (label, addr) in [("base", base), ("replica", replica), ("stale", stale)] {
+                    let cluster = ctl.cluster(0);
+                    let owned = cluster.instance_addr(&svc) == Some(addr)
+                        || ctl.load().index_of(svc.addr, 0, addr).is_some();
+                    let answers = |t: SimTime| owned && cluster.state(&svc, t).is_ready();
+                    let want = match cluster.state(&svc, now) {
+                        _ if answers(now) => Serving::Yes,
+                        InstanceState::Starting { ready_at } if answers(ready_at) => {
+                            Serving::Pending(ready_at)
+                        }
+                        _ => Serving::Gone,
+                    };
+                    let got = ctl.serving(0, svc.addr, addr, now);
+                    assert_eq!(got, want, "autoscale {autoscale}, {state}, {label} address");
+                    if got != Serving::Gone {
+                        answered.push((autoscale, state, label, got == Serving::Yes));
+                    }
+                }
+                let elsewhere = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 99), 80);
+                assert_eq!(ctl.serving(0, elsewhere, base, now), Serving::Gone, "no such service");
+                assert_eq!(ctl.serving(7, svc.addr, base, now), Serving::Gone, "no such cluster");
+            }
+        }
+        // Everything else is `Gone`: a created-but-stopped instance, a stale
+        // address whatever the state, a replica address nobody vouches for.
+        assert_eq!(
+            answered,
+            [
+                (false, "starting", "base", false),
+                (false, "ready", "base", true),
+                (true, "starting", "base", false),
+                (true, "starting", "replica", false),
+                (true, "ready", "base", true),
+                (true, "ready", "replica", true),
+            ]
+        );
+    }
+
+    /// One session toward the `asm` instance on cluster 0 — memorized, its
+    /// pair filed — and an instant at which that instance's answer is `case`:
+    /// `"yes"` (up), `"pending"` (the session's own deployment is still in
+    /// progress, its Adds held) or `"gone"` (crashed since).
+    fn session_whose_instance_is(
+        case: &str,
+        config: ControllerConfig,
+    ) -> (Controller, SimRng, SimTime) {
+        let mut rng = SimRng::new(71);
+        let (mut ctl, mut sw) = setup_with(&mut rng, config);
+        ctl.add_ingress(PortMap {
+            cluster_ports: HashMap::from([("edge-docker".into(), EDGE_PORT)]),
+            cloud_port: CLOUD_PORT,
+        });
+        let svc = make_service("asm", 80);
+        let t0 = SimTime::from_secs(1);
+        let effects = sw.handle_frame(t0, CLIENT_PORT, &client_syn(50000).encode());
+        let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
+        let answered = ctl.handle_switch_message(t0, pkt_in, &mut rng).unwrap()[0].at;
+        let inst = ctl.cluster(0).instance_addr(&svc).unwrap();
+        let at = match case {
+            "pending" => t0 + Duration::from_millis(50),
+            "yes" => answered + Duration::from_secs(1),
+            _ => {
+                let crash_at = answered + Duration::from_secs(1);
+                assert!(ctl.inject_instance_crash(0, svc.addr, crash_at, &mut rng));
+                crash_at + Duration::from_secs(1)
+            }
+        };
+        let is = ctl.serving(0, svc.addr, inst, at);
+        match case {
+            "yes" => assert_eq!(is, Serving::Yes),
+            "pending" => assert!(matches!(is, Serving::Pending(ready) if at < ready && ready <= answered)),
+            _ => assert_eq!(is, Serving::Gone),
+        }
+        (ctl, rng, at)
+    }
+
+    /// What each call site of the predicate does with each of its three
+    /// answers — the whole policy of "is this redirect still served?".
+    #[test]
+    fn every_call_site_maps_the_three_answers() {
+        let client = Ipv4Addr::new(192, 168, 1, 20);
+        let svc_addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80);
+        let plain = ControllerConfig::default;
+        let on = |case| session_whose_instance_is(case, plain());
+
+        // 1. A memorized flow answers a packet-in only while it is served;
+        // otherwise the request is rescheduled (and joins or repeats the
+        // deployment).
+        let memory_hit = |case| {
+            let (mut ctl, mut rng, at) = on(case);
+            let pkt_in = Message::PacketIn {
+                buffer_id: 1,
+                total_len: 54,
+                reason: openflow::messages::PacketInReason::NoMatch,
+                table_id: 0,
+                cookie: 0,
+                match_: Match::any().with(OxmField::InPort(CLIENT_PORT)),
+                data: client_syn(50001).encode(),
+            };
+            ctl.handle_switch_message(at, &pkt_in.encode(9), &mut rng).unwrap();
+            ctl.records.last().unwrap().kind
+        };
+        assert_eq!(memory_hit("yes"), RequestKind::MemoryHit);
+        assert_eq!(memory_hit("pending"), RequestKind::Waited);
+        assert_eq!(memory_hit("gone"), RequestKind::Waited);
+
+        // 2. An anchored handover keeps a session on its instance only while
+        // that instance serves; otherwise the scheduler re-places it.
+        let redispatched = |case| {
+            let (mut ctl, mut rng, at) = on(case);
+            let (mac, gw) = (MacAddr::from_id(1), MacAddr::from_id(99));
+            let (from, to) = (IngressId::DEFAULT, IngressId(1));
+            let anchored = HandoverPolicy::Anchored;
+            ctl.handle_attachment_change(at, client, mac, gw, from, to, CLIENT_PORT, anchored, &mut rng)
+                .redispatched
+        };
+        assert_eq!(redispatched("yes"), 0);
+        assert_eq!(redispatched("pending"), 1);
+        assert_eq!(redispatched("gone"), 1);
+
+        // 3. The health sweep repairs around whatever does not serve now.
+        let repaired = |case| {
+            let (mut ctl, _, at) = on(case);
+            let deletes = ctl.health_check(at).len();
+            let failures = ctl.telemetry.metrics.counter("instance_failures_total");
+            (deletes, ctl.memory().len(), failures)
+        };
+        assert_eq!(repaired("yes"), (0, 1, 0));
+        assert_eq!(repaired("pending"), (2, 0, 1));
+        assert_eq!(repaired("gone"), (2, 0, 1));
+
+        // 4. Reconciliation expects a pair on the switch only while its
+        // instance serves: against an empty table, a served pair is
+        // re-installed and any other is tombstoned.
+        let reinstalled = |case| {
+            let (mut ctl, _, at) = on(case);
+            ctl.reconcile(IngressId::DEFAULT, &[], at).len()
+        };
+        assert_eq!(reinstalled("yes"), 2);
+        assert_eq!(reinstalled("pending"), 0);
+        assert_eq!(reinstalled("gone"), 0);
+
+        // 5. A migration flips its flows only onto a target that serves; a
+        // target that died mid-transfer aborts it.
+        let flipped = |target_dies: bool| {
+            let migration = MigrationConfig {
+                policy: crate::migrate::MigrationPolicy::Live,
+                ..MigrationConfig::default()
+            };
+            let config = ControllerConfig { migration, ..plain() };
+            let (mut ctl, mut rng, at) = session_whose_instance_is("yes", config);
+            let mut engine = DockerEngine::with_defaults();
+            engine.pull(&containerd::ServiceSet::by_key("asm").unwrap().manifests, &mut rng);
+            let (mac, ip) = (MacAddr::from_id(201), Ipv4Addr::new(10, 0, 1, 10));
+            let far = Duration::from_micros(900);
+            ctl.add_cluster(Box::new(DockerCluster::new("edge-b", engine, mac, ip, far)), 4);
+            let reason = crate::migrate::MigrationReason::Explicit;
+            assert!(ctl.begin_migration(at, svc_addr, 0, 1, reason, &mut rng));
+            let due = ctl.next_migration_at().unwrap();
+            if target_dies {
+                assert!(ctl.inject_instance_crash(1, svc_addr, due, &mut rng));
+            }
+            ctl.migration_tick(due, &mut rng);
+            let m = &ctl.telemetry.metrics;
+            (m.counter("migration_flows_flipped"), m.counter("migrations_aborted"))
+        };
+        assert_eq!(flipped(false), (1, 0));
+        assert_eq!(flipped(true), (0, 1));
     }
 }

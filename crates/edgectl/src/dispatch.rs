@@ -135,6 +135,28 @@ pub enum DispatchDecision {
     },
 }
 
+impl DispatchDecision {
+    /// What a replica queue's answer means for the request it admitted at
+    /// `now`: a full queue bounces it to the cloud, a queue wait holds it
+    /// until its service starts.
+    fn admitted(
+        outcome: Admission,
+        instance: InstanceAddr,
+        cluster: usize,
+        now: SimTime,
+    ) -> DispatchDecision {
+        match outcome {
+            Admission::Rejected => DispatchDecision::ForwardToCloud,
+            Admission::Served { start, .. } if start > now => DispatchDecision::WaitThenRedirect {
+                instance,
+                cluster,
+                ready_at: start,
+            },
+            Admission::Served { .. } => DispatchDecision::Redirect { instance, cluster },
+        }
+    }
+}
+
 /// A background (BEST-choice) deployment triggered alongside the decision.
 #[derive(Clone, Copy, Debug)]
 pub struct BackgroundDeployment {
@@ -155,6 +177,32 @@ pub struct DispatchOutcome {
     pub phases: PhaseTimes,
     /// Whether the FlowMemory answered (no scheduling happened).
     pub from_memory: bool,
+}
+
+impl DispatchOutcome {
+    /// A request the FlowMemory answered: nothing was scheduled or deployed.
+    fn from_memory(decision: DispatchDecision) -> DispatchOutcome {
+        DispatchOutcome {
+            decision,
+            background: None,
+            phases: PhaseTimes::default(),
+            from_memory: true,
+        }
+    }
+}
+
+/// Whether the instance a redirect points at answers there — the one
+/// liveness question memory hits, anchored handovers, the health sweep,
+/// reconciliation and the migration flip all ask ([`Dispatcher::serving`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Serving {
+    /// It accepts connections now.
+    Yes,
+    /// It is being deployed — a request may be held for it — and accepts
+    /// connections from the contained instant.
+    Pending(SimTime),
+    /// Nothing answers at that address, and nothing is about to.
+    Gone,
 }
 
 /// How [`Dispatcher::ensure_ready`] concluded.
@@ -211,16 +259,6 @@ impl Dispatcher {
         }
     }
 
-    /// The active scheduler's name.
-    pub fn scheduler_name(&self) -> &str {
-        self.scheduler.name()
-    }
-
-    /// Swaps the Global Scheduler (the controller's dynamic configuration).
-    pub fn set_scheduler(&mut self, scheduler: Box<dyn GlobalScheduler>) {
-        self.scheduler = scheduler;
-    }
-
     /// Replaces the retry/backoff/deadline policy.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.retry = policy;
@@ -260,6 +298,33 @@ impl Dispatcher {
     /// dispatch.
     pub fn reset_volatile(&mut self) {
         self.in_flight.clear();
+    }
+
+    /// Does `instance` on `cluster` serve `svc` at `now`? An address is the
+    /// cluster's own when it is the instance's base address or — with
+    /// autoscaling on — a replica address the pool derived from it: the pool
+    /// vouches for those as long as the base instance itself is up.
+    pub(crate) fn serving(
+        &self,
+        clusters: &[Box<dyn EdgeCluster>],
+        svc: &EdgeService,
+        cluster: usize,
+        instance: InstanceAddr,
+        now: SimTime,
+    ) -> Serving {
+        let Some(c) = clusters.get(cluster) else {
+            return Serving::Gone;
+        };
+        let owns = |base: InstanceAddr| {
+            base == instance || self.tracker.index_of(svc.addr, cluster, instance).is_some()
+        };
+        match c.state(svc, now) {
+            InstanceState::Ready(base) if owns(base) => Serving::Yes,
+            InstanceState::Starting { ready_at } if c.instance_addr(svc).is_some_and(owns) => {
+                Serving::Pending(ready_at)
+            }
+            _ => Serving::Gone,
+        }
     }
 
     /// Dispatches one request from `client_ip` to `svc` (Fig. 7) arriving at
@@ -331,23 +396,15 @@ impl Dispatcher {
         // 1. Memorized flow? Verify the instance still serves.
         let mut class = base_class;
         if let Some(flow) = memory.lookup(key, now) {
-            if flow.cluster < clusters.len()
-                && clusters[flow.cluster].state(svc, now).is_ready()
-            {
-                let cluster = flow.cluster;
+            let cluster = flow.cluster;
+            if self.serving(clusters, svc, cluster, flow.instance, now) == Serving::Yes {
                 if !self.tracker.enabled() {
                     tele.event(parent, "memory-hit", now, || {
                         format!("memorized redirect to cluster {cluster}")
                     });
-                    return DispatchOutcome {
-                        decision: DispatchDecision::Redirect {
-                            instance: flow.instance,
-                            cluster: flow.cluster,
-                        },
-                        background: None,
-                        phases: PhaseTimes::default(),
-                        from_memory: true,
-                    };
+                    let instance = flow.instance;
+                    let decision = DispatchDecision::Redirect { instance, cluster };
+                    return DispatchOutcome::from_memory(decision);
                 }
                 // Instance-granular path: the memorized address must map
                 // back to a live replica, and the request must win a queue
@@ -370,32 +427,15 @@ impl Dispatcher {
                     tele.event(parent, "memory-hit", now, || {
                         format!("memorized redirect to cluster {cluster} replica {idx}")
                     });
-                    let decision = match outcome {
-                        Admission::Rejected => DispatchDecision::ForwardToCloud,
-                        Admission::Served { start, .. } if start > now => {
-                            DispatchDecision::WaitThenRedirect {
-                                instance,
-                                cluster,
-                                ready_at: start,
-                            }
-                        }
-                        Admission::Served { .. } => {
-                            DispatchDecision::Redirect { instance, cluster }
-                        }
-                    };
-                    return DispatchOutcome {
-                        decision,
-                        background: None,
-                        phases: PhaseTimes::default(),
-                        from_memory: true,
-                    };
+                    let decision = DispatchDecision::admitted(outcome, instance, cluster, now);
+                    return DispatchOutcome::from_memory(decision);
                 }
                 // The memorized replica scaled away: fall through to the
                 // stale path and reschedule.
             }
-            // Instance vanished (scaled down elsewhere): forget and
-            // reschedule. A handover stays a handover — the scheduler still
-            // needs to know the session is mid-migration.
+            // Instance vanished (scaled down elsewhere) or not up yet:
+            // forget and reschedule. A handover stays a handover — the
+            // scheduler still needs to know the session is mid-migration.
             memory.forget_service(svc.addr);
             if class == RequestClass::NewFlow {
                 class = RequestClass::Rescheduled;
@@ -491,107 +531,74 @@ impl Dispatcher {
                 let outcome = self.ensure_ready(
                     svc, b.cluster, now, clusters, health, &mut phases, rng, tele, request, bg_span,
                 );
-                match outcome {
-                    EnsureOutcome::Ready(ready_at) => {
-                        tele.end_span(bg_span, ready_at);
-                        Some(BackgroundDeployment {
-                            cluster: b.cluster,
-                            ready_at,
-                        })
-                    }
-                    EnsureOutcome::Unschedulable => {
-                        tele.end_span(bg_span, now);
-                        Some(BackgroundDeployment {
-                            cluster: b.cluster,
-                            ready_at: SimTime::MAX,
-                        })
-                    }
-                    // A failed background deployment leaves nothing for
-                    // future requests; nothing to advertise.
-                    EnsureOutcome::GaveUp(at) => {
-                        tele.end_span(bg_span, at);
-                        None
-                    }
-                }
+                // An unschedulable one never becomes ready; a failed one
+                // leaves nothing for future requests: nothing to advertise.
+                let (ended, ready_at) = match outcome {
+                    EnsureOutcome::Ready(at) => (at, Some(at)),
+                    EnsureOutcome::Unschedulable => (now, Some(SimTime::MAX)),
+                    EnsureOutcome::GaveUp(at) => (at, None),
+                };
+                tele.end_span(bg_span, ended);
+                let cluster = b.cluster;
+                ready_at.map(|ready_at| BackgroundDeployment { cluster, ready_at })
             }
             _ => None,
         };
 
         // 4. FAST serves the current request.
-        let Some(f) = choice.fast else {
-            return DispatchOutcome {
-                decision: DispatchDecision::ForwardToCloud,
-                background,
-                phases: PhaseTimes::default(),
-                from_memory: false,
-            };
+        let answer = move |decision, phases| DispatchOutcome {
+            decision,
+            background,
+            phases,
+            from_memory: false,
         };
-
-        if let InstanceState::Ready(base) = clusters[f.cluster].state(svc, now) {
-            if self.tracker.enabled() {
-                // Admit into the chosen replica's queue: the queue wait (if
-                // any) surfaces as a WaitThenRedirect, a full queue bounces
-                // to the cloud — overload is observable in answer delay.
-                self.tracker.ensure_pool(svc.addr, f.cluster, base, now);
-                let Some((outcome, instance)) =
-                    self.tracker.admit(svc.addr, f.cluster, f.instance, now)
-                else {
-                    // The pool the scheduler saw is gone (it can only have
-                    // been torn down between the view and this admit, e.g.
-                    // by a concurrent repair): degrade to the cloud rather
-                    // than panic on a hot-path invariant.
-                    return DispatchOutcome {
-                        decision: DispatchDecision::ForwardToCloud,
-                        background,
-                        phases: PhaseTimes::default(),
-                        from_memory: false,
-                    };
-                };
-                let decision = match outcome {
-                    Admission::Rejected => {
-                        let cluster = f.cluster;
-                        tele.event(parent, "queue-reject", now, || {
-                            format!("replica queue full on cluster {cluster}; to cloud")
-                        });
-                        DispatchDecision::ForwardToCloud
-                    }
-                    Admission::Served { start, .. } if start > now => {
-                        memory.memorize(key, instance, f.cluster, now);
-                        DispatchDecision::WaitThenRedirect {
-                            instance,
-                            cluster: f.cluster,
-                            ready_at: start,
-                        }
-                    }
-                    Admission::Served { .. } => {
-                        memory.memorize(key, instance, f.cluster, now);
-                        DispatchDecision::Redirect { instance, cluster: f.cluster }
-                    }
-                };
-                return DispatchOutcome {
-                    decision,
-                    background,
-                    phases: PhaseTimes::default(),
-                    from_memory: false,
-                };
+        let mut phases = PhaseTimes::default();
+        let Some(f) = choice.fast else {
+            return answer(DispatchDecision::ForwardToCloud, phases);
+        };
+        let cluster = f.cluster;
+        if let InstanceState::Ready(base) = clusters[cluster].state(svc, now) {
+            if !self.tracker.enabled() {
+                memory.memorize(key, base, cluster, now);
+                let decision = DispatchDecision::Redirect { instance: base, cluster };
+                return answer(decision, phases);
             }
-            memory.memorize(key, base, f.cluster, now);
-            return DispatchOutcome {
-                decision: DispatchDecision::Redirect {
-                    instance: base,
-                    cluster: f.cluster,
-                },
-                background,
-                phases: PhaseTimes::default(),
-                from_memory: false,
+            // Admit into the chosen replica's queue: the queue wait (if
+            // any) surfaces as a WaitThenRedirect, a full queue bounces
+            // to the cloud — overload is observable in answer delay.
+            self.tracker.ensure_pool(svc.addr, cluster, base, now);
+            let Some((outcome, instance)) = self.tracker.admit(svc.addr, cluster, f.instance, now)
+            else {
+                // The pool the scheduler saw is gone (it can only have
+                // been torn down between the view and this admit, e.g.
+                // by a concurrent repair): degrade to the cloud rather
+                // than panic on a hot-path invariant.
+                return answer(DispatchDecision::ForwardToCloud, phases);
             };
+            let decision = DispatchDecision::admitted(outcome, instance, cluster, now);
+            if matches!(decision, DispatchDecision::ForwardToCloud) {
+                tele.event(parent, "queue-reject", now, || {
+                    format!("replica queue full on cluster {cluster}; to cloud")
+                });
+            } else {
+                memory.memorize(key, instance, cluster, now);
+            }
+            return answer(decision, phases);
         }
 
         // On-demand deployment with waiting.
-        let mut phases = PhaseTimes::default();
         let deploy_span = tele.span(request, parent, "deploy", now);
         let outcome = self.ensure_ready(
-            svc, f.cluster, now, clusters, health, &mut phases, rng, tele, request, deploy_span,
+            svc,
+            cluster,
+            now,
+            clusters,
+            health,
+            &mut phases,
+            rng,
+            tele,
+            request,
+            deploy_span,
         );
         let ready_at = match outcome {
             EnsureOutcome::Ready(t) => {
@@ -601,68 +608,44 @@ impl Dispatcher {
             EnsureOutcome::Unschedulable => {
                 tele.end_span(deploy_span, now);
                 // Deployment cannot complete (e.g. unschedulable): fall back.
-                return DispatchOutcome {
-                    decision: DispatchDecision::ForwardToCloud,
-                    background,
-                    phases,
-                    from_memory: false,
-                };
+                return answer(DispatchDecision::ForwardToCloud, phases);
             }
             EnsureOutcome::GaveUp(released_at) => {
                 tele.end_span(deploy_span, released_at);
                 // Graceful degradation: release the held request toward the
                 // cloud once the last attempt has failed.
-                return DispatchOutcome {
-                    decision: DispatchDecision::FallbackCloud { released_at },
-                    background,
-                    phases,
-                    from_memory: false,
-                };
+                return answer(DispatchDecision::FallbackCloud { released_at }, phases);
             }
         };
-        let Some(base) = clusters[f.cluster].instance_addr(svc) else {
+        let Some(base) = clusters[cluster].instance_addr(svc) else {
             // `ensure_ready` said Ready but the instance has no address —
             // the deployment was reaped between the readiness check and
             // here. Treat like any other unschedulable outcome.
-            return DispatchOutcome {
-                decision: DispatchDecision::ForwardToCloud,
-                background,
-                phases,
-                from_memory: false,
-            };
+            return answer(DispatchDecision::ForwardToCloud, phases);
         };
         let (instance, ready_at) = if self.tracker.enabled() {
             // The fresh deployment anchors (or re-anchors, after a
             // redeploy on a new port) the replica pool; the request is
             // admitted the instant the instance is up.
-            self.tracker.ensure_pool(svc.addr, f.cluster, base, ready_at);
-            match self.tracker.admit(svc.addr, f.cluster, f.instance, ready_at) {
+            self.tracker.ensure_pool(svc.addr, cluster, base, ready_at);
+            match self.tracker.admit(svc.addr, cluster, f.instance, ready_at) {
                 Some((Admission::Served { start, .. }, addr)) => (addr, start.max(ready_at)),
                 // A pre-existing saturated pool (same base survived the
                 // redeploy): bounce to the cloud like any full queue.
                 Some((Admission::Rejected, _)) | None => {
-                    return DispatchOutcome {
-                        decision: DispatchDecision::ForwardToCloud,
-                        background,
-                        phases,
-                        from_memory: false,
-                    };
+                    return answer(DispatchDecision::ForwardToCloud, phases);
                 }
             }
         } else {
             (base, ready_at)
         };
-        memory.memorize(key, instance, f.cluster, ready_at);
-        DispatchOutcome {
-            decision: DispatchDecision::WaitThenRedirect {
-                instance,
-                cluster: f.cluster,
-                ready_at,
-            },
-            background,
-            phases,
-            from_memory: false,
-        }
+        memory.memorize(key, instance, cluster, ready_at);
+        let decision = DispatchDecision::WaitThenRedirect {
+            instance,
+            cluster,
+            ready_at,
+        };
+        answer(decision, phases)
     }
 
     /// Drives the missing phases on `cluster` until the instance is ready,
@@ -701,80 +684,45 @@ impl Dispatcher {
         }
         let policy = self.retry;
         let c = &mut clusters[cluster];
-        let mut t = now;
-        let ready_at = match c.state(svc, now) {
-            InstanceState::Ready(_) => now,
+        let state = c.state(svc, now);
+        let deployed = match state {
+            InstanceState::Ready(_) => Ok(now),
             InstanceState::Starting { ready_at } => {
                 tele.event(span, "join-starting", now, || {
                     format!("instance already starting; ready at {ready_at}")
                 });
-                ready_at
+                Ok(ready_at)
             }
-            InstanceState::NotDeployed => {
-                if !c.has_image_cached(svc) {
-                    let pull_span = tele.span(request, span, "deploy-pull", t);
-                    match with_retries(policy, t, &mut phases.pull_retries, rng, tele, pull_span, |t, rng| {
-                        c.pull(svc, t, rng)
-                    }) {
-                        Ok(done) => {
-                            t = done;
-                            phases.pull_done = Some(t);
-                            tele.end_span(pull_span, t);
-                        }
-                        Err(failed_at) => {
-                            tele.end_span(pull_span, failed_at);
-                            return self.give_up(key, failed_at, phases, health);
-                        }
+            InstanceState::NotDeployed | InstanceState::Created => (|| {
+                let mut t = now;
+                // Created: images were necessarily pulled before create.
+                if state == InstanceState::NotDeployed {
+                    if !c.has_image_cached(svc) {
+                        let pull = (request, span, "deploy-pull");
+                        let retries = &mut phases.pull_retries;
+                        let op = |t, rng: &mut SimRng| c.pull(svc, t, rng);
+                        t = with_retries(policy, t, retries, rng, tele, pull, op, |&done| done)?;
+                        phases.pull_done = Some(t);
                     }
-                }
-                let create_span = tele.span(request, span, "deploy-create", t);
-                match with_retries(policy, t, &mut phases.create_retries, rng, tele, create_span, |t, rng| {
-                    c.create(svc, t, rng)
-                }) {
-                    Ok(done) => {
-                        t = done;
-                        phases.create_done = Some(t);
-                        tele.end_span(create_span, t);
-                    }
-                    Err(failed_at) => {
-                        tele.end_span(create_span, failed_at);
-                        return self.give_up(key, failed_at, phases, health);
-                    }
+                    let create = (request, span, "deploy-create");
+                    let retries = &mut phases.create_retries;
+                    let op = |t, rng: &mut SimRng| c.create(svc, t, rng);
+                    t = with_retries(policy, t, retries, rng, tele, create, op, |&done| done)?;
+                    phases.create_done = Some(t);
                 }
                 phases.scale_up_at = Some(t);
-                let scale_span = tele.span(request, span, "deploy-scale-up", t);
-                match with_retries(policy, t, &mut phases.scale_up_retries, rng, tele, scale_span, |t, rng| {
-                    c.scale_up(svc, t, rng)
-                }) {
-                    Ok((done, ready)) => {
-                        phases.scale_up_done = Some(done);
-                        tele.end_span(scale_span, done);
-                        ready
-                    }
-                    Err(failed_at) => {
-                        tele.end_span(scale_span, failed_at);
-                        return self.give_up(key, failed_at, phases, health);
-                    }
-                }
-            }
-            InstanceState::Created => {
-                // Images were necessarily pulled before create.
-                phases.scale_up_at = Some(t);
-                let scale_span = tele.span(request, span, "deploy-scale-up", t);
-                match with_retries(policy, t, &mut phases.scale_up_retries, rng, tele, scale_span, |t, rng| {
-                    c.scale_up(svc, t, rng)
-                }) {
-                    Ok((done, ready)) => {
-                        phases.scale_up_done = Some(done);
-                        tele.end_span(scale_span, done);
-                        ready
-                    }
-                    Err(failed_at) => {
-                        tele.end_span(scale_span, failed_at);
-                        return self.give_up(key, failed_at, phases, health);
-                    }
-                }
-            }
+                let scale_up = (request, span, "deploy-scale-up");
+                let retries = &mut phases.scale_up_retries;
+                let op = |t, rng: &mut SimRng| c.scale_up(svc, t, rng);
+                let (done, ready) =
+                    with_retries(policy, t, retries, rng, tele, scale_up, op, |&(done, _)| done)?;
+                phases.scale_up_done = Some(done);
+                Ok(ready)
+            })(),
+        };
+        let ready_at = match deployed {
+            Ok(ready_at) => ready_at,
+            Err(failed_at) => return self.give_up(key, failed_at, phases, health),
         };
         if ready_at == SimTime::MAX {
             tele.event(span, "unschedulable", now, || {
@@ -827,14 +775,16 @@ impl Dispatcher {
     }
 }
 
-/// Runs `op` under the retry policy: on failure, waits out an
+/// One deployment phase: runs `op` under the retry policy inside a child
+/// span (`request`, parent, name) — on failure, waits out an
 /// exponential-backoff-with-jitter delay and tries again, until the attempt
 /// budget or the phase deadline is exhausted. Returns the last failure
 /// instant on give-up. The jitter draw only happens *after* a failure, so a
 /// first-try success (the whole zero-fault world) consumes no extra
-/// randomness. Every failed attempt surfaces as a `fault` event on `span`
+/// randomness. Every failed attempt surfaces as a `fault` event on the span
 /// (with a `retry` or `gave-up` follow-up), so injected faults are visible
-/// in the request's trace.
+/// in the request's trace; the span closes when the phase's command
+/// returned (`done` of its result) or its last attempt failed.
 #[allow(clippy::too_many_arguments)]
 fn with_retries<T>(
     policy: RetryPolicy,
@@ -842,14 +792,16 @@ fn with_retries<T>(
     retries: &mut u32,
     rng: &mut SimRng,
     tele: &mut Telemetry,
-    span: SpanId,
+    (request, parent, name): (u64, SpanId, &str),
     mut op: impl FnMut(SimTime, &mut SimRng) -> Result<T, DeployError>,
+    done: impl Fn(&T) -> SimTime,
 ) -> Result<T, SimTime> {
+    let span = tele.span(request, parent, name, phase_start);
     let mut t = phase_start;
     let mut attempt: u32 = 0;
-    loop {
+    let result = loop {
         match op(t, rng) {
-            Ok(v) => return Ok(v),
+            Ok(v) => break Ok(v),
             Err(e) => {
                 let failed_at = e.at.max(t);
                 tele.event(span, "fault", failed_at, || e.to_string());
@@ -858,14 +810,14 @@ fn with_retries<T>(
                     tele.event(span, "gave-up", failed_at, || {
                         format!("attempt budget exhausted after {attempt} attempts")
                     });
-                    return Err(failed_at);
+                    break Err(failed_at);
                 }
                 let next = failed_at + policy.delay(attempt - 1, rng);
                 if next > phase_start + policy.phase_deadline {
                     tele.event(span, "gave-up", failed_at, || {
                         format!("phase deadline exceeded after {attempt} attempts")
                     });
-                    return Err(failed_at);
+                    break Err(failed_at);
                 }
                 *retries += 1;
                 tele.event(span, "retry", next, || {
@@ -874,7 +826,13 @@ fn with_retries<T>(
                 t = next;
             }
         }
-    }
+    };
+    let ended = match &result {
+        Ok(v) => done(v),
+        Err(failed_at) => *failed_at,
+    };
+    tele.end_span(span, ended);
+    result
 }
 
 /// First poll tick at or after `ready`, with ticks at `base + k*interval`

@@ -2,13 +2,14 @@
 //!
 //! Two halves, both deterministic and both zero-cost when disabled:
 //!
-//! * **Tracing** ([`Tracer`], [`Span`], [`Event`]): lightweight spans keyed
+//! * **Tracing** ([`Span`], [`Event`], [`SpanLog`]): lightweight spans keyed
 //!   by request id that record the full causal chain of one request —
 //!   packet-in → FlowMemory lookup → scheduler decision → deploy phases
 //!   (with retry attempts and injected faults) → flow install → response.
-//!   The recording [`SimTracer`] keeps a [`SpanLog`] exportable as JSON;
-//!   [`NoopTracer`] sits behind the same trait and does nothing, so the
-//!   instrumented code paths stay byte-identical when telemetry is off.
+//!   A recording [`Telemetry`] keeps a [`SpanLog`] exportable as JSON; a
+//!   disabled one keeps none, and every span and event call on it is a
+//!   never-taken branch, so the instrumented code paths stay byte-identical
+//!   when telemetry is off.
 //! * **Metrics** ([`MetricsRegistry`]): named counters, gauges, and
 //!   log-scale histograms (p50/p95/p99/max via [`desim::LogHistogram`])
 //!   with point-in-time JSON snapshots — the `metrics:` block the `repro`
@@ -26,18 +27,18 @@ pub mod metrics;
 pub mod trace;
 
 pub use metrics::MetricsRegistry;
-pub use trace::{span_label, Event, NoopTracer, SimTracer, Span, SpanCheck, SpanId, SpanLog, Tracer};
+pub use trace::{span_label, Event, Span, SpanCheck, SpanId, SpanLog};
 
 use desim::SimTime;
 
-/// One telemetry endpoint: a tracer (noop or recording) plus a metrics
-/// registry. Controllers own one and thread it through dispatch.
+/// One telemetry endpoint: a span log (kept only while recording) plus a
+/// metrics registry. Controllers own one and thread it through dispatch.
 pub struct Telemetry {
-    /// Cached `tracer.enabled()`, sampled at construction. Every span and
-    /// event call checks this plain bool first so the disabled path never
-    /// pays the virtual call through the tracer box.
-    enabled: bool,
-    tracer: Box<dyn Tracer>,
+    /// The recorded spans; `None` while tracing is disabled — the default,
+    /// and what production and every default-configured test/experiment
+    /// runs with. Recording is observational: it draws no randomness and
+    /// alters no timing.
+    spans: Option<SpanLog>,
     /// The always-on metrics registry. Recording a counter has no
     /// observable effect until a snapshot is printed, so metrics do not
     /// break the byte-identical-when-disabled guarantee.
@@ -45,74 +46,68 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Telemetry with tracing disabled ([`NoopTracer`]) — the default.
+    /// Telemetry with tracing disabled — the default.
     pub fn disabled() -> Self {
         Telemetry {
-            enabled: false,
-            tracer: Box::new(NoopTracer),
+            spans: None,
             metrics: MetricsRegistry::new(),
         }
     }
 
-    /// Telemetry with a recording [`SimTracer`].
+    /// Telemetry that records spans into an in-memory [`SpanLog`].
     pub fn recording() -> Self {
         Telemetry {
-            enabled: true,
-            tracer: Box::new(SimTracer::new()),
+            spans: Some(SpanLog::new()),
             metrics: MetricsRegistry::new(),
         }
     }
 
-    /// Telemetry with a custom tracer implementation. Whether the tracer
-    /// records is sampled once here, not per call.
-    pub fn with_tracer(tracer: Box<dyn Tracer>) -> Self {
-        Telemetry {
-            enabled: tracer.enabled(),
-            tracer,
-            metrics: MetricsRegistry::new(),
-        }
-    }
-
-    /// `true` if the tracer records spans.
+    /// `true` if spans are recorded.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.enabled
+        self.spans.is_some()
     }
 
     /// Opens a span. Returns [`SpanId::NONE`] when tracing is disabled.
     #[inline]
     pub fn span(&mut self, request: u64, parent: SpanId, name: &str, at: SimTime) -> SpanId {
-        if !self.enabled {
-            return SpanId::NONE;
+        match &mut self.spans {
+            Some(log) => log.open(request, parent, name, at),
+            None => SpanId::NONE,
         }
-        self.tracer.span_start(request, parent, name, at)
     }
 
     /// Closes a span. No-op for [`SpanId::NONE`].
     #[inline]
     pub fn end_span(&mut self, span: SpanId, at: SimTime) {
-        if self.enabled {
-            self.tracer.span_end(span, at);
+        if let Some(log) = &mut self.spans {
+            log.close(span, at);
         }
     }
 
     /// Records an event on a span. The `detail` closure only runs when
     /// tracing is enabled, so format strings cost nothing when disabled.
     #[inline]
-    pub fn event(&mut self, span: SpanId, name: &str, at: SimTime, detail: impl FnOnce() -> String) {
-        if self.enabled {
-            self.tracer.event(span, name, at, detail());
+    pub fn event(
+        &mut self,
+        span: SpanId,
+        name: &str,
+        at: SimTime,
+        detail: impl FnOnce() -> String,
+    ) {
+        if let Some(log) = &mut self.spans {
+            log.push_event(span, name, at, detail());
         }
     }
 
-    /// The recorded span log, if the tracer keeps one.
+    /// The recorded span log, if one is kept.
     pub fn span_log(&self) -> Option<&SpanLog> {
-        self.tracer.log()
+        self.spans.as_ref()
     }
 
     /// Consumes the endpoint, returning the span log if one was recorded.
     pub fn into_span_log(self) -> Option<SpanLog> {
-        self.tracer.into_log()
+        self.spans
     }
 }
 

@@ -15,7 +15,7 @@
 use desim::{fmt_duration, SimTime};
 
 /// Identifier of one span within one tracer. `NONE` (zero) means "no span"
-/// — the parent of a root span, or any span handed out by [`NoopTracer`].
+/// — the parent of a root span, or any span handed out while tracing is off.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SpanId(pub u32);
 
@@ -127,7 +127,7 @@ impl SpanLog {
         ids
     }
 
-    fn open(&mut self, request: u64, parent: SpanId, name: &str, at: SimTime) -> SpanId {
+    pub(crate) fn open(&mut self, request: u64, parent: SpanId, name: &str, at: SimTime) -> SpanId {
         let id = SpanId(self.spans.len() as u32 + 1);
         self.spans.push(Span {
             id,
@@ -141,7 +141,7 @@ impl SpanLog {
         id
     }
 
-    fn close(&mut self, span: SpanId, at: SimTime) {
+    pub(crate) fn close(&mut self, span: SpanId, at: SimTime) {
         if !span.is_some() {
             return;
         }
@@ -150,7 +150,7 @@ impl SpanLog {
         s.end = Some(at);
     }
 
-    fn push_event(&mut self, span: SpanId, name: &str, at: SimTime, detail: String) {
+    pub(crate) fn push_event(&mut self, span: SpanId, name: &str, at: SimTime, detail: String) {
         if !span.is_some() {
             return;
         }
@@ -284,98 +284,6 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// The tracing interface the instrumented code talks to. Implementations
-/// must not draw randomness or alter timing — tracing is observational.
-pub trait Tracer: Send {
-    /// `true` if spans are recorded. Call sites use this to skip building
-    /// detail strings on the disabled path.
-    fn enabled(&self) -> bool;
-
-    /// Opens a span; returns its id ([`SpanId::NONE`] when disabled).
-    fn span_start(&mut self, request: u64, parent: SpanId, name: &str, at: SimTime) -> SpanId;
-
-    /// Closes a span. Must be a no-op for [`SpanId::NONE`].
-    fn span_end(&mut self, span: SpanId, at: SimTime);
-
-    /// Records a point event on a span.
-    fn event(&mut self, span: SpanId, name: &str, at: SimTime, detail: String);
-
-    /// The recorded log, if this tracer keeps one.
-    fn log(&self) -> Option<&SpanLog> {
-        None
-    }
-
-    /// Consumes the tracer, returning the log if one was recorded.
-    fn into_log(self: Box<Self>) -> Option<SpanLog> {
-        None
-    }
-}
-
-/// The disabled tracer: every method is a no-op and every span id is
-/// [`SpanId::NONE`]. This is what production (and every default-configured
-/// test/experiment) runs with — the whole tracing layer reduces to a
-/// never-taken branch.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopTracer;
-
-impl Tracer for NoopTracer {
-    #[inline]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    #[inline]
-    fn span_start(&mut self, _: u64, _: SpanId, _: &str, _: SimTime) -> SpanId {
-        SpanId::NONE
-    }
-
-    #[inline]
-    fn span_end(&mut self, _: SpanId, _: SimTime) {}
-
-    #[inline]
-    fn event(&mut self, _: SpanId, _: &str, _: SimTime, _: String) {}
-}
-
-/// The recording tracer: appends to an in-memory [`SpanLog`].
-#[derive(Clone, Debug, Default)]
-pub struct SimTracer {
-    log: SpanLog,
-}
-
-impl SimTracer {
-    /// A tracer with an empty log.
-    pub fn new() -> Self {
-        SimTracer::default()
-    }
-}
-
-impl Tracer for SimTracer {
-    #[inline]
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn span_start(&mut self, request: u64, parent: SpanId, name: &str, at: SimTime) -> SpanId {
-        self.log.open(request, parent, name, at)
-    }
-
-    fn span_end(&mut self, span: SpanId, at: SimTime) {
-        self.log.close(span, at);
-    }
-
-    fn event(&mut self, span: SpanId, name: &str, at: SimTime, detail: String) {
-        self.log.push_event(span, name, at, detail);
-    }
-
-    fn log(&self) -> Option<&SpanLog> {
-        Some(&self.log)
-    }
-
-    fn into_log(self: Box<Self>) -> Option<SpanLog> {
-        Some(self.log)
-    }
-}
-
 /// Renders one span line for timelines: `name start +duration`.
 /// (The full per-request timeline renderer lives in `testbed::report`,
 /// which owns all ASCII layout; this helper keeps the duration formatting
@@ -401,15 +309,15 @@ mod tests {
     use super::*;
 
     fn sample_log() -> SpanLog {
-        let mut t = SimTracer::new();
-        let r0 = t.span_start(0, SpanId::NONE, "request", SimTime::from_secs(1));
-        let d = t.span_start(0, r0, "deploy-pull", SimTime::from_secs(1));
-        t.event(d, "retry", SimTime::from_millis(1200), "pull: fault".into());
-        t.span_end(d, SimTime::from_secs(2));
-        t.span_end(r0, SimTime::from_secs(2));
-        let r1 = t.span_start(1, SpanId::NONE, "request", SimTime::from_secs(3));
-        t.span_end(r1, SimTime::from_secs(3));
-        t.log.clone()
+        let mut t = SpanLog::new();
+        let r0 = t.open(0, SpanId::NONE, "request", SimTime::from_secs(1));
+        let d = t.open(0, r0, "deploy-pull", SimTime::from_secs(1));
+        t.push_event(d, "retry", SimTime::from_millis(1200), "pull: fault".into());
+        t.close(d, SimTime::from_secs(2));
+        t.close(r0, SimTime::from_secs(2));
+        let r1 = t.open(1, SpanId::NONE, "request", SimTime::from_secs(3));
+        t.close(r1, SimTime::from_secs(3));
+        t
     }
 
     #[test]
@@ -428,14 +336,14 @@ mod tests {
 
     #[test]
     fn check_flags_unclosed_and_orphans() {
-        let mut t = SimTracer::new();
-        let r = t.span_start(0, SpanId::NONE, "request", SimTime::ZERO);
+        let mut t = SpanLog::new();
+        let r = t.open(0, SpanId::NONE, "request", SimTime::ZERO);
         // Parent id 99 does not exist.
-        t.span_start(0, SpanId(99), "deploy", SimTime::ZERO);
+        t.open(0, SpanId(99), "deploy", SimTime::ZERO);
         // Parent exists but belongs to another request.
-        let cross = t.span_start(1, r, "deploy", SimTime::ZERO);
-        t.span_end(cross, SimTime::ZERO);
-        let c = t.log().unwrap().check();
+        let cross = t.open(1, r, "deploy", SimTime::ZERO);
+        t.close(cross, SimTime::ZERO);
+        let c = t.check();
         assert!(!c.ok());
         assert_eq!(c.unclosed, 2); // r and the orphan are still open
         assert_eq!(c.orphans, 2);
@@ -455,28 +363,28 @@ mod tests {
         assert!(e.contains("no `handover` span"), "{e}");
         let e = SpanLog::new().check_export(None).unwrap_err();
         assert!(e.contains("empty"), "{e}");
-        let mut t = SimTracer::new();
-        let done = t.span_start(0, SpanId::NONE, "handover", SimTime::ZERO);
-        t.span_end(done, SimTime::ZERO);
-        t.span_start(1, SpanId::NONE, "request", SimTime::ZERO);
-        let e = t.log().unwrap().check_export(Some("handover")).unwrap_err();
+        let mut t = SpanLog::new();
+        let done = t.open(0, SpanId::NONE, "handover", SimTime::ZERO);
+        t.close(done, SimTime::ZERO);
+        t.open(1, SpanId::NONE, "request", SimTime::ZERO);
+        let e = t.check_export(Some("handover")).unwrap_err();
         assert!(e.contains("open span") && e.contains("request"), "{e}");
     }
 
     #[test]
     fn json_export_is_one_line_and_escaped() {
-        let mut t = SimTracer::new();
-        let s = t.span_start(0, SpanId::NONE, "request", SimTime::from_millis(5));
-        t.event(s, "fault", SimTime::from_millis(6), "say \"no\"\n".into());
-        t.span_end(s, SimTime::from_millis(7));
-        let json = t.log().unwrap().to_json();
+        let mut t = SpanLog::new();
+        let s = t.open(0, SpanId::NONE, "request", SimTime::from_millis(5));
+        t.push_event(s, "fault", SimTime::from_millis(6), "say \"no\"\n".into());
+        t.close(s, SimTime::from_millis(7));
+        let json = t.to_json();
         assert!(!json.contains('\n'));
         assert!(json.contains("\"start_ns\":5000000"));
         assert!(json.contains("say \\\"no\\\"\\n"));
         // An open span exports end_ns:null.
-        let mut t2 = SimTracer::new();
-        t2.span_start(0, SpanId::NONE, "request", SimTime::ZERO);
-        assert!(t2.log().unwrap().to_json().contains("\"end_ns\":null"));
+        let mut t2 = SpanLog::new();
+        t2.open(0, SpanId::NONE, "request", SimTime::ZERO);
+        assert!(t2.to_json().contains("\"end_ns\":null"));
     }
 
     #[test]

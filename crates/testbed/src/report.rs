@@ -252,21 +252,18 @@ mod tests {
     }
 
     fn traced_request() -> SpanLog {
-        use telemetry::{SimTracer, SpanId, Tracer};
-        let mut t = SimTracer::new();
-        let root = t.span_start(1, SpanId::NONE, "request", SimTime::from_secs(1));
-        let deploy = t.span_start(1, root, "deploy", SimTime::from_secs(1));
-        let pull = t.span_start(1, deploy, "deploy-pull", SimTime::from_secs(1));
-        t.event(
-            pull,
-            "retry",
-            SimTime::from_millis(1500),
-            "pull: injected fault".into(),
-        );
-        t.span_end(pull, SimTime::from_secs(2));
-        t.span_end(deploy, SimTime::from_millis(2500));
-        t.span_end(root, SimTime::from_secs(3));
-        t.log().unwrap().clone()
+        use telemetry::{SpanId, Telemetry};
+        let mut t = Telemetry::recording();
+        let root = t.span(1, SpanId::NONE, "request", SimTime::from_secs(1));
+        let deploy = t.span(1, root, "deploy", SimTime::from_secs(1));
+        let pull = t.span(1, deploy, "deploy-pull", SimTime::from_secs(1));
+        t.event(pull, "retry", SimTime::from_millis(1500), || {
+            "pull: injected fault".into()
+        });
+        t.end_span(pull, SimTime::from_secs(2));
+        t.end_span(deploy, SimTime::from_millis(2500));
+        t.end_span(root, SimTime::from_secs(3));
+        t.into_span_log().unwrap()
     }
 
     #[test]
@@ -294,10 +291,10 @@ mod tests {
     fn span_timeline_handles_missing_and_open_spans() {
         let log = SpanLog::new();
         assert_eq!(span_timeline(&log, 9, 10), "request 9: no spans recorded\n");
-        use telemetry::{SimTracer, SpanId, Tracer};
-        let mut t = SimTracer::new();
-        t.span_start(2, SpanId::NONE, "request", SimTime::from_secs(1));
-        let s = span_timeline(t.log().unwrap(), 2, 10);
+        use telemetry::{SpanId, Telemetry};
+        let mut t = Telemetry::recording();
+        t.span(2, SpanId::NONE, "request", SimTime::from_secs(1));
+        let s = span_timeline(t.span_log().unwrap(), 2, 10);
         assert!(s.contains("(open)"), "{s}");
     }
 }
