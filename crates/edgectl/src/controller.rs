@@ -1416,6 +1416,14 @@ mod tests {
     }
 
     fn setup_with(rng: &mut SimRng, config: ControllerConfig) -> (Controller, Switch) {
+        setup_scheduled(rng, config, Box::<ProximityScheduler>::default())
+    }
+
+    fn setup_scheduled(
+        rng: &mut SimRng,
+        config: ControllerConfig,
+        scheduler: Box<dyn GlobalScheduler>,
+    ) -> (Controller, Switch) {
         let mut engine = DockerEngine::with_defaults();
         engine.pull(&containerd::ServiceSet::by_key("asm").unwrap().manifests, rng);
         let cluster = DockerCluster::new(
@@ -1426,7 +1434,7 @@ mod tests {
             Duration::from_micros(150),
         );
         let mut ctl = Controller::new(
-            Box::<ProximityScheduler>::default(),
+            scheduler,
             PortMap {
                 cluster_ports: HashMap::new(),
                 cloud_port: CLOUD_PORT,
@@ -3254,7 +3262,8 @@ mod tests {
         assert_eq!(redispatched("pending"), 1);
         assert_eq!(redispatched("gone"), 1);
 
-        // 3. The health sweep repairs around whatever does not serve now.
+        // 3. The health sweep repairs around what is gone; a deployment in
+        // progress is not a dead instance.
         let repaired = |case| {
             let (mut ctl, _, at) = on(case);
             let deletes = ctl.health_check(at).len();
@@ -3262,19 +3271,22 @@ mod tests {
             (deletes, ctl.memory().len(), failures)
         };
         assert_eq!(repaired("yes"), (0, 1, 0));
-        assert_eq!(repaired("pending"), (2, 0, 1));
+        assert_eq!(repaired("pending"), (0, 1, 0));
         assert_eq!(repaired("gone"), (2, 0, 1));
 
         // 4. Reconciliation expects a pair on the switch only while its
         // instance serves: against an empty table, a served pair is
-        // re-installed and any other is tombstoned.
+        // re-installed, one whose Adds are still held is left to them, and
+        // one whose instance is gone is tombstoned.
         let reinstalled = |case| {
             let (mut ctl, _, at) = on(case);
-            ctl.reconcile(IngressId::DEFAULT, &[], at).len()
+            let adds = ctl.reconcile(IngressId::DEFAULT, &[], at).len();
+            let live = ctl.state.pairs(client, IngressId::DEFAULT).iter().filter(|p| !p.dead);
+            (adds, live.count())
         };
-        assert_eq!(reinstalled("yes"), 2);
-        assert_eq!(reinstalled("pending"), 0);
-        assert_eq!(reinstalled("gone"), 0);
+        assert_eq!(reinstalled("yes"), (2, 1));
+        assert_eq!(reinstalled("pending"), (0, 1));
+        assert_eq!(reinstalled("gone"), (0, 0));
 
         // 5. A migration flips its flows only onto a target that serves; a
         // target that died mid-transfer aborts it.
@@ -3302,5 +3314,102 @@ mod tests {
         };
         assert_eq!(flipped(false), (1, 0));
         assert_eq!(flipped(true), (0, 1));
+    }
+
+    /// The held Adds of the session [`session_whose_instance_is`] leaves
+    /// pending: `(instant they are stamped for, the session's live pairs)`.
+    fn held_adds(ctl: &Controller) -> (SimTime, usize) {
+        let client = Ipv4Addr::new(192, 168, 1, 20);
+        let live = ctl.state.pairs(client, IngressId::DEFAULT).iter().filter(|p| !p.dead);
+        (ctl.records[0].answered_at, live.count())
+    }
+
+    /// The sweep used to take the instance a request is held for — Starting,
+    /// its flow memorized, its pair filed, its Adds stamped for the release —
+    /// for a dead one: it forgot the flow, tombstoned the pair, sent Deletes
+    /// that reached the switch *before* those Adds and booked a failure
+    /// against a healthy zone; the Adds then installed a flow the controller
+    /// had disowned, and a later outage could no longer tear it down.
+    #[test]
+    fn the_sweep_leaves_a_deployment_in_progress_alone() {
+        let (mut ctl, _, at) = session_whose_instance_is("pending", ControllerConfig::default());
+        assert!(ctl.health_check(at).is_empty());
+        assert_eq!(ctl.memory().len(), 1);
+        assert_eq!(held_adds(&ctl).1, 1, "the pair stays live");
+        assert_eq!(ctl.telemetry.metrics.counter("instance_failures_total"), 0);
+        assert_eq!(ctl.breaker_state(0), BreakerState::Closed);
+    }
+
+    /// A teardown never overtakes the Adds it tears down: an outage that
+    /// strikes while a request is held stamps that pair's Deletes no earlier
+    /// than its Adds, so the switch sees them in that order.
+    #[test]
+    fn an_outage_during_a_hold_deletes_no_earlier_than_the_held_adds() {
+        let (mut ctl, mut rng, at) = session_whose_instance_is("pending", ControllerConfig::default());
+        let (adds_at, _) = held_adds(&ctl);
+        let deletes = ctl.begin_zone_outage(0, at, at + Duration::from_secs(5), &mut rng);
+        assert_eq!(deletes.len(), 2, "fwd + rev");
+        for (_, m) in &deletes {
+            assert!(at < adds_at && m.at >= adds_at, "Delete at {:?}, Adds at {adds_at:?}", m.at);
+        }
+        assert_eq!(held_adds(&ctl).1, 0, "tombstoned");
+        // A pair whose Adds are already out is deleted on the spot.
+        let (mut ctl, mut rng, at) = session_whose_instance_is("yes", ControllerConfig::default());
+        let deletes = ctl.begin_zone_outage(0, at, at + Duration::from_secs(5), &mut rng);
+        assert!(deletes.iter().all(|(_, m)| m.at == at) && deletes.len() == 2);
+    }
+
+    /// A channel reconnect during a hold: the pair stays claimed, so once its
+    /// Adds have landed the tables still diff clean (it used to be tombstoned,
+    /// and the next reconciliation deleted the session's flows as orphans).
+    #[test]
+    fn reconcile_during_a_hold_keeps_the_pair_for_its_adds() {
+        let mut rng = SimRng::new(72);
+        let (mut ctl, mut sw) = setup(&mut rng);
+        let t0 = SimTime::from_secs(1);
+        let effects = sw.handle_frame(t0, CLIENT_PORT, &client_syn(50000).encode());
+        let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
+        let adds = ctl.handle_switch_message(t0, pkt_in, &mut rng).unwrap();
+        let during = t0 + Duration::from_millis(50);
+        assert!(during < adds[0].at);
+        assert!(ctl.reconcile(IngressId::DEFAULT, &[], during).is_empty(), "nothing early");
+        for m in &adds {
+            sw.handle_controller(m.at, &m.data).unwrap();
+        }
+        let table: Vec<FlowEntry> = sw.table().entries().cloned().collect();
+        assert_eq!(table.len(), 2);
+        let after = adds[0].at + Duration::from_secs(1);
+        assert!(ctl.reconcile(IngressId::DEFAULT, &table, after).is_empty());
+    }
+
+    /// With autoscaling on, a session may be memorized — and its pair aimed —
+    /// at a replica address derived from the Ready base. Reconciliation
+    /// vouches for those exactly as the sweep does (it used to compare with
+    /// the base address only, and a channel reconnect tombstoned every
+    /// non-base replica's pairs).
+    #[test]
+    fn reconcile_vouches_for_replica_addresses() {
+        let mut rng = SimRng::new(73);
+        let mut config = ControllerConfig::default();
+        config.autoscale.enabled = true;
+        config.autoscale.min_replicas = 2;
+        let scheduler = Box::<crate::scheduler::LeastConnectionsScheduler>::default();
+        let (mut ctl, mut sw) = setup_scheduled(&mut rng, config, scheduler);
+        let up = serve_one(&mut ctl, &mut sw, SimTime::from_secs(1), 50000, &mut rng);
+        // Two more clients at one instant: the second goes to replica 1.
+        let at = up + Duration::from_secs(1);
+        for client in [21, 22] {
+            let effects = sw.handle_frame(at, CLIENT_PORT, &syn_from(client, 50000).encode());
+            let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
+            ctl.handle_switch_message(at, pkt_in, &mut rng).unwrap();
+        }
+        let base = ctl.cluster(0).instance_addr(&make_service("asm", 80)).unwrap();
+        let replicas: Vec<InstanceAddr> =
+            ctl.memory().instances().into_iter().map(|(_, inst, _)| inst).collect();
+        assert!(replicas.iter().any(|&inst| inst != base), "{replicas:?}");
+        let later = at + Duration::from_secs(1);
+        assert!(ctl.health_check(later).is_empty(), "the sweep vouches for them");
+        let readds = ctl.reconcile(IngressId::DEFAULT, &[], later);
+        assert_eq!(readds.len(), 6, "all three pairs are expected on the switch");
     }
 }

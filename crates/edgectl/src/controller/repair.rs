@@ -1,6 +1,10 @@
 //! Self-healing: the failure-detection sweep and the stale-redirect repair
 //! behind it, zone outages, flow-table reconciliation after a channel
 //! reconnect, and the one teardown they (and the migration flip) share.
+//!
+//! Two rules keep a deployment in progress safe here: it is not a dead
+//! instance ([`Serving::Pending`] leaves memory, pair and breaker alone), and
+//! a pair's Deletes never precede its Adds ([`Controller::teardown_pairs`]).
 
 use super::{Controller, OutboundMessage};
 use crate::cluster::InstanceAddr;
@@ -49,23 +53,26 @@ impl Controller {
 
     /// The failure-detection sweep, run every `health.detect_interval`:
     /// walks every instance the FlowMemory still redirects clients at and
-    /// repairs the state around each one that is no longer Ready — forgets
+    /// repairs the state around each one that is gone — forgets
     /// its memory entries (no lookup ever returns the dead address again),
     /// tombstones and deletes the matching switch flows, and feeds the
     /// cluster's circuit breaker. Subsequent packets from the affected
     /// clients miss the table and re-enter the ordinary dispatch pipeline.
     /// Returns the Delete FlowMods, tagged with the ingress they go to.
     ///
-    /// Ordinary idle scale-down cannot false-positive here: a service is
-    /// only scaled down after its last memorized flow expired, so by then
-    /// the memory holds nothing pointing at it.
+    /// Neither of the controller's own doings false-positives here. Idle
+    /// scale-down: a service is only scaled down after its last memorized
+    /// flow expired, so by then the memory holds nothing pointing at it.
+    /// On-demand deployment: a flow is memorized as soon as its request is
+    /// held, while its instance is still Starting — which [`Serving`] reports
+    /// as `Pending`, not `Gone`.
     pub fn health_check(&mut self, now: SimTime) -> Vec<(IngressId, OutboundMessage)> {
         self.synced(|ctl| {
             let mut out: Vec<(IngressId, OutboundMessage)> = Vec::new();
             for (cluster, inst, svc_addr) in ctl.state.memory().instances() {
-                // A deployment in progress reads as dead here, as it always
-                // has: the sweep repairs whatever is not serving *now*.
-                if ctl.serving(cluster, svc_addr, inst, now) == Serving::Yes {
+                // A deployment in progress is not a dead instance (a crashed
+                // one is Created, never Starting, so detection loses nothing).
+                if ctl.serving(cluster, svc_addr, inst, now) != Serving::Gone {
                     continue;
                 }
                 // A crash mid-transfer retires the pool out from under its
@@ -197,20 +204,17 @@ impl Controller {
             let mut claimed: Vec<(Match, u16)> = Vec::new();
             let mut missing: Vec<InstalledFlow> = Vec::new();
             for client in ctl.state.clients_at(ingress) {
-                // A redirect pair is expected only while its instance still
-                // serves (cloud pairs have nothing to die). A deployment in
-                // progress reads as gone, and replica addresses are not
-                // vouched for — both as they always have here.
-                let gone = |p: &InstalledPair| match (p.cluster, p.instance) {
-                    (Some(c), Some(inst)) => {
-                        ctl.serving(c, p.service, inst, now) != Serving::Yes
-                            || ctl.dispatcher.load().index_of(p.service, c, inst) > Some(0)
-                    }
-                    _ => false,
-                };
+                // A redirect pair is expected only while its instance serves
+                // or is being deployed.
+                let gone = |p: &InstalledPair| ctl.pair_serving(p, now) == Serving::Gone;
                 let dead = ctl.state.live_pairs(client, ingress, gone);
                 ctl.tombstone(client, ingress, &dead);
                 for p in ctl.state.pairs(client, ingress).iter().filter(|p| !p.dead) {
+                    // The Adds of a pair held for a deployment in progress
+                    // are still on their way: claimed, so they are no orphans
+                    // once they land, but not re-installed early — a client
+                    // is never forwarded to a port that is not open yet.
+                    let held = ctl.pair_serving(p, now) != Serving::Yes;
                     // Reverse before forward, as installs always go out: if both
                     // directions are missing, the reply path comes back first.
                     for f in [&p.rev, &p.fwd] {
@@ -218,7 +222,7 @@ impl Controller {
                         let on_switch = switch_flows
                             .iter()
                             .any(|e| e.priority == f.priority && e.match_ == f.match_);
-                        if !on_switch {
+                        if !on_switch && !held {
                             missing.push(f.clone());
                         }
                     }
@@ -265,6 +269,15 @@ impl Controller {
         })
     }
 
+    /// [`Controller::serving`] for the instance `p` redirects to (cloud pairs
+    /// have nothing to die).
+    fn pair_serving(&self, p: &InstalledPair, now: SimTime) -> Serving {
+        match (p.cluster, p.instance) {
+            (Some(cluster), Some(inst)) => self.serving(cluster, p.service, inst, now),
+            _ => Serving::Yes,
+        }
+    }
+
     /// The fleet-wide teardown behind a repair and an outage: on every
     /// switch, every bookkept pair `pick` selects is tombstoned and deleted at
     /// `at` — not only the memorized ones: handover leftovers point there
@@ -299,7 +312,9 @@ impl Controller {
     /// Tombstones every live pair at `(client, ingress)` that `pick` selects
     /// and deletes both directions of each at `at`, forward first — except a
     /// forward match equal to `replaced_fwd` (see
-    /// [`Controller::finish_migration`]).
+    /// [`Controller::finish_migration`]), and never before the pair's own
+    /// Adds: while a request is held for `(service, cluster)`, `held` keeps
+    /// the instant its Adds are stamped for.
     pub(super) fn teardown_pairs(
         &mut self,
         client: Ipv4Addr,
@@ -310,17 +325,19 @@ impl Controller {
     ) -> Vec<(IngressId, OutboundMessage)> {
         let dead = self.state.live_pairs(client, ingress, pick);
         self.tombstone(client, ingress, &dead);
-        let mut doomed: Vec<Match> = Vec::new();
+        let mut doomed: Vec<(SimTime, Match)> = Vec::new();
         for &i in &dead {
             let p = &self.state.pairs(client, ingress)[i];
+            let hold = p.cluster.and_then(|c| self.held.get(&(p.service, c)));
+            let at = hold.map_or(at, |&release| at.max(release));
             if replaced_fwd != Some(&p.fwd.match_) {
-                doomed.push(p.fwd.match_.clone());
+                doomed.push((at, p.fwd.match_.clone()));
             }
-            doomed.push(p.rev.match_.clone());
+            doomed.push((at, p.rev.match_.clone()));
         }
         doomed
             .into_iter()
-            .map(|m| (ingress, self.flow_delete(at, m)))
+            .map(|(at, m)| (ingress, self.flow_delete(at, m)))
             .collect()
     }
 }
