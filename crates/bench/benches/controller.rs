@@ -15,17 +15,7 @@ use std::collections::HashMap;
 
 fn make_service(key: &str, addr: ServiceAddr) -> EdgeService {
     let profile = containerd::ServiceSet::by_key(key).unwrap();
-    let yaml = format!(
-        "spec:\n  template:\n    spec:\n      containers:\n        - name: main\n          image: {}\n          ports:\n            - containerPort: {}\n",
-        profile.manifests[0].reference, profile.listen_port
-    );
-    let annotated = annotate_deployment(&yaml, addr, None).unwrap();
-    EdgeService {
-        addr,
-        name: annotated.service_name.clone(),
-        annotated,
-        profile,
-    }
+    EdgeService::from_profile(profile, addr)
 }
 
 fn warm_setup() -> (Controller, Switch, Vec<u8>, SimRng) {

@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use desim::{Duration, SimRng, SimTime};
-use edgectl::{annotate_deployment, DockerCluster, EdgeCluster, EdgeService, K8sEdgeCluster};
+use edgectl::{DockerCluster, EdgeCluster, EdgeService, K8sEdgeCluster};
 use dockersim::DockerEngine;
 use k8ssim::K8sCluster;
 use netsim::addr::{Ipv4Addr, MacAddr};
@@ -14,17 +14,7 @@ use registry::{LayerCache, PullPlanner, RegistryProfile};
 fn make_service(key: &str) -> EdgeService {
     let profile = containerd::ServiceSet::by_key(key).unwrap();
     let addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), profile.listen_port);
-    let yaml = format!(
-        "spec:\n  template:\n    spec:\n      containers:\n        - name: main\n          image: {}\n          ports:\n            - containerPort: {}\n",
-        profile.manifests[0].reference, profile.listen_port
-    );
-    let annotated = annotate_deployment(&yaml, addr, None).unwrap();
-    EdgeService {
-        addr,
-        name: annotated.service_name.clone(),
-        annotated,
-        profile,
-    }
+    EdgeService::from_profile(profile, addr)
 }
 
 fn bench_docker_cycle(c: &mut Criterion) {

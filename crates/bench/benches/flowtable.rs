@@ -1,11 +1,12 @@
 //! Microbenchmarks of the data-plane hot paths: flow-table lookup (naive
-//! linear scan vs indexed classification), microflow-cache hits, OXM match
-//! handling, frame/OpenFlow codec throughput, expiry sweeps, and the table's
-//! steady state under connection churn.
+//! linear scan vs indexed classification), OXM match handling,
+//! frame/OpenFlow codec throughput, expiry sweeps, and the table's steady
+//! state under connection churn.
 //!
 //! After the criterion groups run, `main` emits `BENCH_flowtable.json` at
-//! the repository root (via [`bench::fastpath`]) so the headline ns/op
-//! numbers and cache hit rate are tracked across PRs.
+//! the repository root (via [`bench::fastpath`], which also times a repeated
+//! packet through the full switch path) so the headline ns/op numbers are
+//! tracked across PRs.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use desim::{Duration, SimTime};
@@ -89,49 +90,6 @@ fn bench_flow_lookup(c: &mut Criterion) {
         let miss = view(9999);
         g.bench_with_input(BenchmarkId::new("indexed_miss", n), &n, |b, _| {
             b.iter(|| indexed.lookup(black_box(&miss), 64, SimTime::ZERO).map(|(cookie, _)| cookie))
-        });
-    }
-    g.finish();
-}
-
-fn bench_microflow(c: &mut Criterion) {
-    use openflow::messages::FlowModCommand;
-    use ovs::{Switch, SwitchConfig};
-    let mut g = c.benchmark_group("microflow_warm");
-    g.sample_size(10);
-    for n in [1024usize, 100_000] {
-        let mut sw = Switch::new(SwitchConfig {
-            datapath_id: 1,
-            n_buffers: 64,
-            miss_send_len: 128,
-            ports: vec![1, 2],
-        });
-        for e in flow_entries(n) {
-            let fm = Message::FlowMod {
-                cookie: e.cookie,
-                table_id: 0,
-                command: FlowModCommand::Add,
-                idle_timeout: 600,
-                hard_timeout: 0,
-                priority: e.priority,
-                buffer_id: openflow::OFP_NO_BUFFER,
-                flags: 0,
-                match_: e.match_,
-                instructions: e.instructions,
-            };
-            sw.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
-        }
-        let i = n / 2;
-        let frame = TcpFrame::syn(
-            MacAddr::from_id(1),
-            MacAddr::from_id(100),
-            Ipv4Addr([192, 168, (i >> 8) as u8, i as u8]),
-            50000 + (i % 1000) as u16,
-            ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80),
-        )
-        .encode();
-        g.bench_with_input(BenchmarkId::new("switch_repeat_packet", n), &n, |b, _| {
-            b.iter(|| black_box(sw.handle_frame(SimTime::ZERO, 1, black_box(&frame))))
         });
     }
     g.finish();
@@ -225,9 +183,9 @@ fn bench_churn(c: &mut Criterion) {
             t.add(connection(next), now);
             let mut v = view(80);
             v.ipv4_src = client(next);
-            let (id, ..) = t.lookup_keyed(black_box(&v), 64, now).expect("just installed");
-            t.hit(id, 1500, now);
-            t.hit(id, 64, now);
+            for len in [64, 1500, 64] {
+                t.lookup(black_box(&v), len, now).expect("just installed");
+            }
             let expired = t.expire(now);
             assert_eq!((expired.len(), t.len()), (1, RESIDENT as usize));
             next += 1;
@@ -240,7 +198,6 @@ fn bench_churn(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_flow_lookup,
-    bench_microflow,
     bench_codecs,
     bench_expiry,
     bench_churn

@@ -104,7 +104,7 @@ fn experiment<S>(
 pub const BENCHES: &[Bench] = &[
     Bench {
         id: "fastpath",
-        banner: "data-plane fast path (naive vs indexed vs microflow)",
+        banner: "data-plane fast path (naive vs indexed lookup, warm hit through the full switch path)",
         artifact: Some(("BENCH_flowtable.json", fastpath::gates)),
         run: |_| {
             let r = fastpath::run();

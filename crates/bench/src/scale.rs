@@ -19,7 +19,6 @@
 
 use crate::artifact::{self, num};
 use desim::{Duration, SimRng, SimTime};
-use edgectl::annotate_deployment;
 use edgectl::{Controller, ControllerConfig, DockerCluster, EdgeService, PortMap};
 use edgectl::{IngressId, ProximityScheduler};
 use dockersim::DockerEngine;
@@ -227,12 +226,7 @@ fn peak_rss_mb() -> f64 {
 fn scale_service(port: u16) -> EdgeService {
     let profile = containerd::ServiceSet::by_key("asm").unwrap();
     let addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), port);
-    let yaml = format!(
-        "spec:\n  template:\n    spec:\n      containers:\n        - name: main\n          image: {}\n          ports:\n            - containerPort: {}\n",
-        profile.manifests[0].reference, profile.listen_port
-    );
-    let annotated = annotate_deployment(&yaml, addr, None).unwrap();
-    EdgeService { addr, name: annotated.service_name.clone(), annotated, profile }
+    EdgeService::from_profile(profile, addr)
 }
 
 /// Builds the fleet controller: one Docker cluster reachable from every

@@ -173,12 +173,13 @@ type Cells = fn(&Value) -> Option<(String, String)>;
 /// a reader would take for the run's are summed over its rows.
 const TRAJECTORY: [(&str, &str, Cells); 8] = [
     ("BENCH_flowtable.json", "data plane", |v| {
+        let largest = v["sizes"].as_seq()?.last()?;
         Some((
             format!(
-                "microflow {:.0}x vs naive lookup @100k flows",
-                num(v, "microflow_speedup_vs_naive_100k")?
+                "indexed lookup @100k flows {:.2}x its cost @10",
+                num(v, "indexed_100k_over_10_ratio")?
             ),
-            format!("cache hit rate {:.4}", num(v, "cache_hit_rate")?),
+            format!("warm switch hit {:.0} ns", num(largest, "switch_hit_ns")?),
         ))
     }),
     ("BENCH_engine.json", "event core", |v| {

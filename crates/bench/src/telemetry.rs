@@ -7,7 +7,8 @@
 //! machine-readable `telemetry-bench` line for CI. The acceptance number:
 //! the full disabled span/event sequence of one request — what every
 //! packet-in pays when telemetry is off — must cost **< 2%** of a single
-//! warm microflow-cache hit, the cheapest operation on the critical path.
+//! warm hit through the full switch path, the cheapest operation on the
+//! critical path.
 //! (The switch itself contains no telemetry calls at all, so the fast path
 //! proper is untouched by construction; this bench bounds the controller
 //! side.)
@@ -22,8 +23,8 @@ use telemetry::{SpanId, Telemetry};
 /// Measured costs, all ns per operation.
 #[derive(Clone, Copy, Debug)]
 pub struct Report {
-    /// Warm microflow-cache hit through the full switch path (decode,
-    /// cache lookup, actions, re-encode) — the fast-path yardstick.
+    /// Warm hit through the full switch path (parse, table lookup, actions
+    /// in place) — the fast-path yardstick.
     pub switch_hit_ns: f64,
     /// One request's complete telemetry call sequence against the
     /// disabled endpoint (spans, events, closes — all never-taken
@@ -34,7 +35,7 @@ pub struct Report {
 }
 
 impl Report {
-    /// Disabled-telemetry cost as a percentage of one microflow hit
+    /// Disabled-telemetry cost as a percentage of one warm switch hit
     /// (want: < 2).
     pub fn overhead_pct(&self) -> f64 {
         self.disabled_request_ns / self.switch_hit_ns * 100.0
@@ -55,7 +56,7 @@ impl Report {
     /// Renders a human-readable summary.
     pub fn render(&self) -> String {
         format!(
-            "microflow hit          {:>8.1} ns/op\n\
+            "warm switch hit        {:>8.1} ns/op\n\
              telemetry off/request  {:>8.1} ns/op\n\
              telemetry on/request   {:>8.1} ns/op\n\
              disabled overhead vs fast path {:.3}% (want < 2%)\n",
@@ -83,7 +84,8 @@ fn request_sequence(tele: &mut Telemetry, k: usize, now: SimTime) {
 
 /// Runs the measurement. Total runtime well under a second.
 pub fn run() -> Report {
-    // The yardstick: a warm microflow hit on a realistically loaded switch.
+    // The yardstick: a warm hit through the full switch path on a
+    // realistically loaded switch.
     let mut sw = loaded_switch(1_000);
     let frame = TcpFrame::syn(
         MacAddr::from_id(1),

@@ -17,7 +17,6 @@
 use crate::artifact::{self, num};
 use crate::scale::packet_in;
 use desim::{Duration, SimRng, SimTime};
-use edgectl::annotate_deployment;
 use edgectl::{AutoscaleConfig, QueueConfig};
 use edgectl::{Controller, ControllerConfig, DockerCluster, EdgeService, PortMap};
 use dockersim::DockerEngine;
@@ -188,12 +187,7 @@ pub fn gates(v: &Value) -> Result<(), String> {
 fn tournament_service(port: u16) -> EdgeService {
     let profile = containerd::ServiceSet::by_key("asm").unwrap();
     let addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 20), port);
-    let yaml = format!(
-        "spec:\n  template:\n    spec:\n      containers:\n        - name: main\n          image: {}\n          ports:\n            - containerPort: {}\n",
-        profile.manifests[0].reference, profile.listen_port
-    );
-    let annotated = annotate_deployment(&yaml, addr, None).unwrap();
-    EdgeService { addr, name: annotated.service_name.clone(), annotated, profile }
+    EdgeService::from_profile(profile, addr)
 }
 
 /// The tournament's autoscale policy: replicas of 100 req/s each

@@ -793,7 +793,8 @@ mod tests {
     use netsim::ServiceAddr;
 
     fn make_service(key: &str, port: u16) -> EdgeService {
-        make_service_serving_from(key, port, 0)
+        let profile = containerd::ServiceSet::by_key(key).unwrap();
+        EdgeService::from_profile(profile, ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), port))
     }
 
     /// `make_service` with the listen port on container `serving` of the

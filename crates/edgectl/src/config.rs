@@ -141,6 +141,123 @@ impl From<yamlite::ParseError> for ConfigError {
     }
 }
 
+/// What a reader returns: `Err` refuses the value.
+type Checked = Result<(), ConfigError>;
+
+/// One mapping of the file and the typed readers of its fields. A reader
+/// leaves its slot alone when the key is absent and returns
+/// [`ConfigError::Invalid`], naming the dotted key, for a value of the wrong
+/// type, out of range, or too large for the slot.
+struct Block<'a> {
+    map: &'a Value,
+    /// Dotted path of the mapping (`""` for the document itself).
+    path: &'a str,
+}
+
+impl<'a> Block<'a> {
+    /// `value` as a block: `None` if absent, an error unless a mapping.
+    fn of(value: &'a Value, path: &'a str) -> Result<Option<Block<'a>>, ConfigError> {
+        match value {
+            Value::Null => Ok(None),
+            Value::Map(_) => Ok(Some(Block { map: value, path })),
+            _ => {
+                let name = if path.is_empty() { "config" } else { path };
+                Err(ConfigError::Invalid(format!("{name} must be a mapping")))
+            }
+        }
+    }
+
+    /// The nested block at `key` (only the document has any).
+    fn mapping(&self, key: &'a str) -> Result<Option<Block<'a>>, ConfigError> {
+        Block::of(&self.map[key], key)
+    }
+
+    fn invalid(&self, key: &str, what: &str) -> ConfigError {
+        let (path, got) = (self.path, &self.map[key]);
+        let dot = if path.is_empty() { "" } else { "." };
+        ConfigError::Invalid(format!("{path}{dot}{key}: expected {what}, got {got:?}"))
+    }
+
+    /// Stores the value at `key` as `read` accepts it; `what` says what that is.
+    fn read<T>(
+        &self,
+        key: &str,
+        what: &str,
+        slot: &mut T,
+        read: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Checked {
+        match &self.map[key] {
+            Value::Null => {}
+            value => *slot = read(value).ok_or_else(|| self.invalid(key, what))?,
+        }
+        Ok(())
+    }
+
+    /// A span in units of which `per_sec` make a second: an integer — or,
+    /// where `fractional`, any number — that is `positive` or at least zero
+    /// and fits a [`Duration`].
+    fn span<T: From<Duration>>(
+        &self,
+        key: &str,
+        (per_sec, positive, fractional): (u64, bool, bool),
+        slot: &mut T,
+    ) -> Checked {
+        let sign = if positive { "positive" } else { "non-negative" };
+        let kind = if fractional { "number" } else { "integer" };
+        let what = format!("a {sign} {kind} that fits 64-bit nanoseconds");
+        self.read(key, &what, slot, |v| {
+            let span = match *v {
+                Value::Int(n) if n >= positive as i64 => {
+                    let units = u64::try_from(n).ok()?;
+                    Duration::from_nanos(units.checked_mul(1_000_000_000 / per_sec)?)
+                }
+                Value::Float(f) if fractional && f >= 0.0 && !(positive && f == 0.0) => {
+                    let secs = f / per_sec as f64;
+                    (secs * 1e9 < u64::MAX as f64).then(|| Duration::from_secs_f64(secs))?
+                }
+                _ => return None,
+            };
+            Some(span.into())
+        })
+    }
+
+    fn secs<T: From<Duration>>(&self, key: &str, slot: &mut T) -> Checked {
+        self.span(key, (1, false, true), slot)
+    }
+
+    fn millis(&self, key: &str, slot: &mut Duration) -> Checked {
+        self.span(key, (1000, false, false), slot)
+    }
+
+    fn positive_millis(&self, key: &str, slot: &mut Duration) -> Checked {
+        self.span(key, (1000, true, false), slot)
+    }
+
+    fn fraction(&self, key: &str, slot: &mut f64) -> Checked {
+        let unit = |v: &Value| v.as_f64().filter(|p| (0.0..=1.0).contains(p));
+        self.read(key, "a number in [0, 1]", slot, unit)
+    }
+
+    fn number_at_least(&self, key: &str, min: f64, slot: &mut f64) -> Checked {
+        let what = format!("a number >= {min}");
+        self.read(key, &what, slot, |v| v.as_f64().filter(|&n| n >= min))
+    }
+
+    fn int_at_least<T: TryFrom<i64>>(&self, key: &str, min: i64, slot: &mut T) -> Checked {
+        let what = format!("an integer >= {min} that fits the field");
+        let fits = |v: &Value| T::try_from(v.as_i64().filter(|&n| n >= min)?).ok();
+        self.read(key, &what, slot, fits)
+    }
+
+    fn flag(&self, key: &str, slot: &mut bool) -> Checked {
+        self.read(key, "true or false", slot, Value::as_bool)
+    }
+
+    fn text(&self, key: &str, slot: &mut String) -> Checked {
+        self.read(key, "a string", slot, |v| v.as_str().map(str::to_owned))
+    }
+}
+
 impl EdgeConfig {
     /// Parses a configuration file. Missing keys fall back to the defaults;
     /// unknown scheduler/predictor names are rejected eagerly (the reference
@@ -148,252 +265,76 @@ impl EdgeConfig {
     pub fn from_yaml(text: &str) -> Result<EdgeConfig, ConfigError> {
         let doc = yamlite::parse_str(text)?;
         let mut cfg = EdgeConfig::default();
-        if doc.is_null() {
+        let Some(doc) = Block::of(&doc, "")? else {
             return Ok(cfg);
-        }
-        if doc.as_map().is_none() {
-            return Err(ConfigError::Invalid("config must be a mapping".into()));
-        }
-
-        if let Some(s) = doc["scheduler"].as_str() {
-            // The typed error carries the known-name list; surface it whole.
-            if let Err(e) = crate::scheduler_by_name(s) {
-                return Err(ConfigError::Unknown(e.to_string()));
-            }
-            cfg.scheduler = s.to_owned();
-        }
-        if let Some(p) = doc["predictor"].as_str() {
-            if let Err(e) = crate::predictor_by_name(p) {
-                return Err(ConfigError::Unknown(e.to_string()));
-            }
-            cfg.predictor = p.to_owned();
-        }
-
-        let secs = |v: &Value, key: &str| -> Result<Option<Duration>, ConfigError> {
-            match &v[key] {
-                Value::Null => Ok(None),
-                Value::Int(s) if *s >= 0 => Ok(Some(Duration::from_secs(*s as u64))),
-                Value::Float(s) if *s >= 0.0 => Ok(Some(Duration::from_secs_f64(*s))),
-                other => Err(ConfigError::Invalid(format!(
-                    "{key}: expected a non-negative number, got {other:?}"
-                ))),
-            }
-        };
-        if let Some(d) = secs(&doc, "flowIdleTimeout")? {
-            cfg.controller.switch_flow_idle = d;
-        }
-        if let Some(d) = secs(&doc, "memoryIdleTimeout")? {
-            cfg.controller.memory_idle = d;
-        }
-        if let Some(d) = secs(&doc, "removeAfter")? {
-            cfg.controller.remove_after = Some(d);
-        }
-        match &doc["pollIntervalMs"] {
-            Value::Null => {}
-            Value::Int(ms) if *ms > 0 => {
-                cfg.controller.poll_interval = Duration::from_millis(*ms as u64);
-            }
-            other => {
-                return Err(ConfigError::Invalid(format!(
-                    "pollIntervalMs: expected a positive integer, got {other:?}"
-                )))
-            }
-        }
-        if let Some(b) = doc["scaleDownIdle"].as_bool() {
-            cfg.controller.scale_down_idle = b;
-        }
-        if let Some(b) = doc["aggregateRules"].as_bool() {
-            cfg.controller.aggregate_rules = b;
-        }
-        if let Some(b) = doc["recordRequests"].as_bool() {
-            cfg.controller.record_requests = b;
-        }
-
-        let millis = |v: &Value, key: &str| -> Result<Option<Duration>, ConfigError> {
-            match &v[key] {
-                Value::Null => Ok(None),
-                Value::Int(ms) if *ms >= 0 => Ok(Some(Duration::from_millis(*ms as u64))),
-                other => Err(ConfigError::Invalid(format!(
-                    "{key}: expected a non-negative integer (milliseconds), got {other:?}"
-                ))),
-            }
-        };
-        let fraction = |v: &Value, key: &str| -> Result<Option<f64>, ConfigError> {
-            match &v[key] {
-                Value::Null => Ok(None),
-                Value::Int(n) if (0..=1).contains(n) => Ok(Some(*n as f64)),
-                Value::Float(p) if (0.0..=1.0).contains(p) => Ok(Some(*p)),
-                other => Err(ConfigError::Invalid(format!(
-                    "{key}: expected a number in [0, 1], got {other:?}"
-                ))),
-            }
         };
 
-        let retry = &doc["retry"];
-        if !retry.is_null() {
-            if retry.as_map().is_none() {
-                return Err(ConfigError::Invalid("retry must be a mapping".into()));
-            }
-            match &retry["maxAttempts"] {
-                Value::Null => {}
-                Value::Int(n) if *n >= 1 => cfg.controller.retry.max_attempts = *n as u32,
-                other => {
-                    return Err(ConfigError::Invalid(format!(
-                        "retry.maxAttempts: expected a positive integer, got {other:?}"
-                    )))
-                }
-            }
-            if let Some(d) = millis(retry, "baseMs")? {
-                cfg.controller.retry.base = d;
-            }
-            if let Some(d) = millis(retry, "capMs")? {
-                cfg.controller.retry.cap = d;
-            }
-            match &retry["multiplier"] {
-                Value::Null => {}
-                Value::Int(n) if *n >= 1 => cfg.controller.retry.multiplier = *n as f64,
-                Value::Float(m) if *m >= 1.0 => cfg.controller.retry.multiplier = *m,
-                other => {
-                    return Err(ConfigError::Invalid(format!(
-                        "retry.multiplier: expected a number >= 1, got {other:?}"
-                    )))
-                }
-            }
-            if let Some(j) = fraction(retry, "jitter")? {
-                cfg.controller.retry.jitter = j;
-            }
-            if let Some(d) = secs(retry, "phaseDeadline")? {
-                cfg.controller.retry.phase_deadline = d;
-            }
+        doc.text("scheduler", &mut cfg.scheduler)?;
+        doc.text("predictor", &mut cfg.predictor)?;
+        // The typed errors carry the known-name list; surface it whole.
+        crate::scheduler_by_name(&cfg.scheduler)
+            .map_err(|e| ConfigError::Unknown(e.to_string()))?;
+        crate::predictor_by_name(&cfg.predictor)
+            .map_err(|e| ConfigError::Unknown(e.to_string()))?;
+
+        let c = &mut cfg.controller;
+        doc.secs("flowIdleTimeout", &mut c.switch_flow_idle)?;
+        doc.secs("memoryIdleTimeout", &mut c.memory_idle)?;
+        doc.secs("removeAfter", &mut c.remove_after)?;
+        doc.positive_millis("pollIntervalMs", &mut c.poll_interval)?;
+        doc.flag("scaleDownIdle", &mut c.scale_down_idle)?;
+        doc.flag("aggregateRules", &mut c.aggregate_rules)?;
+        doc.flag("recordRequests", &mut c.record_requests)?;
+
+        if let Some(retry) = doc.mapping("retry")? {
+            let r = &mut c.retry;
+            retry.int_at_least("maxAttempts", 1, &mut r.max_attempts)?;
+            retry.millis("baseMs", &mut r.base)?;
+            retry.millis("capMs", &mut r.cap)?;
+            retry.number_at_least("multiplier", 1.0, &mut r.multiplier)?;
+            retry.fraction("jitter", &mut r.jitter)?;
+            retry.secs("phaseDeadline", &mut r.phase_deadline)?;
         }
 
-        let faults = &doc["faults"];
-        if !faults.is_null() {
-            if faults.as_map().is_none() {
-                return Err(ConfigError::Invalid("faults must be a mapping".into()));
-            }
-            match &faults["seed"] {
-                Value::Null => {}
-                Value::Int(s) if *s >= 0 => cfg.faults.seed = *s as u64,
-                other => {
-                    return Err(ConfigError::Invalid(format!(
-                        "faults.seed: expected a non-negative integer, got {other:?}"
-                    )))
-                }
-            }
-            for (key, slot) in [
-                ("pullFailure", &mut cfg.faults.pull_failure),
-                ("pullSlowdown", &mut cfg.faults.pull_slowdown),
-                ("createFailure", &mut cfg.faults.create_failure),
-                ("startFailure", &mut cfg.faults.start_failure),
-                ("crashAfterStart", &mut cfg.faults.crash_after_start),
-                ("scaleUpRejection", &mut cfg.faults.scale_up_rejection),
-                ("probeFlap", &mut cfg.faults.probe_flap),
-                ("crashWhileServing", &mut cfg.faults.crash_while_serving),
-                ("zoneOutage", &mut cfg.faults.zone_outage),
-                ("channelLoss", &mut cfg.faults.channel_loss),
-            ] {
-                if let Some(p) = fraction(faults, key)? {
-                    *slot = p;
-                }
-            }
-            match &faults["pullSlowdownFactor"] {
-                Value::Null => {}
-                Value::Int(n) if *n >= 1 => cfg.faults.pull_slowdown_factor = *n as f64,
-                Value::Float(m) if *m >= 1.0 => cfg.faults.pull_slowdown_factor = *m,
-                other => {
-                    return Err(ConfigError::Invalid(format!(
-                        "faults.pullSlowdownFactor: expected a number >= 1, got {other:?}"
-                    )))
-                }
-            }
-            if let Some(d) = millis(faults, "probeFlapDelayMs")? {
-                cfg.faults.probe_flap_delay = d;
-            }
-            if let Some(d) = millis(faults, "zoneOutageWindowMs")? {
-                cfg.faults.zone_outage_window = d;
-            }
-            if let Some(d) = millis(faults, "channelReconnectDelayMs")? {
-                cfg.faults.channel_reconnect_delay = d;
-            }
+        if let Some(faults) = doc.mapping("faults")? {
+            let f = &mut cfg.faults;
+            faults.int_at_least("seed", 0, &mut f.seed)?;
+            faults.fraction("pullFailure", &mut f.pull_failure)?;
+            faults.fraction("pullSlowdown", &mut f.pull_slowdown)?;
+            faults.fraction("createFailure", &mut f.create_failure)?;
+            faults.fraction("startFailure", &mut f.start_failure)?;
+            faults.fraction("crashAfterStart", &mut f.crash_after_start)?;
+            faults.fraction("scaleUpRejection", &mut f.scale_up_rejection)?;
+            faults.fraction("probeFlap", &mut f.probe_flap)?;
+            faults.fraction("crashWhileServing", &mut f.crash_while_serving)?;
+            faults.fraction("zoneOutage", &mut f.zone_outage)?;
+            faults.fraction("channelLoss", &mut f.channel_loss)?;
+            faults.number_at_least("pullSlowdownFactor", 1.0, &mut f.pull_slowdown_factor)?;
+            faults.millis("probeFlapDelayMs", &mut f.probe_flap_delay)?;
+            faults.millis("zoneOutageWindowMs", &mut f.zone_outage_window)?;
+            faults.millis("channelReconnectDelayMs", &mut f.channel_reconnect_delay)?;
         }
 
-        let health = &doc["health"];
-        if !health.is_null() {
-            if health.as_map().is_none() {
-                return Err(ConfigError::Invalid("health must be a mapping".into()));
-            }
-            match &health["detectIntervalMs"] {
-                Value::Null => {}
-                Value::Int(ms) if *ms > 0 => {
-                    cfg.controller.health.detect_interval = Duration::from_millis(*ms as u64);
-                }
-                other => {
-                    return Err(ConfigError::Invalid(format!(
-                        "health.detectIntervalMs: expected a positive integer, got {other:?}"
-                    )))
-                }
-            }
-            match &health["breakerThreshold"] {
-                Value::Null => {}
-                Value::Int(k) if *k >= 1 => {
-                    cfg.controller.health.breaker_threshold = *k as u32;
-                }
-                other => {
-                    return Err(ConfigError::Invalid(format!(
-                        "health.breakerThreshold: expected an integer >= 1, got {other:?}"
-                    )))
-                }
-            }
-            match &health["breakerCooldownMs"] {
-                Value::Null => {}
-                Value::Int(ms) if *ms > 0 => {
-                    cfg.controller.health.breaker_cooldown = Duration::from_millis(*ms as u64);
-                }
-                other => {
-                    return Err(ConfigError::Invalid(format!(
-                        "health.breakerCooldownMs: expected a positive integer, got {other:?}"
-                    )))
-                }
-            }
+        if let Some(health) = doc.mapping("health")? {
+            let h = &mut c.health;
+            health.positive_millis("detectIntervalMs", &mut h.detect_interval)?;
+            health.int_at_least("breakerThreshold", 1, &mut h.breaker_threshold)?;
+            health.positive_millis("breakerCooldownMs", &mut h.breaker_cooldown)?;
         }
 
-        let autoscale = &doc["autoscale"];
-        if !autoscale.is_null() {
-            if autoscale.as_map().is_none() {
-                return Err(ConfigError::Invalid("autoscale must be a mapping".into()));
-            }
-            let a = &mut cfg.controller.autoscale;
-            if let Some(b) = autoscale["enabled"].as_bool() {
-                a.enabled = b;
-            }
-            let replicas = |key: &str| -> Result<Option<usize>, ConfigError> {
-                match &autoscale[key] {
-                    Value::Null => Ok(None),
-                    Value::Int(n) if *n >= 1 => Ok(Some(*n as usize)),
-                    other => Err(ConfigError::Invalid(format!(
-                        "autoscale.{key}: expected an integer >= 1, got {other:?}"
-                    ))),
-                }
-            };
-            if let Some(n) = replicas("minReplicas")? {
-                a.min_replicas = n;
-            }
-            if let Some(n) = replicas("maxReplicas")? {
-                a.max_replicas = n;
-            }
+        if let Some(autoscale) = doc.mapping("autoscale")? {
+            let a = &mut c.autoscale;
+            autoscale.flag("enabled", &mut a.enabled)?;
+            autoscale.int_at_least("minReplicas", 1, &mut a.min_replicas)?;
+            autoscale.int_at_least("maxReplicas", 1, &mut a.max_replicas)?;
             if a.max_replicas < a.min_replicas {
                 return Err(ConfigError::Invalid(format!(
                     "autoscale.maxReplicas ({}) must be >= minReplicas ({})",
                     a.max_replicas, a.min_replicas
                 )));
             }
-            if let Some(p) = fraction(autoscale, "scaleUpUtilization")? {
-                a.scale_up_utilization = p;
-            }
-            if let Some(p) = fraction(autoscale, "scaleDownUtilization")? {
-                a.scale_down_utilization = p;
-            }
+            autoscale.fraction("scaleUpUtilization", &mut a.scale_up_utilization)?;
+            autoscale.fraction("scaleDownUtilization", &mut a.scale_down_utilization)?;
             if a.scale_down_utilization >= a.scale_up_utilization {
                 return Err(ConfigError::Invalid(format!(
                     "autoscale.scaleDownUtilization ({}) must be below \
@@ -401,168 +342,56 @@ impl EdgeConfig {
                     a.scale_down_utilization, a.scale_up_utilization
                 )));
             }
-            match &autoscale["scaleUpBacklog"] {
-                Value::Null => {}
-                Value::Int(n) if *n >= 1 => a.scale_up_backlog = *n as usize,
-                other => {
-                    return Err(ConfigError::Invalid(format!(
-                        "autoscale.scaleUpBacklog: expected an integer >= 1, got {other:?}"
-                    )))
-                }
-            }
-            if let Some(d) = millis(autoscale, "cooldownMs")? {
-                a.cooldown = d;
-            }
-            match &autoscale["sweepIntervalMs"] {
-                Value::Null => {}
-                Value::Int(ms) if *ms > 0 => a.sweep_interval = Duration::from_millis(*ms as u64),
-                other => {
-                    return Err(ConfigError::Invalid(format!(
-                        "autoscale.sweepIntervalMs: expected a positive integer, got {other:?}"
-                    )))
-                }
-            }
-            match &autoscale["serviceTimeMs"] {
-                Value::Null => {}
-                Value::Int(ms) if *ms > 0 => {
-                    a.queue.service_time = Duration::from_millis(*ms as u64);
-                }
-                Value::Float(ms) if *ms > 0.0 => {
-                    a.queue.service_time = Duration::from_millis_f64(*ms);
-                }
-                other => {
-                    return Err(ConfigError::Invalid(format!(
-                        "autoscale.serviceTimeMs: expected a positive number, got {other:?}"
-                    )))
-                }
-            }
-            match &autoscale["concurrency"] {
-                Value::Null => {}
-                Value::Int(n) if *n >= 1 => a.queue.concurrency = *n as usize,
-                other => {
-                    return Err(ConfigError::Invalid(format!(
-                        "autoscale.concurrency: expected an integer >= 1, got {other:?}"
-                    )))
-                }
-            }
-            match &autoscale["backlog"] {
-                Value::Null => {}
-                Value::Int(n) if *n >= 0 => a.queue.backlog = *n as usize,
-                other => {
-                    return Err(ConfigError::Invalid(format!(
-                        "autoscale.backlog: expected a non-negative integer, got {other:?}"
-                    )))
-                }
-            }
+            autoscale.int_at_least("scaleUpBacklog", 1, &mut a.scale_up_backlog)?;
+            autoscale.millis("cooldownMs", &mut a.cooldown)?;
+            autoscale.positive_millis("sweepIntervalMs", &mut a.sweep_interval)?;
+            let service_time = &mut a.queue.service_time;
+            autoscale.span("serviceTimeMs", (1000, true, true), service_time)?;
+            autoscale.int_at_least("concurrency", 1, &mut a.queue.concurrency)?;
+            autoscale.int_at_least("backlog", 0, &mut a.queue.backlog)?;
         }
 
-        let migration = &doc["migration"];
-        if !migration.is_null() {
-            if migration.as_map().is_none() {
-                return Err(ConfigError::Invalid("migration must be a mapping".into()));
-            }
-            let m = &mut cfg.controller.migration;
-            match &migration["policy"] {
-                Value::Null => {}
-                Value::Str(s) => {
-                    m.policy = match s.as_str() {
-                        "anchored" => MigrationPolicy::Anchored,
-                        "redispatch" => MigrationPolicy::Redispatch,
-                        "live" => MigrationPolicy::Live,
-                        other => {
-                            return Err(ConfigError::Invalid(format!(
-                                "migration.policy: must be anchored|redispatch|live, got `{other}`"
-                            )))
-                        }
-                    };
-                }
-                other => {
-                    return Err(ConfigError::Invalid(format!(
-                        "migration.policy: expected a string, got {other:?}"
-                    )))
-                }
-            }
-            match &migration["stateBytesPerRequest"] {
-                Value::Null => {}
-                Value::Int(n) if *n >= 0 => m.state_bytes_per_request = *n as u64,
-                other => {
-                    return Err(ConfigError::Invalid(format!(
-                        "migration.stateBytesPerRequest: expected a non-negative integer, \
-                         got {other:?}"
-                    )))
-                }
-            }
-            if let Some(d) = millis(migration, "transferPropagationMs")? {
-                m.transfer_propagation = d;
-            }
-            match &migration["transferBandwidthMbps"] {
-                Value::Null => {}
-                Value::Int(n) if *n >= 1 => m.transfer_bandwidth_bps = *n as u64 * 1_000_000,
-                other => {
-                    return Err(ConfigError::Invalid(format!(
-                        "migration.transferBandwidthMbps: expected an integer >= 1, got {other:?}"
-                    )))
-                }
-            }
-            match &migration["maxConcurrent"] {
-                Value::Null => {}
-                Value::Int(n) if *n >= 1 => m.max_concurrent = *n as usize,
-                other => {
-                    return Err(ConfigError::Invalid(format!(
-                        "migration.maxConcurrent: expected an integer >= 1, got {other:?}"
-                    )))
-                }
-            }
-            match &migration["mobilityHops"] {
-                Value::Null => {}
-                Value::Int(n) if *n >= 1 => m.mobility_hops = *n as usize,
-                other => {
-                    return Err(ConfigError::Invalid(format!(
-                        "migration.mobilityHops: expected an integer >= 1, got {other:?}"
-                    )))
-                }
-            }
+        if let Some(migration) = doc.mapping("migration")? {
+            let m = &mut c.migration;
+            use MigrationPolicy::{Anchored, Live, Redispatch};
+            migration.read("policy", "anchored|redispatch|live", &mut m.policy, |v| {
+                let mut known = [Anchored, Redispatch, Live].into_iter();
+                known.find(|p| Some(p.label()) == v.as_str())
+            })?;
+            migration.int_at_least("stateBytesPerRequest", 0, &mut m.state_bytes_per_request)?;
+            migration.millis("transferPropagationMs", &mut m.transfer_propagation)?;
+            let what = "an integer >= 1 whose bit/s fit 64 bits";
+            let rate = &mut m.transfer_bandwidth_bps;
+            migration.read("transferBandwidthMbps", what, rate, |v| {
+                let mbps = u64::try_from(v.as_i64()?).ok()?;
+                mbps.checked_mul(1_000_000).filter(|&bps| bps > 0)
+            })?;
+            migration.int_at_least("maxConcurrent", 1, &mut m.max_concurrent)?;
+            migration.int_at_least("mobilityHops", 1, &mut m.mobility_hops)?;
         }
 
-        let journal = &doc["journal"];
-        if !journal.is_null() {
-            if journal.as_map().is_none() {
-                return Err(ConfigError::Invalid("journal must be a mapping".into()));
-            }
-            let j = &mut cfg.controller.journal;
-            if let Some(b) = journal["enabled"].as_bool() {
-                j.enabled = b;
-            }
-            match &journal["snapshotEvery"] {
-                Value::Null => {}
-                Value::Int(n) if *n >= 1 => j.snapshot_every = *n as usize,
-                other => {
-                    return Err(ConfigError::Invalid(format!(
-                        "journal.snapshotEvery: expected an integer >= 1, got {other:?}"
-                    )))
-                }
-            }
+        if let Some(journal) = doc.mapping("journal")? {
+            journal.flag("enabled", &mut c.journal.enabled)?;
+            journal.int_at_least("snapshotEvery", 1, &mut c.journal.snapshot_every)?;
         }
 
-        if let Some(clusters) = doc["clusters"].as_seq() {
-            for (i, c) in clusters.iter().enumerate() {
-                let name = c["name"]
-                    .as_str()
-                    .ok_or_else(|| ConfigError::Invalid(format!("clusters[{i}]: missing name")))?;
-                let kind = c["kind"]
-                    .as_str()
-                    .ok_or_else(|| ConfigError::Invalid(format!("clusters[{i}]: missing kind")))?;
-                if kind != "docker" && kind != "k8s" {
-                    return Err(ConfigError::Invalid(format!(
-                        "clusters[{i}]: kind must be docker|k8s, got `{kind}`"
-                    )));
-                }
-                cfg.clusters.push(ClusterDecl {
-                    name: name.to_owned(),
-                    kind: kind.to_owned(),
-                    local_scheduler: c["localScheduler"].as_str().map(str::to_owned),
-                });
+        let clusters = doc.map["clusters"].as_seq().unwrap_or_default();
+        for (i, c) in clusters.iter().enumerate() {
+            let field = |key: &str| {
+                let missing = || ConfigError::Invalid(format!("clusters[{i}]: missing {key}"));
+                c[key].as_str().ok_or_else(missing)
+            };
+            let (name, kind) = (field("name")?, field("kind")?);
+            if kind != "docker" && kind != "k8s" {
+                return Err(ConfigError::Invalid(format!(
+                    "clusters[{i}]: kind must be docker|k8s, got `{kind}`"
+                )));
             }
+            cfg.clusters.push(ClusterDecl {
+                name: name.to_owned(),
+                kind: kind.to_owned(),
+                local_scheduler: c["localScheduler"].as_str().map(str::to_owned),
+            });
         }
         Ok(cfg)
     }
@@ -758,6 +587,47 @@ health:
         assert!(EdgeConfig::from_yaml("- a\n- b").is_err());
         assert!(EdgeConfig::from_yaml("clusters:\n  - kind: docker").is_err());
         assert!(EdgeConfig::from_yaml("clusters:\n  - name: x\n    kind: vm").is_err());
+    }
+
+    /// Values that do not fit what they are read into are refused — they
+    /// used to overflow `Duration::from_secs` / `from_millis` and the Mbps →
+    /// bit/s product (a panic in a debug build, a wrapped value in release).
+    #[test]
+    fn values_too_large_for_their_field_are_rejected_not_wrapped() {
+        for (bad, key) in [
+            ("flowIdleTimeout: 99999999999999", "flowIdleTimeout"),
+            ("flowIdleTimeout: 1.0e30", "flowIdleTimeout"),
+            ("pollIntervalMs: 99999999999999999", "pollIntervalMs"),
+            ("migration:\n  transferBandwidthMbps: 99999999999999", "migration.transferBandwidthMbps"),
+            ("retry:\n  maxAttempts: 4294967296", "retry.maxAttempts"),
+        ] {
+            let err = EdgeConfig::from_yaml(bad).unwrap_err();
+            assert!(matches!(err, ConfigError::Invalid(_)), "{bad}: {err}");
+            assert!(err.to_string().contains(key), "{bad}: {err}");
+        }
+        // The largest values that do fit parse exactly.
+        let cfg = EdgeConfig::from_yaml(
+            "flowIdleTimeout: 18446744073\nmigration:\n  transferBandwidthMbps: 18446744073709",
+        )
+        .unwrap();
+        assert_eq!(cfg.controller.switch_flow_idle.as_nanos(), 18_446_744_073_000_000_000);
+        assert_eq!(cfg.controller.migration.transfer_bandwidth_bps, 18_446_744_073_709_000_000);
+        assert!(EdgeConfig::from_yaml("flowIdleTimeout: 18446744074").is_err());
+    }
+
+    /// A value of the wrong type is an error naming the key, for flags and
+    /// names as for numbers — these two used to be skipped without a word.
+    #[test]
+    fn wrongly_typed_flags_and_names_are_rejected_not_skipped() {
+        for (bad, key) in [
+            ("scaleDownIdle: 3", "scaleDownIdle"),
+            ("scheduler: 5", "scheduler"),
+            ("autoscale:\n  enabled: maybe", "autoscale.enabled"),
+        ] {
+            let err = EdgeConfig::from_yaml(bad).unwrap_err();
+            assert!(matches!(err, ConfigError::Invalid(_)), "{bad}: {err}");
+            assert!(err.to_string().contains(key), "{bad}: {err}");
+        }
     }
 
     #[test]

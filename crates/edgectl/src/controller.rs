@@ -1381,7 +1381,6 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annotate::annotate_deployment;
     use crate::cluster::{DockerCluster, InstanceState};
     use crate::scheduler::ProximityScheduler;
     use dockersim::DockerEngine;
@@ -1398,17 +1397,7 @@ mod tests {
     fn make_service(key: &str, port: u16) -> EdgeService {
         let profile = containerd::ServiceSet::by_key(key).unwrap();
         let addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), port);
-        let yaml = format!(
-            "spec:\n  template:\n    spec:\n      containers:\n        - name: main\n          image: {}\n          ports:\n            - containerPort: {}\n",
-            profile.manifests[0].reference, profile.listen_port
-        );
-        let annotated = annotate_deployment(&yaml, addr, None).unwrap();
-        EdgeService {
-            addr,
-            name: annotated.service_name.clone(),
-            annotated,
-            profile,
-        }
+        EdgeService::from_profile(profile, addr)
     }
 
     fn setup(rng: &mut SimRng) -> (Controller, Switch) {

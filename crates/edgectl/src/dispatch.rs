@@ -848,7 +848,6 @@ fn next_poll_at(base: SimTime, ready: SimTime, interval: Duration) -> SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annotate::annotate_deployment;
     use crate::cluster::DockerCluster;
     use crate::scheduler::{LatencyAwareScheduler, ProximityScheduler};
     use dockersim::DockerEngine;
@@ -858,17 +857,7 @@ mod tests {
     fn make_service(key: &str) -> EdgeService {
         let profile = containerd::ServiceSet::by_key(key).unwrap();
         let addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80);
-        let yaml = format!(
-            "spec:\n  template:\n    spec:\n      containers:\n        - name: main\n          image: {}\n          ports:\n            - containerPort: {}\n",
-            profile.manifests[0].reference, profile.listen_port
-        );
-        let annotated = annotate_deployment(&yaml, addr, None).unwrap();
-        EdgeService {
-            addr,
-            name: annotated.service_name.clone(),
-            annotated,
-            profile,
-        }
+        EdgeService::from_profile(profile, addr)
     }
 
     fn docker(name: &str, id: u32, latency_us: u64, cached: bool, rng: &mut SimRng) -> Box<dyn EdgeCluster> {

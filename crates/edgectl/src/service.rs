@@ -6,7 +6,7 @@
 //! deployable artefact: the annotated service definition and its runtime
 //! profile.
 
-use crate::annotate::AnnotatedService;
+use crate::annotate::{annotate_deployment, AnnotatedService};
 use containerd::ServiceProfile;
 use netsim::ServiceAddr;
 use std::collections::BTreeMap;
@@ -23,6 +23,38 @@ pub struct EdgeService {
     pub annotated: AnnotatedService,
     /// Runtime/traffic profile (images, readiness, processing model).
     pub profile: ServiceProfile,
+}
+
+impl EdgeService {
+    /// The service `profile` describes, registered at `addr`: a Deployment
+    /// with one container per image (`c0`, `c1`, …), the first exposing the
+    /// profile's listen port, annotated for `addr`.
+    pub fn from_profile(profile: ServiceProfile, addr: ServiceAddr) -> EdgeService {
+        let containers: String = profile
+            .manifests
+            .iter()
+            .enumerate()
+            .map(|(i, m)| {
+                let ports = if i == 0 {
+                    format!(
+                        "\n          ports:\n            - containerPort: {}",
+                        profile.listen_port
+                    )
+                } else {
+                    String::new()
+                };
+                format!("        - name: c{i}\n          image: {}{}\n", m.reference, ports)
+            })
+            .collect();
+        let yaml = format!("spec:\n  template:\n    spec:\n      containers:\n{containers}");
+        let annotated = annotate_deployment(&yaml, addr, None).expect("valid generated definition");
+        EdgeService {
+            addr,
+            name: annotated.service_name.clone(),
+            annotated,
+            profile,
+        }
+    }
 }
 
 /// The registry of services eligible for transparent edge redirection.
@@ -89,23 +121,11 @@ impl ServiceRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annotate::annotate_deployment;
     use netsim::addr::Ipv4Addr;
 
     fn service(ip: [u8; 4], port: u16, key: &str) -> EdgeService {
         let profile = containerd::ServiceSet::by_key(key).unwrap();
-        let addr = ServiceAddr::new(Ipv4Addr(ip), port);
-        let yaml = format!(
-            "spec:\n  template:\n    spec:\n      containers:\n        - name: main\n          image: {}\n",
-            profile.manifests[0].reference
-        );
-        let annotated = annotate_deployment(&yaml, addr, None).unwrap();
-        EdgeService {
-            addr,
-            name: annotated.service_name.clone(),
-            annotated,
-            profile,
-        }
+        EdgeService::from_profile(profile, ServiceAddr::new(Ipv4Addr(ip), port))
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Property tests for the controller's dispatch logic and FlowMemory.
 
 use desim::{Duration, SimRng, SimTime};
-use edgectl::annotate_deployment;
 use edgectl::cluster::{DockerCluster, EdgeCluster};
 use edgectl::dispatch::{DispatchDecision, Dispatcher};
 use edgectl::flowmemory::{FlowKey, FlowMemory, IngressId};
@@ -14,17 +13,7 @@ use proptest::prelude::*;
 fn make_service(port: u16) -> EdgeService {
     let profile = containerd::ServiceSet::by_key("asm").unwrap();
     let addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), port);
-    let yaml = format!(
-        "spec:\n  template:\n    spec:\n      containers:\n        - image: {}\n          ports:\n            - containerPort: 80\n",
-        profile.manifests[0].reference
-    );
-    let annotated = annotate_deployment(&yaml, addr, None).unwrap();
-    EdgeService {
-        addr,
-        name: annotated.service_name.clone(),
-        annotated,
-        profile,
-    }
+    EdgeService::from_profile(profile, addr)
 }
 
 fn clusters(n: usize, seed: u64) -> Vec<Box<dyn EdgeCluster>> {

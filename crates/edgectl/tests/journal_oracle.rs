@@ -9,7 +9,7 @@ use desim::{Duration, SimRng, SimTime};
 use edgectl::cluster::DockerCluster;
 use edgectl::scheduler::ProximityScheduler;
 use edgectl::{
-    annotate_deployment, Controller, ControllerConfig, EdgeService, HandoverPolicy, IngressId,
+    Controller, ControllerConfig, EdgeService, HandoverPolicy, IngressId,
     JournalConfig, MigrationConfig, MigrationPolicy, MigrationReason, PortMap, RecoveryMode,
 };
 use netsim::addr::{Ipv4Addr, MacAddr};
@@ -26,17 +26,7 @@ const EDGE_B_PORT: u32 = 4;
 fn make_service(key: &str, ip_last: u8) -> EdgeService {
     let profile = containerd::ServiceSet::by_key(key).unwrap();
     let addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, ip_last), 80);
-    let yaml = format!(
-        "spec:\n  template:\n    spec:\n      containers:\n        - name: main\n          image: {}\n          ports:\n            - containerPort: {}\n",
-        profile.manifests[0].reference, profile.listen_port
-    );
-    let annotated = annotate_deployment(&yaml, addr, None).unwrap();
-    EdgeService {
-        addr,
-        name: annotated.service_name.clone(),
-        annotated,
-        profile,
-    }
+    EdgeService::from_profile(profile, addr)
 }
 
 fn ports() -> PortMap {

@@ -10,7 +10,7 @@ use desim::{Duration, SimRng, SimTime};
 use edgectl::cluster::DockerCluster;
 use edgectl::scheduler::ProximityScheduler;
 use edgectl::{
-    annotate_deployment, Controller, ControllerConfig, EdgeService, HandoverPolicy, IngressId,
+    Controller, ControllerConfig, EdgeService, HandoverPolicy, IngressId,
     JournalConfig, MigrationConfig, MigrationPolicy, MigrationReason, PortMap, RecoveryMode,
 };
 use netsim::addr::{Ipv4Addr, MacAddr};
@@ -29,17 +29,7 @@ const ASM: ServiceAddr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80);
 
 fn make_service() -> EdgeService {
     let profile = containerd::ServiceSet::by_key("asm").unwrap();
-    let yaml = format!(
-        "spec:\n  template:\n    spec:\n      containers:\n        - name: main\n          image: {}\n          ports:\n            - containerPort: {}\n",
-        profile.manifests[0].reference, profile.listen_port
-    );
-    let annotated = annotate_deployment(&yaml, ASM, None).unwrap();
-    EdgeService {
-        addr: ASM,
-        name: annotated.service_name.clone(),
-        annotated,
-        profile,
-    }
+    EdgeService::from_profile(profile, ASM)
 }
 
 fn ports() -> PortMap {

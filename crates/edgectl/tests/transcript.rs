@@ -17,7 +17,7 @@ use desim::{Duration, FaultPlan, SimRng, SimTime};
 use edgectl::cluster::DockerCluster;
 use edgectl::scheduler::ProximityScheduler;
 use edgectl::{
-    annotate_deployment, Controller, ControllerConfig, EdgeService, HandoverPolicy, IngressId,
+    Controller, ControllerConfig, EdgeService, HandoverPolicy, IngressId,
     JournalConfig, MigrationConfig, MigrationPolicy, MigrationReason, OutboundMessage, PortMap,
 };
 use netsim::addr::{Ipv4Addr, MacAddr};
@@ -49,17 +49,7 @@ fn client_ip(last: u8) -> Ipv4Addr {
 fn make_service(key: &str, last: u8) -> EdgeService {
     let profile = containerd::ServiceSet::by_key(key).unwrap();
     let addr = svc_addr(last);
-    let yaml = format!(
-        "spec:\n  template:\n    spec:\n      containers:\n        - name: main\n          image: {}\n          ports:\n            - containerPort: {}\n",
-        profile.manifests[0].reference, profile.listen_port
-    );
-    let annotated = annotate_deployment(&yaml, addr, None).unwrap();
-    EdgeService {
-        addr,
-        name: annotated.service_name.clone(),
-        annotated,
-        profile,
-    }
+    EdgeService::from_profile(profile, addr)
 }
 
 fn syn(client: u8, src_port: u16, svc: u8) -> TcpFrame {

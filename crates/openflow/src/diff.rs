@@ -14,10 +14,7 @@
 //!   priority descending, first-added first),
 //! * consistent `next_expiry`: equal emptiness, and the indexed value never
 //!   later than the naive (exact) one — the wheel's documented lower-bound
-//!   contract,
-//! * no stale handle: every [`FlowId`](crate::FlowId) a lookup ever returned
-//!   stops resolving once its flow is gone, whatever has since been
-//!   installed in its place — the indexed table recycles entry storage.
+//!   contract.
 //!
 //! The harness is driven two ways: a deterministic in-crate test sweeping
 //! 1100 fixed seeds (runs in offline builds), and a `proptest` integration
@@ -25,7 +22,7 @@
 
 use crate::actions::{Action, Instruction};
 use crate::oxm::{Match, MatchView, OxmField};
-use crate::table::{entry, FlowId, FlowTable, Removed};
+use crate::table::{entry, FlowTable, Removed};
 use crate::NaiveFlowTable;
 use desim::{Duration, SimRng, SimTime};
 
@@ -160,8 +157,6 @@ pub fn check_seed(seed: u64, ops: usize) -> usize {
     let mut now = SimTime::ZERO;
     let mut cookie = 0u64;
     let mut hits = 0usize;
-    // Every id a lookup handed out, with the (unique) cookie of its flow.
-    let mut handed_out: Vec<(FlowId, u64)> = Vec::new();
     for step in 0..ops {
         now += Duration::from_nanos(rng.below(1_500_000_000));
         let ctx = format!("seed {seed} step {step}");
@@ -208,10 +203,7 @@ pub fn check_seed(seed: u64, ops: usize) -> usize {
                 let v = random_view(&mut rng);
                 let len = 64 + rng.below(1400) as usize;
                 let a = naive.lookup(&v, len, now);
-                let b = indexed.lookup_keyed(&v, len, now).map(|(id, c, i)| {
-                    handed_out.push((id, c));
-                    (c, i.to_vec())
-                });
+                let b = indexed.lookup(&v, len, now).map(|(c, i)| (c, i.to_vec()));
                 assert_eq!(a, b, "{ctx}: lookup results diverge");
                 hits += a.is_some() as usize;
             }
@@ -230,11 +222,6 @@ pub fn check_seed(seed: u64, ops: usize) -> usize {
             }
         }
         assert_tables_eq(&naive, &indexed, &ctx);
-        for &(id, cookie) in &handed_out {
-            if !naive.entries().any(|e| e.cookie == cookie) {
-                assert!(indexed.hit(id, 0, now).is_none(), "{ctx}: stale id {id:#x} resolves");
-            }
-        }
     }
     // Final drain: everything must expire identically far in the future.
     let end = now + Duration::from_secs(3600);

@@ -56,7 +56,7 @@ pub use actions::{Action, Instruction};
 pub use messages::{timeout_secs, FlowModCommand, Message, PacketInReason, RemovedReason};
 pub use naive::NaiveFlowTable;
 pub use oxm::{Match, MatchView};
-pub use table::{FlowEntry, FlowId, FlowTable};
+pub use table::{FlowEntry, FlowTable};
 
 /// Wire protocol version byte (OpenFlow 1.3).
 pub const OFP_VERSION: u8 = 0x04;

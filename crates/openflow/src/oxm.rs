@@ -170,9 +170,8 @@ impl OxmField {
 }
 
 /// The fields of a concrete packet that matching runs against. Built by the
-/// switch from the frame under evaluation. `Hash` lets exact-match caches
-/// (the switch's microflow cache) key directly on the view.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// switch from the frame under evaluation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MatchView {
     /// Ingress port the packet arrived on.
     pub in_port: u32,

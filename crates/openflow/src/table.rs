@@ -30,14 +30,14 @@
 //!
 //! Entries live in a **slab**: a `Vec` of slots, vacated slots recycled
 //! through a free list, so installing and removing a flow moves no other
-//! entry and resolving a [`FlowId`] is an array index, not a hash probe. A
-//! [`FlowId`] is `sequence << 28 | slot`: the low 28 bits say where the entry
+//! entry and resolving a `FlowId` is an array index, not a hash probe. A
+//! `FlowId` is `sequence << 28 | slot`: the low 28 bits say where the entry
 //! sits, the high bits count insertions. Ids therefore still grow with
-//! insertion order — the first-added tie-break, every sort key and the
-//! switch's `(revision, id)` cache guard compare ids exactly as before,
-//! whichever slot an entry happens to occupy — and a slot remembers its
-//! tenant's id, so the id of a removed flow never resolves to the flow that
-//! took its slot.
+//! insertion order — the first-added tie-break and every sort key compare
+//! ids exactly as before, whichever slot an entry happens to occupy — and a
+//! slot remembers its tenant's id, so the id of a removed flow (one the
+//! timer wheel still holds, say) never resolves to the flow that took its
+//! slot.
 //!
 //! An index bucket holds its best candidate **inline** (`head`) and any
 //! others in a `Vec` that stays unallocated until it is needed. A bucket has
@@ -123,12 +123,10 @@ impl Removed {
     }
 }
 
-/// Stable handle of an installed flow, valid until the entry is removed.
-/// Any removal bumps [`FlowTable::revision`], so a caller that caches ids
-/// alongside the revision (the switch's microflow cache) never dereferences
-/// a dangling one. Opaque, but ordered: a later insertion has a larger id
-/// (see the module docs for the layout).
-pub type FlowId = u64;
+/// Handle of an installed flow inside this module, valid until the entry is
+/// removed. Ordered: a later insertion has a larger id (see the module docs
+/// for the layout).
+type FlowId = u64;
 
 /// Low bits of a [`FlowId`] that name the slab slot; the rest count
 /// insertions. 2²⁸ resident flows and 2³⁶ insertions per table.
@@ -421,9 +419,6 @@ pub struct FlowTable {
     /// Expiry wheel; per-entry deadlines are never later than the true
     /// expiry instant (idle refreshes are applied lazily on sweep).
     wheel: TimerWheel<FlowId>,
-    /// Bumped on every mutation that can change classification results
-    /// (add/modify/delete/expire). Caches key on this to self-invalidate.
-    revision: u64,
     /// Recycled buffer for expiry sweeps, so periodic [`FlowTable::expire`]
     /// ticks allocate nothing in the steady state.
     expiry_scratch: Vec<FlowId>,
@@ -449,14 +444,6 @@ impl FlowTable {
     /// `true` if no flows are installed.
     pub fn is_empty(&self) -> bool {
         self.flows.len() == 0
-    }
-
-    /// Mutation counter: changes whenever a lookup could now resolve
-    /// differently. External exact-match caches (the switch's microflow
-    /// cache) store it next to a [`FlowId`] and treat any difference as
-    /// "re-classify".
-    pub fn revision(&self) -> u64 {
-        self.revision
     }
 
     /// Iterates over entries in priority order (descending; first-added
@@ -557,7 +544,6 @@ impl FlowTable {
             self.flows.remove(old);
             self.wheel.cancel(&old);
         }
-        self.revision += 1;
     }
 
     /// The ids whose match equals `match_` (order-sensitive equality, like
@@ -582,9 +568,6 @@ impl FlowTable {
             self.flows.get_mut(id).expect("live flow id").instructions =
                 instructions.to_vec();
         }
-        if !ids.is_empty() {
-            self.revision += 1;
-        }
         ids.len()
     }
 
@@ -602,9 +585,6 @@ impl FlowTable {
         for &id in &ids {
             self.flows.get_mut(id).expect("live flow id").instructions =
                 instructions.to_vec();
-        }
-        if !ids.is_empty() {
-            self.revision += 1;
         }
         ids.len()
     }
@@ -626,9 +606,6 @@ impl FlowTable {
                 .map(|id| (id, self.remove_entry(id)))
                 .collect()
         };
-        if !taken.is_empty() {
-            self.revision += 1;
-        }
         taken.sort_by_key(|(id, e)| (std::cmp::Reverse(e.priority), *id));
         taken
             .into_iter()
@@ -676,33 +653,7 @@ impl FlowTable {
         frame_len: usize,
         now: SimTime,
     ) -> Option<(u64, &[Instruction])> {
-        self.lookup_keyed(view, frame_len, now)
-            .map(|(_, cookie, instructions)| (cookie, instructions))
-    }
-
-    /// Like [`FlowTable::lookup`] but also returns the entry's [`FlowId`] so
-    /// callers can cache the classification (see [`FlowTable::hit`]).
-    pub fn lookup_keyed(
-        &mut self,
-        view: &MatchView,
-        frame_len: usize,
-        now: SimTime,
-    ) -> Option<(FlowId, u64, &[Instruction])> {
         let id = self.classify(view)?;
-        let (cookie, instructions) = self.hit(id, frame_len, now)?;
-        Some((id, cookie, instructions))
-    }
-
-    /// Accounts a packet against an already-classified flow: the microflow
-    /// fast path. Counters and the idle timer update exactly as a full
-    /// lookup would. Returns `None` if `id` is no longer installed (callers
-    /// guard with [`FlowTable::revision`], so this is belt-and-braces).
-    pub fn hit(
-        &mut self,
-        id: FlowId,
-        frame_len: usize,
-        now: SimTime,
-    ) -> Option<(u64, &[Instruction])> {
         let e = self.flows.get_mut(id)?;
         e.packet_count += 1;
         e.byte_count += frame_len as u64;
@@ -746,9 +697,6 @@ impl FlowTable {
             }
         }
         self.expiry_scratch = due;
-        if !taken.is_empty() {
-            self.revision += 1;
-        }
         taken.sort_by_key(|(id, e, _)| (std::cmp::Reverse(e.priority), *id));
         taken
             .into_iter()
@@ -1037,45 +985,6 @@ mod tests {
         assert_eq!(t.entries().next().unwrap().packet_count, 0);
     }
 
-    #[test]
-    fn revision_tracks_classification_changes() {
-        let mut t = FlowTable::new();
-        let r0 = t.revision();
-        t.add(
-            entry(Match::any(), 0, 1, fwd(1), Duration::from_secs(1), Duration::ZERO, 0),
-            SimTime::ZERO,
-        );
-        let r1 = t.revision();
-        assert_ne!(r0, r1, "add bumps");
-        t.lookup(&view(80), 64, SimTime::ZERO);
-        assert_eq!(t.revision(), r1, "lookups do not bump");
-        assert_eq!(t.modify(&Match::any(), &fwd(2)), 1);
-        let r2 = t.revision();
-        assert_ne!(r1, r2, "modify bumps");
-        t.expire(SimTime::from_millis(500));
-        assert_eq!(t.revision(), r2, "empty sweep does not bump");
-        assert_eq!(t.expire(SimTime::from_secs(2)).len(), 1);
-        assert_ne!(t.revision(), r2, "expiry removal bumps");
-    }
-
-    #[test]
-    fn hit_by_id_matches_full_lookup() {
-        let mut t = FlowTable::new();
-        t.add(
-            entry(Match::any(), 0, 42, fwd(1), Duration::ZERO, Duration::ZERO, 0),
-            SimTime::ZERO,
-        );
-        let (id, cookie, instr) = t.lookup_keyed(&view(80), 10, SimTime::ZERO).unwrap();
-        assert_eq!((cookie, instr), (42, &fwd(1)[..]));
-        let (cookie2, instr2) = t.hit(id, 20, SimTime::from_nanos(5)).unwrap();
-        assert_eq!((cookie2, instr2), (42, &fwd(1)[..]));
-        let e = t.entries().next().unwrap();
-        assert_eq!((e.packet_count, e.byte_count), (2, 30));
-        assert_eq!(e.last_hit, SimTime::from_nanos(5));
-        t.delete(&Match::any(), SimTime::from_nanos(6));
-        assert!(t.hit(id, 1, SimTime::from_nanos(7)).is_none(), "stale id");
-    }
-
     fn plain(match_: Match, priority: u16, cookie: u64) -> FlowEntry {
         entry(match_, priority, cookie, fwd(1), Duration::ZERO, Duration::ZERO, 0)
     }
@@ -1091,16 +1000,15 @@ mod tests {
         let mut t = FlowTable::new();
         let idle = Duration::from_secs(1);
         t.add(entry(Match::any(), 0, 1, fwd(1), idle, Duration::ZERO, 0), SimTime::ZERO);
-        let (old, ..) = t.lookup_keyed(&view(80), 64, SimTime::ZERO).unwrap();
+        let old = t.classify(&view(80)).unwrap();
         assert_eq!(t.expire(SimTime::from_secs(2)).len(), 1);
         t.add(plain(Match::any(), 0, 2), SimTime::from_secs(2));
-        let (new, cookie, _) = t.lookup_keyed(&view(80), 64, SimTime::from_secs(2)).unwrap();
-        assert_eq!(cookie, 2);
+        let new = t.classify(&view(80)).unwrap();
         assert_eq!(slot_of(new), slot_of(old), "the vacated slot was reused");
         assert!(new > old, "ids still grow with insertion order");
-        assert!(t.hit(old, 64, SimTime::from_secs(3)).is_none(), "stale id");
-        assert_eq!(t.hit(new, 64, SimTime::from_secs(3)).unwrap().0, 2);
-        assert_eq!(t.entries().next().unwrap().packet_count, 2, "the stale hit counted nothing");
+        assert!(t.flows.get(old).is_none() && t.flows.get_mut(old).is_none(), "stale id");
+        assert!(t.flows.remove(old).is_none(), "a stale id evicts nobody");
+        assert_eq!(t.flows[new].cookie, 2);
     }
 
     /// Insertion order — not slot order — breaks priority ties and orders
@@ -1118,16 +1026,16 @@ mod tests {
         assert_eq!(t.delete(&filler, SimTime::ZERO).len(), 1);
         t.add(plain(by_ip, 5, 4), SimTime::ZERO); // slot 0 again
         // Both shapes match the view at one priority: the older flow wins.
-        let (older, cookie, _) = t.lookup_keyed(&view(80), 64, SimTime::ZERO).unwrap();
-        assert_eq!(cookie, 2, "first-added wins the tie");
+        let older = t.classify(&view(80)).unwrap();
+        assert_eq!(t.flows[older].cookie, 2, "first-added wins the tie");
         assert_eq!(
             t.entries().map(|e| e.cookie).collect::<Vec<_>>(),
             vec![3, 2, 4],
             "priority, then insertion order"
         );
         assert_eq!(t.delete(&by_port, SimTime::ZERO).len(), 1);
-        let (newer, cookie, _) = t.lookup_keyed(&view(80), 64, SimTime::ZERO).unwrap();
-        assert_eq!(cookie, 4);
+        let newer = t.classify(&view(80)).unwrap();
+        assert_eq!(t.flows[newer].cookie, 4);
         assert!(slot_of(older) > slot_of(newer) && older < newer);
     }
 

@@ -5,12 +5,8 @@ use netsim::{TcpHeaders, WireFrame};
 use openflow::actions::Action;
 use openflow::messages::{FlowModCommand, Message, PacketInReason};
 use openflow::oxm::{Match, MatchView, OxmField};
-use openflow::table::{entry, FlowId, FlowTable, Removed};
+use openflow::table::{entry, FlowTable, Removed};
 use openflow::{OfError, OFPP_CONTROLLER, OFPP_FLOOD, OFP_NO_BUFFER};
-
-/// Microflow cache capacity; the cache is cleared wholesale when full (the
-/// OVS approach — entries are cheap to re-establish from the flow table).
-const MICROFLOW_CAP: usize = 65_536;
 
 /// Switch configuration.
 #[derive(Clone, Debug)]
@@ -54,28 +50,23 @@ pub enum Effect {
 
 /// The virtual OpenFlow switch.
 ///
-/// Packet classification is two-tier, mirroring Open vSwitch: an exact-match
-/// **microflow cache** keyed on the full [`MatchView`] resolves repeat
-/// packets of an established connection in one hash probe, falling back to
-/// the indexed flow table on a miss. Cache entries carry the table's
-/// revision counter; any flow-mod or expiry bumps it, so stale entries
-/// self-invalidate without a scan. Per-flow counters and idle timers stay
-/// exact: a cache hit is accounted through [`FlowTable::hit`].
+/// Every frame is classified by [`FlowTable::lookup`] — one hash probe per
+/// live match shape — and nothing sits in front of it: a flow-mod or an
+/// expiry takes effect on the next frame with no cache to invalidate
+/// (DESIGN.md "Why there is no flow cache").
 pub struct Switch {
     config: SwitchConfig,
     table: FlowTable,
     buffers: FastMap<u32, (u32, Vec<u8>)>, // buffer_id -> (in_port, frame)
-    /// Exact-match fast path: packet view -> (table revision, flow id).
-    microflow: FastMap<MatchView, (u64, FlowId)>,
     next_buffer: u32,
     next_xid: u32,
     /// Count of packets handled on the fast path (no controller).
     pub fast_path_packets: u64,
     /// Count of table misses sent to the controller.
     pub table_misses: u64,
-    /// Packets classified by the microflow cache alone.
+    /// Never incremented (no flow cache; `e2ebench` reads it): ROADMAP item 1 (b) deletes it.
     pub microflow_hits: u64,
-    /// Packets that had to consult the flow table (includes table misses).
+    /// Counts every classified frame (`e2ebench` reads it): ROADMAP item 1 (b) deletes it.
     pub microflow_misses: u64,
 }
 
@@ -86,7 +77,6 @@ impl Switch {
             config,
             table: FlowTable::new(),
             buffers: FastMap::default(),
-            microflow: FastMap::default(),
             next_buffer: 1,
             next_xid: 1,
             fast_path_packets: 0,
@@ -104,11 +94,6 @@ impl Switch {
     /// Number of frames currently parked in packet buffers.
     pub fn buffered(&self) -> usize {
         self.buffers.len()
-    }
-
-    /// Number of (possibly stale) entries in the microflow cache.
-    pub fn microflow_len(&self) -> usize {
-        self.microflow.len()
     }
 
     /// Processes a frame arriving on `in_port`. Copies `data` once and takes
@@ -132,39 +117,10 @@ impl Switch {
         };
         let view = view_of(&headers, in_port);
         let len = frame.as_bytes().len();
-        let revision = self.table.revision();
-        let cached = match self.microflow.get(&view) {
-            Some(&(cached_rev, id)) if cached_rev == revision => Some(id),
-            Some(_) => {
-                self.microflow.remove(&view); // table changed under the entry
-                None
-            }
-            None => None,
-        };
-        let instructions = match cached {
-            // Warm path: one hash probe, then account the hit against the
-            // table entry so counters and the idle timer stay exact.
-            Some(id) => {
-                self.microflow_hits += 1;
-                let (_cookie, instructions) = self
-                    .table
-                    .hit(id, len, now)
-                    .expect("microflow id live at unchanged revision");
-                instructions
-            }
-            None => {
-                self.microflow_misses += 1;
-                let Some((id, _cookie, instructions)) = self.table.lookup_keyed(&view, len, now)
-                else {
-                    self.table_misses += 1;
-                    return vec![self.packet_in(in_port, frame.into_bytes())];
-                };
-                if self.microflow.len() >= MICROFLOW_CAP {
-                    self.microflow.clear();
-                }
-                self.microflow.insert(view, (revision, id));
-                instructions
-            }
+        self.microflow_misses += 1;
+        let Some((_cookie, instructions)) = self.table.lookup(&view, len, now) else {
+            self.table_misses += 1;
+            return vec![self.packet_in(in_port, frame.into_bytes())];
         };
         self.fast_path_packets += 1;
         execute(
@@ -951,84 +907,13 @@ mod tests {
         ));
     }
 
+    /// Repeat packets of a connection all take the same table entry: its
+    /// counters are exact and every one of them restarts its idle timer.
     #[test]
-    fn microflow_cache_hits_keep_exact_counters() {
+    fn repeat_packets_keep_exact_counters_and_refresh_the_idle_timer() {
         let mut s = sw();
         let fm = Message::FlowMod {
             cookie: 42,
-            table_id: 0,
-            command: FlowModCommand::Add,
-            idle_timeout: 0,
-            hard_timeout: 0,
-            priority: 100,
-            buffer_id: OFP_NO_BUFFER,
-            flags: 0,
-            match_: Match::service([203, 0, 113, 10], 80),
-            instructions: vec![Instruction::ApplyActions(vec![Action::output(3)])],
-        };
-        s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
-        let data = client_frame().encode();
-        for i in 0..5 {
-            let effects = s.handle_frame(SimTime::from_secs(i), 1, &data);
-            assert!(matches!(effects[0], Effect::Forward { port: 3, .. }));
-        }
-        assert_eq!(s.microflow_misses, 1, "first packet consults the table");
-        assert_eq!(s.microflow_hits, 4, "repeats come from the cache");
-        assert_eq!(s.microflow_len(), 1);
-        // Per-flow counters are exact despite the cached path.
-        let req = Message::FlowStatsRequest { table_id: 0xff, match_: Match::any() };
-        let effects = s.handle_controller(SimTime::from_secs(5), &req.encode(2)).unwrap();
-        match decode_controller(&effects[0]) {
-            Message::FlowStatsReply { flows } => {
-                assert_eq!(flows[0].packet_count, 5);
-                assert_eq!(flows[0].byte_count, 5 * data.len() as u64);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn microflow_cache_invalidates_on_flow_mod() {
-        let mut s = sw();
-        let m = Match::service([203, 0, 113, 10], 80);
-        let add = |instr: Vec<Instruction>, cmd| Message::FlowMod {
-            cookie: 1,
-            table_id: 0,
-            command: cmd,
-            idle_timeout: 0,
-            hard_timeout: 0,
-            priority: 100,
-            buffer_id: OFP_NO_BUFFER,
-            flags: 0,
-            match_: m.clone(),
-            instructions: instr,
-        };
-        let out = |p| vec![Instruction::ApplyActions(vec![Action::output(p)])];
-        s.handle_controller(SimTime::ZERO, &add(out(3), FlowModCommand::Add).encode(1))
-            .unwrap();
-        let data = client_frame().encode();
-        s.handle_frame(SimTime::ZERO, 1, &data); // miss, populates the cache
-        s.handle_frame(SimTime::ZERO, 1, &data); // warm hit
-        assert_eq!(s.microflow_hits, 1);
-        // MODIFY redirects to port 2; the cached entry must not survive.
-        s.handle_controller(SimTime::ZERO, &add(out(2), FlowModCommand::Modify).encode(2))
-            .unwrap();
-        let effects = s.handle_frame(SimTime::ZERO, 1, &data);
-        assert!(matches!(effects[0], Effect::Forward { port: 2, .. }));
-        assert_eq!(s.microflow_misses, 2, "revision bump forced a re-classify");
-        // Deleting the flow sends the next packet back to the controller.
-        s.handle_controller(SimTime::ZERO, &add(vec![], FlowModCommand::Delete).encode(3))
-            .unwrap();
-        let effects = s.handle_frame(SimTime::ZERO, 1, &data);
-        assert!(matches!(effects[0], Effect::ToController(_)));
-        assert_eq!(s.table_misses, 1);
-    }
-
-    #[test]
-    fn microflow_cache_invalidates_on_expiry() {
-        let mut s = sw();
-        let fm = Message::FlowMod {
-            cookie: 7,
             table_id: 0,
             command: FlowModCommand::Add,
             idle_timeout: 10,
@@ -1041,14 +926,85 @@ mod tests {
         };
         s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
         let data = client_frame().encode();
-        s.handle_frame(SimTime::ZERO, 1, &data); // populates the cache
-        s.expire_flows(SimTime::from_secs(10)); // idle timeout fires
+        for i in 0..5 {
+            let effects = s.handle_frame(SimTime::from_secs(4 * i), 1, &data);
+            assert!(matches!(effects[0], Effect::Forward { port: 3, .. }));
+            assert!(s.expire_flows(SimTime::from_secs(4 * i + 3)).is_empty());
+        }
+        assert_eq!((s.fast_path_packets, s.table_misses), (5, 0));
+        let req = Message::FlowStatsRequest { table_id: 0xff, match_: Match::any() };
+        let effects = s.handle_controller(SimTime::from_secs(20), &req.encode(2)).unwrap();
+        match decode_controller(&effects[0]) {
+            Message::FlowStatsReply { flows } => {
+                assert_eq!(flows[0].packet_count, 5);
+                assert_eq!(flows[0].byte_count, 5 * data.len() as u64);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        // Last packet at 16 s: alive at 25 s (25 s after install), gone at 26 s.
+        assert!(s.expire_flows(SimTime::from_secs(25)).is_empty());
+        s.expire_flows(SimTime::from_secs(26));
         assert!(s.table().is_empty());
-        let effects = s.handle_frame(SimTime::from_secs(10), 1, &data);
-        assert!(
-            matches!(effects[0], Effect::ToController(_)),
-            "stale cache entry must not forward after expiry"
-        );
+    }
+
+    /// A flow-mod or an expiry between two frames of a connection decides
+    /// the second frame: after every change the switch does with the frame
+    /// what the reference table says.
+    #[test]
+    fn a_flow_mod_between_two_frames_decides_the_second() {
+        use FlowModCommand::{Add, Delete, Modify};
+        let (mut s, mut naive) = (sw(), openflow::NaiveFlowTable::new());
+        let data = client_frame().encode();
+        let view = view_of(&TcpHeaders::parse(&data).unwrap(), 1);
+        let out = |p| vec![Instruction::ApplyActions(vec![Action::output(p)])];
+        let idle = Duration::from_secs(10);
+        // `change` and an expiry sweep on both tables, then the frame through both.
+        let mut check = |now, change: Option<(FlowModCommand, &Match, u16, u32)>| {
+            if let Some((command, match_, priority, port)) = change {
+                match command {
+                    Add => {
+                        let e = entry(match_.clone(), priority, 1, out(port), idle, Duration::ZERO, 0);
+                        naive.add(e, now);
+                    }
+                    Modify => drop(naive.modify(match_, &out(port))),
+                    Delete => drop(naive.delete(match_, now)),
+                }
+                let fm = Message::FlowMod {
+                    cookie: 1,
+                    table_id: 0,
+                    command,
+                    idle_timeout: 10,
+                    hard_timeout: 0,
+                    priority,
+                    buffer_id: OFP_NO_BUFFER,
+                    flags: 0,
+                    match_: match_.clone(),
+                    instructions: out(port),
+                };
+                s.handle_controller(now, &fm.encode(1)).unwrap();
+            }
+            s.expire_flows(now);
+            naive.expire(now);
+            let want = naive.lookup(&view, data.len(), now).map(|(_, i)| i);
+            match (&s.handle_frame(now, 1, &data)[0], want) {
+                (Effect::Forward { port, .. }, Some(i)) => assert_eq!(i, out(*port), "{now:?}"),
+                (Effect::ToController(_), None) => {}
+                (got, want) => panic!("{now:?}: switch {got:?}, reference {want:?}"),
+            }
+            s.buffers.clear();
+        };
+        let t = SimTime::from_secs;
+        let service = Match::service([203, 0, 113, 10], 80);
+        let connection = Match::connection([192, 168, 1, 20], 50000, [203, 0, 113, 10], 80);
+        check(t(0), None); // empty table: PACKET_IN
+        check(t(1), Some((Add, &service, 100, 3)));
+        check(t(2), Some((Add, &connection, 200, 2))); // a better match takes over
+        check(t(3), Some((Modify, &connection, 0, 1)));
+        check(t(4), Some((Delete, &connection, 0, 0))); // back to the service rule
+        check(t(13), None); // still there: the frame at 4 s restarted its idle timer
+        check(t(23), None); // idled out: PACKET_IN again
+        assert_eq!((s.fast_path_packets, s.table_misses), (5, 2));
+        assert!(s.table().is_empty());
     }
 
     #[test]

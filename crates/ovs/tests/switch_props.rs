@@ -13,7 +13,7 @@ use netsim::{TcpFlags, TcpFrame, TcpHeaders};
 use openflow::actions::{Action, Instruction};
 use openflow::messages::{FlowModCommand, Message, PacketInReason};
 use openflow::oxm::{Match, MatchView, OxmField};
-use openflow::table::{entry, FlowId, FlowTable};
+use openflow::table::{entry, FlowTable};
 use openflow::{OFPP_CONTROLLER, OFPP_FLOOD, OFP_NO_BUFFER};
 use ovs::{Effect, Switch, SwitchConfig};
 use proptest::prelude::*;
@@ -181,18 +181,15 @@ proptest! {
 
 /// The seed's data path: every frame decoded into a `TcpFrame`, `SET_FIELD`s
 /// applied to its fields, every output a fresh `encode()`. Same table, same
-/// microflow cache, same counters and xid sequence as [`Switch`].
+/// counters and xid sequence as [`Switch`].
 struct StructuredSwitch {
     config: SwitchConfig,
     table: FlowTable,
     buffers: HashMap<u32, (u32, Vec<u8>)>,
-    microflow: HashMap<MatchView, (u64, FlowId)>,
     next_buffer: u32,
     next_xid: u32,
     fast_path_packets: u64,
     table_misses: u64,
-    microflow_hits: u64,
-    microflow_misses: u64,
 }
 
 impl StructuredSwitch {
@@ -201,13 +198,10 @@ impl StructuredSwitch {
             config,
             table: FlowTable::new(),
             buffers: HashMap::new(),
-            microflow: HashMap::new(),
             next_buffer: 1,
             next_xid: 1,
             fast_path_packets: 0,
             table_misses: 0,
-            microflow_hits: 0,
-            microflow_misses: 0,
         }
     }
 
@@ -232,23 +226,10 @@ impl StructuredSwitch {
             tcp_src: frame.src_port,
             tcp_dst: frame.dst_port,
         };
-        let revision = self.table.revision();
-        if let Some(&(cached_rev, id)) = self.microflow.get(&view) {
-            if cached_rev == revision {
-                let (_, instructions) = self.table.hit(id, data.len(), now).expect("live id");
-                let actions = flatten(instructions);
-                self.microflow_hits += 1;
-                self.fast_path_packets += 1;
-                return self.apply_actions(frame, in_port, &actions);
-            }
-            self.microflow.remove(&view);
-        }
-        self.microflow_misses += 1;
-        match self.table.lookup_keyed(&view, data.len(), now) {
-            Some((id, _, instructions)) => {
+        match self.table.lookup(&view, data.len(), now) {
+            Some((_, instructions)) => {
                 let actions = flatten(instructions);
                 self.fast_path_packets += 1;
-                self.microflow.insert(view, (revision, id));
                 self.apply_actions(frame, in_port, &actions)
             }
             None => {
@@ -504,8 +485,8 @@ proptest! {
             buffer_ids.extend(parked(&got));
         }
         prop_assert_eq!(
-            (real.fast_path_packets, real.table_misses, real.microflow_hits, real.microflow_misses, real.buffered()),
-            (oracle.fast_path_packets, oracle.table_misses, oracle.microflow_hits, oracle.microflow_misses, oracle.buffers.len())
+            (real.fast_path_packets, real.table_misses, real.buffered()),
+            (oracle.fast_path_packets, oracle.table_misses, oracle.buffers.len())
         );
         let stats = |t: &FlowTable| {
             t.entries()

@@ -157,12 +157,12 @@ mod tests {
         assert!(m.is_empty());
         m.inc("requests_total");
         m.add("requests_total", 2);
-        m.set_gauge("microflow_hit_rate", 0.75);
+        m.set_gauge("layer_cache_hit_rate", 0.75);
         m.observe("deploy_pull_ns", Duration::from_millis(120));
         m.observe("deploy_pull_ns", Duration::from_millis(480));
         assert_eq!(m.counter("requests_total"), 3);
         assert_eq!(m.counter("never_touched"), 0);
-        assert_eq!(m.gauge("microflow_hit_rate"), Some(0.75));
+        assert_eq!(m.gauge("layer_cache_hit_rate"), Some(0.75));
         assert_eq!(m.histogram("deploy_pull_ns").unwrap().count(), 2);
         assert!(!m.is_empty());
     }

@@ -1895,7 +1895,7 @@ mod tests {
         assert!(metrics.counter("deploy_retries_total") > 0);
         assert!(metrics.histogram("deploy_pull_ns").is_some());
         assert!(metrics.gauge("fallback_cloud_rate").is_some());
-        assert!(metrics.gauge("switch.microflow_hit_rate").is_some());
+        assert!(metrics.gauge("switch.table_misses").is_some());
         let json = metrics.to_json();
         assert!(json.contains("\"p95_ms\""), "{json}");
     }

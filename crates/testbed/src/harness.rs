@@ -37,7 +37,7 @@ use crate::topology::{C3Topology, MultiGnbTopology, Net, Role};
 use containerd::ServiceProfile;
 use desim::{Duration, Engine, FastMap, FaultPlan, LogNormal, Sample, SimRng, SimTime};
 use edgectl::{
-    annotate_deployment, Controller, EdgeCluster, EdgeService, HandoverPolicy, IngressId,
+    Controller, EdgeCluster, EdgeService, HandoverPolicy, IngressId,
     OutboundMessage, RecoveryMode, RecoveryReport,
 };
 use mobility::AttachmentEvent;
@@ -386,9 +386,9 @@ impl<T: Net> Harness<T> {
 
     /// A point-in-time metrics snapshot: the controller's registry plus
     /// gauges folded in from every subsystem counter — each switch's
-    /// fast-path and microflow statistics, FlowMemory lookup accounting, the
-    /// event core, and each cluster's engine operations, layer-cache hit
-    /// rate, and load; under runtime chaos, also the breaker states.
+    /// fast-path statistics, FlowMemory lookup accounting, the event core,
+    /// and each cluster's engine operations, layer-cache hit rate, and load;
+    /// under runtime chaos, also the breaker states.
     pub fn telemetry_snapshot(&self) -> MetricsRegistry {
         let mut m = self.controller.telemetry.metrics.clone();
         for (i, sw) in self.switches.iter().enumerate() {
@@ -396,12 +396,6 @@ impl<T: Net> Harness<T> {
             let mut gauge = |name: &str, v: f64| m.set_gauge(&format!("{label}.{name}"), v);
             gauge("fast_path_packets", sw.fast_path_packets as f64);
             gauge("table_misses", sw.table_misses as f64);
-            gauge("microflow_hits", sw.microflow_hits as f64);
-            gauge("microflow_misses", sw.microflow_misses as f64);
-            let probes = sw.microflow_hits + sw.microflow_misses;
-            if probes > 0 {
-                gauge("microflow_hit_rate", sw.microflow_hits as f64 / probes as f64);
-            }
         }
         let fm = self.controller.memory().stats;
         m.set_gauge("flowmemory.lookups", fm.lookups as f64);
@@ -437,30 +431,7 @@ impl<T: Net> Harness<T> {
     /// Registers `profile` as an edge service at `addr` and returns the
     /// created registration. Sessions talk to the service registered last.
     pub fn register_service(&mut self, profile: ServiceProfile, addr: ServiceAddr) -> EdgeService {
-        let containers: String = profile
-            .manifests
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                let ports = if i == 0 {
-                    format!(
-                        "\n          ports:\n            - containerPort: {}",
-                        profile.listen_port
-                    )
-                } else {
-                    String::new()
-                };
-                format!("        - name: c{i}\n          image: {}{}\n", m.reference, ports)
-            })
-            .collect();
-        let yaml = format!("spec:\n  template:\n    spec:\n      containers:\n{containers}");
-        let annotated = annotate_deployment(&yaml, addr, None).expect("valid generated definition");
-        let svc = EdgeService {
-            addr,
-            name: annotated.service_name.clone(),
-            annotated,
-            profile: profile.clone(),
-        };
+        let svc = EdgeService::from_profile(profile.clone(), addr);
         self.profiles.insert(addr, profile);
         self.service = Some(addr);
         self.controller.register_service(svc.clone());

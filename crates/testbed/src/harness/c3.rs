@@ -529,7 +529,7 @@ mod tests {
         // The snapshot folds every subsystem counter into one registry.
         let m = traced.telemetry_snapshot();
         assert_eq!(m.counter("requests_total"), 2);
-        assert!(m.gauge("switch.microflow_hit_rate").is_some());
+        assert!(m.gauge("switch.table_misses").is_some());
         assert!(m.gauge("flowmemory.lookups").unwrap() >= 2.0);
         assert!(m.gauge("cluster.egs-docker.ops_pulls").unwrap() >= 1.0);
         assert!(m.gauge("cluster.egs-docker.layer_cache_hit_rate").is_some());

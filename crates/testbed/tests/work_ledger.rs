@@ -20,11 +20,10 @@ use testbed::{Testbed, TestbedConfig};
 /// What the layers have counted so far.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Ledger {
-    /// Frames the switch looked up: fast-path hits plus table misses.
-    switch_lookups: u64,
+    /// Frames the switch classified — fast-path hits plus table misses —
+    /// each by one `FlowTable::lookup`: nothing sits in front of the table.
+    table_lookups: u64,
     table_misses: u64,
-    microflow_hits: u64,
-    microflow_misses: u64,
     /// Packet-ins the controller answered.
     requests: u64,
     memory_lookups: u64,
@@ -38,10 +37,8 @@ impl Ledger {
         let sw = tb.switch();
         let memory = tb.controller.memory().stats;
         Ledger {
-            switch_lookups: sw.fast_path_packets + sw.table_misses,
+            table_lookups: sw.fast_path_packets + sw.table_misses,
             table_misses: sw.table_misses,
-            microflow_hits: sw.microflow_hits,
-            microflow_misses: sw.microflow_misses,
             requests: tb.controller.telemetry.metrics.counter("requests_total"),
             memory_lookups: memory.lookups,
             memory_hits: memory.hits,
@@ -52,10 +49,8 @@ impl Ledger {
 
     fn since(self, before: Ledger) -> Ledger {
         Ledger {
-            switch_lookups: self.switch_lookups - before.switch_lookups,
+            table_lookups: self.table_lookups - before.table_lookups,
             table_misses: self.table_misses - before.table_misses,
-            microflow_hits: self.microflow_hits - before.microflow_hits,
-            microflow_misses: self.microflow_misses - before.microflow_misses,
             requests: self.requests - before.requests,
             memory_lookups: self.memory_lookups - before.memory_lookups,
             memory_hits: self.memory_hits - before.memory_hits,
@@ -94,12 +89,15 @@ fn a_warm_short_connection() {
     let (events, work) = one_warm_request("nginx", 60, 75);
     assert_eq!(events, 18, "engine events");
     assert_eq!(
+        work.table_lookups, 5,
+        "4 frames, each one table lookup — the SYN twice: on the miss and when \
+         the Add releases it from its buffer"
+    );
+    assert_eq!(
         work,
         Ledger {
-            switch_lookups: 5,
+            table_lookups: 5,
             table_misses: 1,
-            microflow_hits: 2,
-            microflow_misses: 3,
             requests: 1,
             memory_lookups: 1,
             memory_hits: 0,
@@ -114,12 +112,15 @@ fn a_warm_83_kib_upload() {
     let (events, work) = one_warm_request("resnet", 60, 75);
     assert_eq!(events, 134, "engine events");
     assert_eq!(
+        work.table_lookups, 63,
+        "62 frames, each one table lookup — the SYN twice: on the miss and when \
+         the Add releases it from its buffer"
+    );
+    assert_eq!(
         work,
         Ledger {
-            switch_lookups: 63,
+            table_lookups: 63,
             table_misses: 1,
-            microflow_hits: 60,
-            microflow_misses: 3,
             requests: 1,
             memory_lookups: 1,
             memory_hits: 0,
@@ -154,18 +155,7 @@ fn control_messages_and_bytes_each_way() {
     let scheduler = edgectl::scheduler_by_name("proximity").unwrap();
     let mut ctl = Controller::new(scheduler, ports, ControllerConfig::default());
     ctl.add_cluster(Box::new(cluster), 2);
-    let yaml = format!(
-        "spec:\n  template:\n    spec:\n      containers:\n        - image: {}\n          ports:\n            - containerPort: {}\n",
-        profile.manifests[0].reference, profile.listen_port
-    );
-    let annotated = edgectl::annotate_deployment(&yaml, addr, None).unwrap();
-    let name = annotated.service_name.clone();
-    ctl.register_service(edgectl::EdgeService {
-        addr,
-        name,
-        annotated,
-        profile,
-    });
+    ctl.register_service(edgectl::EdgeService::from_profile(profile, addr));
     // The harness's switch: every miss is buffered and sent up whole.
     let mut sw = Switch::new(SwitchConfig {
         datapath_id: 0xC3,

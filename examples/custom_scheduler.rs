@@ -87,17 +87,7 @@ fn main() {
     // Register the asm service from its YAML definition.
     let addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80);
     let profile = ServiceSet::by_key("asm").unwrap();
-    let yaml = format!(
-        "spec:\n  template:\n    spec:\n      containers:\n        - name: web\n          image: {}\n          ports:\n            - containerPort: 80\n",
-        profile.manifests[0].reference
-    );
-    let annotated = annotate_deployment(&yaml, addr, None).unwrap();
-    ctl.register_service(EdgeService {
-        addr,
-        name: annotated.service_name.clone(),
-        annotated,
-        profile,
-    });
+    ctl.register_service(EdgeService::from_profile(profile, addr));
 
     let mut sw = Switch::new(SwitchConfig {
         datapath_id: 1,

@@ -10,9 +10,9 @@
 # per run: stdout (`<name>.out`), stderr (`.err`), exit status (`.status`) and
 # the artifact it wrote (`<name>.BENCH_x.json`). The committed artifacts are
 # restored (`git checkout`) before and after every run, so `summary` always
-# reads the committed ones. Build the parent in a clone (its artifact paths
-# are compiled in, so run it from there or copy its binary out and let it
-# write into this checkout, as here), capture both sides, then
+# reads the committed ones. A binary writes its artifacts into the checkout
+# it was built in (the path is compiled in), so capture the parent with the
+# copy of this script in the parent's clone, the change with this one, then
 #
 #   diff -r <parent-outdir> <change-outdir>
 #

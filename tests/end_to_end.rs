@@ -166,17 +166,7 @@ fn manual_openflow_drive_matches_harness() {
     ctl.add_cluster(Box::new(cluster), 2);
     let addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80);
     let profile = ServiceSet::by_key("asm").unwrap();
-    let yaml = format!(
-        "spec:\n  template:\n    spec:\n      containers:\n        - image: {}\n          ports:\n            - containerPort: 80\n",
-        profile.manifests[0].reference
-    );
-    let annotated = annotate_deployment(&yaml, addr, None).unwrap();
-    ctl.register_service(EdgeService {
-        addr,
-        name: annotated.service_name.clone(),
-        annotated,
-        profile,
-    });
+    ctl.register_service(EdgeService::from_profile(profile, addr));
     let mut sw = Switch::new(SwitchConfig {
         datapath_id: 1,
         n_buffers: 8,
