@@ -28,8 +28,8 @@
 //! back lives in one [`ControlState`], changed only through
 //! [`Controller::commit`] (or its self-logging components), so what runs live
 //! is what the journal replays. And every pair that reaches a switch is built
-//! by [`crate::rules`] and sent by [`Controller::emit_add_pair`]; every
-//! deletion by [`Controller::flow_delete`].
+//! by [`crate::rules`] and sent by [`Controller::install`]; every deletion by
+//! [`Controller::flow_delete`].
 
 mod lifecycle;
 mod migration;
@@ -47,8 +47,7 @@ use crate::journal::{
 };
 use crate::migrate::{MigrationConfig, MigrationManager};
 use crate::rules::{
-    self, AggregateRule, Granularity, InstalledFlow, InstalledPair, PairSpec, Target,
-    AGGREGATE_CLIENT,
+    self, AggregateRule, Granularity, InstalledFlow, PairSpec, Target, AGGREGATE_CLIENT,
 };
 use crate::scheduler::{GlobalScheduler, RequestClass};
 use crate::service::EdgeService;
@@ -703,8 +702,7 @@ impl Controller {
         self.handle_switch_message_from(IngressId::DEFAULT, now, bytes, rng)
     }
 
-    /// Handles one encoded message from a specific ingress switch. The
-    /// returned messages go back to that same switch.
+    /// Wraps [`Self::handle_switch_message_into`]: not the harness's path, and ROADMAP 1 (b) retires it.
     pub fn handle_switch_message_from(
         &mut self,
         ingress: IngressId,
@@ -712,41 +710,47 @@ impl Controller {
         bytes: &[u8],
         rng: &mut SimRng,
     ) -> Result<Vec<OutboundMessage>, OfError> {
+        let mut out = Vec::new();
+        self.handle_switch_message_into(ingress, now, bytes, rng, &mut out)?;
+        Ok(out)
+    }
+
+    /// Handles one encoded message from a specific ingress switch, appending
+    /// the messages that go back to that same switch to `out` — a sink as
+    /// `ovs::Switch` defines one: never cleared or read, untouched on `Err`.
+    pub fn handle_switch_message_into(
+        &mut self,
+        ingress: IngressId,
+        now: SimTime,
+        bytes: &[u8],
+        rng: &mut SimRng,
+        out: &mut Vec<OutboundMessage>,
+    ) -> Result<(), OfError> {
         let (_xid, msg, _) = Message::decode(bytes)?;
-        Ok(self.synced(|ctl| match msg {
+        self.synced(|ctl| match msg {
             Message::EchoRequest(payload) => {
-                vec![ctl.outbound(now, &Message::EchoReply(payload))]
+                out.push(ctl.outbound(now, &Message::EchoReply(payload)));
             }
-            Message::PacketIn {
-                buffer_id,
-                match_,
-                data,
-                ..
-            } => ctl.handle_packet_in(ingress, now, buffer_id, &match_, &data, rng),
+            Message::PacketIn { buffer_id, match_, data, .. } => {
+                ctl.handle_packet_in(ingress, now, buffer_id, &match_, &data, rng, out);
+            }
             Message::FlowRemoved { match_, priority, .. } => {
                 ctl.handle_flow_removed(ingress, &match_, priority);
-                vec![]
             }
-            Message::Error { error_type, code, .. } => {
-                ctl.switch_errors.push((error_type, code));
-                vec![]
-            }
-            Message::FlowStatsReply { flows } => {
-                ctl.last_flow_stats = Some(flows);
-                vec![]
-            }
-            // Session replies need no action.
+            Message::Error { error_type, code, .. } => ctl.switch_errors.push((error_type, code)),
+            Message::FlowStatsReply { flows } => ctl.last_flow_stats = Some(flows),
+            // Session replies need no action; the rest a switch should not send us.
             Message::Hello
             | Message::EchoReply(_)
             | Message::FeaturesReply { .. }
-            | Message::BarrierReply => vec![],
-            // Messages a switch should not send us.
-            Message::FeaturesRequest
+            | Message::BarrierReply
+            | Message::FeaturesRequest
             | Message::PacketOut { .. }
             | Message::FlowMod { .. }
             | Message::FlowStatsRequest { .. }
-            | Message::BarrierRequest => vec![],
-        }))
+            | Message::BarrierRequest => {}
+        });
+        Ok(())
     }
 
     /// Tombstones the bookkeeping behind a `FLOW_REMOVED`: the switch no
@@ -769,6 +773,7 @@ impl Controller {
             let service = self.state.pairs(filed, ingress)[idx].service;
             self.commit(JournalEvent::AggregateDrop { ingress, service });
         }
+        self.state.recycle_positions(dead);
     }
 
     fn in_port_of(match_: &Match) -> u32 {
@@ -782,6 +787,7 @@ impl Controller {
             .unwrap_or(0)
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn handle_packet_in(
         &mut self,
         ingress: IngressId,
@@ -790,14 +796,15 @@ impl Controller {
         match_: &Match,
         data: &[u8],
         rng: &mut SimRng,
-    ) -> Vec<OutboundMessage> {
+        out: &mut Vec<OutboundMessage>,
+    ) {
         let in_port = Self::in_port_of(match_);
         let Ok(frame) = TcpFrame::decode(data) else {
             // Nothing to schedule on — but only the controller can name the
             // buffer the switch parked the packet in: have it dropped.
             self.note_error(ControlPlaneError::UndecodablePacketIn { ingress });
             let release = rules::drop_buffered(buffer_id);
-            return release.map(|m| self.outbound(now, &m)).into_iter().collect();
+            return out.extend(release.map(|m| self.outbound(now, &m)));
         };
         // Location tracking: a client arriving at a new location moved. An
         // *announced* move goes through [`Controller::handle_attachment_change`]
@@ -849,7 +856,7 @@ impl Controller {
                 "not an edge service; plain cloud forwarding".to_owned()
             });
             self.close_request(root, rec);
-            return self.install(ingress, t, spec, None, release);
+            return self.install(ingress, t, spec, None, release, out);
         };
 
         let mut distances = std::mem::take(&mut self.distance_scratch);
@@ -881,20 +888,21 @@ impl Controller {
             DispatchDecision::FallbackCloud { .. } => RequestKind::FallbackCloud,
         };
         let (to, answered_at) = self.placement(&outcome.decision, svc_addr, t);
-        let msgs = match to {
+        let before = out.len();
+        match to {
             // A held request gets an exact pair: its deferred release
             // predates any aggregate decision.
             Some(to) if self.config.aggregate_rules && kind != RequestKind::Waited => {
-                self.install_aggregated(ingress, t, spec, to, (buffer_id, &frame))
+                self.install_aggregated(ingress, t, spec, to, (buffer_id, &frame), out)
             }
-            _ => self.install(ingress, answered_at, spec, to, release),
+            _ => self.install(ingress, answered_at, spec, to, release, out),
         };
         let cluster = to.map(|(_, cluster)| cluster);
 
         // The span closes exactly once per request, at the instant the
         // answer goes out — possibly in the sim-future for held requests
         // (Waited / FallbackCloud), whose release instant is already known.
-        let n_msgs = msgs.len();
+        let n_msgs = out.len() - before;
         self.telemetry.event(root, "flow-install", answered_at, || {
             format!("{kind:?}: {n_msgs} message(s) toward the switch")
         });
@@ -907,7 +915,6 @@ impl Controller {
             ..rec
         };
         self.close_request(root, rec);
-        msgs
     }
 
     /// The one epilogue of a packet-in: closes the request's span at the
@@ -1041,9 +1048,10 @@ impl Controller {
         mut spec: PairSpec,
         to: Placement,
         release: Option<Release>,
-    ) -> Vec<OutboundMessage> {
+        out: &mut Vec<OutboundMessage>,
+    ) {
         let Some(target) = self.resolve(ingress, to) else {
-            return Vec::new();
+            return;
         };
         if matches!(target, Target::Cloud { .. }) && spec.granularity == Granularity::Service {
             // Only a redirect is worth sharing: a first decision degraded to
@@ -1068,13 +1076,22 @@ impl Controller {
             });
             self.telemetry.metrics.inc("aggregate_installed");
         }
-        let msgs = self.emit_add_pair(ingress, at, &mut pair, release);
+        // The two Adds go out reverse first: when the buffered packet is
+        // released through the forward flow, the reply path must already
+        // exist. A packet the switch could not buffer behind its packet-in
+        // is re-injected by a `PACKET_OUT` after them.
+        let buffer_id = release.map_or(OFP_NO_BUFFER, |(id, _)| id);
+        self.flow_adds += 2;
+        out.push(self.flow_add(at, &mut pair.rev, OFP_NO_BUFFER));
+        out.push(self.flow_add(at, &mut pair.fwd, buffer_id));
+        if let Some(carried) = release.filter(|(id, _)| *id == OFP_NO_BUFFER) {
+            self.packet_out(ingress, at, carried, pair.fwd_actions(), out);
+        }
         self.commit(JournalEvent::PairAdd {
             client: spec.filed_under(),
             ingress,
             pair,
         });
-        msgs
     }
 
     /// Rule-aggregation front end for ready-instance redirects
@@ -1106,7 +1123,8 @@ impl Controller {
         spec: PairSpec,
         (instance, cluster): (InstanceAddr, usize),
         release: Release,
-    ) -> Vec<OutboundMessage> {
+        out: &mut Vec<OutboundMessage>,
+    ) {
         let granularity = match self.state.aggregate(ingress, spec.service) {
             Some(r)
                 if r.instance == instance
@@ -1115,7 +1133,7 @@ impl Controller {
             {
                 let actions = r.fwd_actions.clone();
                 self.telemetry.metrics.inc("aggregate_covered");
-                return self.packet_out(ingress, at, release, actions).into_iter().collect();
+                return self.packet_out(ingress, at, release, actions, out);
             }
             Some(_) => {
                 self.telemetry.metrics.inc("aggregate_divergent");
@@ -1124,30 +1142,7 @@ impl Controller {
             None => Granularity::Service,
         };
         let spec = PairSpec { granularity, ..spec };
-        self.install(ingress, at, spec, Some((instance, cluster)), Some(release))
-    }
-
-    /// Sends the two Adds of `pair` — reverse first: when the buffered
-    /// packet is released through the forward flow, the reply path must
-    /// already exist — and, when the switch could not buffer the packet
-    /// behind the packet-in, the `PACKET_OUT` that re-injects it.
-    fn emit_add_pair(
-        &mut self,
-        ingress: IngressId,
-        at: SimTime,
-        pair: &mut InstalledPair,
-        release: Option<Release>,
-    ) -> Vec<OutboundMessage> {
-        let buffer_id = release.map_or(OFP_NO_BUFFER, |(id, _)| id);
-        let carried = release.filter(|(id, _)| *id == OFP_NO_BUFFER);
-        self.flow_adds += 2;
-        let mut msgs = Vec::with_capacity(2 + usize::from(carried.is_some()));
-        msgs.push(self.flow_add(at, &mut pair.rev, OFP_NO_BUFFER));
-        msgs.push(self.flow_add(at, &mut pair.fwd, buffer_id));
-        if let Some(release) = carried {
-            msgs.extend(self.packet_out(ingress, at, release, pair.fwd_actions()));
-        }
-        msgs
+        self.install(ingress, at, spec, Some((instance, cluster)), Some(release), out)
     }
 
     /// The `PACKET_OUT` releasing the packet behind a packet-in through
@@ -1159,12 +1154,12 @@ impl Controller {
         at: SimTime,
         (buffer_id, frame): Release,
         actions: Vec<openflow::Action>,
-    ) -> Option<OutboundMessage> {
-        let Some(msg) = rules::packet_out(buffer_id, actions, frame) else {
-            self.note_error(ControlPlaneError::OversizePacketOut { ingress });
-            return None;
-        };
-        Some(self.outbound(at, &msg))
+        out: &mut Vec<OutboundMessage>,
+    ) {
+        match rules::packet_out(buffer_id, actions, frame) {
+            Some(msg) => out.push(self.outbound(at, &msg)),
+            None => self.note_error(ControlPlaneError::OversizePacketOut { ingress }),
+        }
     }
 
     /// One `FLOW_MOD` Add of `flow` under the configured switch idle timeout.
@@ -1253,7 +1248,7 @@ impl Controller {
             // reconciliation still needs to claim them until then.
             let old_pairs = ctl.commit(JournalEvent::HandoverSweep { client, from }).retired;
 
-            let mut messages: Vec<(IngressId, OutboundMessage)> = Vec::new();
+            let mut made = Vec::new();
             let mut completed_at = t;
             let mut flows_migrated = 0usize;
             let mut redispatched = 0usize;
@@ -1307,8 +1302,7 @@ impl Controller {
                     in_port: new_in_port,
                     service: svc.addr,
                 };
-                let msgs = ctl.install(to, installed_at, spec, placement, None);
-                messages.extend(msgs.into_iter().map(|m| (to, m)));
+                ctl.install(to, installed_at, spec, placement, None, &mut made);
                 flows_migrated += 1;
                 completed_at = completed_at.max(installed_at);
             }
@@ -1321,6 +1315,8 @@ impl Controller {
             // here costs nothing.
             let break_at = completed_at + Duration::from_millis(50);
             let n_old = old_pairs.len();
+            let mut messages = Vec::with_capacity(made.len() + 2 * n_old);
+            messages.extend(made.into_iter().map(|m| (to, m)));
             for pair in old_pairs {
                 for m in [pair.fwd.match_, pair.rev.match_] {
                     let del = ctl.flow_delete(break_at, m);

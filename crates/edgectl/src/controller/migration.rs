@@ -162,7 +162,8 @@ impl Controller {
                         in_port,
                         service: m.service,
                     };
-                    let msgs = self.install(key.ingress, t, spec, Some((new_inst, m.to)), None);
+                    let mut msgs = Vec::new();
+                    self.install(key.ingress, t, spec, Some((new_inst, m.to)), None, &mut msgs);
                     out.extend(msgs.into_iter().map(|msg| (key.ingress, msg)));
                     // A leftover handover wildcard for the same client and
                     // service has this very forward match, so the ADD above

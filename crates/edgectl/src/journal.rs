@@ -362,6 +362,8 @@ pub(crate) struct ControlState {
     /// [`ControlState::apply`], rebuilt by `restore`, and therefore neither
     /// journaled nor part of a [`Snapshot`].
     fwd_index: FwdIndex,
+    /// Recycled result buffer of [`ControlState::live_pairs_with_fwd`].
+    fwd_scratch: Vec<usize>,
     /// Pairs [`ControlState::live_pairs_with_fwd`] compared so far.
     #[cfg(test)]
     examined: std::cell::Cell<usize>,
@@ -391,6 +393,7 @@ impl ControlState {
             memory: FlowMemory::new(config.memory_idle),
             installed: Vec::new(),
             fwd_index: FastMap::default(),
+            fwd_scratch: Vec::new(),
             #[cfg(test)]
             examined: std::cell::Cell::new(0),
             aggregates: FastMap::default(),
@@ -585,18 +588,21 @@ impl ControlState {
     /// Positions of the live pairs at `(client, ingress)` whose forward flow
     /// is exactly `(priority, match_)`, ascending — what a `FLOW_REMOVED`
     /// retires. Examines only the pairs filed under that flow, however many
-    /// the client has had.
+    /// the client has had. The answer sits in a buffer the state lends out:
+    /// [`ControlState::recycle_positions`] hands it back, and the next
+    /// `FLOW_REMOVED` then costs no heap call.
     pub(crate) fn live_pairs_with_fwd(
-        &self,
+        &mut self,
         client: Ipv4Addr,
         ingress: IngressId,
         priority: u16,
         match_: &Match,
     ) -> Vec<usize> {
+        let mut live = std::mem::take(&mut self.fwd_scratch);
+        live.clear();
         let pairs = self.pairs(client, ingress);
         let same_flow = |p: &InstalledPair| p.fwd.priority == priority && p.fwd.match_ == *match_;
         let found = self.fwd_index.get(&FwdKey::new(client, ingress, priority, match_));
-        let mut live = Vec::with_capacity(found.map_or(0, |f| 1 + f.more.len()));
         for &pos in found.iter().flat_map(|f| std::iter::once(&f.first).chain(&f.more)) {
             #[cfg(test)]
             self.examined.set(self.examined.get() + 1);
@@ -606,6 +612,11 @@ impl ControlState {
         }
         debug_assert_eq!(live, self.live_pairs(client, ingress, same_flow), "index ≠ scan");
         live
+    }
+
+    /// Takes back the buffer [`ControlState::live_pairs_with_fwd`] lent out.
+    pub(crate) fn recycle_positions(&mut self, positions: Vec<usize>) {
+        self.fwd_scratch = positions;
     }
 
     /// Indices of the live pairs at `(client, ingress)` that `pick` selects,

@@ -8,7 +8,10 @@
 //!
 //! Every scenario runs with the journal off and on: the two transcripts
 //! must be equal, and with the journal on a rebuild from it must digest
-//! equal to the live state.
+//! equal to the live state. A third run hands the controller an outbox that
+//! already holds messages (`handle_switch_message_into`, the harness's entry
+//! point): they must come back untouched and what is appended behind them
+//! must hash to the same pinned transcript the `Vec`-returning wrapper gives.
 //!
 //! Re-pin a constant only when a change *means* to alter what goes on the
 //! wire for that shape, and say so in the commit.
@@ -73,6 +76,9 @@ struct RigOpts {
     edge_b_faulty: bool,
     /// `edge-b` is the nearest cluster as seen from ingress 1.
     edge_b_near_g1: bool,
+    /// Switch messages reach the controller through
+    /// `handle_switch_message_into`, with an outbox that is not empty.
+    prefilled_outbox: bool,
 }
 
 /// Two clusters (`edge-a` nearer than `edge-b`), two ingress switches, two
@@ -83,6 +89,8 @@ struct Rig {
     rng: SimRng,
     hash: u64,
     journal: bool,
+    /// What the outbox holds before each switch message (see [`RigOpts`]).
+    prefill: Option<Vec<OutboundMessage>>,
 }
 
 impl Rig {
@@ -151,7 +159,28 @@ impl Rig {
             rng,
             hash: FNV_OFFSET,
             journal: opts.journal,
+            prefill: opts.prefilled_outbox.then(|| {
+                let held = |at, data| OutboundMessage { at: SimTime::from_secs(at), data };
+                vec![held(3, vec![0xde, 0xad]), held(1, Vec::new())]
+            }),
         }
+    }
+
+    /// One switch message into the controller: through the wrapper, or —
+    /// `prefilled_outbox` — appended to an outbox whose contents must stay.
+    fn answer(&mut self, g: IngressId, now: SimTime, bytes: &[u8]) -> Vec<OutboundMessage> {
+        let Some(held) = &self.prefill else {
+            return self
+                .ctl
+                .handle_switch_message_from(g, now, bytes, &mut self.rng)
+                .expect("controller accepts the switch's bytes");
+        };
+        let mut out = held.clone();
+        self.ctl
+            .handle_switch_message_into(g, now, bytes, &mut self.rng, &mut out)
+            .expect("controller accepts the switch's bytes");
+        assert_eq!(&out[..held.len()], &held[..], "the outbox's contents were touched");
+        out.split_off(held.len())
     }
 
     fn fold(&mut self, bytes: &[u8]) {
@@ -185,10 +214,7 @@ impl Rig {
         let mut all = Vec::new();
         for e in effects {
             if let Effect::ToController(bytes) = e {
-                let out = self
-                    .ctl
-                    .handle_switch_message_from(g, now, &bytes, &mut self.rng)
-                    .expect("controller accepts the switch's bytes");
+                let out = self.answer(g, now, &bytes);
                 for m in &out {
                     self.emit(g, m);
                 }
@@ -310,13 +336,15 @@ impl Rig {
     }
 }
 
-/// Runs `scenario` with the journal off and on; both transcripts must be
-/// the pinned one.
+/// Runs `scenario` with the journal off and on, and once more through a
+/// pre-filled outbox; all three transcripts must be the pinned one.
 #[track_caller]
-fn pinned(name: &str, want: u64, scenario: impl Fn(bool) -> u64) {
-    let off = scenario(false);
-    let on = scenario(true);
+fn pinned(name: &str, want: u64, scenario: impl Fn(RigOpts) -> u64) {
+    let off = scenario(RigOpts::default());
+    let on = scenario(RigOpts { journal: true, ..RigOpts::default() });
+    let sunk = scenario(RigOpts { prefilled_outbox: true, ..RigOpts::default() });
     assert_eq!(off, on, "{name}: the journal changed the transcript");
+    assert_eq!(off, sunk, "{name}: a pre-filled outbox changed the transcript");
     assert_eq!(off, want, "{name}: transcript hash {off:#018x} != pinned {want:#018x}");
 }
 
@@ -328,8 +356,8 @@ fn secs(s: u64) -> Duration {
 
 /// Waited redirect (cold deploy), fresh redirect (second client), memory
 /// hit (second connection), then idle expiry and the idle scale-down.
-fn exact_redirects(journal: bool, n_buffers: u32) -> u64 {
-    let mut r = Rig::new(101, RigOpts { journal, n_buffers, ..RigOpts::default() });
+fn exact_redirects(base: RigOpts, n_buffers: u32) -> u64 {
+    let mut r = Rig::new(101, RigOpts { n_buffers, ..base });
     let t0 = SimTime::from_secs(1);
     let answered = r.serve(G0, t0, &syn(20, 50_000, ASM));
     assert!(answered > t0 + Duration::from_millis(50), "cold deploy waits");
@@ -347,20 +375,20 @@ fn exact_redirects(journal: bool, n_buffers: u32) -> u64 {
 
 #[test]
 fn exact_redirect_buffered() {
-    pinned("exact_redirect_buffered", EXACT_REDIRECT_BUFFERED, |j| exact_redirects(j, 64));
+    pinned("exact_redirect_buffered", EXACT_REDIRECT_BUFFERED, |base| exact_redirects(base, 64));
 }
 
 #[test]
 fn exact_redirect_unbuffered() {
-    pinned("exact_redirect_unbuffered", EXACT_REDIRECT_UNBUFFERED, |j| exact_redirects(j, 0));
+    pinned("exact_redirect_unbuffered", EXACT_REDIRECT_UNBUFFERED, |base| exact_redirects(base, 0));
 }
 
 /// Plain cloud paths: an unregistered destination, and a registered
 /// service while every zone is dark.
 #[test]
 fn cloud_and_unregistered() {
-    pinned("cloud_and_unregistered", CLOUD_AND_UNREGISTERED, |journal| {
-        let mut r = Rig::new(102, RigOpts { journal, n_buffers: 64, ..RigOpts::default() });
+    pinned("cloud_and_unregistered", CLOUD_AND_UNREGISTERED, |base| {
+        let mut r = Rig::new(102, RigOpts { n_buffers: 64, ..base });
         let t0 = SimTime::from_secs(1);
         let mut frame = syn(20, 50_000, ASM);
         frame.dst_port = 443;
@@ -380,13 +408,12 @@ fn cloud_and_unregistered() {
 /// packet toward the cloud; a second request coalesces onto the verdict.
 #[test]
 fn fallback_cloud() {
-    pinned("fallback_cloud", FALLBACK_CLOUD, |journal| {
+    pinned("fallback_cloud", FALLBACK_CLOUD, |base| {
         let opts = RigOpts {
-            journal,
             n_buffers: 64,
             edge_b_faulty: true,
             edge_b_near_g1: true,
-            ..RigOpts::default()
+            ..base
         };
         let mut r = Rig::new(103, opts);
         let t0 = SimTime::from_secs(1);
@@ -415,9 +442,9 @@ fn with_aggregate(r: &mut Rig) -> SimTime {
 /// idle expiry drops the anchor and the next decision installs a fresh one.
 #[test]
 fn aggregate_first() {
-    pinned("aggregate_first", AGGREGATE_FIRST, |journal| {
+    pinned("aggregate_first", AGGREGATE_FIRST, |base| {
         let mut r =
-            Rig::new(104, RigOpts { journal, aggregate: true, n_buffers: 64, ..RigOpts::default() });
+            Rig::new(104, RigOpts { aggregate: true, n_buffers: 64, ..base });
         let t = with_aggregate(&mut r);
         assert_eq!(r.sws[0].table().entries().count(), 4, "exact pair + aggregate pair");
         r.expire(G0, t + secs(30));
@@ -438,9 +465,9 @@ fn aggregate_first() {
 /// `PACKET_OUT`.
 #[test]
 fn aggregate_covered() {
-    pinned("aggregate_covered", AGGREGATE_COVERED, |journal| {
+    pinned("aggregate_covered", AGGREGATE_COVERED, |base| {
         let mut r =
-            Rig::new(105, RigOpts { journal, aggregate: true, n_buffers: 64, ..RigOpts::default() });
+            Rig::new(105, RigOpts { aggregate: true, n_buffers: 64, ..base });
         let t = with_aggregate(&mut r);
         r.hash = FNV_OFFSET;
         let out = r.raw_packet_in(G0, t, &syn(23, 53_000, ASM));
@@ -454,9 +481,9 @@ fn aggregate_covered() {
 /// gets an exact pair at base priority.
 #[test]
 fn aggregate_divergent() {
-    pinned("aggregate_divergent", AGGREGATE_DIVERGENT, |journal| {
+    pinned("aggregate_divergent", AGGREGATE_DIVERGENT, |base| {
         let mut r =
-            Rig::new(106, RigOpts { journal, aggregate: true, n_buffers: 64, ..RigOpts::default() });
+            Rig::new(106, RigOpts { aggregate: true, n_buffers: 64, ..base });
         let t = with_aggregate(&mut r);
         r.hash = FNV_OFFSET;
         let mut frame = syn(24, 54_000, ASM);
@@ -472,8 +499,8 @@ fn aggregate_divergent() {
 /// pair goes in at the new switch, the exact pair comes out of the old one.
 #[test]
 fn handover_anchored() {
-    pinned("handover_anchored", HANDOVER_ANCHORED, |journal| {
-        let mut r = Rig::new(107, RigOpts { journal, n_buffers: 64, ..RigOpts::default() });
+    pinned("handover_anchored", HANDOVER_ANCHORED, |base| {
+        let mut r = Rig::new(107, RigOpts { n_buffers: 64, ..base });
         let answered = r.serve(G0, SimTime::from_secs(1), &syn(20, 50_000, ASM));
         // An unregistered cloud path of the same client is *not* retired.
         let mut other = syn(20, 50_001, ASM);
@@ -492,8 +519,8 @@ fn handover_anchored() {
 /// (a handover-cloud pair) when the nearest zone cannot deploy.
 #[test]
 fn handover_redispatched() {
-    pinned("handover_redispatched", HANDOVER_REDISPATCHED, |journal| {
-        let mut r = Rig::new(108, RigOpts { journal, n_buffers: 64, ..RigOpts::default() });
+    pinned("handover_redispatched", HANDOVER_REDISPATCHED, |base| {
+        let mut r = Rig::new(108, RigOpts { n_buffers: 64, ..base });
         let answered = r.serve(G0, SimTime::from_secs(1), &syn(20, 50_000, ASM));
         let done = r.handover(answered + secs(2), 20, G0, G1, HandoverPolicy::Redispatch);
         assert_eq!(r.ctl.telemetry.metrics.counter("handover_redispatched_total"), 1);
@@ -508,13 +535,12 @@ fn handover_redispatched() {
 
 #[test]
 fn handover_cloud() {
-    pinned("handover_cloud", HANDOVER_CLOUD, |journal| {
+    pinned("handover_cloud", HANDOVER_CLOUD, |base| {
         let opts = RigOpts {
-            journal,
             n_buffers: 64,
             edge_b_faulty: true,
             edge_b_near_g1: true,
-            ..RigOpts::default()
+            ..base
         };
         let mut r = Rig::new(109, opts);
         let answered = r.serve(G0, SimTime::from_secs(1), &syn(20, 50_000, ASM));
@@ -538,8 +564,8 @@ fn handover_cloud() {
 /// instance in, both directions of the old exact pair out.
 #[test]
 fn migration_flip_exact() {
-    pinned("migration_flip_exact", MIGRATION_FLIP_EXACT, |journal| {
-        let mut r = Rig::new(110, RigOpts { journal, n_buffers: 64, ..RigOpts::default() });
+    pinned("migration_flip_exact", MIGRATION_FLIP_EXACT, |base| {
+        let mut r = Rig::new(110, RigOpts { n_buffers: 64, ..base });
         let answered = r.serve(G0, SimTime::from_secs(1), &syn(20, 50_000, ASM));
         let n = r.migrate_asm(answered + secs(1));
         assert_eq!(n, 4, "2 adds + fwd and rev delete");
@@ -552,8 +578,8 @@ fn migration_flip_exact() {
 /// reverse flow is deleted.
 #[test]
 fn migration_flip_replaced_forward() {
-    pinned("migration_flip_replaced_forward", MIGRATION_FLIP_REPLACED_FORWARD, |journal| {
-        let mut r = Rig::new(111, RigOpts { journal, n_buffers: 64, ..RigOpts::default() });
+    pinned("migration_flip_replaced_forward", MIGRATION_FLIP_REPLACED_FORWARD, |base| {
+        let mut r = Rig::new(111, RigOpts { n_buffers: 64, ..base });
         let answered = r.serve(G0, SimTime::from_secs(1), &syn(20, 50_000, ASM));
         let done = r.handover(answered + secs(2), 20, G0, G1, HandoverPolicy::Anchored);
         let n = r.migrate_asm(done + secs(1));
@@ -566,8 +592,8 @@ fn migration_flip_replaced_forward() {
 /// the next request redeploys.
 #[test]
 fn dead_instance_repair() {
-    pinned("dead_instance_repair", DEAD_INSTANCE_REPAIR, |journal| {
-        let mut r = Rig::new(112, RigOpts { journal, n_buffers: 64, ..RigOpts::default() });
+    pinned("dead_instance_repair", DEAD_INSTANCE_REPAIR, |base| {
+        let mut r = Rig::new(112, RigOpts { n_buffers: 64, ..base });
         let answered = r.serve(G0, SimTime::from_secs(1), &syn(20, 50_000, ASM));
         r.serve(G1, answered + secs(1), &syn(21, 51_000, ASM));
         let crash_at = answered + secs(2);
@@ -584,8 +610,8 @@ fn dead_instance_repair() {
 /// land on the other zone; the window ends explicitly.
 #[test]
 fn zone_outage() {
-    pinned("zone_outage", ZONE_OUTAGE, |journal| {
-        let mut r = Rig::new(113, RigOpts { journal, n_buffers: 64, ..RigOpts::default() });
+    pinned("zone_outage", ZONE_OUTAGE, |base| {
+        let mut r = Rig::new(113, RigOpts { n_buffers: 64, ..base });
         let answered = r.serve(G0, SimTime::from_secs(1), &syn(20, 50_000, ASM));
         let dark_at = r.serve(G0, answered + secs(1), &syn(21, 51_000, NGINX)) + secs(1);
         let msgs = r.ctl.begin_zone_outage(0, dark_at, dark_at + secs(30), &mut r.rng);
@@ -603,8 +629,8 @@ fn zone_outage() {
 /// its switch flows deleted as orphans.
 #[test]
 fn reconcile_readd_and_orphans() {
-    pinned("reconcile_readd_and_orphans", RECONCILE, |journal| {
-        let mut r = Rig::new(114, RigOpts { journal, n_buffers: 64, ..RigOpts::default() });
+    pinned("reconcile_readd_and_orphans", RECONCILE, |base| {
+        let mut r = Rig::new(114, RigOpts { n_buffers: 64, ..base });
         let answered = r.serve(G0, SimTime::from_secs(1), &syn(20, 50_000, ASM));
         // The flows idle out with the channel down: nothing is delivered.
         let lost_at = answered + secs(11);
@@ -638,8 +664,8 @@ fn reconcile_readd_and_orphans() {
 /// resurrect it.
 #[test]
 fn flow_removed_tombstone() {
-    pinned("flow_removed_tombstone", FLOW_REMOVED_TOMBSTONE, |journal| {
-        let mut r = Rig::new(115, RigOpts { journal, n_buffers: 64, ..RigOpts::default() });
+    pinned("flow_removed_tombstone", FLOW_REMOVED_TOMBSTONE, |base| {
+        let mut r = Rig::new(115, RigOpts { n_buffers: 64, ..base });
         let answered = r.serve(G0, SimTime::from_secs(1), &syn(20, 50_000, ASM));
         r.expire(G0, answered + secs(11));
         assert_eq!(r.ctl.flows_removed, 1);
@@ -669,3 +695,29 @@ const DEAD_INSTANCE_REPAIR: u64 = 0x5477_e682_2698_4273;
 const ZONE_OUTAGE: u64 = 0xd88c_b147_bfb2_0973;
 const RECONCILE: u64 = 0xd94c_4ccf_2cdd_8630;
 const FLOW_REMOVED_TOMBSTONE: u64 = 0xda8a_d2c3_7b74_a54d;
+
+/// The rest of the outbox contract: bytes that are no message fail before
+/// anything is pushed, and a packet-in whose packet is no frame appends its
+/// one buffer release behind what the outbox already holds.
+#[test]
+fn an_outbox_keeps_what_it_holds_when_the_switch_sends_nonsense() {
+    let mut r = Rig::new(116, RigOpts { n_buffers: 64, ..RigOpts::default() });
+    let held = OutboundMessage { at: SimTime::from_secs(9), data: vec![1, 2, 3] };
+    let mut out = vec![held.clone()];
+    let now = SimTime::from_secs(1);
+    assert!(r.ctl.handle_switch_message_into(G0, now, &[0xff; 7], &mut r.rng, &mut out).is_err());
+    assert_eq!(out, std::slice::from_ref(&held));
+
+    let pkt_in = Message::PacketIn {
+        buffer_id: 5,
+        total_len: 3,
+        reason: PacketInReason::NoMatch,
+        table_id: 0,
+        cookie: 0,
+        match_: Match::any().with(OxmField::InPort(CLIENT_PORT)),
+        data: vec![0xaa; 3],
+    };
+    r.ctl.handle_switch_message_into(G0, now, &pkt_in.encode(1), &mut r.rng, &mut out).unwrap();
+    assert_eq!((out.len(), &out[0]), (2, &held), "the buffer's release, behind what was there");
+    assert_eq!(r.ctl.control_errors.len(), 1);
+}

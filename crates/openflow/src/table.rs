@@ -91,6 +91,13 @@ impl FlowEntry {
         self.flags & OFPFF_SEND_FLOW_REM != 0
     }
 
+    /// Why this entry is timed out at `now`, if it is; hard before idle.
+    fn expiry_reason(&self, now: SimTime) -> Option<RemovedReason> {
+        let due = |timeout, since| timeout != Duration::ZERO && now - since >= timeout;
+        let idle = due(self.idle_timeout, self.last_hit).then_some(RemovedReason::IdleTimeout);
+        due(self.hard_timeout, self.installed_at).then_some(RemovedReason::HardTimeout).or(idle)
+    }
+
     /// The earliest instant this entry could time out given its current
     /// timers, or `None` if it has no timeout.
     fn next_deadline(&self) -> Option<SimTime> {
@@ -666,46 +673,40 @@ impl FlowTable {
         self.classify(view).map(|id| &self.flows[id])
     }
 
+    /// [`FlowTable::expire_into`] with a fresh buffer.
+    pub fn expire(&mut self, now: SimTime) -> Vec<Removed> {
+        let mut removed = Vec::new();
+        self.expire_into(now, &mut removed);
+        removed
+    }
+
     /// Removes every flow whose idle or hard timeout has elapsed at `now`,
-    /// returning removal records in priority order (hard timeout takes
-    /// precedence when both expired). Visits only entries whose wheel
+    /// appending removal records to `out` in priority order (hard timeout
+    /// takes precedence when both expired). Visits only entries whose wheel
     /// deadline is due — entries whose idle timer was refreshed by traffic
     /// since their deadline was set are rescheduled, not scanned again.
-    pub fn expire(&mut self, now: SimTime) -> Vec<Removed> {
-        let mut taken: Vec<(FlowId, FlowEntry, RemovedReason)> = Vec::new();
+    pub fn expire_into(&mut self, now: SimTime, out: &mut Vec<Removed>) {
         let mut due = std::mem::take(&mut self.expiry_scratch);
         due.clear();
         self.wheel.expired_into(now, &mut due);
-        for id in due.drain(..) {
+        due.retain(|&id| {
             let e = &self.flows[id];
-            let hard_exp =
-                e.hard_timeout != Duration::ZERO && now - e.installed_at >= e.hard_timeout;
-            let idle_exp =
-                e.idle_timeout != Duration::ZERO && now - e.last_hit >= e.idle_timeout;
-            if hard_exp || idle_exp {
-                let reason = if hard_exp {
-                    RemovedReason::HardTimeout
-                } else {
-                    RemovedReason::IdleTimeout
-                };
-                let entry = self.remove_entry(id);
-                taken.push((id, entry, reason));
-            } else {
+            let expired = e.expiry_reason(now).is_some();
+            if !expired {
                 // Idle timer was refreshed since this deadline was set.
                 let deadline = e.next_deadline().expect("scheduled entry has a timeout");
                 self.wheel.schedule(id, deadline);
             }
+            expired
+        });
+        // Ids are unique, so the unstable sort (no merge buffer) is exact.
+        due.sort_unstable_by_key(|&id| (std::cmp::Reverse(self.flows[id].priority), id));
+        for id in due.drain(..) {
+            let reason = self.flows[id].expiry_reason(now).expect("kept because expired");
+            let entry = self.remove_entry(id);
+            out.push(Removed { entry, reason, at: now });
         }
         self.expiry_scratch = due;
-        taken.sort_by_key(|(id, e, _)| (std::cmp::Reverse(e.priority), *id));
-        taken
-            .into_iter()
-            .map(|(_, entry, reason)| Removed {
-                entry,
-                reason,
-                at: now,
-            })
-            .collect()
     }
 
     /// The earliest instant at which some flow could expire (for efficient

@@ -4,8 +4,9 @@
 //! every client request enters the edge through it. This crate implements the
 //! switch as a pure state machine:
 //!
-//! * frames arrive via [`Switch::handle_frame_owned`] (or its borrowing
-//!   wrapper [`Switch::handle_frame`]) and either hit an installed flow
+//! * frames arrive via [`Switch::handle_frame_into`] (or its `Vec`-returning
+//!   wrappers, [`Switch::handle_frame`] among them) and either hit an
+//!   installed flow
 //!   (actions applied in the data plane, *without* controller involvement —
 //!   the fast path the paper relies on for subsequent requests) or miss and
 //!   are buffered + sent to the controller as `PACKET_IN`. A frame is
@@ -13,16 +14,18 @@
 //!   ([`netsim::WireFrame`]) and the buffer itself leaves in the
 //!   [`Effect::Forward`] — the switch neither decodes a frame into a
 //!   structure nor encodes one;
-//! * controller messages arrive via [`Switch::handle_controller`] — flow
+//! * controller messages arrive via [`Switch::handle_controller_into`] — flow
 //!   installation (`FLOW_MOD`, including running a buffered packet through
 //!   the new rule), packet injection (`PACKET_OUT`), session and liveness
 //!   messages;
-//! * [`Switch::expire_flows`] retires idle/hard-timed-out flows and produces
+//! * [`Switch::expire_flows_into`] retires idle/hard-timed-out flows and produces
 //!   the `FLOW_REMOVED` notifications that drive the controller's FlowMemory
 //!   and idle scale-down.
 //!
 //! All control-channel traffic crosses this API as *encoded OpenFlow bytes*,
-//! so the `openflow` codecs are exercised end-to-end on every exchange.
+//! so the `openflow` codecs are exercised end-to-end on every exchange. What
+//! a call brings about is appended to a sink the caller owns (see [`Switch`],
+//! "Effect sinks").
 //!
 //! ```
 //! use desim::SimTime;

@@ -54,12 +54,22 @@ pub enum Effect {
 /// live match shape — and nothing sits in front of it: a flow-mod or an
 /// expiry takes effect on the next frame with no cache to invalidate
 /// (DESIGN.md "Why there is no flow cache").
+///
+/// # Effect sinks
+///
+/// The `_into` entry points append to a caller-owned `Vec<Effect>`: they
+/// never clear or read what is already in it, a call that returns `Err`
+/// leaves it exactly as it was, and one call's effects arrive in the order
+/// they take place (a buffered packet's release after the Add that triggers
+/// it; `FLOW_REMOVED`s by descending priority, then age).
 pub struct Switch {
     config: SwitchConfig,
     table: FlowTable,
     buffers: FastMap<u32, (u32, Vec<u8>)>, // buffer_id -> (in_port, frame)
     next_buffer: u32,
     next_xid: u32,
+    /// Recycled buffer of [`Switch::expire_flows_into`]'s removal records.
+    expired: Vec<Removed>,
     /// Count of packets handled on the fast path (no controller).
     pub fast_path_packets: u64,
     /// Count of table misses sent to the controller.
@@ -79,6 +89,7 @@ impl Switch {
             buffers: FastMap::default(),
             next_buffer: 1,
             next_xid: 1,
+            expired: Vec::new(),
             fast_path_packets: 0,
             table_misses: 0,
             microflow_hits: 0,
@@ -96,11 +107,16 @@ impl Switch {
         self.buffers.len()
     }
 
-    /// Processes a frame arriving on `in_port`. Copies `data` once and takes
-    /// [`Switch::handle_frame_owned`]; callers that own the buffer skip the
-    /// copy by calling that directly.
+    /// [`Switch::handle_frame_owned`] on a copy of `data`.
     pub fn handle_frame(&mut self, now: SimTime, in_port: u32, data: &[u8]) -> Vec<Effect> {
         self.handle_frame_owned(now, in_port, data.to_vec())
+    }
+
+    /// Wraps [`Self::handle_frame_into`]: not the harness's path, and ROADMAP 1 (b) retires it.
+    pub fn handle_frame_owned(&mut self, now: SimTime, in_port: u32, data: Vec<u8>) -> Vec<Effect> {
+        let mut out = Vec::new();
+        self.handle_frame_into(now, in_port, data, &mut out);
+        out
     }
 
     /// Processes a frame arriving on `in_port`, taking its buffer.
@@ -109,18 +125,25 @@ impl Switch {
     /// checksums — a switch must not forward what it cannot classify),
     /// classified, rewritten in place and moved into the single
     /// [`Effect::Forward`] of the usual redirect rule, or into the packet
-    /// buffer on a table miss: one frame, one allocation, no re-encode.
-    pub fn handle_frame_owned(&mut self, now: SimTime, in_port: u32, data: Vec<u8>) -> Vec<Effect> {
+    /// buffer on a table miss: no copy, no re-encode and — given a sink with
+    /// room — no heap call on an installed flow.
+    pub fn handle_frame_into(
+        &mut self,
+        now: SimTime,
+        in_port: u32,
+        data: Vec<u8>,
+        out: &mut Vec<Effect>,
+    ) {
         let Ok((headers, frame)) = WireFrame::parse(data) else {
             // Non-TCP/IPv4 traffic is out of scope for the edge pipeline.
-            return vec![Effect::Drop];
+            return out.push(Effect::Drop);
         };
         let view = view_of(&headers, in_port);
         let len = frame.as_bytes().len();
         self.microflow_misses += 1;
         let Some((_cookie, instructions)) = self.table.lookup(&view, len, now) else {
             self.table_misses += 1;
-            return vec![self.packet_in(in_port, frame.into_bytes())];
+            return out.push(self.packet_in(in_port, frame.into_bytes()));
         };
         self.fast_path_packets += 1;
         execute(
@@ -129,6 +152,7 @@ impl Switch {
             in_port,
             frame,
             instructions.iter().flat_map(|i| i.actions()),
+            out,
         )
     }
 
@@ -157,13 +181,23 @@ impl Switch {
         effect
     }
 
-    /// Processes an encoded OpenFlow message from the controller.
-    ///
-    /// Returns the effects (forwards triggered by `PACKET_OUT` / buffered
-    /// `FLOW_MOD` packets, and control-channel replies).
+    /// Wraps [`Self::handle_controller_into`]: not the harness's path, and ROADMAP 1 (b) retires it.
     pub fn handle_controller(&mut self, now: SimTime, bytes: &[u8]) -> Result<Vec<Effect>, OfError> {
+        let mut out = Vec::new();
+        self.handle_controller_into(now, bytes, &mut out)?;
+        Ok(out)
+    }
+
+    /// Processes an encoded OpenFlow message from the controller, appending
+    /// its effects (forwards triggered by `PACKET_OUT` / buffered `FLOW_MOD`
+    /// packets, and control-channel replies) to `effects`.
+    pub fn handle_controller_into(
+        &mut self,
+        now: SimTime,
+        bytes: &[u8],
+        effects: &mut Vec<Effect>,
+    ) -> Result<(), OfError> {
         let (xid, msg, _) = Message::decode(bytes)?;
-        let mut effects = Vec::new();
         match msg {
             Message::Hello => {
                 effects.push(Effect::ToController(Message::Hello.encode(xid)));
@@ -212,7 +246,7 @@ impl Switch {
                     // Run the buffered packet through the (new) table state.
                     if buffer_id != OFP_NO_BUFFER {
                         if let Some((in_port, data)) = self.buffers.remove(&buffer_id) {
-                            effects.extend(self.handle_frame_owned(now, in_port, data));
+                            self.handle_frame_into(now, in_port, data, effects);
                         }
                     }
                 }
@@ -232,22 +266,21 @@ impl Switch {
                 data,
             } => {
                 let frame_bytes = if buffer_id != OFP_NO_BUFFER {
-                    match self.buffers.remove(&buffer_id) {
-                        Some((_, stored)) => stored,
-                        None => return Ok(vec![Effect::Drop]), // stale buffer
-                    }
+                    self.buffers.remove(&buffer_id).map(|(_, stored)| stored)
                 } else {
-                    data
+                    Some(data)
                 };
-                match WireFrame::parse(frame_bytes) {
-                    Ok((_, frame)) => effects.extend(execute(
+                match frame_bytes.map(WireFrame::parse) {
+                    Some(Ok((_, frame))) => execute(
                         &self.config.ports,
                         &mut self.next_xid,
                         in_port,
                         frame,
                         actions.iter(),
-                    )),
-                    Err(_) => effects.push(Effect::Drop),
+                        effects,
+                    ),
+                    // A stale buffer id, or bytes that are no frame.
+                    _ => effects.push(Effect::Drop),
                 }
             }
             Message::FlowStatsRequest { table_id, match_ } => {
@@ -282,7 +315,7 @@ impl Switch {
             | Message::FlowStatsReply { .. }
             | Message::BarrierReply => {}
         }
-        Ok(effects)
+        Ok(())
     }
 
     /// The `FLOW_REMOVED` for a removal record, if the entry asked for one;
@@ -308,14 +341,20 @@ impl Switch {
         Some(Effect::ToController(msg.encode(fresh_xid(&mut self.next_xid))))
     }
 
-    /// Expires timed-out flows, producing `FLOW_REMOVED` notifications for
-    /// entries that requested them.
+    /// Wraps [`Self::expire_flows_into`]: not the harness's path, and ROADMAP 1 (b) retires it.
     pub fn expire_flows(&mut self, now: SimTime) -> Vec<Effect> {
-        let removed = self.table.expire(now);
-        removed
-            .into_iter()
-            .filter_map(|r| self.flow_removed_msg(r))
-            .collect()
+        let mut out = Vec::new();
+        self.expire_flows_into(now, &mut out);
+        out
+    }
+
+    /// Expires timed-out flows, appending a `FLOW_REMOVED` notification for
+    /// each entry that requested one.
+    pub fn expire_flows_into(&mut self, now: SimTime, out: &mut Vec<Effect>) {
+        let mut removed = std::mem::take(&mut self.expired);
+        self.table.expire_into(now, &mut removed);
+        out.extend(removed.drain(..).filter_map(|r| self.flow_removed_msg(r)));
+        self.expired = removed;
     }
 
     /// Earliest possible flow expiry (for scheduling expiry sweeps).
@@ -363,22 +402,23 @@ fn packet_in_msg(
     }
 }
 
-/// Runs an action list over a verified frame — the one executor behind
-/// table hits and `PACKET_OUT`. `SET_FIELD`s patch the buffer in place; the
-/// last `OUTPUT` of the list, when it names a plain port, moves the buffer
-/// into its effect, every other output copies what the frame looks like at
-/// that point. A free function so the actions can stay borrowed from the
-/// flow table while the xid counter advances.
+/// Runs an action list over a verified frame and appends what it does to
+/// `effects` — the one executor behind table hits and `PACKET_OUT`.
+/// `SET_FIELD`s patch the buffer in place; the last `OUTPUT` of the list,
+/// when it names a plain port, moves the buffer into its effect, every other
+/// output copies what the frame looks like at that point. A free function so
+/// the actions can stay borrowed from the flow table while the xid advances.
 fn execute<'a>(
     ports: &[u32],
     next_xid: &mut u32,
     in_port: u32,
     mut frame: WireFrame,
     actions: impl Iterator<Item = &'a Action> + Clone,
-) -> Vec<Effect> {
+    effects: &mut Vec<Effect>,
+) {
     let is_output = |a: &&Action| matches!(a, Action::Output { .. });
     let mut outputs_left = actions.clone().filter(is_output).count();
-    let mut effects = Vec::with_capacity(outputs_left.max(1));
+    let at_entry = effects.len();
     for action in actions {
         match *action {
             Action::SetField(f) => apply_set_field(&mut frame, f),
@@ -408,11 +448,10 @@ fn execute<'a>(
                     port if outputs_left == 0 => {
                         // Nothing after this can be observed: hand the
                         // buffer over instead of copying it.
-                        effects.push(Effect::Forward {
+                        return effects.push(Effect::Forward {
                             port,
                             data: frame.into_bytes(),
                         });
-                        return effects;
                     }
                     port => effects.push(Effect::Forward {
                         port,
@@ -422,10 +461,9 @@ fn execute<'a>(
             }
         }
     }
-    if effects.is_empty() {
+    if effects.len() == at_entry {
         effects.push(Effect::Drop);
     }
-    effects
 }
 
 /// Builds the match view of a parsed frame.

@@ -11,7 +11,7 @@ use netsim::addr::{Ipv4Addr, MacAddr};
 use netsim::wire;
 use netsim::{TcpFlags, TcpFrame, TcpHeaders};
 use openflow::actions::{Action, Instruction};
-use openflow::messages::{FlowModCommand, Message, PacketInReason};
+use openflow::messages::{FlowModCommand, Message, PacketInReason, OFPFF_SEND_FLOW_REM};
 use openflow::oxm::{Match, MatchView, OxmField};
 use openflow::table::{entry, FlowTable};
 use openflow::{OFPP_CONTROLLER, OFPP_FLOOD, OFP_NO_BUFFER};
@@ -420,6 +420,80 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// What an [`Op`] puts into a switch.
+enum Input {
+    Frame { in_port: u32, data: Vec<u8> },
+    Control(Vec<u8>),
+}
+
+/// Encodes `op` as step `step` of a run; `pick` names a parked buffer.
+fn input_of(op: Op, step: usize, mut pick: impl FnMut(usize) -> u32) -> Input {
+    let msg = match op {
+        Op::Frame { in_port, frame } => return Input::Frame { in_port, data: frame.encode() },
+        Op::Rule { match_, priority, actions, release } => Message::FlowMod {
+            cookie: step as u64,
+            table_id: 0,
+            command: FlowModCommand::Add,
+            idle_timeout: 0,
+            hard_timeout: 0,
+            priority,
+            buffer_id: release.map_or(OFP_NO_BUFFER, &mut pick),
+            flags: 0,
+            match_,
+            instructions: vec![Instruction::ApplyActions(actions)],
+        },
+        Op::OutBuffered { which, actions } => {
+            Message::PacketOut { buffer_id: pick(which), in_port: 1, actions, data: vec![] }
+        }
+        Op::OutInline { in_port, frame, actions } => {
+            Message::PacketOut { buffer_id: OFP_NO_BUFFER, in_port, actions, data: frame.encode() }
+        }
+    };
+    Input::Control(msg.encode(step as u32))
+}
+
+/// Takes parked buffer id number `which` (a stale id when none is parked).
+fn pick_from(buffer_ids: &mut Vec<u32>) -> impl FnMut(usize) -> u32 + '_ {
+    |which| match buffer_ids.len() {
+        0 => 999,
+        n => buffer_ids.swap_remove(which % n),
+    }
+}
+
+/// [`Op`]s plus what the structured oracle is not fed: rules that time out
+/// and say so, deletes, expiry sweeps and bytes that are no message.
+#[derive(Clone, Debug)]
+enum SinkOp {
+    Plain(Op),
+    Control(Message),
+    Garbage(Vec<u8>),
+    Expire { after_ms: u64 },
+}
+
+fn arb_sink_op() -> impl Strategy<Value = SinkOp> {
+    let flow_mod = |command, match_, priority, actions| Message::FlowMod {
+        cookie: 7,
+        table_id: 0,
+        command,
+        idle_timeout: 1,
+        hard_timeout: 2,
+        priority,
+        buffer_id: OFP_NO_BUFFER,
+        flags: OFPFF_SEND_FLOW_REM,
+        match_,
+        instructions: vec![Instruction::ApplyActions(actions)],
+    };
+    prop_oneof![
+        8 => arb_op().prop_map(SinkOp::Plain),
+        3 => (arb_match(), 0u16..4, arb_actions())
+            .prop_map(move |(m, p, a)| SinkOp::Control(flow_mod(FlowModCommand::Add, m, p, a))),
+        1 => arb_match().prop_map(move |m| SinkOp::Control(flow_mod(FlowModCommand::Delete, m, 0, vec![]))),
+        1 => Just(SinkOp::Control(Message::BarrierRequest)),
+        1 => prop::collection::vec(any::<u8>(), 0..40).prop_map(SinkOp::Garbage),
+        2 => (0u64..1500).prop_map(|after_ms| SinkOp::Expire { after_ms }),
+    ]
+}
+
 /// Buffer ids announced by the `PACKET_IN`s among `effects`.
 fn parked(effects: &[Effect]) -> impl Iterator<Item = u32> + '_ {
     effects.iter().filter_map(|e| match e {
@@ -445,40 +519,12 @@ proptest! {
         let mut buffer_ids: Vec<u32> = Vec::new();
         for (step, op) in ops.into_iter().enumerate() {
             let now = SimTime::from_millis(step as u64);
-            let mut pick = |which: usize| match buffer_ids.len() {
-                0 => 999,
-                n => buffer_ids.swap_remove(which % n),
-            };
-            let (got, want) = match op {
-                Op::Frame { in_port, frame } => {
-                    let data = frame.encode();
+            let (got, want) = match input_of(op, step, pick_from(&mut buffer_ids)) {
+                Input::Frame { in_port, data } => {
                     (real.handle_frame(now, in_port, &data), oracle.handle_frame(now, in_port, &data))
                 }
-                Op::Rule { match_, priority, actions, release } => {
-                    let fm = Message::FlowMod {
-                        cookie: step as u64,
-                        table_id: 0,
-                        command: FlowModCommand::Add,
-                        idle_timeout: 0,
-                        hard_timeout: 0,
-                        priority,
-                        buffer_id: release.map_or(OFP_NO_BUFFER, &mut pick),
-                        flags: 0,
-                        match_,
-                        instructions: vec![Instruction::ApplyActions(actions)],
-                    }
-                    .encode(step as u32);
-                    (real.handle_controller(now, &fm).unwrap(), oracle.handle_controller(now, &fm))
-                }
-                Op::OutBuffered { which, actions } => {
-                    let po = Message::PacketOut { buffer_id: pick(which), in_port: 1, actions, data: vec![] }
-                        .encode(step as u32);
-                    (real.handle_controller(now, &po).unwrap(), oracle.handle_controller(now, &po))
-                }
-                Op::OutInline { in_port, frame, actions } => {
-                    let po = Message::PacketOut { buffer_id: OFP_NO_BUFFER, in_port, actions, data: frame.encode() }
-                        .encode(step as u32);
-                    (real.handle_controller(now, &po).unwrap(), oracle.handle_controller(now, &po))
+                Input::Control(bytes) => {
+                    (real.handle_controller(now, &bytes).unwrap(), oracle.handle_controller(now, &bytes))
                 }
             };
             prop_assert_eq!(&got, &want, "step {}", step);
@@ -494,6 +540,69 @@ proptest! {
                 .collect::<Vec<_>>()
         };
         prop_assert_eq!(stats(real.table()), stats(&oracle.table));
+    }
+
+    /// The sink contract of `ovs::Switch` ("Effect sinks"): on random rules
+    /// (plain, and timed ones that report their removal), traffic, buffered
+    /// releases, packet-outs, deletes, expiry sweeps and undecodable control
+    /// bytes, the `_into` forms leave what the sink already held untouched
+    /// and append exactly what the `Vec`-returning wrappers return on a twin
+    /// switch — xids included — or nothing at all when the call fails; both
+    /// twins end with the same counters, buffers, table and next expiry.
+    #[test]
+    fn into_forms_append_what_the_wrappers_return(
+        ops in prop::collection::vec(arb_sink_op(), 1..40),
+        k in 0usize..4,
+    ) {
+        let config = SwitchConfig { datapath_id: 1, n_buffers: 3, miss_send_len: 96, ports: vec![1, 2, 3] };
+        let (mut wrapped, mut sunk) = (Switch::new(config.clone()), Switch::new(config));
+        let sentinels: Vec<Effect> =
+            (0..k).map(|i| Effect::Forward { port: 0xdead, data: vec![i as u8; i] }).collect();
+        let mut buffer_ids: Vec<u32> = Vec::new();
+        let mut now = SimTime::ZERO;
+        for (step, op) in ops.into_iter().enumerate() {
+            now += Duration::from_millis(1);
+            let mut sink = sentinels.clone();
+            let input = match op {
+                SinkOp::Plain(op) => Some(input_of(op, step, pick_from(&mut buffer_ids))),
+                SinkOp::Control(msg) => Some(Input::Control(msg.encode(step as u32))),
+                SinkOp::Garbage(bytes) => Some(Input::Control(bytes)),
+                SinkOp::Expire { after_ms } => {
+                    now += Duration::from_millis(after_ms);
+                    None
+                }
+            };
+            let want = match input {
+                Some(Input::Frame { in_port, data }) => {
+                    sunk.handle_frame_into(now, in_port, data.clone(), &mut sink);
+                    Ok(wrapped.handle_frame_owned(now, in_port, data))
+                }
+                Some(Input::Control(bytes)) => {
+                    let failed = sunk.handle_controller_into(now, &bytes, &mut sink).is_err();
+                    let want = wrapped.handle_controller(now, &bytes);
+                    prop_assert_eq!(failed, want.is_err(), "step {}", step);
+                    want
+                }
+                None => {
+                    sunk.expire_flows_into(now, &mut sink);
+                    Ok(wrapped.expire_flows(now))
+                }
+            };
+            prop_assert_eq!(&sink[..k], &sentinels[..], "step {}: the sink's contents were touched", step);
+            // A failed call appended nothing.
+            let want = want.unwrap_or_default();
+            prop_assert_eq!(&sink[k..], &want[..], "step {}", step);
+            buffer_ids.extend(parked(&want));
+        }
+        let state = |s: &Switch| {
+            let flows: Vec<_> = s
+                .table()
+                .entries()
+                .map(|e| (e.cookie, e.priority, e.packet_count, e.byte_count, e.last_hit))
+                .collect();
+            (s.fast_path_packets, s.table_misses, s.microflow_misses, s.buffered(), s.next_expiry(), flows)
+        };
+        prop_assert_eq!(state(&sunk), state(&wrapped));
     }
 
     /// A frame damaged anywhere in its IPv4 or TCP part, or cut short, is
@@ -619,4 +728,45 @@ fn frames_the_encoder_cannot_produce_are_verified_forwarded_and_preserved() {
         }
     }
     assert_eq!(out[22], 17, "TTL kept");
+}
+
+/// `execute`'s "an action list with no output is a `Drop`" counts from the
+/// sink's length at entry: the `Drop` arrives whatever the sink already
+/// holds — for a frame through a set-field-only rule, and for the buffered
+/// packet a `FLOW_MOD` releases through one.
+#[test]
+fn an_action_list_without_output_still_drops_into_a_sink_that_is_not_empty() {
+    let held = Effect::ToController(vec![1, 2, 3]);
+    let rule = |buffer_id| Message::FlowMod {
+        cookie: 0,
+        table_id: 0,
+        command: FlowModCommand::Add,
+        idle_timeout: 0,
+        hard_timeout: 0,
+        priority: 1,
+        buffer_id,
+        flags: 0,
+        match_: Match::any(),
+        instructions: vec![Instruction::ApplyActions(vec![Action::SetField(OxmField::TcpDst(81))])],
+    };
+    let frame = TcpFrame::syn(
+        MacAddr::from_id(1),
+        MacAddr::from_id(2),
+        Ipv4Addr::new(10, 0, 0, 1),
+        50000,
+        netsim::ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80),
+    )
+    .encode();
+
+    // The miss parks the frame; the rule's Add releases it into the sink.
+    let mut s = sw(8);
+    let mut sink = vec![held.clone()];
+    s.handle_frame_into(SimTime::ZERO, 1, frame.clone(), &mut sink);
+    let buffer_id = parked(&sink).next().expect("the miss was buffered");
+    s.handle_controller_into(SimTime::ZERO, &rule(buffer_id).encode(1), &mut sink).unwrap();
+    assert_eq!(sink.len(), 3);
+    assert_eq!((&sink[0], &sink[2]), (&held, &Effect::Drop));
+    // And the next frame, a table hit.
+    s.handle_frame_into(SimTime::ZERO, 1, frame, &mut sink);
+    assert_eq!((sink.len(), &sink[3]), (4, &Effect::Drop));
 }

@@ -192,6 +192,9 @@ pub struct Harness<T: Net> {
     listeners: ListenerIndex,
     /// Buffers of the frames the endpoints consumed, for the next encoder.
     frames: FramePool,
+    /// What a switch / the controller appends to; the event that fills one empties it again.
+    effects: Vec<Effect>,
+    outbox: Vec<OutboundMessage>,
     accept_latency: LogNormal,
     cloud_processing: LogNormal,
     capture: Option<netsim::PcapCapture>,
@@ -311,6 +314,8 @@ impl<T: Net> Harness<T> {
             expiry: vec![Deadline::default(); switches.len()],
             listeners: ListenerIndex::default(),
             frames: FramePool::new(),
+            effects: Vec::new(),
+            outbox: Vec::new(),
             accept_latency: LogNormal::from_median(0.0001, 0.3),
             cloud_processing: LogNormal::from_median(0.002, 0.3),
             capture: None,
@@ -554,8 +559,8 @@ impl<T: Net> Harness<T> {
             let out = self.reconcile(sw, now);
             fixes += out.len();
             for m in out {
-                if let Ok(effects) = self.switches[sw].handle_controller(now, &m.data) {
-                    self.process_switch_effects(sw, effects);
+                if self.switches[sw].handle_controller_into(now, &m.data, &mut self.effects).is_ok() {
+                    self.process_switch_effects(sw);
                 }
             }
         }
@@ -602,8 +607,10 @@ impl<T: Net> Harness<T> {
         }
     }
 
-    fn process_switch_effects(&mut self, sw: usize, effects: Vec<Effect>) {
-        for e in effects {
+    /// Acts on what switch `sw` just appended to the effect sink and re-arms its expiry.
+    fn process_switch_effects(&mut self, sw: usize) {
+        let mut effects = std::mem::take(&mut self.effects);
+        for e in effects.drain(..) {
             match e {
                 Effect::Forward { port, data } => {
                     self.send_from(self.net.switch_node(sw), PortNo(port), data);
@@ -615,6 +622,7 @@ impl<T: Net> Harness<T> {
                 Effect::Drop => self.drops += 1,
             }
         }
+        self.effects = effects;
         self.reschedule_expiry(sw);
     }
 
@@ -654,22 +662,20 @@ impl<T: Net> Harness<T> {
     /// service time is zero, or from `Ev::CtrlProcess` once the message's
     /// turn in the controller queue comes up.
     fn process_ctrl_up(&mut self, now: SimTime, sw: usize, bytes: &[u8]) {
-        let ingress = IngressId(sw as u32);
-        match self
-            .controller
-            .handle_switch_message_from(ingress, now, bytes, &mut self.rng)
-        {
-            Ok(out) => {
-                for m in out {
-                    self.send_down(sw, m);
-                }
-            }
-            Err(_) => self.drops += 1,
+        let mut out = std::mem::take(&mut self.outbox);
+        let (ingress, rng) = (IngressId(sw as u32), &mut self.rng);
+        if self.controller.handle_switch_message_into(ingress, now, bytes, rng, &mut out).is_err() {
+            self.drops += 1;
         }
+        for m in out.drain(..) {
+            self.send_down(sw, m);
+        }
+        self.outbox = out;
         self.reschedule_tick();
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev) {
+        debug_assert!(self.effects.is_empty() && self.outbox.is_empty(), "a sink was left full");
         match ev {
             Ev::StartRequest { client, service } => {
                 let src_port = self.next_request_port(client);
@@ -695,8 +701,8 @@ impl<T: Net> Harness<T> {
                     if let Some(cap) = &mut self.capture {
                         cap.record(now, &data);
                     }
-                    let effects = self.switches[sw].handle_frame_owned(now, in_port, data);
-                    return self.process_switch_effects(sw, effects);
+                    self.switches[sw].handle_frame_into(now, in_port, data, &mut self.effects);
+                    return self.process_switch_effects(sw);
                 }
                 // An endpoint acts on the verified headers alone: the journey
                 // ends here and the buffer starts another.
@@ -738,28 +744,22 @@ impl<T: Net> Harness<T> {
                     self.ctrl_dropped += 1;
                     return;
                 }
-                match self.switches[sw].handle_controller(now, &bytes) {
-                    Ok(effects) => self.process_switch_effects(sw, effects),
+                match self.switches[sw].handle_controller_into(now, &bytes, &mut self.effects) {
+                    Ok(()) => self.process_switch_effects(sw),
                     Err(_) => self.drops += 1,
                 }
             }
             Ev::Attach(ev) => self.handle_attach(now, ev),
             Ev::Tick(at) => {
-                if !self.tick.fires(at) {
-                    return;
-                }
-                if !self.controller_up(now) {
-                    return; // rescheduled by the restart
+                if !self.tick.fires(at) || !self.controller_up(now) {
+                    return; // stale, or mid-blackout: the restart reschedules it
                 }
                 self.controller.tick(now, &mut self.rng);
                 self.reschedule_tick();
             }
             Ev::MigrationTick(at) => {
-                if !self.migration.fires(at) {
-                    return;
-                }
-                if !self.controller_up(now) {
-                    return; // in-flight migrations are pinned until restart
+                if !self.migration.fires(at) || !self.controller_up(now) {
+                    return; // stale, or in-flight migrations are pinned until restart
                 }
                 let flips = self.controller.migration_tick(now, &mut self.rng);
                 self.send_down_each(flips);
@@ -794,8 +794,8 @@ impl<T: Net> Harness<T> {
             }
             Ev::SwitchExpiry { sw, at } => {
                 if self.expiry[sw].fires(at) {
-                    let effects = self.switches[sw].expire_flows(now);
-                    self.process_switch_effects(sw, effects);
+                    self.switches[sw].expire_flows_into(now, &mut self.effects);
+                    self.process_switch_effects(sw);
                 }
             }
             Ev::ServerSend { node, port, data } => {
@@ -1782,5 +1782,68 @@ mod tests {
         assert_eq!(tb.pings_sent(), tb.pings_done(), "no ping lost");
         assert_eq!((tb.drops, tb.resets, tb.double_answered), (0, 0, 0));
         assert_eq!(tb.transparency_violations, 0);
+    }
+
+    /// The sinks the switches and the controller append to are empty between
+    /// any two events, whatever the event ran into: runtime chaos (instance
+    /// crashes, zone outages, every control channel lost once), bytes that
+    /// are no OpenFlow message arriving on the control channel in both
+    /// directions, and well-formed controller messages arriving at a channel
+    /// that is down. The first twenty seconds run under `handle`'s own debug
+    /// assertion; the second twenty are stepped and checked here.
+    #[test]
+    fn no_effect_or_message_outlives_its_event_under_chaos() {
+        let mut tb = MobilityTestbed::new(MobilityConfig {
+            n_gnbs: 3,
+            n_clients: 3,
+            seed: 2,
+            faults: FaultPlan::runtime(1.0, 7),
+            retransmit: Some(Duration::from_secs(1)),
+            ..MobilityConfig::default()
+        });
+        tb.register_service(containerd::ServiceSet::by_key("asm").unwrap(), svc_addr(10));
+        tb.warm_all_zones();
+        tb.pre_deploy_on(0);
+        let nonsense = |tb: &mut MobilityTestbed, from_ms: u64, to_ms: u64| {
+            for (i, ms) in (from_ms..to_ms).step_by(250).enumerate() {
+                let (at, sw, bytes) = (SimTime::from_millis(ms), i % 3, vec![0xff; 5 + i % 7]);
+                tb.engine.schedule_at(at, Ev::CtrlUp { sw, bytes: bytes.clone() });
+                tb.engine.schedule_at(at, Ev::CtrlDown { sw, bytes });
+            }
+        };
+        nonsense(&mut tb, 1_000, 20_000);
+        let mut model = CellHops::new(
+            vec![0, 1, 2],
+            &[(SimTime::from_secs(6), 0, 1), (SimTime::from_secs(12), 0, 2)],
+        );
+        tb.run(&mut model, SimTime::from_secs(1), SimTime::from_secs(20));
+        assert_eq!((tb.zone_outages, tb.channel_losses), (3, 3));
+        assert!(tb.effects.is_empty() && tb.outbox.is_empty());
+
+        // The same again with the sessions pinging on: more nonsense, an
+        // instance crash, a zone outage, and each channel lost once more.
+        nonsense(&mut tb, 20_000, 40_000);
+        tb.ping_end = SimTime::from_secs(38);
+        for client in 0..3 {
+            tb.engine.schedule_at(SimTime::from_secs(20), Ev::Ping { client });
+        }
+        tb.engine.schedule_at(SimTime::from_secs(24), Ev::CrashZone { zone: 1 });
+        let dark = SimTime::from_secs(30);
+        tb.engine.schedule_at(dark, Ev::OutageBegin { zone: 0, until: dark + Duration::from_secs(3) });
+        for sw in 0..3 {
+            let down = SimTime::from_secs(22 + 5 * sw as u64);
+            tb.engine.schedule_at(down, Ev::ChannelDown { sw, until: down + Duration::from_secs(2) });
+        }
+        let (drops, ctrl_dropped) = (tb.drops, tb.ctrl_dropped);
+        let mut between = 0;
+        run_inspecting(&mut tb, SimTime::from_secs(40), |tb, now, _| {
+            assert!(tb.effects.is_empty(), "{} effect(s) left at {now:?}", tb.effects.len());
+            assert!(tb.outbox.is_empty(), "{} message(s) left at {now:?}", tb.outbox.len());
+            between += 1;
+        });
+        assert!(between > 1_000, "{between} events stepped");
+        assert!(tb.drops > drops, "undecodable bytes were met and counted");
+        assert!(tb.ctrl_dropped > ctrl_dropped, "a down channel dropped control messages");
+        assert_eq!(tb.stranded(), 0);
     }
 }

@@ -4,23 +4,28 @@
 //! sender's encoder into a buffer an earlier frame travelled in (the
 //! harness's bounded `netsim::FramePool`), verified and patched in place by
 //! the switch, moved through every event and link, parsed without a copy by
-//! the receiver, which hands the buffer back to the pool. This binary
-//! installs its own counting allocator, pushes one warm `resnet` upload
-//! (83 KiB, 62 frames through the switch) through the real [`Testbed`] and
-//! bounds what the whole stack — controller round trip for the new
-//! connection included — asks of the heap per frame. Before the frame
-//! journey was one buffer the same region measured 10.7 calls per frame and
-//! 5× the wire bytes; with one fresh buffer per frame, 2.53 and 1.09×.
+//! the receiver, which hands the buffer back to the pool. What the switch
+//! decides about it travels back in a sink the harness owns (`ovs::Switch`,
+//! "Effect sinks"), so on an installed flow nothing between the encoder and
+//! the receiver asks the heap for anything. This binary installs its own
+//! counting allocator, pushes one warm `resnet` upload (83 KiB, 62 frames
+//! through the switch) through the real [`Testbed`] and bounds what the whole
+//! stack — controller round trip for the new connection included — asks of
+//! the heap per frame. Before the frame journey was one buffer the same
+//! region measured 10.7 calls per frame and 5× the wire bytes; with one fresh
+//! buffer per frame, 2.53 and 1.09×; with the recycled buffer but a
+//! `Vec<Effect>` returned per frame, 1.55 and 0.12×; now 0.50 and 0.09× —
+//! all of it the connection's one control round trip.
 //!
 //! The control path has its gates here too: one OpenFlow message is encoded
 //! into one buffer, and one warm short connection — table miss, packet-in,
 //! scheduling, two flow-mods, release, idle expiry, `FLOW_REMOVED` — stays
 //! under a ceiling three calls above what it measures, so neither the
-//! encoder's old nested temporaries nor a per-flow index-bucket allocation
-//! can come back unnoticed.
+//! encoder's old nested temporaries, a per-flow index-bucket allocation nor a
+//! `Vec` per switch or controller call can come back unnoticed.
 
 use desim::SimTime;
-use netsim::{Ipv4Addr, ServiceAddr};
+use netsim::{Ipv4Addr, MacAddr, ServiceAddr, TcpFrame};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use telemetry::MetricsRegistry;
@@ -78,7 +83,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
-fn a_warm_upload_costs_at_most_two_heap_calls_and_a_quarter_of_its_bytes_per_frame() {
+fn a_warm_upload_costs_at_most_six_tenths_of_a_heap_call_and_an_eighth_of_its_bytes_per_frame() {
     let profile = containerd::ServiceSet::by_key("resnet").unwrap();
     let addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 11), profile.listen_port);
     let payload_bytes = profile.request_bytes + profile.response_bytes;
@@ -109,8 +114,35 @@ fn a_warm_upload_costs_at_most_two_heap_calls_and_a_quarter_of_its_bytes_per_fra
         calls as f64 / frames as f64,
         bytes as f64 / wire_bytes as f64
     );
-    assert!(calls <= 2 * frames, "{calls} heap calls for {frames} frames");
-    assert!(4 * bytes <= wire_bytes, "{bytes} bytes allocated for {wire_bytes} on the wire");
+    assert!(10 * calls <= 6 * frames, "{calls} heap calls for {frames} frames");
+    assert!(8 * bytes <= wire_bytes, "{bytes} bytes allocated for {wire_bytes} on the wire");
+}
+
+/// A frame on an installed flow costs the switch no heap call: verified,
+/// classified and rewritten in the buffer it arrived in, which then moves
+/// into the caller's sink. (The `Vec`-returning wrapper allocates the `Vec`.)
+#[test]
+fn a_fast_path_frame_into_a_sink_with_room_does_not_touch_the_heap() {
+    let service = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80);
+    let (client, src_port) = (Ipv4Addr::new(192, 168, 1, 20), 50000);
+    let mut sw = ovs::Switch::new(ovs::SwitchConfig::default());
+    let redirect = redirect_rule(openflow::OFP_NO_BUFFER);
+    sw.handle_controller(SimTime::ZERO, &redirect.encode(1)).unwrap();
+    let syn = TcpFrame::syn(MacAddr::from_id(1), MacAddr::from_id(2), client, src_port, service);
+    let mut sink = Vec::with_capacity(1);
+    for round in 0..3u64 {
+        let frame = syn.encode();
+        let (calls, ()) =
+            heap_calls(|| sw.handle_frame_into(SimTime::from_secs(round), 1, frame, &mut sink));
+        assert_eq!(calls, 0, "round {round}");
+        assert!(matches!(sink[..], [ovs::Effect::Forward { port: 7, .. }]), "{sink:?}");
+        // What a harness does with it: take the buffer out, keep the sink.
+        sink.clear();
+    }
+    assert_eq!((sw.fast_path_packets, sw.table_misses), (3, 0));
+    let frame = syn.encode();
+    let (calls, effects) = heap_calls(|| sw.handle_frame_owned(SimTime::from_secs(3), 1, frame));
+    assert_eq!((calls, effects.len()), (1, 1), "the wrapper's `Vec`");
 }
 
 /// A counter bump or a histogram observation under a name the registry has
@@ -145,37 +177,49 @@ fn heap_calls<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (CALLS.get() - before, out)
 }
 
+/// The match of client 192.168.1.20:50000's connection to 203.0.113.10:80.
+fn connection() -> openflow::oxm::Match {
+    openflow::oxm::Match::connection([192, 168, 1, 20], 50000, [203, 0, 113, 10], 80)
+}
+
+/// The rewrite-and-output action list of a redirect toward port 7.
+fn rewrite() -> Vec<openflow::actions::Action> {
+    use openflow::actions::Action;
+    use openflow::oxm::OxmField;
+    vec![
+        Action::SetField(OxmField::EthDst([2, 0, 0, 0, 0, 9])),
+        Action::SetField(OxmField::Ipv4Dst([10, 0, 0, 5])),
+        Action::SetField(OxmField::TcpDst(31080)),
+        Action::output(7),
+    ]
+}
+
+/// The redirect rule for [`connection`], releasing buffer `buffer_id`.
+fn redirect_rule(buffer_id: u32) -> openflow::messages::Message {
+    openflow::messages::Message::FlowMod {
+        cookie: 7,
+        table_id: 0,
+        command: openflow::messages::FlowModCommand::Add,
+        idle_timeout: 10,
+        hard_timeout: 0,
+        priority: 100,
+        buffer_id,
+        flags: 1,
+        match_: connection(),
+        instructions: vec![openflow::actions::Instruction::ApplyActions(rewrite())],
+    }
+}
+
 /// `Message::encode` sizes its buffer up front and writes header, body and
 /// every nested length into it: one heap call, whatever the message nests.
 /// (The encoder it replaced built five temporaries for a `FLOW_MOD` — about
 /// 18 calls.)
 #[test]
 fn encoding_a_control_message_is_one_heap_call() {
-    use openflow::actions::{Action, Instruction};
-    use openflow::messages::{FlowModCommand, Message, PacketInReason, RemovedReason};
+    use openflow::messages::{Message, PacketInReason, RemovedReason};
     use openflow::oxm::{Match, OxmField};
-    let connection = || Match::connection([192, 168, 1, 20], 50000, [203, 0, 113, 10], 80);
-    let rewrite = || {
-        vec![
-            Action::SetField(OxmField::EthDst([2, 0, 0, 0, 0, 9])),
-            Action::SetField(OxmField::Ipv4Dst([10, 0, 0, 5])),
-            Action::SetField(OxmField::TcpDst(31080)),
-            Action::output(7),
-        ]
-    };
     let messages = [
-        Message::FlowMod {
-            cookie: 7,
-            table_id: 0,
-            command: FlowModCommand::Add,
-            idle_timeout: 10,
-            hard_timeout: 0,
-            priority: 100,
-            buffer_id: 3,
-            flags: 1,
-            match_: connection(),
-            instructions: vec![Instruction::ApplyActions(rewrite())],
-        },
+        redirect_rule(3),
         Message::PacketIn {
             buffer_id: 3,
             total_len: 54,
@@ -216,14 +260,17 @@ fn encoding_a_control_message_is_one_heap_call() {
 /// through the switch (SYN, SYN-ACK, request, response), one table miss and
 /// packet-in, the FlowMemory/scheduler decision, two flow-mods, the buffered
 /// SYN's release, then idle expiry of the pair with its `FLOW_REMOVED` and
-/// the controller's bookkeeping for it. Measures 43 heap calls (`e2ebench`'s
-/// steady state is 32 per request; here the connection also pays the first
-/// push into a few timer-wheel slots no earlier one touched). With a fresh
-/// buffer for each of its four frames it was 47; with a `Vec` allocated per
-/// flow-table index bucket, 48; with the encoder's nested temporaries and
-/// the cloned matches, 111.
+/// the controller's bookkeeping for it. Measures 33 heap calls (32 in a
+/// release build, where the scan that checks the controller's pair index is
+/// compiled out; `e2ebench`'s steady state is 22 per request; here the
+/// connection also pays the first push into a few timer-wheel slots no
+/// earlier one touched). With a `Vec` returned by every switch and
+/// controller call and grown by every expiry sweep it was 43; with a fresh
+/// buffer for each of its four frames as well, 47; with a `Vec` allocated
+/// per flow-table index bucket, 48; with the encoder's nested temporaries
+/// and the cloned matches, 111.
 #[test]
-fn a_warm_short_connection_costs_at_most_fifty_heap_calls() {
+fn a_warm_short_connection_costs_at_most_thirty_six_heap_calls() {
     let profile = containerd::ServiceSet::by_key("nginx").unwrap();
     let addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), profile.listen_port);
     let mut tb = Testbed::new(TestbedConfig::default());
@@ -248,5 +295,5 @@ fn a_warm_short_connection_costs_at_most_fifty_heap_calls() {
     assert_eq!(tb.controller.flows_removed - removed, 1, "the pair idled out and said so");
     assert!(tb.switch().table().is_empty());
     println!("one warm nginx connection, miss to FLOW_REMOVED: {calls} heap calls");
-    assert!(calls <= 50, "{calls} heap calls for one warm short connection");
+    assert!(calls <= 36, "{calls} heap calls for one warm short connection");
 }

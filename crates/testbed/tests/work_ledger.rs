@@ -2,13 +2,16 @@
 //! from counters the layers already keep — engine events, switch lookups and
 //! table misses, FlowMemory lookups, flow installs and removals, and (driven
 //! by hand through `ovs::Switch` and `edgectl::Controller`, where the test
-//! sees every byte) control messages and bytes each way.
+//! sees every byte — their `Vec`-returning wrappers, one body with the
+//! `_into` forms the harness calls) control messages and bytes each way.
 //!
 //! Every value is an equality. A refactor that claims to change nothing
 //! keeps all of them; a change that means to do less work re-pins the lines
 //! it moves and says so. It is the sub-second twin of `e2ebench`'s
 //! `sim_events_per_op` and `openflow.*_per_op`, next to the heap-call gates
-//! of `frame_allocs.rs`.
+//! of `frame_allocs.rs` (per upload frame, per short connection, and none at
+//! all for a frame on an installed flow) and the per-site profile of
+//! `alloc_sites.rs` that says where those calls are made.
 
 use desim::{SimRng, SimTime};
 use edgectl::{Controller, ControllerConfig, PortMap};
