@@ -101,9 +101,9 @@ fn main() {
     benches();
     Criterion::default().configure_from_args().final_summary();
     // Emit the machine-readable summary for the perf trajectory.
-    let report = bench::engine::run(false);
-    if let Err(e) = bench::artifact::write("BENCH_engine.json", &report.artifact()) {
+    let text = bench::engine::run(false);
+    print!("{text}");
+    if let Err(e) = bench::artifact::write("BENCH_engine.json", &text) {
         eprintln!("{e}");
     }
-    print!("{}", report.render());
 }

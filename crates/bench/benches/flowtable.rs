@@ -207,9 +207,9 @@ fn main() {
     benches();
     Criterion::default().configure_from_args().final_summary();
     // Emit the machine-readable summary for the perf trajectory.
-    let report = bench::fastpath::run();
-    if let Err(e) = bench::artifact::write("BENCH_flowtable.json", &report.artifact()) {
+    let text = bench::fastpath::run();
+    print!("{text}");
+    if let Err(e) = bench::artifact::write("BENCH_flowtable.json", &text) {
         eprintln!("{e}");
     }
-    print!("{}", report.render());
 }

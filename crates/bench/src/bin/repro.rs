@@ -11,10 +11,11 @@
 //!
 //! The benches are the rows of `bench::runner::BENCHES` (`fastpath`,
 //! `engine`, `telemetry`, `chaos`, `mobility`, `recovery`, `scale`,
-//! `tournament`, `migrate`, `ha`): each prints its report, writes its
-//! `BENCH_*.json` artifact if it has one and exits non-zero if what it wrote
-//! fails the artifact's gate — the gate `check` applies to the files as
-//! committed. `--fault-rate` is read by `chaos` and `recovery`.
+//! `tournament`, `migrate`, `ha`): each prints its own text (an experiment's
+//! figure) and then, if it has one, its `BENCH_*.json` artifact, writes that
+//! artifact and exits non-zero if what it wrote fails the artifact's gate —
+//! the gate `check` applies to the files as committed. `--fault-rate` is read
+//! by `chaos` and `recovery`.
 //!
 //! `--telemetry` turns observability output on: `chaos`, `mobility` and
 //! `recovery` record per-request span trees (printed as a one-line JSON log

@@ -38,106 +38,17 @@ pub const MIXED_SPEEDUP_FLOOR: f64 = 3.0;
 pub const EVENTS_PER_SEC_FLOOR: f64 = 3_800_000.0;
 
 /// One workload measured over both queue implementations.
-#[derive(Clone, Debug)]
-pub struct WorkloadPoint {
+struct WorkloadPoint {
     /// Workload id: `schedule_heavy`, `pop_heavy`, or `mixed`.
-    pub name: &'static str,
+    name: &'static str,
     /// Events pushed through each queue.
-    pub events: usize,
+    events: usize,
     /// Calendar-queue throughput (events through the queue per wall second).
-    pub calendar_events_per_sec: f64,
+    calendar_events_per_sec: f64,
     /// Binary-heap reference throughput, same seed and schedule.
-    pub naive_events_per_sec: f64,
+    naive_events_per_sec: f64,
     /// Highest pending-event count the workload reaches.
-    pub peak_pending: usize,
-}
-
-impl WorkloadPoint {
-    /// Calendar over naive throughput ratio.
-    pub fn speedup(&self) -> f64 {
-        self.calendar_events_per_sec / self.naive_events_per_sec
-    }
-}
-
-/// The full engine-throughput report.
-#[derive(Clone, Debug)]
-pub struct Report {
-    /// One row per workload shape.
-    pub points: Vec<WorkloadPoint>,
-    /// `true` when sizes were scaled down for a smoke run (absolute floor
-    /// not asserted).
-    pub smoke: bool,
-}
-
-impl Report {
-    /// The mixed-workload row — the one the acceptance gates read.
-    pub fn mixed(&self) -> &WorkloadPoint {
-        self.points
-            .iter()
-            .find(|p| p.name == "mixed")
-            .expect("mixed workload always measured")
-    }
-
-    /// Mixed-workload calendar speedup over the naive baseline.
-    pub fn mixed_speedup(&self) -> f64 {
-        self.mixed().speedup()
-    }
-
-    /// `true` when the absolute events/sec floor holds (only meaningful for
-    /// full runs; smoke runs scale the workload down).
-    pub fn floor_met(&self) -> bool {
-        self.mixed().calendar_events_per_sec >= EVENTS_PER_SEC_FLOOR
-    }
-
-    /// The `BENCH_engine.json` text.
-    pub fn artifact(&self) -> String {
-        artifact::object(|o| {
-            o.str("bench", "engine");
-            o.bool("smoke", self.smoke);
-            o.rows("workloads", &self.points, |r, p| {
-                r.str("name", p.name);
-                r.int("events", p.events as u64);
-                r.fixed("calendar_events_per_sec", p.calendar_events_per_sec, 0);
-                r.fixed("naive_events_per_sec", p.naive_events_per_sec, 0);
-                r.fixed("speedup", p.speedup(), 2);
-                r.int("peak_pending", p.peak_pending as u64);
-            });
-            o.fixed("mixed_speedup", self.mixed_speedup(), 2);
-            o.fixed("events_per_sec_floor", EVENTS_PER_SEC_FLOOR, 0);
-            o.bool("floor_met", self.floor_met());
-        })
-    }
-
-    /// Renders a human-readable table.
-    pub fn render(&self) -> String {
-        let mut s = String::from(
-            "workload         events     calendar ev/s      naive ev/s   speedup   peak depth\n",
-        );
-        for p in &self.points {
-            s.push_str(&format!(
-                "{:<16} {:>7}   {:>13.0}   {:>13.0}   {:>6.2}x   {:>10}\n",
-                p.name,
-                p.events,
-                p.calendar_events_per_sec,
-                p.naive_events_per_sec,
-                p.speedup(),
-                p.peak_pending
-            ));
-        }
-        s.push_str(&format!(
-            "mixed speedup {:.2}x (want >= {:.0}); calendar mixed {:.2}M ev/s (floor {:.1}M{})\n",
-            self.mixed_speedup(),
-            MIXED_SPEEDUP_FLOOR,
-            self.mixed().calendar_events_per_sec / 1e6,
-            EVENTS_PER_SEC_FLOOR / 1e6,
-            if self.smoke {
-                ", not asserted in smoke mode"
-            } else {
-                ""
-            }
-        ));
-        s
-    }
+    peak_pending: usize,
 }
 
 /// The artifact's gate: the three workloads, each measured on both queues,
@@ -283,23 +194,24 @@ fn point(
     }
 }
 
-/// Runs the full workload matrix over both implementations. Full runs take
+/// Runs the full workload matrix over both implementations and returns the
+/// `BENCH_engine.json` text. Full runs take
 /// a few seconds; `smoke` scales the (ungated) batch workloads down ~20×
 /// for CI. The mixed workload is NOT scaled in either dimension: its depth
 /// drives the naive heap's `log n` factor (shrinking it would flatter the
 /// baseline), and its cycle count keeps the timed section hundreds of
 /// milliseconds long (shrinking it would hand the relative gate to
 /// scheduler noise).
-pub fn run(smoke: bool) -> Report {
+pub fn run(smoke: bool) -> String {
     let scale = if smoke { 20 } else { 1 };
-    run_sized(400_000 / scale, 2_000_000, 100_000, smoke)
+    artifact(&run_sized(400_000 / scale, 2_000_000, 100_000), smoke)
 }
 
 /// Workload matrix with explicit sizes — `run` picks the real ones; tests
 /// use tiny counts to exercise the shape without paying measurement time.
-fn run_sized(n_batch: usize, n_mixed: usize, depth: usize, smoke: bool) -> Report {
+fn run_sized(n_batch: usize, n_mixed: usize, depth: usize) -> [WorkloadPoint; 3] {
     let seed = 0xE1137;
-    let points = vec![
+    [
         point(
             "schedule_heavy",
             n_batch,
@@ -318,8 +230,34 @@ fn run_sized(n_batch: usize, n_mixed: usize, depth: usize, smoke: bool) -> Repor
             run_mixed::<EventQueue<u64>>(n_mixed, depth, seed),
             run_mixed::<NaiveEventQueue<u64>>(n_mixed, depth, seed),
         ),
-    ];
-    Report { points, smoke }
+    ]
+}
+
+/// The `BENCH_engine.json` text: one row per workload, then the two
+/// acceptance numbers, read off the mixed workload — calendar speedup over
+/// the naive baseline, and whether the absolute events/sec floor holds (only
+/// meaningful for full runs; smoke runs scale the workload down).
+fn artifact(points: &[WorkloadPoint], smoke: bool) -> String {
+    let speedup = |p: &WorkloadPoint| p.calendar_events_per_sec / p.naive_events_per_sec;
+    let mixed = points
+        .iter()
+        .find(|p| p.name == "mixed")
+        .expect("mixed workload always measured");
+    artifact::object(|o| {
+        o.str("bench", "engine");
+        o.bool("smoke", smoke);
+        o.rows("workloads", points, |r, p| {
+            r.str("name", p.name);
+            r.int("events", p.events as u64);
+            r.fixed("calendar_events_per_sec", p.calendar_events_per_sec, 0);
+            r.fixed("naive_events_per_sec", p.naive_events_per_sec, 0);
+            r.fixed("speedup", speedup(p), 2);
+            r.int("peak_pending", p.peak_pending as u64);
+        });
+        o.fixed("mixed_speedup", speedup(mixed), 2);
+        o.fixed("events_per_sec_floor", EVENTS_PER_SEC_FLOOR, 0);
+        o.bool("floor_met", mixed.calendar_events_per_sec >= EVENTS_PER_SEC_FLOOR);
+    })
 }
 
 #[cfg(test)]
@@ -340,18 +278,14 @@ mod tests {
 
     #[test]
     fn json_shape_is_stable() {
-        let r = Report {
-            points: vec![WorkloadPoint {
-                name: "mixed",
-                events: 100,
-                calendar_events_per_sec: 2.0e7,
-                naive_events_per_sec: 4.0e6,
-                peak_pending: 50,
-            }],
-            smoke: true,
+        let mixed = WorkloadPoint {
+            name: "mixed",
+            events: 100,
+            calendar_events_per_sec: 2.0e7,
+            naive_events_per_sec: 4.0e6,
+            peak_pending: 50,
         };
-        assert_eq!(r.artifact(), FIXTURE);
-        assert!(r.render().contains("mixed speedup"));
+        assert_eq!(artifact(&[mixed], true), FIXTURE);
     }
 
     #[test]
@@ -433,14 +367,20 @@ mod tests {
 
     #[test]
     fn smoke_run_emits_all_three_workloads() {
-        let r = run_sized(2_000, 5_000, 1_000, true);
-        assert_eq!(r.points.len(), 3);
-        let names: Vec<&str> = r.points.iter().map(|p| p.name).collect();
+        let text = artifact(&run_sized(2_000, 5_000, 1_000), true);
+        let v = artifact::parse(&text).unwrap();
+        let names: Vec<_> = v["workloads"]
+            .as_seq()
+            .unwrap()
+            .iter()
+            .map(|w| w["name"].as_str().unwrap())
+            .collect();
         assert_eq!(names, ["schedule_heavy", "pop_heavy", "mixed"]);
-        for p in &r.points {
-            assert!(p.calendar_events_per_sec > 0.0);
-            assert!(p.naive_events_per_sec > 0.0);
-            assert!(p.peak_pending > 0);
+        // Every clause but the speedup floor, which a workload this small
+        // cannot promise: all three measured on both queues, smoke flagged.
+        match gates(&v) {
+            Ok(()) => {}
+            Err(e) => assert!(e.contains("mixed_speedup >= 3.0"), "{e}"),
         }
     }
 }

@@ -25,70 +25,16 @@ use yamlite::Value;
 pub const SIZES: [usize; 3] = [10, 1_000, 100_000];
 
 /// Measurements at one table size (all ns per operation).
-#[derive(Clone, Copy, Debug)]
-pub struct SizePoint {
+struct SizePoint {
     /// Installed flow count.
-    pub flows: usize,
+    flows: usize,
     /// Seed implementation: linear scan over the sorted `Vec`.
-    pub naive_lookup_ns: f64,
+    naive_lookup_ns: f64,
     /// Indexed table: tuple-space hash classification.
-    pub indexed_lookup_ns: f64,
+    indexed_lookup_ns: f64,
     /// Full switch path for a repeated packet: parse and verify, classify
     /// in the indexed table, run the actions in place.
-    pub switch_hit_ns: f64,
-}
-
-/// The full fast-path report.
-#[derive(Clone, Debug)]
-pub struct Report {
-    /// One row per entry of [`SIZES`].
-    pub points: Vec<SizePoint>,
-}
-
-impl Report {
-    /// Indexed-lookup cost ratio of the largest size over the smallest —
-    /// the "size-independence" acceptance number (want: ≤ 3).
-    pub fn indexed_scaling_ratio(&self) -> f64 {
-        let first = self.points.first().map_or(1.0, |p| p.indexed_lookup_ns);
-        let last = self.points.last().map_or(1.0, |p| p.indexed_lookup_ns);
-        last / first
-    }
-
-    /// The `BENCH_flowtable.json` text.
-    pub fn artifact(&self) -> String {
-        artifact::object(|o| {
-            o.str("bench", "flowtable");
-            o.rows("sizes", &self.points, |r, p| {
-                r.int("flows", p.flows as u64);
-                r.fixed("naive_lookup_ns", p.naive_lookup_ns, 1);
-                r.fixed("indexed_lookup_ns", p.indexed_lookup_ns, 1);
-                r.fixed("switch_hit_ns", p.switch_hit_ns, 1);
-            });
-            o.fixed(
-                "indexed_100k_over_10_ratio",
-                self.indexed_scaling_ratio(),
-                3,
-            );
-        })
-    }
-
-    /// Renders a human-readable table.
-    pub fn render(&self) -> String {
-        let mut s = String::from(
-            "flows      naive ns/op   indexed ns/op   switch hit ns/op\n",
-        );
-        for p in &self.points {
-            s.push_str(&format!(
-                "{:<10} {:>11.1}   {:>13.1}   {:>16.1}\n",
-                p.flows, p.naive_lookup_ns, p.indexed_lookup_ns, p.switch_hit_ns
-            ));
-        }
-        s.push_str(&format!(
-            "indexed 100k/10 ratio {:.2}x (want <=3)\n",
-            self.indexed_scaling_ratio()
-        ));
-        s
-    }
+    switch_hit_ns: f64,
 }
 
 /// The artifact's gate. CI never judged this artifact and its acceptance
@@ -188,10 +134,10 @@ pub(crate) fn loaded_switch(size: usize) -> Switch {
     sw
 }
 
-/// Runs the whole measurement matrix. Iteration counts are scaled so the
-/// naive O(n) baseline stays tractable at 100k flows; total runtime is a few
-/// seconds.
-pub fn run() -> Report {
+/// Runs the whole measurement matrix and returns the `BENCH_flowtable.json`
+/// text. Iteration counts are scaled so the naive O(n) baseline stays
+/// tractable at 100k flows; total runtime is a few seconds.
+pub fn run() -> String {
     let mut points = Vec::new();
     for size in SIZES {
         let entries: Vec<FlowEntry> = (0..size).map(connection_entry).collect();
@@ -230,7 +176,28 @@ pub fn run() -> Report {
             switch_hit_ns,
         });
     }
-    Report { points }
+    artifact(&points)
+}
+
+/// The `BENCH_flowtable.json` text: one row per table size, then the
+/// indexed-lookup cost ratio of the largest size over the smallest — the
+/// "size-independence" acceptance number (want: ≤ 3).
+fn artifact(points: &[SizePoint]) -> String {
+    let indexed_ns = |p: Option<&SizePoint>| p.map_or(1.0, |p| p.indexed_lookup_ns);
+    artifact::object(|o| {
+        o.str("bench", "flowtable");
+        o.rows("sizes", points, |r, p| {
+            r.int("flows", p.flows as u64);
+            r.fixed("naive_lookup_ns", p.naive_lookup_ns, 1);
+            r.fixed("indexed_lookup_ns", p.indexed_lookup_ns, 1);
+            r.fixed("switch_hit_ns", p.switch_hit_ns, 1);
+        });
+        o.fixed(
+            "indexed_100k_over_10_ratio",
+            indexed_ns(points.last()) / indexed_ns(points.first()),
+            3,
+        );
+    })
 }
 
 #[cfg(test)]
@@ -248,16 +215,13 @@ mod tests {
 
     #[test]
     fn json_shape_is_stable() {
-        let r = Report {
-            points: vec![SizePoint {
-                flows: 10,
-                naive_lookup_ns: 12.5,
-                indexed_lookup_ns: 30.0,
-                switch_hit_ns: 100.0,
-            }],
+        let ten = SizePoint {
+            flows: 10,
+            naive_lookup_ns: 12.5,
+            indexed_lookup_ns: 30.0,
+            switch_hit_ns: 100.0,
         };
-        assert_eq!(r.artifact(), FIXTURE);
-        assert!(r.render().contains("indexed 100k/10 ratio 1.00x"));
+        assert_eq!(artifact(&[ten]), FIXTURE);
     }
 
     #[test]

@@ -24,185 +24,6 @@ use edgectl::RecoveryMode;
 use testbed::experiments::{self, HaStats};
 use yamlite::Value;
 
-/// One swept session count: warm and cold racing the same blackout (times
-/// in milliseconds unless noted).
-#[derive(Clone, Debug)]
-pub struct SizePoint {
-    /// Client sessions driven (recoverable state grows with this).
-    pub sessions: u64,
-    /// Control-plane blackout: crash → restart.
-    pub blackout_ms: f64,
-    /// Journal events appended across the warm run (mutation volume).
-    pub journal_appended: u64,
-    /// Compactions the journal performed.
-    pub snapshots_taken: u64,
-    /// Tail events the warm restart replayed.
-    pub replayed_events: u64,
-    /// Entries the warm restart restored from the compacted snapshot.
-    pub snapshot_entries: u64,
-    /// Wall-clock nanoseconds the warm rebuild took (machine-dependent).
-    pub replay_wall_ns: u64,
-    /// Replay throughput: (snapshot entries + tail events) per wall second.
-    pub replay_events_per_sec: f64,
-    /// Warm per-session recovery median (first ping answered after restart).
-    pub warm_p50_ms: f64,
-    /// Warm per-session recovery 99th percentile.
-    pub warm_p99_ms: f64,
-    /// Sessions with a measured warm recovery.
-    pub warm_recovered: u64,
-    /// Cold per-session recovery median.
-    pub cold_p50_ms: f64,
-    /// Cold per-session recovery 99th percentile.
-    pub cold_p99_ms: f64,
-    /// Sessions with a measured cold recovery.
-    pub cold_recovered: u64,
-    /// Flow mods the warm restart's reconcile issued (tables should already
-    /// match the replayed state, so ≈0).
-    pub warm_restart_fixes: u64,
-    /// Flow mods the cold restart's reconcile issued (every surviving rule
-    /// is torn down — grows with state size).
-    pub cold_restart_fixes: u64,
-    /// In-flight migrations the restarts aborted (warm + cold).
-    pub aborted_migrations: u64,
-    /// Attachment changes that happened during the blackout (warm + cold).
-    pub missed_handovers: u64,
-    /// Control messages lost while the controller was dead (warm + cold).
-    pub ctrl_dropped: u64,
-    /// Client retransmissions (warm + cold).
-    pub retransmits: u64,
-    /// Sessions permanently stranded, warm + cold (want 0).
-    pub stranded: u64,
-    /// Fixes the final reconciliation issued, warm + cold.
-    pub reconcile_fixes: u64,
-    /// Fixes the second pass still wanted, warm + cold (want 0).
-    pub reconcile_residual: u64,
-}
-
-/// The full HA report.
-#[derive(Clone, Debug)]
-pub struct Report {
-    /// Seed the scenario ran under.
-    pub seed: u64,
-    /// Controller-crash probability (the bench pins 1.0).
-    pub crash_rate: f64,
-    /// Smoke (short) or full sweep.
-    pub smoke: bool,
-    /// Runs that panicked instead of recovering (want 0).
-    pub panics: u64,
-    /// One warm-vs-cold row per swept session count, ascending.
-    pub points: Vec<SizePoint>,
-}
-
-impl Report {
-    /// Permanently stranded sessions across every run (want: 0).
-    pub fn total_stranded(&self) -> u64 {
-        self.points.iter().map(|p| p.stranded).sum()
-    }
-
-    /// Residual reconciliation fixes across every run (want: 0).
-    pub fn total_residual(&self) -> u64 {
-        self.points.iter().map(|p| p.reconcile_residual).sum()
-    }
-
-    /// The headline gate: at the *largest* swept state size, warm recovery
-    /// p99 must not exceed cold recovery p99 — otherwise replaying the
-    /// journal bought nothing over rebuilding from scratch.
-    pub fn warm_gate_holds(&self) -> bool {
-        self.points
-            .last()
-            .map(|p| p.warm_p99_ms <= p.cold_p99_ms)
-            .unwrap_or(false)
-    }
-
-    /// The `BENCH_ha.json` text.
-    pub fn artifact(&self) -> String {
-        let last = self.points.last();
-        artifact::object(|o| {
-            o.str("bench", "ha");
-            o.int("seed", self.seed);
-            o.num("crash_rate", self.crash_rate);
-            o.bool("smoke", self.smoke);
-            o.rows("sizes", &self.points, |r, p| {
-                r.int("sessions", p.sessions);
-                r.fixed("blackout_ms", p.blackout_ms, 3);
-                r.int("journal_appended", p.journal_appended);
-                r.int("snapshots_taken", p.snapshots_taken);
-                r.int("replayed_events", p.replayed_events);
-                r.int("snapshot_entries", p.snapshot_entries);
-                r.int("replay_wall_ns", p.replay_wall_ns);
-                r.fixed("replay_events_per_sec", p.replay_events_per_sec, 0);
-                r.fixed("warm_recovery_p50_ms", p.warm_p50_ms, 3);
-                r.fixed("warm_recovery_p99_ms", p.warm_p99_ms, 3);
-                r.int("warm_recovered", p.warm_recovered);
-                r.fixed("cold_recovery_p50_ms", p.cold_p50_ms, 3);
-                r.fixed("cold_recovery_p99_ms", p.cold_p99_ms, 3);
-                r.int("cold_recovered", p.cold_recovered);
-                r.int("warm_restart_fixes", p.warm_restart_fixes);
-                r.int("cold_restart_fixes", p.cold_restart_fixes);
-                r.int("aborted_migrations", p.aborted_migrations);
-                r.int("missed_handovers", p.missed_handovers);
-                r.int("ctrl_dropped", p.ctrl_dropped);
-                r.int("retransmits", p.retransmits);
-                r.int("stranded", p.stranded);
-                r.int("reconcile_fixes", p.reconcile_fixes);
-                r.int("reconcile_residual", p.reconcile_residual);
-            });
-            o.int("largest_sessions", last.map_or(0, |p| p.sessions));
-            o.fixed(
-                "warm_p99_ms_at_largest",
-                last.map_or(f64::NAN, |p| p.warm_p99_ms),
-                3,
-            );
-            o.fixed(
-                "cold_p99_ms_at_largest",
-                last.map_or(f64::NAN, |p| p.cold_p99_ms),
-                3,
-            );
-            o.bool("gate_warm_p99_le_cold_p99", self.warm_gate_holds());
-            o.int("total_stranded", self.total_stranded());
-            o.int("total_reconcile_residual", self.total_residual());
-            o.int("panics", self.panics);
-        })
-    }
-
-    /// Renders a human-readable table.
-    pub fn render(&self) -> String {
-        let mut s = String::from(
-            "sessions  blackout[ms]  journal  replay(snap+tail)  ev/s      \
-             warm p50/p99 [ms]  cold p50/p99 [ms]  fixes w/c  stranded  resid\n",
-        );
-        for p in &self.points {
-            s.push_str(&format!(
-                "{:>8}  {:>12.1}  {:>7}  {:>8}+{:<8}  {:>8.0}  {:>7.1}/{:>8.1}  {:>7.1}/{:>8.1}  {:>4}/{:<4}  {:>8}  {:>5}\n",
-                p.sessions,
-                p.blackout_ms,
-                p.journal_appended,
-                p.snapshot_entries,
-                p.replayed_events,
-                p.replay_events_per_sec,
-                p.warm_p50_ms,
-                p.warm_p99_ms,
-                p.cold_p50_ms,
-                p.cold_p99_ms,
-                p.warm_restart_fixes,
-                p.cold_restart_fixes,
-                p.stranded,
-                p.reconcile_residual
-            ));
-        }
-        s.push_str(&format!(
-            "gate: warm recovery p99 at largest state {} cold p99 ({})\n\
-             total stranded {} (want 0), reconcile residual {} (want 0), panics {} (want 0)\n",
-            if self.warm_gate_holds() { "<=" } else { "EXCEEDS" },
-            if self.warm_gate_holds() { "holds" } else { "FAILS" },
-            self.total_stranded(),
-            self.total_residual(),
-            self.panics
-        ));
-        s
-    }
-}
-
 /// The artifact's gate: the module's acceptance gates, and that the sweep
 /// measured what it claims — the crash fired, the journal recorded, the warm
 /// restart replayed it and left the reconcile less to fix than cold did.
@@ -242,14 +63,16 @@ pub fn swept_sessions(smoke: bool) -> &'static [usize] {
     }
 }
 
+/// Controller-crash probability: every run crashes.
+const CRASH_RATE: f64 = 1.0;
+
 /// Runs the warm arm and the cold baseline once per swept session count,
 /// catching panics so a crashing restart path is reported rather than
-/// aborting the artifact.
-pub fn run(seed: u64, smoke: bool) -> Report {
-    let crash_rate = 1.0;
+/// aborting the artifact, and returns the `BENCH_ha.json` text.
+pub fn run(seed: u64, smoke: bool) -> String {
     let mut panics = 0u64;
     let mut run_one = |mode: RecoveryMode, n: usize| {
-        match std::panic::catch_unwind(|| experiments::ha_stats(mode, n, seed, crash_rate, smoke)) {
+        match std::panic::catch_unwind(|| experiments::ha_stats(mode, n, seed, CRASH_RATE, smoke)) {
             Ok(s) => s,
             Err(_) => {
                 panics += 1;
@@ -257,77 +80,113 @@ pub fn run(seed: u64, smoke: bool) -> Report {
             }
         }
     };
-    let points = swept_sessions(smoke)
+    let sizes: Vec<_> = swept_sessions(smoke)
         .iter()
-        .map(|&n| {
-            let w = run_one(RecoveryMode::Warm, n);
-            let c = run_one(RecoveryMode::Cold, n);
-            let replayed_total = w.replayed_events + w.snapshot_entries;
-            let replay_events_per_sec = if w.replay_wall_ns > 0 {
-                replayed_total as f64 / (w.replay_wall_ns as f64 / 1e9)
-            } else {
-                0.0
-            };
-            SizePoint {
-                sessions: n as u64,
-                blackout_ms: w.blackout_secs * 1e3,
-                journal_appended: w.journal_appended,
-                snapshots_taken: w.snapshots_taken,
-                replayed_events: w.replayed_events,
-                snapshot_entries: w.snapshot_entries,
-                replay_wall_ns: w.replay_wall_ns,
-                replay_events_per_sec,
-                warm_p50_ms: pct(&w.recovery_secs, 50.0),
-                warm_p99_ms: pct(&w.recovery_secs, 99.0),
-                warm_recovered: w.recovery_secs.len() as u64,
-                cold_p50_ms: pct(&c.recovery_secs, 50.0),
-                cold_p99_ms: pct(&c.recovery_secs, 99.0),
-                cold_recovered: c.recovery_secs.len() as u64,
-                warm_restart_fixes: w.restart_fixes,
-                cold_restart_fixes: c.restart_fixes,
-                aborted_migrations: w.aborted_migrations + c.aborted_migrations,
-                missed_handovers: w.missed_handovers + c.missed_handovers,
-                ctrl_dropped: w.ctrl_dropped + c.ctrl_dropped,
-                retransmits: w.retransmits + c.retransmits,
-                stranded: w.stranded + c.stranded,
-                reconcile_fixes: w.reconcile_fixes + c.reconcile_fixes,
-                reconcile_residual: w.reconcile_residual + c.reconcile_residual,
-            }
-        })
+        .map(|&n| (n, run_one(RecoveryMode::Warm, n), run_one(RecoveryMode::Cold, n)))
         .collect();
-    Report { seed, crash_rate, smoke, panics, points }
+    artifact(seed, smoke, panics, &sizes)
+}
+
+/// The `BENCH_ha.json` text: one row per swept session count (sessions,
+/// warm run, cold run racing the same blackout), times in ms, counts that
+/// are not warm- or cold-specific summed over both; then the headline gate —
+/// warm recovery p99 at the *largest* size no worse than cold p99 there,
+/// otherwise replaying the journal bought nothing over rebuilding from
+/// scratch.
+fn artifact(seed: u64, smoke: bool, panics: u64, sizes: &[(usize, HaStats, HaStats)]) -> String {
+    let p99 = |s: &HaStats| pct(&s.recovery_secs, 99.0);
+    // Replay throughput: (snapshot entries + tail events) per wall second.
+    let replay_per_sec = |s: &HaStats| match s.replay_wall_ns {
+        0 => 0.0,
+        ns => (s.replayed_events + s.snapshot_entries) as f64 / (ns as f64 / 1e9),
+    };
+    let total = |field: fn(&HaStats) -> u64| {
+        sizes.iter().map(|(_, warm, cold)| field(warm) + field(cold)).sum()
+    };
+    let largest = sizes.last();
+    artifact::object(|o| {
+        o.str("bench", "ha");
+        o.int("seed", seed);
+        o.num("crash_rate", CRASH_RATE);
+        o.bool("smoke", smoke);
+        o.rows("sizes", sizes, |r, (n, w, c)| {
+            r.int("sessions", *n as u64);
+            r.fixed("blackout_ms", w.blackout_secs * 1e3, 3);
+            r.int("journal_appended", w.journal_appended);
+            r.int("snapshots_taken", w.snapshots_taken);
+            r.int("replayed_events", w.replayed_events);
+            r.int("snapshot_entries", w.snapshot_entries);
+            r.int("replay_wall_ns", w.replay_wall_ns);
+            r.fixed("replay_events_per_sec", replay_per_sec(w), 0);
+            r.fixed("warm_recovery_p50_ms", pct(&w.recovery_secs, 50.0), 3);
+            r.fixed("warm_recovery_p99_ms", p99(w), 3);
+            r.int("warm_recovered", w.recovery_secs.len() as u64);
+            r.fixed("cold_recovery_p50_ms", pct(&c.recovery_secs, 50.0), 3);
+            r.fixed("cold_recovery_p99_ms", p99(c), 3);
+            r.int("cold_recovered", c.recovery_secs.len() as u64);
+            r.int("warm_restart_fixes", w.restart_fixes);
+            r.int("cold_restart_fixes", c.restart_fixes);
+            r.int("aborted_migrations", w.aborted_migrations + c.aborted_migrations);
+            r.int("missed_handovers", w.missed_handovers + c.missed_handovers);
+            r.int("ctrl_dropped", w.ctrl_dropped + c.ctrl_dropped);
+            r.int("retransmits", w.retransmits + c.retransmits);
+            r.int("stranded", w.stranded + c.stranded);
+            r.int("reconcile_fixes", w.reconcile_fixes + c.reconcile_fixes);
+            r.int("reconcile_residual", w.reconcile_residual + c.reconcile_residual);
+        });
+        o.int("largest_sessions", largest.map_or(0, |(n, _, _)| *n as u64));
+        o.fixed(
+            "warm_p99_ms_at_largest",
+            largest.map_or(f64::NAN, |(_, w, _)| p99(w)),
+            3,
+        );
+        o.fixed(
+            "cold_p99_ms_at_largest",
+            largest.map_or(f64::NAN, |(_, _, c)| p99(c)),
+            3,
+        );
+        o.bool(
+            "gate_warm_p99_le_cold_p99",
+            largest.is_some_and(|(_, w, c)| p99(w) <= p99(c)),
+        );
+        o.int("total_stranded", total(|s| s.stranded));
+        o.int("total_reconcile_residual", total(|s| s.reconcile_residual));
+        o.int("panics", panics);
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn point(sessions: u64, warm_p99: f64, cold_p99: f64) -> SizePoint {
-        SizePoint {
-            sessions,
-            blackout_ms: 3000.0,
+    /// One swept session count: `n` warm recoveries with p99 `warm_p99` ms
+    /// and `n` cold ones with p99 `cold_p99` ms, half of each at half that.
+    fn size(n: usize, warm_p99: f64, cold_p99: f64) -> (usize, HaStats, HaStats) {
+        let recoveries = |p99_ms: f64| {
+            let x = p99_ms / 1e3;
+            (0..n).map(|i| if i < n.div_ceil(2) { x / 2.0 } else { x }).collect()
+        };
+        let warm = HaStats {
+            blackout_secs: 3.0,
             journal_appended: 400,
             snapshots_taken: 3,
             replayed_events: 20,
             snapshot_entries: 60,
             replay_wall_ns: 40_000,
-            replay_events_per_sec: 2_000_000.0,
-            warm_p50_ms: warm_p99 / 2.0,
-            warm_p99_ms: warm_p99,
-            warm_recovered: sessions,
-            cold_p50_ms: cold_p99 / 2.0,
-            cold_p99_ms: cold_p99,
-            cold_recovered: sessions,
-            warm_restart_fixes: 0,
-            cold_restart_fixes: 12,
+            recovery_secs: recoveries(warm_p99),
             aborted_migrations: 1,
             missed_handovers: 2,
             ctrl_dropped: 5,
             retransmits: 4,
-            stranded: 0,
             reconcile_fixes: 3,
-            reconcile_residual: 0,
-        }
+            ..HaStats::default()
+        };
+        let cold = HaStats {
+            recovery_secs: recoveries(cold_p99),
+            restart_fixes: 12,
+            ..HaStats::default()
+        };
+        (n, warm, cold)
     }
 
     const FIXTURE: &str = r#"{
@@ -336,8 +195,8 @@ mod tests {
   "crash_rate": 1,
   "smoke": true,
   "sizes": [
-    {"sessions": 3, "blackout_ms": 3000.000, "journal_appended": 400, "snapshots_taken": 3, "replayed_events": 20, "snapshot_entries": 60, "replay_wall_ns": 40000, "replay_events_per_sec": 2000000, "warm_recovery_p50_ms": 2.500, "warm_recovery_p99_ms": 5.000, "warm_recovered": 3, "cold_recovery_p50_ms": 20.000, "cold_recovery_p99_ms": 40.000, "cold_recovered": 3, "warm_restart_fixes": 0, "cold_restart_fixes": 12, "aborted_migrations": 1, "missed_handovers": 2, "ctrl_dropped": 5, "retransmits": 4, "stranded": 0, "reconcile_fixes": 3, "reconcile_residual": 0},
-    {"sessions": 6, "blackout_ms": 3000.000, "journal_appended": 400, "snapshots_taken": 3, "replayed_events": 20, "snapshot_entries": 60, "replay_wall_ns": 40000, "replay_events_per_sec": 2000000, "warm_recovery_p50_ms": 3.000, "warm_recovery_p99_ms": 6.000, "warm_recovered": 6, "cold_recovery_p50_ms": 45.000, "cold_recovery_p99_ms": 90.000, "cold_recovered": 6, "warm_restart_fixes": 0, "cold_restart_fixes": 12, "aborted_migrations": 1, "missed_handovers": 2, "ctrl_dropped": 5, "retransmits": 4, "stranded": 0, "reconcile_fixes": 3, "reconcile_residual": 0}
+    {"sessions": 3, "blackout_ms": 3000.000, "journal_appended": 400, "snapshots_taken": 3, "replayed_events": 20, "snapshot_entries": 60, "replay_wall_ns": 40000, "replay_events_per_sec": 2000000, "warm_recovery_p50_ms": 2.500, "warm_recovery_p99_ms": 4.950, "warm_recovered": 3, "cold_recovery_p50_ms": 20.000, "cold_recovery_p99_ms": 39.600, "cold_recovered": 3, "warm_restart_fixes": 0, "cold_restart_fixes": 12, "aborted_migrations": 1, "missed_handovers": 2, "ctrl_dropped": 5, "retransmits": 4, "stranded": 0, "reconcile_fixes": 3, "reconcile_residual": 0},
+    {"sessions": 6, "blackout_ms": 3000.000, "journal_appended": 400, "snapshots_taken": 3, "replayed_events": 20, "snapshot_entries": 60, "replay_wall_ns": 40000, "replay_events_per_sec": 2000000, "warm_recovery_p50_ms": 4.500, "warm_recovery_p99_ms": 6.000, "warm_recovered": 6, "cold_recovery_p50_ms": 67.500, "cold_recovery_p99_ms": 90.000, "cold_recovered": 6, "warm_restart_fixes": 0, "cold_restart_fixes": 12, "aborted_migrations": 1, "missed_handovers": 2, "ctrl_dropped": 5, "retransmits": 4, "stranded": 0, "reconcile_fixes": 3, "reconcile_residual": 0}
   ],
   "largest_sessions": 6,
   "warm_p99_ms_at_largest": 6.000,
@@ -351,15 +210,8 @@ mod tests {
 
     #[test]
     fn json_shape_is_stable() {
-        let r = Report {
-            seed: 7,
-            crash_rate: 1.0,
-            smoke: true,
-            panics: 0,
-            points: vec![point(3, 5.0, 40.0), point(6, 6.0, 90.0)],
-        };
-        assert_eq!(r.artifact(), FIXTURE);
-        assert!(r.render().contains("holds"));
+        let sizes = [size(3, 5.0, 40.0), size(6, 6.0, 90.0)];
+        assert_eq!(artifact(7, true, 0, &sizes), FIXTURE);
     }
 
     #[test]
@@ -441,14 +293,7 @@ mod tests {
                 ("\"panics\": 0", "\"panics\": 1", "panics == 0"),
             ],
         );
-        let empty = Report {
-            seed: 7,
-            crash_rate: 1.0,
-            smoke: true,
-            panics: 0,
-            points: vec![],
-        }
-        .artifact();
+        let empty = artifact(7, true, 0, &[]);
         assert!(
             empty.contains("\"warm_p99_ms_at_largest\": null"),
             "never NaN: {empty}"
@@ -458,46 +303,29 @@ mod tests {
 
     #[test]
     fn gate_compares_the_largest_size_only() {
-        let mut r = Report {
-            seed: 7,
-            crash_rate: 1.0,
-            smoke: true,
-            panics: 0,
-            points: vec![point(3, 50.0, 10.0), point(6, 5.0, 40.0)],
+        let holds = |sizes: &[_]| {
+            artifact::parse(&artifact(7, true, 0, sizes)).unwrap()["gate_warm_p99_le_cold_p99"]
+                .as_bool()
         };
-        assert!(r.warm_gate_holds(), "only the largest size gates");
-        r.points[1].warm_p99_ms = 100.0;
-        assert!(!r.warm_gate_holds());
-        r.points.clear();
-        assert!(!r.warm_gate_holds(), "an empty sweep proves nothing");
+        let mut sizes = vec![size(3, 50.0, 10.0), size(6, 5.0, 40.0)];
+        assert_eq!(holds(&sizes), Some(true), "only the largest size gates");
+        sizes[1] = size(6, 100.0, 40.0);
+        assert_eq!(holds(&sizes), Some(false));
+        assert_eq!(holds(&[]), Some(false), "an empty sweep proves nothing");
     }
 
     #[test]
     fn smoke_run_recovers_cleanly_in_both_modes() {
-        let r = run(7, true);
-        assert_eq!(r.points.len(), swept_sessions(true).len());
-        assert_eq!(r.panics, 0, "no restart path panicked");
-        assert_eq!(r.total_stranded(), 0, "no session permanently stranded");
-        assert_eq!(r.total_residual(), 0, "switch tables reconcile clean");
-        assert!(r.warm_gate_holds(), "warm p99 must not exceed cold p99");
-        for p in &r.points {
-            assert!(p.blackout_ms > 0.0, "the crash fired at rate 1.0");
-            assert!(p.journal_appended > 0, "the journal recorded");
-            assert!(
-                p.replayed_events + p.snapshot_entries > 0,
-                "warm restart recovered state"
-            );
-            assert!(p.warm_recovered > 0, "warm recovery was measured");
-            assert!(p.cold_recovered > 0, "cold recovery was measured");
-            assert!(p.cold_restart_fixes > 0, "cold restart rebuilt the tables");
-            assert!(
-                p.warm_restart_fixes < p.cold_restart_fixes,
-                "warm replay left less for the reconcile to fix"
-            );
-        }
+        let v = artifact::parse(&run(7, true)).unwrap();
+        // No panic, nothing stranded, clean reconcile, the crash fired, the
+        // journal recorded and was replayed, both recoveries measured, warm
+        // left the reconcile less to fix than cold and its p99 is no worse.
+        assert_eq!(gates(&v), Ok(()));
+        let sizes = v["sizes"].as_seq().unwrap();
+        assert_eq!(sizes.len(), swept_sessions(true).len());
         // More sessions ⇒ more recoverable state in the journal.
-        for w in r.points.windows(2) {
-            assert!(w[1].journal_appended > w[0].journal_appended);
+        for w in sizes.windows(2) {
+            assert!(num(&w[1], "journal_appended") > num(&w[0], "journal_appended"));
         }
     }
 
@@ -505,35 +333,21 @@ mod tests {
     fn repro_artifact_is_deterministic_up_to_wall_clock() {
         // Everything except the wall-clock replay fields is byte-stable per
         // seed; the rebuild's nanosecond timing is machine noise.
-        let strip = |r: &Report| {
-            let mut j = String::new();
-            for p in &r.points {
-                j.push_str(&format!(
-                    "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}\n",
-                    p.sessions,
-                    p.blackout_ms,
-                    p.journal_appended,
-                    p.snapshots_taken,
-                    p.replayed_events,
-                    p.snapshot_entries,
-                    p.warm_p50_ms,
-                    p.warm_p99_ms,
-                    p.warm_recovered,
-                    p.cold_p50_ms,
-                    p.cold_p99_ms,
-                    p.cold_recovered,
-                    p.warm_restart_fixes,
-                    p.cold_restart_fixes,
-                    p.missed_handovers,
-                    p.retransmits,
-                    p.stranded,
-                    p.reconcile_residual,
-                ));
+        let simulated = |text: &str| {
+            let mut v = artifact::parse(text).unwrap();
+            let Some(Value::Seq(sizes)) = v.get_mut("sizes") else {
+                panic!("no sizes: {text}")
+            };
+            for row in sizes {
+                row.remove("replay_wall_ns").expect("timed");
+                row.remove("replay_events_per_sec").expect("timed");
             }
-            j
+            v
         };
-        let a = run(7, true);
-        let b = run(7, true);
-        assert_eq!(strip(&a), strip(&b), "same seed ⇒ same simulation");
+        assert_eq!(
+            simulated(&run(7, true)),
+            simulated(&run(7, true)),
+            "same seed ⇒ same simulation"
+        );
     }
 }

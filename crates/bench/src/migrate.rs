@@ -19,150 +19,8 @@
 
 use crate::artifact;
 use crate::mobility::pct;
-use testbed::experiments;
+use testbed::experiments::{self, MigrationStats};
 use yamlite::Value;
-
-/// One swept state size: the live arm and its cold baseline, side by side
-/// (times in milliseconds).
-#[derive(Clone, Debug)]
-pub struct SizePoint {
-    /// Session-state growth per served request, bytes.
-    pub state_bytes_per_request: u64,
-    /// Live migrations completed.
-    pub migrations: u64,
-    /// Migrations abandoned mid-transfer.
-    pub aborted: u64,
-    /// Session-state bytes shipped zone-to-zone (live, background).
-    pub state_bytes_transferred: u64,
-    /// Redirect flows flipped make-before-break.
-    pub flows_flipped: u64,
-    /// Background transfer-time median, ms (cost, not interruption).
-    pub transfer_p50_ms: f64,
-    /// Background transfer-time 99th percentile, ms.
-    pub transfer_p99_ms: f64,
-    /// Live move-interruption median, ms (handover + migration flips).
-    pub p50_ms: f64,
-    /// Live move-interruption 99th percentile, ms.
-    pub p99_ms: f64,
-    /// Pings answered on the live arm (== pings sent on a clean run).
-    pub pings: u64,
-    /// Live pings lost + frames dropped (want 0).
-    pub dropped: u64,
-    /// Cold-arm handovers performed.
-    pub cold_handovers: u64,
-    /// Cold move-interruption median, ms (re-dispatch + state rebuild).
-    pub cold_p50_ms: f64,
-    /// Cold move-interruption 99th percentile, ms.
-    pub cold_p99_ms: f64,
-    /// Cold pings lost + frames dropped (want 0).
-    pub cold_dropped: u64,
-}
-
-/// The full migration report.
-#[derive(Clone, Debug)]
-pub struct Report {
-    /// Seed the scenario ran under.
-    pub seed: u64,
-    /// Smoke (short) or full sweep.
-    pub smoke: bool,
-    /// One live-vs-cold row per swept state size, ascending.
-    pub sizes: Vec<SizePoint>,
-}
-
-impl Report {
-    /// Pings lost or frames dropped across every run, both arms (want: 0).
-    pub fn total_dropped(&self) -> u64 {
-        self.sizes.iter().map(|p| p.dropped + p.cold_dropped).sum()
-    }
-
-    /// The headline gate: live interruption p99 at the *largest* swept state
-    /// size must not exceed the cold baseline's p99 at that same size —
-    /// otherwise migrating the state bought nothing over re-deploying cold.
-    pub fn gate_holds(&self) -> bool {
-        self.sizes
-            .last()
-            .map(|p| p.p99_ms <= p.cold_p99_ms)
-            .unwrap_or(false)
-    }
-
-    /// The `BENCH_migrate.json` text.
-    pub fn artifact(&self) -> String {
-        let last = self.sizes.last();
-        artifact::object(|o| {
-            o.str("bench", "migrate");
-            o.int("seed", self.seed);
-            o.bool("smoke", self.smoke);
-            o.rows("sizes", &self.sizes, |r, p| {
-                r.int("state_bytes_per_request", p.state_bytes_per_request);
-                r.int("migrations", p.migrations);
-                r.int("aborted", p.aborted);
-                r.int("state_bytes_transferred", p.state_bytes_transferred);
-                r.int("flows_flipped", p.flows_flipped);
-                r.fixed("transfer_p50_ms", p.transfer_p50_ms, 3);
-                r.fixed("transfer_p99_ms", p.transfer_p99_ms, 3);
-                r.fixed("interruption_p50_ms", p.p50_ms, 3);
-                r.fixed("interruption_p99_ms", p.p99_ms, 3);
-                r.int("pings", p.pings);
-                r.int("dropped", p.dropped);
-                r.int("cold_handovers", p.cold_handovers);
-                r.fixed("cold_interruption_p50_ms", p.cold_p50_ms, 3);
-                r.fixed("cold_interruption_p99_ms", p.cold_p99_ms, 3);
-                r.int("cold_dropped", p.cold_dropped);
-            });
-            o.int(
-                "largest_state_bytes_per_request",
-                last.map_or(0, |p| p.state_bytes_per_request),
-            );
-            o.fixed(
-                "live_p99_ms_at_largest",
-                last.map_or(f64::NAN, |p| p.p99_ms),
-                3,
-            );
-            o.fixed("cold_p99_ms", last.map_or(f64::NAN, |p| p.cold_p99_ms), 3);
-            o.int(
-                "total_migrations",
-                self.sizes.iter().map(|p| p.migrations).sum(),
-            );
-            o.int(
-                "total_state_bytes_transferred",
-                self.sizes.iter().map(|p| p.state_bytes_transferred).sum(),
-            );
-            o.bool("gate_live_p99_le_cold_p99", self.gate_holds());
-            o.int("total_dropped", self.total_dropped());
-        })
-    }
-
-    /// Renders a human-readable table.
-    pub fn render(&self) -> String {
-        let mut s = String::from(
-            "bytes/req   migs  state [B]   transfer p50/p99 [ms]  \
-             live p50/p99 [ms]  cold p50/p99 [ms]  dropped\n",
-        );
-        for p in &self.sizes {
-            s.push_str(&format!(
-                "{:>9}  {:>5}  {:>9}  {:>10.1}/{:>8.1}  {:>7.2}/{:>7.2}  {:>7.1}/{:>7.1}  {:>7}\n",
-                p.state_bytes_per_request,
-                p.migrations,
-                p.state_bytes_transferred,
-                p.transfer_p50_ms,
-                p.transfer_p99_ms,
-                p.p50_ms,
-                p.p99_ms,
-                p.cold_p50_ms,
-                p.cold_p99_ms,
-                p.dropped + p.cold_dropped
-            ));
-        }
-        s.push_str(&format!(
-            "gate: live p99 at largest state {} cold p99 ({})\n\
-             total dropped {} (want 0)\n",
-            if self.gate_holds() { "<=" } else { "EXCEEDS" },
-            if self.gate_holds() { "holds" } else { "FAILS" },
-            self.total_dropped()
-        ));
-        s
-    }
-}
 
 /// The artifact's gate: an ascending sweep in which every size migrated
 /// live, handed over cold and dropped nothing, and live interruption p99 at
@@ -191,33 +49,82 @@ pub fn swept_sizes(smoke: bool) -> &'static [u64] {
     }
 }
 
-/// Runs the live arm and the cold baseline once per swept state size.
-pub fn run(seed: u64, smoke: bool) -> Report {
-    let sizes = swept_sizes(smoke)
+/// Runs the live arm and the cold baseline once per swept state size and
+/// returns the `BENCH_migrate.json` text.
+pub fn run(seed: u64, smoke: bool) -> String {
+    let sizes: Vec<_> = swept_sizes(smoke)
         .iter()
         .map(|&bytes| {
-            let s = experiments::migration_stats(true, bytes, seed, smoke);
-            let c = experiments::migration_stats(false, bytes, seed, smoke);
-            SizePoint {
-                state_bytes_per_request: bytes,
-                migrations: s.migrations,
-                aborted: s.migrations_aborted,
-                state_bytes_transferred: s.state_bytes_transferred,
-                flows_flipped: s.flows_flipped,
-                transfer_p50_ms: pct(&s.transfers, 50.0),
-                transfer_p99_ms: pct(&s.transfers, 99.0),
-                p50_ms: pct(&s.interruptions, 50.0),
-                p99_ms: pct(&s.interruptions, 99.0),
-                pings: s.pings_done,
-                dropped: (s.pings_sent - s.pings_done) + s.drops,
-                cold_handovers: c.handovers,
-                cold_p50_ms: pct(&c.interruptions, 50.0),
-                cold_p99_ms: pct(&c.interruptions, 99.0),
-                cold_dropped: (c.pings_sent - c.pings_done) + c.drops,
-            }
+            let live = experiments::migration_stats(true, bytes, seed, smoke);
+            let cold = experiments::migration_stats(false, bytes, seed, smoke);
+            (bytes, live, cold)
         })
         .collect();
-    Report { seed, smoke, sizes }
+    artifact(seed, smoke, &sizes)
+}
+
+/// The `BENCH_migrate.json` text: one live-vs-cold row per swept state size
+/// (bytes per request, live run, cold run), times in ms, then the headline
+/// gate — live interruption p99 at the *largest* size no worse than cold
+/// p99 there, otherwise migrating the state bought nothing over re-deploying
+/// cold.
+fn artifact(seed: u64, smoke: bool, sizes: &[(u64, MigrationStats, MigrationStats)]) -> String {
+    // Pings lost plus frames dropped (want 0).
+    let dropped = |s: &MigrationStats| (s.pings_sent - s.pings_done) + s.drops;
+    let p99 = |s: &MigrationStats| pct(&s.interruptions, 99.0);
+    let largest = sizes.last();
+    artifact::object(|o| {
+        o.str("bench", "migrate");
+        o.int("seed", seed);
+        o.bool("smoke", smoke);
+        o.rows("sizes", sizes, |r, (bytes, live, cold)| {
+            r.int("state_bytes_per_request", *bytes);
+            r.int("migrations", live.migrations);
+            r.int("aborted", live.migrations_aborted);
+            r.int("state_bytes_transferred", live.state_bytes_transferred);
+            r.int("flows_flipped", live.flows_flipped);
+            r.fixed("transfer_p50_ms", pct(&live.transfers, 50.0), 3);
+            r.fixed("transfer_p99_ms", pct(&live.transfers, 99.0), 3);
+            r.fixed("interruption_p50_ms", pct(&live.interruptions, 50.0), 3);
+            r.fixed("interruption_p99_ms", p99(live), 3);
+            r.int("pings", live.pings_done);
+            r.int("dropped", dropped(live));
+            r.int("cold_handovers", cold.handovers);
+            r.fixed("cold_interruption_p50_ms", pct(&cold.interruptions, 50.0), 3);
+            r.fixed("cold_interruption_p99_ms", p99(cold), 3);
+            r.int("cold_dropped", dropped(cold));
+        });
+        o.int(
+            "largest_state_bytes_per_request",
+            largest.map_or(0, |(bytes, _, _)| *bytes),
+        );
+        o.fixed(
+            "live_p99_ms_at_largest",
+            largest.map_or(f64::NAN, |(_, live, _)| p99(live)),
+            3,
+        );
+        o.fixed(
+            "cold_p99_ms",
+            largest.map_or(f64::NAN, |(_, _, cold)| p99(cold)),
+            3,
+        );
+        o.int(
+            "total_migrations",
+            sizes.iter().map(|(_, live, _)| live.migrations).sum(),
+        );
+        o.int(
+            "total_state_bytes_transferred",
+            sizes.iter().map(|(_, live, _)| live.state_bytes_transferred).sum(),
+        );
+        o.bool(
+            "gate_live_p99_le_cold_p99",
+            largest.is_some_and(|(_, live, cold)| p99(live) <= p99(cold)),
+        );
+        o.int(
+            "total_dropped",
+            sizes.iter().map(|(_, live, cold)| dropped(live) + dropped(cold)).sum(),
+        );
+    })
 }
 
 #[cfg(test)]
@@ -242,35 +149,41 @@ mod tests {
 }
 "#;
 
-    fn size(bytes: u64, p99: f64, transfer_p99: f64, cold_p99: f64) -> SizePoint {
-        SizePoint {
-            state_bytes_per_request: bytes,
+    /// Five samples in seconds whose p50 is `p99_ms / 2` and p99 `p99_ms`.
+    fn spread(p99_ms: f64) -> Vec<f64> {
+        let x = p99_ms / 1e3;
+        vec![x / 2.0, x / 2.0, x / 2.0, x, x]
+    }
+
+    /// One swept size: the live arm and its cold baseline.
+    fn size(
+        bytes: u64,
+        p99: f64,
+        transfer_p99: f64,
+        cold_p99: f64,
+    ) -> (u64, MigrationStats, MigrationStats) {
+        let live = MigrationStats {
             migrations: 5,
-            aborted: 0,
             state_bytes_transferred: bytes * 100,
             flows_flipped: 18,
-            transfer_p50_ms: transfer_p99 / 2.0,
-            transfer_p99_ms: transfer_p99,
-            p50_ms: p99 / 2.0,
-            p99_ms: p99,
-            pings: 300,
-            dropped: 0,
-            cold_handovers: 9,
-            cold_p50_ms: cold_p99 / 2.0,
-            cold_p99_ms: cold_p99,
-            cold_dropped: 0,
-        }
+            interruptions: spread(p99),
+            transfers: spread(transfer_p99),
+            pings_sent: 300,
+            pings_done: 300,
+            ..MigrationStats::default()
+        };
+        let cold = MigrationStats {
+            handovers: 9,
+            interruptions: spread(cold_p99),
+            ..MigrationStats::default()
+        };
+        (bytes, live, cold)
     }
 
     #[test]
     fn json_shape_is_stable() {
-        let r = Report {
-            seed: 7,
-            smoke: true,
-            sizes: vec![size(0, 3.4, 2.0, 502.0), size(65_536, 3.4, 850.0, 900.0)],
-        };
-        assert_eq!(r.artifact(), FIXTURE);
-        assert!(r.render().contains("holds"));
+        let sizes = [size(0, 3.4, 2.0, 502.0), size(65_536, 3.4, 850.0, 900.0)];
+        assert_eq!(artifact(7, true, &sizes), FIXTURE);
     }
 
     #[test]
@@ -317,12 +230,7 @@ mod tests {
                 ),
             ],
         );
-        let empty = Report {
-            seed: 7,
-            smoke: true,
-            sizes: vec![],
-        }
-        .artifact();
+        let empty = artifact(7, true, &[]);
         assert!(
             empty.contains("\"live_p99_ms_at_largest\": null"),
             "never NaN: {empty}"
@@ -333,52 +241,49 @@ mod tests {
 
     #[test]
     fn gate_compares_the_largest_size_only() {
-        let mut r = Report {
-            seed: 7,
-            smoke: true,
-            sizes: vec![size(0, 3.0, 2.0, 10.0), size(65_536, 50.0, 850.0, 10.0)],
+        let holds = |sizes: &[_]| {
+            artifact::parse(&artifact(7, true, sizes)).unwrap()["gate_live_p99_le_cold_p99"]
+                .as_bool()
         };
-        assert!(!r.gate_holds(), "largest size exceeds cold");
-        r.sizes[1].p99_ms = 9.0;
-        assert!(r.gate_holds());
-        r.sizes.clear();
-        assert!(!r.gate_holds(), "an empty sweep proves nothing");
+        let mut sizes = vec![size(0, 3.0, 2.0, 10.0), size(65_536, 50.0, 850.0, 10.0)];
+        assert_eq!(holds(&sizes), Some(false), "largest size exceeds cold");
+        sizes[1].1.interruptions = spread(9.0);
+        assert_eq!(holds(&sizes), Some(true));
+        assert_eq!(holds(&[]), Some(false), "an empty sweep proves nothing");
     }
 
     #[test]
     fn smoke_run_meets_the_gate_and_scales_linearly() {
-        let r = run(7, true);
-        assert_eq!(r.sizes.len(), swept_sizes(true).len());
-        assert_eq!(r.total_dropped(), 0, "no ping lost, no frame dropped");
-        assert!(r.sizes.iter().all(|p| p.cold_handovers > 0));
-        assert!(r.sizes.iter().all(|p| p.migrations > 0), "live arm migrated");
-        assert!(r.gate_holds(), "live p99 must not exceed cold p99");
+        let v = artifact::parse(&run(7, true)).unwrap();
+        // Every size migrated live and handed over cold, nothing dropped,
+        // live p99 at the largest size no worse than cold.
+        assert_eq!(gates(&v), Ok(()));
+        let sizes = v["sizes"].as_seq().unwrap();
+        assert_eq!(sizes.len(), swept_sizes(true).len());
+        let num = artifact::num;
         // Live interruption stays below cold at *every* swept size, not just
         // the largest — the flip cost does not grow with state, while the
         // cold rebuild pays at least a metro round trip even at state zero.
-        for p in &r.sizes {
-            assert!(
-                p.p99_ms <= p.cold_p99_ms,
-                "live p99 {:.2} ms above cold {:.2} ms at {} B/req",
-                p.p99_ms,
-                p.cold_p99_ms,
-                p.state_bytes_per_request
+        for p in sizes {
+            assert_eq!(
+                artifact::le(p, "interruption_p99_ms", "cold_interruption_p99_ms"),
+                Some(true),
+                "live p99 above cold at {:?} B/req",
+                num(p, "state_bytes_per_request")
             );
         }
         // Transfer cost grows with state: strictly more bytes shipped, and
         // no cheaper p99 transfer, at every step up the sweep. The cold
         // rebuild grows alongside — its p99 never shrinks as state grows.
-        for w in r.sizes.windows(2) {
-            assert!(w[1].state_bytes_transferred > w[0].state_bytes_transferred);
-            assert!(w[1].transfer_p99_ms >= w[0].transfer_p99_ms);
-            assert!(w[1].cold_p99_ms >= w[0].cold_p99_ms);
+        for w in sizes.windows(2) {
+            let grows = |f: &str| num(&w[1], f) >= num(&w[0], f);
+            assert!(num(&w[1], "state_bytes_transferred") > num(&w[0], "state_bytes_transferred"));
+            assert!(grows("transfer_p99_ms") && grows("cold_interruption_p99_ms"));
         }
     }
 
     #[test]
     fn repro_artifact_is_deterministic() {
-        let a = run(7, true);
-        let b = run(7, true);
-        assert_eq!(a.artifact(), b.artifact(), "same seed ⇒ same artifact");
+        assert_eq!(run(7, true), run(7, true), "same seed ⇒ same artifact");
     }
 }

@@ -1,99 +1,14 @@
 //! Mobility/handover bench: per-policy handover-interruption percentiles.
 //!
-//! Run by `repro mobility`, which writes `BENCH_mobility.json`. It reduces
+//! Run by `repro mobility`, which writes `BENCH_mobility.json`. It writes
 //! the per-policy runs of `testbed::experiments::mobility` — the same
-//! simulation the figure shows — to handover counts plus the interruption
+//! simulation the figure shows — as handover counts plus the interruption
 //! distribution (announce → last new-switch install) at p50/p95/p99.
 
 use crate::artifact;
 use desim::Summary;
 use testbed::experiments::{self, Experiment, MobilityStats};
 use yamlite::Value;
-
-/// One policy's measurements (times in milliseconds).
-#[derive(Clone, Debug)]
-pub struct PolicyPoint {
-    /// Policy label (`anchored` / `redispatch`).
-    pub policy: &'static str,
-    /// Inter-gNB handovers performed.
-    pub handovers: u64,
-    /// FlowMemory entries migrated across all handovers.
-    pub flows_migrated: u64,
-    /// Sessions re-placed through the Global Scheduler.
-    pub redispatched: u64,
-    /// Handover-interruption median, ms.
-    pub p50_ms: f64,
-    /// Handover-interruption 95th percentile, ms.
-    pub p95_ms: f64,
-    /// Handover-interruption 99th percentile, ms.
-    pub p99_ms: f64,
-    /// Pings answered (== pings sent on a clean run).
-    pub pings: u64,
-    /// Pings lost + frames dropped (want 0).
-    pub dropped: u64,
-}
-
-/// The full mobility report.
-#[derive(Clone, Debug)]
-pub struct Report {
-    /// Seed the scenario ran under.
-    pub seed: u64,
-    /// Smoke (short) or full trace.
-    pub smoke: bool,
-    /// One row per handover policy.
-    pub points: Vec<PolicyPoint>,
-}
-
-impl Report {
-    /// Pings lost or frames dropped across both policies (want: 0).
-    pub fn total_dropped(&self) -> u64 {
-        self.points.iter().map(|p| p.dropped).sum()
-    }
-
-    /// The `BENCH_mobility.json` text.
-    pub fn artifact(&self) -> String {
-        artifact::object(|o| {
-            o.str("bench", "mobility");
-            o.int("seed", self.seed);
-            o.bool("smoke", self.smoke);
-            o.rows("policies", &self.points, |r, p| {
-                r.str("policy", p.policy);
-                r.int("handovers", p.handovers);
-                r.int("flows_migrated", p.flows_migrated);
-                r.int("redispatched", p.redispatched);
-                r.fixed("interruption_p50_ms", p.p50_ms, 3);
-                r.fixed("interruption_p95_ms", p.p95_ms, 3);
-                r.fixed("interruption_p99_ms", p.p99_ms, 3);
-                r.int("pings", p.pings);
-                r.int("dropped", p.dropped);
-            });
-            o.int("total_dropped", self.total_dropped());
-        })
-    }
-
-    /// Renders a human-readable table.
-    pub fn render(&self) -> String {
-        let mut s = String::from(
-            "policy       handovers  migrated  redispatched  p50/p95/p99 [ms]      pings  dropped\n",
-        );
-        for p in &self.points {
-            s.push_str(&format!(
-                "{:<12} {:>9}  {:>8}  {:>12}  {:>6.1}/{:>6.1}/{:>6.1}  {:>7}  {:>7}\n",
-                p.policy,
-                p.handovers,
-                p.flows_migrated,
-                p.redispatched,
-                p.p50_ms,
-                p.p95_ms,
-                p.p99_ms,
-                p.pings,
-                p.dropped
-            ));
-        }
-        s.push_str(&format!("total dropped {} (want 0)\n", self.total_dropped()));
-        s
-    }
-}
 
 /// The `p`-th percentile of a sample of seconds, in milliseconds; 0 for an
 /// empty sample.
@@ -113,37 +28,39 @@ pub fn gates(v: &Value) -> Result<(), String> {
     })
 }
 
-/// Runs the mobility experiment once — both policies — and reduces the very
-/// runs its figure was built from to the report.
-pub fn run(seed: u64, smoke: bool, telemetry: bool) -> (Experiment<MobilityStats>, Report) {
+/// Runs the mobility experiment once — both policies — and writes the very
+/// runs its figure was built from as the `BENCH_mobility.json` text.
+pub fn run(seed: u64, smoke: bool, telemetry: bool) -> (Experiment<MobilityStats>, String) {
     let experiment = experiments::mobility(seed, smoke, telemetry);
-    let points = experiment
-        .runs
-        .iter()
-        .map(|(policy, s)| PolicyPoint {
-            policy,
-            handovers: s.handovers,
-            flows_migrated: s.flows_migrated,
-            redispatched: s.redispatched,
-            p50_ms: pct(&s.interruptions, 50.0),
-            p95_ms: pct(&s.interruptions, 95.0),
-            p99_ms: pct(&s.interruptions, 99.0),
-            pings: s.pings_done,
-            dropped: (s.pings_sent - s.pings_done) + s.drops,
-        })
-        .collect();
-    (
-        experiment,
-        Report {
-            seed,
-            smoke,
-            points,
-        },
-    )
+    let text = artifact(seed, smoke, &experiment.runs);
+    (experiment, text)
+}
+
+/// The `BENCH_mobility.json` text: one row per policy, times in ms.
+fn artifact(seed: u64, smoke: bool, runs: &[(&'static str, MobilityStats)]) -> String {
+    // Pings lost plus frames dropped (want 0).
+    let dropped = |s: &MobilityStats| (s.pings_sent - s.pings_done) + s.drops;
+    artifact::object(|o| {
+        o.str("bench", "mobility");
+        o.int("seed", seed);
+        o.bool("smoke", smoke);
+        o.rows("policies", runs, |r, (policy, s)| {
+            r.str("policy", policy);
+            r.int("handovers", s.handovers);
+            r.int("flows_migrated", s.flows_migrated);
+            r.int("redispatched", s.redispatched);
+            r.fixed("interruption_p50_ms", pct(&s.interruptions, 50.0), 3);
+            r.fixed("interruption_p95_ms", pct(&s.interruptions, 95.0), 3);
+            r.fixed("interruption_p99_ms", pct(&s.interruptions, 99.0), 3);
+            r.int("pings", s.pings_done);
+            r.int("dropped", dropped(s));
+        });
+        o.int("total_dropped", runs.iter().map(|(_, s)| dropped(s)).sum());
+    })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     const FIXTURE: &str = r#"{
@@ -157,25 +74,49 @@ mod tests {
 }
 "#;
 
+    /// Asserts that each policy row of the experiment's figure and the
+    /// artifact row of the same policy carry the same counts: figure column
+    /// `col` against the artifact `fields`, joined by `/` when several.
+    pub(crate) fn assert_figure_agrees<S>(
+        e: &Experiment<S>,
+        text: &str,
+        same: &[(usize, &[&str])],
+    ) {
+        let v = artifact::parse(text).unwrap();
+        let table = &e.figure.table;
+        assert_eq!(table.rows.len(), e.runs.len());
+        for cells in &table.rows {
+            let row = artifact::row(&v, "policies", "policy", &cells[0])
+                .unwrap_or_else(|| panic!("no artifact row for `{}`", cells[0]));
+            for (col, fields) in same {
+                let joined: Vec<String> = fields
+                    .iter()
+                    .map(|f| artifact::num(row, f).expect(f).to_string())
+                    .collect();
+                assert_eq!(
+                    cells[*col],
+                    joined.join("/"),
+                    "{}: figure `{}` vs artifact {fields:?}",
+                    cells[0],
+                    table.headers[*col]
+                );
+            }
+        }
+    }
+
     #[test]
     fn json_shape_is_stable() {
-        let r = Report {
-            seed: 7,
-            smoke: true,
-            points: vec![PolicyPoint {
-                policy: "anchored",
-                handovers: 4,
-                flows_migrated: 4,
-                redispatched: 0,
-                p50_ms: 0.35,
-                p95_ms: 0.4,
-                p99_ms: 0.4,
-                pings: 300,
-                dropped: 0,
-            }],
+        // Ten handovers at 0.3 ms and ten at 0.4 ms.
+        let interruptions = [vec![3e-4; 10], vec![4e-4; 10]].concat();
+        let anchored = MobilityStats {
+            handovers: 4,
+            flows_migrated: 4,
+            interruptions,
+            pings_sent: 300,
+            pings_done: 300,
+            ..MobilityStats::default()
         };
-        assert_eq!(r.artifact(), FIXTURE);
-        assert!(r.render().contains("want 0"));
+        assert_eq!(artifact(7, true, &[("anchored", anchored)]), FIXTURE);
     }
 
     #[test]
@@ -199,12 +140,25 @@ mod tests {
     }
 
     #[test]
-    fn smoke_run_is_clean() {
-        let (_, r) = run(7, true, false);
-        assert_eq!(r.points.len(), 2);
-        assert_eq!(r.total_dropped(), 0, "no ping lost, no frame dropped");
-        assert!(r.points.iter().all(|p| p.handovers > 0));
-        assert!(r.points.iter().any(|p| p.p99_ms > 0.0));
+    fn smoke_run_is_clean_and_agrees_with_its_figure() {
+        let (e, text) = run(7, true, false);
+        let v = artifact::parse(&text).unwrap();
+        assert_eq!(gates(&v), Ok(()), "no ping lost, no frame dropped");
+        let policies = v["policies"].as_seq().unwrap();
+        assert_eq!(policies.len(), 2);
+        assert!(policies.iter().all(|p| artifact::num(p, "handovers") > Some(0.0)));
+        assert!(policies
+            .iter()
+            .any(|p| artifact::num(p, "interruption_p99_ms") > Some(0.0)));
+        // Handovers, flows migrated, redispatched, answered, drops.
+        let same: [(usize, &[&str]); 5] = [
+            (1, &["handovers"]),
+            (2, &["flows_migrated"]),
+            (3, &["redispatched"]),
+            (6, &["pings"]),
+            (7, &["dropped"]),
+        ];
+        assert_figure_agrees(&e, &text, &same);
     }
 
     #[test]
@@ -213,10 +167,6 @@ mod tests {
         // must be byte-identical per seed on the calendar event core.
         let (_, a) = run(7, true, false);
         let (_, b) = run(7, true, true);
-        assert_eq!(
-            a.artifact(),
-            b.artifact(),
-            "same seed ⇒ same artifact, recording or not"
-        );
+        assert_eq!(a, b, "same seed ⇒ same artifact, recording or not");
     }
 }

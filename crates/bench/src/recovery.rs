@@ -1,8 +1,8 @@
 //! Runtime-chaos recovery bench: the self-healing control plane in numbers.
 //!
-//! Run by `repro recovery`, which writes `BENCH_recovery.json`. It reduces
+//! Run by `repro recovery`, which writes `BENCH_recovery.json`. It writes
 //! the per-policy runs of `testbed::experiments::recovery` — the same
-//! simulation the figure shows — to the injected-fault counts, the
+//! simulation the figure shows — as the injected-fault counts, the
 //! client-visible repair work (retransmits), and the two acceptance gates:
 //! permanently stranded sessions and the residual of the final switch-table
 //! reconciliation pass (both must be 0).
@@ -10,113 +10,6 @@
 use crate::artifact;
 use testbed::experiments::{self, Experiment, RecoveryStats};
 use yamlite::Value;
-
-/// One policy's measurements.
-#[derive(Clone, Debug)]
-pub struct PolicyPoint {
-    /// Policy label (`anchored` / `redispatch`).
-    pub policy: &'static str,
-    /// Ready instances killed mid-run.
-    pub crashes: u64,
-    /// Whole-zone outage windows injected.
-    pub outages: u64,
-    /// Switch↔controller channel drops injected.
-    pub channel_losses: u64,
-    /// Control messages lost to a down channel.
-    pub ctrl_dropped: u64,
-    /// Client retransmissions (lost SYNs and pings resent).
-    pub retransmits: u64,
-    /// Pings sent.
-    pub pings_sent: u64,
-    /// Pings answered.
-    pub pings_done: u64,
-    /// Sessions permanently stranded after recovery settled (want 0).
-    pub stranded: u64,
-    /// Fixes issued by the final reconciliation sweep.
-    pub reconcile_fixes: u64,
-    /// Fixes the second sweep still wanted (want 0).
-    pub reconcile_residual: u64,
-}
-
-/// The full recovery report.
-#[derive(Clone, Debug)]
-pub struct Report {
-    /// Seed the scenario ran under.
-    pub seed: u64,
-    /// Per-zone / per-channel runtime-fault probability.
-    pub fault_rate: f64,
-    /// Smoke (short) or full trace.
-    pub smoke: bool,
-    /// One row per handover policy.
-    pub points: Vec<PolicyPoint>,
-}
-
-impl Report {
-    /// Permanently stranded sessions across both policies (want: 0).
-    pub fn total_stranded(&self) -> u64 {
-        self.points.iter().map(|p| p.stranded).sum()
-    }
-
-    /// Residual reconciliation fixes across both policies (want: 0 — the
-    /// switch tables diff clean against the controller's bookkeeping).
-    pub fn total_residual(&self) -> u64 {
-        self.points.iter().map(|p| p.reconcile_residual).sum()
-    }
-
-    /// The `BENCH_recovery.json` text.
-    pub fn artifact(&self) -> String {
-        artifact::object(|o| {
-            o.str("bench", "recovery");
-            o.int("seed", self.seed);
-            o.num("fault_rate", self.fault_rate);
-            o.bool("smoke", self.smoke);
-            o.rows("policies", &self.points, |r, p| {
-                r.str("policy", p.policy);
-                r.int("crashes", p.crashes);
-                r.int("outages", p.outages);
-                r.int("channel_losses", p.channel_losses);
-                r.int("ctrl_dropped", p.ctrl_dropped);
-                r.int("retransmits", p.retransmits);
-                r.int("pings_sent", p.pings_sent);
-                r.int("pings_done", p.pings_done);
-                r.int("stranded", p.stranded);
-                r.int("reconcile_fixes", p.reconcile_fixes);
-                r.int("reconcile_residual", p.reconcile_residual);
-            });
-            o.int("total_stranded", self.total_stranded());
-            o.int("total_reconcile_residual", self.total_residual());
-        })
-    }
-
-    /// Renders a human-readable table.
-    pub fn render(&self) -> String {
-        let mut s = String::from(
-            "policy       crashes  outages  ch.drops  ctrl lost  retransmits    pings  answered  stranded  fix/resid\n",
-        );
-        for p in &self.points {
-            s.push_str(&format!(
-                "{:<12} {:>7}  {:>7}  {:>8}  {:>9}  {:>11}  {:>7}  {:>8}  {:>8}  {:>4}/{}\n",
-                p.policy,
-                p.crashes,
-                p.outages,
-                p.channel_losses,
-                p.ctrl_dropped,
-                p.retransmits,
-                p.pings_sent,
-                p.pings_done,
-                p.stranded,
-                p.reconcile_fixes,
-                p.reconcile_residual
-            ));
-        }
-        s.push_str(&format!(
-            "total stranded {} (want 0), reconcile residual {} (want 0)\n",
-            self.total_stranded(),
-            self.total_residual()
-        ));
-        s
-    }
-}
 
 /// The artifact's gate: the two acceptance gates, and that a run at fault
 /// rate 1 — where every zone suffers an outage and every channel drops —
@@ -131,41 +24,49 @@ pub fn gates(v: &Value) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the recovery experiment once — both policies — and reduces the very
-/// runs its figure was built from to the report.
+/// Runs the recovery experiment once — both policies — and writes the very
+/// runs its figure was built from as the `BENCH_recovery.json` text.
 pub fn run(
     seed: u64,
     fault_rate: f64,
     smoke: bool,
     telemetry: bool,
-) -> (Experiment<RecoveryStats>, Report) {
+) -> (Experiment<RecoveryStats>, String) {
     let experiment = experiments::recovery(seed, fault_rate, smoke, telemetry);
-    let points = experiment
-        .runs
-        .iter()
-        .map(|(policy, s)| PolicyPoint {
-            policy,
-            crashes: s.instance_crashes,
-            outages: s.zone_outages,
-            channel_losses: s.channel_losses,
-            ctrl_dropped: s.ctrl_dropped,
-            retransmits: s.retransmits,
-            pings_sent: s.pings_sent,
-            pings_done: s.pings_done,
-            stranded: s.stranded,
-            reconcile_fixes: s.reconcile_fixes,
-            reconcile_residual: s.reconcile_residual,
-        })
-        .collect();
-    (
-        experiment,
-        Report {
-            seed,
-            fault_rate,
-            smoke,
-            points,
-        },
-    )
+    let text = artifact(seed, fault_rate, smoke, &experiment.runs);
+    (experiment, text)
+}
+
+/// The `BENCH_recovery.json` text: one row per policy, then the totals the
+/// acceptance gates read.
+fn artifact(
+    seed: u64,
+    fault_rate: f64,
+    smoke: bool,
+    runs: &[(&'static str, RecoveryStats)],
+) -> String {
+    let total = |field: fn(&RecoveryStats) -> u64| runs.iter().map(|(_, s)| field(s)).sum();
+    artifact::object(|o| {
+        o.str("bench", "recovery");
+        o.int("seed", seed);
+        o.num("fault_rate", fault_rate);
+        o.bool("smoke", smoke);
+        o.rows("policies", runs, |r, (policy, s)| {
+            r.str("policy", policy);
+            r.int("crashes", s.instance_crashes);
+            r.int("outages", s.zone_outages);
+            r.int("channel_losses", s.channel_losses);
+            r.int("ctrl_dropped", s.ctrl_dropped);
+            r.int("retransmits", s.retransmits);
+            r.int("pings_sent", s.pings_sent);
+            r.int("pings_done", s.pings_done);
+            r.int("stranded", s.stranded);
+            r.int("reconcile_fixes", s.reconcile_fixes);
+            r.int("reconcile_residual", s.reconcile_residual);
+        });
+        o.int("total_stranded", total(|s| s.stranded));
+        o.int("total_reconcile_residual", total(|s| s.reconcile_residual));
+    })
 }
 
 #[cfg(test)]
@@ -187,26 +88,18 @@ mod tests {
 
     #[test]
     fn json_shape_is_stable() {
-        let r = Report {
-            seed: 7,
-            fault_rate: 1.0,
-            smoke: true,
-            points: vec![PolicyPoint {
-                policy: "anchored",
-                crashes: 2,
-                outages: 3,
-                channel_losses: 3,
-                ctrl_dropped: 5,
-                retransmits: 4,
-                pings_sent: 300,
-                pings_done: 300,
-                stranded: 0,
-                reconcile_fixes: 1,
-                reconcile_residual: 0,
-            }],
+        let anchored = RecoveryStats {
+            instance_crashes: 2,
+            zone_outages: 3,
+            channel_losses: 3,
+            ctrl_dropped: 5,
+            retransmits: 4,
+            pings_sent: 300,
+            pings_done: 300,
+            reconcile_fixes: 1,
+            ..RecoveryStats::default()
         };
-        assert_eq!(r.artifact(), FIXTURE);
-        assert!(r.render().contains("want 0"));
+        assert_eq!(artifact(7, 1.0, true, &[("anchored", anchored)]), FIXTURE);
     }
 
     #[test]
@@ -246,13 +139,27 @@ mod tests {
     }
 
     #[test]
-    fn full_chaos_smoke_run_self_heals() {
-        let (_, r) = run(7, 1.0, true, false);
-        assert_eq!(r.points.len(), 2);
-        assert_eq!(r.total_stranded(), 0, "no session permanently stranded");
-        assert_eq!(r.total_residual(), 0, "switch tables reconcile clean");
-        assert!(r.points.iter().all(|p| p.outages > 0 && p.channel_losses > 0));
-        assert!(r.points.iter().all(|p| p.pings_done > 0));
+    fn full_chaos_smoke_run_self_heals_and_agrees_with_its_figure() {
+        let (e, text) = run(7, 1.0, true, false);
+        let v = artifact::parse(&text).unwrap();
+        // No session stranded, tables reconcile clean, every policy saw
+        // outages and channel drops.
+        assert_eq!(gates(&v), Ok(()));
+        let policies = v["policies"].as_seq().unwrap();
+        assert_eq!(policies.len(), 2);
+        assert!(policies.iter().all(|p| artifact::num(p, "pings_done") > Some(0.0)));
+        let same: [(usize, &[&str]); 9] = [
+            (1, &["crashes"]),
+            (2, &["outages"]),
+            (3, &["channel_losses"]),
+            (4, &["ctrl_dropped"]),
+            (5, &["retransmits"]),
+            (6, &["pings_sent"]),
+            (7, &["pings_done"]),
+            (8, &["stranded"]),
+            (9, &["reconcile_fixes", "reconcile_residual"]),
+        ];
+        crate::mobility::tests::assert_figure_agrees(&e, &text, &same);
     }
 
     #[test]
@@ -261,10 +168,6 @@ mod tests {
         // must be byte-identical per seed on the calendar event core.
         let (_, a) = run(7, 1.0, true, false);
         let (_, b) = run(7, 1.0, true, true);
-        assert_eq!(
-            a.artifact(),
-            b.artifact(),
-            "same seed ⇒ same artifact, recording or not"
-        );
+        assert_eq!(a, b, "same seed ⇒ same artifact, recording or not");
     }
 }

@@ -29,9 +29,11 @@ pub type Gates = fn(&Value) -> Result<(), String>;
 
 /// What one run hands the runner.
 pub struct Outcome {
-    /// Everything to print after the banner.
+    /// The bench's own text, printed after the banner: an experiment's
+    /// figure, the telemetry bench's summary line; empty for the rest.
     pub text: String,
-    /// The artifact's text; unused by a bench that writes none.
+    /// The artifact's text, printed after `text` and written; empty for a
+    /// bench that writes none.
     pub artifact: String,
     /// A check on the run itself rather than on its artifact: the span
     /// export under `--telemetry`, the telemetry bench's overhead budget.
@@ -50,10 +52,10 @@ pub struct Bench {
     run: fn(&Opts) -> Outcome,
 }
 
-/// The outcome of a bench that is just its report.
-fn report(text: String, artifact: String) -> Outcome {
+/// The outcome of a bench whose output is its artifact.
+fn report(artifact: String) -> Outcome {
     Outcome {
-        text,
+        text: String::new(),
         artifact,
         verdict: Ok(()),
     }
@@ -106,28 +108,22 @@ pub const BENCHES: &[Bench] = &[
         id: "fastpath",
         banner: "data-plane fast path (naive vs indexed lookup, warm hit through the full switch path)",
         artifact: Some(("BENCH_flowtable.json", fastpath::gates)),
-        run: |_| {
-            let r = fastpath::run();
-            report(r.render(), r.artifact())
-        },
+        run: |_| report(fastpath::run()),
     },
     Bench {
         id: "engine",
         banner: "event-core throughput (calendar queue vs naive heap)",
         artifact: Some(("BENCH_engine.json", engine::gates)),
-        run: |o| {
-            let r = engine::run(o.smoke);
-            report(r.render(), r.artifact())
-        },
+        run: |o| report(engine::run(o.smoke)),
     },
     Bench {
         id: "telemetry",
         banner: "telemetry overhead (disabled path vs fast path)",
         artifact: None,
         run: |_| {
-            let r = crate::telemetry::run();
-            let text = format!("{}{}\n", r.render(), r.summary_line());
-            let verdict = match r.overhead_pct() < 2.0 {
+            let (line, overhead_pct) = crate::telemetry::run();
+            let text = line + "\n";
+            let verdict = match overhead_pct < 2.0 {
                 true => Ok(()),
                 false => Err("disabled telemetry overhead exceeds the 2% budget".to_owned()),
             };
@@ -149,9 +145,9 @@ pub const BENCHES: &[Bench] = &[
         banner: "mobility: multi-gNB handover, anchored vs re-dispatch (seed {seed})",
         artifact: Some(("BENCH_mobility.json", mobility::gates)),
         run: |o| {
-            let (e, r) = mobility::run(o.seed, o.smoke, o.telemetry);
+            let (e, artifact) = mobility::run(o.seed, o.smoke, o.telemetry);
             let (text, verdict) = experiment(&e, o, Some("handover"), false);
-            Outcome { text: text + &r.render(), artifact: r.artifact(), verdict }
+            Outcome { text, artifact, verdict }
         },
     },
     Bench {
@@ -159,56 +155,45 @@ pub const BENCHES: &[Bench] = &[
         banner: "recovery: self-healing control plane under runtime chaos (seed {seed}, rate {rate})",
         artifact: Some(("BENCH_recovery.json", recovery::gates)),
         run: |o| {
-            let (e, r) = recovery::run(o.seed, o.fault_rate, o.smoke, o.telemetry);
+            let (e, artifact) = recovery::run(o.seed, o.fault_rate, o.smoke, o.telemetry);
             // A run that killed an instance must show the repair it caused.
-            let killed = r.points.iter().any(|p| p.crashes + p.outages > 0);
+            let killed = e.runs.iter().any(|(_, s)| s.instance_crashes + s.zone_outages > 0);
             let (text, verdict) = experiment(&e, o, killed.then_some("recovery"), false);
-            Outcome { text: text + &r.render(), artifact: r.artifact(), verdict }
+            Outcome { text, artifact, verdict }
         },
     },
     Bench {
         id: "scale",
         banner: "fleet scale: sharded controller, aggregated vs exact rules (seed {seed}{, smoke})",
         artifact: Some(("BENCH_scale.json", scale::gates)),
-        run: |o| {
-            let r = scale::run(o.seed, o.smoke);
-            report(r.render(), r.artifact())
-        },
+        run: |o| report(scale::run(o.seed, o.smoke)),
     },
     Bench {
         id: "tournament",
         banner: "scheduler tournament: bursty workload, autoscaling on (seed {seed}{, smoke})",
         artifact: Some(("BENCH_tournament.json", tournament::gates)),
-        run: |o| {
-            let r = tournament::run(o.seed, o.smoke);
-            report(r.render(), r.artifact())
-        },
+        run: |o| report(tournament::run(o.seed, o.smoke)),
     },
     Bench {
         id: "migrate",
         banner: "live migration: interruption vs state size, live vs cold re-dispatch (seed {seed}{, smoke})",
         artifact: Some(("BENCH_migrate.json", migrate::gates)),
-        run: |o| {
-            let r = migrate::run(o.seed, o.smoke);
-            report(r.render(), r.artifact())
-        },
+        run: |o| report(migrate::run(o.seed, o.smoke)),
     },
     Bench {
         id: "ha",
         banner: "crash recovery: warm journal replay vs cold restart, crash rate 1.0 (seed {seed}{, smoke})",
         artifact: Some(("BENCH_ha.json", ha::gates)),
-        run: |o| {
-            let r = ha::run(o.seed, o.smoke);
-            report(r.render(), r.artifact())
-        },
+        run: |o| report(ha::run(o.seed, o.smoke)),
     },
 ];
 
 impl Bench {
-    /// Runs the bench as `repro <id>` does: banner, output, then — for a
-    /// bench with an artifact — write it, read back what was written and
-    /// gate that. `Err` carries the message for stderr; the exit status
-    /// follows it.
+    /// Runs the bench as `repro <id>` does: banner, the bench's own text
+    /// (an experiment's figure), the artifact text once, then — for a bench
+    /// with an artifact — write it, read back what was written and gate
+    /// that. `Err` carries the message for stderr; the exit status follows
+    /// it.
     pub fn execute(&self, o: &Opts) -> Result<(), String> {
         let banner = self
             .banner
@@ -217,7 +202,7 @@ impl Bench {
             .replace("{, smoke}", if o.smoke { ", smoke" } else { "" });
         println!("transparent-edge-rs — {banner}\n");
         let outcome = (self.run)(o);
-        print!("{}", outcome.text);
+        print!("{}{}", outcome.text, outcome.artifact);
         if let Some((file, gates)) = self.artifact {
             println!();
             artifact::write(file, &outcome.artifact)?;

@@ -68,113 +68,27 @@ impl Params {
 }
 
 /// One arm's measurements.
-#[derive(Clone, Debug)]
-pub struct ArmStats {
+struct ArmStats {
     /// Arm label (`aggregated` / `exact`).
-    pub arm: &'static str,
+    arm: &'static str,
     /// Packet-ins driven through the controller (measured loop only).
-    pub packet_ins: u64,
+    packet_ins: u64,
     /// Misses answered through an existing aggregate (no table change).
-    pub covered: u64,
+    covered: u64,
     /// Messages the controller sent back toward the switches.
-    pub messages_out: u64,
+    messages_out: u64,
     /// Wall-clock seconds for the measured loop.
-    pub wall_s: f64,
+    wall_s: f64,
     /// Controller packet-in throughput.
-    pub packet_ins_per_sec: f64,
+    packet_ins_per_sec: f64,
     /// Flow adds sent to the switches (switch-table footprint; nothing is
     /// ever removed during the run).
-    pub table_flows: u64,
+    table_flows: u64,
     /// FlowMemory entries at the end of the run.
-    pub memory_entries: u64,
+    memory_entries: u64,
     /// Process peak RSS (`VmHWM`) sampled after the arm, MB. Monotone per
     /// process: the aggregated arm runs first so its sample is its own.
-    pub peak_rss_mb: f64,
-}
-
-/// The full scale report.
-#[derive(Clone, Debug)]
-pub struct Report {
-    /// Seed the workload ran under.
-    pub seed: u64,
-    /// Smoke (CI-sized) or full 1M-client run.
-    pub smoke: bool,
-    /// Workload dimensions.
-    pub params: Params,
-    /// Aggregated arm first, then exact.
-    pub arms: Vec<ArmStats>,
-}
-
-impl Report {
-    /// The aggregated arm.
-    pub fn aggregated(&self) -> &ArmStats {
-        &self.arms[0]
-    }
-
-    /// The exact (per-connection pairs) arm.
-    pub fn exact(&self) -> &ArmStats {
-        &self.arms[1]
-    }
-
-    /// How many times smaller the aggregated switch table is.
-    pub fn table_reduction(&self) -> f64 {
-        self.exact().table_flows as f64 / (self.aggregated().table_flows as f64).max(1.0)
-    }
-
-    /// The `BENCH_scale.json` text.
-    pub fn artifact(&self) -> String {
-        artifact::object(|o| {
-            o.str("bench", "scale");
-            o.int("seed", self.seed);
-            o.bool("smoke", self.smoke);
-            o.int("ingresses", self.params.ingresses.into());
-            o.int("services", self.params.services.into());
-            o.int("clients", self.params.clients() as u64);
-            o.rows("arms", &self.arms, |r, a| {
-                r.str("arm", a.arm);
-                r.int("packet_ins", a.packet_ins);
-                r.int("covered", a.covered);
-                r.int("messages_out", a.messages_out);
-                r.fixed("wall_s", a.wall_s, 3);
-                r.fixed("packet_ins_per_sec", a.packet_ins_per_sec, 0);
-                r.int("table_flows", a.table_flows);
-                r.int("memory_entries", a.memory_entries);
-                r.fixed("peak_rss_mb", a.peak_rss_mb, 1);
-            });
-            o.int("aggregated_table_flows", self.aggregated().table_flows);
-            o.int("exact_table_flows", self.exact().table_flows);
-            o.fixed("table_reduction_x", self.table_reduction(), 1);
-        })
-    }
-
-    /// Renders a human-readable table.
-    pub fn render(&self) -> String {
-        let mut s = format!(
-            "{} clients over {} ingresses, {} services, {} packet-ins per arm\n\n",
-            self.params.clients(),
-            self.params.ingresses,
-            self.params.services,
-            self.arms[0].packet_ins
-        );
-        s.push_str("arm          packet-ins   covered     pkt-in/s  table flows   memory  peak RSS [MB]\n");
-        for a in &self.arms {
-            s.push_str(&format!(
-                "{:<12} {:>10}  {:>8}  {:>10.0}  {:>11}  {:>7}  {:>13.1}\n",
-                a.arm,
-                a.packet_ins,
-                a.covered,
-                a.packet_ins_per_sec,
-                a.table_flows,
-                a.memory_entries,
-                a.peak_rss_mb
-            ));
-        }
-        s.push_str(&format!(
-            "aggregation shrinks the switch table {:.0}x (want > 1x)\n",
-            self.table_reduction()
-        ));
-        s
-    }
+    peak_rss_mb: f64,
 }
 
 /// The artifact's gate: both arms ran the workload, the aggregated switch
@@ -355,16 +269,47 @@ fn run_arm(arm: &'static str, aggregate: bool, p: Params, seed: u64) -> ArmStats
     }
 }
 
-/// Runs both arms over the identical workload. The aggregated arm goes
-/// first so its peak-RSS sample is not inflated by the exact arm's
-/// per-connection bookkeeping.
-pub fn run(seed: u64, smoke: bool) -> Report {
+/// Runs both arms over the identical workload and returns the
+/// `BENCH_scale.json` text. The aggregated arm goes first so its peak-RSS
+/// sample is not inflated by the exact arm's per-connection bookkeeping.
+pub fn run(seed: u64, smoke: bool) -> String {
     let params = if smoke { Params::smoke() } else { Params::full() };
-    let arms = vec![
-        run_arm("aggregated", true, params, seed),
-        run_arm("exact", false, params, seed),
-    ];
-    Report { seed, smoke, params, arms }
+    let aggregated = run_arm("aggregated", true, params, seed);
+    let exact = run_arm("exact", false, params, seed);
+    artifact(seed, smoke, params, &[aggregated, exact])
+}
+
+/// The `BENCH_scale.json` text: the workload, one row per arm (aggregated,
+/// exact), then each arm's switch-table footprint and how many times smaller
+/// the aggregated one is.
+fn artifact(seed: u64, smoke: bool, p: Params, arms: &[ArmStats; 2]) -> String {
+    let [aggregated, exact] = arms;
+    artifact::object(|o| {
+        o.str("bench", "scale");
+        o.int("seed", seed);
+        o.bool("smoke", smoke);
+        o.int("ingresses", p.ingresses.into());
+        o.int("services", p.services.into());
+        o.int("clients", p.clients() as u64);
+        o.rows("arms", arms, |r, a| {
+            r.str("arm", a.arm);
+            r.int("packet_ins", a.packet_ins);
+            r.int("covered", a.covered);
+            r.int("messages_out", a.messages_out);
+            r.fixed("wall_s", a.wall_s, 3);
+            r.fixed("packet_ins_per_sec", a.packet_ins_per_sec, 0);
+            r.int("table_flows", a.table_flows);
+            r.int("memory_entries", a.memory_entries);
+            r.fixed("peak_rss_mb", a.peak_rss_mb, 1);
+        });
+        o.int("aggregated_table_flows", aggregated.table_flows);
+        o.int("exact_table_flows", exact.table_flows);
+        o.fixed(
+            "table_reduction_x",
+            exact.table_flows as f64 / (aggregated.table_flows as f64).max(1.0),
+            1,
+        );
+    })
 }
 
 #[cfg(test)]
@@ -401,14 +346,8 @@ mod tests {
             memory_entries: 4000,
             peak_rss_mb: 12.0,
         };
-        let r = Report {
-            seed: 7,
-            smoke: true,
-            params: Params::smoke(),
-            arms: vec![stats("aggregated", 20), stats("exact", 8004)],
-        };
-        assert_eq!(r.artifact(), FIXTURE);
-        assert!(r.render().contains("want > 1x"));
+        let arms = [stats("aggregated", 20), stats("exact", 8004)];
+        assert_eq!(artifact(7, true, Params::smoke(), &arms), FIXTURE);
     }
 
     #[test]
@@ -468,46 +407,54 @@ mod tests {
 
     #[test]
     fn smoke_run_shrinks_the_table() {
-        let r = run(7, true);
+        let v = artifact::parse(&run(7, true)).unwrap();
+        // Both arms ran, aggregation shrank the table, exact covered nothing.
+        assert_eq!(gates(&v), Ok(()));
+        let arm = |name, field| num(artifact::row(&v, "arms", "arm", name).unwrap(), field);
         let p = Params::smoke();
-        let per_arm = (p.clients() * p.services as usize) as u64;
-        for a in &r.arms {
-            assert_eq!(a.packet_ins, per_arm);
-            assert!(a.messages_out >= per_arm, "every miss is answered");
+        let per_arm = (p.clients() * p.services as usize) as f64;
+        for a in ["aggregated", "exact"] {
+            assert_eq!(arm(a, "packet_ins"), Some(per_arm));
+            assert!(arm(a, "messages_out") >= Some(per_arm), "every miss is answered");
         }
+        let (ingresses, services) = (f64::from(p.ingresses), f64::from(p.services));
         // Exact: two flows per miss plus the warm-up pairs.
-        assert_eq!(
-            r.exact().table_flows,
-            2 * (per_arm + u64::from(p.services))
-        );
-        assert_eq!(r.exact().covered, 0);
+        assert_eq!(arm("exact", "table_flows"), Some(2.0 * (per_arm + services)));
         // Aggregated: one pair per (ingress, service) plus the warm-up
         // pairs; everything after the first miss per pair is covered.
         assert_eq!(
-            r.aggregated().table_flows,
-            2 * u64::from(p.ingresses * u32::from(p.services) + u32::from(p.services))
+            arm("aggregated", "table_flows"),
+            Some(2.0 * (ingresses * services + services))
         );
         assert_eq!(
-            r.aggregated().covered,
-            per_arm - u64::from(p.ingresses) * u64::from(p.services)
+            arm("aggregated", "covered"),
+            Some(per_arm - ingresses * services)
         );
-        assert!(r.table_reduction() > 100.0, "got {:.1}x", r.table_reduction());
+        assert!(num(&v, "table_reduction_x") > Some(100.0));
         // Both arms memorize every flow: controller-side per-client state is
         // independent of the switch-table representation.
-        assert_eq!(r.exact().memory_entries, r.aggregated().memory_entries);
+        assert_eq!(arm("exact", "memory_entries"), arm("aggregated", "memory_entries"));
     }
 
     #[test]
     fn repro_artifact_is_deterministic() {
         // Timing fields vary run to run; every counted field must not.
-        let key = |r: &Report| {
-            r.arms
-                .iter()
-                .map(|a| (a.arm, a.packet_ins, a.covered, a.messages_out, a.table_flows, a.memory_entries))
-                .collect::<Vec<_>>()
+        let counted = |text: &str| {
+            let mut v = artifact::parse(text).unwrap();
+            let Some(Value::Seq(arms)) = v.get_mut("arms") else {
+                panic!("no arms: {text}")
+            };
+            for row in arms {
+                for timed in ["wall_s", "packet_ins_per_sec", "peak_rss_mb"] {
+                    row.remove(timed).expect("timed");
+                }
+            }
+            v
         };
-        let a = run(7, true);
-        let b = run(7, true);
-        assert_eq!(key(&a), key(&b), "same seed ⇒ same counters");
+        assert_eq!(
+            counted(&run(7, true)),
+            counted(&run(7, true)),
+            "same seed ⇒ same counters"
+        );
     }
 }

@@ -20,52 +20,25 @@ use netsim::TcpFrame;
 use std::hint::black_box;
 use telemetry::{SpanId, Telemetry};
 
-/// Measured costs, all ns per operation.
-#[derive(Clone, Copy, Debug)]
-pub struct Report {
-    /// Warm hit through the full switch path (parse, table lookup, actions
-    /// in place) — the fast-path yardstick.
-    pub switch_hit_ns: f64,
-    /// One request's complete telemetry call sequence against the
-    /// disabled endpoint (spans, events, closes — all never-taken
-    /// branches; detail closures must not run).
-    pub disabled_request_ns: f64,
-    /// The same sequence against a recording tracer, for scale.
-    pub recording_request_ns: f64,
-}
-
-impl Report {
-    /// Disabled-telemetry cost as a percentage of one warm switch hit
-    /// (want: < 2).
-    pub fn overhead_pct(&self) -> f64 {
-        self.disabled_request_ns / self.switch_hit_ns * 100.0
-    }
-
-    /// The machine-readable one-line form CI greps.
-    pub fn summary_line(&self) -> String {
-        format!(
-            "telemetry-bench {{\"switch_hit_ns\":{:.1},\"disabled_request_ns\":{:.1},\
-\"recording_request_ns\":{:.1},\"overhead_pct\":{:.3}}}",
-            self.switch_hit_ns,
-            self.disabled_request_ns,
-            self.recording_request_ns,
-            self.overhead_pct()
-        )
-    }
-
-    /// Renders a human-readable summary.
-    pub fn render(&self) -> String {
-        format!(
-            "warm switch hit        {:>8.1} ns/op\n\
-             telemetry off/request  {:>8.1} ns/op\n\
-             telemetry on/request   {:>8.1} ns/op\n\
-             disabled overhead vs fast path {:.3}% (want < 2%)\n",
-            self.switch_hit_ns,
-            self.disabled_request_ns,
-            self.recording_request_ns,
-            self.overhead_pct()
-        )
-    }
+/// The machine-readable `telemetry-bench` line CI greps, and the overhead
+/// it reports: disabled-telemetry cost as a percentage of one warm switch
+/// hit (want: < 2). The costs are ns per operation: a warm hit through the
+/// full switch path (parse, table lookup, actions in place) — the fast-path
+/// yardstick; one request's complete telemetry call sequence against the
+/// disabled endpoint (spans, events, closes — all never-taken branches;
+/// detail closures must not run); and the same sequence against a recording
+/// tracer, for scale.
+fn summary(
+    switch_hit_ns: f64,
+    disabled_request_ns: f64,
+    recording_request_ns: f64,
+) -> (String, f64) {
+    let overhead_pct = disabled_request_ns / switch_hit_ns * 100.0;
+    let line = format!(
+        "telemetry-bench {{\"switch_hit_ns\":{switch_hit_ns:.1},\"disabled_request_ns\":{disabled_request_ns:.1},\
+\"recording_request_ns\":{recording_request_ns:.1},\"overhead_pct\":{overhead_pct:.3}}}"
+    );
+    (line, overhead_pct)
 }
 
 /// One request's worth of telemetry calls, mirroring the controller's
@@ -82,8 +55,9 @@ fn request_sequence(tele: &mut Telemetry, k: usize, now: SimTime) {
     black_box(root);
 }
 
-/// Runs the measurement. Total runtime well under a second.
-pub fn run() -> Report {
+/// Runs the measurement and returns its `telemetry-bench` line and overhead
+/// percentage. Total runtime well under a second.
+pub fn run() -> (String, f64) {
     // The yardstick: a warm hit through the full switch path on a
     // realistically loaded switch.
     let mut sw = loaded_switch(1_000);
@@ -111,11 +85,7 @@ pub fn run() -> Report {
     let mut recording = Telemetry::recording();
     let recording_request_ns = ns_per_op(100_000, |k| request_sequence(&mut recording, k, now));
 
-    Report {
-        switch_hit_ns,
-        disabled_request_ns,
-        recording_request_ns,
-    }
+    summary(switch_hit_ns, disabled_request_ns, recording_request_ns)
 }
 
 #[cfg(test)]
@@ -124,16 +94,13 @@ mod tests {
 
     #[test]
     fn summary_line_shape_is_stable() {
-        let r = Report {
-            switch_hit_ns: 250.0,
-            disabled_request_ns: 2.5,
-            recording_request_ns: 500.0,
-        };
-        assert!((r.overhead_pct() - 1.0).abs() < 1e-9);
-        let line = r.summary_line();
-        assert!(line.starts_with("telemetry-bench {"));
-        assert!(line.contains("\"overhead_pct\":1.000"), "{line}");
-        assert!(r.render().contains("want < 2%"));
+        let (line, overhead_pct) = summary(250.0, 2.5, 500.0);
+        assert!((overhead_pct - 1.0).abs() < 1e-9);
+        assert_eq!(
+            line,
+            "telemetry-bench {\"switch_hit_ns\":250.0,\"disabled_request_ns\":2.5,\
+             \"recording_request_ns\":500.0,\"overhead_pct\":1.000}"
+        );
     }
 
     #[test]

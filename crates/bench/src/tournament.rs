@@ -45,118 +45,31 @@ pub const ARMS: &[&str] = &[
 ];
 
 /// One arm's measurements (all sim-derived; no wall-clock fields).
-#[derive(Clone, Debug)]
-pub struct ArmStats {
+struct ArmStats {
     /// Scheduler name (one of [`ARMS`]).
-    pub arm: &'static str,
+    arm: &'static str,
     /// Requests replayed (equals the trace length).
-    pub requests: u64,
+    requests: u64,
     /// Median answer delay, ms.
-    pub p50_ms: f64,
+    p50_ms: f64,
     /// 99th-percentile answer delay, ms — the headline column.
-    pub p99_ms: f64,
+    p99_ms: f64,
     /// Mean answer delay, ms.
-    pub mean_ms: f64,
+    mean_ms: f64,
     /// Fraction of requests answered by the cloud (scheduler fallback or
     /// queue rejection overflow).
-    pub fallback_rate: f64,
+    fallback_rate: f64,
     /// Requests bounced off a full instance queue.
-    pub rejections: u64,
+    rejections: u64,
     /// `rejections / requests`.
-    pub rejection_rate: f64,
+    rejection_rate: f64,
     /// Autoscaler scale-up operations across the run.
-    pub scale_ups: u64,
+    scale_ups: u64,
     /// Autoscaler scale-down operations across the run.
-    pub scale_downs: u64,
+    scale_downs: u64,
     /// Mean concurrently-provisioned replicas over the trace (replica-seconds
     /// divided by the trace duration) — the capacity cost of the arm.
-    pub mean_replicas: f64,
-}
-
-/// The full tournament report.
-#[derive(Clone, Debug)]
-pub struct Report {
-    /// Seed the workload ran under.
-    pub seed: u64,
-    /// Smoke (CI-sized) or full run.
-    pub smoke: bool,
-    /// Services in the workload.
-    pub services: usize,
-    /// Requests per arm.
-    pub requests: u64,
-    /// One entry per scheduler, in [`ARMS`] order.
-    pub arms: Vec<ArmStats>,
-}
-
-impl Report {
-    /// The named arm's stats.
-    pub fn arm(&self, name: &str) -> &ArmStats {
-        self.arms
-            .iter()
-            .find(|a| a.arm == name)
-            .unwrap_or_else(|| panic!("no arm `{name}`"))
-    }
-
-    /// The `BENCH_tournament.json` text.
-    pub fn artifact(&self) -> String {
-        artifact::object(|o| {
-            o.str("bench", "tournament");
-            o.int("seed", self.seed);
-            o.bool("smoke", self.smoke);
-            o.int("services", self.services as u64);
-            o.int("requests", self.requests);
-            o.rows("arms", &self.arms, |r, a| {
-                r.str("arm", a.arm);
-                r.int("requests", a.requests);
-                r.fixed("p50_ms", a.p50_ms, 3);
-                r.fixed("p99_ms", a.p99_ms, 3);
-                r.fixed("mean_ms", a.mean_ms, 3);
-                r.fixed("fallback_rate", a.fallback_rate, 4);
-                r.int("rejections", a.rejections);
-                r.fixed("rejection_rate", a.rejection_rate, 4);
-                r.int("scale_ups", a.scale_ups);
-                r.int("scale_downs", a.scale_downs);
-                r.fixed("mean_replicas", a.mean_replicas, 3);
-            });
-            o.fixed(
-                "least_connections_p99_ms",
-                self.arm("least-connections").p99_ms,
-                3,
-            );
-            o.fixed("random_p99_ms", self.arm("random").p99_ms, 3);
-        })
-    }
-
-    /// Renders a human-readable table.
-    pub fn render(&self) -> String {
-        let mut s = format!(
-            "{} requests over {} services per arm, autoscaling on\n\n",
-            self.requests, self.services
-        );
-        s.push_str(
-            "arm                p50 [ms]  p99 [ms]  mean [ms]  fallback  rejects  ups  downs  replicas\n",
-        );
-        for a in &self.arms {
-            s.push_str(&format!(
-                "{:<17} {:>9.2} {:>9.2} {:>10.2} {:>9.3} {:>8} {:>4} {:>6} {:>9.2}\n",
-                a.arm,
-                a.p50_ms,
-                a.p99_ms,
-                a.mean_ms,
-                a.fallback_rate,
-                a.rejections,
-                a.scale_ups,
-                a.scale_downs,
-                a.mean_replicas
-            ));
-        }
-        s.push_str(&format!(
-            "least-connections p99 {:.2} ms vs random {:.2} ms (want <=)\n",
-            self.arm("least-connections").p99_ms,
-            self.arm("random").p99_ms
-        ));
-        s
-    }
+    mean_replicas: f64,
 }
 
 /// The artifact's gate: every scheduler of [`ARMS`] ran the trace with
@@ -325,17 +238,41 @@ fn run_arm(arm: &'static str, workload: &BurstConfig, seed: u64) -> ArmStats {
     }
 }
 
-/// Runs every arm over the identical workload.
-pub fn run(seed: u64, smoke: bool) -> Report {
+/// Runs every arm over the identical workload and returns the
+/// `BENCH_tournament.json` text.
+pub fn run(seed: u64, smoke: bool) -> String {
     let workload = if smoke { BurstConfig::smoke() } else { BurstConfig::full() };
     let arms: Vec<ArmStats> = ARMS.iter().map(|a| run_arm(a, &workload, seed)).collect();
-    Report {
-        seed,
-        smoke,
-        services: workload.n_services,
-        requests: arms.first().map_or(0, |a| a.requests),
-        arms,
-    }
+    artifact(seed, smoke, workload.n_services, &arms)
+}
+
+/// The `BENCH_tournament.json` text: the workload, one row per scheduler,
+/// then the two p99s the headline compares — seeing per-instance load
+/// (least-connections) against ignoring it (random).
+fn artifact(seed: u64, smoke: bool, services: usize, arms: &[ArmStats]) -> String {
+    let p99 = |name| arms.iter().find(|a| a.arm == name).map_or(f64::NAN, |a| a.p99_ms);
+    artifact::object(|o| {
+        o.str("bench", "tournament");
+        o.int("seed", seed);
+        o.bool("smoke", smoke);
+        o.int("services", services as u64);
+        o.int("requests", arms.first().map_or(0, |a| a.requests));
+        o.rows("arms", arms, |r, a| {
+            r.str("arm", a.arm);
+            r.int("requests", a.requests);
+            r.fixed("p50_ms", a.p50_ms, 3);
+            r.fixed("p99_ms", a.p99_ms, 3);
+            r.fixed("mean_ms", a.mean_ms, 3);
+            r.fixed("fallback_rate", a.fallback_rate, 4);
+            r.int("rejections", a.rejections);
+            r.fixed("rejection_rate", a.rejection_rate, 4);
+            r.int("scale_ups", a.scale_ups);
+            r.int("scale_downs", a.scale_downs);
+            r.fixed("mean_replicas", a.mean_replicas, 3);
+        });
+        o.fixed("least_connections_p99_ms", p99("least-connections"), 3);
+        o.fixed("random_p99_ms", p99("random"), 3);
+    })
 }
 
 #[cfg(test)]
@@ -372,15 +309,8 @@ mod tests {
             scale_downs: 1,
             mean_replicas: 1.5,
         };
-        let r = Report {
-            seed: 7,
-            smoke: true,
-            services: 4,
-            requests: 100,
-            arms: vec![stats("random", 40.0), stats("least-connections", 20.0)],
-        };
-        assert_eq!(r.artifact(), FIXTURE);
-        assert!(r.render().contains("want <="));
+        let arms = [stats("random", 40.0), stats("least-connections", 20.0)];
+        assert_eq!(artifact(7, true, 4, &arms), FIXTURE);
     }
 
     #[test]
@@ -443,25 +373,19 @@ mod tests {
 
     #[test]
     fn smoke_tournament_runs_all_arms_deterministically() {
-        let r = run(7, true);
-        assert_eq!(r.arms.len(), ARMS.len());
-        let expected = BurstConfig::smoke().generate(7).requests.len() as u64;
-        for a in &r.arms {
-            assert_eq!(a.requests, expected, "{}", a.arm);
-            assert!(a.p99_ms > 0.0, "{}", a.arm);
-            assert!(a.mean_replicas > 0.0, "{}: pools must accrue", a.arm);
+        let text = run(7, true);
+        let v = artifact::parse(&text).unwrap();
+        // Every scheduler ran, with rates that are rates, and seeing
+        // per-instance load was no worse than ignoring it.
+        assert_eq!(gates(&v), Ok(()));
+        let arms = v["arms"].as_seq().unwrap();
+        assert_eq!(arms.len(), ARMS.len());
+        let expected = BurstConfig::smoke().generate(7).requests.len() as f64;
+        for a in arms {
+            assert_eq!(num(a, "requests"), Some(expected), "{:?}", a["arm"]);
         }
-        // The gate the CI smoke job enforces: seeing per-instance load must
-        // not be worse than ignoring it.
-        assert!(
-            r.arm("least-connections").p99_ms <= r.arm("random").p99_ms,
-            "lc {} vs random {}",
-            r.arm("least-connections").p99_ms,
-            r.arm("random").p99_ms
-        );
         // Bursts overload single replicas: the autoscaler must have acted.
-        assert!(r.arms.iter().any(|a| a.scale_ups > 0));
-        let again = run(7, true);
-        assert_eq!(r.artifact(), again.artifact(), "same seed ⇒ same artifact");
+        assert!(arms.iter().any(|a| num(a, "scale_ups") > Some(0.0)));
+        assert_eq!(text, run(7, true), "same seed ⇒ same artifact");
     }
 }

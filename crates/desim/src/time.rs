@@ -116,22 +116,10 @@ impl Duration {
         }
     }
 
-    /// Creates a span from fractional milliseconds (clamping like
-    /// [`Duration::from_secs_f64`]).
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms / 1e3)
-    }
-
     /// Raw nanoseconds.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Whole milliseconds (truncating).
-    #[inline]
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
     }
 
     /// Fractional seconds.

@@ -550,11 +550,6 @@ impl Controller {
         IngressId(self.ingresses.len() as u32 - 1)
     }
 
-    /// Number of ingress switches under management.
-    pub fn ingress_count(&self) -> usize {
-        self.ingresses.len()
-    }
-
     /// Maps a cluster to an egress port on one specific ingress (a cluster
     /// may be reachable from every gNB, through different ports).
     pub fn map_cluster_port(&mut self, ingress: IngressId, cluster_name: &str, port: u32) {

@@ -432,11 +432,6 @@ impl MigrationManager {
         &self.ledger
     }
 
-    /// Mutable ledger access (cold redispatch drops state through this).
-    pub fn ledger_mut(&mut self) -> &mut SessionLedger {
-        &mut self.ledger
-    }
-
     /// Whether a migration of `service` away from `from` to `to` may start
     /// at `now`: a free slot, a real move, no duplicate in flight, and the
     /// service's previous flip (if any) out of its [`FLIP_COOLDOWN`].

@@ -202,18 +202,6 @@ fn nearest(clusters: &[ClusterView], pred: impl Fn(&ClusterView) -> bool) -> Opt
         .map(|(i, _)| i)
 }
 
-/// The least-loaded replica within one cluster: fewest queued-or-in-service
-/// jobs, preferring instances below their concurrency limit. Falls back to
-/// replica 0 when the cluster exposes no instance state.
-pub fn least_loaded(cluster: &ClusterView) -> usize {
-    cluster
-        .instances
-        .iter()
-        .min_by_key(|v| (v.at_capacity(), v.queue_depth(), v.instance))
-        .map(|v| v.instance)
-        .unwrap_or(0)
-}
-
 /// Iterates every schedulable (cluster, instance-view) pair of the ready
 /// clusters. A ready cluster without instance state contributes one
 /// synthetic idle view for replica 0, so load-aware schedulers degrade to

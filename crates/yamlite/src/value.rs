@@ -88,14 +88,6 @@ impl Value {
         }
     }
 
-    /// Mutably borrows the elements if this is a sequence.
-    pub fn as_seq_mut(&mut self) -> Option<&mut Vec<Value>> {
-        match self {
-            Value::Seq(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Borrows the entries if this is a mapping.
     pub fn as_map(&self) -> Option<&[(String, Value)]> {
         match self {

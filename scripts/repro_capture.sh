@@ -4,32 +4,51 @@
 #
 #   scripts/repro_capture.sh <repro-binary> <outdir>
 #
-# Runs every bench subcommand at `--smoke --seed 7` (chaos / mobility /
-# recovery also with `--telemetry` and `--csv`, chaos and recovery at CI's
-# fault rates), plus `fig11`, `summary`, `list` and an unknown id, and saves
-# per run: stdout (`<name>.out`), stderr (`.err`), exit status (`.status`) and
-# the artifact it wrote (`<name>.BENCH_x.json`). The committed artifacts are
-# restored (`git checkout`) before and after every run, so `summary` always
-# reads the committed ones. A binary writes its artifacts into the checkout
-# it was built in (the path is compiled in), so capture the parent with the
-# copy of this script in the parent's clone, the change with this one, then
+# Runs every bench subcommand at `--smoke --seed 7` (fastpath has no smoke
+# size; chaos / mobility / recovery also with `--telemetry` and `--csv`, chaos
+# and recovery at CI's fault rates), plus `fig11`, `summary`, `list` and an
+# unknown id, and saves per run: stdout (`<name>.out`), stderr (`.err`), exit
+# status (`.status`) and the artifact it wrote (`<name>.BENCH_x.json`). The
+# committed artifacts are restored (`git checkout`) before and after every
+# run, so `summary` always reads the committed ones. A binary writes its
+# artifacts into the checkout it was built in (the path is compiled in), so
+# capture the parent with the copy of this script in the parent's clone, the
+# change with this one.
 #
-#   diff -r <parent-outdir> <change-outdir>
+# Beside every `.out` and artifact, `<outdir>/masked/` holds a copy with the
+# checkout path replaced by `<checkout>` and the value of every field named in
+# WALL_CLOCK replaced by `MASKED`. For a pure refactor
 #
-# Expect differences only in wall-clock fields: `replay_wall_ns` /
-# `replay_events_per_sec` (ha), every `*_per_sec` / `wall_s` / `peak_rss_mb`
-# (scale, engine) and the `telemetry` bench's timings.
+#   diff -r <parent-outdir>/masked <change-outdir>/masked
+#
+# is empty; `diff -r` over the raw trees shows the wall-clock values.
 set -u
 [ $# -eq 2 ] || { sed -n '2,6p' "$0"; exit 2; }
-bin=$(realpath "$1"); out=$(realpath -m "$2"); mkdir -p "$out"
+bin=$(realpath "$1"); out=$(realpath -m "$2"); mkdir -p "$out/masked"
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
+
+# Fields whose values are wall-clock measurements, in any artifact or in the
+# `telemetry-bench` line: ha, scale, engine, fastpath, telemetry.
+WALL_CLOCK='replay_wall_ns|replay_events_per_sec|wall_s|packet_ins_per_sec|peak_rss_mb'
+WALL_CLOCK+='|calendar_events_per_sec|naive_events_per_sec|speedup|mixed_speedup|floor_met'
+WALL_CLOCK+='|naive_lookup_ns|indexed_lookup_ns|switch_hit_ns|indexed_100k_over_10_ratio'
+WALL_CLOCK+='|disabled_request_ns|recording_request_ns|overhead_pct'
+
+mask() { # <file under $out>
+  sed -E -e "s#$PWD#<checkout>#g" -e "s/(\"($WALL_CLOCK)\": ?)[^,}]*/\1MASKED/g" \
+    "$out/$1" > "$out/masked/$1"
+}
 
 run() { # <name> <artifact or ''> <repro args...>
   local name=$1 artifact=$2; shift 2
   git checkout -q -- 'BENCH_*.json'
   "$bin" "$@" > "$out/$name.out" 2> "$out/$name.err"
   echo $? > "$out/$name.status"
-  [ -n "$artifact" ] && cp "$artifact" "$out/$name.$artifact"
+  mask "$name.out"
+  if [ -n "$artifact" ]; then
+    cp "$artifact" "$out/$name.$artifact"
+    mask "$name.$artifact"
+  fi
   git checkout -q -- 'BENCH_*.json'
 }
 
@@ -48,6 +67,7 @@ run tournament BENCH_tournament.json tournament --smoke --seed 7
 run scale BENCH_scale.json scale --smoke --seed 7
 run ha BENCH_ha.json ha --smoke --seed 7
 run engine BENCH_engine.json engine --smoke --seed 7
+run fastpath BENCH_flowtable.json fastpath
 run telemetry '' telemetry
 run fig11 '' fig11
 run fig11-csv '' fig11 --csv
