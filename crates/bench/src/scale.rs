@@ -263,7 +263,7 @@ fn run_arm(arm: &'static str, aggregate: bool, p: Params, seed: u64) -> ArmStats
         messages_out,
         wall_s,
         packet_ins_per_sec: n as f64 / wall_s.max(1e-9),
-        table_flows: ctl.flow_adds,
+        table_flows: ctl.flow_adds(),
         memory_entries: ctl.memory().len() as u64,
         peak_rss_mb: peak_rss_mb(),
     }

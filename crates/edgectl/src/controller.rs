@@ -43,7 +43,7 @@ use crate::flowmemory::{FlowMemory, IngressId};
 use crate::health::{BreakerState, HealthConfig};
 use crate::journal::{
     Applied, ControlState, Journal, JournalConfig, JournalEvent, JournalStats, RecoveryMode,
-    RecoveryReport, Snapshot,
+    RecoveryReport, Snapshot, StateStats,
 };
 use crate::migrate::{MigrationConfig, MigrationManager};
 use crate::rules::{
@@ -54,7 +54,7 @@ use crate::service::EdgeService;
 use desim::{Duration, LogNormal, RetryPolicy, Sample, SimRng, SimTime};
 use netsim::addr::{Ipv4Addr, MacAddr};
 use netsim::{ServiceAddr, TcpFrame};
-use openflow::messages::Message;
+use openflow::messages::{ErrorType, FlowStatsEntry, Message};
 use openflow::oxm::{Match, OxmField};
 use openflow::{OfError, OFP_NO_BUFFER};
 use std::collections::HashMap;
@@ -319,19 +319,12 @@ pub struct Controller {
     /// Cluster latency as seen from a given ingress, when it differs from
     /// the cluster's advertised latency (which is measured from ingress 0).
     ingress_distances: HashMap<(IngressId, usize), Duration>,
-    /// `FLOW_MOD` **Add** messages emitted over the controller's lifetime —
-    /// the controller's own view of how much switch table space it has
-    /// claimed (the scale benchmark reads this to compare exact-match vs
-    /// aggregated rule footprints).
-    pub flow_adds: u64,
+    flow_adds: u64,
     config: ControllerConfig,
     next_xid: u32,
     /// Per-request records (the harness reads these).
     pub records: Vec<RequestRecord>,
-    /// Count of `FLOW_REMOVED` notifications seen.
-    pub flows_removed: u64,
-    /// Errors reported by the switch.
-    pub switch_errors: Vec<(openflow::messages::ErrorType, u16)>,
+    switch_errors: Vec<(ErrorType, u16)>,
     /// Requests currently held for a with-waiting deployment, by
     /// (service, cluster): the latest release instant. The idle sweep must
     /// not scale a service down while such a hold is pending — the held
@@ -340,9 +333,7 @@ pub struct Controller {
     /// Idle expiries deferred because a held request pinned the service;
     /// re-examined once the hold drains.
     deferred: HashMap<(ServiceAddr, usize), SimTime>,
-    /// The most recent flow-statistics reply (see
-    /// [`Controller::request_flow_stats`]).
-    pub last_flow_stats: Option<Vec<openflow::messages::FlowStatsEntry>>,
+    last_flow_stats: Option<Vec<FlowStatsEntry>>,
     /// Telemetry endpoint: a disabled endpoint by default (every span/event
     /// call is a never-taken branch); swap in a recording one with
     /// [`Telemetry::recording`] to capture per-request span trees. Metric
@@ -363,8 +354,7 @@ pub struct Controller {
     /// The crash-recovery write-ahead journal (inert unless
     /// `config.journal.enabled`).
     journal: Journal,
-    /// Control-plane inconsistencies survived (see [`ControlPlaneError`]).
-    pub control_errors: Vec<ControlPlaneError>,
+    control_errors: Vec<ControlPlaneError>,
 }
 
 impl Controller {
@@ -391,7 +381,6 @@ impl Controller {
             config,
             next_xid: 1,
             records: Vec::new(),
-            flows_removed: 0,
             switch_errors: Vec::new(),
             held: HashMap::new(),
             deferred: HashMap::new(),
@@ -410,6 +399,36 @@ impl Controller {
     /// (single-flight hits in the dispatcher).
     pub fn coalesced_count(&self) -> u64 {
         self.dispatcher.coalesced_count()
+    }
+
+    /// `FLOW_MOD` Adds sent: the table space claimed (`repro scale` reads it).
+    pub fn flow_adds(&self) -> u64 {
+        self.flow_adds
+    }
+
+    /// `FLOW_REMOVED` notifications seen (the `flows_removed` counter).
+    pub fn flows_removed(&self) -> u64 {
+        self.telemetry.metrics.counter("flows_removed")
+    }
+
+    /// Errors the switches reported, as `(type, code)`.
+    pub fn switch_errors(&self) -> &[(ErrorType, u16)] {
+        &self.switch_errors
+    }
+
+    /// The latest flow-statistics reply ([`Controller::request_flow_stats`]).
+    pub fn last_flow_stats(&self) -> Option<&[FlowStatsEntry]> {
+        self.last_flow_stats.as_deref()
+    }
+
+    /// Control-plane inconsistencies survived (see [`ControlPlaneError`]).
+    pub fn control_errors(&self) -> &[ControlPlaneError] {
+        &self.control_errors
+    }
+
+    /// Sizes of the bookkeeping: a long run must not let them drift.
+    pub fn state_stats(&self) -> StateStats {
+        self.state.state_stats()
     }
 
     /// Applies one controller-level event to the state and, while the
@@ -748,38 +767,28 @@ impl Controller {
         Ok(())
     }
 
-    /// Tombstones the bookkeeping behind a `FLOW_REMOVED`: the switch no
-    /// longer holds this flow, so reconciliation must not claim it. Forward
-    /// flows carry `OFPFF_SEND_FLOW_REM` and match on the client source IP,
-    /// which keys the bookkeeping — except an aggregated pair's forward
-    /// flow, which wildcards the client: its anchor is dropped too, so the
-    /// next packet-in re-installs a fresh pair.
+    /// Removes the pair behind a `FLOW_REMOVED`: the switch no longer holds
+    /// its forward flow, so reconciliation must not claim it. Forward flows
+    /// carry `OFPFF_SEND_FLOW_REM` and match on the client source IP, which
+    /// keys the bookkeeping — except an aggregated pair's forward flow, which
+    /// wildcards the client: its anchor is dropped too, so the next
+    /// packet-in re-installs a fresh pair.
     fn handle_flow_removed(&mut self, ingress: IngressId, match_: &Match, priority: u16) {
-        self.flows_removed += 1;
         self.telemetry.metrics.inc("flows_removed");
-        let client = match_.fields().iter().find_map(|f| match f {
-            OxmField::Ipv4Src(ip) => Some(Ipv4Addr(*ip)),
-            _ => None,
-        });
+        let src = |f: &OxmField| if let OxmField::Ipv4Src(ip) = *f { Some(ip) } else { None };
+        let client = match_.fields().iter().find_map(src).map(Ipv4Addr);
         let filed = client.unwrap_or(AGGREGATE_CLIENT);
-        let dead = self.state.live_pairs_with_fwd(filed, ingress, priority, match_);
-        self.tombstone(filed, ingress, &dead);
-        if let (None, Some(&idx)) = (client, dead.last()) {
-            let service = self.state.pairs(filed, ingress)[idx].service;
-            self.commit(JournalEvent::AggregateDrop { ingress, service });
+        let gone = self.state.pairs_with_fwd(filed, ingress, priority, match_);
+        let last = gone.iter().filter_map(|&id| self.remove_pair(filed, ingress, id)).last();
+        if let (None, Some(pair)) = (client, last) {
+            self.commit(JournalEvent::AggregateDrop { ingress, service: pair.service });
         }
-        self.state.recycle_positions(dead);
+        self.state.recycle_ids(gone);
     }
 
     fn in_port_of(match_: &Match) -> u32 {
-        match_
-            .fields()
-            .iter()
-            .find_map(|f| match f {
-                OxmField::InPort(p) => Some(*p),
-                _ => None,
-            })
-            .unwrap_or(0)
+        let port = |f: &OxmField| if let OxmField::InPort(p) = *f { Some(p) } else { None };
+        match_.fields().iter().find_map(port).unwrap_or(0)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1105,12 +1114,8 @@ impl Controller {
     ///   below the exact flows so both exact pairs (base) and per-client
     ///   handover wildcards (base − 1) shadow it.
     ///
-    /// The aggregate pair carries its own idle timeout, exactly like an
-    /// exact pair — per *rule*, not per client: the rule stays hot as long
-    /// as *any* client keeps using the service, which is precisely the
-    /// aggregate's lifetime of interest. (The controller-side per-client
-    /// state lives in the FlowMemory, which keeps its own per-flow idle
-    /// accounting.)
+    /// Its idle timeout is per rule, not per client (DESIGN.md "Aggregated
+    /// wildcard rules"): per-client idle accounting stays in the FlowMemory.
     fn install_aggregated(
         &mut self,
         ingress: IngressId,
@@ -1239,9 +1244,9 @@ impl Controller {
             // `from == to` (a re-attach to the same cell) the new wildcard
             // pairs must not end up in their own teardown list. Cloud
             // packet-in pairs stay filed — handovers never tore those down
-            // (they idle out and tombstone via `FLOW_REMOVED`), and
+            // (they idle out, and their `FLOW_REMOVED` removes them), and
             // reconciliation still needs to claim them until then.
-            let old_pairs = ctl.commit(JournalEvent::HandoverSweep { client, from }).retired;
+            let mut old_pairs = ctl.commit(JournalEvent::HandoverSweep { client, from }).retired;
 
             let mut made = Vec::new();
             let mut completed_at = t;
@@ -1312,12 +1317,12 @@ impl Controller {
             let n_old = old_pairs.len();
             let mut messages = Vec::with_capacity(made.len() + 2 * n_old);
             messages.extend(made.into_iter().map(|m| (to, m)));
-            for pair in old_pairs {
+            for pair in old_pairs.drain(..) {
                 for m in [pair.fwd.match_, pair.rev.match_] {
-                    let del = ctl.flow_delete(break_at, m);
-                    messages.push((from, del));
+                    messages.push((from, ctl.flow_delete(break_at, m)));
                 }
             }
+            ctl.state.recycle_retired(old_pairs);
 
             let m = &mut ctl.telemetry.metrics;
             m.inc("handovers_total");
@@ -1912,7 +1917,7 @@ mod tests {
         };
         ctl.handle_switch_message(SimTime::ZERO, &fr.encode(9), &mut rng)
             .unwrap();
-        assert_eq!(ctl.flows_removed, 1);
+        assert_eq!(ctl.flows_removed(), 1);
     }
 
     /// A with-waiting deployment that exhausts its retries releases the held
@@ -2472,10 +2477,10 @@ mod tests {
         assert!(ctl.reconcile(IngressId::DEFAULT, &table, reconnect_at + Duration::from_secs(1)).is_empty());
     }
 
-    /// A delivered FLOW_REMOVED tombstones its pair: reconciliation does not
+    /// A delivered FLOW_REMOVED removes its pair: reconciliation does not
     /// resurrect flows the switch legitimately expired.
     #[test]
-    fn flow_removed_tombstones_so_reconcile_does_not_resurrect() {
+    fn flow_removed_removes_so_reconcile_does_not_resurrect() {
         let mut rng = SimRng::new(35);
         let (mut ctl, mut sw) = setup(&mut rng);
         let answered = serve_one(&mut ctl, &mut sw, SimTime::from_secs(1), 50000, &mut rng);
@@ -2487,46 +2492,86 @@ mod tests {
                 ctl.handle_switch_message(expire_at, &bytes, &mut rng).unwrap();
             }
         }
-        assert!(ctl.flows_removed > 0);
+        assert!(ctl.flows_removed() > 0);
         assert_eq!(sw.table().entries().count(), 0);
 
         // Reconciliation agrees with the switch: nothing to re-install.
         let table: Vec<FlowEntry> = sw.table().entries().cloned().collect();
         let fixes = ctl.reconcile(IngressId::DEFAULT, &table, expire_at + Duration::from_secs(1));
-        assert!(fixes.is_empty(), "expired pairs are tombstoned, not resurrected: {}", fixes.len());
+        assert!(fixes.is_empty(), "expired pairs are removed, not resurrected: {}", fixes.len());
     }
 
-    /// What a `FLOW_REMOVED` costs does not grow with the client's history:
-    /// after 5 000 install → expire cycles — 4 999 tombstones filed under the
-    /// one client — the last notification compares its own pair only.
+    /// A pair lives as long as its flow: after 5 000 install → expire cycles
+    /// of one client the bookkeeping is empty, and every `FLOW_REMOVED`
+    /// compared exactly one candidate — its own pair.
     #[test]
-    fn flow_removed_examines_its_own_pair_whatever_the_history() {
+    fn flow_removed_leaves_nothing_behind_whatever_the_history() {
         let mut rng = SimRng::new(36);
         let (mut ctl, mut sw) = setup(&mut rng);
-        let client = Ipv4Addr::new(192, 168, 1, 20);
         let mut now = SimTime::from_secs(1);
-        let mut examined_by_last = 0;
         for cycle in 0..5_000u16 {
             let answered = serve_one(&mut ctl, &mut sw, now, 10_000 + cycle, &mut rng);
+            assert_eq!(ctl.state_stats().pairs, 1);
             now = answered + ctl.config.switch_flow_idle + Duration::from_secs(1);
-            let before = ctl.state.pairs_examined();
+            let (before, removed) = (ctl.state.pairs_examined(), ctl.flows_removed());
             for fx in sw.expire_flows(now) {
                 if let Effect::ToController(bytes) = fx {
                     ctl.handle_switch_message(now, &bytes, &mut rng).unwrap();
                 }
             }
-            examined_by_last = ctl.state.pairs_examined() - before;
+            assert_eq!(ctl.flows_removed() - removed, 1, "cycle {cycle}: one FLOW_REMOVED");
+            assert_eq!(ctl.state.pairs_examined() - before, 1, "cycle {cycle}: one candidate");
         }
-        let pairs = ctl.state.pairs(client, IngressId::DEFAULT);
-        assert_eq!(pairs.len(), 5_000);
-        assert!(pairs.iter().all(|p| p.dead), "every cycle's pair was found and tombstoned");
-        assert!(
-            (1..=2).contains(&examined_by_last),
-            "a FLOW_REMOVED examined {examined_by_last} pairs"
-        );
+        let stats = ctl.state_stats();
+        assert_eq!((stats.pairs, stats.filed_clients, stats.fwd_index), (0, 0, 0), "{stats:?}");
     }
 
-    /// Reconciliation tombstones pairs whose instance died while the channel
+    /// A handover deletes the pairs it retires and nothing else: a
+    /// connection whose `FLOW_REMOVED` came in earlier is gone from the
+    /// bookkeeping, so no Delete goes out for it.
+    #[test]
+    fn handover_deletes_only_the_pairs_still_on_the_switch() {
+        let mut rng = SimRng::new(37);
+        let (mut ctl, mut sw) = setup(&mut rng);
+        let g1 = ctl.add_ingress(PortMap {
+            cluster_ports: HashMap::from([("edge-docker".into(), EDGE_PORT)]),
+            cloud_port: CLOUD_PORT,
+        });
+        let first = serve_one(&mut ctl, &mut sw, SimTime::from_secs(1), 50000, &mut rng);
+        let idle = first + ctl.config.switch_flow_idle + Duration::from_secs(1);
+        for fx in sw.expire_flows(idle) {
+            if let Effect::ToController(bytes) = fx {
+                ctl.handle_switch_message(idle, &bytes, &mut rng).unwrap();
+            }
+        }
+        assert_eq!(ctl.flows_removed(), 1, "the first connection idled out");
+        let second = serve_one(&mut ctl, &mut sw, idle, 50001, &mut rng);
+        let ho = ctl.handle_attachment_change(
+            second + Duration::from_secs(1),
+            Ipv4Addr::new(192, 168, 1, 20),
+            MacAddr::from_id(1),
+            MacAddr::from_id(99),
+            IngressId::DEFAULT,
+            g1,
+            CLIENT_PORT,
+            HandoverPolicy::Anchored,
+            &mut rng,
+        );
+        let deleted: Vec<Match> = ho
+            .messages
+            .iter()
+            .filter(|(g, _)| *g == IngressId::DEFAULT)
+            .map(|(_, m)| match Message::decode(&m.data).unwrap().1 {
+                Message::FlowMod { command: openflow::FlowModCommand::Delete, match_, .. } => match_,
+                other => panic!("only Deletes go to the old switch: {other:?}"),
+            })
+            .collect();
+        let live = sw.table().entries().map(|e| e.match_.clone()).collect::<Vec<_>>();
+        assert_eq!(deleted.len(), 2, "the live pair's two flows, no more");
+        assert!(deleted.iter().all(|m| live.contains(m)), "every Delete names a flow on the switch");
+    }
+
+    /// Reconciliation removes pairs whose instance died while the channel
     /// was down: their surviving switch flows become orphans and are
     /// deleted, not re-installed.
     #[test]
@@ -3257,12 +3302,11 @@ mod tests {
         // 4. Reconciliation expects a pair on the switch only while its
         // instance serves: against an empty table, a served pair is
         // re-installed, one whose Adds are still held is left to them, and
-        // one whose instance is gone is tombstoned.
+        // one whose instance is gone is removed.
         let reinstalled = |case| {
             let (mut ctl, _, at) = on(case);
             let adds = ctl.reconcile(IngressId::DEFAULT, &[], at).len();
-            let live = ctl.state.pairs(client, IngressId::DEFAULT).iter().filter(|p| !p.dead);
-            (adds, live.count())
+            (adds, ctl.state.pairs(client, IngressId::DEFAULT).count())
         };
         assert_eq!(reinstalled("yes"), (2, 1));
         assert_eq!(reinstalled("pending"), (0, 1));
@@ -3297,11 +3341,10 @@ mod tests {
     }
 
     /// The held Adds of the session [`session_whose_instance_is`] leaves
-    /// pending: `(instant they are stamped for, the session's live pairs)`.
+    /// pending: `(instant they are stamped for, the session's filed pairs)`.
     fn held_adds(ctl: &Controller) -> (SimTime, usize) {
         let client = Ipv4Addr::new(192, 168, 1, 20);
-        let live = ctl.state.pairs(client, IngressId::DEFAULT).iter().filter(|p| !p.dead);
-        (ctl.records[0].answered_at, live.count())
+        (ctl.records[0].answered_at, ctl.state.pairs(client, IngressId::DEFAULT).count())
     }
 
     /// The sweep used to take the instance a request is held for — Starting,
@@ -3332,7 +3375,7 @@ mod tests {
         for (_, m) in &deletes {
             assert!(at < adds_at && m.at >= adds_at, "Delete at {:?}, Adds at {adds_at:?}", m.at);
         }
-        assert_eq!(held_adds(&ctl).1, 0, "tombstoned");
+        assert_eq!(held_adds(&ctl).1, 0, "removed");
         // A pair whose Adds are already out is deleted on the spot.
         let (mut ctl, mut rng, at) = session_whose_instance_is("yes", ControllerConfig::default());
         let deletes = ctl.begin_zone_outage(0, at, at + Duration::from_secs(5), &mut rng);

@@ -10,7 +10,7 @@ use super::{Controller, OutboundMessage};
 use crate::cluster::InstanceAddr;
 use crate::dispatch::Serving;
 use crate::flowmemory::IngressId;
-use crate::journal::JournalEvent;
+use crate::journal::{JournalEvent, PairId};
 use crate::rules::{InstalledFlow, InstalledPair};
 use crate::service::EdgeService;
 use desim::{SimRng, SimTime};
@@ -55,8 +55,8 @@ impl Controller {
     /// walks every instance the FlowMemory still redirects clients at and
     /// repairs the state around each one that is gone — forgets
     /// its memory entries (no lookup ever returns the dead address again),
-    /// tombstones and deletes the matching switch flows, and feeds the
-    /// cluster's circuit breaker. Subsequent packets from the affected
+    /// removes the matching pairs and deletes their switch flows, and feeds
+    /// the cluster's circuit breaker. Subsequent packets from the affected
     /// clients miss the table and re-enter the ordinary dispatch pipeline.
     /// Returns the Delete FlowMods, tagged with the ingress they go to.
     ///
@@ -91,7 +91,7 @@ impl Controller {
     }
 
     /// Stale-redirect repair for one dead instance: forget its FlowMemory
-    /// entries, tombstone + delete its switch flows everywhere, record the
+    /// entries, remove + delete its switch flows everywhere, record the
     /// failure with the cluster's breaker, and update the repair metrics.
     fn repair_dead_instance(
         &mut self,
@@ -191,9 +191,9 @@ impl Controller {
     /// for `ingress`: live expected flows missing from the switch are
     /// re-installed verbatim, and switch entries the controller does not
     /// claim are strict-deleted. Expected pairs whose instance died while
-    /// the channel was down are tombstoned here (their switch entries, if
-    /// any, become orphans). A second pass right after the returned FlowMods
-    /// are applied returns nothing.
+    /// the channel was down are removed here (their switch entries, if any,
+    /// become orphans). A second pass right after the returned FlowMods are
+    /// applied returns nothing.
     pub fn reconcile(
         &mut self,
         ingress: IngressId,
@@ -207,9 +207,10 @@ impl Controller {
                 // A redirect pair is expected only while its instance serves
                 // or is being deployed.
                 let gone = |p: &InstalledPair| ctl.pair_serving(p, now) == Serving::Gone;
-                let dead = ctl.state.live_pairs(client, ingress, gone);
-                ctl.tombstone(client, ingress, &dead);
-                for p in ctl.state.pairs(client, ingress).iter().filter(|p| !p.dead) {
+                for id in ctl.state.ids_where(client, ingress, gone) {
+                    ctl.remove_pair(client, ingress, id);
+                }
+                for (_, p) in ctl.state.pairs(client, ingress) {
                     // The Adds of a pair held for a deployment in progress
                     // are still on their way: claimed, so they are no orphans
                     // once they land, but not re-installed early — a client
@@ -279,7 +280,7 @@ impl Controller {
     }
 
     /// The fleet-wide teardown behind a repair and an outage: on every
-    /// switch, every bookkept pair `pick` selects is tombstoned and deleted at
+    /// switch, every bookkept pair `pick` selects is removed and deleted at
     /// `at` — not only the memorized ones: handover leftovers point there
     /// too. Aggregated pairs are filed under the sentinel client, so the sweep
     /// retires them like any other pair; `retain` then drops their anchors, so
@@ -298,19 +299,20 @@ impl Controller {
         out
     }
 
-    /// Tombstones the pairs of `(client, ingress)` at the indices in `dead`.
-    pub(super) fn tombstone(&mut self, client: Ipv4Addr, ingress: IngressId, dead: &[usize]) {
-        for &idx in dead {
-            self.commit(JournalEvent::PairDead {
-                client,
-                ingress,
-                idx,
-            });
-        }
+    /// Takes the pair `id` of `(client, ingress)` out of the bookkeeping and
+    /// hands it back: its forward flow left the switch, or the caller
+    /// deletes it.
+    pub(super) fn remove_pair(
+        &mut self,
+        client: Ipv4Addr,
+        ingress: IngressId,
+        id: PairId,
+    ) -> Option<InstalledPair> {
+        self.commit(JournalEvent::PairRemove { client, ingress, id }).removed
     }
 
-    /// Tombstones every live pair at `(client, ingress)` that `pick` selects
-    /// and deletes both directions of each at `at`, forward first — except a
+    /// Removes every pair at `(client, ingress)` that `pick` selects and
+    /// deletes both directions of each at `at`, forward first — except a
     /// forward match equal to `replaced_fwd` (see
     /// [`Controller::finish_migration`]), and never before the pair's own
     /// Adds: while a request is held for `(service, cluster)`, `held` keeps
@@ -323,21 +325,16 @@ impl Controller {
         replaced_fwd: Option<&Match>,
         at: SimTime,
     ) -> Vec<(IngressId, OutboundMessage)> {
-        let dead = self.state.live_pairs(client, ingress, pick);
-        self.tombstone(client, ingress, &dead);
-        let mut doomed: Vec<(SimTime, Match)> = Vec::new();
-        for &i in &dead {
-            let p = &self.state.pairs(client, ingress)[i];
+        let mut out = Vec::new();
+        for id in self.state.ids_where(client, ingress, pick) {
+            let Some(p) = self.remove_pair(client, ingress, id) else { continue };
             let hold = p.cluster.and_then(|c| self.held.get(&(p.service, c)));
             let at = hold.map_or(at, |&release| at.max(release));
             if replaced_fwd != Some(&p.fwd.match_) {
-                doomed.push((at, p.fwd.match_.clone()));
+                out.push((ingress, self.flow_delete(at, p.fwd.match_)));
             }
-            doomed.push((at, p.rev.match_.clone()));
+            out.push((ingress, self.flow_delete(at, p.rev.match_)));
         }
-        doomed
-            .into_iter()
-            .map(|(at, m)| (ingress, self.flow_delete(at, m)))
-            .collect()
+        out
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! * everything recoverable lives in one [`ControlState`]; the live
 //!   controller changes it only through [`ControlState::apply`] (for
-//!   controller-level events: pair add/tombstone, aggregate anchor changes,
+//!   controller-level events: pair add/remove, aggregate anchor changes,
 //!   scale-down bookkeeping, client sightings) or through its three
 //!   self-logging components ([`FlowOp`], [`HealthOp`], [`MigrationOp`]);
 //! * every applied event is appended as a [`JournalEvent`], the component
@@ -48,6 +48,7 @@ use netsim::addr::{Ipv4Addr, MacAddr};
 use netsim::ServiceAddr;
 use openflow::oxm::{Match, OxmField};
 use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 use std::hash::Hasher;
 
 /// Write-ahead journal configuration (the `journal:` YAML block).
@@ -77,9 +78,9 @@ impl Default for JournalConfig {
 ///
 /// Events touching *different* structures commute, so the controller may
 /// batch component-op drains at the end of an entry point; events touching
-/// the *same* structure are strictly ordered. `PairDead` addresses a pair
-/// by its index in the client's vector — stable because replay rebuilds
-/// the vector through the very same `PairAdd`/`HandoverSweep` sequence.
+/// the *same* structure are strictly ordered. `PairRemove` names a pair by
+/// the [`PairId`] its `PairAdd` was given — stable because ids come from a
+/// counter the state owns and a [`Snapshot`] carries.
 #[derive(Clone, Debug)]
 pub(crate) enum JournalEvent {
     /// A FlowMemory mutation.
@@ -88,20 +89,22 @@ pub(crate) enum JournalEvent {
     Health(HealthOp),
     /// A migration-manager mutation.
     Migration(MigrationOp),
-    /// A forward/reverse pair was filed into the bookkeeping.
+    /// A forward/reverse pair was filed into the bookkeeping, under the next
+    /// id.
     PairAdd {
         client: Ipv4Addr,
         ingress: IngressId,
         pair: InstalledPair,
     },
-    /// The pair at `idx` of `(client, ingress)` was tombstoned.
-    PairDead {
+    /// The pair `id` of `(client, ingress)` left the bookkeeping: its
+    /// forward flow left the switch, or is being deleted from it.
+    PairRemove {
         client: Ipv4Addr,
         ingress: IngressId,
-        idx: usize,
+        id: PairId,
     },
     /// An attachment-change handover swept `(client, from)`: pairs marked
-    /// `teardown_on_handover` were dropped, the rest kept.
+    /// `teardown_on_handover` were removed, the rest kept.
     HandoverSweep { client: Ipv4Addr, from: IngressId },
     /// An aggregated wildcard rule was anchored for `(ingress, service)`.
     AggregateSet {
@@ -142,6 +145,10 @@ pub(crate) enum JournalEvent {
     },
 }
 
+/// One ingress's pairs in a [`Snapshot`]: clients sorted, each client's
+/// pairs in filing order.
+type Shard = Vec<(Ipv4Addr, Vec<(PairId, InstalledPair)>)>;
+
 /// A compacted, deterministic export of the controller's recoverable
 /// state: every collection sorted by a stable key, so [`Snapshot::encode`]
 /// is byte-identical for semantically identical states regardless of hash
@@ -149,8 +156,9 @@ pub(crate) enum JournalEvent {
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Snapshot {
     pub(crate) memory: Vec<(FlowKey, MemorizedFlow)>,
-    /// Per-ingress shards; each shard sorted by client.
-    pub(crate) installed: Vec<Vec<(Ipv4Addr, Vec<InstalledPair>)>>,
+    pub(crate) installed: Vec<Shard>,
+    /// The id the next filed pair gets.
+    pub(crate) next_pair: PairId,
     pub(crate) aggregates: Vec<((IngressId, ServiceAddr), AggregateRule)>,
     pub(crate) scaled_down: Vec<((ServiceAddr, usize), SimTime)>,
     pub(crate) locations: Vec<(Ipv4Addr, IngressId, u32, SimTime)>,
@@ -163,13 +171,11 @@ pub(crate) struct Snapshot {
 impl Snapshot {
     /// Captures `st` as sorted plain data.
     pub(crate) fn capture(st: &ControlState) -> Snapshot {
-        let installed = st
-            .installed
-            .iter()
-            .map(|shard| {
-                let mut v: Vec<_> = shard.iter().map(|(c, ps)| (*c, ps.clone())).collect();
-                v.sort_unstable_by_key(|&(c, _)| c);
-                v
+        let installed = (0..st.installed.len() as u32)
+            .map(|i| {
+                let ingress = IngressId(i);
+                let pairs = |c| st.pairs(c, ingress).map(|(id, p)| (id, p.clone())).collect();
+                st.clients_at(ingress).into_iter().map(|c| (c, pairs(c))).collect()
             })
             .collect();
         let mut aggregates: Vec<_> = st.aggregates.iter().map(|(k, r)| (*k, r.clone())).collect();
@@ -182,6 +188,7 @@ impl Snapshot {
         Snapshot {
             memory: st.memory.export_entries(),
             installed,
+            next_pair: st.next_pair,
             aggregates,
             scaled_down,
             locations: st.clients.export_locations(),
@@ -197,10 +204,11 @@ impl Snapshot {
     /// recoverable state is identical.
     pub(crate) fn encode(&self) -> String {
         format!(
-            "memory={:?}\ninstalled={:?}\naggregates={:?}\nscaled_down={:?}\n\
+            "memory={:?}\ninstalled={:?}\nnext_pair={:?}\naggregates={:?}\nscaled_down={:?}\n\
              locations={:?}\nclient_macs={:?}\nbreakers={:?}\noutages={:?}\nmigrate={:?}\n",
             self.memory,
             self.installed,
+            self.next_pair,
             self.aggregates,
             self.scaled_down,
             self.locations,
@@ -240,8 +248,34 @@ pub(crate) struct Applied {
     /// it twice.)
     pub(crate) moved: bool,
     /// `HandoverSweep`: the pairs it retired, in filing order (the caller
-    /// deletes their switch flows).
+    /// deletes their switch flows, then hands the buffer back through
+    /// [`ControlState::recycle_retired`]).
     pub(crate) retired: Vec<InstalledPair>,
+    /// `PairRemove`: the pair, if it was filed.
+    pub(crate) removed: Option<InstalledPair>,
+}
+
+/// A filed pair's name. Ids come from a counter in filing order, so within
+/// one client's pairs ascending id is filing order.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct PairId(u64);
+
+/// Sizes of the controller's bookkeeping — what a long run must not let
+/// drift (beside k8ssim's `store_stats()`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StateStats {
+    /// Filed forward/reverse pairs: one per forward flow on a switch.
+    pub pairs: usize,
+    /// `(ingress, client)` entries the pairs are filed under.
+    pub filed_clients: usize,
+    /// Keys of the forward-flow index.
+    pub fwd_index: usize,
+    /// FlowMemory entries.
+    pub memory: usize,
+    /// Anchored aggregate rules.
+    pub aggregates: usize,
+    /// Services scaled down and awaiting removal.
+    pub scaled_down: usize,
 }
 
 /// Key of the forward-flow index: whose pair, where, and what its forward
@@ -287,53 +321,58 @@ impl FwdKey {
     }
 }
 
-/// Positions in one client's pair vector, ascending. The first sits inline:
-/// a key has a second live pair only while a re-install races the
+/// The ids of the pairs filed under one forward flow, ascending. The first
+/// sits inline: a flow has a second pair only while a re-install races the
 /// `FLOW_REMOVED` of the flow it replaced, so filing a pair costs no heap
 /// call.
-struct Positions {
-    first: usize,
-    more: Vec<usize>,
+struct Ids {
+    first: PairId,
+    more: Vec<PairId>,
 }
 
-type FwdIndex = FastMap<FwdKey, Positions>;
-
-/// The index key and position of every live pair in `pairs`, the vector
-/// filed under `(client, ingress)`, in position order.
-fn live_keys(
-    client: Ipv4Addr,
-    ingress: IngressId,
-    pairs: &[InstalledPair],
-) -> impl Iterator<Item = (FwdKey, usize)> + '_ {
-    let live = pairs.iter().enumerate().filter(|(_, p)| !p.dead);
-    live.map(move |(pos, p)| (FwdKey::of(client, ingress, p), pos))
-}
-
-/// Files `pos` — larger than every position already under `key`.
-fn file(index: &mut FwdIndex, key: FwdKey, pos: usize) {
-    match index.entry(key) {
-        Entry::Vacant(v) => {
-            v.insert(Positions {
-                first: pos,
-                more: Vec::new(),
-            });
-        }
-        Entry::Occupied(o) => o.into_mut().more.push(pos),
+impl Ids {
+    fn iter(&self) -> impl Iterator<Item = PairId> + '_ {
+        std::iter::once(self.first).chain(self.more.iter().copied())
     }
 }
 
-/// Unfiles `pos` from under `key`.
-fn unfile(index: &mut FwdIndex, key: FwdKey, pos: usize) {
+type FwdIndex = FastMap<FwdKey, Ids>;
+
+/// Files `id` — larger than every id already under `key`.
+fn file(index: &mut FwdIndex, key: FwdKey, id: PairId) {
+    match index.entry(key) {
+        Entry::Vacant(v) => {
+            v.insert(Ids { first: id, more: Vec::new() });
+        }
+        Entry::Occupied(o) => o.into_mut().more.push(id),
+    }
+}
+
+/// Unfiles `id` from under `key`; the entry goes with its last id.
+fn unfile(index: &mut FwdIndex, key: FwdKey, id: PairId) {
     let Entry::Occupied(mut o) = index.entry(key) else {
         return;
     };
-    let found = o.get_mut();
-    if found.first != pos {
-        found.more.retain(|&p| p != pos);
-    } else if found.more.is_empty() {
+    let ids = o.get_mut();
+    if ids.first != id {
+        ids.more.retain(|&i| i != id);
+    } else if ids.more.is_empty() {
         o.remove();
     } else {
-        found.first = found.more.remove(0);
+        ids.first = ids.more.remove(0);
+    }
+}
+
+/// One client's pairs at one ingress, in filing order (ascending id). Pairs
+/// die roughly in the order they were filed, so the oldest leaves in O(1).
+type Pairs = VecDeque<(PairId, InstalledPair)>;
+
+/// Where `id` sits in `pairs`. Usually first — pairs die roughly in filing
+/// order — so that is looked at before the search touches anything else.
+fn position(pairs: &Pairs, id: PairId) -> Option<usize> {
+    match pairs.front() {
+        Some(&(first, _)) if first == id => Some(0),
+        _ => pairs.binary_search_by_key(&id, |&(id, _)| id).ok(),
     }
 }
 
@@ -353,18 +392,26 @@ pub(crate) struct ControlState {
     /// [`IngressId`]) — what makes handover teardown, stale-redirect repair
     /// and channel-reconnect reconciliation possible: switch-side deletion
     /// is exact-match, so the controller must remember what it installed.
-    /// Sharding keeps per-packet bookkeeping and per-switch reconciliation
-    /// O(one cell) at fleet scale.
-    installed: Vec<FastMap<Ipv4Addr, Vec<InstalledPair>>>,
-    /// Where in `installed` the live pairs with a given forward flow sit, so
-    /// a `FLOW_REMOVED` finds its pair without walking everything the client
-    /// ever had. Derived from `installed` — kept in step by
-    /// [`ControlState::apply`], rebuilt by `restore`, and therefore neither
-    /// journaled nor part of a [`Snapshot`].
+    /// A pair lives exactly as long as its forward flow, and a client's
+    /// entry as long as its last pair. Sharding keeps per-switch
+    /// reconciliation O(one cell) at fleet scale.
+    installed: Vec<FastMap<Ipv4Addr, Pairs>>,
+    /// The id the next filed pair gets.
+    next_pair: PairId,
+    /// Emptied deques of dropped `installed` entries, kept for the next
+    /// entry: a client whose pairs come and go costs no heap call per visit.
+    /// Never more than the entries that existed at once.
+    spare: Vec<Pairs>,
+    /// The ids of the pairs with a given forward flow, so a `FLOW_REMOVED`
+    /// finds its pair without walking the client's others. Derived from
+    /// `installed` — kept in step by [`ControlState::apply`], rebuilt by
+    /// `restore`, and therefore neither journaled nor part of a [`Snapshot`].
     fwd_index: FwdIndex,
-    /// Recycled result buffer of [`ControlState::live_pairs_with_fwd`].
-    fwd_scratch: Vec<usize>,
-    /// Pairs [`ControlState::live_pairs_with_fwd`] compared so far.
+    /// Recycled result buffer of [`ControlState::pairs_with_fwd`].
+    fwd_scratch: Vec<PairId>,
+    /// Recycled `retired` buffer of `HandoverSweep` ([`Applied::retired`]).
+    retired_scratch: Vec<InstalledPair>,
+    /// Pairs [`ControlState::pairs_with_fwd`] compared so far.
     #[cfg(test)]
     examined: std::cell::Cell<usize>,
     /// Live aggregated rule pairs; their bookkeeping pairs are filed under
@@ -392,8 +439,11 @@ impl ControlState {
         ControlState {
             memory: FlowMemory::new(config.memory_idle),
             installed: Vec::new(),
+            next_pair: PairId::default(),
+            spare: Vec::new(),
             fwd_index: FastMap::default(),
             fwd_scratch: Vec::new(),
+            retired_scratch: Vec::new(),
             #[cfg(test)]
             examined: std::cell::Cell::new(0),
             aggregates: FastMap::default(),
@@ -416,20 +466,15 @@ impl ControlState {
     /// Restores a compacted snapshot into the (empty) state.
     fn restore(&mut self, snap: &Snapshot) {
         self.memory.restore_entries(&snap.memory);
-        self.installed = snap
-            .installed
-            .iter()
-            .map(|shard| shard.iter().map(|(c, ps)| (*c, ps.clone())).collect())
-            .collect();
-        self.fwd_index.clear();
-        for (ingress, shard) in self.installed.iter().enumerate() {
-            let ingress = IngressId(ingress as u32);
-            for (&client, pairs) in shard {
-                for (key, pos) in live_keys(client, ingress, pairs) {
-                    file(&mut self.fwd_index, key, pos);
+        self.installed.resize_with(snap.installed.len(), FastMap::default);
+        for (ingress, shard) in snap.installed.iter().enumerate() {
+            for (client, pairs) in shard {
+                for (id, pair) in pairs {
+                    self.file_pair(*client, IngressId(ingress as u32), *id, pair.clone());
                 }
             }
         }
+        self.next_pair = snap.next_pair;
         self.aggregates = snap.aggregates.iter().map(|(k, r)| (*k, r.clone())).collect();
         self.scaled_down = snap.scaled_down.iter().copied().collect();
         self.clients.restore_locations(&snap.locations);
@@ -447,47 +492,34 @@ impl ControlState {
             JournalEvent::Health(op) => self.health.apply(&op),
             JournalEvent::Migration(op) => self.migrate.apply(&op),
             JournalEvent::PairAdd { client, ingress, pair } => {
-                let idx = ingress.0 as usize;
-                if idx >= self.installed.len() {
-                    self.installed.resize_with(idx + 1, FastMap::default);
-                }
-                let pairs = self.installed[idx].entry(client).or_default();
-                if !pair.dead {
-                    file(&mut self.fwd_index, FwdKey::of(client, ingress, &pair), pairs.len());
-                }
-                pairs.push(pair);
+                let id = self.next_pair;
+                self.next_pair = PairId(id.0 + 1);
+                self.file_pair(client, ingress, id, pair);
             }
-            JournalEvent::PairDead { client, ingress, idx } => {
-                if let Some(p) = self
-                    .installed
-                    .get_mut(ingress.0 as usize)
-                    .and_then(|s| s.get_mut(&client))
-                    .and_then(|pairs| pairs.get_mut(idx))
-                {
-                    if !p.dead {
-                        unfile(&mut self.fwd_index, FwdKey::of(client, ingress, p), idx);
-                    }
-                    p.dead = true;
-                }
+            JournalEvent::PairRemove { client, ingress, id } => {
+                applied.removed = self.take_pair(client, ingress, id);
             }
             JournalEvent::HandoverSweep { client, from } => {
-                if let Some(shard) = self.installed.get_mut(from.0 as usize) {
-                    if let Some(mut pairs) = shard.remove(&client) {
-                        // Survivors move up: unfile every position, re-file
-                        // the kept pairs at their new ones.
-                        for (key, pos) in live_keys(client, from, &pairs) {
-                            unfile(&mut self.fwd_index, key, pos);
-                        }
-                        let kept: Vec<InstalledPair> =
-                            pairs.extract_if(.., |p| !p.teardown_on_handover).collect();
-                        for (key, pos) in live_keys(client, from, &kept) {
-                            file(&mut self.fwd_index, key, pos);
-                        }
-                        if !kept.is_empty() {
-                            shard.insert(client, kept);
-                        }
-                        applied.retired = pairs;
+                applied.retired = std::mem::take(&mut self.retired_scratch);
+                let Some(shard) = self.installed.get_mut(from.0 as usize) else {
+                    return applied;
+                };
+                let Some(pairs) = shard.get_mut(&client) else {
+                    return applied;
+                };
+                // One turn of the deque: retired pairs leave, the rest go
+                // back in the order they came.
+                for _ in 0..pairs.len() {
+                    let (id, pair) = pairs.pop_front().expect("counted");
+                    if !pair.teardown_on_handover {
+                        pairs.push_back((id, pair));
+                        continue;
                     }
+                    unfile(&mut self.fwd_index, FwdKey::of(client, from, &pair), id);
+                    applied.retired.push(pair);
+                }
+                if pairs.is_empty() {
+                    self.spare.extend(shard.remove(&client));
                 }
             }
             JournalEvent::AggregateSet { ingress, service, rule } => {
@@ -516,6 +548,39 @@ impl ControlState {
             }
         }
         applied
+    }
+
+    /// Files `pair` as `id` — larger than every id `(client, ingress)` has
+    /// — and indexes it.
+    fn file_pair(&mut self, client: Ipv4Addr, ingress: IngressId, id: PairId, pair: InstalledPair) {
+        let shard = ingress.0 as usize;
+        if shard >= self.installed.len() {
+            self.installed.resize_with(shard + 1, FastMap::default);
+        }
+        let recycled = || self.spare.pop().unwrap_or_default();
+        let pairs = self.installed[shard].entry(client).or_insert_with(recycled);
+        file(&mut self.fwd_index, FwdKey::of(client, ingress, &pair), id);
+        pairs.push_back((id, pair));
+    }
+
+    /// Takes the pair `id` out of `(client, ingress)` and the index, if it is
+    /// filed there. An entry goes with its last pair; its deque is kept for
+    /// the next.
+    fn take_pair(
+        &mut self,
+        client: Ipv4Addr,
+        ingress: IngressId,
+        id: PairId,
+    ) -> Option<InstalledPair> {
+        let shard = self.installed.get_mut(ingress.0 as usize)?;
+        let pairs = shard.get_mut(&client)?;
+        let i = position(pairs, id)?;
+        let (_, pair) = pairs.remove(i)?;
+        if pairs.is_empty() {
+            self.spare.extend(shard.remove(&client));
+        }
+        unfile(&mut self.fwd_index, FwdKey::of(client, ingress, &pair), id);
+        Some(pair)
     }
 
     /// The FlowMemory.
@@ -577,62 +642,85 @@ impl ControlState {
         &self.scaled_down
     }
 
-    /// The pairs filed under `(client, ingress)`, tombstones included.
-    pub(crate) fn pairs(&self, client: Ipv4Addr, ingress: IngressId) -> &[InstalledPair] {
-        self.installed
-            .get(ingress.0 as usize)
-            .and_then(|shard| shard.get(&client))
-            .map_or(&[], Vec::as_slice)
+    /// The pairs filed under `(client, ingress)`, in filing order.
+    pub(crate) fn pairs(
+        &self,
+        client: Ipv4Addr,
+        ingress: IngressId,
+    ) -> impl Iterator<Item = (PairId, &InstalledPair)> {
+        self.filed(client, ingress).into_iter().flatten().map(|(id, p)| (*id, p))
     }
 
-    /// Positions of the live pairs at `(client, ingress)` whose forward flow
-    /// is exactly `(priority, match_)`, ascending — what a `FLOW_REMOVED`
-    /// retires. Examines only the pairs filed under that flow, however many
-    /// the client has had. The answer sits in a buffer the state lends out:
-    /// [`ControlState::recycle_positions`] hands it back, and the next
+    fn filed(&self, client: Ipv4Addr, ingress: IngressId) -> Option<&Pairs> {
+        self.installed.get(ingress.0 as usize)?.get(&client)
+    }
+
+    /// The pairs at `(client, ingress)` whose forward flow is exactly
+    /// `(priority, match_)`, in filing order — what a `FLOW_REMOVED` removes.
+    /// Examines only the pairs filed under that flow, however many the
+    /// client has. The answer sits in a buffer the state lends out:
+    /// [`ControlState::recycle_ids`] hands it back, and the next
     /// `FLOW_REMOVED` then costs no heap call.
-    pub(crate) fn live_pairs_with_fwd(
+    pub(crate) fn pairs_with_fwd(
         &mut self,
         client: Ipv4Addr,
         ingress: IngressId,
         priority: u16,
         match_: &Match,
-    ) -> Vec<usize> {
-        let mut live = std::mem::take(&mut self.fwd_scratch);
-        live.clear();
-        let pairs = self.pairs(client, ingress);
+    ) -> Vec<PairId> {
+        let mut found = std::mem::take(&mut self.fwd_scratch);
+        found.clear();
         let same_flow = |p: &InstalledPair| p.fwd.priority == priority && p.fwd.match_ == *match_;
-        let found = self.fwd_index.get(&FwdKey::new(client, ingress, priority, match_));
-        for &pos in found.iter().flat_map(|f| std::iter::once(&f.first).chain(&f.more)) {
+        let ids = self.fwd_index.get(&FwdKey::new(client, ingress, priority, match_));
+        let pairs = self.filed(client, ingress);
+        for id in ids.into_iter().flat_map(Ids::iter) {
             #[cfg(test)]
             self.examined.set(self.examined.get() + 1);
-            if !pairs[pos].dead && same_flow(&pairs[pos]) {
-                live.push(pos);
+            let i = pairs.and_then(|ps| position(ps, id));
+            if pairs.zip(i).is_some_and(|(ps, i)| same_flow(&ps[i].1)) {
+                found.push(id);
             }
         }
-        debug_assert_eq!(live, self.live_pairs(client, ingress, same_flow), "index ≠ scan");
-        live
+        debug_assert_eq!(found, self.ids_where(client, ingress, same_flow), "index ≠ scan");
+        found
     }
 
-    /// Takes back the buffer [`ControlState::live_pairs_with_fwd`] lent out.
-    pub(crate) fn recycle_positions(&mut self, positions: Vec<usize>) {
-        self.fwd_scratch = positions;
+    /// Takes back the buffer [`ControlState::pairs_with_fwd`] lent out.
+    pub(crate) fn recycle_ids(&mut self, ids: Vec<PairId>) {
+        self.fwd_scratch = ids;
     }
 
-    /// Indices of the live pairs at `(client, ingress)` that `pick` selects,
-    /// by walking all of them — for the sweeps (repair, outage, migration
-    /// flip, reconcile), and the oracle of the index above.
-    pub(crate) fn live_pairs(
+    /// Takes back the emptied [`Applied::retired`] of a `HandoverSweep`, so
+    /// the next handover costs no heap call for it.
+    pub(crate) fn recycle_retired(&mut self, retired: Vec<InstalledPair>) {
+        self.retired_scratch = retired;
+    }
+
+    /// The pairs at `(client, ingress)` that `pick` selects, in filing
+    /// order, by walking all of them — for the sweeps (handover, repair,
+    /// outage, migration flip, reconcile), and the oracle of the index above.
+    pub(crate) fn ids_where(
         &self,
         client: Ipv4Addr,
         ingress: IngressId,
         pick: impl Fn(&InstalledPair) -> bool,
-    ) -> Vec<usize> {
-        let pairs = self.pairs(client, ingress).iter().enumerate();
-        pairs.filter(|(_, p)| !p.dead && pick(p)).map(|(i, _)| i).collect()
+    ) -> Vec<PairId> {
+        self.pairs(client, ingress).filter(|(_, p)| pick(p)).map(|(id, _)| id).collect()
     }
 
-    /// How many pairs [`ControlState::live_pairs_with_fwd`] has compared.
+    /// Sizes of the bookkeeping.
+    pub(crate) fn state_stats(&self) -> StateStats {
+        StateStats {
+            pairs: self.installed.iter().flat_map(FastMap::values).map(VecDeque::len).sum(),
+            filed_clients: self.installed.iter().map(FastMap::len).sum(),
+            fwd_index: self.fwd_index.len(),
+            memory: self.memory.len(),
+            aggregates: self.aggregates.len(),
+            scaled_down: self.scaled_down.len(),
+        }
+    }
+
+    /// How many pairs [`ControlState::pairs_with_fwd`] has compared.
     #[cfg(test)]
     pub(crate) fn pairs_examined(&self) -> usize {
         self.examined.get()
@@ -808,11 +896,14 @@ mod tests {
     use crate::rules::InstalledFlow;
     use proptest::prelude::*;
 
-    /// One step of the index-vs-scan property; small pools so keys collide.
+    /// One step of the bookkeeping property; small pools so keys collide.
     #[derive(Clone, Debug)]
     enum PairOp {
-        Add { client: u8, ingress: u32, fwd: usize, priority: u16, teardown: bool, dead: bool },
-        Dead { client: u8, ingress: u32, idx: usize },
+        Add { client: u8, ingress: u32, fwd: usize, priority: u16, teardown: bool },
+        /// Removes the `nth` filed pair (cyclically), or with `stale` an id
+        /// from `(client, ingress)` that may never have been filed there or
+        /// is gone already.
+        Remove { client: u8, ingress: u32, nth: usize, stale: bool },
         Sweep { client: u8, from: u32 },
         /// Snapshot the state and restore it into a fresh one.
         Restore,
@@ -848,27 +939,56 @@ mod tests {
     }
 
     fn arb_pair_op() -> impl Strategy<Value = PairOp> {
-        let add = (0u8..3, 0u32..2, 0usize..5, 0usize..2, any::<bool>(), 0u8..8);
+        let add = (0u8..3, 0u32..2, 0usize..5, 0usize..2, any::<bool>());
         prop_oneof![
-            6 => add.prop_map(|(client, ingress, fwd, prio, teardown, dead)| PairOp::Add {
+            6 => add.prop_map(|(client, ingress, fwd, prio, teardown)| PairOp::Add {
                 client,
                 ingress,
                 fwd,
                 priority: PRIORITIES[prio],
                 teardown,
-                dead: dead == 0,
             }),
-            5 => (0u8..3, 0u32..2, 0usize..10)
-                .prop_map(|(client, ingress, idx)| PairOp::Dead { client, ingress, idx }),
+            5 => (0u8..3, 0u32..2, 0usize..40, 0u8..4).prop_map(|(client, ingress, nth, s)| {
+                PairOp::Remove { client, ingress, nth, stale: s == 0 }
+            }),
             1 => (0u8..3, 0u32..2).prop_map(|(client, from)| PairOp::Sweep { client, from }),
             1 => Just(PairOp::Restore),
         ]
     }
 
+    /// The structural invariants of the bookkeeping: each client's ids
+    /// strictly ascending, every id filed once and below the counter, no
+    /// empty entry, and the index filing exactly the filed pairs, each
+    /// under its own key.
+    fn check_structure(st: &ControlState) -> Result<(), TestCaseError> {
+        let mut seen = std::collections::BTreeSet::new();
+        for (shard, clients) in st.installed.iter().enumerate() {
+            for (client, pairs) in clients {
+                let ids: Vec<PairId> = pairs.iter().map(|&(id, _)| id).collect();
+                prop_assert!(!ids.is_empty(), "an empty entry is dropped");
+                prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids ascend: {:?}", ids);
+                for id in ids {
+                    prop_assert!(seen.insert(id), "{:?} is filed once", id);
+                    prop_assert!(id < st.next_pair, "{:?} came from the counter", id);
+                }
+                for (id, pair) in pairs {
+                    let key = FwdKey::of(*client, IngressId(shard as u32), pair);
+                    let indexed = st.fwd_index.get(&key).is_some_and(|ids| ids.iter().any(|i| i == *id));
+                    prop_assert!(indexed, "{:?} is indexed under its forward flow", id);
+                }
+            }
+        }
+        let indexed: usize = st.fwd_index.values().map(|ids| ids.iter().count()).sum();
+        prop_assert_eq!(indexed, seen.len(), "the index files every pair once");
+        Ok(())
+    }
+
     proptest! {
-        /// After every event the index answers exactly what the scan
-        /// answers, in the same order, for every key a `FLOW_REMOVED` could
-        /// name — and files nothing but live pairs.
+        /// After every event: the structural invariants hold; the index
+        /// answers exactly what the scan answers, in the same order, for
+        /// every key a `FLOW_REMOVED` could name; and a snapshot restores
+        /// into a state that captures identically — ids and counter
+        /// included.
         #[test]
         fn fwd_index_answers_what_the_scan_answers(
             ops in proptest::collection::vec(arb_pair_op(), 1..80),
@@ -877,7 +997,7 @@ mod tests {
             let mut st = ControlState::new(&cfg);
             for op in ops {
                 match op {
-                    PairOp::Add { client, ingress, fwd, priority, teardown, dead } => {
+                    PairOp::Add { client, ingress, fwd, priority, teardown } => {
                         let pair = InstalledPair {
                             fwd: flow(fwd_pool(client)[fwd].clone(), priority),
                             rev: flow(Match::any(), priority),
@@ -885,7 +1005,6 @@ mod tests {
                             cluster: None,
                             instance: None,
                             teardown_on_handover: teardown,
-                            dead,
                         };
                         st.apply(JournalEvent::PairAdd {
                             client: client_ip(client),
@@ -893,12 +1012,20 @@ mod tests {
                             pair,
                         });
                     }
-                    PairOp::Dead { client, ingress, idx } => {
-                        st.apply(JournalEvent::PairDead {
-                            client: client_ip(client),
-                            ingress: IngressId(ingress),
-                            idx,
-                        });
+                    PairOp::Remove { client, ingress, nth, stale } => {
+                        let mut filed = Vec::new();
+                        for (i, clients) in st.installed.iter().enumerate() {
+                            for (c, pairs) in clients {
+                                filed.extend(pairs.iter().map(|&(id, _)| (id, *c, IngressId(i as u32))));
+                            }
+                        }
+                        filed.sort();
+                        let (id, client, ingress) = match filed.len() {
+                            n if n > 0 && !stale => filed[nth % n],
+                            _ => (PairId(nth as u64), client_ip(client), IngressId(ingress)),
+                        };
+                        let removed = st.apply(JournalEvent::PairRemove { client, ingress, id }).removed;
+                        prop_assert_eq!(removed.is_some(), filed.contains(&(id, client, ingress)));
                     }
                     PairOp::Sweep { client, from } => {
                         st.apply(JournalEvent::HandoverSweep {
@@ -912,24 +1039,26 @@ mod tests {
                         st = restored;
                     }
                 }
-                let mut live = 0;
+                check_structure(&st)?;
                 for (client, ingress) in (0u8..3).flat_map(|c| [(c, 0), (c, 1)]) {
                     let (ip, ingress) = (client_ip(client), IngressId(ingress));
-                    live += st.pairs(ip, ingress).iter().filter(|p| !p.dead).count();
                     // Another client's matches too: they must find nothing.
                     for m in fwd_pool(client).iter().chain(&fwd_pool((client + 1) % 3)) {
                         for priority in PRIORITIES {
                             let same_flow =
                                 |p: &InstalledPair| p.fwd.priority == priority && p.fwd.match_ == *m;
                             prop_assert_eq!(
-                                st.live_pairs_with_fwd(ip, ingress, priority, m),
-                                st.live_pairs(ip, ingress, same_flow)
+                                st.pairs_with_fwd(ip, ingress, priority, m),
+                                st.ids_where(ip, ingress, same_flow)
                             );
                         }
                     }
                 }
-                let filed: usize = st.fwd_index.values().map(|f| 1 + f.more.len()).sum();
-                prop_assert_eq!(filed, live, "the index files exactly the live pairs");
+                let snap = Snapshot::capture(&st);
+                let mut restored = ControlState::new(&cfg);
+                restored.restore(&snap);
+                prop_assert_eq!(restored.next_pair, st.next_pair);
+                prop_assert_eq!(Snapshot::capture(&restored).encode(), snap.encode());
             }
         }
     }

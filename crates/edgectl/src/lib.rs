@@ -88,7 +88,9 @@ pub use controller::{
 pub use dispatch::{DispatchDecision, Dispatcher};
 pub use flowmemory::{FlowKey, FlowMemory, IngressId};
 pub use health::{BreakerState, HealthConfig, HealthMonitor};
-pub use journal::{Journal, JournalConfig, JournalStats, RecoveryMode, RecoveryReport};
+pub use journal::{
+    Journal, JournalConfig, JournalStats, RecoveryMode, RecoveryReport, StateStats,
+};
 pub use migrate::{
     Migration, MigrationConfig, MigrationManager, MigrationPolicy, MigrationReason,
     MigrationRecord, SessionLedger,

@@ -44,6 +44,11 @@ pub(crate) struct InstalledFlow {
 /// with enough context for the self-healing loop: which service/cluster/
 /// instance it redirects to (repair tears down exactly the pairs aimed at a
 /// dead instance) and whether a handover retires it.
+///
+/// A pair lives exactly as long as its forward flow: it is filed when its
+/// Adds go out and leaves the bookkeeping when that flow leaves the switch —
+/// its `FLOW_REMOVED`, or the Delete of a repair, outage, reconcile,
+/// migration flip or handover.
 #[derive(Clone, Debug)]
 pub(crate) struct InstalledPair {
     pub(crate) fwd: InstalledFlow,
@@ -57,11 +62,6 @@ pub(crate) struct InstalledPair {
     /// and handover pairs are; plain packet-in cloud paths never were (they
     /// just idle out), and reconciliation must not change that.
     pub(crate) teardown_on_handover: bool,
-    /// Tombstone: the switch reported the flow gone (`FLOW_REMOVED`) or a
-    /// repair tore it down. Dead pairs are kept — not removed — so the
-    /// handover teardown's message sequence is exactly what it was before
-    /// reconciliation existed; reconciliation simply skips them.
-    pub(crate) dead: bool,
 }
 
 impl InstalledPair {
@@ -269,7 +269,6 @@ impl PairSpec {
                 (self.granularity, target),
                 (Granularity::Connection, Target::Cloud { .. }) | (Granularity::Service, _)
             ),
-            dead: false,
         }
     }
 }

@@ -180,7 +180,7 @@ fn run_mutation_sequence(aggregate: bool) {
     now = ho.completed_at + Duration::from_secs(1);
 
     // A live migration: ledger writes, begin, flow flip (repoints +
-    // teardown tombstones), completion.
+    // teardown removals), completion.
     for _ in 0..5 {
         ctl.note_served(asm, 0);
     }
@@ -195,7 +195,7 @@ fn run_mutation_sequence(aggregate: bool) {
     assert_oracle(&ctl, "migration_tick");
     now = due + Duration::from_secs(1);
 
-    // Switch-side idle expiry raises FlowRemoved: tombstones + Forget.
+    // Switch-side idle expiry raises FlowRemoved: pair removals + Forget.
     now += Duration::from_secs(30);
     for (g, sw) in sws.iter_mut().enumerate() {
         let effects = sw.expire_flows(now);
@@ -304,9 +304,9 @@ fn warm_restart_preserves_recoverable_state_and_cold_does_not() {
 
 /// The forward-flow index is derived state: a warm restart rebuilds it from
 /// the snapshot and the replayed tail, and the rebuilt controller must find
-/// — and tombstone — exactly the pairs its uncrashed twin does when the
-/// flows installed before the crash expire after it. Includes a client whose
-/// handover sweep renumbered its surviving pairs, and two live pairs under
+/// — and remove — exactly the pairs its uncrashed twin does when the flows
+/// installed before the crash expire after it. Includes a client whose
+/// handover sweep retired some pairs and kept one, and two live pairs under
 /// one forward match (a re-install the first one's expiry has not caught up
 /// with).
 #[test]
@@ -357,17 +357,17 @@ fn rebuilt_state_answers_flow_removed_like_the_live_one() {
         if crash {
             ctl.crash_restart(RecoveryMode::Warm, now);
         }
-        let before = ctl.flows_removed;
+        let before = ctl.flows_removed();
         now += Duration::from_secs(60);
         for (g, sw) in sws.iter_mut().enumerate() {
             let effects = sw.expire_flows(now);
             deliver(&mut ctl, sw, IngressId(g as u32), now, effects, &mut rng);
         }
-        assert!(ctl.flows_removed > before, "flows expired and were reported");
+        assert!(ctl.flows_removed() > before, "flows expired and were reported");
         assert_oracle(&ctl, "flow-removed after the handover");
         ctl.state_digest()
     };
     let live = run(false);
-    assert!(live.contains("dead: true"), "FLOW_REMOVED tombstoned pairs");
+    assert!(!live.contains("InstalledPair"), "every FLOW_REMOVED removed its pair");
     assert_eq!(run(true), live, "the rebuilt index found the same pairs");
 }

@@ -287,12 +287,12 @@ fn a_warm_short_connection_costs_at_most_thirty_six_heap_calls() {
     assert!(tb.switch().table().is_empty(), "warm-up flows idled out");
 
     tb.request_at(SimTime::from_secs(60), 4, addr);
-    let (misses, removed) = (tb.switch().table_misses, tb.controller.flows_removed);
+    let (misses, removed) = (tb.switch().table_misses, tb.controller.flows_removed());
     let (calls, _) = heap_calls(|| tb.run_until(SimTime::from_secs(75)));
 
     assert_eq!((tb.completed.len(), tb.drops, tb.resets), (5, 0, 0));
     assert_eq!(tb.switch().table_misses - misses, 1, "one packet-in");
-    assert_eq!(tb.controller.flows_removed - removed, 1, "the pair idled out and said so");
+    assert_eq!(tb.controller.flows_removed() - removed, 1, "the pair idled out and said so");
     assert!(tb.switch().table().is_empty());
     println!("one warm nginx connection, miss to FLOW_REMOVED: {calls} heap calls");
     assert!(calls <= 36, "{calls} heap calls for one warm short connection");

@@ -45,8 +45,8 @@ impl Ledger {
             requests: tb.controller.telemetry.metrics.counter("requests_total"),
             memory_lookups: memory.lookups,
             memory_hits: memory.hits,
-            flow_adds: tb.controller.flow_adds,
-            flows_removed: tb.controller.flows_removed,
+            flow_adds: tb.controller.flow_adds(),
+            flows_removed: tb.controller.flows_removed(),
         }
     }
 
