@@ -326,7 +326,7 @@ fn runtime_chaos_with_retransmission() {
         retransmit: Some(Duration::from_secs(1)),
         ..policy(HandoverPolicy::Anchored, 33)
     };
-    pinned("runtime-chaos", 0x49be_c964_0b61_8b46, session_run(config, Some(SimTime::from_secs(40))));
+    pinned("runtime-chaos", 0xda66_b99c_aea6_ab76, session_run(config, Some(SimTime::from_secs(40))));
 }
 
 /// The journal records in both modes, the control channel queues (1 ms per
@@ -349,12 +349,12 @@ fn crash_run(recovery: RecoveryMode) -> u64 {
 
 #[test]
 fn controller_crash_restarted_warm() {
-    pinned("crash-warm", 0x2e34_ce48_9f20_207f, crash_run(RecoveryMode::Warm));
+    pinned("crash-warm", 0x3130_ef1e_155d_7509, crash_run(RecoveryMode::Warm));
 }
 
 #[test]
 fn controller_crash_restarted_cold() {
-    pinned("crash-cold", 0x526a_8c26_9588_9c84, crash_run(RecoveryMode::Cold));
+    pinned("crash-cold", 0x8409_a886_bf91_b06a, crash_run(RecoveryMode::Cold));
 }
 
 #[test]
@@ -363,7 +363,7 @@ fn live_migration_with_session_state() {
         controller: ControllerConfig { migration: live_migration(20_000), ..ControllerConfig::default() },
         ..policy(HandoverPolicy::Anchored, 35)
     };
-    pinned("live-migration", 0xfc55_6290_97d7_6900, session_run(config, Some(SimTime::from_secs(30))));
+    pinned("live-migration", 0x0e96_f068_a967_d662, session_run(config, Some(SimTime::from_secs(30))));
 }
 
 /// The chaos scenario above under a hundred fault schedules: whatever the
