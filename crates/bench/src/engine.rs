@@ -1,8 +1,8 @@
 //! Event-core throughput: the desim calendar queue vs the naive binary heap.
 //!
-//! Plain `std` (no criterion): run by `repro engine` and by the `engine`
-//! criterion bench, both of which write `BENCH_engine.json`. Three workload
-//! shapes, each run over both queue implementations with identical seeds:
+//! Run by `repro engine`, which writes `BENCH_engine.json` and gates it.
+//! Three workload shapes, each run over both queue implementations with
+//! identical seeds:
 //!
 //! * **schedule_heavy** — push a large batch of uniformly-spread future
 //!   events, then drain. Dominated by insertion cost.
@@ -80,7 +80,7 @@ pub fn gates(v: &Value) -> Result<(), String> {
 
 /// The two queue implementations measured, behind one trait so every
 /// workload is a single generic function (identical code for both sides).
-pub trait BenchQueue {
+trait BenchQueue {
     /// Creates a queue pre-sized for `cap` pending events.
     fn with_capacity(cap: usize) -> Self;
     /// Inserts an event to fire at `t`.

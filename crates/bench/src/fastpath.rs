@@ -1,11 +1,11 @@
 //! Data-plane fast-path measurement: naive vs indexed flow table, plus a
 //! repeated packet through the full switch path, at several table sizes.
 //!
-//! Plain `std` (no criterion): run by `repro fastpath` and by the tail of
-//! the `flowtable` criterion bench, both of which write
-//! `BENCH_flowtable.json`. The headline acceptance number lives here:
-//! indexed lookup at 100k installed flows within 3× of the 10-flow cost
-//! (size-independent exact-match classification).
+//! Run by `repro fastpath`, which writes `BENCH_flowtable.json` and gates it;
+//! the switch is driven through its `_into` entry points, as the harness does.
+//! The headline acceptance number lives here: indexed lookup at 100k
+//! installed flows within 3× of the 10-flow cost (size-independent
+//! exact-match classification).
 
 use crate::artifact;
 use desim::{Duration, SimTime};
@@ -16,13 +16,10 @@ use openflow::messages::{FlowModCommand, Message};
 use openflow::oxm::{Match, MatchView};
 use openflow::table::{entry, FlowEntry, FlowTable};
 use openflow::{NaiveFlowTable, OFP_NO_BUFFER};
-use ovs::{Switch, SwitchConfig};
+use ovs::{Effect, Switch, SwitchConfig};
 use std::hint::black_box;
 use std::time::Instant;
 use yamlite::Value;
-
-/// Table sizes the fast path is measured at.
-pub const SIZES: [usize; 3] = [10, 1_000, 100_000];
 
 /// Measurements at one table size (all ns per operation).
 struct SizePoint {
@@ -41,12 +38,7 @@ struct SizePoint {
 /// number is a wall-clock ratio, so the gate is shape only: every lookup
 /// timed at every size.
 pub fn gates(v: &Value) -> Result<(), String> {
-    let timed = [
-        "flows",
-        "naive_lookup_ns",
-        "indexed_lookup_ns",
-        "switch_hit_ns",
-    ];
+    let timed = ["flows", "naive_lookup_ns", "indexed_lookup_ns", "switch_hit_ns"];
     artifact::positive(v, "sizes", &timed)
 }
 
@@ -66,11 +58,11 @@ fn connection_entry(i: usize) -> FlowEntry {
     )
 }
 
-pub(crate) fn src_ip(i: usize) -> [u8; 4] {
+fn src_ip(i: usize) -> [u8; 4] {
     [192, 168, (i >> 8) as u8, i as u8]
 }
 
-pub(crate) fn src_port(i: usize) -> u16 {
+fn src_port(i: usize) -> u16 {
     50_000 + (i % 1000) as u16
 }
 
@@ -107,13 +99,15 @@ pub(crate) fn ns_per_op(iters: usize, mut op: impl FnMut(usize)) -> f64 {
 
 /// A switch preloaded (through the real control channel) with `size`
 /// per-connection flows.
-pub(crate) fn loaded_switch(size: usize) -> Switch {
+fn loaded_switch(size: usize) -> Switch {
     let mut sw = Switch::new(SwitchConfig {
         datapath_id: 1,
         n_buffers: 64,
         miss_send_len: 128,
         ports: vec![1, 2],
     });
+    // Unbuffered Adds answer nothing: the sink stays empty.
+    let mut effects = Vec::new();
     for i in 0..size {
         let e = connection_entry(i);
         let fm = Message::FlowMod {
@@ -128,18 +122,46 @@ pub(crate) fn loaded_switch(size: usize) -> Switch {
             match_: e.match_,
             instructions: e.instructions,
         };
-        sw.handle_controller(SimTime::ZERO, &fm.encode(i as u32))
+        sw.handle_controller_into(SimTime::ZERO, &fm.encode(i as u32), &mut effects)
             .expect("flow-mod accepted");
     }
     sw
 }
 
-/// Runs the whole measurement matrix and returns the `BENCH_flowtable.json`
-/// text. Iteration counts are scaled so the naive O(n) baseline stays
-/// tractable at 100k flows; total runtime is a few seconds.
+/// Times `iters` warm hits through the full switch path — a copy of a frame
+/// of the connection in the middle of a table of `size` flows, into a sink
+/// emptied before each call — and returns ns per hit and the last call's
+/// effects. This bench's `switch_hit_ns` and [`crate::telemetry`]'s yardstick.
+pub(crate) fn switch_hit(size: usize, iters: usize) -> (f64, Vec<Effect>) {
+    let mut sw = loaded_switch(size);
+    let frame = TcpFrame::syn(
+        MacAddr::from_id(1),
+        MacAddr::from_id(100),
+        Ipv4Addr(src_ip(size / 2)),
+        src_port(size / 2),
+        ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80),
+    )
+    .encode();
+    let mut effects = Vec::with_capacity(1);
+    let ns = ns_per_op(iters, |_| {
+        effects.clear();
+        sw.handle_frame_into(SimTime::ZERO, 1, black_box(&frame).clone(), &mut effects);
+        black_box(&effects);
+    });
+    (ns, effects)
+}
+
+/// Runs the measurement matrix at 10, 1k and 100k flows and returns the
+/// `BENCH_flowtable.json` text, with iteration counts scaled so the naive
+/// O(n) baseline stays tractable at 100k flows (a few seconds in all).
 pub fn run() -> String {
-    let mut points = Vec::new();
-    for size in SIZES {
+    artifact(&run_sized(&[10, 1_000, 100_000]))
+}
+
+/// The measurement at explicit table sizes — `run` picks the real ones;
+/// tests use small ones.
+fn run_sized(sizes: &[usize]) -> Vec<SizePoint> {
+    sizes.iter().map(|&size| {
         let entries: Vec<FlowEntry> = (0..size).map(connection_entry).collect();
         let mut naive = NaiveFlowTable::with_entries(entries.clone(), SimTime::ZERO);
         let mut indexed = FlowTable::new();
@@ -154,29 +176,15 @@ pub fn run() -> String {
         let indexed_lookup_ns = ns_per_op(200_000, |k| {
             black_box(indexed.lookup(black_box(&views[k % views.len()]), 64, SimTime::ZERO));
         });
-
-        // Warm switch path: the same connection's packets, repeated.
-        let mut sw = loaded_switch(size);
-        let frame = TcpFrame::syn(
-            MacAddr::from_id(1),
-            MacAddr::from_id(100),
-            Ipv4Addr(src_ip(size / 2)),
-            src_port(size / 2),
-            ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80),
-        )
-        .encode();
-        let switch_hit_ns = ns_per_op(100_000, |_| {
-            black_box(sw.handle_frame(SimTime::ZERO, 1, black_box(&frame)));
-        });
-
-        points.push(SizePoint {
+        let (switch_hit_ns, _) = switch_hit(size, 100_000);
+        SizePoint {
             flows: size,
             naive_lookup_ns,
             indexed_lookup_ns,
             switch_hit_ns,
-        });
-    }
-    artifact(&points)
+        }
+    })
+    .collect()
 }
 
 /// The `BENCH_flowtable.json` text: one row per table size, then the
@@ -222,6 +230,16 @@ mod tests {
             switch_hit_ns: 100.0,
         };
         assert_eq!(artifact(&[ten]), FIXTURE);
+    }
+
+    #[test]
+    fn a_small_run_passes_the_gate_and_times_a_hit() {
+        let text = artifact(&run_sized(&[10, 100]));
+        assert_eq!(gates(&artifact::parse(&text).unwrap()), Ok(()));
+        for size in [10, 100] {
+            let (_, effects) = switch_hit(size, 2);
+            assert!(matches!(effects[..], [Effect::Forward { port: 2, .. }]), "{effects:?}");
+        }
     }
 
     #[test]

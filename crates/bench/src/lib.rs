@@ -1,4 +1,4 @@
-//! Shared helpers for the benchmark suite and the `repro` binary.
+//! The benches, figures and artifact gates behind the `repro` binary.
 
 #![warn(missing_docs)]
 

@@ -208,6 +208,7 @@ fn run_arm(arm: &'static str, aggregate: bool, p: Params, seed: u64) -> ArmStats
     // deploys the instances (the on-demand `Waited` path), spaced out so
     // each deployment completes in sim time before the measured loop.
     let warm_ip = client_ip_for(0);
+    let mut out = Vec::new();
     for s in 0..p.services {
         let t = SimTime::from_secs(1 + u64::from(s));
         let frame = TcpFrame::syn(
@@ -217,7 +218,8 @@ fn run_arm(arm: &'static str, aggregate: bool, p: Params, seed: u64) -> ArmStats
             1000 + s,
             ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 8000 + s),
         );
-        ctl.handle_switch_message(t, &packet_in(&frame, u32::from(s)), &mut rng)
+        let msg = packet_in(&frame, u32::from(s));
+        ctl.handle_switch_message_into(IngressId::DEFAULT, t, &msg, &mut rng, &mut out)
             .expect("warm-up packet-in");
     }
 
@@ -245,8 +247,8 @@ fn run_arm(arm: &'static str, aggregate: bool, p: Params, seed: u64) -> ArmStats
                 // answered by releasing the switch buffer, not by carrying
                 // the frame back.
                 let msg = packet_in(&frame, (n as u32) & 0x00ff_ffff);
-                let out = ctl
-                    .handle_switch_message_from(ingress, t, &msg, &mut rng)
+                out.clear();
+                ctl.handle_switch_message_into(ingress, t, &msg, &mut rng, &mut out)
                     .expect("packet-in");
                 messages_out += out.len() as u64;
                 t += tick;

@@ -2,23 +2,23 @@
 //! when tracing is disabled (the production configuration), held against
 //! the data-plane fast path they must not slow down.
 //!
-//! Like [`crate::fastpath`] this is plain `std` (no criterion) so the
-//! `repro telemetry` subcommand can run it directly and emit a
-//! machine-readable `telemetry-bench` line for CI. The acceptance number:
+//! Run by `repro telemetry`, which prints a machine-readable
+//! `telemetry-bench` line and writes no artifact. The acceptance number:
 //! the full disabled span/event sequence of one request — what every
 //! packet-in pays when telemetry is off — must cost **< 2%** of a single
 //! warm hit through the full switch path, the cheapest operation on the
-//! critical path.
+//! critical path, timed as [`crate::fastpath`] times it.
 //! (The switch itself contains no telemetry calls at all, so the fast path
 //! proper is untouched by construction; this bench bounds the controller
 //! side.)
 
-use crate::fastpath::{loaded_switch, ns_per_op, src_ip, src_port};
+use crate::fastpath::{ns_per_op, switch_hit};
 use desim::SimTime;
-use netsim::addr::{Ipv4Addr, MacAddr, ServiceAddr};
-use netsim::TcpFrame;
 use std::hint::black_box;
 use telemetry::{SpanId, Telemetry};
+
+/// Flows on the yardstick's switch: a realistically loaded table.
+const YARDSTICK_FLOWS: usize = 1_000;
 
 /// The machine-readable `telemetry-bench` line CI greps, and the overhead
 /// it reports: disabled-telemetry cost as a percentage of one warm switch
@@ -58,20 +58,7 @@ fn request_sequence(tele: &mut Telemetry, k: usize, now: SimTime) {
 /// Runs the measurement and returns its `telemetry-bench` line and overhead
 /// percentage. Total runtime well under a second.
 pub fn run() -> (String, f64) {
-    // The yardstick: a warm hit through the full switch path on a
-    // realistically loaded switch.
-    let mut sw = loaded_switch(1_000);
-    let frame = TcpFrame::syn(
-        MacAddr::from_id(1),
-        MacAddr::from_id(100),
-        Ipv4Addr(src_ip(500)),
-        src_port(500),
-        ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80),
-    )
-    .encode();
-    let switch_hit_ns = ns_per_op(100_000, |_| {
-        black_box(sw.handle_frame(SimTime::ZERO, 1, black_box(&frame)));
-    });
+    let (switch_hit_ns, _) = switch_hit(YARDSTICK_FLOWS, 100_000);
 
     let now = SimTime::from_secs(1);
     let mut disabled = Telemetry::disabled();
@@ -101,6 +88,12 @@ mod tests {
             "telemetry-bench {\"switch_hit_ns\":250.0,\"disabled_request_ns\":2.5,\
              \"recording_request_ns\":500.0,\"overhead_pct\":1.000}"
         );
+    }
+
+    #[test]
+    fn the_yardstick_times_a_switch_hit() {
+        let (_, effects) = switch_hit(YARDSTICK_FLOWS, 2);
+        assert!(matches!(effects[..], [ovs::Effect::Forward { port: 2, .. }]), "{effects:?}");
     }
 
     #[test]

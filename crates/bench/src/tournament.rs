@@ -17,7 +17,7 @@
 use crate::artifact::{self, num};
 use crate::scale::packet_in;
 use desim::{Duration, SimRng, SimTime};
-use edgectl::{AutoscaleConfig, QueueConfig};
+use edgectl::{AutoscaleConfig, IngressId, QueueConfig};
 use edgectl::{Controller, ControllerConfig, DockerCluster, EdgeService, PortMap};
 use dockersim::DockerEngine;
 use netsim::addr::{Ipv4Addr, MacAddr};
@@ -182,6 +182,7 @@ fn run_arm(arm: &'static str, workload: &BurstConfig, seed: u64) -> ArmStats {
     let sweep_every = ctl.load().config().sweep_interval;
     let mut next_sweep = SimTime::ZERO + sweep_every;
     let mut n: u64 = 0;
+    let mut out = Vec::new();
     for r in &trace.requests {
         while next_sweep <= r.at {
             ctl.autoscale_sweep(next_sweep);
@@ -195,7 +196,9 @@ fn run_arm(arm: &'static str, workload: &BurstConfig, seed: u64) -> ArmStats {
             ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 20), 9000 + r.service as u16),
         );
         let msg = packet_in(&frame, (n as u32) & 0x00ff_ffff);
-        ctl.handle_switch_message(r.at, &msg, &mut rng).expect("packet-in");
+        ctl.handle_switch_message_into(IngressId::DEFAULT, r.at, &msg, &mut rng, &mut out)
+            .expect("packet-in");
+        out.clear();
         n += 1;
     }
     let end = SimTime::ZERO + workload.duration;

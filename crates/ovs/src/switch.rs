@@ -107,15 +107,10 @@ impl Switch {
         self.buffers.len()
     }
 
-    /// [`Switch::handle_frame_owned`] on a copy of `data`.
+    /// Wraps [`Self::handle_frame_into`] on a copy of `data`: not the harness's path, and ROADMAP 1 (b) retires it.
     pub fn handle_frame(&mut self, now: SimTime, in_port: u32, data: &[u8]) -> Vec<Effect> {
-        self.handle_frame_owned(now, in_port, data.to_vec())
-    }
-
-    /// Wraps [`Self::handle_frame_into`]: not the harness's path, and ROADMAP 1 (b) retires it.
-    pub fn handle_frame_owned(&mut self, now: SimTime, in_port: u32, data: Vec<u8>) -> Vec<Effect> {
         let mut out = Vec::new();
-        self.handle_frame_into(now, in_port, data, &mut out);
+        self.handle_frame_into(now, in_port, data.to_vec(), &mut out);
         out
     }
 

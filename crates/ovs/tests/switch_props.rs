@@ -575,7 +575,7 @@ proptest! {
             let want = match input {
                 Some(Input::Frame { in_port, data }) => {
                     sunk.handle_frame_into(now, in_port, data.clone(), &mut sink);
-                    Ok(wrapped.handle_frame_owned(now, in_port, data))
+                    Ok(wrapped.handle_frame(now, in_port, &data))
                 }
                 Some(Input::Control(bytes)) => {
                     let failed = sunk.handle_controller_into(now, &bytes, &mut sink).is_err();

@@ -120,7 +120,8 @@ fn a_warm_upload_costs_at_most_six_tenths_of_a_heap_call_and_an_eighth_of_its_by
 
 /// A frame on an installed flow costs the switch no heap call: verified,
 /// classified and rewritten in the buffer it arrived in, which then moves
-/// into the caller's sink. (The `Vec`-returning wrapper allocates the `Vec`.)
+/// into the caller's sink. (The `Vec`-returning wrapper copies the frame and
+/// allocates the `Vec`.)
 #[test]
 fn a_fast_path_frame_into_a_sink_with_room_does_not_touch_the_heap() {
     let service = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80);
@@ -141,8 +142,8 @@ fn a_fast_path_frame_into_a_sink_with_room_does_not_touch_the_heap() {
     }
     assert_eq!((sw.fast_path_packets, sw.table_misses), (3, 0));
     let frame = syn.encode();
-    let (calls, effects) = heap_calls(|| sw.handle_frame_owned(SimTime::from_secs(3), 1, frame));
-    assert_eq!((calls, effects.len()), (1, 1), "the wrapper's `Vec`");
+    let (calls, effects) = heap_calls(|| sw.handle_frame(SimTime::from_secs(3), 1, &frame));
+    assert_eq!((calls, effects.len()), (2, 1), "the wrapper's copy of the frame and its `Vec`");
 }
 
 /// A counter bump or a histogram observation under a name the registry has
