@@ -183,7 +183,7 @@ fn build_controller(p: Params, aggregate: bool, rng: &mut SimRng) -> Controller 
 
 /// Encodes a `PACKET_IN` carrying `frame`, as the ingress switch would send
 /// it on a table miss.
-pub(crate) fn packet_in(frame: &TcpFrame, buffer_id: u32) -> Vec<u8> {
+fn packet_in(frame: &TcpFrame, buffer_id: u32) -> Vec<u8> {
     let data = frame.encode();
     Message::PacketIn {
         buffer_id,

@@ -241,16 +241,18 @@ const TRAJECTORY: [(&str, &str, Cells); 8] = [
         ))
     }),
     ("BENCH_tournament.json", "load-aware scheduling", |v| {
+        let lc = row(v, "arms", "arm", "least-connections")?;
         Some((
             format!(
-                "least-connections p99 {:.1} ms vs random {:.1} ms",
+                "least-connections warm p99 {:.1} ms vs random {:.1} ms",
                 num(v, "least_connections_p99_ms")?,
                 num(v, "random_p99_ms")?
             ),
             format!(
-                "{} arms, lc cost {:.2} mean replicas",
+                "{} arms, lc {:.0} cold starts, cost {:.2} mean replicas",
                 crate::tournament::ARMS.len(),
-                num(row(v, "arms", "arm", "least-connections")?, "mean_replicas")?
+                num(lc, "cold_starts")?,
+                num(lc, "mean_replicas")?
             ),
         ))
     }),

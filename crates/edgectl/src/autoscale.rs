@@ -266,25 +266,13 @@ impl Default for AutoscaleConfig {
     }
 }
 
-/// One autoscaler decision, for telemetry and traces.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ScaleEvent {
-    /// The service whose pool changed.
-    pub service: ServiceAddr,
-    /// The cluster the pool lives on.
-    pub cluster: usize,
-    /// Replica count after the change.
-    pub replicas: usize,
-    /// `true` for scale-up, `false` for scale-down.
-    pub up: bool,
-}
-
 /// Tracks every (service, cluster) replica pool: admissions, queue state
 /// for the scheduler, the autoscaler sweep, and replica-time cost.
 #[derive(Debug, Default)]
 pub struct LoadTracker {
     cfg: AutoscaleConfig,
     pools: HashMap<(ServiceAddr, usize), ServicePool>,
+    last_sweep: SimTime,
     retired_replica_seconds: f64,
     admissions: u64,
     rejections: u64,
@@ -402,18 +390,30 @@ impl LoadTracker {
         }
     }
 
+    /// When the next autoscaler pass is due: the first multiple of
+    /// `sweep_interval` after the last pass. `None` while autoscaling is off
+    /// or no pool exists — there is nothing to flex.
+    pub(crate) fn next_sweep_at(&self) -> Option<SimTime> {
+        if !self.cfg.enabled || self.pools.is_empty() {
+            return None;
+        }
+        let step = self.cfg.sweep_interval.as_nanos().max(1);
+        Some(SimTime::from_nanos((self.last_sweep.as_nanos() / step + 1) * step))
+    }
+
     /// One autoscaler pass over every pool, in deterministic (sorted) order.
     /// Applies hysteresis (disjoint up/down utilization thresholds) and the
-    /// per-pool cooldown; returns the scale events it performed.
-    pub fn sweep(&mut self, now: SimTime) -> Vec<ScaleEvent> {
+    /// per-pool cooldown; the scale operations land in
+    /// [`scale_ups`](Self::scale_ups) / [`scale_downs`](Self::scale_downs).
+    pub(crate) fn sweep(&mut self, now: SimTime) {
         if !self.cfg.enabled {
-            return Vec::new();
+            return;
         }
+        self.last_sweep = now;
+        let cfg = &self.cfg;
         let mut keys: Vec<(ServiceAddr, usize)> = self.pools.keys().copied().collect();
         keys.sort();
-        let mut events = Vec::new();
         for key in keys {
-            let cfg = self.cfg.clone();
             let pool = self.pools.get_mut(&key).expect("key just listed");
             if now.saturating_since(pool.last_scale) < cfg.cooldown {
                 continue;
@@ -427,12 +427,6 @@ impl LoadTracker {
                 pool.queues.push(InstanceQueue::new(cfg.queue));
                 pool.last_scale = now;
                 self.scale_ups += 1;
-                events.push(ScaleEvent {
-                    service: key.0,
-                    cluster: key.1,
-                    replicas: pool.queues.len(),
-                    up: true,
-                });
             } else if n > cfg.min_replicas
                 && util < cfg.scale_down_utilization
                 && backlog == 0
@@ -442,15 +436,8 @@ impl LoadTracker {
                 pool.queues.pop();
                 pool.last_scale = now;
                 self.scale_downs += 1;
-                events.push(ScaleEvent {
-                    service: key.0,
-                    cluster: key.1,
-                    replicas: pool.queues.len(),
-                    up: false,
-                });
             }
         }
-        events
     }
 
     /// Total replica-time (replica-count × wall time, in seconds) accrued by
@@ -604,28 +591,30 @@ mod tests {
         };
         let mut tr = LoadTracker::new(cfg);
         let t0 = SimTime::from_secs(10);
+        assert_eq!(tr.next_sweep_at(), None, "no pool, nothing to flex");
         tr.ensure_pool(svc(1), 0, base(), t0);
+        assert_eq!(tr.next_sweep_at(), Some(SimTime::from_secs(1)), "one interval after none");
         // Saturate replica 0 (full concurrency + backlog) just before the
         // sweep so the queue is still busy when the autoscaler looks.
         let t1 = t0 + Duration::from_secs(2);
         for _ in 0..4 {
             tr.admit(svc(1), 0, 0, t1);
         }
-        let ev = tr.sweep(t1);
-        assert_eq!(
-            ev,
-            vec![ScaleEvent { service: svc(1), cluster: 0, replicas: 2, up: true }]
-        );
+        let replicas = |tr: &LoadTracker| tr.replica_counts()[0].1;
+        tr.sweep(t1);
+        assert_eq!((tr.scale_ups(), replicas(&tr)), (1, 2));
+        assert_eq!(tr.next_sweep_at(), Some(t1 + Duration::from_secs(1)));
         // Cooldown: an immediate second sweep does nothing.
-        assert!(tr.sweep(t1).is_empty());
-        // Long idle: scales back down to the floor, one step per sweep.
-        let ev = tr.sweep(t0 + Duration::from_secs(100));
-        assert_eq!(
-            ev,
-            vec![ScaleEvent { service: svc(1), cluster: 0, replicas: 1, up: false }]
-        );
-        assert!(tr.sweep(t0 + Duration::from_secs(200)).is_empty(), "at the floor");
-        assert_eq!((tr.scale_ups(), tr.scale_downs()), (1, 1));
+        tr.sweep(t1);
+        assert_eq!((tr.scale_ups(), replicas(&tr)), (1, 2));
+        // Long idle: scales back down to the floor, one step per sweep, and
+        // the next pass lands on the interval grid.
+        let idle = t0 + Duration::from_millis(100_300);
+        tr.sweep(idle);
+        assert_eq!((tr.scale_downs(), replicas(&tr)), (1, 1));
+        assert_eq!(tr.next_sweep_at(), Some(SimTime::from_secs(111)));
+        tr.sweep(t0 + Duration::from_secs(200));
+        assert_eq!((tr.scale_ups(), tr.scale_downs(), replicas(&tr)), (1, 1, 1), "at the floor");
     }
 
     #[test]
@@ -636,7 +625,9 @@ mod tests {
         for _ in 0..32 {
             tr.admit(svc(1), 0, 0, SimTime::ZERO);
         }
-        assert!(tr.sweep(SimTime::from_secs(60)).is_empty());
+        assert_eq!(tr.next_sweep_at(), None, "never due");
+        tr.sweep(SimTime::from_secs(60));
+        assert_eq!((tr.scale_ups(), tr.replica_counts()[0].1), (0, 1));
     }
 
     #[test]

@@ -575,6 +575,15 @@ health:
         for known in crate::scheduler::KNOWN_SCHEDULERS {
             assert!(msg.contains(known), "{msg} should list {known}");
         }
+        // `predictive` was a name once; it is gone, and the eight that are
+        // left are listed.
+        let err = EdgeConfig::from_yaml("scheduler: predictive").unwrap_err();
+        assert_eq!(crate::scheduler::KNOWN_SCHEDULERS.len(), 8);
+        assert_eq!(
+            err.to_string(),
+            "unknown component: unknown scheduler `predictive` (known: proximity, latency-aware, round-robin, \
+             cloud-only, docker-first, random, least-connections, latency-ewma)"
+        );
         let err = EdgeConfig::from_yaml("predictor: psychic").unwrap_err();
         assert!(matches!(err, ConfigError::Unknown(_)));
     }

@@ -3131,10 +3131,12 @@ mod tests {
 
     /// `Controller::serving` against the data plane's own truth, over every
     /// instance state × {base, replica, stale address} × autoscaling off/on.
-    /// The oracle is the harness's listener: a SYN to an address is answered
-    /// at `t` iff the cluster reports that address as the instance's — or,
-    /// with autoscaling on, the pool derives it from that base — and the
-    /// instance is ready at `t`.
+    /// The oracle is the rule the harness's listener answers by: a SYN to an
+    /// address is answered at `t` iff the cluster reports that address as
+    /// the instance's — or, with autoscaling on, the pool derives it from
+    /// that base — and the instance is ready at `t`. The testbed's
+    /// `autoscaled_replicas_scale_and_answer_on_the_data_path` sends real
+    /// connections to such replicas.
     #[test]
     fn serving_agrees_with_what_the_data_plane_answers() {
         let svc = make_service("asm", 80);

@@ -3,7 +3,6 @@
 //! paper's Remove phase), proactive deployment and the autoscaler pass.
 
 use super::{Controller, LifecycleAction, ScaleDownEvent};
-use crate::autoscale::ScaleEvent;
 use crate::cluster::InstanceState;
 use crate::journal::JournalEvent;
 use crate::service::EdgeService;
@@ -18,11 +17,15 @@ impl Controller {
         *hold = (*hold).max(until);
     }
 
-    /// Periodic idle sweep: expires FlowMemory entries and scales down
-    /// services whose last flow vanished. Returns what was scaled down.
+    /// Periodic sweep: runs the autoscaler pass when it is due, expires
+    /// FlowMemory entries and scales down services whose last flow vanished.
+    /// Returns what was scaled down.
     pub fn tick(&mut self, now: SimTime, rng: &mut SimRng) -> Vec<ScaleDownEvent> {
         self.synced(|ctl| {
             let mut events = Vec::new();
+            if ctl.dispatcher.load().next_sweep_at().is_some_and(|t| t <= now) {
+                ctl.autoscale_sweep(now);
+            }
             // Holds whose release instant has passed no longer pin anything.
             ctl.held.retain(|_, until| now < *until);
             let mut expired = ctl.state.memory_mut().expire(now);
@@ -135,7 +138,8 @@ impl Controller {
             .keys()
             .filter_map(|k| self.held.get(k).copied())
             .min();
-        [self.state.memory().next_expiry(), removal, deferred]
+        let sweep = self.dispatcher.load().next_sweep_at();
+        [self.state.memory().next_expiry(), removal, deferred, sweep]
             .into_iter()
             .flatten()
             .min()
@@ -190,33 +194,20 @@ impl Controller {
         (ready != SimTime::MAX).then_some(ready)
     }
 
-    /// One horizontal-autoscaler pass, run every `autoscale.sweep_interval`
-    /// of simulated time: flexes each service's replica pool on queue depth
-    /// and utilization (hysteresis + cooldown live in
-    /// [`LoadTracker::sweep`](crate::autoscale::LoadTracker::sweep)), bumps
-    /// the `autoscale_ups`/`autoscale_downs` counters, and refreshes the
-    /// per-pool `replicas.{service}.{cluster}` gauges. A no-op while
-    /// autoscaling is disabled (the default), so experiments that never
-    /// opt in stay byte-identical.
-    pub fn autoscale_sweep(&mut self, now: SimTime) -> Vec<ScaleEvent> {
-        if !self.dispatcher.load().enabled() {
-            return Vec::new();
+    /// One horizontal-autoscaler pass, run by `tick` once per
+    /// `autoscale.sweep_interval`: flexes each service's replica pool on
+    /// queue depth and utilization (hysteresis + cooldown live in
+    /// `LoadTracker::sweep`), counts `autoscale_ups` / `autoscale_downs`,
+    /// and refreshes the per-pool `replicas.{service}.{cluster}` gauges.
+    fn autoscale_sweep(&mut self, now: SimTime) {
+        let load = self.dispatcher.load_mut();
+        let before = (load.scale_ups(), load.scale_downs());
+        load.sweep(now);
+        let metrics = &mut self.telemetry.metrics;
+        metrics.add("autoscale_ups", load.scale_ups() - before.0);
+        metrics.add("autoscale_downs", load.scale_downs() - before.1);
+        for ((svc, cluster), n) in load.replica_counts() {
+            metrics.set_gauge(&format!("replicas.{}:{}.{cluster}", svc.ip, svc.port), n as f64);
         }
-        let events = self.dispatcher.load_mut().sweep(now);
-        for ev in &events {
-            self.telemetry.metrics.inc(if ev.up {
-                "autoscale_ups"
-            } else {
-                "autoscale_downs"
-            });
-        }
-        let counts = self.dispatcher.load().replica_counts();
-        for ((svc, cluster), n) in counts {
-            self.telemetry.metrics.set_gauge(
-                &format!("replicas.{}:{}.{cluster}", svc.ip, svc.port),
-                n as f64,
-            );
-        }
-        events
     }
 }

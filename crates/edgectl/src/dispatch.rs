@@ -19,7 +19,7 @@
 use crate::autoscale::{Admission, AutoscaleConfig, LoadTracker};
 use crate::cluster::{DeployError, EdgeCluster, InstanceAddr, InstanceState};
 use crate::flowmemory::{FlowKey, FlowMemory, IngressId};
-use crate::health::{HealthConfig, HealthMonitor};
+use crate::health::HealthMonitor;
 use crate::scheduler::{
     ClusterView, GlobalScheduler, RequestClass, SchedulingContext, ServiceRef, Target,
 };
@@ -328,39 +328,7 @@ impl Dispatcher {
     }
 
     /// Dispatches one request from `client_ip` to `svc` (Fig. 7) arriving at
-    /// the default ingress, untraced — a convenience wrapper over
-    /// [`Dispatcher::dispatch_at`] for callers that drive the dispatcher
-    /// directly (tests, examples). It runs against a throwaway
-    /// [`HealthMonitor`], so breaker feedback does not carry from one call to
-    /// the next; a caller that wants breakers owns a monitor and calls
-    /// `dispatch_at`.
-    pub fn dispatch_untraced(
-        &mut self,
-        svc: &EdgeService,
-        client_ip: Ipv4Addr,
-        now: SimTime,
-        clusters: &mut [Box<dyn EdgeCluster>],
-        memory: &mut FlowMemory,
-        rng: &mut SimRng,
-    ) -> DispatchOutcome {
-        self.dispatch_at(
-            svc,
-            client_ip,
-            IngressId::DEFAULT,
-            None,
-            RequestClass::NewFlow,
-            now,
-            clusters,
-            memory,
-            &mut HealthMonitor::new(HealthConfig::default()),
-            rng,
-            &mut Telemetry::disabled(),
-            0,
-            SpanId::NONE,
-        )
-    }
-
-    /// Dispatches one request arriving at a specific `ingress` (gNB).
+    /// a specific `ingress` (gNB).
     ///
     /// `distances` optionally overrides each cluster's advertised latency
     /// with the latency *as seen from this ingress* — in a multi-gNB
@@ -849,6 +817,7 @@ fn next_poll_at(base: SimTime, ready: SimTime, interval: Duration) -> SimTime {
 mod tests {
     use super::*;
     use crate::cluster::DockerCluster;
+    use crate::health::HealthConfig;
     use crate::scheduler::{LatencyAwareScheduler, ProximityScheduler};
     use dockersim::DockerEngine;
     use netsim::addr::MacAddr;
@@ -876,6 +845,35 @@ mod tests {
 
     fn dispatcher(sched: Box<dyn GlobalScheduler>) -> Dispatcher {
         Dispatcher::new(sched, Duration::from_millis(25))
+    }
+
+    /// One untraced default-ingress dispatch against a throwaway health
+    /// monitor, so breaker feedback does not carry from one call to the
+    /// next (tests that want breakers own one: [`dispatch_with`]).
+    fn dispatch(
+        d: &mut Dispatcher,
+        svc: &EdgeService,
+        client_ip: Ipv4Addr,
+        now: SimTime,
+        clusters: &mut [Box<dyn EdgeCluster>],
+        memory: &mut FlowMemory,
+        rng: &mut SimRng,
+    ) -> DispatchOutcome {
+        d.dispatch_at(
+            svc,
+            client_ip,
+            IngressId::DEFAULT,
+            None,
+            RequestClass::NewFlow,
+            now,
+            clusters,
+            memory,
+            &mut HealthMonitor::new(HealthConfig::default()),
+            rng,
+            &mut Telemetry::disabled(),
+            0,
+            SpanId::NONE,
+        )
     }
 
     fn docker_faulty(
@@ -906,7 +904,7 @@ mod tests {
         let mut d = dispatcher(Box::<ProximityScheduler>::default());
 
         let now = SimTime::from_secs(1);
-        let out = d.dispatch_untraced(&svc, Ipv4Addr::new(192, 168, 1, 20), now, &mut clusters, &mut memory, &mut rng);
+        let out = dispatch(&mut d, &svc, Ipv4Addr::new(192, 168, 1, 20), now, &mut clusters, &mut memory, &mut rng);
         assert!(!out.from_memory);
         let DispatchDecision::WaitThenRedirect { ready_at, cluster, .. } = out.decision else {
             panic!("expected with-waiting: {:?}", out.decision);
@@ -926,7 +924,7 @@ mod tests {
 
         // Second request from the same client: memorized, immediate.
         let later = ready_at + Duration::from_secs(1);
-        let out2 = d.dispatch_untraced(&svc, Ipv4Addr::new(192, 168, 1, 20), later, &mut clusters, &mut memory, &mut rng);
+        let out2 = dispatch(&mut d, &svc, Ipv4Addr::new(192, 168, 1, 20), later, &mut clusters, &mut memory, &mut rng);
         assert!(out2.from_memory);
         assert!(matches!(out2.decision, DispatchDecision::Redirect { .. }));
     }
@@ -949,7 +947,7 @@ mod tests {
         let mut memory = FlowMemory::new(Duration::from_secs(30));
         let mut d = dispatcher(Box::<LatencyAwareScheduler>::default());
         let now = far_ready + Duration::from_secs(1);
-        let out = d.dispatch_untraced(&svc, Ipv4Addr::new(192, 168, 1, 20), now, &mut clusters, &mut memory, &mut rng);
+        let out = dispatch(&mut d, &svc, Ipv4Addr::new(192, 168, 1, 20), now, &mut clusters, &mut memory, &mut rng);
         // Current request: immediate redirect to the far instance.
         let DispatchDecision::Redirect { cluster, .. } = out.decision else {
             panic!("expected immediate redirect: {:?}", out.decision);
@@ -962,7 +960,7 @@ mod tests {
 
         // After the near instance is up, a *new* client is redirected there.
         let later = bg.ready_at + Duration::from_secs(1);
-        let out2 = d.dispatch_untraced(&svc, Ipv4Addr::new(192, 168, 1, 21), later, &mut clusters, &mut memory, &mut rng);
+        let out2 = dispatch(&mut d, &svc, Ipv4Addr::new(192, 168, 1, 21), later, &mut clusters, &mut memory, &mut rng);
         let DispatchDecision::Redirect { cluster, .. } = out2.decision else {
             panic!("expected redirect: {:?}", out2.decision);
         };
@@ -977,7 +975,7 @@ mod tests {
         let mut clusters = vec![docker("near", 1, 100, true, &mut rng)];
         let mut memory = FlowMemory::new(Duration::from_secs(30));
         let mut d = dispatcher(Box::<LatencyAwareScheduler>::default());
-        let out = d.dispatch_untraced(&svc, Ipv4Addr::new(192, 168, 1, 20), SimTime::ZERO, &mut clusters, &mut memory, &mut rng);
+        let out = dispatch(&mut d, &svc, Ipv4Addr::new(192, 168, 1, 20), SimTime::ZERO, &mut clusters, &mut memory, &mut rng);
         assert!(matches!(out.decision, DispatchDecision::ForwardToCloud));
         assert!(out.background.is_some(), "deployment still triggered");
     }
@@ -990,7 +988,7 @@ mod tests {
         let mut memory = FlowMemory::new(Duration::from_secs(30));
         let mut d = dispatcher(Box::<ProximityScheduler>::default());
         let now = SimTime::ZERO;
-        let out = d.dispatch_untraced(&svc, Ipv4Addr::new(192, 168, 1, 20), now, &mut clusters, &mut memory, &mut rng);
+        let out = dispatch(&mut d, &svc, Ipv4Addr::new(192, 168, 1, 20), now, &mut clusters, &mut memory, &mut rng);
         let DispatchDecision::WaitThenRedirect { ready_at, .. } = out.decision else {
             panic!("expected with-waiting");
         };
@@ -1008,13 +1006,13 @@ mod tests {
         let mut clusters = vec![docker("near", 1, 100, true, &mut rng)];
         let mut memory = FlowMemory::new(Duration::from_secs(30));
         let mut d = dispatcher(Box::<ProximityScheduler>::default());
-        let out = d.dispatch_untraced(&svc, Ipv4Addr::new(192, 168, 1, 20), SimTime::ZERO, &mut clusters, &mut memory, &mut rng);
+        let out = dispatch(&mut d, &svc, Ipv4Addr::new(192, 168, 1, 20), SimTime::ZERO, &mut clusters, &mut memory, &mut rng);
         let DispatchDecision::WaitThenRedirect { ready_at, .. } = out.decision else {
             panic!()
         };
         // Different client, after readiness: scheduler runs but redirect is
         // immediate (instance ready), no new deployment.
-        let out2 = d.dispatch_untraced(&svc, Ipv4Addr::new(192, 168, 1, 99), ready_at + Duration::from_secs(1), &mut clusters, &mut memory, &mut rng);
+        let out2 = dispatch(&mut d, &svc, Ipv4Addr::new(192, 168, 1, 99), ready_at + Duration::from_secs(1), &mut clusters, &mut memory, &mut rng);
         assert!(!out2.from_memory);
         assert!(matches!(out2.decision, DispatchDecision::Redirect { .. }));
         assert!(out2.phases.scale_up_at.is_none(), "no deployment phases ran");
@@ -1032,13 +1030,13 @@ mod tests {
         let mut d = dispatcher(Box::<ProximityScheduler>::default());
 
         let now = SimTime::from_secs(1);
-        let out = d.dispatch_untraced(&svc, Ipv4Addr::new(192, 168, 1, 20), now, &mut clusters, &mut memory, &mut rng);
+        let out = dispatch(&mut d, &svc, Ipv4Addr::new(192, 168, 1, 20), now, &mut clusters, &mut memory, &mut rng);
         let DispatchDecision::WaitThenRedirect { ready_at, .. } = out.decision else {
             panic!("expected with-waiting");
         };
         // Second client lands mid-deployment.
         let mid = now + (ready_at - now) / 2;
-        let out2 = d.dispatch_untraced(&svc, Ipv4Addr::new(192, 168, 1, 21), mid, &mut clusters, &mut memory, &mut rng);
+        let out2 = dispatch(&mut d, &svc, Ipv4Addr::new(192, 168, 1, 21), mid, &mut clusters, &mut memory, &mut rng);
         let DispatchDecision::WaitThenRedirect { ready_at: r2, .. } = out2.decision else {
             panic!("expected with-waiting for the second client: {:?}", out2.decision);
         };
@@ -1068,7 +1066,7 @@ mod tests {
         let mut d = dispatcher(Box::<ProximityScheduler>::default());
 
         let now = SimTime::from_secs(1);
-        let out = d.dispatch_untraced(&svc, Ipv4Addr::new(192, 168, 1, 20), now, &mut clusters, &mut memory, &mut rng);
+        let out = dispatch(&mut d, &svc, Ipv4Addr::new(192, 168, 1, 20), now, &mut clusters, &mut memory, &mut rng);
         let DispatchDecision::FallbackCloud { released_at } = out.decision else {
             panic!("expected cloud fallback: {:?}", out.decision);
         };
@@ -1080,7 +1078,7 @@ mod tests {
         // A second request before the give-up instant coalesces instead of
         // re-driving (and re-failing) the phases.
         let mid = now + (released_at - now) / 2;
-        let out2 = d.dispatch_untraced(&svc, Ipv4Addr::new(192, 168, 1, 21), mid, &mut clusters, &mut memory, &mut rng);
+        let out2 = dispatch(&mut d, &svc, Ipv4Addr::new(192, 168, 1, 21), mid, &mut clusters, &mut memory, &mut rng);
         let DispatchDecision::FallbackCloud { released_at: r2 } = out2.decision else {
             panic!("expected coalesced fallback: {:?}", out2.decision);
         };
@@ -1090,7 +1088,7 @@ mod tests {
 
         // After the give-up instant passes, a fresh attempt is made.
         let later = released_at + Duration::from_secs(1);
-        let out3 = d.dispatch_untraced(&svc, Ipv4Addr::new(192, 168, 1, 22), later, &mut clusters, &mut memory, &mut rng);
+        let out3 = dispatch(&mut d, &svc, Ipv4Addr::new(192, 168, 1, 22), later, &mut clusters, &mut memory, &mut rng);
         let DispatchDecision::FallbackCloud { released_at: r3 } = out3.decision else {
             panic!("expected a fresh failing attempt: {:?}", out3.decision);
         };
@@ -1117,7 +1115,8 @@ mod tests {
             let mut clusters = vec![docker_faulty("near", 1, plan, 0x42, &mut rng)];
             let mut memory = FlowMemory::new(Duration::from_secs(30));
             let mut d = dispatcher(Box::<ProximityScheduler>::default());
-            let out = d.dispatch_untraced(
+            let out = dispatch(
+                &mut d,
                 &svc,
                 Ipv4Addr::new(192, 168, 1, 20),
                 SimTime::from_secs(1),

@@ -79,7 +79,7 @@ pub mod scheduler;
 pub mod service;
 
 pub use annotate::{annotate_deployment, AnnotateError, AnnotatedService};
-pub use autoscale::{Admission, AutoscaleConfig, LoadTracker, QueueConfig, ScaleEvent};
+pub use autoscale::{Admission, AutoscaleConfig, LoadTracker, QueueConfig};
 pub use cluster::{DockerCluster, EdgeCluster, InstanceAddr, InstanceState, K8sEdgeCluster};
 pub use controller::{
     ControlPlaneError, Controller, ControllerConfig, HandoverOutcome, HandoverPolicy,
@@ -98,7 +98,7 @@ pub use migrate::{
 pub use scheduler::{
     scheduler_by_name, Choice, ClusterView, CloudOnlyScheduler, DockerFirstScheduler,
     GlobalScheduler, InstanceView, LatencyAwareScheduler, LatencyEwmaScheduler,
-    LeastConnectionsScheduler, PredictiveScheduler, ProximityScheduler, RandomScheduler,
+    LeastConnectionsScheduler, ProximityScheduler, RandomScheduler,
     RequestClass, RoundRobinScheduler, SchedulingContext, ServiceRef, Target, UnknownComponent,
     KNOWN_SCHEDULERS,
 };

@@ -27,7 +27,6 @@
 
 use crate::cluster::InstanceState;
 use crate::health::BreakerState;
-use crate::predict::{DeploymentPredictor, RecencyPredictor};
 use desim::{Duration, SimTime};
 use netsim::ServiceAddr;
 
@@ -462,53 +461,6 @@ impl GlobalScheduler for LatencyEwmaScheduler {
     }
 }
 
-/// Wires the [`DeploymentPredictor`] hook into placement: serves like
-/// least-connections, but when the predictor nominates the service as hot
-/// and the optimal (nearest) cluster is not where the request is served
-/// from, it asks for a background deployment there — prediction-driven
-/// on-demand deployment without waiting.
-pub struct PredictiveScheduler {
-    predictor: Box<dyn DeploymentPredictor>,
-}
-
-impl PredictiveScheduler {
-    /// Builds the scheduler around any predictor implementation.
-    pub fn new(predictor: Box<dyn DeploymentPredictor>) -> PredictiveScheduler {
-        PredictiveScheduler { predictor }
-    }
-}
-
-impl Default for PredictiveScheduler {
-    fn default() -> Self {
-        PredictiveScheduler::new(Box::new(RecencyPredictor::new(Duration::from_secs(60))))
-    }
-}
-
-impl GlobalScheduler for PredictiveScheduler {
-    fn name(&self) -> &str {
-        "predictive"
-    }
-
-    fn choose(&mut self, ctx: &SchedulingContext) -> Choice {
-        self.predictor.observe(ctx.service.addr, ctx.now);
-        let fast = ready_instances(ctx.clusters)
-            .min_by_key(|(i, c, v)| (v.at_capacity(), v.queue_depth(), c.distance, *i, v.instance))
-            .map(|(i, _, v)| Target { cluster: i, instance: v.instance });
-        let Some(fast) = fast else {
-            return Choice {
-                fast: nearest(ctx.clusters, |_| true).map(Target::sole),
-                best: None,
-            };
-        };
-        let optimal = nearest(ctx.clusters, |_| true);
-        let hot = self.predictor.predict(ctx.now).contains(&ctx.service.addr);
-        let best = optimal
-            .filter(|&o| hot && o != fast.cluster)
-            .map(Target::sole);
-        Choice { fast: Some(fast), best }
-    }
-}
-
 /// Names [`scheduler_by_name`] accepts, in documentation order.
 pub const KNOWN_SCHEDULERS: &[&str] = &[
     "proximity",
@@ -519,7 +471,6 @@ pub const KNOWN_SCHEDULERS: &[&str] = &[
     "random",
     "least-connections",
     "latency-ewma",
-    "predictive",
 ];
 
 /// A registry lookup that no built-in component answers to. Shared by the
@@ -561,7 +512,6 @@ pub fn scheduler_by_name(name: &str) -> Result<Box<dyn GlobalScheduler>, Unknown
         "random" => Ok(Box::<RandomScheduler>::default()),
         "least-connections" => Ok(Box::<LeastConnectionsScheduler>::default()),
         "latency-ewma" => Ok(Box::<LatencyEwmaScheduler>::default()),
-        "predictive" => Ok(Box::<PredictiveScheduler>::default()),
         _ => Err(UnknownComponent {
             kind: "scheduler",
             requested: name.to_owned(),
@@ -765,24 +715,6 @@ mod tests {
     }
 
     #[test]
-    fn predictive_deploys_at_optimum_for_hot_services() {
-        let mut s = PredictiveScheduler::default();
-        // Only the far cluster runs the service; the near one is optimal.
-        let clusters = [view("far", 500, true), view("near", 100, false)];
-        // First sight: the recency predictor already nominates the service,
-        // so the optimum gets a background deployment.
-        let c = s.choose(&ctx(&clusters));
-        assert_eq!(c.fast, Some(Target::sole(0)));
-        assert_eq!(c.best, Some(Target::sole(1)));
-        assert!(c.is_without_waiting());
-        // Once the optimum is ready, the decision is terminal.
-        let both = [view("far", 500, true), view("near", 100, true)];
-        let c = s.choose(&ctx(&both));
-        assert_eq!(c.fast, Some(Target::sole(1)));
-        assert_eq!(c.best, None);
-    }
-
-    #[test]
     fn target_sole_is_replica_zero() {
         assert_eq!(Target::sole(3), Target { cluster: 3, instance: 0 });
     }
@@ -801,6 +733,8 @@ mod tests {
         for name in KNOWN_SCHEDULERS {
             assert!(msg.contains(name), "error must list `{name}`: {msg}");
         }
+        let err = scheduler_by_name("predictive").err().unwrap();
+        assert_eq!((err.known.len(), err.known), (8, KNOWN_SCHEDULERS));
     }
 
     #[test]

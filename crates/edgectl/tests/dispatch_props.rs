@@ -2,13 +2,14 @@
 
 use desim::{Duration, SimRng, SimTime};
 use edgectl::cluster::{DockerCluster, EdgeCluster};
-use edgectl::dispatch::{DispatchDecision, Dispatcher};
+use edgectl::dispatch::{DispatchDecision, DispatchOutcome, Dispatcher};
 use edgectl::flowmemory::{FlowKey, FlowMemory, IngressId};
-use edgectl::scheduler::scheduler_by_name;
-use edgectl::EdgeService;
+use edgectl::scheduler::{scheduler_by_name, RequestClass};
+use edgectl::{EdgeService, HealthConfig, HealthMonitor};
 use netsim::addr::{Ipv4Addr, MacAddr};
 use netsim::ServiceAddr;
 use proptest::prelude::*;
+use telemetry::{SpanId, Telemetry};
 
 fn make_service(port: u16) -> EdgeService {
     let profile = containerd::ServiceSet::by_key("asm").unwrap();
@@ -36,6 +37,34 @@ fn clusters(n: usize, seed: u64) -> Vec<Box<dyn EdgeCluster>> {
         .collect()
 }
 
+/// One untraced dispatch of `client` at the default ingress, against a
+/// throwaway health monitor (no breaker feedback between calls).
+fn dispatch(
+    d: &mut Dispatcher,
+    svc: &EdgeService,
+    client: Ipv4Addr,
+    now: SimTime,
+    clusters: &mut [Box<dyn EdgeCluster>],
+    memory: &mut FlowMemory,
+    rng: &mut SimRng,
+) -> DispatchOutcome {
+    d.dispatch_at(
+        svc,
+        client,
+        IngressId::DEFAULT,
+        None,
+        RequestClass::NewFlow,
+        now,
+        clusters,
+        memory,
+        &mut HealthMonitor::new(HealthConfig::default()),
+        rng,
+        &mut Telemetry::disabled(),
+        0,
+        SpanId::NONE,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -57,7 +86,7 @@ proptest! {
         let client = Ipv4Addr::new(192, 168, 1, 20);
 
         let mut now = SimTime::from_secs(1);
-        let first = d.dispatch_untraced(&svc, client, now, &mut cls, &mut memory, &mut rng);
+        let first = dispatch(&mut d, &svc, client, now, &mut cls, &mut memory, &mut rng);
         let ready = match first.decision {
             DispatchDecision::WaitThenRedirect { ready_at, .. } => ready_at,
             DispatchDecision::Redirect { .. } => now,
@@ -68,7 +97,7 @@ proptest! {
         now = ready;
         for g in gaps {
             now += Duration::from_secs(g);
-            let out = d.dispatch_untraced(&svc, client, now, &mut cls, &mut memory, &mut rng);
+            let out = dispatch(&mut d, &svc, client, now, &mut cls, &mut memory, &mut rng);
             prop_assert!(
                 matches!(out.decision, DispatchDecision::Redirect { .. }),
                 "redeployed at {now:?}: {:?}", out.decision
@@ -94,7 +123,7 @@ proptest! {
         let mut now = SimTime::from_secs(1);
         for i in 0..n_clients {
             let client = Ipv4Addr::new(192, 168, 1, 20 + i as u8);
-            let out = d.dispatch_untraced(&svc, client, now, &mut cls, &mut memory, &mut rng);
+            let out = dispatch(&mut d, &svc, client, now, &mut cls, &mut memory, &mut rng);
             match out.decision {
                 DispatchDecision::Redirect { instance, .. } => {
                     instances.insert((instance.ip, instance.port));

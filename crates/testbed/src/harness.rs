@@ -37,7 +37,7 @@ use crate::topology::{C3Topology, MultiGnbTopology, Net, Role};
 use containerd::ServiceProfile;
 use desim::{Duration, Engine, FastMap, FaultPlan, LogNormal, Sample, SimRng, SimTime};
 use edgectl::{
-    Controller, EdgeCluster, EdgeService, HandoverPolicy, IngressId,
+    Controller, EdgeCluster, EdgeService, HandoverPolicy, IngressId, InstanceAddr,
     OutboundMessage, RecoveryMode, RecoveryReport,
 };
 use mobility::AttachmentEvent;
@@ -1291,27 +1291,24 @@ struct Listener {
     ready: bool,
 }
 
-/// The (service, cluster) pair whose instance serves at `(ip, port)`: the
-/// first match in registry × cluster order.
-fn scan(controller: &Controller, ip: Ipv4Addr, port: u16) -> Option<(&EdgeService, usize)> {
+/// The (service, cluster) pair whose instance serves at `(ip, port)`, and
+/// the replica answering there: the first match in registry × cluster order.
+fn scan(controller: &Controller, ip: Ipv4Addr, port: u16) -> Option<(&EdgeService, usize, u16)> {
     controller.services().iter().find_map(|svc| {
         (0..controller.cluster_count())
-            .find(|&idx| serves_at(controller, svc, idx, ip, port))
-            .map(|idx| (svc, idx))
+            .find_map(|idx| Some((svc, idx, replica_at(controller, svc, idx, ip, port)?)))
     })
 }
 
-fn serves_at(
-    controller: &Controller,
-    svc: &EdgeService,
-    idx: usize,
-    ip: Ipv4Addr,
-    port: u16,
-) -> bool {
-    controller
-        .cluster(idx)
-        .instance_addr(svc)
-        .is_some_and(|a| a.ip == ip && a.port == port)
+/// Which replica of `svc` on cluster `idx` answers at `(ip, port)`: 0 at the
+/// instance's own address, `i` at an address the service's replica pool
+/// there derives from it. A replica answers while its base instance does.
+fn replica_at(ctl: &Controller, svc: &EdgeService, idx: usize, ip: Ipv4Addr, port: u16) -> Option<u16> {
+    let base = ctl.cluster(idx).instance_addr(svc)?;
+    if (base.ip, base.port) == (ip, port) {
+        return Some(0);
+    }
+    u16::try_from(ctl.load().index_of(svc.addr, idx, InstanceAddr { ip, port, ..base })?).ok()
 }
 
 fn listener(controller: &Controller, svc: &EdgeService, idx: usize, now: SimTime) -> Listener {
@@ -1329,19 +1326,19 @@ fn listener(controller: &Controller, svc: &EdgeService, idx: usize, now: SimTime
 /// The answer [`ListenerIndex::lookup`] must give, by scan alone.
 #[cfg(test)]
 fn scan_listener(controller: &Controller, ip: Ipv4Addr, port: u16, now: SimTime) -> Option<Listener> {
-    scan(controller, ip, port).map(|(svc, idx)| listener(controller, svc, idx, now))
+    scan(controller, ip, port).map(|(svc, idx, _)| listener(controller, svc, idx, now))
 }
 
 /// `(ip, port)` → listening instance, remembered between frames. An entry
-/// is only trusted while the pair still reports that address, and every
-/// cluster hands out addresses from its own host or pod range, so a valid
-/// entry is the scan's answer; anything else falls back to the scan. One
-/// entry per (service, cluster) pair: an instance that comes back at a new
-/// address (a new pod) replaces its old entry.
+/// is only trusted while the replica still answers at that address, and
+/// every cluster hands out addresses from its own host or pod range, so a
+/// valid entry is the scan's answer; anything else falls back to the scan.
+/// One entry per (service, cluster, replica): a replica that comes back at a
+/// new address (a new pod) replaces its old entry.
 #[derive(Default)]
 struct ListenerIndex {
-    by_addr: FastMap<(Ipv4Addr, u16), (ServiceAddr, usize)>,
-    addr_of: FastMap<(ServiceAddr, usize), (Ipv4Addr, u16)>,
+    by_addr: FastMap<(Ipv4Addr, u16), (ServiceAddr, usize, u16)>,
+    addr_of: FastMap<(ServiceAddr, usize, u16), (Ipv4Addr, u16)>,
 }
 
 impl ListenerIndex {
@@ -1358,7 +1355,7 @@ impl ListenerIndex {
         Some(listener(controller, svc, idx, now))
     }
 
-    /// Remembered addresses (bounded by services × clusters).
+    /// Remembered addresses (bounded by services × clusters × replicas).
     #[cfg(test)]
     fn len(&self) -> usize {
         assert_eq!(self.by_addr.len(), self.addr_of.len());
@@ -1372,20 +1369,20 @@ impl ListenerIndex {
         port: u16,
     ) -> Option<(&'a EdgeService, usize)> {
         let key = (ip, port);
-        if let Some(&(addr, idx)) = self.by_addr.get(&key) {
+        if let Some(&(addr, idx, replica)) = self.by_addr.get(&key) {
             if let Some(svc) = controller.services().get(addr) {
-                if serves_at(controller, svc, idx, ip, port) {
+                if replica_at(controller, svc, idx, ip, port) == Some(replica) {
                     return Some((svc, idx));
                 }
             }
             self.by_addr.remove(&key);
-            self.addr_of.remove(&(addr, idx));
+            self.addr_of.remove(&(addr, idx, replica));
         }
-        let (svc, idx) = scan(controller, ip, port)?;
-        if let Some(old) = self.addr_of.insert((svc.addr, idx), key) {
+        let (svc, idx, replica) = scan(controller, ip, port)?;
+        if let Some(old) = self.addr_of.insert((svc.addr, idx, replica), key) {
             self.by_addr.remove(&old);
         }
-        self.by_addr.insert(key, (svc.addr, idx));
+        self.by_addr.insert(key, (svc.addr, idx, replica));
         Some((svc, idx))
     }
 }
@@ -1687,12 +1684,20 @@ mod tests {
         listener_lookup_equals_the_scan(tb, 2);
         // Docker zones keep their address across a redeploy; each of the
         // three zones runs its own instance.
-        listener_lookup_equals_the_scan(three_gnbs(controller, 1), 3);
+        listener_lookup_equals_the_scan(three_gnbs(controller.clone(), 1), 3);
+        // With autoscaling on, each zone's pool has a second replica, which
+        // answers at an address of its own.
+        let mut autoscaled = controller;
+        autoscaled.autoscale.enabled = true;
+        autoscaled.autoscale.min_replicas = 2;
+        listener_lookup_equals_the_scan(three_gnbs(autoscaled, 1), 3);
     }
 
     /// Clients 0, 1 and 2 (one per switch, where there are three) request
     /// the service twice, an idle scale-down apart; `want_addrs` is the
     /// number of distinct addresses its instances serve at over the run.
+    /// Every instance address is probed with its replica-1 address beside
+    /// it, which answers exactly when autoscaling is on.
     fn listener_lookup_equals_the_scan<T: Net>(mut tb: Harness<T>, want_addrs: usize) {
         let addr = svc_addr(10);
         let svc = tb.register_service(containerd::ServiceSet::by_key("asm").unwrap(), addr);
@@ -1706,8 +1711,10 @@ mod tests {
             tb.request_at(SimTime::from_secs(1), client, addr);
             tb.request_at(SimTime::from_secs(60), client, addr);
         }
+        let load = tb.controller.load();
+        let replicas = if load.enabled() { load.config().max_replicas } else { 1 };
         let mut instance_addrs = Vec::new();
-        let mut answered = 0;
+        let (mut answered, mut replica_answered) = (0, 0);
         run_inspecting(&mut tb, SimTime::from_secs(120), |tb, now, ev| {
             let Ev::FrameAt { node, data, .. } = ev else { return };
             if !matches!(tb.roles[node.0 as usize], Role::Edge) {
@@ -1721,19 +1728,21 @@ mod tests {
                 }
             }
             // Every frame an edge host sees, at every address an instance
-            // ever had.
+            // ever had and at that instance's replica 1 (131 ports above).
             let frame = TcpFrame::decode(data).unwrap();
-            let probes = instance_addrs.iter().map(|a| (a.ip, a.port));
-            for (ip, port) in probes.chain([(frame.dst_ip, frame.dst_port)]) {
+            let probes = instance_addrs.iter().flat_map(|a| [(a.ip, a.port, 0), (a.ip, a.port + 131, 1)]);
+            for (ip, port, replica) in probes.chain([(frame.dst_ip, frame.dst_port, 0)]) {
                 let got = tb.listeners.lookup(&tb.controller, ip, port, now);
                 assert_eq!(got, scan_listener(&tb.controller, ip, port, now), "{ip:?}:{port} at {now:?}");
                 answered += usize::from(got.is_some());
+                replica_answered += replica * usize::from(got.is_some());
             }
-            assert!(tb.listeners.len() <= clusters, "one pair, one remembered address");
+            assert!(tb.listeners.len() <= clusters * replicas, "one replica, one remembered address");
         });
         assert_eq!(tb.completed.len(), 6);
         assert_eq!(instance_addrs.len(), want_addrs, "{instance_addrs:?}");
         assert!(answered > 0);
+        assert_eq!(replica_answered > 0, replicas > 1, "replica 1 answers iff autoscaling is on");
     }
 
     /// A profile whose response is empty still answers with one byte on the

@@ -537,6 +537,60 @@ mod tests {
         assert!(m.histogram("answer_delay_ns").is_some());
     }
 
+    /// With autoscaling on, the controller's own tick runs the autoscaler,
+    /// and every replica address it hands out answers on the data path: on
+    /// the smoke burst trace the pools scale up, and with two replicas per
+    /// pool from the start every request completes and none is refused.
+    #[test]
+    fn autoscaled_replicas_scale_and_answer_on_the_data_path() {
+        use edgectl::{AutoscaleConfig, QueueConfig};
+        let run = |min_replicas| {
+            let burst = workload::BurstConfig::smoke();
+            let autoscale = AutoscaleConfig {
+                enabled: true,
+                min_replicas,
+                cooldown: Duration::from_millis(300),
+                sweep_interval: Duration::from_millis(100),
+                queue: QueueConfig {
+                    service_time: Duration::from_millis(20),
+                    concurrency: 2,
+                    backlog: 6,
+                },
+                ..AutoscaleConfig::default()
+            };
+            let mut tb = Testbed::new(TestbedConfig {
+                n_clients: burst.n_clients,
+                scheduler: "least-connections".to_owned(),
+                controller: ControllerConfig { autoscale, ..ControllerConfig::default() },
+                ..TestbedConfig::default()
+            });
+            let services: Vec<ServiceAddr> = (0..burst.n_services as u16)
+                .map(|s| ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 20), 9000 + s))
+                .collect();
+            for &addr in &services {
+                tb.register_service(containerd::ServiceSet::by_key("asm").unwrap(), addr);
+                tb.pre_pull(addr);
+            }
+            let trace = burst.clone().generate(7);
+            for r in &trace.requests {
+                tb.request_at(r.at, r.client, services[r.service]);
+            }
+            tb.run_until(SimTime::ZERO + burst.duration + Duration::from_secs(5));
+            (tb, trace.requests.len())
+        };
+        let (tb, _) = run(1);
+        assert!(tb.controller.load().scale_ups() > 0, "the tick ran the autoscaler");
+        let (tb, requests) = run(2);
+        let load = tb.controller.load();
+        let memorized = tb.controller.memory().instances();
+        assert!(
+            memorized.iter().any(|&(c, inst, svc)| load.index_of(svc, c, inst) > Some(0)),
+            "clients were sent to a replica other than the base: {memorized:?}"
+        );
+        assert_eq!((tb.completed.len(), tb.resets), (requests, 0));
+        assert_eq!(tb.transparency_violations, 0);
+    }
+
     #[test]
     fn idle_service_scales_down_and_redeploys() {
         let mut tb = Testbed::new(TestbedConfig {
