@@ -124,16 +124,6 @@ impl<K: Eq + Hash + Clone> TimerWheel<K> {
         self.deadlines.remove(key).is_some()
     }
 
-    /// Drops every scheduled key without advancing the clock.
-    pub fn clear(&mut self) {
-        for s in &mut self.slots {
-            s.clear();
-        }
-        self.slot_min.fill(u64::MAX);
-        self.occupied = [0; LEVELS];
-        self.deadlines.clear();
-    }
-
     /// Inserts a slot copy for `(key, dl)` at the lowest level whose slot
     /// granularity can still distinguish the deadline from the current time.
     /// The chosen slot is never a passed one: either a future tick, or (only
@@ -426,7 +416,6 @@ mod tests {
         Cancel { key: u8 },
         /// Sweep after advancing the clock by `by_ns`.
         Advance { by_ns: u64 },
-        Clear,
     }
 
     /// Spans that land in every level that matters: sub-tick, within level
@@ -449,7 +438,6 @@ mod tests {
             4 => (0u8..24, arb_span()).prop_map(|(key, ahead_ns)| Op::Schedule { key, ahead_ns }),
             1 => (0u8..24).prop_map(|key| Op::Cancel { key }),
             3 => arb_span().prop_map(|by_ns| Op::Advance { by_ns }),
-            1 => Just(Op::Clear),
         ]
     }
 
@@ -471,7 +459,7 @@ mod tests {
 
     proptest::proptest! {
         /// Random interleavings of schedule / re-schedule / cancel / sweep
-        /// (jumps longer than a revolution included) / clear: after every
+        /// (jumps longer than a revolution included): after every
         /// step the bitmap mirrors slot occupancy, the bound equals the slot
         /// scan's, it never overshoots the true earliest live deadline, and a
         /// sweep returns exactly the live keys that are due.
@@ -497,10 +485,6 @@ mod tests {
                             model.iter().filter(|(_, &dl)| dl <= now).map(|(&k, _)| k).collect();
                         assert_eq!(fired, due, "sweep at {now}");
                         model.retain(|_, dl| *dl > now);
-                    }
-                    Op::Clear => {
-                        w.clear();
-                        model.clear();
                     }
                 }
                 w.assert_bitmap_mirrors_slots();

@@ -39,7 +39,7 @@ use crate::autoscale::{AutoscaleConfig, LoadTracker};
 use crate::clients::ClientTracker;
 use crate::cluster::{EdgeCluster, InstanceAddr};
 use crate::dispatch::{DispatchDecision, DispatchOutcome, Dispatcher, PhaseTimes, Serving};
-use crate::flowmemory::{FlowMemory, IngressId};
+use crate::flowmemory::{FlowKey, FlowMemory, IngressId, MemorizedFlow};
 use crate::health::{BreakerState, HealthConfig};
 use crate::journal::{
     Applied, ControlState, Journal, JournalConfig, JournalEvent, JournalStats, RecoveryMode,
@@ -67,6 +67,13 @@ pub struct PortMap {
     pub cluster_ports: HashMap<String, u32>,
     /// Port toward the cloud uplink.
     pub cloud_port: u32,
+}
+
+/// One ingress switch (gNB): its port map, and per cluster the latency from
+/// here where it differs from the cluster's advertised one.
+struct Ingress {
+    ports: PortMap,
+    distances: Vec<Option<Duration>>,
 }
 
 /// Controller configuration (the reference implementation reads these from
@@ -313,12 +320,9 @@ pub struct Controller {
     /// migrations. Mutated through [`Controller::commit`] only (its three
     /// self-logging components aside).
     state: ControlState,
-    /// Per-ingress port maps; index = [`IngressId`]. The seed deployment's
-    /// single switch lives at ingress 0.
-    ingresses: Vec<PortMap>,
-    /// Cluster latency as seen from a given ingress, when it differs from
-    /// the cluster's advertised latency (which is measured from ingress 0).
-    ingress_distances: HashMap<(IngressId, usize), Duration>,
+    /// Per-ingress port maps and distances; index = [`IngressId`]. The seed
+    /// deployment's single switch lives at ingress 0.
+    ingresses: Vec<Ingress>,
     flow_adds: u64,
     config: ControllerConfig,
     next_xid: u32,
@@ -346,9 +350,9 @@ pub struct Controller {
     /// When each instance crashed (fault injection), so the repair sweep's
     /// `stale_redirect_repair_ns` histogram measures crash→repair latency.
     crash_records: HashMap<InstanceAddr, SimTime>,
-    /// Recycled per-packet-in buffer for resolved ingress distances, so the
-    /// hot path never allocates for them.
-    distance_scratch: Vec<Duration>,
+    /// Recycled buffers of a handover: the sessions it moves, and the
+    /// installs it makes at the new ingress.
+    handover_scratch: (Vec<(FlowKey, MemorizedFlow)>, Vec<OutboundMessage>),
     /// Open telemetry spans of in-flight migrations, by request id.
     migration_spans: HashMap<u64, SpanId>,
     /// The crash-recovery write-ahead journal (inert unless
@@ -375,8 +379,7 @@ impl Controller {
             clusters: Vec::new(),
             dispatcher,
             state,
-            ingresses: vec![ports],
-            ingress_distances: HashMap::new(),
+            ingresses: vec![Ingress { ports, distances: Vec::new() }],
             flow_adds: 0,
             config,
             next_xid: 1,
@@ -388,7 +391,7 @@ impl Controller {
             telemetry: Telemetry::disabled(),
             next_request: 0,
             crash_records: HashMap::new(),
-            distance_scratch: Vec::new(),
+            handover_scratch: Default::default(),
             migration_spans: HashMap::new(),
             journal,
             control_errors: Vec::new(),
@@ -565,7 +568,7 @@ impl Controller {
     /// Registers an additional ingress switch (gNB) with its own port map.
     /// Returns its id; the constructor's port map is ingress 0.
     pub fn add_ingress(&mut self, ports: PortMap) -> IngressId {
-        self.ingresses.push(ports);
+        self.ingresses.push(Ingress { ports, distances: Vec::new() });
         IngressId(self.ingresses.len() as u32 - 1)
     }
 
@@ -573,6 +576,7 @@ impl Controller {
     /// may be reachable from every gNB, through different ports).
     pub fn map_cluster_port(&mut self, ingress: IngressId, cluster_name: &str, port: u32) {
         self.ingresses[ingress.0 as usize]
+            .ports
             .cluster_ports
             .insert(cluster_name.to_owned(), port);
     }
@@ -581,7 +585,11 @@ impl Controller {
     /// scheduler's "nearest edge" is relative to where the packet entered;
     /// without an override, the cluster's advertised latency is used.
     pub fn set_ingress_distance(&mut self, ingress: IngressId, cluster: usize, d: Duration) {
-        self.ingress_distances.insert((ingress, cluster), d);
+        let row = &mut self.ingresses[ingress.0 as usize].distances;
+        if row.len() <= cluster {
+            row.resize(cluster + 1, None);
+        }
+        row[cluster] = Some(d);
     }
 
     /// The latency toward `cluster` as seen from `ingress`: its override if
@@ -589,21 +597,8 @@ impl Controller {
     /// when no ingress is given).
     fn distance(&self, ingress: Option<IngressId>, cluster: usize) -> Duration {
         ingress
-            .and_then(|g| self.ingress_distances.get(&(g, cluster)).copied())
+            .and_then(|g| *self.ingresses.get(g.0 as usize)?.distances.get(cluster)?)
             .unwrap_or_else(|| self.clusters[cluster].latency())
-    }
-
-    /// Resolved per-cluster distances from `ingress`: fills `out` (cleared
-    /// first) and returns whether an override exists for `ingress` at all
-    /// (advertised latencies apply otherwise). The packet-in fast path calls
-    /// this with a recycled buffer.
-    fn fill_distances(&self, ingress: IngressId, out: &mut Vec<Duration>) -> bool {
-        out.clear();
-        if !self.ingress_distances.keys().any(|(i, _)| *i == ingress) {
-            return false;
-        }
-        out.extend((0..self.clusters.len()).map(|c| self.distance(Some(ingress), c)));
-        true
     }
 
     /// Registers an edge service.
@@ -863,14 +858,13 @@ impl Controller {
             return self.install(ingress, t, spec, None, release, out);
         };
 
-        let mut distances = std::mem::take(&mut self.distance_scratch);
-        let have_distances = self.fill_distances(ingress, &mut distances);
+        let distances = self.ingresses.get(ingress.0 as usize).map_or(&[][..], |g| &g.distances[..]);
         let (memory, health) = self.state.dispatch_parts();
         let outcome: DispatchOutcome = self.dispatcher.dispatch_at(
             &svc,
             frame.src_ip,
             ingress,
-            have_distances.then_some(distances.as_slice()),
+            distances,
             RequestClass::NewFlow,
             t,
             &mut self.clusters,
@@ -881,7 +875,6 @@ impl Controller {
             request,
             root,
         );
-        self.distance_scratch = distances;
 
         let background_ready = outcome.background.map(|b| b.ready_at);
         let kind = match outcome.decision {
@@ -1010,7 +1003,7 @@ impl Controller {
     /// controller does not manage resolves to nothing
     /// ([`ControlPlaneError::UnknownIngress`]).
     fn resolve(&mut self, ingress: IngressId, to: Placement) -> Option<Target> {
-        let Some(ports) = self.ingresses.get(ingress.0 as usize) else {
+        let Some(Ingress { ports, .. }) = self.ingresses.get(ingress.0 as usize) else {
             self.note_error(ControlPlaneError::UnknownIngress { ingress });
             return None;
         };
@@ -1248,13 +1241,12 @@ impl Controller {
             // reconciliation still needs to claim them until then.
             let mut old_pairs = ctl.commit(JournalEvent::HandoverSweep { client, from }).retired;
 
-            let mut made = Vec::new();
+            let (mut flows, mut made) = std::mem::take(&mut ctl.handover_scratch);
             let mut completed_at = t;
             let mut flows_migrated = 0usize;
             let mut redispatched = 0usize;
-            let mut distances = Vec::new();
-            let have_distances = ctl.fill_distances(to, &mut distances);
-            for (key, flow) in ctl.state.memory().flows_of_client_at(client, from) {
+            ctl.state.memory().flows_of_client_at_into(client, from, &mut flows);
+            for (key, flow) in flows.drain(..) {
                 let Some(svc) = ctl.services.get_shared(key.service) else {
                     ctl.state.memory_mut().forget(&key);
                     continue;
@@ -1272,12 +1264,13 @@ impl Controller {
                 } else {
                     // Re-place the session through the scheduler, as a Handover.
                     ctl.state.memory_mut().forget(&key);
+                    let distances = ctl.ingresses.get(to.0 as usize).map_or(&[][..], |g| &g.distances[..]);
                     let (memory, health) = ctl.state.dispatch_parts();
                     let outcome = ctl.dispatcher.dispatch_at(
                         &svc,
                         client,
                         to,
-                        have_distances.then_some(distances.as_slice()),
+                        distances,
                         RequestClass::Handover,
                         t,
                         &mut ctl.clusters,
@@ -1316,13 +1309,14 @@ impl Controller {
             let break_at = completed_at + Duration::from_millis(50);
             let n_old = old_pairs.len();
             let mut messages = Vec::with_capacity(made.len() + 2 * n_old);
-            messages.extend(made.into_iter().map(|m| (to, m)));
+            messages.extend(made.drain(..).map(|m| (to, m)));
             for pair in old_pairs.drain(..) {
                 for m in [pair.fwd.match_, pair.rev.match_] {
                     messages.push((from, ctl.flow_delete(break_at, m)));
                 }
             }
             ctl.state.recycle_retired(old_pairs);
+            ctl.handover_scratch = (flows, made);
 
             let m = &mut ctl.telemetry.metrics;
             m.inc("handovers_total");

@@ -59,7 +59,7 @@ impl Controller {
                     ctl.deferred.insert((svc_addr, cluster_idx), now);
                     continue;
                 }
-                let Some(svc) = ctl.services.get(svc_addr).cloned() else {
+                let Some(svc) = ctl.services.get_shared(svc_addr) else {
                     continue;
                 };
                 if cluster_idx < ctl.clusters.len() {
@@ -95,7 +95,7 @@ impl Controller {
                         service: svc_addr,
                         cluster: cluster_idx,
                     });
-                    let Some(svc) = ctl.services.get(svc_addr).cloned() else {
+                    let Some(svc) = ctl.services.get_shared(svc_addr) else {
                         continue;
                     };
                     if cluster_idx >= ctl.clusters.len() {
@@ -155,7 +155,7 @@ impl Controller {
         now: SimTime,
         rng: &mut SimRng,
     ) -> Option<SimTime> {
-        let svc = self.services.get(addr)?.clone();
+        let svc = self.services.get_shared(addr)?;
         let idx = (0..self.clusters.len()).min_by_key(|&i| self.clusters[i].latency())?;
         match self.clusters[idx].state(&svc, now) {
             InstanceState::NotDeployed | InstanceState::Created => {

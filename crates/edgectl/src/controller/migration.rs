@@ -55,7 +55,7 @@ impl Controller {
             {
                 return false;
             }
-            let Some(svc) = ctl.services.get(svc_addr).cloned() else {
+            let Some(svc) = ctl.services.get_shared(svc_addr) else {
                 return false;
             };
             if ctl.state.memory().entries_at(svc_addr, from).is_empty() {

@@ -12,7 +12,6 @@ use crate::dispatch::Serving;
 use crate::flowmemory::IngressId;
 use crate::journal::{JournalEvent, PairId};
 use crate::rules::{InstalledFlow, InstalledPair};
-use crate::service::EdgeService;
 use desim::{SimRng, SimTime};
 use netsim::addr::Ipv4Addr;
 use netsim::ServiceAddr;
@@ -38,7 +37,7 @@ impl Controller {
         if cluster >= self.clusters.len() {
             return false;
         }
-        let Some(svc) = self.services.get(svc_addr).cloned() else {
+        let Some(svc) = self.services.get_shared(svc_addr) else {
             return false;
         };
         let instance = self.clusters[cluster].instance_addr(&svc);
@@ -147,9 +146,8 @@ impl Controller {
         }
         self.synced(|ctl| {
             let (_, root) = ctl.open_request("zone-outage", now);
-            let svcs: Vec<EdgeService> = ctl.services.iter().cloned().collect();
             let mut failed = 0usize;
-            for svc in &svcs {
+            for svc in ctl.services.iter() {
                 if ctl.clusters[cluster].fail_instance(svc, now, rng) {
                     failed += 1;
                 }

@@ -242,6 +242,10 @@ pub struct Dispatcher {
     /// Per-instance queue tracking and the horizontal autoscaler state.
     /// Disabled by default: the dispatch path never consults it then.
     tracker: LoadTracker,
+    /// Recycled per-decision buffers: the views the scheduler sees, and the
+    /// cluster index behind each.
+    views: Vec<ClusterView>,
+    candidates: Vec<usize>,
 }
 
 impl Dispatcher {
@@ -256,6 +260,8 @@ impl Dispatcher {
             in_flight: HashMap::new(),
             coalesced: 0,
             tracker: LoadTracker::default(),
+            views: Vec::new(),
+            candidates: Vec::new(),
         }
     }
 
@@ -330,7 +336,7 @@ impl Dispatcher {
     /// Dispatches one request from `client_ip` to `svc` (Fig. 7) arriving at
     /// a specific `ingress` (gNB).
     ///
-    /// `distances` optionally overrides each cluster's advertised latency
+    /// `distances[i]`, when set, overrides cluster `i`'s advertised latency
     /// with the latency *as seen from this ingress* — in a multi-gNB
     /// topology "nearest edge" depends on which cell the packet entered at.
     /// `base_class` is what the scheduler is told when no memorized flow
@@ -344,7 +350,7 @@ impl Dispatcher {
         svc: &EdgeService,
         client_ip: Ipv4Addr,
         ingress: IngressId,
-        distances: Option<&[Duration]>,
+        distances: &[Option<Duration>],
         base_class: RequestClass,
         now: SimTime,
         clusters: &mut [Box<dyn EdgeCluster>],
@@ -419,8 +425,9 @@ impl Dispatcher {
         // list entirely, so no scheduler implementation can pick a flapping
         // zone. `candidates` maps view indices back to cluster indices.
         let tracker = &mut self.tracker;
-        let mut candidates: Vec<usize> = Vec::with_capacity(clusters.len());
-        let mut views: Vec<ClusterView> = Vec::with_capacity(clusters.len());
+        let (views, candidates) = (&mut self.views, &mut self.candidates);
+        views.clear();
+        candidates.clear();
         for (i, c) in clusters.iter().enumerate() {
             if !health.available(i, now) {
                 let state = health.breaker_state(i);
@@ -446,11 +453,8 @@ impl Dispatcher {
             };
             candidates.push(i);
             views.push(ClusterView {
-                name: c.name().to_owned(),
                 kind: c.kind(),
-                distance: distances
-                    .and_then(|d| d.get(i).copied())
-                    .unwrap_or_else(|| c.latency()),
+                distance: distances.get(i).copied().flatten().unwrap_or_else(|| c.latency()),
                 image_cached: c.has_image_cached(svc),
                 state,
                 load: c.load(),
@@ -459,7 +463,7 @@ impl Dispatcher {
             });
         }
         let ctx = SchedulingContext {
-            clusters: &views,
+            clusters: views,
             service: ServiceRef {
                 addr: svc.addr,
                 name: &svc.name,
@@ -470,13 +474,14 @@ impl Dispatcher {
         let sched_span = tele.span(request, parent, "schedule", now);
         let choice = self.scheduler.choose(&ctx);
         let sched_name = self.scheduler.name();
+        let name = |view: usize| clusters[candidates[view]].name().to_owned();
         tele.event(sched_span, "decision", now, || {
             format!(
                 "{} ({}): fast={} best={}",
                 sched_name,
                 class.label(),
-                choice.fast.map_or("cloud".to_owned(), |t| views[t.cluster].name.clone()),
-                choice.best.map_or("-".to_owned(), |t| views[t.cluster].name.clone()),
+                choice.fast.map_or("cloud".to_owned(), |t| name(t.cluster)),
+                choice.best.map_or("-".to_owned(), |t| name(t.cluster)),
             )
         });
         tele.end_span(sched_span, now);
@@ -863,7 +868,7 @@ mod tests {
             svc,
             client_ip,
             IngressId::DEFAULT,
-            None,
+            &[],
             RequestClass::NewFlow,
             now,
             clusters,
@@ -1155,7 +1160,7 @@ mod tests {
             svc,
             Ipv4Addr::new(192, 168, 1, client_last),
             IngressId::DEFAULT,
-            None,
+            &[],
             RequestClass::NewFlow,
             now,
             clusters,

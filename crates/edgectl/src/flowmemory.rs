@@ -343,17 +343,27 @@ impl FlowMemory {
         client: Ipv4Addr,
         ingress: IngressId,
     ) -> Vec<(FlowKey, MemorizedFlow)> {
-        let Some(shard) = self.shard(ingress) else {
-            return Vec::new();
-        };
-        let mut out: Vec<(FlowKey, MemorizedFlow)> = shard
-            .flows
-            .iter()
-            .filter(|(k, _)| k.client_ip == client)
-            .map(|(k, f)| (*k, *f))
-            .collect();
-        out.sort_by_key(|(k, _)| k.service);
+        let mut out = Vec::new();
+        self.flows_of_client_at_into(client, ingress, &mut out);
         out
+    }
+
+    /// [`FlowMemory::flows_of_client_at`], appended to `out` — the handover
+    /// passes a buffer it recycles.
+    pub fn flows_of_client_at_into(
+        &self,
+        client: Ipv4Addr,
+        ingress: IngressId,
+        out: &mut Vec<(FlowKey, MemorizedFlow)>,
+    ) {
+        let Some(shard) = self.shard(ingress) else {
+            return;
+        };
+        let start = out.len();
+        let mine = shard.flows.iter().filter(|(k, _)| k.client_ip == client);
+        out.extend(mine.map(|(k, f)| (*k, *f)));
+        // One entry per service here, so the unstable sort is exact.
+        out[start..].sort_unstable_by_key(|(k, _)| k.service);
     }
 
     /// Migrates one entry to a new ingress, preserving its instance and

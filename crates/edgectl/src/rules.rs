@@ -26,7 +26,7 @@ use netsim::addr::{Ipv4Addr, MacAddr};
 use netsim::{ServiceAddr, TcpFrame};
 use openflow::actions::{Action, Instruction};
 use openflow::messages::{FlowModCommand, Message, OFPFF_SEND_FLOW_REM};
-use openflow::oxm::{Match, OxmField};
+use openflow::oxm::{service_fields, Match, OxmField};
 use openflow::OFP_NO_BUFFER;
 
 /// One flow as the controller believes it exists on a switch — enough
@@ -172,17 +172,14 @@ impl PairSpec {
     pub(crate) fn fwd_match(&self) -> Match {
         let client = self.client.octets();
         let (svc_ip, svc_port) = (self.service.ip.octets(), self.service.port);
+        let service_and = |f| Match::of(service_fields(svc_ip, svc_port).into_iter().chain([f]));
         match self.granularity {
             Granularity::Connection => Match::connection(client, self.src_port, svc_ip, svc_port),
-            Granularity::ClientService => {
-                Match::service(svc_ip, svc_port).with(OxmField::Ipv4Src(client))
-            }
+            Granularity::ClientService => service_and(OxmField::Ipv4Src(client)),
             // Pinned to the shared client-side port: the reverse flow sends
             // every reply out of it, so a client behind another port must
             // miss the table and reach the controller's divergent check.
-            Granularity::Service => {
-                Match::service(svc_ip, svc_port).with(OxmField::InPort(self.in_port))
-            }
+            Granularity::Service => service_and(OxmField::InPort(self.in_port)),
         }
     }
 
@@ -196,12 +193,14 @@ impl PairSpec {
             Target::Instance { instance, .. } => (instance.ip.octets(), instance.port),
             Target::Cloud { .. } => (svc_ip, svc_port),
         };
-        let from_source = || {
-            Match::any()
-                .with(OxmField::EthType(0x0800))
-                .with(OxmField::IpProto(6))
-                .with(OxmField::Ipv4Src(from_ip))
-                .with(OxmField::TcpSrc(from_port))
+        let from_source = |dst: Option<OxmField>| {
+            let source = [
+                OxmField::EthType(0x0800),
+                OxmField::IpProto(6),
+                OxmField::Ipv4Src(from_ip),
+                OxmField::TcpSrc(from_port),
+            ];
+            Match::of(source.into_iter().chain(dst))
         };
         let fwd_match = self.fwd_match();
         let (rev_match, step) = match self.granularity {
@@ -209,8 +208,8 @@ impl PairSpec {
                 Match::connection(from_ip, from_port, client, self.src_port),
                 0,
             ),
-            Granularity::ClientService => (from_source().with(OxmField::Ipv4Dst(client)), 1),
-            Granularity::Service => (from_source(), 2),
+            Granularity::ClientService => (from_source(Some(OxmField::Ipv4Dst(client))), 1),
+            Granularity::Service => (from_source(None), 2),
         };
         let (fwd_actions, rev_actions) = match target {
             Target::Instance {

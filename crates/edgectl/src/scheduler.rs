@@ -67,8 +67,6 @@ impl InstanceView {
 /// What the scheduler sees about one candidate cluster.
 #[derive(Clone, Debug)]
 pub struct ClusterView {
-    /// Cluster name.
-    pub name: String,
     /// `"docker"` / `"k8s"`.
     pub kind: &'static str,
     /// Distance (one-way latency) from the requesting client's ingress.
@@ -221,9 +219,8 @@ fn ready_instances<'a>(
         .enumerate()
         .filter(|(_, c)| c.state.is_ready() && c.breaker != BreakerState::Open)
         .flat_map(|(i, c)| {
-            let views: Vec<InstanceView> =
-                if c.instances.is_empty() { vec![IDLE] } else { c.instances.clone() };
-            views.into_iter().map(move |v| (i, c, v))
+            let idle = c.instances.is_empty().then_some(IDLE);
+            idle.into_iter().chain(c.instances.iter().copied()).map(move |v| (i, c, v))
         })
 }
 
@@ -538,9 +535,8 @@ mod tests {
         }
     }
 
-    fn view(name: &str, us: u64, ready: bool) -> ClusterView {
+    fn view(us: u64, ready: bool) -> ClusterView {
         ClusterView {
-            name: name.into(),
             kind: "docker",
             distance: Duration::from_micros(us),
             image_cached: true,
@@ -573,7 +569,7 @@ mod tests {
     #[test]
     fn proximity_always_picks_nearest() {
         let mut s = ProximityScheduler;
-        let clusters = [view("far", 500, true), view("near", 100, false)];
+        let clusters = [view(500, true), view(100, false)];
         let c = s.choose(&ctx(&clusters));
         assert_eq!(c, Choice { fast: Some(Target::sole(1)), best: None });
         assert!(!c.is_without_waiting());
@@ -585,7 +581,7 @@ mod tests {
     fn latency_aware_uses_running_far_instance_and_deploys_near() {
         let mut s = LatencyAwareScheduler;
         // Near cluster idle, far cluster running: answer from far, deploy near.
-        let clusters = [view("far", 500, true), view("near", 100, false)];
+        let clusters = [view(500, true), view(100, false)];
         let c = s.choose(&ctx(&clusters));
         assert_eq!(c, Choice { fast: Some(Target::sole(0)), best: Some(Target::sole(1)) });
         assert!(c.is_without_waiting());
@@ -594,7 +590,7 @@ mod tests {
     #[test]
     fn latency_aware_nothing_running_goes_to_cloud_and_deploys() {
         let mut s = LatencyAwareScheduler;
-        let clusters = [view("far", 500, false), view("near", 100, false)];
+        let clusters = [view(500, false), view(100, false)];
         let c = s.choose(&ctx(&clusters));
         assert_eq!(c, Choice { fast: None, best: Some(Target::sole(1)) });
         assert!(c.is_without_waiting());
@@ -603,7 +599,7 @@ mod tests {
     #[test]
     fn latency_aware_optimal_already_running_is_terminal() {
         let mut s = LatencyAwareScheduler;
-        let clusters = [view("far", 500, false), view("near", 100, true)];
+        let clusters = [view(500, false), view(100, true)];
         let c = s.choose(&ctx(&clusters));
         assert_eq!(c, Choice { fast: Some(Target::sole(1)), best: None });
         assert!(!c.is_without_waiting());
@@ -612,24 +608,24 @@ mod tests {
     #[test]
     fn round_robin_rotates_but_sticks_to_running() {
         let mut s = RoundRobinScheduler::default();
-        let idle = [view("a", 100, false), view("b", 100, false)];
+        let idle = [view(100, false), view(100, false)];
         assert_eq!(s.choose(&ctx(&idle)).fast, Some(Target::sole(0)));
         assert_eq!(s.choose(&ctx(&idle)).fast, Some(Target::sole(1)));
         assert_eq!(s.choose(&ctx(&idle)).fast, Some(Target::sole(0)));
-        let with_running = [view("a", 100, false), view("b", 100, true)];
+        let with_running = [view(100, false), view(100, true)];
         assert_eq!(s.choose(&ctx(&with_running)).fast, Some(Target::sole(1)));
     }
 
     #[test]
     fn cloud_only_never_uses_edge() {
         let mut s = CloudOnlyScheduler;
-        let clusters = [view("near", 100, true)];
+        let clusters = [view(100, true)];
         assert_eq!(s.choose(&ctx(&clusters)), Choice { fast: None, best: None });
     }
 
     #[test]
     fn random_is_deterministic_and_stays_on_ready_clusters() {
-        let clusters = [view("a", 100, false), view("b", 200, true), view("c", 300, true)];
+        let clusters = [view(100, false), view(200, true), view(300, true)];
         let picks: Vec<Choice> = {
             let mut s = RandomScheduler::default();
             (0..32).map(|_| s.choose(&ctx(&clusters))).collect()
@@ -644,16 +640,16 @@ mod tests {
             assert!(t.cluster == 1 || t.cluster == 2, "never the idle cluster");
         }
         // Nothing ready: falls back to deploy-with-waiting at the nearest.
-        let idle = [view("a", 100, false), view("b", 50, false)];
+        let idle = [view(100, false), view(50, false)];
         let mut s = RandomScheduler::default();
         assert_eq!(s.choose(&ctx(&idle)).fast, Some(Target::sole(1)));
     }
 
     #[test]
     fn least_connections_picks_emptiest_replica() {
-        let mut near = view("near", 100, true);
+        let mut near = view(100, true);
         near.instances = vec![iview(0, 4, 2, 4), iview(1, 2, 0, 4)];
-        let mut far = view("far", 500, true);
+        let mut far = view(500, true);
         far.instances = vec![iview(0, 0, 0, 4)];
         let clusters = [near, far];
         let mut s = LeastConnectionsScheduler;
@@ -664,7 +660,7 @@ mod tests {
 
     #[test]
     fn least_connections_avoids_saturated_replica_with_idle_sibling() {
-        let mut near = view("near", 100, true);
+        let mut near = view(100, true);
         // Replica 0 saturated (at its concurrency limit), replica 1 idle.
         near.instances = vec![iview(0, 4, 3, 4), iview(1, 0, 0, 4)];
         let clusters = [near];
@@ -678,10 +674,10 @@ mod tests {
         // The near cluster is ready, idle — and its breaker is Open. Both
         // load-aware schedulers must take the far (worse) cluster instead:
         // a migration target selection never lands on a tripped zone.
-        let mut near = view("near", 100, true);
+        let mut near = view(100, true);
         near.breaker = BreakerState::Open;
         near.instances = vec![iview(0, 0, 0, 4)];
-        let mut far = view("far", 500, true);
+        let mut far = view(500, true);
         far.instances = vec![iview(0, 3, 1, 4)];
         let clusters = [near, far];
         let c = LeastConnectionsScheduler.choose(&ctx(&clusters));
@@ -689,7 +685,7 @@ mod tests {
         let c = LatencyEwmaScheduler.choose(&ctx(&clusters));
         assert_eq!(c.fast, Some(Target { cluster: 1, instance: 0 }));
         // Every ready cluster tripped → cloud, not the open zone.
-        let mut only = view("near", 100, true);
+        let mut only = view(100, true);
         only.breaker = BreakerState::Open;
         let c = LeastConnectionsScheduler.choose(&ctx(&[only]));
         assert_eq!(c.fast, None);
@@ -697,7 +693,7 @@ mod tests {
 
     #[test]
     fn latency_ewma_penalizes_slow_and_deep_queues() {
-        let mut near = view("near", 100, true);
+        let mut near = view(100, true);
         near.instances = vec![
             // Deep queue: pays a per-job estimate despite zero EWMA.
             iview(0, 4, 4, 4),
@@ -741,7 +737,7 @@ mod tests {
     fn context_exposes_request_metadata() {
         // Schedulers are no longer blind to what they place: the context
         // carries the service, the instant, and the request class.
-        let clusters = [view("near", 100, false)];
+        let clusters = [view(100, false)];
         let c = ctx(&clusters);
         assert_eq!(c.service.name, "svc");
         assert_eq!(c.now, SimTime::ZERO);

@@ -94,7 +94,7 @@ impl ServiceRegistry {
     /// Shared-handle lookup for hot paths: clones an `Rc`, never the
     /// underlying service definition.
     pub fn get_shared(&self, addr: ServiceAddr) -> Option<Rc<EdgeService>> {
-        self.services.get(&addr).cloned()
+        self.services.get(&addr).map(Rc::clone)
     }
 
     /// `true` if `addr` belongs to a registered edge service.

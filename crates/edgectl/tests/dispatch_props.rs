@@ -52,7 +52,7 @@ fn dispatch(
         svc,
         client,
         IngressId::DEFAULT,
-        None,
+        &[],
         RequestClass::NewFlow,
         now,
         clusters,
@@ -385,7 +385,6 @@ proptest! {
             .iter()
             .enumerate()
             .map(|(i, (ready, us, loads))| ClusterView {
-                name: format!("edge-{i}"),
                 kind: "docker",
                 distance: Duration::from_micros(*us),
                 image_cached: true,
@@ -499,7 +498,6 @@ proptest! {
             .iter()
             .enumerate()
             .map(|(i, (ready, breaker, us, loads))| ClusterView {
-                name: format!("edge-{i}"),
                 kind: "docker",
                 distance: Duration::from_micros(*us),
                 image_cached: true,
@@ -557,7 +555,7 @@ proptest! {
                 prop_assert!(
                     c.breaker != BreakerState::Open || !any_serving,
                     "picked ready cluster {} with an open breaker: {views:?}",
-                    c.name,
+                    t.cluster,
                 );
             }
         }

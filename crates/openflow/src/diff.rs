@@ -9,7 +9,9 @@
 //!
 //! * identical lookup results (cookie + instructions) and peek results,
 //! * identical removal records (entry, final counters, reason, order) from
-//!   delete and expiry sweeps,
+//!   delete and expiry sweeps — appended by `delete_into` / `expire_into` to
+//!   one sink that keeps every earlier record, which must stay untouched —
+//!   and a wildcard delete of whatever outlives the final expiry,
 //! * identical table contents via [`FlowTable::entries`] (same order:
 //!   priority descending, first-added first),
 //! * consistent `next_expiry`: equal emptiness, and the indexed value never
@@ -157,6 +159,8 @@ pub fn check_seed(seed: u64, ops: usize) -> usize {
     let mut now = SimTime::ZERO;
     let mut cookie = 0u64;
     let mut hits = 0usize;
+    // Every removal so far, in order: the indexed table appends to `sink`.
+    let (mut removed, mut sink) = (Vec::new(), Vec::new());
     for step in 0..ops {
         now += Duration::from_nanos(rng.below(1_500_000_000));
         let ctx = format!("seed {seed} step {step}");
@@ -195,9 +199,10 @@ pub fn check_seed(seed: u64, ops: usize) -> usize {
             5 => {
                 let m = random_match(&mut rng);
                 let a = naive.delete(&m, now);
-                let b = indexed.delete(&m, now);
-                assert_removed_eq(&a, &b, &ctx);
                 hits += (!a.is_empty()) as usize;
+                removed.extend(a);
+                indexed.delete_into(&m, now, &mut sink);
+                assert_removed_eq(&removed, &sink, &ctx);
             }
             6 | 7 => {
                 let v = random_view(&mut rng);
@@ -209,9 +214,10 @@ pub fn check_seed(seed: u64, ops: usize) -> usize {
             }
             8 => {
                 let a = naive.expire(now);
-                let b = indexed.expire(now);
-                assert_removed_eq(&a, &b, &ctx);
                 hits += (!a.is_empty()) as usize;
+                removed.extend(a);
+                indexed.expire_into(now, &mut sink);
+                assert_removed_eq(&removed, &sink, &ctx);
             }
             _ => {
                 let v = random_view(&mut rng);
@@ -227,6 +233,12 @@ pub fn check_seed(seed: u64, ops: usize) -> usize {
     let end = now + Duration::from_secs(3600);
     assert_removed_eq(&naive.expire(end), &indexed.expire(end), "final drain");
     assert_tables_eq(&naive, &indexed, "after final drain");
+    // The flows without a timeout are left: the wildcard delete takes them.
+    removed.extend(naive.delete(&Match::any(), end));
+    indexed.delete_into(&Match::any(), end, &mut sink);
+    assert_removed_eq(&removed, &sink, "wildcard delete");
+    assert_tables_eq(&naive, &indexed, "after wildcard delete");
+    assert!(indexed.is_empty(), "a wildcard delete empties the table");
     hits
 }
 

@@ -194,7 +194,7 @@ pub struct MatchView {
 }
 
 /// The four fields of the registered-service match, in wire order.
-fn service_fields(dst_ip: [u8; 4], dst_port: u16) -> [OxmField; 4] {
+pub fn service_fields(dst_ip: [u8; 4], dst_port: u16) -> [OxmField; 4] {
     [
         OxmField::EthType(0x0800),
         OxmField::IpProto(6),
@@ -232,20 +232,23 @@ impl Match {
     }
 
     /// Convenience: exact per-connection match (the redirect flows installed
-    /// after scheduling). Built at its exact capacity: the controller keeps
-    /// one of these per bookkept rule, so growth slack would be paid for the
-    /// life of every pair.
+    /// after scheduling).
     pub fn connection(
         src_ip: [u8; 4],
         src_port: u16,
         dst_ip: [u8; 4],
         dst_port: u16,
     ) -> Match {
-        let mut fields = Vec::with_capacity(6);
-        fields.extend_from_slice(&service_fields(dst_ip, dst_port));
-        fields.push(OxmField::Ipv4Src(src_ip));
-        fields.push(OxmField::TcpSrc(src_port));
-        Match { fields }
+        let client = [OxmField::Ipv4Src(src_ip), OxmField::TcpSrc(src_port)];
+        Match::of(service_fields(dst_ip, dst_port).into_iter().chain(client))
+    }
+
+    /// The match of `fields`, in order, with no field kind given twice. Built
+    /// with one heap call at its exact capacity, where [`Match::with`] grows
+    /// it a field at a time: the controller keeps every match it installs
+    /// for the life of the rule, so growth slack would be paid that long.
+    pub fn of(fields: impl IntoIterator<Item = OxmField>) -> Match {
+        Match { fields: fields.into_iter().collect() }
     }
 
     /// The fields of this match.

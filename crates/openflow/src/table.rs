@@ -209,13 +209,6 @@ impl Slab {
     fn iter(&self) -> impl Iterator<Item = (FlowId, &FlowEntry)> {
         self.slots.iter().filter_map(|c| Some((c.id, c.entry.as_ref()?)))
     }
-
-    /// Empties the slab. The insertion count carries on, so ids handed out
-    /// before stay stale.
-    fn drain(&mut self) -> Vec<(FlowId, FlowEntry)> {
-        self.free.clear();
-        self.slots.drain(..).filter_map(|c| Some((c.id, c.entry?))).collect()
-    }
 }
 
 impl std::ops::Index<FlowId> for Slab {
@@ -426,9 +419,9 @@ pub struct FlowTable {
     /// Expiry wheel; per-entry deadlines are never later than the true
     /// expiry instant (idle refreshes are applied lazily on sweep).
     wheel: TimerWheel<FlowId>,
-    /// Recycled buffer for expiry sweeps, so periodic [`FlowTable::expire`]
-    /// ticks allocate nothing in the steady state.
-    expiry_scratch: Vec<FlowId>,
+    /// Recycled id buffer of expiry sweeps and deletes, so neither allocates
+    /// in the steady state.
+    id_scratch: Vec<FlowId>,
 }
 
 /// `true` if candidate `(priority, id)` `a` beats `b` (higher priority wins;
@@ -596,32 +589,33 @@ impl FlowTable {
         ids.len()
     }
 
-    /// Deletes all flows whose match equals `match_` (exact-match delete;
-    /// the controller always deletes what it installed). A wildcard `match_`
-    /// deletes everything. Returns removal records in priority order.
+    /// [`FlowTable::delete_into`] with a fresh buffer.
     pub fn delete(&mut self, match_: &Match, now: SimTime) -> Vec<Removed> {
-        let mut taken: Vec<(FlowId, FlowEntry)> = if match_.is_empty() {
-            let all = self.flows.drain();
-            self.index.clear();
-            self.shape_counts.clear();
-            self.residual.clear();
-            self.wheel.clear();
-            all
+        let mut removed = Vec::new();
+        self.delete_into(match_, now, &mut removed);
+        removed
+    }
+
+    /// Deletes all flows whose match equals `match_` (exact-match delete;
+    /// the controller always deletes what it installed), appending removal
+    /// records to `out` in priority order. A wildcard `match_` deletes
+    /// everything.
+    pub fn delete_into(&mut self, match_: &Match, now: SimTime, out: &mut Vec<Removed>) {
+        let mut ids = std::mem::take(&mut self.id_scratch);
+        ids.clear();
+        if match_.is_empty() {
+            ids.extend(self.flows.iter().map(|(id, _)| id));
         } else {
-            self.ids_matching(match_, None)
-                .into_iter()
-                .map(|id| (id, self.remove_entry(id)))
-                .collect()
-        };
-        taken.sort_by_key(|(id, e)| (std::cmp::Reverse(e.priority), *id));
-        taken
-            .into_iter()
-            .map(|(_, entry)| Removed {
-                entry,
-                reason: RemovedReason::Delete,
-                at: now,
-            })
-            .collect()
+            let filed = self.filed_at(&filing_of(match_));
+            ids.extend(filed.filter(|&id| self.flows[id].match_ == *match_));
+        }
+        // Ids are unique, so the unstable sort (no merge buffer) is exact.
+        ids.sort_unstable_by_key(|&id| (std::cmp::Reverse(self.flows[id].priority), id));
+        for id in ids.drain(..) {
+            let entry = self.remove_entry(id);
+            out.push(Removed { entry, reason: RemovedReason::Delete, at: now });
+        }
+        self.id_scratch = ids;
     }
 
     /// The winning entry id for `view`: one hash probe per live shape plus a
@@ -686,7 +680,7 @@ impl FlowTable {
     /// deadline is due — entries whose idle timer was refreshed by traffic
     /// since their deadline was set are rescheduled, not scanned again.
     pub fn expire_into(&mut self, now: SimTime, out: &mut Vec<Removed>) {
-        let mut due = std::mem::take(&mut self.expiry_scratch);
+        let mut due = std::mem::take(&mut self.id_scratch);
         due.clear();
         self.wheel.expired_into(now, &mut due);
         due.retain(|&id| {
@@ -706,7 +700,7 @@ impl FlowTable {
             let entry = self.remove_entry(id);
             out.push(Removed { entry, reason, at: now });
         }
-        self.expiry_scratch = due;
+        self.id_scratch = due;
     }
 
     /// The earliest instant at which some flow could expire (for efficient

@@ -9,9 +9,11 @@ use proptest::prelude::*;
 proptest! {
     /// Random add/modify/modify-strict/delete/lookup/peek/expire sequences
     /// produce identical lookup results, removal records (entries, final
-    /// counters, reasons, order), table contents, and expiry scheduling on
-    /// both implementations. `diff::check_seed` panics with the seed and
-    /// step on any divergence.
+    /// counters, reasons, order — the indexed table's appended to one sink
+    /// that already holds every earlier record), table contents, and expiry
+    /// scheduling on both implementations; a wildcard delete ends every
+    /// sequence. `diff::check_seed` panics with the seed and step on any
+    /// divergence.
     #[test]
     fn indexed_table_is_observably_naive(seed in any::<u64>()) {
         openflow::diff::check_seed(seed, 60);

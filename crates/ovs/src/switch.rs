@@ -68,7 +68,7 @@ pub struct Switch {
     buffers: FastMap<u32, (u32, Vec<u8>)>, // buffer_id -> (in_port, frame)
     next_buffer: u32,
     next_xid: u32,
-    /// Recycled buffer of [`Switch::expire_flows_into`]'s removal records.
+    /// Recycled buffer of the removal records of expiries and deletes.
     expired: Vec<Removed>,
     /// Count of packets handled on the fast path (no controller).
     pub fast_path_packets: u64,
@@ -249,9 +249,7 @@ impl Switch {
                     self.table.modify(&match_, &instructions);
                 }
                 FlowModCommand::Delete => {
-                    for removed in self.table.delete(&match_, now) {
-                        effects.extend(self.flow_removed_msg(removed));
-                    }
+                    self.report_removed(effects, |t, r| t.delete_into(&match_, now, r));
                 }
             },
             Message::PacketOut {
@@ -346,8 +344,14 @@ impl Switch {
     /// Expires timed-out flows, appending a `FLOW_REMOVED` notification for
     /// each entry that requested one.
     pub fn expire_flows_into(&mut self, now: SimTime, out: &mut Vec<Effect>) {
+        self.report_removed(out, |t, r| t.expire_into(now, r));
+    }
+
+    /// Runs `remove` on the table into the recycled `removed` buffer and
+    /// appends the `FLOW_REMOVED`s of what it took out to `out`.
+    fn report_removed(&mut self, out: &mut Vec<Effect>, remove: impl FnOnce(&mut FlowTable, &mut Vec<Removed>)) {
         let mut removed = std::mem::take(&mut self.expired);
-        self.table.expire_into(now, &mut removed);
+        remove(&mut self.table, &mut removed);
         out.extend(removed.drain(..).filter_map(|r| self.flow_removed_msg(r)));
         self.expired = removed;
     }

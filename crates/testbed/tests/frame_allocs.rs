@@ -22,7 +22,10 @@
 //! scheduling, two flow-mods, release, idle expiry, `FLOW_REMOVED` — stays
 //! under a ceiling three calls above what it measures, so neither the
 //! encoder's old nested temporaries, a per-flow index-bucket allocation nor a
-//! `Vec` per switch or controller call can come back unnoticed.
+//! `Vec` per switch or controller call can come back unnoticed. A handover
+//! costs the same at 4 and 16 zones and an idle scale-down shares the service
+//! definition, so neither a per-cluster copy in the scheduler's views nor a
+//! deep `EdgeService` copy can come back either.
 
 use desim::SimTime;
 use netsim::{Ipv4Addr, MacAddr, ServiceAddr, TcpFrame};
@@ -261,17 +264,18 @@ fn encoding_a_control_message_is_one_heap_call() {
 /// through the switch (SYN, SYN-ACK, request, response), one table miss and
 /// packet-in, the FlowMemory/scheduler decision, two flow-mods, the buffered
 /// SYN's release, then idle expiry of the pair with its `FLOW_REMOVED` and
-/// the controller's bookkeeping for it. Measures 33 heap calls (32 in a
+/// the controller's bookkeeping for it. Measures 29 heap calls (28 in a
 /// release build, where the scan that checks the controller's pair index is
 /// compiled out; `e2ebench`'s steady state is 22 per request; here the
 /// connection also pays the first push into a few timer-wheel slots no
-/// earlier one touched). With a `Vec` returned by every switch and
-/// controller call and grown by every expiry sweep it was 43; with a fresh
+/// earlier one touched). With the scheduler's views copying the cluster name
+/// into fresh `Vec`s it was 32; with a `Vec` returned by every switch and
+/// controller call and grown by every expiry sweep, 43; with a fresh
 /// buffer for each of its four frames as well, 47; with a `Vec` allocated
 /// per flow-table index bucket, 48; with the encoder's nested temporaries
 /// and the cloned matches, 111.
 #[test]
-fn a_warm_short_connection_costs_at_most_thirty_six_heap_calls() {
+fn a_warm_short_connection_costs_at_most_thirty_two_heap_calls() {
     let profile = containerd::ServiceSet::by_key("nginx").unwrap();
     let addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), profile.listen_port);
     let mut tb = Testbed::new(TestbedConfig::default());
@@ -296,5 +300,91 @@ fn a_warm_short_connection_costs_at_most_thirty_six_heap_calls() {
     assert_eq!(tb.controller.flows_removed() - removed, 1, "the pair idled out and said so");
     assert!(tb.switch().table().is_empty());
     println!("one warm nginx connection, miss to FLOW_REMOVED: {calls} heap calls");
-    assert!(calls <= 36, "{calls} heap calls for one warm short connection");
+    assert!(calls <= 32, "{calls} heap calls for one warm short connection");
+}
+
+/// Heap calls of one `Redispatch` handover at the controller — the session's
+/// old pair swept, the Global Scheduler consulted from the new gNB, the new
+/// zone's pair built and filed, the make-before-break messages encoded — on
+/// the multi-gNB testbed with one zone per gNB, the service running in every
+/// zone and `n_gnbs` clusters for the scheduler to weigh. The client hops
+/// between gNBs 0 and 1; the last hop is measured, at the same instant
+/// whatever the zone count.
+fn one_redispatch_handover(n_gnbs: usize) -> u64 {
+    use edgectl::{HandoverPolicy, IngressId};
+    use testbed::{MobilityConfig, MobilityTestbed};
+    let policy = HandoverPolicy::Redispatch;
+    let config = MobilityConfig { n_gnbs, n_clients: 1, policy, ..MobilityConfig::default() };
+    let mut tb = MobilityTestbed::new(config);
+    let profile = containerd::ServiceSet::by_key("asm").unwrap();
+    tb.register_service(profile, ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80));
+    for z in 0..n_gnbs {
+        tb.pre_deploy_on(z);
+    }
+    // The session's first pings place it on zone 0 through gNB 0.
+    let mut home = mobility::Static::round_robin(1, n_gnbs);
+    tb.run(&mut home, SimTime::from_secs(1), SimTime::from_secs(5));
+    let client = tb.topology().client_ip(0);
+    assert_eq!(tb.controller.memory().flows_of_client_at(client, IngressId(0)).len(), 1);
+    let mut rng = desim::SimRng::new(1);
+    let (mac, gw) = (MacAddr::from_id(1), MacAddr::from_id(2));
+    let mut hop = |tb: &mut MobilityTestbed, k: u64| {
+        let (from, to) = (IngressId((k % 2) as u32), IngressId(((k + 1) % 2) as u32));
+        let at = SimTime::from_secs(6 + k);
+        tb.controller.handle_attachment_change(at, client, mac, gw, from, to, 1, policy, &mut rng)
+    };
+    // Warm: both gNBs have filed the client's pairs, and the measured hop
+    // neither grows the tracker's move log nor opens a new timer-wheel slot.
+    for k in 0..5 {
+        assert_eq!(hop(&mut tb, k).redispatched, 1);
+    }
+    let (calls, outcome) = heap_calls(|| hop(&mut tb, 5));
+    assert_eq!((outcome.redispatched, outcome.messages.len()), (1, 4), "two Adds, two Deletes");
+    calls
+}
+
+/// A handover's scheduling step gathers every cluster's state for the
+/// Global Scheduler, so its cost used to grow with the zone count: each
+/// view copied its cluster's name into a `String`, and the views, the
+/// candidate list, the resolved distances, the session list and the new
+/// gNB's installs each took a fresh `Vec`, and two of the pair's matches
+/// outgrew their first allocation — 22 heap calls at 4 gNBs and 34 at 16.
+/// Borrowed views over recycled buffers make it 11 at any zone count: the
+/// new pair's two matches, two instruction lists and two action lists, its
+/// two Adds and the old pair's two Deletes, and the `Vec` they travel in.
+#[test]
+fn a_redispatch_handover_costs_the_same_few_heap_calls_at_any_zone_count() {
+    let (four, sixteen) = (one_redispatch_handover(4), one_redispatch_handover(16));
+    println!("one Redispatch handover: {four} heap calls at 4 gNBs, {sixteen} at 16");
+    assert_eq!(four, sixteen, "heap calls must not grow with the zone count");
+    assert!(sixteen <= 14, "{sixteen} heap calls for one handover");
+}
+
+/// The idle sweep's scale-down of a service whose last flow expired. It
+/// deep-copied the `EdgeService` — annotated manifest, layer digests and
+/// all — for every scale-down: 101 heap calls. A shared handle leaves 6:
+/// the expiry report (two), the event and its cluster name, and the Docker
+/// cluster's own bookkeeping (two).
+#[test]
+fn an_idle_scale_down_shares_the_service_definition() {
+    let profile = containerd::ServiceSet::by_key("nginx").unwrap();
+    let addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), profile.listen_port);
+    let mut tb = Testbed::new(TestbedConfig::default());
+    tb.register_service(profile, addr);
+    tb.pre_deploy_on(addr, 0);
+    // Warm: a request, its idle scale-down, and a request that scales the
+    // service up again; its flow is still memorized at 130 s.
+    tb.request_at(SimTime::from_secs(20), 0, addr);
+    tb.run_until(SimTime::from_secs(120));
+    assert_eq!(tb.controller.telemetry.metrics.counter("scale_downs"), 1);
+    tb.request_at(SimTime::from_secs(120), 1, addr);
+    tb.run_until(SimTime::from_secs(130));
+    assert_eq!(tb.completed.len(), 2);
+
+    let mut rng = desim::SimRng::new(1);
+    let (calls, events) = heap_calls(|| tb.controller.tick(SimTime::from_secs(200), &mut rng));
+    assert_eq!(events.len(), 1, "{events:?}");
+    assert_eq!(events[0].action, edgectl::controller::LifecycleAction::ScaleDown);
+    println!("one idle scale-down tick: {calls} heap calls");
+    assert!(calls <= 9, "{calls} heap calls for one idle scale-down");
 }
