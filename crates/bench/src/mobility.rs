@@ -2,8 +2,9 @@
 //!
 //! Run by `repro mobility`, which writes `BENCH_mobility.json`. It writes
 //! the per-policy runs of `testbed::experiments::mobility` — the same
-//! simulation the figure shows — as handover counts plus the interruption
-//! distribution (announce → last new-switch install) at p50/p95/p99.
+//! simulation the figure shows — as handover counts, the interruption
+//! distribution (announce → last new-switch install) at p50/p95/p99 and the
+//! session-continuity counts its gate holds at zero.
 
 use crate::artifact;
 use desim::Summary;
@@ -19,10 +20,12 @@ pub(crate) fn pct(xs: &[f64], p: f64) -> f64 {
     Summary::new(xs.to_vec()).percentile(p).unwrap_or(0.0) * 1e3
 }
 
-/// The artifact's gate: nothing dropped, and every policy reports its
-/// interruption p99.
+/// The artifact's gate: session continuity — nothing dropped, and under
+/// every policy no ping answered twice, no reset and no edge address seen by
+/// a client — and every policy reports its interruption p99.
 pub fn gates(v: &Value) -> Result<(), String> {
     artifact::zero_fields(v, &["total_dropped"])?;
+    artifact::zero(v, "policies", &["double_answered", "resets", "transparency_violations"])?;
     artifact::each_row(v, "policies", "has interruption_p99_ms", |p| {
         Some(artifact::num(p, "interruption_p99_ms").is_some())
     })
@@ -54,6 +57,9 @@ fn artifact(seed: u64, smoke: bool, runs: &[(&'static str, MobilityStats)]) -> S
             r.fixed("interruption_p99_ms", pct(&s.interruptions, 99.0), 3);
             r.int("pings", s.pings_done);
             r.int("dropped", dropped(s));
+            r.int("double_answered", s.double_answered);
+            r.int("resets", s.resets);
+            r.int("transparency_violations", s.transparency_violations);
         });
         o.int("total_dropped", runs.iter().map(|(_, s)| dropped(s)).sum());
     })
@@ -68,7 +74,7 @@ pub(crate) mod tests {
   "seed": 7,
   "smoke": true,
   "policies": [
-    {"policy": "anchored", "handovers": 4, "flows_migrated": 4, "redispatched": 0, "interruption_p50_ms": 0.350, "interruption_p95_ms": 0.400, "interruption_p99_ms": 0.400, "pings": 300, "dropped": 0}
+    {"policy": "anchored", "handovers": 4, "flows_migrated": 4, "redispatched": 0, "interruption_p50_ms": 0.350, "interruption_p95_ms": 0.400, "interruption_p99_ms": 0.400, "pings": 300, "dropped": 0, "double_answered": 0, "resets": 0, "transparency_violations": 0}
   ],
   "total_dropped": 0
 }
@@ -129,6 +135,21 @@ pub(crate) mod tests {
                     "\"total_dropped\": 0",
                     "\"total_dropped\": 2",
                     "total_dropped == 0",
+                ),
+                (
+                    "\"double_answered\": 0",
+                    "\"double_answered\": 1",
+                    "policies[0]: double_answered == 0",
+                ),
+                (
+                    "\"resets\": 0",
+                    "\"resets\": 1",
+                    "policies[0]: resets == 0",
+                ),
+                (
+                    "\"transparency_violations\": 0",
+                    "\"transparency_violations\": 1",
+                    "policies[0]: transparency_violations == 0",
                 ),
                 (
                     "\"interruption_p99_ms\": 0.400, ",

@@ -243,11 +243,6 @@ impl ContainerdNode {
         self.containers.get(&id).map(|e| e.state)
     }
 
-    /// Spec query.
-    pub fn spec(&self, id: ContainerId) -> Option<&ContainerSpec> {
-        self.containers.get(&id).map(|e| &e.spec)
-    }
-
     /// The controller's readiness probe: is `port` accepting connections on
     /// container `id` at `now`? (Section VI: "the controller continuously
     /// tests if the respective port is open".)
@@ -255,16 +250,6 @@ impl ContainerdNode {
         self.containers.get(&id).is_some_and(|e| {
             e.spec.listen_port == Some(port) && e.state.is_ready(now)
         })
-    }
-
-    /// All containers carrying label `key=value` (the controller queries its
-    /// `edge.service` label this way).
-    pub fn find_by_label(&self, key: &str, value: &str) -> Vec<ContainerId> {
-        self.containers
-            .iter()
-            .filter(|(_, e)| e.spec.labels.get(key).is_some_and(|v| v == value))
-            .map(|(id, _)| *id)
-            .collect()
     }
 
     /// Number of containers (any state).
@@ -376,19 +361,6 @@ mod tests {
         n.set_faults(FaultPlan::default().injector(0x3));
         let (started, ready) = n.start(id, at, Duration::ZERO, &mut rng).unwrap();
         assert!(ready >= started);
-    }
-
-    #[test]
-    fn label_queries() {
-        let mut rng = SimRng::new(4);
-        let mut n = node_with_nginx(&mut rng);
-        let (a, _) = n.create(nginx_spec(), &catalog::nginx(), SimTime::ZERO, &mut rng).unwrap();
-        let other = ContainerSpec::new("web2", ImageRef::parse("nginx:1.23.2"), Some(80))
-            .with_label("edge.service", "svc-b");
-        let (_b, _) = n.create(other, &catalog::nginx(), SimTime::ZERO, &mut rng).unwrap();
-        assert_eq!(n.find_by_label("edge.service", "svc-a"), vec![a]);
-        assert_eq!(n.find_by_label("edge.service", "nope"), vec![]);
-        assert_eq!(n.container_count(), 2);
     }
 
     #[test]

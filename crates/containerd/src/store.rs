@@ -2,7 +2,6 @@
 
 use desim::{Duration, FaultInjector, SimRng};
 use registry::{ImageManifest, LayerCache, PullError, PullOutcome, PullPlanner, RegistryProfile};
-use std::collections::HashMap;
 
 /// The node-local content store. Owns the layer cache and knows how to reach
 /// registries (public by default, optionally a private mirror).
@@ -11,9 +10,6 @@ pub struct ContentStore {
     /// Optional private registry used for every pull when set (the paper's
     /// in-network registry alternative).
     mirror: Option<RegistryProfile>,
-    /// Manifests known to this store (by display reference), so `has_image`
-    /// queries can resolve locally.
-    manifests: HashMap<String, ImageManifest>,
     /// Chaos-testing fault injector, consulted only by the `try_*` pull
     /// entry points.
     faults: Option<FaultInjector>,
@@ -31,7 +27,6 @@ impl ContentStore {
         ContentStore {
             cache: LayerCache::new(),
             mirror: None,
-            manifests: HashMap::new(),
             faults: None,
         }
     }
@@ -41,7 +36,6 @@ impl ContentStore {
         ContentStore {
             cache: LayerCache::new(),
             mirror: Some(mirror),
-            manifests: HashMap::new(),
             faults: None,
         }
     }
@@ -66,10 +60,7 @@ impl ContentStore {
             None => RegistryProfile::for_host(&manifest.reference.host),
         };
         let planner = PullPlanner::new(&profile);
-        let out = planner.pull(manifest, &mut self.cache, rng);
-        self.manifests
-            .insert(manifest.reference.to_string(), manifest.clone());
-        out
+        planner.pull(manifest, &mut self.cache, rng)
     }
 
     /// Pulls several images *concurrently* (e.g. the two containers of the
@@ -100,10 +91,7 @@ impl ContentStore {
             None => RegistryProfile::for_host(&manifest.reference.host),
         };
         let planner = PullPlanner::new(&profile);
-        let out = planner.pull_with_faults(manifest, &mut self.cache, rng, self.faults.as_mut())?;
-        self.manifests
-            .insert(manifest.reference.to_string(), manifest.clone());
-        Ok(out)
+        planner.pull_with_faults(manifest, &mut self.cache, rng, self.faults.as_mut())
     }
 
     /// Fallible concurrent pull of several images. All transfers run in
@@ -135,18 +123,6 @@ impl ContentStore {
             }
             None => Ok(wall),
         }
-    }
-
-    /// Deletes an image's layers except those shared with other known images.
-    /// Returns bytes freed.
-    pub fn delete_image(&mut self, manifest: &ImageManifest) -> u64 {
-        self.manifests.remove(&manifest.reference.to_string());
-        let still_used: Vec<_> = self
-            .manifests
-            .values()
-            .flat_map(|m| m.layers.iter().map(|l| l.digest))
-            .collect();
-        self.cache.remove_image(manifest, &still_used)
     }
 
     /// Bytes on disk.
@@ -203,21 +179,5 @@ mod tests {
         let b = s2.pull(&manifests[1], &mut rng2).duration;
         assert!(combined < a + b);
         assert!(combined >= a.max(b).min(a) || combined > Duration::ZERO);
-    }
-
-    #[test]
-    fn delete_respects_cross_image_sharing() {
-        let mut s = ContentStore::new();
-        let mut rng = SimRng::new(5);
-        let nginx = catalog::nginx();
-        let py = catalog::env_writer_py();
-        s.pull(&nginx, &mut rng);
-        s.pull(&py, &mut rng);
-        let usage = s.disk_usage();
-        let freed = s.delete_image(&py);
-        assert_eq!(freed, py.total_size());
-        assert_eq!(s.disk_usage(), usage - freed);
-        assert!(s.has_image(&nginx));
-        assert!(!s.has_image(&py));
     }
 }

@@ -71,29 +71,4 @@ proptest! {
             prop_assert!(!n.port_open(id, 80, t + Duration::from_secs(1)));
         }
     }
-
-    /// Label queries always return exactly the containers carrying the label,
-    /// independent of creation order.
-    #[test]
-    fn label_queries_exact(seed in any::<u64>(), labels in prop::collection::vec(0u8..4, 1..12)) {
-        let mut rng = SimRng::new(seed);
-        let mut n = ContainerdNode::with_defaults();
-        n.pull(&[catalog::web_asm()], &mut rng);
-        let mut expected: std::collections::HashMap<u8, usize> = Default::default();
-        for (i, &l) in labels.iter().enumerate() {
-            let spec = ContainerSpec::new(
-                format!("c{i}"),
-                ImageRef::parse("josefhammer/web-asm:amd64"),
-                Some(80),
-            )
-            .with_label("edge.service", format!("svc-{l}"));
-            n.create(spec, &catalog::web_asm(), SimTime::from_secs(1), &mut rng)
-                .expect("no fault injection configured");
-            *expected.entry(l).or_default() += 1;
-        }
-        for l in 0u8..4 {
-            let found = n.find_by_label("edge.service", &format!("svc-{l}"));
-            prop_assert_eq!(found.len(), expected.get(&l).copied().unwrap_or(0));
-        }
-    }
 }

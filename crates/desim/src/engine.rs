@@ -149,19 +149,6 @@ impl<E> Engine<E> {
             _ => None,
         }
     }
-
-    /// Advances the clock to `at` without processing events. Used by hybrid
-    /// harnesses that mix externally-driven phases with queued events.
-    ///
-    /// # Panics
-    /// Panics if pending events exist before `at` (they would be skipped).
-    pub fn advance_to(&mut self, at: SimTime) {
-        if let Some(t) = self.queue.peek_time() {
-            assert!(t >= at, "advance_to({at:?}) would skip a pending event at {t:?}");
-        }
-        assert!(at >= self.now, "advance_to would move time backwards");
-        self.now = at;
-    }
 }
 
 #[cfg(test)]
@@ -201,21 +188,6 @@ mod tests {
         assert!(e.pop_until(SimTime::from_secs(2)).is_some());
         assert!(e.pop_until(SimTime::from_secs(2)).is_none());
         assert_eq!(e.pending(), 1);
-    }
-
-    #[test]
-    fn advance_to_moves_clock() {
-        let mut e: Engine<u8> = Engine::new();
-        e.advance_to(SimTime::from_secs(5));
-        assert_eq!(e.now(), SimTime::from_secs(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "would skip a pending event")]
-    fn advance_past_pending_event_panics() {
-        let mut e: Engine<u8> = Engine::new();
-        e.schedule_in(Duration::from_secs(1), 1);
-        e.advance_to(SimTime::from_secs(2));
     }
 
     #[test]

@@ -49,6 +49,6 @@ pub use fault::{FaultInjector, FaultPlan, RetryPolicy};
 pub use hash::{FastMap, FastSet};
 pub use queue::NaiveEventQueue;
 pub use rng::SimRng;
-pub use stats::{Histogram, LogHistogram, Summary};
+pub use stats::{LogHistogram, Summary};
 pub use time::{fmt_duration, Duration, SimTime};
 pub use wheel::TimerWheel;

@@ -87,30 +87,9 @@ impl SimRng {
         (m >> 64) as u64
     }
 
-    /// Uniform integer in the inclusive range `[lo, hi]`.
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "range_inclusive lo > hi");
-        if lo == hi {
-            return lo;
-        }
-        let span = hi - lo;
-        if span == u64::MAX {
-            return self.next_u64();
-        }
-        lo + self.below(span + 1)
-    }
-
     /// Bernoulli draw with probability `p` of `true` (clamped to `[0,1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p.clamp(0.0, 1.0)
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
     }
 
     /// Picks a uniformly random element, or `None` if `items` is empty.
@@ -184,38 +163,10 @@ mod tests {
     }
 
     #[test]
-    fn range_inclusive_covers_bounds() {
-        let mut r = SimRng::new(5);
-        let mut lo_seen = false;
-        let mut hi_seen = false;
-        for _ in 0..10_000 {
-            match r.range_inclusive(3, 6) {
-                3 => lo_seen = true,
-                6 => hi_seen = true,
-                4 | 5 => {}
-                other => panic!("out of range: {other}"),
-            }
-        }
-        assert!(lo_seen && hi_seen);
-        assert_eq!(r.range_inclusive(9, 9), 9);
-    }
-
-    #[test]
     fn chance_extremes() {
         let mut r = SimRng::new(1);
         assert!(!(0..1000).any(|_| r.chance(0.0)));
         assert!((0..1000).all(|_| r.chance(1.0)));
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = SimRng::new(13);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>()); // astronomically unlikely
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Summary statistics for experiment reporting.
 //!
 //! The paper reports medians of timing populations; [`Summary`] computes
-//! those plus the usual descriptive statistics and simple fixed-width
-//! histograms used to render the request/deployment distribution figures.
+//! those plus the usual descriptive statistics, and [`LogHistogram`] keeps
+//! always-on latency distributions in fixed memory.
 
 use crate::time::Duration;
 
@@ -29,11 +29,6 @@ impl Summary {
         values.sort_by(f64::total_cmp);
         let sum = values.iter().sum();
         Summary { sorted: values, sum }
-    }
-
-    /// Builds a summary from durations, in seconds.
-    pub fn from_durations(values: impl IntoIterator<Item = Duration>) -> Self {
-        Self::new(values.into_iter().map(|d| d.as_secs_f64()).collect())
     }
 
     /// Number of observations.
@@ -105,88 +100,6 @@ impl Summary {
     /// The sorted observations.
     pub fn values(&self) -> &[f64] {
         &self.sorted
-    }
-
-    /// A bootstrap 95 % confidence interval for the median: resamples the
-    /// population `resamples` times with replacement and takes the 2.5th and
-    /// 97.5th percentiles of the resampled medians. Returns `None` for
-    /// populations smaller than two observations.
-    pub fn median_ci95(&self, resamples: usize, rng: &mut crate::SimRng) -> Option<(f64, f64)> {
-        if self.sorted.len() < 2 || resamples == 0 {
-            return None;
-        }
-        let n = self.sorted.len();
-        let mut medians = Vec::with_capacity(resamples);
-        let mut sample = vec![0.0; n];
-        for _ in 0..resamples {
-            for slot in sample.iter_mut() {
-                *slot = self.sorted[rng.below(n as u64) as usize];
-            }
-            sample.sort_by(f64::total_cmp);
-            medians.push(sample[n / 2]);
-        }
-        let s = Summary::new(medians);
-        Some((s.percentile(2.5)?, s.percentile(97.5)?))
-    }
-}
-
-/// A fixed-width histogram over `[0, width * bins)`, used to render the
-/// per-second request/deployment timelines (Figs. 9 and 10).
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    bin_width: f64,
-    counts: Vec<u64>,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` buckets of `bin_width` each.
-    ///
-    /// # Panics
-    /// Panics if `bins == 0` or `bin_width <= 0`.
-    pub fn new(bin_width: f64, bins: usize) -> Self {
-        assert!(bins > 0 && bin_width > 0.0, "degenerate histogram");
-        Histogram {
-            bin_width,
-            counts: vec![0; bins],
-            overflow: 0,
-        }
-    }
-
-    /// Records one observation at coordinate `x` (negative values land in
-    /// bucket 0).
-    pub fn record(&mut self, x: f64) {
-        let idx = (x.max(0.0) / self.bin_width) as usize;
-        if idx < self.counts.len() {
-            self.counts[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Per-bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Observations beyond the last bucket.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total recorded observations (including overflow).
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.overflow
-    }
-
-    /// Largest single-bucket count.
-    pub fn peak(&self) -> u64 {
-        self.counts.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Width of each bucket.
-    pub fn bin_width(&self) -> f64 {
-        self.bin_width
     }
 }
 
@@ -390,40 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn from_durations_converts_to_seconds() {
-        let s = Summary::from_durations(vec![
-            Duration::from_millis(500),
-            Duration::from_millis(1500),
-        ]);
-        assert_eq!(s.mean(), Some(1.0));
-    }
-
-    #[test]
-    fn median_ci_brackets_the_median() {
-        let mut rng = crate::SimRng::new(7);
-        // A population with a clear median of ~0.5.
-        let values: Vec<f64> = (0..500)
-            .map(|_| 0.5 + 0.1 * (rng.next_f64() - 0.5))
-            .collect();
-        let s = Summary::new(values);
-        let med = s.median().unwrap();
-        let (lo, hi) = s.median_ci95(200, &mut rng).unwrap();
-        assert!(lo <= med && med <= hi, "{lo} <= {med} <= {hi}");
-        assert!(hi - lo < 0.02, "tight CI for 500 samples: [{lo}, {hi}]");
-    }
-
-    #[test]
-    fn median_ci_degenerate_cases() {
-        let mut rng = crate::SimRng::new(1);
-        assert!(Summary::new(vec![]).median_ci95(100, &mut rng).is_none());
-        assert!(Summary::new(vec![1.0]).median_ci95(100, &mut rng).is_none());
-        assert!(Summary::new(vec![1.0, 2.0]).median_ci95(0, &mut rng).is_none());
-        // Constant population: zero-width interval.
-        let (lo, hi) = Summary::new(vec![3.0; 10]).median_ci95(50, &mut rng).unwrap();
-        assert_eq!((lo, hi), (3.0, 3.0));
-    }
-
-    #[test]
     fn log_histogram_small_values_are_exact() {
         let mut h = LogHistogram::new();
         for v in 0..8u64 {
@@ -476,21 +355,5 @@ mod tests {
         a.merge(&LogHistogram::new());
         assert_eq!(a.percentile(50.0), before);
         assert!(LogHistogram::new().percentile(50.0).is_none());
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(1.0, 3);
-        h.record(0.5);
-        h.record(1.2);
-        h.record(1.9);
-        h.record(2.0);
-        h.record(99.0);
-        h.record(-1.0); // clamps into bucket 0
-        assert_eq!(h.counts(), &[2, 2, 1]);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.total(), 6);
-        assert_eq!(h.peak(), 2);
-        assert_eq!(h.bin_width(), 1.0);
     }
 }

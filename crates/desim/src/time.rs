@@ -64,12 +64,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference between two instants.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<Duration> {
-        self.0.checked_sub(earlier.0).map(Duration)
-    }
 }
 
 impl Duration {
@@ -299,11 +293,6 @@ mod tests {
             SimTime::from_secs(1).saturating_since(SimTime::from_secs(2)),
             Duration::ZERO
         );
-        assert_eq!(
-            SimTime::from_secs(2).checked_since(SimTime::from_secs(1)),
-            Some(Duration::from_secs(1))
-        );
-        assert_eq!(SimTime::from_secs(1).checked_since(SimTime::from_secs(2)), None);
         assert_eq!(Duration::MAX.saturating_add(Duration::from_secs(1)), Duration::MAX);
         assert_eq!(Duration::ZERO.saturating_sub(Duration::from_secs(1)), Duration::ZERO);
     }

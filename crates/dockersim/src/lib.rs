@@ -208,24 +208,6 @@ impl DockerEngine {
         self.names.get(name).and_then(|id| self.node.state(*id))
     }
 
-    /// `docker ps --filter label=key=value`: running containers carrying the
-    /// label.
-    pub fn ps_by_label(&self, key: &str, value: &str) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .names
-            .iter()
-            .filter(|(_, id)| {
-                self.node
-                    .spec(**id)
-                    .is_some_and(|s| s.labels.get(key).is_some_and(|v| v == value))
-                    && self.node.state(**id).is_some_and(|s| s.is_running())
-            })
-            .map(|(n, _)| n.clone())
-            .collect();
-        names.sort();
-        names
-    }
-
     /// Readiness probe against a named container's port.
     pub fn port_open(&self, name: &str, port: u16, now: SimTime) -> bool {
         self.names
@@ -322,17 +304,6 @@ mod tests {
             e.remove("ghost", SimTime::ZERO, &mut rng),
             Err(DockerError::NoSuchContainer(_))
         ));
-    }
-
-    #[test]
-    fn ps_filters_by_label_and_running_state() {
-        let mut rng = SimRng::new(4);
-        let mut e = engine_with_nginx(&mut rng);
-        let (_, c1) = e.create(spec("web1"), &catalog::nginx(), SimTime::ZERO, &mut rng).unwrap();
-        e.create(spec("web2"), &catalog::nginx(), SimTime::ZERO, &mut rng).unwrap();
-        e.start("web1", c1, Duration::ZERO, &mut rng).unwrap();
-        assert_eq!(e.ps_by_label("edge.service", "svc-a"), vec!["web1"]);
-        assert!(e.ps_by_label("edge.service", "other").is_empty());
     }
 
     #[test]

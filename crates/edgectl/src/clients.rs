@@ -33,14 +33,6 @@ pub struct ClientMove {
     pub at: SimTime,
 }
 
-impl ClientMove {
-    /// `true` if the move crossed ingress switches (a cell handover, not
-    /// just a port re-patch on the same switch).
-    pub fn crossed_ingress(&self) -> bool {
-        self.from_ingress != self.to_ingress
-    }
-}
-
 #[derive(Clone, Copy, Debug)]
 struct Location {
     ingress: IngressId,
@@ -149,14 +141,6 @@ impl ClientTracker {
             );
         }
     }
-
-    /// Drops clients not seen since `cutoff` (bookkeeping hygiene on very
-    /// long-running controllers).
-    pub fn evict_stale(&mut self, cutoff: SimTime) -> usize {
-        let before = self.locations.len();
-        self.locations.retain(|_, l| l.last_seen >= cutoff);
-        before - self.locations.len()
-    }
 }
 
 #[cfg(test)]
@@ -203,7 +187,6 @@ mod tests {
                 at: SimTime::from_secs(9)
             }
         );
-        assert!(!mv.crossed_ingress());
         assert_eq!(t.location(ip(20)), Some((G0, 7)));
         assert_eq!(t.moves().len(), 1);
         // Moving back counts again.
@@ -216,7 +199,6 @@ mod tests {
         let mut t = ClientTracker::new();
         t.observe(ip(20), G0, 3, SimTime::from_secs(1));
         let mv = t.observe(ip(20), G1, 3, SimTime::from_secs(4)).unwrap();
-        assert!(mv.crossed_ingress());
         assert_eq!((mv.from_ingress, mv.to_ingress), (G0, G1));
         assert_eq!(t.location(ip(20)), Some((G1, 3)));
     }
@@ -227,16 +209,5 @@ mod tests {
         t.observe(ip(20), G0, 3, SimTime::from_secs(1));
         assert!(t.observe(ip(21), G1, 7, SimTime::from_secs(2)).is_none());
         assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn eviction_drops_stale_clients() {
-        let mut t = ClientTracker::new();
-        t.observe(ip(20), G0, 3, SimTime::from_secs(1));
-        t.observe(ip(21), G0, 4, SimTime::from_secs(100));
-        assert_eq!(t.evict_stale(SimTime::from_secs(50)), 1);
-        assert_eq!(t.len(), 1);
-        assert!(t.location(ip(20)).is_none());
-        assert!(t.location(ip(21)).is_some());
     }
 }

@@ -201,28 +201,6 @@ pub struct RequestRecord {
     pub background_ready: Option<SimTime>,
 }
 
-/// What the idle sweep did to a service.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LifecycleAction {
-    /// The service was scaled to zero (containers stopped / replicas=0).
-    ScaleDown,
-    /// The service was removed entirely (containers / Deployment deleted).
-    Remove,
-}
-
-/// A lifecycle action taken by the idle sweep.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ScaleDownEvent {
-    /// When.
-    pub at: SimTime,
-    /// The idle service.
-    pub service: ServiceAddr,
-    /// Cluster acted on.
-    pub cluster: String,
-    /// What happened.
-    pub action: LifecycleAction,
-}
-
 /// How the controller treats a client's live sessions when it hands them
 /// over to a new ingress (gNB).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -502,9 +480,9 @@ impl Controller {
         self.journal.stats()
     }
 
-    /// Simulates a controller process crash followed by a restart at
-    /// `now`: every piece of in-memory state a real process death loses is
-    /// wiped, then rebuilt according to `mode` — **warm** restores the
+    /// Simulates a controller process crash followed by a restart: every
+    /// piece of in-memory state a real process death loses is wiped, then
+    /// rebuilt according to `mode` — **warm** restores the
     /// journal snapshot and replays the tail; **cold** starts empty and
     /// leans on reconciliation plus packet-in re-dispatch. In both modes
     /// volatile state (held requests, deferred expiries, in-flight
@@ -518,7 +496,7 @@ impl Controller {
     /// survive. After this returns, run [`Controller::reconcile`] against
     /// each live switch table to converge the drift accrued during the
     /// blackout; a second pass returns nothing.
-    pub fn crash_restart(&mut self, mode: RecoveryMode, _now: SimTime) -> RecoveryReport {
+    pub fn crash_restart(&mut self, mode: RecoveryMode) -> RecoveryReport {
         self.synced(|ctl| {
             let (state, replayed_events, snapshot_entries) = match mode {
                 RecoveryMode::Warm if ctl.journal.enabled() => ctl.journal.rebuild(&ctl.config),
@@ -1569,9 +1547,8 @@ mod tests {
 
         // Idle past the memory timeout: service gets scaled down.
         let idle_at = answered + Duration::from_secs(61);
-        let events = ctl.tick(idle_at, &mut rng);
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].cluster, "edge-docker");
+        ctl.tick(idle_at, &mut rng);
+        assert_eq!(ctl.telemetry.metrics.counter("scale_downs"), 1);
         assert!(ctl.memory().is_empty());
 
         // Next request must deploy again (Waited, not MemoryHit).
@@ -1863,10 +1840,10 @@ mod tests {
         ctl.handle_switch_message(t0, pkt_in, &mut rng).unwrap();
 
         // Idle sweep at t=25: scale-down only.
-        let ev = ctl.tick(SimTime::from_secs(25), &mut rng);
-        assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].action, LifecycleAction::ScaleDown);
-        let svc = ctl.services().get(ev[0].service).cloned().unwrap();
+        ctl.tick(SimTime::from_secs(25), &mut rng);
+        assert_eq!(ctl.telemetry.metrics.counter("scale_downs"), 1);
+        assert_eq!(ctl.telemetry.metrics.counter("removes"), 0);
+        let svc = ctl.services().get(make_service("asm", 80).addr).cloned().unwrap();
         assert!(matches!(
             ctl.cluster(0).state(&svc, SimTime::from_secs(26)),
             crate::cluster::InstanceState::Created
@@ -1875,9 +1852,9 @@ mod tests {
         assert_eq!(ctl.next_tick_at(), Some(SimTime::from_secs(55)));
 
         // Sweep past the grace period: removed entirely.
-        let ev = ctl.tick(SimTime::from_secs(56), &mut rng);
-        assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].action, LifecycleAction::Remove);
+        ctl.tick(SimTime::from_secs(56), &mut rng);
+        assert_eq!(ctl.telemetry.metrics.counter("scale_downs"), 1);
+        assert_eq!(ctl.telemetry.metrics.counter("removes"), 1);
         assert!(matches!(
             ctl.cluster(0).state(&svc, SimTime::from_secs(57)),
             crate::cluster::InstanceState::NotDeployed
@@ -2056,8 +2033,12 @@ mod tests {
 
         // Mid-hold sweep: the expiry fires but the scale-down is deferred.
         let mid = t0 + (held_until - t0) / 2;
-        let ev = ctl.tick(mid, &mut rng);
-        assert!(ev.is_empty(), "scale-down deferred while the request is held");
+        ctl.tick(mid, &mut rng);
+        assert_eq!(
+            ctl.telemetry.metrics.counter("scale_downs"),
+            0,
+            "scale-down deferred while the request is held"
+        );
         assert!(
             matches!(
                 ctl.cluster(0).state(&svc, mid),
@@ -2071,9 +2052,8 @@ mod tests {
 
         // Once the hold drains the idle scale-down proceeds.
         let after = held_until + Duration::from_millis(10);
-        let ev = ctl.tick(after, &mut rng);
-        assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].action, LifecycleAction::ScaleDown);
+        ctl.tick(after, &mut rng);
+        assert_eq!(ctl.telemetry.metrics.counter("scale_downs"), 1);
         assert!(matches!(
             ctl.cluster(0).state(&svc, after + Duration::from_millis(1)),
             crate::cluster::InstanceState::Created
@@ -2141,12 +2121,13 @@ mod tests {
             t0,
         );
         let mid = t0 + (held_until - t0) / 2;
-        assert!(ctl.tick(mid, &mut rng).is_empty(), "deferred while held");
+        ctl.tick(mid, &mut rng);
+        assert_eq!(ctl.telemetry.metrics.counter("scale_downs"), 0, "deferred while held");
 
         // Request 2 after the hold drains and the service scaled down:
         // a fresh deployment (the memory has long expired).
         let after = held_until + Duration::from_millis(10);
-        assert_eq!(ctl.tick(after, &mut rng).len(), 1);
+        ctl.tick(after, &mut rng);
         let t1 = after + Duration::from_secs(1);
         let effects = sw.handle_frame(t1, CLIENT_PORT, &client_syn(50002).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
@@ -3112,7 +3093,7 @@ mod tests {
             for port in 50000..50006 {
                 t = serve_one(&mut ctl, &mut sw, t, port, &mut rng) + Duration::from_secs(1);
             }
-            (ctl.crash_restart(mode, t), ctl.state_digest())
+            (ctl.crash_restart(mode), ctl.state_digest())
         };
         for mode in [RecoveryMode::Warm, RecoveryMode::Cold] {
             assert_eq!(run(mode), run(mode), "{mode:?}");

@@ -2,7 +2,7 @@
 //! while a request waits for it, the idle sweep (scale-down, then the
 //! paper's Remove phase), proactive deployment and the autoscaler pass.
 
-use super::{Controller, LifecycleAction, ScaleDownEvent};
+use super::Controller;
 use crate::cluster::InstanceState;
 use crate::journal::JournalEvent;
 use crate::service::EdgeService;
@@ -18,11 +18,10 @@ impl Controller {
     }
 
     /// Periodic sweep: runs the autoscaler pass when it is due, expires
-    /// FlowMemory entries and scales down services whose last flow vanished.
-    /// Returns what was scaled down.
-    pub fn tick(&mut self, now: SimTime, rng: &mut SimRng) -> Vec<ScaleDownEvent> {
+    /// FlowMemory entries and scales down services whose last flow vanished,
+    /// counting each scale-down and removal (`scale_downs`, `removes`).
+    pub fn tick(&mut self, now: SimTime, rng: &mut SimRng) {
         self.synced(|ctl| {
-            let mut events = Vec::new();
             if ctl.dispatcher.load().next_sweep_at().is_some_and(|t| t <= now) {
                 ctl.autoscale_sweep(now);
             }
@@ -30,7 +29,7 @@ impl Controller {
             ctl.held.retain(|_, until| now < *until);
             let mut expired = ctl.state.memory_mut().expire(now);
             if !ctl.config.scale_down_idle {
-                return events;
+                return;
             }
             // Re-examine deferred expiries whose hold has drained since.
             let ripe: Vec<(ServiceAddr, usize)> = ctl
@@ -72,12 +71,7 @@ impl Controller {
                         cluster: cluster_idx,
                         at: now,
                     });
-                    events.push(ScaleDownEvent {
-                        at: now,
-                        service: svc_addr,
-                        cluster: ctl.clusters[cluster_idx].name().to_owned(),
-                        action: LifecycleAction::ScaleDown,
-                    });
+                    ctl.telemetry.metrics.inc("scale_downs");
                 }
             }
             // The Remove phase: services down long enough are deleted entirely.
@@ -107,22 +101,10 @@ impl Controller {
                         InstanceState::Created
                     ) {
                         ctl.clusters[cluster_idx].remove(&svc, now, rng);
-                        events.push(ScaleDownEvent {
-                            at: now,
-                            service: svc_addr,
-                            cluster: ctl.clusters[cluster_idx].name().to_owned(),
-                            action: LifecycleAction::Remove,
-                        });
+                        ctl.telemetry.metrics.inc("removes");
                     }
                 }
             }
-            for ev in &events {
-                ctl.telemetry.metrics.inc(match ev.action {
-                    LifecycleAction::ScaleDown => "scale_downs",
-                    LifecycleAction::Remove => "removes",
-                });
-            }
-            events
         })
     }
 

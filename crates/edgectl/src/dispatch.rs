@@ -71,37 +71,6 @@ impl PhaseTimes {
         self.pull_retries + self.create_retries + self.scale_up_retries
     }
 
-    /// Renders the phase breakdown as a compact arrow chain, e.g.
-    /// `pull 1.9s -> create 102ms -> wait 312ms`, with every duration going
-    /// through [`desim::fmt_duration`] — the same formatting the deploy
-    /// errors and the testbed reports use. `start` is the instant the first
-    /// phase ran from (the dispatch instant); phases that did not run are
-    /// omitted.
-    pub fn describe(&self, start: SimTime) -> String {
-        let mut parts = Vec::new();
-        let mut prev = start;
-        if let Some(done) = self.pull_done {
-            parts.push(format!("pull {}", desim::fmt_duration(done.saturating_since(prev))));
-            prev = done;
-        }
-        if let Some(done) = self.create_done {
-            parts.push(format!("create {}", desim::fmt_duration(done.saturating_since(prev))));
-        }
-        if let (Some(at), Some(done)) = (self.scale_up_at, self.scale_up_done) {
-            parts.push(format!("scale-up {}", desim::fmt_duration(done.saturating_since(at))));
-        }
-        if let Some(w) = self.wait_time() {
-            parts.push(format!("wait {}", desim::fmt_duration(w)));
-        }
-        if let Some(g) = self.gave_up_at {
-            parts.push(format!("gave up after {}", desim::fmt_duration(g.saturating_since(start))));
-        }
-        if parts.is_empty() {
-            "no deployment".to_owned()
-        } else {
-            parts.join(" -> ")
-        }
-    }
 }
 
 /// The outcome of dispatching one request.
@@ -268,11 +237,6 @@ impl Dispatcher {
     /// Replaces the retry/backoff/deadline policy.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.retry = policy;
-    }
-
-    /// The active retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// How many requests coalesced onto an already-failed deployment
@@ -1076,7 +1040,7 @@ mod tests {
             panic!("expected cloud fallback: {:?}", out.decision);
         };
         assert!(released_at > now, "failed attempts cost time");
-        assert_eq!(out.phases.create_retries, d.retry_policy().max_attempts - 1);
+        assert_eq!(out.phases.create_retries, RetryPolicy::default().max_attempts - 1);
         assert_eq!(out.phases.gave_up_at, Some(released_at));
         assert!(out.phases.port_confirmed.is_none());
 
@@ -1283,26 +1247,4 @@ mod tests {
         );
     }
 
-    #[test]
-    fn phase_times_describe_uses_shared_formatting() {
-        let start = SimTime::from_secs(1);
-        let p = PhaseTimes {
-            pull_done: Some(start + Duration::from_millis(1900)),
-            create_done: Some(start + Duration::from_millis(2002)),
-            scale_up_at: Some(start + Duration::from_millis(2002)),
-            scale_up_done: Some(start + Duration::from_millis(2050)),
-            port_confirmed: Some(start + Duration::from_millis(2362)),
-            ..PhaseTimes::default()
-        };
-        assert_eq!(
-            p.describe(start),
-            "pull 1.900s -> create 102.000ms -> scale-up 48.000ms -> wait 312.000ms"
-        );
-        assert_eq!(PhaseTimes::default().describe(start), "no deployment");
-        let gave_up = PhaseTimes {
-            gave_up_at: Some(start + Duration::from_secs(3)),
-            ..PhaseTimes::default()
-        };
-        assert_eq!(gave_up.describe(start), "gave up after 3.000s");
-    }
 }

@@ -385,26 +385,9 @@ impl FlowMemory {
         true
     }
 
-    /// Migrates every flow of `client` from ingress `from` to `to`; returns
-    /// how many entries moved.
-    pub fn rekey_client(
-        &mut self,
-        client: Ipv4Addr,
-        from: IngressId,
-        to: IngressId,
-        now: SimTime,
-    ) -> usize {
-        self.flows_of_client_at(client, from)
-            .iter()
-            .filter(|(k, _)| self.rekey(k, to, now))
-            .count()
-    }
-
     /// Forgets all flows of `client` on **every** ingress (e.g. when the
-    /// client disappears entirely; a moving client is [`rekey_client`]ed
-    /// instead so its sessions survive).
-    ///
-    /// [`rekey_client`]: Self::rekey_client
+    /// client disappears entirely; a moving client's flows are
+    /// [`rekey`](Self::rekey)ed instead so its sessions survive).
     pub fn forget_client(&mut self, client: Ipv4Addr) -> usize {
         let victims: Vec<FlowKey> = self
             .shards
@@ -794,25 +777,6 @@ mod tests {
         assert!(m.expire(SimTime::from_secs(10)).is_empty());
         assert_eq!(m.len(), 1);
         assert!(!m.rekey(&old, IngressId(4), SimTime::from_secs(8)), "already moved");
-    }
-
-    #[test]
-    fn rekey_client_moves_only_that_ingress() {
-        let mut m = FlowMemory::new(Duration::from_secs(10));
-        m.memorize(key_at(0, 20, 80), inst(1), 0, SimTime::ZERO);
-        m.memorize(key_at(0, 20, 81), inst(2), 0, SimTime::ZERO);
-        m.memorize(key_at(2, 20, 82), inst(3), 1, SimTime::ZERO);
-        m.memorize(key_at(0, 21, 80), inst(1), 0, SimTime::ZERO);
-        assert_eq!(m.rekey_client(Ipv4Addr::new(192, 168, 1, 20), IngressId(0), IngressId(1), SimTime::from_secs(1)), 2);
-        let moved = m.flows_of_client_at(Ipv4Addr::new(192, 168, 1, 20), IngressId(1));
-        assert_eq!(moved.len(), 2);
-        assert!(moved[0].1.last_used == SimTime::from_secs(1));
-        // Sorted by service for deterministic handover iteration.
-        assert!(moved[0].0.service < moved[1].0.service);
-        // The other ingress and the other client are untouched.
-        assert_eq!(m.flows_of_client_at(Ipv4Addr::new(192, 168, 1, 20), IngressId(2)).len(), 1);
-        assert_eq!(m.flows_of_client_at(Ipv4Addr::new(192, 168, 1, 21), IngressId(0)).len(), 1);
-        assert_eq!(m.len(), 4);
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl ServiceRegistry {
         self.services.insert(service.addr, Rc::new(service))
     }
 
-    /// Removes a registration.
-    pub fn deregister(&mut self, addr: ServiceAddr) -> Option<Rc<EdgeService>> {
-        self.services.remove(&addr)
-    }
-
     /// Looks up the service registered at `addr`.
     pub fn get(&self, addr: ServiceAddr) -> Option<&EdgeService> {
         self.services.get(&addr).map(|rc| rc.as_ref())
@@ -95,11 +90,6 @@ impl ServiceRegistry {
     /// underlying service definition.
     pub fn get_shared(&self, addr: ServiceAddr) -> Option<Rc<EdgeService>> {
         self.services.get(&addr).map(Rc::clone)
-    }
-
-    /// `true` if `addr` belongs to a registered edge service.
-    pub fn is_registered(&self, addr: ServiceAddr) -> bool {
-        self.services.contains_key(&addr)
     }
 
     /// All registered services in address order.
@@ -129,18 +119,15 @@ mod tests {
     }
 
     #[test]
-    fn register_lookup_deregister() {
+    fn register_and_lookup() {
         let mut r = ServiceRegistry::new();
         assert!(r.is_empty());
         let svc = service([203, 0, 113, 10], 80, "nginx");
         let addr = svc.addr;
         assert!(r.register(svc).is_none());
-        assert!(r.is_registered(addr));
         assert_eq!(r.get(addr).unwrap().profile.key, "nginx");
         assert_eq!(r.len(), 1);
-        assert!(!r.is_registered(ServiceAddr::new(Ipv4Addr([203, 0, 113, 10]), 443)));
-        assert!(r.deregister(addr).is_some());
-        assert!(r.is_empty());
+        assert!(r.get(ServiceAddr::new(Ipv4Addr([203, 0, 113, 10]), 443)).is_none());
     }
 
     #[test]

@@ -277,13 +277,18 @@ proptest! {
             bystander_keys.insert(key);
         }
         let later = now + Duration::from_secs(5);
-        let moved = m.rekey_client(mover, IngressId(from), IngressId(to), later);
+        let moved = m
+            .flows_of_client_at(mover, IngressId(from))
+            .iter()
+            .filter(|(k, _)| m.rekey(k, IngressId(to), later))
+            .count();
         prop_assert_eq!(moved, n_services as usize, "every entry re-keyed");
         if from != to {
             prop_assert!(m.flows_of_client_at(mover, IngressId(from)).is_empty());
         }
         let at_new = m.flows_of_client_at(mover, IngressId(to));
         prop_assert_eq!(at_new.len(), n_services as usize);
+        prop_assert!(at_new.windows(2).all(|w| w[0].0.service < w[1].0.service), "sorted by service");
         for (k, f) in at_new {
             let s = k.service.port - 80;
             prop_assert_eq!(f.instance, inst_of(s), "binding survives the move");

@@ -233,7 +233,7 @@ fn run_mutation_sequence(aggregate: bool) {
     // A warm restart mid-sequence must re-seed the journal: the oracle
     // keeps holding for mutations after the restart (regression for the
     // second-crash-rebuilds-from-empty bug).
-    let report = ctl.crash_restart(RecoveryMode::Warm, now);
+    let report = ctl.crash_restart(RecoveryMode::Warm);
     assert_eq!(report.mode, RecoveryMode::Warm);
     assert_oracle(&ctl, "crash_restart(warm)");
     now += Duration::from_secs(2);
@@ -268,18 +268,18 @@ fn warm_restart_preserves_recoverable_state_and_cold_does_not() {
 
     // Warm: recoverable state survives byte-identically (no in-flight
     // migration to abort here).
-    let report = ctl.crash_restart(RecoveryMode::Warm, now);
+    let report = ctl.crash_restart(RecoveryMode::Warm);
     assert_eq!(report.aborted_migrations, 0);
     assert!(report.replayed_events > 0 || report.snapshot_entries > 0);
     assert_eq!(ctl.state_digest(), before, "warm restart loses nothing");
 
     // Second crash right after the first: the re-seeded journal must
     // still carry the full state.
-    ctl.crash_restart(RecoveryMode::Warm, now + Duration::from_secs(1));
+    ctl.crash_restart(RecoveryMode::Warm);
     assert_eq!(ctl.state_digest(), before, "state survives a double crash");
 
     // Cold: everything recoverable is gone; reconciliation starts over.
-    let report = ctl.crash_restart(RecoveryMode::Cold, now + Duration::from_secs(2));
+    let report = ctl.crash_restart(RecoveryMode::Cold);
     assert_eq!((report.replayed_events, report.snapshot_entries), (0, 0));
     assert!(ctl.memory().is_empty());
     assert_ne!(ctl.state_digest(), before);
@@ -355,7 +355,7 @@ fn rebuilt_state_answers_flow_removed_like_the_live_one() {
         }
         now = ho.completed_at + Duration::from_secs(1);
         if crash {
-            ctl.crash_restart(RecoveryMode::Warm, now);
+            ctl.crash_restart(RecoveryMode::Warm);
         }
         let before = ctl.flows_removed();
         now += Duration::from_secs(60);

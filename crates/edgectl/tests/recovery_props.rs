@@ -227,7 +227,7 @@ proptest! {
         // Crash. Warm replays the journal; cold starts from nothing.
         let mode = if warm { RecoveryMode::Warm } else { RecoveryMode::Cold };
         let digest_before = ctl.state_digest();
-        let report = ctl.crash_restart(mode, now);
+        let report = ctl.crash_restart(mode);
         prop_assert_eq!(report.mode, mode);
         if warm && report.aborted_migrations == 0 {
             prop_assert_eq!(ctl.state_digest(), digest_before, "lossless warm restart");

@@ -25,11 +25,6 @@ impl MacAddr {
     pub const fn octets(self) -> [u8; 6] {
         self.0
     }
-
-    /// `true` for the broadcast address.
-    pub fn is_broadcast(self) -> bool {
-        self == Self::BROADCAST
-    }
 }
 
 impl fmt::Debug for MacAddr {
@@ -71,11 +66,6 @@ impl Ipv4Addr {
     /// The address as a big-endian `u32`.
     pub const fn to_u32(self) -> u32 {
         u32::from_be_bytes(self.0)
-    }
-
-    /// Builds from a big-endian `u32`.
-    pub const fn from_u32(v: u32) -> Ipv4Addr {
-        Ipv4Addr(v.to_be_bytes())
     }
 }
 
@@ -173,17 +163,15 @@ mod tests {
     #[test]
     fn mac_display_and_ids() {
         assert_eq!(MacAddr::BROADCAST.to_string(), "ff:ff:ff:ff:ff:ff");
-        assert!(MacAddr::BROADCAST.is_broadcast());
         let m = MacAddr::from_id(0x01020304);
         assert_eq!(m.to_string(), "02:00:01:02:03:04");
-        assert!(!m.is_broadcast());
         assert_ne!(MacAddr::from_id(1), MacAddr::from_id(2));
     }
 
     #[test]
-    fn ipv4_roundtrip_u32() {
+    fn ipv4_u32_and_display() {
         let ip = Ipv4Addr::new(10, 0, 3, 7);
-        assert_eq!(Ipv4Addr::from_u32(ip.to_u32()), ip);
+        assert_eq!(ip.to_u32(), 0x0a00_0307);
         assert_eq!(ip.to_string(), "10.0.3.7");
     }
 

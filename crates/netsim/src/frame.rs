@@ -106,11 +106,6 @@ impl TcpFrame {
         ServiceAddr::new(self.dst_ip, self.dst_port)
     }
 
-    /// The (src ip, src port, dst ip, dst port) 4-tuple identifying the flow.
-    pub fn flow_tuple(&self) -> (Ipv4Addr, u16, Ipv4Addr, u16) {
-        (self.src_ip, self.src_port, self.dst_ip, self.dst_port)
-    }
-
     /// Builds the frame a server sends in reply: addresses and ports swapped.
     pub fn reply(&self, flags: TcpFlags, payload: Vec<u8>) -> TcpFrame {
         self.headers().reply(flags, payload.len()).with_payload(payload)
@@ -534,10 +529,7 @@ mod tests {
         assert_eq!(f.flags, TcpFlags::SYN);
         assert!(f.payload.is_empty());
         assert_eq!(f.dst_service().to_string(), "203.0.113.10:80");
-        assert_eq!(
-            f.flow_tuple(),
-            (Ipv4Addr::new(192, 168, 1, 20), 50000, Ipv4Addr::new(203, 0, 113, 10), 80)
-        );
+        assert_eq!((f.src_ip, f.src_port), (Ipv4Addr::new(192, 168, 1, 20), 50000));
     }
 
     #[test]

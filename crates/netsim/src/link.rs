@@ -28,15 +28,6 @@ impl LinkSpec {
         }
     }
 
-    /// A 10 GbE link (the Edge Gateway Server uplink in the C³ testbed).
-    pub fn ten_gigabit(propagation: Duration) -> LinkSpec {
-        LinkSpec {
-            propagation,
-            bandwidth_bps: 10_000_000_000,
-            jitter_max: Duration::from_micros(20),
-        }
-    }
-
     /// A WAN path toward the cloud: high latency, shared bandwidth.
     pub fn wan(propagation: Duration, bandwidth_bps: u64) -> LinkSpec {
         LinkSpec {
@@ -105,7 +96,10 @@ mod tests {
         });
         // 1250 bytes = 10_000 bits = 10 us at 1 Gbps.
         assert_eq!(gig.serialization_delay(1250), Duration::from_micros(10));
-        let ten = Link::new(LinkSpec::ten_gigabit(Duration::ZERO));
+        let ten = Link::new(LinkSpec {
+            bandwidth_bps: 10_000_000_000,
+            ..gig.spec().clone()
+        });
         assert_eq!(ten.serialization_delay(1250), Duration::from_micros(1));
     }
 

@@ -249,11 +249,6 @@ impl Topology {
         }
         Some(total)
     }
-
-    /// Number of hops (links) on the shortest path.
-    pub fn hop_count(&self, from: NodeId, to: NodeId) -> Option<usize> {
-        Some(self.shortest_path(from, to)?.len().saturating_sub(1))
-    }
 }
 
 #[cfg(test)]
@@ -268,7 +263,15 @@ mod tests {
         let egs = t.add_node("egs", NodeKind::EdgeHost, Ipv4Addr::new(10, 0, 0, 10));
         t.connect(c1, sw, LinkSpec::gigabit(Duration::from_micros(100)));
         t.connect(c2, sw, LinkSpec::gigabit(Duration::from_micros(100)));
-        t.connect(sw, egs, LinkSpec::ten_gigabit(Duration::from_micros(50)));
+        t.connect(
+            sw,
+            egs,
+            LinkSpec {
+                propagation: Duration::from_micros(50),
+                bandwidth_bps: 10_000_000_000,
+                jitter_max: Duration::from_micros(20),
+            },
+        );
         (t, sw, c1, c2, egs)
     }
 
@@ -298,9 +301,7 @@ mod tests {
         let (t, sw, c1, c2, egs) = star();
         assert_eq!(t.shortest_path(c1, egs), Some(vec![c1, sw, egs]));
         assert_eq!(t.shortest_path(c1, c2), Some(vec![c1, sw, c2]));
-        assert_eq!(t.hop_count(c1, egs), Some(2));
         assert_eq!(t.shortest_path(c1, c1), Some(vec![c1]));
-        assert_eq!(t.hop_count(c1, c1), Some(0));
     }
 
     #[test]

@@ -488,7 +488,6 @@ proptest! {
         let last = ids[n - 1];
         let path = t.shortest_path(first, last).unwrap();
         prop_assert_eq!(path.len(), n);
-        prop_assert_eq!(t.hop_count(first, last), Some(n - 1));
         let lat = t.path_latency(first, last, 100, &mut rng).unwrap();
         prop_assert!(lat >= desim::Duration::from_micros(100 * (n as u64 - 1)));
     }

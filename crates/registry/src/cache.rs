@@ -43,21 +43,6 @@ impl LayerCache {
         self.layers.remove(digest).is_some()
     }
 
-    /// Removes the layers of `manifest` **except** those in `still_used`
-    /// (digests referenced by other images). Models image deletion with
-    /// shared base layers surviving. Returns bytes freed.
-    pub fn remove_image(&mut self, manifest: &ImageManifest, still_used: &[Digest]) -> u64 {
-        let mut freed = 0;
-        for l in &manifest.layers {
-            if !still_used.contains(&l.digest) {
-                if let Some(size) = self.layers.remove(&l.digest) {
-                    freed += size;
-                }
-            }
-        }
-        freed
-    }
-
     /// Splits a manifest into (cached, missing) layers, recording hit/miss
     /// statistics.
     pub fn plan(&mut self, manifest: &ImageManifest) -> (Vec<Layer>, Vec<Layer>) {
@@ -151,24 +136,6 @@ mod tests {
         assert_eq!(missing.len(), 6);
         let missing_bytes: u64 = missing.iter().map(|l| l.size).sum();
         assert!(missing_bytes < m.total_size() / 4, "base layers dominate size");
-    }
-
-    #[test]
-    fn remove_image_respects_shared_layers() {
-        let mut c = LayerCache::new();
-        let nginx = catalog::nginx();
-        c.insert_image(&nginx);
-        let before = c.disk_usage();
-        // Pretend the base layer is shared with another image.
-        let shared = vec![nginx.layers[0].digest];
-        let freed = c.remove_image(&nginx, &shared);
-        assert!(freed < before);
-        assert!(c.contains(&nginx.layers[0].digest));
-        assert!(!c.contains(&nginx.layers[1].digest));
-        // Re-pull planning now only misses the removed layers.
-        let (cached, missing) = c.plan(&nginx);
-        assert_eq!(cached.len(), 1);
-        assert_eq!(missing.len(), 5);
     }
 
     #[test]

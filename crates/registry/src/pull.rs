@@ -198,21 +198,6 @@ impl<'a> PullPlanner<'a> {
         })
     }
 
-    /// Estimates the median pull duration without mutating anything
-    /// (the Dispatcher uses this for scheduling hints).
-    pub fn estimate(&self, missing: &[Layer]) -> Duration {
-        if missing.is_empty() {
-            return Duration::ZERO;
-        }
-        let bytes: u64 = missing.iter().map(|l| l.size).sum();
-        let batches = missing.len().div_ceil(self.profile.max_concurrent);
-        let secs = self.profile.manifest_time.median
-            + batches as f64 * self.profile.per_layer_overhead.median
-            + bytes as f64 / self.profile.bandwidth
-            + bytes as f64 / self.profile.unpack_bandwidth;
-        Duration::from_secs_f64(secs)
-    }
-
     /// Simulates the transfer of `missing` layers: one manifest round trip,
     /// then layers fetched `max_concurrent` at a time over the shared
     /// bandwidth, each batch paying per-layer overhead; finally unpack at
@@ -287,13 +272,12 @@ mod tests {
     #[test]
     fn tiny_image_pull_is_dominated_by_round_trips() {
         let hub = RegistryProfile::docker_hub();
-        let planner = PullPlanner::new(&hub);
         let asm = catalog::web_asm();
-        let est = planner.estimate(&asm.layers).as_secs_f64();
+        let med = med_pull(&hub, &asm, 32);
         // Transfer of 6.18 KiB is negligible; overheads are ~0.5-0.6 s.
-        assert!((0.2..1.5).contains(&est), "est {est}");
+        assert!((0.2..1.5).contains(&med), "median {med}");
         let data_time = asm.total_size() as f64 / hub.bandwidth;
-        assert!(data_time < 0.01 * est);
+        assert!(data_time < 0.01 * med);
     }
 
     #[test]
@@ -328,16 +312,6 @@ mod tests {
         assert!(warm.bytes_transferred < cold.bytes_transferred);
         assert_eq!(warm.layers_cached, 4);
         assert_eq!(warm.layers_fetched, 5);
-    }
-
-    #[test]
-    fn estimate_tracks_simulation_median() {
-        let profile = RegistryProfile::docker_hub();
-        let planner = PullPlanner::new(&profile);
-        let m = catalog::nginx();
-        let est = planner.estimate(&m.layers).as_secs_f64();
-        let med = med_pull(&profile, &m, 64);
-        assert!((est - med).abs() / med < 0.25, "estimate {est} vs median {med}");
     }
 
     #[test]

@@ -885,7 +885,7 @@ pub type Recording = (SpanLog, MetricsRegistry);
 
 /// The result of an experiment whose arms can record telemetry.
 pub struct Experiment<S> {
-    /// The rendered figure, ending in a machine-readable summary line.
+    /// The rendered figure (chaos's ends in a machine-readable summary line).
     pub figure: Figure,
     /// Each arm's label and aggregates, in figure-row order: the runs the
     /// figure was built from, for a bench report to reduce.
@@ -1238,9 +1238,9 @@ fn handover_policies() -> [(edgectl::HandoverPolicy, &'static str); 2] {
 /// the new nearest edge, re-using the on-demand deployment pipeline).
 /// Reports handover counts and control-plane interruption percentiles, plus
 /// the session-continuity invariants (no ping dropped or double-answered,
-/// transparency preserved). Deterministic per seed; ends with a
-/// machine-readable `mobility-summary` line for CI. With `telemetry` on, the
-/// recording's arms are `anchored/` and `redispatch/` and its metrics gain a
+/// transparency preserved), which `BENCH_mobility.json`'s gate holds at
+/// zero. Deterministic per seed. With `telemetry` on, the recording's arms
+/// are `anchored/` and `redispatch/` and its metrics gain a
 /// `handover_interruption_p99_ms` gauge over both.
 pub fn mobility(seed: u64, smoke: bool, telemetry: bool) -> Experiment<MobilityStats> {
     let (runs, mut recording) = run_arms(
@@ -1260,12 +1260,6 @@ pub fn mobility(seed: u64, smoke: bool, telemetry: bool) -> Experiment<MobilityS
         "Drops",
     ]);
     for (label, run) in &runs {
-        // The continuity invariants hold per policy, not just in aggregate.
-        assert_eq!(
-            run.pings_sent, run.pings_done,
-            "{label}: every ping answered across handovers"
-        );
-        assert_eq!(run.double_answered, 0, "{label}: no duplicates");
         t.row(vec![
             label.to_string(),
             run.handovers.to_string(),
@@ -1277,19 +1271,6 @@ pub fn mobility(seed: u64, smoke: bool, telemetry: bool) -> Experiment<MobilityS
             run.drops.to_string(),
         ]);
     }
-    let total =
-        |field: fn(&MobilityStats) -> u64| runs.iter().map(|(_, run)| field(run)).sum::<u64>();
-    let summary = format!(
-        "\nmobility-summary {{\"seed\":{seed},\"smoke\":{smoke},\"handovers\":{},\
-\"flowsMigrated\":{},\"droppedFlows\":{},\"doubleAnswered\":{},\"resets\":{},\
-\"transparencyViolations\":{},\"panics\":0}}\n",
-        total(|r| r.handovers),
-        total(|r| r.flows_migrated),
-        total(|r| r.pings_sent - r.pings_done + r.drops),
-        total(|r| r.double_answered),
-        total(|r| r.resets),
-        total(|r| r.transparency_violations),
-    );
     let figure = Figure::new(
         "mobility",
         format!(
@@ -1297,8 +1278,7 @@ pub fn mobility(seed: u64, smoke: bool, telemetry: bool) -> Experiment<MobilityS
             if smoke { "smoke" } else { "full" }
         ),
         t,
-    )
-    .with_extra(&summary);
+    );
     let all_interruptions: Vec<f64> = runs
         .iter()
         .flat_map(|(_, run)| run.interruptions.iter().copied())
@@ -1639,12 +1619,11 @@ pub fn ha_stats(
 /// sweep interval and repairs stale redirects; the per-cluster circuit
 /// breaker keeps failing zones out of scheduling; reconnecting channels
 /// reconcile their switch tables against the controller's bookkeeping.
-/// Reports per-policy fault and recovery counts; panics if any session is
-/// permanently stranded or the final reconciliation does not converge.
-/// Deterministic per seed; ends with a machine-readable `recovery-summary`
-/// line for CI. With `telemetry` on, the recording's arms are the policy
-/// labels and its metrics carry the failure/repair counters and breaker
-/// gauges.
+/// Reports per-policy fault and recovery counts; `BENCH_recovery.json`'s
+/// gate fails a run that stranded a session, left the final reconciliation
+/// unconverged or served nothing. Deterministic per seed. With `telemetry`
+/// on, the recording's arms are the policy labels and its metrics carry the
+/// failure/repair counters and breaker gauges.
 pub fn recovery(
     seed: u64,
     fault_rate: f64,
@@ -1670,15 +1649,6 @@ pub fn recovery(
         "Reconcile fix/residual",
     ]);
     for (label, run) in &runs {
-        // The self-healing acceptance bar, per policy: no session may be
-        // permanently stranded, and the switch tables must diff clean
-        // against the controller's bookkeeping once recovery settles.
-        assert_eq!(run.stranded, 0, "{label}: stranded sessions");
-        assert_eq!(
-            run.reconcile_residual, 0,
-            "{label}: reconciliation did not converge"
-        );
-        assert!(run.pings_done > 0, "{label}: nothing was served");
         t.row(vec![
             label.to_string(),
             run.instance_crashes.to_string(),
@@ -1692,24 +1662,6 @@ pub fn recovery(
             format!("{}/{}", run.reconcile_fixes, run.reconcile_residual),
         ]);
     }
-    let total =
-        |field: fn(&RecoveryStats) -> u64| runs.iter().map(|(_, run)| field(run)).sum::<u64>();
-    let summary = format!(
-        "\nrecovery-summary {{\"seed\":{seed},\"faultRate\":{fault_rate},\"smoke\":{smoke},\
-\"crashes\":{},\"outages\":{},\"channelLosses\":{},\"ctrlDropped\":{},\
-\"retransmits\":{},\"doubleAnswered\":{},\"stranded\":{},\
-\"reconcileFixes\":{},\"reconcileResidual\":{},\"handovers\":{},\"panics\":0}}\n",
-        total(|r| r.instance_crashes),
-        total(|r| r.zone_outages),
-        total(|r| r.channel_losses),
-        total(|r| r.ctrl_dropped),
-        total(|r| r.retransmits),
-        total(|r| r.double_answered),
-        total(|r| r.stranded),
-        total(|r| r.reconcile_fixes),
-        total(|r| r.reconcile_residual),
-        total(|r| r.handovers),
-    );
     let figure = Figure::new(
         "recovery",
         format!(
@@ -1717,8 +1669,7 @@ pub fn recovery(
             if smoke { "smoke" } else { "full" }
         ),
         t,
-    )
-    .with_extra(&summary);
+    );
     Experiment {
         figure,
         runs,
@@ -1915,24 +1866,18 @@ mod tests {
 
     #[test]
     fn mobility_smoke_is_clean_and_deterministic() {
-        let f = mobility(7, true, false).figure;
-        let again = mobility(7, true, false).figure;
-        assert_eq!(f.body, again.body, "deterministic per seed");
-        let line = f
-            .body
-            .lines()
-            .find(|l| l.starts_with("mobility-summary "))
-            .unwrap();
-        assert!(line.contains("\"droppedFlows\":0"), "{line}");
-        assert!(line.contains("\"doubleAnswered\":0"), "{line}");
-        assert!(line.contains("\"transparencyViolations\":0"), "{line}");
-        assert!(line.contains("\"panics\":0"), "{line}");
-        let field = |name: &str| -> u64 {
-            let tail = &line[line.find(&format!("\"{name}\":")).unwrap() + name.len() + 3..];
-            tail[..tail.find([',', '}']).unwrap()].parse().unwrap()
-        };
-        assert!(field("handovers") > 0, "mobile clients must hand over: {line}");
-        assert!(field("flowsMigrated") > 0, "{line}");
+        let e = mobility(7, true, false);
+        assert_eq!(e.figure.body, mobility(7, true, false).figure.body, "deterministic per seed");
+        for (label, run) in &e.runs {
+            assert_eq!(run.pings_sent, run.pings_done, "{label}: every ping answered");
+            assert_eq!(
+                (run.drops, run.double_answered, run.resets, run.transparency_violations),
+                (0, 0, 0, 0),
+                "{label}: no drop, duplicate, reset or edge address"
+            );
+            assert!(run.handovers > 0, "{label}: mobile clients must hand over");
+            assert!(run.flows_migrated > 0, "{label}");
+        }
     }
 
     #[test]
@@ -1957,34 +1902,19 @@ mod tests {
 
     #[test]
     fn recovery_is_deterministic_and_self_heals() {
-        let a = recovery(7, 1.0, true, false).figure;
-        let b = recovery(7, 1.0, true, false).figure;
-        assert_eq!(a.body, b.body, "same seed ⇒ byte-identical output");
-        let line = a
-            .body
-            .lines()
-            .find(|l| l.starts_with("recovery-summary "))
-            .expect("machine-readable summary line");
-        assert!(line.contains("\"panics\":0"), "{line}");
-        assert!(line.contains("\"stranded\":0"), "{line}");
-        assert!(line.contains("\"reconcileResidual\":0"), "{line}");
-        let field = |key: &str| -> u64 {
-            line.split(&format!("\"{key}\":"))
-                .nth(1)
-                .unwrap()
-                .split([',', '}'])
-                .next()
-                .unwrap()
-                .parse()
-                .unwrap()
-        };
+        let e = recovery(7, 1.0, true, false);
+        let again = recovery(7, 1.0, true, false).figure;
+        assert_eq!(e.figure.body, again.body, "same seed ⇒ byte-identical output");
+        let total = |field: fn(&RecoveryStats) -> u64| e.runs.iter().map(|(_, r)| field(r)).sum::<u64>();
+        assert_eq!(total(|r| r.stranded), 0, "nothing stranded");
+        assert_eq!(total(|r| r.reconcile_residual), 0, "tables reconcile clean");
         // At rate 1.0 every zone suffers an outage and every channel drops:
         // the run must actually exercise all three failure modes and still
         // strand nothing.
-        assert!(field("crashes") > 0, "instances crashed mid-serve: {line}");
-        assert!(field("outages") > 0, "zone outages fired: {line}");
-        assert!(field("channelLosses") > 0, "channels dropped: {line}");
-        assert!(field("handovers") > 0, "chaos composes with mobility: {line}");
+        assert!(total(|r| r.instance_crashes) > 0, "instances crashed mid-serve");
+        assert!(total(|r| r.zone_outages) > 0, "zone outages fired");
+        assert!(total(|r| r.channel_losses) > 0, "channels dropped");
+        assert!(total(|r| r.handovers) > 0, "chaos composes with mobility");
     }
 
     #[test]

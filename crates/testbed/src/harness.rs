@@ -844,7 +844,7 @@ impl<T: Net> Harness<T> {
                 // The old process's queue died with it.
                 self.ctrl_busy_until = now;
                 let wall = std::time::Instant::now();
-                let report = self.controller.crash_restart(self.recovery, now);
+                let report = self.controller.crash_restart(self.recovery);
                 self.replay_wall_ns = wall.elapsed().as_nanos() as u64;
                 self.recovery_report = Some(report);
                 self.restarted_at = Some(now);

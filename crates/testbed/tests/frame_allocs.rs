@@ -362,9 +362,8 @@ fn a_redispatch_handover_costs_the_same_few_heap_calls_at_any_zone_count() {
 
 /// The idle sweep's scale-down of a service whose last flow expired. It
 /// deep-copied the `EdgeService` — annotated manifest, layer digests and
-/// all — for every scale-down: 101 heap calls. A shared handle leaves 6:
-/// the expiry report (two), the event and its cluster name, and the Docker
-/// cluster's own bookkeeping (two).
+/// all — for every scale-down: 101 heap calls. A shared handle leaves 4:
+/// the expiry report (two) and the Docker cluster's own bookkeeping (two).
 #[test]
 fn an_idle_scale_down_shares_the_service_definition() {
     let profile = containerd::ServiceSet::by_key("nginx").unwrap();
@@ -382,9 +381,8 @@ fn an_idle_scale_down_shares_the_service_definition() {
     assert_eq!(tb.completed.len(), 2);
 
     let mut rng = desim::SimRng::new(1);
-    let (calls, events) = heap_calls(|| tb.controller.tick(SimTime::from_secs(200), &mut rng));
-    assert_eq!(events.len(), 1, "{events:?}");
-    assert_eq!(events[0].action, edgectl::controller::LifecycleAction::ScaleDown);
+    let (calls, ()) = heap_calls(|| tb.controller.tick(SimTime::from_secs(200), &mut rng));
+    assert_eq!(tb.controller.telemetry.metrics.counter("scale_downs"), 2);
     println!("one idle scale-down tick: {calls} heap calls");
-    assert!(calls <= 9, "{calls} heap calls for one idle scale-down");
+    assert!(calls <= 4, "{calls} heap calls for one idle scale-down");
 }

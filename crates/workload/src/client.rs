@@ -45,11 +45,6 @@ impl RequestTiming {
     pub fn time_starttransfer(&self) -> Option<Duration> {
         Some(self.first_byte? - self.connect_start)
     }
-
-    /// `true` once the response fully arrived.
-    pub fn is_complete(&self) -> bool {
-        self.complete.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -59,12 +54,10 @@ mod tests {
     #[test]
     fn milestones_derive_curl_metrics() {
         let mut t = RequestTiming::started(SimTime::from_millis(1000));
-        assert!(!t.is_complete());
         assert_eq!(t.time_total(), None);
         t.connected = Some(SimTime::from_millis(1002));
         t.first_byte = Some(SimTime::from_millis(1003));
         t.complete = Some(SimTime::from_millis(1004));
-        assert!(t.is_complete());
         assert_eq!(t.time_connect(), Some(Duration::from_millis(2)));
         assert_eq!(t.time_starttransfer(), Some(Duration::from_millis(3)));
         assert_eq!(t.time_total(), Some(Duration::from_millis(4)));

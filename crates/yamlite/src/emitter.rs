@@ -230,7 +230,7 @@ mod tests {
     fn empty_collections() {
         let mut root = Value::new_map();
         root.insert("m", Value::new_map());
-        root.insert("s", Value::new_seq());
+        root.insert("s", Value::Seq(Vec::new()));
         assert_eq!(to_string(&root), "m: {}\ns: []\n");
         assert_eq!(roundtrip(&root), root);
     }

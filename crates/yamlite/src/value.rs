@@ -37,11 +37,6 @@ impl Value {
         Value::Map(Vec::new())
     }
 
-    /// An empty sequence.
-    pub fn new_seq() -> Value {
-        Value::Seq(Vec::new())
-    }
-
     /// `true` if this is [`Value::Null`].
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
@@ -84,14 +79,6 @@ impl Value {
     pub fn as_seq(&self) -> Option<&[Value]> {
         match self {
             Value::Seq(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Borrows the entries if this is a mapping.
-    pub fn as_map(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Map(m) => Some(m),
             _ => None,
         }
     }
@@ -267,8 +254,8 @@ mod tests {
     fn insert_replaces_in_place() {
         let mut v = sample();
         v.insert("name", Value::from("other"));
-        let keys: Vec<&str> = v.as_map().unwrap().iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys[0], "name");
+        let Value::Map(entries) = &v else { panic!("sample is a mapping") };
+        assert_eq!(entries[0].0, "name");
         assert_eq!(v["name"].as_str(), Some("other"));
     }
 
