@@ -15,7 +15,7 @@ use yamlite::Value;
 
 /// An object being emitted: fields in call order, each a typed scalar or an
 /// array of row objects.
-pub struct Obj {
+pub(crate) struct Obj {
     out: String,
     /// What goes between two fields: `",\n  "` at the top level, `", "`
     /// inside a row.
@@ -25,7 +25,7 @@ pub struct Obj {
 
 /// Emits a top-level artifact object: `{`, one `"key": value` per line at
 /// two spaces, `}` and a final newline.
-pub fn object(fill: impl FnOnce(&mut Obj)) -> String {
+pub(crate) fn object(fill: impl FnOnce(&mut Obj)) -> String {
     let mut obj = Obj::open("{\n  ", ",\n  ");
     fill(&mut obj);
     obj.out + "\n}\n"
@@ -54,12 +54,12 @@ impl Obj {
     }
 
     /// An integer field.
-    pub fn int(&mut self, key: &str, v: u64) {
+    pub(crate) fn int(&mut self, key: &str, v: u64) {
         self.field(key, v);
     }
 
     /// A float field with exactly `decimals` fractional digits.
-    pub fn fixed(&mut self, key: &str, v: f64, decimals: usize) {
+    pub(crate) fn fixed(&mut self, key: &str, v: f64, decimals: usize) {
         self.float(key, v, format!("{v:.decimals$}"));
     }
 
@@ -127,7 +127,7 @@ pub fn num(v: &Value, key: &str) -> Option<f64> {
 }
 
 /// Whether field `a` of `row` is at most its field `b`.
-pub fn le(row: &Value, a: &str, b: &str) -> Option<bool> {
+pub(crate) fn le(row: &Value, a: &str, b: &str) -> Option<bool> {
     Some(num(row, a)? <= num(row, b)?)
 }
 
@@ -156,7 +156,7 @@ pub fn sum(v: &Value, key: &str, field: &str) -> Option<f64> {
 
 /// One clause of a gate: `Ok` when it holds, otherwise an error naming it.
 /// `None` means a field the clause reads is absent, which fails it too.
-pub fn clause(name: &str, holds: Option<bool>) -> Result<(), String> {
+pub(crate) fn clause(name: &str, holds: Option<bool>) -> Result<(), String> {
     match holds {
         Some(true) => Ok(()),
         Some(false) => Err(format!("gate failed: {name}")),
@@ -167,19 +167,19 @@ pub fn clause(name: &str, holds: Option<bool>) -> Result<(), String> {
 }
 
 /// Every listed top-level field is `0`.
-pub fn zero_fields(v: &Value, keys: &[&str]) -> Result<(), String> {
+pub(crate) fn zero_fields(v: &Value, keys: &[&str]) -> Result<(), String> {
     keys.iter()
         .try_for_each(|k| clause(&format!("{k} == 0"), num(v, k).map(|n| n == 0.0)))
 }
 
 /// The top-level flag `key` is `true`.
-pub fn is_true(v: &Value, key: &str) -> Result<(), String> {
+pub(crate) fn is_true(v: &Value, key: &str) -> Result<(), String> {
     clause(&format!("{key} is true"), v[key].as_bool())
 }
 
 /// A clause that must hold on every row of the array at `key`, which must
 /// not be empty — an empty sweep proves nothing.
-pub fn each_row(
+pub(crate) fn each_row(
     v: &Value,
     key: &str,
     name: &str,
@@ -200,7 +200,7 @@ pub fn positive(v: &Value, key: &str, fields: &[&str]) -> Result<(), String> {
 }
 
 /// Every listed field is `0` on every row of the array at `key`.
-pub fn zero(v: &Value, key: &str, fields: &[&str]) -> Result<(), String> {
+pub(crate) fn zero(v: &Value, key: &str, fields: &[&str]) -> Result<(), String> {
     fields
         .iter()
         .try_for_each(|f| each_row(v, key, &format!("{f} == 0"), |r| Some(num(r, f)? == 0.0)))
@@ -208,7 +208,7 @@ pub fn zero(v: &Value, key: &str, fields: &[&str]) -> Result<(), String> {
 
 /// The rows of the array at `key` are in ascending order of `field` and
 /// there is at least one; returns the last (largest) row.
-pub fn ascending<'a>(v: &'a Value, key: &str, field: &str) -> Result<&'a Value, String> {
+pub(crate) fn ascending<'a>(v: &'a Value, key: &str, field: &str) -> Result<&'a Value, String> {
     each_row(v, key, &format!("has `{field}`"), |r| {
         Some(num(r, field).is_some())
     })?;

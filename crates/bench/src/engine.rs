@@ -28,14 +28,14 @@ use std::time::Instant;
 use yamlite::Value;
 
 /// Relative bar: calendar mixed throughput over naive, same run (want ≥ 3).
-pub const MIXED_SPEEDUP_FLOOR: f64 = 3.0;
+pub(crate) const MIXED_SPEEDUP_FLOOR: f64 = 3.0;
 
 /// Absolute CI floor on full-run mixed calendar throughput, in events/sec.
 /// Set to one quarter of the number measured on the reference machine when
 /// this bench landed, so CI machine jitter does not flake the gate while a
 /// real regression (a reverted fast path pops at well under half) still
 /// trips it.
-pub const EVENTS_PER_SEC_FLOOR: f64 = 3_800_000.0;
+pub(crate) const EVENTS_PER_SEC_FLOOR: f64 = 3_800_000.0;
 
 /// One workload measured over both queue implementations.
 struct WorkloadPoint {
@@ -54,7 +54,7 @@ struct WorkloadPoint {
 /// The artifact's gate: the three workloads, each measured on both queues,
 /// and the module's two acceptance numbers — the absolute floor on full runs
 /// only (it is machine-dependent and smoke runs are scaled down for CI).
-pub fn gates(v: &Value) -> Result<(), String> {
+pub(crate) fn gates(v: &Value) -> Result<(), String> {
     let expected = BTreeSet::from(["mixed", "pop_heavy", "schedule_heavy"]);
     let names = artifact::names(v, "workloads", "name");
     artifact::clause(

@@ -37,7 +37,7 @@ struct SizePoint {
 /// The artifact's gate. CI never judged this artifact and its acceptance
 /// number is a wall-clock ratio, so the gate is shape only: every lookup
 /// timed at every size.
-pub fn gates(v: &Value) -> Result<(), String> {
+pub(crate) fn gates(v: &Value) -> Result<(), String> {
     let timed = ["flows", "naive_lookup_ns", "indexed_lookup_ns", "switch_hit_ns"];
     artifact::positive(v, "sizes", &timed)
 }

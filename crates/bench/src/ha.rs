@@ -27,7 +27,7 @@ use yamlite::Value;
 /// The artifact's gate: the module's acceptance gates, and that the sweep
 /// measured what it claims — the crash fired, the journal recorded, the warm
 /// restart replayed it and left the reconcile less to fix than cold did.
-pub fn gates(v: &Value) -> Result<(), String> {
+pub(crate) fn gates(v: &Value) -> Result<(), String> {
     artifact::clause("crash_rate == 1.0", num(v, "crash_rate").map(|r| r == 1.0))?;
     let largest = artifact::ascending(v, "sizes", "sessions")?;
     let measured = [
@@ -55,7 +55,7 @@ pub fn gates(v: &Value) -> Result<(), String> {
 /// The swept session counts: recoverable state (FlowMemory entries,
 /// installed pairs, client locations, the session ledger) grows with the
 /// number of moving clients.
-pub fn swept_sessions(smoke: bool) -> &'static [usize] {
+pub(crate) fn swept_sessions(smoke: bool) -> &'static [usize] {
     if smoke {
         &[3, 6]
     } else {

@@ -2,10 +2,10 @@
 
 #![warn(missing_docs)]
 
-pub mod artifact;
+mod artifact;
 pub mod engine;
-pub mod fastpath;
-pub mod ha;
+mod fastpath;
+mod ha;
 pub mod migrate;
 pub mod mobility;
 pub mod recovery;
@@ -13,7 +13,7 @@ pub mod runner;
 pub mod scale;
 pub mod summary;
 pub mod telemetry;
-pub mod tournament;
+mod tournament;
 
 use testbed::experiments::{self, EvalRuns, Figure};
 
@@ -41,8 +41,8 @@ pub fn all_figures(seed: u64) -> Vec<Figure> {
     out
 }
 
-/// Regenerates a single figure by id (`table1`, `fig9` ... `fig16`,
-/// `hybrid`, `waiting`, `timeout-sweep`).
+/// Regenerates a single figure by id, one of [`FIGURE_IDS`]: `table1`, `fig9` ... `fig16`,
+/// `hybrid`, `waiting`, `timeout-sweep`, `proactive`, `local-scheduler`, `hierarchy`.
 pub fn figure_by_id(id: &str, seed: u64) -> Option<Figure> {
     Some(match id {
         "table1" => experiments::table1(),

@@ -25,7 +25,7 @@ use yamlite::Value;
 /// The artifact's gate: an ascending sweep in which every size migrated
 /// live, handed over cold and dropped nothing, and live interruption p99 at
 /// the largest state no worse than the cold baseline's.
-pub fn gates(v: &Value) -> Result<(), String> {
+pub(crate) fn gates(v: &Value) -> Result<(), String> {
     let largest = artifact::ascending(v, "sizes", "state_bytes_per_request")?;
     artifact::positive(v, "sizes", &["migrations", "cold_handovers"])?;
     artifact::zero(v, "sizes", &["dropped", "cold_dropped"])?;
@@ -41,7 +41,7 @@ pub fn gates(v: &Value) -> Result<(), String> {
 /// migration is then exactly the PR 4 make-before-break handover, and the
 /// cold rebuild is a bare metro round trip) up past the point where a
 /// snapshot takes visible fractions of a second on the 200 Mbps metro link.
-pub fn swept_sizes(smoke: bool) -> &'static [u64] {
+pub(crate) fn swept_sizes(smoke: bool) -> &'static [u64] {
     if smoke {
         &[0, 4_096, 65_536]
     } else {

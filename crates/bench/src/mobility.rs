@@ -23,7 +23,7 @@ pub(crate) fn pct(xs: &[f64], p: f64) -> f64 {
 /// The artifact's gate: session continuity — nothing dropped, and under
 /// every policy no ping answered twice, no reset and no edge address seen by
 /// a client — and every policy reports its interruption p99.
-pub fn gates(v: &Value) -> Result<(), String> {
+pub(crate) fn gates(v: &Value) -> Result<(), String> {
     artifact::zero_fields(v, &["total_dropped"])?;
     artifact::zero(v, "policies", &["double_answered", "resets", "transparency_violations"])?;
     artifact::each_row(v, "policies", "has interruption_p99_ms", |p| {

@@ -15,7 +15,7 @@ use yamlite::Value;
 /// pings, and a run at fault rate 1 — where every zone suffers an outage and
 /// every channel drops — exercised both under every policy (a lower rate may
 /// draw no fault).
-pub fn gates(v: &Value) -> Result<(), String> {
+pub(crate) fn gates(v: &Value) -> Result<(), String> {
     artifact::zero_fields(v, &["total_stranded", "total_reconcile_residual"])?;
     artifact::positive(v, "policies", &["pings_done"])?;
     let rate = artifact::num(v, "fault_rate");

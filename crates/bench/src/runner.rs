@@ -25,16 +25,16 @@ pub struct Opts {
 }
 
 /// Judges a parsed artifact: `Err` names the first clause that fails.
-pub type Gates = fn(&Value) -> Result<(), String>;
+pub(crate) type Gates = fn(&Value) -> Result<(), String>;
 
 /// What one run hands the runner.
-pub struct Outcome {
+pub(crate) struct Outcome {
     /// The bench's own text, printed after the banner: an experiment's
     /// figure, the telemetry bench's summary line; empty for the rest.
     pub text: String,
     /// The artifact's text, printed after `text` and written; empty for a
     /// bench that writes none.
-    pub artifact: String,
+    pub(crate) artifact: String,
     /// A check on the run itself rather than on its artifact: the span
     /// export under `--telemetry`, the telemetry bench's overhead budget.
     pub verdict: Result<(), String>,
@@ -48,7 +48,7 @@ pub struct Bench {
     /// the options.
     banner: &'static str,
     /// The artifact it writes at the repository root, and its gate.
-    pub artifact: Option<(&'static str, Gates)>,
+    pub(crate) artifact: Option<(&'static str, Gates)>,
     run: fn(&Opts) -> Outcome,
 }
 
@@ -213,7 +213,7 @@ impl Bench {
 }
 
 /// Applies an artifact's gate, prefixing a failure with the file name.
-pub fn judge(file: &str, gates: Gates, v: &Value) -> Result<(), String> {
+pub(crate) fn judge(file: &str, gates: Gates, v: &Value) -> Result<(), String> {
     gates(v).map_err(|e| format!("{file}: {e}"))
 }
 

@@ -40,13 +40,13 @@ const CLOUD_PORT: u32 = 3;
 
 /// Workload dimensions for one run.
 #[derive(Clone, Copy, Debug)]
-pub struct Params {
+pub(crate) struct Params {
     /// Ingress switches (gNBs) under one controller.
     pub ingresses: u32,
     /// Registered edge services; each client opens one connection to each.
     pub services: u16,
     /// Simulated clients attached to each ingress.
-    pub clients_per_ingress: usize,
+    pub(crate) clients_per_ingress: usize,
 }
 
 impl Params {
@@ -94,7 +94,7 @@ struct ArmStats {
 /// The artifact's gate: both arms ran the workload, the aggregated switch
 /// table is strictly smaller than the exact arm's, and the exact arm never
 /// answered through an aggregate.
-pub fn gates(v: &Value) -> Result<(), String> {
+pub(crate) fn gates(v: &Value) -> Result<(), String> {
     let arms = artifact::names(v, "arms", "arm") == BTreeSet::from(["aggregated", "exact"]);
     artifact::clause("arms are aggregated and exact", Some(arms))?;
     let ran = [

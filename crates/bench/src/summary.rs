@@ -19,7 +19,7 @@ pub struct Claim {
     /// Where the paper states it.
     pub source: &'static str,
     /// The claim, paraphrased.
-    pub statement: &'static str,
+    pub(crate) statement: &'static str,
     /// What we measured.
     pub measured: String,
     /// Whether the measurement supports the claim.
@@ -155,11 +155,11 @@ pub fn render(claims: &[Claim]) -> String {
 /// `BENCH_*.json` artifact.
 pub struct PerfPoint {
     /// Artifact file name at the repository root.
-    pub artifact: &'static str,
+    pub(crate) artifact: &'static str,
     /// The subsystem the bench measures.
-    pub subsystem: &'static str,
+    pub(crate) subsystem: &'static str,
     /// Its headline number, formatted.
-    pub headline: String,
+    pub(crate) headline: String,
     /// Supporting numbers.
     pub detail: String,
 }

@@ -32,7 +32,7 @@ use workload::BurstConfig;
 use yamlite::Value;
 
 /// The schedulers entered into the tournament, in report order.
-pub const ARMS: &[&str] = &[
+pub(crate) const ARMS: &[&str] = &[
     "proximity",
     "round-robin",
     "random",
@@ -75,7 +75,7 @@ struct ArmStats {
 /// The artifact's gate: every scheduler of [`ARMS`] ran the trace to the
 /// last answer with rates that are rates, and seeing per-instance load
 /// (least-connections) gave a warm p99 no worse than ignoring it (random).
-pub fn gates(v: &Value) -> Result<(), String> {
+pub(crate) fn gates(v: &Value) -> Result<(), String> {
     let names = artifact::names(v, "arms", "arm");
     artifact::clause(
         "arms include every scheduler",

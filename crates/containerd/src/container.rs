@@ -94,7 +94,7 @@ impl ContainerState {
     }
 
     /// `true` if the task is running (though possibly not yet ready).
-    pub fn is_running(&self) -> bool {
+    pub(crate) fn is_running(&self) -> bool {
         matches!(self, ContainerState::Running { .. })
     }
 }

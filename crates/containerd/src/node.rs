@@ -59,7 +59,7 @@ pub struct RuntimeTimings {
     /// Writing the container spec + preparing the snapshot (**Create**).
     pub create: LogNormal,
     /// Launching the task: runc, namespaces, cgroups (**Scale Up**).
-    pub task_start: LogNormal,
+    pub(crate) task_start: LogNormal,
     /// Stopping a task (**Scale Down**).
     pub stop: LogNormal,
     /// Removing a container (**Remove**).

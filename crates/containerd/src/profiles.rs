@@ -92,7 +92,7 @@ impl ServiceProfile {
 
     /// Nginx + Python env-writer — a two-container microservice composition;
     /// nginx serves while the Python sidecar refreshes `index.html`.
-    pub fn nginx_py() -> ServiceProfile {
+    pub(crate) fn nginx_py() -> ServiceProfile {
         ServiceProfile {
             key: "nginx-py",
             display: "Nginx Web Server + Python Application",

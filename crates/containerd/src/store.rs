@@ -98,7 +98,7 @@ impl ContentStore {
     /// parallel, so a failure surfaces only after the slowest attempt:
     /// the error's `elapsed` is the max over every attempt (successes keep
     /// their layers cached, making a retry cheaper).
-    pub fn try_pull_all(
+    pub(crate) fn try_pull_all(
         &mut self,
         manifests: &[ImageManifest],
         rng: &mut SimRng,

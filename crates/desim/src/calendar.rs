@@ -10,7 +10,7 @@
 //! * **Current bucket** — the ~131 µs time bucket the queue is draining,
 //!   held as a `Vec` sorted once per bucket (descending, so pop is a `Vec`
 //!   pop from the back). A small **overlay** heap catches events scheduled
-//!   into the current bucket after that sort (`schedule_now`, past-clamped
+//!   into the current bucket after that sort (zero-delay and past-clamped
 //!   events); each pop takes the smaller of the two heads, which keeps the
 //!   global `(time, seq)` order exact.
 //! * **Near level** — a ring of [`L0_N`] buckets of [`L0_BITS`]-bit width
@@ -122,7 +122,7 @@ pub struct EventQueue<E> {
     /// pop from the back).
     cur: Vec<Entry<E>>,
     /// Events that entered the current bucket after its sort (at or before
-    /// the cursor: `schedule_now`, past pushes). Usually tiny.
+    /// the cursor: zero-delay and past pushes). Usually tiny.
     overlay: BinaryHeap<Entry<E>>,
     /// Near-level slabs. `l0[i]` holds events with `time` inside the near
     /// window and `(time >> L0_BITS) % L0_N == i`, unordered.

@@ -24,17 +24,6 @@ pub trait Sample {
     }
 }
 
-/// Always returns the same value. Useful for tests and for components the
-/// paper reports as having negligible variance.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Constant(pub f64);
-
-impl Sample for Constant {
-    fn sample(&self, _rng: &mut SimRng) -> f64 {
-        self.0
-    }
-}
-
 /// Uniform over `[lo, hi)`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Uniform {
@@ -87,40 +76,15 @@ impl Sample for Exponential {
     }
 }
 
-/// Normal (Gaussian) via the Marsaglia polar method.
-///
-/// For latency models prefer [`LogNormal`]; `Normal` can go negative and is
-/// mostly useful as a building block or for additive jitter that callers clamp.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Normal {
-    /// Mean.
-    pub mean: f64,
-    /// Standard deviation.
-    pub std_dev: f64,
-}
-
-impl Normal {
-    /// Creates a normal sampler; `std_dev` must be non-negative.
-    pub fn new(mean: f64, std_dev: f64) -> Self {
-        assert!(std_dev >= 0.0, "Normal: negative std_dev");
-        Normal { mean, std_dev }
-    }
-
-    fn standard(rng: &mut SimRng) -> f64 {
-        loop {
-            let u = 2.0 * rng.next_f64() - 1.0;
-            let v = 2.0 * rng.next_f64() - 1.0;
-            let s = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                return u * (-2.0 * s.ln() / s).sqrt();
-            }
+/// One standard-normal draw via the Marsaglia polar method.
+fn standard_normal(rng: &mut SimRng) -> f64 {
+    loop {
+        let u = 2.0 * rng.next_f64() - 1.0;
+        let v = 2.0 * rng.next_f64() - 1.0;
+        let s = u * u + v * v;
+        if s > 0.0 && s < 1.0 {
+            return u * (-2.0 * s.ln() / s).sqrt();
         }
-    }
-}
-
-impl Sample for Normal {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.mean + self.std_dev * Normal::standard(rng)
     }
 }
 
@@ -150,63 +114,8 @@ impl LogNormal {
 
 impl Sample for LogNormal {
     fn sample(&self, rng: &mut SimRng) -> f64 {
-        let z = Normal::standard(rng);
+        let z = standard_normal(rng);
         self.median * (self.sigma * z).exp()
-    }
-}
-
-/// Adds a constant offset to another sampler: `offset + inner`. Models a
-/// fixed floor (e.g. a mandatory syscall path) under a noisy component.
-#[derive(Clone, Copy, Debug)]
-pub struct Shifted<S> {
-    /// Constant floor added to every draw.
-    pub offset: f64,
-    /// The noisy component.
-    pub inner: S,
-}
-
-impl<S: Sample> Sample for Shifted<S> {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.offset + self.inner.sample(rng)
-    }
-}
-
-/// Draws uniformly from a fixed set of observed values (with replacement).
-/// Used to replay empirical timing populations.
-#[derive(Clone, Debug)]
-pub struct Empirical {
-    values: Vec<f64>,
-}
-
-impl Empirical {
-    /// Creates an empirical sampler over `values`.
-    ///
-    /// # Panics
-    /// Panics if `values` is empty.
-    pub fn new(values: Vec<f64>) -> Self {
-        assert!(!values.is_empty(), "Empirical: no values");
-        Empirical { values }
-    }
-
-    /// The underlying observations.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-}
-
-impl Sample for Empirical {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.values[rng.below(self.values.len() as u64) as usize]
-    }
-}
-
-/// A boxed, dynamically-typed sampler. The latency-model configuration
-/// structs store these so models can be swapped per experiment.
-pub type DynSample = Box<dyn Sample + Send + Sync>;
-
-impl Sample for DynSample {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.as_ref().sample(rng)
     }
 }
 
@@ -217,15 +126,6 @@ mod tests {
     fn mean_of(s: &impl Sample, seed: u64, n: usize) -> f64 {
         let mut rng = SimRng::new(seed);
         (0..n).map(|_| s.sample(&mut rng)).sum::<f64>() / n as f64
-    }
-
-    #[test]
-    fn constant_is_constant() {
-        let mut rng = SimRng::new(0);
-        let c = Constant(2.5);
-        for _ in 0..10 {
-            assert_eq!(c.sample(&mut rng), 2.5);
-        }
     }
 
     #[test]
@@ -254,22 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_mean_and_spread() {
-        let n = Normal::new(5.0, 2.0);
-        let m = mean_of(&n, 5, 200_000);
-        assert!((m - 5.0).abs() < 0.02, "mean {m}");
-        let mut rng = SimRng::new(6);
-        let var: f64 = (0..200_000)
-            .map(|_| {
-                let x = n.sample(&mut rng) - 5.0;
-                x * x
-            })
-            .sum::<f64>()
-            / 200_000.0;
-        assert!((var.sqrt() - 2.0).abs() < 0.02, "std {}", var.sqrt());
-    }
-
-    #[test]
     fn lognormal_median_matches() {
         let ln = LogNormal::from_median(0.5, 0.3);
         let mut rng = SimRng::new(7);
@@ -290,33 +174,13 @@ mod tests {
     }
 
     #[test]
-    fn shifted_adds_floor() {
-        let s = Shifted { offset: 1.0, inner: Constant(0.5) };
-        let mut rng = SimRng::new(9);
-        assert_eq!(s.sample(&mut rng), 1.5);
-    }
-
-    #[test]
-    fn empirical_draws_only_given_values() {
-        let e = Empirical::new(vec![0.1, 0.2, 0.3]);
-        let mut rng = SimRng::new(10);
-        for _ in 0..1000 {
-            let x = e.sample(&mut rng);
-            assert!([0.1, 0.2, 0.3].contains(&x));
-        }
-    }
-
-    #[test]
     fn sample_duration_clamps_negative() {
-        let n = Normal::new(-5.0, 0.1);
-        let mut rng = SimRng::new(11);
-        assert_eq!(n.sample_duration(&mut rng), Duration::ZERO);
-    }
-
-    #[test]
-    fn dyn_sample_boxing_works() {
-        let d: DynSample = Box::new(Constant(0.75));
-        let mut rng = SimRng::new(12);
-        assert_eq!(d.sample(&mut rng), 0.75);
+        struct Negative;
+        impl Sample for Negative {
+            fn sample(&self, _rng: &mut SimRng) -> f64 {
+                -5.0
+            }
+        }
+        assert_eq!(Negative.sample_duration(&mut SimRng::new(11)), Duration::ZERO);
     }
 }

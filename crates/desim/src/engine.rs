@@ -121,13 +121,6 @@ impl<E> Engine<E> {
         self.note_pending();
     }
 
-    /// Schedules `event` to fire immediately (after already-queued events for
-    /// the current instant).
-    pub fn schedule_now(&mut self, event: E) {
-        self.queue.push(self.now, event);
-        self.note_pending();
-    }
-
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let (t, ev) = self.queue.pop()?;
@@ -135,11 +128,6 @@ impl<E> Engine<E> {
         self.now = t;
         self.processed += 1;
         Some((t, ev))
-    }
-
-    /// Timestamp of the next pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
     }
 
     /// Pops the next event only if it fires at or before `deadline`.
@@ -167,17 +155,6 @@ mod tests {
         e.pop().unwrap();
         assert_eq!(e.now(), SimTime::from_millis(20));
         assert_eq!(e.processed(), 2);
-    }
-
-    #[test]
-    fn schedule_now_runs_after_existing_same_instant_events() {
-        let mut e: Engine<u8> = Engine::new();
-        e.schedule_now(1);
-        e.schedule_now(2);
-        assert_eq!(e.pop().unwrap().1, 1);
-        e.schedule_now(3);
-        assert_eq!(e.pop().unwrap().1, 2);
-        assert_eq!(e.pop().unwrap().1, 3);
     }
 
     #[test]

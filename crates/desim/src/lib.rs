@@ -34,7 +34,7 @@
 pub mod calendar;
 pub mod dist;
 pub mod engine;
-pub mod fault;
+mod fault;
 pub mod hash;
 pub mod queue;
 pub mod rng;
@@ -43,7 +43,7 @@ pub mod time;
 pub mod wheel;
 
 pub use calendar::EventQueue;
-pub use dist::{Constant, Empirical, Exponential, LogNormal, Normal, Sample, Shifted, Uniform};
+pub use dist::{Exponential, LogNormal, Sample, Uniform};
 pub use engine::Engine;
 pub use fault::{FaultInjector, FaultPlan, RetryPolicy};
 pub use hash::{FastMap, FastSet};

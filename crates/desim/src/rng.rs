@@ -88,7 +88,7 @@ impl SimRng {
     }
 
     /// Bernoulli draw with probability `p` of `true` (clamped to `[0,1]`).
-    pub fn chance(&mut self, p: f64) -> bool {
+    pub(crate) fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p.clamp(0.0, 1.0)
     }
 

@@ -50,18 +50,6 @@ impl Summary {
         }
     }
 
-    /// Population standard deviation, or `None` if empty.
-    pub fn std_dev(&self) -> Option<f64> {
-        let mean = self.mean()?;
-        let var = self
-            .sorted
-            .iter()
-            .map(|v| (v - mean) * (v - mean))
-            .sum::<f64>()
-            / self.len() as f64;
-        Some(var.sqrt())
-    }
-
     /// Smallest observation.
     pub fn min(&self) -> Option<f64> {
         self.sorted.first().copied()
@@ -95,11 +83,6 @@ impl Summary {
         let hi = rank.ceil() as usize;
         let frac = rank - lo as f64;
         Some(self.sorted[lo] + (self.sorted[hi] - self.sorted[lo]) * frac)
-    }
-
-    /// The sorted observations.
-    pub fn values(&self) -> &[f64] {
-        &self.sorted
     }
 }
 
@@ -182,11 +165,6 @@ impl LogHistogram {
         self.count
     }
 
-    /// `true` if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Exact largest observation, or `None` if empty.
     pub fn max(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max)
@@ -257,7 +235,6 @@ mod tests {
         assert_eq!(s.median(), None);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
-        assert_eq!(s.std_dev(), None);
     }
 
     #[test]
@@ -267,7 +244,6 @@ mod tests {
         assert_eq!(s.median(), Some(3.0));
         assert_eq!(s.percentile(0.0), Some(3.0));
         assert_eq!(s.percentile(100.0), Some(3.0));
-        assert_eq!(s.std_dev(), Some(0.0));
     }
 
     #[test]
@@ -288,10 +264,9 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_std() {
+    fn mean_and_extremes() {
         let s = Summary::new(vec![2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert_eq!(s.mean(), Some(5.0));
-        assert_eq!(s.std_dev(), Some(2.0));
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
     }

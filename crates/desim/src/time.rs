@@ -124,7 +124,7 @@ impl Duration {
 
     /// Fractional milliseconds.
     #[inline]
-    pub fn as_millis_f64(self) -> f64 {
+    pub(crate) fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
@@ -132,12 +132,6 @@ impl Duration {
     #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Saturating addition.
-    #[inline]
-    pub fn saturating_add(self, rhs: Duration) -> Duration {
-        Duration(self.0.saturating_add(rhs.0))
     }
 
     /// Saturating subtraction.
@@ -293,7 +287,7 @@ mod tests {
             SimTime::from_secs(1).saturating_since(SimTime::from_secs(2)),
             Duration::ZERO
         );
-        assert_eq!(Duration::MAX.saturating_add(Duration::from_secs(1)), Duration::MAX);
+        assert_eq!(Duration::MAX + Duration::from_secs(1), Duration::MAX);
         assert_eq!(Duration::ZERO.saturating_sub(Duration::from_secs(1)), Duration::ZERO);
     }
 

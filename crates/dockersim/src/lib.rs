@@ -11,7 +11,7 @@
 
 #![warn(missing_docs)]
 
-use containerd::{ContainerId, ContainerSpec, ContainerState, ContainerdNode, RuntimeError};
+use containerd::{ContainerId, ContainerSpec, ContainerdNode, RuntimeError};
 use desim::{Duration, LogNormal, Sample, SimRng, SimTime};
 use registry::{ImageManifest, PullError};
 use std::collections::HashMap;
@@ -21,7 +21,7 @@ use std::collections::HashMap;
 #[derive(Clone, Debug)]
 pub struct EngineTimings {
     /// Per-API-call daemon overhead (HTTP handling, state bookkeeping).
-    pub api_overhead: LogNormal,
+    pub(crate) api_overhead: LogNormal,
 }
 
 impl Default for EngineTimings {
@@ -201,11 +201,6 @@ impl DockerEngine {
             .get(name)
             .copied()
             .ok_or_else(|| DockerError::NoSuchContainer(name.to_owned()))
-    }
-
-    /// Container state by name.
-    pub fn state(&self, name: &str) -> Option<ContainerState> {
-        self.names.get(name).and_then(|id| self.node.state(*id))
     }
 
     /// Readiness probe against a named container's port.

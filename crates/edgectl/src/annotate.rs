@@ -22,7 +22,7 @@ use registry::ImageRef;
 use yamlite::Value;
 
 /// The label key the controller uses to address its services.
-pub const EDGE_SERVICE_LABEL: &str = "edge.service";
+pub(crate) const EDGE_SERVICE_LABEL: &str = "edge.service";
 
 /// Errors from annotating a definition file.
 #[derive(Clone, Debug, PartialEq)]
@@ -81,11 +81,6 @@ pub struct AnnotatedService {
 }
 
 impl AnnotatedService {
-    /// Images referenced by the containers.
-    pub fn images(&self) -> Vec<ImageRef> {
-        self.containers.iter().map(|c| c.image.clone()).collect()
-    }
-
     /// Renders both documents back to a multi-document YAML stream.
     pub fn to_yaml(&self) -> String {
         format!(
@@ -97,13 +92,13 @@ impl AnnotatedService {
 }
 
 /// Derives the unique worldwide name from the registered address.
-pub fn unique_name(addr: ServiceAddr) -> String {
+pub(crate) fn unique_name(addr: ServiceAddr) -> String {
     let o = addr.ip.octets();
     format!("edge-{}-{}-{}-{}-{}", o[0], o[1], o[2], o[3], addr.port)
 }
 
 /// Label value for `edge.service` (label-charset-safe form of the address).
-pub fn edge_label_value(addr: ServiceAddr) -> String {
+pub(crate) fn edge_label_value(addr: ServiceAddr) -> String {
     format!("{}_{}", addr.ip, addr.port)
 }
 

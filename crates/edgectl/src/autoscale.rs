@@ -55,7 +55,7 @@ impl Default for QueueConfig {
 
 /// What happened to one admission attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Admission {
+pub(crate) enum Admission {
     /// The request holds a slot: service starts at `start` (now, unless it
     /// queued) and the answer is ready at `finish`.
     Served {
@@ -72,12 +72,11 @@ pub enum Admission {
 /// One instance's deterministic FIFO queue, tracked as the sorted finish
 /// times of its admitted requests.
 #[derive(Clone, Debug)]
-pub struct InstanceQueue {
+pub(crate) struct InstanceQueue {
     cfg: QueueConfig,
     finish_times: VecDeque<SimTime>,
     ewma_ns: f64,
     served: u64,
-    rejected: u64,
 }
 
 impl InstanceQueue {
@@ -88,20 +87,18 @@ impl InstanceQueue {
             finish_times: VecDeque::new(),
             ewma_ns: 0.0,
             served: 0,
-            rejected: 0,
         }
     }
 
     /// Offers one request at `now`: FIFO admission against the concurrency
     /// limit and bounded backlog. Deterministic — the start instant is pure
     /// arithmetic over previously recorded finish times.
-    pub fn offer(&mut self, now: SimTime) -> Admission {
+    pub(crate) fn offer(&mut self, now: SimTime) -> Admission {
         while self.finish_times.front().is_some_and(|&t| t <= now) {
             self.finish_times.pop_front();
         }
         let depth = self.finish_times.len();
         if depth >= self.cfg.concurrency + self.cfg.backlog {
-            self.rejected += 1;
             return Admission::Rejected;
         }
         let start = if depth < self.cfg.concurrency {
@@ -141,16 +138,6 @@ impl InstanceQueue {
             utilization: in_flight as f64 / self.cfg.concurrency.max(1) as f64,
             ewma_latency: Duration::from_nanos(self.ewma_ns as u64),
         }
-    }
-
-    /// Requests admitted so far.
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
-    /// Requests turned away so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
     }
 }
 
@@ -274,7 +261,6 @@ pub struct LoadTracker {
     pools: HashMap<(ServiceAddr, usize), ServicePool>,
     last_sweep: SimTime,
     retired_replica_seconds: f64,
-    admissions: u64,
     rejections: u64,
     scale_ups: u64,
     scale_downs: u64,
@@ -297,14 +283,14 @@ impl LoadTracker {
     }
 
     /// Replaces the configuration (controller construction time only).
-    pub fn set_config(&mut self, cfg: AutoscaleConfig) {
+    pub(crate) fn set_config(&mut self, cfg: AutoscaleConfig) {
         self.cfg = cfg;
     }
 
     /// Ensures a pool exists for `(service, cluster)` anchored at `base`.
     /// If the service was redeployed on a different base address (scale-down
     /// then re-create), the stale pool is replaced.
-    pub fn ensure_pool(
+    pub(crate) fn ensure_pool(
         &mut self,
         service: ServiceAddr,
         cluster: usize,
@@ -342,7 +328,7 @@ impl LoadTracker {
     /// Offers a request to replica `instance` (clamped to the pool) and
     /// returns the admission outcome plus the replica's address. `None` when
     /// no pool exists — the caller falls back to the base instance.
-    pub fn admit(
+    pub(crate) fn admit(
         &mut self,
         service: ServiceAddr,
         cluster: usize,
@@ -352,22 +338,10 @@ impl LoadTracker {
         let pool = self.pools.get_mut(&(service, cluster))?;
         let i = instance.min(pool.queues.len() - 1);
         let outcome = pool.queues[i].offer(now);
-        match outcome {
-            Admission::Served { .. } => self.admissions += 1,
-            Admission::Rejected => self.rejections += 1,
+        if outcome == Admission::Rejected {
+            self.rejections += 1;
         }
         Some((outcome, pool.addr(i)))
-    }
-
-    /// The address replica `instance` (clamped) of a pool answers on.
-    pub fn resolve(
-        &self,
-        service: ServiceAddr,
-        cluster: usize,
-        instance: usize,
-    ) -> Option<InstanceAddr> {
-        let pool = self.pools.get(&(service, cluster))?;
-        Some(pool.addr(instance.min(pool.queues.len() - 1)))
     }
 
     /// Maps a memorized replica address back to its index, if the pool
@@ -383,7 +357,7 @@ impl LoadTracker {
 
     /// Drops the pool for `(service, cluster)` (service scaled to zero or
     /// its zone died), retiring its replica-time into the running total.
-    pub fn remove_pool(&mut self, service: ServiceAddr, cluster: usize, now: SimTime) {
+    pub(crate) fn remove_pool(&mut self, service: ServiceAddr, cluster: usize, now: SimTime) {
         if let Some(mut pool) = self.pools.remove(&(service, cluster)) {
             pool.accrue(now);
             self.retired_replica_seconds += pool.replica_seconds;
@@ -450,11 +424,6 @@ impl LoadTracker {
             + self.pools.values().map(|p| p.replica_seconds).sum::<f64>()
     }
 
-    /// Requests admitted (served, possibly after queueing) so far.
-    pub fn admissions(&self) -> u64 {
-        self.admissions
-    }
-
     /// Requests rejected by a full queue so far.
     pub fn rejections(&self) -> u64 {
         self.rejections
@@ -471,7 +440,7 @@ impl LoadTracker {
     }
 
     /// Current replica counts per pool, sorted by key (for gauges).
-    pub fn replica_counts(&self) -> Vec<((ServiceAddr, usize), usize)> {
+    pub(crate) fn replica_counts(&self) -> Vec<((ServiceAddr, usize), usize)> {
         let mut v: Vec<_> = self.pools.iter().map(|(k, p)| (*k, p.queues.len())).collect();
         v.sort();
         v
@@ -528,7 +497,6 @@ mod tests {
         );
         // Concurrency (2) + backlog (2) exhausted: reject.
         assert_eq!(q.offer(t0), Admission::Rejected);
-        assert_eq!(q.rejected(), 1);
         // At t0+11ms the first wave drained but the queued pair still holds
         // both slots: a new arrival queues behind their t0+20ms finishes.
         let busy = t0 + Duration::from_millis(11);
@@ -542,7 +510,6 @@ mod tests {
             panic!("should admit after drain");
         };
         assert_eq!(start, later, "slot free — no queueing");
-        assert_eq!(q.served(), 6);
     }
 
     #[test]
@@ -681,7 +648,6 @@ mod tests {
         for _ in 0..8 {
             tr.admit(svc(1), 0, 0, t0);
         }
-        assert_eq!(tr.admissions(), 4, "2 in service + 2 backlogged + clamped first");
         assert_eq!(tr.rejections(), 5);
         assert_eq!(tr.index_of(svc(1), 0, base()), Some(0));
         assert_eq!(tr.index_of(svc(1), 0, InstanceAddr { port: 999, ..base() }), None);

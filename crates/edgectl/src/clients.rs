@@ -22,13 +22,13 @@ pub struct ClientMove {
     /// The client that moved.
     pub client: Ipv4Addr,
     /// Previous ingress switch.
-    pub from_ingress: IngressId,
+    pub(crate) from_ingress: IngressId,
     /// Previous ingress port.
-    pub from_port: u32,
+    pub(crate) from_port: u32,
     /// New ingress switch.
-    pub to_ingress: IngressId,
+    pub(crate) to_ingress: IngressId,
     /// New ingress port.
-    pub to_port: u32,
+    pub(crate) to_port: u32,
     /// When the move was observed.
     pub at: SimTime,
 }
@@ -44,8 +44,6 @@ struct Location {
 #[derive(Default)]
 pub struct ClientTracker {
     locations: FastMap<Ipv4Addr, Location>,
-    /// All moves observed, in order.
-    moves: Vec<ClientMove>,
 }
 
 impl ClientTracker {
@@ -71,30 +69,21 @@ impl ClientTracker {
                 last_seen: now,
             },
         ) {
-            Some(prev) if prev.ingress != ingress || prev.in_port != in_port => {
-                let mv = ClientMove {
-                    client,
-                    from_ingress: prev.ingress,
-                    from_port: prev.in_port,
-                    to_ingress: ingress,
-                    to_port: in_port,
-                    at: now,
-                };
-                self.moves.push(mv);
-                Some(mv)
-            }
+            Some(prev) if prev.ingress != ingress || prev.in_port != in_port => Some(ClientMove {
+                client,
+                from_ingress: prev.ingress,
+                from_port: prev.in_port,
+                to_ingress: ingress,
+                to_port: in_port,
+                at: now,
+            }),
             _ => None,
         }
     }
 
     /// The client's current `(ingress, port)` location, if known.
-    pub fn location(&self, client: Ipv4Addr) -> Option<(IngressId, u32)> {
+    pub(crate) fn location(&self, client: Ipv4Addr) -> Option<(IngressId, u32)> {
         self.locations.get(&client).map(|l| (l.ingress, l.in_port))
-    }
-
-    /// When the client was last seen, if ever.
-    pub fn last_seen(&self, client: Ipv4Addr) -> Option<SimTime> {
-        self.locations.get(&client).map(|l| l.last_seen)
     }
 
     /// Number of tracked clients.
@@ -107,16 +96,11 @@ impl ClientTracker {
         self.locations.is_empty()
     }
 
-    /// All moves observed so far.
-    pub fn moves(&self) -> &[ClientMove] {
-        &self.moves
-    }
-
     /// Exports every tracked location, sorted by client address, for
-    /// journal snapshots. Detected moves are diagnostics and excluded: a
-    /// warm-restarted controller re-derives post-snapshot moves by
-    /// replaying the journal's sighting events through [`Self::observe`].
-    pub fn export_locations(&self) -> Vec<(Ipv4Addr, IngressId, u32, SimTime)> {
+    /// journal snapshots. A warm-restarted controller re-derives
+    /// post-snapshot moves by replaying the journal's sighting events
+    /// through [`Self::observe`].
+    pub(crate) fn export_locations(&self) -> Vec<(Ipv4Addr, IngressId, u32, SimTime)> {
         let mut out: Vec<_> = self
             .locations
             .iter()
@@ -129,7 +113,7 @@ impl ClientTracker {
     /// Restores locations from a journal snapshot. Call only on a fresh
     /// tracker: entries are inserted as first sightings, so no moves are
     /// recorded.
-    pub fn restore_locations(&mut self, locs: &[(Ipv4Addr, IngressId, u32, SimTime)]) {
+    pub(crate) fn restore_locations(&mut self, locs: &[(Ipv4Addr, IngressId, u32, SimTime)]) {
         for &(client, ingress, in_port, last_seen) in locs {
             self.locations.insert(
                 client,
@@ -158,9 +142,10 @@ mod tests {
     fn first_sighting_is_not_a_move() {
         let mut t = ClientTracker::new();
         assert!(t.observe(ip(20), G0, 3, SimTime::from_secs(1)).is_none());
-        assert_eq!(t.location(ip(20)), Some((G0, 3)));
-        assert_eq!(t.last_seen(ip(20)), Some(SimTime::from_secs(1)));
-        assert!(t.moves().is_empty());
+        assert_eq!(
+            t.export_locations(),
+            [(ip(20), G0, 3, SimTime::from_secs(1))]
+        );
     }
 
     #[test]
@@ -168,7 +153,10 @@ mod tests {
         let mut t = ClientTracker::new();
         t.observe(ip(20), G0, 3, SimTime::from_secs(1));
         assert!(t.observe(ip(20), G0, 3, SimTime::from_secs(5)).is_none());
-        assert_eq!(t.last_seen(ip(20)), Some(SimTime::from_secs(5)));
+        assert_eq!(
+            t.export_locations(),
+            [(ip(20), G0, 3, SimTime::from_secs(5))]
+        );
     }
 
     #[test]
@@ -188,10 +176,8 @@ mod tests {
             }
         );
         assert_eq!(t.location(ip(20)), Some((G0, 7)));
-        assert_eq!(t.moves().len(), 1);
         // Moving back counts again.
         assert!(t.observe(ip(20), G0, 3, SimTime::from_secs(12)).is_some());
-        assert_eq!(t.moves().len(), 2);
     }
 
     #[test]

@@ -253,11 +253,6 @@ impl DockerCluster {
             entries: BTreeMap::new(),
         }
     }
-
-    /// Access to the engine (image pre-seeding, assertions).
-    pub fn engine_mut(&mut self) -> &mut DockerEngine {
-        &mut self.engine
-    }
 }
 
 impl EdgeCluster for DockerCluster {
@@ -939,7 +934,7 @@ mod tests {
         let t = d.create(&svc, t, &mut rng).unwrap();
         let (_, ready) = d.scale_up(&svc, t, &mut rng).unwrap();
         assert!(d.state(&svc, ready).is_ready());
-        assert_eq!(d.engine_mut().container_count(), 2);
+        assert_eq!(d.engine.container_count(), 2);
 
         let mut k = k8s_cluster();
         let t = k.pull(&svc, SimTime::ZERO, &mut rng).unwrap();
@@ -995,7 +990,7 @@ mod tests {
         let mut c = docker_cluster();
         let svc = make_service("nginx-py", 80); // two containers
         let t = c.pull(&svc, SimTime::ZERO, &mut rng).unwrap();
-        c.engine_mut().node_mut().set_faults(
+        c.engine.node_mut().set_faults(
             FaultPlan {
                 create_failure: 0.5,
                 seed: 40,
@@ -1017,9 +1012,9 @@ mod tests {
         assert_eq!(err.phase, DeployPhase::Create);
         assert!(err.at >= t);
         assert_eq!(c.state(&svc, err.at), InstanceState::NotDeployed);
-        assert_eq!(c.engine_mut().container_count(), 0, "partial create rolled back");
+        assert_eq!(c.engine.container_count(), 0, "partial create rolled back");
         // Retry without faults succeeds from the failure instant.
-        c.engine_mut().node_mut().set_faults(FaultPlan::default().injector(0x32));
+        c.engine.node_mut().set_faults(FaultPlan::default().injector(0x32));
         let done = c.create(&svc, err.at, &mut rng).unwrap();
         let (_, ready) = c.scale_up(&svc, done, &mut rng).unwrap();
         assert!(c.state(&svc, ready).is_ready());
@@ -1033,7 +1028,7 @@ mod tests {
         let svc = make_service("nginx-py", 80);
         let t = c.pull(&svc, SimTime::ZERO, &mut rng).unwrap();
         let t = c.create(&svc, t, &mut rng).unwrap();
-        c.engine_mut().node_mut().set_faults(
+        c.engine.node_mut().set_faults(
             FaultPlan {
                 start_failure: 1.0,
                 ..FaultPlan::default()
@@ -1044,7 +1039,7 @@ mod tests {
         assert_eq!(err.phase, DeployPhase::ScaleUp);
         assert_eq!(c.state(&svc, err.at), InstanceState::Created);
         assert_eq!(c.load(), 0);
-        c.engine_mut().node_mut().set_faults(FaultPlan::default().injector(0x34));
+        c.engine.node_mut().set_faults(FaultPlan::default().injector(0x34));
         let (_, ready) = c.scale_up(&svc, err.at, &mut rng).unwrap();
         assert!(c.state(&svc, ready).is_ready());
     }
@@ -1172,7 +1167,7 @@ mod tests {
         let svc = make_service_serving_from("nginx-py", 80, 1);
         let mut t = c.pull(&svc, SimTime::ZERO, &mut rng).unwrap();
         let plan = FaultPlan { create_failure: 0.5, seed: 41, ..FaultPlan::default() };
-        c.engine_mut().node_mut().set_faults(plan.injector(0x37));
+        c.engine.node_mut().set_faults(plan.injector(0x37));
         let mut earlier_ids = Vec::new();
         loop {
             let removes = c.engine.ops.removes;
@@ -1192,7 +1187,7 @@ mod tests {
                 }
             }
         }
-        c.engine_mut().node_mut().set_faults(FaultPlan::default().injector(0x38));
+        c.engine.node_mut().set_faults(FaultPlan::default().injector(0x38));
         let done = c.create(&svc, t, &mut rng).unwrap();
         assert!(!earlier_ids.contains(&c.entries[&svc.name].serving.0));
         let (_, ready) = c.scale_up(&svc, done, &mut rng).unwrap();

@@ -54,7 +54,7 @@ use crate::service::EdgeService;
 use desim::{Duration, LogNormal, RetryPolicy, Sample, SimRng, SimTime};
 use netsim::addr::{Ipv4Addr, MacAddr};
 use netsim::{ServiceAddr, TcpFrame};
-use openflow::messages::{ErrorType, FlowStatsEntry, Message};
+use openflow::messages::Message;
 use openflow::oxm::{Match, OxmField};
 use openflow::{OfError, OFP_NO_BUFFER};
 use std::collections::HashMap;
@@ -306,7 +306,6 @@ pub struct Controller {
     next_xid: u32,
     /// Per-request records (the harness reads these).
     pub records: Vec<RequestRecord>,
-    switch_errors: Vec<(ErrorType, u16)>,
     /// Requests currently held for a with-waiting deployment, by
     /// (service, cluster): the latest release instant. The idle sweep must
     /// not scale a service down while such a hold is pending — the held
@@ -315,7 +314,6 @@ pub struct Controller {
     /// Idle expiries deferred because a held request pinned the service;
     /// re-examined once the hold drains.
     deferred: HashMap<(ServiceAddr, usize), SimTime>,
-    last_flow_stats: Option<Vec<FlowStatsEntry>>,
     /// Telemetry endpoint: a disabled endpoint by default (every span/event
     /// call is a never-taken branch); swap in a recording one with
     /// [`Telemetry::recording`] to capture per-request span trees. Metric
@@ -362,10 +360,8 @@ impl Controller {
             config,
             next_xid: 1,
             records: Vec::new(),
-            switch_errors: Vec::new(),
             held: HashMap::new(),
             deferred: HashMap::new(),
-            last_flow_stats: None,
             telemetry: Telemetry::disabled(),
             next_request: 0,
             crash_records: HashMap::new(),
@@ -390,16 +386,6 @@ impl Controller {
     /// `FLOW_REMOVED` notifications seen (the `flows_removed` counter).
     pub fn flows_removed(&self) -> u64 {
         self.telemetry.metrics.counter("flows_removed")
-    }
-
-    /// Errors the switches reported, as `(type, code)`.
-    pub fn switch_errors(&self) -> &[(ErrorType, u16)] {
-        &self.switch_errors
-    }
-
-    /// The latest flow-statistics reply ([`Controller::request_flow_stats`]).
-    pub fn last_flow_stats(&self) -> Option<&[FlowStatsEntry]> {
-        self.last_flow_stats.as_deref()
     }
 
     /// Control-plane inconsistencies survived (see [`ControlPlaneError`]).
@@ -513,7 +499,6 @@ impl Controller {
             ctl.dispatcher.reset_volatile();
             ctl.crash_records.clear();
             ctl.migration_spans.clear();
-            ctl.last_flow_stats = None;
             // Re-arm op logging on the freshly built state, and re-seed the
             // journal with a snapshot of it — otherwise a *second* crash
             // would rebuild from an empty journal and lose it.
@@ -664,21 +649,6 @@ impl Controller {
         OutboundMessage { at, data: msg.encode(self.xid()) }
     }
 
-    /// Asks the switch for its installed flows (diagnostics; the reply lands
-    /// in [`Controller::last_flow_stats`]).
-    pub fn request_flow_stats(&mut self, at: SimTime) -> OutboundMessage {
-        let all = Message::FlowStatsRequest { table_id: 0xff, match_: Match::any() };
-        self.outbound(at, &all)
-    }
-
-    /// Session bootstrap: HELLO + FEATURES_REQUEST.
-    pub fn bootstrap(&mut self) -> Vec<OutboundMessage> {
-        vec![
-            self.outbound(SimTime::ZERO, &Message::Hello),
-            self.outbound(SimTime::ZERO, &Message::FeaturesRequest),
-        ]
-    }
-
     /// Handles one encoded message from the default ingress switch.
     pub fn handle_switch_message(
         &mut self,
@@ -689,7 +659,7 @@ impl Controller {
         self.handle_switch_message_from(IngressId::DEFAULT, now, bytes, rng)
     }
 
-    /// Wraps [`Self::handle_switch_message_into`]: not the harness's path, and ROADMAP 1 (b) retires it.
+    /// Wraps [`Self::handle_switch_message_into`]: not the harness's path, and ROADMAP item 2 retires it.
     pub fn handle_switch_message_from(
         &mut self,
         ingress: IngressId,
@@ -724,12 +694,13 @@ impl Controller {
             Message::FlowRemoved { match_, priority, .. } => {
                 ctl.handle_flow_removed(ingress, &match_, priority);
             }
-            Message::Error { error_type, code, .. } => ctl.switch_errors.push((error_type, code)),
-            Message::FlowStatsReply { flows } => ctl.last_flow_stats = Some(flows),
-            // Session replies need no action; the rest a switch should not send us.
+            Message::Error { .. } => ctl.count("switch_errors", 1),
+            // Replies need no action (the controller asks for no statistics);
+            // the rest a switch should not send us.
             Message::Hello
             | Message::EchoReply(_)
             | Message::FeaturesReply { .. }
+            | Message::FlowStatsReply { .. }
             | Message::BarrierReply
             | Message::FeaturesRequest
             | Message::PacketOut { .. }
@@ -854,7 +825,7 @@ impl Controller {
             root,
         );
 
-        let background_ready = outcome.background.map(|b| b.ready_at);
+        let background_ready = outcome.background;
         let kind = match outcome.decision {
             DispatchDecision::Redirect { .. } if outcome.from_memory => RequestKind::MemoryHit,
             DispatchDecision::Redirect { .. } => RequestKind::Redirect,
@@ -1560,13 +1531,9 @@ mod tests {
     }
 
     #[test]
-    fn echo_and_bootstrap() {
+    fn echo_is_answered() {
         let mut rng = SimRng::new(5);
         let (mut ctl, _) = setup(&mut rng);
-        let boot = ctl.bootstrap();
-        assert_eq!(boot.len(), 2);
-        let (_, m, _) = Message::decode(&boot[0].data).unwrap();
-        assert_eq!(m, Message::Hello);
         let out = ctl
             .handle_switch_message(
                 SimTime::ZERO,
@@ -1576,30 +1543,6 @@ mod tests {
             .unwrap();
         let (_, m, _) = Message::decode(&out[0].data).unwrap();
         assert_eq!(m, Message::EchoReply(b"ka".to_vec()));
-    }
-
-    #[test]
-    fn flow_stats_round_trip_through_the_switch() {
-        let mut rng = SimRng::new(8);
-        let (mut ctl, mut sw) = setup(&mut rng);
-        // Deploy + install flows for one connection.
-        let t0 = SimTime::from_secs(1);
-        let effects = sw.handle_frame(t0, CLIENT_PORT, &client_syn(50000).encode());
-        let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        let out = ctl.handle_switch_message(t0, pkt_in, &mut rng).unwrap();
-        for m in &out {
-            sw.handle_controller(m.at, &m.data).unwrap();
-        }
-        // Query stats and feed the reply back.
-        let q = ctl.request_flow_stats(SimTime::from_secs(5));
-        let effects = sw.handle_controller(q.at, &q.data).unwrap();
-        let Effect::ToController(reply) = &effects[0] else { panic!() };
-        ctl.handle_switch_message(SimTime::from_secs(5), reply, &mut rng)
-            .unwrap();
-        let stats = ctl.last_flow_stats.as_ref().expect("stats recorded");
-        assert_eq!(stats.len(), 2, "forward + reverse flow");
-        assert!(stats.iter().any(|f| f.cookie == 1));
-        assert!(stats.iter().any(|f| f.cookie == 2));
     }
 
     #[test]
@@ -1613,10 +1556,7 @@ mod tests {
         };
         ctl.handle_switch_message(SimTime::ZERO, &err.encode(4), &mut rng)
             .unwrap();
-        assert_eq!(
-            ctl.switch_errors,
-            vec![(openflow::messages::ErrorType::FlowModFailed, 6)]
-        );
+        assert_eq!(ctl.telemetry.metrics.counter("switch_errors"), 1);
     }
 
     #[test]
@@ -1641,7 +1581,6 @@ mod tests {
         let effects = sw.handle_frame(t1, CLOUD_PORT, &client_syn(50001).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
         ctl.handle_switch_message(t1, pkt_in, &mut rng).unwrap();
-        assert_eq!(ctl.clients().moves().len(), 1);
         assert_eq!(
             ctl.clients().location(Ipv4Addr::new(192, 168, 1, 20)),
             Some((IngressId::DEFAULT, CLOUD_PORT))

@@ -41,11 +41,11 @@ pub struct PhaseTimes {
     pub scale_up_at: Option<SimTime>,
     /// Scale-up API call returned (Docker: `docker start` done; K8s: scale
     /// acknowledged). Port polling begins here.
-    pub scale_up_done: Option<SimTime>,
+    pub(crate) scale_up_done: Option<SimTime>,
     /// Instance actually ready (app accepting connections).
     pub instance_ready: Option<SimTime>,
     /// First successful port probe (flows can be installed from here).
-    pub port_confirmed: Option<SimTime>,
+    pub(crate) port_confirmed: Option<SimTime>,
     /// Pull attempts beyond the first (fault recovery).
     pub pull_retries: u32,
     /// Create attempts beyond the first.
@@ -54,7 +54,7 @@ pub struct PhaseTimes {
     pub scale_up_retries: u32,
     /// When the dispatcher exhausted retries/deadline and released the
     /// request toward the cloud (`None` on success).
-    pub gave_up_at: Option<SimTime>,
+    pub(crate) gave_up_at: Option<SimTime>,
 }
 
 impl PhaseTimes {
@@ -126,26 +126,18 @@ impl DispatchDecision {
     }
 }
 
-/// A background (BEST-choice) deployment triggered alongside the decision.
-#[derive(Clone, Copy, Debug)]
-pub struct BackgroundDeployment {
-    /// Cluster index being deployed to.
-    pub cluster: usize,
-    /// When that instance will be ready.
-    pub ready_at: SimTime,
-}
-
 /// Full dispatch result.
 #[derive(Clone, Debug)]
 pub struct DispatchOutcome {
     /// What happens to the current request.
     pub decision: DispatchDecision,
-    /// Parallel deployment for future requests, if any.
-    pub background: Option<BackgroundDeployment>,
+    /// When the parallel (BEST-choice) deployment for future requests will
+    /// be ready, if one was triggered.
+    pub(crate) background: Option<SimTime>,
     /// Phase timing of the foreground deployment (when one ran).
     pub phases: PhaseTimes,
     /// Whether the FlowMemory answered (no scheduling happened).
-    pub from_memory: bool,
+    pub(crate) from_memory: bool,
 }
 
 impl DispatchOutcome {
@@ -235,7 +227,7 @@ impl Dispatcher {
     }
 
     /// Replaces the retry/backoff/deadline policy.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
+    pub(crate) fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.retry = policy;
     }
 
@@ -247,7 +239,7 @@ impl Dispatcher {
 
     /// Replaces the autoscale/queueing configuration (controller
     /// construction time).
-    pub fn set_autoscale(&mut self, cfg: AutoscaleConfig) {
+    pub(crate) fn set_autoscale(&mut self, cfg: AutoscaleConfig) {
         self.tracker.set_config(cfg);
     }
 
@@ -266,7 +258,7 @@ impl Dispatcher {
     /// failure cache (its give-up instants refer to deployments the dead
     /// controller was tracking). Replica pools re-anchor lazily on the next
     /// dispatch.
-    pub fn reset_volatile(&mut self) {
+    pub(crate) fn reset_volatile(&mut self) {
         self.in_flight.clear();
     }
 
@@ -476,8 +468,7 @@ impl Dispatcher {
                     EnsureOutcome::GaveUp(at) => (at, None),
                 };
                 tele.end_span(bg_span, ended);
-                let cluster = b.cluster;
-                ready_at.map(|ready_at| BackgroundDeployment { cluster, ready_at })
+                ready_at
             }
             _ => None,
         };
@@ -923,12 +914,11 @@ mod tests {
         };
         assert_eq!(cluster, 0);
         // Background: near cluster deploying.
-        let bg = out.background.expect("background deployment");
-        assert_eq!(bg.cluster, 1);
-        assert!(bg.ready_at > now);
+        let ready_at = out.background.expect("background deployment");
+        assert!(ready_at > now);
 
         // After the near instance is up, a *new* client is redirected there.
-        let later = bg.ready_at + Duration::from_secs(1);
+        let later = ready_at + Duration::from_secs(1);
         let out2 = dispatch(&mut d, &svc, Ipv4Addr::new(192, 168, 1, 21), later, &mut clusters, &mut memory, &mut rng);
         let DispatchDecision::Redirect { cluster, .. } = out2.decision else {
             panic!("expected redirect: {:?}", out2.decision);

@@ -167,21 +167,16 @@ impl FlowMemory {
         }
     }
 
-    /// The configured idle timeout.
-    pub fn idle_timeout(&self) -> Duration {
-        self.idle_timeout
-    }
-
     /// Turns mutation logging on or off. Off (the default) keeps the
     /// mutators allocation- and branch-free for the no-journal path;
     /// turning it off discards any undrained ops.
-    pub fn set_logging(&mut self, on: bool) {
+    pub(crate) fn set_logging(&mut self, on: bool) {
         self.log = if on { Some(Vec::new()) } else { None };
     }
 
     /// Drains the mutation ops accumulated since the last drain. Empty when
     /// logging is off.
-    pub fn take_ops(&mut self) -> Vec<FlowOp> {
+    pub(crate) fn take_ops(&mut self) -> Vec<FlowOp> {
         self.log.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
@@ -190,7 +185,7 @@ impl FlowMemory {
     /// re-arms each entry at `last_used + idle_timeout`, which is never
     /// later than the original wheel deadline, so sweep behaviour is
     /// preserved.
-    pub fn export_entries(&self) -> Vec<(FlowKey, MemorizedFlow)> {
+    pub(crate) fn export_entries(&self) -> Vec<(FlowKey, MemorizedFlow)> {
         let mut out: Vec<(FlowKey, MemorizedFlow)> = self
             .shards
             .iter()
@@ -204,7 +199,7 @@ impl FlowMemory {
     /// Rebuilds the memory from a snapshot export. Intended for a fresh,
     /// non-logging instance (journal replay); entries keep their recorded
     /// `last_used`.
-    pub fn restore_entries(&mut self, entries: &[(FlowKey, MemorizedFlow)]) {
+    pub(crate) fn restore_entries(&mut self, entries: &[(FlowKey, MemorizedFlow)]) {
         for (k, f) in entries {
             self.memorize(*k, f.instance, f.cluster, f.last_used);
         }
@@ -295,7 +290,7 @@ impl FlowMemory {
 
     /// Refreshes the idle timer (e.g. when the switch reports traffic via a
     /// flow-removed + reinstall cycle).
-    pub fn touch(&mut self, key: FlowKey, now: SimTime) {
+    pub(crate) fn touch(&mut self, key: FlowKey, now: SimTime) {
         if let Some(shard) = self.shards.get_mut(key.ingress.0 as usize) {
             if let Some(f) = shard.flows.get_mut(&key) {
                 f.last_used = now;
@@ -331,7 +326,7 @@ impl FlowMemory {
     /// Unfiles one exact key; `true` if it was present. The public face of
     /// [`remove`](Self::remove) for handover code that retires a single
     /// migrated entry.
-    pub fn forget(&mut self, key: &FlowKey) -> bool {
+    pub(crate) fn forget(&mut self, key: &FlowKey) -> bool {
         self.remove(key)
     }
 
@@ -350,7 +345,7 @@ impl FlowMemory {
 
     /// [`FlowMemory::flows_of_client_at`], appended to `out` — the handover
     /// passes a buffer it recycles.
-    pub fn flows_of_client_at_into(
+    pub(crate) fn flows_of_client_at_into(
         &self,
         client: Ipv4Addr,
         ingress: IngressId,
@@ -388,7 +383,7 @@ impl FlowMemory {
     /// Forgets all flows of `client` on **every** ingress (e.g. when the
     /// client disappears entirely; a moving client's flows are
     /// [`rekey`](Self::rekey)ed instead so its sessions survive).
-    pub fn forget_client(&mut self, client: Ipv4Addr) -> usize {
+    pub(crate) fn forget_client(&mut self, client: Ipv4Addr) -> usize {
         let victims: Vec<FlowKey> = self
             .shards
             .iter()
@@ -400,7 +395,7 @@ impl FlowMemory {
     }
 
     /// Forgets all flows toward `service` (e.g. after its instance moved).
-    pub fn forget_service(&mut self, service: ServiceAddr) -> usize {
+    pub(crate) fn forget_service(&mut self, service: ServiceAddr) -> usize {
         let victims: Vec<FlowKey> = self
             .shards
             .iter()
@@ -550,7 +545,7 @@ impl FlowMemory {
     }
 
     /// Number of live flows toward `service`.
-    pub fn flows_for(&self, service: ServiceAddr) -> usize {
+    pub(crate) fn flows_for(&self, service: ServiceAddr) -> usize {
         self.per_service.get(&service).copied().unwrap_or(0)
     }
 

@@ -35,10 +35,10 @@ pub struct HealthConfig {
     /// *detection* interval: a crash surfaces at the next sweep tick).
     pub detect_interval: Duration,
     /// Consecutive failures that trip a cluster's breaker Open.
-    pub breaker_threshold: u32,
+    pub(crate) breaker_threshold: u32,
     /// How long an Open breaker blocks its cluster before allowing a
     /// half-open probe.
-    pub breaker_cooldown: Duration,
+    pub(crate) breaker_cooldown: Duration,
 }
 
 impl Default for HealthConfig {
@@ -124,13 +124,13 @@ pub enum HealthOp {
 /// Plain-data snapshot of one breaker — the journal's snapshot encoding of
 /// [`HealthMonitor`] state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BreakerSnapshot {
+pub(crate) struct BreakerSnapshot {
     /// Current state.
     pub state: BreakerState,
     /// Consecutive-failure streak.
-    pub consecutive_failures: u32,
+    pub(crate) consecutive_failures: u32,
     /// Cooldown deadline (meaningful while Open).
-    pub open_until: SimTime,
+    pub(crate) open_until: SimTime,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -177,18 +177,18 @@ impl HealthMonitor {
     }
 
     /// Turns mutation logging on or off (off discards undrained ops).
-    pub fn set_logging(&mut self, on: bool) {
+    pub(crate) fn set_logging(&mut self, on: bool) {
         self.log = if on { Some(Vec::new()) } else { None };
     }
 
     /// Drains the ops accumulated since the last drain. Empty when logging
     /// is off.
-    pub fn take_ops(&mut self) -> Vec<HealthOp> {
+    pub(crate) fn take_ops(&mut self) -> Vec<HealthOp> {
         self.log.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// Breakers and outage windows as plain data — the snapshot export.
-    pub fn export_state(&self) -> (Vec<BreakerSnapshot>, Vec<Option<SimTime>>) {
+    pub(crate) fn export_state(&self) -> (Vec<BreakerSnapshot>, Vec<Option<SimTime>>) {
         let breakers = self
             .breakers
             .iter()
@@ -202,7 +202,11 @@ impl HealthMonitor {
     }
 
     /// Restores a snapshot taken by [`export_state`](Self::export_state).
-    pub fn restore_state(&mut self, breakers: &[BreakerSnapshot], outages: &[Option<SimTime>]) {
+    pub(crate) fn restore_state(
+        &mut self,
+        breakers: &[BreakerSnapshot],
+        outages: &[Option<SimTime>],
+    ) {
         self.breakers = breakers
             .iter()
             .map(|s| Breaker {
@@ -234,12 +238,6 @@ impl HealthMonitor {
         self.config
     }
 
-    /// Replaces the configuration (applied to future decisions; existing
-    /// breaker state is kept).
-    pub fn set_config(&mut self, config: HealthConfig) {
-        self.config = config;
-    }
-
     fn grow(&mut self, cluster: usize) {
         if self.breakers.len() <= cluster {
             self.breakers.resize_with(cluster + 1, Breaker::new);
@@ -250,7 +248,7 @@ impl HealthMonitor {
     /// Records a failure against `cluster` (an exhausted deployment or a
     /// detected runtime crash). The K-th consecutive failure — or any
     /// failure during a half-open probe — trips the breaker Open.
-    pub fn record_failure(&mut self, cluster: usize, now: SimTime) {
+    pub(crate) fn record_failure(&mut self, cluster: usize, now: SimTime) {
         self.grow(cluster);
         let threshold = self.config.breaker_threshold;
         let cooldown = self.config.breaker_cooldown;
@@ -267,7 +265,7 @@ impl HealthMonitor {
 
     /// Records a success (a deployment reached Ready): closes the breaker
     /// and resets the failure streak.
-    pub fn record_success(&mut self, cluster: usize) {
+    pub(crate) fn record_success(&mut self, cluster: usize) {
         self.grow(cluster);
         let b = &mut self.breakers[cluster];
         b.state = BreakerState::Closed;
@@ -281,7 +279,7 @@ impl HealthMonitor {
     /// breaker whose cooldown has elapsed transitions to HalfOpen here (the
     /// caller's next deployment is the probe). Outaged zones are never
     /// available.
-    pub fn available(&mut self, cluster: usize, now: SimTime) -> bool {
+    pub(crate) fn available(&mut self, cluster: usize, now: SimTime) -> bool {
         self.grow(cluster);
         if self.in_outage(cluster, now) {
             return false;
@@ -311,7 +309,7 @@ impl HealthMonitor {
     }
 
     /// Declares `cluster` dark until `until` (a zone outage).
-    pub fn begin_outage(&mut self, cluster: usize, until: SimTime) {
+    pub(crate) fn begin_outage(&mut self, cluster: usize, until: SimTime) {
         self.grow(cluster);
         self.outages[cluster] = Some(until);
         if let Some(log) = &mut self.log {
@@ -320,7 +318,7 @@ impl HealthMonitor {
     }
 
     /// Clears a declared outage (the zone returned).
-    pub fn end_outage(&mut self, cluster: usize) {
+    pub(crate) fn end_outage(&mut self, cluster: usize) {
         self.grow(cluster);
         self.outages[cluster] = None;
         if let Some(log) = &mut self.log {
@@ -329,7 +327,7 @@ impl HealthMonitor {
     }
 
     /// `true` while a declared outage window covers `now`.
-    pub fn in_outage(&self, cluster: usize, now: SimTime) -> bool {
+    pub(crate) fn in_outage(&self, cluster: usize, now: SimTime) -> bool {
         self.outages
             .get(cluster)
             .copied()

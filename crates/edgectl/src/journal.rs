@@ -273,9 +273,9 @@ pub struct StateStats {
     /// FlowMemory entries.
     pub memory: usize,
     /// Anchored aggregate rules.
-    pub aggregates: usize,
+    pub(crate) aggregates: usize,
     /// Services scaled down and awaiting removal.
-    pub scaled_down: usize,
+    pub(crate) scaled_down: usize,
 }
 
 /// Key of the forward-flow index: whose pair, where, and what its forward
@@ -762,7 +762,7 @@ pub struct JournalStats {
     /// included).
     pub appended: u64,
     /// Events currently in the tail (since the last compaction).
-    pub tail_len: usize,
+    pub(crate) tail_len: usize,
     /// Compactions performed.
     pub snapshots_taken: u64,
     /// Entries in the current compacted snapshot (0 when none).
@@ -771,7 +771,7 @@ pub struct JournalStats {
 
 /// The write-ahead journal: an optional compacted [`Snapshot`] plus the
 /// tail of [`JournalEvent`]s since.
-pub struct Journal {
+pub(crate) struct Journal {
     config: JournalConfig,
     snapshot: Option<Snapshot>,
     tail: Vec<JournalEvent>,
@@ -861,16 +861,6 @@ pub enum RecoveryMode {
     /// Start empty; reconciliation, `FLOW_REMOVED`, and packet-in
     /// re-dispatch rebuild everything on demand.
     Cold,
-}
-
-impl RecoveryMode {
-    /// Short lowercase label (`"warm"` / `"cold"`).
-    pub fn label(self) -> &'static str {
-        match self {
-            RecoveryMode::Warm => "warm",
-            RecoveryMode::Cold => "cold",
-        }
-    }
 }
 
 /// What a crash-restart did (the HA bench reads this). Sim-deterministic:

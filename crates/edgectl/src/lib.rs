@@ -11,7 +11,7 @@
 //!
 //! * [`service`] — the registry of edge services, keyed by their unique
 //!   cloud `ip:port` (Section II);
-//! * [`annotate`] — automated annotation of Kubernetes-style service
+//! * `annotate` — automated annotation of Kubernetes-style service
 //!   definition files: unique worldwide name, `matchLabels`, the
 //!   `edge.service` label, `replicas: 0` (scale-to-zero), `schedulerName`,
 //!   and a generated `Service` object (Section V);
@@ -28,7 +28,7 @@
 //!   announced attachment change triggers the make-before-break handover
 //!   in [`controller`], an unannounced one flushes the client's memorized
 //!   flows so it gets re-scheduled;
-//! * [`health`] — runtime health: per-cluster circuit breakers (closed →
+//! * `health` — runtime health: per-cluster circuit breakers (closed →
 //!   open → half-open) gating the scheduler, plus declared zone-outage
 //!   windows; the detection/repair loop itself lives in [`controller`];
 //! * [`autoscale`] — per-instance request queues (deterministic service
@@ -62,7 +62,7 @@
 
 #![warn(missing_docs)]
 
-pub mod annotate;
+mod annotate;
 pub mod autoscale;
 pub mod clients;
 pub mod cluster;
@@ -70,7 +70,7 @@ pub mod config;
 pub mod controller;
 pub mod dispatch;
 pub mod flowmemory;
-pub mod health;
+mod health;
 pub mod journal;
 pub mod migrate;
 pub mod predict;
@@ -78,31 +78,20 @@ mod rules;
 pub mod scheduler;
 pub mod service;
 
-pub use annotate::{annotate_deployment, AnnotateError, AnnotatedService};
-pub use autoscale::{Admission, AutoscaleConfig, LoadTracker, QueueConfig};
+pub use annotate::annotate_deployment;
+pub use autoscale::{AutoscaleConfig, QueueConfig};
 pub use cluster::{DockerCluster, EdgeCluster, InstanceAddr, InstanceState, K8sEdgeCluster};
-pub use controller::{
-    ControlPlaneError, Controller, ControllerConfig, HandoverOutcome, HandoverPolicy,
-    OutboundMessage, PortMap,
-};
+pub use controller::{Controller, ControllerConfig, HandoverPolicy, OutboundMessage, PortMap};
 pub use dispatch::{DispatchDecision, Dispatcher};
 pub use flowmemory::{FlowKey, FlowMemory, IngressId};
 pub use health::{BreakerState, HealthConfig, HealthMonitor};
-pub use journal::{
-    Journal, JournalConfig, JournalStats, RecoveryMode, RecoveryReport, StateStats,
-};
-pub use migrate::{
-    Migration, MigrationConfig, MigrationManager, MigrationPolicy, MigrationReason,
-    MigrationRecord, SessionLedger,
-};
+pub use journal::{JournalConfig, RecoveryMode, RecoveryReport};
+pub use migrate::{MigrationConfig, MigrationManager, MigrationPolicy, MigrationReason};
 pub use scheduler::{
-    scheduler_by_name, Choice, ClusterView, CloudOnlyScheduler, DockerFirstScheduler,
-    GlobalScheduler, InstanceView, LatencyAwareScheduler, LatencyEwmaScheduler,
-    LeastConnectionsScheduler, ProximityScheduler, RandomScheduler,
-    RequestClass, RoundRobinScheduler, SchedulingContext, ServiceRef, Target, UnknownComponent,
-    KNOWN_SCHEDULERS,
+    scheduler_by_name, Choice, ClusterView, GlobalScheduler, InstanceView, LatencyEwmaScheduler,
+    LeastConnectionsScheduler, ProximityScheduler, RequestClass, SchedulingContext, ServiceRef,
+    Target,
 };
-pub use clients::{ClientMove, ClientTracker};
 pub use config::EdgeConfig;
-pub use predict::{predictor_by_name, DeploymentPredictor, KNOWN_PREDICTORS};
+pub use predict::{predictor_by_name, DeploymentPredictor};
 pub use service::{EdgeService, ServiceRegistry};

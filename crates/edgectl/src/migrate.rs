@@ -1,4 +1,4 @@
-//! Live stateful service migration between edge zones (ROADMAP item 3).
+//! Live stateful service migration between edge zones (DESIGN.md "Live migration").
 //!
 //! PR 4/5 migrate *flows*: on a handover the rewrite rules chase the client,
 //! but the service instance — and the session state it accumulated — stays in
@@ -146,7 +146,7 @@ pub struct SessionLedger {
 
 impl SessionLedger {
     /// Adds `amount` bytes of session state at `(service, cluster)`.
-    pub fn credit(&mut self, service: ServiceAddr, cluster: usize, amount: u64) {
+    pub(crate) fn credit(&mut self, service: ServiceAddr, cluster: usize, amount: u64) {
         if amount > 0 {
             *self.bytes.entry((service, cluster)).or_insert(0) += amount;
         }
@@ -171,19 +171,13 @@ impl SessionLedger {
         moved
     }
 
-    /// Drops the entry at `(service, cluster)` (cold redispatch loses the
-    /// state; that is the point of the baseline).
-    pub fn forget(&mut self, service: ServiceAddr, cluster: usize) -> u64 {
-        self.bytes.remove(&(service, cluster)).unwrap_or(0)
-    }
-
     /// Every ledger entry, sorted — the snapshot export.
-    pub fn export_entries(&self) -> Vec<((ServiceAddr, usize), u64)> {
+    pub(crate) fn export_entries(&self) -> Vec<((ServiceAddr, usize), u64)> {
         self.bytes.iter().map(|(k, v)| (*k, *v)).collect()
     }
 
     /// Rebuilds the ledger from a snapshot export.
-    pub fn restore_entries(&mut self, entries: &[((ServiceAddr, usize), u64)]) {
+    pub(crate) fn restore_entries(&mut self, entries: &[((ServiceAddr, usize), u64)]) {
         self.bytes = entries.iter().copied().collect();
     }
 }
@@ -224,13 +218,13 @@ pub enum MigrationOp {
 /// transfers, and cooldown deadlines. Completed-migration records and the
 /// abort counter are diagnostics and deliberately excluded.
 #[derive(Clone, Debug, Default)]
-pub struct MigrationSnapshot {
+pub(crate) struct MigrationSnapshot {
     /// Session-state bytes per `(service, cluster)`.
     pub ledger: Vec<((ServiceAddr, usize), u64)>,
     /// In-flight migrations, in start order.
     pub active: Vec<Migration>,
     /// Per-service flip-cooldown deadlines.
-    pub cooled: Vec<(ServiceAddr, SimTime)>,
+    pub(crate) cooled: Vec<(ServiceAddr, SimTime)>,
 }
 
 /// An in-flight migration: state is on the wire, the target is warming up,
@@ -300,7 +294,7 @@ impl MigrationRecord {
 /// deleted by the previous flip's still-pending teardown. The cooldown keeps
 /// any two flips of one service strictly farther apart than the guard — and
 /// damps migration thrash when clients pull a shared service both ways.
-pub const FLIP_COOLDOWN: Duration = Duration::from_millis(150);
+pub(crate) const FLIP_COOLDOWN: Duration = Duration::from_millis(150);
 
 /// The migration state machine: ledger, in-flight transfers, records.
 #[derive(Debug, Default)]
@@ -340,19 +334,19 @@ impl MigrationManager {
     }
 
     /// Turns mutation logging on or off (off discards undrained ops).
-    pub fn set_logging(&mut self, on: bool) {
+    pub(crate) fn set_logging(&mut self, on: bool) {
         self.log = if on { Some(Vec::new()) } else { None };
     }
 
     /// Drains the ops accumulated since the last drain. Empty when logging
     /// is off.
-    pub fn take_ops(&mut self) -> Vec<MigrationOp> {
+    pub(crate) fn take_ops(&mut self) -> Vec<MigrationOp> {
         self.log.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// Ledger, active set and cooldowns as plain data — the snapshot
     /// export.
-    pub fn export_state(&self) -> MigrationSnapshot {
+    pub(crate) fn export_state(&self) -> MigrationSnapshot {
         MigrationSnapshot {
             ledger: self.ledger.export_entries(),
             active: self.active.clone(),
@@ -361,7 +355,7 @@ impl MigrationManager {
     }
 
     /// Restores a snapshot taken by [`export_state`](Self::export_state).
-    pub fn restore_state(&mut self, s: &MigrationSnapshot) {
+    pub(crate) fn restore_state(&mut self, s: &MigrationSnapshot) {
         self.ledger.restore_entries(&s.ledger);
         self.active = s.active.clone();
         self.cooled = s.cooled.iter().copied().collect();
@@ -402,7 +396,7 @@ impl MigrationManager {
     /// transfer interrupted by a controller crash cannot be trusted to
     /// flip, so state and flows stay at the source and the pins lift.
     /// Returns how many were dropped.
-    pub fn abort_all(&mut self) -> usize {
+    pub(crate) fn abort_all(&mut self) -> usize {
         let dropped = std::mem::take(&mut self.active);
         let n = dropped.len();
         self.aborted += n as u64;
@@ -493,7 +487,7 @@ impl MigrationManager {
     }
 
     /// The earliest instant an in-flight migration becomes flippable.
-    pub fn next_due(&self) -> Option<SimTime> {
+    pub(crate) fn next_due(&self) -> Option<SimTime> {
         self.active.iter().map(|m| m.transfer_done).min()
     }
 
@@ -542,7 +536,7 @@ impl MigrationManager {
     /// Abandons a migration whose target never became ready (e.g. the
     /// fault plan took the target zone dark mid-transfer). State and flows
     /// stay at the source.
-    pub fn abort(&mut self, m: &Migration) {
+    pub(crate) fn abort(&mut self, m: &Migration) {
         self.aborted += 1;
         if let Some(log) = &mut self.log {
             log.push(MigrationOp::Aborted { migration: *m });
@@ -553,7 +547,7 @@ impl MigrationManager {
     /// called when a crash retires the pool mid-transfer. The pin lifts;
     /// session state and flows stay wherever they currently are. Returns
     /// how many migrations were dropped.
-    pub fn abort_involving(&mut self, service: ServiceAddr, cluster: usize) -> usize {
+    pub(crate) fn abort_involving(&mut self, service: ServiceAddr, cluster: usize) -> usize {
         let mut dropped = Vec::new();
         self.active.retain(|m| {
             if m.service == service && (m.from == cluster || m.to == cluster) {
@@ -574,7 +568,7 @@ impl MigrationManager {
     /// Abandons every in-flight migration into or out of `cluster` — the
     /// zone-outage fault takes the whole zone dark at once. Returns how
     /// many migrations were dropped.
-    pub fn abort_cluster(&mut self, cluster: usize) -> usize {
+    pub(crate) fn abort_cluster(&mut self, cluster: usize) -> usize {
         let mut dropped = Vec::new();
         self.active.retain(|m| {
             if m.from == cluster || m.to == cluster {
@@ -645,8 +639,6 @@ mod tests {
         assert_eq!(l.bytes_at(svc(1), 0), 0);
         assert_eq!(l.bytes_at(svc(1), 2), 700);
         assert_eq!(l.total(), 761, "transfer conserves total state");
-        assert_eq!(l.forget(svc(2), 0), 11);
-        assert_eq!(l.total(), 750);
     }
 
     #[test]

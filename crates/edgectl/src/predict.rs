@@ -30,7 +30,7 @@ pub trait DeploymentPredictor: Send {
 /// Never predicts — pure reactive on-demand deployment (the paper's
 /// baseline).
 #[derive(Default)]
-pub struct NoPredictor;
+pub(crate) struct NoPredictor;
 
 impl DeploymentPredictor for NoPredictor {
     fn name(&self) -> &str {
@@ -47,7 +47,7 @@ impl DeploymentPredictor for NoPredictor {
 /// Predicts that recently seen services will be requested again: keeps each
 /// observed service "warm" for a window after its last request. Models the
 /// common keep-alive heuristic.
-pub struct RecencyPredictor {
+pub(crate) struct RecencyPredictor {
     window: Duration,
     last_seen: HashMap<ServiceAddr, SimTime>,
 }
@@ -83,7 +83,7 @@ impl DeploymentPredictor for RecencyPredictor {
 
 /// Predicts the overall most-requested services (top-k by frequency over a
 /// sliding history). Models popularity-based pre-deployment.
-pub struct FrequencyPredictor {
+pub(crate) struct FrequencyPredictor {
     history: VecDeque<(SimTime, ServiceAddr)>,
     horizon: Duration,
     top_k: usize,
@@ -132,7 +132,7 @@ impl DeploymentPredictor for FrequencyPredictor {
 /// service *A*, predicts the services that historically followed *A*.
 /// Models sequence patterns (e.g. an app that always calls auth → api →
 /// media in order).
-pub struct MarkovPredictor {
+pub(crate) struct MarkovPredictor {
     transitions: HashMap<ServiceAddr, HashMap<ServiceAddr, usize>>,
     last: Option<ServiceAddr>,
     top_k: usize,
@@ -180,49 +180,8 @@ impl DeploymentPredictor for MarkovPredictor {
     }
 }
 
-/// An oracle with a configurable hit rate: it "knows" the future request
-/// (supplied via [`OraclePredictor::feed`]) but only reports it with
-/// probability `accuracy` — the paper's point that "a hundred percent
-/// correct prediction rate is impossible" made measurable.
-pub struct OraclePredictor {
-    pending: VecDeque<ServiceAddr>,
-}
-
-impl OraclePredictor {
-    /// Creates an empty oracle.
-    pub fn new() -> OraclePredictor {
-        OraclePredictor {
-            pending: VecDeque::new(),
-        }
-    }
-
-    /// Feeds ground-truth future requests (the experiment decides which
-    /// fraction to reveal).
-    pub fn feed(&mut self, service: ServiceAddr) {
-        self.pending.push_back(service);
-    }
-}
-
-impl Default for OraclePredictor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DeploymentPredictor for OraclePredictor {
-    fn name(&self) -> &str {
-        "oracle"
-    }
-
-    fn observe(&mut self, _service: ServiceAddr, _now: SimTime) {}
-
-    fn predict(&mut self, _now: SimTime) -> Vec<ServiceAddr> {
-        self.pending.drain(..).collect()
-    }
-}
-
 /// Names [`predictor_by_name`] accepts, in documentation order.
-pub const KNOWN_PREDICTORS: &[&str] = &["none", "recency", "frequency", "markov"];
+pub(crate) const KNOWN_PREDICTORS: &[&str] = &["none", "recency", "frequency", "markov"];
 
 /// Loads a predictor by configured name. Shares the typed
 /// [`UnknownComponent`](crate::scheduler::UnknownComponent) error with
@@ -319,15 +278,6 @@ mod tests {
         assert!(p.predict(SimTime::ZERO).is_empty());
         p.observe(svc(1), SimTime::ZERO);
         assert!(p.predict(SimTime::ZERO).is_empty(), "no successor known yet");
-    }
-
-    #[test]
-    fn oracle_replays_fed_futures() {
-        let mut p = OraclePredictor::new();
-        p.feed(svc(4));
-        p.feed(svc(5));
-        assert_eq!(p.predict(SimTime::ZERO), vec![svc(4), svc(5)]);
-        assert!(p.predict(SimTime::ZERO).is_empty(), "drained");
     }
 
     #[test]

@@ -59,7 +59,7 @@ impl InstanceView {
     }
 
     /// Jobs queued or in service — the load a new admission sorts behind.
-    pub fn queue_depth(&self) -> usize {
+    pub(crate) fn queue_depth(&self) -> usize {
         self.in_flight + self.backlog
     }
 }
@@ -121,7 +121,7 @@ impl Choice {
     /// `true` if this decision triggers on-demand deployment *without*
     /// waiting (a BEST cluster differing from FAST's). Deployment is
     /// cluster-granular: differing replicas of one cluster never trigger it.
-    pub fn is_without_waiting(&self) -> bool {
+    pub(crate) fn is_without_waiting(&self) -> bool {
         self.best.is_some() && self.best.map(|t| t.cluster) != self.fast.map(|t| t.cluster)
     }
 }
@@ -248,7 +248,7 @@ impl GlobalScheduler for ProximityScheduler {
 /// none), while deploying at the nearest cluster for future requests —
 /// on-demand deployment **without waiting** (Fig. 3).
 #[derive(Default)]
-pub struct LatencyAwareScheduler;
+pub(crate) struct LatencyAwareScheduler;
 
 impl GlobalScheduler for LatencyAwareScheduler {
     fn name(&self) -> &str {
@@ -275,7 +275,7 @@ impl GlobalScheduler for LatencyAwareScheduler {
 
 /// Spreads services round-robin over clusters (load-balancing baseline).
 #[derive(Default)]
-pub struct RoundRobinScheduler {
+pub(crate) struct RoundRobinScheduler {
     next: usize,
 }
 
@@ -304,7 +304,7 @@ impl GlobalScheduler for RoundRobinScheduler {
 /// the nearest ready one serves — give the K8s cluster a (marginally)
 /// smaller distance to hand steady-state traffic over to it.
 #[derive(Default)]
-pub struct DockerFirstScheduler;
+pub(crate) struct DockerFirstScheduler;
 
 impl GlobalScheduler for DockerFirstScheduler {
     fn name(&self) -> &str {
@@ -327,7 +327,7 @@ impl GlobalScheduler for DockerFirstScheduler {
 /// Never uses the edge: every request goes to the cloud (the no-MEC
 /// baseline the transparent approach is compared against).
 #[derive(Default)]
-pub struct CloudOnlyScheduler;
+pub(crate) struct CloudOnlyScheduler;
 
 impl GlobalScheduler for CloudOnlyScheduler {
     fn name(&self) -> &str {
@@ -343,7 +343,7 @@ impl GlobalScheduler for CloudOnlyScheduler {
 /// of the scheduler tournament. Uses its own deterministic generator (a
 /// fixed-seed LCG) so tournament runs are byte-identical — it never touches
 /// the simulation's RNG streams.
-pub struct RandomScheduler {
+pub(crate) struct RandomScheduler {
     state: u64,
 }
 
@@ -459,7 +459,7 @@ impl GlobalScheduler for LatencyEwmaScheduler {
 }
 
 /// Names [`scheduler_by_name`] accepts, in documentation order.
-pub const KNOWN_SCHEDULERS: &[&str] = &[
+pub(crate) const KNOWN_SCHEDULERS: &[&str] = &[
     "proximity",
     "latency-aware",
     "round-robin",

@@ -21,17 +21,17 @@ type Labels = BTreeMap<String, String>;
 #[derive(Clone, Debug)]
 pub struct K8sTimings {
     /// One API-server round trip (create/update/bind).
-    pub api_call: LogNormal,
+    pub(crate) api_call: LogNormal,
     /// Watch-notification reaction time of a controller.
-    pub watch_reaction: LogNormal,
+    pub(crate) watch_reaction: LogNormal,
     /// Scheduler queue + scoring + binding latency.
-    pub scheduler_latency: LogNormal,
+    pub(crate) scheduler_latency: LogNormal,
     /// Kubelet pod-sync reaction after binding.
-    pub kubelet_reaction: LogNormal,
+    pub(crate) kubelet_reaction: LogNormal,
     /// Pod sandbox setup: pause container, network namespace, CNI plugin.
-    pub sandbox_setup: LogNormal,
+    pub(crate) sandbox_setup: LogNormal,
     /// Endpoints controller propagation after readiness.
-    pub endpoint_propagation: LogNormal,
+    pub(crate) endpoint_propagation: LogNormal,
 }
 
 impl Default for K8sTimings {
@@ -519,7 +519,6 @@ impl K8sCluster {
             self.replicasets.insert(
                 rs_name.clone(),
                 ReplicaSet {
-                    name: rs_name.clone(),
                     owner: name.to_owned(),
                     replicas,
                 },

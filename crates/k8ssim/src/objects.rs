@@ -47,9 +47,7 @@ pub struct Deployment {
 
 /// A `ReplicaSet` owned by a deployment.
 #[derive(Clone, Debug)]
-pub struct ReplicaSet {
-    /// Object name (`<deployment>-<hash>`).
-    pub name: String,
+pub(crate) struct ReplicaSet {
     /// Owning deployment.
     pub owner: String,
     /// Desired replicas.
@@ -84,7 +82,7 @@ pub struct Pod {
     /// Pod IP once running (cluster-internal).
     pub ip: Option<[u8; 4]>,
     /// The containerd containers backing it.
-    pub container_ids: Vec<ContainerId>,
+    pub(crate) container_ids: Vec<ContainerId>,
     /// Instant the pod became Ready.
     pub ready_at: Option<SimTime>,
     /// Which scheduler must bind it (None = default).
@@ -119,7 +117,7 @@ pub struct Endpoints {
     /// `(pod ip, target port)` pairs, updated as pods come and go.
     pub addresses: Vec<([u8; 4], u16)>,
     /// When the endpoints were last updated.
-    pub updated_at: SimTime,
+    pub(crate) updated_at: SimTime,
 }
 
 /// `true` if `labels` satisfy `selector` (every selector pair present).

@@ -32,7 +32,7 @@ pub trait K8sScheduler: Send {
 /// The default scheduler: spreads pods by picking the least-loaded node with
 /// free capacity (a simplification of kube-scheduler's scoring).
 #[derive(Default)]
-pub struct DefaultScheduler;
+pub(crate) struct DefaultScheduler;
 
 impl K8sScheduler for DefaultScheduler {
     fn name(&self) -> &str {
@@ -69,7 +69,7 @@ impl K8sScheduler for PackFirstScheduler {
 }
 
 /// Registry of named schedulers; pods select by `schedulerName`.
-pub struct SchedulerRegistry {
+pub(crate) struct SchedulerRegistry {
     schedulers: HashMap<String, Box<dyn K8sScheduler>>,
     default_name: String,
 }

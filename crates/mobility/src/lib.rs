@@ -28,11 +28,11 @@ use desim::{Duration, SimRng, SimTime};
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CellGrid {
     /// Number of columns.
-    pub cols: u32,
+    pub(crate) cols: u32,
     /// Number of rows.
     pub rows: u32,
     /// Edge length of one (square) cell in metres.
-    pub cell_size_m: f64,
+    pub(crate) cell_size_m: f64,
 }
 
 impl CellGrid {
@@ -44,29 +44,29 @@ impl CellGrid {
     }
 
     /// Total number of cells.
-    pub fn n_cells(&self) -> usize {
+    pub(crate) fn n_cells(&self) -> usize {
         (self.cols * self.rows) as usize
     }
 
     /// Field width in metres.
-    pub fn width_m(&self) -> f64 {
+    pub(crate) fn width_m(&self) -> f64 {
         f64::from(self.cols) * self.cell_size_m
     }
 
     /// Field height in metres.
-    pub fn height_m(&self) -> f64 {
+    pub(crate) fn height_m(&self) -> f64 {
         f64::from(self.rows) * self.cell_size_m
     }
 
     /// The cell containing position `(x, y)` (metres, clamped to the field).
-    pub fn cell_at(&self, x: f64, y: f64) -> usize {
+    pub(crate) fn cell_at(&self, x: f64, y: f64) -> usize {
         let col = ((x / self.cell_size_m) as i64).clamp(0, i64::from(self.cols) - 1) as u32;
         let row = ((y / self.cell_size_m) as i64).clamp(0, i64::from(self.rows) - 1) as u32;
         (row * self.cols + col) as usize
     }
 
     /// Centre of `cell` in metres.
-    pub fn center_of(&self, cell: usize) -> (f64, f64) {
+    pub(crate) fn center_of(&self, cell: usize) -> (f64, f64) {
         let cell = cell as u32;
         let col = cell % self.cols;
         let row = cell / self.cols;

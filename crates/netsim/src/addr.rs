@@ -8,8 +8,6 @@ use std::str::FromStr;
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
     /// The all-zero address (used as a placeholder).
     pub const ZERO: MacAddr = MacAddr([0; 6]);
 
@@ -162,7 +160,7 @@ mod tests {
 
     #[test]
     fn mac_display_and_ids() {
-        assert_eq!(MacAddr::BROADCAST.to_string(), "ff:ff:ff:ff:ff:ff");
+        assert_eq!(MacAddr([0xff; 6]).to_string(), "ff:ff:ff:ff:ff:ff");
         let m = MacAddr::from_id(0x01020304);
         assert_eq!(m.to_string(), "02:00:01:02:03:04");
         assert_ne!(MacAddr::from_id(1), MacAddr::from_id(2));

@@ -22,14 +22,10 @@ use crate::wire::{
 pub struct TcpFlags(pub u8);
 
 impl TcpFlags {
-    /// FIN flag.
-    pub const FIN: TcpFlags = TcpFlags(0x01);
     /// SYN flag.
     pub const SYN: TcpFlags = TcpFlags(0x02);
     /// RST flag.
     pub const RST: TcpFlags = TcpFlags(0x04);
-    /// PSH flag.
-    pub const PSH: TcpFlags = TcpFlags(0x08);
     /// ACK flag.
     pub const ACK: TcpFlags = TcpFlags(0x10);
     /// SYN|ACK combination.

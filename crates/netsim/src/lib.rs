@@ -17,8 +17,7 @@
 //!   hands a consumed frame's buffer to the next encoder,
 //! * [`link`] — latency + bandwidth link models with optional jitter,
 //! * [`topo`] — the node/port/link graph plus shortest-path queries,
-//! * [`pcap`] — capture export: dump simulated traffic to standard pcap
-//!   files for Wireshark/tcpdump inspection.
+//! * `pcap` — an in-memory capture of the frames a run switches.
 //!
 //! Switch *behaviour* (flow tables, OpenFlow pipeline) lives in the `ovs`
 //! crate; this crate is purely passive plumbing.
@@ -42,7 +41,7 @@
 pub mod addr;
 pub mod frame;
 pub mod link;
-pub mod pcap;
+mod pcap;
 pub mod topo;
 pub mod wire;
 

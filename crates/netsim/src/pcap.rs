@@ -1,19 +1,10 @@
-//! pcap export: dump simulated frames into the standard libpcap capture
-//! format, so any run of the emulated data plane can be opened in Wireshark
-//! / tcpdump for inspection.
-//!
-//! Implements the classic pcap file format (magic `0xa1b2c3d4`, version 2.4,
-//! LINKTYPE_ETHERNET) with microsecond timestamps taken from simulated time.
+//! Frame capture: every frame a run puts through a switch, with the
+//! simulated instant it crossed (what `e2ebench trace` replays layer by
+//! layer).
 
-use crate::TcpFrame;
 use desim::SimTime;
 
-const MAGIC: u32 = 0xa1b2_c3d4;
-const VERSION_MAJOR: u16 = 2;
-const VERSION_MINOR: u16 = 4;
-const LINKTYPE_ETHERNET: u32 = 1;
-
-/// An in-memory pcap capture of simulated traffic.
+/// An in-memory capture of simulated traffic.
 #[derive(Clone, Debug, Default)]
 pub struct PcapCapture {
     records: Vec<(SimTime, Vec<u8>)>,
@@ -30,11 +21,6 @@ impl PcapCapture {
         self.records.push((at, frame.to_vec()));
     }
 
-    /// Records a structured frame.
-    pub fn record_frame(&mut self, at: SimTime, frame: &TcpFrame) {
-        self.record(at, &frame.encode());
-    }
-
     /// Number of captured frames.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -45,144 +31,8 @@ impl PcapCapture {
         self.records.is_empty()
     }
 
-    /// Serializes the capture to pcap bytes (little-endian host convention).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24 + self.records.len() * 64);
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.extend_from_slice(&VERSION_MAJOR.to_le_bytes());
-        out.extend_from_slice(&VERSION_MINOR.to_le_bytes());
-        out.extend_from_slice(&0i32.to_le_bytes()); // thiszone
-        out.extend_from_slice(&0u32.to_le_bytes()); // sigfigs
-        out.extend_from_slice(&65535u32.to_le_bytes()); // snaplen
-        out.extend_from_slice(&LINKTYPE_ETHERNET.to_le_bytes());
-        for (at, data) in &self.records {
-            let ns = at.as_nanos();
-            let secs = (ns / 1_000_000_000) as u32;
-            let micros = ((ns % 1_000_000_000) / 1_000) as u32;
-            out.extend_from_slice(&secs.to_le_bytes());
-            out.extend_from_slice(&micros.to_le_bytes());
-            out.extend_from_slice(&(data.len() as u32).to_le_bytes()); // incl_len
-            out.extend_from_slice(&(data.len() as u32).to_le_bytes()); // orig_len
-            out.extend_from_slice(data);
-        }
-        out
-    }
-
-    /// Writes the capture to a file.
-    pub fn write_to(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bytes())
-    }
-
-    /// Parses pcap bytes back into `(timestamp, frame)` records (as produced
-    /// by [`PcapCapture::to_bytes`]; used by tests and tooling round-trips).
-    pub fn from_bytes(buf: &[u8]) -> Result<PcapCapture, String> {
-        if buf.len() < 24 {
-            return Err("truncated pcap header".into());
-        }
-        let magic = u32::from_le_bytes(buf[0..4].try_into().expect("len checked"));
-        if magic != MAGIC {
-            return Err(format!("bad magic {magic:#010x}"));
-        }
-        let linktype = u32::from_le_bytes(buf[20..24].try_into().expect("len checked"));
-        if linktype != LINKTYPE_ETHERNET {
-            return Err(format!("unsupported linktype {linktype}"));
-        }
-        let mut records = Vec::new();
-        let mut off = 24;
-        while off < buf.len() {
-            if buf.len() < off + 16 {
-                return Err("truncated record header".into());
-            }
-            let secs = u32::from_le_bytes(buf[off..off + 4].try_into().expect("len checked"));
-            let micros =
-                u32::from_le_bytes(buf[off + 4..off + 8].try_into().expect("len checked"));
-            let incl =
-                u32::from_le_bytes(buf[off + 8..off + 12].try_into().expect("len checked"))
-                    as usize;
-            off += 16;
-            if buf.len() < off + incl {
-                return Err("truncated record body".into());
-            }
-            let at = SimTime::from_nanos(secs as u64 * 1_000_000_000 + micros as u64 * 1_000);
-            records.push((at, buf[off..off + incl].to_vec()));
-            off += incl;
-        }
-        Ok(PcapCapture { records })
-    }
-
     /// The captured `(timestamp, frame bytes)` records.
     pub fn records(&self) -> &[(SimTime, Vec<u8>)] {
         &self.records
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::addr::{Ipv4Addr, MacAddr, ServiceAddr};
-
-    fn frame(src_port: u16) -> TcpFrame {
-        TcpFrame::syn(
-            MacAddr::from_id(1),
-            MacAddr::from_id(2),
-            Ipv4Addr::new(192, 168, 1, 20),
-            src_port,
-            ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80),
-        )
-    }
-
-    #[test]
-    fn header_layout() {
-        let cap = PcapCapture::new();
-        let bytes = cap.to_bytes();
-        assert_eq!(bytes.len(), 24);
-        assert_eq!(&bytes[0..4], &MAGIC.to_le_bytes());
-        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), 2);
-        assert_eq!(u16::from_le_bytes([bytes[6], bytes[7]]), 4);
-        assert_eq!(u32::from_le_bytes(bytes[20..24].try_into().unwrap()), 1);
-    }
-
-    #[test]
-    fn roundtrip_with_timestamps() {
-        let mut cap = PcapCapture::new();
-        cap.record_frame(SimTime::from_millis(1500), &frame(50000));
-        cap.record_frame(SimTime::from_micros(2_000_123), &frame(50001));
-        assert_eq!(cap.len(), 2);
-        let back = PcapCapture::from_bytes(&cap.to_bytes()).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back.records()[0].0, SimTime::from_millis(1500));
-        // Microsecond resolution truncates the odd sub-µs part.
-        assert_eq!(back.records()[1].0, SimTime::from_micros(2_000_123));
-        // Frames decode back to the originals.
-        let f = TcpFrame::decode(&back.records()[0].1).unwrap();
-        assert_eq!(f.src_port, 50000);
-        let f = TcpFrame::decode(&back.records()[1].1).unwrap();
-        assert_eq!(f.src_port, 50001);
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(PcapCapture::from_bytes(&[0u8; 10]).is_err());
-        let mut bad = PcapCapture::new().to_bytes();
-        bad[0] ^= 0xff;
-        assert!(PcapCapture::from_bytes(&bad).is_err());
-        let mut truncated = {
-            let mut cap = PcapCapture::new();
-            cap.record_frame(SimTime::from_secs(1), &frame(1));
-            cap.to_bytes()
-        };
-        truncated.truncate(truncated.len() - 5);
-        assert!(PcapCapture::from_bytes(&truncated).is_err());
-    }
-
-    #[test]
-    fn file_write(){
-        let mut cap = PcapCapture::new();
-        cap.record_frame(SimTime::from_secs(3), &frame(7));
-        let path = std::env::temp_dir().join("transparent_edge_test.pcap");
-        cap.write_to(&path).unwrap();
-        let data = std::fs::read(&path).unwrap();
-        assert_eq!(PcapCapture::from_bytes(&data).unwrap().len(), 1);
-        let _ = std::fs::remove_file(&path);
     }
 }

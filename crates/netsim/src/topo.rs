@@ -8,9 +8,8 @@
 //! Ports are dense: [`Topology::connect`] hands a node its ports in order
 //! from 1, so a node's links live in a `Vec` indexed by `port − 1` and the
 //! per-hop lookups ([`Topology::peer_of`], [`Topology::link_at`]) are an
-//! index, not a hash probe. Where two nodes share several links, every query
-//! that has to pick one ([`Topology::port_toward`],
-//! [`Topology::path_latency`]) picks the lowest-numbered port — the same
+//! index, not a hash probe. Where two nodes share several links,
+//! [`Topology::path_latency`] picks the lowest-numbered port — the same
 //! answer in every process.
 
 use crate::addr::{Ipv4Addr, MacAddr};
@@ -129,11 +128,9 @@ impl Topology {
         self.adjacency[node.0 as usize].get(port.0.checked_sub(1)? as usize)
     }
 
-    /// The lowest-numbered port of `node` whose link ends at `peer`, and
-    /// that link's edge.
-    fn first_edge_to(&self, node: NodeId, peer: NodeId) -> Option<(PortNo, &Edge)> {
-        let (at, edge) = self.adjacency[node.0 as usize].iter().enumerate().find(|(_, e)| e.peer == peer)?;
-        Some((PortNo(at as u32 + 1), edge))
+    /// The edge of `node`'s lowest-numbered port whose link ends at `peer`.
+    fn first_edge_to(&self, node: NodeId, peer: NodeId) -> Option<&Edge> {
+        self.adjacency[node.0 as usize].iter().find(|e| e.peer == peer)
     }
 
     /// Node metadata.
@@ -169,15 +166,6 @@ impl Topology {
     /// The ports of `node`, ascending.
     pub fn ports(&self, node: NodeId) -> Vec<PortNo> {
         (1..=self.adjacency[node.0 as usize].len() as u32).map(PortNo).collect()
-    }
-
-    /// The port of `node` whose link leads (by next hop) toward `dst`,
-    /// following the shortest path. `None` if unreachable. Among parallel
-    /// links to the next hop, the lowest-numbered port.
-    pub fn port_toward(&self, node: NodeId, dst: NodeId) -> Option<PortNo> {
-        let path = self.shortest_path(node, dst)?;
-        let next = *path.get(1)?;
-        self.first_edge_to(node, next).map(|(port, _)| port)
     }
 
     /// Dijkstra shortest path (by propagation delay), returning the node
@@ -232,7 +220,7 @@ impl Topology {
     /// One-way latency of the shortest path for a frame of `bytes`,
     /// including per-hop serialization and jitter. A hop between two nodes
     /// that share several links is priced by the link on the lowest-numbered
-    /// port — the one [`Topology::port_toward`] names.
+    /// port.
     pub fn path_latency(
         &self,
         from: NodeId,
@@ -244,7 +232,7 @@ impl Topology {
         let mut total = Duration::ZERO;
         for pair in path.windows(2) {
             let (a, b) = (pair[0], pair[1]);
-            let (_, edge) = self.first_edge_to(a, b).expect("path edge exists");
+            let edge = self.first_edge_to(a, b).expect("path edge exists");
             total += edge.link.traversal_time(bytes, rng);
         }
         Some(total)
@@ -305,20 +293,11 @@ mod tests {
     }
 
     #[test]
-    fn port_toward_follows_path() {
-        let (t, _, c1, _, egs) = star();
-        assert_eq!(t.port_toward(c1, egs), Some(PortNo(1)));
-        let (t2, sw, c1b, _, egs2) = star();
-        let _ = (t2, sw, c1b, egs2);
-    }
-
-    #[test]
     fn unreachable_is_none() {
         let mut t = Topology::new();
         let a = t.add_node("a", NodeKind::Client, Ipv4Addr::new(1, 0, 0, 1));
         let b = t.add_node("b", NodeKind::Client, Ipv4Addr::new(1, 0, 0, 2));
         assert_eq!(t.shortest_path(a, b), None);
-        assert_eq!(t.port_toward(a, b), None);
         let mut rng = SimRng::new(1);
         assert_eq!(t.path_latency(a, b, 100, &mut rng), None);
     }
@@ -346,8 +325,8 @@ mod tests {
         assert_eq!(t.shortest_path(a, c), Some(vec![a, b, c]));
     }
 
-    /// Two nodes sharing three links of different specs: every query that
-    /// has to pick one picks the lowest-numbered port. (The ports used to
+    /// Two nodes sharing three links of different specs: pricing a hop
+    /// picks the lowest-numbered port. (The ports used to
     /// live in a `RandomState` map, and the answer was whichever link the
     /// process's hash seed listed first.)
     #[test]
@@ -374,9 +353,6 @@ mod tests {
             assert_eq!(t.peer_of(b, PortNo(pb)), Some((a, PortNo(pa))));
         }
         assert!(t.peer_of(a, PortNo(0)).is_none() && t.link_at(a, PortNo(5)).is_none());
-        assert_eq!(t.port_toward(a, b), Some(PortNo(2)));
-        assert_eq!(t.port_toward(c, b), Some(PortNo(1)));
-        assert_eq!(t.port_toward(b, c), Some(PortNo(1)));
         assert_eq!(t.shortest_path(c, b), Some(vec![c, a, b]));
         let mut rng = SimRng::new(1);
         let priced = |l: &Link| l.spec().propagation + l.serialization_delay(125);

@@ -12,9 +12,9 @@ pub const ETHERTYPE_IPV4: u16 = 0x0800;
 /// IP protocol number for TCP.
 pub const IPPROTO_TCP: u8 = 6;
 /// Length of an Ethernet II header.
-pub const ETH_HEADER_LEN: usize = 14;
+pub(crate) const ETH_HEADER_LEN: usize = 14;
 /// Length of an IPv4 header without options.
-pub const IPV4_HEADER_LEN: usize = 20;
+pub(crate) const IPV4_HEADER_LEN: usize = 20;
 /// Length of a TCP header without options.
 pub const TCP_HEADER_LEN: usize = 20;
 
@@ -118,7 +118,7 @@ pub struct Ipv4Header {
 
 /// Decoded TCP header (options unsupported).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TcpHeader {
+pub(crate) struct TcpHeader {
     /// Source port.
     pub src_port: u16,
     /// Destination port.
@@ -141,7 +141,7 @@ pub fn encode_eth(out: &mut Vec<u8>, h: &EthHeader) {
 }
 
 /// Largest IPv4 payload (TCP header included) `total_len` can describe.
-pub const IPV4_MAX_PAYLOAD: usize = u16::MAX as usize - IPV4_HEADER_LEN;
+pub(crate) const IPV4_MAX_PAYLOAD: usize = u16::MAX as usize - IPV4_HEADER_LEN;
 
 /// Encodes an IPv4 header (with checksum) for a payload of `payload_len` bytes.
 ///
@@ -200,7 +200,7 @@ fn encode_tcp_header(out: &mut Vec<u8>, h: &TcpHeader) -> usize {
 
 /// Encodes a TCP header + payload, computing the checksum over the pseudo
 /// header for `src`/`dst`.
-pub fn encode_tcp(
+pub(crate) fn encode_tcp(
     out: &mut Vec<u8>,
     h: &TcpHeader,
     payload: &[u8],
@@ -245,7 +245,7 @@ pub(crate) fn encode_tcp_filled(
 }
 
 /// Decodes an Ethernet header. Returns the header and the remaining bytes.
-pub fn decode_eth(buf: &[u8]) -> Result<(EthHeader, &[u8]), WireError> {
+pub(crate) fn decode_eth(buf: &[u8]) -> Result<(EthHeader, &[u8]), WireError> {
     if buf.len() < ETH_HEADER_LEN {
         return Err(WireError::Truncated {
             layer: "ethernet",
@@ -269,7 +269,7 @@ pub fn decode_eth(buf: &[u8]) -> Result<(EthHeader, &[u8]), WireError> {
 
 /// Decodes and checksum-verifies an IPv4 header. Returns the header and the
 /// payload bytes (trimmed to `total_len`).
-pub fn decode_ipv4(buf: &[u8]) -> Result<(Ipv4Header, &[u8]), WireError> {
+pub(crate) fn decode_ipv4(buf: &[u8]) -> Result<(Ipv4Header, &[u8]), WireError> {
     if buf.len() < IPV4_HEADER_LEN {
         return Err(WireError::Truncated {
             layer: "ipv4",
@@ -304,7 +304,7 @@ pub fn decode_ipv4(buf: &[u8]) -> Result<(Ipv4Header, &[u8]), WireError> {
 
 /// Decodes and checksum-verifies a TCP header (given the IP addresses for the
 /// pseudo header). Returns the header and the payload bytes.
-pub fn decode_tcp(
+pub(crate) fn decode_tcp(
     buf: &[u8],
     src: Ipv4Addr,
     dst: Ipv4Addr,

@@ -110,14 +110,14 @@ impl Action {
     }
 
     /// Encodes a list of actions.
-    pub fn encode_list(actions: &[Action], out: &mut Vec<u8>) {
+    pub(crate) fn encode_list(actions: &[Action], out: &mut Vec<u8>) {
         for a in actions {
             a.encode(out);
         }
     }
 
     /// Decodes exactly `len` bytes of actions.
-    pub fn decode_list(buf: &[u8], len: usize) -> Result<Vec<Action>, OfError> {
+    pub(crate) fn decode_list(buf: &[u8], len: usize) -> Result<Vec<Action>, OfError> {
         if buf.len() < len {
             return Err(OfError::Truncated {
                 what: "action list",
@@ -199,14 +199,14 @@ impl Instruction {
     }
 
     /// Encodes a list of instructions.
-    pub fn encode_list(instructions: &[Instruction], out: &mut Vec<u8>) {
+    pub(crate) fn encode_list(instructions: &[Instruction], out: &mut Vec<u8>) {
         for i in instructions {
             i.encode(out);
         }
     }
 
     /// Decodes instructions until `buf` is exhausted.
-    pub fn decode_all(buf: &[u8]) -> Result<Vec<Instruction>, OfError> {
+    pub(crate) fn decode_all(buf: &[u8]) -> Result<Vec<Instruction>, OfError> {
         let mut out = Vec::new();
         let mut off = 0;
         while off < buf.len() {

@@ -59,7 +59,7 @@ pub use oxm::{Match, MatchView};
 pub use table::{FlowEntry, FlowTable};
 
 /// Wire protocol version byte (OpenFlow 1.3).
-pub const OFP_VERSION: u8 = 0x04;
+pub(crate) const OFP_VERSION: u8 = 0x04;
 
 /// Reserved port: send to controller.
 pub const OFPP_CONTROLLER: u32 = 0xffff_fffd;

@@ -93,7 +93,7 @@ impl NaiveFlowTable {
 
     /// OpenFlow MODIFY_STRICT: like [`NaiveFlowTable::modify`] but only for
     /// flows at exactly `priority`.
-    pub fn modify_strict(
+    pub(crate) fn modify_strict(
         &mut self,
         match_: &Match,
         priority: u16,

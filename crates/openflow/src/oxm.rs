@@ -7,7 +7,7 @@
 use crate::OfError;
 
 /// The ONF "openflow basic" OXM class.
-pub const OXM_CLASS_OPENFLOW_BASIC: u16 = 0x8000;
+pub(crate) const OXM_CLASS_OPENFLOW_BASIC: u16 = 0x8000;
 
 // OFPXMT_OFB_* field codes.
 const F_IN_PORT: u8 = 0;

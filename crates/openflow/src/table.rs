@@ -575,7 +575,7 @@ impl FlowTable {
     /// exactly `priority` — the unambiguous `(priority, match)` keying that
     /// ADD and the index use. Returns how many changed (0 or 1, since ADD
     /// keeps `(priority, match)` unique).
-    pub fn modify_strict(
+    pub(crate) fn modify_strict(
         &mut self,
         match_: &Match,
         priority: u16,

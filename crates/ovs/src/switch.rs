@@ -74,9 +74,9 @@ pub struct Switch {
     pub fast_path_packets: u64,
     /// Count of table misses sent to the controller.
     pub table_misses: u64,
-    /// Never incremented (no flow cache; `e2ebench` reads it): ROADMAP item 1 (b) deletes it.
+    /// Never incremented (no flow cache; `e2ebench` reads it): ROADMAP item 2 deletes it.
     pub microflow_hits: u64,
-    /// Counts every classified frame (`e2ebench` reads it): ROADMAP item 1 (b) deletes it.
+    /// Counts every classified frame (`e2ebench` reads it): ROADMAP item 2 deletes it.
     pub microflow_misses: u64,
 }
 
@@ -107,7 +107,7 @@ impl Switch {
         self.buffers.len()
     }
 
-    /// Wraps [`Self::handle_frame_into`] on a copy of `data`: not the harness's path, and ROADMAP 1 (b) retires it.
+    /// Wraps [`Self::handle_frame_into`] on a copy of `data`: not the harness's path, and ROADMAP item 2 retires it.
     pub fn handle_frame(&mut self, now: SimTime, in_port: u32, data: &[u8]) -> Vec<Effect> {
         let mut out = Vec::new();
         self.handle_frame_into(now, in_port, data.to_vec(), &mut out);
@@ -176,7 +176,7 @@ impl Switch {
         effect
     }
 
-    /// Wraps [`Self::handle_controller_into`]: not the harness's path, and ROADMAP 1 (b) retires it.
+    /// Wraps [`Self::handle_controller_into`]: not the harness's path, and ROADMAP item 2 retires it.
     pub fn handle_controller(&mut self, now: SimTime, bytes: &[u8]) -> Result<Vec<Effect>, OfError> {
         let mut out = Vec::new();
         self.handle_controller_into(now, bytes, &mut out)?;
@@ -334,7 +334,7 @@ impl Switch {
         Some(Effect::ToController(msg.encode(fresh_xid(&mut self.next_xid))))
     }
 
-    /// Wraps [`Self::expire_flows_into`]: not the harness's path, and ROADMAP 1 (b) retires it.
+    /// Wraps [`Self::expire_flows_into`]: not the harness's path, and ROADMAP item 2 retires it.
     pub fn expire_flows(&mut self, now: SimTime) -> Vec<Effect> {
         let mut out = Vec::new();
         self.expire_flows_into(now, &mut out);
@@ -466,7 +466,7 @@ fn execute<'a>(
 }
 
 /// Builds the match view of a parsed frame.
-pub fn view_of(frame: &TcpHeaders, in_port: u32) -> MatchView {
+pub(crate) fn view_of(frame: &TcpHeaders, in_port: u32) -> MatchView {
     MatchView {
         in_port,
         eth_dst: frame.dst_mac.octets(),

@@ -31,13 +31,6 @@ impl LayerCache {
         self.layers.insert(layer.digest, layer.size);
     }
 
-    /// Inserts every layer of `manifest`.
-    pub fn insert_image(&mut self, manifest: &ImageManifest) {
-        for l in &manifest.layers {
-            self.insert(*l);
-        }
-    }
-
     /// Removes a layer by digest, returning whether it was present.
     pub fn remove(&mut self, digest: &Digest) -> bool {
         self.layers.remove(digest).is_some()
@@ -115,7 +108,9 @@ mod tests {
     fn full_image_hits_everything() {
         let mut c = LayerCache::new();
         let m = catalog::nginx();
-        c.insert_image(&m);
+        for l in &m.layers {
+            c.insert(*l);
+        }
         assert!(c.has_image(&m));
         assert_eq!(c.disk_usage(), mib(135));
         let (cached, missing) = c.plan(&m);
@@ -142,8 +137,9 @@ mod tests {
     fn insert_is_idempotent() {
         let mut c = LayerCache::new();
         let m = catalog::web_asm();
-        c.insert_image(&m);
-        c.insert_image(&m);
+        for l in m.layers.iter().chain(&m.layers) {
+            c.insert(*l);
+        }
         assert_eq!(c.len(), 1);
         assert_eq!(c.disk_usage(), 6328);
         assert!(c.remove(&m.layers[0].digest));

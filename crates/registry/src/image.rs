@@ -28,7 +28,7 @@ impl Digest {
     }
 
     /// Hex rendering without the `sha256:` prefix.
-    pub fn hex(&self) -> String {
+    pub(crate) fn hex(&self) -> String {
         self.0.iter().map(|b| format!("{b:02x}")).collect()
     }
 
@@ -74,7 +74,7 @@ pub struct ImageRef {
     /// Repository name (`nginx`, `josefhammer/web-asm`...).
     pub name: String,
     /// Tag.
-    pub tag: String,
+    pub(crate) tag: String,
 }
 
 impl ImageRef {

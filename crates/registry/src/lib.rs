@@ -41,5 +41,5 @@ pub mod image;
 pub mod pull;
 
 pub use cache::LayerCache;
-pub use image::{Digest, ImageManifest, ImageRef, Layer};
+pub use image::{ImageManifest, ImageRef};
 pub use pull::{PullError, PullOutcome, PullPlanner, RegistryProfile};

@@ -16,13 +16,13 @@ pub struct RegistryProfile {
     /// Display name (`docker.io`, `gcr.io`, `registry.local`).
     pub name: String,
     /// Time for manifest negotiation (TLS + auth + manifest GET); one per pull.
-    pub manifest_time: LogNormal,
+    pub(crate) manifest_time: LogNormal,
     /// Per-layer request overhead (HTTP round trip + blob open).
-    pub per_layer_overhead: LogNormal,
+    pub(crate) per_layer_overhead: LogNormal,
     /// Effective download bandwidth in bytes/second.
     pub bandwidth: f64,
     /// Decompress/verify throughput on the pulling host, bytes/second.
-    pub unpack_bandwidth: f64,
+    pub(crate) unpack_bandwidth: f64,
     /// Concurrent layer fetches (containerd default is 3).
     pub max_concurrent: usize,
 }
@@ -43,7 +43,7 @@ impl RegistryProfile {
 
     /// Google Container Registry (ResNet image host): similar WAN profile,
     /// slightly faster CDN.
-    pub fn gcr() -> RegistryProfile {
+    pub(crate) fn gcr() -> RegistryProfile {
         RegistryProfile {
             name: "gcr.io".to_owned(),
             manifest_time: LogNormal::from_median(0.40, 0.25),
@@ -89,7 +89,7 @@ pub struct PullOutcome {
     /// Number of layers fetched.
     pub layers_fetched: usize,
     /// Number of layers served from cache.
-    pub layers_cached: usize,
+    pub(crate) layers_cached: usize,
 }
 
 impl PullOutcome {

@@ -27,7 +27,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use metrics::MetricsRegistry;
-pub use trace::{span_label, Event, Span, SpanCheck, SpanId, SpanLog};
+pub use trace::{span_label, Span, SpanId, SpanLog};
 
 use desim::SimTime;
 

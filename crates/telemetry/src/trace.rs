@@ -66,9 +66,9 @@ pub struct SpanCheck {
     /// Total spans in the log.
     pub spans: usize,
     /// Spans never closed.
-    pub unclosed: usize,
+    pub(crate) unclosed: usize,
     /// Spans whose parent id does not exist or belongs to another request.
-    pub orphans: usize,
+    pub(crate) orphans: usize,
 }
 
 impl SpanCheck {

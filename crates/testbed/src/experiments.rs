@@ -260,7 +260,7 @@ pub struct EvalRuns {
     /// `(cluster, service key)` → run.
     pub runs: BTreeMap<(&'static str, &'static str), DeploymentRun>,
     /// Whether services were pre-created (Fig. 11) or not (Fig. 12).
-    pub pre_created: bool,
+    pub(crate) pre_created: bool,
 }
 
 impl EvalRuns {
@@ -881,7 +881,7 @@ fn hierarchy_run(
 // ---------------------------------------------------------------------------
 
 /// What a recording run hands back: its span log and metrics snapshot.
-pub type Recording = (SpanLog, MetricsRegistry);
+pub(crate) type Recording = (SpanLog, MetricsRegistry);
 
 /// The result of an experiment whose arms can record telemetry.
 pub struct Experiment<S> {
@@ -898,7 +898,7 @@ pub struct Experiment<S> {
 }
 
 /// Takes what a recording harness recorded.
-fn take_recording<T: crate::topology::Net>(tb: &mut crate::Harness<T>) -> Recording {
+fn take_recording<T: crate::topology::Net>(tb: &mut crate::harness::Harness<T>) -> Recording {
     let metrics = tb.telemetry_snapshot();
     let log = std::mem::take(&mut tb.controller.telemetry)
         .into_span_log()

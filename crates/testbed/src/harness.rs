@@ -363,8 +363,8 @@ impl<T: Net> Harness<T> {
         }
     }
 
-    /// Starts capturing every frame that traverses a switch into a pcap
-    /// recording (inspect runs with Wireshark/tcpdump).
+    /// Starts capturing every frame that traverses a switch, with the
+    /// instant it crossed.
     pub fn enable_capture(&mut self) {
         self.capture = Some(netsim::PcapCapture::new());
     }
@@ -382,11 +382,6 @@ impl<T: Net> Harness<T> {
     /// The ingress switches (fast-path statistics).
     pub fn switches(&self) -> &[Switch] {
         &self.switches
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.engine.now()
     }
 
     /// A point-in-time metrics snapshot: the controller's registry plus

@@ -9,7 +9,7 @@
 //!
 //! * [`topology`] — the virtual network of Fig. 8, plus the multi-cell
 //!   [`topology::MultiGnbTopology`] used by the mobility experiments;
-//! * [`harness`] — the event-driven end-to-end simulator, one loop for both
+//! * `harness` — the event-driven end-to-end simulator, one loop for both
 //!   networks: client TCP connections traverse the OVS data plane as real
 //!   frames, table misses travel to the controller as real OpenFlow bytes,
 //!   deployments run against the simulated Docker/Kubernetes clusters.
@@ -24,12 +24,12 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod harness;
+mod harness;
 pub mod report;
 pub mod topology;
 
 pub use harness::{
-    ClusterKind, CompletedRequest, HandoverRecord, Harness, MobilityConfig, MobilityTestbed,
-    Testbed, TestbedConfig,
+    ClusterKind, CompletedRequest, HandoverRecord, MobilityConfig, MobilityTestbed, Testbed,
+    TestbedConfig,
 };
 pub use topology::{client_ip_for, fleet_client_ip, C3Topology, MultiGnbTopology};

@@ -78,7 +78,7 @@ impl Table {
 
 /// Renders a horizontal ASCII bar chart. `values` are scaled so the longest
 /// bar spans `width` characters.
-pub fn bar_chart(labels: &[String], values: &[f64], width: usize, unit: &str) -> String {
+pub(crate) fn bar_chart(labels: &[String], values: &[f64], width: usize, unit: &str) -> String {
     assert_eq!(labels.len(), values.len());
     let max = values.iter().copied().fold(0.0_f64, f64::max).max(1e-12);
     let lwidth = labels.iter().map(|l| l.chars().count()).max().unwrap_or(0);

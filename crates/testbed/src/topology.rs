@@ -133,7 +133,7 @@ impl C3Topology {
     /// larger cluster further away, on the route toward the cloud
     /// (Section IV-A-2: such clusters are "much more likely to have the
     /// requested service cached or even running already").
-    pub fn build_with_far_edge(n_clients: usize, far_edge: bool) -> C3Topology {
+    pub(crate) fn build_with_far_edge(n_clients: usize, far_edge: bool) -> C3Topology {
         assert!(n_clients > 0 && n_clients <= 250, "client count out of range");
         let mut topo = Topology::new();
         let ovs = topo.add_node("ovs", NodeKind::OpenFlowSwitch, Ipv4Addr::new(10, 0, 0, 1));
@@ -264,7 +264,7 @@ pub struct MultiGnbTopology {
     pub client_ports: Vec<Vec<PortNo>>,
     /// `uplink_ports[g][i]` — client `i`'s own port toward gNB `g` (the
     /// radio leg it transmits on while attached there).
-    pub uplink_ports: Vec<Vec<PortNo>>,
+    pub(crate) uplink_ports: Vec<Vec<PortNo>>,
     /// `zone_ports[g][z]` — gNB `g`'s port toward zone `z`.
     pub zone_ports: Vec<Vec<PortNo>>,
     /// `cloud_ports[g]` — gNB `g`'s WAN uplink port.

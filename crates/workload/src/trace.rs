@@ -183,17 +183,17 @@ pub struct BurstConfig {
     /// Number of client hosts issuing requests.
     pub n_clients: usize,
     /// Number of bursts; burst `b` targets service `b % n_services`.
-    pub bursts: usize,
+    pub(crate) bursts: usize,
     /// Requests per burst, arriving within one [`burst_width`](Self::burst_width).
-    pub burst_size: usize,
+    pub(crate) burst_size: usize,
     /// Window the burst's requests spread across (small ⇒ deep queues).
-    pub burst_width: Duration,
+    pub(crate) burst_width: Duration,
     /// Gap between consecutive burst starts.
     pub gap: Duration,
     /// Warm-up before the first burst (lets the trickle deploy everything).
-    pub warmup: Duration,
+    pub(crate) warmup: Duration,
     /// Mean background request rate (per second, across all services).
-    pub background_rps: f64,
+    pub(crate) background_rps: f64,
     /// Trace length.
     pub duration: Duration,
 }

@@ -1,11 +1,27 @@
-//! The libraries ship only what is called. Every `pub fn` defined in
-//! `crates/*/src` outside test code (the `e2ebench` binary aside) must have a
-//! caller in non-test source — the crates, `src/` or `examples/` — or a line
-//! in [`KEPT`] saying which tests need it. A caller is any other occurrence of
-//! the name as a word in code: comments, string literals, `#[cfg(test)]` items
-//! and `#[cfg(test)] mod x;` files do not count, and neither does a
-//! definition `fn name`. So a new uncalled function fails here, and so does a
-//! kept one that gains a caller and is still listed.
+//! The libraries ship only what is called, and only what crosses a crate
+//! boundary is `pub`. Two word-match checks over `crates/*/src` (the
+//! `e2ebench` binary aside) keep it so.
+//!
+//! 1. Every `pub fn` outside test code must have a caller in non-test source —
+//!    the crates, `src/` or `examples/` — or a line in [`KEPT`] saying which
+//!    tests need it. A caller is any other occurrence of the name as a word in
+//!    code: comments, string literals, `#[cfg(test)]` items and
+//!    `#[cfg(test)] mod x;` files do not count, and neither does a definition
+//!    `fn name`. So a new uncalled function fails here, and so does a kept one
+//!    that gains a caller and is still listed.
+//! 2. Every `pub fn`, `pub const`, `pub static`, `pub` field and `pub use` name
+//!    of a library must appear in code outside that library: another crate
+//!    (test code included), the crate's own `src/bin/*`, `tests/*` or doc
+//!    tests, the root package, `examples/` or `crates/e2ebench` (whose
+//!    README lists the items the benchmark depends on). A struct built with
+//!    `..base` out there names all of its fields. An item named only inside
+//!    its own crate is `pub(crate)`, and for those rustc's `dead_code` lint
+//!    judges whether anything calls them.
+//!
+//! A word match cannot tell two items with one name apart: a `pub fn` whose
+//! name another crate uses for something else (a field, a method of another
+//! type, `u64::saturating_add`) passes both checks. The compiler sees those
+//! only once the item is `pub(crate)`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -23,20 +39,10 @@ const KEPT: &[(&str, &str)] = &[
     ("k8ssim::ready_endpoints", "reconcile_props and the full-recompute oracle read endpoints"),
     ("k8ssim::has_deployment", "reconcile_props and the full-recompute oracle check Deployments"),
     ("k8ssim::worker_mut", "multinode pre-pulls images onto one worker"),
-    ("netsim::from_bytes", "the pcap and C3 harness tests read a capture back"),
-    ("netsim::record_frame", "the pcap tests build a capture"),
-    ("netsim::write_to", "the pcap tests write a capture to disk"),
     ("netsim::path_latency", "the topology tests and wire_props price paths"),
-    ("netsim::port_toward", "the topology tests check next hops"),
     ("netsim::rewrite_dst", "the frame tests and wire_props rewrite a destination"),
-    ("edgectl::engine_mut", "the cluster tests reach the Docker engine to inject faults"),
-    ("registry::insert_image", "the layer-cache tests seed a cache"),
     ("mobility::round_robin", "the harness and frame_allocs tests place clients on gNBs"),
     ("ovs::buffered", "switch_props, work_ledger, frame_allocs and end_to_end check buffer slots drain"),
-    ("desim::schedule_now", "the engine and calendar tests schedule same-instant events"),
-    ("edgectl::bootstrap", "the controller tests check the switch bootstrap messages"),
-    ("edgectl::request_flow_stats", "the controller tests poll flow statistics"),
-    ("edgectl::feed", "the predictor tests feed the oracle predictor"),
     ("edgectl::flows_removed", "journal_oracle, transcript, work_ledger and frame_allocs count FLOW_REMOVEDs"),
     ("telemetry::histogram", "the metrics, controller, harness and frame_allocs tests read one histogram"),
 ];
@@ -64,7 +70,7 @@ fn every_public_function_has_a_caller_or_a_reason() {
             .and_then(Path::file_name)
             .and_then(|n| n.to_str())
             .unwrap_or("");
-        for code in non_test_code(&dir) {
+        for (_, code) in non_test_code(read_sources(&dir)) {
             let tokens = tokens(&code);
             for (i, t) in tokens.iter().enumerate() {
                 if i > 0 && tokens[i - 1] == "fn" {
@@ -75,7 +81,11 @@ fn every_public_function_has_a_caller_or_a_reason() {
                 }
             }
             if library {
-                defined.extend(public_fns(&tokens).map(|name| format!("{krate}::{name}")));
+                defined.extend(
+                    public_fns(&tokens)
+                        .into_iter()
+                        .map(|name| format!("{krate}::{name}")),
+                );
             }
         }
     }
@@ -95,17 +105,246 @@ fn every_public_function_has_a_caller_or_a_reason() {
     );
 }
 
-/// Each `.rs` file under `dir`, with comments, literals and test code blanked.
-fn non_test_code(dir: &Path) -> Vec<String> {
+#[test]
+fn every_public_item_crosses_a_crate_boundary() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources: Vec<(PathBuf, String)> = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        let mut files = Vec::new();
+        rust_files(&root.join(dir), &mut files);
+        for file in files
+            .into_iter()
+            .filter(|f| !f.ends_with("tests/public_surface.rs"))
+        {
+            let src = fs::read_to_string(&file).expect("source file is readable");
+            // rustdoc builds each doc test as a crate of its own: file its code outside.
+            let rel = file.strip_prefix(root).expect("under the root");
+            sources.push((
+                root.join("doc").join(rel),
+                strip_literals(&doc_test_code(&src)),
+            ));
+            sources.push((file, strip_literals(&src)));
+        }
+    }
+    // The items e2ebench's README promises stay `pub` count as named there.
+    let readme = root.join("crates/e2ebench/README.md");
+    let readme_text = fs::read_to_string(&readme).expect("e2ebench's README is readable");
+    sources.push((readme, frozen_names(&readme_text)));
+    let own = own_crate_only(root, sources);
+    assert!(
+        own.is_empty(),
+        "public items named nowhere outside their own crate (make them pub(crate), \
+         then delete what rustc reports dead): {own:#?}"
+    );
+}
+
+#[test]
+fn the_boundary_check_fails_on_each_kind_and_accepts_each_caller() {
+    let root = Path::new("/fixture");
+    let file = |path: &str, src: &str| (root.join(path), strip_literals(src));
+    let library = file(
+        "crates/alpha/src/lib.rs",
+        "mod inner { pub struct Lonely; }\n\
+         pub use inner::Lonely;\n\
+         pub struct Wide { pub lonely_field: u32, pub(crate) narrow: u32 }\n\
+         pub fn lonely_fn() -> Wide { Wide { lonely_field: 0, narrow: 0 } }\n\
+         pub(crate) fn narrow_fn() {}\n\
+         #[cfg(test)]\n\
+         mod tests { fn t() { super::lonely_fn(); } }\n",
+    );
+    // Another library names all three only in a comment and a literal: that is no use.
+    let other = file(
+        "crates/beta/src/lib.rs",
+        "// lonely_fn lonely_field Lonely\nfn f() -> &'static str { \"lonely_fn\" }\n",
+    );
+    let all = [
+        "alpha::Lonely (crates/alpha/src/lib.rs:2)",
+        "alpha::lonely_field (crates/alpha/src/lib.rs:3)",
+        "alpha::lonely_fn (crates/alpha/src/lib.rs:4)",
+    ];
+    assert_eq!(
+        own_crate_only(root, vec![library.clone(), other.clone()]),
+        all
+    );
+
+    let callers = [
+        "crates/beta/tests/t.rs",
+        "crates/alpha/src/bin/tool.rs",
+        "crates/alpha/tests/t.rs",
+        "crates/e2ebench/src/main.rs",
+        "crates/beta/src/lib.rs",
+        "examples/demo.rs",
+        "src/lib.rs",
+    ];
+    // Each use names one of the three; a literal built with `..base` needs
+    // every field of its struct visible, so it names them all.
+    let uses = [
+        ("fn main() { let w = alpha::lonely_fn(); }", 2),
+        ("fn main() { let _ = w.lonely_field; }", 1),
+        (
+            "fn f(w: alpha::Wide) -> alpha::Wide { alpha::Wide { ..w } }",
+            1,
+        ),
+        ("use alpha::Lonely;", 0),
+    ];
+    // A doc test is compiled as a crate of its own; a `text` block is not.
+    let documented = "/// ```\n/// let w = alpha::lonely_fn();\n/// ```\n\
+                      /// ```text\n/// w.lonely_field\n/// ```\npub fn f() {}\n";
+    let doc = file("doc/crates/alpha/src/lib.rs", &doc_test_code(documented));
+    assert_eq!(own_crate_only(root, vec![library.clone(), doc]), all[..2]);
+    // A name e2ebench's README lists as one it depends on counts; one elsewhere in it does not.
+    let readme = "## Public items the benchmark depends on\n\n* `alpha::lonely_fn`\n\n\
+                  ## Findings\n\n`lonely_field`\n";
+    let frozen = (root.join("crates/e2ebench/README.md"), frozen_names(readme));
+    assert_eq!(
+        own_crate_only(root, vec![library.clone(), frozen]),
+        all[..2]
+    );
+
+    for caller in callers {
+        for (code, named) in uses {
+            let sources = vec![library.clone(), other.clone(), file(caller, code)];
+            let mut expected = all.to_vec();
+            expected.remove(named);
+            assert_eq!(own_crate_only(root, sources), expected, "{caller}: {code}");
+        }
+    }
+}
+
+/// `crate::name (file:line)` of each `pub fn`, `pub const`, `pub static`, `pub`
+/// field and `pub use` name of a library under `root/crates` that no code
+/// outside that library names. `stripped` holds every source file under `root`
+/// with its comments and literals blanked.
+fn own_crate_only(root: &Path, stripped: Vec<(PathBuf, String)>) -> Vec<String> {
+    // The library a file belongs to; `None` for everything outside every library.
+    let library = |file: &Path| -> Option<String> {
+        let rel = file.strip_prefix(root).ok()?;
+        let parts: Vec<&str> = rel.iter().filter_map(|p| p.to_str()).collect();
+        match parts.as_slice() {
+            ["crates", krate, "src", next, ..] if *krate != "e2ebench" && *next != "bin" => {
+                Some(krate.to_string())
+            }
+            _ => None,
+        }
+    };
+    // The units each word is named in, and those each struct is built in with `..base`.
+    let mut named_in: BTreeMap<&str, BTreeSet<Option<String>>> = BTreeMap::new();
+    let mut built_in: BTreeMap<&str, BTreeSet<Option<String>>> = BTreeMap::new();
+    for (file, code) in &stripped {
+        let tokens = tokens(code);
+        for (i, t) in tokens.iter().enumerate() {
+            if (i == 0 || tokens[i - 1] != "fn")
+                && t.starts_with(|c: char| c.is_alphabetic() || c == '_')
+            {
+                named_in.entry(t).or_default().insert(library(file));
+            }
+        }
+        for name in built_with_base(&tokens) {
+            built_in.entry(name).or_default().insert(library(file));
+        }
+    }
+    fn elsewhere(
+        units: &BTreeMap<&str, BTreeSet<Option<String>>>,
+        name: &str,
+        krate: &Option<String>,
+    ) -> bool {
+        units
+            .get(name)
+            .is_some_and(|units| units.iter().any(|u| u != krate))
+    }
+
+    let mut own = Vec::new();
+    let libraries: Vec<(PathBuf, String)> = stripped
+        .iter()
+        .filter(|(f, _)| library(f).is_some())
+        .cloned()
+        .collect();
+    for (file, code) in non_test_code(libraries) {
+        let krate = library(&file);
+        let tokens = tokens(&code);
+        for (name, owner) in public_names(&tokens) {
+            let crosses = elsewhere(&named_in, name, &krate)
+                || owner.is_some_and(|s| elsewhere(&built_in, s, &krate));
+            if !crosses {
+                let line = code[..name.as_ptr() as usize - code.as_ptr() as usize]
+                    .matches('\n')
+                    .count()
+                    + 1;
+                let rel = file.strip_prefix(root).unwrap_or(&file).display();
+                own.push(format!(
+                    "{}::{name} ({rel}:{line})",
+                    krate.as_deref().unwrap_or("")
+                ));
+            }
+        }
+    }
+    own.sort();
+    own
+}
+
+/// The code of the doc tests in `src`: fenced blocks in `///` and `//!`
+/// comments that rustdoc compiles (plain, `rust`, `no_run`, `should_panic`),
+/// with their hidden `# ` lines shown.
+fn doc_test_code(src: &str) -> String {
+    let mut out = String::new();
+    // Inside a fence: whether rustdoc compiles it.
+    let mut fence: Option<bool> = None;
+    for line in src.lines() {
+        let line = line.trim_start();
+        let Some(doc) = line
+            .strip_prefix("///")
+            .or_else(|| line.strip_prefix("//!"))
+        else {
+            fence = None;
+            continue;
+        };
+        let doc = doc.strip_prefix(' ').unwrap_or(doc);
+        if let Some(info) = doc.trim_start().strip_prefix("```") {
+            fence = match fence {
+                Some(_) => None,
+                None => Some(
+                    info.split(',')
+                        .all(|w| matches!(w.trim(), "" | "rust" | "no_run" | "should_panic")),
+                ),
+            };
+        } else if fence == Some(true) {
+            out.push_str(doc.strip_prefix("# ").unwrap_or(doc));
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// The code spans of `readme`'s "Public items the benchmark depends on"
+/// section, one after another.
+fn frozen_names(readme: &str) -> String {
+    let section = readme
+        .split("## ")
+        .find(|s| s.starts_with("Public items the benchmark depends on"))
+        .expect("e2ebench's README lists the public items it depends on");
+    section
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// Each `.rs` file under `dir` with its comments and literals blanked.
+fn read_sources(dir: &Path) -> Vec<(PathBuf, String)> {
     let mut files = Vec::new();
     rust_files(dir, &mut files);
-    let stripped: Vec<(PathBuf, String)> = files
+    files
         .into_iter()
         .map(|f| {
             let src = fs::read_to_string(&f).expect("source file is readable");
             (f, strip_literals(&src))
         })
-        .collect();
+        .collect()
+}
+
+/// The files that are not test modules, with their test items blanked.
+fn non_test_code(stripped: Vec<(PathBuf, String)>) -> Vec<(PathBuf, String)> {
     // `#[cfg(test)] mod name;` makes `name.rs` (and anything under `name/`) test code.
     let mut test_files: Vec<PathBuf> = Vec::new();
     for (file, code) in &stripped {
@@ -129,7 +368,7 @@ fn non_test_code(dir: &Path) -> Vec<String> {
     stripped
         .into_iter()
         .filter(|(f, _)| !test_files.iter().any(|t| f == t || f.starts_with(t)))
-        .map(|(_, code)| blank_test_items(&code))
+        .map(|(f, code)| (f, blank_test_items(&code)))
         .collect()
 }
 
@@ -151,19 +390,91 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 }
 
 /// Names defined `pub fn` (optionally `const`, `unsafe` or `async`); `pub(crate)` is not public.
-fn public_fns<'a>(tokens: &'a [&'a str]) -> impl Iterator<Item = &'a str> + 'a {
-    (0..tokens.len()).filter_map(move |i| {
-        if tokens[i] != "pub" {
-            return None;
+fn public_fns<'a>(tokens: &[&'a str]) -> Vec<&'a str> {
+    (0..tokens.len())
+        .filter_map(|i| {
+            if tokens[i] != "pub" {
+                return None;
+            }
+            let mut k = i + 1;
+            while matches!(tokens.get(k), Some(&("const" | "unsafe" | "async"))) {
+                k += 1;
+            }
+            (tokens.get(k) == Some(&"fn"))
+                .then(|| tokens.get(k + 1).copied())
+                .flatten()
+        })
+        .collect()
+}
+
+/// Names made visible by `pub fn`, `pub const`, `pub static`, a named `pub`
+/// field (with the struct it belongs to) and `pub use` (the last segment or its
+/// `as` alias; globs name nothing).
+fn public_names<'a>(tokens: &[&'a str]) -> Vec<(&'a str, Option<&'a str>)> {
+    let word = |t: &str| t.starts_with(|c: char| c.is_alphabetic() || c == '_');
+    let at = |k: usize| tokens.get(k).copied().unwrap_or("");
+    let mut out: Vec<_> = public_fns(tokens).into_iter().map(|n| (n, None)).collect();
+    for i in (0..tokens.len()).filter(|&i| tokens[i] == "pub") {
+        match at(i + 1) {
+            "use" => {
+                let end = (i..tokens.len())
+                    .find(|&k| tokens[k] == ";")
+                    .unwrap_or(tokens.len());
+                out.extend(
+                    (i + 2..end)
+                        .filter(|&k| word(tokens[k]) && tokens[k] != "self")
+                        .filter(|&k| matches!(at(k + 1), "," | "}" | ";"))
+                        .map(|k| (tokens[k], None)),
+                );
+            }
+            "const" | "static" => {
+                let k = if at(i + 2) == "mut" { i + 3 } else { i + 2 };
+                if at(k + 1) == ":" {
+                    out.push((tokens[k], None));
+                }
+            }
+            name if word(name) && at(i + 2) == ":" && at(i + 3) != ":" => {
+                // Structs do not nest, so a named field belongs to the nearest `struct` before it.
+                let owner = (0..i)
+                    .rev()
+                    .find(|&k| tokens[k] == "struct")
+                    .map(|k| at(k + 1));
+                out.push((tokens[i + 1], owner));
+            }
+            _ => {}
         }
-        let mut k = i + 1;
-        while matches!(tokens.get(k), Some(&("const" | "unsafe" | "async"))) {
-            k += 1;
+    }
+    out
+}
+
+/// Structs built with `Name { field: x, ..base }`, where every field must be
+/// visible even though only some are named.
+fn built_with_base<'a>(tokens: &[&'a str]) -> Vec<&'a str> {
+    let mut out = Vec::new();
+    for i in 1..tokens.len().saturating_sub(2) {
+        let rest = tokens[i] == "."
+            && tokens[i + 1] == "."
+            && matches!(tokens[i - 1], "," | "{")
+            && !matches!(tokens[i + 2], "}" | ")" | "]" | "=" | ".");
+        if !rest {
+            continue;
         }
-        (tokens.get(k) == Some(&"fn"))
-            .then(|| tokens.get(k + 1).copied())
-            .flatten()
-    })
+        // The name before the `{` that opens this literal.
+        let mut depth = 0;
+        for k in (0..i).rev() {
+            match tokens[k] {
+                "}" | ")" | "]" => depth += 1,
+                "{" | "(" | "[" if depth > 0 => depth -= 1,
+                "{" => {
+                    out.extend(k.checked_sub(1).map(|j| tokens[j]));
+                    break;
+                }
+                "(" | "[" => break,
+                _ => {}
+            }
+        }
+    }
+    out
 }
 
 /// Words and single punctuation characters.
