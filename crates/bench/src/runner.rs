@@ -6,7 +6,7 @@
 
 use crate::{artifact, engine, fastpath, ha, migrate, mobility, recovery, scale, tournament};
 use std::fmt::Write as _;
-use testbed::experiments::{self, Experiment};
+use testbed::experiments::{self, ChaosRun, Experiment};
 use yamlite::Value;
 
 /// The `repro` flags a bench run reads.
@@ -62,10 +62,10 @@ fn report(artifact: String) -> Outcome {
 }
 
 /// What `repro` prints for an experiment — its figure, or under `--csv` its
-/// table and machine-readable summary line — and, when it recorded, the
-/// span export, its check line, optionally the busiest request's timeline,
-/// and the metrics; plus the verdict on that recording: well-formed, every
-/// span closed and, when `must_include` names one, such a span present.
+/// table — and, when it recorded, the span export, its check line,
+/// optionally the busiest request's timeline, and the metrics; plus the
+/// verdict on that recording: well-formed, every span closed and, when
+/// `must_include` names one, such a span present.
 fn experiment<S>(
     e: &Experiment<S>,
     o: &Opts,
@@ -74,9 +74,7 @@ fn experiment<S>(
 ) -> (String, Result<(), String>) {
     let fig = &e.figure;
     let mut text = if o.csv {
-        let prefix = format!("{}-summary ", fig.id);
-        let summary = fig.body.lines().find(|l| l.starts_with(&prefix));
-        fig.table.to_csv() + &summary.map_or(String::new(), |l| format!("{l}\n"))
+        fig.table.to_csv()
     } else {
         format!("{}\n", fig.body)
     };
@@ -100,6 +98,15 @@ fn experiment<S>(
         false => Err(format!("malformed span log: {}", check.to_json_line())),
     };
     (text, verdict)
+}
+
+/// The chaos bench's verdict: every request terminates, at the edge or in
+/// the cloud after a fallback.
+fn every_request_completed(runs: &[(&'static str, ChaosRun)]) -> Result<(), String> {
+    match runs.iter().find(|(_, r)| r.completed != r.requests) {
+        None => Ok(()),
+        Some((arm, r)) => Err(format!("{arm}: {} of {} requests completed", r.completed, r.requests)),
+    }
 }
 
 /// Every bench subcommand, in `repro list` order.
@@ -137,6 +144,7 @@ pub const BENCHES: &[Bench] = &[
         run: |o| {
             let e = experiments::chaos(o.seed, o.fault_rate, o.smoke, o.telemetry);
             let (text, verdict) = experiment(&e, o, None, true);
+            let verdict = verdict.and(every_request_completed(&e.runs));
             Outcome { text, artifact: String::new(), verdict }
         },
     },
@@ -297,11 +305,21 @@ mod tests {
         let (text, verdict) = experiment(&e, &o, None, true);
         assert_eq!(verdict, Ok(()));
         assert!(
-            text.contains("\nchaos-summary {") && text.contains("\nspan-check {"),
-            "csv keeps both"
+            text.starts_with(&e.figure.table.to_csv()) && text.contains("\nspan-check {"),
+            "csv: the table, then the span check"
         );
         assert!(text.contains("busiest request timeline"));
         let (_, verdict) = experiment(&e, &o, Some("handover"), false);
         assert_eq!(verdict, Err("no `handover` span in export".to_owned()));
+    }
+
+    #[test]
+    fn the_chaos_verdict_fails_a_run_that_lost_a_request() {
+        let mut e = experiments::chaos(7, 0.15, true, false);
+        assert_eq!(every_request_completed(&e.runs), Ok(()));
+        let k8s = &mut e.runs[1].1;
+        k8s.completed -= 1;
+        let want = format!("k8s: {} of {} requests completed", k8s.completed, k8s.requests);
+        assert_eq!(every_request_completed(&e.runs), Err(want));
     }
 }

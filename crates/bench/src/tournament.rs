@@ -113,7 +113,6 @@ fn autoscale_policy() -> AutoscaleConfig {
             concurrency: 2,
             backlog: 6,
         },
-        ..AutoscaleConfig::default()
     }
 }
 

@@ -21,12 +21,24 @@
 use crate::rng::SimRng;
 use crate::time::Duration;
 
+/// Transfer-time multiplier for a flapped layer (applied to that layer only,
+/// scaled by a uniform draw in `[0.5, 1.5)`).
+const PULL_SLOWDOWN_FACTOR: f64 = 4.0;
+/// Median extra readiness delay for a flapped probe.
+const PROBE_FLAP_DELAY: Duration = Duration::from_secs(2);
+/// Median outage duration for a dark zone.
+const ZONE_OUTAGE_WINDOW: Duration = Duration::from_secs(30);
+/// Median time before a dropped switch↔controller channel reconnects.
+const CHANNEL_RECONNECT_DELAY: Duration = Duration::from_secs(5);
+/// Median time before a crashed controller process is restarted.
+const CONTROLLER_RESTART_DELAY: Duration = Duration::from_secs(3);
+
 /// Per-phase fault probabilities for a chaos run.
 ///
 /// All probabilities are clamped to `[0, 1]` at draw time; the default plan
 /// injects nothing. Sites that model *slowdowns* rather than hard failures
-/// (link flaps, readiness-probe flaps) additionally scale or delay by the
-/// associated knob.
+/// (link flaps, readiness-probe flaps) additionally scale or delay by a
+/// fixed median, scaled by a uniform draw in `[0.5, 1.5)`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the injector streams (independent of the simulation seed).
@@ -35,9 +47,6 @@ pub struct FaultPlan {
     pub pull_failure: f64,
     /// Per-layer probability of a link flap slowing that layer's transfer.
     pub pull_slowdown: f64,
-    /// Transfer-time multiplier for a flapped layer (applied to that layer
-    /// only, scaled by a uniform draw in `[0.5, 1.5)`).
-    pub pull_slowdown_factor: f64,
     /// Probability that a container create call fails.
     pub create_failure: f64,
     /// Probability that a task start call fails outright.
@@ -48,33 +57,21 @@ pub struct FaultPlan {
     pub scale_up_rejection: f64,
     /// Probability that a pod's readiness probe flaps, delaying readiness.
     pub probe_flap: f64,
-    /// Median extra readiness delay for a flapped probe (scaled by a uniform
-    /// draw in `[0.5, 1.5)`).
-    pub probe_flap_delay: Duration,
     /// Probability that a *Ready* instance crashes while serving traffic
     /// (post-ready runtime failure, per observation window).
     pub crash_while_serving: f64,
     /// Probability that an entire edge zone goes dark for a window
     /// (per observation window).
     pub zone_outage: f64,
-    /// Median outage duration for a dark zone (scaled by a uniform draw in
-    /// `[0.5, 1.5)`).
-    pub zone_outage_window: Duration,
     /// Probability that the switch↔controller OpenFlow channel drops
     /// (per observation window). The switch keeps forwarding on its
     /// installed flows; control messages are lost until reconnect.
     pub channel_loss: f64,
-    /// Median time before a dropped channel reconnects (scaled by a uniform
-    /// draw in `[0.5, 1.5)`).
-    pub channel_reconnect_delay: Duration,
     /// Probability that the controller process itself crashes during the
     /// run (drawn once per run, not per window). While the controller is
     /// down every switch keeps forwarding on its installed rules; packet-ins
     /// go unanswered until the restarted controller recovers.
     pub controller_crash: f64,
-    /// Median time before a crashed controller process is restarted (scaled
-    /// by a uniform draw in `[0.5, 1.5)`).
-    pub controller_restart_delay: Duration,
 }
 
 impl Default for FaultPlan {
@@ -83,20 +80,15 @@ impl Default for FaultPlan {
             seed: 0,
             pull_failure: 0.0,
             pull_slowdown: 0.0,
-            pull_slowdown_factor: 4.0,
             create_failure: 0.0,
             start_failure: 0.0,
             crash_after_start: 0.0,
             scale_up_rejection: 0.0,
             probe_flap: 0.0,
-            probe_flap_delay: Duration::from_secs(2),
             crash_while_serving: 0.0,
             zone_outage: 0.0,
-            zone_outage_window: Duration::from_secs(30),
             channel_loss: 0.0,
-            channel_reconnect_delay: Duration::from_secs(5),
             controller_crash: 0.0,
-            controller_restart_delay: Duration::from_secs(3),
         }
     }
 }
@@ -212,7 +204,7 @@ impl FaultInjector {
         let p = self.plan.pull_slowdown;
         if self.fires(p) {
             let scale = 0.5 + self.rng.next_f64();
-            Some(1.0 + (self.plan.pull_slowdown_factor - 1.0).max(0.0) * scale)
+            Some(1.0 + (PULL_SLOWDOWN_FACTOR - 1.0) * scale)
         } else {
             None
         }
@@ -253,7 +245,7 @@ impl FaultInjector {
         let p = self.plan.probe_flap;
         if self.fires(p) {
             let scale = 0.5 + self.rng.next_f64();
-            Some(self.plan.probe_flap_delay.mul_f64(scale))
+            Some(PROBE_FLAP_DELAY.mul_f64(scale))
         } else {
             None
         }
@@ -273,14 +265,14 @@ impl FaultInjector {
     /// Does the whole zone go dark during this observation window? Returns
     /// `(position, outage_duration)`: the position within the window, in
     /// `[0, 1)`, at which the outage starts, and how long the zone stays
-    /// dark (median `zone_outage_window`, scaled by a uniform draw in
+    /// dark (median `ZONE_OUTAGE_WINDOW`, scaled by a uniform draw in
     /// `[0.5, 1.5)`).
     pub fn zone_outage(&mut self) -> Option<(f64, Duration)> {
         let p = self.plan.zone_outage;
         if self.fires(p) {
             let pos = self.rng.next_f64();
             let scale = 0.5 + self.rng.next_f64();
-            Some((pos, self.plan.zone_outage_window.mul_f64(scale)))
+            Some((pos, ZONE_OUTAGE_WINDOW.mul_f64(scale)))
         } else {
             None
         }
@@ -289,14 +281,14 @@ impl FaultInjector {
     /// Does the switch↔controller channel drop during this observation
     /// window? Returns `(position, reconnect_delay)`: the position within
     /// the window, in `[0, 1)`, at which the channel drops, and how long it
-    /// stays down (median `channel_reconnect_delay`, scaled by a uniform
+    /// stays down (median `CHANNEL_RECONNECT_DELAY`, scaled by a uniform
     /// draw in `[0.5, 1.5)`).
     pub fn channel_drops(&mut self) -> Option<(f64, Duration)> {
         let p = self.plan.channel_loss;
         if self.fires(p) {
             let pos = self.rng.next_f64();
             let scale = 0.5 + self.rng.next_f64();
-            Some((pos, self.plan.channel_reconnect_delay.mul_f64(scale)))
+            Some((pos, CHANNEL_RECONNECT_DELAY.mul_f64(scale)))
         } else {
             None
         }
@@ -306,14 +298,14 @@ impl FaultInjector {
     /// run by the harness. Returns `(position, restart_delay)`: the
     /// position within the run's horizon, in `[0, 1)`, at which the
     /// controller dies, and how long it stays down before the restarted
-    /// process begins recovery (median `controller_restart_delay`, scaled
+    /// process begins recovery (median `CONTROLLER_RESTART_DELAY`, scaled
     /// by a uniform draw in `[0.5, 1.5)`).
     pub fn controller_crashes(&mut self) -> Option<(f64, Duration)> {
         let p = self.plan.controller_crash;
         if self.fires(p) {
             let pos = self.rng.next_f64();
             let scale = 0.5 + self.rng.next_f64();
-            Some((pos, self.plan.controller_restart_delay.mul_f64(scale)))
+            Some((pos, CONTROLLER_RESTART_DELAY.mul_f64(scale)))
         } else {
             None
         }
@@ -336,7 +328,7 @@ pub struct RetryPolicy {
     /// Delay before the first retry (before jitter).
     pub base: Duration,
     /// Growth factor per retry.
-    pub multiplier: f64,
+    pub(crate) multiplier: f64,
     /// Upper bound on any single delay (after jitter).
     pub cap: Duration,
     /// Jitter fraction: each delay is scaled by `1 + jitter·u`, `u ∈ [0,1)`.
@@ -434,8 +426,8 @@ mod tests {
         for _ in 0..100 {
             let (pos, delay) = inj.controller_crashes().unwrap();
             assert!((0.0..1.0).contains(&pos));
-            assert!(delay >= plan.controller_restart_delay.mul_f64(0.5));
-            assert!(delay < plan.controller_restart_delay.mul_f64(1.5));
+            assert!(delay >= CONTROLLER_RESTART_DELAY.mul_f64(0.5));
+            assert!(delay < CONTROLLER_RESTART_DELAY.mul_f64(1.5));
         }
     }
 
@@ -452,12 +444,12 @@ mod tests {
             assert!((0.0..1.0).contains(&pos));
             let (pos, window) = inj.zone_outage().unwrap();
             assert!((0.0..1.0).contains(&pos));
-            assert!(window >= plan.zone_outage_window.mul_f64(0.5));
-            assert!(window < plan.zone_outage_window.mul_f64(1.5));
+            assert!(window >= ZONE_OUTAGE_WINDOW.mul_f64(0.5));
+            assert!(window < ZONE_OUTAGE_WINDOW.mul_f64(1.5));
             let (pos, delay) = inj.channel_drops().unwrap();
             assert!((0.0..1.0).contains(&pos));
-            assert!(delay >= plan.channel_reconnect_delay.mul_f64(0.5));
-            assert!(delay < plan.channel_reconnect_delay.mul_f64(1.5));
+            assert!(delay >= CHANNEL_RECONNECT_DELAY.mul_f64(0.5));
+            assert!(delay < CHANNEL_RECONNECT_DELAY.mul_f64(1.5));
         }
     }
 
@@ -522,8 +514,8 @@ mod tests {
             let f = inj.pull_flap_factor().unwrap();
             assert!(f > 1.0 && f <= 1.0 + 3.0 * 1.5, "factor {f}");
             let d = inj.probe_flap().unwrap();
-            assert!(d >= plan.probe_flap_delay.mul_f64(0.5));
-            assert!(d < plan.probe_flap_delay.mul_f64(1.5));
+            assert!(d >= PROBE_FLAP_DELAY.mul_f64(0.5));
+            assert!(d < PROBE_FLAP_DELAY.mul_f64(1.5));
         }
     }
 

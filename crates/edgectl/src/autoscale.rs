@@ -211,6 +211,15 @@ impl ServicePool {
     }
 }
 
+/// Scale up when a pool's mean utilization exceeds this fraction.
+const SCALE_UP_UTILIZATION: f64 = 0.8;
+/// Scale down only when mean utilization is below this fraction — the gap to
+/// `SCALE_UP_UTILIZATION` is the hysteresis band.
+const SCALE_DOWN_UTILIZATION: f64 = 0.2;
+/// Scale up when a pool's total backlog reaches this many requests even if
+/// utilization looks fine (bursts queue faster than they busy).
+const SCALE_UP_BACKLOG: usize = 4;
+
 /// When and how far the autoscaler flexes each service's replica count.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AutoscaleConfig {
@@ -221,14 +230,6 @@ pub struct AutoscaleConfig {
     pub min_replicas: usize,
     /// Ceiling on replicas per (service, cluster).
     pub max_replicas: usize,
-    /// Scale up when mean utilization exceeds this fraction.
-    pub scale_up_utilization: f64,
-    /// Scale down only when mean utilization is below this fraction —
-    /// the gap to `scale_up_utilization` is the hysteresis band.
-    pub scale_down_utilization: f64,
-    /// Scale up when the pool's total backlog reaches this many requests
-    /// even if utilization looks fine (bursts queue faster than they busy).
-    pub scale_up_backlog: usize,
     /// Minimum time between scale operations on one pool.
     pub cooldown: Duration,
     /// How often the controller runs the autoscaler sweep.
@@ -243,9 +244,6 @@ impl Default for AutoscaleConfig {
             enabled: false,
             min_replicas: 1,
             max_replicas: 4,
-            scale_up_utilization: 0.8,
-            scale_down_utilization: 0.2,
-            scale_up_backlog: 4,
             cooldown: Duration::from_secs(5),
             sweep_interval: Duration::from_secs(1),
             queue: QueueConfig::default(),
@@ -395,14 +393,13 @@ impl LoadTracker {
             let util = pool.mean_utilization(now);
             let backlog = pool.total_backlog(now);
             let n = pool.queues.len();
-            if n < cfg.max_replicas && (util > cfg.scale_up_utilization || backlog >= cfg.scale_up_backlog)
-            {
+            if n < cfg.max_replicas && (util > SCALE_UP_UTILIZATION || backlog >= SCALE_UP_BACKLOG) {
                 pool.accrue(now);
                 pool.queues.push(InstanceQueue::new(cfg.queue));
                 pool.last_scale = now;
                 self.scale_ups += 1;
             } else if n > cfg.min_replicas
-                && util < cfg.scale_down_utilization
+                && util < SCALE_DOWN_UTILIZATION
                 && backlog == 0
                 && pool.queues.last().is_some_and(|q| q.occupancy(now) == 0)
             {

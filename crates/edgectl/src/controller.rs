@@ -40,7 +40,7 @@ use crate::clients::ClientTracker;
 use crate::cluster::{EdgeCluster, InstanceAddr};
 use crate::dispatch::{DispatchDecision, DispatchOutcome, Dispatcher, PhaseTimes, Serving};
 use crate::flowmemory::{FlowKey, FlowMemory, IngressId, MemorizedFlow};
-use crate::health::{BreakerState, HealthConfig};
+use crate::health::BreakerState;
 use crate::journal::{
     Applied, ControlState, Journal, JournalConfig, JournalEvent, JournalStats, RecoveryMode,
     RecoveryReport, Snapshot, StateStats,
@@ -51,7 +51,7 @@ use crate::rules::{
 };
 use crate::scheduler::{GlobalScheduler, RequestClass};
 use crate::service::EdgeService;
-use desim::{Duration, LogNormal, RetryPolicy, Sample, SimRng, SimTime};
+use desim::{Duration, LogNormal, Sample, SimRng, SimTime};
 use netsim::addr::{Ipv4Addr, MacAddr};
 use netsim::{ServiceAddr, TcpFrame};
 use openflow::messages::Message;
@@ -76,6 +76,9 @@ struct Ingress {
     distances: Vec<Option<Duration>>,
 }
 
+/// Priority of installed redirect flows.
+pub const FLOW_PRIORITY: u16 = 100;
+
 /// Controller configuration (the reference implementation reads these from
 /// its config file; see [`crate::config::EdgeConfig`]).
 #[derive(Clone, Debug, PartialEq)]
@@ -85,24 +88,11 @@ pub struct ControllerConfig {
     pub switch_flow_idle: Duration,
     /// FlowMemory idle timeout (drives idle scale-down).
     pub memory_idle: Duration,
-    /// Port-probe interval for readiness polling.
-    pub poll_interval: Duration,
-    /// Controller packet-in processing latency model.
-    pub processing: LogNormal,
-    /// Priority of installed redirect flows.
-    pub flow_priority: u16,
-    /// Scale idle services down when their last memorized flow expires.
-    pub scale_down_idle: bool,
     /// Remove a scaled-down service entirely (delete containers /
     /// Deployment+Service) after this long without a redeploy — the paper's
     /// **Remove** phase. `None` keeps created-but-stopped services around
     /// (cheap, faster next scale-up).
     pub remove_after: Option<Duration>,
-    /// Per-phase retry/backoff/deadline policy for deployment phases.
-    pub retry: RetryPolicy,
-    /// Runtime health: failure-detection interval and circuit-breaker
-    /// tuning (the `health:` YAML block).
-    pub health: HealthConfig,
     /// Install one aggregated wildcard rewrite pair per
     /// `(service, ingress, instance)` instead of an exact-match pair per
     /// client connection, whenever the scheduler decision is shared. Keeps
@@ -135,13 +125,7 @@ impl Default for ControllerConfig {
         ControllerConfig {
             switch_flow_idle: Duration::from_secs(10),
             memory_idle: Duration::from_secs(60),
-            poll_interval: Duration::from_millis(25),
-            processing: LogNormal::from_median(0.0015, 0.30),
-            flow_priority: 100,
-            scale_down_idle: true,
             remove_after: None,
-            retry: RetryPolicy::default(),
-            health: HealthConfig::default(),
             aggregate_rules: false,
             record_requests: true,
             autoscale: AutoscaleConfig::default(),
@@ -335,6 +319,8 @@ pub struct Controller {
     /// `config.journal.enabled`).
     journal: Journal,
     control_errors: Vec<ControlPlaneError>,
+    /// Packet-in processing latency.
+    processing: LogNormal,
 }
 
 impl Controller {
@@ -344,8 +330,7 @@ impl Controller {
         ports: PortMap,
         config: ControllerConfig,
     ) -> Controller {
-        let mut dispatcher = Dispatcher::new(scheduler, config.poll_interval);
-        dispatcher.set_retry_policy(config.retry);
+        let mut dispatcher = Dispatcher::new(scheduler);
         dispatcher.set_autoscale(config.autoscale.clone());
         let journal = Journal::new(config.journal);
         let mut state = ControlState::new(&config);
@@ -369,6 +354,7 @@ impl Controller {
             migration_spans: HashMap::new(),
             journal,
             control_errors: Vec::new(),
+            processing: LogNormal::from_median(0.0015, 0.30),
         }
     }
 
@@ -782,7 +768,7 @@ impl Controller {
         self.telemetry.event(root, "packet-in", now, || {
             format!("client={} svc={svc_addr} in_port={in_port}", frame.src_ip)
         });
-        let t = now + self.config.processing.sample_duration(rng);
+        let t = now + self.processing.sample_duration(rng);
         let spec = PairSpec::of_frame(&frame, in_port);
         let release = Some((buffer_id, &frame));
 
@@ -1004,7 +990,7 @@ impl Controller {
             // the cloud gets the exact cloud path and anchors nothing.
             spec.granularity = Granularity::Connection;
         }
-        let mut pair = spec.build(target, self.config.flow_priority);
+        let mut pair = spec.build(target, FLOW_PRIORITY);
         if let (Granularity::Service, Some(instance), Some(cluster)) =
             (spec.granularity, pair.instance, pair.cluster)
         {
@@ -1167,7 +1153,7 @@ impl Controller {
                     policy.label()
                 )
             });
-            let t = now + ctl.config.processing.sample_duration(rng);
+            let t = now + ctl.processing.sample_duration(rng);
             // The tracker learns the new location *now*, so the client's first
             // packet-in at the new switch is not mistaken for an unannounced
             // move (which would flush the very memory we are migrating).
@@ -1277,7 +1263,7 @@ impl Controller {
             });
             ctl.telemetry.end_span(root, completed_at);
             // The mobility trigger: sessions this move left anchored on a
-            // cluster at least `mobility_hops` hops behind the best candidate
+            // cluster at least `MOBILITY_HOPS` hops behind the best candidate
             // follow the client — snapshot, transfer, then flip at
             // [`Controller::migration_tick`]. Keyed off the *kept* placements,
             // so it composes with the anchored policy (redispatch already
@@ -1309,19 +1295,15 @@ impl Controller {
     pub fn breaker_state(&self, cluster: usize) -> BreakerState {
         self.state.health().breaker_state(cluster)
     }
-
-    /// The active health configuration (the harness schedules its detection
-    /// sweep every `health_config().detect_interval`).
-    pub fn health_config(&self) -> HealthConfig {
-        self.state.health().config()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::{DockerCluster, InstanceState};
+    use crate::health::{BREAKER_COOLDOWN, BREAKER_THRESHOLD, DETECT_INTERVAL};
     use crate::scheduler::ProximityScheduler;
+    use desim::RetryPolicy;
     use dockersim::DockerEngine;
     use netsim::addr::MacAddr;
     use netsim::TcpFlags;
@@ -1874,7 +1856,7 @@ mod tests {
         assert_eq!(rec.cluster, None);
         assert_eq!(
             rec.phases.create_retries,
-            ctl.config.retry.max_attempts - 1,
+            RetryPolicy::default().max_attempts - 1,
             "every allowed retry was spent on the create phase"
         );
         let released = rec.phases.gave_up_at.expect("deployment gave up");
@@ -2158,7 +2140,7 @@ mod tests {
         assert_eq!(ctl.telemetry.metrics.counter("requests_fallback_cloud"), 2);
         assert_eq!(
             ctl.telemetry.metrics.counter("deploy_retries_total"),
-            2 * u64::from(ctl.config.retry.max_attempts - 1)
+            2 * u64::from(RetryPolicy::default().max_attempts - 1)
         );
         assert_eq!(ctl.telemetry.metrics.counter("deploys_gave_up"), 2);
     }
@@ -2204,7 +2186,7 @@ mod tests {
         assert_eq!(ctl.memory().len(), 1, "not yet detected");
 
         // Detection sweep: memory purged, exact deletes emitted.
-        let detect_at = crash_at + ctl.health_config().detect_interval;
+        let detect_at = crash_at + DETECT_INTERVAL;
         let repairs = ctl.health_check(detect_at);
         assert!(ctl.memory().is_empty(), "no lookup returns the dead address");
         assert_eq!(repairs.len(), 2, "fwd + rev delete");
@@ -2214,7 +2196,7 @@ mod tests {
         }
         assert_eq!(sw.table().entries().count(), flows_before - 2);
         // A second sweep finds nothing left to repair.
-        assert!(ctl.health_check(detect_at + ctl.health_config().detect_interval).is_empty());
+        assert!(ctl.health_check(detect_at + DETECT_INTERVAL).is_empty());
 
         // One failure is below the breaker threshold: cluster still offered.
         assert_eq!(ctl.breaker_state(0), BreakerState::Closed);
@@ -2243,7 +2225,7 @@ mod tests {
         let mut rng = SimRng::new(32);
         let (mut ctl, mut sw) = setup(&mut rng);
         let svc_addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80);
-        let threshold = ctl.health_config().breaker_threshold;
+        let threshold = BREAKER_THRESHOLD;
         let mut t = SimTime::from_secs(1);
         // Alternating crash/redeploy cycles never trip the breaker: each
         // successful redeployment resets the failure streak.
@@ -2251,7 +2233,7 @@ mod tests {
             let answered = serve_one(&mut ctl, &mut sw, t, 50000 + i as u16, &mut rng);
             let crash_at = answered + Duration::from_secs(1);
             assert!(ctl.inject_instance_crash(0, svc_addr, crash_at, &mut rng));
-            t = crash_at + ctl.health_config().detect_interval;
+            t = crash_at + DETECT_INTERVAL;
             for (_, m) in ctl.health_check(t) {
                 sw.handle_controller(m.at, &m.data).unwrap();
             }
@@ -2276,7 +2258,7 @@ mod tests {
 
         // After the cooldown the half-open probe lets a deployment through,
         // and its success closes the breaker.
-        let t2 = t + ctl.health_config().breaker_cooldown + Duration::from_secs(1);
+        let t2 = t + BREAKER_COOLDOWN + Duration::from_secs(1);
         serve_one(&mut ctl, &mut sw, t2, 51001, &mut rng);
         assert_eq!(ctl.records.last().unwrap().kind, RequestKind::Waited);
         assert_eq!(ctl.breaker_state(0), BreakerState::Closed);
@@ -2681,7 +2663,7 @@ mod tests {
             .iter()
             .map(|m| match Message::decode(&m.data).unwrap().1 {
                 Message::FlowMod { priority, .. } => {
-                    assert_eq!(priority, ctl.config.flow_priority, "exact pairs at base priority");
+                    assert_eq!(priority, FLOW_PRIORITY, "exact pairs at base priority");
                     "flowmod"
                 }
                 Message::PacketOut { .. } => "packetout",
@@ -2710,7 +2692,7 @@ mod tests {
         let svc_addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80);
         let crash_at = t1 + Duration::from_secs(1);
         assert!(ctl.inject_instance_crash(0, svc_addr, crash_at, &mut rng));
-        let detect_at = crash_at + ctl.health_config().detect_interval;
+        let detect_at = crash_at + DETECT_INTERVAL;
         let repairs = ctl.health_check(detect_at);
         assert_eq!(repairs.len(), 4, "deletes for the exact AND the aggregate pair");
         for (_, m) in &repairs {
@@ -3005,7 +2987,7 @@ mod tests {
             else {
                 panic!("expected flow-mods");
             };
-            assert_eq!(priority, ctl.config.flow_priority, "exact, not aggregate, priority");
+            assert_eq!(priority, FLOW_PRIORITY, "exact, not aggregate, priority");
             assert_eq!(instructions[0].actions().len(), 1, "plain output, no rewrite");
         }
         assert_eq!(

@@ -28,9 +28,6 @@ impl Controller {
             // Holds whose release instant has passed no longer pin anything.
             ctl.held.retain(|_, until| now < *until);
             let mut expired = ctl.state.memory_mut().expire(now);
-            if !ctl.config.scale_down_idle {
-                return;
-            }
             // Re-examine deferred expiries whose hold has drained since.
             let ripe: Vec<(ServiceAddr, usize)> = ctl
                 .deferred

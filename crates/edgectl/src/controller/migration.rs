@@ -134,7 +134,7 @@ impl Controller {
             self.telemetry.end_span(root, now);
             return Vec::new();
         };
-        let t = now + self.config.processing.sample_duration(rng);
+        let t = now + self.processing.sample_duration(rng);
         let break_at = t + Duration::from_millis(50);
         let mut out: Vec<(IngressId, OutboundMessage)> = Vec::new();
         let mut flipped = 0usize;
@@ -232,7 +232,7 @@ impl Controller {
 
     /// Scans the client's memorized flows after an announced move and
     /// starts a live migration for each session whose cluster fell at
-    /// least `mobility_hops` clusters behind the nearest candidate, as
+    /// least `MOBILITY_HOPS` clusters behind the nearest candidate, as
     /// seen from the new ingress.
     pub(super) fn migrate_lagging_sessions(
         &mut self,
@@ -250,7 +250,7 @@ impl Controller {
             }
             let here = self.distance(near, flow.cluster);
             let closer = (0..n).filter(|&i| self.distance(near, i) < here).count();
-            if closer >= self.config.migration.mobility_hops {
+            if closer >= crate::migrate::MOBILITY_HOPS {
                 jobs.push((key.service, flow.cluster));
             }
         }

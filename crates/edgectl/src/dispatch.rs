@@ -67,7 +67,7 @@ impl PhaseTimes {
     }
 
     /// Total retry count across all phases.
-    pub fn total_retries(&self) -> u32 {
+    pub(crate) fn total_retries(&self) -> u32 {
         self.pull_retries + self.create_retries + self.scale_up_retries
     }
 
@@ -188,13 +188,12 @@ struct FailedDeploy {
     phases: PhaseTimes,
 }
 
+/// Port-probe interval for readiness polling.
+const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
 /// The Dispatcher component.
 pub struct Dispatcher {
     scheduler: Box<dyn GlobalScheduler>,
-    /// Port-probe interval for readiness polling.
-    poll_interval: Duration,
-    /// Per-phase retry/backoff/deadline policy.
-    retry: RetryPolicy,
     /// Single-flight failure cache: deployments that gave up, by
     /// (service, cluster), until their give-up instant passes.
     in_flight: HashMap<(ServiceAddr, usize), FailedDeploy>,
@@ -210,25 +209,17 @@ pub struct Dispatcher {
 }
 
 impl Dispatcher {
-    /// Creates a dispatcher with the given Global Scheduler and port-poll
-    /// interval, using the default [`RetryPolicy`].
-    pub fn new(scheduler: Box<dyn GlobalScheduler>, poll_interval: Duration) -> Dispatcher {
-        assert!(!poll_interval.is_zero(), "poll interval must be positive");
+    /// Creates a dispatcher with the given Global Scheduler. Every
+    /// deployment phase runs under the default [`RetryPolicy`].
+    pub fn new(scheduler: Box<dyn GlobalScheduler>) -> Dispatcher {
         Dispatcher {
             scheduler,
-            poll_interval,
-            retry: RetryPolicy::default(),
             in_flight: HashMap::new(),
             coalesced: 0,
             tracker: LoadTracker::default(),
             views: Vec::new(),
             candidates: Vec::new(),
         }
-    }
-
-    /// Replaces the retry/backoff/deadline policy.
-    pub(crate) fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
     }
 
     /// How many requests coalesced onto an already-failed deployment
@@ -610,7 +601,7 @@ impl Dispatcher {
             }
             self.in_flight.remove(&key);
         }
-        let policy = self.retry;
+        let policy = RetryPolicy::default();
         let c = &mut clusters[cluster];
         let state = c.state(svc, now);
         let deployed = match state {
@@ -659,18 +650,17 @@ impl Dispatcher {
             return EnsureOutcome::Unschedulable;
         }
         phases.instance_ready = Some(ready_at);
-        // Port polling: probes run every `poll_interval` from the moment the
+        // Port polling: probes run every `POLL_INTERVAL` from the moment the
         // scale-up command returned (or from `now` when no deployment ran);
         // the first probe at or after readiness confirms.
         let base = phases.scale_up_done.unwrap_or(now).max(now);
         let ready_for_poll = ready_at.max(base);
-        let confirmed = next_poll_at(base, ready_for_poll, self.poll_interval);
+        let confirmed = next_poll_at(base, ready_for_poll);
         phases.port_confirmed = Some(confirmed);
-        let poll = self.poll_interval;
         tele.event(span, "port-confirmed", confirmed, || {
             format!(
                 "port probe succeeded (instance ready {ready_at}, polled every {})",
-                desim::fmt_duration(poll)
+                desim::fmt_duration(POLL_INTERVAL)
             )
         });
         // A confirmed instance is breaker feedback: closes a half-open
@@ -763,12 +753,12 @@ fn with_retries<T>(
     result
 }
 
-/// First poll tick at or after `ready`, with ticks at `base + k*interval`
+/// First poll tick at or after `ready`, with ticks at `base + k*POLL_INTERVAL`
 /// (k ≥ 1; the probe right at scale-up would always fail).
-fn next_poll_at(base: SimTime, ready: SimTime, interval: Duration) -> SimTime {
+fn next_poll_at(base: SimTime, ready: SimTime) -> SimTime {
     debug_assert!(ready >= base);
     let gap = ready.saturating_since(base).as_nanos();
-    let step = interval.as_nanos().max(1);
+    let step = POLL_INTERVAL.as_nanos();
     let k = gap.div_ceil(step).max(1);
     base + Duration::from_nanos(k * step)
 }
@@ -777,7 +767,6 @@ fn next_poll_at(base: SimTime, ready: SimTime, interval: Duration) -> SimTime {
 mod tests {
     use super::*;
     use crate::cluster::DockerCluster;
-    use crate::health::HealthConfig;
     use crate::scheduler::{LatencyAwareScheduler, ProximityScheduler};
     use dockersim::DockerEngine;
     use netsim::addr::MacAddr;
@@ -803,10 +792,6 @@ mod tests {
         ))
     }
 
-    fn dispatcher(sched: Box<dyn GlobalScheduler>) -> Dispatcher {
-        Dispatcher::new(sched, Duration::from_millis(25))
-    }
-
     /// One untraced default-ingress dispatch against a throwaway health
     /// monitor, so breaker feedback does not carry from one call to the
     /// next (tests that want breakers own one: [`dispatch_with`]).
@@ -828,7 +813,7 @@ mod tests {
             now,
             clusters,
             memory,
-            &mut HealthMonitor::new(HealthConfig::default()),
+            &mut HealthMonitor::default(),
             rng,
             &mut Telemetry::disabled(),
             0,
@@ -861,7 +846,7 @@ mod tests {
         let svc = make_service("asm");
         let mut clusters = vec![docker("near", 1, 100, true, &mut rng)];
         let mut memory = FlowMemory::new(Duration::from_secs(30));
-        let mut d = dispatcher(Box::<ProximityScheduler>::default());
+        let mut d = Dispatcher::new(Box::<ProximityScheduler>::default());
 
         let now = SimTime::from_secs(1);
         let out = dispatch(&mut d, &svc, Ipv4Addr::new(192, 168, 1, 20), now, &mut clusters, &mut memory, &mut rng);
@@ -880,7 +865,7 @@ mod tests {
         // scale-up command's return).
         let base = out.phases.scale_up_done.unwrap();
         let gap = out.phases.port_confirmed.unwrap().saturating_since(base).as_nanos();
-        assert_eq!(gap % Duration::from_millis(25).as_nanos(), 0);
+        assert_eq!(gap % POLL_INTERVAL.as_nanos(), 0);
 
         // Second request from the same client: memorized, immediate.
         let later = ready_at + Duration::from_secs(1);
@@ -905,7 +890,7 @@ mod tests {
         let (_, far_ready) = clusters[0].scale_up(&svc, t, &mut rng).unwrap();
 
         let mut memory = FlowMemory::new(Duration::from_secs(30));
-        let mut d = dispatcher(Box::<LatencyAwareScheduler>::default());
+        let mut d = Dispatcher::new(Box::<LatencyAwareScheduler>::default());
         let now = far_ready + Duration::from_secs(1);
         let out = dispatch(&mut d, &svc, Ipv4Addr::new(192, 168, 1, 20), now, &mut clusters, &mut memory, &mut rng);
         // Current request: immediate redirect to the far instance.
@@ -933,7 +918,7 @@ mod tests {
         let svc = make_service("asm");
         let mut clusters = vec![docker("near", 1, 100, true, &mut rng)];
         let mut memory = FlowMemory::new(Duration::from_secs(30));
-        let mut d = dispatcher(Box::<LatencyAwareScheduler>::default());
+        let mut d = Dispatcher::new(Box::<LatencyAwareScheduler>::default());
         let out = dispatch(&mut d, &svc, Ipv4Addr::new(192, 168, 1, 20), SimTime::ZERO, &mut clusters, &mut memory, &mut rng);
         assert!(matches!(out.decision, DispatchDecision::ForwardToCloud));
         assert!(out.background.is_some(), "deployment still triggered");
@@ -945,7 +930,7 @@ mod tests {
         let svc = make_service("nginx");
         let mut clusters = vec![docker("near", 1, 100, false, &mut rng)];
         let mut memory = FlowMemory::new(Duration::from_secs(30));
-        let mut d = dispatcher(Box::<ProximityScheduler>::default());
+        let mut d = Dispatcher::new(Box::<ProximityScheduler>::default());
         let now = SimTime::ZERO;
         let out = dispatch(&mut d, &svc, Ipv4Addr::new(192, 168, 1, 20), now, &mut clusters, &mut memory, &mut rng);
         let DispatchDecision::WaitThenRedirect { ready_at, .. } = out.decision else {
@@ -964,7 +949,7 @@ mod tests {
         let svc = make_service("asm");
         let mut clusters = vec![docker("near", 1, 100, true, &mut rng)];
         let mut memory = FlowMemory::new(Duration::from_secs(30));
-        let mut d = dispatcher(Box::<ProximityScheduler>::default());
+        let mut d = Dispatcher::new(Box::<ProximityScheduler>::default());
         let out = dispatch(&mut d, &svc, Ipv4Addr::new(192, 168, 1, 20), SimTime::ZERO, &mut clusters, &mut memory, &mut rng);
         let DispatchDecision::WaitThenRedirect { ready_at, .. } = out.decision else {
             panic!()
@@ -986,7 +971,7 @@ mod tests {
         let svc = make_service("asm");
         let mut clusters = vec![docker("near", 1, 100, true, &mut rng)];
         let mut memory = FlowMemory::new(Duration::from_secs(30));
-        let mut d = dispatcher(Box::<ProximityScheduler>::default());
+        let mut d = Dispatcher::new(Box::<ProximityScheduler>::default());
 
         let now = SimTime::from_secs(1);
         let out = dispatch(&mut d, &svc, Ipv4Addr::new(192, 168, 1, 20), now, &mut clusters, &mut memory, &mut rng);
@@ -1000,7 +985,7 @@ mod tests {
             panic!("expected with-waiting for the second client: {:?}", out2.decision);
         };
         assert!(out2.phases.scale_up_at.is_none(), "no duplicate deployment phases");
-        assert!(r2 + Duration::from_millis(25) >= ready_at, "waits for the same instance");
+        assert!(r2 + POLL_INTERVAL >= ready_at, "waits for the same instance");
         // Only one container set exists on the cluster.
         let count = clusters[0]
             .instance_addr(&svc)
@@ -1022,7 +1007,7 @@ mod tests {
         };
         let mut clusters = vec![docker_faulty("near", 1, plan, 0x41, &mut rng)];
         let mut memory = FlowMemory::new(Duration::from_secs(30));
-        let mut d = dispatcher(Box::<ProximityScheduler>::default());
+        let mut d = Dispatcher::new(Box::<ProximityScheduler>::default());
 
         let now = SimTime::from_secs(1);
         let out = dispatch(&mut d, &svc, Ipv4Addr::new(192, 168, 1, 20), now, &mut clusters, &mut memory, &mut rng);
@@ -1073,7 +1058,7 @@ mod tests {
             };
             let mut clusters = vec![docker_faulty("near", 1, plan, 0x42, &mut rng)];
             let mut memory = FlowMemory::new(Duration::from_secs(30));
-            let mut d = dispatcher(Box::<ProximityScheduler>::default());
+            let mut d = Dispatcher::new(Box::<ProximityScheduler>::default());
             let out = dispatch(
                 &mut d,
                 &svc,
@@ -1139,8 +1124,8 @@ mod tests {
         };
         let mut clusters = vec![docker_faulty("near", 1, plan, 0x51, &mut rng)];
         let mut memory = FlowMemory::new(Duration::from_secs(30));
-        let mut health = HealthMonitor::new(HealthConfig::default());
-        let mut d = dispatcher(Box::<ProximityScheduler>::default());
+        let mut health = HealthMonitor::default();
+        let mut d = Dispatcher::new(Box::<ProximityScheduler>::default());
 
         // Three fresh give-ups trip the breaker (default threshold 3). Each
         // request starts after the previous failure's give-up window so none
@@ -1163,7 +1148,7 @@ mod tests {
 
         // After the cooldown the half-open probe re-attempts (and, still
         // faulty, re-opens with a fresh cooldown).
-        let probe_at = now + health.config().breaker_cooldown;
+        let probe_at = now + crate::health::BREAKER_COOLDOWN;
         let out = dispatch_with(&mut d, &mut health, &svc, 31, probe_at, &mut clusters, &mut memory, &mut rng);
         assert!(matches!(out.decision, DispatchDecision::FallbackCloud { .. }), "{:?}", out.decision);
         assert_eq!(health.breaker_state(0), BreakerState::Open, "failed probe re-opens");
@@ -1176,8 +1161,8 @@ mod tests {
         let svc = make_service("asm");
         let mut clusters = vec![docker("near", 1, 100, true, &mut rng)];
         let mut memory = FlowMemory::new(Duration::from_secs(30));
-        let mut health = HealthMonitor::new(HealthConfig::default());
-        let mut d = dispatcher(Box::<ProximityScheduler>::default());
+        let mut health = HealthMonitor::default();
+        let mut d = Dispatcher::new(Box::<ProximityScheduler>::default());
         // Trip the breaker by hand (as the controller's crash detector does).
         let t = SimTime::from_secs(1);
         for _ in 0..3 {
@@ -1185,7 +1170,7 @@ mod tests {
         }
         assert_eq!(health.breaker_state(0), BreakerState::Open);
         // The healthy cluster's probe succeeds and closes the breaker.
-        let probe_at = t + health.config().breaker_cooldown;
+        let probe_at = t + crate::health::BREAKER_COOLDOWN;
         let out = dispatch_with(&mut d, &mut health, &svc, 20, probe_at, &mut clusters, &mut memory, &mut rng);
         assert!(matches!(out.decision, DispatchDecision::WaitThenRedirect { .. }), "{:?}", out.decision);
         assert_eq!(health.breaker_state(0), BreakerState::Closed);
@@ -1200,8 +1185,8 @@ mod tests {
             docker("zone-b", 2, 500, true, &mut rng),
         ];
         let mut memory = FlowMemory::new(Duration::from_secs(30));
-        let mut health = HealthMonitor::new(HealthConfig::default());
-        let mut d = dispatcher(Box::<ProximityScheduler>::default());
+        let mut health = HealthMonitor::default();
+        let mut d = Dispatcher::new(Box::<ProximityScheduler>::default());
         let t = SimTime::from_secs(1);
         // Zone A (the nearest) goes dark: dispatch lands on zone B.
         health.begin_outage(0, t + Duration::from_secs(30));
@@ -1222,17 +1207,16 @@ mod tests {
     #[test]
     fn poll_grid_arithmetic() {
         let base = SimTime::from_secs(10);
-        let i = Duration::from_millis(25);
         // Ready exactly at base: first probe still waits one interval.
-        assert_eq!(next_poll_at(base, base, i), base + i);
-        // Ready mid-interval: round up.
+        assert_eq!(next_poll_at(base, base), base + POLL_INTERVAL);
+        // Ready mid-interval (25 ms ticks): round up.
         assert_eq!(
-            next_poll_at(base, base + Duration::from_millis(26), i),
+            next_poll_at(base, base + Duration::from_millis(26)),
             base + Duration::from_millis(50)
         );
         // Ready exactly on a tick: confirmed on that tick.
         assert_eq!(
-            next_poll_at(base, base + Duration::from_millis(50), i),
+            next_poll_at(base, base + Duration::from_millis(50)),
             base + Duration::from_millis(50)
         );
     }

@@ -28,28 +28,14 @@
 
 use desim::{Duration, SimTime};
 
-/// Tunables for the health monitor — the `health:` YAML block.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct HealthConfig {
-    /// How often the controller sweeps instance liveness (the failure
-    /// *detection* interval: a crash surfaces at the next sweep tick).
-    pub detect_interval: Duration,
-    /// Consecutive failures that trip a cluster's breaker Open.
-    pub(crate) breaker_threshold: u32,
-    /// How long an Open breaker blocks its cluster before allowing a
-    /// half-open probe.
-    pub(crate) breaker_cooldown: Duration,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            detect_interval: Duration::from_millis(500),
-            breaker_threshold: 3,
-            breaker_cooldown: Duration::from_secs(10),
-        }
-    }
-}
+/// How often the controller sweeps instance liveness (the failure
+/// *detection* interval: a crash surfaces at the next sweep tick).
+pub const DETECT_INTERVAL: Duration = Duration::from_millis(500);
+/// Consecutive failures that trip a cluster's breaker Open.
+pub(crate) const BREAKER_THRESHOLD: u32 = 3;
+/// How long an Open breaker blocks its cluster before allowing a half-open
+/// probe.
+pub(crate) const BREAKER_COOLDOWN: Duration = Duration::from_secs(10);
 
 /// Circuit-breaker state for one cluster.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -153,9 +139,10 @@ impl Breaker {
 /// Per-cluster circuit breakers plus declared zone-outage windows. Part of
 /// the controller's recoverable state; the Dispatcher borrows it for every
 /// dispatch (it gates scheduling), the controller to declare outages and report
-/// runtime crashes.
+/// runtime crashes. Breaker slots grow on demand as cluster indices are
+/// first seen.
+#[derive(Default)]
 pub struct HealthMonitor {
-    config: HealthConfig,
     breakers: Vec<Breaker>,
     /// Declared outage end per cluster (`None` = zone up).
     outages: Vec<Option<SimTime>>,
@@ -165,17 +152,6 @@ pub struct HealthMonitor {
 }
 
 impl HealthMonitor {
-    /// Creates a monitor; breaker slots grow on demand as cluster indices
-    /// are first seen.
-    pub fn new(config: HealthConfig) -> HealthMonitor {
-        HealthMonitor {
-            config,
-            breakers: Vec::new(),
-            outages: Vec::new(),
-            log: None,
-        }
-    }
-
     /// Turns mutation logging on or off (off discards undrained ops).
     pub(crate) fn set_logging(&mut self, on: bool) {
         self.log = if on { Some(Vec::new()) } else { None };
@@ -233,11 +209,6 @@ impl HealthMonitor {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> HealthConfig {
-        self.config
-    }
-
     fn grow(&mut self, cluster: usize) {
         if self.breakers.len() <= cluster {
             self.breakers.resize_with(cluster + 1, Breaker::new);
@@ -250,13 +221,11 @@ impl HealthMonitor {
     /// failure during a half-open probe — trips the breaker Open.
     pub(crate) fn record_failure(&mut self, cluster: usize, now: SimTime) {
         self.grow(cluster);
-        let threshold = self.config.breaker_threshold;
-        let cooldown = self.config.breaker_cooldown;
         let b = &mut self.breakers[cluster];
         b.consecutive_failures += 1;
-        if b.state == BreakerState::HalfOpen || b.consecutive_failures >= threshold {
+        if b.state == BreakerState::HalfOpen || b.consecutive_failures >= BREAKER_THRESHOLD {
             b.state = BreakerState::Open;
-            b.open_until = now + cooldown;
+            b.open_until = now + BREAKER_COOLDOWN;
         }
         if let Some(log) = &mut self.log {
             log.push(HealthOp::Failure { cluster, at: now });
@@ -341,7 +310,7 @@ mod tests {
     use super::*;
 
     fn monitor() -> HealthMonitor {
-        HealthMonitor::new(HealthConfig::default())
+        HealthMonitor::default()
     }
 
     #[test]

@@ -450,7 +450,7 @@ impl ControlState {
             scaled_down: FastMap::default(),
             clients: ClientTracker::new(),
             client_macs: FastMap::default(),
-            health: HealthMonitor::new(config.health),
+            health: HealthMonitor::default(),
             migrate: MigrationManager::new(config.migration.clone()),
         }
     }

@@ -84,7 +84,7 @@ pub use cluster::{DockerCluster, EdgeCluster, InstanceAddr, InstanceState, K8sEd
 pub use controller::{Controller, ControllerConfig, HandoverPolicy, OutboundMessage, PortMap};
 pub use dispatch::{DispatchDecision, Dispatcher};
 pub use flowmemory::{FlowKey, FlowMemory, IngressId};
-pub use health::{BreakerState, HealthConfig, HealthMonitor};
+pub use health::{BreakerState, HealthMonitor, DETECT_INTERVAL};
 pub use journal::{JournalConfig, RecoveryMode, RecoveryReport};
 pub use migrate::{MigrationConfig, MigrationManager, MigrationPolicy, MigrationReason};
 pub use scheduler::{

@@ -42,9 +42,6 @@ use std::collections::BTreeMap;
 pub enum MigrationPolicy {
     /// Sessions stay anchored to the old zone's instance (PR 4 default).
     Anchored,
-    /// Sessions are re-placed cold through the Global Scheduler; session
-    /// state is lost (PR 4's `redispatch` baseline).
-    Redispatch,
     /// Snapshot the session state, transfer it, warm-start the target, then
     /// flip the flows make-before-break.
     Live,
@@ -55,11 +52,20 @@ impl MigrationPolicy {
     pub fn label(&self) -> &'static str {
         match self {
             MigrationPolicy::Anchored => "anchored",
-            MigrationPolicy::Redispatch => "redispatch",
             MigrationPolicy::Live => "live",
         }
     }
 }
+
+/// One-way propagation of the metro link snapshots travel over (the mobility
+/// topology's 2 ms between zones).
+pub const TRANSFER_PROPAGATION: Duration = Duration::from_millis(2);
+/// Concurrent state transfers allowed; further triggers are ignored until a
+/// slot frees up.
+const MAX_CONCURRENT: usize = 2;
+/// Mobility trigger threshold: migrate once the client's attachment is at
+/// least this many cluster-hops from its serving instance.
+pub(crate) const MOBILITY_HOPS: usize = 1;
 
 /// The `migration:` block of the controller's YAML config.
 #[derive(Clone, Debug, PartialEq)]
@@ -70,16 +76,8 @@ pub struct MigrationConfig {
     /// Session-state growth per served request. 0 (the default) disables the
     /// ledger entirely, keeping committed figures byte-identical.
     pub state_bytes_per_request: u64,
-    /// One-way propagation of the metro link snapshots travel over.
-    pub transfer_propagation: Duration,
     /// Bandwidth of that link, bits per second.
     pub transfer_bandwidth_bps: u64,
-    /// Concurrent state transfers allowed; further triggers are ignored
-    /// until a slot frees up.
-    pub max_concurrent: usize,
-    /// Mobility trigger threshold: migrate once the client's attachment is
-    /// at least this many cluster-hops from its serving instance.
-    pub mobility_hops: usize,
 }
 
 impl Default for MigrationConfig {
@@ -87,12 +85,9 @@ impl Default for MigrationConfig {
         MigrationConfig {
             policy: MigrationPolicy::Anchored,
             state_bytes_per_request: 0,
-            // The metro backbone of the mobility topology: 2 ms between
-            // zones at 10 Gbps.
-            transfer_propagation: Duration::from_millis(2),
+            // The metro backbone of the mobility topology: 10 Gbps between
+            // zones.
             transfer_bandwidth_bps: 10_000_000_000,
-            max_concurrent: 2,
-            mobility_hops: 1,
         }
     }
 }
@@ -108,11 +103,11 @@ impl MigrationConfig {
     /// transfer is a bulk copy, not a frame).
     pub fn transfer_time(&self, bytes: u64) -> Duration {
         let link = Link::new(LinkSpec {
-            propagation: self.transfer_propagation,
+            propagation: TRANSFER_PROPAGATION,
             bandwidth_bps: self.transfer_bandwidth_bps,
             jitter_max: Duration::ZERO,
         });
-        self.transfer_propagation + link.serialization_delay(bytes as usize)
+        TRANSFER_PROPAGATION + link.serialization_delay(bytes as usize)
     }
 }
 
@@ -431,7 +426,7 @@ impl MigrationManager {
     /// service's previous flip (if any) out of its [`FLIP_COOLDOWN`].
     pub fn can_start(&self, service: ServiceAddr, from: usize, to: usize, now: SimTime) -> bool {
         from != to
-            && self.active.len() < self.config.max_concurrent
+            && self.active.len() < MAX_CONCURRENT
             && self.cooled.get(&service).is_none_or(|&t| now >= t)
             && !self
                 .active
@@ -611,7 +606,6 @@ mod tests {
     #[test]
     fn transfer_time_is_linear_in_state_bytes() {
         let c = MigrationConfig {
-            transfer_propagation: Duration::from_millis(2),
             transfer_bandwidth_bps: 1_000_000_000,
             ..MigrationConfig::default()
         };
@@ -689,7 +683,6 @@ mod tests {
     fn concurrency_and_duplicates_are_bounded() {
         let mut m = MigrationManager::new(MigrationConfig {
             policy: MigrationPolicy::Live,
-            max_concurrent: 2,
             ..MigrationConfig::default()
         });
         let t0 = SimTime::from_secs(1);
@@ -706,7 +699,7 @@ mod tests {
         );
         assert!(m.can_start(svc(2), 0, 1, t0), "other services are independent");
         m.begin(svc(2), 0, 1, MigrationReason::Explicit, t0, t0, 2);
-        assert!(!m.can_start(svc(3), 0, 1, t0), "max_concurrent caps the fleet");
+        assert!(!m.can_start(svc(3), 0, 1, t0), "MAX_CONCURRENT caps the fleet");
         assert!(m.pinned(svc(1), 0) && m.pinned(svc(1), 1));
         assert!(!m.pinned(svc(1), 2) && !m.pinned(svc(3), 0));
     }

@@ -5,7 +5,7 @@ use edgectl::cluster::{DockerCluster, EdgeCluster};
 use edgectl::dispatch::{DispatchDecision, DispatchOutcome, Dispatcher};
 use edgectl::flowmemory::{FlowKey, FlowMemory, IngressId};
 use edgectl::scheduler::{scheduler_by_name, RequestClass};
-use edgectl::{EdgeService, HealthConfig, HealthMonitor};
+use edgectl::{EdgeService, HealthMonitor};
 use netsim::addr::{Ipv4Addr, MacAddr};
 use netsim::ServiceAddr;
 use proptest::prelude::*;
@@ -57,7 +57,7 @@ fn dispatch(
         now,
         clusters,
         memory,
-        &mut HealthMonitor::new(HealthConfig::default()),
+        &mut HealthMonitor::default(),
         rng,
         &mut Telemetry::disabled(),
         0,
@@ -81,7 +81,7 @@ proptest! {
         let svc = make_service(80);
         let mut cls = clusters(n_clusters, seed);
         let mut memory = FlowMemory::new(Duration::from_secs(600));
-        let mut d = Dispatcher::new(scheduler_by_name(scheduler).unwrap(), Duration::from_millis(25));
+        let mut d = Dispatcher::new(scheduler_by_name(scheduler).unwrap());
         let mut rng = SimRng::new(seed ^ 1);
         let client = Ipv4Addr::new(192, 168, 1, 20);
 
@@ -116,7 +116,7 @@ proptest! {
         let svc = make_service(80);
         let mut cls = clusters(2, seed);
         let mut memory = FlowMemory::new(Duration::from_secs(600));
-        let mut d = Dispatcher::new(scheduler_by_name("proximity").unwrap(), Duration::from_millis(25));
+        let mut d = Dispatcher::new(scheduler_by_name("proximity").unwrap());
         let mut rng = SimRng::new(seed ^ 2);
 
         let mut instances = std::collections::HashSet::new();

@@ -169,17 +169,13 @@ proptest! {
     /// propagation delay — a live migration degrades exactly to the PR 4
     /// make-before-break handover, never worse.
     #[test]
-    fn zero_state_transfer_is_pure_propagation(
-        prop_ms in 1u64..50,
-        bandwidth in 1u64..100_000,
-    ) {
+    fn zero_state_transfer_is_pure_propagation(bandwidth in 1u64..100_000) {
         let c = MigrationConfig {
             policy: MigrationPolicy::Live,
-            transfer_propagation: Duration::from_millis(prop_ms),
             transfer_bandwidth_bps: bandwidth * 1_000_000,
             ..MigrationConfig::default()
         };
-        prop_assert_eq!(c.transfer_time(0), Duration::from_millis(prop_ms));
+        prop_assert_eq!(c.transfer_time(0), edgectl::migrate::TRANSFER_PROPAGATION);
         // And the cost is monotone in bytes past that floor.
         prop_assert!(c.transfer_time(1_000_000) >= c.transfer_time(1_000));
     }

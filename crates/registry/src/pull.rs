@@ -24,7 +24,7 @@ pub struct RegistryProfile {
     /// Decompress/verify throughput on the pulling host, bytes/second.
     pub(crate) unpack_bandwidth: f64,
     /// Concurrent layer fetches (containerd default is 3).
-    pub max_concurrent: usize,
+    pub(crate) max_concurrent: usize,
 }
 
 impl RegistryProfile {

@@ -885,7 +885,7 @@ pub(crate) type Recording = (SpanLog, MetricsRegistry);
 
 /// The result of an experiment whose arms can record telemetry.
 pub struct Experiment<S> {
-    /// The rendered figure (chaos's ends in a machine-readable summary line).
+    /// The rendered figure.
     pub figure: Figure,
     /// Each arm's label and aggregates, in figure-row order: the runs the
     /// figure was built from, for a bench report to reduce.
@@ -938,8 +938,10 @@ fn run_arms<A, S>(
 /// Per-cluster aggregates of one chaos replay.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ChaosRun {
-    requests: u64,
-    completed: u64,
+    /// Requests the controller recorded (one per packet-in).
+    pub requests: u64,
+    /// Requests whose client got its response, from the edge or the cloud.
+    pub completed: u64,
     waited: u64,
     memory_hits: u64,
     fallbacks: u64,
@@ -1008,8 +1010,8 @@ fn chaos_run(
 /// failures into every deployment phase at `fault_rate`. Failed phases are
 /// retried with exponential backoff under a deadline; deployments that
 /// exhaust their budget release held requests toward the cloud. The figure
-/// reports per-phase retry totals and the cloud-fallback rate, plus a
-/// machine-readable `chaos-summary` line for CI. Deterministic per seed.
+/// reports per-phase retry totals and cloud fallbacks per cluster kind;
+/// `runs` carries them for the bench's verdict. Deterministic per seed.
 /// With `telemetry` on, the recording's arms are `docker/` and `k8s/` and
 /// its metrics gain a derived `fallback_cloud_rate` gauge.
 pub fn chaos(seed: u64, fault_rate: f64, smoke: bool, telemetry: bool) -> Experiment<ChaosRun> {
@@ -1049,31 +1051,6 @@ pub fn chaos(seed: u64, fault_rate: f64, smoke: bool, telemetry: bool) -> Experi
             run.resets.to_string(),
         ]);
     }
-    let total = |field: fn(&ChaosRun) -> u64| runs.iter().map(|(_, run)| field(run)).sum::<u64>();
-    let retries = [
-        total(|r| r.pull_retries),
-        total(|r| r.create_retries),
-        total(|r| r.scale_up_retries),
-    ];
-    let total_retries: u64 = retries.iter().sum();
-    let fallback_rate = match total(|r| r.requests) {
-        0 => 0.0,
-        requests => total(|r| r.fallbacks) as f64 / requests as f64,
-    };
-    let summary = format!(
-        "\nchaos-summary {{\"seed\":{seed},\"faultRate\":{fault_rate},\"smoke\":{smoke},\
-\"requests\":{},\"completed\":{},\"fallbacks\":{},\"fallbackRate\":{fallback_rate:.4},\
-\"retries\":{{\"pull\":{},\"create\":{},\"scaleUp\":{}}},\"totalRetries\":{total_retries},\
-\"coalesced\":{},\"resets\":{},\"panics\":0}}\n",
-        total(|r| r.requests),
-        total(|r| r.completed),
-        total(|r| r.fallbacks),
-        retries[0],
-        retries[1],
-        retries[2],
-        total(|r| r.coalesced),
-        total(|r| r.resets),
-    );
     let figure = Figure::new(
         "chaos",
         format!(
@@ -1081,8 +1058,7 @@ pub fn chaos(seed: u64, fault_rate: f64, smoke: bool, telemetry: bool) -> Experi
             if smoke { "smoke" } else { "full" }
         ),
         t,
-    )
-    .with_extra(&summary);
+    );
     if let Some((_, metrics)) = &mut recording {
         if metrics.counter("requests_total") > 0 {
             metrics.set_gauge(
@@ -1794,35 +1770,24 @@ mod tests {
 
     #[test]
     fn chaos_is_deterministic_and_degrades_gracefully() {
-        let a = chaos(7, 0.15, true, false).figure;
+        let e = chaos(7, 0.15, true, false);
         let b = chaos(7, 0.15, true, false).figure;
-        assert_eq!(a.body, b.body, "same seed ⇒ byte-identical output");
-        let line = a
-            .body
-            .lines()
-            .find(|l| l.starts_with("chaos-summary "))
-            .expect("machine-readable summary line");
-        assert!(line.contains("\"seed\":7"));
-        assert!(line.contains("\"panics\":0"));
-        let field = |key: &str| -> u64 {
-            line.split(&format!("\"{key}\":"))
-                .nth(1)
-                .unwrap()
-                .split([',', '}'])
-                .next()
-                .unwrap()
-                .parse()
-                .unwrap()
-        };
+        assert_eq!(e.figure.body, b.body, "same seed ⇒ byte-identical output");
         // A 15% per-phase fault rate must visibly exercise the retry path,
         // and every request must still terminate somewhere.
-        assert!(field("totalRetries") > 0, "retries fired: {line}");
-        assert!(field("completed") > 0);
-        assert_eq!(
-            field("completed"),
-            field("requests"),
-            "every request terminates (edge or cloud fallback): {line}"
-        );
+        let retries: u64 = e
+            .runs
+            .iter()
+            .map(|(_, r)| r.pull_retries + r.create_retries + r.scale_up_retries)
+            .sum();
+        assert!(retries > 0, "retries fired");
+        for (label, run) in &e.runs {
+            assert!(run.completed > 0, "{label}");
+            assert_eq!(
+                run.completed, run.requests,
+                "{label}: every request terminates (edge or cloud fallback)"
+            );
+        }
     }
 
     #[test]
@@ -1853,15 +1818,10 @@ mod tests {
 
     #[test]
     fn chaos_with_zero_fault_rate_is_clean() {
-        let f = chaos(7, 0.0, true, false).figure;
-        let line = f
-            .body
-            .lines()
-            .find(|l| l.starts_with("chaos-summary "))
-            .unwrap();
-        assert!(line.contains("\"fallbacks\":0"), "{line}");
-        assert!(line.contains("\"totalRetries\":0"), "{line}");
-        assert!(line.contains("\"resets\":0"), "{line}");
+        for (label, run) in chaos(7, 0.0, true, false).runs {
+            let retries = run.pull_retries + run.create_retries + run.scale_up_retries;
+            assert_eq!((run.fallbacks, retries, run.resets), (0, 0, 0), "{label}");
+        }
     }
 
     #[test]

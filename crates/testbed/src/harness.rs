@@ -871,7 +871,6 @@ impl<T: Net> Harness<T> {
                 self.reschedule_migration();
             }
             Ev::HealthTick => {
-                let detect = self.controller.health_config().detect_interval;
                 // The sweep keeps its cadence through a blackout so detection
                 // resumes immediately after the restart.
                 if self.controller_up(now) {
@@ -883,7 +882,7 @@ impl<T: Net> Harness<T> {
                     self.controller.migrate_on_breaker_open(now, &mut self.rng);
                     self.reschedule_migration();
                 }
-                self.engine.schedule_at(now + detect, Ev::HealthTick);
+                self.engine.schedule_at(now + edgectl::DETECT_INTERVAL, Ev::HealthTick);
             }
             Ev::RetransmitCheck => {
                 let rto = self.retransmit.expect("scheduled only with a timer");

@@ -412,7 +412,7 @@ mod tests {
         let metrics = &tb.controller.telemetry.metrics;
         assert_eq!(metrics.counter("aggregate_installed"), 1);
         assert_eq!(metrics.counter("aggregate_divergent"), 1, "client 2, on another port");
-        let base = ControllerConfig::default().flow_priority;
+        let base = edgectl::controller::FLOW_PRIORITY;
         let at = |priority: u16| {
             tb.switch().table().entries().filter(|e| e.priority == priority).count()
         };

@@ -265,8 +265,7 @@ impl MobilityTestbed {
         // The detection loop and the client retransmit timer only run under
         // chaos; without faults they would fire, observe nothing, and change
         // the event interleaving for nothing.
-        let detect = self.controller.health_config().detect_interval;
-        self.engine.schedule_at(start + detect, Ev::HealthTick);
+        self.engine.schedule_at(start + edgectl::DETECT_INTERVAL, Ev::HealthTick);
         if let Some(rto) = self.retransmit {
             self.engine.schedule_at(start + rto, Ev::RetransmitCheck);
         }
@@ -478,7 +477,7 @@ mod tests {
         // exactly then, and keep running with the health loop active.
         tb2.engine.schedule_at(SimTime::from_secs(6), Ev::CrashZone { zone: 0 });
         tb2.engine.schedule_at(
-            SimTime::from_secs(1) + tb2.controller.health_config().detect_interval,
+            SimTime::from_secs(1) + edgectl::DETECT_INTERVAL,
             Ev::HealthTick,
         );
         tb2.engine.schedule_at(SimTime::from_secs(2), Ev::RetransmitCheck);
@@ -557,7 +556,6 @@ mod tests {
                 policy: edgectl::MigrationPolicy::Live,
                 state_bytes_per_request: state_bytes,
                 transfer_bandwidth_bps: bandwidth_bps,
-                ..edgectl::MigrationConfig::default()
             },
             ..ControllerConfig::default()
         };
@@ -632,7 +630,7 @@ mod tests {
             assert_eq!(r.state_bytes, 0);
             assert_eq!(
                 r.transfer_time(),
-                tb.controller.migrate().config().transfer_propagation,
+                edgectl::migrate::TRANSFER_PROPAGATION,
                 "zero bytes: the transfer is pure propagation"
             );
         }
@@ -656,7 +654,7 @@ mod tests {
         let mut model = CellHops::new(vec![0, 1, 2], &[(SimTime::from_secs(6), 0, 1)]);
         tb.engine.schedule_at(SimTime::from_secs(7), Ev::CrashZone { zone: 0 });
         tb.engine.schedule_at(
-            SimTime::from_secs(1) + tb.controller.health_config().detect_interval,
+            SimTime::from_secs(1) + edgectl::DETECT_INTERVAL,
             Ev::HealthTick,
         );
         tb.engine.schedule_at(SimTime::from_secs(2), Ev::RetransmitCheck);

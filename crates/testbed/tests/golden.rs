@@ -305,7 +305,6 @@ fn live_migration(state_bytes_per_request: u64) -> MigrationConfig {
         policy: MigrationPolicy::Live,
         state_bytes_per_request,
         transfer_bandwidth_bps: 200_000_000,
-        ..MigrationConfig::default()
     }
 }
 

@@ -16,8 +16,6 @@ scheduler: docker-first
 predictor: recency
 flowIdleTimeout: 10
 memoryIdleTimeout: 90
-pollIntervalMs: 25
-scaleDownIdle: true
 clusters:
   - name: egs-docker
     kind: docker
