@@ -53,7 +53,6 @@ fn connection_entry(i: usize) -> FlowEntry {
         i as u64,
         vec![Instruction::ApplyActions(vec![Action::output(2)])],
         Duration::from_secs(600),
-        Duration::ZERO,
         0,
     )
 }
@@ -115,7 +114,6 @@ fn loaded_switch(size: usize) -> Switch {
             table_id: 0,
             command: FlowModCommand::Add,
             idle_timeout: 600,
-            hard_timeout: 0,
             priority: e.priority,
             buffer_id: OFP_NO_BUFFER,
             flags: 0,

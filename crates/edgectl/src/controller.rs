@@ -671,9 +671,6 @@ impl Controller {
     ) -> Result<(), OfError> {
         let (_xid, msg, _) = Message::decode(bytes)?;
         self.synced(|ctl| match msg {
-            Message::EchoRequest(payload) => {
-                out.push(ctl.outbound(now, &Message::EchoReply(payload)));
-            }
             Message::PacketIn { buffer_id, match_, data, .. } => {
                 ctl.handle_packet_in(ingress, now, buffer_id, &match_, &data, rng, out);
             }
@@ -681,17 +678,11 @@ impl Controller {
                 ctl.handle_flow_removed(ingress, &match_, priority);
             }
             Message::Error { .. } => ctl.count("switch_errors", 1),
-            // Replies need no action (the controller asks for no statistics);
-            // the rest a switch should not send us.
+            // Replies need no action; the rest a switch should not send us.
             Message::Hello
-            | Message::EchoReply(_)
-            | Message::FeaturesReply { .. }
-            | Message::FlowStatsReply { .. }
             | Message::BarrierReply
-            | Message::FeaturesRequest
             | Message::PacketOut { .. }
             | Message::FlowMod { .. }
-            | Message::FlowStatsRequest { .. }
             | Message::BarrierRequest => {}
         });
         Ok(())
@@ -1513,21 +1504,6 @@ mod tests {
     }
 
     #[test]
-    fn echo_is_answered() {
-        let mut rng = SimRng::new(5);
-        let (mut ctl, _) = setup(&mut rng);
-        let out = ctl
-            .handle_switch_message(
-                SimTime::ZERO,
-                &Message::EchoRequest(b"ka".to_vec()).encode(7),
-                &mut rng,
-            )
-            .unwrap();
-        let (_, m, _) = Message::decode(&out[0].data).unwrap();
-        assert_eq!(m, Message::EchoReply(b"ka".to_vec()));
-    }
-
-    #[test]
     fn switch_errors_are_recorded() {
         let mut rng = SimRng::new(9);
         let (mut ctl, _) = setup(&mut rng);
@@ -2328,7 +2304,6 @@ mod tests {
             table_id: 0,
             command: openflow::messages::FlowModCommand::Add,
             idle_timeout: 0,
-            hard_timeout: 0,
             priority: 42,
             buffer_id: OFP_NO_BUFFER,
             flags: 0,

@@ -287,7 +287,6 @@ pub(crate) fn flow_add(
         table_id: 0,
         command: FlowModCommand::Add,
         idle_timeout,
-        hard_timeout: 0,
         priority: flow.priority,
         buffer_id,
         flags: flow.flags,
@@ -316,7 +315,6 @@ pub(crate) fn flow_delete(match_: Match) -> Message {
         table_id: 0,
         command: FlowModCommand::Delete,
         idle_timeout: 0,
-        hard_timeout: 0,
         priority: 0,
         buffer_id: OFP_NO_BUFFER,
         flags: 0,

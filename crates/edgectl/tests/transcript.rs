@@ -641,7 +641,6 @@ fn reconcile_readd_and_orphans() {
             table_id: 0,
             command: FlowModCommand::Add,
             idle_timeout: 0,
-            hard_timeout: 0,
             priority: 42,
             buffer_id: OFP_NO_BUFFER,
             flags: 0,

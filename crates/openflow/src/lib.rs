@@ -13,11 +13,12 @@
 //!   encoding, plus the [`oxm::Match`] set and its packet-matching semantics,
 //! * [`actions`] — `OUTPUT` and `SET_FIELD` actions and the
 //!   `APPLY_ACTIONS` instruction,
-//! * [`messages`] — the control-channel messages the controller uses
-//!   (`HELLO`, `ECHO`, `FEATURES`, `PACKET_IN`, `PACKET_OUT`, `FLOW_MOD`,
-//!   `FLOW_REMOVED`, `BARRIER`) with binary encode/decode,
+//! * [`messages`] — the control-channel messages the controller exchanges
+//!   (`HELLO`, `ERROR`, `PACKET_IN`, `PACKET_OUT`, `FLOW_MOD` Add / Delete,
+//!   `FLOW_REMOVED`, `BARRIER`) with binary encode/decode; the decoder
+//!   refuses every other message type, command and a hard timeout,
 //! * [`table`] — flow-table semantics: priority lookup, counters, and
-//!   idle/hard timeout expiry (the mechanism behind the controller's
+//!   idle-timeout expiry (the mechanism behind the controller's
 //!   `FlowMemory` and automatic scale-down). Classification is indexed
 //!   (tuple-space hashing over exact-match shapes) and expiry runs on a
 //!   timer wheel, so per-packet and per-sweep cost is independent of table
@@ -32,15 +33,28 @@
 //! crate — byte slices in, byte vectors out.
 //!
 //! ```
-//! use openflow::{Match, Message};
+//! use openflow::{FlowModCommand, Match, Message, OFP_NO_BUFFER};
 //!
-//! // The transparent-access service match: TCP to a registered ip:port.
-//! let m = Match::service([203, 0, 113, 10], 80);
-//! let msg = Message::FlowStatsRequest { table_id: 0xff, match_: m };
-//! let bytes = msg.encode(42);
+//! // Tearing down the transparent-access service match: TCP to a registered
+//! // ip:port.
+//! let msg = Message::FlowMod {
+//!     cookie: 0,
+//!     table_id: 0,
+//!     command: FlowModCommand::Delete,
+//!     idle_timeout: 0,
+//!     priority: 0,
+//!     buffer_id: OFP_NO_BUFFER,
+//!     flags: 0,
+//!     match_: Match::service([203, 0, 113, 10], 80),
+//!     instructions: vec![],
+//! };
+//! let mut bytes = msg.encode(42);
 //! let (xid, decoded, used) = Message::decode(&bytes).unwrap();
 //! assert_eq!((xid, used), (42, bytes.len()));
 //! assert_eq!(decoded, msg);
+//! // DELETE_STRICT (command 4) is not in the subset: refused, not widened.
+//! bytes[8 + 17] = 4;
+//! assert!(Message::decode(&bytes).is_err());
 //! ```
 
 #![warn(missing_docs)]
@@ -103,6 +117,8 @@ pub enum OfError {
         /// Actual length available/consumed.
         actual: usize,
     },
+    /// A well-formed request this subset does not honour.
+    Unsupported(&'static str),
 }
 
 impl std::fmt::Display for OfError {
@@ -118,6 +134,7 @@ impl std::fmt::Display for OfError {
             OfError::BadLength { declared, actual } => {
                 write!(f, "length mismatch: declared {declared}, actual {actual}")
             }
+            OfError::Unsupported(what) => write!(f, "unsupported {what}"),
         }
     }
 }

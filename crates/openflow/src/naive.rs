@@ -77,38 +77,6 @@ impl NaiveFlowTable {
         self.entries.sort_by_key(|e| std::cmp::Reverse(e.priority));
     }
 
-    /// OpenFlow MODIFY: swaps instructions of all flows whose match equals
-    /// `match_`, at every priority (counters and timers preserved). Returns
-    /// how many changed.
-    pub fn modify(&mut self, match_: &Match, instructions: &[Instruction]) -> usize {
-        let mut n = 0;
-        for e in &mut self.entries {
-            if e.match_ == *match_ {
-                e.instructions = instructions.to_vec();
-                n += 1;
-            }
-        }
-        n
-    }
-
-    /// OpenFlow MODIFY_STRICT: like [`NaiveFlowTable::modify`] but only for
-    /// flows at exactly `priority`.
-    pub(crate) fn modify_strict(
-        &mut self,
-        match_: &Match,
-        priority: u16,
-        instructions: &[Instruction],
-    ) -> usize {
-        let mut n = 0;
-        for e in &mut self.entries {
-            if e.priority == priority && e.match_ == *match_ {
-                e.instructions = instructions.to_vec();
-                n += 1;
-            }
-        }
-        n
-    }
-
     /// Deletes all flows whose match equals `match_` (exact-match delete;
     /// the controller always deletes what it installed). A wildcard `match_`
     /// deletes everything. Returns removal records.
@@ -151,25 +119,16 @@ impl NaiveFlowTable {
         self.entries.iter().find(|e| e.match_.matches(view))
     }
 
-    /// Removes every flow whose idle or hard timeout has elapsed at `now`,
-    /// returning removal records (hard timeout takes precedence when both
-    /// expired).
+    /// Removes every flow whose idle timeout has elapsed at `now`, returning
+    /// removal records.
     pub fn expire(&mut self, now: SimTime) -> Vec<Removed> {
         let mut removed = Vec::new();
         let mut kept = Vec::with_capacity(self.entries.len());
         for e in self.entries.drain(..) {
-            let hard_exp =
-                e.hard_timeout != Duration::ZERO && now - e.installed_at >= e.hard_timeout;
-            let idle_exp =
-                e.idle_timeout != Duration::ZERO && now - e.last_hit >= e.idle_timeout;
-            if hard_exp || idle_exp {
+            if e.idle_timeout != Duration::ZERO && now - e.last_hit >= e.idle_timeout {
                 removed.push(Removed {
                     entry: e,
-                    reason: if hard_exp {
-                        RemovedReason::HardTimeout
-                    } else {
-                        RemovedReason::IdleTimeout
-                    },
+                    reason: RemovedReason::IdleTimeout,
                     at: now,
                 });
             } else {
@@ -185,13 +144,8 @@ impl NaiveFlowTable {
     pub fn next_expiry(&self) -> Option<SimTime> {
         self.entries
             .iter()
-            .flat_map(|e| {
-                let idle =
-                    (e.idle_timeout != Duration::ZERO).then(|| e.last_hit + e.idle_timeout);
-                let hard =
-                    (e.hard_timeout != Duration::ZERO).then(|| e.installed_at + e.hard_timeout);
-                [idle, hard].into_iter().flatten()
-            })
+            .filter(|e| e.idle_timeout != Duration::ZERO)
+            .map(|e| e.last_hit + e.idle_timeout)
             .min()
     }
 }

@@ -21,7 +21,7 @@
 //!   only constructible by decoding hand-crafted wire bytes) fall back to a
 //!   linear `residual` list, preserving exact semantics.
 //! * A [`TimerWheel`] tracks a deadline per entry that is never later than
-//!   its true idle/hard expiry, so [`FlowTable::expire`] visits only entries
+//!   its true idle expiry, so [`FlowTable::expire`] visits only entries
 //!   actually due and [`FlowTable::next_expiry`] is O(1). Idle-timer
 //!   refreshes are lazy: a packet hit does not touch the wheel; a sweep that
 //!   reaches a refreshed entry simply reschedules it.
@@ -47,9 +47,8 @@
 //! the index once each, through the map's entry API.
 //!
 //! Observable semantics are identical to the naive table: priority order,
-//! first-added-wins among equal priorities, hard-over-idle timeout
-//! precedence, order-sensitive match equality for ADD/MODIFY/DELETE, and
-//! per-entry counters. `crate::diff` replays randomized operation sequences
+//! first-added-wins among equal priorities, order-sensitive match equality
+//! for ADD/DELETE, and per-entry counters. `crate::diff` replays randomized operation sequences
 //! against both implementations to prove it.
 
 use crate::actions::Instruction;
@@ -71,8 +70,6 @@ pub struct FlowEntry {
     pub instructions: Vec<Instruction>,
     /// Idle timeout ([`Duration::ZERO`] = none).
     pub idle_timeout: Duration,
-    /// Hard timeout ([`Duration::ZERO`] = none).
-    pub hard_timeout: Duration,
     /// `FLOW_MOD` flags.
     pub flags: u16,
     /// Installation time.
@@ -91,24 +88,15 @@ impl FlowEntry {
         self.flags & OFPFF_SEND_FLOW_REM != 0
     }
 
-    /// Why this entry is timed out at `now`, if it is; hard before idle.
-    fn expiry_reason(&self, now: SimTime) -> Option<RemovedReason> {
-        let due = |timeout, since| timeout != Duration::ZERO && now - since >= timeout;
-        let idle = due(self.idle_timeout, self.last_hit).then_some(RemovedReason::IdleTimeout);
-        due(self.hard_timeout, self.installed_at).then_some(RemovedReason::HardTimeout).or(idle)
+    /// `true` if this entry's idle timeout has elapsed at `now`.
+    fn idled_out(&self, now: SimTime) -> bool {
+        self.idle_timeout != Duration::ZERO && now - self.last_hit >= self.idle_timeout
     }
 
     /// The earliest instant this entry could time out given its current
-    /// timers, or `None` if it has no timeout.
+    /// timer, or `None` if it has no timeout.
     fn next_deadline(&self) -> Option<SimTime> {
-        let idle =
-            (self.idle_timeout != Duration::ZERO).then(|| self.last_hit + self.idle_timeout);
-        let hard =
-            (self.hard_timeout != Duration::ZERO).then(|| self.installed_at + self.hard_timeout);
-        match (idle, hard) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        (self.idle_timeout != Duration::ZERO).then(|| self.last_hit + self.idle_timeout)
     }
 }
 
@@ -546,49 +534,6 @@ impl FlowTable {
         }
     }
 
-    /// The ids whose match equals `match_` (order-sensitive equality, like
-    /// the wire protocol), optionally restricted to one priority.
-    fn ids_matching(&self, match_: &Match, priority: Option<u16>) -> Vec<FlowId> {
-        self.filed_at(&filing_of(match_))
-            .filter(|&id| {
-                let e = &self.flows[id];
-                e.match_ == *match_ && priority.is_none_or(|p| e.priority == p)
-            })
-            .collect()
-    }
-
-    /// OpenFlow MODIFY: swaps instructions of all flows whose match equals
-    /// `match_`, at **every** priority (counters and timers preserved).
-    /// Returns how many changed. This cross-priority behavior is the
-    /// non-strict MODIFY of the OpenFlow spec — deliberate, and pinned by
-    /// tests; use [`FlowTable::modify_strict`] to target one priority.
-    pub fn modify(&mut self, match_: &Match, instructions: &[Instruction]) -> usize {
-        let ids = self.ids_matching(match_, None);
-        for &id in &ids {
-            self.flows.get_mut(id).expect("live flow id").instructions =
-                instructions.to_vec();
-        }
-        ids.len()
-    }
-
-    /// OpenFlow MODIFY_STRICT: like [`FlowTable::modify`] but only flows at
-    /// exactly `priority` — the unambiguous `(priority, match)` keying that
-    /// ADD and the index use. Returns how many changed (0 or 1, since ADD
-    /// keeps `(priority, match)` unique).
-    pub(crate) fn modify_strict(
-        &mut self,
-        match_: &Match,
-        priority: u16,
-        instructions: &[Instruction],
-    ) -> usize {
-        let ids = self.ids_matching(match_, Some(priority));
-        for &id in &ids {
-            self.flows.get_mut(id).expect("live flow id").instructions =
-                instructions.to_vec();
-        }
-        ids.len()
-    }
-
     /// [`FlowTable::delete_into`] with a fresh buffer.
     pub fn delete(&mut self, match_: &Match, now: SimTime) -> Vec<Removed> {
         let mut removed = Vec::new();
@@ -674,10 +619,9 @@ impl FlowTable {
         removed
     }
 
-    /// Removes every flow whose idle or hard timeout has elapsed at `now`,
-    /// appending removal records to `out` in priority order (hard timeout
-    /// takes precedence when both expired). Visits only entries whose wheel
-    /// deadline is due — entries whose idle timer was refreshed by traffic
+    /// Removes every flow whose idle timeout has elapsed at `now`, appending
+    /// removal records to `out` in priority order. Visits only entries whose
+    /// wheel deadline is due — entries whose idle timer was refreshed by traffic
     /// since their deadline was set are rescheduled, not scanned again.
     pub fn expire_into(&mut self, now: SimTime, out: &mut Vec<Removed>) {
         let mut due = std::mem::take(&mut self.id_scratch);
@@ -685,7 +629,7 @@ impl FlowTable {
         self.wheel.expired_into(now, &mut due);
         due.retain(|&id| {
             let e = &self.flows[id];
-            let expired = e.expiry_reason(now).is_some();
+            let expired = e.idled_out(now);
             if !expired {
                 // Idle timer was refreshed since this deadline was set.
                 let deadline = e.next_deadline().expect("scheduled entry has a timeout");
@@ -696,9 +640,8 @@ impl FlowTable {
         // Ids are unique, so the unstable sort (no merge buffer) is exact.
         due.sort_unstable_by_key(|&id| (std::cmp::Reverse(self.flows[id].priority), id));
         for id in due.drain(..) {
-            let reason = self.flows[id].expiry_reason(now).expect("kept because expired");
             let entry = self.remove_entry(id);
-            out.push(Removed { entry, reason, at: now });
+            out.push(Removed { entry, reason: RemovedReason::IdleTimeout, at: now });
         }
         self.id_scratch = due;
     }
@@ -721,7 +664,6 @@ pub fn entry(
     cookie: u64,
     instructions: Vec<Instruction>,
     idle_timeout: Duration,
-    hard_timeout: Duration,
     flags: u16,
 ) -> FlowEntry {
     FlowEntry {
@@ -730,7 +672,6 @@ pub fn entry(
         cookie,
         instructions,
         idle_timeout,
-        hard_timeout,
         flags,
         installed_at: SimTime::ZERO,
         last_hit: SimTime::ZERO,
@@ -766,7 +707,7 @@ mod tests {
     fn priority_order_wins() {
         let mut t = FlowTable::new();
         t.add(
-            entry(Match::any(), 0, 1, fwd(1), Duration::ZERO, Duration::ZERO, 0),
+            entry(Match::any(), 0, 1, fwd(1), Duration::ZERO, 0),
             SimTime::ZERO,
         );
         t.add(
@@ -775,7 +716,6 @@ mod tests {
                 100,
                 2,
                 fwd(2),
-                Duration::ZERO,
                 Duration::ZERO,
                 0,
             ),
@@ -798,7 +738,6 @@ mod tests {
                 1,
                 fwd(1),
                 Duration::ZERO,
-                Duration::ZERO,
                 0,
             ),
             SimTime::ZERO,
@@ -809,7 +748,6 @@ mod tests {
                 5,
                 2,
                 fwd(2),
-                Duration::ZERO,
                 Duration::ZERO,
                 0,
             ),
@@ -823,8 +761,8 @@ mod tests {
     fn add_replaces_same_match_and_priority() {
         let mut t = FlowTable::new();
         let m = Match::service([1, 1, 1, 1], 80);
-        t.add(entry(m.clone(), 10, 1, fwd(1), Duration::ZERO, Duration::ZERO, 0), SimTime::ZERO);
-        t.add(entry(m, 10, 2, fwd(2), Duration::ZERO, Duration::ZERO, 0), SimTime::ZERO);
+        t.add(entry(m.clone(), 10, 1, fwd(1), Duration::ZERO, 0), SimTime::ZERO);
+        t.add(entry(m, 10, 2, fwd(2), Duration::ZERO, 0), SimTime::ZERO);
         assert_eq!(t.len(), 1);
         assert_eq!(t.entries().next().unwrap().cookie, 2);
     }
@@ -833,7 +771,7 @@ mod tests {
     fn counters_accumulate() {
         let mut t = FlowTable::new();
         t.add(
-            entry(Match::any(), 0, 9, fwd(1), Duration::ZERO, Duration::ZERO, 0),
+            entry(Match::any(), 0, 9, fwd(1), Duration::ZERO, 0),
             SimTime::ZERO,
         );
         t.lookup(&view(80), 100, SimTime::from_nanos(10)).unwrap();
@@ -854,7 +792,6 @@ mod tests {
                 1,
                 fwd(1),
                 Duration::from_secs(10),
-                Duration::ZERO,
                 OFPFF_SEND_FLOW_REM,
             ),
             SimTime::ZERO,
@@ -871,7 +808,7 @@ mod tests {
     fn traffic_refreshes_idle_timer() {
         let mut t = FlowTable::new();
         t.add(
-            entry(Match::any(), 0, 1, fwd(1), Duration::from_secs(10), Duration::ZERO, 0),
+            entry(Match::any(), 0, 1, fwd(1), Duration::from_secs(10), 0),
             SimTime::ZERO,
         );
         // Hit at t=8s: timer restarts.
@@ -881,26 +818,12 @@ mod tests {
     }
 
     #[test]
-    fn hard_timeout_ignores_traffic() {
-        let mut t = FlowTable::new();
-        t.add(
-            entry(Match::any(), 0, 1, fwd(1), Duration::ZERO, Duration::from_secs(5), 0),
-            SimTime::ZERO,
-        );
-        t.lookup(&view(80), 64, SimTime::ZERO + Duration::from_secs(4));
-        let removed = t.expire(SimTime::ZERO + Duration::from_secs(5));
-        assert_eq!(removed.len(), 1);
-        assert_eq!(removed[0].reason, RemovedReason::HardTimeout);
-        assert_eq!(removed[0].duration(), Duration::from_secs(5));
-    }
-
-    #[test]
     fn delete_exact_and_wildcard() {
         let mut t = FlowTable::new();
         let m1 = Match::service([1, 1, 1, 1], 80);
         let m2 = Match::service([2, 2, 2, 2], 80);
-        t.add(entry(m1.clone(), 5, 1, fwd(1), Duration::ZERO, Duration::ZERO, 0), SimTime::ZERO);
-        t.add(entry(m2, 5, 2, fwd(2), Duration::ZERO, Duration::ZERO, 0), SimTime::ZERO);
+        t.add(entry(m1.clone(), 5, 1, fwd(1), Duration::ZERO, 0), SimTime::ZERO);
+        t.add(entry(m2, 5, 2, fwd(2), Duration::ZERO, 0), SimTime::ZERO);
         let removed = t.delete(&m1, SimTime::from_nanos(7));
         assert_eq!(removed.len(), 1);
         assert_eq!(removed[0].entry.cookie, 1);
@@ -913,57 +836,15 @@ mod tests {
     }
 
     #[test]
-    fn modify_swaps_instructions_keeps_counters() {
-        let mut t = FlowTable::new();
-        let m = Match::service([1, 1, 1, 1], 80);
-        t.add(entry(m.clone(), 5, 1, fwd(1), Duration::ZERO, Duration::ZERO, 0), SimTime::ZERO);
-        let mut v = view(80);
-        v.ipv4_dst = [1, 1, 1, 1];
-        t.lookup(&v, 64, SimTime::from_nanos(1)).unwrap();
-        assert_eq!(t.modify(&m, &fwd(9)), 1);
-        let e = t.entries().next().unwrap();
-        assert_eq!(e.packet_count, 1, "counters preserved");
-        assert_eq!(e.instructions, fwd(9));
-        assert_eq!(t.modify(&Match::service([9, 9, 9, 9], 80), &fwd(1)), 0);
-    }
-
-    /// MODIFY is deliberately non-strict: it rewrites the match at *every*
-    /// priority (OpenFlow's OFPFC_MODIFY). MODIFY_STRICT keys on
-    /// `(priority, match)` like ADD does.
-    #[test]
-    fn modify_is_cross_priority_and_strict_is_not() {
-        let mut t = FlowTable::new();
-        let m = Match::service([1, 1, 1, 1], 80);
-        t.add(entry(m.clone(), 5, 1, fwd(1), Duration::ZERO, Duration::ZERO, 0), SimTime::ZERO);
-        t.add(entry(m.clone(), 9, 2, fwd(2), Duration::ZERO, Duration::ZERO, 0), SimTime::ZERO);
-        assert_eq!(t.modify(&m, &fwd(7)), 2, "non-strict hits both priorities");
-        assert!(t.entries().all(|e| e.instructions == fwd(7)));
-        assert_eq!(t.modify_strict(&m, 9, &fwd(3)), 1, "strict hits exactly one");
-        assert_eq!(
-            t.entries().map(|e| (e.priority, e.instructions.clone())).collect::<Vec<_>>(),
-            vec![(9, fwd(3)), (5, fwd(7))]
-        );
-        assert_eq!(t.modify_strict(&m, 6, &fwd(4)), 0, "no flow at that priority");
-    }
-
-    #[test]
     fn next_expiry_is_earliest() {
         let mut t = FlowTable::new();
         assert_eq!(t.next_expiry(), None);
         t.add(
-            entry(Match::any(), 0, 1, fwd(1), Duration::from_secs(10), Duration::ZERO, 0),
+            entry(Match::any(), 0, 1, fwd(1), Duration::from_secs(10), 0),
             SimTime::ZERO,
         );
         t.add(
-            entry(
-                Match::service([1, 1, 1, 1], 80),
-                5,
-                2,
-                fwd(2),
-                Duration::ZERO,
-                Duration::from_secs(3),
-                0,
-            ),
+            entry(Match::service([1, 1, 1, 1], 80), 5, 2, fwd(2), Duration::from_secs(3), 0),
             SimTime::ZERO,
         );
         assert_eq!(t.next_expiry(), Some(SimTime::ZERO + Duration::from_secs(3)));
@@ -973,7 +854,7 @@ mod tests {
     fn peek_does_not_touch_counters() {
         let mut t = FlowTable::new();
         t.add(
-            entry(Match::any(), 0, 1, fwd(1), Duration::ZERO, Duration::ZERO, 0),
+            entry(Match::any(), 0, 1, fwd(1), Duration::ZERO, 0),
             SimTime::ZERO,
         );
         assert!(t.peek(&view(80)).is_some());
@@ -981,7 +862,7 @@ mod tests {
     }
 
     fn plain(match_: Match, priority: u16, cookie: u64) -> FlowEntry {
-        entry(match_, priority, cookie, fwd(1), Duration::ZERO, Duration::ZERO, 0)
+        entry(match_, priority, cookie, fwd(1), Duration::ZERO, 0)
     }
 
     fn slot_of(id: FlowId) -> u64 {
@@ -994,7 +875,7 @@ mod tests {
     fn stale_id_does_not_resolve_to_the_slots_next_tenant() {
         let mut t = FlowTable::new();
         let idle = Duration::from_secs(1);
-        t.add(entry(Match::any(), 0, 1, fwd(1), idle, Duration::ZERO, 0), SimTime::ZERO);
+        t.add(entry(Match::any(), 0, 1, fwd(1), idle, 0), SimTime::ZERO);
         let old = t.classify(&view(80)).unwrap();
         assert_eq!(t.expire(SimTime::from_secs(2)).len(), 1);
         t.add(plain(Match::any(), 0, 2), SimTime::from_secs(2));
@@ -1081,11 +962,11 @@ mod tests {
         let consistent = dup_match(80, 80);
         let contradictory = dup_match(80, 81);
         t.add(
-            entry(consistent.clone(), 7, 1, fwd(1), Duration::ZERO, Duration::ZERO, 0),
+            entry(consistent.clone(), 7, 1, fwd(1), Duration::ZERO, 0),
             SimTime::ZERO,
         );
         t.add(
-            entry(contradictory, 9, 2, fwd(2), Duration::ZERO, Duration::ZERO, 0),
+            entry(contradictory, 9, 2, fwd(2), Duration::ZERO, 0),
             SimTime::ZERO,
         );
         let (cookie, _) = t.lookup(&view(80), 64, SimTime::ZERO).unwrap();

@@ -2,9 +2,7 @@
 //! the decoder is total (never panics) on arbitrary bytes.
 
 use openflow::actions::{Action, Instruction};
-use openflow::messages::{
-    ErrorType, FlowModCommand, FlowStatsEntry, Message, PacketInReason, RemovedReason,
-};
+use openflow::messages::{ErrorType, FlowModCommand, Message, PacketInReason, RemovedReason};
 use openflow::oxm::{Match, OxmField};
 use proptest::prelude::*;
 
@@ -41,34 +39,6 @@ fn arb_instructions() -> impl Strategy<Value = Vec<Instruction>> {
     )
 }
 
-fn arb_flow_stats_entry() -> impl Strategy<Value = FlowStatsEntry> {
-    (
-        any::<u32>(),
-        any::<u16>(),
-        any::<u16>(),
-        any::<u16>(),
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-        arb_match(),
-    )
-        .prop_map(
-            |(duration_sec, priority, idle_timeout, hard_timeout, cookie, packets, bytes, match_)| {
-                FlowStatsEntry {
-                    table_id: 0,
-                    duration_sec,
-                    priority,
-                    idle_timeout,
-                    hard_timeout,
-                    cookie,
-                    packet_count: packets,
-                    byte_count: bytes,
-                    match_,
-                }
-            },
-        )
-}
-
 fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
         Just(Message::Hello),
@@ -82,20 +52,8 @@ fn arb_message() -> impl Strategy<Value = Message> {
             prop::collection::vec(any::<u8>(), 0..64),
         )
             .prop_map(|(error_type, code, data)| Message::Error { error_type, code, data }),
-        (any::<u8>(), arb_match())
-            .prop_map(|(table_id, match_)| Message::FlowStatsRequest { table_id, match_ }),
-        prop::collection::vec(arb_flow_stats_entry(), 0..4)
-            .prop_map(|flows| Message::FlowStatsReply { flows }),
-        Just(Message::FeaturesRequest),
         Just(Message::BarrierRequest),
         Just(Message::BarrierReply),
-        prop::collection::vec(any::<u8>(), 0..64).prop_map(Message::EchoRequest),
-        prop::collection::vec(any::<u8>(), 0..64).prop_map(Message::EchoReply),
-        (any::<u64>(), any::<u32>(), any::<u8>()).prop_map(|(d, b, t)| Message::FeaturesReply {
-            datapath_id: d,
-            n_buffers: b,
-            n_tables: t,
-        }),
         (
             any::<u32>(),
             any::<u16>(),
@@ -135,12 +93,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
         (
             any::<u64>(),
             any::<u8>(),
-            prop_oneof![
-                Just(FlowModCommand::Add),
-                Just(FlowModCommand::Modify),
-                Just(FlowModCommand::Delete)
-            ],
-            any::<u16>(),
+            prop_oneof![Just(FlowModCommand::Add), Just(FlowModCommand::Delete)],
             any::<u16>(),
             any::<u16>(),
             any::<u32>(),
@@ -154,7 +107,6 @@ fn arb_message() -> impl Strategy<Value = Message> {
                     table_id,
                     command,
                     idle_timeout,
-                    hard_timeout,
                     priority,
                     buffer_id,
                     flags,
@@ -165,7 +117,6 @@ fn arb_message() -> impl Strategy<Value = Message> {
                     table_id,
                     command,
                     idle_timeout,
-                    hard_timeout,
                     priority,
                     buffer_id,
                     flags,

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 
 proptest! {
-    /// Random add/modify/modify-strict/delete/lookup/peek/expire sequences
+    /// Random add/delete/lookup/peek/expire sequences
     /// produce identical lookup results, removal records (entries, final
     /// counters, reasons, order — the indexed table's appended to one sink
     /// that already holds every earlier record), table contents, and expiry

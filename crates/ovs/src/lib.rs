@@ -16,9 +16,9 @@
 //!   structure nor encodes one;
 //! * controller messages arrive via [`Switch::handle_controller_into`] — flow
 //!   installation (`FLOW_MOD`, including running a buffered packet through
-//!   the new rule), packet injection (`PACKET_OUT`), session and liveness
-//!   messages;
-//! * [`Switch::expire_flows_into`] retires idle/hard-timed-out flows and produces
+//!   the new rule, and Delete), packet injection (`PACKET_OUT`), `HELLO` and
+//!   `BARRIER`; every other request is refused;
+//! * [`Switch::expire_flows_into`] retires idled-out flows and produces
 //!   the `FLOW_REMOVED` notifications that drive the controller's FlowMemory
 //!   and idle scale-down.
 //!

@@ -11,7 +11,7 @@ use openflow::{OfError, OFPP_CONTROLLER, OFPP_FLOOD, OFP_NO_BUFFER};
 /// Switch configuration.
 #[derive(Clone, Debug)]
 pub struct SwitchConfig {
-    /// Datapath id reported in `FEATURES_REPLY`.
+    /// Datapath id: names the switch (no message of the subset carries it).
     pub datapath_id: u64,
     /// Number of packet-in buffer slots.
     pub n_buffers: u32,
@@ -185,7 +185,9 @@ impl Switch {
 
     /// Processes an encoded OpenFlow message from the controller, appending
     /// its effects (forwards triggered by `PACKET_OUT` / buffered `FLOW_MOD`
-    /// packets, and control-channel replies) to `effects`.
+    /// packets, `FLOW_REMOVED`s of a Delete, and the `HELLO` / `BARRIER`
+    /// replies) to `effects`. What does not decode — any request outside
+    /// the subset the controller speaks — is an `Err` with no effect.
     pub fn handle_controller_into(
         &mut self,
         now: SimTime,
@@ -197,19 +199,6 @@ impl Switch {
             Message::Hello => {
                 effects.push(Effect::ToController(Message::Hello.encode(xid)));
             }
-            Message::EchoRequest(payload) => {
-                effects.push(Effect::ToController(Message::EchoReply(payload).encode(xid)));
-            }
-            Message::FeaturesRequest => {
-                effects.push(Effect::ToController(
-                    Message::FeaturesReply {
-                        datapath_id: self.config.datapath_id,
-                        n_buffers: self.config.n_buffers,
-                        n_tables: 1,
-                    }
-                    .encode(xid),
-                ));
-            }
             Message::BarrierRequest => {
                 effects.push(Effect::ToController(Message::BarrierReply.encode(xid)));
             }
@@ -217,7 +206,6 @@ impl Switch {
                 cookie,
                 command,
                 idle_timeout,
-                hard_timeout,
                 priority,
                 buffer_id,
                 flags,
@@ -233,7 +221,6 @@ impl Switch {
                             cookie,
                             instructions,
                             Duration::from_secs(idle_timeout as u64),
-                            Duration::from_secs(hard_timeout as u64),
                             flags,
                         ),
                         now,
@@ -244,9 +231,6 @@ impl Switch {
                             self.handle_frame_into(now, in_port, data, effects);
                         }
                     }
-                }
-                FlowModCommand::Modify => {
-                    self.table.modify(&match_, &instructions);
                 }
                 FlowModCommand::Delete => {
                     self.report_removed(effects, |t, r| t.delete_into(&match_, now, r));
@@ -276,36 +260,10 @@ impl Switch {
                     _ => effects.push(Effect::Drop),
                 }
             }
-            Message::FlowStatsRequest { table_id, match_ } => {
-                use openflow::messages::FlowStatsEntry;
-                let flows: Vec<FlowStatsEntry> = self
-                    .table
-                    .entries()
-                    .filter(|_| table_id == 0xff || table_id == 0)
-                    .filter(|e| match_.is_empty() || e.match_ == match_)
-                    .map(|e| FlowStatsEntry {
-                        table_id: 0,
-                        duration_sec: ((now - e.installed_at).as_nanos() / 1_000_000_000) as u32,
-                        priority: e.priority,
-                        idle_timeout: openflow::timeout_secs(e.idle_timeout),
-                        hard_timeout: openflow::timeout_secs(e.hard_timeout),
-                        cookie: e.cookie,
-                        packet_count: e.packet_count,
-                        byte_count: e.byte_count,
-                        match_: e.match_.clone(),
-                    })
-                    .collect();
-                effects.push(Effect::ToController(
-                    Message::FlowStatsReply { flows }.encode(xid),
-                ));
-            }
             // Symmetric/unsolicited messages a switch ignores.
-            Message::EchoReply(_)
-            | Message::FeaturesReply { .. }
-            | Message::PacketIn { .. }
+            Message::PacketIn { .. }
             | Message::FlowRemoved { .. }
             | Message::Error { .. }
-            | Message::FlowStatsReply { .. }
             | Message::BarrierReply => {}
         }
         Ok(())
@@ -326,7 +284,7 @@ impl Switch {
             duration_sec: (d.as_nanos() / 1_000_000_000) as u32,
             duration_nsec: (d.as_nanos() % 1_000_000_000) as u32,
             idle_timeout: openflow::timeout_secs(removed.entry.idle_timeout),
-            hard_timeout: openflow::timeout_secs(removed.entry.hard_timeout),
+            hard_timeout: 0, // no flow here has one
             packet_count: removed.entry.packet_count,
             byte_count: removed.entry.byte_count,
             match_: removed.entry.match_,
@@ -573,7 +531,6 @@ mod tests {
             table_id: 0,
             command: FlowModCommand::Add,
             idle_timeout: 10,
-            hard_timeout: 0,
             priority: 100,
             buffer_id,
             flags: 0,
@@ -641,30 +598,12 @@ mod tests {
     }
 
     #[test]
-    fn hello_echo_features_barrier() {
+    fn hello_and_barrier_are_answered() {
         let mut s = sw();
         let effects = s
             .handle_controller(SimTime::ZERO, &Message::Hello.encode(1))
             .unwrap();
         assert!(matches!(decode_controller(&effects[0]), Message::Hello));
-        let effects = s
-            .handle_controller(SimTime::ZERO, &Message::EchoRequest(b"hi".to_vec()).encode(2))
-            .unwrap();
-        assert_eq!(
-            decode_controller(&effects[0]),
-            Message::EchoReply(b"hi".to_vec())
-        );
-        let effects = s
-            .handle_controller(SimTime::ZERO, &Message::FeaturesRequest.encode(3))
-            .unwrap();
-        match decode_controller(&effects[0]) {
-            Message::FeaturesReply { datapath_id, n_buffers, n_tables } => {
-                assert_eq!(datapath_id, 0xabc);
-                assert_eq!(n_buffers, 4);
-                assert_eq!(n_tables, 1);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
         let effects = s
             .handle_controller(SimTime::ZERO, &Message::BarrierRequest.encode(4))
             .unwrap();
@@ -679,7 +618,6 @@ mod tests {
             table_id: 0,
             command: FlowModCommand::Add,
             idle_timeout: 0,
-            hard_timeout: 0,
             priority: 1,
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
@@ -706,7 +644,6 @@ mod tests {
             table_id: 0,
             command: FlowModCommand::Add,
             idle_timeout: 10,
-            hard_timeout: 0,
             priority: 50,
             buffer_id: OFP_NO_BUFFER,
             flags: OFPFF_SEND_FLOW_REM,
@@ -743,7 +680,6 @@ mod tests {
             table_id: 0,
             command: FlowModCommand::Add,
             idle_timeout: 0,
-            hard_timeout: 0,
             priority: 5,
             buffer_id: OFP_NO_BUFFER,
             flags: OFPFF_SEND_FLOW_REM,
@@ -756,7 +692,6 @@ mod tests {
             table_id: 0,
             command: FlowModCommand::Delete,
             idle_timeout: 0,
-            hard_timeout: 0,
             priority: 0,
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
@@ -845,7 +780,6 @@ mod tests {
             table_id: 0,
             command: FlowModCommand::Add,
             idle_timeout: 0,
-            hard_timeout: 0,
             priority: 1,
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
@@ -866,7 +800,6 @@ mod tests {
             table_id: 0,
             command: FlowModCommand::Add,
             idle_timeout: 0,
-            hard_timeout: 0,
             priority: 1,
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
@@ -893,57 +826,6 @@ mod tests {
         assert!(s.handle_controller(SimTime::ZERO, &[0u8; 3]).is_err());
     }
 
-    #[test]
-    fn flow_stats_report_counters() {
-        let mut s = sw();
-        let m = Match::service([203, 0, 113, 10], 80);
-        let fm = Message::FlowMod {
-            cookie: 42,
-            table_id: 0,
-            command: FlowModCommand::Add,
-            idle_timeout: 10,
-            hard_timeout: 0,
-            priority: 100,
-            buffer_id: OFP_NO_BUFFER,
-            flags: 0,
-            match_: m.clone(),
-            instructions: vec![Instruction::ApplyActions(vec![Action::output(3)])],
-        };
-        s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
-        let data = client_frame().encode();
-        s.handle_frame(SimTime::from_secs(2), 1, &data);
-        let req = Message::FlowStatsRequest {
-            table_id: 0xff,
-            match_: Match::any(),
-        };
-        let effects = s
-            .handle_controller(SimTime::from_secs(5), &req.encode(2))
-            .unwrap();
-        match decode_controller(&effects[0]) {
-            Message::FlowStatsReply { flows } => {
-                assert_eq!(flows.len(), 1);
-                assert_eq!(flows[0].cookie, 42);
-                assert_eq!(flows[0].packet_count, 1);
-                assert_eq!(flows[0].byte_count, data.len() as u64);
-                assert_eq!(flows[0].duration_sec, 5);
-                assert_eq!(flows[0].match_, m);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Filtered query for a non-matching service: empty reply.
-        let req = Message::FlowStatsRequest {
-            table_id: 0xff,
-            match_: Match::service([1, 2, 3, 4], 9),
-        };
-        let effects = s
-            .handle_controller(SimTime::from_secs(5), &req.encode(3))
-            .unwrap();
-        assert!(matches!(
-            decode_controller(&effects[0]),
-            Message::FlowStatsReply { flows } if flows.is_empty()
-        ));
-    }
-
     /// Repeat packets of a connection all take the same table entry: its
     /// counters are exact and every one of them restarts its idle timer.
     #[test]
@@ -954,7 +836,6 @@ mod tests {
             table_id: 0,
             command: FlowModCommand::Add,
             idle_timeout: 10,
-            hard_timeout: 0,
             priority: 100,
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
@@ -969,15 +850,8 @@ mod tests {
             assert!(s.expire_flows(SimTime::from_secs(4 * i + 3)).is_empty());
         }
         assert_eq!((s.fast_path_packets, s.table_misses), (5, 0));
-        let req = Message::FlowStatsRequest { table_id: 0xff, match_: Match::any() };
-        let effects = s.handle_controller(SimTime::from_secs(20), &req.encode(2)).unwrap();
-        match decode_controller(&effects[0]) {
-            Message::FlowStatsReply { flows } => {
-                assert_eq!(flows[0].packet_count, 5);
-                assert_eq!(flows[0].byte_count, 5 * data.len() as u64);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let e = s.table().entries().next().unwrap();
+        assert_eq!((e.packet_count, e.byte_count), (5, 5 * data.len() as u64));
         // Last packet at 16 s: alive at 25 s (25 s after install), gone at 26 s.
         assert!(s.expire_flows(SimTime::from_secs(25)).is_empty());
         s.expire_flows(SimTime::from_secs(26));
@@ -989,7 +863,7 @@ mod tests {
     /// what the reference table says.
     #[test]
     fn a_flow_mod_between_two_frames_decides_the_second() {
-        use FlowModCommand::{Add, Delete, Modify};
+        use FlowModCommand::{Add, Delete};
         let (mut s, mut naive) = (sw(), openflow::NaiveFlowTable::new());
         let data = client_frame().encode();
         let view = view_of(&TcpHeaders::parse(&data).unwrap(), 1);
@@ -999,11 +873,7 @@ mod tests {
         let mut check = |now, change: Option<(FlowModCommand, &Match, u16, u32)>| {
             if let Some((command, match_, priority, port)) = change {
                 match command {
-                    Add => {
-                        let e = entry(match_.clone(), priority, 1, out(port), idle, Duration::ZERO, 0);
-                        naive.add(e, now);
-                    }
-                    Modify => drop(naive.modify(match_, &out(port))),
+                    Add => naive.add(entry(match_.clone(), priority, 1, out(port), idle, 0), now),
                     Delete => drop(naive.delete(match_, now)),
                 }
                 let fm = Message::FlowMod {
@@ -1011,8 +881,7 @@ mod tests {
                     table_id: 0,
                     command,
                     idle_timeout: 10,
-                    hard_timeout: 0,
-                    priority,
+                            priority,
                     buffer_id: OFP_NO_BUFFER,
                     flags: 0,
                     match_: match_.clone(),
@@ -1036,12 +905,97 @@ mod tests {
         check(t(0), None); // empty table: PACKET_IN
         check(t(1), Some((Add, &service, 100, 3)));
         check(t(2), Some((Add, &connection, 200, 2))); // a better match takes over
-        check(t(3), Some((Modify, &connection, 0, 1)));
         check(t(4), Some((Delete, &connection, 0, 0))); // back to the service rule
         check(t(13), None); // still there: the frame at 4 s restarted its idle timer
         check(t(23), None); // idled out: PACKET_IN again
-        assert_eq!((s.fast_path_packets, s.table_misses), (5, 2));
+        assert_eq!((s.fast_path_packets, s.table_misses), (4, 2));
         assert!(s.table().is_empty());
+    }
+
+    /// The `FLOW_MOD` the controller sends: `match_` at `priority`, asking
+    /// for a `FLOW_REMOVED`.
+    fn flow_mod(command: FlowModCommand, match_: Match, priority: u16) -> Vec<u8> {
+        let instructions = vec![Instruction::ApplyActions(vec![Action::output(3)])];
+        Message::FlowMod {
+            cookie: 1,
+            table_id: 0,
+            command,
+            idle_timeout: 10,
+            priority,
+            buffer_id: OFP_NO_BUFFER,
+            flags: OFPFF_SEND_FLOW_REM,
+            match_,
+            instructions,
+        }
+        .encode(1)
+    }
+
+    /// A switch holding one service match at priorities 100 and 99.
+    fn two_priorities() -> (Switch, Match) {
+        let (mut s, m) = (sw(), Match::service([203, 0, 113, 10], 80));
+        for priority in [100, 99] {
+            s.handle_controller(SimTime::ZERO, &flow_mod(FlowModCommand::Add, m.clone(), priority)).unwrap();
+        }
+        (s, m)
+    }
+
+    /// `DELETE_STRICT` (4) used to decode as `DELETE`, whose match spans
+    /// every priority: a strict delete at 100 also removed the flow at 99.
+    /// It is refused now, and both flows stay.
+    #[test]
+    fn a_delete_strict_is_refused_not_widened_to_every_priority() {
+        let (mut s, m) = two_priorities();
+        let mut strict = flow_mod(FlowModCommand::Delete, m, 100);
+        strict[8 + 17] = 4;
+        assert_eq!(s.handle_controller(SimTime::from_secs(1), &strict), Err(OfError::BadType(4)));
+        assert_eq!(s.table().entries().map(|e| e.priority).collect::<Vec<_>>(), vec![100, 99]);
+    }
+
+    /// Hand-built bytes of every request the controller never sends — the
+    /// message types ECHO, FEATURES and multipart (their bodies are never
+    /// read), `FLOW_MOD` MODIFY, MODIFY_STRICT and DELETE_STRICT, a hard
+    /// timeout: each is an `Err` that appends nothing to the sink and leaves
+    /// the table as it was.
+    #[test]
+    fn the_switch_refuses_what_the_controller_never_sends() {
+        let (mut s, m) = two_priorities();
+        let message = |mtype: u8, body: usize| {
+            let mut bytes = vec![4, mtype];
+            bytes.extend_from_slice(&(8 + body as u16).to_be_bytes());
+            bytes.extend_from_slice(&9u32.to_be_bytes());
+            bytes.resize(8 + body, 0);
+            bytes
+        };
+        // A Delete at 100 and an Add at 50 of the installed match, one field
+        // changed: accepted, each would change the table.
+        let patched = |command, priority, at: usize, with: &[u8]| {
+            let mut bytes = flow_mod(command, m.clone(), priority);
+            bytes[8 + at..8 + at + with.len()].copy_from_slice(with);
+            bytes
+        };
+        let refused = [
+            ("ECHO_REQUEST", message(2, 4)),
+            ("ECHO_REPLY", message(3, 4)),
+            ("FEATURES_REQUEST", message(5, 0)),
+            ("FEATURES_REPLY", message(6, 24)),
+            ("MULTIPART_REQUEST", message(18, 48)),
+            ("MULTIPART_REPLY", message(19, 8)),
+            ("MODIFY", patched(FlowModCommand::Delete, 100, 17, &[1])),
+            ("MODIFY_STRICT", patched(FlowModCommand::Delete, 100, 17, &[2])),
+            ("DELETE_STRICT", patched(FlowModCommand::Delete, 100, 17, &[4])),
+            ("hard timeout", patched(FlowModCommand::Add, 50, 20, &5u16.to_be_bytes())),
+        ];
+        let table = |s: &Switch| {
+            let entries = s.table().entries();
+            entries.map(|e| (e.priority, e.match_.clone(), e.instructions.clone())).collect::<Vec<_>>()
+        };
+        let before = table(&s);
+        for (what, bytes) in refused {
+            let mut effects = vec![Effect::Drop];
+            assert!(s.handle_controller_into(SimTime::from_secs(1), &bytes, &mut effects).is_err(), "{what}");
+            assert_eq!(effects, vec![Effect::Drop], "{what} appended an effect");
+            assert_eq!(table(&s), before, "{what} changed the table");
+        }
     }
 
     #[test]
@@ -1052,7 +1006,6 @@ mod tests {
             table_id: 0,
             command: FlowModCommand::Add,
             idle_timeout: 0,
-            hard_timeout: 0,
             priority: 1,
             buffer_id: OFP_NO_BUFFER,
             flags: 0,

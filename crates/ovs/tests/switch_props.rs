@@ -85,7 +85,6 @@ proptest! {
             table_id: 0,
             command: FlowModCommand::Add,
             idle_timeout: 0,
-            hard_timeout: 0,
             priority: 10,
             buffer_id,
             flags: 0,
@@ -160,7 +159,6 @@ proptest! {
             table_id: 0,
             command: FlowModCommand::Add,
             idle_timeout: 0,
-            hard_timeout: 0,
             priority: 1,
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
@@ -289,7 +287,7 @@ impl StructuredSwitch {
         match Message::decode(bytes).unwrap().1 {
             Message::FlowMod { cookie, priority, buffer_id, flags, match_, instructions, .. } => {
                 self.table.add(
-                    entry(match_, priority, cookie, instructions, Duration::ZERO, Duration::ZERO, flags),
+                    entry(match_, priority, cookie, instructions, Duration::ZERO, flags),
                     now,
                 );
                 match self.buffers.remove(&buffer_id) {
@@ -435,7 +433,6 @@ fn input_of(op: Op, step: usize, mut pick: impl FnMut(usize) -> u32) -> Input {
             table_id: 0,
             command: FlowModCommand::Add,
             idle_timeout: 0,
-            hard_timeout: 0,
             priority,
             buffer_id: release.map_or(OFP_NO_BUFFER, &mut pick),
             flags: 0,
@@ -476,7 +473,6 @@ fn arb_sink_op() -> impl Strategy<Value = SinkOp> {
         table_id: 0,
         command,
         idle_timeout: 1,
-        hard_timeout: 2,
         priority,
         buffer_id: OFP_NO_BUFFER,
         flags: OFPFF_SEND_FLOW_REM,
@@ -616,7 +612,6 @@ proptest! {
             table_id: 0,
             command: FlowModCommand::Add,
             idle_timeout: 0,
-            hard_timeout: 0,
             priority: 1,
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
@@ -689,7 +684,6 @@ fn frames_the_encoder_cannot_produce_are_verified_forwarded_and_preserved() {
         table_id: 0,
         command: FlowModCommand::Add,
         idle_timeout: 0,
-        hard_timeout: 0,
         priority: 1,
         buffer_id: OFP_NO_BUFFER,
         flags: 0,
@@ -742,7 +736,6 @@ fn an_action_list_without_output_still_drops_into_a_sink_that_is_not_empty() {
         table_id: 0,
         command: FlowModCommand::Add,
         idle_timeout: 0,
-        hard_timeout: 0,
         priority: 1,
         buffer_id,
         flags: 0,

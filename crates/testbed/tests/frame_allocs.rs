@@ -205,7 +205,6 @@ fn redirect_rule(buffer_id: u32) -> openflow::messages::Message {
         table_id: 0,
         command: openflow::messages::FlowModCommand::Add,
         idle_timeout: 10,
-        hard_timeout: 0,
         priority: 100,
         buffer_id,
         flags: 1,
