@@ -1,7 +1,7 @@
 //! `repro` — regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro all [--seed N] [--csv] [--telemetry]   # everything, publication order
+//! repro all [--seed N] [--csv]     # everything, publication order
 //! repro fig11 [--seed N] [--csv]    # one figure
 //! repro list                        # available figure and bench ids
 //! repro summary [--seed N]          # verify every textual claim
@@ -17,12 +17,11 @@
 //! the gate `check` applies to the files as committed. `--fault-rate` is read
 //! by `chaos` and `recovery`.
 //!
-//! `--telemetry` turns observability output on: `chaos`, `mobility` and
-//! `recovery` record per-request span trees (printed as a one-line JSON log
-//! and a validation line; `chaos` adds an ASCII timeline of the busiest
-//! request) and fail on a malformed or incomplete log; every mode appends a
-//! `metrics:` JSON snapshot. Simulation results are byte-identical either
-//! way.
+//! `--telemetry` is read by `chaos`, `mobility` and `recovery` only: they
+//! record per-request span trees (printed as a one-line JSON log and a
+//! validation line; `chaos` adds an ASCII timeline of the busiest request)
+//! and fail on a malformed or incomplete log. Simulation results are
+//! byte-identical either way. Any other subcommand refuses the flag.
 
 use bench::runner::{self, Opts, BENCHES};
 use std::env;
@@ -68,11 +67,8 @@ fn main() -> ExitCode {
         return fail(&format!("unexpected argument `{extra}`"));
     }
     let seed = opts.seed;
-    // Figure modes collect metrics through the process-global registry
-    // (every finished testbed run merges its snapshot); chaos, mobility and
-    // recovery record and print their own, richer output.
     if opts.telemetry && !matches!(id, "chaos" | "mobility" | "recovery") {
-        telemetry::global::enable();
+        return fail("--telemetry is read by `chaos`, `mobility` and `recovery` only");
     }
 
     let done = match id {
@@ -88,7 +84,6 @@ fn main() -> ExitCode {
                 "{}",
                 bench::summary::render_trajectory(&bench::summary::perf_trajectory())
             );
-            print_global_metrics(opts.telemetry);
             if holding < claims.len() {
                 return ExitCode::FAILURE;
             }
@@ -115,7 +110,6 @@ fn main() -> ExitCode {
                     println!("{}", fig.body);
                 }
             }
-            print_global_metrics(opts.telemetry);
             Ok(())
         }
         other => match BENCHES.iter().find(|b| b.id == other) {
@@ -127,7 +121,6 @@ fn main() -> ExitCode {
                     } else {
                         println!("{}", fig.body);
                     }
-                    print_global_metrics(opts.telemetry);
                     Ok(())
                 }
                 None => Err(format!("unknown figure `{other}`; try `repro list`")),
@@ -143,11 +136,4 @@ fn main() -> ExitCode {
 fn fail(message: &str) -> ExitCode {
     eprintln!("{message}");
     ExitCode::FAILURE
-}
-
-/// Prints the process-global metrics snapshot (`--telemetry` figure modes).
-fn print_global_metrics(telemetry_on: bool) {
-    if telemetry_on {
-        println!("metrics: {}", telemetry::global::snapshot_json());
-    }
 }

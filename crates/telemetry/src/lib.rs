@@ -126,58 +126,9 @@ impl std::fmt::Debug for Telemetry {
     }
 }
 
-/// Process-global metrics collection, used by `repro --telemetry`: every
-/// finished testbed run merges its local registry here when collection is
-/// enabled, and the binary prints one combined snapshot at the end.
-pub mod global {
-    use super::MetricsRegistry;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Mutex;
-
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-    static REGISTRY: Mutex<Option<MetricsRegistry>> = Mutex::new(None);
-
-    /// Turns global collection on (idempotent).
-    pub fn enable() {
-        ENABLED.store(true, Ordering::SeqCst);
-    }
-
-    /// `true` if global collection is on.
-    pub fn enabled() -> bool {
-        ENABLED.load(Ordering::SeqCst)
-    }
-
-    /// Merges a local registry into the global one. No-op unless
-    /// [`enable`] was called.
-    pub fn merge(local: &MetricsRegistry) {
-        if !enabled() {
-            return;
-        }
-        let mut guard = REGISTRY.lock().expect("global metrics poisoned");
-        guard.get_or_insert_with(MetricsRegistry::new).merge(local);
-    }
-
-    /// JSON snapshot of everything merged so far (an empty registry if
-    /// nothing was).
-    pub fn snapshot_json() -> String {
-        let guard = REGISTRY.lock().expect("global metrics poisoned");
-        match guard.as_ref() {
-            Some(r) => r.to_json(),
-            None => MetricsRegistry::new().to_json(),
-        }
-    }
-
-    /// Clears collected metrics and disables collection (test helper).
-    pub fn reset() {
-        ENABLED.store(false, Ordering::SeqCst);
-        *REGISTRY.lock().expect("global metrics poisoned") = None;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use desim::Duration;
 
     #[test]
     fn disabled_endpoint_records_nothing() {
@@ -210,21 +161,5 @@ mod tests {
         let spans: Vec<_> = log.spans().collect();
         assert_eq!(spans[1].parent, spans[0].id);
         assert_eq!(spans[1].events[0].detail, "pull failed");
-    }
-
-    #[test]
-    fn global_merge_is_gated_on_enable() {
-        global::reset();
-        let mut m = MetricsRegistry::new();
-        m.inc("requests_total");
-        m.observe("response_ns", Duration::from_millis(3));
-        global::merge(&m); // disabled: dropped
-        assert!(!global::snapshot_json().contains("requests_total"));
-        global::enable();
-        global::merge(&m);
-        global::merge(&m);
-        let json = global::snapshot_json();
-        assert!(json.contains("\"requests_total\": 2"), "{json}");
-        global::reset();
     }
 }

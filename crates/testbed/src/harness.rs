@@ -1205,18 +1205,6 @@ impl<T: Net> Harness<T> {
     }
 }
 
-impl<T: Net> Drop for Harness<T> {
-    /// Every finished testbed run contributes its metrics snapshot to the
-    /// process-global collection point when one was enabled
-    /// ([`telemetry::global`], `repro --telemetry`). With collection off —
-    /// the default — this is a single atomic load.
-    fn drop(&mut self) {
-        if telemetry::global::enabled() {
-            telemetry::global::merge(&self.telemetry_snapshot());
-        }
-    }
-}
-
 /// Splits `total_bytes` of application payload into MSS-sized TCP segments
 /// patterned on `template` (endpoints copied, `PSH|ACK`, sequence numbers
 /// advancing) and yields the headers of each, for the sender to encode around
