@@ -5,15 +5,16 @@
 //! `bench` crate prints these; `EXPERIMENTS.md` records them against the
 //! paper's numbers.
 
-use crate::harness::{ClusterKind, MobilityConfig, MobilityTestbed, Testbed, TestbedConfig};
+use crate::harness::{ClusterKind, CompletedRequest, MobilityConfig, MobilityTestbed, Testbed, TestbedConfig};
 use crate::report::{bar_chart, timeline, Table};
+use crate::topology::client_ip_for;
 use containerd::{ContentStore, ServiceProfile, ServiceSet};
 use desim::{Duration, SimRng, SimTime, Summary};
 use edgectl::controller::RequestKind;
 use edgectl::ControllerConfig;
 use netsim::{Ipv4Addr, ServiceAddr};
 use registry::RegistryProfile;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use telemetry::{MetricsRegistry, SpanLog};
 use workload::{Trace, TraceConfig};
 
@@ -82,6 +83,15 @@ fn replay(
         tb.request_at(r.at + Duration::from_secs(1), r.client, addrs[r.service]);
     }
     tb.run_until(until);
+}
+
+/// A replay's completed requests in the order they arrived, which is not the
+/// order they completed: a request held for a deployment can finish after
+/// one that arrived later.
+fn arrival_order(tb: &Testbed) -> Vec<&CompletedRequest> {
+    let mut done: Vec<&CompletedRequest> = tb.completed.iter().collect();
+    done.sort_by_key(|c| c.timing.connect_start);
+    done
 }
 
 fn addr_of(profile: &ServiceProfile, index: usize) -> ServiceAddr {
@@ -189,6 +199,24 @@ pub struct DeploymentRun {
 }
 
 impl DeploymentRun {
+    /// Reads a replay: each service's first request is the first to arrive,
+    /// the rest are warm.
+    fn of(tb: &Testbed) -> DeploymentRun {
+        let mut first_done: BTreeMap<ServiceAddr, f64> = BTreeMap::new();
+        let mut warm = Vec::new();
+        for c in arrival_order(tb) {
+            let total = c.timing.time_total().expect("completed").as_secs_f64();
+            if let std::collections::btree_map::Entry::Vacant(e) = first_done.entry(c.service) {
+                e.insert(total);
+            } else {
+                warm.push(total);
+            }
+        }
+        let waited = tb.controller.records.iter().filter(|r| r.kind == RequestKind::Waited);
+        let waits = waited.filter_map(|r| r.phases.wait_time()).map(|d| d.as_secs_f64()).collect();
+        DeploymentRun { firsts: first_done.into_values().collect(), waits, warm, resets: tb.resets }
+    }
+
     fn median_first(&self) -> f64 {
         Summary::new(self.firsts.clone()).median().unwrap_or(f64::NAN)
     }
@@ -228,31 +256,7 @@ pub fn run_trace_experiment(
         Warmth::Pulled
     };
     replay(&mut tb, profile, warmth, &trace, SimTime::from_secs(400));
-
-    let mut first_done: BTreeMap<ServiceAddr, f64> = BTreeMap::new();
-    let mut warm = Vec::new();
-    for c in &tb.completed {
-        let total = c.timing.time_total().expect("completed").as_secs_f64();
-        if let std::collections::btree_map::Entry::Vacant(e) = first_done.entry(c.service) {
-            e.insert(total);
-        } else {
-            warm.push(total);
-        }
-    }
-    let waits = tb
-        .controller
-        .records
-        .iter()
-        .filter(|r| r.kind == RequestKind::Waited)
-        .filter_map(|r| r.phases.wait_time())
-        .map(|d| d.as_secs_f64())
-        .collect();
-    DeploymentRun {
-        firsts: first_done.into_values().collect(),
-        waits,
-        warm,
-        resets: tb.resets,
-    }
+    DeploymentRun::of(&tb)
 }
 
 /// All eight trace replays (4 services × 2 clusters) for one scenario.
@@ -612,15 +616,7 @@ pub fn timeout_sweep(seed: u64) -> Figure {
             .iter()
             .filter(|r| r.kind == RequestKind::MemoryHit)
             .count();
-        let waited_totals: Vec<f64> = tb
-            .completed
-            .iter()
-            .zip(tb.controller.records.iter())
-            .filter(|(_, r)| r.kind == RequestKind::Waited)
-            .filter_map(|(c, _)| c.timing.time_total())
-            .map(|d| d.as_secs_f64())
-            .collect();
-        let med = Summary::new(waited_totals).median().unwrap_or(f64::NAN);
+        let med = Summary::new(waited_totals(&tb)).median().unwrap_or(f64::NAN);
         // Scale-downs equal re-deployments beyond the initial ones.
         let scale_downs = deployments.saturating_sub(trace.config.n_services);
         t.row(vec![
@@ -636,6 +632,22 @@ pub fn timeout_sweep(seed: u64) -> Figure {
         "FlowMemory idle-timeout sweep: re-deployments vs memory hits",
         t,
     )
+}
+
+/// `time_total` of every request the controller held for a deployment. The
+/// records are in packet-in order; each is paired with the completed request
+/// of its client and service, in arrival order.
+fn waited_totals(tb: &Testbed) -> Vec<f64> {
+    let mut by_flow: BTreeMap<(Ipv4Addr, ServiceAddr), VecDeque<f64>> = BTreeMap::new();
+    for c in arrival_order(tb) {
+        let total = c.timing.time_total().expect("completed").as_secs_f64();
+        by_flow.entry((client_ip_for(c.client), c.service)).or_default().push_back(total);
+    }
+    let records = tb.controller.records.iter();
+    records
+        .filter_map(|r| Some((r.kind, by_flow.get_mut(&(r.client, r.service))?.pop_front()?)))
+        .filter_map(|(kind, total)| (kind == RequestKind::Waited).then_some(total))
+        .collect()
 }
 
 /// Proactive deployment (Sections I/VII): the paper argues on-demand
@@ -1656,6 +1668,54 @@ pub fn recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A K8s run in which completion order is not arrival order: client 0's
+    /// ResNet request waits for a deployment, client 1's arrives during that
+    /// hold (at seed 2 it completes first of the two), and client 2's, for
+    /// a service already running, arrives last and completes before both.
+    fn overtaken_run(seed: u64) -> Testbed {
+        let profile = ServiceSet::by_key("resnet").unwrap();
+        let mut tb = Testbed::new(TestbedConfig { cluster: ClusterKind::K8s, seed, ..TestbedConfig::default() });
+        let (cold, running) = (addr_of(&profile, 0), addr_of(&profile, 1));
+        tb.register_service(profile.clone(), cold);
+        tb.pre_pull(cold);
+        tb.pre_create(cold);
+        tb.register_service(profile, running);
+        tb.pre_deploy_on(running, 0);
+        tb.run_until(SimTime::from_secs(10));
+        tb.request_at(SimTime::from_secs(11), 0, cold);
+        tb.request_at(SimTime::from_millis(11_500), 1, cold);
+        tb.request_at(SimTime::from_secs(12), 2, running);
+        tb.run_until(SimTime::from_secs(40));
+        tb
+    }
+
+    fn total_of(tb: &Testbed, client: usize) -> f64 {
+        let c = tb.completed.iter().find(|c| c.client == client).expect("completed");
+        c.timing.time_total().expect("completed").as_secs_f64()
+    }
+
+    /// Fig. 11's first request of a service is the one that arrived first,
+    /// not the one that completed first.
+    #[test]
+    fn a_services_first_request_is_the_first_to_arrive() {
+        let tb = overtaken_run(2);
+        let completion_order: Vec<usize> = tb.completed.iter().map(|c| c.client).collect();
+        assert_eq!(completion_order, vec![2, 1, 0]);
+        let run = DeploymentRun::of(&tb);
+        assert_eq!(run.firsts, vec![total_of(&tb, 0), total_of(&tb, 2)]);
+        assert_eq!(run.warm, vec![total_of(&tb, 1)]);
+    }
+
+    /// The timeout sweep's waited requests are clients 0 and 1, whatever
+    /// order they completed in (client 2's was redirected at once).
+    #[test]
+    fn each_waited_record_is_paired_with_its_own_request() {
+        let tb = overtaken_run(2);
+        let kinds: Vec<RequestKind> = tb.controller.records.iter().map(|r| r.kind).collect();
+        assert_eq!(kinds, vec![RequestKind::Waited, RequestKind::Waited, RequestKind::Redirect]);
+        assert_eq!(waited_totals(&tb), vec![total_of(&tb, 0), total_of(&tb, 1)]);
+    }
 
     #[test]
     fn table1_matches_paper() {
