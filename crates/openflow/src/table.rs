@@ -48,8 +48,8 @@
 //!
 //! Observable semantics are identical to the naive table: priority order,
 //! first-added-wins among equal priorities, order-sensitive match equality
-//! for ADD/DELETE, and per-entry counters. `crate::diff` replays randomized operation sequences
-//! against both implementations to prove it.
+//! for ADD/DELETE, and per-entry counters. `crate::diff` replays randomized
+//! operation sequences against both implementations to prove it.
 
 use crate::actions::Instruction;
 use crate::messages::{RemovedReason, OFPFF_SEND_FLOW_REM};
