@@ -149,11 +149,6 @@ pub fn names<'a>(v: &'a Value, key: &str, field: &str) -> BTreeSet<&'a str> {
         .collect()
 }
 
-/// The sum of `field` over the rows of the array at `key`.
-pub fn sum(v: &Value, key: &str, field: &str) -> Option<f64> {
-    v[key].as_seq()?.iter().map(|r| num(r, field)).sum()
-}
-
 /// One clause of a gate: `Ok` when it holds, otherwise an error naming it.
 /// `None` means a field the clause reads is absent, which fails it too.
 pub(crate) fn clause(name: &str, holds: Option<bool>) -> Result<(), String> {
@@ -170,11 +165,6 @@ pub(crate) fn clause(name: &str, holds: Option<bool>) -> Result<(), String> {
 pub(crate) fn zero_fields(v: &Value, keys: &[&str]) -> Result<(), String> {
     keys.iter()
         .try_for_each(|k| clause(&format!("{k} == 0"), num(v, k).map(|n| n == 0.0)))
-}
-
-/// The top-level flag `key` is `true`.
-pub(crate) fn is_true(v: &Value, key: &str) -> Result<(), String> {
-    clause(&format!("{key} is true"), v[key].as_bool())
 }
 
 /// A clause that must hold on every row of the array at `key`, which must
@@ -275,7 +265,6 @@ pub(crate) mod tests {
         let v = parse(&text).unwrap();
         assert_eq!(num(&v, "rate"), Some(1.0));
         assert_eq!(v["rows"][0]["x"].as_f64(), Some(2.5));
-        assert_eq!(sum(&v, "rows", "n"), Some(3.0));
         assert_eq!(v["none"].as_seq().map(<[Value]>::len), Some(0));
     }
 

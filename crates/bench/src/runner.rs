@@ -3,6 +3,8 @@
 //! writes and that artifact's gate. A run writes its artifact, reads back
 //! what it wrote and gates *that* — the same function `repro check` applies
 //! to the committed file and the unit tests make fail clause by clause.
+//! [`parse_args`] reads `repro`'s command line and refuses a flag its
+//! subcommand does not read.
 
 use crate::{artifact, engine, fastpath, ha, migrate, mobility, recovery, scale, tournament};
 use std::fmt::Write as _;
@@ -18,7 +20,7 @@ pub struct Opts {
     pub smoke: bool,
     /// `--fault-rate` (chaos, recovery).
     pub fault_rate: f64,
-    /// `--csv`: print an experiment's table as CSV instead of its figure.
+    /// `--csv`: print a figure's table as CSV instead of the figure.
     pub csv: bool,
     /// `--telemetry`: record spans and metrics (chaos, mobility, recovery).
     pub telemetry: bool,
@@ -29,8 +31,9 @@ pub(crate) type Gates = fn(&Value) -> Result<(), String>;
 
 /// What one run hands the runner.
 pub(crate) struct Outcome {
-    /// The bench's own text, printed after the banner: an experiment's
-    /// figure, the telemetry bench's summary line; empty for the rest.
+    /// The bench's own text, printed after the banner: chaos's figure, an
+    /// experiment's recordings, the telemetry bench's summary line; empty
+    /// for the rest.
     pub text: String,
     /// The artifact's text, printed after `text` and written; empty for a
     /// bench that writes none.
@@ -61,42 +64,38 @@ fn report(artifact: String) -> Outcome {
     }
 }
 
-/// What `repro` prints for an experiment — its figure, or under `--csv` its
-/// table — and, when it recorded, the span export, its check line,
-/// optionally the busiest request's timeline, and the metrics; plus the
-/// verdict on that recording: well-formed, every span closed and, when
-/// `must_include` names one, such a span present.
-fn experiment<S>(
+/// What `repro` prints for an experiment's recordings — per arm, under its
+/// label: the span export, its check line, optionally the busiest request's
+/// timeline, and the metrics — and the verdict on them: every arm's log
+/// well-formed with every span closed and, when `must_include` names one,
+/// such a span in some arm's log.
+fn recordings<S>(
     e: &Experiment<S>,
-    o: &Opts,
     must_include: Option<&str>,
     timeline: bool,
 ) -> (String, Result<(), String>) {
-    let fig = &e.figure;
-    let mut text = if o.csv {
-        fig.table.to_csv()
-    } else {
-        format!("{}\n", fig.body)
-    };
-    let Some((log, metrics)) = &e.recording else {
-        return (text, Ok(()));
-    };
-    let check = log.check();
-    let _ = writeln!(text, "spans: {}\n{}", log.to_json(), check.to_json_line());
-    let busiest = || {
-        log.request_ids()
-            .into_iter()
-            .max_by_key(|r| log.spans_for_request(*r).count())
-    };
-    if let Some(busiest) = timeline.then(busiest).flatten() {
-        text += "\nbusiest request timeline:\n";
-        text += &testbed::report::span_timeline(log, busiest, 48);
+    let mut text = String::new();
+    let mut verdict = Ok(());
+    for (label, (log, metrics)) in &e.recordings {
+        let check = log.check();
+        let _ = writeln!(text, "{label} spans: {}\n{label} {}", log.to_json(), check.to_json_line());
+        let busiest = log.request_ids().into_iter().max_by_key(|r| log.spans_for_request(*r).count());
+        if let Some(busiest) = busiest.filter(|_| timeline) {
+            let _ = writeln!(text, "\n{label} busiest request timeline:");
+            text += &testbed::report::span_timeline(log, busiest, 48);
+        }
+        let _ = writeln!(text, "\n{label} metrics: {}\n", metrics.to_json());
+        let arm = match check.ok() {
+            true => log.check_export(None),
+            false => Err(format!("malformed span log: {}", check.to_json_line())),
+        };
+        verdict = verdict.and(arm.map_err(|e| format!("{label}: {e}")));
     }
-    let _ = writeln!(text, "\nmetrics: {}", metrics.to_json());
-    let verdict = match check.ok() {
-        true => log.check_export(must_include),
-        false => Err(format!("malformed span log: {}", check.to_json_line())),
-    };
+    if let Some(name) = must_include.filter(|_| !e.recordings.is_empty()) {
+        if !e.recordings.iter().any(|(_, (log, _))| log.check_export(Some(name)).is_ok()) {
+            verdict = verdict.and(Err(format!("no `{name}` span in any arm's export")));
+        }
+    }
     (text, verdict)
 }
 
@@ -142,8 +141,13 @@ pub const BENCHES: &[Bench] = &[
         banner: "chaos: deployment pipeline under faults (seed {seed}, rate {rate})",
         artifact: None,
         run: |o| {
-            let e = experiments::chaos(o.seed, o.fault_rate, o.smoke, o.telemetry);
-            let (text, verdict) = experiment(&e, o, None, true);
+            let (fig, e) = experiments::chaos(o.seed, o.fault_rate, o.smoke, o.telemetry);
+            let mut text = match o.csv {
+                true => fig.table.to_csv(),
+                false => format!("{}\n", fig.body),
+            };
+            let (recorded, verdict) = recordings(&e, None, true);
+            text += &recorded;
             let verdict = verdict.and(every_request_completed(&e.runs));
             Outcome { text, artifact: String::new(), verdict }
         },
@@ -154,7 +158,7 @@ pub const BENCHES: &[Bench] = &[
         artifact: Some(("BENCH_mobility.json", mobility::gates)),
         run: |o| {
             let (e, artifact) = mobility::run(o.seed, o.smoke, o.telemetry);
-            let (text, verdict) = experiment(&e, o, Some("handover"), false);
+            let (text, verdict) = recordings(&e, Some("handover"), false);
             Outcome { text, artifact, verdict }
         },
     },
@@ -166,7 +170,7 @@ pub const BENCHES: &[Bench] = &[
             let (e, artifact) = recovery::run(o.seed, o.fault_rate, o.smoke, o.telemetry);
             // A run that killed an instance must show the repair it caused.
             let killed = e.runs.iter().any(|(_, s)| s.instance_crashes + s.zone_outages > 0);
-            let (text, verdict) = experiment(&e, o, killed.then_some("recovery"), false);
+            let (text, verdict) = recordings(&e, killed.then_some("recovery"), false);
             Outcome { text, artifact, verdict }
         },
     },
@@ -217,6 +221,79 @@ impl Bench {
             judge(file, gates, &artifact::read(file)?)?;
         }
         outcome.verdict
+    }
+}
+
+/// Parses `repro`'s arguments into the subcommand (`all` when none is
+/// named), the further positional arguments (`check`'s artifacts) and the
+/// options. A flag the subcommand does not read is refused, naming the
+/// subcommands that read it.
+pub fn parse_args(args: &[String]) -> Result<(String, Vec<String>, Opts), String> {
+    let mut opts = Opts { seed: 7, smoke: false, fault_rate: 0.1, csv: false, telemetry: false };
+    let (mut positional, mut given) = (Vec::new(), Vec::new());
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--seed" => {
+                let seed = args.next().and_then(|s| s.parse().ok());
+                opts.seed = seed.ok_or("--seed needs an integer")?;
+            }
+            "--fault-rate" => {
+                let rate = args.next().and_then(|s| s.parse().ok());
+                let rate = rate.filter(|r| (0.0..=1.0).contains(r));
+                opts.fault_rate = rate.ok_or("--fault-rate needs a number in [0, 1]")?;
+            }
+            "--smoke" => opts.smoke = true,
+            "--csv" => opts.csv = true,
+            "--telemetry" => opts.telemetry = true,
+            other => {
+                positional.push(other.to_owned());
+                continue;
+            }
+        }
+        given.push(arg.as_str());
+    }
+    let id = match positional.is_empty() {
+        true => "all".to_owned(),
+        false => positional.remove(0),
+    };
+    // Only `check` takes further positional arguments: the artifacts to gate.
+    if let (true, Some(extra)) = (id != "check", positional.first()) {
+        return Err(format!("unexpected argument `{extra}`"));
+    }
+    let known = || {
+        ["all", "summary", "check", "list"]
+            .into_iter()
+            .chain(crate::FIGURE_IDS.iter().copied())
+            .chain(BENCHES.iter().map(|b| b.id))
+    };
+    if let Some(flag) = given.into_iter().find(|f| known().any(|k| k == id) && !reads(&id, f)) {
+        let readers: Vec<_> = known().filter(|k| reads(k, flag)).map(|k| format!("`{k}`")).collect();
+        let (last, rest) = readers.split_last().expect("every flag has a reader");
+        return Err(format!("{flag} is read by {} and {last} only", rest.join(", ")));
+    }
+    Ok((id, positional, opts))
+}
+
+/// Whether subcommand `id` reads `flag`: `--seed` every seeded figure (not
+/// `table1` or `fig13`), `summary` and every bench that simulates;
+/// `--smoke` every bench with a CI-sized variant; `--fault-rate` `chaos`
+/// and `recovery`; `--csv` the figures and `chaos`, the one bench that
+/// prints a figure; `--telemetry` the three experiments that record.
+fn reads(id: &str, flag: &str) -> bool {
+    let figure = id == "all" || crate::FIGURE_IDS.contains(&id);
+    let experiment = matches!(id, "chaos" | "mobility" | "recovery");
+    let sized = experiment || matches!(id, "engine" | "scale" | "tournament" | "migrate" | "ha");
+    match flag {
+        "--seed" => {
+            (figure && !matches!(id, "table1" | "fig13"))
+                || id == "summary"
+                || (sized && id != "engine")
+        }
+        "--smoke" => sized,
+        "--fault-rate" => matches!(id, "chaos" | "recovery"),
+        "--csv" => figure || id == "chaos",
+        _ => experiment,
     }
 }
 
@@ -294,28 +371,92 @@ mod tests {
 
     #[test]
     fn an_experiment_verdict_rejects_a_log_missing_the_required_span() {
-        let o = Opts {
-            seed: 7,
-            smoke: true,
-            fault_rate: 0.15,
-            csv: true,
-            telemetry: true,
-        };
-        let e = experiments::chaos(o.seed, o.fault_rate, o.smoke, o.telemetry);
-        let (text, verdict) = experiment(&e, &o, None, true);
+        let (_, e) = experiments::chaos(7, 0.15, true, true);
+        let (text, verdict) = recordings(&e, None, true);
         assert_eq!(verdict, Ok(()));
-        assert!(
-            text.starts_with(&e.figure.table.to_csv()) && text.contains("\nspan-check {"),
-            "csv: the table, then the span check"
+        for arm in ["docker", "k8s"] {
+            assert!(text.contains(&format!("{arm} spans: [")), "{arm}");
+            assert!(text.contains(&format!("\n{arm} span-check {{")), "{arm}");
+            assert!(text.contains(&format!("{arm} busiest request timeline")), "{arm}");
+            assert!(text.contains(&format!("{arm} metrics: {{")), "{arm}");
+        }
+        assert_eq!(recordings(&e, Some("request"), false).1, Ok(()));
+        let (_, verdict) = recordings(&e, Some("handover"), false);
+        assert_eq!(verdict, Err("no `handover` span in any arm's export".to_owned()));
+        let (_, unrecorded) = experiments::chaos(7, 0.15, true, false);
+        assert_eq!(recordings(&unrecorded, Some("handover"), false), (String::new(), Ok(())));
+    }
+
+    /// `parse_args` on a command line written as one string.
+    fn parse(line: &str) -> Result<(String, Vec<String>, Opts), String> {
+        parse_args(&line.split_whitespace().map(str::to_owned).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn every_command_line_ci_and_the_capture_script_run_is_accepted() {
+        for line in [
+            "check",
+            "check BENCH_ha.json",
+            "fastpath",
+            "engine --smoke",
+            "fig11",
+            "fig11 --csv",
+            "summary",
+            "list",
+            "no-such-figure",
+            "telemetry",
+            "chaos --smoke --seed 7",
+            "chaos --smoke --seed 7 --csv",
+            "chaos --smoke --fault-rate 0.15 --seed 7",
+            "chaos --smoke --fault-rate 0.15 --seed 7 --telemetry",
+            "mobility --smoke --seed 7",
+            "mobility --smoke --seed 7 --telemetry",
+            "recovery --smoke --seed 7",
+            "recovery --smoke --fault-rate 1.0 --seed 7 --telemetry",
+            "scale --smoke --seed 7",
+            "tournament --smoke --seed 7",
+            "migrate --smoke --seed 7",
+            "ha --smoke --seed 7",
+        ] {
+            assert!(parse(line).is_ok(), "`{line}`: {:?}", parse(line).err());
+        }
+        let (id, rest, o) = parse("recovery --smoke --fault-rate 1.0 --seed 3 --telemetry").unwrap();
+        assert_eq!((id.as_str(), rest.len()), ("recovery", 0));
+        assert_eq!((o.seed, o.smoke, o.fault_rate, o.csv, o.telemetry), (3, true, 1.0, false, true));
+        assert_eq!(parse("--seed 3").unwrap().0, "all");
+    }
+
+    #[test]
+    fn a_flag_the_subcommand_does_not_read_is_refused() {
+        for (line, flag) in [
+            ("fastpath --smoke", "--smoke"),
+            ("engine --seed 3", "--seed"),
+            ("mobility --fault-rate 0.5", "--fault-rate"),
+            ("scale --csv", "--csv"),
+            ("fig13 --seed 3", "--seed"),
+            ("summary --telemetry", "--telemetry"),
+        ] {
+            let err = parse(line).unwrap_err();
+            assert!(err.starts_with(&format!("{flag} is read by ")), "`{line}`: {err}");
+        }
+        assert_eq!(
+            parse("ha --telemetry").unwrap_err(),
+            "--telemetry is read by `chaos`, `mobility` and `recovery` only"
         );
-        assert!(text.contains("busiest request timeline"));
-        let (_, verdict) = experiment(&e, &o, Some("handover"), false);
-        assert_eq!(verdict, Err("no `handover` span in export".to_owned()));
+        assert_eq!(
+            parse("scale --csv").unwrap_err(),
+            "--csv is read by `all`, `table1`, `fig9`, `fig10`, `fig11`, `fig12`, `fig13`, \
+             `fig14`, `fig15`, `fig16`, `hybrid`, `waiting`, `timeout-sweep`, `proactive`, \
+             `local-scheduler`, `hierarchy` and `chaos` only"
+        );
+        assert_eq!(parse("fig11 extra").unwrap_err(), "unexpected argument `extra`");
+        assert_eq!(parse("fig11 --seed x").unwrap_err(), "--seed needs an integer");
+        assert!(parse("chaos --fault-rate 2").unwrap_err().contains("in [0, 1]"));
     }
 
     #[test]
     fn the_chaos_verdict_fails_a_run_that_lost_a_request() {
-        let mut e = experiments::chaos(7, 0.15, true, false);
+        let (_, mut e) = experiments::chaos(7, 0.15, true, false);
         assert_eq!(every_request_completed(&e.runs), Ok(()));
         let k8s = &mut e.runs[1].1;
         k8s.completed -= 1;

@@ -1,14 +1,11 @@
 //! The claim-by-claim verdict table: every quantitative statement in the
-//! paper's evaluation text, measured fresh and judged — plus the perf
-//! trajectory folded from the committed `BENCH_*.json` artifacts.
+//! paper's evaluation text, measured fresh and judged.
 
-use crate::artifact::{self, num, row, sum};
 use desim::Summary;
 use testbed::experiments::{self, run_trace_experiment};
 use testbed::report::Table;
 use testbed::ClusterKind;
 use workload::{Trace, TraceConfig};
-use yamlite::Value;
 
 fn median(v: &[f64]) -> f64 {
     Summary::new(v.to_vec()).median().unwrap_or(f64::NAN)
@@ -151,234 +148,9 @@ pub fn render(claims: &[Claim]) -> String {
     t.render()
 }
 
-/// One row of the perf trajectory: the headline number of a committed
-/// `BENCH_*.json` artifact.
-pub struct PerfPoint {
-    /// Artifact file name at the repository root.
-    pub(crate) artifact: &'static str,
-    /// The subsystem the bench measures.
-    pub(crate) subsystem: &'static str,
-    /// Its headline number, formatted.
-    pub(crate) headline: String,
-    /// Supporting numbers.
-    pub detail: String,
-}
-
-/// How an artifact's parsed value becomes its `(headline, detail)` cells;
-/// `None` when a field it reads is absent.
-type Cells = fn(&Value) -> Option<(String, String)>;
-
-/// The trajectory, one entry per committed artifact: file, subsystem, cells.
-/// A number quoted from a single row of an artifact says which row; counts
-/// a reader would take for the run's are summed over its rows.
-const TRAJECTORY: [(&str, &str, Cells); 8] = [
-    ("BENCH_flowtable.json", "data plane", |v| {
-        let largest = v["sizes"].as_seq()?.last()?;
-        Some((
-            format!(
-                "indexed lookup @100k flows {:.2}x its cost @10",
-                num(v, "indexed_100k_over_10_ratio")?
-            ),
-            format!("warm switch hit {:.0} ns", num(largest, "switch_hit_ns")?),
-        ))
-    }),
-    ("BENCH_engine.json", "event core", |v| {
-        let mixed = row(v, "workloads", "name", "mixed")?;
-        Some((
-            format!(
-                "calendar {:.2}M ev/s mixed ({:.2}x naive)",
-                num(mixed, "calendar_events_per_sec")? / 1e6,
-                num(v, "mixed_speedup")?
-            ),
-            format!(
-                "CI floor {:.1}M ev/s, met: {}",
-                num(v, "events_per_sec_floor")? / 1e6,
-                v["floor_met"].as_bool()?
-            ),
-        ))
-    }),
-    ("BENCH_mobility.json", "handover", |v| {
-        let anchored = row(v, "policies", "policy", "anchored")?;
-        Some((
-            format!(
-                "anchored p99 interruption {:.3} ms",
-                num(anchored, "interruption_p99_ms")?
-            ),
-            format!(
-                "{:.0} handovers (anchored), {:.0} pings dropped",
-                num(anchored, "handovers")?,
-                num(v, "total_dropped")?
-            ),
-        ))
-    }),
-    ("BENCH_recovery.json", "self-healing", |v| {
-        Some((
-            format!(
-                "{:.0} stranded, {:.0} reconcile residual",
-                num(v, "total_stranded")?,
-                num(v, "total_reconcile_residual")?
-            ),
-            format!(
-                "{:.0} crashes, {:.0} outages survived",
-                sum(v, "policies", "crashes")?,
-                sum(v, "policies", "outages")?
-            ),
-        ))
-    }),
-    ("BENCH_scale.json", "fleet scale", |v| {
-        Some((
-            format!(
-                "aggregated table {:.0}x smaller @{:.0}M clients",
-                num(v, "table_reduction_x")?,
-                num(v, "clients")? / 1e6
-            ),
-            format!(
-                "{:.0} vs {:.0} flows, {:.0}k pkt-in/s",
-                num(v, "aggregated_table_flows")?,
-                num(v, "exact_table_flows")?,
-                num(row(v, "arms", "arm", "aggregated")?, "packet_ins_per_sec")? / 1e3
-            ),
-        ))
-    }),
-    ("BENCH_tournament.json", "load-aware scheduling", |v| {
-        let lc = row(v, "arms", "arm", "least-connections")?;
-        Some((
-            format!(
-                "least-connections warm p99 {:.1} ms vs random {:.1} ms",
-                num(v, "least_connections_p99_ms")?,
-                num(v, "random_p99_ms")?
-            ),
-            format!(
-                "{} arms, lc {:.0} cold starts, cost {:.2} mean replicas",
-                crate::tournament::ARMS.len(),
-                num(lc, "cold_starts")?,
-                num(lc, "mean_replicas")?
-            ),
-        ))
-    }),
-    ("BENCH_migrate.json", "live migration", |v| {
-        Some((
-            format!(
-                "live p99 {:.2} ms vs cold {:.1} ms at largest state",
-                num(v, "live_p99_ms_at_largest")?,
-                num(v, "cold_p99_ms")?
-            ),
-            format!(
-                "{:.0} migrations, {:.1} MB shipped, {:.0} dropped",
-                num(v, "total_migrations")?,
-                num(v, "total_state_bytes_transferred")? / 1e6,
-                num(v, "total_dropped")?
-            ),
-        ))
-    }),
-    ("BENCH_ha.json", "crash recovery", |v| {
-        Some((
-            format!(
-                "warm p99 {:.1} ms vs cold {:.1} ms at largest state",
-                num(v, "warm_p99_ms_at_largest")?,
-                num(v, "cold_p99_ms_at_largest")?
-            ),
-            format!(
-                "{:.0} stranded, {:.0} residual, {:.0} panics at crash rate {:.0}",
-                num(v, "total_stranded")?,
-                num(v, "total_reconcile_residual")?,
-                num(v, "panics")?,
-                num(v, "crash_rate")?
-            ),
-        ))
-    }),
-];
-
-/// Reads the eight committed bench artifacts and condenses each into one
-/// trajectory row. Artifacts that have not been generated yet show up as
-/// `missing` rather than failing the summary.
-pub fn perf_trajectory() -> Vec<PerfPoint> {
-    let missing = || ("(missing — see README for the repro command)".to_string(), String::new());
-    TRAJECTORY
-        .iter()
-        .map(|&(artifact, subsystem, cells)| {
-            let read = artifact::read(artifact).ok();
-            let (headline, detail) = read.and_then(|v| cells(&v)).unwrap_or_else(missing);
-            PerfPoint {
-                artifact,
-                subsystem,
-                headline,
-                detail,
-            }
-        })
-        .collect()
-}
-
-/// Renders the perf trajectory table.
-pub fn render_trajectory(points: &[PerfPoint]) -> String {
-    let mut t = Table::new(&["Artifact", "Subsystem", "Headline", "Detail"]);
-    for p in points {
-        t.row(vec![
-            p.artifact.to_string(),
-            p.subsystem.to_string(),
-            p.headline.clone(),
-            p.detail.clone(),
-        ]);
-    }
-    t.render()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn trajectory_sums_counts_over_policies_and_names_the_row_it_quotes() {
-        // Two policy rows that differ: the first-match scanner this replaced
-        // reported the anchored row's 3 crashes / 4 outages / 94 handovers
-        // as the run's.
-        let cells = |file: &str, text: &str| {
-            let (_, _, cells) = TRAJECTORY.iter().find(|(f, ..)| *f == file).unwrap();
-            cells(&artifact::parse(text).unwrap()).unwrap()
-        };
-        let (headline, detail) = cells(
-            "BENCH_recovery.json",
-            "{\"policies\": [{\"policy\": \"anchored\", \"crashes\": 3, \"outages\": 4},\n              {\"policy\": \"redispatch\", \"crashes\": 2, \"outages\": 5}],\n              \"total_stranded\": 0, \"total_reconcile_residual\": 0}",
-        );
-        assert_eq!(headline, "0 stranded, 0 reconcile residual");
-        assert_eq!(detail, "5 crashes, 9 outages survived");
-        let (headline, detail) = cells(
-            "BENCH_mobility.json",
-            "{\"policies\": [{\"policy\": \"redispatch\", \"handovers\": 90, \"interruption_p99_ms\": 302.5},\n              {\"policy\": \"anchored\", \"handovers\": 94, \"interruption_p99_ms\": 2.004}],\n              \"total_dropped\": 0}",
-        );
-        assert_eq!(
-            headline, "anchored p99 interruption 2.004 ms",
-            "whatever the row order"
-        );
-        assert_eq!(detail, "94 handovers (anchored), 0 pings dropped");
-    }
-
-    #[test]
-    fn a_trajectory_row_with_a_missing_field_reads_as_missing_not_as_a_panic() {
-        for (file, _, cells) in TRAJECTORY {
-            assert!(
-                cells(&artifact::parse("{\"bench\": \"x\"}").unwrap()).is_none(),
-                "{file}"
-            );
-        }
-    }
-
-    #[test]
-    fn trajectory_always_has_all_eight_rows() {
-        let points = perf_trajectory();
-        assert_eq!(points.len(), 8);
-        assert_eq!(points[1].artifact, "BENCH_engine.json");
-        assert_eq!(points[4].artifact, "BENCH_scale.json");
-        assert_eq!(points[5].artifact, "BENCH_tournament.json");
-        assert_eq!(points[6].artifact, "BENCH_migrate.json");
-        assert_eq!(points[7].artifact, "BENCH_ha.json");
-        let text = render_trajectory(&points);
-        assert!(text.contains("event core"));
-        assert!(text.contains("data plane"));
-        assert!(text.contains("load-aware scheduling"));
-        assert!(text.contains("live migration"));
-        assert!(text.contains("crash recovery"));
-    }
 
     #[test]
     fn every_claim_holds() {

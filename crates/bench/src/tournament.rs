@@ -184,11 +184,8 @@ pub fn run(seed: u64, smoke: bool) -> String {
     artifact(seed, smoke, workload.n_services, &arms)
 }
 
-/// The `BENCH_tournament.json` text: the workload, one row per scheduler,
-/// then the two warm p99s the headline compares — seeing per-instance load
-/// (least-connections) against ignoring it (random).
+/// The `BENCH_tournament.json` text: the workload and one row per scheduler.
 fn artifact(seed: u64, smoke: bool, services: usize, arms: &[ArmStats]) -> String {
-    let p99 = |name| arms.iter().find(|a| a.arm == name).map_or(f64::NAN, |a| a.p99_ms);
     artifact::object(|o| {
         o.str("bench", "tournament");
         o.int("seed", seed);
@@ -210,8 +207,6 @@ fn artifact(seed: u64, smoke: bool, services: usize, arms: &[ArmStats]) -> Strin
             r.int("scale_downs", a.scale_downs);
             r.fixed("mean_replicas", a.mean_replicas, 3);
         });
-        o.fixed("least_connections_p99_ms", p99("least-connections"), 3);
-        o.fixed("random_p99_ms", p99("random"), 3);
     })
 }
 
@@ -228,9 +223,7 @@ mod tests {
   "arms": [
     {"arm": "random", "requests": 100, "completed": 100, "cold_starts": 4, "p50_ms": 1.000, "p99_ms": 40.000, "mean_ms": 2.000, "fallback_rate": 0.0100, "rejections": 3, "rejection_rate": 0.0300, "scale_ups": 2, "scale_downs": 1, "mean_replicas": 1.500},
     {"arm": "least-connections", "requests": 100, "completed": 100, "cold_starts": 4, "p50_ms": 1.000, "p99_ms": 20.000, "mean_ms": 2.000, "fallback_rate": 0.0100, "rejections": 3, "rejection_rate": 0.0300, "scale_ups": 2, "scale_downs": 1, "mean_replicas": 1.500}
-  ],
-  "least_connections_p99_ms": 20.000,
-  "random_p99_ms": 40.000
+  ]
 }
 "#;
 

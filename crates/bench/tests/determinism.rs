@@ -59,19 +59,17 @@ fn fig13_is_byte_identical_across_runs() {
 }
 
 #[test]
-fn mobility_figure_is_byte_identical_across_runs() {
-    let a = testbed::experiments::mobility(7, true, false).figure;
-    let b = testbed::experiments::mobility(7, true, false).figure;
-    assert_eq!(a.body, b.body);
-    assert_eq!(a.table.to_csv(), b.table.to_csv());
+fn mobility_artifact_is_byte_identical_across_runs() {
+    let (_, a) = bench::mobility::run(7, true, false);
+    let (_, b) = bench::mobility::run(7, true, false);
+    assert_eq!(a, b);
 }
 
 #[test]
-fn recovery_figure_at_rate_zero_is_byte_identical_across_runs() {
+fn recovery_artifact_at_rate_zero_is_byte_identical_across_runs() {
     // Fault rate 0: the pure control path, no chaos — exactly the regime
     // the committed baseline artifacts were generated in.
-    let a = testbed::experiments::recovery(7, 0.0, true, false).figure;
-    let b = testbed::experiments::recovery(7, 0.0, true, false).figure;
-    assert_eq!(a.body, b.body);
-    assert_eq!(a.table.to_csv(), b.table.to_csv());
+    let (_, a) = bench::recovery::run(7, 0.0, true, false);
+    let (_, b) = bench::recovery::run(7, 0.0, true, false);
+    assert_eq!(a, b);
 }

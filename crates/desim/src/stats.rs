@@ -204,23 +204,6 @@ impl LogHistogram {
         }
         Some(self.max)
     }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        if other.count == 0 {
-            return;
-        }
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -288,6 +271,7 @@ mod tests {
         assert_eq!(h.max(), Some(7));
         assert_eq!(h.percentile(0.0), Some(0));
         assert_eq!(h.percentile(100.0), Some(7));
+        assert!(LogHistogram::new().percentile(50.0).is_none());
     }
 
     #[test]
@@ -303,32 +287,5 @@ mod tests {
         assert!((p99 - 99_000.0).abs() / 99_000.0 < 0.07, "p99={p99}");
         assert_eq!(h.percentile(100.0), Some(100_000));
         assert!((h.mean().unwrap() - 50_000.5).abs() < 1.0);
-    }
-
-    #[test]
-    fn log_histogram_merge_equals_combined_record() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        let mut all = LogHistogram::new();
-        for v in [3u64, 900, 1_000_000, 17] {
-            a.record(v);
-            all.record(v);
-        }
-        for v in [40_000u64, 5, 123_456_789] {
-            b.record(v);
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-        for p in [0.0, 25.0, 50.0, 95.0, 99.0, 100.0] {
-            assert_eq!(a.percentile(p), all.percentile(p));
-        }
-        // Merging an empty histogram is a no-op.
-        let before = a.percentile(50.0);
-        a.merge(&LogHistogram::new());
-        assert_eq!(a.percentile(50.0), before);
-        assert!(LogHistogram::new().percentile(50.0).is_none());
     }
 }

@@ -83,24 +83,6 @@ impl MetricsRegistry {
         self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty()
     }
 
-    /// Merges another registry: counters add, histograms combine, gauges
-    /// take the other side's value (point-in-time semantics — the merged
-    /// snapshot reflects the most recently finished run).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, h) in &other.hists {
-            self.hists
-                .entry(k.clone())
-                .or_default()
-                .merge(h);
-        }
-    }
-
     /// Renders the snapshot as pretty-printed JSON: counters and gauges as
     /// flat maps, each histogram as `{count, p50_ms, p95_ms, p99_ms,
     /// max_ms, mean_ms}` (milliseconds with microsecond precision, the
@@ -165,25 +147,6 @@ mod tests {
         assert_eq!(m.gauge("layer_cache_hit_rate"), Some(0.75));
         assert_eq!(m.histogram("deploy_pull_ns").unwrap().count(), 2);
         assert!(!m.is_empty());
-    }
-
-    #[test]
-    fn merge_adds_counters_and_combines_histograms() {
-        let mut a = MetricsRegistry::new();
-        a.add("x_total", 5);
-        a.set_gauge("g", 1.0);
-        a.observe("h_ns", Duration::from_millis(10));
-        let mut b = MetricsRegistry::new();
-        b.add("x_total", 7);
-        b.add("y_total", 1);
-        b.set_gauge("g", 2.0);
-        b.observe("h_ns", Duration::from_millis(30));
-        a.merge(&b);
-        assert_eq!(a.counter("x_total"), 12);
-        assert_eq!(a.counter("y_total"), 1);
-        assert_eq!(a.gauge("g"), Some(2.0));
-        assert_eq!(a.histogram("h_ns").unwrap().count(), 2);
-        assert_eq!(a.histogram("h_ns").unwrap().max(), Some(30_000_000));
     }
 
     #[test]

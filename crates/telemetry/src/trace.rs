@@ -186,8 +186,8 @@ impl SpanLog {
 
     /// What CI requires of an exported log beyond [`SpanLog::check`]: it is
     /// not empty, no span is still open (so [`SpanLog::to_json`] carries no
-    /// `"end_ns":null`) and, when `must_include` names one, some span's name
-    /// ends with it — the run really took that path.
+    /// `"end_ns":null`) and, when `must_include` names one, some span has
+    /// that name — the run really took that path.
     pub fn check_export(&self, must_include: Option<&str>) -> Result<(), String> {
         if self.spans.is_empty() {
             return Err("span export is empty".to_owned());
@@ -199,31 +199,10 @@ impl SpanLog {
             ));
         }
         match must_include {
-            Some(name) if !self.spans.iter().any(|s| s.name.ends_with(name)) => {
+            Some(name) if !self.spans.iter().any(|s| s.name == name) => {
                 Err(format!("no `{name}` span in export"))
             }
             _ => Ok(()),
-        }
-    }
-
-    /// Appends every span of `other`, remapping span ids to stay
-    /// consecutive, offsetting request ids by `request_offset`, and tagging
-    /// span names with `label` (`"docker/request"`). Used to combine the
-    /// logs of several runs (e.g. the chaos experiment's Docker and
-    /// Kubernetes testbeds) into one exportable log.
-    pub fn absorb(&mut self, other: &SpanLog, label: &str, request_offset: u64) {
-        let base = self.spans.len() as u32;
-        for s in &other.spans {
-            let mut ns = s.clone();
-            ns.id = SpanId(s.id.0 + base);
-            if ns.parent.is_some() {
-                ns.parent = SpanId(ns.parent.0 + base);
-            }
-            ns.request = s.request + request_offset;
-            if !label.is_empty() {
-                ns.name = format!("{label}/{}", s.name);
-            }
-            self.spans.push(ns);
         }
     }
 
@@ -351,15 +330,12 @@ mod tests {
 
     #[test]
     fn export_check_rejects_empty_open_and_missing_spans() {
-        let mut merged = SpanLog::new();
-        merged.absorb(&sample_log(), "anchored", 0);
-        assert_eq!(merged.check_export(None), Ok(()));
-        assert_eq!(
-            merged.check_export(Some("deploy-pull")),
-            Ok(()),
-            "matches the name's tail"
-        );
-        let e = merged.check_export(Some("handover")).unwrap_err();
+        let log = sample_log();
+        assert_eq!(log.check_export(None), Ok(()));
+        assert_eq!(log.check_export(Some("deploy-pull")), Ok(()));
+        let e = log.check_export(Some("pull")).unwrap_err();
+        assert!(e.contains("no `pull` span"), "the whole name, not its tail: {e}");
+        let e = log.check_export(Some("handover")).unwrap_err();
         assert!(e.contains("no `handover` span"), "{e}");
         let e = SpanLog::new().check_export(None).unwrap_err();
         assert!(e.contains("empty"), "{e}");
@@ -385,20 +361,6 @@ mod tests {
         let mut t2 = SpanLog::new();
         t2.open(0, SpanId::NONE, "request", SimTime::ZERO);
         assert!(t2.to_json().contains("\"end_ns\":null"));
-    }
-
-    #[test]
-    fn absorb_remaps_ids_and_requests() {
-        let mut a = sample_log();
-        let b = sample_log();
-        let before = a.len();
-        a.absorb(&b, "k8s", 100);
-        assert_eq!(a.len(), before + b.len());
-        assert!(a.check().ok());
-        assert_eq!(a.request_ids(), vec![0, 1, 100, 101]);
-        let absorbed: Vec<_> = a.spans_for_request(100).collect();
-        assert_eq!(absorbed[0].name, "k8s/request");
-        assert_eq!(absorbed[1].parent, absorbed[0].id);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 #
 #   scripts/repro_capture.sh <repro-binary> <outdir>
 #
-# Runs every bench subcommand at `--smoke --seed 7` (fastpath has no smoke
-# size; chaos / mobility / recovery also with `--telemetry` and `--csv`, chaos
-# and recovery at CI's fault rates), plus `fig11`, `summary`, `list` and an
+# Runs every bench subcommand with the flags it reads, at `--smoke --seed 7`
+# (fastpath and telemetry read none, engine no seed; chaos / mobility /
+# recovery also with `--telemetry`, chaos also with `--csv`, chaos and
+# recovery at CI's fault rates), plus `fig11`, `summary`, `list` and an
 # unknown id, and saves per run: stdout (`<name>.out`), stderr (`.err`), exit
 # status (`.status`) and the artifact it wrote (`<name>.BENCH_x.json`). The
 # committed artifacts are restored (`git checkout`) before and after every
@@ -30,7 +31,7 @@ cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 # Fields whose values are wall-clock measurements, in any artifact or in the
 # `telemetry-bench` line: ha, scale, engine, fastpath, telemetry.
 WALL_CLOCK='replay_wall_ns|replay_events_per_sec|wall_s|packet_ins_per_sec|peak_rss_mb'
-WALL_CLOCK+='|calendar_events_per_sec|naive_events_per_sec|speedup|mixed_speedup|floor_met'
+WALL_CLOCK+='|calendar_events_per_sec|naive_events_per_sec|speedup'
 WALL_CLOCK+='|naive_lookup_ns|indexed_lookup_ns|switch_hit_ns|indexed_100k_over_10_ratio'
 WALL_CLOCK+='|disabled_request_ns|recording_request_ns|overhead_pct'
 
@@ -58,15 +59,13 @@ run chaos-ci-telemetry '' chaos --smoke --fault-rate 0.15 --seed 7 --telemetry
 run chaos-csv '' chaos --smoke --seed 7 --csv
 run mobility BENCH_mobility.json mobility --smoke --seed 7
 run mobility-telemetry BENCH_mobility.json mobility --smoke --seed 7 --telemetry
-run mobility-csv BENCH_mobility.json mobility --smoke --seed 7 --csv
 run recovery BENCH_recovery.json recovery --smoke --seed 7
 run recovery-ci-telemetry BENCH_recovery.json recovery --smoke --fault-rate 1.0 --seed 7 --telemetry
-run recovery-csv BENCH_recovery.json recovery --smoke --seed 7 --csv
 run migrate BENCH_migrate.json migrate --smoke --seed 7
 run tournament BENCH_tournament.json tournament --smoke --seed 7
 run scale BENCH_scale.json scale --smoke --seed 7
 run ha BENCH_ha.json ha --smoke --seed 7
-run engine BENCH_engine.json engine --smoke --seed 7
+run engine BENCH_engine.json engine --smoke
 run fastpath BENCH_flowtable.json fastpath
 run telemetry '' telemetry
 run fig11 '' fig11

@@ -72,12 +72,11 @@ fn figures_are_deterministic() {
 }
 
 #[test]
-fn mobility_figure_is_deterministic() {
-    let a = testbed::experiments::mobility(11, true, false).figure;
-    let b = testbed::experiments::mobility(11, true, false).figure;
-    assert_eq!(a.body, b.body, "same seed, byte-identical mobility figure");
-    let c = testbed::experiments::mobility(12, true, false).figure;
-    assert_ne!(a.body, c.body, "seeds must matter");
+fn mobility_runs_are_deterministic() {
+    let runs = |seed| format!("{:?}", testbed::experiments::mobility(seed, true, false).runs);
+    let a = runs(11);
+    assert_eq!(a, runs(11), "same seed, identical mobility runs");
+    assert_ne!(a, runs(12), "seeds must matter");
 }
 
 #[test]
