@@ -617,8 +617,7 @@ pub fn timeout_sweep(seed: u64) -> Figure {
             .filter(|r| r.kind == RequestKind::MemoryHit)
             .count();
         let med = Summary::new(waited_totals(&tb)).median().unwrap_or(f64::NAN);
-        // Scale-downs equal re-deployments beyond the initial ones.
-        let scale_downs = deployments.saturating_sub(trace.config.n_services);
+        let scale_downs = tb.controller.telemetry.metrics.counter("scale_downs");
         t.row(vec![
             timeout_s.to_string(),
             deployments.to_string(),
@@ -1932,5 +1931,23 @@ mod tests {
         }
         // The longest timeout needs exactly one deployment per service.
         assert_eq!(*deployments.last().unwrap(), 8);
+    }
+
+    #[test]
+    fn timeout_sweep_counts_every_scale_down() {
+        // Every deployment beyond a service's first follows a scale-down of
+        // it, and a service may be scaled down once more after its last one.
+        let f = timeout_sweep(7);
+        let column = |col: usize| -> Vec<usize> {
+            f.table.rows.iter().map(|r| r[col].parse().unwrap()).collect()
+        };
+        let (deployments, scale_downs) = (column(1), column(3));
+        for (d, s) in deployments.iter().zip(&scale_downs) {
+            assert!(d - 8 <= *s && s <= d, "deployments {d}, scale-downs {s}");
+        }
+        // At 120 s two services idle out after their only deployment: a
+        // count of re-deployments reads 0 there.
+        assert_eq!(f.table.rows[4][0], "120");
+        assert_eq!(scale_downs[4], 2);
     }
 }
