@@ -1,9 +1,11 @@
 //! One entry point per table/figure of the paper, plus the ablations.
 //!
-//! Every experiment is deterministic in its seed and returns a [`Figure`]:
-//! a machine-readable table plus rendered text. The `repro` binary in the
-//! `bench` crate prints these; `EXPERIMENTS.md` records them against the
-//! paper's numbers.
+//! Every experiment is deterministic in its seed. A figure or ablation
+//! returns a [`Figure`]: a machine-readable table plus rendered text, which
+//! the `repro` binary in the `bench` crate prints and `EXPERIMENTS.md`
+//! records against the paper's numbers. An experiment with arms (chaos,
+//! mobility, recovery) returns each arm's runs as an [`Experiment`]; the
+//! benches write mobility's and recovery's as their artifacts.
 
 use crate::harness::{ClusterKind, CompletedRequest, MobilityConfig, MobilityTestbed, Testbed, TestbedConfig};
 use crate::report::{bar_chart, timeline, Table};
