@@ -161,12 +161,6 @@ pub(crate) fn clause(name: &str, holds: Option<bool>) -> Result<(), String> {
     }
 }
 
-/// Every listed top-level field is `0`.
-pub(crate) fn zero_fields(v: &Value, keys: &[&str]) -> Result<(), String> {
-    keys.iter()
-        .try_for_each(|k| clause(&format!("{k} == 0"), num(v, k).map(|n| n == 0.0)))
-}
-
 /// A clause that must hold on every row of the array at `key`, which must
 /// not be empty — an empty sweep proves nothing.
 pub(crate) fn each_row(

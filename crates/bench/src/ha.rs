@@ -48,7 +48,7 @@ pub(crate) fn gates(v: &Value) -> Result<(), String> {
         "largest size: warm_recovery_p99_ms <= cold_recovery_p99_ms",
         artifact::le(largest, "warm_recovery_p99_ms", "cold_recovery_p99_ms"),
     )?;
-    artifact::zero_fields(v, &["panics"])
+    artifact::clause("panics == 0", num(v, "panics").map(|n| n == 0.0))
 }
 
 /// The swept session counts: recoverable state (FlowMemory entries,
