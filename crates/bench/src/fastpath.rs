@@ -11,7 +11,7 @@ use crate::artifact;
 use desim::{Duration, SimTime};
 use netsim::addr::{Ipv4Addr, MacAddr, ServiceAddr};
 use netsim::TcpFrame;
-use openflow::actions::{Action, Instruction};
+use openflow::actions::Action;
 use openflow::messages::{FlowModCommand, Message};
 use openflow::oxm::{Match, MatchView};
 use openflow::table::{entry, FlowEntry, FlowTable};
@@ -51,7 +51,7 @@ fn connection_entry(i: usize) -> FlowEntry {
         m,
         100,
         i as u64,
-        vec![Instruction::ApplyActions(vec![Action::output(2)])],
+        vec![Action::output(2)],
         Duration::from_secs(600),
         0,
     )
@@ -118,7 +118,7 @@ fn loaded_switch(size: usize) -> Switch {
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
             match_: e.match_,
-            instructions: e.instructions,
+            actions: e.actions,
         };
         sw.handle_controller_into(SimTime::ZERO, &fm.encode(i as u32), &mut effects)
             .expect("flow-mod accepted");

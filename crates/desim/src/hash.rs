@@ -146,7 +146,7 @@ mod tests {
 
     /// The shapes the hot maps are keyed by, 4 096 keys each, mirrored here
     /// as the field layouts their `derive(Hash)` feeds the hasher (the real
-    /// `ShapeKey` is checked next to its definition in `openflow::table`).
+    /// `openflow::Match` is checked in `openflow::table`, the map it keys).
     #[test]
     fn structured_keys_spread_over_both_ends_of_the_hash() {
         // Sequential u64 ids.

@@ -313,6 +313,9 @@ pub struct Controller {
     /// Recycled buffers of a handover: the sessions it moves, and the
     /// installs it makes at the new ingress.
     handover_scratch: (Vec<(FlowKey, MemorizedFlow)>, Vec<OutboundMessage>),
+    /// Recycled buffer of the idle sweep: the `(service, cluster)`s whose
+    /// last memorized flow expired.
+    idle_scratch: Vec<(ServiceAddr, usize)>,
     /// Open telemetry spans of in-flight migrations, by request id.
     migration_spans: HashMap<u64, SpanId>,
     /// The crash-recovery write-ahead journal (inert unless
@@ -351,6 +354,7 @@ impl Controller {
             next_request: 0,
             crash_records: HashMap::new(),
             handover_scratch: Default::default(),
+            idle_scratch: Vec::new(),
             migration_spans: HashMap::new(),
             journal,
             control_errors: Vec::new(),
@@ -697,7 +701,7 @@ impl Controller {
     fn handle_flow_removed(&mut self, ingress: IngressId, match_: &Match, priority: u16) {
         self.telemetry.metrics.inc("flows_removed");
         let src = |f: &OxmField| if let OxmField::Ipv4Src(ip) = *f { Some(ip) } else { None };
-        let client = match_.fields().iter().find_map(src).map(Ipv4Addr);
+        let client = match_.fields().find_map(|f| src(&f)).map(Ipv4Addr);
         let filed = client.unwrap_or(AGGREGATE_CLIENT);
         let gone = self.state.pairs_with_fwd(filed, ingress, priority, match_);
         let last = gone.iter().filter_map(|&id| self.remove_pair(filed, ingress, id)).last();
@@ -709,7 +713,7 @@ impl Controller {
 
     fn in_port_of(match_: &Match) -> u32 {
         let port = |f: &OxmField| if let OxmField::InPort(p) = *f { Some(p) } else { None };
-        match_.fields().iter().find_map(port).unwrap_or(0)
+        match_.fields().find_map(|f| port(&f)).unwrap_or(0)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -990,7 +994,7 @@ impl Controller {
                 cluster,
                 in_port: spec.in_port,
                 gw_mac: spec.gw_mac,
-                fwd_actions: pair.fwd_actions(),
+                fwd_actions: pair.fwd.actions.clone(),
             };
             self.commit(JournalEvent::AggregateSet {
                 ingress,
@@ -1008,7 +1012,7 @@ impl Controller {
         out.push(self.flow_add(at, &mut pair.rev, OFP_NO_BUFFER));
         out.push(self.flow_add(at, &mut pair.fwd, buffer_id));
         if let Some(carried) = release.filter(|(id, _)| *id == OFP_NO_BUFFER) {
-            self.packet_out(ingress, at, carried, pair.fwd_actions(), out);
+            self.packet_out(ingress, at, carried, pair.fwd.actions.clone(), out);
         }
         self.commit(JournalEvent::PairAdd {
             client: spec.filed_under(),
@@ -1298,7 +1302,7 @@ mod tests {
     use dockersim::DockerEngine;
     use netsim::addr::MacAddr;
     use netsim::TcpFlags;
-    use openflow::actions::{Action, Instruction};
+    use openflow::actions::Action;
     use openflow::FlowEntry;
     use ovs::{Effect, Switch, SwitchConfig};
 
@@ -2308,7 +2312,7 @@ mod tests {
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
             match_: Match::connection([1, 2, 3, 4], 9, [5, 6, 7, 8], 10),
-            instructions: vec![Instruction::ApplyActions(vec![Action::output(CLOUD_PORT)])],
+            actions: vec![Action::output(CLOUD_PORT)],
         };
         sw.handle_controller(lost_at, &orphan.encode(1234)).unwrap();
 
@@ -2329,7 +2333,7 @@ mod tests {
             assert!(
                 repaired.iter().any(|a| a.match_ == b.match_
                     && a.priority == b.priority
-                    && a.instructions == b.instructions
+                    && a.actions == b.actions
                     && a.flags == b.flags),
                 "original flow missing after repair: {:?}",
                 b.match_
@@ -2437,7 +2441,7 @@ mod tests {
                 other => panic!("only Deletes go to the old switch: {other:?}"),
             })
             .collect();
-        let live = sw.table().entries().map(|e| e.match_.clone()).collect::<Vec<_>>();
+        let live = sw.table().entries().map(|e| e.match_).collect::<Vec<_>>();
         assert_eq!(deleted.len(), 2, "the live pair's two flows, no more");
         assert!(deleted.iter().all(|m| live.contains(m)), "every Delete names a flow on the switch");
     }
@@ -2957,13 +2961,13 @@ mod tests {
         let out = ctl.handle_switch_message_from(bare, t1, pkt_in, &mut rng).unwrap();
         assert_eq!(out.len(), 2, "an exact cloud pair");
         for m in &out {
-            let (_, Message::FlowMod { priority, instructions, .. }, _) =
+            let (_, Message::FlowMod { priority, actions, .. }, _) =
                 Message::decode(&m.data).unwrap()
             else {
                 panic!("expected flow-mods");
             };
             assert_eq!(priority, FLOW_PRIORITY, "exact, not aggregate, priority");
-            assert_eq!(instructions[0].actions().len(), 1, "plain output, no rewrite");
+            assert_eq!(actions.len(), 1, "plain output, no rewrite");
         }
         assert_eq!(
             ctl.control_errors,

@@ -27,7 +27,8 @@ impl Controller {
             }
             // Holds whose release instant has passed no longer pin anything.
             ctl.held.retain(|_, until| now < *until);
-            let mut expired = ctl.state.memory_mut().expire(now);
+            let mut expired = std::mem::take(&mut ctl.idle_scratch);
+            ctl.state.memory_mut().expire(now, &mut expired);
             // Re-examine deferred expiries whose hold has drained since.
             let ripe: Vec<(ServiceAddr, usize)> = ctl
                 .deferred
@@ -45,7 +46,7 @@ impl Controller {
                     expired.push(key);
                 }
             }
-            for (svc_addr, cluster_idx) in expired {
+            for (svc_addr, cluster_idx) in expired.drain(..) {
                 if ctl.held.contains_key(&(svc_addr, cluster_idx))
                     || ctl.state.migrate().pinned(svc_addr, cluster_idx)
                 {
@@ -71,6 +72,7 @@ impl Controller {
                     ctl.telemetry.metrics.inc("scale_downs");
                 }
             }
+            ctl.idle_scratch = expired;
             // The Remove phase: services down long enough are deleted entirely.
             if let Some(after) = ctl.config.remove_after {
                 let mut due: Vec<(ServiceAddr, usize)> = ctl

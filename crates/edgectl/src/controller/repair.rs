@@ -217,7 +217,7 @@ impl Controller {
                     // Reverse before forward, as installs always go out: if both
                     // directions are missing, the reply path comes back first.
                     for f in [&p.rev, &p.fwd] {
-                        claimed.push((f.match_.clone(), f.priority));
+                        claimed.push((f.match_, f.priority));
                         let on_switch = switch_flows
                             .iter()
                             .any(|e| e.priority == f.priority && e.match_ == f.match_);
@@ -249,8 +249,8 @@ impl Controller {
                 if deleted.contains(&e.match_) {
                     continue;
                 }
-                deleted.push(e.match_.clone());
-                msgs.push(ctl.flow_delete(now, e.match_.clone()));
+                deleted.push(e.match_);
+                msgs.push(ctl.flow_delete(now, e.match_));
             }
 
             let (_, root) = ctl.open_request("reconcile", now);

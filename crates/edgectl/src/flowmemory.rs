@@ -510,15 +510,17 @@ impl FlowMemory {
         out.into_iter().collect()
     }
 
-    /// Removes expired entries; returns the services that now have **zero**
-    /// remaining flows (candidates for scale-down) along with the cluster
-    /// that served them, one report per distinct `(service, cluster)` pair,
-    /// in sorted order. A service whose flows expired on several clusters in
-    /// the same sweep is reported once *per cluster* — each cluster's
-    /// instance is independently idle.
-    pub fn expire(&mut self, now: SimTime) -> Vec<(ServiceAddr, usize)> {
+    /// Removes expired entries; fills `idle` (cleared first) with the
+    /// services that now have **zero** remaining flows (candidates for
+    /// scale-down) along with the cluster that served them, one report per
+    /// distinct `(service, cluster)` pair, in sorted order. A service whose
+    /// flows expired on several clusters in the same sweep is reported once
+    /// *per cluster* — each cluster's instance is independently idle. The
+    /// caller owns `idle` and hands it back each sweep, so a sweep costs no
+    /// heap call once it has held its largest report.
+    pub fn expire(&mut self, now: SimTime, idle: &mut Vec<(ServiceAddr, usize)>) {
         let timeout = self.idle_timeout;
-        let mut expired: BTreeSet<(ServiceAddr, usize)> = BTreeSet::new();
+        idle.clear();
         let mut due = std::mem::take(&mut self.expiry_scratch);
         // Sweep shard by shard: a wheel with nothing due costs O(1) to ask,
         // so a quiet cell adds nothing to the sweep even at fleet scale.
@@ -530,7 +532,7 @@ impl FlowMemory {
                 if now.saturating_since(f.last_used) >= timeout {
                     self.remove(&key);
                     self.stats.expired += 1;
-                    expired.insert((key.service, f.cluster));
+                    idle.push((key.service, f.cluster));
                 } else {
                     // Refreshed since its deadline was set: re-arm.
                     self.shards[idx].wheel.schedule(key, f.last_used + timeout);
@@ -538,10 +540,10 @@ impl FlowMemory {
             }
         }
         self.expiry_scratch = due;
-        expired
-            .into_iter()
-            .filter(|(svc, _)| !self.per_service.contains_key(svc))
-            .collect()
+        // Equal reports are identical, so the unstable sort is exact.
+        idle.sort_unstable();
+        idle.dedup();
+        idle.retain(|(svc, _)| !self.per_service.contains_key(svc));
     }
 
     /// Number of live flows toward `service`.
@@ -584,6 +586,14 @@ mod tests {
             client_ip: Ipv4Addr::new(192, 168, 1, client),
             service: ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), port),
         }
+    }
+
+    /// The idle report of a sweep at `now`, into a buffer that holds a stale
+    /// report `expire` must clear.
+    fn expired(m: &mut FlowMemory, now: SimTime) -> Vec<(ServiceAddr, usize)> {
+        let mut idle = vec![(ServiceAddr::new(Ipv4Addr::new(0, 0, 0, 0), 0), 9)];
+        m.expire(now, &mut idle);
+        idle
     }
 
     fn inst(port: u16) -> InstanceAddr {
@@ -658,12 +668,12 @@ mod tests {
 
         // t=10: client 20's flow and :81's flow expire; :80 still has client
         // 21, so only :81 is reported idle.
-        let idle = m.expire(SimTime::from_secs(10));
+        let idle = expired(&mut m, SimTime::from_secs(10));
         assert_eq!(idle, vec![(ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 81), 1)]);
         assert_eq!(m.flows_for(key(20, 80).service), 1);
 
         // t=18: the last :80 flow expires too.
-        let idle = m.expire(SimTime::from_secs(18));
+        let idle = expired(&mut m, SimTime::from_secs(18));
         assert_eq!(idle.len(), 1);
         assert_eq!(idle[0].0.port, 80);
         assert!(m.is_empty());
@@ -673,7 +683,8 @@ mod tests {
     /// on two *different* clusters must report both `(service, cluster)`
     /// pairs — each cluster's instance is independently idle. The seed's
     /// sort-by-service + adjacent-dedup reporting could drop or duplicate
-    /// pairs here; the `BTreeSet` makes the report exact and sorted.
+    /// pairs here; a sort and a dedup of the whole report make it exact
+    /// and sorted.
     #[test]
     fn same_service_on_two_clusters_reports_both() {
         let mut m = FlowMemory::new(Duration::from_secs(10));
@@ -682,7 +693,7 @@ mod tests {
         m.memorize(key(21, 80), inst(2), 1, SimTime::ZERO);
         // A duplicate on cluster 1 must not yield a duplicate report.
         m.memorize(key(22, 80), inst(2), 1, SimTime::ZERO);
-        let idle = m.expire(SimTime::from_secs(10));
+        let idle = expired(&mut m, SimTime::from_secs(10));
         assert_eq!(idle, vec![(svc, 0), (svc, 1)]);
         assert!(m.is_empty());
     }
@@ -693,11 +704,11 @@ mod tests {
         let k = key(20, 80);
         m.memorize(k, inst(1), 0, SimTime::ZERO);
         assert!(m.lookup(k, SimTime::from_secs(6)).is_some()); // refresh
-        assert!(m.expire(SimTime::from_secs(10)).is_empty(), "re-armed, not expired");
+        assert!(expired(&mut m, SimTime::from_secs(10)).is_empty(), "re-armed, not expired");
         assert_eq!(m.len(), 1);
         // The re-armed deadline is exact again.
         assert_eq!(m.next_expiry(), Some(SimTime::from_secs(16)));
-        let idle = m.expire(SimTime::from_secs(16));
+        let idle = expired(&mut m, SimTime::from_secs(16));
         assert_eq!(idle.len(), 1);
     }
 
@@ -723,7 +734,7 @@ mod tests {
         assert_eq!(m.len(), 1);
         // The forgotten entries' wheel deadlines are cancelled: a sweep at
         // their old deadline expires only the remaining flow.
-        let idle = m.expire(SimTime::from_secs(10));
+        let idle = expired(&mut m, SimTime::from_secs(10));
         assert_eq!(idle, vec![(key(21, 80).service, 0)]);
     }
 
@@ -735,7 +746,7 @@ mod tests {
         m.memorize(k, inst(1), 0, SimTime::ZERO);
         assert!(m.lookup(k, SimTime::from_secs(1)).is_some()); // hit
         assert!(m.lookup(k, SimTime::from_secs(11)).is_none()); // stale miss
-        m.expire(SimTime::from_secs(30));
+        expired(&mut m, SimTime::from_secs(30));
         assert_eq!(
             m.stats,
             FlowMemoryStats {
@@ -769,7 +780,7 @@ mod tests {
         assert_eq!((moved.instance.port, moved.cluster), (31000, 2));
         // Timer restarted at the rekey instant: alive past the original
         // deadline, and exactly one service remains filed.
-        assert!(m.expire(SimTime::from_secs(10)).is_empty());
+        assert!(expired(&mut m, SimTime::from_secs(10)).is_empty());
         assert_eq!(m.len(), 1);
         assert!(!m.rekey(&old, IngressId(4), SimTime::from_secs(8)), "already moved");
     }
@@ -802,7 +813,7 @@ mod tests {
         assert_eq!(m.flows_for(key(20, 80).service), 0, "both :80 flows were its");
         assert_eq!(m.flows_for(key(20, 81).service), 1);
         // Cancelled wheel deadlines: a sweep expires only the survivor.
-        let idle = m.expire(SimTime::from_secs(10));
+        let idle = expired(&mut m, SimTime::from_secs(10));
         assert_eq!(idle, vec![(key(20, 81).service, 1)]);
     }
 

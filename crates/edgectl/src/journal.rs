@@ -42,14 +42,12 @@ use crate::rules::{AggregateRule, InstalledPair};
 use crate::flowmemory::{FlowKey, FlowMemory, FlowOp, IngressId, MemorizedFlow};
 use crate::health::{BreakerSnapshot, HealthMonitor, HealthOp};
 use crate::migrate::{MigrationManager, MigrationOp, MigrationSnapshot};
-use desim::hash::FastHasher;
 use desim::{FastMap, SimTime};
 use netsim::addr::{Ipv4Addr, MacAddr};
 use netsim::ServiceAddr;
-use openflow::oxm::{Match, OxmField};
+use openflow::oxm::Match;
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
-use std::hash::Hasher;
 
 /// Write-ahead journal configuration (the `journal:` YAML block).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -278,42 +276,20 @@ pub struct StateStats {
     pub(crate) scaled_down: usize,
 }
 
-/// Key of the forward-flow index: whose pair, where, and what its forward
-/// flow matches — the match by content hash, so filing a pair clones nothing
-/// and a lookup's candidates are confirmed against the pairs themselves.
+/// Key of the forward-flow index: whose pair, where, and which forward flow
+/// — its priority and its match, a `Copy` value, so filing a pair clones
+/// nothing.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct FwdKey {
     ingress: IngressId,
     client: Ipv4Addr,
     priority: u16,
-    fingerprint: u64,
+    match_: Match,
 }
 
 impl FwdKey {
     fn new(client: Ipv4Addr, ingress: IngressId, priority: u16, match_: &Match) -> FwdKey {
-        let mut h = FastHasher::default();
-        let mac = |m: [u8; 6]| m.iter().fold(0u64, |v, &b| v << 8 | u64::from(b));
-        for f in match_.fields() {
-            // Field kind in the top byte, value (48 bits at most) below it.
-            let (kind, value) = match *f {
-                OxmField::InPort(p) => (0u64, u64::from(p)),
-                OxmField::EthDst(m) => (1, mac(m)),
-                OxmField::EthSrc(m) => (2, mac(m)),
-                OxmField::EthType(t) => (3, u64::from(t)),
-                OxmField::IpProto(p) => (4, u64::from(p)),
-                OxmField::Ipv4Src(a) => (5, u64::from(u32::from_be_bytes(a))),
-                OxmField::Ipv4Dst(a) => (6, u64::from(u32::from_be_bytes(a))),
-                OxmField::TcpSrc(p) => (7, u64::from(p)),
-                OxmField::TcpDst(p) => (8, u64::from(p)),
-            };
-            h.write_u64(kind << 56 | value);
-        }
-        FwdKey {
-            ingress,
-            client,
-            priority,
-            fingerprint: h.finish(),
-        }
+        FwdKey { ingress, client, priority, match_: *match_ }
     }
 
     fn of(client: Ipv4Addr, ingress: IngressId, pair: &InstalledPair) -> FwdKey {
@@ -884,6 +860,7 @@ pub struct RecoveryReport {
 mod tests {
     use super::*;
     use crate::rules::InstalledFlow;
+    use openflow::oxm::OxmField;
     use proptest::prelude::*;
 
     /// One step of the bookkeeping property; small pools so keys collide.
@@ -921,7 +898,7 @@ mod tests {
     fn flow(match_: Match, priority: u16) -> InstalledFlow {
         InstalledFlow {
             match_,
-            instructions: vec![],
+            actions: vec![],
             priority,
             cookie: 1,
             flags: 0,
@@ -989,7 +966,7 @@ mod tests {
                 match op {
                     PairOp::Add { client, ingress, fwd, priority, teardown } => {
                         let pair = InstalledPair {
-                            fwd: flow(fwd_pool(client)[fwd].clone(), priority),
+                            fwd: flow(fwd_pool(client)[fwd], priority),
                             rev: flow(Match::any(), priority),
                             service: ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80),
                             cluster: None,

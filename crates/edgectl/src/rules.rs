@@ -24,9 +24,9 @@
 use crate::cluster::InstanceAddr;
 use netsim::addr::{Ipv4Addr, MacAddr};
 use netsim::{ServiceAddr, TcpFrame};
-use openflow::actions::{Action, Instruction};
+use openflow::actions::Action;
 use openflow::messages::{FlowModCommand, Message, OFPFF_SEND_FLOW_REM};
-use openflow::oxm::{service_fields, Match, OxmField};
+use openflow::oxm::{Match, OxmField};
 use openflow::OFP_NO_BUFFER;
 
 /// One flow as the controller believes it exists on a switch — enough
@@ -34,7 +34,7 @@ use openflow::OFP_NO_BUFFER;
 #[derive(Clone, Debug)]
 pub(crate) struct InstalledFlow {
     pub(crate) match_: Match,
-    pub(crate) instructions: Vec<Instruction>,
+    pub(crate) actions: Vec<Action>,
     pub(crate) priority: u16,
     pub(crate) cookie: u64,
     pub(crate) flags: u16,
@@ -62,19 +62,6 @@ pub(crate) struct InstalledPair {
     /// and handover pairs are; plain packet-in cloud paths never were (they
     /// just idle out), and reconciliation must not change that.
     pub(crate) teardown_on_handover: bool,
-}
-
-impl InstalledPair {
-    /// The forward rewrite (what a packet-out applies to the packet that
-    /// triggered the install).
-    pub(crate) fn fwd_actions(&self) -> Vec<Action> {
-        self.fwd
-            .instructions
-            .iter()
-            .flat_map(|i| i.actions())
-            .cloned()
-            .collect()
-    }
 }
 
 /// Bookkeeping client address for aggregated wildcard pairs: they belong to
@@ -172,7 +159,7 @@ impl PairSpec {
     pub(crate) fn fwd_match(&self) -> Match {
         let client = self.client.octets();
         let (svc_ip, svc_port) = (self.service.ip.octets(), self.service.port);
-        let service_and = |f| Match::of(service_fields(svc_ip, svc_port).into_iter().chain([f]));
+        let service_and = |f| Match::service(svc_ip, svc_port).with(f);
         match self.granularity {
             Granularity::Connection => Match::connection(client, self.src_port, svc_ip, svc_port),
             Granularity::ClientService => service_and(OxmField::Ipv4Src(client)),
@@ -247,14 +234,14 @@ impl PairSpec {
         InstalledPair {
             fwd: InstalledFlow {
                 match_: fwd_match,
-                instructions: vec![Instruction::ApplyActions(fwd_actions)],
+                actions: fwd_actions,
                 priority,
                 cookie: 1,
                 flags: OFPFF_SEND_FLOW_REM,
             },
             rev: InstalledFlow {
                 match_: rev_match,
-                instructions: vec![Instruction::ApplyActions(rev_actions)],
+                actions: rev_actions,
                 priority,
                 cookie: 2,
                 flags: 0,
@@ -274,8 +261,8 @@ impl PairSpec {
 
 /// Encodes the `FLOW_MOD` Add that installs `flow` — the only Add the
 /// controller ever sends. `Message::encode` only borrows, so the flow lends
-/// its match and instructions to the message and takes them back: a pair is
-/// built once and never cloned on its way to the wire.
+/// its actions to the message and takes them back: a pair is built once and
+/// its action lists are never cloned on their way to the wire.
 pub(crate) fn flow_add(
     flow: &mut InstalledFlow,
     idle_timeout: u16,
@@ -290,18 +277,12 @@ pub(crate) fn flow_add(
         priority: flow.priority,
         buffer_id,
         flags: flow.flags,
-        match_: std::mem::take(&mut flow.match_),
-        instructions: std::mem::take(&mut flow.instructions),
+        match_: flow.match_,
+        actions: std::mem::take(&mut flow.actions),
     };
     let data = msg.encode(xid);
-    if let Message::FlowMod {
-        match_,
-        instructions,
-        ..
-    } = msg
-    {
-        flow.match_ = match_;
-        flow.instructions = instructions;
+    if let Message::FlowMod { actions, .. } = msg {
+        flow.actions = actions;
     }
     data
 }
@@ -319,7 +300,7 @@ pub(crate) fn flow_delete(match_: Match) -> Message {
         buffer_id: OFP_NO_BUFFER,
         flags: 0,
         match_,
-        instructions: vec![],
+        actions: vec![],
     }
 }
 

@@ -179,7 +179,8 @@ proptest! {
         prop_assert!(m.lookup(key, just_before).is_some());
         let at_expiry = just_before + timeout;
         prop_assert!(m.lookup(key, at_expiry).is_none());
-        let idle = m.expire(at_expiry);
+        let mut idle = Vec::new();
+        m.expire(at_expiry, &mut idle);
         prop_assert_eq!(idle.len(), 1);
         prop_assert!(m.is_empty());
     }

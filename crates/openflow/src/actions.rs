@@ -3,8 +3,9 @@
 //! The transparent redirect needs exactly two action kinds: `SET_FIELD`
 //! (rewrite MAC/IP/port toward the edge instance, and the reverse rewrite on
 //! the return path) and `OUTPUT` (forward out of a port / to the controller).
-//! Instructions are limited to `APPLY_ACTIONS`, which is how the controller
-//! installs immediate rewrites.
+//! A flow carries its actions as one list: on the wire a `FLOW_MOD` Add wraps
+//! it in a single `APPLY_ACTIONS` instruction, the only one the subset knows,
+//! which is how the controller installs immediate rewrites.
 
 use crate::oxm::OxmField;
 use crate::OfError;
@@ -116,7 +117,9 @@ impl Action {
         }
     }
 
-    /// Decodes exactly `len` bytes of actions.
+    /// Decodes exactly `len` bytes of actions into a list allocated once,
+    /// at its exact length: a first pass counts the TLVs, so a flow keeps
+    /// no growth slack for its lifetime.
     pub(crate) fn decode_list(buf: &[u8], len: usize) -> Result<Vec<Action>, OfError> {
         if buf.len() < len {
             return Err(OfError::Truncated {
@@ -125,10 +128,22 @@ impl Action {
                 have: buf.len(),
             });
         }
-        let mut out = Vec::new();
+        let buf = &buf[..len];
+        let mut n = 0;
+        let mut off = 0;
+        while let Some(header) = buf.get(off..off + 4) {
+            // A length under 8 fails the decode below; stop counting there.
+            let used = u16::from_be_bytes([header[2], header[3]]) as usize;
+            if used < 8 {
+                break;
+            }
+            n += 1;
+            off += used;
+        }
+        let mut out = Vec::with_capacity(n);
         let mut off = 0;
         while off < len {
-            let (a, used) = Action::decode(&buf[off..len])?;
+            let (a, used) = Action::decode(&buf[off..])?;
             out.push(a);
             off += used;
         }
@@ -136,86 +151,54 @@ impl Action {
     }
 }
 
-/// An OpenFlow instruction. Only `APPLY_ACTIONS` is supported — the
-/// single-table pipeline the controller programs needs nothing else.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Instruction {
-    /// Apply the action list immediately.
-    ApplyActions(Vec<Action>),
+/// Bytes [`encode_apply_actions`] appends for `actions`.
+pub(crate) fn apply_actions_len(actions: &[Action]) -> usize {
+    8 + actions.iter().map(Action::encoded_len).sum::<usize>()
 }
 
-impl Instruction {
-    /// The actions carried by this instruction.
-    pub fn actions(&self) -> &[Action] {
-        match self {
-            Instruction::ApplyActions(a) => a,
-        }
-    }
+/// Encodes `actions` as one `APPLY_ACTIONS` instruction straight into `out`;
+/// its length field is patched in once the actions are written.
+pub(crate) fn encode_apply_actions(actions: &[Action], out: &mut Vec<u8>) {
+    let start = out.len();
+    out.extend_from_slice(&OFPIT_APPLY_ACTIONS.to_be_bytes());
+    out.extend_from_slice(&[0u8; 6]); // length (patched below) + pad
+    Action::encode_list(actions, out);
+    crate::patch_len(out, start + 2, start);
+}
 
-    /// Bytes [`Instruction::encode`] appends.
-    pub fn encoded_len(&self) -> usize {
-        8 + self.actions().iter().map(Action::encoded_len).sum::<usize>()
+/// Decodes a `FLOW_MOD`'s instruction list, which is all of `buf`: `None`
+/// for no instruction, else the actions of its one `APPLY_ACTIONS`. Another
+/// instruction type is refused, and so is a second instruction
+/// ([`OfError::DupInstruction`]).
+pub(crate) fn decode_instructions(buf: &[u8]) -> Result<Option<Vec<Action>>, OfError> {
+    if buf.is_empty() {
+        return Ok(None);
     }
-
-    /// Encodes this instruction straight into `out`; its length field is
-    /// patched in once the actions are written.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Instruction::ApplyActions(actions) => {
-                let start = out.len();
-                out.extend_from_slice(&OFPIT_APPLY_ACTIONS.to_be_bytes());
-                out.extend_from_slice(&[0u8; 6]); // length (patched below) + pad
-                Action::encode_list(actions, out);
-                crate::patch_len(out, start + 2, start);
-            }
-        }
+    if buf.len() < 8 {
+        return Err(OfError::Truncated {
+            what: "instruction header",
+            need: 8,
+            have: buf.len(),
+        });
     }
-
-    /// Decodes one instruction, returning it and the bytes consumed.
-    pub fn decode(buf: &[u8]) -> Result<(Instruction, usize), OfError> {
-        if buf.len() < 8 {
-            return Err(OfError::Truncated {
-                what: "instruction header",
-                need: 8,
-                have: buf.len(),
-            });
-        }
-        let itype = u16::from_be_bytes([buf[0], buf[1]]);
-        let len = u16::from_be_bytes([buf[2], buf[3]]) as usize;
-        if itype != OFPIT_APPLY_ACTIONS {
-            return Err(OfError::BadAction(format!(
-                "unsupported instruction type {itype}"
-            )));
-        }
-        if len < 8 || buf.len() < len {
-            return Err(OfError::Truncated {
-                what: "instruction body",
-                need: len.max(8),
-                have: buf.len(),
-            });
-        }
-        let actions = Action::decode_list(&buf[8..len], len - 8)?;
-        Ok((Instruction::ApplyActions(actions), len))
+    let itype = u16::from_be_bytes([buf[0], buf[1]]);
+    let len = u16::from_be_bytes([buf[2], buf[3]]) as usize;
+    if itype != OFPIT_APPLY_ACTIONS {
+        return Err(OfError::BadAction(format!(
+            "unsupported instruction type {itype}"
+        )));
     }
-
-    /// Encodes a list of instructions.
-    pub(crate) fn encode_list(instructions: &[Instruction], out: &mut Vec<u8>) {
-        for i in instructions {
-            i.encode(out);
-        }
+    if len < 8 || buf.len() < len {
+        return Err(OfError::Truncated {
+            what: "instruction body",
+            need: len.max(8),
+            have: buf.len(),
+        });
     }
-
-    /// Decodes instructions until `buf` is exhausted.
-    pub(crate) fn decode_all(buf: &[u8]) -> Result<Vec<Instruction>, OfError> {
-        let mut out = Vec::new();
-        let mut off = 0;
-        while off < buf.len() {
-            let (i, used) = Instruction::decode(&buf[off..])?;
-            out.push(i);
-            off += used;
-        }
-        Ok(out)
+    if len < buf.len() {
+        return Err(OfError::DupInstruction);
     }
+    Action::decode_list(&buf[8..], len - 8).map(Some)
 }
 
 #[cfg(test)]
@@ -268,41 +251,55 @@ mod tests {
     }
 
     #[test]
-    fn instruction_roundtrip() {
-        let i = Instruction::ApplyActions(vec![
-            Action::SetField(OxmField::TcpDst(8080)),
-            Action::output(2),
-        ]);
+    fn decoded_action_list_is_allocated_at_its_exact_length() {
+        // The reverse rewrite of a redirect: five actions (a `Vec` grown one
+        // push at a time would hold eight).
+        let actions = vec![
+            Action::SetField(OxmField::EthSrc([2, 0, 0, 0, 0, 99])),
+            Action::SetField(OxmField::EthDst([2, 0, 0, 0, 0, 1])),
+            Action::SetField(OxmField::Ipv4Src([203, 0, 113, 10])),
+            Action::SetField(OxmField::TcpSrc(80)),
+            Action::output(1),
+        ];
         let mut buf = Vec::new();
-        i.encode(&mut buf);
-        let (back, used) = Instruction::decode(&buf).unwrap();
-        assert_eq!(back, i);
-        assert_eq!(used, buf.len());
-        assert_eq!(back.actions().len(), 2);
+        Action::encode_list(&actions, &mut buf);
+        let back = Action::decode_list(&buf, buf.len()).unwrap();
+        assert_eq!((back.len(), back.capacity()), (5, 5));
+        assert_eq!(back, actions);
+    }
+
+    #[test]
+    fn apply_actions_roundtrip() {
+        let actions = [Action::SetField(OxmField::TcpDst(8080)), Action::output(2)];
+        let mut buf = Vec::new();
+        encode_apply_actions(&actions, &mut buf);
+        assert_eq!(buf.len(), apply_actions_len(&actions));
+        assert_eq!(decode_instructions(&buf).unwrap().unwrap(), actions);
+        assert_eq!(decode_instructions(&[]), Ok(None));
     }
 
     #[test]
     fn empty_apply_actions_is_valid() {
         // A drop rule: APPLY_ACTIONS with no actions.
-        let i = Instruction::ApplyActions(vec![]);
         let mut buf = Vec::new();
-        i.encode(&mut buf);
+        encode_apply_actions(&[], &mut buf);
         assert_eq!(buf.len(), 8);
-        let (back, _) = Instruction::decode(&buf).unwrap();
-        assert_eq!(back.actions().len(), 0);
+        assert_eq!(decode_instructions(&buf), Ok(Some(vec![])));
     }
 
     #[test]
-    fn decode_rejects_unknown_types() {
+    fn decode_rejects_unknown_types_and_a_second_instruction() {
         // action type 99
         let mut buf = vec![0, 99, 0, 8, 0, 0, 0, 0];
         assert!(matches!(Action::decode(&buf), Err(OfError::BadAction(_))));
         // instruction type 1 (GOTO_TABLE, unsupported)
         buf = vec![0, 1, 0, 8, 0, 0, 0, 0];
-        assert!(matches!(
-            Instruction::decode(&buf),
-            Err(OfError::BadAction(_))
-        ));
+        assert!(matches!(decode_instructions(&buf), Err(OfError::BadAction(_))));
+        // two APPLY_ACTIONS
+        buf.clear();
+        encode_apply_actions(&[Action::output(1)], &mut buf);
+        encode_apply_actions(&[], &mut buf);
+        assert_eq!(decode_instructions(&buf), Err(OfError::DupInstruction));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! switch's `FLOW_MOD` Add and Delete and its expiry sweep perform —
 //! against both implementations and asserts, after every step:
 //!
-//! * identical lookup results (cookie + instructions) and peek results,
+//! * identical lookup results (cookie + actions) and peek results,
 //! * identical removal records (entry, final counters, reason, order) from
 //!   delete and expiry sweeps — appended by `delete_into` / `expire_into` to
 //!   one sink that keeps every earlier record, which must stay untouched —
@@ -23,7 +23,7 @@
 //! 1100 fixed seeds (runs in offline builds), and a `proptest` integration
 //! test (`tests/table_diff.rs`) that shrinks failing seeds.
 
-use crate::actions::{Action, Instruction};
+use crate::actions::Action;
 use crate::oxm::{Match, MatchView, OxmField};
 use crate::table::{entry, FlowTable, Removed};
 use crate::NaiveFlowTable;
@@ -44,9 +44,17 @@ fn random_port(rng: &mut SimRng) -> u16 {
 }
 
 fn random_match(rng: &mut SimRng) -> Match {
-    match rng.below(6) {
+    match rng.below(7) {
         0 => Match::any(),
         1 | 2 => Match::service(random_ip(rng), random_port(rng)),
+        // The service match spelled in reverse: the same set, so an Add of
+        // one replaces the other and a Delete of one removes both.
+        6 => {
+            let mut fields: Vec<_> =
+                Match::service(random_ip(rng), random_port(rng)).fields().collect();
+            fields.reverse();
+            Match::of(fields)
+        }
         3 => {
             let sp = SRC_PORTS[rng.below(3) as usize];
             Match::connection(random_ip(rng), sp, random_ip(rng), random_port(rng))
@@ -79,16 +87,16 @@ fn random_timeout(rng: &mut SimRng) -> Duration {
     }
 }
 
-fn fwd(port: u32) -> Vec<Instruction> {
-    vec![Instruction::ApplyActions(vec![Action::output(port)])]
+fn fwd(port: u32) -> Vec<Action> {
+    vec![Action::output(port)]
 }
 
 /// The observable fields of a removal record, for exact comparison.
-fn removed_key(r: &Removed) -> (u16, u64, Vec<OxmField>, u64, u64, SimTime, SimTime, u8, SimTime) {
+fn removed_key(r: &Removed) -> (u16, u64, Match, u64, u64, SimTime, SimTime, u8, SimTime) {
     (
         r.entry.priority,
         r.entry.cookie,
-        r.entry.match_.fields().to_vec(),
+        r.entry.match_,
         r.entry.packet_count,
         r.entry.byte_count,
         r.entry.installed_at,
@@ -114,8 +122,8 @@ fn assert_tables_eq(naive: &NaiveFlowTable, indexed: &FlowTable, ctx: &str) {
             (
                 e.priority,
                 e.cookie,
-                e.match_.fields().to_vec(),
-                e.instructions.clone(),
+                e.match_,
+                e.actions.clone(),
                 e.packet_count,
                 e.byte_count,
                 e.installed_at,
@@ -129,8 +137,8 @@ fn assert_tables_eq(naive: &NaiveFlowTable, indexed: &FlowTable, ctx: &str) {
             (
                 e.priority,
                 e.cookie,
-                e.match_.fields().to_vec(),
-                e.instructions.clone(),
+                e.match_,
+                e.actions.clone(),
                 e.packet_count,
                 e.byte_count,
                 e.installed_at,
@@ -191,7 +199,7 @@ pub fn check_seed(seed: u64, ops: usize) -> usize {
                 let v = random_view(&mut rng);
                 let len = 64 + rng.below(1400) as usize;
                 let a = naive.lookup(&v, len, now);
-                let b = indexed.lookup(&v, len, now).map(|(c, i)| (c, i.to_vec()));
+                let b = indexed.lookup(&v, len, now).map(|(c, a)| (c, a.to_vec()));
                 assert_eq!(a, b, "{ctx}: lookup results diverge");
                 hits += a.is_some() as usize;
             }

@@ -10,9 +10,10 @@
 //!
 //! * [`oxm`] — OXM match fields (`IN_PORT`, `ETH_SRC/DST`, `ETH_TYPE`,
 //!   `IP_PROTO`, `IPV4_SRC/DST`, `TCP_SRC/DST`) with byte-exact TLV
-//!   encoding, plus the [`oxm::Match`] set and its packet-matching semantics,
+//!   encoding, plus the [`oxm::Match`] set (packed, `Copy`, compared as a
+//!   set) and its packet-matching semantics,
 //! * [`actions`] — `OUTPUT` and `SET_FIELD` actions and the
-//!   `APPLY_ACTIONS` instruction,
+//!   `APPLY_ACTIONS` instruction that carries them in a `FLOW_MOD`,
 //! * [`messages`] — the control-channel messages the controller exchanges
 //!   (`HELLO`, `ERROR`, `PACKET_IN`, `PACKET_OUT`, `FLOW_MOD` Add / Delete,
 //!   `FLOW_REMOVED`, `BARRIER`) with binary encode/decode; the decoder
@@ -46,7 +47,7 @@
 //!     buffer_id: OFP_NO_BUFFER,
 //!     flags: 0,
 //!     match_: Match::service([203, 0, 113, 10], 80),
-//!     instructions: vec![],
+//!     actions: vec![], // a Delete carries no instruction
 //! };
 //! let mut bytes = msg.encode(42);
 //! let (xid, decoded, used) = Message::decode(&bytes).unwrap();
@@ -66,7 +67,7 @@ pub mod naive;
 pub mod oxm;
 pub mod table;
 
-pub use actions::{Action, Instruction};
+pub use actions::Action;
 pub use messages::{timeout_secs, FlowModCommand, Message, PacketInReason, RemovedReason};
 pub use naive::NaiveFlowTable;
 pub use oxm::{Match, MatchView};
@@ -110,6 +111,13 @@ pub enum OfError {
     BadOxm(String),
     /// Malformed action or instruction.
     BadAction(String),
+    /// A match gives one field kind twice, here by its OXM field code
+    /// (OpenFlow's `OFPBMC_DUP_FIELD`).
+    DupField(u8),
+    /// A `FLOW_MOD` carries a second instruction (OpenFlow's
+    /// `OFPBIC_DUP_INST`: the one the subset knows, `APPLY_ACTIONS`, may be
+    /// given once).
+    DupInstruction,
     /// Header length field disagrees with the content.
     BadLength {
         /// Length claimed by the header.
@@ -131,6 +139,8 @@ impl std::fmt::Display for OfError {
             OfError::BadType(t) => write!(f, "unsupported message type {t}"),
             OfError::BadOxm(m) => write!(f, "bad OXM: {m}"),
             OfError::BadAction(m) => write!(f, "bad action: {m}"),
+            OfError::DupField(code) => write!(f, "OXM field {code} given twice"),
+            OfError::DupInstruction => write!(f, "FLOW_MOD instruction given twice"),
             OfError::BadLength { declared, actual } => {
                 write!(f, "length mismatch: declared {declared}, actual {actual}")
             }

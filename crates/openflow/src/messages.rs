@@ -9,7 +9,7 @@
 //! hard timeout — is refused, not half-applied (DESIGN.md "Control-channel
 //! vocabulary").
 
-use crate::actions::{Action, Instruction};
+use crate::actions::{self, Action};
 use crate::oxm::Match;
 use crate::{OfError, OFP_VERSION};
 use desim::Duration;
@@ -215,8 +215,10 @@ pub enum Message {
         flags: u16,
         /// The match.
         match_: Match,
-        /// The instructions.
-        instructions: Vec<Instruction>,
+        /// The flow's actions. An Add carries them in one `APPLY_ACTIONS`
+        /// instruction (none is a drop rule); a Delete carries no
+        /// instruction, so its list is empty.
+        actions: Vec<Action>,
     },
     /// Notification that a flow expired or was deleted.
     FlowRemoved {
@@ -283,9 +285,12 @@ impl Message {
             Message::PacketOut { actions, data, .. } => {
                 16 + actions.iter().map(Action::encoded_len).sum::<usize>() + data.len()
             }
-            Message::FlowMod { match_, instructions, .. } => {
+            Message::FlowMod { command, match_, actions, .. } => {
                 40 + match_.encoded_len()
-                    + instructions.iter().map(Instruction::encoded_len).sum::<usize>()
+                    + match command {
+                        FlowModCommand::Add => actions::apply_actions_len(actions),
+                        FlowModCommand::Delete => 0,
+                    }
             }
             Message::Error { data, .. } => 4 + data.len().min(64),
             Message::FlowRemoved { match_, .. } => 40 + match_.encoded_len(),
@@ -350,8 +355,12 @@ impl Message {
                 buffer_id,
                 flags,
                 match_,
-                instructions,
+                actions,
             } => {
+                debug_assert!(
+                    *command == FlowModCommand::Add || actions.is_empty(),
+                    "a Delete carries no instruction"
+                );
                 out.extend_from_slice(&cookie.to_be_bytes());
                 out.extend_from_slice(&u64::MAX.to_be_bytes()); // cookie_mask
                 out.push(*table_id);
@@ -365,7 +374,9 @@ impl Message {
                 out.extend_from_slice(&flags.to_be_bytes());
                 out.extend_from_slice(&[0u8; 2]); // pad
                 match_.encode(&mut out);
-                Instruction::encode_list(instructions, &mut out);
+                if *command == FlowModCommand::Add {
+                    actions::encode_apply_actions(actions, &mut out);
+                }
             }
             Message::Error { error_type, code, data } => {
                 out.extend_from_slice(&error_type.to_u16().to_be_bytes());
@@ -505,7 +516,13 @@ impl Message {
                 let buffer_id = u32::from_be_bytes(b[24..28].try_into().expect("len checked"));
                 let flags = u16::from_be_bytes([b[36], b[37]]);
                 let (match_, used) = Match::decode(&b[40..])?;
-                let instructions = Instruction::decode_all(&b[40 + used..])?;
+                let actions = match (command, actions::decode_instructions(&b[40 + used..])?) {
+                    (FlowModCommand::Add, actions) => actions.unwrap_or_default(),
+                    (FlowModCommand::Delete, None) => Vec::new(),
+                    (FlowModCommand::Delete, Some(_)) => {
+                        return Err(OfError::Unsupported("FLOW_MOD Delete instruction"))
+                    }
+                };
                 Message::FlowMod {
                     cookie,
                     table_id,
@@ -515,7 +532,7 @@ impl Message {
                     buffer_id,
                     flags,
                     match_,
-                    instructions,
+                    actions,
                 }
             }
             T_FLOW_REMOVED => {
@@ -568,10 +585,17 @@ impl Message {
 #[cfg(test)]
 mod two_buffer {
     use super::*;
+    
 
     fn match_(m: &Match, out: &mut Vec<u8>) {
+        let mut fields: Vec<_> = m.fields().collect();
+        fields.sort_by_key(|f| {
+            let mut tlv = Vec::new();
+            f.encode(&mut tlv);
+            tlv[2]
+        });
         let mut body = Vec::new();
-        for f in m.fields() {
+        for f in fields {
             f.encode(&mut body);
         }
         let length = 4 + body.len();
@@ -603,9 +627,9 @@ mod two_buffer {
         }
     }
 
-    fn instruction(i: &Instruction, out: &mut Vec<u8>) {
+    fn instruction(actions: &[Action], out: &mut Vec<u8>) {
         let mut body = Vec::new();
-        for a in i.actions() {
+        for a in actions {
             action(a, &mut body);
         }
         out.extend_from_slice(&4u16.to_be_bytes());
@@ -649,7 +673,7 @@ mod two_buffer {
                 buffer_id,
                 flags,
                 match_: m,
-                instructions,
+                actions,
             } => {
                 body.extend_from_slice(&cookie.to_be_bytes());
                 body.extend_from_slice(&u64::MAX.to_be_bytes());
@@ -663,8 +687,8 @@ mod two_buffer {
                 body.extend_from_slice(&flags.to_be_bytes());
                 body.extend_from_slice(&[0u8; 2]);
                 match_(m, &mut body);
-                for i in instructions {
-                    instruction(i, &mut body);
+                if *command == FlowModCommand::Add {
+                    instruction(actions, &mut body);
                 }
             }
             Message::Error { error_type, code, data } => {
@@ -770,12 +794,12 @@ mod tests {
             buffer_id: crate::OFP_NO_BUFFER,
             flags: OFPFF_SEND_FLOW_REM,
             match_: Match::connection([192, 168, 1, 20], 50000, [203, 0, 113, 10], 80),
-            instructions: vec![Instruction::ApplyActions(vec![
+            actions: vec![
                 Action::SetField(OxmField::EthDst([2, 0, 0, 0, 0, 9])),
                 Action::SetField(OxmField::Ipv4Dst([10, 0, 0, 5])),
                 Action::SetField(OxmField::TcpDst(31080)),
                 Action::output(7),
-            ])],
+            ],
         });
     }
 
@@ -848,7 +872,7 @@ mod tests {
             buffer_id: crate::OFP_NO_BUFFER,
             flags: 0,
             match_: Match::service([1, 2, 3, 4], 80),
-            instructions: vec![Instruction::ApplyActions(vec![Action::output(1)])],
+            actions: vec![Action::output(1)],
         }
         .encode(9);
         for cut in [0, 4, 8, 20, 47, bytes.len() - 1] {
@@ -965,10 +989,12 @@ mod tests {
             (
                 (any::<u64>(), any::<u8>(), command, any::<(u16, u16, u16)>(), any::<u32>()),
                 arb_match(),
-                prop::collection::vec(arb_actions().prop_map(Instruction::ApplyActions), 0..3),
+                arb_actions(),
             )
                 .prop_map(
-                    |((cookie, table_id, command, (idle_timeout, priority, flags), buffer_id), match_, instructions)| {
+                    |((cookie, table_id, command, (idle_timeout, priority, flags), buffer_id), match_, actions)| {
+                        // A Delete carries no instruction, so no actions.
+                        let actions = if command == FlowModCommand::Add { actions } else { vec![] };
                         Message::FlowMod {
                             cookie,
                             table_id,
@@ -978,7 +1004,7 @@ mod tests {
                             buffer_id,
                             flags,
                             match_,
-                            instructions,
+                            actions,
                         }
                     }
                 ),
@@ -1033,11 +1059,10 @@ mod tests {
                 a.encode(&mut out);
                 prop_assert_eq!(out.len() - before, a.encoded_len());
             }
-            let i = Instruction::ApplyActions(actions);
             let before = out.len();
-            i.encode(&mut out);
-            prop_assert_eq!(out.len() - before, i.encoded_len());
-            prop_assert_eq!(Instruction::decode(&out[before..]).unwrap(), (i, out.len() - before));
+            actions::encode_apply_actions(&actions, &mut out);
+            prop_assert_eq!(out.len() - before, actions::apply_actions_len(&actions));
+            prop_assert_eq!(actions::decode_instructions(&out[before..]).unwrap(), Some(actions));
         }
     }
 

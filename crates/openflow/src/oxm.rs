@@ -44,129 +44,151 @@ pub enum OxmField {
 }
 
 impl OxmField {
-    fn code(&self) -> u8 {
+    /// The kind's row in [`KINDS`]: its rank in ascending field code.
+    fn kind(&self) -> usize {
         match self {
-            OxmField::InPort(_) => F_IN_PORT,
-            OxmField::EthDst(_) => F_ETH_DST,
-            OxmField::EthSrc(_) => F_ETH_SRC,
-            OxmField::EthType(_) => F_ETH_TYPE,
-            OxmField::IpProto(_) => F_IP_PROTO,
-            OxmField::Ipv4Src(_) => F_IPV4_SRC,
-            OxmField::Ipv4Dst(_) => F_IPV4_DST,
-            OxmField::TcpSrc(_) => F_TCP_SRC,
-            OxmField::TcpDst(_) => F_TCP_DST,
+            OxmField::InPort(_) => 0,
+            OxmField::EthDst(_) => 1,
+            OxmField::EthSrc(_) => 2,
+            OxmField::EthType(_) => 3,
+            OxmField::IpProto(_) => 4,
+            OxmField::Ipv4Src(_) => 5,
+            OxmField::Ipv4Dst(_) => 6,
+            OxmField::TcpSrc(_) => 7,
+            OxmField::TcpDst(_) => 8,
         }
     }
 
-    fn payload_len(&self) -> usize {
+    /// Writes the value as it goes on the wire into `out`, which is exactly
+    /// the kind's payload length.
+    fn write_value(&self, out: &mut [u8]) {
         match self {
-            OxmField::InPort(_) => 4,
-            OxmField::EthDst(_) | OxmField::EthSrc(_) => 6,
-            OxmField::EthType(_) | OxmField::TcpSrc(_) | OxmField::TcpDst(_) => 2,
-            OxmField::IpProto(_) => 1,
-            OxmField::Ipv4Src(_) | OxmField::Ipv4Dst(_) => 4,
+            OxmField::InPort(p) => out.copy_from_slice(&p.to_be_bytes()),
+            OxmField::EthDst(m) | OxmField::EthSrc(m) => out.copy_from_slice(m),
+            OxmField::EthType(v) | OxmField::TcpSrc(v) | OxmField::TcpDst(v) => {
+                out.copy_from_slice(&v.to_be_bytes())
+            }
+            OxmField::IpProto(v) => out[0] = *v,
+            OxmField::Ipv4Src(a) | OxmField::Ipv4Dst(a) => out.copy_from_slice(a),
+        }
+    }
+
+    /// The field of kind `kind` whose wire value is `v` (its payload length).
+    fn from_value(kind: usize, v: &[u8]) -> OxmField {
+        let u16_at = || u16::from_be_bytes([v[0], v[1]]);
+        let ip = || [v[0], v[1], v[2], v[3]];
+        let mac = || [v[0], v[1], v[2], v[3], v[4], v[5]];
+        match kind {
+            0 => OxmField::InPort(u32::from_be_bytes(ip())),
+            1 => OxmField::EthDst(mac()),
+            2 => OxmField::EthSrc(mac()),
+            3 => OxmField::EthType(u16_at()),
+            4 => OxmField::IpProto(v[0]),
+            5 => OxmField::Ipv4Src(ip()),
+            6 => OxmField::Ipv4Dst(ip()),
+            7 => OxmField::TcpSrc(u16_at()),
+            _ => OxmField::TcpDst(u16_at()),
         }
     }
 
     /// Bytes [`OxmField::encode`] appends: the 4-byte TLV header plus the
     /// value.
     pub fn encoded_len(&self) -> usize {
-        4 + self.payload_len()
+        4 + usize::from(KINDS[self.kind()].len)
     }
 
     /// Encodes the TLV: class(2) | field<<1|hasmask(1) | length(1) | value.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&OXM_CLASS_OPENFLOW_BASIC.to_be_bytes());
-        out.push(self.code() << 1); // hasmask = 0
-        out.push(self.payload_len() as u8);
-        match self {
-            OxmField::InPort(p) => out.extend_from_slice(&p.to_be_bytes()),
-            OxmField::EthDst(m) | OxmField::EthSrc(m) => out.extend_from_slice(m),
-            OxmField::EthType(v) | OxmField::TcpSrc(v) | OxmField::TcpDst(v) => {
-                out.extend_from_slice(&v.to_be_bytes())
-            }
-            OxmField::IpProto(v) => out.push(*v),
-            OxmField::Ipv4Src(a) | OxmField::Ipv4Dst(a) => out.extend_from_slice(a),
-        }
+        let kind = &KINDS[self.kind()];
+        let mut value = [0u8; 6];
+        let value = &mut value[..usize::from(kind.len)];
+        self.write_value(value);
+        kind.encode(value, out);
     }
 
     /// Decodes one TLV, returning the field and bytes consumed.
     pub fn decode(buf: &[u8]) -> Result<(OxmField, usize), OfError> {
-        if buf.len() < 4 {
-            return Err(OfError::Truncated {
-                what: "oxm header",
-                need: 4,
-                have: buf.len(),
-            });
-        }
-        let class = u16::from_be_bytes([buf[0], buf[1]]);
-        if class != OXM_CLASS_OPENFLOW_BASIC {
-            return Err(OfError::BadOxm(format!("unsupported class {class:#06x}")));
-        }
-        let hasmask = buf[2] & 1 != 0;
-        if hasmask {
-            return Err(OfError::BadOxm("masked fields unsupported".into()));
-        }
-        let code = buf[2] >> 1;
-        let len = buf[3] as usize;
-        if buf.len() < 4 + len {
-            return Err(OfError::Truncated {
-                what: "oxm payload",
-                need: 4 + len,
-                have: buf.len(),
-            });
-        }
-        let v = &buf[4..4 + len];
-        let expect = |want: usize| -> Result<(), OfError> {
-            if len != want {
-                Err(OfError::BadOxm(format!(
-                    "field {code}: expected len {want}, got {len}"
-                )))
-            } else {
-                Ok(())
-            }
-        };
-        let field = match code {
-            F_IN_PORT => {
-                expect(4)?;
-                OxmField::InPort(u32::from_be_bytes([v[0], v[1], v[2], v[3]]))
-            }
-            F_ETH_DST => {
-                expect(6)?;
-                OxmField::EthDst([v[0], v[1], v[2], v[3], v[4], v[5]])
-            }
-            F_ETH_SRC => {
-                expect(6)?;
-                OxmField::EthSrc([v[0], v[1], v[2], v[3], v[4], v[5]])
-            }
-            F_ETH_TYPE => {
-                expect(2)?;
-                OxmField::EthType(u16::from_be_bytes([v[0], v[1]]))
-            }
-            F_IP_PROTO => {
-                expect(1)?;
-                OxmField::IpProto(v[0])
-            }
-            F_IPV4_SRC => {
-                expect(4)?;
-                OxmField::Ipv4Src([v[0], v[1], v[2], v[3]])
-            }
-            F_IPV4_DST => {
-                expect(4)?;
-                OxmField::Ipv4Dst([v[0], v[1], v[2], v[3]])
-            }
-            F_TCP_SRC => {
-                expect(2)?;
-                OxmField::TcpSrc(u16::from_be_bytes([v[0], v[1]]))
-            }
-            F_TCP_DST => {
-                expect(2)?;
-                OxmField::TcpDst(u16::from_be_bytes([v[0], v[1]]))
-            }
-            other => return Err(OfError::BadOxm(format!("unsupported field {other}"))),
-        };
-        Ok((field, 4 + len))
+        let (kind, value) = decode_tlv(buf)?;
+        Ok((OxmField::from_value(kind, value), 4 + value.len()))
     }
+}
+
+/// One OXM kind: its field code, where its value sits in a [`Match`]'s
+/// packed bytes, and the value's length on the wire.
+struct Kind {
+    code: u8,
+    at: usize,
+    len: u8,
+}
+
+impl Kind {
+    /// Appends the TLV of this kind carrying `value`.
+    fn encode(&self, value: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(&OXM_CLASS_OPENFLOW_BASIC.to_be_bytes());
+        out.push(self.code << 1); // hasmask = 0
+        out.push(self.len);
+        out.extend_from_slice(value);
+    }
+
+    fn range(&self) -> std::ops::Range<usize> {
+        self.at..self.at + usize::from(self.len)
+    }
+}
+
+/// Every kind, in ascending field code — the order fields go on the wire.
+/// Row `i` is bit `i` of a [`Match`]'s mask; the values are packed back to
+/// back in the same order.
+const KINDS: [Kind; 9] = [
+    Kind { code: F_IN_PORT, at: 0, len: 4 },
+    Kind { code: F_ETH_DST, at: 4, len: 6 },
+    Kind { code: F_ETH_SRC, at: 10, len: 6 },
+    Kind { code: F_ETH_TYPE, at: 16, len: 2 },
+    Kind { code: F_IP_PROTO, at: 18, len: 1 },
+    Kind { code: F_IPV4_SRC, at: 19, len: 4 },
+    Kind { code: F_IPV4_DST, at: 23, len: 4 },
+    Kind { code: F_TCP_SRC, at: 27, len: 2 },
+    Kind { code: F_TCP_DST, at: 29, len: 2 },
+];
+
+/// Packed value bytes of a [`Match`]: every kind's value at its offset.
+const VALUE_BYTES: usize = 31;
+
+/// Decodes one TLV header and checks its value length, returning the kind's
+/// row in [`KINDS`] and the value bytes.
+fn decode_tlv(buf: &[u8]) -> Result<(usize, &[u8]), OfError> {
+    if buf.len() < 4 {
+        return Err(OfError::Truncated {
+            what: "oxm header",
+            need: 4,
+            have: buf.len(),
+        });
+    }
+    let class = u16::from_be_bytes([buf[0], buf[1]]);
+    if class != OXM_CLASS_OPENFLOW_BASIC {
+        return Err(OfError::BadOxm(format!("unsupported class {class:#06x}")));
+    }
+    if buf[2] & 1 != 0 {
+        return Err(OfError::BadOxm("masked fields unsupported".into()));
+    }
+    let code = buf[2] >> 1;
+    let len = buf[3] as usize;
+    if buf.len() < 4 + len {
+        return Err(OfError::Truncated {
+            what: "oxm payload",
+            need: 4 + len,
+            have: buf.len(),
+        });
+    }
+    let Some(kind) = KINDS.iter().position(|k| k.code == code) else {
+        return Err(OfError::BadOxm(format!("unsupported field {code}")));
+    };
+    let want = usize::from(KINDS[kind].len);
+    if len != want {
+        return Err(OfError::BadOxm(format!(
+            "field {code}: expected len {want}, got {len}"
+        )));
+    }
+    Ok((kind, &buf[4..4 + len]))
 }
 
 /// The fields of a concrete packet that matching runs against. Built by the
@@ -193,21 +215,27 @@ pub struct MatchView {
     pub tcp_dst: u16,
 }
 
-/// The four fields of the registered-service match, in wire order.
-pub fn service_fields(dst_ip: [u8; 4], dst_port: u16) -> [OxmField; 4] {
-    [
-        OxmField::EthType(0x0800),
-        OxmField::IpProto(6),
-        OxmField::Ipv4Dst(dst_ip),
-        OxmField::TcpDst(dst_port),
-    ]
+/// An OpenFlow match: a set of exact-match fields, at most one per kind
+/// (OpenFlow 1.3 §7.2.3). An empty match is the table-miss wildcard that
+/// matches everything.
+///
+/// Packed, not listed: one mask bit per kind (bit `i` is row `i` of
+/// [`KINDS`], ascending field code) and every present kind's wire value at a
+/// fixed offset, absent ones zeroed. So a match is `Copy`, 34 bytes, never on
+/// the heap, and two matches are equal — and hash alike — exactly when they
+/// constrain the same fields to the same values, whatever order a caller
+/// gave them in. It encodes in ascending field code. [`crate::FlowTable`]
+/// hashes it as its own index key.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct Match {
+    mask: u16,
+    values: [u8; VALUE_BYTES],
 }
 
-/// An OpenFlow match: a conjunction of exact-match fields. An empty match is
-/// the table-miss wildcard that matches everything.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Match {
-    fields: Vec<OxmField>,
+impl std::fmt::Debug for Match {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.fields()).finish()
+    }
 }
 
 impl Match {
@@ -218,17 +246,25 @@ impl Match {
 
     /// Builder: adds one field (replacing an existing field of the same kind).
     pub fn with(mut self, field: OxmField) -> Match {
-        self.fields.retain(|f| f.code() != field.code());
-        self.fields.push(field);
+        let kind = field.kind();
+        self.mask |= 1 << kind;
+        field.write_value(&mut self.values[KINDS[kind].range()]);
         self
+    }
+
+    /// The match of `fields`; a kind given twice keeps its last value.
+    pub fn of(fields: impl IntoIterator<Item = OxmField>) -> Match {
+        fields.into_iter().fold(Match::any(), Match::with)
     }
 
     /// Convenience: match TCP/IPv4 packets toward `dst_ip:dst_port` — the
     /// registered-service match of the paper.
     pub fn service(dst_ip: [u8; 4], dst_port: u16) -> Match {
-        Match {
-            fields: service_fields(dst_ip, dst_port).to_vec(),
-        }
+        Match::any()
+            .with(OxmField::EthType(0x0800))
+            .with(OxmField::IpProto(6))
+            .with(OxmField::Ipv4Dst(dst_ip))
+            .with(OxmField::TcpDst(dst_port))
     }
 
     /// Convenience: exact per-connection match (the redirect flows installed
@@ -239,51 +275,67 @@ impl Match {
         dst_ip: [u8; 4],
         dst_port: u16,
     ) -> Match {
-        let client = [OxmField::Ipv4Src(src_ip), OxmField::TcpSrc(src_port)];
-        Match::of(service_fields(dst_ip, dst_port).into_iter().chain(client))
+        Match::service(dst_ip, dst_port)
+            .with(OxmField::Ipv4Src(src_ip))
+            .with(OxmField::TcpSrc(src_port))
     }
 
-    /// The match of `fields`, in order, with no field kind given twice. Built
-    /// with one heap call at its exact capacity, where [`Match::with`] grows
-    /// it a field at a time: the controller keeps every match it installs
-    /// for the life of the rule, so growth slack would be paid that long.
-    pub fn of(fields: impl IntoIterator<Item = OxmField>) -> Match {
-        Match { fields: fields.into_iter().collect() }
+    /// The kinds this match constrains, in ascending field code, each with
+    /// its row in [`KINDS`].
+    fn kinds(&self) -> impl Iterator<Item = (usize, &'static Kind)> + '_ {
+        KINDS.iter().enumerate().filter(|&(i, _)| self.mask & 1 << i != 0)
     }
 
-    /// The fields of this match.
-    pub fn fields(&self) -> &[OxmField] {
-        &self.fields
+    /// The fields of this match, in ascending field code.
+    pub fn fields(&self) -> impl Iterator<Item = OxmField> + '_ {
+        self.kinds().map(|(i, kind)| OxmField::from_value(i, &self.values[kind.range()]))
     }
 
     /// Number of fields (used as a specificity tiebreaker in tests).
     pub fn len(&self) -> usize {
-        self.fields.len()
+        self.mask.count_ones() as usize
     }
 
     /// `true` if this is the wildcard match.
     pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
+        self.mask == 0
+    }
+
+    /// Which kinds this match constrains, one bit each: the match's shape.
+    pub(crate) fn mask(&self) -> u16 {
+        self.mask
+    }
+
+    /// The match of shape `mask` that `view` satisfies: `view`'s values of
+    /// the kinds in `mask`. A match with that mask matches `view` exactly
+    /// when it equals this one.
+    pub(crate) fn of_view(mask: u16, view: &MatchView) -> Match {
+        let mut m = Match { mask, values: [0; VALUE_BYTES] };
+        let mut put = |i: usize, value: &[u8]| {
+            if mask & 1 << i != 0 {
+                m.values[KINDS[i].range()].copy_from_slice(value);
+            }
+        };
+        put(0, &view.in_port.to_be_bytes());
+        put(1, &view.eth_dst);
+        put(2, &view.eth_src);
+        put(3, &view.eth_type.to_be_bytes());
+        put(4, &[view.ip_proto]);
+        put(5, &view.ipv4_src);
+        put(6, &view.ipv4_dst);
+        put(7, &view.tcp_src.to_be_bytes());
+        put(8, &view.tcp_dst.to_be_bytes());
+        m
     }
 
     /// `true` if `view` satisfies every field.
     pub fn matches(&self, view: &MatchView) -> bool {
-        self.fields.iter().all(|f| match f {
-            OxmField::InPort(p) => view.in_port == *p,
-            OxmField::EthDst(m) => view.eth_dst == *m,
-            OxmField::EthSrc(m) => view.eth_src == *m,
-            OxmField::EthType(t) => view.eth_type == *t,
-            OxmField::IpProto(p) => view.ip_proto == *p,
-            OxmField::Ipv4Src(a) => view.ipv4_src == *a,
-            OxmField::Ipv4Dst(a) => view.ipv4_dst == *a,
-            OxmField::TcpSrc(p) => view.tcp_src == *p,
-            OxmField::TcpDst(p) => view.tcp_dst == *p,
-        })
+        Match::of_view(self.mask, view) == *self
     }
 
     /// The `ofp_match` length field: type + length + fields, no padding.
     fn unpadded_len(&self) -> usize {
-        4 + self.fields.iter().map(OxmField::encoded_len).sum::<usize>()
+        4 + self.kinds().map(|(_, kind)| 4 + usize::from(kind.len)).sum::<usize>()
     }
 
     /// Bytes [`Match::encode`] appends (padding included).
@@ -291,20 +343,22 @@ impl Match {
         self.unpadded_len().next_multiple_of(8)
     }
 
-    /// Encodes as an `ofp_match`: type=1 (OXM), length, fields, zero-padded
-    /// to a multiple of 8 — written straight into `out`.
+    /// Encodes as an `ofp_match`: type=1 (OXM), length, fields in ascending
+    /// field code, zero-padded to a multiple of 8 — written straight into
+    /// `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
         let length = self.unpadded_len();
         out.extend_from_slice(&1u16.to_be_bytes());
         out.extend_from_slice(&(length as u16).to_be_bytes());
-        for f in &self.fields {
-            f.encode(out);
+        for (_, kind) in self.kinds() {
+            kind.encode(&self.values[kind.range()], out);
         }
         out.extend(std::iter::repeat_n(0u8, length.next_multiple_of(8) - length));
     }
 
     /// Decodes an `ofp_match`, returning the match and total bytes consumed
-    /// (including padding).
+    /// (including padding). Fields may come in any order; a kind given twice
+    /// is refused ([`OfError::DupField`], OpenFlow's `OFPBMC_DUP_FIELD`).
     pub fn decode(buf: &[u8]) -> Result<(Match, usize), OfError> {
         if buf.len() < 4 {
             return Err(OfError::Truncated {
@@ -325,14 +379,16 @@ impl Match {
                 have: buf.len(),
             });
         }
-        // A TLV is at least 5 bytes (header + one value byte), which bounds
-        // the field count from the declared length: one allocation, no growth.
-        let mut fields = Vec::with_capacity((length - 4) / 5);
+        let mut m = Match::any();
         let mut off = 4;
         while off < length {
-            let (f, used) = OxmField::decode(&buf[off..length])?;
-            fields.push(f);
-            off += used;
+            let (kind, value) = decode_tlv(&buf[off..length])?;
+            if m.mask & 1 << kind != 0 {
+                return Err(OfError::DupField(KINDS[kind].code));
+            }
+            m.mask |= 1 << kind;
+            m.values[KINDS[kind].range()].copy_from_slice(value);
+            off += 4 + value.len();
         }
         let padded = length + (8 - length % 8) % 8;
         if buf.len() < padded {
@@ -342,7 +398,7 @@ impl Match {
                 have: buf.len(),
             });
         }
-        Ok((Match { fields }, padded))
+        Ok((m, padded))
     }
 }
 
@@ -436,7 +492,46 @@ mod tests {
             .with(OxmField::TcpDst(80))
             .with(OxmField::TcpDst(443));
         assert_eq!(m.len(), 1);
-        assert_eq!(m.fields()[0], OxmField::TcpDst(443));
+        assert_eq!(m.fields().collect::<Vec<_>>(), [OxmField::TcpDst(443)]);
+    }
+
+    #[test]
+    fn a_match_is_a_set_encoded_in_field_code_order() {
+        let conn = Match::connection([192, 168, 1, 20], 50000, [203, 0, 113, 10], 80);
+        let mut fields: Vec<_> = conn.fields().collect();
+        let codes: Vec<u8> = fields.iter().map(|f| KINDS[f.kind()].code).collect();
+        assert_eq!(codes, [F_ETH_TYPE, F_IP_PROTO, F_IPV4_SRC, F_IPV4_DST, F_TCP_SRC, F_TCP_DST]);
+        fields.reverse();
+        let reversed = Match::of(fields);
+        assert_eq!(reversed, conn);
+        assert_eq!(format!("{reversed:?}"), format!("{conn:?}"));
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        conn.encode(&mut a);
+        reversed.encode(&mut b);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn decode_refuses_a_repeated_kind_in_any_order() {
+        // type=1, length 4+2*6=16, two TcpDst TLVs (equal and unequal values).
+        for (a, b) in [(80u16, 80u16), (80, 81)] {
+            let mut buf = vec![0, 1, 0, 16];
+            for port in [a, b] {
+                buf.extend_from_slice(&[0x80, 0x00, F_TCP_DST << 1, 2]);
+                buf.extend_from_slice(&port.to_be_bytes());
+            }
+            assert_eq!(Match::decode(&buf), Err(OfError::DupField(F_TCP_DST)));
+        }
+        // The same two kinds in either order decode to one match.
+        let tlv = |code: u8, v: [u8; 2]| [0x80, 0x00, code << 1, 2, v[0], v[1]];
+        let (dst, src) = (tlv(F_TCP_DST, [0, 80]), tlv(F_TCP_SRC, [0xc3, 0x50]));
+        let decode = |first: &[u8], second: &[u8]| {
+            let mut buf = vec![0, 1, 0, 16];
+            buf.extend_from_slice(first);
+            buf.extend_from_slice(second);
+            Match::decode(&buf).unwrap().0
+        };
+        assert_eq!(decode(&dst, &src), decode(&src, &dst));
     }
 
     #[test]

@@ -11,15 +11,13 @@
 //! seed's linear scan (kept as [`crate::naive::NaiveFlowTable`] for
 //! differential testing):
 //!
-//! * Every [`Match`] in this protocol subset is a conjunction of *exact*
-//!   fields, so entries are grouped by **shape** — the set of field kinds
-//!   they constrain — and hashed on the packed field values ([`ShapeKey`]).
-//!   A lookup probes one hash bucket per distinct shape in the table
-//!   (typically two: the per-connection redirect shape and the service
-//!   shape, plus the table-miss wildcard), not one comparison per entry.
-//! * Matches that a key cannot represent faithfully (duplicate field kinds,
-//!   only constructible by decoding hand-crafted wire bytes) fall back to a
-//!   linear `residual` list, preserving exact semantics.
+//! * Every [`Match`] in this protocol subset is a set of *exact* fields,
+//!   packed as a mask of the kinds it constrains (its **shape**) and their
+//!   values, so a match is its own hash key. A lookup builds, for each
+//!   distinct shape in the table, the match of that shape the packet
+//!   satisfies and probes for it (typically two: the per-connection redirect
+//!   shape and the service shape, plus the table-miss wildcard), not one
+//!   comparison per entry.
 //! * A [`TimerWheel`] tracks a deadline per entry that is never later than
 //!   its true idle expiry, so [`FlowTable::expire`] visits only entries
 //!   actually due and [`FlowTable::next_expiry`] is O(1). Idle-timer
@@ -41,19 +39,19 @@
 //!
 //! An index bucket holds its best candidate **inline** (`head`) and any
 //! others in a `Vec` that stays unallocated until it is needed. A bucket has
-//! more than one id only while flows with the same field values coexist — one
-//! match at several priorities, or a reordered spelling of it — so the usual
-//! flow costs no heap call to file, and [`FlowTable::add`] and removal probe
-//! the index once each, through the map's entry API.
+//! more than one id only while one match is installed at several priorities
+//! (a permuted spelling of a match *is* that match, so its Add replaces), so
+//! the usual flow costs no heap call to file, and [`FlowTable::add`] and
+//! removal probe the index once each, through the map's entry API.
 //!
 //! Observable semantics are identical to the naive table: priority order,
-//! first-added-wins among equal priorities, order-sensitive match equality
-//! for ADD/DELETE, and per-entry counters. `crate::diff` replays randomized
+//! first-added-wins among equal priorities, set equality of matches for
+//! ADD/DELETE, and per-entry counters. `crate::diff` replays randomized
 //! operation sequences against both implementations to prove it.
 
-use crate::actions::Instruction;
+use crate::actions::Action;
 use crate::messages::{RemovedReason, OFPFF_SEND_FLOW_REM};
-use crate::oxm::{Match, MatchView, OxmField};
+use crate::oxm::{Match, MatchView};
 use desim::{Duration, FastMap, SimTime, TimerWheel};
 use std::collections::hash_map::Entry;
 
@@ -66,8 +64,8 @@ pub struct FlowEntry {
     pub priority: u16,
     /// Controller cookie.
     pub cookie: u64,
-    /// Instructions to run on match.
-    pub instructions: Vec<Instruction>,
+    /// Actions to apply on match.
+    pub actions: Vec<Action>,
     /// Idle timeout ([`Duration::ZERO`] = none).
     pub idle_timeout: Duration,
     /// `FLOW_MOD` flags.
@@ -207,7 +205,7 @@ impl std::ops::Index<FlowId> for Slab {
     }
 }
 
-/// The ids filed under one [`ShapeKey`], sorted by (priority desc, id asc):
+/// The ids filed under one [`Match`], sorted by (priority desc, id asc):
 /// `head` is the bucket's best candidate, `rest` everything after it.
 struct Bucket {
     head: FlowId,
@@ -226,7 +224,9 @@ impl Bucket {
         if flows[self.head].priority < prio {
             self.rest.insert(0, std::mem::replace(&mut self.head, id));
         } else {
-            file(flows, &mut self.rest, id);
+            let rest = &mut self.rest;
+            let pos = rest.iter().position(|&other| flows[other].priority < prio);
+            rest.insert(pos.unwrap_or(rest.len()), id);
         }
     }
 
@@ -240,170 +240,15 @@ impl Bucket {
     }
 }
 
-/// Inserts `id` into `ids` keeping (priority desc, id asc) order. `id` is
-/// always the newest, so it goes after every equal priority.
-fn file(flows: &Slab, ids: &mut Vec<FlowId>, id: FlowId) {
-    let prio = flows[id].priority;
-    let pos = ids
-        .iter()
-        .position(|&other| flows[other].priority < prio)
-        .unwrap_or(ids.len());
-    ids.insert(pos, id);
-}
-
-// Shape-mask bits, one per OXM field kind.
-const B_IN_PORT: u16 = 1 << 0;
-const B_ETH_DST: u16 = 1 << 1;
-const B_ETH_SRC: u16 = 1 << 2;
-const B_ETH_TYPE: u16 = 1 << 3;
-const B_IP_PROTO: u16 = 1 << 4;
-const B_IPV4_SRC: u16 = 1 << 5;
-const B_IPV4_DST: u16 = 1 << 6;
-const B_TCP_SRC: u16 = 1 << 7;
-const B_TCP_DST: u16 = 1 << 8;
-
-// Fixed byte offsets of each field in the packed key.
-const O_IN_PORT: usize = 0; // 4 bytes
-const O_ETH_DST: usize = 4; // 6
-const O_ETH_SRC: usize = 10; // 6
-const O_ETH_TYPE: usize = 16; // 2
-const O_IP_PROTO: usize = 18; // 1
-const O_IPV4_SRC: usize = 19; // 4
-const O_IPV4_DST: usize = 23; // 4
-const O_TCP_SRC: usize = 27; // 2
-const O_TCP_DST: usize = 29; // 2
-const KEY_BYTES: usize = 31;
-
-/// Hash key of the exact-match index: which field kinds a match constrains
-/// (`mask`) and their packed values (absent fields zeroed).
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-struct ShapeKey {
-    mask: u16,
-    bytes: [u8; KEY_BYTES],
-}
-
-impl ShapeKey {
-    fn set(&mut self, field: &OxmField) {
-        match field {
-            OxmField::InPort(p) => {
-                self.mask |= B_IN_PORT;
-                self.bytes[O_IN_PORT..O_IN_PORT + 4].copy_from_slice(&p.to_be_bytes());
-            }
-            OxmField::EthDst(m) => {
-                self.mask |= B_ETH_DST;
-                self.bytes[O_ETH_DST..O_ETH_DST + 6].copy_from_slice(m);
-            }
-            OxmField::EthSrc(m) => {
-                self.mask |= B_ETH_SRC;
-                self.bytes[O_ETH_SRC..O_ETH_SRC + 6].copy_from_slice(m);
-            }
-            OxmField::EthType(v) => {
-                self.mask |= B_ETH_TYPE;
-                self.bytes[O_ETH_TYPE..O_ETH_TYPE + 2].copy_from_slice(&v.to_be_bytes());
-            }
-            OxmField::IpProto(v) => {
-                self.mask |= B_IP_PROTO;
-                self.bytes[O_IP_PROTO] = *v;
-            }
-            OxmField::Ipv4Src(a) => {
-                self.mask |= B_IPV4_SRC;
-                self.bytes[O_IPV4_SRC..O_IPV4_SRC + 4].copy_from_slice(a);
-            }
-            OxmField::Ipv4Dst(a) => {
-                self.mask |= B_IPV4_DST;
-                self.bytes[O_IPV4_DST..O_IPV4_DST + 4].copy_from_slice(a);
-            }
-            OxmField::TcpSrc(p) => {
-                self.mask |= B_TCP_SRC;
-                self.bytes[O_TCP_SRC..O_TCP_SRC + 2].copy_from_slice(&p.to_be_bytes());
-            }
-            OxmField::TcpDst(p) => {
-                self.mask |= B_TCP_DST;
-                self.bytes[O_TCP_DST..O_TCP_DST + 2].copy_from_slice(&p.to_be_bytes());
-            }
-        }
-    }
-
-    /// Packs the fields of `m`, or `None` if the match repeats a field kind
-    /// (possible only via decoded wire bytes) and must take the residual
-    /// slow path.
-    fn of_match(m: &Match) -> Option<ShapeKey> {
-        let mut key = ShapeKey {
-            mask: 0,
-            bytes: [0; KEY_BYTES],
-        };
-        for f in m.fields() {
-            let before = key.mask;
-            key.set(f);
-            if key.mask == before {
-                return None; // duplicate field kind: not representable
-            }
-        }
-        Some(key)
-    }
-
-    /// Packs the subset of `view`'s fields selected by `mask`.
-    fn of_view(mask: u16, view: &MatchView) -> ShapeKey {
-        let mut key = ShapeKey {
-            mask,
-            bytes: [0; KEY_BYTES],
-        };
-        if mask & B_IN_PORT != 0 {
-            key.bytes[O_IN_PORT..O_IN_PORT + 4].copy_from_slice(&view.in_port.to_be_bytes());
-        }
-        if mask & B_ETH_DST != 0 {
-            key.bytes[O_ETH_DST..O_ETH_DST + 6].copy_from_slice(&view.eth_dst);
-        }
-        if mask & B_ETH_SRC != 0 {
-            key.bytes[O_ETH_SRC..O_ETH_SRC + 6].copy_from_slice(&view.eth_src);
-        }
-        if mask & B_ETH_TYPE != 0 {
-            key.bytes[O_ETH_TYPE..O_ETH_TYPE + 2].copy_from_slice(&view.eth_type.to_be_bytes());
-        }
-        if mask & B_IP_PROTO != 0 {
-            key.bytes[O_IP_PROTO] = view.ip_proto;
-        }
-        if mask & B_IPV4_SRC != 0 {
-            key.bytes[O_IPV4_SRC..O_IPV4_SRC + 4].copy_from_slice(&view.ipv4_src);
-        }
-        if mask & B_IPV4_DST != 0 {
-            key.bytes[O_IPV4_DST..O_IPV4_DST + 4].copy_from_slice(&view.ipv4_dst);
-        }
-        if mask & B_TCP_SRC != 0 {
-            key.bytes[O_TCP_SRC..O_TCP_SRC + 2].copy_from_slice(&view.tcp_src.to_be_bytes());
-        }
-        if mask & B_TCP_DST != 0 {
-            key.bytes[O_TCP_DST..O_TCP_DST + 2].copy_from_slice(&view.tcp_dst.to_be_bytes());
-        }
-        key
-    }
-}
-
-/// Where an entry's id is filed.
-enum Filing {
-    Keyed(ShapeKey),
-    Residual,
-}
-
-fn filing_of(m: &Match) -> Filing {
-    match ShapeKey::of_match(m) {
-        Some(k) => Filing::Keyed(k),
-        None => Filing::Residual,
-    }
-}
-
 /// A single OpenFlow table, indexed for O(1) exact-match classification.
 #[derive(Default)]
 pub struct FlowTable {
     /// Entry storage, addressed by stable id.
     flows: Slab,
-    /// Exact-match index: shape+values → the ids carrying them.
-    index: FastMap<ShapeKey, Bucket>,
+    /// Exact-match index: match → the ids carrying it.
+    index: FastMap<Match, Bucket>,
     /// Live entry count per shape mask — the set of probes a lookup makes.
     shape_counts: FastMap<u16, usize>,
-    /// Entries whose match cannot be keyed (duplicate field kinds); scanned
-    /// linearly. Sorted by (priority desc, id asc).
-    residual: Vec<FlowId>,
     /// Expiry wheel; per-entry deadlines are never later than the true
     /// expiry instant (idle refreshes are applied lazily on sweep).
     wheel: TimerWheel<FlowId>,
@@ -442,39 +287,23 @@ impl FlowTable {
         ids.into_iter().map(|(_, e)| e)
     }
 
-    /// The ids filed where a flow matching exactly `filing`'s match would be.
-    fn filed_at(&self, filing: &Filing) -> impl Iterator<Item = FlowId> + '_ {
-        let (head, rest): (Option<FlowId>, &[FlowId]) = match filing {
-            Filing::Keyed(key) => match self.index.get(key) {
-                Some(b) => (Some(b.head), &b.rest),
-                None => (None, &[]),
-            },
-            Filing::Residual => (None, &self.residual),
-        };
-        head.into_iter().chain(rest.iter().copied())
-    }
-
     /// Unfiles and drops entry `id`, returning it.
     fn remove_entry(&mut self, id: FlowId) -> FlowEntry {
         let entry = self.flows.remove(id).expect("live flow id");
-        match filing_of(&entry.match_) {
-            Filing::Keyed(key) => {
-                let Entry::Occupied(mut bucket) = self.index.entry(key) else {
-                    unreachable!("indexed entry has bucket");
-                };
-                if bucket.get().rest.is_empty() {
-                    debug_assert_eq!(bucket.get().head, id);
-                    bucket.remove();
-                } else {
-                    bucket.get_mut().unfile(id);
-                }
-                let n = self.shape_counts.get_mut(&key.mask).expect("shape count");
-                *n -= 1;
-                if *n == 0 {
-                    self.shape_counts.remove(&key.mask);
-                }
-            }
-            Filing::Residual => self.residual.retain(|&x| x != id),
+        let Entry::Occupied(mut bucket) = self.index.entry(entry.match_) else {
+            unreachable!("indexed entry has bucket");
+        };
+        if bucket.get().rest.is_empty() {
+            debug_assert_eq!(bucket.get().head, id);
+            bucket.remove();
+        } else {
+            bucket.get_mut().unfile(id);
+        }
+        let mask = entry.match_.mask();
+        let n = self.shape_counts.get_mut(&mask).expect("shape count");
+        *n -= 1;
+        if *n == 0 {
+            self.shape_counts.remove(&mask);
         }
         self.wheel.cancel(&id);
         entry
@@ -487,44 +316,33 @@ impl FlowTable {
         entry.last_hit = now;
         entry.packet_count = 0;
         entry.byte_count = 0;
-        let filing = filing_of(&entry.match_);
+        let match_ = entry.match_;
         let deadline = entry.next_deadline();
         let id = self.flows.insert(entry);
         if let Some(deadline) = deadline {
             self.wheel.schedule(id, deadline);
         }
         // ADD keeps `(priority, match)` unique, so it replaces at most one
-        // flow — found among the ids the new one is filed with.
+        // flow — found in the bucket of the new one's match.
         let flows = &self.flows;
-        let replaces = |&old: &FlowId| {
-            let (old, new) = (&flows[old], &flows[id]);
-            old.priority == new.priority && old.match_ == new.match_
-        };
-        let replaced = match filing {
-            Filing::Keyed(key) => match self.index.entry(key) {
-                Entry::Vacant(v) => {
-                    v.insert(Bucket {
-                        head: id,
-                        rest: Vec::new(),
-                    });
-                    *self.shape_counts.entry(key.mask).or_insert(0) += 1;
-                    None
+        let replaced = match self.index.entry(match_) {
+            Entry::Vacant(v) => {
+                v.insert(Bucket {
+                    head: id,
+                    rest: Vec::new(),
+                });
+                *self.shape_counts.entry(match_.mask()).or_insert(0) += 1;
+                None
+            }
+            Entry::Occupied(o) => {
+                let bucket = o.into_mut();
+                let prio = flows[id].priority;
+                let replaced = bucket.iter().find(|&old| flows[old].priority == prio);
+                bucket.file(flows, id);
+                match replaced {
+                    Some(old) => bucket.unfile(old),
+                    None => *self.shape_counts.get_mut(&match_.mask()).expect("shape count") += 1,
                 }
-                Entry::Occupied(o) => {
-                    let bucket = o.into_mut();
-                    let replaced = bucket.iter().find(replaces);
-                    bucket.file(flows, id);
-                    match replaced {
-                        Some(old) => bucket.unfile(old),
-                        None => *self.shape_counts.get_mut(&key.mask).expect("shape count") += 1,
-                    }
-                    replaced
-                }
-            },
-            Filing::Residual => {
-                let replaced = self.residual.iter().copied().find(replaces);
-                file(flows, &mut self.residual, id);
-                self.residual.retain(|&x| Some(x) != replaced);
                 replaced
             }
         };
@@ -550,9 +368,8 @@ impl FlowTable {
         ids.clear();
         if match_.is_empty() {
             ids.extend(self.flows.iter().map(|(id, _)| id));
-        } else {
-            let filed = self.filed_at(&filing_of(match_));
-            ids.extend(filed.filter(|&id| self.flows[id].match_ == *match_));
+        } else if let Some(bucket) = self.index.get(match_) {
+            ids.extend(bucket.iter());
         }
         // Ids are unique, so the unstable sort (no merge buffer) is exact.
         ids.sort_unstable_by_key(|&id| (std::cmp::Reverse(self.flows[id].priority), id));
@@ -563,28 +380,16 @@ impl FlowTable {
         self.id_scratch = ids;
     }
 
-    /// The winning entry id for `view`: one hash probe per live shape plus a
-    /// scan of the (normally empty) residual list — independent of how many
-    /// flows are installed.
+    /// The winning entry id for `view`: one hash probe per live shape —
+    /// independent of how many flows are installed.
     fn classify(&self, view: &MatchView) -> Option<FlowId> {
         let mut best: Option<(u16, FlowId)> = None;
         for &mask in self.shape_counts.keys() {
-            let key = ShapeKey::of_view(mask, view);
-            if let Some(id) = self.index.get(&key).map(|b| b.head) {
+            if let Some(id) = self.index.get(&Match::of_view(mask, view)).map(|b| b.head) {
                 let cand = (self.flows[id].priority, id);
                 if best.is_none_or(|b| beats(cand, b)) {
                     best = Some(cand);
                 }
-            }
-        }
-        for &id in &self.residual {
-            let e = &self.flows[id];
-            if e.match_.matches(view) {
-                let cand = (e.priority, id);
-                if best.is_none_or(|b| beats(cand, b)) {
-                    best = Some(cand);
-                }
-                break; // residual is priority-sorted: first hit is its best
             }
         }
         best.map(|(_, id)| id)
@@ -592,19 +397,19 @@ impl FlowTable {
 
     /// Looks up the highest-priority matching flow, updating its counters and
     /// idle timer. Returns the matched entry's cookie and a borrow of its
-    /// instructions — the per-packet path never clones them.
+    /// actions — the per-packet path never clones them.
     pub fn lookup(
         &mut self,
         view: &MatchView,
         frame_len: usize,
         now: SimTime,
-    ) -> Option<(u64, &[Instruction])> {
+    ) -> Option<(u64, &[Action])> {
         let id = self.classify(view)?;
         let e = self.flows.get_mut(id)?;
         e.packet_count += 1;
         e.byte_count += frame_len as u64;
         e.last_hit = now;
-        Some((e.cookie, &e.instructions))
+        Some((e.cookie, &e.actions))
     }
 
     /// Read-only lookup (no counter updates).
@@ -662,7 +467,7 @@ pub fn entry(
     match_: Match,
     priority: u16,
     cookie: u64,
-    instructions: Vec<Instruction>,
+    actions: Vec<Action>,
     idle_timeout: Duration,
     flags: u16,
 ) -> FlowEntry {
@@ -670,7 +475,7 @@ pub fn entry(
         match_,
         priority,
         cookie,
-        instructions,
+        actions,
         idle_timeout,
         flags,
         installed_at: SimTime::ZERO,
@@ -683,7 +488,7 @@ pub fn entry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actions::Action;
+    use crate::oxm::OxmField;
 
     fn view(dst_port: u16) -> MatchView {
         MatchView {
@@ -699,8 +504,8 @@ mod tests {
         }
     }
 
-    fn fwd(port: u32) -> Vec<Instruction> {
-        vec![Instruction::ApplyActions(vec![Action::output(port)])]
+    fn fwd(port: u32) -> Vec<Action> {
+        vec![Action::output(port)]
     }
 
     #[test]
@@ -761,7 +566,7 @@ mod tests {
     fn add_replaces_same_match_and_priority() {
         let mut t = FlowTable::new();
         let m = Match::service([1, 1, 1, 1], 80);
-        t.add(entry(m.clone(), 10, 1, fwd(1), Duration::ZERO, 0), SimTime::ZERO);
+        t.add(entry(m, 10, 1, fwd(1), Duration::ZERO, 0), SimTime::ZERO);
         t.add(entry(m, 10, 2, fwd(2), Duration::ZERO, 0), SimTime::ZERO);
         assert_eq!(t.len(), 1);
         assert_eq!(t.entries().next().unwrap().cookie, 2);
@@ -822,7 +627,7 @@ mod tests {
         let mut t = FlowTable::new();
         let m1 = Match::service([1, 1, 1, 1], 80);
         let m2 = Match::service([2, 2, 2, 2], 80);
-        t.add(entry(m1.clone(), 5, 1, fwd(1), Duration::ZERO, 0), SimTime::ZERO);
+        t.add(entry(m1, 5, 1, fwd(1), Duration::ZERO, 0), SimTime::ZERO);
         t.add(entry(m2, 5, 2, fwd(2), Duration::ZERO, 0), SimTime::ZERO);
         let removed = t.delete(&m1, SimTime::from_nanos(7));
         assert_eq!(removed.len(), 1);
@@ -896,8 +701,8 @@ mod tests {
         let by_port = Match::any().with(OxmField::TcpDst(80));
         let by_ip = Match::any().with(OxmField::Ipv4Dst([203, 0, 113, 10]));
         let filler = Match::service([9, 9, 9, 9], 9);
-        t.add(plain(filler.clone(), 5, 1), SimTime::ZERO); // slot 0
-        t.add(plain(by_port.clone(), 5, 2), SimTime::ZERO); // slot 1
+        t.add(plain(filler, 5, 1), SimTime::ZERO); // slot 0
+        t.add(plain(by_port, 5, 2), SimTime::ZERO); // slot 1
         t.add(plain(Match::service([8, 8, 8, 8], 8), 7, 3), SimTime::ZERO); // slot 2
         assert_eq!(t.delete(&filler, SimTime::ZERO).len(), 1);
         t.add(plain(by_ip, 5, 4), SimTime::ZERO); // slot 0 again
@@ -915,9 +720,9 @@ mod tests {
         assert!(slot_of(older) > slot_of(newer) && older < newer);
     }
 
-    /// Several ids under one index key — one match at three priorities and a
-    /// reordered spelling of it — stay sorted as the head is replaced,
-    /// unfiled and re-filed.
+    /// Several ids under one index key — one match at three priorities —
+    /// stay sorted as the head is replaced, unfiled and re-filed; a permuted
+    /// spelling of the match is the same match, so its Add replaces.
     #[test]
     fn a_bucket_of_several_ids_keeps_its_best_at_the_head() {
         let mut t = FlowTable::new();
@@ -928,68 +733,33 @@ mod tests {
             .with(OxmField::IpProto(6))
             .with(OxmField::EthType(0x0800));
         let winner = |t: &mut FlowTable| t.lookup(&view(80), 64, SimTime::ZERO).unwrap().0;
-        t.add(plain(m.clone(), 5, 1), SimTime::ZERO);
-        t.add(plain(m.clone(), 9, 2), SimTime::ZERO); // new head
-        t.add(plain(reordered.clone(), 9, 3), SimTime::ZERO); // ties with the head, newer
-        t.add(plain(m.clone(), 1, 4), SimTime::ZERO);
+        t.add(plain(m, 5, 1), SimTime::ZERO);
+        t.add(plain(m, 9, 2), SimTime::ZERO); // new head
+        t.add(plain(m, 1, 3), SimTime::ZERO);
         assert_eq!(winner(&mut t), 2);
-        t.add(plain(m.clone(), 9, 5), SimTime::ZERO); // replaces the head; now newest at 9
-        assert_eq!(t.len(), 4);
-        assert_eq!(winner(&mut t), 3, "the reordered spelling is now the oldest at 9");
-        assert_eq!(t.delete(&reordered, SimTime::ZERO).len(), 1);
-        assert_eq!(winner(&mut t), 5);
-        assert_eq!(t.entries().map(|e| e.cookie).collect::<Vec<_>>(), vec![5, 1, 4]);
-        let removed = t.delete(&m, SimTime::ZERO);
-        assert_eq!(removed.iter().map(|r| r.entry.cookie).collect::<Vec<_>>(), vec![5, 1, 4]);
+        t.add(plain(reordered, 9, 4), SimTime::ZERO); // replaces the head
+        assert_eq!(t.len(), 3);
+        assert_eq!(winner(&mut t), 4, "the permuted spelling replaced the head");
+        t.add(plain(m, 5, 5), SimTime::ZERO); // replaces the middle
+        assert_eq!(t.entries().map(|e| e.cookie).collect::<Vec<_>>(), vec![4, 5, 3]);
+        let removed = t.delete(&reordered, SimTime::ZERO);
+        assert_eq!(removed.iter().map(|r| r.entry.cookie).collect::<Vec<_>>(), vec![4, 5, 3]);
         assert!(t.is_empty() && t.peek(&view(80)).is_none());
     }
 
-    /// A match with a duplicated field kind (only constructible from wire
-    /// bytes) cannot be hashed faithfully and must take the residual path —
-    /// satisfiable duplicates still match, contradictory ones never do.
-    #[test]
-    fn duplicate_field_matches_use_residual_path() {
-        // type=1, length 4+2*6=16, two TcpDst TLVs (80 then 80 / 80 then 81).
-        fn dup_match(a: u16, b: u16) -> Match {
-            let mut buf = vec![0, 1, 0, 16];
-            for port in [a, b] {
-                buf.extend_from_slice(&[0x80, 0x00, 14 << 1, 2]);
-                buf.extend_from_slice(&port.to_be_bytes());
-            }
-            Match::decode(&buf).expect("valid duplicate-field match").0
-        }
-        let mut t = FlowTable::new();
-        let consistent = dup_match(80, 80);
-        let contradictory = dup_match(80, 81);
-        t.add(
-            entry(consistent.clone(), 7, 1, fwd(1), Duration::ZERO, 0),
-            SimTime::ZERO,
-        );
-        t.add(
-            entry(contradictory, 9, 2, fwd(2), Duration::ZERO, 0),
-            SimTime::ZERO,
-        );
-        let (cookie, _) = t.lookup(&view(80), 64, SimTime::ZERO).unwrap();
-        assert_eq!(cookie, 1, "consistent duplicate matches; contradictory never");
-        assert!(t.lookup(&view(443), 64, SimTime::ZERO).is_none());
-        let removed = t.delete(&consistent, SimTime::ZERO);
-        assert_eq!(removed.len(), 1);
-        assert_eq!(removed[0].entry.cookie, 1);
-        assert_eq!(t.len(), 1);
-    }
     /// The index key under the deterministic hasher: 4 096 connections of
     /// one client to one service differ only in `tcp_src` — two bytes deep
     /// inside the packed key — and must still use both ends of the hash
     /// (hashbrown takes the bucket from the low bits, its control tag from
     /// the top seven).
     #[test]
-    fn shape_keys_differing_only_in_tcp_src_spread_over_buckets_and_tags() {
+    fn matches_differing_only_in_tcp_src_spread_over_buckets_and_tags() {
         use std::hash::BuildHasher;
         let hasher = desim::hash::FastBuildHasher::default();
         let (mut buckets, mut tags) = (desim::FastSet::default(), desim::FastSet::default());
         for port in 0..4096u16 {
             let m = Match::connection([192, 168, 1, 20], 40_000 + port, [203, 0, 113, 10], 80);
-            let h = hasher.hash_one(ShapeKey::of_match(&m).expect("no duplicate kinds"));
+            let h = hasher.hash_one(m);
             buckets.insert(h & 1023);
             tags.insert(h >> 57);
         }

@@ -1,9 +1,12 @@
-//! Property tests: arbitrary supported messages round-trip byte-exactly and
-//! the decoder is total (never panics) on arbitrary bytes.
+//! Property tests: arbitrary supported messages round-trip byte-exactly, the
+//! decoder is total (never panics) on arbitrary bytes, and a match is a set —
+//! the order its fields are given in changes neither its value nor its bytes,
+//! and a kind given twice is refused.
 
-use openflow::actions::{Action, Instruction};
+use openflow::actions::Action;
 use openflow::messages::{ErrorType, FlowModCommand, Message, PacketInReason, RemovedReason};
 use openflow::oxm::{Match, OxmField};
+use openflow::OfError;
 use proptest::prelude::*;
 
 fn arb_field() -> impl Strategy<Value = OxmField> {
@@ -32,11 +35,8 @@ fn arb_action() -> impl Strategy<Value = Action> {
     ]
 }
 
-fn arb_instructions() -> impl Strategy<Value = Vec<Instruction>> {
-    prop::collection::vec(
-        prop::collection::vec(arb_action(), 0..5).prop_map(Instruction::ApplyActions),
-        0..3,
-    )
+fn arb_actions() -> impl Strategy<Value = Vec<Action>> {
+    prop::collection::vec(arb_action(), 0..5)
 }
 
 fn arb_message() -> impl Strategy<Value = Message> {
@@ -99,7 +99,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
             any::<u32>(),
             any::<u16>(),
             arb_match(),
-            arb_instructions(),
+            arb_actions(),
         )
             .prop_map(
                 |(
@@ -111,7 +111,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
                     buffer_id,
                     flags,
                     match_,
-                    instructions,
+                    actions,
                 )| Message::FlowMod {
                     cookie,
                     table_id,
@@ -121,7 +121,8 @@ fn arb_message() -> impl Strategy<Value = Message> {
                     buffer_id,
                     flags,
                     match_,
-                    instructions,
+                    // A Delete carries no instruction, so no actions.
+                    actions: if command == FlowModCommand::Add { actions } else { vec![] },
                 }
             ),
         (
@@ -164,7 +165,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
                         hard_timeout,
                         packet_count,
                         byte_count,
-                        match_: match_.clone(),
+                        match_,
                     })
                 }
             ),
@@ -243,4 +244,113 @@ proptest! {
         prop_assert_eq!(used, buf.len());
         prop_assert_eq!(back, m);
     }
+
+    /// Any order of a set of distinct fields builds one match: equal, with
+    /// equal `Debug`, and with the same bytes on the wire, in ascending field
+    /// code whatever order the caller gave.
+    #[test]
+    fn a_permutation_of_the_fields_is_the_same_match(
+        m in arb_match(),
+        keys in prop::collection::vec(any::<u64>(), 9),
+    ) {
+        let fields: Vec<OxmField> = m.fields().collect();
+        let mut shuffled: Vec<(u64, OxmField)> = keys.into_iter().zip(fields.iter().copied()).collect();
+        shuffled.sort_by_key(|&(k, _)| k);
+        let permuted = Match::of(shuffled.into_iter().map(|(_, f)| f));
+        prop_assert_eq!(permuted, m);
+        prop_assert_eq!(format!("{permuted:?}"), format!("{m:?}"));
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        m.encode(&mut a);
+        permuted.encode(&mut b);
+        prop_assert_eq!(&a, &b);
+        let (back, _) = Match::decode(&a).unwrap();
+        prop_assert!(back.fields().eq(fields.iter().copied()), "fields come back in code order");
+    }
+
+    /// A wire match may list its fields in any order, but a kind listed
+    /// twice — with an equal value or not — is refused (OFPBMC_DUP_FIELD).
+    #[test]
+    fn a_wire_match_that_repeats_a_kind_is_refused(
+        m in arb_match(),
+        dup in arb_field(),
+        at in any::<usize>(),
+    ) {
+        let mut tlvs: Vec<Vec<u8>> = m.with(dup).fields().map(|f| tlv(&f)).collect();
+        let i = at % (tlvs.len() + 1);
+        tlvs.insert(i, tlv(&dup));
+        let bytes = wire_match(&tlvs);
+        prop_assert!(matches!(Match::decode(&bytes), Err(OfError::DupField(_))));
+        // Without the repeat, any order decodes to the one set.
+        tlvs.remove(i);
+        let n = tlvs.len();
+        tlvs.rotate_left(at % n);
+        prop_assert_eq!(Match::decode(&wire_match(&tlvs)).unwrap().0, m.with(dup));
+    }
+
+    /// A FLOW_MOD carries one instruction at most: a second one is refused
+    /// (OFPBIC_DUP_INST), and so is any instruction on a Delete.
+    #[test]
+    fn a_flow_mod_with_a_second_instruction_is_refused(
+        m in arb_match(),
+        first in arb_actions(),
+        second in arb_actions(),
+    ) {
+        let add = Message::FlowMod {
+            cookie: 1,
+            table_id: 0,
+            command: FlowModCommand::Add,
+            idle_timeout: 0,
+            priority: 1,
+            buffer_id: openflow::OFP_NO_BUFFER,
+            flags: 0,
+            match_: m,
+            actions: first,
+        };
+        let one = add.encode(7);
+        let mut two = one.clone();
+        two.extend_from_slice(&apply_actions(second));
+        let len = two.len() as u16;
+        two[2..4].copy_from_slice(&len.to_be_bytes());
+        prop_assert_eq!(Message::decode(&two), Err(OfError::DupInstruction));
+        // A Delete with the instruction an Add carries.
+        let mut delete = one;
+        delete[8 + 17] = 3; // OFPFC_DELETE
+        prop_assert!(Message::decode(&delete).is_err());
+    }
+}
+
+/// The `APPLY_ACTIONS` instruction carrying `actions`, as an Add with the
+/// wildcard match (an 8-byte `ofp_match`) puts it behind its match.
+fn apply_actions(actions: Vec<Action>) -> Vec<u8> {
+    let add = Message::FlowMod {
+        cookie: 0,
+        table_id: 0,
+        command: FlowModCommand::Add,
+        idle_timeout: 0,
+        priority: 0,
+        buffer_id: openflow::OFP_NO_BUFFER,
+        flags: 0,
+        match_: Match::any(),
+        actions,
+    };
+    add.encode(0)[8 + 40 + 8..].to_vec()
+}
+
+/// `field`'s TLV.
+fn tlv(field: &OxmField) -> Vec<u8> {
+    let mut out = Vec::new();
+    field.encode(&mut out);
+    out
+}
+
+/// An `ofp_match` of `tlvs` in the order given, padded to 8 bytes.
+fn wire_match(tlvs: &[Vec<u8>]) -> Vec<u8> {
+    let length = 4 + tlvs.iter().map(Vec::len).sum::<usize>();
+    let mut out = vec![0, 1];
+    out.extend_from_slice(&(length as u16).to_be_bytes());
+    for t in tlvs {
+        out.extend_from_slice(t);
+    }
+    out.resize(length.next_multiple_of(8), 0);
+    out
 }

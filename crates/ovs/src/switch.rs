@@ -136,7 +136,7 @@ impl Switch {
         let view = view_of(&headers, in_port);
         let len = frame.as_bytes().len();
         self.microflow_misses += 1;
-        let Some((_cookie, instructions)) = self.table.lookup(&view, len, now) else {
+        let Some((_cookie, actions)) = self.table.lookup(&view, len, now) else {
             self.table_misses += 1;
             return out.push(self.packet_in(in_port, frame.into_bytes()));
         };
@@ -146,7 +146,7 @@ impl Switch {
             &mut self.next_xid,
             in_port,
             frame,
-            instructions.iter().flat_map(|i| i.actions()),
+            actions.iter(),
             out,
         )
     }
@@ -210,7 +210,7 @@ impl Switch {
                 buffer_id,
                 flags,
                 match_,
-                instructions,
+                actions,
                 ..
             } => match command {
                 FlowModCommand::Add => {
@@ -219,7 +219,7 @@ impl Switch {
                             match_,
                             priority,
                             cookie,
-                            instructions,
+                            actions,
                             Duration::from_secs(idle_timeout as u64),
                             flags,
                         ),
@@ -458,7 +458,6 @@ mod tests {
     use super::*;
     use netsim::addr::{Ipv4Addr, MacAddr, ServiceAddr};
     use netsim::TcpFrame;
-    use openflow::actions::Instruction;
     use openflow::messages::RemovedReason;
     use openflow::messages::OFPFF_SEND_FLOW_REM;
 
@@ -507,7 +506,7 @@ mod tests {
                 assert_eq!(total_len as usize, data.len());
                 assert_eq!(reason, PacketInReason::NoMatch);
                 assert_eq!(included.len(), 54); // SYN frame is 54 B < miss_send_len
-                assert_eq!(match_.fields(), &[OxmField::InPort(1)]);
+                assert_eq!(match_, Match::any().with(OxmField::InPort(1)));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -535,12 +534,12 @@ mod tests {
             buffer_id,
             flags: 0,
             match_: Match::connection([192, 168, 1, 20], 50000, [203, 0, 113, 10], 80),
-            instructions: vec![Instruction::ApplyActions(vec![
+            actions: vec![
                 Action::SetField(OxmField::EthDst(MacAddr::from_id(200).octets())),
                 Action::SetField(OxmField::Ipv4Dst([10, 0, 0, 5])),
                 Action::SetField(OxmField::TcpDst(31080)),
                 Action::output(3),
-            ])],
+            ],
         };
         let effects = s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
         assert_eq!(effects.len(), 1);
@@ -622,7 +621,7 @@ mod tests {
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
             match_: Match::any(),
-            instructions: vec![Instruction::ApplyActions(vec![Action::output(OFPP_FLOOD)])],
+            actions: vec![Action::output(OFPP_FLOOD)],
         };
         s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
         let effects = s.handle_frame(SimTime::ZERO, 2, &client_frame().encode());
@@ -648,7 +647,7 @@ mod tests {
             buffer_id: OFP_NO_BUFFER,
             flags: OFPFF_SEND_FLOW_REM,
             match_: Match::service([203, 0, 113, 10], 80),
-            instructions: vec![Instruction::ApplyActions(vec![Action::output(3)])],
+            actions: vec![Action::output(3)],
         };
         s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
         assert_eq!(s.next_expiry(), Some(SimTime::from_secs(10)));
@@ -683,8 +682,8 @@ mod tests {
             priority: 5,
             buffer_id: OFP_NO_BUFFER,
             flags: OFPFF_SEND_FLOW_REM,
-            match_: m.clone(),
-            instructions: vec![Instruction::ApplyActions(vec![Action::output(1)])],
+            match_: m,
+            actions: vec![Action::output(1)],
         };
         s.handle_controller(SimTime::ZERO, &add.encode(1)).unwrap();
         let del = Message::FlowMod {
@@ -696,7 +695,7 @@ mod tests {
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
             match_: m,
-            instructions: vec![],
+            actions: vec![],
         };
         let effects = s.handle_controller(SimTime::from_secs(1), &del.encode(2)).unwrap();
         assert_eq!(effects.len(), 1);
@@ -784,7 +783,7 @@ mod tests {
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
             match_: Match::any(),
-            instructions: vec![Instruction::ApplyActions(vec![Action::output(OFPP_CONTROLLER)])],
+            actions: vec![Action::output(OFPP_CONTROLLER)],
         };
         s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
         let mut f = client_frame();
@@ -804,9 +803,9 @@ mod tests {
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
             match_: Match::any(),
-            instructions: vec![Instruction::ApplyActions(vec![Action::output(
+            actions: vec![Action::output(
                 OFPP_CONTROLLER,
-            )])],
+            )],
         };
         s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
         let effects = s.handle_frame(SimTime::ZERO, 1, &client_frame().encode());
@@ -840,7 +839,7 @@ mod tests {
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
             match_: Match::service([203, 0, 113, 10], 80),
-            instructions: vec![Instruction::ApplyActions(vec![Action::output(3)])],
+            actions: vec![Action::output(3)],
         };
         s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
         let data = client_frame().encode();
@@ -867,13 +866,13 @@ mod tests {
         let (mut s, mut naive) = (sw(), openflow::NaiveFlowTable::new());
         let data = client_frame().encode();
         let view = view_of(&TcpHeaders::parse(&data).unwrap(), 1);
-        let out = |p| vec![Instruction::ApplyActions(vec![Action::output(p)])];
+        let out = |p| vec![Action::output(p)];
         let idle = Duration::from_secs(10);
         // `change` and an expiry sweep on both tables, then the frame through both.
         let mut check = |now, change: Option<(FlowModCommand, &Match, u16, u32)>| {
             if let Some((command, match_, priority, port)) = change {
                 match command {
-                    Add => naive.add(entry(match_.clone(), priority, 1, out(port), idle, 0), now),
+                    Add => naive.add(entry(*match_, priority, 1, out(port), idle, 0), now),
                     Delete => drop(naive.delete(match_, now)),
                 }
                 let fm = Message::FlowMod {
@@ -884,16 +883,16 @@ mod tests {
                             priority,
                     buffer_id: OFP_NO_BUFFER,
                     flags: 0,
-                    match_: match_.clone(),
-                    instructions: out(port),
+                    match_: *match_,
+                    actions: if command == Add { out(port) } else { vec![] },
                 };
                 s.handle_controller(now, &fm.encode(1)).unwrap();
             }
             s.expire_flows(now);
             naive.expire(now);
-            let want = naive.lookup(&view, data.len(), now).map(|(_, i)| i);
+            let want = naive.lookup(&view, data.len(), now).map(|(_, a)| a);
             match (&s.handle_frame(now, 1, &data)[0], want) {
-                (Effect::Forward { port, .. }, Some(i)) => assert_eq!(i, out(*port), "{now:?}"),
+                (Effect::Forward { port, .. }, Some(a)) => assert_eq!(a, out(*port), "{now:?}"),
                 (Effect::ToController(_), None) => {}
                 (got, want) => panic!("{now:?}: switch {got:?}, reference {want:?}"),
             }
@@ -915,7 +914,10 @@ mod tests {
     /// The `FLOW_MOD` the controller sends: `match_` at `priority`, asking
     /// for a `FLOW_REMOVED`.
     fn flow_mod(command: FlowModCommand, match_: Match, priority: u16) -> Vec<u8> {
-        let instructions = vec![Instruction::ApplyActions(vec![Action::output(3)])];
+        let actions = match command {
+            FlowModCommand::Add => vec![Action::output(3)],
+            FlowModCommand::Delete => vec![],
+        };
         Message::FlowMod {
             cookie: 1,
             table_id: 0,
@@ -925,7 +927,7 @@ mod tests {
             buffer_id: OFP_NO_BUFFER,
             flags: OFPFF_SEND_FLOW_REM,
             match_,
-            instructions,
+            actions,
         }
         .encode(1)
     }
@@ -934,7 +936,7 @@ mod tests {
     fn two_priorities() -> (Switch, Match) {
         let (mut s, m) = (sw(), Match::service([203, 0, 113, 10], 80));
         for priority in [100, 99] {
-            s.handle_controller(SimTime::ZERO, &flow_mod(FlowModCommand::Add, m.clone(), priority)).unwrap();
+            s.handle_controller(SimTime::ZERO, &flow_mod(FlowModCommand::Add, m, priority)).unwrap();
         }
         (s, m)
     }
@@ -969,7 +971,7 @@ mod tests {
         // A Delete at 100 and an Add at 50 of the installed match, one field
         // changed: accepted, each would change the table.
         let patched = |command, priority, at: usize, with: &[u8]| {
-            let mut bytes = flow_mod(command, m.clone(), priority);
+            let mut bytes = flow_mod(command, m, priority);
             bytes[8 + at..8 + at + with.len()].copy_from_slice(with);
             bytes
         };
@@ -987,7 +989,7 @@ mod tests {
         ];
         let table = |s: &Switch| {
             let entries = s.table().entries();
-            entries.map(|e| (e.priority, e.match_.clone(), e.instructions.clone())).collect::<Vec<_>>()
+            entries.map(|e| (e.priority, e.match_, e.actions.clone())).collect::<Vec<_>>()
         };
         let before = table(&s);
         for (what, bytes) in refused {
@@ -1010,7 +1012,7 @@ mod tests {
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
             match_: Match::any(),
-            instructions: vec![Instruction::ApplyActions(vec![])],
+            actions: vec![],
         };
         s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
         let effects = s.handle_frame(SimTime::ZERO, 1, &client_frame().encode());

@@ -10,7 +10,7 @@ use desim::{Duration, SimTime};
 use netsim::addr::{Ipv4Addr, MacAddr};
 use netsim::wire;
 use netsim::{TcpFlags, TcpFrame, TcpHeaders};
-use openflow::actions::{Action, Instruction};
+use openflow::actions::Action;
 use openflow::messages::{FlowModCommand, Message, PacketInReason, OFPFF_SEND_FLOW_REM};
 use openflow::oxm::{Match, MatchView, OxmField};
 use openflow::table::{entry, FlowTable};
@@ -94,11 +94,11 @@ proptest! {
                 frame.dst_ip.octets(),
                 frame.dst_port,
             ),
-            instructions: vec![Instruction::ApplyActions(vec![
+            actions: vec![
                 Action::SetField(OxmField::Ipv4Dst(new_dst)),
                 Action::SetField(OxmField::TcpDst(new_port)),
                 Action::output(2),
-            ])],
+            ],
         };
         let effects = s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
         let forwarded = effects.iter().find_map(|e| match e {
@@ -163,7 +163,7 @@ proptest! {
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
             match_: Match::any().with(OxmField::EthType(0x0800)),
-            instructions: vec![Instruction::ApplyActions(vec![Action::output(3)])],
+            actions: vec![Action::output(3)],
         };
         s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
         let n = frames.len() as u64;
@@ -225,8 +225,8 @@ impl StructuredSwitch {
             tcp_dst: frame.dst_port,
         };
         match self.table.lookup(&view, data.len(), now) {
-            Some((_, instructions)) => {
-                let actions = flatten(instructions);
+            Some((_, actions)) => {
+                let actions = actions.to_vec();
                 self.fast_path_packets += 1;
                 self.apply_actions(frame, in_port, &actions)
             }
@@ -285,9 +285,9 @@ impl StructuredSwitch {
     /// `FLOW_MOD` ADD and `PACKET_OUT`, the two messages the oracle is fed.
     fn handle_controller(&mut self, now: SimTime, bytes: &[u8]) -> Vec<Effect> {
         match Message::decode(bytes).unwrap().1 {
-            Message::FlowMod { cookie, priority, buffer_id, flags, match_, instructions, .. } => {
+            Message::FlowMod { cookie, priority, buffer_id, flags, match_, actions, .. } => {
                 self.table.add(
-                    entry(match_, priority, cookie, instructions, Duration::ZERO, flags),
+                    entry(match_, priority, cookie, actions, Duration::ZERO, flags),
                     now,
                 );
                 match self.buffers.remove(&buffer_id) {
@@ -312,10 +312,6 @@ impl StructuredSwitch {
             other => panic!("oracle is not fed {other:?}"),
         }
     }
-}
-
-fn flatten(instructions: &[Instruction]) -> Vec<Action> {
-    instructions.iter().flat_map(|i| i.actions().iter().copied()).collect()
 }
 
 fn packet_in(buffer_id: u32, total_len: usize, reason: PacketInReason, in_port: u32, data: Vec<u8>) -> Message {
@@ -437,7 +433,7 @@ fn input_of(op: Op, step: usize, mut pick: impl FnMut(usize) -> u32) -> Input {
             buffer_id: release.map_or(OFP_NO_BUFFER, &mut pick),
             flags: 0,
             match_,
-            instructions: vec![Instruction::ApplyActions(actions)],
+            actions,
         },
         Op::OutBuffered { which, actions } => {
             Message::PacketOut { buffer_id: pick(which), in_port: 1, actions, data: vec![] }
@@ -477,7 +473,7 @@ fn arb_sink_op() -> impl Strategy<Value = SinkOp> {
         buffer_id: OFP_NO_BUFFER,
         flags: OFPFF_SEND_FLOW_REM,
         match_,
-        instructions: vec![Instruction::ApplyActions(actions)],
+        actions,
     };
     prop_oneof![
         8 => arb_op().prop_map(SinkOp::Plain),
@@ -616,11 +612,11 @@ proptest! {
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
             match_: Match::any(),
-            instructions: vec![Instruction::ApplyActions(vec![
+            actions: vec![
                 Action::SetField(OxmField::Ipv4Dst([10, 0, 0, 5])),
                 Action::SetField(OxmField::TcpSrc(1234)),
                 Action::output(2),
-            ])],
+            ],
         };
         s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
         let valid = frame.encode();
@@ -688,12 +684,12 @@ fn frames_the_encoder_cannot_produce_are_verified_forwarded_and_preserved() {
         buffer_id: OFP_NO_BUFFER,
         flags: 0,
         match_: Match::service(dst.octets(), 80),
-        instructions: vec![Instruction::ApplyActions(vec![
+        actions: vec![
             Action::SetField(OxmField::EthDst(MacAddr::from_id(200).octets())),
             Action::SetField(OxmField::Ipv4Dst([10, 0, 0, 5])),
             Action::SetField(OxmField::TcpDst(31080)),
             Action::output(3),
-        ])],
+        ],
     };
     s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
 
@@ -740,7 +736,7 @@ fn an_action_list_without_output_still_drops_into_a_sink_that_is_not_empty() {
         buffer_id,
         flags: 0,
         match_: Match::any(),
-        instructions: vec![Instruction::ApplyActions(vec![Action::SetField(OxmField::TcpDst(81))])],
+        actions: vec![Action::SetField(OxmField::TcpDst(81))],
     };
     let frame = TcpFrame::syn(
         MacAddr::from_id(1),
