@@ -678,22 +678,22 @@ fn flow_removed_takes_the_pair() {
 // went: their messages and metrics are unchanged, their `state_digest()`
 // lost its dead pairs and gained pair ids and `next_pair`. ---------------
 
-const EXACT_REDIRECT_BUFFERED: u64 = 0x92be_d202_94d2_a912;
-const EXACT_REDIRECT_UNBUFFERED: u64 = 0x3721_241c_be33_c1d7;
-const CLOUD_AND_UNREGISTERED: u64 = 0x0aaf_eb27_a188_fc41;
-const FALLBACK_CLOUD: u64 = 0xd009_0afc_5f80_7d03;
-const AGGREGATE_FIRST: u64 = 0xc9d8_5df2_1eaa_571b;
+const EXACT_REDIRECT_BUFFERED: u64 = 0xfb38_3090_351b_b6a2;
+const EXACT_REDIRECT_UNBUFFERED: u64 = 0xaea2_c35e_a59b_601f;
+const CLOUD_AND_UNREGISTERED: u64 = 0xd4d0_6aae_8745_bf5f;
+const FALLBACK_CLOUD: u64 = 0x651b_3b27_11c5_ce7f;
+const AGGREGATE_FIRST: u64 = 0x8a2a_b72e_7d0f_f5e7;
 const AGGREGATE_COVERED: u64 = 0xd031_6aaa_7c61_33dc;
-const AGGREGATE_DIVERGENT: u64 = 0xd8a2_f527_2a46_1236;
-const HANDOVER_ANCHORED: u64 = 0x9506_14c1_2c52_090e;
-const HANDOVER_REDISPATCHED: u64 = 0x8cff_c622_8b42_5281;
-const HANDOVER_CLOUD: u64 = 0xe1b4_74b5_36e7_b84a;
-const MIGRATION_FLIP_EXACT: u64 = 0x4ba6_9452_f433_2f96;
-const MIGRATION_FLIP_REPLACED_FORWARD: u64 = 0xcb4b_c801_9098_a208;
-const DEAD_INSTANCE_REPAIR: u64 = 0xf4ee_e774_144b_a12a;
-const ZONE_OUTAGE: u64 = 0xb217_4a6a_582b_836a;
-const RECONCILE: u64 = 0x9395_2303_797e_3e16;
-const FLOW_REMOVED_TAKES_THE_PAIR: u64 = 0xf2e5_9d08_a672_19e5;
+const AGGREGATE_DIVERGENT: u64 = 0x07af_a924_a697_3e96;
+const HANDOVER_ANCHORED: u64 = 0x6de8_512f_aa7c_8d24;
+const HANDOVER_REDISPATCHED: u64 = 0x2657_2c3f_1497_7917;
+const HANDOVER_CLOUD: u64 = 0x2590_29ea_fd07_5abe;
+const MIGRATION_FLIP_EXACT: u64 = 0xe05c_2c86_8031_2e3a;
+const MIGRATION_FLIP_REPLACED_FORWARD: u64 = 0x791a_65c6_3f24_9a64;
+const DEAD_INSTANCE_REPAIR: u64 = 0x6dc3_fd29_193c_c80e;
+const ZONE_OUTAGE: u64 = 0x663b_2727_12e7_1746;
+const RECONCILE: u64 = 0x634c_c0eb_c319_e9c2;
+const FLOW_REMOVED_TAKES_THE_PAIR: u64 = 0x7b64_bf3d_06ad_49b9;
 
 /// The rest of the outbox contract: bytes that are no message fail before
 /// anything is pushed, and a packet-in whose packet is no frame appends its
