@@ -511,6 +511,13 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The mask and the packed values, inline: a `Vec` of fields took a
+    /// 24-byte header plus a heap block of 48–64 bytes.
+    #[test]
+    fn a_match_is_34_bytes() {
+        assert_eq!(std::mem::size_of::<Match>(), 34);
+    }
+
     #[test]
     fn decode_refuses_a_repeated_kind_in_any_order() {
         // type=1, length 4+2*6=16, two TcpDst TLVs (equal and unequal values).
