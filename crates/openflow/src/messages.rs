@@ -585,9 +585,9 @@ impl Message {
 #[cfg(test)]
 mod two_buffer {
     use super::*;
-    
 
     fn match_(m: &Match, out: &mut Vec<u8>) {
+        // Ascending field code, read off each TLV's field byte.
         let mut fields: Vec<_> = m.fields().collect();
         fields.sort_by_key(|f| {
             let mut tlv = Vec::new();
