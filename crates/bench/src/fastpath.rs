@@ -11,7 +11,7 @@ use crate::artifact;
 use desim::{Duration, SimTime};
 use netsim::addr::{Ipv4Addr, MacAddr, ServiceAddr};
 use netsim::TcpFrame;
-use openflow::actions::Action;
+use openflow::actions::{Action, Actions};
 use openflow::messages::{FlowModCommand, Message};
 use openflow::oxm::{Match, MatchView};
 use openflow::table::{entry, FlowEntry, FlowTable};
@@ -51,7 +51,7 @@ fn connection_entry(i: usize) -> FlowEntry {
         m,
         100,
         i as u64,
-        vec![Action::output(2)],
+        Actions::from([Action::output(2)]),
         Duration::from_secs(600),
         0,
     )

@@ -53,7 +53,7 @@ use crate::scheduler::{GlobalScheduler, RequestClass};
 use crate::service::EdgeService;
 use desim::{Duration, LogNormal, Sample, SimRng, SimTime};
 use netsim::addr::{Ipv4Addr, MacAddr};
-use netsim::{ServiceAddr, TcpFrame};
+use netsim::{FramePool, ServiceAddr, TcpFrame};
 use openflow::messages::Message;
 use openflow::oxm::{Match, OxmField};
 use openflow::{OfError, OFP_NO_BUFFER};
@@ -141,7 +141,7 @@ impl Default for ControllerConfig {
 pub struct OutboundMessage {
     /// When the controller emits it.
     pub at: SimTime,
-    /// Encoded OpenFlow bytes.
+    /// Encoded OpenFlow bytes, in a buffer [`Controller::recycle`] takes back.
     pub data: Vec<u8>,
 }
 
@@ -288,6 +288,8 @@ pub struct Controller {
     flow_adds: u64,
     config: ControllerConfig,
     next_xid: u32,
+    /// Spare buffers the messages toward the switches are encoded into.
+    spare: FramePool,
     /// Per-request records (the harness reads these).
     pub records: Vec<RequestRecord>,
     /// Requests currently held for a with-waiting deployment, by
@@ -347,6 +349,7 @@ impl Controller {
             flow_adds: 0,
             config,
             next_xid: 1,
+            spare: FramePool::new(),
             records: Vec::new(),
             held: HashMap::new(),
             deferred: HashMap::new(),
@@ -634,9 +637,16 @@ impl Controller {
         }
     }
 
-    /// `msg` for the switch at `at`, under the next transaction id.
+    /// `msg` for the switch at `at`, under the next xid, in a spare buffer ([`Controller::recycle`]).
     fn outbound(&mut self, at: SimTime, msg: &Message) -> OutboundMessage {
-        OutboundMessage { at, data: msg.encode(self.xid()) }
+        let (xid, mut data) = (self.xid(), self.spare.take());
+        msg.encode_into(xid, &mut data);
+        OutboundMessage { at, data }
+    }
+
+    /// Takes back the buffer of an [`OutboundMessage`] the switch has read.
+    pub fn recycle(&mut self, buf: Vec<u8>) {
+        self.spare.recycle(buf);
     }
 
     /// Handles one encoded message from the default ingress switch.
@@ -673,10 +683,10 @@ impl Controller {
         rng: &mut SimRng,
         out: &mut Vec<OutboundMessage>,
     ) -> Result<(), OfError> {
-        let (_xid, msg, _) = Message::decode(bytes)?;
+        let (_xid, msg, _) = Message::parse(bytes)?;
         self.synced(|ctl| match msg {
             Message::PacketIn { buffer_id, match_, data, .. } => {
-                ctl.handle_packet_in(ingress, now, buffer_id, &match_, &data, rng, out);
+                ctl.handle_packet_in(ingress, now, buffer_id, &match_, data, rng, out);
             }
             Message::FlowRemoved { match_, priority, .. } => {
                 ctl.handle_flow_removed(ingress, &match_, priority);
@@ -985,7 +995,7 @@ impl Controller {
             // the cloud gets the exact cloud path and anchors nothing.
             spec.granularity = Granularity::Connection;
         }
-        let mut pair = spec.build(target, FLOW_PRIORITY);
+        let pair = spec.build(target, FLOW_PRIORITY);
         if let (Granularity::Service, Some(instance), Some(cluster)) =
             (spec.granularity, pair.instance, pair.cluster)
         {
@@ -994,7 +1004,7 @@ impl Controller {
                 cluster,
                 in_port: spec.in_port,
                 gw_mac: spec.gw_mac,
-                fwd_actions: pair.fwd.actions.clone(),
+                fwd_actions: pair.fwd.actions,
             };
             self.commit(JournalEvent::AggregateSet {
                 ingress,
@@ -1009,10 +1019,10 @@ impl Controller {
         // is re-injected by a `PACKET_OUT` after them.
         let buffer_id = release.map_or(OFP_NO_BUFFER, |(id, _)| id);
         self.flow_adds += 2;
-        out.push(self.flow_add(at, &mut pair.rev, OFP_NO_BUFFER));
-        out.push(self.flow_add(at, &mut pair.fwd, buffer_id));
+        out.push(self.flow_add(at, &pair.rev, OFP_NO_BUFFER));
+        out.push(self.flow_add(at, &pair.fwd, buffer_id));
         if let Some(carried) = release.filter(|(id, _)| *id == OFP_NO_BUFFER) {
-            self.packet_out(ingress, at, carried, pair.fwd.actions.clone(), out);
+            self.packet_out(ingress, at, carried, pair.fwd.actions, out);
         }
         self.commit(JournalEvent::PairAdd {
             client: spec.filed_under(),
@@ -1054,7 +1064,7 @@ impl Controller {
                     && r.in_port == spec.in_port
                     && r.gw_mac == spec.gw_mac =>
             {
-                let actions = r.fwd_actions.clone();
+                let actions = r.fwd_actions;
                 self.telemetry.metrics.inc("aggregate_covered");
                 return self.packet_out(ingress, at, release, actions, out);
             }
@@ -1076,7 +1086,7 @@ impl Controller {
         ingress: IngressId,
         at: SimTime,
         (buffer_id, frame): Release,
-        actions: Vec<openflow::Action>,
+        actions: openflow::Actions,
         out: &mut Vec<OutboundMessage>,
     ) {
         match rules::packet_out(buffer_id, actions, frame) {
@@ -1086,15 +1096,8 @@ impl Controller {
     }
 
     /// One `FLOW_MOD` Add of `flow` under the configured switch idle timeout.
-    fn flow_add(
-        &mut self,
-        at: SimTime,
-        flow: &mut InstalledFlow,
-        buffer_id: u32,
-    ) -> OutboundMessage {
-        let idle = openflow::timeout_secs(self.config.switch_flow_idle);
-        let data = rules::flow_add(flow, idle, buffer_id, self.xid());
-        OutboundMessage { at, data }
+    fn flow_add(&mut self, at: SimTime, flow: &InstalledFlow, buffer_id: u32) -> OutboundMessage {
+        self.outbound(at, &rules::flow_add(flow, self.config.switch_flow_idle, buffer_id))
     }
 
     /// One `FLOW_MOD` Delete of everything matching `match_` exactly.
@@ -1302,7 +1305,7 @@ mod tests {
     use dockersim::DockerEngine;
     use netsim::addr::MacAddr;
     use netsim::TcpFlags;
-    use openflow::actions::Action;
+    use openflow::actions::{Action, Actions};
     use openflow::FlowEntry;
     use ovs::{Effect, Switch, SwitchConfig};
 
@@ -2312,7 +2315,7 @@ mod tests {
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
             match_: Match::connection([1, 2, 3, 4], 9, [5, 6, 7, 8], 10),
-            actions: vec![Action::output(CLOUD_PORT)],
+            actions: Actions::from([Action::output(CLOUD_PORT)]),
         };
         sw.handle_controller(lost_at, &orphan.encode(1234)).unwrap();
 

@@ -222,7 +222,7 @@ impl Controller {
                             .iter()
                             .any(|e| e.priority == f.priority && e.match_ == f.match_);
                         if !on_switch && !held {
-                            missing.push(f.clone());
+                            missing.push(*f);
                         }
                     }
                 }
@@ -230,8 +230,8 @@ impl Controller {
 
             let n_missing = missing.len();
             let mut msgs: Vec<OutboundMessage> = Vec::with_capacity(n_missing);
-            for mut f in missing {
-                msgs.push(ctl.flow_add(now, &mut f, OFP_NO_BUFFER));
+            for f in &missing {
+                msgs.push(ctl.flow_add(now, f, OFP_NO_BUFFER));
             }
             // Strict-delete unclaimed switch entries. Switch-side deletion is by
             // exact match across every priority, so one Delete per distinct

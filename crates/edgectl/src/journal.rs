@@ -172,11 +172,11 @@ impl Snapshot {
         let installed = (0..st.installed.len() as u32)
             .map(|i| {
                 let ingress = IngressId(i);
-                let pairs = |c| st.pairs(c, ingress).map(|(id, p)| (id, p.clone())).collect();
+                let pairs = |c| st.pairs(c, ingress).map(|(id, p)| (id, *p)).collect();
                 st.clients_at(ingress).into_iter().map(|c| (c, pairs(c))).collect()
             })
             .collect();
-        let mut aggregates: Vec<_> = st.aggregates.iter().map(|(k, r)| (*k, r.clone())).collect();
+        let mut aggregates: Vec<_> = st.aggregates.iter().map(|(k, r)| (*k, *r)).collect();
         aggregates.sort_unstable_by_key(|&((i, s), _)| (i.0, s.ip.octets(), s.port));
         let mut scaled_down: Vec<_> = st.scaled_down.iter().map(|(k, t)| (*k, *t)).collect();
         scaled_down.sort_unstable_by_key(|&((s, c), _)| (s.ip.octets(), s.port, c));
@@ -446,12 +446,12 @@ impl ControlState {
         for (ingress, shard) in snap.installed.iter().enumerate() {
             for (client, pairs) in shard {
                 for (id, pair) in pairs {
-                    self.file_pair(*client, IngressId(ingress as u32), *id, pair.clone());
+                    self.file_pair(*client, IngressId(ingress as u32), *id, *pair);
                 }
             }
         }
         self.next_pair = snap.next_pair;
-        self.aggregates = snap.aggregates.iter().map(|(k, r)| (*k, r.clone())).collect();
+        self.aggregates = snap.aggregates.iter().copied().collect();
         self.scaled_down = snap.scaled_down.iter().copied().collect();
         self.clients.restore_locations(&snap.locations);
         self.client_macs = snap.client_macs.iter().copied().collect();
@@ -898,7 +898,7 @@ mod tests {
     fn flow(match_: Match, priority: u16) -> InstalledFlow {
         InstalledFlow {
             match_,
-            actions: vec![],
+            actions: openflow::Actions::new(),
             priority,
             cookie: 1,
             flags: 0,

@@ -22,19 +22,21 @@
 //! carry cookie 2.
 
 use crate::cluster::InstanceAddr;
+use desim::Duration;
 use netsim::addr::{Ipv4Addr, MacAddr};
 use netsim::{ServiceAddr, TcpFrame};
-use openflow::actions::Action;
+use openflow::actions::{Action, Actions};
 use openflow::messages::{FlowModCommand, Message, OFPFF_SEND_FLOW_REM};
 use openflow::oxm::{Match, OxmField};
 use openflow::OFP_NO_BUFFER;
 
 /// One flow as the controller believes it exists on a switch — enough
-/// detail to re-install it verbatim during reconciliation.
-#[derive(Clone, Debug)]
+/// detail to re-install it verbatim during reconciliation. `Copy`, like the
+/// match and the action list it holds: a flow owns no heap.
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct InstalledFlow {
     pub(crate) match_: Match,
-    pub(crate) actions: Vec<Action>,
+    pub(crate) actions: Actions,
     pub(crate) priority: u16,
     pub(crate) cookie: u64,
     pub(crate) flags: u16,
@@ -49,7 +51,7 @@ pub(crate) struct InstalledFlow {
 /// Adds go out and leaves the bookkeeping when that flow leaves the switch —
 /// its `FLOW_REMOVED`, or the Delete of a repair, outage, reconcile,
 /// migration flip or handover.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct InstalledPair {
     pub(crate) fwd: InstalledFlow,
     pub(crate) rev: InstalledFlow,
@@ -76,7 +78,7 @@ pub(crate) const AGGREGATE_CLIENT: Ipv4Addr = Ipv4Addr::UNSPECIFIED;
 /// arrives through the same client-side port, behind the same perceived
 /// gateway) is *covered*: the controller releases the packet with a bare
 /// `PACKET_OUT` and installs nothing.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct AggregateRule {
     pub(crate) instance: InstanceAddr,
     pub(crate) cluster: usize,
@@ -87,7 +89,7 @@ pub(crate) struct AggregateRule {
     pub(crate) gw_mac: MacAddr,
     /// The forward rewrite, cached so a covered packet-in releases its
     /// buffered packet without rebuilding the action list.
-    pub(crate) fwd_actions: Vec<Action>,
+    pub(crate) fwd_actions: Actions,
 }
 
 /// How much of the client side a pair's matches pin down.
@@ -203,7 +205,7 @@ impl PairSpec {
                 instance, out_port, ..
             } => {
                 // Replies must look like they come from the cloud service.
-                let mut rev = Vec::with_capacity(5);
+                let mut rev = Actions::new();
                 rev.push(Action::SetField(OxmField::EthSrc(self.gw_mac.octets())));
                 if self.granularity != Granularity::Service {
                     rev.push(Action::SetField(OxmField::EthDst(self.client_mac.octets())));
@@ -211,17 +213,17 @@ impl PairSpec {
                 rev.push(Action::SetField(OxmField::Ipv4Src(svc_ip)));
                 rev.push(Action::SetField(OxmField::TcpSrc(svc_port)));
                 rev.push(Action::output(self.in_port));
-                let fwd = vec![
+                let fwd = Actions::from([
                     Action::SetField(OxmField::EthDst(instance.mac.octets())),
                     Action::SetField(OxmField::Ipv4Dst(instance.ip.octets())),
                     Action::SetField(OxmField::TcpDst(instance.port)),
                     Action::output(out_port),
-                ];
+                ]);
                 (fwd, rev)
             }
             Target::Cloud { out_port } => (
-                vec![Action::output(out_port)],
-                vec![Action::output(self.in_port)],
+                Actions::from([Action::output(out_port)]),
+                Actions::from([Action::output(self.in_port)]),
             ),
         };
         let priority = base_priority.saturating_sub(step);
@@ -259,32 +261,20 @@ impl PairSpec {
     }
 }
 
-/// Encodes the `FLOW_MOD` Add that installs `flow` — the only Add the
-/// controller ever sends. `Message::encode` only borrows, so the flow lends
-/// its actions to the message and takes them back: a pair is built once and
-/// its action lists are never cloned on their way to the wire.
-pub(crate) fn flow_add(
-    flow: &mut InstalledFlow,
-    idle_timeout: u16,
-    buffer_id: u32,
-    xid: u32,
-) -> Vec<u8> {
-    let msg = Message::FlowMod {
+/// The `FLOW_MOD` Add that installs `flow` under switch idle timeout `idle`
+/// — the only Add the controller ever sends.
+pub(crate) fn flow_add(flow: &InstalledFlow, idle: Duration, buffer_id: u32) -> Message {
+    Message::FlowMod {
         cookie: flow.cookie,
         table_id: 0,
         command: FlowModCommand::Add,
-        idle_timeout,
+        idle_timeout: openflow::timeout_secs(idle),
         priority: flow.priority,
         buffer_id,
         flags: flow.flags,
         match_: flow.match_,
-        actions: std::mem::take(&mut flow.actions),
-    };
-    let data = msg.encode(xid);
-    if let Message::FlowMod { actions, .. } = msg {
-        flow.actions = actions;
+        actions: flow.actions,
     }
-    data
 }
 
 /// The `FLOW_MOD` Delete of everything matching `match_` exactly
@@ -300,7 +290,7 @@ pub(crate) fn flow_delete(match_: Match) -> Message {
         buffer_id: OFP_NO_BUFFER,
         flags: 0,
         match_,
-        actions: vec![],
+        actions: Actions::new(),
     }
 }
 
@@ -309,7 +299,7 @@ pub(crate) fn flow_delete(match_: Match) -> Message {
 /// frame itself, carried back. `None` when the carried frame plus the action
 /// list is more than one OpenFlow message can hold ([`Message::MAX_LEN`]; a
 /// `PACKET_OUT` has more overhead than the `PACKET_IN` the frame came in).
-pub(crate) fn packet_out(buffer_id: u32, actions: Vec<Action>, frame: &TcpFrame) -> Option<Message> {
+pub(crate) fn packet_out(buffer_id: u32, actions: Actions, frame: &TcpFrame) -> Option<Message> {
     let data = if buffer_id == OFP_NO_BUFFER {
         frame.encode()
     } else {
@@ -331,7 +321,7 @@ pub(crate) fn drop_buffered(buffer_id: u32) -> Option<Message> {
     (buffer_id != OFP_NO_BUFFER).then(|| Message::PacketOut {
         buffer_id,
         in_port: 0,
-        actions: vec![],
-        data: vec![],
+        actions: Actions::new(),
+        data: Vec::new(),
     })
 }

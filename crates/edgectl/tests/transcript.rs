@@ -25,7 +25,7 @@ use edgectl::{
 };
 use netsim::addr::{Ipv4Addr, MacAddr};
 use netsim::{ServiceAddr, TcpFrame};
-use openflow::actions::Action;
+use openflow::actions::{Action, Actions};
 use openflow::oxm::{Match, OxmField};
 use openflow::{FlowEntry, FlowModCommand, Message, PacketInReason, OFP_NO_BUFFER};
 use ovs::{Effect, Switch, SwitchConfig};
@@ -642,7 +642,7 @@ fn reconcile_readd_and_orphans() {
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
             match_: Match::connection([1, 2, 3, 4], 9, [5, 6, 7, 8], 10),
-            actions: vec![Action::output(CLOUD_PORT)],
+            actions: Actions::from([Action::output(CLOUD_PORT)]),
         };
         r.sws[0].handle_controller(lost_at, &orphan.encode(1234)).unwrap();
         assert_eq!(r.reconcile(G0, lost_at + secs(1)), 3, "2 re-adds + 1 orphan delete");

@@ -473,9 +473,15 @@ impl FramePool {
     /// [`TcpHeaders::encode_filled`] into a recycled buffer, or into a new
     /// one when the pool is empty.
     pub fn encode_filled(&mut self, headers: &TcpHeaders, fill: u8) -> Vec<u8> {
-        let mut buf = self.free.pop().unwrap_or_default();
+        let mut buf = self.take();
         headers.encode_filled_into(fill, &mut buf);
         buf
+    }
+
+    /// A recycled buffer, or a new empty one when the pool is empty, for an
+    /// encoder that overwrites it (the OpenFlow control channel's).
+    pub fn take(&mut self) -> Vec<u8> {
+        self.free.pop().unwrap_or_default()
     }
 
     /// Takes the buffer of a frame nobody reads any more.

@@ -3,12 +3,14 @@
 //! The transparent redirect needs exactly two action kinds: `SET_FIELD`
 //! (rewrite MAC/IP/port toward the edge instance, and the reverse rewrite on
 //! the return path) and `OUTPUT` (forward out of a port / to the controller).
-//! A flow carries its actions as one list: on the wire a `FLOW_MOD` Add wraps
-//! it in a single `APPLY_ACTIONS` instruction, the only one the subset knows,
-//! which is how the controller installs immediate rewrites.
+//! A flow carries its actions as one [`Actions`] list — at most five, inline
+//! and `Copy`, so installing, filing and re-sending a flow never asks the
+//! heap for its actions. On the wire a `FLOW_MOD` Add wraps the list in a
+//! single `APPLY_ACTIONS` instruction, the only one the subset knows, which
+//! is how the controller installs immediate rewrites.
 
 use crate::oxm::OxmField;
-use crate::OfError;
+use crate::{ActionFault, OfError};
 
 const OFPAT_OUTPUT: u16 = 0;
 const OFPAT_SET_FIELD: u16 = 25;
@@ -80,7 +82,7 @@ impl Action {
         let atype = u16::from_be_bytes([buf[0], buf[1]]);
         let len = u16::from_be_bytes([buf[2], buf[3]]) as usize;
         if len < 8 || !len.is_multiple_of(8) {
-            return Err(OfError::BadAction(format!("bad action length {len}")));
+            return Err(OfError::BadAction(ActionFault::Len(len)));
         }
         if buf.len() < len {
             return Err(OfError::Truncated {
@@ -92,7 +94,7 @@ impl Action {
         match atype {
             OFPAT_OUTPUT => {
                 if len != 16 {
-                    return Err(OfError::BadAction(format!("output len {len}")));
+                    return Err(OfError::BadAction(ActionFault::OutputLen(len)));
                 }
                 Ok((
                     Action::Output {
@@ -106,43 +108,73 @@ impl Action {
                 let (field, _) = OxmField::decode(&buf[4..len])?;
                 Ok((Action::SetField(field), len))
             }
-            other => Err(OfError::BadAction(format!("unsupported action type {other}"))),
+            other => Err(OfError::BadAction(ActionFault::Type(other))),
         }
     }
+}
 
-    /// Encodes a list of actions.
-    pub(crate) fn encode_list(actions: &[Action], out: &mut Vec<u8>) {
-        for a in actions {
+/// A flow's action list: at most [`Actions::CAP`] actions, held inline.
+///
+/// Like [`crate::Match`] it is `Copy` and never on the heap (a `Vec` of
+/// actions took a 24-byte header plus a 48–60 byte block per flow), so a flow, the
+/// controller's record of it and the messages that carry it copy the list
+/// instead of allocating one. It reads as a slice of its actions, compares
+/// as one, and prints as one — exactly as the `Vec` it replaces did.
+#[derive(Clone, Copy)]
+pub struct Actions {
+    len: u8,
+    list: [Action; Actions::CAP],
+}
+
+/// What the unused slots of an [`Actions`] hold.
+const VACANT: Action = Action::Output { port: 0, max_len: 0 };
+
+impl Actions {
+    /// The most actions one list holds: the longest the controller sends is
+    /// the reverse rewrite of a redirect (MAC source and destination, IPv4
+    /// source, TCP source, output). The decoder refuses a sixth
+    /// ([`crate::ActionFault::TooMany`]) — the codec carries what a run
+    /// sends.
+    pub const CAP: usize = 5;
+
+    /// The empty list: a drop rule's, a Delete's.
+    pub const fn new() -> Actions {
+        Actions { len: 0, list: [VACANT; Actions::CAP] }
+    }
+
+    /// Appends `action`.
+    ///
+    /// # Panics
+    ///
+    /// When the list already holds [`Actions::CAP`] actions: no rule the
+    /// controller builds is longer, so a longer one is a bug.
+    pub fn push(&mut self, action: Action) {
+        assert!(self.len() < Actions::CAP, "an action list holds at most {} actions", Actions::CAP);
+        self.list[self.len()] = action;
+        self.len += 1;
+    }
+
+    /// Bytes [`Actions::encode`] appends.
+    pub fn encoded_len(&self) -> usize {
+        self.iter().map(Action::encoded_len).sum()
+    }
+
+    /// Encodes every action, in order, straight into `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        for a in self.iter() {
             a.encode(out);
         }
     }
 
-    /// Decodes exactly `len` bytes of actions into a list allocated once,
-    /// at its exact length: a first pass counts the TLVs, so a flow keeps
-    /// no growth slack for its lifetime.
-    pub(crate) fn decode_list(buf: &[u8], len: usize) -> Result<Vec<Action>, OfError> {
-        if buf.len() < len {
-            return Err(OfError::Truncated {
-                what: "action list",
-                need: len,
-                have: buf.len(),
-            });
-        }
-        let buf = &buf[..len];
-        let mut n = 0;
+    /// Decodes all of `buf` as a list of actions. A sixth action is refused
+    /// ([`crate::ActionFault::TooMany`]) before it is decoded.
+    pub fn decode(buf: &[u8]) -> Result<Actions, OfError> {
+        let mut out = Actions::new();
         let mut off = 0;
-        while let Some(header) = buf.get(off..off + 4) {
-            // A length under 8 fails the decode below; stop counting there.
-            let used = u16::from_be_bytes([header[2], header[3]]) as usize;
-            if used < 8 {
-                break;
+        while off < buf.len() {
+            if out.len() == Actions::CAP {
+                return Err(OfError::BadAction(ActionFault::TooMany));
             }
-            n += 1;
-            off += used;
-        }
-        let mut out = Vec::with_capacity(n);
-        let mut off = 0;
-        while off < len {
             let (a, used) = Action::decode(&buf[off..])?;
             out.push(a);
             off += used;
@@ -151,18 +183,76 @@ impl Action {
     }
 }
 
+impl Default for Actions {
+    fn default() -> Actions {
+        Actions::new()
+    }
+}
+
+impl std::ops::Deref for Actions {
+    type Target = [Action];
+
+    fn deref(&self) -> &[Action] {
+        &self.list[..usize::from(self.len)]
+    }
+}
+
+/// A list of up to [`Actions::CAP`] actions, checked when it compiles.
+impl<const N: usize> From<[Action; N]> for Actions {
+    fn from(actions: [Action; N]) -> Actions {
+        const { assert!(N <= Actions::CAP, "an action list holds at most Actions::CAP actions") };
+        let mut out = Actions::new();
+        out.list[..N].copy_from_slice(&actions);
+        out.len = N as u8;
+        out
+    }
+}
+
+/// Collects up to [`Actions::CAP`] actions; see [`Actions::push`].
+impl FromIterator<Action> for Actions {
+    fn from_iter<I: IntoIterator<Item = Action>>(actions: I) -> Actions {
+        let mut out = Actions::new();
+        for a in actions {
+            out.push(a);
+        }
+        out
+    }
+}
+
+impl PartialEq for Actions {
+    fn eq(&self, other: &Actions) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl Eq for Actions {}
+
+impl<const N: usize> PartialEq<[Action; N]> for Actions {
+    fn eq(&self, other: &[Action; N]) -> bool {
+        self[..] == other[..]
+    }
+}
+
+/// As a list, exactly as the `Vec` it replaces printed: the controller's
+/// state digest prints its flows with `{:?}`.
+impl std::fmt::Debug for Actions {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Bytes [`encode_apply_actions`] appends for `actions`.
-pub(crate) fn apply_actions_len(actions: &[Action]) -> usize {
-    8 + actions.iter().map(Action::encoded_len).sum::<usize>()
+pub(crate) fn apply_actions_len(actions: &Actions) -> usize {
+    8 + actions.encoded_len()
 }
 
 /// Encodes `actions` as one `APPLY_ACTIONS` instruction straight into `out`;
 /// its length field is patched in once the actions are written.
-pub(crate) fn encode_apply_actions(actions: &[Action], out: &mut Vec<u8>) {
+pub(crate) fn encode_apply_actions(actions: &Actions, out: &mut Vec<u8>) {
     let start = out.len();
     out.extend_from_slice(&OFPIT_APPLY_ACTIONS.to_be_bytes());
     out.extend_from_slice(&[0u8; 6]); // length (patched below) + pad
-    Action::encode_list(actions, out);
+    actions.encode(out);
     crate::patch_len(out, start + 2, start);
 }
 
@@ -170,7 +260,7 @@ pub(crate) fn encode_apply_actions(actions: &[Action], out: &mut Vec<u8>) {
 /// for no instruction, else the actions of its one `APPLY_ACTIONS`. Another
 /// instruction type is refused, and so is a second instruction
 /// ([`OfError::DupInstruction`]).
-pub(crate) fn decode_instructions(buf: &[u8]) -> Result<Option<Vec<Action>>, OfError> {
+pub(crate) fn decode_instructions(buf: &[u8]) -> Result<Option<Actions>, OfError> {
     if buf.is_empty() {
         return Ok(None);
     }
@@ -184,9 +274,7 @@ pub(crate) fn decode_instructions(buf: &[u8]) -> Result<Option<Vec<Action>>, OfE
     let itype = u16::from_be_bytes([buf[0], buf[1]]);
     let len = u16::from_be_bytes([buf[2], buf[3]]) as usize;
     if itype != OFPIT_APPLY_ACTIONS {
-        return Err(OfError::BadAction(format!(
-            "unsupported instruction type {itype}"
-        )));
+        return Err(OfError::BadAction(ActionFault::Instruction(itype)));
     }
     if len < 8 || buf.len() < len {
         return Err(OfError::Truncated {
@@ -198,12 +286,23 @@ pub(crate) fn decode_instructions(buf: &[u8]) -> Result<Option<Vec<Action>>, OfE
     if len < buf.len() {
         return Err(OfError::DupInstruction);
     }
-    Action::decode_list(&buf[8..], len - 8).map(Some)
+    Actions::decode(&buf[8..len]).map(Some)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reverse rewrite of a redirect: the longest list a run sends.
+    fn reverse_rewrite() -> Actions {
+        Actions::from([
+            Action::SetField(OxmField::EthSrc([2, 0, 0, 0, 0, 99])),
+            Action::SetField(OxmField::EthDst([2, 0, 0, 0, 0, 1])),
+            Action::SetField(OxmField::Ipv4Src([203, 0, 113, 10])),
+            Action::SetField(OxmField::TcpSrc(80)),
+            Action::output(1),
+        ])
+    }
 
     #[test]
     fn output_action_roundtrip() {
@@ -239,38 +338,68 @@ mod tests {
 
     #[test]
     fn action_list_roundtrip() {
-        let actions = vec![
+        let actions = Actions::from([
             Action::SetField(OxmField::Ipv4Dst([10, 0, 0, 5])),
             Action::SetField(OxmField::TcpDst(31080)),
             Action::output(3),
-        ];
+        ]);
         let mut buf = Vec::new();
-        Action::encode_list(&actions, &mut buf);
-        let back = Action::decode_list(&buf, buf.len()).unwrap();
-        assert_eq!(back, actions);
+        actions.encode(&mut buf);
+        assert_eq!(buf.len(), actions.encoded_len());
+        assert_eq!(Actions::decode(&buf).unwrap(), actions);
+    }
+
+    /// Five actions fit; a sixth does not decode, and is refused before it
+    /// is read.
+    #[test]
+    fn a_list_holds_five_actions_and_a_sixth_is_refused() {
+        let five = reverse_rewrite();
+        let mut buf = Vec::new();
+        five.encode(&mut buf);
+        assert_eq!(Actions::decode(&buf), Ok(five));
+        Action::output(2).encode(&mut buf);
+        assert_eq!(Actions::decode(&buf), Err(OfError::BadAction(ActionFault::TooMany)));
+        buf.extend_from_slice(&[0, 99, 0, 8, 0, 0, 0, 0]);
+        assert_eq!(Actions::decode(&buf), Err(OfError::BadAction(ActionFault::TooMany)));
     }
 
     #[test]
-    fn decoded_action_list_is_allocated_at_its_exact_length() {
-        // The reverse rewrite of a redirect: five actions (a `Vec` grown one
-        // push at a time would hold eight).
-        let actions = vec![
-            Action::SetField(OxmField::EthSrc([2, 0, 0, 0, 0, 99])),
-            Action::SetField(OxmField::EthDst([2, 0, 0, 0, 0, 1])),
-            Action::SetField(OxmField::Ipv4Src([203, 0, 113, 10])),
-            Action::SetField(OxmField::TcpSrc(80)),
-            Action::output(1),
-        ];
-        let mut buf = Vec::new();
-        Action::encode_list(&actions, &mut buf);
-        let back = Action::decode_list(&buf, buf.len()).unwrap();
-        assert_eq!((back.len(), back.capacity()), (5, 5));
-        assert_eq!(back, actions);
+    #[should_panic(expected = "at most 5 actions")]
+    fn pushing_a_sixth_action_is_a_bug() {
+        reverse_rewrite().push(Action::output(2));
+    }
+
+    /// A list reads, compares and prints as the slice of its actions: the
+    /// vacant slots are never seen.
+    #[test]
+    fn a_list_is_its_actions() {
+        let mut grown = Actions::new();
+        for a in reverse_rewrite().iter().take(2) {
+            grown.push(*a);
+        }
+        let built = Actions::from([reverse_rewrite()[0], reverse_rewrite()[1]]);
+        assert_eq!(grown, built);
+        assert_eq!(grown.len(), 2);
+        assert_eq!(grown[..], reverse_rewrite()[..2]);
+        assert_ne!(grown, reverse_rewrite());
+        let vec = reverse_rewrite().to_vec();
+        assert_eq!(format!("{:?}", reverse_rewrite()), format!("{vec:?}"));
+        assert_eq!(format!("{:#?}", reverse_rewrite()), format!("{vec:#?}"));
+        assert_eq!(format!("{:?}", Actions::new()), "[]");
+        assert_eq!(vec.into_iter().collect::<Actions>(), reverse_rewrite());
+    }
+
+    /// Twelve bytes an action, five inline and a length: the heap block and
+    /// 24-byte header of a `Vec` are gone.
+    #[test]
+    fn an_action_is_12_bytes_and_a_list_at_most_64() {
+        assert_eq!(std::mem::size_of::<Action>(), 12);
+        assert!(std::mem::size_of::<Actions>() <= 64);
     }
 
     #[test]
     fn apply_actions_roundtrip() {
-        let actions = [Action::SetField(OxmField::TcpDst(8080)), Action::output(2)];
+        let actions = Actions::from([Action::SetField(OxmField::TcpDst(8080)), Action::output(2)]);
         let mut buf = Vec::new();
         encode_apply_actions(&actions, &mut buf);
         assert_eq!(buf.len(), apply_actions_len(&actions));
@@ -282,31 +411,47 @@ mod tests {
     fn empty_apply_actions_is_valid() {
         // A drop rule: APPLY_ACTIONS with no actions.
         let mut buf = Vec::new();
-        encode_apply_actions(&[], &mut buf);
+        encode_apply_actions(&Actions::new(), &mut buf);
         assert_eq!(buf.len(), 8);
-        assert_eq!(decode_instructions(&buf), Ok(Some(vec![])));
+        assert_eq!(decode_instructions(&buf), Ok(Some(Actions::new())));
     }
 
     #[test]
     fn decode_rejects_unknown_types_and_a_second_instruction() {
         // action type 99
         let mut buf = vec![0, 99, 0, 8, 0, 0, 0, 0];
-        assert!(matches!(Action::decode(&buf), Err(OfError::BadAction(_))));
+        assert_eq!(Action::decode(&buf), Err(OfError::BadAction(ActionFault::Type(99))));
         // instruction type 1 (GOTO_TABLE, unsupported)
         buf = vec![0, 1, 0, 8, 0, 0, 0, 0];
-        assert!(matches!(decode_instructions(&buf), Err(OfError::BadAction(_))));
+        assert_eq!(decode_instructions(&buf), Err(OfError::BadAction(ActionFault::Instruction(1))));
         // two APPLY_ACTIONS
         buf.clear();
-        encode_apply_actions(&[Action::output(1)], &mut buf);
-        encode_apply_actions(&[], &mut buf);
+        encode_apply_actions(&Actions::from([Action::output(1)]), &mut buf);
+        encode_apply_actions(&Actions::new(), &mut buf);
         assert_eq!(decode_instructions(&buf), Err(OfError::DupInstruction));
     }
 
     #[test]
     fn decode_rejects_bad_lengths() {
         let buf = vec![0, 0, 0, 7, 0, 0, 0]; // len 7, not multiple of 8
-        assert!(Action::decode(&buf).is_err());
+        assert_eq!(Action::decode(&buf), Err(OfError::BadAction(ActionFault::Len(7))));
+        let buf = vec![0, 0, 0, 24, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+        assert_eq!(Action::decode(&buf), Err(OfError::BadAction(ActionFault::OutputLen(24))));
         let buf = vec![0, 0, 0, 16, 0, 0]; // declares 16, has 6
         assert!(matches!(Action::decode(&buf), Err(OfError::Truncated { .. })));
+    }
+
+    /// A refusal says what it said when it carried a formatted string.
+    #[test]
+    fn typed_errors_display_as_before() {
+        let shown = |e: OfError| e.to_string();
+        assert_eq!(shown(OfError::BadAction(ActionFault::Len(7))), "bad action: bad action length 7");
+        assert_eq!(shown(OfError::BadAction(ActionFault::OutputLen(24))), "bad action: output len 24");
+        assert_eq!(shown(OfError::BadAction(ActionFault::Type(99))), "bad action: unsupported action type 99");
+        assert_eq!(
+            shown(OfError::BadAction(ActionFault::Instruction(1))),
+            "bad action: unsupported instruction type 1"
+        );
+        assert_eq!(shown(OfError::BadAction(ActionFault::TooMany)), "bad action: more than 5 actions in one list");
     }
 }

@@ -23,7 +23,7 @@
 //! 1100 fixed seeds (runs in offline builds), and a `proptest` integration
 //! test (`tests/table_diff.rs`) that shrinks failing seeds.
 
-use crate::actions::Action;
+use crate::actions::{Action, Actions};
 use crate::oxm::{Match, MatchView, OxmField};
 use crate::table::{entry, FlowTable, Removed};
 use crate::NaiveFlowTable;
@@ -87,8 +87,8 @@ fn random_timeout(rng: &mut SimRng) -> Duration {
     }
 }
 
-fn fwd(port: u32) -> Vec<Action> {
-    vec![Action::output(port)]
+fn fwd(port: u32) -> Actions {
+    Actions::from([Action::output(port)])
 }
 
 /// The observable fields of a removal record, for exact comparison.
@@ -123,7 +123,7 @@ fn assert_tables_eq(naive: &NaiveFlowTable, indexed: &FlowTable, ctx: &str) {
                 e.priority,
                 e.cookie,
                 e.match_,
-                e.actions.clone(),
+                e.actions,
                 e.packet_count,
                 e.byte_count,
                 e.installed_at,
@@ -138,7 +138,7 @@ fn assert_tables_eq(naive: &NaiveFlowTable, indexed: &FlowTable, ctx: &str) {
                 e.priority,
                 e.cookie,
                 e.match_,
-                e.actions.clone(),
+                e.actions,
                 e.packet_count,
                 e.byte_count,
                 e.installed_at,
@@ -184,7 +184,7 @@ pub fn check_seed(seed: u64, ops: usize) -> usize {
                     random_timeout(&mut rng),
                     0,
                 );
-                naive.add(e.clone(), now);
+                naive.add(e, now);
                 indexed.add(e, now);
             }
             3 => {
@@ -199,7 +199,7 @@ pub fn check_seed(seed: u64, ops: usize) -> usize {
                 let v = random_view(&mut rng);
                 let len = 64 + rng.below(1400) as usize;
                 let a = naive.lookup(&v, len, now);
-                let b = indexed.lookup(&v, len, now).map(|(c, a)| (c, a.to_vec()));
+                let b = indexed.lookup(&v, len, now).map(|(c, a)| (c, a.iter().copied().collect()));
                 assert_eq!(a, b, "{ctx}: lookup results diverge");
                 hits += a.is_some() as usize;
             }

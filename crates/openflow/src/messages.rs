@@ -9,7 +9,7 @@
 //! hard timeout — is refused, not half-applied (DESIGN.md "Control-channel
 //! vocabulary").
 
-use crate::actions::{self, Action};
+use crate::actions::{self, Actions};
 use crate::oxm::Match;
 use crate::{OfError, OFP_VERSION};
 use desim::Duration;
@@ -161,8 +161,15 @@ impl FlowModCommand {
 pub const OFPFF_SEND_FLOW_REM: u16 = 1;
 
 /// A decoded OpenFlow message (without the xid, which travels separately).
+///
+/// `B` carries the packet bytes of `PACKET_IN`, `PACKET_OUT` and `ERROR`: an
+/// owned `Vec<u8>` by default — what [`Message::decode`] returns and what a
+/// message built to be kept holds — or `&[u8]`, borrowed from the received
+/// bytes ([`Message::parse`]) or from the frame a switch reports
+/// ([`Message::encode_into`] takes either). There is one parser and one
+/// encoder; the owned decode is the parse plus one copy.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Message {
+pub enum Message<B = Vec<u8>> {
     /// Version negotiation.
     Hello,
     /// Packet sent to the controller.
@@ -181,7 +188,7 @@ pub enum Message {
         /// Packet metadata (carries `IN_PORT`).
         match_: Match,
         /// The (possibly truncated) packet bytes.
-        data: Vec<u8>,
+        data: B,
     },
     /// Packet injected by the controller.
     PacketOut {
@@ -191,9 +198,9 @@ pub enum Message {
         /// Ingress port context.
         in_port: u32,
         /// Actions to apply.
-        actions: Vec<Action>,
+        actions: Actions,
         /// Inline packet bytes (empty when `buffer_id` is used).
-        data: Vec<u8>,
+        data: B,
     },
     /// Flow table modification.
     FlowMod {
@@ -218,7 +225,7 @@ pub enum Message {
         /// The flow's actions. An Add carries them in one `APPLY_ACTIONS`
         /// instruction (none is a drop rule); a Delete carries no
         /// instruction, so its list is empty.
-        actions: Vec<Action>,
+        actions: Actions,
     },
     /// Notification that a flow expired or was deleted.
     FlowRemoved {
@@ -256,11 +263,11 @@ pub enum Message {
         /// Category-specific code.
         code: u16,
         /// Up to 64 bytes of the offending message.
-        data: Vec<u8>,
+        data: B,
     },
 }
 
-impl Message {
+impl<B: AsRef<[u8]>> Message<B> {
     fn type_byte(&self) -> u8 {
         match self {
             Message::Hello => T_HELLO,
@@ -274,16 +281,18 @@ impl Message {
         }
     }
 
-    /// Exactly how many bytes [`Message::encode`] returns — header, body
-    /// and padding. The encoder allocates this much once and never grows;
-    /// callers use it to refuse a message the 16-bit header length cannot
-    /// describe ([`Message::MAX_LEN`]) before building it.
+    /// Exactly how many bytes [`Message::encode_into`] writes — header,
+    /// body and padding. The encoder reserves this much once and never
+    /// grows; callers use it to refuse a message the 16-bit header length
+    /// cannot describe ([`Message::MAX_LEN`]) before building it.
     pub fn encoded_len(&self) -> usize {
         8 + match self {
             Message::Hello | Message::BarrierRequest | Message::BarrierReply => 0,
-            Message::PacketIn { match_, data, .. } => 16 + match_.encoded_len() + 2 + data.len(),
+            Message::PacketIn { match_, data, .. } => {
+                16 + match_.encoded_len() + 2 + data.as_ref().len()
+            }
             Message::PacketOut { actions, data, .. } => {
-                16 + actions.iter().map(Action::encoded_len).sum::<usize>() + data.len()
+                16 + actions.encoded_len() + data.as_ref().len()
             }
             Message::FlowMod { command, match_, actions, .. } => {
                 40 + match_.encoded_len()
@@ -292,22 +301,19 @@ impl Message {
                         FlowModCommand::Delete => 0,
                     }
             }
-            Message::Error { data, .. } => 4 + data.len().min(64),
+            Message::Error { data, .. } => 4 + data.as_ref().len().min(64),
             Message::FlowRemoved { match_, .. } => 40 + match_.encoded_len(),
         }
     }
 
-    /// The longest message the header's 16-bit length field can describe.
-    /// A sender must not build anything longer: its length would wrap and
-    /// the receiver would cut the stream in the wrong place.
-    pub const MAX_LEN: usize = u16::MAX as usize;
-
-    /// Encodes the message with the given transaction id into one buffer of
-    /// exactly [`Message::encoded_len`] bytes: header first, body written
-    /// straight behind it, the header length patched in last from the size
-    /// actually written.
-    pub fn encode(&self, xid: u32) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
+    /// Encodes the message with the given transaction id into `out`,
+    /// replacing whatever it held: room for exactly [`Message::encoded_len`]
+    /// bytes is reserved once (nothing, for a recycled buffer that already
+    /// has it), the header goes first, the body straight behind it, and the
+    /// header length is patched in last from the size actually written.
+    pub fn encode_into(&self, xid: u32, out: &mut Vec<u8>) {
+        out.clear();
+        out.reserve(self.encoded_len());
         out.push(OFP_VERSION);
         out.push(self.type_byte());
         out.extend_from_slice(&[0u8; 2]); // length, patched below
@@ -328,9 +334,9 @@ impl Message {
                 out.push(reason.to_u8());
                 out.push(*table_id);
                 out.extend_from_slice(&cookie.to_be_bytes());
-                match_.encode(&mut out);
+                match_.encode(out);
                 out.extend_from_slice(&[0u8; 2]); // pad before data
-                out.extend_from_slice(data);
+                out.extend_from_slice(data.as_ref());
             }
             Message::PacketOut {
                 buffer_id,
@@ -342,9 +348,9 @@ impl Message {
                 out.extend_from_slice(&in_port.to_be_bytes());
                 let actions_len_at = out.len();
                 out.extend_from_slice(&[0u8; 8]); // actions_len (patched below) + pad
-                Action::encode_list(actions, &mut out);
-                crate::patch_len(&mut out, actions_len_at, actions_len_at + 8);
-                out.extend_from_slice(data);
+                actions.encode(out);
+                crate::patch_len(out, actions_len_at, actions_len_at + 8);
+                out.extend_from_slice(data.as_ref());
             }
             Message::FlowMod {
                 cookie,
@@ -373,14 +379,15 @@ impl Message {
                 out.extend_from_slice(&0xffff_ffffu32.to_be_bytes()); // out_group ANY
                 out.extend_from_slice(&flags.to_be_bytes());
                 out.extend_from_slice(&[0u8; 2]); // pad
-                match_.encode(&mut out);
+                match_.encode(out);
                 if *command == FlowModCommand::Add {
-                    actions::encode_apply_actions(actions, &mut out);
+                    actions::encode_apply_actions(actions, out);
                 }
             }
             Message::Error { error_type, code, data } => {
                 out.extend_from_slice(&error_type.to_u16().to_be_bytes());
                 out.extend_from_slice(&code.to_be_bytes());
+                let data = data.as_ref();
                 out.extend_from_slice(&data[..data.len().min(64)]);
             }
             Message::FlowRemoved {
@@ -406,7 +413,7 @@ impl Message {
                 out.extend_from_slice(&hard_timeout.to_be_bytes());
                 out.extend_from_slice(&packet_count.to_be_bytes());
                 out.extend_from_slice(&byte_count.to_be_bytes());
-                match_.encode(&mut out);
+                match_.encode(out);
             }
         }
         debug_assert_eq!(out.len(), self.encoded_len(), "encoded_len out of step with encode");
@@ -415,14 +422,39 @@ impl Message {
             "a {}-byte message overflows the 16-bit header length; senders check encoded_len()",
             out.len()
         );
-        crate::patch_len(&mut out, 2, 0);
+        crate::patch_len(out, 2, 0);
+    }
+}
+
+impl Message {
+    /// The longest message the header's 16-bit length field can describe.
+    /// A sender must not build anything longer: its length would wrap and
+    /// the receiver would cut the stream in the wrong place.
+    pub const MAX_LEN: usize = u16::MAX as usize;
+
+    /// [`Message::encode_into`] a new buffer of exactly
+    /// [`Message::encoded_len`] bytes.
+    pub fn encode(&self, xid: u32) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(xid, &mut out);
         out
     }
 
-    /// Decodes one message from the front of `buf`, returning `(xid, message,
-    /// bytes consumed)`. Extra bytes after the declared length are left
-    /// untouched (the control channel is a byte stream).
+    /// [`Message::parse`] with the packet bytes copied out, so the message
+    /// outlives `buf`.
     pub fn decode(buf: &[u8]) -> Result<(u32, Message, usize), OfError> {
+        let (xid, msg, used) = Message::parse(buf)?;
+        Ok((xid, msg.into_owned(), used))
+    }
+}
+
+impl<'a> Message<&'a [u8]> {
+
+    /// Decodes one message from the front of `buf`, returning `(xid, message,
+    /// bytes consumed)`, its packet bytes borrowed from `buf`: no heap call.
+    /// Extra bytes after the declared length are left untouched (the control
+    /// channel is a byte stream).
+    pub fn parse(buf: &'a [u8]) -> Result<(u32, Message<&'a [u8]>, usize), OfError> {
         if buf.len() < 8 {
             return Err(OfError::Truncated {
                 what: "message header",
@@ -486,7 +518,7 @@ impl Message {
                     table_id,
                     cookie,
                     match_,
-                    data: rest[2..].to_vec(),
+                    data: &rest[2..],
                 }
             }
             T_PACKET_OUT => {
@@ -495,12 +527,12 @@ impl Message {
                 let in_port = u32::from_be_bytes(b[4..8].try_into().expect("len checked"));
                 let actions_len = u16::from_be_bytes([b[8], b[9]]) as usize;
                 need(16 + actions_len)?;
-                let actions = Action::decode_list(&b[16..16 + actions_len], actions_len)?;
+                let actions = Actions::decode(&b[16..16 + actions_len])?;
                 Message::PacketOut {
                     buffer_id,
                     in_port,
                     actions,
-                    data: b[16 + actions_len..].to_vec(),
+                    data: &b[16 + actions_len..],
                 }
             }
             T_FLOW_MOD => {
@@ -518,7 +550,7 @@ impl Message {
                 let (match_, used) = Match::decode(&b[40..])?;
                 let actions = match (command, actions::decode_instructions(&b[40 + used..])?) {
                     (FlowModCommand::Add, actions) => actions.unwrap_or_default(),
-                    (FlowModCommand::Delete, None) => Vec::new(),
+                    (FlowModCommand::Delete, None) => Actions::new(),
                     (FlowModCommand::Delete, Some(_)) => {
                         return Err(OfError::Unsupported("FLOW_MOD Delete instruction"))
                     }
@@ -569,12 +601,58 @@ impl Message {
                 Message::Error {
                     error_type: ErrorType::from_u16(u16::from_be_bytes([b[0], b[1]]))?,
                     code: u16::from_be_bytes([b[2], b[3]]),
-                    data: b[4..].to_vec(),
+                    data: &b[4..],
                 }
             }
             other => return Err(OfError::BadType(other)),
         };
         Ok((xid, msg, length))
+    }
+
+    /// The message with its packet bytes copied into a `Vec` of its own.
+    pub fn into_owned(self) -> Message {
+        use Message as M;
+        match self {
+            M::Hello => M::Hello,
+            M::BarrierRequest => M::BarrierRequest,
+            M::BarrierReply => M::BarrierReply,
+            M::PacketIn { buffer_id, total_len, reason, table_id, cookie, match_, data } => {
+                let data = data.to_vec();
+                M::PacketIn { buffer_id, total_len, reason, table_id, cookie, match_, data }
+            }
+            M::PacketOut { buffer_id, in_port, actions, data } => {
+                M::PacketOut { buffer_id, in_port, actions, data: data.to_vec() }
+            }
+            M::Error { error_type, code, data } => M::Error { error_type, code, data: data.to_vec() },
+            M::FlowMod { cookie, table_id, command, idle_timeout, priority, buffer_id, flags, match_, actions } => {
+                M::FlowMod { cookie, table_id, command, idle_timeout, priority, buffer_id, flags, match_, actions }
+            }
+            M::FlowRemoved {
+                cookie,
+                priority,
+                reason,
+                table_id,
+                duration_sec,
+                duration_nsec,
+                idle_timeout,
+                hard_timeout,
+                packet_count,
+                byte_count,
+                match_,
+            } => M::FlowRemoved {
+                cookie,
+                priority,
+                reason,
+                table_id,
+                duration_sec,
+                duration_nsec,
+                idle_timeout,
+                hard_timeout,
+                packet_count,
+                byte_count,
+                match_,
+            },
+        }
     }
 }
 
@@ -585,6 +663,7 @@ impl Message {
 #[cfg(test)]
 mod two_buffer {
     use super::*;
+    use crate::actions::Action;
 
     fn match_(m: &Match, out: &mut Vec<u8>) {
         // Ascending field code, read off each TLV's field byte.
@@ -654,7 +733,7 @@ mod two_buffer {
             }
             Message::PacketOut { buffer_id, in_port, actions, data } => {
                 let mut abuf = Vec::new();
-                for a in actions {
+                for a in actions.iter() {
                     action(a, &mut abuf);
                 }
                 body.extend_from_slice(&buffer_id.to_be_bytes());
@@ -735,6 +814,7 @@ mod two_buffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actions::Action;
     use crate::oxm::OxmField;
 
     fn roundtrip(msg: Message) {
@@ -774,11 +854,11 @@ mod tests {
         roundtrip(Message::PacketOut {
             buffer_id: crate::OFP_NO_BUFFER,
             in_port: 3,
-            actions: vec![
+            actions: Actions::from([
                 Action::SetField(OxmField::Ipv4Dst([10, 0, 0, 5])),
                 Action::SetField(OxmField::TcpDst(31080)),
                 Action::output(7),
-            ],
+            ]),
             data: b"raw frame bytes".to_vec(),
         });
     }
@@ -794,12 +874,12 @@ mod tests {
             buffer_id: crate::OFP_NO_BUFFER,
             flags: OFPFF_SEND_FLOW_REM,
             match_: Match::connection([192, 168, 1, 20], 50000, [203, 0, 113, 10], 80),
-            actions: vec![
+            actions: Actions::from([
                 Action::SetField(OxmField::EthDst([2, 0, 0, 0, 0, 9])),
                 Action::SetField(OxmField::Ipv4Dst([10, 0, 0, 5])),
                 Action::SetField(OxmField::TcpDst(31080)),
                 Action::output(7),
-            ],
+            ]),
         });
     }
 
@@ -872,7 +952,7 @@ mod tests {
             buffer_id: crate::OFP_NO_BUFFER,
             flags: 0,
             match_: Match::service([1, 2, 3, 4], 80),
-            actions: vec![Action::output(1)],
+            actions: Actions::from([Action::output(1)]),
         }
         .encode(9);
         for cut in [0, 4, 8, 20, 47, bytes.len() - 1] {
@@ -940,17 +1020,19 @@ mod tests {
             .prop_map(|fs| fs.into_iter().fold(Match::any(), |m, f| m.with(f)))
     }
 
-    /// Empty lists and lists of `SetField`s only (odd unpadded lengths: a
-    /// 1-byte `IpProto` pads 9 → 16, a 6-byte MAC 14 → 16) included.
-    fn arb_actions() -> impl Strategy<Value = Vec<Action>> {
+    /// Empty lists up to full ones, and lists of `SetField`s only (odd
+    /// unpadded lengths: a 1-byte `IpProto` pads 9 → 16, a 6-byte MAC
+    /// 14 → 16) included.
+    fn arb_actions() -> impl Strategy<Value = Actions> {
         prop::collection::vec(
             prop_oneof![
                 1 => (any::<u32>(), any::<u16>())
                     .prop_map(|(port, max_len)| Action::Output { port, max_len }),
                 3 => arb_field().prop_map(Action::SetField),
             ],
-            0..6,
+            0..=Actions::CAP,
         )
+        .prop_map(Actions::from_iter)
     }
 
     fn arb_bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -994,7 +1076,7 @@ mod tests {
                 .prop_map(
                     |((cookie, table_id, command, (idle_timeout, priority, flags), buffer_id), match_, actions)| {
                         // A Delete carries no instruction, so no actions.
-                        let actions = if command == FlowModCommand::Add { actions } else { vec![] };
+                        let actions = if command == FlowModCommand::Add { actions } else { Actions::new() };
                         Message::FlowMod {
                             cookie,
                             table_id,
@@ -1054,7 +1136,7 @@ mod tests {
             let mut out = prefix.clone();
             m.encode(&mut out);
             prop_assert_eq!(out.len() - prefix.len(), m.encoded_len());
-            for a in &actions {
+            for a in actions.iter() {
                 let before = out.len();
                 a.encode(&mut out);
                 prop_assert_eq!(out.len() - before, a.encoded_len());
@@ -1094,6 +1176,6 @@ mod tests {
     #[should_panic(expected = "overflows the 16-bit header length")]
     fn encoding_an_unrepresentable_message_is_a_bug() {
         let data = vec![0; Message::MAX_LEN];
-        Message::PacketOut { buffer_id: crate::OFP_NO_BUFFER, in_port: 1, actions: vec![], data }.encode(1);
+        Message::PacketOut { buffer_id: crate::OFP_NO_BUFFER, in_port: 1, actions: Actions::new(), data }.encode(1);
     }
 }

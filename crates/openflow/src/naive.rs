@@ -8,7 +8,7 @@
 //! flow-table benchmarks measure speedups against. It must stay simple —
 //! do not optimize this type.
 
-use crate::actions::Action;
+use crate::actions::Actions;
 use crate::messages::RemovedReason;
 use crate::oxm::{Match, MatchView};
 use crate::table::{FlowEntry, Removed};
@@ -99,19 +99,19 @@ impl NaiveFlowTable {
     }
 
     /// Looks up the highest-priority matching flow, updating its counters and
-    /// idle timer. Returns a clone of the matched entry's actions plus its
+    /// idle timer. Returns a copy of the matched entry's actions plus its
     /// cookie.
     pub fn lookup(
         &mut self,
         view: &MatchView,
         frame_len: usize,
         now: SimTime,
-    ) -> Option<(u64, Vec<Action>)> {
+    ) -> Option<(u64, Actions)> {
         let e = self.entries.iter_mut().find(|e| e.match_.matches(view))?;
         e.packet_count += 1;
         e.byte_count += frame_len as u64;
         e.last_hit = now;
-        Some((e.cookie, e.actions.clone()))
+        Some((e.cookie, e.actions))
     }
 
     /// Read-only lookup (no counter updates).

@@ -4,7 +4,7 @@
 //! exactly the set the paper's controller matches and rewrites on: ingress
 //! port, Ethernet addresses/type, IP protocol, IPv4 addresses and TCP ports.
 
-use crate::OfError;
+use crate::{OfError, OxmFault};
 
 /// The ONF "openflow basic" OXM class.
 pub(crate) const OXM_CLASS_OPENFLOW_BASIC: u16 = 0x8000;
@@ -165,10 +165,10 @@ fn decode_tlv(buf: &[u8]) -> Result<(usize, &[u8]), OfError> {
     }
     let class = u16::from_be_bytes([buf[0], buf[1]]);
     if class != OXM_CLASS_OPENFLOW_BASIC {
-        return Err(OfError::BadOxm(format!("unsupported class {class:#06x}")));
+        return Err(OfError::BadOxm(OxmFault::Class(class)));
     }
     if buf[2] & 1 != 0 {
-        return Err(OfError::BadOxm("masked fields unsupported".into()));
+        return Err(OfError::BadOxm(OxmFault::Masked));
     }
     let code = buf[2] >> 1;
     let len = buf[3] as usize;
@@ -180,13 +180,11 @@ fn decode_tlv(buf: &[u8]) -> Result<(usize, &[u8]), OfError> {
         });
     }
     let Some(kind) = KINDS.iter().position(|k| k.code == code) else {
-        return Err(OfError::BadOxm(format!("unsupported field {code}")));
+        return Err(OfError::BadOxm(OxmFault::Field(code)));
     };
     let want = usize::from(KINDS[kind].len);
     if len != want {
-        return Err(OfError::BadOxm(format!(
-            "field {code}: expected len {want}, got {len}"
-        )));
+        return Err(OfError::BadOxm(OxmFault::Len { code, want, got: len }));
     }
     Ok((kind, &buf[4..4 + len]))
 }
@@ -369,7 +367,7 @@ impl Match {
         }
         let mtype = u16::from_be_bytes([buf[0], buf[1]]);
         if mtype != 1 {
-            return Err(OfError::BadOxm(format!("unsupported match type {mtype}")));
+            return Err(OfError::BadOxm(OxmFault::MatchType(mtype)));
         }
         let length = u16::from_be_bytes([buf[2], buf[3]]) as usize;
         if length < 4 || buf.len() < length {
@@ -545,16 +543,33 @@ mod tests {
     fn decode_rejects_masked_and_foreign_class() {
         // masked field
         let buf = [0x80, 0x00, (14 << 1) | 1, 2, 0, 80];
-        assert!(matches!(OxmField::decode(&buf), Err(OfError::BadOxm(_))));
+        assert_eq!(OxmField::decode(&buf), Err(OfError::BadOxm(OxmFault::Masked)));
         // experimenter class
         let buf = [0xff, 0xff, 14 << 1, 2, 0, 80];
-        assert!(matches!(OxmField::decode(&buf), Err(OfError::BadOxm(_))));
+        assert_eq!(OxmField::decode(&buf), Err(OfError::BadOxm(OxmFault::Class(0xffff))));
+        // a field code outside the set, and a match type other than OXM
+        let buf = [0x80, 0x00, 20 << 1, 2, 0, 80];
+        assert_eq!(OxmField::decode(&buf), Err(OfError::BadOxm(OxmFault::Field(20))));
+        assert_eq!(Match::decode(&[0, 0, 0, 4]), Err(OfError::BadOxm(OxmFault::MatchType(0))));
     }
 
     #[test]
     fn decode_rejects_wrong_payload_len() {
         let buf = [0x80, 0x00, F_TCP_DST << 1, 3, 0, 80, 0];
-        assert!(matches!(OxmField::decode(&buf), Err(OfError::BadOxm(_))));
+        let fault = OxmFault::Len { code: F_TCP_DST, want: 2, got: 3 };
+        assert_eq!(OxmField::decode(&buf), Err(OfError::BadOxm(fault)));
+    }
+
+    /// A refusal says what it said when it carried a formatted string.
+    #[test]
+    fn typed_errors_display_as_before() {
+        let shown = |f: OxmFault| OfError::BadOxm(f).to_string();
+        assert_eq!(shown(OxmFault::Class(0xffff)), "bad OXM: unsupported class 0xffff");
+        assert_eq!(shown(OxmFault::Masked), "bad OXM: masked fields unsupported");
+        assert_eq!(shown(OxmFault::Field(20)), "bad OXM: unsupported field 20");
+        let len = OxmFault::Len { code: 14, want: 2, got: 3 };
+        assert_eq!(shown(len), "bad OXM: field 14: expected len 2, got 3");
+        assert_eq!(shown(OxmFault::MatchType(0)), "bad OXM: unsupported match type 0");
     }
 
     #[test]

@@ -49,14 +49,14 @@
 //! ADD/DELETE, and per-entry counters. `crate::diff` replays randomized
 //! operation sequences against both implementations to prove it.
 
-use crate::actions::Action;
+use crate::actions::{Action, Actions};
 use crate::messages::{RemovedReason, OFPFF_SEND_FLOW_REM};
 use crate::oxm::{Match, MatchView};
 use desim::{Duration, FastMap, SimTime, TimerWheel};
 use std::collections::hash_map::Entry;
 
 /// One installed flow.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct FlowEntry {
     /// Match condition.
     pub match_: Match,
@@ -65,7 +65,7 @@ pub struct FlowEntry {
     /// Controller cookie.
     pub cookie: u64,
     /// Actions to apply on match.
-    pub actions: Vec<Action>,
+    pub actions: Actions,
     /// Idle timeout ([`Duration::ZERO`] = none).
     pub idle_timeout: Duration,
     /// `FLOW_MOD` flags.
@@ -99,7 +99,7 @@ impl FlowEntry {
 }
 
 /// A removal record produced by expiry or deletion.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Removed {
     /// The removed entry (with final counters).
     pub entry: FlowEntry,
@@ -467,7 +467,7 @@ pub fn entry(
     match_: Match,
     priority: u16,
     cookie: u64,
-    actions: Vec<Action>,
+    actions: Actions,
     idle_timeout: Duration,
     flags: u16,
 ) -> FlowEntry {
@@ -504,8 +504,8 @@ mod tests {
         }
     }
 
-    fn fwd(port: u32) -> Vec<Action> {
-        vec![Action::output(port)]
+    fn fwd(port: u32) -> Actions {
+        Actions::from([Action::output(port)])
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Property tests: arbitrary supported messages round-trip byte-exactly, the
 //! decoder is total (never panics) on arbitrary bytes, and a match is a set —
 //! the order its fields are given in changes neither its value nor its bytes,
-//! and a kind given twice is refused.
+//! and a kind given twice is refused. The encoder writes the same bytes into
+//! a recycled buffer as into a fresh one, the borrowing parse and the owned
+//! decode agree, and an action list holds five actions and refuses a sixth.
 
-use openflow::actions::Action;
+use openflow::actions::{Action, Actions};
 use openflow::messages::{ErrorType, FlowModCommand, Message, PacketInReason, RemovedReason};
 use openflow::oxm::{Match, OxmField};
-use openflow::OfError;
+use openflow::{ActionFault, OfError};
 use proptest::prelude::*;
 
 fn arb_field() -> impl Strategy<Value = OxmField> {
@@ -35,8 +37,9 @@ fn arb_action() -> impl Strategy<Value = Action> {
     ]
 }
 
-fn arb_actions() -> impl Strategy<Value = Vec<Action>> {
-    prop::collection::vec(arb_action(), 0..5)
+/// Every length a list can have, empty and full included.
+fn arb_actions() -> impl Strategy<Value = Actions> {
+    prop::collection::vec(arb_action(), 0..=Actions::CAP).prop_map(Actions::from_iter)
 }
 
 fn arb_message() -> impl Strategy<Value = Message> {
@@ -81,7 +84,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
         (
             any::<u32>(),
             any::<u32>(),
-            prop::collection::vec(arb_action(), 0..5),
+            arb_actions(),
             prop::collection::vec(any::<u8>(), 0..128),
         )
             .prop_map(|(buffer_id, in_port, actions, data)| Message::PacketOut {
@@ -122,7 +125,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
                     flags,
                     match_,
                     // A Delete carries no instruction, so no actions.
-                    actions: if command == FlowModCommand::Add { actions } else { vec![] },
+                    actions: if command == FlowModCommand::Add { actions } else { Actions::new() },
                 }
             ),
         (
@@ -173,17 +176,46 @@ fn arb_message() -> impl Strategy<Value = Message> {
 }
 
 /// What every decode must satisfy whatever it is given: it returns (no
-/// panic), and a success consumed a whole header and no more than the
-/// buffer holds.
+/// panic), a success consumed a whole header and no more than the buffer
+/// holds, and the borrowing parse says exactly what the owned decode says.
 fn decode_is_sane(bytes: &[u8]) -> Result<(), TestCaseError> {
-    if let Ok((_, _, used)) = Message::decode(bytes) {
+    let decoded = Message::decode(bytes);
+    if let Ok((_, _, used)) = decoded {
         prop_assert!(
             (8..=bytes.len()).contains(&used),
             "consumed {used} of {} bytes",
             bytes.len()
         );
     }
+    prop_assert_eq!(Message::parse(bytes).map(|(x, m, used)| (x, m.into_owned(), used)), decoded);
     Ok(())
+}
+
+/// `msg`'s bytes with one more `OUTPUT` action behind its last one, every
+/// length field that covers it patched: a `FLOW_MOD` Add's instruction, or
+/// a `PACKET_OUT`'s action list.
+fn with_one_more_action(msg: &Message) -> Vec<u8> {
+    let mut extra = Vec::new();
+    Action::output(9).encode(&mut extra);
+    let mut bytes = msg.encode(7);
+    let patch = |bytes: &mut Vec<u8>, at: usize| {
+        let len = u16::from_be_bytes([bytes[at], bytes[at + 1]]) + extra.len() as u16;
+        bytes[at..at + 2].copy_from_slice(&len.to_be_bytes());
+    };
+    match msg {
+        Message::FlowMod { match_, .. } => {
+            patch(&mut bytes, 8 + 40 + match_.encoded_len() + 2);
+            bytes.extend_from_slice(&extra);
+        }
+        Message::PacketOut { actions, .. } => {
+            patch(&mut bytes, 8 + 8);
+            let end = 8 + 16 + actions.encoded_len();
+            bytes.splice(end..end, extra.iter().copied());
+        }
+        other => panic!("{other:?} carries no action list"),
+    }
+    patch(&mut bytes, 2);
+    bytes
 }
 
 proptest! {
@@ -203,6 +235,70 @@ proptest! {
     #[test]
     fn decoder_is_total(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         decode_is_sane(&bytes)?;
+    }
+
+    /// A valid message parses borrowed to what it decodes owned, and its
+    /// borrowed form encodes to the very bytes it came from.
+    #[test]
+    fn the_borrowing_parse_and_the_owned_decode_agree(msg in arb_message(), xid in any::<u32>()) {
+        let bytes = msg.encode(xid);
+        let (x, parsed, used) = Message::parse(&bytes).unwrap();
+        prop_assert_eq!((x, used), (xid, bytes.len()));
+        let mut again = Vec::new();
+        parsed.encode_into(xid, &mut again);
+        prop_assert_eq!(&again, &bytes);
+        prop_assert_eq!(parsed.into_owned(), msg);
+    }
+
+    /// `encode_into` overwrites what the buffer held, whatever its length
+    /// and capacity: the bytes are `encode`'s, and a buffer with room for
+    /// them keeps its allocation.
+    #[test]
+    fn encoding_into_a_used_buffer_writes_exactly_the_encoded_bytes(
+        msg in arb_message(),
+        xid in any::<u32>(),
+        junk in prop::collection::vec(any::<u8>(), 0..512),
+    ) {
+        let mut buf = junk;
+        let room = buf.capacity() >= msg.encoded_len();
+        let at = buf.as_ptr();
+        msg.encode_into(xid, &mut buf);
+        prop_assert_eq!(&buf, &msg.encode(xid));
+        if room {
+            prop_assert_eq!(buf.as_ptr(), at, "a buffer with room was reallocated");
+        }
+    }
+
+    /// Lists of none up to five actions round-trip in a `FLOW_MOD` and a
+    /// `PACKET_OUT`; a sixth is refused in either, not truncated.
+    #[test]
+    fn five_actions_round_trip_and_a_sixth_is_refused(
+        actions in arb_actions(),
+        m in arb_match(),
+        data in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let add = Message::FlowMod {
+            cookie: 1,
+            table_id: 0,
+            command: FlowModCommand::Add,
+            idle_timeout: 10,
+            priority: 100,
+            buffer_id: openflow::OFP_NO_BUFFER,
+            flags: 0,
+            match_: m,
+            actions,
+        };
+        let out = Message::PacketOut { buffer_id: openflow::OFP_NO_BUFFER, in_port: 1, actions, data };
+        for msg in [add, out] {
+            prop_assert_eq!(Message::decode(&msg.encode(3)).unwrap().1, msg.clone());
+            let longer = with_one_more_action(&msg);
+            let decoded = Message::decode(&longer);
+            if actions.len() < Actions::CAP {
+                prop_assert!(decoded.is_ok(), "{} + 1 actions refused: {decoded:?}", actions.len());
+            } else {
+                prop_assert_eq!(decoded, Err(OfError::BadAction(ActionFault::TooMany)));
+            }
+        }
     }
 
     #[test]
@@ -321,7 +417,7 @@ proptest! {
 
 /// The `APPLY_ACTIONS` instruction carrying `actions`, as an Add with the
 /// wildcard match (an 8-byte `ofp_match`) puts it behind its match.
-fn apply_actions(actions: Vec<Action>) -> Vec<u8> {
+fn apply_actions(actions: Actions) -> Vec<u8> {
     let add = Message::FlowMod {
         cookie: 0,
         table_id: 0,

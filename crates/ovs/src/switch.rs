@@ -1,7 +1,7 @@
 //! The switch state machine.
 
 use desim::{Duration, FastMap, SimTime};
-use netsim::{TcpHeaders, WireFrame};
+use netsim::{FramePool, TcpHeaders, WireFrame};
 use openflow::actions::Action;
 use openflow::messages::{FlowModCommand, Message, PacketInReason};
 use openflow::oxm::{Match, MatchView, OxmField};
@@ -61,13 +61,15 @@ pub enum Effect {
 /// never clear or read what is already in it, a call that returns `Err`
 /// leaves it exactly as it was, and one call's effects arrive in the order
 /// they take place (a buffered packet's release after the Add that triggers
-/// it; `FLOW_REMOVED`s by descending priority, then age).
+/// it; `FLOW_REMOVED`s by descending priority, then age). An
+/// [`Effect::ToController`] is encoded into a buffer [`Switch::recycle`]
+/// handed back, when there is one.
 pub struct Switch {
     config: SwitchConfig,
     table: FlowTable,
     buffers: FastMap<u32, (u32, Vec<u8>)>, // buffer_id -> (in_port, frame)
     next_buffer: u32,
-    next_xid: u32,
+    upstream: Upstream,
     /// Recycled buffer of the removal records of expiries and deletes.
     expired: Vec<Removed>,
     /// Count of packets handled on the fast path (no controller).
@@ -88,7 +90,7 @@ impl Switch {
             table: FlowTable::new(),
             buffers: FastMap::default(),
             next_buffer: 1,
-            next_xid: 1,
+            upstream: Upstream { next_xid: 1, spare: FramePool::new() },
             expired: Vec::new(),
             fast_path_packets: 0,
             table_misses: 0,
@@ -105,6 +107,11 @@ impl Switch {
     /// Number of frames currently parked in packet buffers.
     pub fn buffered(&self) -> usize {
         self.buffers.len()
+    }
+
+    /// Takes back the buffer of an [`Effect::ToController`] the controller has read.
+    pub fn recycle(&mut self, buf: Vec<u8>) {
+        self.upstream.spare.recycle(buf);
     }
 
     /// Wraps [`Self::handle_frame_into`] on a copy of `data`: not the harness's path, and ROADMAP item 2 retires it.
@@ -141,37 +148,25 @@ impl Switch {
             return out.push(self.packet_in(in_port, frame.into_bytes()));
         };
         self.fast_path_packets += 1;
-        execute(
-            &self.config.ports,
-            &mut self.next_xid,
-            in_port,
-            frame,
-            actions.iter(),
-            out,
-        )
+        execute(&self.config.ports, &mut self.upstream, in_port, frame, actions.iter(), out)
     }
 
-    /// Parks a missed frame in a packet buffer and reports it upstream. With
-    /// no buffer free the frame travels whole in the `PACKET_IN`. Either way,
-    /// a frame whose report does not fit one message is dropped.
+    /// Parks a missed frame in a packet buffer and reports it upstream, the
+    /// report encoded straight from the parked bytes. With no buffer free the
+    /// frame travels whole in the `PACKET_IN`. A report too long for one
+    /// message is dropped, and its frame parked nowhere.
     fn packet_in(&mut self, in_port: u32, data: Vec<u8>) -> Effect {
-        let total_len = data.len();
-        let (buffer_id, included) = if (self.buffers.len() as u32) < self.config.n_buffers {
+        let (buffer_id, n) = if (self.buffers.len() as u32) < self.config.n_buffers {
             let id = self.next_buffer;
             self.next_buffer = self.next_buffer.wrapping_add(1).max(1);
-            let n = (self.config.miss_send_len as usize).min(data.len());
-            let included = data[..n].to_vec();
-            self.buffers.insert(id, (in_port, data));
-            (id, included)
+            (id, (self.config.miss_send_len as usize).min(data.len()))
         } else {
-            // No buffer space: ship the whole frame.
-            (OFP_NO_BUFFER, data)
+            (OFP_NO_BUFFER, data.len())
         };
-        let msg = packet_in_msg(buffer_id, total_len, PacketInReason::NoMatch, in_port, included);
-        let effect = to_controller(&msg, &mut self.next_xid);
-        if matches!(effect, Effect::Drop) {
-            // Nobody upstream will ever name the slot: free it again.
-            self.buffers.remove(&buffer_id);
+        let msg = packet_in_msg(buffer_id, data.len(), PacketInReason::NoMatch, in_port, &data[..n]);
+        let effect = self.upstream.send(&msg);
+        if buffer_id != OFP_NO_BUFFER && !matches!(effect, Effect::Drop) {
+            self.buffers.insert(buffer_id, (in_port, data));
         }
         effect
     }
@@ -194,13 +189,11 @@ impl Switch {
         bytes: &[u8],
         effects: &mut Vec<Effect>,
     ) -> Result<(), OfError> {
-        let (xid, msg, _) = Message::decode(bytes)?;
+        let (xid, msg, _) = Message::parse(bytes)?;
         match msg {
-            Message::Hello => {
-                effects.push(Effect::ToController(Message::Hello.encode(xid)));
-            }
+            Message::Hello => effects.push(self.upstream.encode(&msg, xid)),
             Message::BarrierRequest => {
-                effects.push(Effect::ToController(Message::BarrierReply.encode(xid)));
+                effects.push(self.upstream.encode(&Message::<&[u8]>::BarrierReply, xid));
             }
             Message::FlowMod {
                 cookie,
@@ -245,12 +238,12 @@ impl Switch {
                 let frame_bytes = if buffer_id != OFP_NO_BUFFER {
                     self.buffers.remove(&buffer_id).map(|(_, stored)| stored)
                 } else {
-                    Some(data)
+                    Some(data.to_vec())
                 };
                 match frame_bytes.map(WireFrame::parse) {
                     Some(Ok((_, frame))) => execute(
                         &self.config.ports,
-                        &mut self.next_xid,
+                        &mut self.upstream,
                         in_port,
                         frame,
                         actions.iter(),
@@ -276,7 +269,7 @@ impl Switch {
             return None;
         }
         let d = removed.duration();
-        let msg = Message::FlowRemoved {
+        let msg: Message = Message::FlowRemoved {
             cookie: removed.entry.cookie,
             priority: removed.entry.priority,
             reason: removed.reason,
@@ -289,7 +282,7 @@ impl Switch {
             byte_count: removed.entry.byte_count,
             match_: removed.entry.match_,
         };
-        Some(Effect::ToController(msg.encode(fresh_xid(&mut self.next_xid))))
+        Some(self.upstream.send(&msg))
     }
 
     /// Wraps [`Self::expire_flows_into`]: not the harness's path, and ROADMAP item 2 retires it.
@@ -320,22 +313,33 @@ impl Switch {
     }
 }
 
-fn fresh_xid(next_xid: &mut u32) -> u32 {
-    let x = *next_xid;
-    *next_xid = next_xid.wrapping_add(1);
-    x
+/// The switch's end of the control channel: transaction ids, and the spare
+/// buffers messages are encoded into.
+struct Upstream {
+    next_xid: u32,
+    spare: FramePool,
 }
 
-/// Ships `msg` up the control channel — or drops it when it is longer than
-/// the 16-bit header length can say ([`Message::MAX_LEN`]): a message whose
-/// announced length disagrees with its size would desynchronise the
-/// controller's stream, so it must never be emitted. Only a `PACKET_IN`
-/// carrying a near-maximal frame whole can get there.
-fn to_controller(msg: &Message, next_xid: &mut u32) -> Effect {
-    if msg.encoded_len() > Message::MAX_LEN {
-        return Effect::Drop;
+impl Upstream {
+    /// `msg` under `xid`, encoded into a spare buffer.
+    fn encode<B: AsRef<[u8]>>(&mut self, msg: &Message<B>, xid: u32) -> Effect {
+        let mut buf = self.spare.take();
+        msg.encode_into(xid, &mut buf);
+        Effect::ToController(buf)
     }
-    Effect::ToController(msg.encode(fresh_xid(next_xid)))
+
+    /// Ships `msg` under the next xid, or drops it when the 16-bit header
+    /// length cannot say how long it is ([`Message::MAX_LEN`]): a wrong length
+    /// would desynchronise the controller's stream. Only a `PACKET_IN`
+    /// carrying a near-maximal frame whole gets there.
+    fn send<B: AsRef<[u8]>>(&mut self, msg: &Message<B>) -> Effect {
+        if msg.encoded_len() > Message::MAX_LEN {
+            return Effect::Drop;
+        }
+        let xid = self.next_xid;
+        self.next_xid = xid.wrapping_add(1);
+        self.encode(msg, xid)
+    }
 }
 
 /// A `PACKET_IN` for a frame of `total_len` bytes, `data` of which are
@@ -346,8 +350,8 @@ fn packet_in_msg(
     total_len: usize,
     reason: PacketInReason,
     in_port: u32,
-    data: Vec<u8>,
-) -> Message {
+    data: &[u8],
+) -> Message<&[u8]> {
     Message::PacketIn {
         buffer_id,
         total_len: u16::try_from(total_len).unwrap_or(u16::MAX),
@@ -367,7 +371,7 @@ fn packet_in_msg(
 /// the actions can stay borrowed from the flow table while the xid advances.
 fn execute<'a>(
     ports: &[u32],
-    next_xid: &mut u32,
+    upstream: &mut Upstream,
     in_port: u32,
     mut frame: WireFrame,
     actions: impl Iterator<Item = &'a Action> + Clone,
@@ -385,14 +389,9 @@ fn execute<'a>(
                     OFPP_CONTROLLER => {
                         let data = frame.as_bytes();
                         let n = (max_len as usize).min(data.len());
-                        let msg = packet_in_msg(
-                            OFP_NO_BUFFER,
-                            data.len(),
-                            PacketInReason::Action,
-                            in_port,
-                            data[..n].to_vec(),
-                        );
-                        effects.push(to_controller(&msg, next_xid));
+                        let reason = PacketInReason::Action;
+                        let msg = packet_in_msg(OFP_NO_BUFFER, data.len(), reason, in_port, &data[..n]);
+                        effects.push(upstream.send(&msg));
                     }
                     OFPP_FLOOD => {
                         effects.extend(ports.iter().filter(|&&p| p != in_port).map(|&p| {
@@ -458,6 +457,7 @@ mod tests {
     use super::*;
     use netsim::addr::{Ipv4Addr, MacAddr, ServiceAddr};
     use netsim::TcpFrame;
+    use openflow::actions::Actions;
     use openflow::messages::RemovedReason;
     use openflow::messages::OFPFF_SEND_FLOW_REM;
 
@@ -534,12 +534,12 @@ mod tests {
             buffer_id,
             flags: 0,
             match_: Match::connection([192, 168, 1, 20], 50000, [203, 0, 113, 10], 80),
-            actions: vec![
+            actions: Actions::from([
                 Action::SetField(OxmField::EthDst(MacAddr::from_id(200).octets())),
                 Action::SetField(OxmField::Ipv4Dst([10, 0, 0, 5])),
                 Action::SetField(OxmField::TcpDst(31080)),
                 Action::output(3),
-            ],
+            ]),
         };
         let effects = s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
         assert_eq!(effects.len(), 1);
@@ -570,7 +570,7 @@ mod tests {
         let po = Message::PacketOut {
             buffer_id: OFP_NO_BUFFER,
             in_port: 1,
-            actions: vec![Action::output(2)],
+            actions: Actions::from([Action::output(2)]),
             data: f.encode(),
         };
         let effects = s.handle_controller(SimTime::ZERO, &po.encode(5)).unwrap();
@@ -589,7 +589,7 @@ mod tests {
         let po = Message::PacketOut {
             buffer_id: 999,
             in_port: 1,
-            actions: vec![Action::output(2)],
+            actions: Actions::from([Action::output(2)]),
             data: vec![],
         };
         let effects = s.handle_controller(SimTime::ZERO, &po.encode(5)).unwrap();
@@ -621,7 +621,7 @@ mod tests {
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
             match_: Match::any(),
-            actions: vec![Action::output(OFPP_FLOOD)],
+            actions: Actions::from([Action::output(OFPP_FLOOD)]),
         };
         s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
         let effects = s.handle_frame(SimTime::ZERO, 2, &client_frame().encode());
@@ -647,7 +647,7 @@ mod tests {
             buffer_id: OFP_NO_BUFFER,
             flags: OFPFF_SEND_FLOW_REM,
             match_: Match::service([203, 0, 113, 10], 80),
-            actions: vec![Action::output(3)],
+            actions: Actions::from([Action::output(3)]),
         };
         s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
         assert_eq!(s.next_expiry(), Some(SimTime::from_secs(10)));
@@ -683,7 +683,7 @@ mod tests {
             buffer_id: OFP_NO_BUFFER,
             flags: OFPFF_SEND_FLOW_REM,
             match_: m,
-            actions: vec![Action::output(1)],
+            actions: Actions::from([Action::output(1)]),
         };
         s.handle_controller(SimTime::ZERO, &add.encode(1)).unwrap();
         let del = Message::FlowMod {
@@ -695,7 +695,7 @@ mod tests {
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
             match_: m,
-            actions: vec![],
+            actions: Actions::new(),
         };
         let effects = s.handle_controller(SimTime::from_secs(1), &del.encode(2)).unwrap();
         assert_eq!(effects.len(), 1);
@@ -755,7 +755,7 @@ mod tests {
 
         // The largest frame one PACKET_IN can carry still goes up, and the
         // header says exactly how long the message is.
-        let overhead = packet_in_msg(OFP_NO_BUFFER, 0, PacketInReason::NoMatch, 1, vec![]).encoded_len();
+        let overhead = packet_in_msg(OFP_NO_BUFFER, 0, PacketInReason::NoMatch, 1, &[]).encoded_len();
         f.payload.truncate(Message::MAX_LEN - overhead - client_frame().encode().len());
         let effects = s.handle_frame(SimTime::ZERO, 1, &f.encode());
         let [Effect::ToController(bytes)] = &effects[..] else {
@@ -783,7 +783,7 @@ mod tests {
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
             match_: Match::any(),
-            actions: vec![Action::output(OFPP_CONTROLLER)],
+            actions: Actions::from([Action::output(OFPP_CONTROLLER)]),
         };
         s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
         let mut f = client_frame();
@@ -803,9 +803,9 @@ mod tests {
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
             match_: Match::any(),
-            actions: vec![Action::output(
+            actions: Actions::from([Action::output(
                 OFPP_CONTROLLER,
-            )],
+            )]),
         };
         s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
         let effects = s.handle_frame(SimTime::ZERO, 1, &client_frame().encode());
@@ -839,7 +839,7 @@ mod tests {
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
             match_: Match::service([203, 0, 113, 10], 80),
-            actions: vec![Action::output(3)],
+            actions: Actions::from([Action::output(3)]),
         };
         s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
         let data = client_frame().encode();
@@ -866,7 +866,7 @@ mod tests {
         let (mut s, mut naive) = (sw(), openflow::NaiveFlowTable::new());
         let data = client_frame().encode();
         let view = view_of(&TcpHeaders::parse(&data).unwrap(), 1);
-        let out = |p| vec![Action::output(p)];
+        let out = |p| Actions::from([Action::output(p)]);
         let idle = Duration::from_secs(10);
         // `change` and an expiry sweep on both tables, then the frame through both.
         let mut check = |now, change: Option<(FlowModCommand, &Match, u16, u32)>| {
@@ -884,7 +884,7 @@ mod tests {
                     buffer_id: OFP_NO_BUFFER,
                     flags: 0,
                     match_: *match_,
-                    actions: if command == Add { out(port) } else { vec![] },
+                    actions: if command == Add { out(port) } else { Actions::new() },
                 };
                 s.handle_controller(now, &fm.encode(1)).unwrap();
             }
@@ -915,8 +915,8 @@ mod tests {
     /// for a `FLOW_REMOVED`.
     fn flow_mod(command: FlowModCommand, match_: Match, priority: u16) -> Vec<u8> {
         let actions = match command {
-            FlowModCommand::Add => vec![Action::output(3)],
-            FlowModCommand::Delete => vec![],
+            FlowModCommand::Add => Actions::from([Action::output(3)]),
+            FlowModCommand::Delete => Actions::new(),
         };
         Message::FlowMod {
             cookie: 1,
@@ -989,7 +989,7 @@ mod tests {
         ];
         let table = |s: &Switch| {
             let entries = s.table().entries();
-            entries.map(|e| (e.priority, e.match_, e.actions.clone())).collect::<Vec<_>>()
+            entries.map(|e| (e.priority, e.match_, e.actions)).collect::<Vec<_>>()
         };
         let before = table(&s);
         for (what, bytes) in refused {
@@ -1012,7 +1012,7 @@ mod tests {
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
             match_: Match::any(),
-            actions: vec![],
+            actions: Actions::new(),
         };
         s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
         let effects = s.handle_frame(SimTime::ZERO, 1, &client_frame().encode());

@@ -10,7 +10,7 @@ use desim::{Duration, SimTime};
 use netsim::addr::{Ipv4Addr, MacAddr};
 use netsim::wire;
 use netsim::{TcpFlags, TcpFrame, TcpHeaders};
-use openflow::actions::Action;
+use openflow::actions::{Action, Actions};
 use openflow::messages::{FlowModCommand, Message, PacketInReason, OFPFF_SEND_FLOW_REM};
 use openflow::oxm::{Match, MatchView, OxmField};
 use openflow::table::{entry, FlowTable};
@@ -94,11 +94,11 @@ proptest! {
                 frame.dst_ip.octets(),
                 frame.dst_port,
             ),
-            actions: vec![
+            actions: Actions::from([
                 Action::SetField(OxmField::Ipv4Dst(new_dst)),
                 Action::SetField(OxmField::TcpDst(new_port)),
                 Action::output(2),
-            ],
+            ]),
         };
         let effects = s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
         let forwarded = effects.iter().find_map(|e| match e {
@@ -140,7 +140,7 @@ proptest! {
             let po = Message::PacketOut {
                 buffer_id: id,
                 in_port: 1,
-                actions: vec![Action::output(2)],
+                actions: Actions::from([Action::output(2)]),
                 data: vec![],
             };
             s.handle_controller(SimTime::ZERO, &po.encode(9)).unwrap();
@@ -163,7 +163,7 @@ proptest! {
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
             match_: Match::any().with(OxmField::EthType(0x0800)),
-            actions: vec![Action::output(3)],
+            actions: Actions::from([Action::output(3)]),
         };
         s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
         let n = frames.len() as u64;
@@ -386,15 +386,16 @@ fn arb_traffic() -> impl Strategy<Value = TcpFrame> {
 #[derive(Clone, Debug)]
 enum Op {
     /// `FLOW_MOD` ADD; `release` names a parked buffer to run through it.
-    Rule { match_: Match, priority: u16, actions: Vec<Action>, release: Option<usize> },
+    Rule { match_: Match, priority: u16, actions: Actions, release: Option<usize> },
     Frame { in_port: u32, frame: TcpFrame },
     /// `PACKET_OUT` of a parked buffer (or of a stale id when none is parked).
-    OutBuffered { which: usize, actions: Vec<Action> },
-    OutInline { in_port: u32, frame: TcpFrame, actions: Vec<Action> },
+    OutBuffered { which: usize, actions: Actions },
+    OutInline { in_port: u32, frame: TcpFrame, actions: Actions },
 }
 
-fn arb_actions() -> impl Strategy<Value = Vec<Action>> {
-    prop::collection::vec(arb_action(), 0..7)
+/// Up to the five a list holds.
+fn arb_actions() -> impl Strategy<Value = Actions> {
+    prop::collection::vec(arb_action(), 0..=Actions::CAP).prop_map(Actions::from_iter)
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -479,7 +480,7 @@ fn arb_sink_op() -> impl Strategy<Value = SinkOp> {
         8 => arb_op().prop_map(SinkOp::Plain),
         3 => (arb_match(), 0u16..4, arb_actions())
             .prop_map(move |(m, p, a)| SinkOp::Control(flow_mod(FlowModCommand::Add, m, p, a))),
-        1 => arb_match().prop_map(move |m| SinkOp::Control(flow_mod(FlowModCommand::Delete, m, 0, vec![]))),
+        1 => arb_match().prop_map(move |m| SinkOp::Control(flow_mod(FlowModCommand::Delete, m, 0, Actions::new()))),
         1 => Just(SinkOp::Control(Message::BarrierRequest)),
         1 => prop::collection::vec(any::<u8>(), 0..40).prop_map(SinkOp::Garbage),
         2 => (0u64..1500).prop_map(|after_ms| SinkOp::Expire { after_ms }),
@@ -612,11 +613,11 @@ proptest! {
             buffer_id: OFP_NO_BUFFER,
             flags: 0,
             match_: Match::any(),
-            actions: vec![
+            actions: Actions::from([
                 Action::SetField(OxmField::Ipv4Dst([10, 0, 0, 5])),
                 Action::SetField(OxmField::TcpSrc(1234)),
                 Action::output(2),
-            ],
+            ]),
         };
         s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
         let valid = frame.encode();
@@ -684,12 +685,12 @@ fn frames_the_encoder_cannot_produce_are_verified_forwarded_and_preserved() {
         buffer_id: OFP_NO_BUFFER,
         flags: 0,
         match_: Match::service(dst.octets(), 80),
-        actions: vec![
+        actions: Actions::from([
             Action::SetField(OxmField::EthDst(MacAddr::from_id(200).octets())),
             Action::SetField(OxmField::Ipv4Dst([10, 0, 0, 5])),
             Action::SetField(OxmField::TcpDst(31080)),
             Action::output(3),
-        ],
+        ]),
     };
     s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
 
@@ -736,7 +737,7 @@ fn an_action_list_without_output_still_drops_into_a_sink_that_is_not_empty() {
         buffer_id,
         flags: 0,
         match_: Match::any(),
-        actions: vec![Action::SetField(OxmField::TcpDst(81))],
+        actions: Actions::from([Action::SetField(OxmField::TcpDst(81))]),
     };
     let frame = TcpFrame::syn(
         MacAddr::from_id(1),

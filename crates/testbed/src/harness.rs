@@ -557,6 +557,7 @@ impl<T: Net> Harness<T> {
                 if self.switches[sw].handle_controller_into(now, &m.data, &mut self.effects).is_ok() {
                     self.process_switch_effects(sw);
                 }
+                self.controller.recycle(m.data);
             }
         }
         fixes
@@ -610,10 +611,7 @@ impl<T: Net> Harness<T> {
                 Effect::Forward { port, data } => {
                     self.send_from(self.net.switch_node(sw), PortNo(port), data);
                 }
-                Effect::ToController(bytes) => {
-                    self.engine
-                        .schedule_in(self.ctrl_latency, Ev::CtrlUp { sw, bytes });
-                }
+                Effect::ToController(bytes) => self.engine.schedule_in(self.ctrl_latency, Ev::CtrlUp { sw, bytes }),
                 Effect::Drop => self.drops += 1,
             }
         }
@@ -637,7 +635,7 @@ impl<T: Net> Harness<T> {
     /// Diffs switch `sw`'s table against the controller's bookkeeping and
     /// returns the controller's fixes, not yet sent.
     fn reconcile(&mut self, sw: usize, now: SimTime) -> Vec<OutboundMessage> {
-        let flows: Vec<FlowEntry> = self.switches[sw].table().entries().cloned().collect();
+        let flows: Vec<FlowEntry> = self.switches[sw].table().entries().copied().collect();
         self.controller.reconcile(IngressId(sw as u32), &flows, now)
     }
 
@@ -652,16 +650,17 @@ impl<T: Net> Harness<T> {
         self.ctrl_blackout_until.is_none_or(|until| now >= until)
     }
 
-    /// Hands a switch→controller message to the controller and schedules
-    /// whatever it sends back down. Called straight from `Ev::CtrlUp` when
-    /// service time is zero, or from `Ev::CtrlProcess` once the message's
-    /// turn in the controller queue comes up.
-    fn process_ctrl_up(&mut self, now: SimTime, sw: usize, bytes: &[u8]) {
+    /// Hands a switch→controller message to the controller, schedules what
+    /// it sends back down and returns the buffer to the switch. Called
+    /// straight from `Ev::CtrlUp` when service time is zero, or from
+    /// `Ev::CtrlProcess` once its turn in the controller queue comes up.
+    fn process_ctrl_up(&mut self, now: SimTime, sw: usize, bytes: Vec<u8>) {
         let mut out = std::mem::take(&mut self.outbox);
         let (ingress, rng) = (IngressId(sw as u32), &mut self.rng);
-        if self.controller.handle_switch_message_into(ingress, now, bytes, rng, &mut out).is_err() {
+        if self.controller.handle_switch_message_into(ingress, now, &bytes, rng, &mut out).is_err() {
             self.drops += 1;
         }
+        self.switches[sw].recycle(bytes);
         for m in out.drain(..) {
             self.send_down(sw, m);
         }
@@ -724,7 +723,7 @@ impl<T: Net> Harness<T> {
                     self.engine.schedule_at(done, Ev::CtrlProcess { sw, bytes });
                     return;
                 }
-                self.process_ctrl_up(now, sw, &bytes);
+                self.process_ctrl_up(now, sw, bytes);
             }
             Ev::CtrlProcess { sw, bytes } => {
                 // A crash may have landed between arrival and service.
@@ -732,7 +731,7 @@ impl<T: Net> Harness<T> {
                     self.ctrl_dropped += 1;
                     return;
                 }
-                self.process_ctrl_up(now, sw, &bytes);
+                self.process_ctrl_up(now, sw, bytes);
             }
             Ev::CtrlDown { sw, bytes } => {
                 if !self.channel_up(sw, now) {
@@ -743,6 +742,7 @@ impl<T: Net> Harness<T> {
                     Ok(()) => self.process_switch_effects(sw),
                     Err(_) => self.drops += 1,
                 }
+                self.controller.recycle(bytes);
             }
             Ev::Attach(ev) => self.handle_attach(now, ev),
             Ev::Tick(at) => {

@@ -16,8 +16,9 @@
 //! ```
 //!
 //! in a debug build (line tables, nothing inlined away). EXPERIMENTS.md
-//! "PR 24" holds the tables this printed before and after the switch and the
-//! controller got caller-owned sinks.
+//! "PR 36" holds the table this printed before and after the control
+//! channel stopped allocating: inline action lists, messages encoded into
+//! recycled buffers, packet-in bytes borrowed.
 
 use desim::SimTime;
 use netsim::{Ipv4Addr, ServiceAddr};
