@@ -550,7 +550,7 @@ fn handover_cloud() {
         let cloud_bound = r.sws[1]
             .table()
             .entries()
-            .filter(|e| e.actions == [Action::output(CLOUD_PORT)])
+            .filter(|e| e.actions[..] == [Action::output(CLOUD_PORT)])
             .count();
         assert_eq!(cloud_bound, 1, "handover-cloud forward flow");
         r.finish()

@@ -227,12 +227,6 @@ impl PartialEq for Actions {
 
 impl Eq for Actions {}
 
-impl<const N: usize> PartialEq<[Action; N]> for Actions {
-    fn eq(&self, other: &[Action; N]) -> bool {
-        self[..] == other[..]
-    }
-}
-
 /// As a list, exactly as the `Vec` it replaces printed: the controller's
 /// state digest prints its flows with `{:?}`.
 impl std::fmt::Debug for Actions {
