@@ -116,10 +116,11 @@ impl Action {
 /// A flow's action list: at most [`Actions::CAP`] actions, held inline.
 ///
 /// Like [`crate::Match`] it is `Copy` and never on the heap (a `Vec` of
-/// actions took a 24-byte header plus a 48–60 byte block per flow), so a flow, the
-/// controller's record of it and the messages that carry it copy the list
-/// instead of allocating one. It reads as a slice of its actions, compares
-/// as one, and prints as one — exactly as the `Vec` it replaces did.
+/// actions took a 24-byte header plus a 48–60 byte block per flow), so a
+/// flow, the controller's record of it and the messages that carry it copy
+/// the list instead of allocating one. It reads as a slice of its actions,
+/// compares as one, and prints as one — exactly as the `Vec` it replaces
+/// did.
 #[derive(Clone, Copy)]
 pub struct Actions {
     len: u8,
