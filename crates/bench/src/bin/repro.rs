@@ -10,17 +10,19 @@
 //! ```
 //!
 //! The benches are the rows of `bench::runner::BENCHES` (`fastpath`,
-//! `engine`, `telemetry`, `chaos`, `mobility`, `recovery`, `scale`,
-//! `tournament`, `migrate`, `ha`): each prints its own text (chaos its
+//! `engine`, `chaos`, `mobility`, `recovery`, `scale`, `tournament`,
+//! `migrate`, `ha`): each prints its own text (chaos its
 //! figure) and then, if it has one, its `BENCH_*.json` artifact, writes that
 //! artifact and exits non-zero if what it wrote fails the artifact's gate —
 //! the gate `check` applies to the files as committed.
 //!
-//! `--telemetry` makes `chaos`, `mobility` and `recovery` record per-request
-//! span trees, each arm its own (printed under the arm's label as a one-line
-//! JSON log, a validation line and the metrics; `chaos` adds an ASCII
-//! timeline of the busiest request), and fail on a malformed or incomplete
-//! log. Simulation results are byte-identical either way.
+//! `--telemetry` makes `chaos`, `mobility` and `recovery` run each arm on a
+//! harness that records per-request span trees (`telemetry::SpanLog` in
+//! place of the zero-sized `telemetry::Off`), each arm its own (printed under
+//! the arm's label as a one-line JSON log, a validation line and the metrics;
+//! `chaos` adds an ASCII timeline of the busiest request), and fail on a
+//! malformed or incomplete log. Simulation results are byte-identical either
+//! way; without the flag no span code is compiled into the run.
 //!
 //! A subcommand refuses a flag it does not read (`bench::runner::parse_args`):
 //! `--seed` is read by the seeded figures, `summary` and the benches that

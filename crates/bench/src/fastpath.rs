@@ -88,7 +88,7 @@ fn sample_views(size: usize) -> Vec<MatchView> {
 }
 
 /// Wall-clock nanoseconds per call of `op`, over `iters` calls.
-pub(crate) fn ns_per_op(iters: usize, mut op: impl FnMut(usize)) -> f64 {
+fn ns_per_op(iters: usize, mut op: impl FnMut(usize)) -> f64 {
     let start = Instant::now();
     for k in 0..iters {
         op(k);
@@ -129,8 +129,8 @@ fn loaded_switch(size: usize) -> Switch {
 /// Times `iters` warm hits through the full switch path — a copy of a frame
 /// of the connection in the middle of a table of `size` flows, into a sink
 /// emptied before each call — and returns ns per hit and the last call's
-/// effects. This bench's `switch_hit_ns` and [`crate::telemetry`]'s yardstick.
-pub(crate) fn switch_hit(size: usize, iters: usize) -> (f64, Vec<Effect>) {
+/// effects: this bench's `switch_hit_ns`.
+fn switch_hit(size: usize, iters: usize) -> (f64, Vec<Effect>) {
     let mut sw = loaded_switch(size);
     let frame = TcpFrame::syn(
         MacAddr::from_id(1),

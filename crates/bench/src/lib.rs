@@ -12,7 +12,6 @@ pub mod recovery;
 pub mod runner;
 pub mod scale;
 pub mod summary;
-pub mod telemetry;
 mod tournament;
 
 use testbed::experiments::{self, EvalRuns, Figure};

@@ -32,14 +32,13 @@ pub(crate) type Gates = fn(&Value) -> Result<(), String>;
 /// What one run hands the runner.
 pub(crate) struct Outcome {
     /// The bench's own text, printed after the banner: chaos's figure, an
-    /// experiment's recordings, the telemetry bench's summary line; empty
-    /// for the rest.
+    /// experiment's recordings; empty for the rest.
     pub text: String,
     /// The artifact's text, printed after `text` and written; empty for a
     /// bench that writes none.
     pub(crate) artifact: String,
     /// A check on the run itself rather than on its artifact: the span
-    /// export under `--telemetry`, the telemetry bench's overhead budget.
+    /// export under `--telemetry`.
     pub verdict: Result<(), String>,
 }
 
@@ -121,20 +120,6 @@ pub const BENCHES: &[Bench] = &[
         banner: "event-core throughput (calendar queue vs naive heap)",
         artifact: Some(("BENCH_engine.json", engine::gates)),
         run: |o| report(engine::run(o.smoke)),
-    },
-    Bench {
-        id: "telemetry",
-        banner: "telemetry overhead (disabled path vs fast path)",
-        artifact: None,
-        run: |_| {
-            let (line, overhead_pct) = crate::telemetry::run();
-            let text = line + "\n";
-            let verdict = match overhead_pct < 2.0 {
-                true => Ok(()),
-                false => Err("disabled telemetry overhead exceeds the 2% budget".to_owned()),
-            };
-            Outcome { text, artifact: String::new(), verdict }
-        },
     },
     Bench {
         id: "chaos",
@@ -330,7 +315,6 @@ mod tests {
             [
                 "fastpath",
                 "engine",
-                "telemetry",
                 "chaos",
                 "mobility",
                 "recovery",
@@ -404,7 +388,6 @@ mod tests {
             "summary",
             "list",
             "no-such-figure",
-            "telemetry",
             "chaos --smoke --seed 7",
             "chaos --smoke --seed 7 --csv",
             "chaos --smoke --fault-rate 0.15 --seed 7",

@@ -58,7 +58,7 @@ use openflow::messages::Message;
 use openflow::oxm::{Match, OxmField};
 use openflow::{OfError, OFP_NO_BUFFER};
 use std::collections::HashMap;
-use telemetry::{SpanId, Telemetry};
+use telemetry::{Off, SpanId, Spans, Telemetry};
 
 /// Maps clusters and the cloud to switch egress ports.
 #[derive(Clone, Debug, Default)]
@@ -272,8 +272,8 @@ type Placement = Option<(InstanceAddr, usize)>;
 /// [`OFP_NO_BUFFER`]) and the packet itself.
 type Release<'a> = (u32, &'a TcpFrame);
 
-/// The transparent-edge SDN controller.
-pub struct Controller {
+/// The transparent-edge SDN controller, recording spans into `S`.
+pub struct Controller<S: Spans = Off> {
     services: crate::service::ServiceRegistry,
     clusters: Vec<Box<dyn EdgeCluster>>,
     dispatcher: Dispatcher,
@@ -300,12 +300,9 @@ pub struct Controller {
     /// Idle expiries deferred because a held request pinned the service;
     /// re-examined once the hold drains.
     deferred: HashMap<(ServiceAddr, usize), SimTime>,
-    /// Telemetry endpoint: a disabled endpoint by default (every span/event
-    /// call is a never-taken branch); swap in a recording one with
-    /// [`Telemetry::recording`] to capture per-request span trees. Metric
-    /// counters are always maintained — they are plain integer bumps on the
-    /// controller path and never touch the switch fast path.
-    pub telemetry: Telemetry,
+    /// Telemetry endpoint: spans as `S` records them (none for [`Off`]);
+    /// metric counters always.
+    pub telemetry: Telemetry<S>,
     /// Request ids handed to spans; each packet-in gets the id its record
     /// will have (index + 1).
     next_request: u64,
@@ -329,12 +326,19 @@ pub struct Controller {
 }
 
 impl Controller {
-    /// Creates a controller with the given Global Scheduler.
-    pub fn new(
+    /// Creates a controller with the given Global Scheduler that records no spans.
+    pub fn new(sched: Box<dyn GlobalScheduler>, ports: PortMap, config: ControllerConfig) -> Self {
+        Controller::with_spans(sched, ports, config)
+    }
+}
+
+impl<S: Spans> Controller<S> {
+    /// Creates a controller with the given Global Scheduler, recording spans into `S`.
+    pub fn with_spans(
         scheduler: Box<dyn GlobalScheduler>,
         ports: PortMap,
         config: ControllerConfig,
-    ) -> Controller {
+    ) -> Self {
         let mut dispatcher = Dispatcher::new(scheduler);
         dispatcher.set_autoscale(config.autoscale.clone());
         let journal = Journal::new(config.journal);
@@ -353,7 +357,7 @@ impl Controller {
             records: Vec::new(),
             held: HashMap::new(),
             deferred: HashMap::new(),
-            telemetry: Telemetry::disabled(),
+            telemetry: Telemetry::default(),
             next_request: 0,
             crash_records: HashMap::new(),
             handover_scratch: Default::default(),
@@ -405,7 +409,7 @@ impl Controller {
 
     /// Runs the body of a public mutating entry point, then syncs the
     /// journal — the one epilogue they all share, early returns included.
-    fn synced<T>(&mut self, entry: impl FnOnce(&mut Controller) -> T) -> T {
+    fn synced<T>(&mut self, entry: impl FnOnce(&mut Self) -> T) -> T {
         let out = entry(self);
         self.journal_sync();
         out
@@ -599,12 +603,6 @@ impl Controller {
         self.clusters.len()
     }
 
-    fn xid(&mut self) -> u32 {
-        let x = self.next_xid;
-        self.next_xid = self.next_xid.wrapping_add(1);
-        x
-    }
-
     /// Adds `n` to counter `name` — unless `n` is zero: a counter shows in a
     /// snapshot only once something was counted.
     fn count(&mut self, name: &str, n: usize) {
@@ -639,8 +637,9 @@ impl Controller {
 
     /// `msg` for the switch at `at`, under the next xid, in a spare buffer ([`Controller::recycle`]).
     fn outbound(&mut self, at: SimTime, msg: &Message) -> OutboundMessage {
-        let (xid, mut data) = (self.xid(), self.spare.take());
-        msg.encode_into(xid, &mut data);
+        let mut data = self.spare.take();
+        msg.encode_into(self.next_xid, &mut data);
+        self.next_xid = self.next_xid.wrapping_add(1);
         OutboundMessage { at, data }
     }
 
@@ -1308,6 +1307,7 @@ mod tests {
     use openflow::actions::{Action, Actions};
     use openflow::FlowEntry;
     use ovs::{Effect, Switch, SwitchConfig};
+    use telemetry::SpanLog;
 
     const CLIENT_PORT: u32 = 1;
     const EDGE_PORT: u32 = 2;
@@ -1327,11 +1327,16 @@ mod tests {
         setup_scheduled(rng, config, Box::<ProximityScheduler>::default())
     }
 
-    fn setup_scheduled(
+    /// [`setup`] with a controller that records its spans.
+    fn setup_recording(rng: &mut SimRng) -> (Controller<SpanLog>, Switch) {
+        setup_scheduled(rng, ControllerConfig::default(), Box::<ProximityScheduler>::default())
+    }
+
+    fn setup_scheduled<S: Spans>(
         rng: &mut SimRng,
         config: ControllerConfig,
         scheduler: Box<dyn GlobalScheduler>,
-    ) -> (Controller, Switch) {
+    ) -> (Controller<S>, Switch) {
         let mut engine = DockerEngine::with_defaults();
         engine.pull(&containerd::ServiceSet::by_key("asm").unwrap().manifests, rng);
         let cluster = DockerCluster::new(
@@ -1341,7 +1346,7 @@ mod tests {
             Ipv4Addr::new(10, 0, 0, 10),
             Duration::from_micros(150),
         );
-        let mut ctl = Controller::new(
+        let mut ctl = Controller::with_spans(
             scheduler,
             PortMap {
                 cluster_ports: HashMap::new(),
@@ -1560,7 +1565,7 @@ mod tests {
     #[test]
     fn handover_is_make_before_break_and_rekeys_memory() {
         let mut rng = SimRng::new(11);
-        let (mut ctl, mut sw0) = setup(&mut rng);
+        let (mut ctl, mut sw0) = setup_recording(&mut rng);
         // Second gNB, fronting the same cluster on the same port numbers.
         let g1 = ctl.add_ingress(PortMap {
             cluster_ports: HashMap::from([("edge-docker".into(), EDGE_PORT)]),
@@ -1572,7 +1577,6 @@ mod tests {
             miss_send_len: 0xffff,
             ports: vec![CLIENT_PORT, EDGE_PORT, CLOUD_PORT],
         });
-        ctl.telemetry = Telemetry::recording();
 
         // Session established at gNB 0.
         let t0 = SimTime::from_secs(1);
@@ -1980,7 +1984,7 @@ mod tests {
             Ipv4Addr::new(10, 0, 0, 10),
             Duration::from_micros(150),
         );
-        let mut ctl = Controller::new(
+        let mut ctl = Controller::<SpanLog>::with_spans(
             Box::<ProximityScheduler>::default(),
             PortMap { cluster_ports: HashMap::new(), cloud_port: CLOUD_PORT },
             ControllerConfig {
@@ -1988,7 +1992,6 @@ mod tests {
                 ..ControllerConfig::default()
             },
         );
-        ctl.telemetry = Telemetry::recording();
         ctl.add_cluster(Box::new(cluster), EDGE_PORT);
         ctl.register_service(make_service("asm", 80));
         let mut sw = Switch::new(SwitchConfig {
@@ -2074,12 +2077,11 @@ mod tests {
             Ipv4Addr::new(10, 0, 0, 10),
             Duration::from_micros(150),
         );
-        let mut ctl = Controller::new(
+        let mut ctl = Controller::<SpanLog>::with_spans(
             Box::<ProximityScheduler>::default(),
             PortMap { cluster_ports: HashMap::new(), cloud_port: CLOUD_PORT },
             ControllerConfig::default(),
         );
-        ctl.telemetry = Telemetry::recording();
         ctl.add_cluster(Box::new(cluster), EDGE_PORT);
         ctl.register_service(make_service("asm", 80));
         let mut sw = Switch::new(SwitchConfig {
@@ -2130,8 +2132,8 @@ mod tests {
 
     /// Drives one request to completion and delivers its flows to the
     /// switch; returns the answer instant.
-    fn serve_one(
-        ctl: &mut Controller,
+    fn serve_one<S: Spans>(
+        ctl: &mut Controller<S>,
         sw: &mut Switch,
         at: SimTime,
         src_port: u16,
@@ -2155,8 +2157,7 @@ mod tests {
     #[test]
     fn crashed_instance_is_detected_and_repaired() {
         let mut rng = SimRng::new(31);
-        let (mut ctl, mut sw) = setup(&mut rng);
-        ctl.telemetry = Telemetry::recording();
+        let (mut ctl, mut sw) = setup_recording(&mut rng);
         let answered = serve_one(&mut ctl, &mut sw, SimTime::from_secs(1), 50000, &mut rng);
         assert_eq!(ctl.memory().len(), 1);
         let flows_before = sw.table().entries().count();
@@ -2252,8 +2253,7 @@ mod tests {
     #[test]
     fn zone_outage_blocks_scheduling_until_it_ends() {
         let mut rng = SimRng::new(33);
-        let (mut ctl, mut sw) = setup(&mut rng);
-        ctl.telemetry = Telemetry::recording();
+        let (mut ctl, mut sw) = setup_recording(&mut rng);
         let answered = serve_one(&mut ctl, &mut sw, SimTime::from_secs(1), 50000, &mut rng);
         let flows_before = sw.table().entries().count();
 
@@ -3297,7 +3297,7 @@ mod tests {
         config.autoscale.enabled = true;
         config.autoscale.min_replicas = 2;
         let scheduler = Box::<crate::scheduler::LeastConnectionsScheduler>::default();
-        let (mut ctl, mut sw) = setup_scheduled(&mut rng, config, scheduler);
+        let (mut ctl, mut sw) = setup_scheduled::<Off>(&mut rng, config, scheduler);
         let up = serve_one(&mut ctl, &mut sw, SimTime::from_secs(1), 50000, &mut rng);
         // Two more clients at one instant: the second goes to replica 1.
         let at = up + Duration::from_secs(1);

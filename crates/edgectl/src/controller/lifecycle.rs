@@ -2,14 +2,14 @@
 //! while a request waits for it, the idle sweep (scale-down, then the
 //! paper's Remove phase), proactive deployment and the autoscaler pass.
 
-use super::Controller;
+use super::{Controller, Spans};
 use crate::cluster::InstanceState;
 use crate::journal::JournalEvent;
 use crate::service::EdgeService;
 use desim::{SimRng, SimTime};
 use netsim::ServiceAddr;
 
-impl Controller {
+impl<S: Spans> Controller<S> {
     /// Pins `(service, cluster)` against the idle sweep until `until`: a
     /// request is held for a deployment there.
     pub(super) fn hold(&mut self, service: ServiceAddr, cluster: usize, until: SimTime) {

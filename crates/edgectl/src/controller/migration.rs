@@ -11,9 +11,9 @@ use crate::rules::{Granularity, PairSpec};
 use desim::{Duration, Sample, SimRng, SimTime};
 use netsim::addr::Ipv4Addr;
 use netsim::ServiceAddr;
-use telemetry::SpanId;
+use telemetry::{SpanId, Spans};
 
-impl Controller {
+impl<S: Spans> Controller<S> {
     /// Books one served request's worth of session state for
     /// `(svc_addr, cluster)` — the harness calls this when an edge
     /// instance answers. A no-op while migration is off or stateless, so

@@ -6,7 +6,7 @@
 //! instance ([`Serving::Pending`] leaves memory, pair and breaker alone), and
 //! a pair's Deletes never precede its Adds ([`Controller::teardown_pairs`]).
 
-use super::{Controller, OutboundMessage};
+use super::{Controller, OutboundMessage, Spans};
 use crate::cluster::InstanceAddr;
 use crate::dispatch::Serving;
 use crate::flowmemory::IngressId;
@@ -18,7 +18,7 @@ use netsim::ServiceAddr;
 use openflow::oxm::Match;
 use openflow::{FlowEntry, OFP_NO_BUFFER};
 
-impl Controller {
+impl<S: Spans> Controller<S> {
     /// Fault injection: a *Ready* instance of `svc_addr` on `cluster`
     /// crashes while serving. The crash itself is silent — clients keep
     /// being redirected at the corpse until the next [`health_check`] sweep

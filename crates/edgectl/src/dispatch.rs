@@ -28,7 +28,7 @@ use desim::{Duration, RetryPolicy, SimRng, SimTime};
 use netsim::addr::Ipv4Addr;
 use netsim::ServiceAddr;
 use std::collections::HashMap;
-use telemetry::{SpanId, Telemetry};
+use telemetry::{SpanId, Spans, Telemetry};
 
 /// Timing breakdown of one dispatch, for the evaluation harness.
 #[derive(Clone, Copy, Debug, Default)]
@@ -292,7 +292,7 @@ impl Dispatcher {
     /// vanished), or [`RequestClass::Handover`] when the controller
     /// re-places a session after an attachment change.
     #[allow(clippy::too_many_arguments)]
-    pub fn dispatch_at(
+    pub fn dispatch_at<S: Spans>(
         &mut self,
         svc: &EdgeService,
         client_ip: Ipv4Addr,
@@ -304,7 +304,7 @@ impl Dispatcher {
         memory: &mut FlowMemory,
         health: &mut HealthMonitor,
         rng: &mut SimRng,
-        tele: &mut Telemetry,
+        tele: &mut Telemetry<S>,
         request: u64,
         parent: SpanId,
     ) -> DispatchOutcome {
@@ -572,7 +572,7 @@ impl Dispatcher {
     /// phase gets a child span of `span`; retry attempts and injected
     /// faults surface as events on it.
     #[allow(clippy::too_many_arguments)]
-    fn ensure_ready(
+    fn ensure_ready<S: Spans>(
         &mut self,
         svc: &EdgeService,
         cluster: usize,
@@ -581,7 +581,7 @@ impl Dispatcher {
         health: &mut HealthMonitor,
         phases: &mut PhaseTimes,
         rng: &mut SimRng,
-        tele: &mut Telemetry,
+        tele: &mut Telemetry<S>,
         request: u64,
         span: SpanId,
     ) -> EnsureOutcome {
@@ -704,12 +704,12 @@ impl Dispatcher {
 /// in the request's trace; the span closes when the phase's command
 /// returned (`done` of its result) or its last attempt failed.
 #[allow(clippy::too_many_arguments)]
-fn with_retries<T>(
+fn with_retries<T, S: Spans>(
     policy: RetryPolicy,
     phase_start: SimTime,
     retries: &mut u32,
     rng: &mut SimRng,
-    tele: &mut Telemetry,
+    tele: &mut Telemetry<S>,
     (request, parent, name): (u64, SpanId, &str),
     mut op: impl FnMut(SimTime, &mut SimRng) -> Result<T, DeployError>,
     done: impl Fn(&T) -> SimTime,
@@ -815,7 +815,7 @@ mod tests {
             memory,
             &mut HealthMonitor::default(),
             rng,
-            &mut Telemetry::disabled(),
+            &mut Telemetry::<telemetry::Off>::default(),
             0,
             SpanId::NONE,
         )
@@ -1106,7 +1106,7 @@ mod tests {
             memory,
             health,
             rng,
-            &mut Telemetry::disabled(),
+            &mut Telemetry::<telemetry::Off>::default(),
             0,
             SpanId::NONE,
         )

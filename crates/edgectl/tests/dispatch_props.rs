@@ -9,7 +9,7 @@ use edgectl::{EdgeService, HealthMonitor};
 use netsim::addr::{Ipv4Addr, MacAddr};
 use netsim::ServiceAddr;
 use proptest::prelude::*;
-use telemetry::{SpanId, Telemetry};
+use telemetry::{Off, SpanId, Telemetry};
 
 fn make_service(port: u16) -> EdgeService {
     let profile = containerd::ServiceSet::by_key("asm").unwrap();
@@ -59,7 +59,7 @@ fn dispatch(
         memory,
         &mut HealthMonitor::default(),
         rng,
-        &mut Telemetry::disabled(),
+        &mut Telemetry::<Off>::default(),
         0,
         SpanId::NONE,
     )

@@ -127,40 +127,6 @@ impl SpanLog {
         ids
     }
 
-    pub(crate) fn open(&mut self, request: u64, parent: SpanId, name: &str, at: SimTime) -> SpanId {
-        let id = SpanId(self.spans.len() as u32 + 1);
-        self.spans.push(Span {
-            id,
-            parent,
-            request,
-            name: name.to_owned(),
-            start: at,
-            end: None,
-            events: Vec::new(),
-        });
-        id
-    }
-
-    pub(crate) fn close(&mut self, span: SpanId, at: SimTime) {
-        if !span.is_some() {
-            return;
-        }
-        let s = &mut self.spans[span.0 as usize - 1];
-        debug_assert!(s.end.is_none(), "span {} ({}) closed twice", s.id.0, s.name);
-        s.end = Some(at);
-    }
-
-    pub(crate) fn push_event(&mut self, span: SpanId, name: &str, at: SimTime, detail: String) {
-        if !span.is_some() {
-            return;
-        }
-        self.spans[span.0 as usize - 1].events.push(Event {
-            at,
-            name: name.to_owned(),
-            detail,
-        });
-    }
-
     /// Validates the log: every span closed, every parent existing and on
     /// the same request.
     pub fn check(&self) -> SpanCheck {
@@ -246,6 +212,91 @@ impl SpanLog {
     }
 }
 
+/// Where a [`crate::Telemetry`] puts its spans: [`Off`] drops them at
+/// compile time, [`SpanLog`] keeps them. Chosen once, as a type, per run.
+pub trait Spans: Default {
+    /// Opens a span of `request` under `parent`; its id, or
+    /// [`SpanId::NONE`] when nothing is recorded.
+    fn open(&mut self, request: u64, parent: SpanId, name: &str, at: SimTime) -> SpanId;
+    /// Closes `span` at `at`. No-op for [`SpanId::NONE`].
+    fn close(&mut self, span: SpanId, at: SimTime);
+    /// Records an event on `span`; `detail` runs only when it is recorded.
+    fn event(&mut self, span: SpanId, name: &str, at: SimTime, detail: impl FnOnce() -> String);
+    /// The recorded log, if one is kept.
+    fn log(&self) -> Option<&SpanLog>;
+    /// The recorded log, if one is kept, by value.
+    fn into_log(self) -> Option<SpanLog>;
+}
+
+/// The recorder that records nothing: zero-sized, with every method an
+/// empty inline body, so a controller or harness built with it contains no
+/// span code after compilation and never runs a `detail` closure.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Off;
+
+impl Spans for Off {
+    #[inline(always)]
+    fn open(&mut self, _: u64, _: SpanId, _: &str, _: SimTime) -> SpanId {
+        SpanId::NONE
+    }
+    #[inline(always)]
+    fn close(&mut self, _: SpanId, _: SimTime) {}
+    #[inline(always)]
+    fn event(&mut self, _: SpanId, _: &str, _: SimTime, _: impl FnOnce() -> String) {}
+    #[inline(always)]
+    fn log(&self) -> Option<&SpanLog> {
+        None
+    }
+    #[inline(always)]
+    fn into_log(self) -> Option<SpanLog> {
+        None
+    }
+}
+
+impl Spans for SpanLog {
+    fn open(&mut self, request: u64, parent: SpanId, name: &str, at: SimTime) -> SpanId {
+        let id = SpanId(self.spans.len() as u32 + 1);
+        self.spans.push(Span {
+            id,
+            parent,
+            request,
+            name: name.to_owned(),
+            start: at,
+            end: None,
+            events: Vec::new(),
+        });
+        id
+    }
+
+    fn close(&mut self, span: SpanId, at: SimTime) {
+        if !span.is_some() {
+            return;
+        }
+        let s = &mut self.spans[span.0 as usize - 1];
+        debug_assert!(s.end.is_none(), "span {} ({}) closed twice", s.id.0, s.name);
+        s.end = Some(at);
+    }
+
+    fn event(&mut self, span: SpanId, name: &str, at: SimTime, detail: impl FnOnce() -> String) {
+        if !span.is_some() {
+            return;
+        }
+        self.spans[span.0 as usize - 1].events.push(Event {
+            at,
+            name: name.to_owned(),
+            detail: detail(),
+        });
+    }
+
+    fn log(&self) -> Option<&SpanLog> {
+        Some(self)
+    }
+
+    fn into_log(self) -> Option<SpanLog> {
+        Some(self)
+    }
+}
+
 /// Escapes a string for embedding in a JSON string literal.
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -291,7 +342,9 @@ mod tests {
         let mut t = SpanLog::new();
         let r0 = t.open(0, SpanId::NONE, "request", SimTime::from_secs(1));
         let d = t.open(0, r0, "deploy-pull", SimTime::from_secs(1));
-        t.push_event(d, "retry", SimTime::from_millis(1200), "pull: fault".into());
+        t.event(d, "retry", SimTime::from_millis(1200), || {
+            "pull: fault".into()
+        });
         t.close(d, SimTime::from_secs(2));
         t.close(r0, SimTime::from_secs(2));
         let r1 = t.open(1, SpanId::NONE, "request", SimTime::from_secs(3));
@@ -351,7 +404,9 @@ mod tests {
     fn json_export_is_one_line_and_escaped() {
         let mut t = SpanLog::new();
         let s = t.open(0, SpanId::NONE, "request", SimTime::from_millis(5));
-        t.push_event(s, "fault", SimTime::from_millis(6), "say \"no\"\n".into());
+        t.event(s, "fault", SimTime::from_millis(6), || {
+            "say \"no\"\n".into()
+        });
         t.close(s, SimTime::from_millis(7));
         let json = t.to_json();
         assert!(!json.contains('\n'));

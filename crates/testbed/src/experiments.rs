@@ -7,9 +7,9 @@
 //! mobility, recovery) returns each arm's runs as an [`Experiment`]; the
 //! benches write mobility's and recovery's as their artifacts.
 
-use crate::harness::{ClusterKind, CompletedRequest, MobilityConfig, MobilityTestbed, Testbed, TestbedConfig};
+use crate::harness::{ClusterKind, CompletedRequest, Harness, MobilityConfig, MobilityTestbed, Testbed, TestbedConfig};
 use crate::report::{bar_chart, timeline, Table};
-use crate::topology::client_ip_for;
+use crate::topology::{client_ip_for, C3Topology, MultiGnbTopology, Net};
 use containerd::{ContentStore, ServiceProfile, ServiceSet};
 use desim::{Duration, SimRng, SimTime, Summary};
 use edgectl::controller::RequestKind;
@@ -17,7 +17,7 @@ use edgectl::ControllerConfig;
 use netsim::{Ipv4Addr, ServiceAddr};
 use registry::RegistryProfile;
 use std::collections::{BTreeMap, VecDeque};
-use telemetry::{MetricsRegistry, SpanLog};
+use telemetry::{MetricsRegistry, Off, SpanLog, Spans};
 use workload::{Trace, TraceConfig};
 
 /// A reproduced table or figure.
@@ -61,8 +61,8 @@ enum Warmth {
 /// Replays `trace` on `tb` until `until`: one service per trace service,
 /// all bound to `profile` and deployed as far as `warmth` says, every
 /// request offset by 1 s so setup happens strictly before traffic.
-fn replay(
-    tb: &mut Testbed,
+fn replay<S: Spans>(
+    tb: &mut Harness<C3Topology, S>,
     profile: &ServiceProfile,
     warmth: Warmth,
     trace: &Trace,
@@ -906,13 +906,11 @@ pub struct Experiment<S> {
     pub recordings: Vec<(&'static str, Recording)>,
 }
 
-/// Takes what a recording harness recorded.
-fn take_recording<T: crate::topology::Net>(tb: &mut crate::harness::Harness<T>) -> Recording {
+/// Takes what a recording harness recorded; `None` when `S` records no spans.
+fn take_recording<T: Net, S: Spans>(tb: &mut Harness<T, S>) -> Option<Recording> {
+    tb.span_log()?;
     let metrics = tb.telemetry_snapshot();
-    let log = std::mem::take(&mut tb.controller.telemetry)
-        .into_span_log()
-        .expect("recording tracer keeps a log");
-    (log, metrics)
+    Some((std::mem::take(&mut tb.controller.telemetry).into_span_log()?, metrics))
 }
 
 /// Runs every arm of an experiment, each keeping its own recording.
@@ -950,12 +948,11 @@ pub struct ChaosRun {
     resets: u64,
 }
 
-fn chaos_run(
+fn chaos_run<S: Spans>(
     kind: ClusterKind,
     fault_rate: f64,
     smoke: bool,
     seed: u64,
-    telemetry: bool,
 ) -> (ChaosRun, Option<Recording>) {
     let trace_cfg = if smoke {
         TraceConfig::chaos_smoke()
@@ -964,10 +961,9 @@ fn chaos_run(
     };
     let trace = Trace::generate(trace_cfg, seed);
     let profile = ServiceSet::by_key("asm").expect("asm profile");
-    let mut tb = Testbed::new(TestbedConfig {
+    let mut tb = Harness::<C3Topology, S>::new(TestbedConfig {
         cluster: kind,
         seed,
-        telemetry,
         faults: desim::FaultPlan::uniform(fault_rate, seed ^ 0xC4A0_5EED),
         controller: ControllerConfig {
             // Aggressive idle timeout: services cycle down and redeploy,
@@ -1000,7 +996,7 @@ fn chaos_run(
         run.create_retries += u64::from(r.phases.create_retries);
         run.scale_up_retries += u64::from(r.phases.scale_up_retries);
     }
-    let mut recording = telemetry.then(|| take_recording(&mut tb));
+    let mut recording = take_recording(&mut tb);
     if let Some((_, m)) = recording.as_mut().filter(|(_, m)| m.counter("requests_total") > 0) {
         let rate = m.counter("requests_fallback_cloud") as f64 / m.counter("requests_total") as f64;
         m.set_gauge("fallback_cloud_rate", rate);
@@ -1025,7 +1021,10 @@ pub fn chaos(
 ) -> (Figure, Experiment<ChaosRun>) {
     let e = run_arms(
         [(ClusterKind::Docker, "docker"), (ClusterKind::K8s, "k8s")],
-        |kind| chaos_run(kind, fault_rate, smoke, seed, telemetry),
+        |kind| match telemetry {
+            true => chaos_run::<SpanLog>(kind, fault_rate, smoke, seed),
+            false => chaos_run::<Off>(kind, fault_rate, smoke, seed),
+        },
     );
     let mut t = Table::new(&[
         "Cluster",
@@ -1094,10 +1093,14 @@ fn mobility_family(smoke: bool, seed: u64) -> MobilityConfig {
 /// 60 s, then `drain` more for whatever is in flight to settle. Every member
 /// shares these constants, so with its own knobs at zero a member *is* the
 /// plain mobility run — the determinism guarantee the tests pin down.
-fn run_mobility_family(cfg: MobilityConfig, smoke: bool, drain: Duration) -> MobilityTestbed {
+fn run_mobility_family<S: Spans>(
+    cfg: MobilityConfig,
+    smoke: bool,
+    drain: Duration,
+) -> Harness<MultiGnbTopology, S> {
     let (n_gnbs, n_clients) = (cfg.n_gnbs, cfg.n_clients);
     let model_seed = cfg.seed ^ 0x6d6f_7665;
-    let mut tb = MobilityTestbed::new(cfg);
+    let mut tb = Harness::<MultiGnbTopology, S>::new(cfg);
     let profile = ServiceSet::by_key("asm").expect("asm profile");
     tb.register_service(
         profile,
@@ -1147,18 +1150,16 @@ pub struct MobilityStats {
     pub transparency_violations: u64,
 }
 
-fn mobility_run(
+fn mobility_run<S: Spans>(
     policy: edgectl::HandoverPolicy,
     smoke: bool,
     seed: u64,
-    telemetry: bool,
 ) -> (MobilityStats, Option<Recording>) {
     let cfg = MobilityConfig {
         policy,
-        telemetry,
         ..mobility_family(smoke, seed)
     };
-    let mut tb = run_mobility_family(cfg, smoke, Duration::ZERO);
+    let mut tb = run_mobility_family::<S>(cfg, smoke, Duration::ZERO);
     let mut run = MobilityStats {
         handovers: tb.handovers.len() as u64,
         pings_sent: tb.pings_sent(),
@@ -1174,7 +1175,7 @@ fn mobility_run(
         run.redispatched += h.redispatched as u64;
         run.interruptions.push(h.interruption().as_secs_f64());
     }
-    let mut recording = telemetry.then(|| take_recording(&mut tb));
+    let mut recording = take_recording(&mut tb);
     if let (Some((_, m)), false) = (&mut recording, run.interruptions.is_empty()) {
         let p99 = Summary::new(run.interruptions.clone()).percentile(99.0).unwrap_or(0.0);
         m.set_gauge("handover_interruption_p99_ms", p99 * 1e3);
@@ -1204,8 +1205,9 @@ fn handover_policies() -> [(edgectl::HandoverPolicy, &'static str); 2] {
 /// and `redispatch` each record, and each arm's metrics gain a
 /// `handover_interruption_p99_ms` gauge.
 pub fn mobility(seed: u64, smoke: bool, telemetry: bool) -> Experiment<MobilityStats> {
-    run_arms(handover_policies(), |policy| {
-        mobility_run(policy, smoke, seed, telemetry)
+    run_arms(handover_policies(), |policy| match telemetry {
+        true => mobility_run::<SpanLog>(policy, smoke, seed),
+        false => mobility_run::<Off>(policy, smoke, seed),
     })
 }
 
@@ -1287,7 +1289,7 @@ pub fn migration_stats(
     }
     // The drain lets in-flight transfers reach their flip before the
     // records are read.
-    let tb = run_mobility_family(cfg, smoke, Duration::from_secs(10));
+    let tb: MobilityTestbed = run_mobility_family(cfg, smoke, Duration::from_secs(10));
     let mut run = MigrationStats {
         handovers: tb.handovers.len() as u64,
         migrations: tb.controller.migrate().records.len() as u64,
@@ -1356,23 +1358,21 @@ pub struct RecoveryStats {
     pub reconcile_residual: u64,
 }
 
-fn recovery_run(
+fn recovery_run<S: Spans>(
     policy: edgectl::HandoverPolicy,
     fault_rate: f64,
     smoke: bool,
     seed: u64,
-    telemetry: bool,
 ) -> (RecoveryStats, Option<Recording>) {
     let cfg = MobilityConfig {
         policy,
-        telemetry,
         faults: desim::FaultPlan::runtime(fault_rate, seed ^ 0x5E1F_4EA1),
         retransmit: Some(Duration::from_secs(1)),
         ..mobility_family(smoke, seed)
     };
     // The drain lets recovery settle: the longest channel-reconnect window
     // plus detection, redeployment, and a client retransmit all fit in 15 s.
-    let mut tb = run_mobility_family(cfg, smoke, Duration::from_secs(15));
+    let mut tb = run_mobility_family::<S>(cfg, smoke, Duration::from_secs(15));
     let reconcile_fixes = tb.reconcile_now() as u64;
     let reconcile_residual = tb.reconcile_now() as u64;
     let run = RecoveryStats {
@@ -1389,7 +1389,7 @@ fn recovery_run(
         reconcile_fixes,
         reconcile_residual,
     };
-    (run, telemetry.then(|| take_recording(&mut tb)))
+    (run, take_recording(&mut tb))
 }
 
 // ---------------------------------------------------------------------------
@@ -1496,7 +1496,7 @@ pub fn ha_stats(
     };
     // The drain lets the restart land (it may fall past the run deadline)
     // and client retransmits settle before judging strandedness.
-    let mut tb = run_mobility_family(cfg, smoke, Duration::from_secs(15));
+    let mut tb: MobilityTestbed = run_mobility_family(cfg, smoke, Duration::from_secs(15));
     let journal = tb.controller.journal_stats();
     let reconcile_fixes = tb.reconcile_now() as u64;
     let reconcile_residual = tb.reconcile_now() as u64;
@@ -1542,8 +1542,9 @@ pub fn recovery(
     smoke: bool,
     telemetry: bool,
 ) -> Experiment<RecoveryStats> {
-    run_arms(handover_policies(), |policy| {
-        recovery_run(policy, fault_rate, smoke, seed, telemetry)
+    run_arms(handover_policies(), |policy| match telemetry {
+        true => recovery_run::<SpanLog>(policy, fault_rate, smoke, seed),
+        false => recovery_run::<Off>(policy, fault_rate, smoke, seed),
     })
 }
 
@@ -1870,8 +1871,8 @@ mod tests {
             edgectl::HandoverPolicy::Anchored,
             edgectl::HandoverPolicy::Redispatch,
         ] {
-            let base = mobility_run(policy, true, 7, false).0;
-            let quiet = recovery_run(policy, 0.0, true, 7, false).0;
+            let base = mobility_run::<Off>(policy, true, 7).0;
+            let quiet = recovery_run::<Off>(policy, 0.0, true, 7).0;
             assert_eq!(quiet.pings_sent, base.pings_sent);
             assert_eq!(quiet.pings_done, base.pings_done);
             assert_eq!(quiet.handovers, base.handovers);

@@ -45,7 +45,7 @@ use netsim::topo::{NodeId, PortNo};
 use netsim::{FramePool, Ipv4Addr, ServiceAddr, TcpFlags, TcpFrame, TcpHeaders};
 use openflow::FlowEntry;
 use ovs::{Effect, Switch};
-use telemetry::{MetricsRegistry, SpanLog};
+use telemetry::{MetricsRegistry, Off, SpanLog, Spans};
 use workload::RequestTiming;
 
 /// A finished client request.
@@ -170,8 +170,8 @@ enum Ev {
     RetransmitCheck,
 }
 
-/// The assembled, runnable testbed on network `T`.
-pub struct Harness<T: Net> {
+/// The assembled, runnable testbed on network `T`, recording spans into `S`.
+pub struct Harness<T: Net, S: Spans = Off> {
     engine: Engine<Ev>,
     net: T,
     /// `NodeId` → what the node is, for frame dispatch.
@@ -180,7 +180,7 @@ pub struct Harness<T: Net> {
     switches: Vec<Switch>,
     /// The transparent-edge controller under test (one, managing every
     /// ingress switch).
-    pub controller: Controller,
+    pub controller: Controller<S>,
     rng: SimRng,
     profiles: FastMap<ServiceAddr, ServiceProfile>,
     /// Server-side request reassembly: bytes received per connection 4-tuple.
@@ -289,7 +289,7 @@ pub type Testbed = Harness<C3Topology>;
 /// The multi-gNB testbed: long-lived sessions under user mobility.
 pub type MobilityTestbed = Harness<MultiGnbTopology>;
 
-impl<T: Net> Harness<T> {
+impl<T: Net, S: Spans> Harness<T, S> {
     /// What both constructors share. `engine`, `switches` and `controller`
     /// are the constructor's own; every subsystem it does not configure
     /// afterwards stays at its inert default.
@@ -297,7 +297,7 @@ impl<T: Net> Harness<T> {
         engine: Engine<Ev>,
         net: T,
         switches: Vec<Switch>,
-        controller: Controller,
+        controller: Controller<S>,
         n_clients: usize,
         seed: u64,
     ) -> Self {
@@ -422,8 +422,7 @@ impl<T: Net> Harness<T> {
         m
     }
 
-    /// The recorded span log when the testbed was built with
-    /// `telemetry: true`; `None` on disabled runs.
+    /// The recorded span log; `None` when `S` records none.
     pub fn span_log(&self) -> Option<&SpanLog> {
         self.controller.telemetry.span_log()
     }
@@ -1275,7 +1274,7 @@ struct Listener {
 
 /// The (service, cluster) pair whose instance serves at `(ip, port)`, and
 /// the replica answering there: the first match in registry × cluster order.
-fn scan(controller: &Controller, ip: Ipv4Addr, port: u16) -> Option<(&EdgeService, usize, u16)> {
+fn scan<S: Spans>(controller: &Controller<S>, ip: Ipv4Addr, port: u16) -> Option<(&EdgeService, usize, u16)> {
     controller.services().iter().find_map(|svc| {
         (0..controller.cluster_count())
             .find_map(|idx| Some((svc, idx, replica_at(controller, svc, idx, ip, port)?)))
@@ -1285,7 +1284,7 @@ fn scan(controller: &Controller, ip: Ipv4Addr, port: u16) -> Option<(&EdgeServic
 /// Which replica of `svc` on cluster `idx` answers at `(ip, port)`: 0 at the
 /// instance's own address, `i` at an address the service's replica pool
 /// there derives from it. A replica answers while its base instance does.
-fn replica_at(ctl: &Controller, svc: &EdgeService, idx: usize, ip: Ipv4Addr, port: u16) -> Option<u16> {
+fn replica_at<S: Spans>(ctl: &Controller<S>, svc: &EdgeService, idx: usize, ip: Ipv4Addr, port: u16) -> Option<u16> {
     let base = ctl.cluster(idx).instance_addr(svc)?;
     if (base.ip, base.port) == (ip, port) {
         return Some(0);
@@ -1293,7 +1292,7 @@ fn replica_at(ctl: &Controller, svc: &EdgeService, idx: usize, ip: Ipv4Addr, por
     u16::try_from(ctl.load().index_of(svc.addr, idx, InstanceAddr { ip, port, ..base })?).ok()
 }
 
-fn listener(controller: &Controller, svc: &EdgeService, idx: usize, now: SimTime) -> Listener {
+fn listener<S: Spans>(controller: &Controller<S>, svc: &EdgeService, idx: usize, now: SimTime) -> Listener {
     let p = &svc.profile;
     Listener {
         service: svc.addr,
@@ -1307,7 +1306,7 @@ fn listener(controller: &Controller, svc: &EdgeService, idx: usize, now: SimTime
 
 /// The answer [`ListenerIndex::lookup`] must give, by scan alone.
 #[cfg(test)]
-fn scan_listener(controller: &Controller, ip: Ipv4Addr, port: u16, now: SimTime) -> Option<Listener> {
+fn scan_listener<S: Spans>(controller: &Controller<S>, ip: Ipv4Addr, port: u16, now: SimTime) -> Option<Listener> {
     scan(controller, ip, port).map(|(svc, idx, _)| listener(controller, svc, idx, now))
 }
 
@@ -1326,9 +1325,9 @@ struct ListenerIndex {
 impl ListenerIndex {
     /// Which instance (if any) listens at `(ip, port)`, and is it ready at
     /// `now`?
-    fn lookup(
+    fn lookup<S: Spans>(
         &mut self,
-        controller: &Controller,
+        controller: &Controller<S>,
         ip: Ipv4Addr,
         port: u16,
         now: SimTime,
@@ -1344,9 +1343,9 @@ impl ListenerIndex {
         self.by_addr.len()
     }
 
-    fn resolve<'a>(
+    fn resolve<'a, S: Spans>(
         &mut self,
-        controller: &'a Controller,
+        controller: &'a Controller<S>,
         ip: Ipv4Addr,
         port: u16,
     ) -> Option<(&'a EdgeService, usize)> {

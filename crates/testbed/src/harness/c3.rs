@@ -3,7 +3,7 @@
 //! optional hybrid second cluster and far edge, 20 Raspberry Pi clients, a
 //! WAN link to the cloud.
 
-use super::{Harness, Testbed};
+use super::Harness;
 use crate::topology::C3Topology;
 use desim::{Duration, Engine, FaultPlan};
 use dockersim::DockerEngine;
@@ -12,7 +12,7 @@ use k8ssim::K8sCluster;
 use netsim::ServiceAddr;
 use ovs::{Switch, SwitchConfig};
 use std::collections::HashMap;
-use telemetry::Telemetry;
+use telemetry::Spans;
 
 /// Which cluster type backs the edge (the paper evaluates both).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,9 +55,6 @@ pub struct TestbedConfig {
     /// Fault-injection plan (all rates 0 = faults disabled, byte-identical
     /// behaviour to a build without the fault layer).
     pub faults: FaultPlan,
-    /// Record per-request span trees ([`Telemetry::recording`]); disabled
-    /// runs keep the no-op tracer and stay byte-identical.
-    pub telemetry: bool,
     /// Simulation seed.
     pub seed: u64,
 }
@@ -73,7 +70,6 @@ impl Default for TestbedConfig {
             predictor: "none".to_owned(),
             far_edge: false,
             faults: FaultPlan::default(),
-            telemetry: false,
             seed: 1,
         }
     }
@@ -114,11 +110,11 @@ impl TestbedConfig {
     }
 }
 
-impl Testbed {
+impl<S: Spans> Harness<C3Topology, S> {
     /// Builds a testbed straight from a controller configuration file.
-    pub fn from_edge_config(cfg: &edgectl::EdgeConfig, seed: u64) -> Testbed {
+    pub fn from_edge_config(cfg: &edgectl::EdgeConfig, seed: u64) -> Self {
         let (tc, hybrid) = TestbedConfig::from_edge_config(cfg, seed);
-        let mut tb = Testbed::new(tc);
+        let mut tb = Self::new(tc);
         if hybrid {
             tb.add_hybrid_k8s();
         }
@@ -126,7 +122,7 @@ impl Testbed {
     }
 
     /// Builds a testbed per `config`.
-    pub fn new(config: TestbedConfig) -> Testbed {
+    pub fn new(config: TestbedConfig) -> Self {
         let c3 = C3Topology::build_with_far_edge(config.n_clients, config.far_edge);
         let switch = Switch::new(SwitchConfig {
             datapath_id: 0xC3,
@@ -136,7 +132,7 @@ impl Testbed {
         });
         let scheduler =
             edgectl::scheduler_by_name(&config.scheduler).unwrap_or_else(|e| panic!("{e}"));
-        let mut controller = Controller::new(
+        let mut controller = Controller::with_spans(
             scheduler,
             PortMap {
                 cluster_ports: HashMap::new(),
@@ -144,9 +140,6 @@ impl Testbed {
             },
             config.controller.clone(),
         );
-        if config.telemetry {
-            controller.telemetry = Telemetry::recording();
-        }
         let egs_mac = c3.topo.node(c3.egs).mac;
         let egs_ip = c3.topo.node(c3.egs).ip;
         let edge_latency = Duration::from_micros(50);
@@ -291,8 +284,10 @@ impl Testbed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Testbed;
     use desim::{SimTime, Summary};
     use netsim::{Ipv4Addr, TcpFrame};
+    use telemetry::{Off, SpanLog};
 
     fn svc_addr(i: u8) -> ServiceAddr {
         ServiceAddr::new(Ipv4Addr::new(203, 0, 113, i), 80)
@@ -494,12 +489,8 @@ mod tests {
 
     #[test]
     fn telemetry_records_spans_and_metrics_without_changing_results() {
-        let run = |telemetry: bool| {
-            let mut tb = Testbed::new(TestbedConfig {
-                telemetry,
-                seed: 5,
-                ..TestbedConfig::default()
-            });
+        fn run<S: Spans>() -> Harness<C3Topology, S> {
+            let mut tb = Harness::<C3Topology, S>::new(TestbedConfig { seed: 5, ..TestbedConfig::default() });
             let addr = svc_addr(10);
             tb.register_service(containerd::ServiceSet::by_key("nginx").unwrap(), addr);
             tb.pre_pull(addr);
@@ -507,17 +498,17 @@ mod tests {
             tb.request_at(SimTime::from_secs(5), 1, addr);
             tb.run_until(SimTime::from_secs(60));
             tb
-        };
-        let plain = run(false);
-        let traced = run(true);
+        }
+        let plain = run::<Off>();
+        let traced = run::<SpanLog>();
         // Telemetry is observation only: identical timings either way.
-        let totals = |tb: &Testbed| {
-            tb.completed
+        let totals = |completed: &[crate::harness::CompletedRequest]| {
+            completed
                 .iter()
                 .map(|c| (c.client, c.timing.time_total()))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(totals(&plain), totals(&traced));
+        assert_eq!(totals(&plain.completed), totals(&traced.completed));
         assert!(plain.span_log().is_none(), "disabled runs record nothing");
         let log = traced.span_log().unwrap();
         assert!(log.check().ok(), "span log consistent: {:?}", log.check());

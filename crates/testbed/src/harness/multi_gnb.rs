@@ -6,7 +6,7 @@
 //! handover ([`Controller::handle_attachment_change`]) under the configured
 //! [`HandoverPolicy`].
 
-use super::{Ev, Harness, MobilityTestbed, Session, FIRST_SRC_PORT};
+use super::{Ev, Harness, Session, FIRST_SRC_PORT};
 use crate::topology::MultiGnbTopology;
 use desim::{Duration, Engine, FaultPlan, SimTime};
 use dockersim::DockerEngine;
@@ -16,7 +16,7 @@ use edgectl::{
 use mobility::MobilityModel;
 use ovs::{Switch, SwitchConfig};
 use std::collections::HashMap;
-use telemetry::Telemetry;
+use telemetry::Spans;
 
 /// Mobility harness configuration.
 #[derive(Clone, Debug)]
@@ -31,8 +31,6 @@ pub struct MobilityConfig {
     pub scheduler: String,
     /// Controller configuration.
     pub controller: ControllerConfig,
-    /// Record per-request span trees.
-    pub telemetry: bool,
     /// Interval between pings on each client's session.
     pub ping_interval: Duration,
     /// Simulation seed.
@@ -71,7 +69,6 @@ impl Default for MobilityConfig {
             policy: HandoverPolicy::Anchored,
             scheduler: "proximity".to_owned(),
             controller: ControllerConfig::default(),
-            telemetry: false,
             ping_interval: Duration::from_millis(200),
             seed: 1,
             faults: FaultPlan::default(),
@@ -82,11 +79,11 @@ impl Default for MobilityConfig {
     }
 }
 
-impl MobilityTestbed {
+impl<S: Spans> Harness<MultiGnbTopology, S> {
     /// Builds the testbed: topology, one switch per gNB, one Docker zone
     /// cluster per gNB (every gNB can reach every zone), the controller with
     /// per-ingress port maps and distances.
-    pub fn new(config: MobilityConfig) -> MobilityTestbed {
+    pub fn new(config: MobilityConfig) -> Self {
         let net = MultiGnbTopology::build(config.n_gnbs, config.n_clients);
         let switches: Vec<Switch> = (0..config.n_gnbs)
             .map(|g| {
@@ -100,7 +97,7 @@ impl MobilityTestbed {
             .collect();
         let scheduler =
             edgectl::scheduler_by_name(&config.scheduler).unwrap_or_else(|e| panic!("{e}"));
-        let mut controller = Controller::new(
+        let mut controller = Controller::with_spans(
             scheduler,
             PortMap {
                 cluster_ports: HashMap::new(),
@@ -108,9 +105,6 @@ impl MobilityTestbed {
             },
             config.controller.clone(),
         );
-        if config.telemetry {
-            controller.telemetry = Telemetry::recording();
-        }
         for g in 1..config.n_gnbs {
             let id = controller.add_ingress(PortMap {
                 cluster_ports: HashMap::new(),
@@ -275,6 +269,7 @@ impl MobilityTestbed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MobilityTestbed;
     use mobility::{CellHops, Static};
     use netsim::{Ipv4Addr, ServiceAddr};
 

@@ -16,7 +16,8 @@
 //!   [`Testbed`] (one switch, one-shot requests with `timecurl`-style
 //!   `time_total`) and [`MobilityTestbed`] (N gNBs, long-lived sessions
 //!   under user mobility with make-before-break flow handover) are its two
-//!   constructors;
+//!   constructors, both with spans off; a [`Harness`] over the same network
+//!   with `telemetry::SpanLog` in place of `telemetry::Off` records them;
 //! * [`experiments`] — one entry point per table/figure of the paper
 //!   (Table I, Figs. 9–16) plus the ablations discussed in Sections V/VII;
 //! * [`report`] — text rendering: aligned tables, ASCII bar charts, CSV.
@@ -29,7 +30,7 @@ pub mod report;
 pub mod topology;
 
 pub use harness::{
-    ClusterKind, CompletedRequest, HandoverRecord, MobilityConfig, MobilityTestbed, Testbed,
-    TestbedConfig,
+    ClusterKind, CompletedRequest, HandoverRecord, Harness, MobilityConfig, MobilityTestbed,
+    Testbed, TestbedConfig,
 };
 pub use topology::{client_ip_for, fleet_client_ip, C3Topology, MultiGnbTopology};

@@ -253,7 +253,7 @@ mod tests {
 
     fn traced_request() -> SpanLog {
         use telemetry::{SpanId, Telemetry};
-        let mut t = Telemetry::recording();
+        let mut t = Telemetry::<SpanLog>::default();
         let root = t.span(1, SpanId::NONE, "request", SimTime::from_secs(1));
         let deploy = t.span(1, root, "deploy", SimTime::from_secs(1));
         let pull = t.span(1, deploy, "deploy-pull", SimTime::from_secs(1));
@@ -292,7 +292,7 @@ mod tests {
         let log = SpanLog::new();
         assert_eq!(span_timeline(&log, 9, 10), "request 9: no spans recorded\n");
         use telemetry::{SpanId, Telemetry};
-        let mut t = Telemetry::recording();
+        let mut t = Telemetry::<SpanLog>::default();
         t.span(2, SpanId::NONE, "request", SimTime::from_secs(1));
         let s = span_timeline(t.span_log().unwrap(), 2, 10);
         assert!(s.contains("(open)"), "{s}");

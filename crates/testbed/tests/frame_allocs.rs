@@ -36,13 +36,15 @@
 //! handover costs the same at 4 and 16 zones and an idle scale-down shares
 //! the service definition and reuses its expiry report, so neither a
 //! per-cluster copy in the scheduler's views, a deep `EdgeService` copy nor a
-//! fresh report per sweep can come back either.
+//! fresh report per sweep can come back either. And what a packet-in does
+//! with spans costs nothing while they are off: no heap call, no detail
+//! closure run.
 
 use desim::SimTime;
 use netsim::{Ipv4Addr, MacAddr, ServiceAddr, TcpFrame};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use telemetry::MetricsRegistry;
+use telemetry::{MetricsRegistry, Off, SpanId, SpanLog, Spans, Telemetry};
 use testbed::{Testbed, TestbedConfig};
 
 thread_local! {
@@ -191,6 +193,41 @@ fn bumping_an_existing_metric_does_not_touch_the_heap() {
     assert_eq!(CALLS.get(), 0, "heap calls for 4000 bumps of existing metrics");
     assert_eq!(m.counter("requests_total"), 3001);
     assert_eq!(m.histogram("answer_delay_ns").unwrap().count(), 1001);
+}
+
+/// What the controller does with spans for every packet-in — root span,
+/// `packet-in` event, `schedule` child, `decision` event, end, `flow-install`
+/// event, end — with spans off: no heap call and no detail closure run, 1 000
+/// times over. `Off` is zero-sized and its methods are empty, so this holds by
+/// construction; the `SpanLog` run shows the closures are there to run. (A
+/// wall-clock gate used to time this sequence against a switch hit.)
+#[test]
+fn spans_off_cost_no_heap_call_and_run_no_detail_closure() {
+    fn request<S: Spans>(t: &mut Telemetry<S>, k: u64, ran: &Cell<u64>) {
+        let now = SimTime::from_secs(k);
+        let detail = || {
+            ran.set(ran.get() + 1);
+            format!("client=10.0.0.{k}")
+        };
+        let root = t.span(k, SpanId::NONE, "request", now);
+        t.event(root, "packet-in", now, detail);
+        let schedule = t.span(k, root, "schedule", now);
+        t.event(schedule, "decision", now, detail);
+        t.end_span(schedule, now);
+        t.event(root, "flow-install", now, detail);
+        t.end_span(root, now);
+    }
+    let ran = Cell::new(0);
+    let mut off = Telemetry::<Off>::default();
+    let (calls, ()) = heap_calls(|| (0..1000).for_each(|k| request(&mut off, k, &ran)));
+    assert_eq!((calls, ran.get()), (0, 0), "heap calls and detail closures run with spans off");
+    assert!(off.span_log().is_none() && off.metrics.is_empty());
+    assert_eq!(off.span(0, SpanId::NONE, "request", SimTime::ZERO), SpanId::NONE);
+    let mut on = Telemetry::<SpanLog>::default();
+    (0..1000).for_each(|k| request(&mut on, k, &ran));
+    assert_eq!(ran.get(), 3000, "a recorder runs every detail closure");
+    let check = on.span_log().expect("a SpanLog keeps its log").check();
+    assert!(check.ok() && check.spans == 2000, "{check:?}");
 }
 
 /// Runs `f` with this thread's heap calls counted.

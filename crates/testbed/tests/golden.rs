@@ -6,10 +6,12 @@
 //!
 //! The scenarios are the configurations `e2ebench`'s four workloads do not
 //! reach: Kubernetes with the private registry, the far edge, the hybrid
-//! cluster, the predictors, deployment-phase faults, telemetry recording,
+//! cluster, the predictors, deployment-phase faults, span recording,
 //! rule aggregation; mobility under both handover policies, runtime chaos
 //! with client retransmission, a controller crash restarted warm and cold
-//! behind a queueing control channel, and live migration with session state.
+//! behind a queueing control channel, live migration with session state, and
+//! span recording on a run with re-dispatched handovers, migrations and a
+//! warm crash.
 //! A change to the loop has to schedule the same events and draw the same
 //! random numbers in the same order as before to keep them.
 //!
@@ -23,8 +25,8 @@ use edgectl::{
 };
 use mobility::CellHops;
 use netsim::{Ipv4Addr, ServiceAddr};
-use telemetry::MetricsRegistry;
-use testbed::{ClusterKind, MobilityConfig, MobilityTestbed, Testbed, TestbedConfig};
+use telemetry::{MetricsRegistry, Off, SpanLog, Spans};
+use testbed::{C3Topology, ClusterKind, Harness, MobilityConfig, MultiGnbTopology, Testbed, TestbedConfig};
 
 struct Fnv(u64);
 
@@ -67,11 +69,11 @@ fn pinned(name: &str, want: u64, got: u64) {
 const KEYS: [&str; 3] = ["nginx", "nginx-py", "asm"];
 
 /// How a request scenario prepares service `i` at `addr` before the run.
-type Prepare = fn(&mut Testbed, usize, ServiceAddr);
+type Prepare<S = Off> = fn(&mut Harness<C3Topology, S>, usize, ServiceAddr);
 
 fn cold(_: &mut Testbed, _: usize, _: ServiceAddr) {}
 
-fn created(tb: &mut Testbed, _: usize, addr: ServiceAddr) {
+fn created<S: Spans>(tb: &mut Harness<C3Topology, S>, _: usize, addr: ServiceAddr) {
     tb.pre_pull(addr);
     tb.pre_create(addr);
 }
@@ -79,11 +81,16 @@ fn created(tb: &mut Testbed, _: usize, addr: ServiceAddr) {
 /// Six services over three profiles (one of them two containers), 150
 /// requests from 20 clients within 40 s, flows and services idling out in
 /// between; returns the run's fingerprint.
-fn request_run(mut config: TestbedConfig, hybrid: bool, prepare: Prepare) -> u64 {
+fn request_run(config: TestbedConfig, hybrid: bool, prepare: Prepare) -> u64 {
+    requests(config, hybrid, prepare).0
+}
+
+/// [`request_run`] recording spans into `S`; returns the testbed too.
+fn requests<S: Spans>(mut config: TestbedConfig, hybrid: bool, prepare: Prepare<S>) -> (u64, Harness<C3Topology, S>) {
     config.controller.memory_idle = Duration::from_secs(6);
     config.controller.switch_flow_idle = Duration::from_secs(2);
     let seed = config.seed;
-    let mut tb = Testbed::new(config);
+    let mut tb = Harness::<C3Topology, S>::new(config);
     if hybrid {
         tb.add_hybrid_k8s();
     }
@@ -127,7 +134,7 @@ fn request_run(mut config: TestbedConfig, hybrid: bool, prepare: Prepare) -> u64
     h.counters(&tb.telemetry_snapshot());
     assert!(!tb.completed.is_empty(), "the scenario serves requests");
     assert_eq!(tb.transparency_violations, 0);
-    h.0
+    (h.0, tb)
 }
 
 fn seeded(seed: u64) -> TestbedConfig {
@@ -196,7 +203,7 @@ fn deployment_faults_on_every_cluster_kind() {
 #[test]
 fn telemetry_recording_changes_nothing() {
     let off = request_run(seeded(26), false, created);
-    let on = request_run(TestbedConfig { telemetry: true, ..seeded(26) }, false, created);
+    let (on, _) = requests::<SpanLog>(seeded(26), false, created);
     assert_eq!(off, on, "recording spans changed the run");
     pinned("telemetry", 0x1298_9ee4_361b_de2f, off);
 }
@@ -221,8 +228,8 @@ fn hops() -> CellHops {
 
 /// The hop scenario's testbed after its 20 s: `asm` warm and deployed in all
 /// three zones, the four sessions pinging; returns it with the events run.
-fn hop_scenario(config: MobilityConfig) -> (MobilityTestbed, u64) {
-    let mut tb = MobilityTestbed::new(MobilityConfig { n_gnbs: 3, n_clients: 4, ..config });
+fn hop_scenario<S: Spans>(config: MobilityConfig) -> (Harness<MultiGnbTopology, S>, u64) {
+    let mut tb = Harness::<MultiGnbTopology, S>::new(MobilityConfig { n_gnbs: 3, n_clients: 4, ..config });
     let profile = containerd::ServiceSet::by_key("asm").unwrap();
     tb.register_service(profile, ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80));
     tb.warm_all_zones();
@@ -236,7 +243,12 @@ fn hop_scenario(config: MobilityConfig) -> (MobilityTestbed, u64) {
 /// Runs the hop scenario for 20 s, lets it settle until `settle` (when given)
 /// and reconciles twice; returns the run's fingerprint.
 fn session_run(config: MobilityConfig, settle: Option<SimTime>) -> u64 {
-    let (mut tb, mut events) = hop_scenario(config);
+    let (mut tb, events) = hop_scenario::<Off>(config);
+    fingerprint(&mut tb, events, settle)
+}
+
+/// [`session_run`]'s fingerprint of a hop scenario that ran `events` events.
+fn fingerprint<S: Spans>(tb: &mut Harness<MultiGnbTopology, S>, mut events: u64, settle: Option<SimTime>) -> u64 {
     let mut h = Fnv::new();
     if let Some(until) = settle {
         events += tb.run_until(until);
@@ -356,6 +368,44 @@ fn controller_crash_restarted_cold() {
     pinned("crash-cold", 0x8409_a886_bf91_b06a, crash_run(RecoveryMode::Cold));
 }
 
+/// The multi-gNB twin of `telemetry_recording_changes_nothing`: re-dispatched
+/// handovers, live migrations and a warm controller crash, the journal and
+/// migration configured as `experiments::ha_stats` configures them. Runtime
+/// faults trip a circuit breaker, which is what starts a migration when every
+/// handover re-dispatches; so the spans that close in the controller's
+/// migration and repair modules are recorded too.
+#[test]
+fn span_recording_changes_nothing_on_the_multi_gnb_harness() {
+    let config = MobilityConfig {
+        controller: ControllerConfig {
+            journal: JournalConfig { enabled: true, snapshot_every: 64 },
+            migration: MigrationConfig {
+                policy: MigrationPolicy::Live,
+                state_bytes_per_request: 512,
+                ..MigrationConfig::default()
+            },
+            ..ControllerConfig::default()
+        },
+        faults: FaultPlan { controller_crash: 1.0, ..FaultPlan::runtime(1.0, 4) },
+        retransmit: Some(Duration::from_secs(1)),
+        recovery: RecoveryMode::Warm,
+        ctrl_service_time: Duration::from_millis(1),
+        ..policy(HandoverPolicy::Redispatch, 36)
+    };
+    let settle = Some(SimTime::from_secs(40));
+    let off = session_run(config.clone(), settle);
+    let (mut tb, events) = hop_scenario::<SpanLog>(config);
+    let on = fingerprint(&mut tb, events, settle);
+    assert_eq!(off, on, "recording spans changed the run");
+    let log = tb.span_log().expect("a SpanLog harness keeps its log");
+    assert_eq!(tb.controller_crashes, 1);
+    assert!(tb.handovers.iter().all(|h| h.redispatched > 0), "every handover re-dispatched");
+    for name in ["handover", "migration", "recovery", "zone-outage", "reconcile"] {
+        log.check_export(Some(name)).unwrap_or_else(|e| panic!("{e}"));
+    }
+    pinned("spans-multi-gnb", 0x4669_c165_b764_6a93, off);
+}
+
 #[test]
 fn live_migration_with_session_state() {
     let config = MobilityConfig {
@@ -376,7 +426,7 @@ fn live_migration_with_session_state() {
 fn no_fault_seed_strands_a_session() {
     let stranded: Vec<u64> = (0..100)
         .filter(|&seed| {
-            let (mut tb, _) = hop_scenario(MobilityConfig {
+            let (mut tb, _) = hop_scenario::<Off>(MobilityConfig {
                 faults: FaultPlan::runtime(1.0, seed),
                 retransmit: Some(Duration::from_secs(1)),
                 ..policy(HandoverPolicy::Anchored, 33)

@@ -5,16 +5,16 @@
 #   scripts/repro_capture.sh <repro-binary> <outdir>
 #
 # Runs every bench subcommand with the flags it reads, at `--smoke --seed 7`
-# (fastpath and telemetry read none, engine no seed; chaos / mobility /
-# recovery also with `--telemetry`, chaos also with `--csv`, chaos and
-# recovery at CI's fault rates), plus `fig11`, `summary`, `list` and an
-# unknown id, and saves per run: stdout (`<name>.out`), stderr (`.err`), exit
-# status (`.status`) and the artifact it wrote (`<name>.BENCH_x.json`). The
-# committed artifacts are restored (`git checkout`) before and after every
-# run, so `summary` always reads the committed ones. A binary writes its
-# artifacts into the checkout it was built in (the path is compiled in), so
-# capture the parent with the copy of this script in the parent's clone, the
-# change with this one.
+# (fastpath reads none, engine no seed; chaos / mobility / recovery also
+# with `--telemetry`, chaos also with `--csv`, chaos and recovery at CI's
+# fault rates), plus `fig11`, `summary`, `list` and an unknown id, and saves
+# per run: stdout (`<name>.out`), stderr (`.err`), exit status (`.status`)
+# and the artifact it wrote (`<name>.BENCH_x.json`). The committed artifacts
+# are restored (`git checkout`) before and after every run, so `summary`
+# always reads the committed ones. A binary writes its artifacts into the
+# checkout it was built in (the path is compiled in), so capture the parent
+# with the copy of this script in the parent's clone, the change with this
+# one.
 #
 # Beside every `.out` and artifact, `<outdir>/masked/` holds a copy with the
 # checkout path replaced by `<checkout>` and the value of every field named in
@@ -28,12 +28,11 @@ set -u
 bin=$(realpath "$1"); out=$(realpath -m "$2"); mkdir -p "$out/masked"
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 
-# Fields whose values are wall-clock measurements, in any artifact or in the
-# `telemetry-bench` line: ha, scale, engine, fastpath, telemetry.
+# Fields whose values are wall-clock measurements, in any artifact: ha, scale,
+# engine, fastpath.
 WALL_CLOCK='replay_wall_ns|replay_events_per_sec|wall_s|packet_ins_per_sec|peak_rss_mb'
 WALL_CLOCK+='|calendar_events_per_sec|naive_events_per_sec|speedup'
 WALL_CLOCK+='|naive_lookup_ns|indexed_lookup_ns|switch_hit_ns|indexed_100k_over_10_ratio'
-WALL_CLOCK+='|disabled_request_ns|recording_request_ns|overhead_pct'
 
 mask() { # <file under $out>
   sed -E -e "s#$PWD#<checkout>#g" -e "s/(\"($WALL_CLOCK)\": ?)[^,}]*/\1MASKED/g" \
@@ -67,7 +66,6 @@ run scale BENCH_scale.json scale --smoke --seed 7
 run ha BENCH_ha.json ha --smoke --seed 7
 run engine BENCH_engine.json engine --smoke
 run fastpath BENCH_flowtable.json fastpath
-run telemetry '' telemetry
 run fig11 '' fig11
 run fig11-csv '' fig11 --csv
 run summary '' summary
