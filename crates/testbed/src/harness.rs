@@ -5,8 +5,8 @@
 //! addresses; frames traverse the OVS data plane byte-for-byte; table misses
 //! become OpenFlow `PACKET_IN`s to the transparent-edge controller, which
 //! deploys services on demand into the configured clusters; responses flow
-//! back through the reverse-rewrite flows. It is generic only over the
-//! network it owns ([`Net`]):
+//! back through the reverse-rewrite flows. It is generic over the network it
+//! owns ([`Net`]) and the controller's span recorder (`S`, default `Off`):
 //!
 //! * [`Testbed`] = `Harness<C3Topology>` — the paper's C³ evaluation testbed,
 //!   one OVS and one gateway server (`harness/c3.rs`). Its clients issue
