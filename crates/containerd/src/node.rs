@@ -5,6 +5,7 @@ use crate::store::ContentStore;
 use desim::{Duration, FaultInjector, LogNormal, Sample, SimRng, SimTime};
 use registry::{ImageManifest, PullError};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Typed failure of a runtime operation.
 ///
@@ -78,7 +79,8 @@ impl Default for RuntimeTimings {
 }
 
 struct Entry {
-    spec: ContainerSpec,
+    /// Shared with the pod template or service definition it came from.
+    spec: Rc<ContainerSpec>,
     state: ContainerState,
 }
 
@@ -155,7 +157,7 @@ impl ContainerdNode {
     /// a clean second attempt.
     pub fn create(
         &mut self,
-        spec: ContainerSpec,
+        spec: Rc<ContainerSpec>,
         manifest: &ImageManifest,
         now: SimTime,
         rng: &mut SimRng,
@@ -270,9 +272,11 @@ mod tests {
         n
     }
 
-    fn nginx_spec() -> ContainerSpec {
-        ContainerSpec::new("web", ImageRef::parse("nginx:1.23.2"), Some(80))
-            .with_label("edge.service", "svc-a")
+    fn nginx_spec() -> Rc<ContainerSpec> {
+        Rc::new(
+            ContainerSpec::new("web", ImageRef::parse("nginx:1.23.2"), Some(80))
+                .with_label("edge.service", "svc-a"),
+        )
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The content store: digest-addressed layers plus pull orchestration.
 
 use desim::{Duration, FaultInjector, SimRng};
-use registry::{ImageManifest, LayerCache, PullError, PullOutcome, PullPlanner, RegistryProfile};
+use registry::{
+    ImageManifest, LayerCache, PublicRegistries, PullError, PullOutcome, PullPlanner, RegistryProfile,
+};
 
 /// The node-local content store. Owns the layer cache and knows how to reach
 /// registries (public by default, optionally a private mirror).
@@ -10,6 +12,8 @@ pub struct ContentStore {
     /// Optional private registry used for every pull when set (the paper's
     /// in-network registry alternative).
     mirror: Option<RegistryProfile>,
+    /// The registries an image names when there is no mirror.
+    public: PublicRegistries,
     /// Chaos-testing fault injector, consulted only by the `try_*` pull
     /// entry points.
     faults: Option<FaultInjector>,
@@ -27,6 +31,7 @@ impl ContentStore {
         ContentStore {
             cache: LayerCache::new(),
             mirror: None,
+            public: PublicRegistries::default(),
             faults: None,
         }
     }
@@ -36,6 +41,7 @@ impl ContentStore {
         ContentStore {
             cache: LayerCache::new(),
             mirror: Some(mirror),
+            public: PublicRegistries::default(),
             faults: None,
         }
     }
@@ -55,12 +61,7 @@ impl ContentStore {
 
     /// Pulls an image, returning the outcome (zero-duration when cached).
     pub fn pull(&mut self, manifest: &ImageManifest, rng: &mut SimRng) -> PullOutcome {
-        let profile = match &self.mirror {
-            Some(m) => m.clone(),
-            None => RegistryProfile::for_host(&manifest.reference.host),
-        };
-        let planner = PullPlanner::new(&profile);
-        planner.pull(manifest, &mut self.cache, rng)
+        planner(&self.mirror, &self.public, manifest).pull(manifest, &mut self.cache, rng)
     }
 
     /// Pulls several images *concurrently* (e.g. the two containers of the
@@ -86,12 +87,12 @@ impl ContentStore {
         manifest: &ImageManifest,
         rng: &mut SimRng,
     ) -> Result<PullOutcome, PullError> {
-        let profile = match &self.mirror {
-            Some(m) => m.clone(),
-            None => RegistryProfile::for_host(&manifest.reference.host),
-        };
-        let planner = PullPlanner::new(&profile);
-        planner.pull_with_faults(manifest, &mut self.cache, rng, self.faults.as_mut())
+        planner(&self.mirror, &self.public, manifest).pull_with_faults(
+            manifest,
+            &mut self.cache,
+            rng,
+            self.faults.as_mut(),
+        )
     }
 
     /// Fallible concurrent pull of several images. All transfers run in
@@ -134,6 +135,20 @@ impl ContentStore {
     pub fn cache(&self) -> &LayerCache {
         &self.cache
     }
+}
+
+/// The planner for the registry `manifest` is pulled from: the mirror when
+/// there is one, else the public registry its reference names. A free
+/// function, so the caller can lend the cache out mutably beside it.
+fn planner<'a>(
+    mirror: &'a Option<RegistryProfile>,
+    public: &'a PublicRegistries,
+    manifest: &ImageManifest,
+) -> PullPlanner<'a> {
+    PullPlanner::new(match mirror {
+        Some(m) => m,
+        None => public.for_host(&manifest.reference.host),
+    })
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ proptest! {
         let spec = ContainerSpec::new("c", ImageRef::parse("josefhammer/web-asm:amd64"), Some(80));
 
         let t0 = SimTime::from_millis(1000);
-        let (id, created_at) = n.create(spec, &catalog::web_asm(), t0, &mut rng)
+        let (id, created_at) = n.create(spec.into(), &catalog::web_asm(), t0, &mut rng)
             .expect("no fault injection configured");
         prop_assert!(created_at > t0);
 
@@ -61,7 +61,7 @@ proptest! {
         let mut n = ContainerdNode::with_defaults();
         n.pull(&[catalog::web_asm()], &mut rng);
         let spec = ContainerSpec::new("c", ImageRef::parse("josefhammer/web-asm:amd64"), Some(80));
-        let (id, mut t) = n.create(spec, &catalog::web_asm(), SimTime::from_secs(1), &mut rng)
+        let (id, mut t) = n.create(spec.into(), &catalog::web_asm(), SimTime::from_secs(1), &mut rng)
             .expect("no fault injection configured");
         for _ in 0..cycles {
             let (_, ready) = n.start(id, t, Duration::from_millis(5), &mut rng)

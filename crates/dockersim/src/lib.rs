@@ -15,6 +15,7 @@ use containerd::{ContainerId, ContainerSpec, ContainerdNode, RuntimeError};
 use desim::{Duration, LogNormal, Sample, SimRng, SimTime};
 use registry::{ImageManifest, PullError};
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Docker Engine API timing: every engine call pays a small daemon overhead
 /// on top of the underlying containerd work.
@@ -141,14 +142,14 @@ impl DockerEngine {
     /// completion instant.
     pub fn create(
         &mut self,
-        spec: ContainerSpec,
+        spec: Rc<ContainerSpec>,
         manifest: &ImageManifest,
         now: SimTime,
         rng: &mut SimRng,
     ) -> Result<(ContainerId, SimTime), DockerError> {
         self.ops.creates += 1;
         if self.names.contains_key(&spec.name) {
-            return Err(DockerError::NameConflict(spec.name));
+            return Err(DockerError::NameConflict(spec.name.clone()));
         }
         let t = now + self.overhead(rng);
         let name = spec.name.clone();
@@ -228,9 +229,11 @@ mod tests {
         e
     }
 
-    fn spec(name: &str) -> ContainerSpec {
-        ContainerSpec::new(name, ImageRef::parse("nginx:1.23.2"), Some(80))
-            .with_label("edge.service", "svc-a")
+    fn spec(name: &str) -> Rc<ContainerSpec> {
+        Rc::new(
+            ContainerSpec::new(name, ImageRef::parse("nginx:1.23.2"), Some(80))
+                .with_label("edge.service", "svc-a"),
+        )
     }
 
     #[test]

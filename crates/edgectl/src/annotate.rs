@@ -19,6 +19,7 @@
 use containerd::ContainerSpec;
 use netsim::ServiceAddr;
 use registry::ImageRef;
+use std::rc::Rc;
 use yamlite::Value;
 
 /// The label key the controller uses to address its services.
@@ -72,8 +73,9 @@ pub struct AnnotatedService {
     /// Service document (generated if absent in the input).
     pub service: Value,
     /// Parsed container specs (subset understood by Docker too: image,
-    /// ports, env, hostPath volume mounts).
-    pub containers: Vec<ContainerSpec>,
+    /// ports, env, hostPath volume mounts), shared with every container and
+    /// pod template created from them.
+    pub containers: Vec<Rc<ContainerSpec>>,
     /// The port the service exposes (the registered port).
     pub port: u16,
     /// The container port traffic is forwarded to.
@@ -240,7 +242,7 @@ fn parse_containers(
     deployment: &Value,
     name: &str,
     label: &str,
-) -> Result<Vec<ContainerSpec>, AnnotateError> {
+) -> Result<Vec<Rc<ContainerSpec>>, AnnotateError> {
     let containers = deployment
         .path("spec/template/spec/containers")
         .and_then(Value::as_seq)
@@ -294,7 +296,7 @@ fn parse_containers(
                 }
             }
         }
-        out.push(spec);
+        out.push(Rc::new(spec));
     }
     Ok(out)
 }

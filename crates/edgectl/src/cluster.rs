@@ -18,10 +18,11 @@ use containerd::{ContainerId, RuntimeError, ServiceProfile};
 use desim::{Duration, LogNormal, Sample, SimRng, SimTime};
 use dockersim::{DockerEngine, DockerError};
 use k8ssim::objects::{PodContainer, PodTemplate};
-use k8ssim::{ClusterEvent, K8sCluster};
+use k8ssim::{ClusterEvent, DeploymentId, K8sCluster};
 use netsim::addr::{Ipv4Addr, MacAddr};
 use registry::{ImageManifest, ImageRef};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Where a ready instance can be reached by the data plane.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -320,7 +321,7 @@ impl EdgeCluster for DockerCluster {
         specs.sort_by_key(|c| c.listen_port.is_none());
         for spec in specs {
             let manifest = manifest_for(&spec.image, &svc.profile).clone();
-            match self.engine.create(spec.clone(), &manifest, t, rng) {
+            match self.engine.create(Rc::clone(spec), &manifest, t, rng) {
                 Ok((id, done)) => {
                     t = done;
                     names.push(spec.name.clone());
@@ -484,7 +485,7 @@ impl EdgeCluster for DockerCluster {
 // ---------------------------------------------------------------------------
 
 struct K8sEntry {
-    applied: bool,
+    deployment: DeploymentId,
     scaled_up: bool,
     ready_at: SimTime,
     pod_addr: Option<([u8; 4], u16)>,
@@ -498,6 +499,8 @@ pub struct K8sEdgeCluster {
     latency: Duration,
     scheduler_name: Option<String>,
     entries: BTreeMap<String, K8sEntry>,
+    /// The trail of the last `settle`, its capacity kept for the next.
+    events: Vec<ClusterEvent>,
 }
 
 impl K8sEdgeCluster {
@@ -518,6 +521,7 @@ impl K8sEdgeCluster {
             latency,
             scheduler_name,
             entries: BTreeMap::new(),
+            events: Vec::new(),
         }
     }
 
@@ -539,7 +543,7 @@ impl K8sEdgeCluster {
             .map(|spec| {
                 let serving = spec.listen_port.is_some();
                 PodContainer {
-                    spec: spec.clone(),
+                    spec: Rc::clone(spec),
                     manifest: manifest_for(&spec.image, &svc.profile).clone(),
                     ready: if serving {
                         svc.profile.ready_delay
@@ -571,6 +575,17 @@ impl K8sEdgeCluster {
     }
 }
 
+/// When the last pod of a settle's trail finished terminating.
+fn last_termination(events: &[ClusterEvent]) -> Option<SimTime> {
+    events
+        .iter()
+        .filter_map(|e| match e {
+            ClusterEvent::PodTerminated { at, .. } => Some(*at),
+            _ => None,
+        })
+        .max()
+}
+
 impl EdgeCluster for K8sEdgeCluster {
     fn name(&self) -> &str {
         &self.name
@@ -594,7 +609,7 @@ impl EdgeCluster for K8sEdgeCluster {
         match self.entries.get(&svc.name) {
             None => InstanceState::NotDeployed,
             Some(e) if !e.scaled_up => InstanceState::Created,
-            Some(e) => match self.cluster.first_ready_endpoint(&svc.name, now) {
+            Some(e) => match self.cluster.first_ready_endpoint(e.deployment, now) {
                 Some((ip, port)) => InstanceState::Ready(InstanceAddr {
                     mac: self.host_mac,
                     ip: Ipv4Addr(ip),
@@ -624,11 +639,12 @@ impl EdgeCluster for K8sEdgeCluster {
             self.name
         );
         let (dep, service) = self.build_objects(svc);
-        let acked = self.cluster.apply(dep, service, now, rng);
+        let (deployment, acked) = self.cluster.apply(dep, service, now, rng);
         // The zero-replica reconciliation (ReplicaSet creation) completes the
         // Create phase.
-        let events = self.cluster.settle(rng);
-        let done = events
+        self.cluster.settle(rng, &mut self.events);
+        let done = self
+            .events
             .iter()
             .filter_map(|e| match e {
                 ClusterEvent::ReplicaSetCreated { at, .. } => Some(*at),
@@ -639,7 +655,7 @@ impl EdgeCluster for K8sEdgeCluster {
         self.entries.insert(
             svc.name.clone(),
             K8sEntry {
-                applied: true,
+                deployment,
                 scaled_up: false,
                 ready_at: SimTime::MAX,
                 pod_addr: None,
@@ -658,22 +674,24 @@ impl EdgeCluster for K8sEdgeCluster {
             .entries
             .get(&svc.name)
             .unwrap_or_else(|| panic!("scale_up before create for {}", svc.name));
-        assert!(entry.applied && !entry.scaled_up, "bad phase order");
+        assert!(!entry.scaled_up, "bad phase order");
+        let deployment = entry.deployment;
         // `kubectl scale` returns as soon as the API server acknowledges;
         // the whole reconciliation happens afterwards.
-        let acked = self.cluster.scale(&svc.name, 1, now, rng);
-        let events = self.cluster.settle(rng);
-        let ready = events.iter().find_map(|e| match e {
+        let acked = self.cluster.scale(deployment, 1, now, rng);
+        self.cluster.settle(rng, &mut self.events);
+        let ready = self.events.iter().find_map(|e| match e {
             ClusterEvent::PodReady { at, ip, .. } => Some((*at, *ip)),
             _ => None,
         });
         let injected = self.cluster.take_injected_rejections();
-        if ready.is_none() && !injected.is_empty() {
+        if ready.is_none() && injected > 0 {
             // An *injected* scheduling rejection left a pod stuck Pending.
             // Roll back to zero replicas (the ReplicaSet controller ignores
             // unchanged counts, so a retry must re-create the pod) and
             // surface the failure.
-            let rejected_at = events
+            let rejected_at = self
+                .events
                 .iter()
                 .filter_map(|e| match e {
                     ClusterEvent::PodUnschedulable { at, .. } => Some(*at),
@@ -681,16 +699,9 @@ impl EdgeCluster for K8sEdgeCluster {
                 })
                 .max()
                 .unwrap_or(acked);
-            let t = self.cluster.scale(&svc.name, 0, rejected_at, rng);
-            let cleanup = self.cluster.settle(rng);
-            let at = cleanup
-                .iter()
-                .filter_map(|e| match e {
-                    ClusterEvent::PodTerminated { at, .. } => Some(*at),
-                    _ => None,
-                })
-                .max()
-                .unwrap_or(t);
+            let t = self.cluster.scale(deployment, 0, rejected_at, rng);
+            self.cluster.settle(rng, &mut self.events);
+            let at = last_termination(&self.events).unwrap_or(t);
             return Err(DeployError {
                 at,
                 phase: DeployPhase::ScaleUp,
@@ -724,33 +735,19 @@ impl EdgeCluster for K8sEdgeCluster {
         entry.scaled_up = false;
         entry.ready_at = SimTime::MAX;
         entry.pod_addr = None;
-        self.cluster.scale(&svc.name, 0, now, rng);
-        let events = self.cluster.settle(rng);
-        events
-            .iter()
-            .filter_map(|e| match e {
-                ClusterEvent::PodTerminated { at, .. } => Some(*at),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(now)
+        self.cluster.scale(entry.deployment, 0, now, rng);
+        self.cluster.settle(rng, &mut self.events);
+        last_termination(&self.events).unwrap_or(now)
     }
 
     fn remove(&mut self, svc: &EdgeService, now: SimTime, rng: &mut SimRng) -> SimTime {
-        if self.entries.remove(&svc.name).is_none() {
+        let Some(entry) = self.entries.remove(&svc.name) else {
             return now;
-        }
-        let t = self.cluster.delete_deployment(&svc.name, now, rng);
-        let t = self.cluster.delete_service(&svc.name, t, rng);
-        let events = self.cluster.settle(rng);
-        events
-            .iter()
-            .filter_map(|e| match e {
-                ClusterEvent::PodTerminated { at, .. } => Some(*at),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(t)
+        };
+        let t = self.cluster.delete_deployment(entry.deployment, now, rng);
+        let t = self.cluster.delete_service(entry.deployment, t, rng);
+        self.cluster.settle(rng, &mut self.events);
+        last_termination(&self.events).unwrap_or(t)
     }
 
     fn instance_addr(&self, svc: &EdgeService) -> Option<InstanceAddr> {

@@ -1,11 +1,11 @@
 //! The cluster: API server state, controllers, kubelet, reconciliation.
 
 use crate::objects::{
-    selector_matches, Deployment, Endpoints, Pod, PodPhase, ReplicaSet, Service,
+    selector_matches, Deployment, DeploymentId, Endpoints, Pod, PodId, PodPhase, Service,
 };
 use crate::scheduler::{K8sScheduler, NodeView, SchedulerRegistry};
 use containerd::ContainerdNode;
-use desim::{EventQueue, FaultInjector, LogNormal, Sample, SimRng, SimTime};
+use desim::{FaultInjector, LogNormal, NaiveEventQueue, Sample, SimRng, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
@@ -47,45 +47,46 @@ impl Default for K8sTimings {
     }
 }
 
-/// Observable reconciliation events, timestamped.
-#[derive(Clone, Debug, PartialEq)]
+/// Observable reconciliation events, timestamped. They name objects by
+/// handle; [`K8sCluster::pod_name`] renders a pod's name.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ClusterEvent {
-    /// A replica set was created for a deployment.
+    /// A deployment's ReplicaSet (`<deployment>-rs`) was created.
     ReplicaSetCreated {
         /// When.
         at: SimTime,
-        /// RS name.
-        name: String,
+        /// The owning deployment.
+        deployment: DeploymentId,
     },
     /// A pod object was created (Pending).
     PodCreated {
         /// When.
         at: SimTime,
-        /// Pod name.
-        name: String,
+        /// The pod.
+        pod: PodId,
     },
     /// A pod was bound to a node.
     PodScheduled {
         /// When.
         at: SimTime,
-        /// Pod name.
-        name: String,
-        /// Node.
-        node: String,
+        /// The pod.
+        pod: PodId,
+        /// Index of the worker node (see [`K8sCluster::workers`]).
+        node: usize,
     },
     /// A pod could not be scheduled (left Pending).
     PodUnschedulable {
         /// When.
         at: SimTime,
-        /// Pod name.
-        name: String,
+        /// The pod.
+        pod: PodId,
     },
     /// A pod's containers all started and the app accepts connections.
     PodReady {
         /// When the app is ready.
         at: SimTime,
-        /// Pod name.
-        name: String,
+        /// The pod.
+        pod: PodId,
         /// Pod IP.
         ip: [u8; 4],
     },
@@ -93,15 +94,15 @@ pub enum ClusterEvent {
     PodTerminated {
         /// When.
         at: SimTime,
-        /// Pod name.
-        name: String,
+        /// The pod.
+        pod: PodId,
     },
     /// Service endpoints were recomputed.
     EndpointsUpdated {
         /// When.
         at: SimTime,
-        /// Service name.
-        service: String,
+        /// The deployment the service was applied with.
+        service: DeploymentId,
         /// Number of ready addresses.
         addresses: usize,
     },
@@ -122,13 +123,13 @@ impl ClusterEvent {
     }
 }
 
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 enum Work {
-    DeploymentChanged(String),
-    ReplicaSetChanged(String),
-    SchedulePod(String),
-    KubeletSync(String),
-    TerminatePod(String),
+    DeploymentChanged(DeploymentId),
+    ReplicaSetChanged(DeploymentId),
+    SchedulePod(PodId),
+    KubeletSync(PodId),
+    TerminatePod(PodId),
 }
 
 /// One worker node: a named containerd instance with a pod capacity.
@@ -145,9 +146,34 @@ pub struct WorkerNode {
 struct ServiceState {
     spec: Service,
     endpoints: Endpoints,
-    /// Names of the Running pods the selector matches: what `endpoints` is
-    /// derived from and what readiness queries walk, in pod-name order.
-    backends: BTreeSet<String>,
+    /// The Running pods the selector matches, in creation order: what
+    /// `endpoints` is derived from and what readiness queries walk.
+    backends: Vec<PodId>,
+}
+
+/// Everything filed under one deployment name: the Deployment, its
+/// ReplicaSet, the ReplicaSet's pods and the service applied with it.
+struct DeploymentSlot {
+    /// The name pods are named after.
+    name: String,
+    /// The Deployment object; `None` once deleted.
+    spec: Option<Deployment>,
+    /// Desired replicas of the ReplicaSet `<name>-rs`; `None` while there
+    /// is no ReplicaSet object.
+    replicas: Option<u32>,
+    /// The ReplicaSet's live pods in creation order. Outlives the
+    /// ReplicaSet object until the last pod is gone, as the pods do.
+    owned: Vec<PodId>,
+    /// The service applied with the deployment; `None` once deleted.
+    service: Option<ServiceState>,
+}
+
+/// One place in the pod store. A terminated pod's slot is reused, so the
+/// store is as long as the most pods that were ever live at once.
+struct PodSlot {
+    /// The pod living here, `None` while the slot is free.
+    id: Option<PodId>,
+    pod: Pod,
 }
 
 /// Finds the services that can select a pod without walking every service.
@@ -156,12 +182,12 @@ struct ServiceState {
 /// empty selector, which matches everything.
 #[derive(Default)]
 struct SelectorIndex {
-    by_first_pair: BTreeMap<String, BTreeMap<String, BTreeSet<String>>>,
-    match_all: BTreeSet<String>,
+    by_first_pair: BTreeMap<String, BTreeMap<String, BTreeSet<DeploymentId>>>,
+    match_all: BTreeSet<DeploymentId>,
 }
 
 impl SelectorIndex {
-    fn insert(&mut self, svc: &Service) {
+    fn insert(&mut self, id: DeploymentId, svc: &Service) {
         match svc.selector.iter().next() {
             Some((k, v)) => {
                 self.by_first_pair
@@ -169,25 +195,25 @@ impl SelectorIndex {
                     .or_default()
                     .entry(v.clone())
                     .or_default()
-                    .insert(svc.name.clone());
+                    .insert(id);
             }
             None => {
-                self.match_all.insert(svc.name.clone());
+                self.match_all.insert(id);
             }
         }
     }
 
-    fn remove(&mut self, svc: &Service) {
+    fn remove(&mut self, id: DeploymentId, svc: &Service) {
         let Some((k, v)) = svc.selector.iter().next() else {
-            self.match_all.remove(&svc.name);
+            self.match_all.remove(&id);
             return;
         };
         let Some(values) = self.by_first_pair.get_mut(k) else {
             return;
         };
-        if let Some(names) = values.get_mut(v) {
-            names.remove(&svc.name);
-            if names.is_empty() {
+        if let Some(ids) = values.get_mut(v) {
+            ids.remove(&id);
+            if ids.is_empty() {
                 values.remove(v);
             }
         }
@@ -198,28 +224,32 @@ impl SelectorIndex {
 
     /// Services whose selector *may* match `labels` (each at most once); the
     /// caller still checks the whole selector.
-    fn candidates<'a>(&'a self, labels: &'a Labels) -> impl Iterator<Item = &'a String> {
+    fn candidates<'a>(&'a self, labels: &'a Labels) -> impl Iterator<Item = DeploymentId> + 'a {
         labels
             .iter()
             .filter_map(|(k, v)| self.by_first_pair.get(k)?.get(v))
             .flatten()
             .chain(&self.match_all)
+            .copied()
     }
 }
 
 /// Entry counts of the live object store and the indexes derived from it.
-/// All of them are bounded by what is deployed *now*: a cluster scaled to
-/// zero reports zeros however many pods it created before.
+/// All of them are bounded by what is deployed *now*, `slots` by the most
+/// that was ever deployed at once: a cluster scaled to zero reports zero
+/// pods however many it created before.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Pod objects (terminated pods are deleted, not kept).
     pub pods: usize,
-    /// Pod names in the per-ReplicaSet owner index.
+    /// Pods in the per-ReplicaSet owner lists.
     pub owned: usize,
-    /// Pod names in the per-service backend sets.
+    /// Pods in the per-service backend lists.
     pub backends: usize,
     /// Pods counted against a worker node's capacity.
     pub bound: usize,
+    /// Length of the pod store: live pods plus free slots.
+    pub slots: usize,
 }
 
 /// The simulated Kubernetes cluster: control plane plus one or more worker
@@ -228,37 +258,51 @@ pub struct StoreStats {
 /// the Local Scheduler (`schedulerName`) meaningfully — image caches are
 /// per node, so placement decides who pulls.
 ///
-/// Every control-loop step and query costs O(objects it touches): pods are
-/// found through the owner index, services through the selector index, and
-/// neither grows with the number of pods the cluster has ever run.
+/// Objects are addressed by `Copy` handles: a deployment by the
+/// [`DeploymentId`] `apply` returns, a pod by its [`PodId`]. Every
+/// control-loop step and query costs O(objects it touches): pods are found
+/// through their deployment's owner list, services through the selector
+/// index, and neither grows with the number of pods the cluster has ever
+/// run. Once the stores have grown to what runs at once, a deploy cycle of
+/// a cached image does not touch the heap.
 pub struct K8sCluster {
     timings: K8sTimings,
     workers: Vec<WorkerNode>,
     /// What the schedulers see, one per worker in the same order; `pods` is
     /// the authoritative count of live pods bound to the node.
     views: Vec<NodeView>,
-    deployments: BTreeMap<String, Deployment>,
-    replicasets: BTreeMap<String, ReplicaSet>,
-    /// Live pods only: termination deletes the object.
-    pods: BTreeMap<String, Pod>,
-    /// ReplicaSet name → names of its live pods. Outlives the ReplicaSet
-    /// object until the last pod is gone, as the pods do.
-    owned: BTreeMap<String, BTreeSet<String>>,
-    services: BTreeMap<String, ServiceState>,
+    /// Indexed by [`DeploymentId`]: one slot per name ever applied.
+    deployments: Vec<DeploymentSlot>,
+    /// Deployment name → handle; only `apply` looks names up.
+    by_name: BTreeMap<String, DeploymentId>,
+    /// Indexed by [`PodId::slot`].
+    pods: Vec<PodSlot>,
+    /// Free slots of `pods`.
+    free: Vec<u32>,
     selectors: SelectorIndex,
     /// Services whose endpoints object was reset by a re-apply while pods
     /// were already running behind them; the next pod transition anywhere
     /// brings them up to date, as the full recompute used to.
-    stale: BTreeSet<String>,
+    stale: BTreeSet<DeploymentId>,
+    /// The services one endpoints sync re-derives; kept for its capacity.
+    sync_services: Vec<DeploymentId>,
+    /// One service's derived addresses; swapped with its endpoints when
+    /// they differ, so both buffers keep their capacity.
+    sync_addrs: Vec<([u8; 4], u16)>,
     schedulers: SchedulerRegistry,
-    work: EventQueue<Work>,
+    /// Pending reconciliation steps. A binary heap, not the engine's
+    /// calendar queue: a handful of steps are pending at a time, spread
+    /// over seconds, and the calendar would file each into a bucket slab of
+    /// its own that allocates on first use; the heap reuses one buffer. The
+    /// pop order is the same `(time, push order)` either way.
+    work: NaiveEventQueue<Work>,
     pod_seq: u64,
     next_ip: u16,
     /// Chaos-testing injector: scale-up rejections and readiness-probe flaps.
     faults: Option<FaultInjector>,
     /// Pods left Pending by an *injected* rejection (as opposed to a genuine
     /// scheduler refusal), so callers can tell the two apart and retry.
-    injected_rejections: Vec<String>,
+    injected_rejections: usize,
     /// API-server call counters for telemetry.
     pub ops: ApiOps,
     /// Runs the endpoints controller as the full recompute (the oracle of
@@ -279,6 +323,11 @@ pub struct ApiOps {
     pub deletes: u64,
 }
 
+/// One API-server round trip after `now`.
+fn api(timings: &K8sTimings, now: SimTime, rng: &mut SimRng) -> SimTime {
+    now + timings.api_call.sample_duration(rng)
+}
+
 impl K8sCluster {
     /// Creates a cluster with one worker node (named `egs`) backed by `node`.
     pub fn new(node: ContainerdNode, timings: K8sTimings, capacity: usize) -> K8sCluster {
@@ -286,19 +335,20 @@ impl K8sCluster {
             timings,
             workers: Vec::new(),
             views: Vec::new(),
-            deployments: BTreeMap::new(),
-            replicasets: BTreeMap::new(),
-            pods: BTreeMap::new(),
-            owned: BTreeMap::new(),
-            services: BTreeMap::new(),
+            deployments: Vec::new(),
+            by_name: BTreeMap::new(),
+            pods: Vec::new(),
+            free: Vec::new(),
             selectors: SelectorIndex::default(),
             stale: BTreeSet::new(),
+            sync_services: Vec::new(),
+            sync_addrs: Vec::new(),
             schedulers: SchedulerRegistry::new(),
-            work: EventQueue::new(),
+            work: NaiveEventQueue::new(),
             pod_seq: 0,
             next_ip: 2,
             faults: None,
-            injected_rejections: Vec::new(),
+            injected_rejections: 0,
             ops: ApiOps::default(),
             #[cfg(test)]
             full_recompute: false,
@@ -324,10 +374,10 @@ impl K8sCluster {
         self.faults = Some(injector);
     }
 
-    /// Drains the names of pods left Pending by an *injected* scheduling
+    /// Drains the number of pods left Pending by an *injected* scheduling
     /// rejection since the last call. A genuine scheduler refusal (cluster
-    /// full, no matching node) does not show up here.
-    pub fn take_injected_rejections(&mut self) -> Vec<String> {
+    /// full, no matching node) does not count here.
+    pub fn take_injected_rejections(&mut self) -> usize {
         std::mem::take(&mut self.injected_rejections)
     }
 
@@ -364,7 +414,7 @@ impl K8sCluster {
         self.workers.iter_mut().find(|w| w.name == name)
     }
 
-    /// All workers.
+    /// All workers, in the order of their indexes.
     pub fn workers(&self) -> &[WorkerNode] {
         &self.workers
     }
@@ -376,177 +426,187 @@ impl K8sCluster {
             .any(|w| manifests.iter().all(|m| w.node.store().has_image(m)))
     }
 
-    fn api(&self, now: SimTime, rng: &mut SimRng) -> SimTime {
-        now + self.timings.api_call.sample_duration(rng)
-    }
-
-    /// `kubectl apply` of a deployment (+ its service). Returns the instant
-    /// the API server acknowledged both objects. Reconciliation continues in
-    /// [`K8sCluster::settle`].
+    /// `kubectl apply` of a deployment (+ its service, which is filed with
+    /// it and addressed by the same handle). Returns the deployment's
+    /// handle — the one it had if the name was applied before — and the
+    /// instant the API server acknowledged both objects. Reconciliation
+    /// continues in [`K8sCluster::settle`].
     pub fn apply(
         &mut self,
         deployment: Deployment,
         service: Service,
         now: SimTime,
         rng: &mut SimRng,
-    ) -> SimTime {
+    ) -> (DeploymentId, SimTime) {
         self.ops.applies += 1;
-        let t1 = self.api(now, rng);
-        let name = deployment.name.clone();
-        self.deployments.insert(name.clone(), deployment);
-        let t2 = self.api(t1, rng);
-        self.put_service(service);
+        let t1 = api(&self.timings, now, rng);
+        let id = match self.by_name.get(&deployment.name) {
+            Some(&id) => id,
+            None => {
+                let id = DeploymentId(self.deployments.len() as u32);
+                self.by_name.insert(deployment.name.clone(), id);
+                self.deployments.push(DeploymentSlot {
+                    name: deployment.name.clone(),
+                    spec: None,
+                    replicas: None,
+                    owned: Vec::new(),
+                    service: None,
+                });
+                id
+            }
+        };
+        self.deployments[id.index()].spec = Some(deployment);
+        let t2 = api(&self.timings, t1, rng);
+        self.put_service(id, service);
         let react = t2 + self.timings.watch_reaction.sample_duration(rng);
-        self.work.push(react, Work::DeploymentChanged(name));
-        t2
+        self.work.push(react, Work::DeploymentChanged(id));
+        (id, t2)
     }
 
-    /// Stores `service` with a fresh (empty) endpoints object, replacing any
-    /// service of the same name. The one place that looks at every live pod:
-    /// a new selector has to be matched against what already runs.
-    fn put_service(&mut self, service: Service) {
-        self.drop_service(&service.name);
-        let backends: BTreeSet<String> = self
-            .pods
-            .values()
-            .filter(|p| {
+    /// Files `service` under `id` with a fresh (empty) endpoints object,
+    /// replacing the one applied before. The one place that looks at every
+    /// live pod: a new selector has to be matched against what already runs.
+    fn put_service(&mut self, id: DeploymentId, service: Service) {
+        self.drop_service(id);
+        let mut backends: Vec<PodId> = self
+            .live()
+            .filter(|(_, p)| {
                 p.phase == PodPhase::Running && selector_matches(&service.selector, &p.labels)
             })
-            .map(|p| p.name.clone())
+            .map(|(pod, _)| pod)
             .collect();
+        backends.sort_unstable();
         if !backends.is_empty() {
-            self.stale.insert(service.name.clone());
+            self.stale.insert(id);
         }
-        self.selectors.insert(&service);
-        self.services.insert(
-            service.name.clone(),
-            ServiceState {
-                spec: service,
-                endpoints: Endpoints::default(),
-                backends,
-            },
-        );
+        self.selectors.insert(id, &service);
+        self.deployments[id.index()].service = Some(ServiceState {
+            spec: service,
+            endpoints: Endpoints::default(),
+            backends,
+        });
     }
 
-    fn drop_service(&mut self, name: &str) {
-        if let Some(old) = self.services.remove(name) {
-            self.selectors.remove(&old.spec);
-            self.stale.remove(name);
+    fn drop_service(&mut self, id: DeploymentId) {
+        if let Some(old) = self.deployments[id.index()].service.take() {
+            self.selectors.remove(id, &old.spec);
+            self.stale.remove(&id);
         }
+    }
+
+    /// Live pods with their handles, in store order.
+    fn live(&self) -> impl Iterator<Item = (PodId, &Pod)> + '_ {
+        self.pods.iter().filter_map(|slot| Some((slot.id?, &slot.pod)))
+    }
+
+    /// The store index of `pod`, if it is live.
+    fn slot_of(&self, pod: PodId) -> Option<usize> {
+        let slot = pod.slot as usize;
+        (self.pods.get(slot)?.id == Some(pod)).then_some(slot)
     }
 
     /// Scales a deployment (the controller's **Scale Up** / **Scale Down**
     /// API call). Returns the API acknowledgement instant.
     ///
     /// # Panics
-    /// Panics if the deployment does not exist.
-    pub fn scale(&mut self, name: &str, replicas: u32, now: SimTime, rng: &mut SimRng) -> SimTime {
+    /// Panics if the deployment was deleted.
+    pub fn scale(&mut self, id: DeploymentId, replicas: u32, now: SimTime, rng: &mut SimRng) -> SimTime {
         self.ops.scales += 1;
-        let t = self.api(now, rng);
-        let dep = self
-            .deployments
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("no deployment {name}"));
+        let t = api(&self.timings, now, rng);
+        let slot = &mut self.deployments[id.index()];
+        let Some(dep) = slot.spec.as_mut() else {
+            panic!("no deployment {}", slot.name);
+        };
         dep.replicas = replicas;
         let react = t + self.timings.watch_reaction.sample_duration(rng);
-        self.work.push(react, Work::DeploymentChanged(name.to_owned()));
+        self.work.push(react, Work::DeploymentChanged(id));
         t
     }
 
     /// Deletes a deployment and its pods (**Remove** phase). Returns the API
     /// acknowledgement instant.
-    pub fn delete_deployment(&mut self, name: &str, now: SimTime, rng: &mut SimRng) -> SimTime {
+    pub fn delete_deployment(&mut self, id: DeploymentId, now: SimTime, rng: &mut SimRng) -> SimTime {
         self.ops.deletes += 1;
-        let t = self.api(now, rng);
-        self.deployments.remove(name);
-        // A deployment owns exactly the ReplicaSet `reconcile_deployment`
-        // named after it.
-        let rs_name = format!("{name}-rs");
-        if self.replicasets.remove(&rs_name).is_some() {
-            for pod in self.owned.get(&rs_name).into_iter().flatten() {
+        let t = api(&self.timings, now, rng);
+        let slot = &mut self.deployments[id.index()];
+        slot.spec = None;
+        if slot.replicas.take().is_some() {
+            for &pod in &slot.owned {
                 let react = t + self.timings.watch_reaction.sample_duration(rng);
-                self.work.push(react, Work::TerminatePod(pod.clone()));
+                self.work.push(react, Work::TerminatePod(pod));
             }
         }
         t
     }
 
-    /// Deletes a service object.
-    pub fn delete_service(&mut self, name: &str, now: SimTime, rng: &mut SimRng) -> SimTime {
+    /// Deletes the service applied with a deployment.
+    pub fn delete_service(&mut self, id: DeploymentId, now: SimTime, rng: &mut SimRng) -> SimTime {
         self.ops.deletes += 1;
-        let t = self.api(now, rng);
-        self.drop_service(name);
+        let t = api(&self.timings, now, rng);
+        self.drop_service(id);
         t
     }
 
-    /// Runs the control loops until quiescence, returning the timestamped
-    /// event trail.
-    pub fn settle(&mut self, rng: &mut SimRng) -> Vec<ClusterEvent> {
-        let mut events = Vec::new();
+    /// Runs the control loops until quiescence. Clears `out` and fills it
+    /// with the timestamped event trail, in time order.
+    pub fn settle(&mut self, rng: &mut SimRng, out: &mut Vec<ClusterEvent>) {
+        out.clear();
         while let Some((now, work)) = self.work.pop() {
             match work {
-                Work::DeploymentChanged(name) => self.reconcile_deployment(&name, now, rng, &mut events),
-                Work::ReplicaSetChanged(name) => self.reconcile_replicaset(&name, now, rng, &mut events),
-                Work::SchedulePod(name) => self.schedule_pod(&name, now, rng, &mut events),
-                Work::KubeletSync(name) => self.kubelet_sync(&name, now, rng, &mut events),
-                Work::TerminatePod(name) => self.terminate_pod(&name, now, rng, &mut events),
+                Work::DeploymentChanged(id) => self.reconcile_deployment(id, now, rng, out),
+                Work::ReplicaSetChanged(id) => self.reconcile_replicaset(id, now, rng, out),
+                Work::SchedulePod(pod) => self.schedule_pod(pod, now, rng, out),
+                Work::KubeletSync(pod) => self.kubelet_sync(pod, now, rng, out),
+                Work::TerminatePod(pod) => self.terminate_pod(pod, now, rng, out),
             }
         }
-        events.sort_by_key(ClusterEvent::at);
-        events
+        out.sort_by_key(ClusterEvent::at);
     }
 
     fn reconcile_deployment(
         &mut self,
-        name: &str,
+        id: DeploymentId,
         now: SimTime,
         rng: &mut SimRng,
         events: &mut Vec<ClusterEvent>,
     ) {
-        let Some(dep) = self.deployments.get(name) else {
+        let slot = &mut self.deployments[id.index()];
+        let Some(dep) = &slot.spec else {
             return; // deleted meanwhile
         };
         let replicas = dep.replicas;
-        let rs_name = format!("{name}-rs");
-        let t = if let Some(rs) = self.replicasets.get_mut(&rs_name) {
-            if rs.replicas == replicas {
-                return; // nothing to do
+        let t = match &mut slot.replicas {
+            Some(current) if *current == replicas => return, // nothing to do
+            Some(current) => {
+                *current = replicas;
+                api(&self.timings, now, rng)
             }
-            rs.replicas = replicas;
-            self.api(now, rng)
-        } else {
-            let t = self.api(now, rng);
-            self.replicasets.insert(
-                rs_name.clone(),
-                ReplicaSet {
-                    owner: name.to_owned(),
-                    replicas,
-                },
-            );
-            events.push(ClusterEvent::ReplicaSetCreated {
-                at: t,
-                name: rs_name.clone(),
-            });
-            t
+            None => {
+                let t = api(&self.timings, now, rng);
+                slot.replicas = Some(replicas);
+                events.push(ClusterEvent::ReplicaSetCreated { at: t, deployment: id });
+                t
+            }
         };
         let react = t + self.timings.watch_reaction.sample_duration(rng);
-        self.work.push(react, Work::ReplicaSetChanged(rs_name));
+        self.work.push(react, Work::ReplicaSetChanged(id));
     }
 
     fn reconcile_replicaset(
         &mut self,
-        name: &str,
+        id: DeploymentId,
         now: SimTime,
         rng: &mut SimRng,
         events: &mut Vec<ClusterEvent>,
     ) {
-        let Some(rs) = self.replicasets.get(name) else {
+        let slot = &self.deployments[id.index()];
+        let Some(desired) = slot.replicas else {
             return;
         };
-        let desired = rs.replicas as usize;
-        let live = self.owned.get(name).map_or(0, BTreeSet::len);
+        let desired = desired as usize;
+        let live = slot.owned.len();
         if live < desired {
-            let Some(dep) = self.deployments.get(&rs.owner) else {
+            let Some(dep) = &slot.spec else {
                 return;
             };
             let labels = Rc::clone(&dep.template.labels);
@@ -554,62 +614,79 @@ impl K8sCluster {
             let mut t = now;
             for _ in live..desired {
                 self.pod_seq += 1;
-                let pod_name = format!("{name}-{}", self.pod_seq);
-                t = self.api(t, rng);
-                self.owned
-                    .entry(name.to_owned())
-                    .or_default()
-                    .insert(pod_name.clone());
-                self.pods.insert(
-                    pod_name.clone(),
-                    Pod {
-                        name: pod_name.clone(),
-                        owner: name.to_owned(),
-                        labels: Rc::clone(&labels),
-                        phase: PodPhase::Pending,
-                        node: None,
-                        ip: None,
-                        container_ids: vec![],
-                        ready_at: None,
-                        scheduler_name: scheduler_name.clone(),
-                    },
-                );
-                events.push(ClusterEvent::PodCreated {
-                    at: t,
-                    name: pod_name.clone(),
-                });
+                t = api(&self.timings, t, rng);
+                let pod = self.insert_pod(id, Rc::clone(&labels), scheduler_name.clone());
+                self.deployments[id.index()].owned.push(pod);
+                events.push(ClusterEvent::PodCreated { at: t, pod });
                 let sched_at = t + self.timings.scheduler_latency.sample_duration(rng);
-                self.work.push(sched_at, Work::SchedulePod(pod_name));
+                self.work.push(sched_at, Work::SchedulePod(pod));
             }
         } else if live > desired {
             // Scale down: newest pods go first (K8s victim preference).
-            for victim in self.owned[name].iter().rev().take(live - desired) {
+            for i in (desired..live).rev() {
+                let victim = self.deployments[id.index()].owned[i];
                 let react = now + self.timings.watch_reaction.sample_duration(rng);
-                self.work.push(react, Work::TerminatePod(victim.clone()));
+                self.work.push(react, Work::TerminatePod(victim));
             }
         }
     }
 
+    /// Stores a new Pending pod numbered `pod_seq`, in a free slot if there
+    /// is one.
+    fn insert_pod(
+        &mut self,
+        deployment: DeploymentId,
+        labels: Rc<Labels>,
+        scheduler_name: Option<String>,
+    ) -> PodId {
+        let pod = Pod {
+            labels,
+            phase: PodPhase::Pending,
+            node: None,
+            ip: None,
+            container_ids: Vec::new(),
+            ready_at: None,
+            scheduler_name,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                let old = &mut self.pods[slot as usize].pod;
+                // The emptied container list keeps its capacity.
+                let container_ids = std::mem::take(&mut old.container_ids);
+                *old = Pod { container_ids, ..pod };
+                slot
+            }
+            None => {
+                self.pods.push(PodSlot { id: None, pod });
+                (self.pods.len() - 1) as u32
+            }
+        };
+        let id = PodId {
+            seq: self.pod_seq,
+            slot,
+            deployment,
+        };
+        self.pods[slot as usize].id = Some(id);
+        id
+    }
+
     fn schedule_pod(
         &mut self,
-        name: &str,
+        id: PodId,
         now: SimTime,
         rng: &mut SimRng,
         events: &mut Vec<ClusterEvent>,
     ) {
-        let Some(pod) = self.pods.get(name) else {
+        let Some(slot) = self.slot_of(id) else {
             return;
         };
-        if pod.phase != PodPhase::Pending {
+        if self.pods[slot].pod.phase != PodPhase::Pending {
             return;
         }
         if let Some(faults) = &mut self.faults {
             if faults.scale_up_rejected() {
-                self.injected_rejections.push(name.to_owned());
-                events.push(ClusterEvent::PodUnschedulable {
-                    at: now,
-                    name: name.to_owned(),
-                });
+                self.injected_rejections += 1;
+                events.push(ClusterEvent::PodUnschedulable { at: now, pod: id });
                 return;
             }
         }
@@ -618,59 +695,46 @@ impl K8sCluster {
         for (view, worker) in self.views.iter_mut().zip(&self.workers) {
             view.capacity = worker.capacity;
         }
-        match self.schedulers.schedule(pod, &self.views) {
+        match self.schedulers.schedule(&self.pods[slot].pod, &self.views) {
             Some(node) => {
-                let t = self.api(now, rng); // binding API call
-                if let Some(view) = self.views.iter_mut().find(|v| v.name == node) {
-                    view.pods += 1;
-                }
-                let pod = self.pods.get_mut(name).expect("pod exists");
-                pod.node = Some(node.clone());
+                let t = api(&self.timings, now, rng); // binding API call
+                self.views[node].pods += 1;
+                let pod = &mut self.pods[slot].pod;
+                pod.node = Some(node);
                 pod.phase = PodPhase::Scheduled;
-                events.push(ClusterEvent::PodScheduled {
-                    at: t,
-                    name: name.to_owned(),
-                    node,
-                });
+                events.push(ClusterEvent::PodScheduled { at: t, pod: id, node });
                 let sync = t + self.timings.kubelet_reaction.sample_duration(rng);
-                self.work.push(sync, Work::KubeletSync(name.to_owned()));
+                self.work.push(sync, Work::KubeletSync(id));
             }
             None => {
-                events.push(ClusterEvent::PodUnschedulable {
-                    at: now,
-                    name: name.to_owned(),
-                });
+                events.push(ClusterEvent::PodUnschedulable { at: now, pod: id });
             }
         }
     }
 
     fn kubelet_sync(
         &mut self,
-        name: &str,
+        id: PodId,
         now: SimTime,
         rng: &mut SimRng,
         events: &mut Vec<ClusterEvent>,
     ) {
-        let Some(pod) = self.pods.get_mut(name) else {
+        let Some(slot) = self.slot_of(id) else {
             return;
         };
+        let pod = &mut self.pods[slot].pod;
         if pod.phase != PodPhase::Scheduled {
             return;
         }
-        let Some(rs) = self.replicasets.get(&pod.owner) else {
+        let owner = &self.deployments[id.deployment.index()];
+        if owner.replicas.is_none() {
             return;
-        };
-        let Some(dep) = self.deployments.get(&rs.owner) else {
+        }
+        let Some(dep) = &owner.spec else {
             return;
         };
         let containers = &dep.template.containers;
-        let worker_name = pod.node.as_deref().expect("scheduled pod has a node");
-        let worker = &mut self
-            .workers
-            .iter_mut()
-            .find(|w| w.name == worker_name)
-            .expect("pod bound to a known node")
-            .node;
+        let worker = &mut self.workers[pod.node.expect("scheduled pod has a node")].node;
 
         // Pull whatever is missing on *this node* (imagePullPolicy:
         // IfNotPresent) — this is the Pull phase showing up inside K8s when
@@ -683,22 +747,22 @@ impl K8sCluster {
 
         // Create and start each container; app readiness runs concurrently
         // once its task is up, so pod readiness is the max over containers.
-        let mut ids = Vec::with_capacity(containers.len());
+        pod.container_ids.clear();
         let mut ready_at = t;
         for c in containers {
             // K8s worker nodes run without containerd fault injection (the
             // runtime fault model lives on the Docker path), so create/start
             // cannot fail here.
-            let (id, created) = worker
-                .create(c.spec.clone(), &c.manifest, t, rng)
+            let (cid, created) = worker
+                .create(Rc::clone(&c.spec), &c.manifest, t, rng)
                 .expect("k8s worker nodes run without containerd fault injection");
             let ready_delay = c.ready.sample_duration(rng);
             let (started, ready) = worker
-                .start(id, created, ready_delay, rng)
+                .start(cid, created, ready_delay, rng)
                 .expect("k8s worker nodes run without containerd fault injection");
             t = started; // next container's create begins after this start
             ready_at = ready_at.max(ready);
-            ids.push(id);
+            pod.container_ids.push(cid);
         }
 
         // An injected readiness-probe flap delays when the kubelet reports
@@ -713,62 +777,57 @@ impl K8sCluster {
         self.next_ip += 1;
         pod.phase = PodPhase::Running;
         pod.ip = Some(ip);
-        pod.container_ids = ids;
         pod.ready_at = Some(ready_at);
         let labels = Rc::clone(&pod.labels);
-        events.push(ClusterEvent::PodReady {
-            at: ready_at,
-            name: name.to_owned(),
-            ip,
-        });
+        events.push(ClusterEvent::PodReady { at: ready_at, pod: id, ip });
 
         let ep_at = ready_at + self.timings.endpoint_propagation.sample_duration(rng);
-        self.sync_endpoints(name, &labels, true, ep_at, events);
+        self.sync_endpoints(id, &labels, true, ep_at, events);
     }
 
     fn terminate_pod(
         &mut self,
-        name: &str,
+        id: PodId,
         now: SimTime,
         rng: &mut SimRng,
         events: &mut Vec<ClusterEvent>,
     ) {
         // Deleting the object is what keeps the store — and with it every
         // query — proportional to what runs now, not to what ever ran.
-        let Some(pod) = self.pods.remove(name) else {
+        let Some(slot) = self.slot_of(id) else {
             return;
         };
-        if let Some(names) = self.owned.get_mut(&pod.owner) {
-            names.remove(name);
-            if names.is_empty() {
-                self.owned.remove(&pod.owner);
-            }
+        let entry = &mut self.pods[slot];
+        entry.id = None;
+        self.free.push(slot as u32);
+        let owned = &mut self.deployments[id.deployment.index()].owned;
+        if let Some(i) = owned.iter().position(|&p| p == id) {
+            owned.remove(i);
         }
+        let pod = &mut entry.pod;
         let mut t = now;
-        let bound_to = pod.node.as_deref();
-        if let Some(w) = self.workers.iter().position(|w| Some(w.name.as_str()) == bound_to) {
+        if let Some(w) = pod.node {
             self.views[w].pods -= 1;
             let worker = &mut self.workers[w].node;
-            for &id in &pod.container_ids {
-                t = worker.stop(id, t, rng);
-                t = worker.remove(id, t, rng);
+            for &cid in &pod.container_ids {
+                t = worker.stop(cid, t, rng);
+                t = worker.remove(cid, t, rng);
             }
         }
-        events.push(ClusterEvent::PodTerminated {
-            at: t,
-            name: name.to_owned(),
-        });
-        self.sync_endpoints(name, &pod.labels, false, t, events);
+        pod.container_ids.clear();
+        events.push(ClusterEvent::PodTerminated { at: t, pod: id });
+        let labels = Rc::clone(&pod.labels);
+        self.sync_endpoints(id, &labels, false, t, events);
     }
 
     /// The endpoints controller. `pod` either just started running
     /// (`joined`) or was just deleted; only the services selecting its labels
     /// can have gained or lost an address, so only those — and any `stale`
-    /// ones — are re-derived, in service-name order like the full recompute
-    /// this replaces.
+    /// ones — are re-derived, in handle order like the full recompute this
+    /// replaces.
     fn sync_endpoints(
         &mut self,
-        pod: &str,
+        pod: PodId,
         labels: &Labels,
         joined: bool,
         at: SimTime,
@@ -779,45 +838,53 @@ impl K8sCluster {
             return self.recompute_endpoints(at, events);
         }
         let K8sCluster {
-            services,
+            deployments,
             selectors,
             stale,
             pods,
+            sync_services,
+            sync_addrs,
             ..
         } = self;
-        let mut names: Vec<&String> = selectors
-            .candidates(labels)
-            .filter(|name| selector_matches(&services[*name].spec.selector, labels))
-            .collect();
-        for name in &names {
-            let backends = &mut services
-                .get_mut(*name)
-                .expect("indexed service exists")
-                .backends;
-            if joined {
-                backends.insert(pod.to_owned());
-            } else {
-                backends.remove(pod);
+        sync_services.clear();
+        for id in selectors.candidates(labels) {
+            let svc = deployments[id.index()]
+                .service
+                .as_mut()
+                .expect("indexed service exists");
+            if !selector_matches(&svc.spec.selector, labels) {
+                continue;
             }
+            let at = svc.backends.binary_search(&pod);
+            match (joined, at) {
+                (true, Err(i)) => svc.backends.insert(i, pod),
+                (false, Ok(i)) => drop(svc.backends.remove(i)),
+                _ => {}
+            }
+            sync_services.push(id);
         }
-        names.extend(stale.iter());
-        names.sort_unstable();
-        names.dedup();
-        for name in names {
-            let svc = services.get_mut(name).expect("indexed service exists");
-            let mut addrs: Vec<([u8; 4], u16)> = svc
-                .backends
-                .iter()
-                .filter_map(|p| pods[p.as_str()].ip)
-                .map(|ip| (ip, svc.spec.target_port))
-                .collect();
-            addrs.sort_unstable();
-            if svc.endpoints.addresses != addrs {
-                svc.endpoints.addresses = addrs;
+        sync_services.extend(stale.iter());
+        sync_services.sort_unstable();
+        sync_services.dedup();
+        for &id in sync_services.iter() {
+            let svc = deployments[id.index()]
+                .service
+                .as_mut()
+                .expect("indexed service exists");
+            sync_addrs.clear();
+            sync_addrs.extend(
+                svc.backends
+                    .iter()
+                    .filter_map(|p| pods[p.slot as usize].pod.ip)
+                    .map(|ip| (ip, svc.spec.target_port)),
+            );
+            sync_addrs.sort_unstable();
+            if svc.endpoints.addresses != *sync_addrs {
+                std::mem::swap(&mut svc.endpoints.addresses, sync_addrs);
                 svc.endpoints.updated_at = at;
                 events.push(ClusterEvent::EndpointsUpdated {
                     at,
-                    service: name.clone(),
+                    service: id,
                     addresses: svc.endpoints.addresses.len(),
                 });
             }
@@ -825,66 +892,77 @@ impl K8sCluster {
         stale.clear();
     }
 
-    /// Ready `(ip, port)` addresses behind a service at `now`, in pod-name
-    /// order.
+    /// Ready `(ip, port)` addresses behind a service at `now`, in pod
+    /// creation order.
     fn ready_backends(
         &self,
-        service: &str,
+        service: DeploymentId,
         now: SimTime,
     ) -> impl Iterator<Item = ([u8; 4], u16)> + '_ {
-        self.services.get(service).into_iter().flat_map(move |svc| {
-            svc.backends.iter().filter_map(move |name| {
-                let pod = &self.pods[name.as_str()];
-                pod.ip
-                    .filter(|_| pod.is_ready(now))
-                    .map(|ip| (ip, svc.spec.target_port))
+        self.deployments[service.index()]
+            .service
+            .iter()
+            .flat_map(move |svc| {
+                svc.backends.iter().filter_map(move |p| {
+                    let pod = &self.pods[p.slot as usize].pod;
+                    pod.ip
+                        .filter(|_| pod.is_ready(now))
+                        .map(|ip| (ip, svc.spec.target_port))
+                })
             })
-        })
     }
 
-    /// Ready `(ip, port)` addresses behind a service at `now`.
-    pub fn ready_endpoints(&self, service: &str, now: SimTime) -> Vec<([u8; 4], u16)> {
-        self.ready_backends(service, now).collect()
+    /// Ready `(ip, port)` addresses behind the service applied with `id`
+    /// at `now`.
+    pub fn ready_endpoints(&self, id: DeploymentId, now: SimTime) -> Vec<([u8; 4], u16)> {
+        self.ready_backends(id, now).collect()
     }
 
     /// The first of [`K8sCluster::ready_endpoints`], without building the
     /// list.
-    pub fn first_ready_endpoint(&self, service: &str, now: SimTime) -> Option<([u8; 4], u16)> {
-        self.ready_backends(service, now).next()
+    pub fn first_ready_endpoint(&self, id: DeploymentId, now: SimTime) -> Option<([u8; 4], u16)> {
+        self.ready_backends(id, now).next()
     }
 
-    /// `true` if the deployment object exists.
-    pub fn has_deployment(&self, name: &str) -> bool {
-        self.deployments.contains_key(name)
+    /// `true` if the deployment object exists (it was not deleted).
+    pub fn has_deployment(&self, id: DeploymentId) -> bool {
+        self.deployments[id.index()].spec.is_some()
     }
 
-    /// Live pods of a deployment.
-    pub fn live_pods(&self, deployment: &str) -> Vec<&Pod> {
-        self.owned
-            .get(&format!("{deployment}-rs"))
-            .into_iter()
-            .flatten()
-            .map(|name| &self.pods[name.as_str()])
-            .collect()
+    /// Live pods of a deployment, in creation order.
+    pub fn live_pods(&self, id: DeploymentId) -> &[PodId] {
+        &self.deployments[id.index()].owned
     }
 
     /// Looks up a (live) pod.
-    pub fn pod(&self, name: &str) -> Option<&Pod> {
-        self.pods.get(name)
+    pub fn pod(&self, id: PodId) -> Option<&Pod> {
+        self.slot_of(id).map(|slot| &self.pods[slot].pod)
     }
 
-    /// Endpoints object of a service.
-    pub fn endpoints(&self, service: &str) -> Option<&Endpoints> {
-        self.services.get(service).map(|svc| &svc.endpoints)
+    /// A pod's name, `<deployment>-rs-<seq>`, live or not.
+    pub fn pod_name(&self, id: PodId) -> String {
+        format!("{}-rs-{}", self.deployments[id.deployment.index()].name, id.seq)
+    }
+
+    /// Endpoints object of the service applied with `id`.
+    pub fn endpoints(&self, id: DeploymentId) -> Option<&Endpoints> {
+        let svc = self.deployments[id.index()].service.as_ref()?;
+        Some(&svc.endpoints)
     }
 
     /// Sizes of the object store and its indexes (leak checks).
     pub fn store_stats(&self) -> StoreStats {
+        let slots = &self.deployments;
         StoreStats {
-            pods: self.pods.len(),
-            owned: self.owned.values().map(BTreeSet::len).sum(),
-            backends: self.services.values().map(|svc| svc.backends.len()).sum(),
+            pods: self.pods.len() - self.free.len(),
+            owned: slots.iter().map(|d| d.owned.len()).sum(),
+            backends: slots
+                .iter()
+                .filter_map(|d| d.service.as_ref())
+                .map(|svc| svc.backends.len())
+                .sum(),
             bound: self.views.iter().map(|v| v.pods).sum(),
+            slots: self.pods.len(),
         }
     }
 }
@@ -911,7 +989,7 @@ mod tests {
             template: PodTemplate {
                 labels: sel.clone().into(),
                 containers: vec![PodContainer {
-                    spec: ContainerSpec::new("nginx", ImageRef::parse("nginx:1.23.2"), Some(80)),
+                    spec: ContainerSpec::new("nginx", ImageRef::parse("nginx:1.23.2"), Some(80)).into(),
                     manifest: catalog::nginx(),
                     ready: LogNormal::from_median(0.045, 0.0),
                 }],
@@ -928,6 +1006,13 @@ mod tests {
         (dep, svc)
     }
 
+    /// `settle` into a fresh trail.
+    fn settle(c: &mut K8sCluster, rng: &mut SimRng) -> Vec<ClusterEvent> {
+        let mut events = Vec::new();
+        c.settle(rng, &mut events);
+        events
+    }
+
     fn cluster_with_cached_nginx(rng: &mut SimRng) -> K8sCluster {
         let mut c = K8sCluster::with_defaults();
         c.node_mut().pull(&[catalog::nginx()], rng);
@@ -939,11 +1024,11 @@ mod tests {
         let mut rng = SimRng::new(1);
         let mut c = cluster_with_cached_nginx(&mut rng);
         let (dep, svc) = nginx_deployment(0);
-        c.apply(dep, svc, SimTime::ZERO, &mut rng);
-        let events = c.settle(&mut rng);
-        assert!(events.iter().any(|e| matches!(e, ClusterEvent::ReplicaSetCreated { .. })));
+        let (id, _) = c.apply(dep, svc, SimTime::ZERO, &mut rng);
+        let events = settle(&mut c, &mut rng);
+        assert!(events.contains(&ClusterEvent::ReplicaSetCreated { at: events[0].at(), deployment: id }));
         assert!(!events.iter().any(|e| matches!(e, ClusterEvent::PodCreated { .. })));
-        assert!(c.ready_endpoints("nginx-edge", SimTime::from_secs(100)).is_empty());
+        assert!(c.ready_endpoints(id, SimTime::from_secs(100)).is_empty());
     }
 
     #[test]
@@ -951,12 +1036,12 @@ mod tests {
         let mut rng = SimRng::new(2);
         let mut c = cluster_with_cached_nginx(&mut rng);
         let (dep, svc) = nginx_deployment(0);
-        c.apply(dep, svc, SimTime::ZERO, &mut rng);
-        c.settle(&mut rng);
+        let (id, _) = c.apply(dep, svc, SimTime::ZERO, &mut rng);
+        settle(&mut c, &mut rng);
 
         let t0 = SimTime::from_secs(10);
-        c.scale("nginx-edge", 1, t0, &mut rng);
-        let events = c.settle(&mut rng);
+        c.scale(id, 1, t0, &mut rng);
+        let events = settle(&mut c, &mut rng);
         let ready = events
             .iter()
             .find_map(|e| match e {
@@ -983,8 +1068,8 @@ mod tests {
             assert!(w[0].1 <= w[1].1, "events out of causal order: {ts:?}");
         }
         // Ready endpoints appear only after readiness.
-        assert!(c.ready_endpoints("nginx-edge", t0).is_empty());
-        assert_eq!(c.ready_endpoints("nginx-edge", ready.0).len(), 1);
+        assert!(c.ready_endpoints(id, t0).is_empty());
+        assert_eq!(c.ready_endpoints(id, ready.0).len(), 1);
     }
 
     #[test]
@@ -993,8 +1078,7 @@ mod tests {
         let mut warm = cluster_with_cached_nginx(&mut rng1);
         let (dep, svc) = nginx_deployment(1);
         warm.apply(dep, svc, SimTime::ZERO, &mut rng1);
-        let warm_ready = warm
-            .settle(&mut rng1)
+        let warm_ready = settle(&mut warm, &mut rng1)
             .iter()
             .find_map(|e| match e {
                 ClusterEvent::PodReady { at, .. } => Some(*at),
@@ -1006,8 +1090,7 @@ mod tests {
         let mut cold = K8sCluster::with_defaults();
         let (dep, svc) = nginx_deployment(1);
         cold.apply(dep, svc, SimTime::ZERO, &mut rng2);
-        let cold_ready = cold
-            .settle(&mut rng2)
+        let cold_ready = settle(&mut cold, &mut rng2)
             .iter()
             .find_map(|e| match e {
                 ClusterEvent::PodReady { at, .. } => Some(*at),
@@ -1026,16 +1109,16 @@ mod tests {
         let mut rng = SimRng::new(4);
         let mut c = cluster_with_cached_nginx(&mut rng);
         let (dep, svc) = nginx_deployment(1);
-        c.apply(dep, svc, SimTime::ZERO, &mut rng);
-        c.settle(&mut rng);
+        let (id, _) = c.apply(dep, svc, SimTime::ZERO, &mut rng);
+        settle(&mut c, &mut rng);
         let ready_time = SimTime::from_secs(30);
-        assert_eq!(c.ready_endpoints("nginx-edge", ready_time).len(), 1);
+        assert_eq!(c.ready_endpoints(id, ready_time).len(), 1);
 
-        c.scale("nginx-edge", 0, ready_time, &mut rng);
-        let events = c.settle(&mut rng);
+        c.scale(id, 0, ready_time, &mut rng);
+        let events = settle(&mut c, &mut rng);
         assert!(events.iter().any(|e| matches!(e, ClusterEvent::PodTerminated { .. })));
-        assert!(c.ready_endpoints("nginx-edge", SimTime::from_secs(120)).is_empty());
-        assert_eq!(c.live_pods("nginx-edge").len(), 0);
+        assert!(c.ready_endpoints(id, SimTime::from_secs(120)).is_empty());
+        assert_eq!(c.live_pods(id).len(), 0);
         // Containers are gone from containerd too.
         assert_eq!(c.node().container_count(), 0);
     }
@@ -1045,21 +1128,23 @@ mod tests {
         let mut rng = SimRng::new(5);
         let mut c = cluster_with_cached_nginx(&mut rng);
         let (dep, svc) = nginx_deployment(3);
-        c.apply(dep, svc, SimTime::ZERO, &mut rng);
-        let events = c.settle(&mut rng);
+        let (id, _) = c.apply(dep, svc, SimTime::ZERO, &mut rng);
+        let events = settle(&mut c, &mut rng);
         let ready = events
             .iter()
             .filter(|e| matches!(e, ClusterEvent::PodReady { .. }))
             .count();
         assert_eq!(ready, 3);
-        assert_eq!(c.ready_endpoints("nginx-edge", SimTime::from_secs(60)).len(), 3);
+        assert_eq!(c.ready_endpoints(id, SimTime::from_secs(60)).len(), 3);
         // Distinct pod IPs.
         let ips: std::collections::HashSet<_> = c
-            .live_pods("nginx-edge")
+            .live_pods(id)
             .iter()
-            .map(|p| p.ip.unwrap())
+            .map(|&p| c.pod(p).unwrap().ip.unwrap())
             .collect();
         assert_eq!(ips.len(), 3);
+        let names: Vec<String> = c.live_pods(id).iter().map(|&p| c.pod_name(p)).collect();
+        assert_eq!(names, ["nginx-edge-rs-1", "nginx-edge-rs-2", "nginx-edge-rs-3"]);
     }
 
     #[test]
@@ -1078,7 +1163,7 @@ mod tests {
                 labels: sel.clone().into(),
                 containers: vec![
                     PodContainer {
-                        spec: ContainerSpec::new("nginx", ImageRef::parse("nginx:1.23.2"), Some(80)),
+                        spec: ContainerSpec::new("nginx", ImageRef::parse("nginx:1.23.2"), Some(80)).into(),
                         manifest: catalog::nginx(),
                         ready: LogNormal::from_median(0.045, 0.0),
                     },
@@ -1087,7 +1172,8 @@ mod tests {
                             "env-writer",
                             ImageRef::parse("josefhammer/env-writer-py"),
                             None,
-                        ),
+                        )
+                        .into(),
                         manifest: catalog::env_writer_py(),
                         ready: LogNormal::from_median(0.25, 0.0),
                     },
@@ -1103,16 +1189,15 @@ mod tests {
             protocol: "TCP".into(),
         };
         c.apply(dep, svc, SimTime::ZERO, &mut rng);
-        let events = c.settle(&mut rng);
-        let pod_name = events
+        let events = settle(&mut c, &mut rng);
+        let pod = events
             .iter()
             .find_map(|e| match e {
-                ClusterEvent::PodReady { name, .. } => Some(name.clone()),
+                ClusterEvent::PodReady { pod, .. } => Some(*pod),
                 _ => None,
             })
             .unwrap();
-        let pod = c.pod(&pod_name).unwrap();
-        assert_eq!(pod.container_ids.len(), 2);
+        assert_eq!(c.pod(pod).unwrap().container_ids.len(), 2);
     }
 
     #[test]
@@ -1122,7 +1207,7 @@ mod tests {
             fn name(&self) -> &str {
                 "refuser"
             }
-            fn schedule(&mut self, _: &Pod, _: &[NodeView]) -> Option<String> {
+            fn schedule(&mut self, _: &Pod, _: &[NodeView]) -> Option<usize> {
                 None
             }
         }
@@ -1132,7 +1217,7 @@ mod tests {
         let (mut dep, svc) = nginx_deployment(1);
         dep.scheduler_name = Some("refuser".into());
         c.apply(dep, svc, SimTime::ZERO, &mut rng);
-        let events = c.settle(&mut rng);
+        let events = settle(&mut c, &mut rng);
         assert!(events.iter().any(|e| matches!(e, ClusterEvent::PodUnschedulable { .. })));
         assert!(!events.iter().any(|e| matches!(e, ClusterEvent::PodReady { .. })));
     }
@@ -1150,24 +1235,24 @@ mod tests {
             .injector(0x11),
         );
         let (dep, svc) = nginx_deployment(0);
-        c.apply(dep, svc, SimTime::ZERO, &mut rng);
-        c.settle(&mut rng);
-        c.scale("nginx-edge", 1, SimTime::from_secs(10), &mut rng);
-        let events = c.settle(&mut rng);
+        let (id, _) = c.apply(dep, svc, SimTime::ZERO, &mut rng);
+        settle(&mut c, &mut rng);
+        c.scale(id, 1, SimTime::from_secs(10), &mut rng);
+        let events = settle(&mut c, &mut rng);
         assert!(events.iter().any(|e| matches!(e, ClusterEvent::PodUnschedulable { .. })));
         assert!(!events.iter().any(|e| matches!(e, ClusterEvent::PodReady { .. })));
-        assert_eq!(c.take_injected_rejections().len(), 1);
-        assert!(c.take_injected_rejections().is_empty(), "drained on take");
+        assert_eq!(c.take_injected_rejections(), 1);
+        assert_eq!(c.take_injected_rejections(), 0, "drained on take");
 
         // Retry after clearing the fault: reset to zero replicas (terminates
         // the stuck Pending pod), then scale up again.
         c.set_faults(FaultPlan::default().injector(0x12));
-        c.scale("nginx-edge", 0, SimTime::from_secs(12), &mut rng);
-        c.settle(&mut rng);
-        c.scale("nginx-edge", 1, SimTime::from_secs(14), &mut rng);
-        let events = c.settle(&mut rng);
+        c.scale(id, 0, SimTime::from_secs(12), &mut rng);
+        settle(&mut c, &mut rng);
+        c.scale(id, 1, SimTime::from_secs(14), &mut rng);
+        let events = settle(&mut c, &mut rng);
         assert!(events.iter().any(|e| matches!(e, ClusterEvent::PodReady { .. })));
-        assert!(c.take_injected_rejections().is_empty());
+        assert_eq!(c.take_injected_rejections(), 0);
     }
 
     #[test]
@@ -1187,7 +1272,7 @@ mod tests {
             }
             let (dep, svc) = nginx_deployment(1);
             c.apply(dep, svc, SimTime::ZERO, &mut rng);
-            c.settle(&mut rng)
+            settle(&mut c, &mut rng)
                 .iter()
                 .find_map(|e| match e {
                     ClusterEvent::PodReady { at, .. } => Some(*at),
@@ -1212,13 +1297,17 @@ mod tests {
         let mut rng = SimRng::new(8);
         let mut c = cluster_with_cached_nginx(&mut rng);
         let (dep, svc) = nginx_deployment(1);
-        c.apply(dep, svc, SimTime::ZERO, &mut rng);
-        c.settle(&mut rng);
-        c.delete_deployment("nginx-edge", SimTime::from_secs(60), &mut rng);
-        c.delete_service("nginx-edge", SimTime::from_secs(60), &mut rng);
-        let events = c.settle(&mut rng);
+        let (id, _) = c.apply(dep, svc, SimTime::ZERO, &mut rng);
+        settle(&mut c, &mut rng);
+        c.delete_deployment(id, SimTime::from_secs(60), &mut rng);
+        c.delete_service(id, SimTime::from_secs(60), &mut rng);
+        let events = settle(&mut c, &mut rng);
         assert!(events.iter().any(|e| matches!(e, ClusterEvent::PodTerminated { .. })));
-        assert!(!c.has_deployment("nginx-edge"));
-        assert!(c.endpoints("nginx-edge").is_none());
+        assert!(!c.has_deployment(id));
+        assert!(c.endpoints(id).is_none());
+        assert_eq!(c.store_stats(), StoreStats { slots: 1, ..StoreStats::default() });
+        // A re-apply of the name gets its handle back.
+        let (dep, svc) = nginx_deployment(1);
+        assert_eq!(c.apply(dep, svc, SimTime::from_secs(90), &mut rng).0, id);
     }
 }

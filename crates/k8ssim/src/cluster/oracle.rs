@@ -1,8 +1,8 @@
 //! The full-scan reference the indexed store is tested against: the
 //! endpoints controller and the queries as they were before the indexes,
-//! walking every pod and comparing strings. A differential proptest drives
-//! an indexed cluster and a full-recompute twin through the same random
-//! operations and demands the same event trail and the same answers.
+//! walking every pod. A differential proptest drives an indexed cluster and
+//! a full-recompute twin through the same random operations and demands the
+//! same event trail and the same answers.
 
 use super::*;
 use crate::objects::{PodContainer, PodTemplate};
@@ -13,102 +13,102 @@ use registry::image::catalog;
 use registry::ImageRef;
 
 impl K8sCluster {
+    /// Every live pod, in creation order.
+    fn scan(&self) -> Vec<(PodId, &Pod)> {
+        let mut pods: Vec<_> = self.live().collect();
+        pods.sort_by_key(|(id, _)| *id);
+        pods
+    }
+
     /// The endpoints controller without the selector index: re-derives
     /// every service from every pod on every pod transition.
     pub(super) fn recompute_endpoints(&mut self, at: SimTime, events: &mut Vec<ClusterEvent>) {
-        for (name, svc) in &mut self.services {
+        for i in 0..self.deployments.len() {
+            let Some(svc) = &self.deployments[i].service else {
+                continue;
+            };
             let mut addrs: Vec<([u8; 4], u16)> = self
-                .pods
-                .values()
-                .filter(|p| {
+                .scan()
+                .into_iter()
+                .filter(|(_, p)| {
                     p.phase == PodPhase::Running && selector_matches(&svc.spec.selector, &p.labels)
                 })
-                .filter_map(|p| p.ip.map(|ip| (ip, svc.spec.target_port)))
+                .filter_map(|(_, p)| p.ip.map(|ip| (ip, svc.spec.target_port)))
                 .collect();
             addrs.sort();
+            let svc = self.deployments[i].service.as_mut().expect("checked above");
             if svc.endpoints.addresses != addrs {
                 svc.endpoints.addresses = addrs;
                 svc.endpoints.updated_at = at;
                 events.push(ClusterEvent::EndpointsUpdated {
                     at,
-                    service: name.clone(),
+                    service: DeploymentId(i as u32),
                     addresses: svc.endpoints.addresses.len(),
                 });
             }
         }
     }
 
-    fn scan_ready_endpoints(&self, service: &str, now: SimTime) -> Vec<([u8; 4], u16)> {
-        let Some(svc) = self.services.get(service) else {
+    fn scan_ready_endpoints(&self, id: DeploymentId, now: SimTime) -> Vec<([u8; 4], u16)> {
+        let Some(svc) = &self.deployments[id.index()].service else {
             return vec![];
         };
-        self.pods
-            .values()
-            .filter(|p| p.is_ready(now) && selector_matches(&svc.spec.selector, &p.labels))
-            .filter_map(|p| p.ip.map(|ip| (ip, svc.spec.target_port)))
+        self.scan()
+            .into_iter()
+            .filter(|(_, p)| p.is_ready(now) && selector_matches(&svc.spec.selector, &p.labels))
+            .filter_map(|(_, p)| p.ip.map(|ip| (ip, svc.spec.target_port)))
             .collect()
     }
 
-    fn scan_live_pods(&self, deployment: &str) -> Vec<&str> {
-        let rs_name = format!("{deployment}-rs");
-        self.pods
-            .values()
-            .filter(|p| p.owner == rs_name)
-            .map(|p| p.name.as_str())
+    fn scan_live_pods(&self, id: DeploymentId) -> Vec<PodId> {
+        self.scan()
+            .into_iter()
+            .map(|(pod, _)| pod)
+            .filter(|pod| pod.deployment == id)
             .collect()
     }
 
     fn scan_bound(&self) -> Vec<usize> {
-        self.workers
-            .iter()
-            .map(|w| {
-                self.pods
-                    .values()
-                    .filter(|p| p.node.as_deref() == Some(w.name.as_str()))
-                    .count()
-            })
+        (0..self.workers.len())
+            .map(|w| self.live().filter(|(_, p)| p.node == Some(w)).count())
             .collect()
     }
 
     /// Every index and every indexed query equals its derivation by scan.
-    fn assert_matches_scans(&self, deployments: &[String], now: SimTime) {
-        for dep in deployments {
-            let live: Vec<&str> = self
-                .live_pods(dep)
-                .iter()
-                .map(|p| p.name.as_str())
+    fn assert_matches_scans(&self, now: SimTime) {
+        for (i, slot) in self.deployments.iter().enumerate() {
+            let id = DeploymentId(i as u32);
+            assert_eq!(self.live_pods(id), self.scan_live_pods(id), "live_pods({})", slot.name);
+            let Some(svc) = &slot.service else {
+                continue;
+            };
+            assert_eq!(
+                self.ready_endpoints(id, now),
+                self.scan_ready_endpoints(id, now),
+                "ready_endpoints({})",
+                slot.name
+            );
+            assert_eq!(
+                self.first_ready_endpoint(id, now),
+                self.scan_ready_endpoints(id, now).first().copied()
+            );
+            let backends: Vec<PodId> = self
+                .scan()
+                .into_iter()
+                .filter(|(_, p)| {
+                    p.phase == PodPhase::Running && selector_matches(&svc.spec.selector, &p.labels)
+                })
+                .map(|(pod, _)| pod)
                 .collect();
-            assert_eq!(live, self.scan_live_pods(dep), "live_pods({dep})");
+            assert_eq!(svc.backends, backends, "backends({})", slot.name);
         }
         let bound: Vec<usize> = self.views.iter().map(|v| v.pods).collect();
         assert_eq!(bound, self.scan_bound(), "per-worker pod counts");
-        for (name, svc) in &self.services {
-            assert_eq!(
-                self.ready_endpoints(name, now),
-                self.scan_ready_endpoints(name, now),
-                "ready_endpoints({name})"
-            );
-            assert_eq!(
-                self.first_ready_endpoint(name, now),
-                self.scan_ready_endpoints(name, now).first().copied()
-            );
-            let backends: Vec<&str> = self
-                .pods
-                .values()
-                .filter(|p| {
-                    p.phase == PodPhase::Running && selector_matches(&svc.spec.selector, &p.labels)
-                })
-                .map(|p| p.name.as_str())
-                .collect();
-            assert!(
-                svc.backends.iter().map(String::as_str).eq(backends),
-                "backends({name})"
-            );
+        let free: BTreeSet<u32> = self.free.iter().copied().collect();
+        assert_eq!(free.len(), self.free.len(), "a slot is freed once");
+        for (i, slot) in self.pods.iter().enumerate() {
+            assert_eq!(slot.id.is_none(), free.contains(&(i as u32)), "slot {i} is free or live");
         }
-        assert!(
-            self.owned.values().all(|names| !names.is_empty()),
-            "empty owner sets are pruned"
-        );
     }
 }
 
@@ -151,7 +151,8 @@ fn objects(i: usize, replicas: u32, selector: usize) -> (Deployment, Service) {
                         "c",
                         ImageRef::parse("josefhammer/web-asm:amd64"),
                         Some(80),
-                    ),
+                    )
+                    .into(),
                     manifest: catalog::web_asm(),
                     ready: LogNormal::from_median(0.005, 0.1),
                 }],
@@ -225,44 +226,52 @@ proptest! {
     fn indexed_store_equals_full_scan(ops in prop::collection::vec(op(), 1..40), seed in any::<u64>()) {
         let (mut indexed, mut rng_a) = fresh(seed, false);
         let (mut oracle, mut rng_b) = fresh(seed, true);
-        let deployments: Vec<String> = (0..DEPLOYMENTS).map(name).collect();
+        let mut handles: [Option<DeploymentId>; DEPLOYMENTS] = [None; DEPLOYMENTS];
+        let (mut trail, mut oracle_trail) = (Vec::new(), Vec::new());
         let mut now = SimTime::ZERO;
         for op in ops.into_iter().chain([Op::Settle]) {
             now += Duration::from_millis(700);
             match op {
                 Op::Apply { dep, replicas, selector } => {
-                    for (c, rng) in [(&mut indexed, &mut rng_a), (&mut oracle, &mut rng_b)] {
+                    let ids = [(&mut indexed, &mut rng_a), (&mut oracle, &mut rng_b)].map(|(c, rng)| {
                         let (d, s) = objects(dep, replicas, selector);
-                        c.apply(d, s, now, rng);
-                    }
+                        c.apply(d, s, now, rng).0
+                    });
+                    prop_assert_eq!(ids[0], ids[1]);
+                    handles[dep] = Some(ids[0]);
                 }
                 Op::Scale { dep, replicas } => {
-                    if indexed.has_deployment(&name(dep)) {
-                        indexed.scale(&name(dep), replicas, now, &mut rng_a);
-                        oracle.scale(&name(dep), replicas, now, &mut rng_b);
+                    if let Some(id) = handles[dep].filter(|&id| indexed.has_deployment(id)) {
+                        indexed.scale(id, replicas, now, &mut rng_a);
+                        oracle.scale(id, replicas, now, &mut rng_b);
                     }
                 }
                 Op::DeleteDeployment(dep) => {
-                    indexed.delete_deployment(&name(dep), now, &mut rng_a);
-                    oracle.delete_deployment(&name(dep), now, &mut rng_b);
+                    if let Some(id) = handles[dep] {
+                        indexed.delete_deployment(id, now, &mut rng_a);
+                        oracle.delete_deployment(id, now, &mut rng_b);
+                    }
                 }
                 Op::DeleteService(dep) => {
-                    indexed.delete_service(&name(dep), now, &mut rng_a);
-                    oracle.delete_service(&name(dep), now, &mut rng_b);
+                    if let Some(id) = handles[dep] {
+                        indexed.delete_service(id, now, &mut rng_a);
+                        oracle.delete_service(id, now, &mut rng_b);
+                    }
                 }
                 Op::Settle => {
-                    let trail = indexed.settle(&mut rng_a);
-                    prop_assert_eq!(&trail, &oracle.settle(&mut rng_b));
+                    indexed.settle(&mut rng_a, &mut trail);
+                    oracle.settle(&mut rng_b, &mut oracle_trail);
+                    prop_assert_eq!(&trail, &oracle_trail);
                     // Query between the pods' readiness instants, not only
                     // after all of them.
                     let probes = trail.iter().map(ClusterEvent::at).chain([now, SimTime::MAX]);
                     for at in probes {
-                        indexed.assert_matches_scans(&deployments, at);
-                        for dep in &deployments {
-                            prop_assert_eq!(indexed.endpoints(dep), oracle.endpoints(dep));
+                        indexed.assert_matches_scans(at);
+                        for id in handles.iter().flatten().copied() {
+                            prop_assert_eq!(indexed.endpoints(id), oracle.endpoints(id));
                             prop_assert_eq!(
-                                indexed.ready_endpoints(dep, at),
-                                oracle.scan_ready_endpoints(dep, at)
+                                indexed.ready_endpoints(id, at),
+                                oracle.scan_ready_endpoints(id, at)
                             );
                         }
                     }

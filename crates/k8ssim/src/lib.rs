@@ -32,5 +32,5 @@ pub mod objects;
 pub mod scheduler;
 
 pub use cluster::{ClusterEvent, K8sCluster, K8sTimings, StoreStats};
-pub use objects::{Deployment, PodTemplate, Service};
+pub use objects::{Deployment, DeploymentId, PodId, PodTemplate, Service};
 pub use scheduler::PackFirstScheduler;

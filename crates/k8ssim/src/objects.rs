@@ -6,12 +6,38 @@ use registry::ImageManifest;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+/// Handle of a deployment: `apply` returns it, and every later call about
+/// the deployment, its ReplicaSet, its pods or its service takes it. A name
+/// keeps its handle across delete and re-apply.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct DeploymentId(pub(crate) u32);
+
+impl DeploymentId {
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// Handle of a pod. Handles order by creation, so "newest first" is
+/// "largest first"; a handle to a terminated pod finds nothing, even once
+/// its slot holds another pod.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct PodId {
+    /// Creation sequence number, unique within the cluster (the `<n>` of
+    /// the pod's name `<deployment>-rs-<n>`).
+    pub seq: u64,
+    /// Slot in the cluster's pod store.
+    pub(crate) slot: u32,
+    /// Owning deployment (through its ReplicaSet).
+    pub deployment: DeploymentId,
+}
+
 /// One container within a pod template: the runtime spec, the image manifest
 /// the kubelet must ensure is pulled, and the application readiness model.
 #[derive(Clone, Debug)]
 pub struct PodContainer {
-    /// Runtime spec.
-    pub spec: ContainerSpec,
+    /// Runtime spec, shared with every container created from it.
+    pub spec: Rc<ContainerSpec>,
     /// Image manifest (for kubelet pulls, `imagePullPolicy: IfNotPresent`).
     pub manifest: ImageManifest,
     /// Delay from task start until the app inside accepts connections.
@@ -45,15 +71,6 @@ pub struct Deployment {
     pub scheduler_name: Option<String>,
 }
 
-/// A `ReplicaSet` owned by a deployment.
-#[derive(Clone, Debug)]
-pub(crate) struct ReplicaSet {
-    /// Owning deployment.
-    pub owner: String,
-    /// Desired replicas.
-    pub replicas: u32,
-}
-
 /// Pod lifecycle phase. There is no terminated phase: a terminated pod is
 /// deleted from the cluster's store.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,19 +83,16 @@ pub enum PodPhase {
     Running,
 }
 
-/// A `Pod`.
+/// A `Pod`. Its name and owner are in its [`PodId`]; the cluster renders
+/// the name on demand (`K8sCluster::pod_name`).
 #[derive(Clone, Debug)]
 pub struct Pod {
-    /// Object name (`<rs>-<n>`).
-    pub name: String,
-    /// Owning replica set.
-    pub owner: String,
     /// Labels (the template's map, shared).
     pub labels: Rc<BTreeMap<String, String>>,
     /// Phase.
     pub phase: PodPhase,
-    /// Node it is bound to.
-    pub node: Option<String>,
+    /// Index of the worker node it is bound to.
+    pub node: Option<usize>,
     /// Pod IP once running (cluster-internal).
     pub ip: Option<[u8; 4]>,
     /// The containerd containers backing it.
@@ -154,8 +168,6 @@ mod tests {
     #[test]
     fn pod_readiness() {
         let mut pod = Pod {
-            name: "p".into(),
-            owner: "rs".into(),
             labels: Rc::default(),
             phase: PodPhase::Pending,
             node: None,

@@ -25,8 +25,9 @@ pub trait K8sScheduler: Send {
     /// The `schedulerName` this scheduler answers to.
     fn name(&self) -> &str;
 
-    /// Picks a node for `pod`, or `None` if nothing fits.
-    fn schedule(&mut self, pod: &Pod, nodes: &[NodeView]) -> Option<String>;
+    /// Picks a node for `pod` by its index in `nodes`, or `None` if nothing
+    /// fits.
+    fn schedule(&mut self, pod: &Pod, nodes: &[NodeView]) -> Option<usize>;
 }
 
 /// The default scheduler: spreads pods by picking the least-loaded node with
@@ -39,12 +40,13 @@ impl K8sScheduler for DefaultScheduler {
         "default-scheduler"
     }
 
-    fn schedule(&mut self, _pod: &Pod, nodes: &[NodeView]) -> Option<String> {
+    fn schedule(&mut self, _pod: &Pod, nodes: &[NodeView]) -> Option<usize> {
         nodes
             .iter()
-            .filter(|n| n.pods < n.capacity)
-            .min_by_key(|n| n.pods)
-            .map(|n| n.name.clone())
+            .enumerate()
+            .filter(|(_, n)| n.pods < n.capacity)
+            .min_by_key(|(_, n)| n.pods)
+            .map(|(i, _)| i)
     }
 }
 
@@ -59,12 +61,13 @@ impl K8sScheduler for PackFirstScheduler {
         "edge-pack-scheduler"
     }
 
-    fn schedule(&mut self, _pod: &Pod, nodes: &[NodeView]) -> Option<String> {
+    fn schedule(&mut self, _pod: &Pod, nodes: &[NodeView]) -> Option<usize> {
         nodes
             .iter()
-            .filter(|n| n.pods < n.capacity)
-            .max_by_key(|n| n.pods)
-            .map(|n| n.name.clone())
+            .enumerate()
+            .filter(|(_, n)| n.pods < n.capacity)
+            .max_by_key(|(_, n)| n.pods)
+            .map(|(i, _)| i)
     }
 }
 
@@ -96,17 +99,14 @@ impl SchedulerRegistry {
     /// default when the requested one is unknown, as real clusters leave such
     /// pods Pending — we fall back so misconfigurations are visible in tests
     /// rather than deadlocks).
-    pub fn schedule(&mut self, pod: &Pod, nodes: &[NodeView]) -> Option<String> {
-        let requested = pod
-            .scheduler_name
-            .clone()
-            .unwrap_or_else(|| self.default_name.clone());
-        let name = if self.schedulers.contains_key(&requested) {
+    pub fn schedule(&mut self, pod: &Pod, nodes: &[NodeView]) -> Option<usize> {
+        let requested = pod.scheduler_name.as_deref().unwrap_or(&self.default_name);
+        let name = if self.schedulers.contains_key(requested) {
             requested
         } else {
-            self.default_name.clone()
+            &self.default_name
         };
-        self.schedulers.get_mut(&name)?.schedule(pod, nodes)
+        self.schedulers.get_mut(name)?.schedule(pod, nodes)
     }
 }
 
@@ -123,8 +123,6 @@ mod tests {
 
     fn pod(scheduler: Option<&str>) -> Pod {
         Pod {
-            name: "p".into(),
-            owner: "rs".into(),
             labels: Default::default(),
             phase: PodPhase::Pending,
             node: None,
@@ -146,13 +144,13 @@ mod tests {
     #[test]
     fn default_spreads() {
         let mut s = DefaultScheduler;
-        assert_eq!(s.schedule(&pod(None), &nodes()), Some("b".into()));
+        assert_eq!(s.schedule(&pod(None), &nodes()), Some(1));
     }
 
     #[test]
     fn pack_first_fills() {
         let mut s = PackFirstScheduler;
-        assert_eq!(s.schedule(&pod(None), &nodes()), Some("c".into()));
+        assert_eq!(s.schedule(&pod(None), &nodes()), Some(2));
     }
 
     #[test]
@@ -166,12 +164,9 @@ mod tests {
     fn registry_routes_by_scheduler_name() {
         let mut reg = SchedulerRegistry::new();
         reg.register(Box::<PackFirstScheduler>::default());
-        assert_eq!(reg.schedule(&pod(None), &nodes()), Some("b".into()));
-        assert_eq!(
-            reg.schedule(&pod(Some("edge-pack-scheduler")), &nodes()),
-            Some("c".into())
-        );
+        assert_eq!(reg.schedule(&pod(None), &nodes()), Some(1));
+        assert_eq!(reg.schedule(&pod(Some("edge-pack-scheduler")), &nodes()), Some(2));
         // Unknown scheduler falls back to the default.
-        assert_eq!(reg.schedule(&pod(Some("ghost")), &nodes()), Some("b".into()));
+        assert_eq!(reg.schedule(&pod(Some("ghost")), &nodes()), Some(1));
     }
 }

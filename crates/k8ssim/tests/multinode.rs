@@ -23,7 +23,7 @@ fn nginx_deployment(name: &str, scheduler: Option<&str>) -> (Deployment, Service
         template: PodTemplate {
             labels: sel.clone().into(),
             containers: vec![PodContainer {
-                spec: ContainerSpec::new("nginx", ImageRef::parse("nginx:1.23.2"), Some(80)),
+                spec: ContainerSpec::new("nginx", ImageRef::parse("nginx:1.23.2"), Some(80)).into(),
                 manifest: catalog::nginx(),
                 ready: LogNormal::from_median(0.045, 0.0),
             }],
@@ -48,11 +48,19 @@ fn three_node_cluster() -> K8sCluster {
     c
 }
 
-fn placements(events: &[ClusterEvent]) -> Vec<String> {
+/// `settle`, appending the trail to `all`.
+fn settle_into(c: &mut K8sCluster, rng: &mut SimRng, all: &mut Vec<ClusterEvent>) {
+    let mut events = Vec::new();
+    c.settle(rng, &mut events);
+    all.extend(events);
+}
+
+/// The names of the nodes the trail's pods were bound to.
+fn placements(c: &K8sCluster, events: &[ClusterEvent]) -> Vec<String> {
     events
         .iter()
         .filter_map(|e| match e {
-            ClusterEvent::PodScheduled { node, .. } => Some(node.clone()),
+            ClusterEvent::PodScheduled { node, .. } => Some(c.workers()[*node].name.clone()),
             _ => None,
         })
         .collect()
@@ -69,9 +77,9 @@ fn default_scheduler_spreads_across_workers() {
     for i in 0..6 {
         let (dep, svc) = nginx_deployment(&format!("svc-{i}"), None);
         c.apply(dep, svc, SimTime::from_secs(i), &mut rng);
-        all.extend(c.settle(&mut rng));
+        settle_into(&mut c, &mut rng, &mut all);
     }
-    let nodes = placements(&all);
+    let nodes = placements(&c, &all);
     assert_eq!(nodes.len(), 6);
     let distinct: std::collections::HashSet<_> = nodes.iter().collect();
     assert_eq!(distinct.len(), 3, "spread uses every node: {nodes:?}");
@@ -88,9 +96,9 @@ fn pack_scheduler_fills_one_node() {
     for i in 0..6 {
         let (dep, svc) = nginx_deployment(&format!("svc-{i}"), Some("edge-pack-scheduler"));
         c.apply(dep, svc, SimTime::from_secs(i), &mut rng);
-        all.extend(c.settle(&mut rng));
+        settle_into(&mut c, &mut rng, &mut all);
     }
-    let nodes = placements(&all);
+    let nodes = placements(&c, &all);
     let distinct: std::collections::HashSet<_> = nodes.iter().collect();
     assert_eq!(distinct.len(), 1, "packing stays on one node: {nodes:?}");
 }
@@ -106,7 +114,7 @@ fn per_node_caches_spread_pulls_pack_reuses() {
         for i in 0..6 {
             let (dep, svc) = nginx_deployment(&format!("svc-{i}"), scheduler);
             c.apply(dep, svc, SimTime::from_secs(i * 30), &mut rng);
-            c.settle(&mut rng);
+            settle_into(&mut c, &mut rng, &mut Vec::new());
         }
         let bytes: u64 = c.workers().iter().map(|w| w.node.store().disk_usage()).sum();
         let nodes_with_image = c
@@ -138,9 +146,9 @@ fn capacity_overflow_spills_to_other_nodes_when_packing() {
     for i in 0..4 {
         let (dep, svc) = nginx_deployment(&format!("svc-{i}"), Some("edge-pack-scheduler"));
         c.apply(dep, svc, SimTime::from_secs(i), &mut rng);
-        all.extend(c.settle(&mut rng));
+        settle_into(&mut c, &mut rng, &mut all);
     }
-    assert_eq!(placements(&all).len(), 4, "all pods placed");
+    assert_eq!(placements(&c, &all).len(), 4, "all pods placed");
 }
 
 #[test]
@@ -151,15 +159,45 @@ fn terminate_releases_containers_on_the_right_node() {
         c.worker_mut(w).unwrap().node.pull(&[catalog::nginx()], &mut rng);
     }
     let (dep, svc) = nginx_deployment("svc-a", None);
-    c.apply(dep, svc, SimTime::ZERO, &mut rng);
-    let events = c.settle(&mut rng);
-    let node = placements(&events)[0].clone();
+    let (id, _) = c.apply(dep, svc, SimTime::ZERO, &mut rng);
+    let mut events = Vec::new();
+    settle_into(&mut c, &mut rng, &mut events);
+    let node = placements(&c, &events)[0].clone();
     assert_eq!(c.worker(&node).unwrap().node.container_count(), 1);
 
-    c.scale("svc-a", 0, SimTime::from_secs(60), &mut rng);
-    c.settle(&mut rng);
+    c.scale(id, 0, SimTime::from_secs(60), &mut rng);
+    settle_into(&mut c, &mut rng, &mut Vec::new());
     assert_eq!(c.worker(&node).unwrap().node.container_count(), 0);
     for w in c.workers() {
         assert_eq!(w.node.container_count(), 0);
     }
+}
+
+#[test]
+fn scale_down_takes_the_newest_pod_past_nine() {
+    // "Newest pods go first" by creation, not by name: `svc-a-rs-10` sorts
+    // before `svc-a-rs-9` as a string, but it is the newer pod.
+    let mut rng = SimRng::new(6);
+    let mut c = K8sCluster::with_defaults();
+    c.node_mut().pull(&[catalog::nginx()], &mut rng);
+    let (mut dep, svc) = nginx_deployment("svc-a", None);
+    dep.replicas = 10;
+    let (id, _) = c.apply(dep, svc, SimTime::ZERO, &mut rng);
+    settle_into(&mut c, &mut rng, &mut Vec::new());
+    assert_eq!(c.live_pods(id).len(), 10);
+
+    c.scale(id, 9, SimTime::from_secs(60), &mut rng);
+    let mut events = Vec::new();
+    settle_into(&mut c, &mut rng, &mut events);
+    let terminated: Vec<String> = events
+        .iter()
+        .filter_map(|e| match e {
+            ClusterEvent::PodTerminated { pod, .. } => Some(c.pod_name(*pod)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(terminated, ["svc-a-rs-10"]);
+    let live: Vec<String> = c.live_pods(id).iter().map(|&p| c.pod_name(p)).collect();
+    let expected: Vec<String> = (1..=9).map(|n| format!("svc-a-rs-{n}")).collect();
+    assert_eq!(live, expected);
 }

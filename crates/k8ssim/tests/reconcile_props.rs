@@ -8,7 +8,7 @@ use containerd::ContainerSpec;
 use desim::{Duration, LogNormal, SimRng, SimTime};
 use k8ssim::objects::{PodContainer, PodTemplate};
 use k8ssim::objects::selector_matches;
-use k8ssim::{ClusterEvent, Deployment, K8sCluster, Service, StoreStats};
+use k8ssim::{ClusterEvent, Deployment, DeploymentId, K8sCluster, PodId, Service, StoreStats};
 use proptest::prelude::*;
 use registry::image::catalog;
 use registry::ImageRef;
@@ -37,7 +37,7 @@ fn objects(name: &str, replicas: u32, pod_labels: Labels, selector: Labels) -> (
             template: PodTemplate {
                 labels: pod_labels.into(),
                 containers: vec![PodContainer {
-                    spec: ContainerSpec::new("c", ImageRef::parse("josefhammer/web-asm:amd64"), Some(80)),
+                    spec: ContainerSpec::new("c", ImageRef::parse("josefhammer/web-asm:amd64"), Some(80)).into(),
                     manifest: catalog::web_asm(),
                     ready: LogNormal::from_median(0.005, 0.1),
                 }],
@@ -54,6 +54,13 @@ fn objects(name: &str, replicas: u32, pod_labels: Labels, selector: Labels) -> (
     )
 }
 
+/// `settle` into a fresh trail.
+fn settle(c: &mut K8sCluster, rng: &mut SimRng) -> Vec<ClusterEvent> {
+    let mut events = Vec::new();
+    c.settle(rng, &mut events);
+    events
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -65,19 +72,20 @@ proptest! {
         let mut c = K8sCluster::with_defaults();
         c.node_mut().pull(&[catalog::web_asm()], &mut rng);
         let (dep, svc) = deployment("svc", 0);
-        c.apply(dep, svc, SimTime::ZERO, &mut rng);
-        c.settle(&mut rng);
+        let (id, _) = c.apply(dep, svc, SimTime::ZERO, &mut rng);
+        let mut trail = Vec::new();
+        c.settle(&mut rng, &mut trail);
         let mut now = SimTime::from_secs(10);
         let mut last = 0;
         for t in targets {
-            c.scale("svc", t, now, &mut rng);
-            c.settle(&mut rng);
+            c.scale(id, t, now, &mut rng);
+            c.settle(&mut rng, &mut trail);
             now += Duration::from_secs(60);
             last = t;
         }
-        let live = c.live_pods("svc").len();
+        let live = c.live_pods(id).len();
         prop_assert_eq!(live, last as usize, "converged to declared replicas");
-        let eps = c.ready_endpoints("svc", now);
+        let eps = c.ready_endpoints(id, now);
         prop_assert_eq!(eps.len(), last as usize);
         // Distinct pod addresses.
         let distinct: std::collections::HashSet<_> = eps.iter().collect();
@@ -95,22 +103,22 @@ proptest! {
         for i in 0..n_deps {
             let (dep, svc) = deployment(&format!("svc-{i}"), replicas);
             c.apply(dep, svc, SimTime::from_secs(i as u64), &mut rng);
-            events.extend(c.settle(&mut rng));
+            events.extend(settle(&mut c, &mut rng));
         }
         use std::collections::HashMap;
-        let mut created: HashMap<String, SimTime> = HashMap::new();
-        let mut scheduled: HashMap<String, SimTime> = HashMap::new();
+        let mut created: HashMap<PodId, SimTime> = HashMap::new();
+        let mut scheduled: HashMap<PodId, SimTime> = HashMap::new();
         for e in &events {
-            match e {
-                ClusterEvent::PodCreated { at, name } => {
-                    created.insert(name.clone(), *at);
+            match *e {
+                ClusterEvent::PodCreated { at, pod } => {
+                    created.insert(pod, at);
                 }
-                ClusterEvent::PodScheduled { at, name, .. } => {
-                    prop_assert!(created[name] <= *at);
-                    scheduled.insert(name.clone(), *at);
+                ClusterEvent::PodScheduled { at, pod, .. } => {
+                    prop_assert!(created[&pod] <= at);
+                    scheduled.insert(pod, at);
                 }
-                ClusterEvent::PodReady { at, name, .. } => {
-                    prop_assert!(scheduled[name] <= *at);
+                ClusterEvent::PodReady { at, pod, .. } => {
+                    prop_assert!(scheduled[&pod] <= at);
                 }
                 _ => {}
             }
@@ -127,12 +135,12 @@ proptest! {
         let mut c = K8sCluster::with_defaults();
         c.node_mut().pull(&[catalog::web_asm()], &mut rng);
         let (dep, svc) = deployment("svc", replicas);
-        c.apply(dep, svc, SimTime::ZERO, &mut rng);
-        c.settle(&mut rng);
-        let live_before = c.live_pods("svc").len();
-        let again = c.settle(&mut rng);
+        let (id, _) = c.apply(dep, svc, SimTime::ZERO, &mut rng);
+        settle(&mut c, &mut rng);
+        let live_before = c.live_pods(id).len();
+        let again = settle(&mut c, &mut rng);
         prop_assert!(again.is_empty());
-        prop_assert_eq!(c.live_pods("svc").len(), live_before);
+        prop_assert_eq!(c.live_pods(id).len(), live_before);
     }
 }
 
@@ -187,7 +195,6 @@ fn op() -> impl Strategy<Value = Op> {
 #[derive(Debug)]
 struct SeenPod {
     labels: Labels,
-    owner: String,
     bound: bool,
     /// `(ip, ready_at)` once the kubelet started it.
     running: Option<([u8; 4], SimTime)>,
@@ -206,36 +213,38 @@ struct SeenService {
 /// by walking all of them, the way the cluster itself used to.
 #[derive(Default)]
 struct History {
-    pods: BTreeMap<String, SeenPod>,
-    services: BTreeMap<String, SeenService>,
+    /// Keyed by handle, so in creation order.
+    pods: BTreeMap<PodId, SeenPod>,
+    /// Keyed by deployment index.
+    services: BTreeMap<usize, SeenService>,
 }
 
 impl History {
-    /// Folds one settle's trail in. Returns whether any pod changed phase —
-    /// the moments the endpoints controller runs.
-    fn absorb(&mut self, trail: &[ClusterEvent]) -> bool {
+    /// Folds one settle's trail in. `deps[i]` is deployment `i`'s handle.
+    /// Returns whether any pod changed phase — the moments the endpoints
+    /// controller runs.
+    fn absorb(&mut self, trail: &[ClusterEvent], c: &K8sCluster, deps: &[Option<DeploymentId>]) -> bool {
         let mut transition = false;
         for e in trail {
-            match e {
-                ClusterEvent::PodCreated { name, .. } => {
-                    let (owner, _) = name.rsplit_once('-').unwrap();
-                    let dep: usize = owner.strip_prefix('d').unwrap().strip_suffix("-rs").unwrap().parse().unwrap();
-                    let pod = SeenPod {
+            match *e {
+                ClusterEvent::PodCreated { pod, .. } => {
+                    let dep = deps.iter().position(|&d| d == Some(pod.deployment)).unwrap();
+                    assert_eq!(c.pod_name(pod), format!("d{dep}-rs-{}", pod.seq));
+                    let seen = SeenPod {
                         labels: pod_labels(dep),
-                        owner: owner.to_owned(),
                         bound: false,
                         running: None,
                         terminated: false,
                     };
-                    assert!(self.pods.insert(name.clone(), pod).is_none(), "pod names are never reused");
+                    assert!(self.pods.insert(pod, seen).is_none(), "pod handles are never reused");
                 }
-                ClusterEvent::PodScheduled { name, .. } => self.pods.get_mut(name).unwrap().bound = true,
-                ClusterEvent::PodReady { at, name, ip } => {
-                    self.pods.get_mut(name).unwrap().running = Some((*ip, *at));
+                ClusterEvent::PodScheduled { pod, .. } => self.pods.get_mut(&pod).unwrap().bound = true,
+                ClusterEvent::PodReady { at, pod, ip } => {
+                    self.pods.get_mut(&pod).unwrap().running = Some((ip, at));
                     transition = true;
                 }
-                ClusterEvent::PodTerminated { name, .. } => {
-                    self.pods.get_mut(name).unwrap().terminated = true;
+                ClusterEvent::PodTerminated { pod, .. } => {
+                    self.pods.get_mut(&pod).unwrap().terminated = true;
                     transition = true;
                 }
                 _ => {}
@@ -244,12 +253,12 @@ impl History {
         transition
     }
 
-    fn live(&self) -> impl Iterator<Item = (&String, &SeenPod)> {
+    fn live(&self) -> impl Iterator<Item = (&PodId, &SeenPod)> {
         self.pods.iter().filter(|(_, p)| !p.terminated)
     }
 
     /// Addresses of the running pods `svc` selects that are ready by `at`,
-    /// in pod-name order.
+    /// in creation order.
     fn ready(&self, svc: &SeenService, at: SimTime) -> Vec<([u8; 4], u16)> {
         self.live()
             .filter(|(_, p)| selector_matches(&svc.selector, &p.labels))
@@ -275,6 +284,8 @@ proptest! {
         let mut c = K8sCluster::with_defaults();
         c.node_mut().pull(&[catalog::web_asm()], &mut rng);
         let mut history = History::default();
+        let mut handles: [Option<DeploymentId>; DEPLOYMENTS] = [None; DEPLOYMENTS];
+        let mut trail = Vec::new();
         let mut now = SimTime::ZERO;
         for op in ops.into_iter().chain([Op::Settle]) {
             now += Duration::from_millis(700);
@@ -288,24 +299,30 @@ proptest! {
                         target_port: s.target_port,
                         addresses: vec![],
                     };
-                    history.services.insert(dep_name(dep), seen);
-                    c.apply(d, s, now, &mut rng);
+                    history.services.insert(dep, seen);
+                    let (id, _) = c.apply(d, s, now, &mut rng);
+                    prop_assert!(handles[dep].is_none_or(|h| h == id), "a name keeps its handle");
+                    handles[dep] = Some(id);
                 }
                 Op::Scale { dep, replicas } => {
-                    if c.has_deployment(&dep_name(dep)) {
-                        c.scale(&dep_name(dep), replicas, now, &mut rng);
+                    if let Some(id) = handles[dep].filter(|&id| c.has_deployment(id)) {
+                        c.scale(id, replicas, now, &mut rng);
                     }
                 }
                 Op::DeleteDeployment(dep) => {
-                    c.delete_deployment(&dep_name(dep), now, &mut rng);
+                    if let Some(id) = handles[dep] {
+                        c.delete_deployment(id, now, &mut rng);
+                    }
                 }
                 Op::DeleteService(dep) => {
-                    c.delete_service(&dep_name(dep), now, &mut rng);
-                    history.services.remove(&dep_name(dep));
+                    if let Some(id) = handles[dep] {
+                        c.delete_service(id, now, &mut rng);
+                        history.services.remove(&dep);
+                    }
                 }
                 Op::Settle => {
-                    let trail = c.settle(&mut rng);
-                    if history.absorb(&trail) {
+                    c.settle(&mut rng, &mut trail);
+                    if history.absorb(&trail, &c, &handles) {
                         // The endpoints controller ran after the last phase
                         // change: every service is up to date.
                         let derived: Vec<_> = history
@@ -321,25 +338,23 @@ proptest! {
                             svc.addresses = addrs;
                         }
                     }
-                    for i in 0..DEPLOYMENTS {
-                        let name = dep_name(i);
-                        let rs = format!("{name}-rs");
-                        let live: Vec<&String> = history.live().filter(|(_, p)| p.owner == rs).map(|(n, _)| n).collect();
-                        let got: Vec<&String> = c.live_pods(&name).iter().map(|p| &p.name).collect();
-                        prop_assert_eq!(got, live, "live_pods({})", name);
-                        match history.services.get(&name) {
+                    for (i, id) in handles.iter().enumerate() {
+                        let Some(id) = *id else { continue };
+                        let live: Vec<PodId> = history.live().map(|(&p, _)| p).filter(|p| p.deployment == id).collect();
+                        prop_assert_eq!(c.live_pods(id), &live[..], "live_pods({})", dep_name(i));
+                        match history.services.get(&i) {
                             Some(svc) => {
-                                prop_assert_eq!(&c.endpoints(&name).unwrap().addresses, &svc.addresses, "endpoints({})", &name);
+                                prop_assert_eq!(&c.endpoints(id).unwrap().addresses, &svc.addresses, "endpoints({})", dep_name(i));
                                 // Between the pods' readiness instants too.
                                 for at in trail.iter().map(ClusterEvent::at).chain([now, SimTime::MAX]) {
                                     let ready = history.ready(svc, at);
-                                    prop_assert_eq!(c.first_ready_endpoint(&name, at), ready.first().copied());
-                                    prop_assert_eq!(c.ready_endpoints(&name, at), ready);
+                                    prop_assert_eq!(c.first_ready_endpoint(id, at), ready.first().copied());
+                                    prop_assert_eq!(c.ready_endpoints(id, at), ready);
                                 }
                             }
                             None => {
-                                prop_assert!(c.endpoints(&name).is_none());
-                                prop_assert!(c.ready_endpoints(&name, SimTime::MAX).is_empty());
+                                prop_assert!(c.endpoints(id).is_none());
+                                prop_assert!(c.ready_endpoints(id, SimTime::MAX).is_empty());
                             }
                         }
                     }
@@ -349,11 +364,14 @@ proptest! {
                         .values()
                         .map(|svc| running.iter().filter(|p| selector_matches(&svc.selector, &p.labels)).count())
                         .sum();
-                    prop_assert_eq!(c.store_stats(), StoreStats {
+                    let stats = c.store_stats();
+                    prop_assert!(stats.slots >= stats.pods);
+                    prop_assert_eq!(stats, StoreStats {
                         pods: history.live().count(),
                         owned: history.live().count(),
                         backends,
                         bound: history.live().filter(|(_, p)| p.bound).count(),
+                        slots: stats.slots,
                     });
                 }
             }
@@ -362,10 +380,12 @@ proptest! {
 }
 
 /// The leak check: 2 000 scale-up / scale-down cycles over 100 deployments.
-/// The store never holds more than what is deployed at that moment, and a
-/// final scale-to-zero leaves the pod store and every index empty — so a
+/// The store never holds more than what is deployed at that moment, its pod
+/// slots never outnumber the most pods live at once, and a final
+/// scale-to-zero leaves the pod store and every index empty — so a
 /// reintroduced scan over everything ever created has nothing to walk, and a
-/// reintroduced graveyard fails here, without a wall-clock gate.
+/// reintroduced graveyard (or a slot store that forgets to reuse) fails
+/// here, without a wall-clock gate.
 #[test]
 fn churn_leaves_nothing_behind() {
     const DEPLOYMENTS: usize = 100;
@@ -375,35 +395,47 @@ fn churn_leaves_nothing_behind() {
     let mut rng = SimRng::new(11);
     let mut c = K8sCluster::with_defaults();
     c.node_mut().pull(&[catalog::web_asm()], &mut rng);
-    let name = |i: usize| format!("svc-{:03}", i % DEPLOYMENTS);
     let mut now = SimTime::ZERO;
-    for i in 0..DEPLOYMENTS {
-        let (dep, svc) = deployment(&name(i), 0);
-        c.apply(dep, svc, now, &mut rng);
-    }
-    c.settle(&mut rng);
+    let ids: Vec<DeploymentId> = (0..DEPLOYMENTS)
+        .map(|i| {
+            let (dep, svc) = deployment(&format!("svc-{i:03}"), 0);
+            c.apply(dep, svc, now, &mut rng).0
+        })
+        .collect();
+    let id = |cycle: usize| ids[cycle % DEPLOYMENTS];
+    let mut trail = Vec::new();
+    c.settle(&mut rng, &mut trail);
     let mut created = 0;
+    // The most pods that can have been live at once: those live before a
+    // settle plus those it created (terminations only lower the count).
+    let mut peak = 0;
     for cycle in 0..CYCLES {
         now += Duration::from_secs(5);
-        c.scale(&name(cycle), 1, now, &mut rng);
+        let before = c.store_stats().pods;
+        c.scale(id(cycle), 1, now, &mut rng);
         if cycle >= UP_FOR {
-            c.scale(&name(cycle - UP_FOR), 0, now, &mut rng);
+            c.scale(id(cycle - UP_FOR), 0, now, &mut rng);
         }
-        let trail = c.settle(&mut rng);
-        created += trail.iter().filter(|e| matches!(e, ClusterEvent::PodCreated { .. })).count();
+        c.settle(&mut rng, &mut trail);
+        let new = trail.iter().filter(|e| matches!(e, ClusterEvent::PodCreated { .. })).count();
+        created += new;
+        peak = peak.max(before + new);
         let stats = c.store_stats();
         assert!(stats.pods <= UP_FOR + 1, "cycle {cycle}: {stats:?}");
+        assert!(stats.slots <= peak, "cycle {cycle}: {stats:?}, peak {peak}");
         assert_eq!((stats.owned, stats.backends, stats.bound), (stats.pods, stats.pods, stats.pods));
     }
     assert_eq!(created, CYCLES, "every cycle ran a fresh pod");
-    for i in 0..DEPLOYMENTS {
-        c.scale(&name(i), 0, now, &mut rng);
+    for &id in &ids {
+        c.scale(id, 0, now, &mut rng);
     }
-    c.settle(&mut rng);
-    assert_eq!(c.store_stats(), StoreStats::default());
+    c.settle(&mut rng, &mut trail);
+    let stats = c.store_stats();
+    assert_eq!(stats, StoreStats { slots: stats.slots, ..StoreStats::default() });
+    assert!(stats.slots <= peak);
     assert_eq!(c.node().container_count(), 0);
-    for i in 0..DEPLOYMENTS {
-        assert!(c.live_pods(&name(i)).is_empty());
-        assert!(c.endpoints(&name(i)).unwrap().addresses.is_empty());
+    for &id in &ids {
+        assert!(c.live_pods(id).is_empty());
+        assert!(c.endpoints(id).unwrap().addresses.is_empty());
     }
 }

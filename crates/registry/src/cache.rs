@@ -36,15 +36,16 @@ impl LayerCache {
         self.layers.remove(digest).is_some()
     }
 
-    /// Splits a manifest into (cached, missing) layers, recording hit/miss
-    /// statistics.
-    pub fn plan(&mut self, manifest: &ImageManifest) -> (Vec<Layer>, Vec<Layer>) {
-        let mut cached = Vec::new();
+    /// Splits a manifest into the number of cached layers and the missing
+    /// layers, recording hit/miss statistics. A fully cached image is
+    /// answered without touching the heap.
+    pub fn plan(&mut self, manifest: &ImageManifest) -> (usize, Vec<Layer>) {
+        let mut cached = 0;
         let mut missing = Vec::new();
         for l in &manifest.layers {
             if self.contains(&l.digest) {
                 self.hits += 1;
-                cached.push(*l);
+                cached += 1;
             } else {
                 self.misses += 1;
                 missing.push(*l);
@@ -97,7 +98,7 @@ mod tests {
         let m = catalog::nginx();
         assert!(!c.has_image(&m));
         let (cached, missing) = c.plan(&m);
-        assert!(cached.is_empty());
+        assert_eq!(cached, 0);
         assert_eq!(missing.len(), 6);
         assert_eq!(c.stats(), (0, 6));
         assert_eq!(c.hit_rate(), Some(0.0));
@@ -114,7 +115,7 @@ mod tests {
         assert!(c.has_image(&m));
         assert_eq!(c.disk_usage(), mib(135));
         let (cached, missing) = c.plan(&m);
-        assert_eq!(cached.len(), 6);
+        assert_eq!(cached, 6);
         assert!(missing.is_empty());
     }
 
@@ -127,7 +128,7 @@ mod tests {
             c.insert(*l);
         }
         let (cached, missing) = c.plan(&m);
-        assert_eq!(cached.len(), 3);
+        assert_eq!(cached, 3);
         assert_eq!(missing.len(), 6);
         let missing_bytes: u64 = missing.iter().map(|l| l.size).sum();
         assert!(missing_bytes < m.total_size() / 4, "base layers dominate size");

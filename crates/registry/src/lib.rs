@@ -42,4 +42,4 @@ pub mod pull;
 
 pub use cache::LayerCache;
 pub use image::{ImageManifest, ImageRef};
-pub use pull::{PullError, PullOutcome, PullPlanner, RegistryProfile};
+pub use pull::{PublicRegistries, PullError, PullOutcome, PullPlanner, RegistryProfile};

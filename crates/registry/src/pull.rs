@@ -14,7 +14,7 @@ use desim::{Duration, FaultInjector, LogNormal, Sample, SimRng};
 #[derive(Clone, Debug)]
 pub struct RegistryProfile {
     /// Display name (`docker.io`, `gcr.io`, `registry.local`).
-    pub name: String,
+    pub name: &'static str,
     /// Time for manifest negotiation (TLS + auth + manifest GET); one per pull.
     pub(crate) manifest_time: LogNormal,
     /// Per-layer request overhead (HTTP round trip + blob open).
@@ -32,7 +32,7 @@ impl RegistryProfile {
     /// pulls in roughly 4–5 s, as in Fig. 13's public-registry bars).
     pub fn docker_hub() -> RegistryProfile {
         RegistryProfile {
-            name: "docker.io".to_owned(),
+            name: "docker.io",
             manifest_time: LogNormal::from_median(0.45, 0.25),
             per_layer_overhead: LogNormal::from_median(0.12, 0.30),
             bandwidth: 50e6,        // ~400 Mbit/s effective from the WAN
@@ -45,7 +45,7 @@ impl RegistryProfile {
     /// slightly faster CDN.
     pub(crate) fn gcr() -> RegistryProfile {
         RegistryProfile {
-            name: "gcr.io".to_owned(),
+            name: "gcr.io",
             manifest_time: LogNormal::from_median(0.40, 0.25),
             per_layer_overhead: LogNormal::from_median(0.10, 0.30),
             bandwidth: 60e6,
@@ -58,7 +58,7 @@ impl RegistryProfile {
     /// ~1.5–2 s faster for the studied images).
     pub fn private_local() -> RegistryProfile {
         RegistryProfile {
-            name: "registry.local".to_owned(),
+            name: "registry.local",
             manifest_time: LogNormal::from_median(0.015, 0.20),
             per_layer_overhead: LogNormal::from_median(0.008, 0.25),
             bandwidth: 112e6, // ~900 Mbit/s on the local gigabit network
@@ -67,14 +67,33 @@ impl RegistryProfile {
         }
     }
 
-    /// Picks the profile matching an image's registry host: `gcr.io` images
-    /// come from GCR, everything else from Docker Hub (mirrors the paper's
-    /// setup).
-    pub fn for_host(host: &str) -> RegistryProfile {
+}
+
+/// The public registries an image reference can name, built once by a
+/// content store rather than once per pull.
+#[derive(Clone, Debug)]
+pub struct PublicRegistries {
+    hub: RegistryProfile,
+    gcr: RegistryProfile,
+}
+
+impl Default for PublicRegistries {
+    fn default() -> Self {
+        PublicRegistries {
+            hub: RegistryProfile::docker_hub(),
+            gcr: RegistryProfile::gcr(),
+        }
+    }
+}
+
+impl PublicRegistries {
+    /// The profile matching an image's registry host: `gcr.io` images come
+    /// from GCR, everything else from Docker Hub (mirrors the paper's setup).
+    pub fn for_host(&self, host: &str) -> &RegistryProfile {
         if host == "gcr.io" {
-            RegistryProfile::gcr()
+            &self.gcr
         } else {
-            RegistryProfile::docker_hub()
+            &self.hub
         }
     }
 }
@@ -166,7 +185,7 @@ impl<'a> PullPlanner<'a> {
     ) -> Result<PullOutcome, PullError> {
         let (cached, missing) = cache.plan(manifest);
         if missing.is_empty() {
-            return Ok(PullOutcome::cached(cached.len()));
+            return Ok(PullOutcome::cached(cached));
         }
         let mut duration = self.simulate_transfer(&missing, rng);
         if let Some(f) = faults {
@@ -194,7 +213,7 @@ impl<'a> PullPlanner<'a> {
             duration,
             bytes_transferred: missing.iter().map(|l| l.size).sum(),
             layers_fetched: missing.len(),
-            layers_cached: cached.len(),
+            layers_cached: cached,
         })
     }
 
@@ -382,8 +401,9 @@ mod tests {
 
     #[test]
     fn profile_for_host_routes_gcr() {
-        assert_eq!(RegistryProfile::for_host("gcr.io").name, "gcr.io");
-        assert_eq!(RegistryProfile::for_host("docker.io").name, "docker.io");
-        assert_eq!(RegistryProfile::for_host("anything.else").name, "docker.io");
+        let public = PublicRegistries::default();
+        assert_eq!(public.for_host("gcr.io").name, "gcr.io");
+        assert_eq!(public.for_host("docker.io").name, "docker.io");
+        assert_eq!(public.for_host("anything.else").name, "docker.io");
     }
 }

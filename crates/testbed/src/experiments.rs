@@ -752,6 +752,7 @@ pub fn local_scheduler(seed: u64) -> Figure {
 
         let mut ready_latencies = Vec::new();
         let mut nodes_used = std::collections::BTreeSet::new();
+        let mut events = Vec::new();
         for i in 0..9u64 {
             let name = format!("svc-{i}");
             let sel: std::collections::BTreeMap<String, String> =
@@ -768,7 +769,8 @@ pub fn local_scheduler(seed: u64) -> Figure {
                             "nginx",
                             registry::ImageRef::parse("nginx:1.23.2"),
                             Some(80),
-                        ),
+                        )
+                        .into(),
                         manifest: catalog::nginx(),
                         ready: desim::LogNormal::from_median(0.045, 0.2),
                     }],
@@ -784,7 +786,8 @@ pub fn local_scheduler(seed: u64) -> Figure {
             };
             let t0 = SimTime::from_secs(i * 30);
             c.apply(dep, svc, t0, &mut rng);
-            for e in c.settle(&mut rng) {
+            c.settle(&mut rng, &mut events);
+            for &e in &events {
                 match e {
                     ClusterEvent::PodScheduled { node, .. } => {
                         nodes_used.insert(node);

@@ -7,9 +7,10 @@
 //! per heap call, keeps its first four frames inside the workspace (the
 //! innermost one is the site, the rest say how it was reached) and prints
 //! calls and bytes per site — for twenty warm short connections
-//! (`flow_churn`'s shape) and for one warm 83 KiB upload (`bulk_transfer`'s).
-//! A backtrace costs milliseconds, so both cases are `#[ignore]`d; run them
-//! with
+//! (`flow_churn`'s shape), for one warm 83 KiB upload (`bulk_transfer`'s)
+//! and for every request of `deploy_churn`'s trace (cold Kubernetes
+//! deployments that idle out). A backtrace costs milliseconds, so every case
+//! is `#[ignore]`d; run them with
 //!
 //! ```text
 //! cargo test -p testbed --test alloc_sites -- --ignored --nocapture --test-threads=1
@@ -18,7 +19,9 @@
 //! in a debug build (line tables, nothing inlined away). EXPERIMENTS.md
 //! "PR 36" holds the table this printed before and after the control
 //! channel stopped allocating: inline action lists, messages encoded into
-//! recycled buffers, packet-in bytes borrowed.
+//! recycled buffers, packet-in bytes borrowed; "PR 38" the one before and
+//! after the Kubernetes deploy cycle stopped allocating: k8ssim objects by
+//! handle, an event trail the caller owns, shared container specs.
 
 use desim::SimTime;
 use netsim::{Ipv4Addr, ServiceAddr};
@@ -186,4 +189,52 @@ fn sites_of_one_warm_upload() {
     });
     assert_eq!((tb.completed.len(), tb.drops, tb.resets), (3, 0, 0));
     assert!(tb.switch().table().is_empty(), "the pair idled out and said so");
+}
+
+#[test]
+#[ignore = "a profile, not a check: prints the allocation sites of deploy_churn's requests"]
+fn sites_of_k8s_deploy_churn() {
+    use desim::Duration;
+    use workload::{Trace, TraceConfig};
+    // `deploy_churn`'s shape: 100 cold nginx services on Kubernetes whose
+    // flows (2 s) and memory (3 s) idle out, 8 000 requests over 200 s from
+    // 250 clients, the trace at seed 1 shifted to start at 1 s.
+    let trace = Trace::generate(
+        TraceConfig {
+            n_services: 100,
+            n_requests: 8_000,
+            min_per_service: 1,
+            duration: Duration::from_secs(200),
+            n_clients: 250,
+            skew: 0.9,
+            start_mean_secs: 8.0,
+        },
+        1,
+    );
+    let mut tb = Testbed::new(TestbedConfig {
+        n_clients: 250,
+        cluster: testbed::ClusterKind::K8s,
+        controller: edgectl::ControllerConfig {
+            memory_idle: Duration::from_secs(3),
+            switch_flow_idle: Duration::from_secs(2),
+            ..edgectl::ControllerConfig::default()
+        },
+        seed: 1,
+        ..TestbedConfig::default()
+    });
+    let nginx = containerd::ServiceSet::by_key("nginx").unwrap();
+    let addrs: Vec<ServiceAddr> = (1..=100)
+        .map(|host| ServiceAddr::new(Ipv4Addr::new(203, 0, 113, host), nginx.listen_port))
+        .collect();
+    for &addr in &addrs {
+        tb.register_service(nginx.clone(), addr);
+    }
+    for r in &trace.requests {
+        tb.request_at(r.at + Duration::from_secs(1), r.client, addrs[r.service]);
+    }
+    let n = trace.requests.len() as u64;
+    profile("deploy_churn at seed 1: 100 cold services on Kubernetes, every request", n, || {
+        tb.run_until(SimTime::from_secs(264));
+    });
+    assert_eq!((tb.completed.len() as u64, tb.drops, tb.resets), (n, 0, 0));
 }

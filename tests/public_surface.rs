@@ -39,6 +39,7 @@ const KEPT: &[(&str, &str)] = &[
     ("k8ssim::ready_endpoints", "reconcile_props and the full-recompute oracle read endpoints"),
     ("k8ssim::has_deployment", "reconcile_props and the full-recompute oracle check Deployments"),
     ("k8ssim::worker_mut", "multinode pre-pulls images onto one worker"),
+    ("k8ssim::pod_name", "multinode and reconcile_props check pods by the name a handle renders"),
     ("netsim::path_latency", "the topology tests and wire_props price paths"),
     ("netsim::rewrite_dst", "the frame tests and wire_props rewrite a destination"),
     ("mobility::round_robin", "the harness and frame_allocs tests place clients on gNBs"),
