@@ -715,7 +715,7 @@ impl<S: Spans> Controller<S> {
         let gone = self.state.pairs_with_fwd(filed, ingress, priority, match_);
         let last = gone.iter().filter_map(|&id| self.remove_pair(filed, ingress, id)).last();
         if let (None, Some(pair)) = (client, last) {
-            self.commit(JournalEvent::AggregateDrop { ingress, service: pair.service });
+            self.commit(JournalEvent::AggregateDrop { ingress, service: pair.service() });
         }
         self.state.recycle_ids(gone);
     }
@@ -970,9 +970,9 @@ impl<S: Spans> Controller<S> {
 
     /// The one install path: resolves the egress toward `to`, builds the
     /// pair `spec` describes (see [`crate::rules`] for the shapes), sends it
-    /// — releasing the packet behind a packet-in, if any — and files it:
-    /// switch-side deletion is exact-match, so handover teardown, repair and
-    /// reconciliation need the pair verbatim.
+    /// — releasing the packet behind a packet-in, if any — and files it as
+    /// `(spec, target)`: switch-side deletion is exact-match, so handover
+    /// teardown, repair and reconciliation rebuild the pair verbatim.
     ///
     /// Who installs what: packet-ins a `Connection` pair (or, through
     /// [`Controller::install_aggregated`], a `Service` pair); handovers and
@@ -994,16 +994,16 @@ impl<S: Spans> Controller<S> {
             // the cloud gets the exact cloud path and anchors nothing.
             spec.granularity = Granularity::Connection;
         }
-        let pair = spec.build(target, FLOW_PRIORITY);
-        if let (Granularity::Service, Some(instance), Some(cluster)) =
-            (spec.granularity, pair.instance, pair.cluster)
+        let (fwd, rev) = rules::InstalledPair { spec, target }.flows();
+        if let (Granularity::Service, Target::Instance { instance, cluster, .. }) =
+            (spec.granularity, target)
         {
             let rule = AggregateRule {
                 instance,
                 cluster,
                 in_port: spec.in_port,
                 gw_mac: spec.gw_mac,
-                fwd_actions: pair.fwd.actions,
+                fwd_actions: fwd.actions,
             };
             self.commit(JournalEvent::AggregateSet {
                 ingress,
@@ -1018,15 +1018,15 @@ impl<S: Spans> Controller<S> {
         // is re-injected by a `PACKET_OUT` after them.
         let buffer_id = release.map_or(OFP_NO_BUFFER, |(id, _)| id);
         self.flow_adds += 2;
-        out.push(self.flow_add(at, &pair.rev, OFP_NO_BUFFER));
-        out.push(self.flow_add(at, &pair.fwd, buffer_id));
+        out.push(self.flow_add(at, &rev, OFP_NO_BUFFER));
+        out.push(self.flow_add(at, &fwd, buffer_id));
         if let Some(carried) = release.filter(|(id, _)| *id == OFP_NO_BUFFER) {
-            self.packet_out(ingress, at, carried, pair.fwd.actions, out);
+            self.packet_out(ingress, at, carried, fwd.actions, out);
         }
         self.commit(JournalEvent::PairAdd {
             client: spec.filed_under(),
             ingress,
-            pair,
+            pair: rules::InstalledPair { spec, target },
         });
     }
 
@@ -1186,13 +1186,13 @@ impl<S: Spans> Controller<S> {
                 // Anchoring keeps the session on its current instance — valid
                 // only while that instance still serves.
                 let anchored = policy == HandoverPolicy::Anchored
-                    && ctl.serving(flow.cluster, key.service, flow.instance, t) == Serving::Yes;
+                    && ctl.serving(flow.cluster(), key.service, flow.instance, t) == Serving::Yes;
                 let (placement, installed_at) = if anchored {
                     ctl.state.memory_mut().rekey(&key, to, t);
                     ctl.telemetry.event(root, "anchored", t, || {
-                        format!("{}: kept on cluster {}", svc.name, flow.cluster)
+                        format!("{}: kept on cluster {}", svc.name, flow.cluster())
                     });
-                    (Some((flow.instance, flow.cluster)), t)
+                    (Some((flow.instance, flow.cluster())), t)
                 } else {
                     // Re-place the session through the scheduler, as a Handover.
                     ctl.state.memory_mut().forget(&key);
@@ -1242,8 +1242,8 @@ impl<S: Spans> Controller<S> {
             let n_old = old_pairs.len();
             let mut messages = Vec::with_capacity(made.len() + 2 * n_old);
             messages.extend(made.drain(..).map(|m| (to, m)));
-            for pair in old_pairs.drain(..) {
-                for m in [pair.fwd.match_, pair.rev.match_] {
+            for (fwd, rev) in old_pairs.drain(..).map(|p| p.flows()) {
+                for m in [fwd.match_, rev.match_] {
                     messages.push((from, ctl.flow_delete(break_at, m)));
                 }
             }

@@ -182,7 +182,7 @@ impl<S: Spans> Controller<S> {
             out.extend(self.teardown_pairs(
                 client,
                 key.ingress,
-                |p| p.service == m.service && p.cluster == Some(m.from),
+                |p| p.service() == m.service && p.cluster() == Some(m.from),
                 replaced_fwd.as_ref(),
                 break_at,
             ));
@@ -245,13 +245,13 @@ impl<S: Spans> Controller<S> {
         let n = self.clusters.len();
         let mut jobs: Vec<(ServiceAddr, usize)> = Vec::new();
         for (key, flow) in self.state.memory().flows_of_client_at(client, ingress) {
-            if flow.cluster >= n {
+            if flow.cluster() >= n {
                 continue;
             }
-            let here = self.distance(near, flow.cluster);
+            let here = self.distance(near, flow.cluster());
             let closer = (0..n).filter(|&i| self.distance(near, i) < here).count();
             if closer >= crate::migrate::MOBILITY_HOPS {
-                jobs.push((key.service, flow.cluster));
+                jobs.push((key.service, flow.cluster()));
             }
         }
         self.start_migrations(jobs, near, MigrationReason::Mobility, now, rng);

@@ -12,7 +12,7 @@ use crate::dispatch::Serving;
 use crate::flowmemory::IngressId;
 use crate::journal::{JournalEvent, PairId};
 use crate::rules::{InstalledFlow, InstalledPair};
-use desim::{SimRng, SimTime};
+use desim::{FastSet, SimRng, SimTime};
 use netsim::addr::Ipv4Addr;
 use netsim::ServiceAddr;
 use openflow::oxm::Match;
@@ -107,7 +107,7 @@ impl<S: Spans> Controller<S> {
             )
         });
         let retain = JournalEvent::AggregateRetainInstance { instance: inst };
-        let out = self.teardown_everywhere(|p| p.instance == Some(inst), retain, now);
+        let out = self.teardown_everywhere(|p| p.instance() == Some(inst), retain, now);
         self.state.health_mut().record_failure(cluster, now);
         self.count("stale_redirects_repaired", n);
         let m = &mut self.telemetry.metrics;
@@ -164,7 +164,7 @@ impl<S: Spans> Controller<S> {
                 )
             });
             let retain = JournalEvent::AggregateRetainCluster { cluster };
-            let out = ctl.teardown_everywhere(|p| p.cluster == Some(cluster), retain, now);
+            let out = ctl.teardown_everywhere(|p| p.cluster() == Some(cluster), retain, now);
             ctl.state.health_mut().begin_outage(cluster, until);
             ctl.telemetry.metrics.inc("zone_outages_total");
             ctl.count("stale_redirects_repaired", victims.len());
@@ -199,8 +199,7 @@ impl<S: Spans> Controller<S> {
         now: SimTime,
     ) -> Vec<OutboundMessage> {
         self.synced(|ctl| {
-            let mut claimed: Vec<(Match, u16)> = Vec::new();
-            let mut missing: Vec<InstalledFlow> = Vec::new();
+            let mut expected: Vec<(InstalledFlow, bool)> = Vec::new();
             for client in ctl.state.clients_at(ingress) {
                 // A redirect pair is expected only while its instance serves
                 // or is being deployed.
@@ -216,42 +215,14 @@ impl<S: Spans> Controller<S> {
                     let held = ctl.pair_serving(p, now) != Serving::Yes;
                     // Reverse before forward, as installs always go out: if both
                     // directions are missing, the reply path comes back first.
-                    for f in [&p.rev, &p.fwd] {
-                        claimed.push((f.match_, f.priority));
-                        let on_switch = switch_flows
-                            .iter()
-                            .any(|e| e.priority == f.priority && e.match_ == f.match_);
-                        if !on_switch && !held {
-                            missing.push(*f);
-                        }
-                    }
+                    let (fwd, rev) = p.flows();
+                    expected.extend([(rev, held), (fwd, held)]);
                 }
             }
-
+            let (missing, deletes, n_orphans) = reconcile_diff(&expected, switch_flows);
             let n_missing = missing.len();
-            let mut msgs: Vec<OutboundMessage> = Vec::with_capacity(n_missing);
-            for f in &missing {
-                msgs.push(ctl.flow_add(now, f, OFP_NO_BUFFER));
-            }
-            // Strict-delete unclaimed switch entries. Switch-side deletion is by
-            // exact match across every priority, so one Delete per distinct
-            // match suffices.
-            let mut deleted: Vec<Match> = Vec::new();
-            let mut n_orphans = 0usize;
-            for e in switch_flows {
-                if claimed
-                    .iter()
-                    .any(|(m, pr)| *pr == e.priority && *m == e.match_)
-                {
-                    continue;
-                }
-                n_orphans += 1;
-                if deleted.contains(&e.match_) {
-                    continue;
-                }
-                deleted.push(e.match_);
-                msgs.push(ctl.flow_delete(now, e.match_));
-            }
+            let mut msgs: Vec<_> = missing.iter().map(|f| ctl.flow_add(now, f, OFP_NO_BUFFER)).collect();
+            msgs.extend(deletes.into_iter().map(|m| ctl.flow_delete(now, m)));
 
             let (_, root) = ctl.open_request("reconcile", now);
             ctl.telemetry.event(root, "diff", now, || {
@@ -271,8 +242,8 @@ impl<S: Spans> Controller<S> {
     /// [`Controller::serving`] for the instance `p` redirects to (cloud pairs
     /// have nothing to die).
     fn pair_serving(&self, p: &InstalledPair, now: SimTime) -> Serving {
-        match (p.cluster, p.instance) {
-            (Some(cluster), Some(inst)) => self.serving(cluster, p.service, inst, now),
+        match (p.cluster(), p.instance()) {
+            (Some(cluster), Some(inst)) => self.serving(cluster, p.service(), inst, now),
             _ => Serving::Yes,
         }
     }
@@ -326,13 +297,146 @@ impl<S: Spans> Controller<S> {
         let mut out = Vec::new();
         for id in self.state.ids_where(client, ingress, pick) {
             let Some(p) = self.remove_pair(client, ingress, id) else { continue };
-            let hold = p.cluster.and_then(|c| self.held.get(&(p.service, c)));
+            let hold = p.cluster().and_then(|c| self.held.get(&(p.service(), c)));
             let at = hold.map_or(at, |&release| at.max(release));
-            if replaced_fwd != Some(&p.fwd.match_) {
-                out.push((ingress, self.flow_delete(at, p.fwd.match_)));
+            let (fwd, rev) = p.flows();
+            if replaced_fwd != Some(&fwd.match_) {
+                out.push((ingress, self.flow_delete(at, fwd.match_)));
             }
-            out.push((ingress, self.flow_delete(at, p.rev.match_)));
+            out.push((ingress, self.flow_delete(at, rev.match_)));
         }
         out
+    }
+}
+
+/// The diff behind [`Controller::reconcile`]: the `expected` flows (install
+/// order, each with whether its pair is held) absent from `switch_flows` and
+/// not held, in order; one Delete per distinct match among the switch entries
+/// no expected flow claims, in table order; and how many such entries there
+/// are. Presence and claims are set lookups by `(match, priority)`, so the
+/// diff is one pass over each side, not one pass over the table per flow.
+fn reconcile_diff(
+    expected: &[(InstalledFlow, bool)],
+    switch_flows: &[FlowEntry],
+) -> (Vec<InstalledFlow>, Vec<Match>, usize) {
+    let on_switch: FastSet<(Match, u16)> = switch_flows.iter().map(|e| (e.match_, e.priority)).collect();
+    let claimed: FastSet<(Match, u16)> = expected.iter().map(|(f, _)| (f.match_, f.priority)).collect();
+    let missing = expected
+        .iter()
+        .filter(|(f, held)| !held && !on_switch.contains(&(f.match_, f.priority)))
+        .map(|&(f, _)| f)
+        .collect();
+    // Switch-side deletion is by exact match across every priority, so one
+    // Delete per distinct match suffices.
+    let mut deleted = FastSet::default();
+    let orphans = switch_flows.iter().filter(|e| !claimed.contains(&(e.match_, e.priority)));
+    let n_orphans = orphans.clone().count();
+    let deletes = orphans.filter(|e| deleted.insert(e.match_)).map(|e| e.match_).collect();
+    (missing, deletes, n_orphans)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rules::{self, pool};
+    use desim::Duration;
+    use openflow::messages::Message;
+    use proptest::prelude::*;
+
+    /// The diff as `reconcile` computed it before it hashed: a scan of the
+    /// table per expected flow, of the claims per switch entry and of the
+    /// deleted matches per orphan — the oracle of [`reconcile_diff`].
+    fn reconcile_diff_scan(
+        expected: &[(InstalledFlow, bool)],
+        switch_flows: &[FlowEntry],
+    ) -> (Vec<InstalledFlow>, Vec<Match>, usize) {
+        let mut claimed: Vec<(Match, u16)> = Vec::new();
+        let mut missing: Vec<InstalledFlow> = Vec::new();
+        for (f, held) in expected {
+            claimed.push((f.match_, f.priority));
+            let on_switch = switch_flows
+                .iter()
+                .any(|e| e.priority == f.priority && e.match_ == f.match_);
+            if !on_switch && !held {
+                missing.push(*f);
+            }
+        }
+        let mut deleted: Vec<Match> = Vec::new();
+        let mut n_orphans = 0usize;
+        for e in switch_flows {
+            if claimed
+                .iter()
+                .any(|(m, pr)| *pr == e.priority && *m == e.match_)
+            {
+                continue;
+            }
+            n_orphans += 1;
+            if deleted.contains(&e.match_) {
+                continue;
+            }
+            deleted.push(e.match_);
+        }
+        (missing, deleted, n_orphans)
+    }
+
+    /// The messages a diff becomes, in the order `reconcile` sends them,
+    /// and its orphan count.
+    fn messages(
+        (missing, deletes, n_orphans): (Vec<InstalledFlow>, Vec<Match>, usize),
+    ) -> (Vec<Message>, usize) {
+        let idle = Duration::from_secs(10);
+        let adds = missing.iter().map(|f| rules::flow_add(f, idle, OFP_NO_BUFFER));
+        (adds.chain(deletes.into_iter().map(rules::flow_delete)).collect(), n_orphans)
+    }
+
+    /// Pool pair `i` of 54: three clients × three granularities × two
+    /// ephemeral ports × {two instances, the cloud}.
+    fn pool_pair(i: usize) -> InstalledPair {
+        let spec = pool::spec((i % 3) as u8, (i / 3 % 3, 50_000 + (i / 9 % 2) as u16, 1));
+        InstalledPair { spec, target: pool::target(i / 18 % 3) }
+    }
+
+    /// A switch entry holding pool pair `i`'s forward or reverse flow,
+    /// its priority lowered by `shift` (an entry the bookkeeping does not
+    /// claim, though its match may be claimed at another priority).
+    fn switch_entry(i: usize, fwd: bool, shift: u16) -> FlowEntry {
+        let (f, r) = pool_pair(i).flows();
+        let flow = if fwd { f } else { r };
+        FlowEntry {
+            match_: flow.match_,
+            priority: flow.priority - shift,
+            cookie: flow.cookie,
+            actions: flow.actions,
+            idle_timeout: Duration::from_secs(10),
+            flags: flow.flags,
+            installed_at: SimTime::ZERO,
+            last_hit: SimTime::ZERO,
+            packet_count: 0,
+            byte_count: 0,
+        }
+    }
+
+    proptest! {
+        /// The hashed diff sends exactly the messages the scan sent, in the
+        /// same order, and counts the same orphans — on random bookkeeping
+        /// (pairs held or not, duplicates included) against random tables
+        /// (claimed flows, flows at priorities nothing claims, and repeats).
+        #[test]
+        fn hashed_reconcile_diff_sends_what_the_scan_sent(
+            filed in proptest::collection::vec((0usize..54, any::<bool>()), 0..16),
+            table in proptest::collection::vec((0usize..54, any::<bool>(), 0u16..3), 0..32),
+        ) {
+            let mut expected = Vec::new();
+            for (i, held) in filed {
+                let (fwd, rev) = pool_pair(i).flows();
+                expected.extend([(rev, held), (fwd, held)]);
+            }
+            let switch_flows: Vec<FlowEntry> =
+                table.into_iter().map(|(i, fwd, shift)| switch_entry(i, fwd, shift)).collect();
+            prop_assert_eq!(
+                messages(reconcile_diff(&expected, &switch_flows)),
+                messages(reconcile_diff_scan(&expected, &switch_flows))
+            );
+        }
     }
 }

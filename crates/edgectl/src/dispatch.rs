@@ -317,7 +317,7 @@ impl Dispatcher {
         // 1. Memorized flow? Verify the instance still serves.
         let mut class = base_class;
         if let Some(flow) = memory.lookup(key, now) {
-            let cluster = flow.cluster;
+            let cluster = flow.cluster();
             if self.serving(clusters, svc, cluster, flow.instance, now) == Serving::Yes {
                 if !self.tracker.enabled() {
                     tele.event(parent, "memory-hit", now, || {

@@ -54,10 +54,27 @@ pub struct FlowKey {
 pub struct MemorizedFlow {
     /// Where the flow is redirected.
     pub instance: InstanceAddr,
-    /// Cluster serving it (index into the controller's cluster list).
-    pub cluster: usize,
+    /// Cluster serving it (index into the controller's cluster list), packed
+    /// to 32 bits: one entry per client and service, so every byte counts at
+    /// fleet scale.
+    pub cluster: u32,
     /// Last time traffic (or a switch flow refresh) touched this entry.
     pub last_used: SimTime,
+}
+
+// The packed entry: an instance address, a 32-bit cluster and an instant.
+const _: () = assert!(std::mem::size_of::<MemorizedFlow>() == 24);
+
+impl MemorizedFlow {
+    /// The serving cluster.
+    pub(crate) fn cluster(&self) -> usize {
+        self.cluster as usize
+    }
+}
+
+/// `cluster` packed for a [`MemorizedFlow`].
+fn packed(cluster: usize) -> u32 {
+    u32::try_from(cluster).expect("a cluster index fits 32 bits")
 }
 
 /// Plain counters over the memory's lifetime, read when a telemetry
@@ -201,7 +218,7 @@ impl FlowMemory {
     /// `last_used`.
     pub(crate) fn restore_entries(&mut self, entries: &[(FlowKey, MemorizedFlow)]) {
         for (k, f) in entries {
-            self.memorize(*k, f.instance, f.cluster, f.last_used);
+            self.memorize(*k, f.instance, f.cluster(), f.last_used);
         }
     }
 
@@ -269,7 +286,7 @@ impl FlowMemory {
             key,
             MemorizedFlow {
                 instance,
-                cluster,
+                cluster: packed(cluster),
                 last_used: now,
             },
         );
@@ -376,7 +393,7 @@ impl FlowMemory {
         };
         self.remove(key);
         let new_key = FlowKey { ingress: to, ..*key };
-        self.memorize(new_key, flow.instance, flow.cluster, now);
+        self.memorize(new_key, flow.instance, flow.cluster(), now);
         true
     }
 
@@ -434,7 +451,7 @@ impl FlowMemory {
             .shards
             .iter()
             .flat_map(|s| s.flows.iter())
-            .filter(|(_, f)| f.cluster == cluster)
+            .filter(|(_, f)| f.cluster() == cluster)
             .map(|(k, f)| (*k, *f))
             .collect();
         victims.sort_by_key(|(k, _)| (k.client_ip, k.ingress, k.service));
@@ -456,7 +473,7 @@ impl FlowMemory {
             .shards
             .iter()
             .flat_map(|s| s.flows.iter())
-            .filter(|(k, f)| k.service == service && f.cluster == cluster)
+            .filter(|(k, f)| k.service == service && f.cluster() == cluster)
             .map(|(k, f)| (*k, *f))
             .collect();
         out.sort_by_key(|(k, _)| (k.client_ip, k.ingress));
@@ -483,7 +500,7 @@ impl FlowMemory {
             return false;
         };
         flow.instance = instance;
-        flow.cluster = cluster;
+        flow.cluster = packed(cluster);
         flow.last_used = now;
         if let Some(log) = &mut self.log {
             log.push(FlowOp::Repoint {
@@ -504,7 +521,7 @@ impl FlowMemory {
         let mut out: BTreeSet<(usize, InstanceAddr, ServiceAddr)> = BTreeSet::new();
         for shard in &self.shards {
             for (k, f) in &shard.flows {
-                out.insert((f.cluster, f.instance, k.service));
+                out.insert((f.cluster(), f.instance, k.service));
             }
         }
         out.into_iter().collect()
@@ -532,7 +549,7 @@ impl FlowMemory {
                 if now.saturating_since(f.last_used) >= timeout {
                     self.remove(&key);
                     self.stats.expired += 1;
-                    idle.push((key.service, f.cluster));
+                    idle.push((key.service, f.cluster()));
                 } else {
                     // Refreshed since its deadline was set: re-arm.
                     self.shards[idx].wheel.schedule(key, f.last_used + timeout);
@@ -559,6 +576,13 @@ impl FlowMemory {
     /// `true` if no flows are memorized.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Estimated bytes of the entry tables: their capacity across every
+    /// shard times the size of one `(key, entry)` slot.
+    pub(crate) fn entry_bytes(&self) -> usize {
+        let slots: usize = self.shards.iter().map(|s| s.flows.capacity()).sum();
+        slots * std::mem::size_of::<(FlowKey, MemorizedFlow)>()
     }
 
     /// The earliest instant any entry could expire: a lower bound that costs

@@ -259,7 +259,9 @@ pub(crate) struct Applied {
 pub(crate) struct PairId(u64);
 
 /// Sizes of the controller's bookkeeping — what a long run must not let
-/// drift (beside k8ssim's `store_stats()`).
+/// drift (beside k8ssim's `store_stats()`) — and what its largest tables
+/// cost: each `*_bytes` is capacity × slot size, the heap a table holds
+/// whether or not its slots are in use.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StateStats {
     /// Filed forward/reverse pairs: one per forward flow on a switch.
@@ -270,6 +272,12 @@ pub struct StateStats {
     pub fwd_index: usize,
     /// FlowMemory entries.
     pub memory: usize,
+    /// The pair deques, the spare ones included.
+    pub(crate) pair_bytes: usize,
+    /// The forward-flow index.
+    pub(crate) fwd_index_bytes: usize,
+    /// The FlowMemory's entry tables.
+    pub(crate) memory_bytes: usize,
     /// Anchored aggregate rules.
     pub(crate) aggregates: usize,
     /// Services scaled down and awaiting removal.
@@ -293,7 +301,7 @@ impl FwdKey {
     }
 
     fn of(client: Ipv4Addr, ingress: IngressId, pair: &InstalledPair) -> FwdKey {
-        FwdKey::new(client, ingress, pair.fwd.priority, &pair.fwd.match_)
+        FwdKey::new(client, ingress, pair.priority(), &pair.fwd_match())
     }
 }
 
@@ -487,7 +495,7 @@ impl ControlState {
                 // back in the order they came.
                 for _ in 0..pairs.len() {
                     let (id, pair) = pairs.pop_front().expect("counted");
-                    if !pair.teardown_on_handover {
+                    if !pair.teardown_on_handover() {
                         pairs.push_back((id, pair));
                         continue;
                     }
@@ -646,7 +654,7 @@ impl ControlState {
     ) -> Vec<PairId> {
         let mut found = std::mem::take(&mut self.fwd_scratch);
         found.clear();
-        let same_flow = |p: &InstalledPair| p.fwd.priority == priority && p.fwd.match_ == *match_;
+        let same_flow = |p: &InstalledPair| p.priority() == priority && p.fwd_match() == *match_;
         let ids = self.fwd_index.get(&FwdKey::new(client, ingress, priority, match_));
         let pairs = self.filed(client, ingress);
         for id in ids.into_iter().flat_map(Ids::iter) {
@@ -686,11 +694,16 @@ impl ControlState {
 
     /// Sizes of the bookkeeping.
     pub(crate) fn state_stats(&self) -> StateStats {
+        let filed = self.installed.iter().flat_map(FastMap::values);
+        let slots: usize = filed.chain(&self.spare).map(VecDeque::capacity).sum();
         StateStats {
             pairs: self.installed.iter().flat_map(FastMap::values).map(VecDeque::len).sum(),
             filed_clients: self.installed.iter().map(FastMap::len).sum(),
             fwd_index: self.fwd_index.len(),
             memory: self.memory.len(),
+            pair_bytes: slots * std::mem::size_of::<(PairId, InstalledPair)>(),
+            fwd_index_bytes: self.fwd_index.capacity() * std::mem::size_of::<(FwdKey, Ids)>(),
+            memory_bytes: self.memory.entry_bytes(),
             aggregates: self.aggregates.len(),
             scaled_down: self.scaled_down.len(),
         }
@@ -859,14 +872,15 @@ pub struct RecoveryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::InstalledFlow;
-    use openflow::oxm::OxmField;
+    use crate::rules::pool::{client_ip, spec, target, GRANULARITIES};
+    use crate::rules::PairSpec;
     use proptest::prelude::*;
 
     /// One step of the bookkeeping property; small pools so keys collide.
     #[derive(Clone, Debug)]
     enum PairOp {
-        Add { client: u8, ingress: u32, fwd: usize, priority: u16, teardown: bool },
+        /// Files the pair of `spec` toward `target` (see [`crate::rules::pool`]).
+        Add { client: u8, ingress: u32, spec: (usize, u16, u32), target: usize },
         /// Removes the `nth` filed pair (cyclically), or with `stale` an id
         /// from `(client, ingress)` that may never have been filed there or
         /// is gone already.
@@ -876,44 +890,34 @@ mod tests {
         Restore,
     }
 
-    const PRIORITIES: [u16; 2] = [100, 99];
+    const SRC_PORTS: [u16; 2] = [50_000, 50_001];
+    const IN_PORTS: [u32; 2] = [1, 2];
+    /// Every priority a pair can carry, and one none does.
+    const PRIORITIES: [u16; 4] = [100, 99, 98, 97];
 
-    fn client_ip(client: u8) -> Ipv4Addr {
-        Ipv4Addr::new(192, 168, 1, client)
-    }
-
-    /// Forward matches two clients' pairs can share: exact connections, the
-    /// per-client wildcard, and two matches that carry no client at all.
-    fn fwd_pool(client: u8) -> [Match; 5] {
-        let (ip, svc) = (client_ip(client).octets(), [203, 0, 113, 10]);
-        [
-            Match::connection(ip, 50_000, svc, 80),
-            Match::connection(ip, 50_001, svc, 80),
-            Match::service(svc, 80).with(OxmField::Ipv4Src(ip)),
-            Match::service(svc, 80).with(OxmField::InPort(1)),
-            Match::any(),
-        ]
-    }
-
-    fn flow(match_: Match, priority: u16) -> InstalledFlow {
-        InstalledFlow {
-            match_,
-            actions: openflow::Actions::new(),
-            priority,
-            cookie: 1,
-            flags: 0,
+    /// The distinct forward matches `client`'s specs can have.
+    fn fwd_pool(client: u8) -> Vec<Match> {
+        let mut pool = Vec::new();
+        for g in 0..GRANULARITIES.len() {
+            for (port, in_port) in SRC_PORTS.into_iter().flat_map(|p| IN_PORTS.map(|i| (p, i))) {
+                let m = spec(client, (g, port, in_port)).fwd_match();
+                if !pool.contains(&m) {
+                    pool.push(m);
+                }
+            }
         }
+        pool
     }
 
     fn arb_pair_op() -> impl Strategy<Value = PairOp> {
-        let add = (0u8..3, 0u32..2, 0usize..5, 0usize..2, any::<bool>());
+        let spec = (0usize..3, 0usize..2, 0usize..2).prop_map(|(g, p, i)| (g, SRC_PORTS[p], IN_PORTS[i]));
+        let add = (0u8..3, 0u32..2, spec, 0usize..3);
         prop_oneof![
-            6 => add.prop_map(|(client, ingress, fwd, prio, teardown)| PairOp::Add {
+            6 => add.prop_map(|(client, ingress, spec, target)| PairOp::Add {
                 client,
                 ingress,
-                fwd,
-                priority: PRIORITIES[prio],
-                teardown,
+                spec,
+                target,
             }),
             5 => (0u8..3, 0u32..2, 0usize..40, 0u8..4).prop_map(|(client, ingress, nth, s)| {
                 PairOp::Remove { client, ingress, nth, stale: s == 0 }
@@ -952,10 +956,10 @@ mod tests {
 
     proptest! {
         /// After every event: the structural invariants hold; the index
-        /// answers exactly what the scan answers, in the same order, for
-        /// every key a `FLOW_REMOVED` could name; and a snapshot restores
-        /// into a state that captures identically — ids and counter
-        /// included.
+        /// answers exactly what a scan of the built forward flows answers,
+        /// in the same order, for every key a `FLOW_REMOVED` could name; and
+        /// a snapshot restores into a state that captures identically — ids
+        /// and counter included.
         #[test]
         fn fwd_index_answers_what_the_scan_answers(
             ops in proptest::collection::vec(arb_pair_op(), 1..80),
@@ -964,19 +968,11 @@ mod tests {
             let mut st = ControlState::new(&cfg);
             for op in ops {
                 match op {
-                    PairOp::Add { client, ingress, fwd, priority, teardown } => {
-                        let pair = InstalledPair {
-                            fwd: flow(fwd_pool(client)[fwd], priority),
-                            rev: flow(Match::any(), priority),
-                            service: ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80),
-                            cluster: None,
-                            instance: None,
-                            teardown_on_handover: teardown,
-                        };
+                    PairOp::Add { client, ingress, spec: s, target: t } => {
                         st.apply(JournalEvent::PairAdd {
                             client: client_ip(client),
                             ingress: IngressId(ingress),
-                            pair,
+                            pair: InstalledPair { spec: spec(client, s), target: target(t) },
                         });
                     }
                     PairOp::Remove { client, ingress, nth, stale } => {
@@ -995,10 +991,13 @@ mod tests {
                         prop_assert_eq!(removed.is_some(), filed.contains(&(id, client, ingress)));
                     }
                     PairOp::Sweep { client, from } => {
-                        st.apply(JournalEvent::HandoverSweep {
-                            client: client_ip(client),
-                            from: IngressId(from),
-                        });
+                        let (ip, from) = (client_ip(client), IngressId(from));
+                        let filed: Vec<PairId> = st.pairs(ip, from).map(|(id, _)| id).collect();
+                        let retired = st.apply(JournalEvent::HandoverSweep { client: ip, from }).retired;
+                        let kept: Vec<PairId> = st.pairs(ip, from).map(|(id, _)| id).collect();
+                        prop_assert_eq!(retired.len() + kept.len(), filed.len());
+                        prop_assert!(retired.iter().all(InstalledPair::teardown_on_handover));
+                        prop_assert!(st.pairs(ip, from).all(|(_, p)| !p.teardown_on_handover()));
                     }
                     PairOp::Restore => {
                         let mut restored = ControlState::new(&cfg);
@@ -1009,11 +1008,14 @@ mod tests {
                 check_structure(&st)?;
                 for (client, ingress) in (0u8..3).flat_map(|c| [(c, 0), (c, 1)]) {
                     let (ip, ingress) = (client_ip(client), IngressId(ingress));
-                    // Another client's matches too: they must find nothing.
+                    // Another client's matches too: they must find nothing
+                    // but the `Service` pairs they share.
                     for m in fwd_pool(client).iter().chain(&fwd_pool((client + 1) % 3)) {
                         for priority in PRIORITIES {
-                            let same_flow =
-                                |p: &InstalledPair| p.fwd.priority == priority && p.fwd.match_ == *m;
+                            let same_flow = |p: &InstalledPair| {
+                                let (fwd, _) = p.flows();
+                                fwd.priority == priority && fwd.match_ == *m
+                            };
                             prop_assert_eq!(
                                 st.pairs_with_fwd(ip, ingress, priority, m),
                                 st.ids_where(ip, ingress, same_flow)
@@ -1028,6 +1030,38 @@ mod tests {
                 prop_assert_eq!(Snapshot::capture(&restored).encode(), snap.encode());
             }
         }
+    }
+
+    /// A filed pair costs its key: after a churn of 10 000 pairs — a
+    /// thousand live at a time, 20 per client, clients coming and going —
+    /// the pair deques, spares included, hold at most two 72 B slots per
+    /// live pair.
+    #[test]
+    fn bytes_per_filed_pair_stay_within_two_slots_after_churn() {
+        let mut st = ControlState::new(&ControllerConfig::default());
+        let ip = |c: u32| Ipv4Addr::new(10, 9, (c >> 8) as u8, c as u8);
+        let mut live = VecDeque::new();
+        for n in 0..10_000u32 {
+            let client = n / 20;
+            let pair = InstalledPair {
+                spec: PairSpec { client: ip(client), ..spec(0, (0, 40_000 + (n % 20) as u16, 1)) },
+                target: target(n as usize % 3),
+            };
+            st.apply(JournalEvent::PairAdd { client: ip(client), ingress: IngressId(0), pair });
+            live.push_back((ip(client), PairId(u64::from(n))));
+            if live.len() > 1_000 {
+                let (client, id) = live.pop_front().expect("a thousand live");
+                let removed = st.apply(JournalEvent::PairRemove { client, ingress: IngressId(0), id });
+                assert!(removed.removed.is_some());
+            }
+        }
+        let stats = st.state_stats();
+        assert_eq!((stats.pairs, stats.fwd_index), (1_000, 1_000));
+        let slot = std::mem::size_of::<(PairId, InstalledPair)>();
+        assert_eq!(slot, 72, "a pair id and a 64 B pair");
+        let per_pair = stats.pair_bytes / stats.pairs;
+        assert!(per_pair <= 2 * slot, "{per_pair} B of deque per filed pair");
+        assert!(stats.fwd_index_bytes > 0 && stats.memory_bytes == 0);
     }
 
     #[test]

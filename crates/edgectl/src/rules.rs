@@ -22,6 +22,7 @@
 //! carry cookie 2.
 
 use crate::cluster::InstanceAddr;
+use crate::controller::FLOW_PRIORITY;
 use desim::Duration;
 use netsim::addr::{Ipv4Addr, MacAddr};
 use netsim::{ServiceAddr, TcpFrame};
@@ -29,6 +30,7 @@ use openflow::actions::{Action, Actions};
 use openflow::messages::{FlowModCommand, Message, OFPFF_SEND_FLOW_REM};
 use openflow::oxm::{Match, OxmField};
 use openflow::OFP_NO_BUFFER;
+use std::fmt;
 
 /// One flow as the controller believes it exists on a switch — enough
 /// detail to re-install it verbatim during reconciliation. `Copy`, like the
@@ -43,27 +45,161 @@ pub(crate) struct InstalledFlow {
 }
 
 /// A forward/reverse flow pair the controller installed for one session,
-/// with enough context for the self-healing loop: which service/cluster/
-/// instance it redirects to (repair tears down exactly the pairs aimed at a
-/// dead instance) and whether a handover retires it.
+/// filed as what it was built from: the client side and the target. Both
+/// flows are a pure function of the two, so the pair stores neither and
+/// [`InstalledPair::flows`] rebuilds them on the stack where a caller needs
+/// them — the install, a teardown's Deletes, reconciliation. The rest of the
+/// context the self-healing loop reads (which service/cluster/instance it
+/// redirects to, whether a handover retires it) is derived the same way.
 ///
 /// A pair lives exactly as long as its forward flow: it is filed when its
 /// Adds go out and leaves the bookkeeping when that flow leaves the switch —
 /// its `FLOW_REMOVED`, or the Delete of a repair, outage, reconcile,
 /// migration flip or handover.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy)]
 pub(crate) struct InstalledPair {
-    pub(crate) fwd: InstalledFlow,
-    pub(crate) rev: InstalledFlow,
-    pub(crate) service: ServiceAddr,
+    pub(crate) spec: PairSpec,
+    pub(crate) target: Target,
+}
+
+// A filed pair costs its key, not two copies of the switch's flows.
+const _: () = assert!(std::mem::size_of::<InstalledPair>() <= 64);
+
+impl InstalledPair {
+    /// The service the client believes it talks to.
+    pub(crate) fn service(&self) -> ServiceAddr {
+        self.spec.service
+    }
+
     /// Cluster the pair redirects into; `None` for cloud-forwarding pairs.
-    pub(crate) cluster: Option<usize>,
+    pub(crate) fn cluster(&self) -> Option<usize> {
+        match self.target {
+            Target::Instance { cluster, .. } => Some(cluster),
+            Target::Cloud { .. } => None,
+        }
+    }
+
     /// Instance the forward flow rewrites toward; `None` for cloud pairs.
-    pub(crate) instance: Option<InstanceAddr>,
+    pub(crate) fn instance(&self) -> Option<InstanceAddr> {
+        match self.target {
+            Target::Instance { instance, .. } => Some(instance),
+            Target::Cloud { .. } => None,
+        }
+    }
+
     /// Whether an attachment-change handover tears this pair down. Redirect
-    /// and handover pairs are; plain packet-in cloud paths never were (they
-    /// just idle out), and reconciliation must not change that.
-    pub(crate) teardown_on_handover: bool,
+    /// and handover pairs are; packet-in cloud paths just idle out and
+    /// aggregates belong to no one client, and reconciliation must not
+    /// change that.
+    pub(crate) fn teardown_on_handover(&self) -> bool {
+        !matches!(
+            (self.spec.granularity, self.target),
+            (Granularity::Connection, Target::Cloud { .. }) | (Granularity::Service, _)
+        )
+    }
+
+    /// The forward match, without building the rest of the pair.
+    pub(crate) fn fwd_match(&self) -> Match {
+        self.spec.fwd_match()
+    }
+
+    /// The priority both flows carry: [`FLOW_PRIORITY`], one step lower per
+    /// client field the matches leave out.
+    pub(crate) fn priority(&self) -> u16 {
+        let step = match self.spec.granularity {
+            Granularity::Connection => 0,
+            Granularity::ClientService => 1,
+            Granularity::Service => 2,
+        };
+        FLOW_PRIORITY.saturating_sub(step)
+    }
+
+    /// Builds the `(forward, reverse)` flows (see the module table) — the
+    /// one rule builder.
+    pub(crate) fn flows(&self) -> (InstalledFlow, InstalledFlow) {
+        let spec = &self.spec;
+        let client = spec.client.octets();
+        let (svc_ip, svc_port) = (spec.service.ip.octets(), spec.service.port);
+        // Replies come from the instance when redirected, from the service
+        // address itself when the cloud answers.
+        let (from_ip, from_port) = match self.target {
+            Target::Instance { instance, .. } => (instance.ip.octets(), instance.port),
+            Target::Cloud { .. } => (svc_ip, svc_port),
+        };
+        let from_source = |dst: Option<OxmField>| {
+            let source = [
+                OxmField::EthType(0x0800),
+                OxmField::IpProto(6),
+                OxmField::Ipv4Src(from_ip),
+                OxmField::TcpSrc(from_port),
+            ];
+            Match::of(source.into_iter().chain(dst))
+        };
+        let rev_match = match spec.granularity {
+            Granularity::Connection => Match::connection(from_ip, from_port, client, spec.src_port),
+            Granularity::ClientService => from_source(Some(OxmField::Ipv4Dst(client))),
+            Granularity::Service => from_source(None),
+        };
+        let (fwd_actions, rev_actions) = match self.target {
+            Target::Instance {
+                instance, out_port, ..
+            } => {
+                // Replies must look like they come from the cloud service.
+                let mut rev = Actions::new();
+                rev.push(Action::SetField(OxmField::EthSrc(spec.gw_mac.octets())));
+                if spec.granularity != Granularity::Service {
+                    rev.push(Action::SetField(OxmField::EthDst(spec.client_mac.octets())));
+                }
+                rev.push(Action::SetField(OxmField::Ipv4Src(svc_ip)));
+                rev.push(Action::SetField(OxmField::TcpSrc(svc_port)));
+                rev.push(Action::output(spec.in_port));
+                let fwd = Actions::from([
+                    Action::SetField(OxmField::EthDst(instance.mac.octets())),
+                    Action::SetField(OxmField::Ipv4Dst(instance.ip.octets())),
+                    Action::SetField(OxmField::TcpDst(instance.port)),
+                    Action::output(out_port),
+                ]);
+                (fwd, rev)
+            }
+            Target::Cloud { out_port } => (
+                Actions::from([Action::output(out_port)]),
+                Actions::from([Action::output(spec.in_port)]),
+            ),
+        };
+        let priority = self.priority();
+        let fwd = InstalledFlow {
+            match_: spec.fwd_match(),
+            actions: fwd_actions,
+            priority,
+            cookie: 1,
+            flags: OFPFF_SEND_FLOW_REM,
+        };
+        let rev = InstalledFlow {
+            match_: rev_match,
+            actions: rev_actions,
+            priority,
+            cookie: 2,
+            flags: 0,
+        };
+        (fwd, rev)
+    }
+}
+
+/// The built pair, field for field: the text a filed pair printed while it
+/// held its two flows, so [`crate::journal::Snapshot::encode`] — and every
+/// digest pinned over it — reads the same as then.
+impl fmt::Debug for InstalledPair {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (fwd, rev) = self.flows();
+        f.debug_struct("InstalledPair")
+            .field("fwd", &fwd)
+            .field("rev", &rev)
+            .field("service", &self.service())
+            .field("cluster", &self.cluster())
+            .field("instance", &self.instance())
+            .field("teardown_on_handover", &self.teardown_on_handover())
+            .finish()
+    }
 }
 
 /// Bookkeeping client address for aggregated wildcard pairs: they belong to
@@ -171,94 +307,6 @@ impl PairSpec {
             Granularity::Service => service_and(OxmField::InPort(self.in_port)),
         }
     }
-
-    /// Builds the pair toward `target` (see the module table).
-    pub(crate) fn build(&self, target: Target, base_priority: u16) -> InstalledPair {
-        let client = self.client.octets();
-        let (svc_ip, svc_port) = (self.service.ip.octets(), self.service.port);
-        // Replies come from the instance when redirected, from the service
-        // address itself when the cloud answers.
-        let (from_ip, from_port) = match target {
-            Target::Instance { instance, .. } => (instance.ip.octets(), instance.port),
-            Target::Cloud { .. } => (svc_ip, svc_port),
-        };
-        let from_source = |dst: Option<OxmField>| {
-            let source = [
-                OxmField::EthType(0x0800),
-                OxmField::IpProto(6),
-                OxmField::Ipv4Src(from_ip),
-                OxmField::TcpSrc(from_port),
-            ];
-            Match::of(source.into_iter().chain(dst))
-        };
-        let fwd_match = self.fwd_match();
-        let (rev_match, step) = match self.granularity {
-            Granularity::Connection => (
-                Match::connection(from_ip, from_port, client, self.src_port),
-                0,
-            ),
-            Granularity::ClientService => (from_source(Some(OxmField::Ipv4Dst(client))), 1),
-            Granularity::Service => (from_source(None), 2),
-        };
-        let (fwd_actions, rev_actions) = match target {
-            Target::Instance {
-                instance, out_port, ..
-            } => {
-                // Replies must look like they come from the cloud service.
-                let mut rev = Actions::new();
-                rev.push(Action::SetField(OxmField::EthSrc(self.gw_mac.octets())));
-                if self.granularity != Granularity::Service {
-                    rev.push(Action::SetField(OxmField::EthDst(self.client_mac.octets())));
-                }
-                rev.push(Action::SetField(OxmField::Ipv4Src(svc_ip)));
-                rev.push(Action::SetField(OxmField::TcpSrc(svc_port)));
-                rev.push(Action::output(self.in_port));
-                let fwd = Actions::from([
-                    Action::SetField(OxmField::EthDst(instance.mac.octets())),
-                    Action::SetField(OxmField::Ipv4Dst(instance.ip.octets())),
-                    Action::SetField(OxmField::TcpDst(instance.port)),
-                    Action::output(out_port),
-                ]);
-                (fwd, rev)
-            }
-            Target::Cloud { out_port } => (
-                Actions::from([Action::output(out_port)]),
-                Actions::from([Action::output(self.in_port)]),
-            ),
-        };
-        let priority = base_priority.saturating_sub(step);
-        let (cluster, instance) = match target {
-            Target::Instance {
-                instance, cluster, ..
-            } => (Some(cluster), Some(instance)),
-            Target::Cloud { .. } => (None, None),
-        };
-        InstalledPair {
-            fwd: InstalledFlow {
-                match_: fwd_match,
-                actions: fwd_actions,
-                priority,
-                cookie: 1,
-                flags: OFPFF_SEND_FLOW_REM,
-            },
-            rev: InstalledFlow {
-                match_: rev_match,
-                actions: rev_actions,
-                priority,
-                cookie: 2,
-                flags: 0,
-            },
-            service: self.service,
-            cluster,
-            instance,
-            // Packet-in cloud paths and aggregates outlive a handover: the
-            // former just idle out, the latter belong to no one client.
-            teardown_on_handover: !matches!(
-                (self.granularity, target),
-                (Granularity::Connection, Target::Cloud { .. }) | (Granularity::Service, _)
-            ),
-        }
-    }
 }
 
 /// The `FLOW_MOD` Add that installs `flow` under switch idle timeout `idle`
@@ -324,4 +372,52 @@ pub(crate) fn drop_buffered(buffer_id: u32) -> Option<Message> {
         actions: Actions::new(),
         data: Vec::new(),
     })
+}
+
+/// Small pools of specs and targets for the properties over filed pairs:
+/// few enough values that keys collide.
+#[cfg(test)]
+pub(crate) mod pool {
+    use super::*;
+
+    pub(crate) const GRANULARITIES: [Granularity; 3] =
+        [Granularity::Connection, Granularity::ClientService, Granularity::Service];
+
+    /// Client `client` (192.168.1.`client`).
+    pub(crate) fn client_ip(client: u8) -> Ipv4Addr {
+        Ipv4Addr::new(192, 168, 1, client)
+    }
+
+    /// `client`'s spec of granularity `GRANULARITIES[g]` from ephemeral port
+    /// `src_port` behind switch port `in_port`. Two clients' `Service` specs
+    /// share their forward match: it carries no client.
+    pub(crate) fn spec(client: u8, (g, src_port, in_port): (usize, u16, u32)) -> PairSpec {
+        PairSpec {
+            granularity: GRANULARITIES[g],
+            client: client_ip(client),
+            src_port,
+            client_mac: MacAddr([2, 0, 0, 0, 1, client]),
+            gw_mac: MacAddr([2, 0, 0, 0, 0, 1]),
+            in_port,
+            service: ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80),
+        }
+    }
+
+    /// Targets 0 and 1 are an instance on clusters 0 and 1; any other is the
+    /// cloud.
+    pub(crate) fn target(t: usize) -> Target {
+        let n = t as u8;
+        match t {
+            0 | 1 => Target::Instance {
+                instance: InstanceAddr {
+                    mac: MacAddr([2, 0, 0, 0, 2, n]),
+                    ip: Ipv4Addr::new(10, 1, n, 5),
+                    port: 30_000,
+                },
+                cluster: t,
+                out_port: 10 + t as u32,
+            },
+            _ => Target::Cloud { out_port: 9 },
+        }
+    }
 }

@@ -228,7 +228,7 @@ proptest! {
                 for (k, f) in visible {
                     prop_assert_eq!(k.ingress, IngressId(g));
                     // The memorized instance is the one for this ingress.
-                    prop_assert_eq!(f.cluster, k.ingress.0 as usize);
+                    prop_assert_eq!(f.cluster, k.ingress.0);
                 }
             }
         }
@@ -293,7 +293,7 @@ proptest! {
         for (k, f) in at_new {
             let s = k.service.port - 80;
             prop_assert_eq!(f.instance, inst_of(s), "binding survives the move");
-            prop_assert_eq!(f.cluster, s as usize);
+            prop_assert_eq!(f.cluster, u32::from(s));
             prop_assert_eq!(f.last_used, later, "re-key refreshes idle time");
         }
         // Bystanders: exactly as memorized, wherever they were keyed.

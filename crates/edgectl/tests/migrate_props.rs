@@ -152,7 +152,7 @@ proptest! {
         for (key, flow) in &landed {
             prop_assert!(mover_keys.contains(key), "no invented entries");
             prop_assert_eq!(flow.instance, inst_on(to), "repointed to the target");
-            prop_assert_eq!(flow.cluster, to);
+            prop_assert_eq!(flow.cluster as usize, to);
             prop_assert_eq!(flow.last_used, flip_at, "flip refreshes idle time");
         }
         for key in &bystander_keys {
@@ -161,7 +161,7 @@ proptest! {
             }
             let flow = memory.lookup(*key, flip_at).expect("bystander survives");
             prop_assert_eq!(flow.instance, inst_on(from), "bystander not dragged along");
-            prop_assert_eq!(flow.cluster, from);
+            prop_assert_eq!(flow.cluster as usize, from);
         }
     }
 

@@ -9,8 +9,10 @@
 //! calls and bytes per site — for twenty warm short connections
 //! (`flow_churn`'s shape), for one warm 83 KiB upload (`bulk_transfer`'s)
 //! and for every request of `deploy_churn`'s trace (cold Kubernetes
-//! deployments that idle out). A backtrace costs milliseconds, so every case
-//! is `#[ignore]`d; run them with
+//! deployments that idle out). A fourth case says where the *bytes* are
+//! instead: live heap per site at the heap's high-water mark over
+//! `flow_churn`'s run — the tables `peak_rss_mb` is made of. A backtrace
+//! costs milliseconds, so every case is `#[ignore]`d; run them with
 //!
 //! ```text
 //! cargo test -p testbed --test alloc_sites -- --ignored --nocapture --test-threads=1
@@ -21,7 +23,8 @@
 //! channel stopped allocating: inline action lists, messages encoded into
 //! recycled buffers, packet-in bytes borrowed; "PR 38" the one before and
 //! after the Kubernetes deploy cycle stopped allocating: k8ssim objects by
-//! handle, an event trail the caller owns, shared container specs.
+//! handle, an event trail the caller owns, shared container specs; "PR 39"
+//! the live bytes before and after a filed pair became its spec.
 
 use desim::SimTime;
 use netsim::{Ipv4Addr, ServiceAddr};
@@ -42,6 +45,84 @@ thread_local! {
     static RECORDING: Cell<bool> = const { Cell::new(false) };
     /// Site → (calls, bytes).
     static SITES: RefCell<BTreeMap<String, (u64, u64)>> = const { RefCell::new(BTreeMap::new()) };
+    /// Set on the measuring thread while live bytes are tracked.
+    static TRACKING: Cell<bool> = const { Cell::new(false) };
+    /// The live bytes of the allocations made while `TRACKING` was set.
+    static LIVE: RefCell<Live> = const { RefCell::new(Live::new()) };
+}
+
+/// Allocations below this size are one row, "small", and cost no backtrace:
+/// the tables that make a peak grow in large blocks.
+const SMALL: usize = 4096;
+
+/// Live heap by site: every tracked block still allocated, the live bytes
+/// per site, and a copy of those taken whenever their total reached a new
+/// high.
+struct Live {
+    /// Address → (site index, bytes).
+    blocks: BTreeMap<usize, (usize, usize)>,
+    /// Site name → index; index 0 is the small allocations.
+    index: BTreeMap<String, usize>,
+    bytes: Vec<usize>,
+    total: usize,
+    peak: usize,
+    at_peak: Vec<usize>,
+}
+
+impl Live {
+    const fn new() -> Live {
+        Live {
+            blocks: BTreeMap::new(),
+            index: BTreeMap::new(),
+            bytes: Vec::new(),
+            total: 0,
+            peak: 0,
+            at_peak: Vec::new(),
+        }
+    }
+
+    fn site(&mut self, size: usize) -> usize {
+        let name = if size < SMALL {
+            format!("(allocations under {SMALL} B)")
+        } else {
+            site_of(&Backtrace::force_capture().to_string())
+        };
+        let next = self.index.len();
+        let site = *self.index.entry(name).or_insert(next);
+        if site == self.bytes.len() {
+            self.bytes.push(0);
+        }
+        site
+    }
+
+    fn alloc(&mut self, ptr: usize, size: usize) {
+        let site = self.site(size);
+        self.blocks.insert(ptr, (site, size));
+        self.bytes[site] += size;
+        self.total += size;
+        if self.total > self.peak {
+            self.peak = self.total;
+            self.at_peak.clone_from(&self.bytes);
+        }
+    }
+
+    fn free(&mut self, ptr: usize) {
+        if let Some((site, size)) = self.blocks.remove(&ptr) {
+            self.bytes[site] -= size;
+            self.total -= size;
+        }
+    }
+}
+
+/// Runs `f` on the live-bytes table if this thread is tracking and not
+/// already inside the allocator's own bookkeeping.
+fn track(f: impl FnOnce(&mut Live)) {
+    let tracking = TRACKING.try_with(Cell::get).unwrap_or(false);
+    if !tracking || RECORDING.with(|r| r.replace(true)) {
+        return;
+    }
+    LIVE.with(|live| f(&mut live.borrow_mut()));
+    RECORDING.set(false);
 }
 
 struct SiteAlloc;
@@ -94,21 +175,26 @@ fn site_of(rendered: &str) -> String {
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract. `record` runs before the call is
-// forwarded and touches only const-initialised thread-locals; the
-// allocations it makes itself re-enter these methods with `RECORDING` set
-// and go straight through to `System`.
+// upholds the `GlobalAlloc` contract. `record` and `track` run around the
+// forwarded call, read the addresses as numbers only, and touch only
+// const-initialised thread-locals; the allocations they make themselves
+// re-enter these methods with `RECORDING` set and go straight through to
+// `System`.
 unsafe impl GlobalAlloc for SiteAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         record(layout.size());
         // SAFETY: the caller's `layout` is passed through as received.
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        track(|live| live.alloc(ptr as usize, layout.size()));
+        ptr
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         record(layout.size());
         // SAFETY: the caller's `layout` is passed through as received.
-        unsafe { System.alloc_zeroed(layout) }
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        track(|live| live.alloc(ptr as usize, layout.size()));
+        ptr
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -116,10 +202,16 @@ unsafe impl GlobalAlloc for SiteAlloc {
         // SAFETY: `ptr` was returned by `System` for `layout` (every
         // allocation of this allocator comes from it), as the caller
         // guarantees for `self`.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let new = unsafe { System.realloc(ptr, layout, new_size) };
+        track(|live| {
+            live.free(ptr as usize);
+            live.alloc(new as usize, new_size);
+        });
+        new
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(|live| live.free(ptr as usize));
         // SAFETY: `ptr` was returned by `System` for `layout`, see `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -237,4 +329,61 @@ fn sites_of_k8s_deploy_churn() {
         tb.run_until(SimTime::from_secs(264));
     });
     assert_eq!((tb.completed.len() as u64, tb.drops, tb.resets), (n, 0, 0));
+}
+
+#[test]
+#[ignore = "a profile, not a check: prints live heap per site at flow_churn's high-water mark"]
+fn live_bytes_at_peak_of_flow_churn() {
+    use desim::Duration;
+    use workload::{Trace, TraceConfig};
+    // `flow_churn`'s shape: 40 000 short connections over 20 s from 250
+    // clients to 10 pre-deployed nginx services on Docker, at seed 1; flows
+    // idle out after 10 s and memory after 60 s, so ~40 k pairs are live at
+    // the peak.
+    let trace = Trace::generate(
+        TraceConfig {
+            n_services: 10,
+            n_requests: 40_000,
+            min_per_service: 1,
+            duration: Duration::from_secs(20),
+            n_clients: 250,
+            skew: 0.9,
+            start_mean_secs: 0.05,
+        },
+        1,
+    );
+    let mut tb = Testbed::new(TestbedConfig {
+        n_clients: 250,
+        controller: edgectl::ControllerConfig {
+            memory_idle: Duration::from_secs(60),
+            switch_flow_idle: Duration::from_secs(10),
+            ..edgectl::ControllerConfig::default()
+        },
+        seed: 1,
+        ..TestbedConfig::default()
+    });
+    let nginx = containerd::ServiceSet::by_key("nginx").unwrap();
+    let addrs: Vec<ServiceAddr> = (1..=10)
+        .map(|host| ServiceAddr::new(Ipv4Addr::new(203, 0, 113, host), nginx.listen_port))
+        .collect();
+    for &addr in &addrs {
+        tb.register_service(nginx.clone(), addr);
+        tb.pre_deploy_on(addr, 0);
+    }
+    for r in &trace.requests {
+        tb.request_at(r.at + Duration::from_secs(30), r.client, addrs[r.service]);
+    }
+    TRACKING.set(true);
+    tb.run_until(SimTime::from_secs(170));
+    TRACKING.set(false);
+    let live = LIVE.with(|live| std::mem::replace(&mut *live.borrow_mut(), Live::new()));
+    let mut rows: Vec<(usize, &String)> = live.index.iter().map(|(name, &i)| (live.at_peak[i], name)).collect();
+    rows.sort_by_key(|&(bytes, name)| (std::cmp::Reverse(bytes), name.as_str()));
+    let mb = |b: usize| b as f64 / (1024.0 * 1024.0);
+    println!("\n== flow_churn at seed 1: {:.2} MB live at the high-water mark of the allocations made in the run", mb(live.peak));
+    println!("{:>8}  site <- reached from", "MB");
+    for (bytes, site) in rows.into_iter().filter(|&(bytes, _)| bytes > 0) {
+        println!("{:>8.2}  {site}", mb(bytes));
+    }
+    assert_eq!((tb.completed.len(), tb.drops, tb.resets), (trace.requests.len(), 0, 0));
 }
