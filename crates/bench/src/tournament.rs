@@ -149,8 +149,8 @@ fn run_arm(arm: &'static str, workload: &BurstConfig, seed: u64) -> ArmStats {
     tb.run_until(end + Duration::from_secs(5));
 
     let records = &tb.controller.records;
-    let (cold, warm): (Vec<_>, Vec<_>) =
-        records.iter().partition(|r| r.phases.instance_ready.is_some());
+    let cold = |r| tb.controller.deployment(r).is_some_and(|d| d.phases.instance_ready.is_some());
+    let (cold, warm): (Vec<&_>, Vec<&_>) = records.iter().partition(|r| cold(r));
     let delays: Vec<f64> =
         warm.iter().map(|r| r.answered_at.saturating_since(r.at).as_secs_f64()).collect();
     let fallbacks = records

@@ -38,7 +38,7 @@ mod repair;
 use crate::autoscale::{AutoscaleConfig, LoadTracker};
 use crate::clients::ClientTracker;
 use crate::cluster::{EdgeCluster, InstanceAddr};
-use crate::dispatch::{DispatchDecision, DispatchOutcome, Dispatcher, PhaseTimes, Serving};
+use crate::dispatch::{DispatchDecision, DispatchOutcome, Dispatcher, Serving};
 use crate::flowmemory::{FlowKey, FlowMemory, IngressId, MemorizedFlow};
 use crate::health::BreakerState;
 use crate::journal::{
@@ -46,6 +46,8 @@ use crate::journal::{
     RecoveryReport, Snapshot, StateStats,
 };
 use crate::migrate::{MigrationConfig, MigrationManager};
+use crate::requests::{DeploymentLog, DeploymentTimes, RequestRecord};
+pub use crate::requests::RequestKind;
 use crate::rules::{
     self, AggregateRule, Granularity, InstalledFlow, PairSpec, Target, AGGREGATE_CLIENT,
 };
@@ -143,46 +145,6 @@ pub struct OutboundMessage {
     pub at: SimTime,
     /// Encoded OpenFlow bytes, in a buffer [`Controller::recycle`] takes back.
     pub data: Vec<u8>,
-}
-
-/// How a request was answered (for the evaluation harness).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RequestKind {
-    /// Answered from FlowMemory (no scheduling).
-    MemoryHit,
-    /// Instance was ready; immediate redirect.
-    Redirect,
-    /// On-demand deployment with waiting.
-    Waited,
-    /// Forwarded toward the cloud.
-    Cloud,
-    /// Held for a with-waiting deployment that exhausted its retries; the
-    /// request was released toward the cloud (graceful degradation).
-    FallbackCloud,
-    /// Destination was not a registered edge service.
-    Unregistered,
-}
-
-/// Per-request record for experiments.
-#[derive(Clone, Debug)]
-pub struct RequestRecord {
-    /// Packet-in arrival.
-    pub at: SimTime,
-    /// Requested service address.
-    pub service: ServiceAddr,
-    /// Client address.
-    pub client: Ipv4Addr,
-    /// Outcome kind.
-    pub kind: RequestKind,
-    /// When the redirect flows were emitted.
-    pub answered_at: SimTime,
-    /// Deployment phase timing, when a deployment ran.
-    pub phases: PhaseTimes,
-    /// Cluster index serving the request (edge outcomes only).
-    pub cluster: Option<usize>,
-    /// When a background (BEST-choice) deployment triggered by this request
-    /// will be ready, if one was triggered.
-    pub background_ready: Option<SimTime>,
 }
 
 /// How the controller treats a client's live sessions when it hands them
@@ -292,6 +254,8 @@ pub struct Controller<S: Spans = Off> {
     spare: FramePool,
     /// Per-request records (the harness reads these).
     pub records: Vec<RequestRecord>,
+    /// The deployments the records name ([`Controller::deployment`]).
+    deployments: DeploymentLog,
     /// Requests currently held for a with-waiting deployment, by
     /// (service, cluster): the latest release instant. The idle sweep must
     /// not scale a service down while such a hold is pending — the held
@@ -355,6 +319,7 @@ impl<S: Spans> Controller<S> {
             next_xid: 1,
             spare: FramePool::new(),
             records: Vec::new(),
+            deployments: DeploymentLog::default(),
             held: HashMap::new(),
             deferred: HashMap::new(),
             telemetry: Telemetry::default(),
@@ -777,23 +742,14 @@ impl<S: Spans> Controller<S> {
         let release = Some((buffer_id, &frame));
 
         // The request's record, as it stands until a registered service answers.
-        let rec = RequestRecord {
-            at: now,
-            service: svc_addr,
-            client: frame.src_ip,
-            kind: RequestKind::Unregistered,
-            answered_at: t,
-            phases: PhaseTimes::default(),
-            cluster: None,
-            background_ready: None,
-        };
+        let rec = RequestRecord::new(now, svc_addr, frame.src_ip, t);
         // Shared handle: Rc clone, not a deep copy of the service definition.
         let Some(svc) = self.services.get_shared(svc_addr) else {
             // Not an edge service: plain cloud forwarding flows.
             self.telemetry.event(root, "unregistered", t, || {
                 "not an edge service; plain cloud forwarding".to_owned()
             });
-            self.close_request(root, rec);
+            self.close_request(root, rec, DeploymentTimes::default());
             return self.install(ingress, t, spec, None, release, out);
         };
 
@@ -842,26 +798,27 @@ impl<S: Spans> Controller<S> {
         self.telemetry.event(root, "flow-install", answered_at, || {
             format!("{kind:?}: {n_msgs} message(s) toward the switch")
         });
-        let rec = RequestRecord {
-            kind,
-            answered_at,
-            phases: outcome.phases,
-            cluster,
-            background_ready,
-            ..rec
-        };
-        self.close_request(root, rec);
+        let rec = rec.answered(kind, answered_at, cluster);
+        let deployment = DeploymentTimes { phases: outcome.phases, background_ready };
+        self.close_request(root, rec, deployment);
     }
 
     /// The one epilogue of a packet-in: closes the request's span at the
     /// instant its answer goes out, folds it into the metrics and keeps its
-    /// record (while `record_requests` is on).
-    fn close_request(&mut self, root: SpanId, rec: RequestRecord) {
+    /// record and any deployment it ran (while `record_requests` is on).
+    fn close_request(&mut self, root: SpanId, mut rec: RequestRecord, dep: DeploymentTimes) {
         self.telemetry.end_span(root, rec.answered_at);
-        self.record_request_metrics(&rec);
+        self.record_request_metrics(&rec, &dep);
         if self.config.record_requests {
+            self.deployments.file(&mut rec, dep);
             self.records.push(rec);
         }
+    }
+
+    /// The deployment `rec` ran or triggered: its phase timings and its
+    /// background-ready instant. `None` when it deployed nothing.
+    pub fn deployment(&self, rec: &RequestRecord) -> Option<&DeploymentTimes> {
+        self.deployments.of(rec)
     }
 
     /// Where a dispatch decision made at `t` puts the session, and when its
@@ -888,11 +845,11 @@ impl<S: Spans> Controller<S> {
     }
 
     /// Folds one finished request into the metrics registry. Phase durations
-    /// are reconstructed from the record's phase *instants*: pull runs from
+    /// are reconstructed from the deployment's phase *instants*: pull runs from
     /// packet arrival (plus controller processing), create from pull
     /// completion, scale-up between its issue/return instants, and the
-    /// readiness wait is [`PhaseTimes::wait_time`].
-    fn record_request_metrics(&mut self, rec: &RequestRecord) {
+    /// readiness wait is [`crate::dispatch::PhaseTimes::wait_time`].
+    fn record_request_metrics(&mut self, rec: &RequestRecord, dep: &DeploymentTimes) {
         let m = &mut self.telemetry.metrics;
         m.inc("requests_total");
         m.inc(match rec.kind {
@@ -904,7 +861,7 @@ impl<S: Spans> Controller<S> {
             RequestKind::Unregistered => "requests_unregistered",
         });
         m.observe("answer_delay_ns", rec.answered_at.saturating_since(rec.at));
-        let p = &rec.phases;
+        let p = &dep.phases;
         if let Some(done) = p.pull_done {
             m.observe("deploy_pull_ns", done.saturating_since(rec.at));
         }
@@ -923,7 +880,7 @@ impl<S: Spans> Controller<S> {
         if p.gave_up_at.is_some() {
             m.inc("deploys_gave_up");
         }
-        if rec.background_ready.is_some() {
+        if dep.background_ready.is_some() {
             m.inc("background_deploys");
         }
     }
@@ -1438,8 +1395,8 @@ mod tests {
         assert_eq!(ctl.records.len(), 1);
         let rec = &ctl.records[0];
         assert_eq!(rec.kind, RequestKind::Waited);
-        assert!(rec.phases.wait_time().is_some());
-        assert_eq!(rec.cluster, Some(0));
+        assert!(ctl.deployment(rec).unwrap().phases.wait_time().is_some());
+        assert_eq!(rec.cluster(), Some(0));
     }
 
     #[test]
@@ -1774,7 +1731,7 @@ mod tests {
         ctl.handle_switch_message(t1, pkt_in, &mut rng).unwrap();
         let rec = ctl.records.last().unwrap();
         assert_eq!(rec.kind, RequestKind::Waited);
-        assert!(rec.phases.create_done.is_some(), "create ran again");
+        assert!(ctl.deployment(rec).unwrap().phases.create_done.is_some(), "create ran again");
     }
 
     #[test]
@@ -1840,13 +1797,14 @@ mod tests {
 
         let rec = &ctl.records[0];
         assert_eq!(rec.kind, RequestKind::FallbackCloud);
-        assert_eq!(rec.cluster, None);
+        assert_eq!(rec.cluster(), None);
+        let phases = ctl.deployment(rec).expect("a deployment ran").phases;
         assert_eq!(
-            rec.phases.create_retries,
+            phases.create_retries,
             RetryPolicy::default().max_attempts - 1,
             "every allowed retry was spent on the create phase"
         );
-        let released = rec.phases.gave_up_at.expect("deployment gave up");
+        let released = phases.gave_up_at.expect("deployment gave up");
         assert_eq!(rec.answered_at, released.max(rec.at));
         assert!(ctl.memory().is_empty(), "failed deployments are not memorized");
 
@@ -2194,7 +2152,7 @@ mod tests {
         serve_one(&mut ctl, &mut sw, t1, 50001, &mut rng);
         let rec = ctl.records.last().unwrap();
         assert_eq!(rec.kind, RequestKind::Waited, "fresh deployment, not a stale hit");
-        assert_eq!(rec.cluster, Some(0));
+        assert_eq!(rec.cluster(), Some(0));
         // The recovery span closed cleanly.
         let log = ctl.telemetry.span_log().unwrap();
         assert!(log.check().ok());
@@ -2276,7 +2234,7 @@ mod tests {
         serve_one(&mut ctl, &mut sw, until + Duration::from_secs(1), 50002, &mut rng);
         let rec = ctl.records.last().unwrap();
         assert_eq!(rec.kind, RequestKind::Waited);
-        assert_eq!(rec.cluster, Some(0));
+        assert_eq!(rec.cluster(), Some(0));
 
         // An explicit early end also restores the zone.
         let dark2 = until + Duration::from_secs(40);

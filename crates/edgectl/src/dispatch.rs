@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use telemetry::{SpanId, Spans, Telemetry};
 
 /// Timing breakdown of one dispatch, for the evaluation harness.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseTimes {
     /// Pull phase completion (if a pull ran).
     pub pull_done: Option<SimTime>,

@@ -10,9 +10,12 @@
 //!
 //! Expiry runs on a [`TimerWheel`], so a sweep visits only entries actually
 //! due instead of scanning the whole memory, and [`FlowMemory::next_expiry`]
-//! is O(1). Idle refreshes ([`FlowMemory::lookup`] / [`FlowMemory::touch`])
-//! are lazy: they update `last_used` without rescheduling; a sweep that
-//! reaches a refreshed entry re-arms it instead of expiring it. Per-service
+//! is O(1). Each entry is filed with the deadline its wheel copy carries, so
+//! the wheel needs no table of its own: a copy is current iff it carries
+//! that deadline. Idle refreshes ([`FlowMemory::lookup`] /
+//! [`FlowMemory::touch`]) are lazy: they update `last_used` without
+//! re-arming; a sweep that reaches a refreshed entry re-arms it instead of
+//! expiring it. Per-service
 //! live counts are maintained incrementally, making the "service has zero
 //! remaining flows" scale-down check O(1) per expired service.
 
@@ -135,15 +138,30 @@ pub enum FlowOp {
     },
 }
 
+/// A memorized flow and the deadline (ns) of its current wheel copy — kept
+/// beside the flow, not in it, so the flow's `Debug` (which the state
+/// digest reads) and its 24 B stay as they are.
+#[derive(Clone, Copy)]
+struct Filed {
+    flow: MemorizedFlow,
+    armed: u64,
+}
+
+/// [`Filed::armed`] of an entry whose copy the sweep in progress claimed:
+/// no other copy of it is current until the sweep re-arms or removes it.
+/// (`u64::MAX` is no deadline: the wheel's bound reserves it for "empty".)
+const CLAIMED: u64 = u64::MAX;
+
 /// One per-ingress shard: the flows entering through a single gNB and
 /// their expiry wheel. A fleet-scale controller fronts many ingress
 /// switches; keying the hot structures by ingress keeps every per-packet
 /// lookup and every expiry sweep O(one cell), not O(fleet).
 #[derive(Default)]
 struct Shard {
-    flows: FastMap<FlowKey, MemorizedFlow>,
-    /// Expiry wheel; a key's deadline is never later than its true expiry
-    /// (refreshes are applied lazily at sweep time).
+    flows: FastMap<FlowKey, Filed>,
+    /// Expiry wheel, one current copy per entry; a copy's deadline is never
+    /// later than the entry's true expiry (refreshes are applied lazily at
+    /// sweep time).
     wheel: TimerWheel<FlowKey>,
 }
 
@@ -207,7 +225,7 @@ impl FlowMemory {
             .shards
             .iter()
             .flat_map(|s| s.flows.iter())
-            .map(|(k, f)| (*k, *f))
+            .map(|(k, f)| (*k, f.flow))
             .collect();
         out.sort_by_key(|(k, _)| (k.ingress, k.client_ip, k.service));
         out
@@ -264,7 +282,7 @@ impl FlowMemory {
     pub fn lookup(&mut self, key: FlowKey, now: SimTime) -> Option<MemorizedFlow> {
         self.stats.lookups += 1;
         let idle = self.idle_timeout;
-        let flow = self.shards.get_mut(key.ingress.0 as usize)?.flows.get_mut(&key)?;
+        let flow = &mut self.shards.get_mut(key.ingress.0 as usize)?.flows.get_mut(&key)?.flow;
         if now.saturating_since(flow.last_used) >= idle {
             // Already stale — treat as absent; `expire` will reap it.
             return None;
@@ -278,22 +296,24 @@ impl FlowMemory {
         Some(hit)
     }
 
-    /// Memorizes (or refreshes) a redirect decision.
+    /// Memorizes (or refreshes) a redirect decision. A present entry's
+    /// deadline moves; an unchanged deadline files no second wheel copy.
     pub fn memorize(&mut self, key: FlowKey, instance: InstanceAddr, cluster: usize, now: SimTime) {
         let deadline = now + self.idle_timeout;
         let shard = self.shard_mut(key.ingress);
-        let prev = shard.flows.insert(
-            key,
-            MemorizedFlow {
-                instance,
-                cluster: packed(cluster),
-                last_used: now,
-            },
-        );
-        shard.wheel.schedule(key, deadline);
-        if prev.is_none() {
-            self.len += 1;
-            *self.per_service.entry(key.service).or_insert(0) += 1;
+        let flow = MemorizedFlow { instance, cluster: packed(cluster), last_used: now };
+        let prev = shard.flows.insert(key, Filed { flow, armed: deadline.as_nanos() });
+        match prev {
+            Some(prev) if prev.armed == deadline.as_nanos() => {}
+            Some(_) => {
+                shard.wheel.disarm();
+                shard.wheel.arm(key, deadline);
+            }
+            None => {
+                shard.wheel.arm(key, deadline);
+                self.len += 1;
+                *self.per_service.entry(key.service).or_insert(0) += 1;
+            }
         }
         if let Some(log) = &mut self.log {
             log.push(FlowOp::Memorize {
@@ -310,7 +330,7 @@ impl FlowMemory {
     pub(crate) fn touch(&mut self, key: FlowKey, now: SimTime) {
         if let Some(shard) = self.shards.get_mut(key.ingress.0 as usize) {
             if let Some(f) = shard.flows.get_mut(&key) {
-                f.last_used = now;
+                f.flow.last_used = now;
                 if let Some(log) = &mut self.log {
                     log.push(FlowOp::Touch { key, at: now });
                 }
@@ -321,13 +341,21 @@ impl FlowMemory {
     /// Unfiles `key` from its shard, the count and the wheel; `true` if it
     /// was present.
     fn remove(&mut self, key: &FlowKey) -> bool {
+        self.unfile(key, false)
+    }
+
+    /// [`remove`](Self::remove), which leaves the wheel alone when a sweep
+    /// has just claimed (and so disarmed) the key's copy (`swept`).
+    fn unfile(&mut self, key: &FlowKey, swept: bool) -> bool {
         let Some(shard) = self.shards.get_mut(key.ingress.0 as usize) else {
             return false;
         };
         if shard.flows.remove(key).is_none() {
             return false;
         }
-        shard.wheel.cancel(key);
+        if !swept {
+            shard.wheel.disarm();
+        }
         self.len -= 1;
         let n = self.per_service.get_mut(&key.service).expect("service count");
         *n -= 1;
@@ -373,7 +401,7 @@ impl FlowMemory {
         };
         let start = out.len();
         let mine = shard.flows.iter().filter(|(k, _)| k.client_ip == client);
-        out.extend(mine.map(|(k, f)| (*k, *f)));
+        out.extend(mine.map(|(k, f)| (*k, f.flow)));
         // One entry per service here, so the unstable sort is exact.
         out[start..].sort_unstable_by_key(|(k, _)| k.service);
     }
@@ -388,7 +416,7 @@ impl FlowMemory {
                 .shard(key.ingress)
                 .is_some_and(|s| s.flows.contains_key(key));
         }
-        let Some(flow) = self.shard(key.ingress).and_then(|s| s.flows.get(key)).copied() else {
+        let Some(flow) = self.shard(key.ingress).and_then(|s| s.flows.get(key)).map(|f| f.flow) else {
             return false;
         };
         self.remove(key);
@@ -433,8 +461,8 @@ impl FlowMemory {
             .shards
             .iter()
             .flat_map(|s| s.flows.iter())
+            .map(|(k, f)| (*k, f.flow))
             .filter(|(_, f)| f.instance == instance)
-            .map(|(k, f)| (*k, *f))
             .collect();
         victims.sort_by_key(|(k, _)| (k.client_ip, k.ingress, k.service));
         for (k, _) in &victims {
@@ -451,8 +479,8 @@ impl FlowMemory {
             .shards
             .iter()
             .flat_map(|s| s.flows.iter())
+            .map(|(k, f)| (*k, f.flow))
             .filter(|(_, f)| f.cluster() == cluster)
-            .map(|(k, f)| (*k, *f))
             .collect();
         victims.sort_by_key(|(k, _)| (k.client_ip, k.ingress, k.service));
         for (k, _) in &victims {
@@ -473,8 +501,8 @@ impl FlowMemory {
             .shards
             .iter()
             .flat_map(|s| s.flows.iter())
+            .map(|(k, f)| (*k, f.flow))
             .filter(|(k, f)| k.service == service && f.cluster() == cluster)
-            .map(|(k, f)| (*k, *f))
             .collect();
         out.sort_by_key(|(k, _)| (k.client_ip, k.ingress));
         out
@@ -496,6 +524,7 @@ impl FlowMemory {
             .shards
             .get_mut(key.ingress.0 as usize)
             .and_then(|s| s.flows.get_mut(key))
+            .map(|f| &mut f.flow)
         else {
             return false;
         };
@@ -521,7 +550,7 @@ impl FlowMemory {
         let mut out: BTreeSet<(usize, InstanceAddr, ServiceAddr)> = BTreeSet::new();
         for shard in &self.shards {
             for (k, f) in &shard.flows {
-                out.insert((f.cluster(), f.instance, k.service));
+                out.insert((f.flow.cluster(), f.flow.instance, k.service));
             }
         }
         out.into_iter().collect()
@@ -543,16 +572,30 @@ impl FlowMemory {
         // so a quiet cell adds nothing to the sweep even at fleet scale.
         for idx in 0..self.shards.len() {
             due.clear();
-            self.shards[idx].wheel.expired_into(now, &mut due);
+            let Shard { flows, wheel } = &mut self.shards[idx];
+            // A copy is current iff it carries its entry's armed deadline; a
+            // due one is claimed, so no second copy of it passes.
+            wheel.expired_into(now, &mut due, |key, dl, is_due| match flows.get_mut(key) {
+                Some(filed) if filed.armed == dl => {
+                    if is_due {
+                        filed.armed = CLAIMED;
+                    }
+                    true
+                }
+                _ => false,
+            });
             for key in due.drain(..) {
-                let f = self.shards[idx].flows[&key];
+                let shard = &mut self.shards[idx];
+                let filed = shard.flows.get_mut(&key).expect("a claimed entry is filed");
+                let f = filed.flow;
                 if now.saturating_since(f.last_used) >= timeout {
-                    self.remove(&key);
+                    self.unfile(&key, true);
                     self.stats.expired += 1;
                     idle.push((key.service, f.cluster()));
                 } else {
                     // Refreshed since its deadline was set: re-arm.
-                    self.shards[idx].wheel.schedule(key, f.last_used + timeout);
+                    filed.armed = (f.last_used + timeout).as_nanos();
+                    shard.wheel.arm(key, f.last_used + timeout);
                 }
             }
         }
@@ -578,11 +621,13 @@ impl FlowMemory {
         self.len == 0
     }
 
-    /// Estimated bytes of the entry tables: their capacity across every
-    /// shard times the size of one `(key, entry)` slot.
-    pub(crate) fn entry_bytes(&self) -> usize {
+    /// Estimated heap bytes across every shard: the entry tables' capacity
+    /// times the size of one `(key, entry)` slot, plus the wheels' slot
+    /// copies.
+    pub(crate) fn heap_bytes(&self) -> usize {
         let slots: usize = self.shards.iter().map(|s| s.flows.capacity()).sum();
-        slots * std::mem::size_of::<(FlowKey, MemorizedFlow)>()
+        let copies: usize = self.shards.iter().map(|s| s.wheel.slot_bytes()).sum();
+        slots * std::mem::size_of::<(FlowKey, Filed)>() + copies
     }
 
     /// The earliest instant any entry could expire: a lower bound that costs
@@ -865,6 +910,20 @@ mod tests {
         assert_eq!(list[1], (1, inst(2), key(20, 80).service));
         m.forget_instance(inst(2));
         assert_eq!(m.instances().len(), 1);
+    }
+
+    /// A key forgotten and memorized again at the same instant leaves two
+    /// wheel copies at one deadline: the sweep claims the first and refuses
+    /// the second, so the flow expires once.
+    #[test]
+    fn a_key_memorized_again_at_its_old_deadline_expires_once() {
+        let mut m = FlowMemory::new(Duration::from_secs(10));
+        let k = key(20, 80);
+        m.memorize(k, inst(1), 0, SimTime::ZERO);
+        assert!(m.forget(&k));
+        m.memorize(k, inst(1), 0, SimTime::ZERO);
+        assert_eq!(expired(&mut m, SimTime::from_secs(10)), vec![(k.service, 0)]);
+        assert_eq!((m.len(), m.stats.expired, m.next_expiry()), (0, 1, None));
     }
 
     #[test]

@@ -74,6 +74,7 @@ mod health;
 pub mod journal;
 pub mod migrate;
 pub mod predict;
+mod requests;
 mod rules;
 pub mod scheduler;
 pub mod service;

@@ -614,7 +614,7 @@ fn zone_outage() {
         let msgs = r.ctl.begin_zone_outage(0, dark_at, dark_at + secs(30), &mut r.rng);
         assert_eq!(r.emit_tagged(msgs), 4);
         r.serve(G0, dark_at + secs(1), &syn(20, 50_001, ASM));
-        assert_eq!(r.ctl.records.last().unwrap().cluster, Some(1), "served from edge-b");
+        assert_eq!(r.ctl.records.last().unwrap().cluster(), Some(1), "served from edge-b");
         r.ctl.end_zone_outage(0);
         r.finish()
     });

@@ -18,11 +18,11 @@
 //!   satisfies and probes for it (typically two: the per-connection redirect
 //!   shape and the service shape, plus the table-miss wildcard), not one
 //!   comparison per entry.
-//! * A [`TimerWheel`] tracks a deadline per entry that is never later than
-//!   its true idle expiry, so [`FlowTable::expire`] visits only entries
-//!   actually due and [`FlowTable::next_expiry`] is O(1). Idle-timer
-//!   refreshes are lazy: a packet hit does not touch the wheel; a sweep that
-//!   reaches a refreshed entry simply reschedules it.
+//! * A [`TimerWheel`] holds one copy per timed entry, never later than its
+//!   idle expiry, so [`FlowTable::expire`] visits only entries actually due
+//!   and [`FlowTable::next_expiry`] is O(1). Ids are never reused, so a copy
+//!   is current iff its id resolves. Idle refreshes are lazy: a packet hit
+//!   does not touch the wheel; a sweep re-arms a refreshed entry.
 //!
 //! # Storage
 //!
@@ -160,10 +160,7 @@ impl Slab {
         );
         let id = self.next_seq << SLOT_BITS | u64::from(slot);
         self.next_seq += 1;
-        let cell = SlabSlot {
-            id,
-            entry: Some(entry),
-        };
+        let cell = SlabSlot { id, entry: Some(entry) };
         match self.slots.get_mut(slot as usize) {
             Some(vacant) => *vacant = cell,
             None => self.slots.push(cell),
@@ -249,8 +246,8 @@ pub struct FlowTable {
     index: FastMap<Match, Bucket>,
     /// Live entry count per shape mask — the set of probes a lookup makes.
     shape_counts: FastMap<u16, usize>,
-    /// Expiry wheel; per-entry deadlines are never later than the true
-    /// expiry instant (idle refreshes are applied lazily on sweep).
+    /// Expiry wheel, one copy per entry with a timeout, never later than its
+    /// true expiry (idle refreshes are applied lazily on sweep).
     wheel: TimerWheel<FlowId>,
     /// Recycled id buffer of expiry sweeps and deletes, so neither allocates
     /// in the steady state.
@@ -287,8 +284,8 @@ impl FlowTable {
         ids.into_iter().map(|(_, e)| e)
     }
 
-    /// Unfiles and drops entry `id`, returning it.
-    fn remove_entry(&mut self, id: FlowId) -> FlowEntry {
+    /// Unfiles and drops entry `id`; disarms its timer unless a sweep claimed it.
+    fn remove_entry(&mut self, id: FlowId, swept: bool) -> FlowEntry {
         let entry = self.flows.remove(id).expect("live flow id");
         let Entry::Occupied(mut bucket) = self.index.entry(entry.match_) else {
             unreachable!("indexed entry has bucket");
@@ -305,7 +302,9 @@ impl FlowTable {
         if *n == 0 {
             self.shape_counts.remove(&mask);
         }
-        self.wheel.cancel(&id);
+        if !swept && entry.next_deadline().is_some() {
+            self.wheel.disarm();
+        }
         entry
     }
 
@@ -320,7 +319,7 @@ impl FlowTable {
         let deadline = entry.next_deadline();
         let id = self.flows.insert(entry);
         if let Some(deadline) = deadline {
-            self.wheel.schedule(id, deadline);
+            self.wheel.arm(id, deadline);
         }
         // ADD keeps `(priority, match)` unique, so it replaces at most one
         // flow — found in the bucket of the new one's match.
@@ -346,9 +345,8 @@ impl FlowTable {
                 replaced
             }
         };
-        if let Some(old) = replaced {
-            self.flows.remove(old);
-            self.wheel.cancel(&old);
+        if replaced.and_then(|old| self.flows.remove(old)?.next_deadline()).is_some() {
+            self.wheel.disarm();
         }
     }
 
@@ -374,7 +372,7 @@ impl FlowTable {
         // Ids are unique, so the unstable sort (no merge buffer) is exact.
         ids.sort_unstable_by_key(|&id| (std::cmp::Reverse(self.flows[id].priority), id));
         for id in ids.drain(..) {
-            let entry = self.remove_entry(id);
+            let entry = self.remove_entry(id, false);
             out.push(Removed { entry, reason: RemovedReason::Delete, at: now });
         }
         self.id_scratch = ids;
@@ -431,21 +429,21 @@ impl FlowTable {
     pub fn expire_into(&mut self, now: SimTime, out: &mut Vec<Removed>) {
         let mut due = std::mem::take(&mut self.id_scratch);
         due.clear();
-        self.wheel.expired_into(now, &mut due);
+        self.wheel.expired_into(now, &mut due, |&id, _, _| self.flows.get(id).is_some());
         due.retain(|&id| {
             let e = &self.flows[id];
             let expired = e.idled_out(now);
             if !expired {
                 // Idle timer was refreshed since this deadline was set.
                 let deadline = e.next_deadline().expect("scheduled entry has a timeout");
-                self.wheel.schedule(id, deadline);
+                self.wheel.arm(id, deadline);
             }
             expired
         });
         // Ids are unique, so the unstable sort (no merge buffer) is exact.
         due.sort_unstable_by_key(|&id| (std::cmp::Reverse(self.flows[id].priority), id));
         for id in due.drain(..) {
-            let entry = self.remove_entry(id);
+            let entry = self.remove_entry(id, true);
             out.push(Removed { entry, reason: RemovedReason::IdleTimeout, at: now });
         }
         self.id_scratch = due;

@@ -215,7 +215,8 @@ impl DeploymentRun {
             }
         }
         let waited = tb.controller.records.iter().filter(|r| r.kind == RequestKind::Waited);
-        let waits = waited.filter_map(|r| r.phases.wait_time()).map(|d| d.as_secs_f64()).collect();
+        let wait = |r| tb.controller.deployment(r)?.phases.wait_time().map(|d| d.as_secs_f64());
+        let waits = waited.filter_map(wait).collect();
         DeploymentRun { firsts: first_done.into_values().collect(), waits, warm, resets: tb.resets }
     }
 
@@ -466,14 +467,14 @@ pub fn hybrid(seed: u64) -> Figure {
             .controller
             .records
             .first()
-            .and_then(|r| r.background_ready)
+            .and_then(|r| tb.controller.deployment(r)?.background_ready)
             .map(|at| at.saturating_since(t0).as_secs_f64());
         let later_cluster = tb
             .controller
             .records
             .iter()
             .find(|r| r.client == tb.topology().client_ip(1))
-            .and_then(|r| r.cluster)
+            .and_then(|r| r.cluster())
             .map(|i| tb.controller.cluster(i).name().to_owned())
             .unwrap_or_else(|| "-".to_owned());
         let (k8s_only, _) = first_request_under(ClusterKind::K8s, &profile, "proximity", seed);
@@ -557,12 +558,9 @@ fn first_request_under(
         .and_then(|c| c.timing.time_total())
         .map(|d| d.as_secs_f64())
         .unwrap_or(f64::NAN);
-    let bg = tb
-        .controller
-        .records
-        .first()
-        .and_then(|r| r.background_ready.or(r.phases.instance_ready))
-        .map(|t| t.saturating_since(t0).as_secs_f64());
+    let first = tb.controller.records.first().and_then(|r| tb.controller.deployment(r));
+    let bg = first.and_then(|d| d.background_ready.or(d.phases.instance_ready));
+    let bg = bg.map(|t| t.saturating_since(t0).as_secs_f64());
     (total, bg)
 }
 
@@ -606,18 +604,9 @@ pub fn timeout_sweep(seed: u64) -> Figure {
         );
         // A deployment = a record that actually issued a scale-up (several
         // concurrent requests may wait on one in-flight deployment).
-        let deployments = tb
-            .controller
-            .records
-            .iter()
-            .filter(|r| r.phases.scale_up_at.is_some())
-            .count();
-        let hits = tb
-            .controller
-            .records
-            .iter()
-            .filter(|r| r.kind == RequestKind::MemoryHit)
-            .count();
+        let scaled_up = |r| tb.controller.deployment(r).is_some_and(|d| d.phases.scale_up_at.is_some());
+        let deployments = tb.controller.records.iter().filter(|r| scaled_up(r)).count();
+        let hits = tb.controller.records.iter().filter(|r| r.kind == RequestKind::MemoryHit).count();
         let med = Summary::new(waited_totals(&tb)).median().unwrap_or(f64::NAN);
         let scale_downs = tb.controller.telemetry.metrics.counter("scale_downs");
         t.row(vec![
@@ -995,9 +984,10 @@ fn chaos_run<S: Spans>(
             RequestKind::FallbackCloud => run.fallbacks += 1,
             _ => {}
         }
-        run.pull_retries += u64::from(r.phases.pull_retries);
-        run.create_retries += u64::from(r.phases.create_retries);
-        run.scale_up_retries += u64::from(r.phases.scale_up_retries);
+        let Some(p) = tb.controller.deployment(r).map(|d| d.phases) else { continue };
+        run.pull_retries += u64::from(p.pull_retries);
+        run.create_retries += u64::from(p.create_retries);
+        run.scale_up_retries += u64::from(p.scale_up_retries);
     }
     let mut recording = take_recording(&mut tb);
     if let Some((_, m)) = recording.as_mut().filter(|(_, m)| m.counter("requests_total") > 0) {

@@ -352,7 +352,7 @@ mod tests {
         let (tb, total) = run_one(ClusterKind::Docker, "nginx", false, false, 3);
         assert!(total > Duration::from_secs(2), "cold total {total}");
         let rec = &tb.controller.records[0];
-        assert!(rec.phases.pull_done.is_some());
+        assert!(tb.controller.deployment(rec).is_some_and(|d| d.phases.pull_done.is_some()));
     }
 
     #[test]

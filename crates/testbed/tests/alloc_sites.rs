@@ -24,7 +24,10 @@
 //! recycled buffers, packet-in bytes borrowed; "PR 38" the one before and
 //! after the Kubernetes deploy cycle stopped allocating: k8ssim objects by
 //! handle, an event trail the caller owns, shared container specs; "PR 39"
-//! the live bytes before and after a filed pair became its spec.
+//! the live bytes before and after a filed pair became its spec. It also
+//! has them before and after the request record shrank from 192 to 40 B
+//! (`close_request`'s row, 12.00 → 2.50 MB) and the timer wheel stopped
+//! keeping a deadline map beside its slot copies (a 1.06 MB row, gone).
 
 use desim::SimTime;
 use netsim::{Ipv4Addr, ServiceAddr};

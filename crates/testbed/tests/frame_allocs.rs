@@ -428,8 +428,9 @@ fn a_match_builds_encodes_and_decodes_without_the_heap() {
 /// compiled out; `e2ebench`'s `flow_churn` steady state is 0.09 per
 /// request), none of them on the control channel: the first push into four
 /// timer-wheel slots no earlier connection touched (the table's add and two
-/// expiry re-arms, the FlowMemory's), the growth of the controller's request
-/// records and of the harness's completions, and that debug-only scan. With
+/// expiry re-arms, the FlowMemory's), the growth of the controller's 40 B
+/// request records and of the harness's completions, and that debug-only
+/// scan. With
 /// a fresh buffer for every control message, both packet-in copies and the
 /// pair's and the switch's action lists on the heap it was 17; with every
 /// match a `Vec` of fields and every flow's actions inside an instruction

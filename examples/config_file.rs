@@ -75,7 +75,7 @@ fn main() {
 
     for rec in &tb.controller.records {
         let cluster = rec
-            .cluster
+            .cluster()
             .map(|i| tb.controller.cluster(i).name().to_owned())
             .unwrap_or_else(|| "cloud".into());
         println!(

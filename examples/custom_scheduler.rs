@@ -125,7 +125,8 @@ fn main() {
             "t={:6.3}s  {:?}  (background deploy ready: {})",
             rec.at.as_secs_f64(),
             rec.kind,
-            rec.background_ready
+            ctl.deployment(rec)
+                .and_then(|d| d.background_ready)
                 .map(|t| format!("t={:.3}s", t.as_secs_f64()))
                 .unwrap_or_else(|| "-".into()),
         );

@@ -39,7 +39,7 @@ fn main() {
     println!("hybrid Docker-first + Kubernetes-later\n");
     for rec in &tb.controller.records {
         let served_by = rec
-            .cluster
+            .cluster()
             .map(|i| tb.controller.cluster(i).name().to_owned())
             .unwrap_or_else(|| "cloud".into());
         println!(
@@ -50,7 +50,7 @@ fn main() {
             served_by,
             rec.answered_at.saturating_since(rec.at),
         );
-        if let Some(bg) = rec.background_ready {
+        if let Some(bg) = tb.controller.deployment(rec).and_then(|d| d.background_ready) {
             println!(
                 "            └─ background K8s deployment ready at t={:.3}s",
                 bg.as_secs_f64()
@@ -73,7 +73,7 @@ fn main() {
         .controller
         .records
         .last()
-        .and_then(|r| r.cluster)
+        .and_then(|r| r.cluster())
         .map(|i| tb.controller.cluster(i).name().to_owned());
     println!(
         "\nfirst answer {} (Docker), steady state on {}",

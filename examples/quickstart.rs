@@ -53,7 +53,7 @@ fn main() {
             rec.service,
             rec.answered_at.saturating_since(rec.at),
         );
-        if let Some(wait) = rec.phases.wait_time() {
+        if let Some(wait) = tb.controller.deployment(rec).and_then(|d| d.phases.wait_time()) {
             println!("            readiness wait (port polling): {wait}");
         }
     }

@@ -47,9 +47,9 @@ fn same_definition_deploys_on_docker_and_k8s() {
         assert_eq!(tb.completed.len(), 1, "{} served the request", kind.label());
         assert_eq!(tb.resets, 0);
         assert_eq!(tb.transparency_violations, 0);
-        let rec = &tb.controller.records[0];
-        assert!(rec.phases.create_done.is_some(), "create phase ran");
-        assert!(rec.phases.wait_time().is_some(), "port polling happened");
+        let phases = tb.controller.deployment(&tb.controller.records[0]).expect("deployed").phases;
+        assert!(phases.create_done.is_some(), "create phase ran");
+        assert!(phases.wait_time().is_some(), "port polling happened");
     }
 }
 
