@@ -22,8 +22,8 @@
 //! * **Far level** — a second ring of [`L1_N`] buckets, each spanning one
 //!   full near-level window (2^27 ns ≈ 134 ms, ≈137 s of horizon). When the
 //!   cursor enters a far bucket's span, its events re-bucket into the near
-//!   level — the cascade discipline of [`crate::wheel`], one extra O(1)
-//!   move per event instead of per-event heap ordering.
+//!   level — the cascade discipline of a hierarchical timing wheel, one
+//!   extra O(1) move per event instead of per-event heap ordering.
 //! * **Spill level** — events beyond the far horizon (> ~137 s ahead)
 //!   overflow into a sorted heap and migrate into the rings as the cursor
 //!   approaches; when everything pending is in the spill, the cursor jumps

@@ -1,8 +1,8 @@
 //! A deterministic, fast hasher for the simulator's internal maps.
 //!
 //! `std`'s default SipHash defends against keys crafted to collide and seeds
-//! itself per process. The hot maps of the simulation — flow tables, timer
-//! wheels, the controller's bookkeeping — are keyed by values the program
+//! itself per process. The hot maps of the simulation — flow tables, the
+//! FlowMemory, the controller's bookkeeping — are keyed by values the program
 //! itself produced (flow ids, addresses of simulated hosts), probed several
 //! times per simulated frame, and their growth pattern shows up in the
 //! allocation counts the benchmark reports. [`FastHasher`] is an Fx-style

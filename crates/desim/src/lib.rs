@@ -40,7 +40,7 @@ pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod wheel;
+pub mod timers;
 
 pub use calendar::EventQueue;
 pub use dist::{Exponential, LogNormal, Sample, Uniform};
@@ -51,4 +51,4 @@ pub use queue::NaiveEventQueue;
 pub use rng::SimRng;
 pub use stats::{LogHistogram, Summary};
 pub use time::{fmt_duration, Duration, SimTime};
-pub use wheel::TimerWheel;
+pub use timers::TimerHeap;

@@ -22,9 +22,8 @@
 
 use crate::cluster::InstanceAddr;
 use crate::scheduler::InstanceView;
-use desim::{Duration, SimTime};
+use desim::{Duration, FastMap, SimTime};
 use netsim::ServiceAddr;
-use std::collections::HashMap;
 use std::collections::VecDeque;
 
 /// Port stride between synthetic replica addresses of one pool.
@@ -256,7 +255,7 @@ impl Default for AutoscaleConfig {
 #[derive(Debug, Default)]
 pub struct LoadTracker {
     cfg: AutoscaleConfig,
-    pools: HashMap<(ServiceAddr, usize), ServicePool>,
+    pools: FastMap<(ServiceAddr, usize), ServicePool>,
     last_sweep: SimTime,
     retired_replica_seconds: f64,
     rejections: u64,

@@ -53,7 +53,7 @@ use crate::rules::{
 };
 use crate::scheduler::{GlobalScheduler, RequestClass};
 use crate::service::EdgeService;
-use desim::{Duration, LogNormal, Sample, SimRng, SimTime};
+use desim::{Duration, FastMap, LogNormal, Sample, SimRng, SimTime};
 use netsim::addr::{Ipv4Addr, MacAddr};
 use netsim::{FramePool, ServiceAddr, TcpFrame};
 use openflow::messages::Message;
@@ -260,10 +260,10 @@ pub struct Controller<S: Spans = Off> {
     /// (service, cluster): the latest release instant. The idle sweep must
     /// not scale a service down while such a hold is pending — the held
     /// client would be redirected to a stopped instance.
-    held: HashMap<(ServiceAddr, usize), SimTime>,
+    held: FastMap<(ServiceAddr, usize), SimTime>,
     /// Idle expiries deferred because a held request pinned the service;
     /// re-examined once the hold drains.
-    deferred: HashMap<(ServiceAddr, usize), SimTime>,
+    deferred: FastMap<(ServiceAddr, usize), SimTime>,
     /// Telemetry endpoint: spans as `S` records them (none for [`Off`]);
     /// metric counters always.
     pub telemetry: Telemetry<S>,
@@ -272,7 +272,7 @@ pub struct Controller<S: Spans = Off> {
     next_request: u64,
     /// When each instance crashed (fault injection), so the repair sweep's
     /// `stale_redirect_repair_ns` histogram measures crash→repair latency.
-    crash_records: HashMap<InstanceAddr, SimTime>,
+    crash_records: FastMap<InstanceAddr, SimTime>,
     /// Recycled buffers of a handover: the sessions it moves, and the
     /// installs it makes at the new ingress.
     handover_scratch: (Vec<(FlowKey, MemorizedFlow)>, Vec<OutboundMessage>),
@@ -280,7 +280,7 @@ pub struct Controller<S: Spans = Off> {
     /// last memorized flow expired.
     idle_scratch: Vec<(ServiceAddr, usize)>,
     /// Open telemetry spans of in-flight migrations, by request id.
-    migration_spans: HashMap<u64, SpanId>,
+    migration_spans: FastMap<u64, SpanId>,
     /// The crash-recovery write-ahead journal (inert unless
     /// `config.journal.enabled`).
     journal: Journal,
@@ -320,14 +320,14 @@ impl<S: Spans> Controller<S> {
             spare: FramePool::new(),
             records: Vec::new(),
             deployments: DeploymentLog::default(),
-            held: HashMap::new(),
-            deferred: HashMap::new(),
+            held: FastMap::default(),
+            deferred: FastMap::default(),
             telemetry: Telemetry::default(),
             next_request: 0,
-            crash_records: HashMap::new(),
+            crash_records: FastMap::default(),
             handover_scratch: Default::default(),
             idle_scratch: Vec::new(),
-            migration_spans: HashMap::new(),
+            migration_spans: FastMap::default(),
             journal,
             control_errors: Vec::new(),
             processing: LogNormal::from_median(0.0015, 0.30),
@@ -1254,7 +1254,7 @@ impl<S: Spans> Controller<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{DockerCluster, InstanceState};
+    use crate::cluster::{DeployError, DockerCluster, InstanceState};
     use crate::health::{BREAKER_COOLDOWN, BREAKER_THRESHOLD, DETECT_INTERVAL};
     use crate::scheduler::ProximityScheduler;
     use desim::RetryPolicy;
@@ -1924,6 +1924,64 @@ mod tests {
             ctl.cluster(0).state(&svc, after + Duration::from_millis(1)),
             crate::cluster::InstanceState::Created
         ));
+    }
+
+    /// A cluster that only records the services it scales down, in order.
+    struct ScaleDownLog(std::rc::Rc<std::cell::RefCell<Vec<ServiceAddr>>>);
+
+    impl EdgeCluster for ScaleDownLog {
+        fn name(&self) -> &str { "edge-docker" }
+        fn kind(&self) -> &'static str { "docker" }
+        fn latency(&self) -> Duration { Duration::from_micros(150) }
+        fn has_image_cached(&self, _: &EdgeService) -> bool { true }
+        fn state(&self, _: &EdgeService, _: SimTime) -> InstanceState { InstanceState::Created }
+        fn pull(&mut self, _: &EdgeService, now: SimTime, _: &mut SimRng) -> Result<SimTime, DeployError> {
+            Ok(now)
+        }
+        fn create(&mut self, _: &EdgeService, now: SimTime, _: &mut SimRng) -> Result<SimTime, DeployError> {
+            Ok(now)
+        }
+        fn scale_up(
+            &mut self,
+            _: &EdgeService,
+            now: SimTime,
+            _: &mut SimRng,
+        ) -> Result<(SimTime, SimTime), DeployError> {
+            Ok((now, now))
+        }
+        fn scale_down(&mut self, svc: &EdgeService, now: SimTime, _: &mut SimRng) -> SimTime {
+            self.0.borrow_mut().push(svc.addr);
+            now
+        }
+        fn remove(&mut self, _: &EdgeService, now: SimTime, _: &mut SimRng) -> SimTime { now }
+        fn instance_addr(&self, _: &EdgeService) -> Option<InstanceAddr> { None }
+        fn load(&self) -> usize { 0 }
+    }
+
+    /// Deferred scale-downs that ripen in one tick run in sorted order,
+    /// not in the order the deferral map happens to hold them: each draws
+    /// from the simulation's random stream.
+    #[test]
+    fn deferred_scale_downs_ripening_together_run_in_sorted_order() {
+        let log = std::rc::Rc::default();
+        let mut ctl = Controller::new(
+            Box::<ProximityScheduler>::default(),
+            PortMap { cluster_ports: HashMap::new(), cloud_port: CLOUD_PORT },
+            ControllerConfig::default(),
+        );
+        ctl.add_cluster(Box::new(ScaleDownLog(std::rc::Rc::clone(&log))), EDGE_PORT);
+        let t0 = SimTime::from_secs(1);
+        let mut services: Vec<ServiceAddr> = Vec::new();
+        for port in [8080, 80, 9000, 81, 443, 8000] {
+            let svc = make_service("asm", port);
+            services.push(svc.addr);
+            ctl.deferred.insert((svc.addr, 0), t0);
+            ctl.register_service(svc);
+        }
+        ctl.tick(t0 + Duration::from_secs(1), &mut SimRng::new(5));
+        services.sort_unstable();
+        assert_eq!(*log.borrow(), services);
+        assert!(ctl.deferred.is_empty());
     }
 
     /// FlowMemory expiry racing a held (with-waiting) request, traced: the

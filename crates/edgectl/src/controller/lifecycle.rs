@@ -30,12 +30,13 @@ impl<S: Spans> Controller<S> {
             let mut expired = std::mem::take(&mut ctl.idle_scratch);
             ctl.state.memory_mut().expire(now, &mut expired);
             // Re-examine deferred expiries whose hold has drained since.
-            let ripe: Vec<(ServiceAddr, usize)> = ctl
+            let mut ripe: Vec<(ServiceAddr, usize)> = ctl
                 .deferred
                 .keys()
                 .filter(|k| !ctl.held.contains_key(k) && !ctl.state.migrate().pinned(k.0, k.1))
                 .copied()
                 .collect();
+            ripe.sort_unstable(); // map order must not decide scale-down order
             for key in ripe {
                 ctl.deferred.remove(&key);
                 // Re-used while deferred? Then it is no longer idle.

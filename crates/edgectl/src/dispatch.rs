@@ -24,10 +24,9 @@ use crate::scheduler::{
     ClusterView, GlobalScheduler, RequestClass, SchedulingContext, ServiceRef, Target,
 };
 use crate::service::EdgeService;
-use desim::{Duration, RetryPolicy, SimRng, SimTime};
+use desim::{Duration, FastMap, RetryPolicy, SimRng, SimTime};
 use netsim::addr::Ipv4Addr;
 use netsim::ServiceAddr;
-use std::collections::HashMap;
 use telemetry::{SpanId, Spans, Telemetry};
 
 /// Timing breakdown of one dispatch, for the evaluation harness.
@@ -196,7 +195,7 @@ pub struct Dispatcher {
     scheduler: Box<dyn GlobalScheduler>,
     /// Single-flight failure cache: deployments that gave up, by
     /// (service, cluster), until their give-up instant passes.
-    in_flight: HashMap<(ServiceAddr, usize), FailedDeploy>,
+    in_flight: FastMap<(ServiceAddr, usize), FailedDeploy>,
     /// Requests that coalesced onto an in-flight failure.
     coalesced: u64,
     /// Per-instance queue tracking and the horizontal autoscaler state.
@@ -214,7 +213,7 @@ impl Dispatcher {
     pub fn new(scheduler: Box<dyn GlobalScheduler>) -> Dispatcher {
         Dispatcher {
             scheduler,
-            in_flight: HashMap::new(),
+            in_flight: FastMap::default(),
             coalesced: 0,
             tracker: LoadTracker::default(),
             views: Vec::new(),

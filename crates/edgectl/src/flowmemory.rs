@@ -8,10 +8,10 @@
 //! (a) drops stale entries and (b) reports services whose last flow is gone —
 //! the trigger for automatic scale-down of idle edge services.
 //!
-//! Expiry runs on a [`TimerWheel`], so a sweep visits only entries actually
+//! Expiry runs on a [`TimerHeap`], so a sweep pops only entries actually
 //! due instead of scanning the whole memory, and [`FlowMemory::next_expiry`]
-//! is O(1). Each entry is filed with the deadline its wheel copy carries, so
-//! the wheel needs no table of its own: a copy is current iff it carries
+//! is O(1). Each entry is filed with the deadline its heap copy carries, so
+//! the heap needs no table of its own: a copy is current iff it carries
 //! that deadline. Idle refreshes ([`FlowMemory::lookup`] /
 //! [`FlowMemory::touch`]) are lazy: they update `last_used` without
 //! re-arming; a sweep that reaches a refreshed entry re-arms it instead of
@@ -20,7 +20,7 @@
 //! remaining flows" scale-down check O(1) per expired service.
 
 use crate::cluster::InstanceAddr;
-use desim::{Duration, FastMap, SimTime, TimerWheel};
+use desim::{Duration, FastMap, SimTime, TimerHeap};
 use netsim::addr::Ipv4Addr;
 use netsim::ServiceAddr;
 use std::collections::BTreeSet;
@@ -138,7 +138,7 @@ pub enum FlowOp {
     },
 }
 
-/// A memorized flow and the deadline (ns) of its current wheel copy — kept
+/// A memorized flow and the deadline (ns) of its current heap copy — kept
 /// beside the flow, not in it, so the flow's `Debug` (which the state
 /// digest reads) and its 24 B stay as they are.
 #[derive(Clone, Copy)]
@@ -149,20 +149,21 @@ struct Filed {
 
 /// [`Filed::armed`] of an entry whose copy the sweep in progress claimed:
 /// no other copy of it is current until the sweep re-arms or removes it.
-/// (`u64::MAX` is no deadline: the wheel's bound reserves it for "empty".)
+/// Two copies of one key can carry the same deadline (re-armed A → B → A),
+/// and only the first may fire. (`u64::MAX` lies past any deadline a run arms.)
 const CLAIMED: u64 = u64::MAX;
 
 /// One per-ingress shard: the flows entering through a single gNB and
-/// their expiry wheel. A fleet-scale controller fronts many ingress
+/// their expiry heap. A fleet-scale controller fronts many ingress
 /// switches; keying the hot structures by ingress keeps every per-packet
 /// lookup and every expiry sweep O(one cell), not O(fleet).
 #[derive(Default)]
 struct Shard {
     flows: FastMap<FlowKey, Filed>,
-    /// Expiry wheel, one current copy per entry; a copy's deadline is never
+    /// Expiry heap, one current copy per entry; a copy's deadline is never
     /// later than the entry's true expiry (refreshes are applied lazily at
     /// sweep time).
-    wheel: TimerWheel<FlowKey>,
+    timers: TimerHeap<FlowKey>,
 }
 
 /// The controller-side flow memory with idle expiry, sharded by
@@ -216,9 +217,9 @@ impl FlowMemory {
     }
 
     /// Every live entry, sorted by `(ingress, client, service)` — the
-    /// snapshot export. Stats and wheel internals are excluded: a restore
+    /// snapshot export. Stats and heap internals are excluded: a restore
     /// re-arms each entry at `last_used + idle_timeout`, which is never
-    /// later than the original wheel deadline, so sweep behaviour is
+    /// later than the original heap deadline, so sweep behaviour is
     /// preserved.
     pub(crate) fn export_entries(&self) -> Vec<(FlowKey, MemorizedFlow)> {
         let mut out: Vec<(FlowKey, MemorizedFlow)> = self
@@ -297,7 +298,7 @@ impl FlowMemory {
     }
 
     /// Memorizes (or refreshes) a redirect decision. A present entry's
-    /// deadline moves; an unchanged deadline files no second wheel copy.
+    /// deadline moves; an unchanged deadline files no second heap copy.
     pub fn memorize(&mut self, key: FlowKey, instance: InstanceAddr, cluster: usize, now: SimTime) {
         let deadline = now + self.idle_timeout;
         let shard = self.shard_mut(key.ingress);
@@ -306,11 +307,11 @@ impl FlowMemory {
         match prev {
             Some(prev) if prev.armed == deadline.as_nanos() => {}
             Some(_) => {
-                shard.wheel.disarm();
-                shard.wheel.arm(key, deadline);
+                shard.timers.disarm();
+                shard.timers.arm(key, deadline);
             }
             None => {
-                shard.wheel.arm(key, deadline);
+                shard.timers.arm(key, deadline);
                 self.len += 1;
                 *self.per_service.entry(key.service).or_insert(0) += 1;
             }
@@ -338,13 +339,13 @@ impl FlowMemory {
         }
     }
 
-    /// Unfiles `key` from its shard, the count and the wheel; `true` if it
+    /// Unfiles `key` from its shard, the count and the heap; `true` if it
     /// was present.
     fn remove(&mut self, key: &FlowKey) -> bool {
         self.unfile(key, false)
     }
 
-    /// [`remove`](Self::remove), which leaves the wheel alone when a sweep
+    /// [`remove`](Self::remove), which leaves the heap alone when a sweep
     /// has just claimed (and so disarmed) the key's copy (`swept`).
     fn unfile(&mut self, key: &FlowKey, swept: bool) -> bool {
         let Some(shard) = self.shards.get_mut(key.ingress.0 as usize) else {
@@ -354,7 +355,7 @@ impl FlowMemory {
             return false;
         }
         if !swept {
-            shard.wheel.disarm();
+            shard.timers.disarm();
         }
         self.len -= 1;
         let n = self.per_service.get_mut(&key.service).expect("service count");
@@ -568,14 +569,14 @@ impl FlowMemory {
         let timeout = self.idle_timeout;
         idle.clear();
         let mut due = std::mem::take(&mut self.expiry_scratch);
-        // Sweep shard by shard: a wheel with nothing due costs O(1) to ask,
+        // Sweep shard by shard: a heap with nothing due costs O(1) to ask,
         // so a quiet cell adds nothing to the sweep even at fleet scale.
         for idx in 0..self.shards.len() {
             due.clear();
-            let Shard { flows, wheel } = &mut self.shards[idx];
+            let Shard { flows, timers } = &mut self.shards[idx];
             // A copy is current iff it carries its entry's armed deadline; a
             // due one is claimed, so no second copy of it passes.
-            wheel.expired_into(now, &mut due, |key, dl, is_due| match flows.get_mut(key) {
+            timers.expired_into(now, &mut due, |key, dl, is_due| match flows.get_mut(key) {
                 Some(filed) if filed.armed == dl => {
                     if is_due {
                         filed.armed = CLAIMED;
@@ -595,7 +596,7 @@ impl FlowMemory {
                 } else {
                     // Refreshed since its deadline was set: re-arm.
                     filed.armed = (f.last_used + timeout).as_nanos();
-                    shard.wheel.arm(key, f.last_used + timeout);
+                    shard.timers.arm(key, f.last_used + timeout);
                 }
             }
         }
@@ -622,21 +623,20 @@ impl FlowMemory {
     }
 
     /// Estimated heap bytes across every shard: the entry tables' capacity
-    /// times the size of one `(key, entry)` slot, plus the wheels' slot
-    /// copies.
+    /// times the size of one `(key, entry)` slot, plus the heaps' copies.
     pub(crate) fn heap_bytes(&self) -> usize {
         let slots: usize = self.shards.iter().map(|s| s.flows.capacity()).sum();
-        let copies: usize = self.shards.iter().map(|s| s.wheel.slot_bytes()).sum();
+        let copies: usize = self.shards.iter().map(|s| s.timers.heap_bytes()).sum();
         slots * std::mem::size_of::<(FlowKey, Filed)>() + copies
     }
 
     /// The earliest instant any entry could expire: a lower bound that costs
-    /// one constant-time wheel query per shard (exact when no entry was
+    /// one constant-time heap query per shard (exact when no entry was
     /// refreshed since it was scheduled); `None` iff the memory is empty. An
     /// early sweep is harmless — it re-arms refreshed entries and tightens
     /// the bound.
     pub fn next_expiry(&self) -> Option<SimTime> {
-        self.shards.iter().filter_map(|s| s.wheel.next_deadline()).min()
+        self.shards.iter().filter_map(|s| s.timers.next_deadline()).min()
     }
 }
 
@@ -801,7 +801,7 @@ mod tests {
         m.memorize(key(21, 80), inst(1), 0, SimTime::ZERO);
         assert_eq!(m.forget_client(Ipv4Addr::new(192, 168, 1, 20)), 2);
         assert_eq!(m.len(), 1);
-        // The forgotten entries' wheel deadlines are cancelled: a sweep at
+        // The forgotten entries' heap deadlines are cancelled: a sweep at
         // their old deadline expires only the remaining flow.
         let idle = expired(&mut m, SimTime::from_secs(10));
         assert_eq!(idle, vec![(key(21, 80).service, 0)]);
@@ -881,7 +881,7 @@ mod tests {
         assert!(m.lookup(key_at(1, 21, 80), SimTime::from_secs(1)).is_none());
         assert_eq!(m.flows_for(key(20, 80).service), 0, "both :80 flows were its");
         assert_eq!(m.flows_for(key(20, 81).service), 1);
-        // Cancelled wheel deadlines: a sweep expires only the survivor.
+        // Cancelled heap deadlines: a sweep expires only the survivor.
         let idle = expired(&mut m, SimTime::from_secs(10));
         assert_eq!(idle, vec![(key(20, 81).service, 1)]);
     }
@@ -913,7 +913,7 @@ mod tests {
     }
 
     /// A key forgotten and memorized again at the same instant leaves two
-    /// wheel copies at one deadline: the sweep claims the first and refuses
+    /// heap copies at one deadline: the sweep claims the first and refuses
     /// the second, so the flow expires once.
     #[test]
     fn a_key_memorized_again_at_its_old_deadline_expires_once() {

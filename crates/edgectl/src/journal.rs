@@ -276,7 +276,7 @@ pub struct StateStats {
     pub(crate) pair_bytes: usize,
     /// The forward-flow index.
     pub(crate) fwd_index_bytes: usize,
-    /// The FlowMemory's entry tables and the slot copies of its wheels.
+    /// The FlowMemory's entry tables and the copies of its timer heaps.
     pub(crate) memory_bytes: usize,
     /// Anchored aggregate rules.
     pub(crate) aggregates: usize,
@@ -1064,10 +1064,10 @@ mod tests {
         assert!(stats.fwd_index_bytes > 0 && stats.memory_bytes == 0);
     }
 
-    /// A memorized flow costs its entry and its wheel copies: after a churn
+    /// A memorized flow costs its entry and its heap copies: after a churn
     /// of 10 000 flows — one every 12 ms, each idle for the default 60 s, so
     /// five thousand live at a time, swept whenever the bound says one is
-    /// due — the entry tables and the wheels' slot storage together hold at
+    /// due — the entry tables and the timer heaps together hold at
     /// most two 48 B entry slots and three 24 B copies per live flow
     /// (measured: 133 B).
     #[test]

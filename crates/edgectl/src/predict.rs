@@ -10,9 +10,9 @@
 //! how prediction quality trades pre-deployments against first-request
 //! latency.
 
-use desim::{Duration, SimTime};
+use desim::{Duration, FastMap, SimTime};
 use netsim::ServiceAddr;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Observes requests and nominates services worth pre-deploying.
 pub trait DeploymentPredictor: Send {
@@ -49,7 +49,7 @@ impl DeploymentPredictor for NoPredictor {
 /// common keep-alive heuristic.
 pub(crate) struct RecencyPredictor {
     window: Duration,
-    last_seen: HashMap<ServiceAddr, SimTime>,
+    last_seen: FastMap<ServiceAddr, SimTime>,
 }
 
 impl RecencyPredictor {
@@ -57,7 +57,7 @@ impl RecencyPredictor {
     pub fn new(window: Duration) -> RecencyPredictor {
         RecencyPredictor {
             window,
-            last_seen: HashMap::new(),
+            last_seen: FastMap::default(),
         }
     }
 }
@@ -117,7 +117,7 @@ impl DeploymentPredictor for FrequencyPredictor {
                 break;
             }
         }
-        let mut counts: HashMap<ServiceAddr, usize> = HashMap::new();
+        let mut counts: FastMap<ServiceAddr, usize> = FastMap::default();
         for &(_, s) in &self.history {
             *counts.entry(s).or_default() += 1;
         }
@@ -133,7 +133,7 @@ impl DeploymentPredictor for FrequencyPredictor {
 /// Models sequence patterns (e.g. an app that always calls auth → api →
 /// media in order).
 pub(crate) struct MarkovPredictor {
-    transitions: HashMap<ServiceAddr, HashMap<ServiceAddr, usize>>,
+    transitions: FastMap<ServiceAddr, FastMap<ServiceAddr, usize>>,
     last: Option<ServiceAddr>,
     top_k: usize,
 }
@@ -142,7 +142,7 @@ impl MarkovPredictor {
     /// Predicts the `top_k` most likely successors of the last request.
     pub fn new(top_k: usize) -> MarkovPredictor {
         MarkovPredictor {
-            transitions: HashMap::new(),
+            transitions: FastMap::default(),
             last: None,
             top_k,
         }

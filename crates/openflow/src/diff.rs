@@ -1,7 +1,7 @@
 //! Differential testing of the indexed flow table against the naive one.
 //!
 //! [`crate::table::FlowTable`] re-implements the seed's linear-scan table
-//! ([`crate::naive::NaiveFlowTable`]) with a hash index and a timer wheel.
+//! ([`crate::naive::NaiveFlowTable`]) with a hash index and a timer heap.
 //! The optimization is only admissible if it is *observably identical*, so
 //! this module replays randomized operation sequences — add / delete /
 //! lookup / peek / expire over a monotonic clock, the operations the
@@ -16,8 +16,8 @@
 //! * identical table contents via [`FlowTable::entries`] (same order:
 //!   priority descending, first-added first),
 //! * consistent `next_expiry`: equal emptiness, and the indexed value never
-//!   later than the naive (exact) one — the wheel's documented lower-bound
-//!   contract.
+//!   later than the naive (exact) one — the timer heap's documented
+//!   lower-bound contract.
 //!
 //! The harness is driven two ways: a deterministic in-crate test sweeping
 //! 1100 fixed seeds (runs in offline builds), and a `proptest` integration
@@ -151,7 +151,7 @@ fn assert_tables_eq(naive: &NaiveFlowTable, indexed: &FlowTable, ctx: &str) {
         (None, None) => {}
         (Some(exact), Some(bound)) => assert!(
             bound <= exact,
-            "{ctx}: wheel bound {bound} later than exact next expiry {exact}"
+            "{ctx}: heap bound {bound} later than exact next expiry {exact}"
         ),
         (n, i) => panic!("{ctx}: next_expiry emptiness diverges: naive {n:?}, indexed {i:?}"),
     }
@@ -255,7 +255,7 @@ mod tests {
         );
     }
 
-    /// Longer sequences stress wheel cascades and repeated expiry.
+    /// Longer sequences stress lazy re-arms and repeated expiry.
     #[test]
     fn indexed_table_matches_naive_on_long_sequences() {
         for seed in [7, 1234, 987654] {

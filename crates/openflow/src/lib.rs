@@ -25,8 +25,8 @@
 //!   idle-timeout expiry (the mechanism behind the controller's
 //!   `FlowMemory` and automatic scale-down). Classification is indexed
 //!   (tuple-space hashing over exact-match shapes) and expiry runs on a
-//!   timer wheel, so per-packet and per-sweep cost is independent of table
-//!   size,
+//!   timer heap, so per-packet cost is independent of table size and a
+//!   sweep pops only what is due,
 //! * [`naive`] — the seed's linear-scan table, kept as the semantic
 //!   reference, and [`diff`] — a differential harness that replays random
 //!   operation sequences against both tables and asserts identical

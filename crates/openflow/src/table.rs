@@ -18,11 +18,11 @@
 //!   satisfies and probes for it (typically two: the per-connection redirect
 //!   shape and the service shape, plus the table-miss wildcard), not one
 //!   comparison per entry.
-//! * A [`TimerWheel`] holds one copy per timed entry, never later than its
-//!   idle expiry, so [`FlowTable::expire`] visits only entries actually due
+//! * A [`TimerHeap`] holds one copy per timed entry, never later than its
+//!   idle expiry, so [`FlowTable::expire`] pops only entries actually due
 //!   and [`FlowTable::next_expiry`] is O(1). Ids are never reused, so a copy
 //!   is current iff its id resolves. Idle refreshes are lazy: a packet hit
-//!   does not touch the wheel; a sweep re-arms a refreshed entry.
+//!   does not touch the heap; a sweep re-arms a refreshed entry.
 //!
 //! # Storage
 //!
@@ -34,7 +34,7 @@
 //! insertion order — the first-added tie-break and every sort key compare
 //! ids exactly as before, whichever slot an entry happens to occupy — and a
 //! slot remembers its tenant's id, so the id of a removed flow (one the
-//! timer wheel still holds, say) never resolves to the flow that took its
+//! timer heap still holds, say) never resolves to the flow that took its
 //! slot.
 //!
 //! An index bucket holds its best candidate **inline** (`head`) and any
@@ -52,7 +52,7 @@
 use crate::actions::{Action, Actions};
 use crate::messages::{RemovedReason, OFPFF_SEND_FLOW_REM};
 use crate::oxm::{Match, MatchView};
-use desim::{Duration, FastMap, SimTime, TimerWheel};
+use desim::{Duration, FastMap, SimTime, TimerHeap};
 use std::collections::hash_map::Entry;
 
 /// One installed flow.
@@ -246,9 +246,9 @@ pub struct FlowTable {
     index: FastMap<Match, Bucket>,
     /// Live entry count per shape mask — the set of probes a lookup makes.
     shape_counts: FastMap<u16, usize>,
-    /// Expiry wheel, one copy per entry with a timeout, never later than its
+    /// Expiry heap, one copy per entry with a timeout, never later than its
     /// true expiry (idle refreshes are applied lazily on sweep).
-    wheel: TimerWheel<FlowId>,
+    timers: TimerHeap<FlowId>,
     /// Recycled id buffer of expiry sweeps and deletes, so neither allocates
     /// in the steady state.
     id_scratch: Vec<FlowId>,
@@ -303,7 +303,7 @@ impl FlowTable {
             self.shape_counts.remove(&mask);
         }
         if !swept && entry.next_deadline().is_some() {
-            self.wheel.disarm();
+            self.timers.disarm();
         }
         entry
     }
@@ -319,7 +319,7 @@ impl FlowTable {
         let deadline = entry.next_deadline();
         let id = self.flows.insert(entry);
         if let Some(deadline) = deadline {
-            self.wheel.arm(id, deadline);
+            self.timers.arm(id, deadline);
         }
         // ADD keeps `(priority, match)` unique, so it replaces at most one
         // flow — found in the bucket of the new one's match.
@@ -346,7 +346,7 @@ impl FlowTable {
             }
         };
         if replaced.and_then(|old| self.flows.remove(old)?.next_deadline()).is_some() {
-            self.wheel.disarm();
+            self.timers.disarm();
         }
     }
 
@@ -424,19 +424,19 @@ impl FlowTable {
 
     /// Removes every flow whose idle timeout has elapsed at `now`, appending
     /// removal records to `out` in priority order. Visits only entries whose
-    /// wheel deadline is due — entries whose idle timer was refreshed by traffic
+    /// heap deadline is due — entries whose idle timer was refreshed by traffic
     /// since their deadline was set are rescheduled, not scanned again.
     pub fn expire_into(&mut self, now: SimTime, out: &mut Vec<Removed>) {
         let mut due = std::mem::take(&mut self.id_scratch);
         due.clear();
-        self.wheel.expired_into(now, &mut due, |&id, _, _| self.flows.get(id).is_some());
+        self.timers.expired_into(now, &mut due, |&id, _, _| self.flows.get(id).is_some());
         due.retain(|&id| {
             let e = &self.flows[id];
             let expired = e.idled_out(now);
             if !expired {
                 // Idle timer was refreshed since this deadline was set.
                 let deadline = e.next_deadline().expect("scheduled entry has a timeout");
-                self.wheel.arm(id, deadline);
+                self.timers.arm(id, deadline);
             }
             expired
         });
@@ -451,11 +451,11 @@ impl FlowTable {
 
     /// The earliest instant at which some flow could expire (for efficient
     /// timer scheduling), or `None` if no flow has a timeout. O(1): reads
-    /// the timer wheel's bound, which is never later than the true earliest
-    /// expiry (it can be earlier after idle refreshes; a sweep at that
-    /// instant is simply empty and re-tightens the bound).
+    /// the timer heap's bound, which is never later than the true earliest
+    /// expiry (it can be earlier after idle refreshes or removals; a sweep
+    /// at that instant re-arms or drops what it finds and re-tightens it).
     pub fn next_expiry(&self) -> Option<SimTime> {
-        self.wheel.next_deadline()
+        self.timers.next_deadline()
     }
 }
 

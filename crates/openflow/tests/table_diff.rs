@@ -19,8 +19,8 @@ proptest! {
         openflow::diff::check_seed(seed, 60);
     }
 
-    /// Longer sequences push entries through wheel cascades and repeated
-    /// expiry/reinstall cycles.
+    /// Longer sequences push entries through lazy idle re-arms, stale heap
+    /// copies of deleted flows and repeated expiry/reinstall cycles.
     #[test]
     fn long_sequences_stay_equivalent(seed in any::<u64>()) {
         openflow::diff::check_seed(seed, 250);

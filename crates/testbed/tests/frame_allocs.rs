@@ -103,18 +103,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// 9 heap calls for the 62 frames (`alloc_sites.rs` names them), none of
+/// 6 heap calls for the 62 frames (`alloc_sites.rs` names them), none of
 /// them a control message, an action list or a copy of a packet: two frame
 /// buffers the pool did not yet hold, the growth of a latency histogram, of
-/// the pair bookkeeping and of the flow table's slab, first pushes into
-/// three timer-wheel slots, and one recycled control buffer 16 bytes short of
-/// the reverse Add it was handed (the pool hands out the buffer recycled
-/// last, the one-request warm-up's forward Add), which doubles once. It was
-/// 17 while every control message took a fresh buffer, every packet-in was
-/// copied twice and every action list sat on the heap, and 28 while every
-/// flow kept its match and an instruction list there too.
+/// the pair bookkeeping and of the flow table's index, and one recycled
+/// control buffer 16 bytes short of the reverse Add it was handed (the pool
+/// hands out the buffer recycled last, the one-request warm-up's forward
+/// Add), which doubles once. It was 9 while the timers ran on a timer wheel
+/// whose slots each took a first push, 17 while every control message took
+/// a fresh buffer, every packet-in was copied twice and every action list
+/// sat on the heap, and 28 while every flow kept its match and an
+/// instruction list there too.
 #[test]
-fn a_warm_upload_costs_at_most_twelve_heap_calls_and_an_eighth_of_its_bytes() {
+fn a_warm_upload_costs_at_most_nine_heap_calls_and_an_eighth_of_its_bytes() {
     let profile = containerd::ServiceSet::by_key("resnet").unwrap();
     let addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 11), profile.listen_port);
     let payload_bytes = profile.request_bytes + profile.response_bytes;
@@ -145,7 +146,7 @@ fn a_warm_upload_costs_at_most_twelve_heap_calls_and_an_eighth_of_its_bytes() {
         calls as f64 / frames as f64,
         bytes as f64 / wire_bytes as f64
     );
-    assert!(calls <= 12, "{calls} heap calls for {frames} frames");
+    assert!(calls <= 9, "{calls} heap calls for {frames} frames");
     assert!(8 * bytes <= wire_bytes, "{bytes} bytes allocated for {wire_bytes} on the wire");
 }
 
@@ -423,14 +424,13 @@ fn a_match_builds_encodes_and_decodes_without_the_heap() {
 /// through the switch (SYN, SYN-ACK, request, response), one table miss and
 /// packet-in, the FlowMemory/scheduler decision, two flow-mods, the buffered
 /// SYN's release, then idle expiry of the pair with its `FLOW_REMOVED` and
-/// the controller's bookkeeping for it. Measures 7 heap calls (6 in a
+/// the controller's bookkeeping for it. Measures 4 heap calls (3 in a
 /// release build, where the scan that checks the controller's pair index is
-/// compiled out; `e2ebench`'s `flow_churn` steady state is 0.09 per
-/// request), none of them on the control channel: the first push into four
-/// timer-wheel slots no earlier connection touched (the table's add and two
-/// expiry re-arms, the FlowMemory's), the growth of the controller's 40 B
-/// request records and of the harness's completions, and that debug-only
-/// scan. With
+/// compiled out; `e2ebench`'s `flow_churn` steady state is 0.05 per
+/// request), none of them on the control channel: the growth of the
+/// FlowMemory's timer heap, of the controller's 40 B request records and of
+/// the harness's completions, and that debug-only scan. With first pushes
+/// into four timer-wheel slots no earlier connection touched it was 7; with
 /// a fresh buffer for every control message, both packet-in copies and the
 /// pair's and the switch's action lists on the heap it was 17; with every
 /// match a `Vec` of fields and every flow's actions inside an instruction
@@ -440,14 +440,14 @@ fn a_match_builds_encodes_and_decodes_without_the_heap() {
 /// frames as well, 47; with a `Vec` allocated per flow-table index bucket,
 /// 48; with the encoder's nested temporaries and the cloned matches, 111.
 #[test]
-fn a_warm_short_connection_costs_at_most_ten_heap_calls() {
+fn a_warm_short_connection_costs_at_most_seven_heap_calls() {
     let profile = containerd::ServiceSet::by_key("nginx").unwrap();
     let addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), profile.listen_port);
     let mut tb = Testbed::new(TestbedConfig::default());
     tb.register_service(profile, addr);
     tb.pre_deploy_on(addr, 0);
     // Warm: the instance is up, and a few connections from other clients
-    // have come and gone, so every map, wheel slot and the event storage
+    // have come and gone, so every map and the event storage
     // have their steady-state capacity.
     for (i, client) in [0usize, 1, 2, 3].into_iter().enumerate() {
         tb.request_at(SimTime::from_secs(20 + i as u64), client, addr);
@@ -465,7 +465,7 @@ fn a_warm_short_connection_costs_at_most_ten_heap_calls() {
     assert_eq!(tb.controller.flows_removed() - removed, 1, "the pair idled out and said so");
     assert!(tb.switch().table().is_empty());
     println!("one warm nginx connection, miss to FLOW_REMOVED: {calls} heap calls");
-    assert!(calls <= 10, "{calls} heap calls for one warm short connection");
+    assert!(calls <= 7, "{calls} heap calls for one warm short connection");
 }
 
 /// Heap calls of one `Redispatch` handover at the controller — the session's
@@ -501,7 +501,7 @@ fn one_redispatch_handover(n_gnbs: usize) -> u64 {
         tb.controller.handle_attachment_change(at, client, mac, gw, from, to, 1, policy, &mut rng)
     };
     // Warm: both gNBs have filed the client's pairs, and the measured hop
-    // neither grows the tracker's move log nor opens a new timer-wheel slot.
+    // neither grows the tracker's move log nor a timer heap.
     for k in 0..5 {
         let outcome = hop(&mut tb, k);
         assert_eq!(outcome.redispatched, 1);
