@@ -327,7 +327,7 @@ fn anchored_handover() {
 
 #[test]
 fn redispatch_handover() {
-    pinned("redispatch", 0x442d_b0f9_c35a_cab3, session_run(policy(HandoverPolicy::Redispatch, 32), None));
+    pinned("redispatch", 0x57c8_da32_ff6f_db34, session_run(policy(HandoverPolicy::Redispatch, 32), None));
 }
 
 #[test]
@@ -337,7 +337,7 @@ fn runtime_chaos_with_retransmission() {
         retransmit: Some(Duration::from_secs(1)),
         ..policy(HandoverPolicy::Anchored, 33)
     };
-    pinned("runtime-chaos", 0xda66_b99c_aea6_ab76, session_run(config, Some(SimTime::from_secs(40))));
+    pinned("runtime-chaos", 0xfc17_d1f4_57db_c078, session_run(config, Some(SimTime::from_secs(40))));
 }
 
 /// The journal records in both modes, the control channel queues (1 ms per
@@ -360,12 +360,12 @@ fn crash_run(recovery: RecoveryMode) -> u64 {
 
 #[test]
 fn controller_crash_restarted_warm() {
-    pinned("crash-warm", 0x3130_ef1e_155d_7509, crash_run(RecoveryMode::Warm));
+    pinned("crash-warm", 0xa325_17b5_ba92_2605, crash_run(RecoveryMode::Warm));
 }
 
 #[test]
 fn controller_crash_restarted_cold() {
-    pinned("crash-cold", 0x8409_a886_bf91_b06a, crash_run(RecoveryMode::Cold));
+    pinned("crash-cold", 0x8f95_6393_6676_e5b0, crash_run(RecoveryMode::Cold));
 }
 
 /// The multi-gNB twin of `telemetry_recording_changes_nothing`: re-dispatched
@@ -403,7 +403,7 @@ fn span_recording_changes_nothing_on_the_multi_gnb_harness() {
     for name in ["handover", "migration", "recovery", "zone-outage", "reconcile"] {
         log.check_export(Some(name)).unwrap_or_else(|e| panic!("{e}"));
     }
-    pinned("spans-multi-gnb", 0x4669_c165_b764_6a93, off);
+    pinned("spans-multi-gnb", 0x7671_61df_54a0_8bf2, off);
 }
 
 #[test]
@@ -412,7 +412,7 @@ fn live_migration_with_session_state() {
         controller: ControllerConfig { migration: live_migration(20_000), ..ControllerConfig::default() },
         ..policy(HandoverPolicy::Anchored, 35)
     };
-    pinned("live-migration", 0x0e96_f068_a967_d662, session_run(config, Some(SimTime::from_secs(30))));
+    pinned("live-migration", 0xa0b9_5ad9_6ffd_1d49, session_run(config, Some(SimTime::from_secs(30))));
 }
 
 /// The chaos scenario above under a hundred fault schedules: whatever the
