@@ -292,9 +292,11 @@ pub struct K8sCluster {
     schedulers: SchedulerRegistry,
     /// Pending reconciliation steps. A binary heap, not the engine's
     /// calendar queue: a handful of steps are pending at a time, spread
-    /// over seconds, and the calendar would file each into a bucket slab of
-    /// its own that allocates on first use; the heap reuses one buffer. The
-    /// pop order is the same `(time, push order)` either way.
+    /// over seconds, so the calendar's two 1 024-bucket rings would hold
+    /// each in a 16-slot block of its own and order nothing the heap's one
+    /// buffer does not. On `deploy_churn` the calendar read 0.04 % more heap
+    /// calls and bytes. The pop order is the same `(time, push order)`
+    /// either way.
     work: NaiveEventQueue<Work>,
     pod_seq: u64,
     next_ip: u16,

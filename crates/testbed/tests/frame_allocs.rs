@@ -41,8 +41,8 @@
 //! stores that reuse their capacity, so neither a `String`-named object or
 //! work item, a pod map entry, a fresh event trail, a deep-copied container
 //! spec, a registry profile or cached-layer `Vec` per pull nor a calendar
-//! slab per reconciliation step can come back. And what a packet-in does
-//! with spans costs nothing while they are off: no heap call, no detail
+//! bucket `Vec` per reconciliation step can come back. And what a packet-in
+//! does with spans costs nothing while they are off: no heap call, no detail
 //! closure run.
 
 use desim::SimTime;
@@ -571,9 +571,9 @@ fn an_idle_scale_down_shares_the_service_definition() {
 /// event trail have their steady-state capacity. Measures 0 heap calls. It
 /// was 53 while k8ssim named every object and work item with a `String`,
 /// kept each pod in a `BTreeMap` entry, returned a fresh `Vec` from
-/// `settle` and queued its work in a calendar whose bucket slabs each
-/// allocate on first use, while the kubelet deep-copied each container spec
-/// and every pull built its registry profile and a `Vec` of cached layers.
+/// `settle` and queued its work in a calendar that kept a `Vec` per bucket,
+/// while the kubelet deep-copied each container spec and every pull built
+/// its registry profile and a `Vec` of cached layers.
 #[test]
 fn a_warm_k8s_deploy_cycle_costs_at_most_three_heap_calls() {
     use edgectl::{EdgeCluster, InstanceState, K8sEdgeCluster};
