@@ -1,8 +1,7 @@
-//! Event-core throughput: the desim calendar queue vs the naive binary heap.
+//! Event-core throughput of the desim calendar queue.
 //!
 //! Run by `repro engine`, which writes `BENCH_engine.json` and gates it.
-//! Three workload shapes, each run over both queue implementations with
-//! identical seeds:
+//! Three workload shapes over [`EventQueue`]:
 //!
 //! * **schedule_heavy** — push a large batch of uniformly-spread future
 //!   events, then drain. Dominated by insertion cost.
@@ -12,55 +11,42 @@
 //!   population where every pop schedules a successor, 80% near-future
 //!   (sub-2 ms timers, frames, ticks) and 20% far-future (idle expiries,
 //!   think times). This is the cycle real testbed runs spend their time in
-//!   and the one the CI floor gates.
+//!   and the one the gate judges.
 //!
-//! The headline acceptance numbers: mixed-workload calendar throughput at
-//! least [`MIXED_SPEEDUP_FLOOR`]× the naive baseline measured in the same
-//! run, and at least [`EVENTS_PER_SEC_FLOOR`] events/sec absolute (full
-//! runs; smoke runs check only the relative bar, which is
-//! machine-independent).
+//! The acceptance number: mixed-workload throughput of at least
+//! [`EVENTS_PER_SEC_FLOOR`] events/sec, in smoke and full runs alike.
 
 use crate::artifact;
-use desim::{EventQueue, NaiveEventQueue, SimRng, SimTime};
+use desim::{EventQueue, SimRng, SimTime};
 use std::collections::BTreeSet;
 use std::hint::black_box;
 use std::time::Instant;
 use yamlite::Value;
 
-/// Relative bar: calendar mixed throughput over naive, same run (want ≥ 3).
-/// Margin: 36 `repro engine --smoke` runs on a 2-core box read a mixed
-/// speedup of 3.52–5.74; of five more inside full CI passes, one read 2.85
-/// and failed. The committed full run reads 4.17. The bar is a ratio of two
-/// timings taken in one process, so a busy machine can still fail it (ROADMAP
-/// item 17).
-pub(crate) const MIXED_SPEEDUP_FLOOR: f64 = 3.0;
-
-/// Absolute CI floor on full-run mixed calendar throughput, in events/sec.
-/// Set to one quarter of the number measured on the reference machine when
-/// this bench landed, so CI machine jitter does not flake the gate while a
-/// real regression (a reverted fast path pops at well under half) still
-/// trips it. Margin: the committed `BENCH_engine.json` reads 21.8 M, 5.7×
-/// the floor; smoke runs, which this floor does not gate, read 13.7–16.9 M
-/// on a 2-core box.
+/// Absolute floor on mixed calendar throughput, in events/sec, for smoke
+/// and full runs alike (smoke does not scale the mixed workload). Set to
+/// one quarter of the number measured on the reference machine when this
+/// bench landed, so machine jitter does not flake the gate while a real
+/// regression (a reverted fast path pops at well under half) still trips
+/// it. Margin on a 2-core box shared with other work: twelve
+/// `repro engine --smoke` runs read 13.4–21.9 M, 3.5× the floor or more,
+/// and the committed full run 14.5 M.
 pub(crate) const EVENTS_PER_SEC_FLOOR: f64 = 3_800_000.0;
 
-/// One workload measured over both queue implementations.
+/// One workload's measurement.
 struct WorkloadPoint {
     /// Workload id: `schedule_heavy`, `pop_heavy`, or `mixed`.
     name: &'static str,
-    /// Events pushed through each queue.
+    /// Events pushed through the queue.
     events: usize,
     /// Calendar-queue throughput (events through the queue per wall second).
     calendar_events_per_sec: f64,
-    /// Binary-heap reference throughput, same seed and schedule.
-    naive_events_per_sec: f64,
     /// Highest pending-event count the workload reaches.
     peak_pending: usize,
 }
 
-/// The artifact's gate: the three workloads, each measured on both queues,
-/// and the module's two acceptance numbers — the absolute floor on full runs
-/// only (it is machine-dependent and smoke runs are scaled down for CI).
+/// The artifact's gate: the three workloads, each measured, and the mixed
+/// row's throughput at or above the absolute floor.
 pub(crate) fn gates(v: &Value) -> Result<(), String> {
     let expected = BTreeSet::from(["mixed", "pop_heavy", "schedule_heavy"]);
     let names = artifact::names(v, "workloads", "name");
@@ -68,61 +54,14 @@ pub(crate) fn gates(v: &Value) -> Result<(), String> {
         "workloads are schedule_heavy, pop_heavy, mixed",
         Some(names == expected),
     )?;
-    let measured = [
-        "calendar_events_per_sec",
-        "naive_events_per_sec",
-        "peak_pending",
-    ];
-    artifact::positive(v, "workloads", &measured)?;
-    let mixed = |field| artifact::num(artifact::row(v, "workloads", "name", "mixed")?, field);
-    artifact::clause(
-        "mixed: speedup >= 3.0",
-        mixed("speedup").map(|x| x >= MIXED_SPEEDUP_FLOOR),
-    )?;
+    artifact::positive(v, "workloads", &["calendar_events_per_sec", "peak_pending"])?;
     artifact::clause("has smoke", v["smoke"].as_bool().map(|_| true))?;
-    if v["smoke"].as_bool() == Some(false) {
-        let floor = artifact::num(v, "events_per_sec_floor");
-        artifact::clause(
-            "mixed: calendar_events_per_sec >= events_per_sec_floor",
-            mixed("calendar_events_per_sec").zip(floor).map(|(x, f)| x >= f),
-        )?;
-    }
-    Ok(())
-}
-
-/// The two queue implementations measured, behind one trait so every
-/// workload is a single generic function (identical code for both sides).
-trait BenchQueue {
-    /// Creates a queue pre-sized for `cap` pending events.
-    fn with_capacity(cap: usize) -> Self;
-    /// Inserts an event to fire at `t`.
-    fn push(&mut self, t: SimTime, v: u64);
-    /// Removes the earliest event, FIFO among ties.
-    fn pop(&mut self) -> Option<(SimTime, u64)>;
-}
-
-impl BenchQueue for EventQueue<u64> {
-    fn with_capacity(cap: usize) -> Self {
-        EventQueue::with_capacity(cap)
-    }
-    fn push(&mut self, t: SimTime, v: u64) {
-        EventQueue::push(self, t, v)
-    }
-    fn pop(&mut self) -> Option<(SimTime, u64)> {
-        EventQueue::pop(self)
-    }
-}
-
-impl BenchQueue for NaiveEventQueue<u64> {
-    fn with_capacity(cap: usize) -> Self {
-        NaiveEventQueue::with_capacity(cap)
-    }
-    fn push(&mut self, t: SimTime, v: u64) {
-        NaiveEventQueue::push(self, t, v)
-    }
-    fn pop(&mut self) -> Option<(SimTime, u64)> {
-        NaiveEventQueue::pop(self)
-    }
+    let mixed = artifact::row(v, "workloads", "name", "mixed")
+        .and_then(|r| artifact::num(r, "calendar_events_per_sec"));
+    artifact::clause(
+        "mixed: calendar_events_per_sec >= events_per_sec_floor",
+        mixed.zip(artifact::num(v, "events_per_sec_floor")).map(|(x, f)| x >= f),
+    )
 }
 
 /// The mobility-shaped successor delay: 80% near-future (200 µs – 2 ms:
@@ -137,10 +76,10 @@ fn mixed_delay(rng: &mut SimRng) -> u64 {
 }
 
 /// schedule_heavy: `n` pushes at uniform offsets over a 60 s horizon, then a
-/// full drain. Returns (elapsed_secs, peak_pending).
-fn run_schedule_heavy<Q: BenchQueue>(n: usize, seed: u64) -> (f64, usize) {
+/// full drain. Returns the elapsed seconds.
+fn run_schedule_heavy(n: usize, seed: u64) -> f64 {
     let mut rng = SimRng::new(seed);
-    let mut q = Q::with_capacity(n);
+    let mut q = EventQueue::with_capacity(n);
     let start = Instant::now();
     for i in 0..n {
         q.push(SimTime::from_nanos(rng.below(60_000_000_000)), i as u64);
@@ -148,13 +87,13 @@ fn run_schedule_heavy<Q: BenchQueue>(n: usize, seed: u64) -> (f64, usize) {
     while let Some(e) = q.pop() {
         black_box(e);
     }
-    (start.elapsed().as_secs_f64(), n)
+    start.elapsed().as_secs_f64()
 }
 
 /// pop_heavy: pre-fill untimed, time the drain alone.
-fn run_pop_heavy<Q: BenchQueue>(n: usize, seed: u64) -> (f64, usize) {
+fn run_pop_heavy(n: usize, seed: u64) -> f64 {
     let mut rng = SimRng::new(seed);
-    let mut q = Q::with_capacity(n);
+    let mut q = EventQueue::with_capacity(n);
     for i in 0..n {
         q.push(SimTime::from_nanos(rng.below(60_000_000_000)), i as u64);
     }
@@ -162,16 +101,16 @@ fn run_pop_heavy<Q: BenchQueue>(n: usize, seed: u64) -> (f64, usize) {
     while let Some(e) = q.pop() {
         black_box(e);
     }
-    (start.elapsed().as_secs_f64(), n)
+    start.elapsed().as_secs_f64()
 }
 
 /// mixed: steady-state population of `depth` pending events; `n` pop-then-
 /// reschedule cycles with mobility-shaped delays. One full population
-/// turnover runs untimed first so both queues are measured at steady state
-/// (warm slabs, warm caches), not during their fill transient.
-fn run_mixed<Q: BenchQueue>(n: usize, depth: usize, seed: u64) -> (f64, usize) {
+/// turnover runs untimed first so the queue is measured at steady state
+/// (warm slabs, warm caches), not during its fill transient.
+fn run_mixed(n: usize, depth: usize, seed: u64) -> f64 {
     let mut rng = SimRng::new(seed);
-    let mut q = Q::with_capacity(depth);
+    let mut q = EventQueue::with_capacity(depth);
     for i in 0..depth {
         q.push(SimTime::from_nanos(mixed_delay(&mut rng)), i as u64);
     }
@@ -184,36 +123,15 @@ fn run_mixed<Q: BenchQueue>(n: usize, depth: usize, seed: u64) -> (f64, usize) {
         let (now, v) = q.pop().expect("population is closed");
         q.push(now + desim::Duration::from_nanos(mixed_delay(&mut rng)), v);
     }
-    (start.elapsed().as_secs_f64(), depth)
+    start.elapsed().as_secs_f64()
 }
 
-fn point(
-    name: &'static str,
-    events: usize,
-    calendar: (f64, usize),
-    naive: (f64, usize),
-) -> WorkloadPoint {
-    assert_eq!(
-        calendar.1, naive.1,
-        "both implementations must see the same schedule"
-    );
-    WorkloadPoint {
-        name,
-        events,
-        calendar_events_per_sec: events as f64 / calendar.0,
-        naive_events_per_sec: events as f64 / naive.0,
-        peak_pending: calendar.1,
-    }
-}
-
-/// Runs the full workload matrix over both implementations and returns the
-/// `BENCH_engine.json` text. Full runs take
-/// a few seconds; `smoke` scales the (ungated) batch workloads down ~20×
-/// for CI. The mixed workload is NOT scaled in either dimension: its depth
-/// drives the naive heap's `log n` factor (shrinking it would flatter the
-/// baseline), and its cycle count keeps the timed section hundreds of
-/// milliseconds long (shrinking it would hand the relative gate to
-/// scheduler noise).
+/// Runs the workload matrix and returns the `BENCH_engine.json` text. Full
+/// runs take about a second; `smoke` scales the (ungated) batch workloads
+/// down ~20× for CI. The mixed workload is NOT scaled in either dimension:
+/// the floor judges it in both runs, and its cycle count keeps the timed
+/// section hundreds of milliseconds long (shrinking it would hand the gate
+/// to scheduler noise).
 pub fn run(smoke: bool) -> String {
     let scale = if smoke { 20 } else { 1 };
     artifact(&run_sized(400_000 / scale, 2_000_000, 100_000), smoke)
@@ -223,33 +141,22 @@ pub fn run(smoke: bool) -> String {
 /// use tiny counts to exercise the shape without paying measurement time.
 fn run_sized(n_batch: usize, n_mixed: usize, depth: usize) -> [WorkloadPoint; 3] {
     let seed = 0xE1137;
+    let point = |name, events, peak_pending, secs: f64| WorkloadPoint {
+        name,
+        events,
+        calendar_events_per_sec: events as f64 / secs,
+        peak_pending,
+    };
     [
-        point(
-            "schedule_heavy",
-            n_batch,
-            run_schedule_heavy::<EventQueue<u64>>(n_batch, seed),
-            run_schedule_heavy::<NaiveEventQueue<u64>>(n_batch, seed),
-        ),
-        point(
-            "pop_heavy",
-            n_batch,
-            run_pop_heavy::<EventQueue<u64>>(n_batch, seed),
-            run_pop_heavy::<NaiveEventQueue<u64>>(n_batch, seed),
-        ),
-        point(
-            "mixed",
-            n_mixed,
-            run_mixed::<EventQueue<u64>>(n_mixed, depth, seed),
-            run_mixed::<NaiveEventQueue<u64>>(n_mixed, depth, seed),
-        ),
+        point("schedule_heavy", n_batch, n_batch, run_schedule_heavy(n_batch, seed)),
+        point("pop_heavy", n_batch, n_batch, run_pop_heavy(n_batch, seed)),
+        point("mixed", n_mixed, depth, run_mixed(n_mixed, depth, seed)),
     ]
 }
 
 /// The `BENCH_engine.json` text: one row per workload, then the absolute
-/// events/sec floor the gate holds the mixed row's calendar throughput to
-/// (full runs only; smoke runs scale the workload down).
+/// events/sec floor the gate holds the mixed row's throughput to.
 fn artifact(points: &[WorkloadPoint], smoke: bool) -> String {
-    let speedup = |p: &WorkloadPoint| p.calendar_events_per_sec / p.naive_events_per_sec;
     artifact::object(|o| {
         o.str("bench", "engine");
         o.bool("smoke", smoke);
@@ -257,8 +164,6 @@ fn artifact(points: &[WorkloadPoint], smoke: bool) -> String {
             r.str("name", p.name);
             r.int("events", p.events as u64);
             r.fixed("calendar_events_per_sec", p.calendar_events_per_sec, 0);
-            r.fixed("naive_events_per_sec", p.naive_events_per_sec, 0);
-            r.fixed("speedup", speedup(p), 2);
             r.int("peak_pending", p.peak_pending as u64);
         });
         o.fixed("events_per_sec_floor", EVENTS_PER_SEC_FLOOR, 0);
@@ -273,7 +178,7 @@ mod tests {
   "bench": "engine",
   "smoke": true,
   "workloads": [
-    {"name": "mixed", "events": 100, "calendar_events_per_sec": 20000000, "naive_events_per_sec": 4000000, "speedup": 5.00, "peak_pending": 50}
+    {"name": "mixed", "events": 100, "calendar_events_per_sec": 20000000, "peak_pending": 50}
   ],
   "events_per_sec_floor": 3800000
 }
@@ -285,7 +190,6 @@ mod tests {
             name: "mixed",
             events: 100,
             calendar_events_per_sec: 2.0e7,
-            naive_events_per_sec: 4.0e6,
             peak_pending: 50,
         };
         assert_eq!(artifact(&[mixed], true), FIXTURE);
@@ -307,6 +211,9 @@ mod tests {
             ),
         );
         let names = "workloads are schedule_heavy, pop_heavy, mixed";
+        let floor = "mixed: calendar_events_per_sec >= events_per_sec_floor";
+        // The mixed row is the last one.
+        let mixed_rate = "\"calendar_events_per_sec\": 20000000, \"peak_pending\": 50}\n  ]";
         artifact::tests::assert_gate_clauses(
             gates,
             &full,
@@ -319,64 +226,32 @@ mod tests {
                     "workloads[0]: calendar_events_per_sec > 0",
                 ),
                 (
-                    "\"naive_events_per_sec\": 4000000",
-                    "\"naive_events_per_sec\": 0",
-                    "workloads[0]: naive_events_per_sec > 0",
-                ),
-                (
                     "\"peak_pending\": 50",
                     "\"peak_pending\": 0",
                     "workloads[0]: peak_pending > 0",
                 ),
-                (
-                    "\"speedup\": 5.00, \"peak_pending\": 50}\n  ]",
-                    "\"speedup\": 2.99, \"peak_pending\": 50}\n  ]",
-                    "mixed: speedup >= 3.0",
-                ),
                 ("  \"smoke\": true,\n", "", "has smoke"),
+                // A smoke run is held to the floor as a full run is.
+                (mixed_rate, &mixed_rate.replace("20000000", "3799999"), floor),
+                ("\"events_per_sec_floor\": 3800000", "\"events_per_sec_floor\": null", floor),
             ],
         );
         assert!(gates(&artifact::parse(FIXTURE).unwrap())
             .unwrap_err()
             .contains(names));
-        // The other rows' speedups do not gate.
-        let slow_batch = full.replacen("\"speedup\": 5.00", "\"speedup\": 1.00", 2);
-        assert_eq!(gates(&artifact::parse(&slow_batch).unwrap()), Ok(()));
-        // The absolute floor binds full runs only, and reads the mixed row.
-        let slow = full.replace(
-            "\"calendar_events_per_sec\": 20000000, \"naive_events_per_sec\": 4000000, \"speedup\": 5.00, \"peak_pending\": 50}\n  ]",
-            "\"calendar_events_per_sec\": 3799999, \"naive_events_per_sec\": 4000000, \"speedup\": 5.00, \"peak_pending\": 50}\n  ]",
+        // The floor reads the mixed row only.
+        let slow_batch = full.replacen(
+            "\"calendar_events_per_sec\": 20000000",
+            "\"calendar_events_per_sec\": 1",
+            2,
         );
-        assert_ne!(slow, full);
-        assert_eq!(gates(&artifact::parse(&slow).unwrap()), Ok(()));
+        assert_eq!(gates(&artifact::parse(&slow_batch).unwrap()), Ok(()));
+        // A full run is held to it too.
         let full_run = |text: &str| text.replace("\"smoke\": true", "\"smoke\": false");
         assert_eq!(gates(&artifact::parse(&full_run(&full)).unwrap()), Ok(()));
+        let slow = full.replace(mixed_rate, &mixed_rate.replace("20000000", "3799999"));
         let err = gates(&artifact::parse(&full_run(&slow)).unwrap()).unwrap_err();
-        assert!(
-            err.contains("mixed: calendar_events_per_sec >= events_per_sec_floor"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn both_queues_agree_on_the_mixed_schedule() {
-        // The bench is only meaningful if both sides replay the identical
-        // event sequence: a cycle-by-cycle shadow run must match.
-        let mut rng_a = SimRng::new(1);
-        let mut rng_b = SimRng::new(1);
-        let mut a: EventQueue<u64> = BenchQueue::with_capacity(64);
-        let mut b: NaiveEventQueue<u64> = BenchQueue::with_capacity(64);
-        for i in 0..64u64 {
-            a.push(SimTime::from_nanos(mixed_delay(&mut rng_a)), i);
-            b.push(SimTime::from_nanos(mixed_delay(&mut rng_b)), i);
-        }
-        for _ in 0..5_000 {
-            let ea = a.pop().unwrap();
-            let eb = b.pop().unwrap();
-            assert_eq!(ea, eb);
-            a.push(ea.0 + desim::Duration::from_nanos(mixed_delay(&mut rng_a)), ea.1);
-            b.push(eb.0 + desim::Duration::from_nanos(mixed_delay(&mut rng_b)), eb.1);
-        }
+        assert!(err.contains(floor), "{err}");
     }
 
     #[test]
@@ -390,11 +265,14 @@ mod tests {
             .map(|w| w["name"].as_str().unwrap())
             .collect();
         assert_eq!(names, ["schedule_heavy", "pop_heavy", "mixed"]);
-        // Every clause but the speedup floor, which a workload this small
-        // cannot promise: all three measured on both queues, smoke flagged.
+        // Every clause but the floor, which a debug build need not reach:
+        // all three measured, smoke flagged.
         match gates(&v) {
             Ok(()) => {}
-            Err(e) => assert!(e.contains("mixed: speedup >= 3.0"), "{e}"),
+            Err(e) => assert!(
+                e.contains("mixed: calendar_events_per_sec >= events_per_sec_floor"),
+                "{e}"
+            ),
         }
     }
 }

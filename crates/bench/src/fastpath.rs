@@ -1,4 +1,4 @@
-//! Data-plane fast-path measurement: naive vs indexed flow table, plus a
+//! Data-plane fast-path measurement: indexed flow-table lookup, plus a
 //! repeated packet through the full switch path, at several table sizes.
 //!
 //! Run by `repro fastpath`, which writes `BENCH_flowtable.json` and gates it;
@@ -15,7 +15,7 @@ use openflow::actions::{Action, Actions};
 use openflow::messages::{FlowModCommand, Message};
 use openflow::oxm::{Match, MatchView};
 use openflow::table::{entry, FlowEntry, FlowTable};
-use openflow::{NaiveFlowTable, OFP_NO_BUFFER};
+use openflow::OFP_NO_BUFFER;
 use ovs::{Effect, Switch, SwitchConfig};
 use std::hint::black_box;
 use std::time::Instant;
@@ -25,8 +25,6 @@ use yamlite::Value;
 struct SizePoint {
     /// Installed flow count.
     flows: usize,
-    /// Seed implementation: linear scan over the sorted `Vec`.
-    naive_lookup_ns: f64,
     /// Indexed table: tuple-space hash classification.
     indexed_lookup_ns: f64,
     /// Full switch path for a repeated packet: parse and verify, classify
@@ -38,7 +36,7 @@ struct SizePoint {
 /// number is a wall-clock ratio, so the gate is shape only: every lookup
 /// timed at every size.
 pub(crate) fn gates(v: &Value) -> Result<(), String> {
-    let timed = ["flows", "naive_lookup_ns", "indexed_lookup_ns", "switch_hit_ns"];
+    let timed = ["flows", "indexed_lookup_ns", "switch_hit_ns"];
     artifact::positive(v, "sizes", &timed)
 }
 
@@ -80,8 +78,8 @@ fn view_for(i: usize) -> MatchView {
     }
 }
 
-/// A spread of views hitting flows across the whole table, so the naive
-/// linear scan is measured at its *average* depth, not its best case.
+/// A spread of views hitting flows across the whole table, not one hot
+/// bucket.
 fn sample_views(size: usize) -> Vec<MatchView> {
     let n = size.min(256);
     (0..n).map(|k| view_for(k * size / n)).collect()
@@ -150,8 +148,7 @@ fn switch_hit(size: usize, iters: usize) -> (f64, Vec<Effect>) {
 }
 
 /// Runs the measurement matrix at 10, 1k and 100k flows and returns the
-/// `BENCH_flowtable.json` text, with iteration counts scaled so the naive
-/// O(n) baseline stays tractable at 100k flows (a few seconds in all).
+/// `BENCH_flowtable.json` text.
 pub fn run() -> String {
     artifact(&run_sized(&[10, 1_000, 100_000]))
 }
@@ -160,24 +157,17 @@ pub fn run() -> String {
 /// tests use small ones.
 fn run_sized(sizes: &[usize]) -> Vec<SizePoint> {
     sizes.iter().map(|&size| {
-        let entries: Vec<FlowEntry> = (0..size).map(connection_entry).collect();
-        let mut naive = NaiveFlowTable::with_entries(entries.clone(), SimTime::ZERO);
         let mut indexed = FlowTable::new();
-        for e in entries {
-            indexed.add(e, SimTime::ZERO);
+        for i in 0..size {
+            indexed.add(connection_entry(i), SimTime::ZERO);
         }
         let views = sample_views(size);
-        let naive_iters = (20_000_000 / size).clamp(200, 200_000);
-        let naive_lookup_ns = ns_per_op(naive_iters, |k| {
-            black_box(naive.lookup(black_box(&views[k % views.len()]), 64, SimTime::ZERO));
-        });
         let indexed_lookup_ns = ns_per_op(200_000, |k| {
             black_box(indexed.lookup(black_box(&views[k % views.len()]), 64, SimTime::ZERO));
         });
         let (switch_hit_ns, _) = switch_hit(size, 100_000);
         SizePoint {
             flows: size,
-            naive_lookup_ns,
             indexed_lookup_ns,
             switch_hit_ns,
         }
@@ -194,7 +184,6 @@ fn artifact(points: &[SizePoint]) -> String {
         o.str("bench", "flowtable");
         o.rows("sizes", points, |r, p| {
             r.int("flows", p.flows as u64);
-            r.fixed("naive_lookup_ns", p.naive_lookup_ns, 1);
             r.fixed("indexed_lookup_ns", p.indexed_lookup_ns, 1);
             r.fixed("switch_hit_ns", p.switch_hit_ns, 1);
         });
@@ -213,7 +202,7 @@ mod tests {
     const FIXTURE: &str = r#"{
   "bench": "flowtable",
   "sizes": [
-    {"flows": 10, "naive_lookup_ns": 12.5, "indexed_lookup_ns": 30.0, "switch_hit_ns": 100.0}
+    {"flows": 10, "indexed_lookup_ns": 30.0, "switch_hit_ns": 100.0}
   ],
   "indexed_100k_over_10_ratio": 1.000
 }
@@ -223,7 +212,6 @@ mod tests {
     fn json_shape_is_stable() {
         let ten = SizePoint {
             flows: 10,
-            naive_lookup_ns: 12.5,
             indexed_lookup_ns: 30.0,
             switch_hit_ns: 100.0,
         };
@@ -247,11 +235,6 @@ mod tests {
             FIXTURE,
             &[
                 ("\"flows\": 10,", "\"flows\": 0,", "sizes[0]: flows > 0"),
-                (
-                    "\"naive_lookup_ns\": 12.5",
-                    "\"naive_lookup_ns\": 0.0",
-                    "sizes[0]: naive_lookup_ns > 0",
-                ),
                 (
                     "\"indexed_lookup_ns\": 30.0",
                     "\"indexed_lookup_ns\": 0.0",

@@ -111,13 +111,13 @@ fn every_request_completed(runs: &[(&'static str, ChaosRun)]) -> Result<(), Stri
 pub const BENCHES: &[Bench] = &[
     Bench {
         id: "fastpath",
-        banner: "data-plane fast path (naive vs indexed lookup, warm hit through the full switch path)",
+        banner: "data-plane fast path (indexed lookup, warm hit through the full switch path)",
         artifact: Some(("BENCH_flowtable.json", fastpath::gates)),
         run: |_| report(fastpath::run()),
     },
     Bench {
         id: "engine",
-        banner: "event-core throughput (calendar queue vs naive heap)",
+        banner: "event-core throughput (calendar queue)",
         artifact: Some(("BENCH_engine.json", engine::gates)),
         run: |o| report(engine::run(o.smoke)),
     },

@@ -137,7 +137,7 @@ fn next_occupied(occ: &[u64; OCC_WORDS], cursor: usize) -> usize {
 }
 
 /// A deterministic min-priority queue of timestamped events (calendar-queue
-/// implementation). API-identical to [`NaiveEventQueue`], identical pop
+/// implementation). The same contract as [`NaiveEventQueue`], identical pop
 /// order, built for throughput.
 ///
 /// [`NaiveEventQueue`]: crate::queue::NaiveEventQueue

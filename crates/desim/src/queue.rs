@@ -5,11 +5,12 @@
 //! order of insertion, which keeps simulations deterministic regardless of
 //! heap internals.
 //!
-//! This is the original engine queue, kept as [`NaiveEventQueue`]: a dozen
-//! lines of obviously-correct heap code that serves as the differential
-//! oracle for the calendar-queue fast path ([`crate::calendar::EventQueue`])
-//! and as its baseline in `bench::engine`. The two are API-identical and
-//! must pop in exactly the same `(time, seq)` order for every schedule.
+//! This is the original engine queue, kept as [`NaiveEventQueue`] for two
+//! jobs: it is k8ssim's work queue (a handful of pending steps, which one
+//! heap buffer orders more cheaply than the calendar's rings), and it is the
+//! differential oracle of the calendar-queue fast path
+//! ([`crate::calendar::EventQueue`]), which must pop in exactly the same
+//! `(time, seq)` order for every schedule.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -49,8 +50,8 @@ impl<E> Ord for Entry<E> {
 ///
 /// Correct and simple, but every push/pop pays an `O(log n)` sift over the
 /// whole pending set. The engine uses [`crate::EventQueue`] (the calendar
-/// queue) instead; this type remains as the determinism oracle and bench
-/// baseline.
+/// queue) instead; this type remains as k8ssim's work queue and the
+/// calendar's determinism oracle.
 pub struct NaiveEventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
@@ -67,14 +68,6 @@ impl<E> NaiveEventQueue<E> {
     pub fn new() -> Self {
         NaiveEventQueue {
             heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Creates an empty queue with room for `cap` events.
-    pub fn with_capacity(cap: usize) -> Self {
-        NaiveEventQueue {
-            heap: BinaryHeap::with_capacity(cap),
             next_seq: 0,
         }
     }

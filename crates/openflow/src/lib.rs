@@ -26,11 +26,9 @@
 //!   `FlowMemory` and automatic scale-down). Classification is indexed
 //!   (tuple-space hashing over exact-match shapes) and expiry runs on a
 //!   timer heap, so per-packet cost is independent of table size and a
-//!   sweep pops only what is due,
-//! * [`naive`] — the seed's linear-scan table, kept as the semantic
-//!   reference, and [`diff`] — a differential harness that replays random
-//!   operation sequences against both tables and asserts identical
-//!   observable behavior.
+//!   sweep pops only what is due. The seed's linear-scan table is kept as
+//!   the semantic reference in this crate's tests (`tests/table_diff.rs`),
+//!   not shipped.
 //!
 //! The wire format follows OpenFlow 1.3; the message subset used here is
 //! layout-identical in 1.5 (which the paper cites). No I/O happens in this
@@ -68,15 +66,12 @@
 #![warn(missing_docs)]
 
 pub mod actions;
-pub mod diff;
 pub mod messages;
-pub mod naive;
 pub mod oxm;
 pub mod table;
 
 pub use actions::{Action, Actions};
 pub use messages::{timeout_secs, FlowModCommand, Message, PacketInReason, RemovedReason};
-pub use naive::NaiveFlowTable;
 pub use oxm::{Match, MatchView};
 pub use table::{FlowEntry, FlowTable};
 

@@ -8,8 +8,8 @@
 //! # Fast path
 //!
 //! The table is indexed for O(1) per-packet classification, replacing the
-//! seed's linear scan (kept as [`crate::naive::NaiveFlowTable`] for
-//! differential testing):
+//! seed's linear scan (kept in `tests/table_diff.rs` for differential
+//! testing):
 //!
 //! * Every [`Match`] in this protocol subset is a set of *exact* fields,
 //!   packed as a mask of the kinds it constrains (its **shape**) and their
@@ -46,8 +46,8 @@
 //!
 //! Observable semantics are identical to the naive table: priority order,
 //! first-added-wins among equal priorities, set equality of matches for
-//! ADD/DELETE, and per-entry counters. `crate::diff` replays randomized
-//! operation sequences against both implementations to prove it.
+//! ADD/DELETE, and per-entry counters. `tests/table_diff.rs` replays
+//! randomized operation sequences against both implementations to prove it.
 
 use crate::actions::{Action, Actions};
 use crate::messages::{RemovedReason, OFPFF_SEND_FLOW_REM};
@@ -350,13 +350,6 @@ impl FlowTable {
         }
     }
 
-    /// [`FlowTable::delete_into`] with a fresh buffer.
-    pub fn delete(&mut self, match_: &Match, now: SimTime) -> Vec<Removed> {
-        let mut removed = Vec::new();
-        self.delete_into(match_, now, &mut removed);
-        removed
-    }
-
     /// Deletes all flows whose match equals `match_` (exact-match delete;
     /// the controller always deletes what it installed), appending removal
     /// records to `out` in priority order. A wildcard `match_` deletes
@@ -487,6 +480,13 @@ pub fn entry(
 mod tests {
     use super::*;
     use crate::oxm::OxmField;
+
+    /// [`FlowTable::delete_into`] with a fresh buffer.
+    fn delete(t: &mut FlowTable, match_: &Match, now: SimTime) -> Vec<Removed> {
+        let mut removed = Vec::new();
+        t.delete_into(match_, now, &mut removed);
+        removed
+    }
 
     fn view(dst_port: u16) -> MatchView {
         MatchView {
@@ -627,12 +627,12 @@ mod tests {
         let m2 = Match::service([2, 2, 2, 2], 80);
         t.add(entry(m1, 5, 1, fwd(1), Duration::ZERO, 0), SimTime::ZERO);
         t.add(entry(m2, 5, 2, fwd(2), Duration::ZERO, 0), SimTime::ZERO);
-        let removed = t.delete(&m1, SimTime::from_nanos(7));
+        let removed = delete(&mut t, &m1, SimTime::from_nanos(7));
         assert_eq!(removed.len(), 1);
         assert_eq!(removed[0].entry.cookie, 1);
         assert_eq!(removed[0].reason, RemovedReason::Delete);
         assert_eq!(t.len(), 1);
-        let removed = t.delete(&Match::any(), SimTime::from_nanos(8));
+        let removed = delete(&mut t, &Match::any(), SimTime::from_nanos(8));
         assert_eq!(removed.len(), 1);
         assert!(t.is_empty());
         assert_eq!(t.next_expiry(), None);
@@ -702,7 +702,7 @@ mod tests {
         t.add(plain(filler, 5, 1), SimTime::ZERO); // slot 0
         t.add(plain(by_port, 5, 2), SimTime::ZERO); // slot 1
         t.add(plain(Match::service([8, 8, 8, 8], 8), 7, 3), SimTime::ZERO); // slot 2
-        assert_eq!(t.delete(&filler, SimTime::ZERO).len(), 1);
+        assert_eq!(delete(&mut t, &filler, SimTime::ZERO).len(), 1);
         t.add(plain(by_ip, 5, 4), SimTime::ZERO); // slot 0 again
         // Both shapes match the view at one priority: the older flow wins.
         let older = t.classify(&view(80)).unwrap();
@@ -712,7 +712,7 @@ mod tests {
             vec![3, 2, 4],
             "priority, then insertion order"
         );
-        assert_eq!(t.delete(&by_port, SimTime::ZERO).len(), 1);
+        assert_eq!(delete(&mut t, &by_port, SimTime::ZERO).len(), 1);
         let newer = t.classify(&view(80)).unwrap();
         assert_eq!(t.flows[newer].cookie, 4);
         assert!(slot_of(older) > slot_of(newer) && older < newer);
@@ -740,7 +740,7 @@ mod tests {
         assert_eq!(winner(&mut t), 4, "the permuted spelling replaced the head");
         t.add(plain(m, 5, 5), SimTime::ZERO); // replaces the middle
         assert_eq!(t.entries().map(|e| e.cookie).collect::<Vec<_>>(), vec![4, 5, 3]);
-        let removed = t.delete(&reordered, SimTime::ZERO);
+        let removed = delete(&mut t, &reordered, SimTime::ZERO);
         assert_eq!(removed.iter().map(|r| r.entry.cookie).collect::<Vec<_>>(), vec![4, 5, 3]);
         assert!(t.is_empty() && t.peek(&view(80)).is_none());
     }

@@ -1,33 +1,29 @@
-//! Differential testing of the indexed flow table against the naive one.
+//! The replay-and-compare harness of the differential test: the indexed
+//! `openflow::FlowTable` against the seed's linear-scan table
+//! ([`super::naive::NaiveFlowTable`]).
 //!
-//! [`crate::table::FlowTable`] re-implements the seed's linear-scan table
-//! ([`crate::naive::NaiveFlowTable`]) with a hash index and a timer heap.
-//! The optimization is only admissible if it is *observably identical*, so
-//! this module replays randomized operation sequences — add / delete /
+//! The indexed table is only admissible if it is *observably identical*, so
+//! [`check_seed`] replays a randomized operation sequence — add / delete /
 //! lookup / peek / expire over a monotonic clock, the operations the
 //! switch's `FLOW_MOD` Add and Delete and its expiry sweep perform —
-//! against both implementations and asserts, after every step:
+//! against both tables and asserts, after every step:
 //!
 //! * identical lookup results (cookie + actions) and peek results,
 //! * identical removal records (entry, final counters, reason, order) from
 //!   delete and expiry sweeps — appended by `delete_into` / `expire_into` to
 //!   one sink that keeps every earlier record, which must stay untouched —
 //!   and a wildcard delete of whatever outlives the final expiry,
-//! * identical table contents via [`FlowTable::entries`] (same order:
+//! * identical table contents via `FlowTable::entries` (same order:
 //!   priority descending, first-added first),
 //! * consistent `next_expiry`: equal emptiness, and the indexed value never
 //!   later than the naive (exact) one — the timer heap's documented
 //!   lower-bound contract.
-//!
-//! The harness is driven two ways: a deterministic in-crate test sweeping
-//! 1100 fixed seeds (runs in offline builds), and a `proptest` integration
-//! test (`tests/table_diff.rs`) that shrinks failing seeds.
 
-use crate::actions::{Action, Actions};
-use crate::oxm::{Match, MatchView, OxmField};
-use crate::table::{entry, FlowTable, Removed};
-use crate::NaiveFlowTable;
+use super::naive::NaiveFlowTable;
 use desim::{Duration, SimRng, SimTime};
+use openflow::oxm::OxmField;
+use openflow::table::{entry, FlowTable, Removed};
+use openflow::{Action, Actions, Match, MatchView};
 
 /// Small value pools so random operations collide on matches, priorities and
 /// views often enough to exercise replace/tie-break paths.
@@ -231,35 +227,4 @@ pub fn check_seed(seed: u64, ops: usize) -> usize {
     assert_tables_eq(&naive, &indexed, "after wildcard delete");
     assert!(indexed.is_empty(), "a wildcard delete empties the table");
     hits
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The deterministic differential sweep: 1100 seeded random sequences,
-    /// each 40 operations, replayed against both implementations. Any
-    /// observable divergence (lookup result, removal record, entry order,
-    /// counter, expiry emptiness) panics with the seed and step.
-    #[test]
-    fn indexed_table_matches_naive_on_1100_random_sequences() {
-        let mut total_hits = 0;
-        for seed in 0..1100 {
-            total_hits += check_seed(seed, 40);
-        }
-        // Coverage sanity: the pools are tight enough that a healthy share
-        // of operations actually touch installed flows.
-        assert!(
-            total_hits > 5000,
-            "suspiciously low coverage: {total_hits} effective ops"
-        );
-    }
-
-    /// Longer sequences stress lazy re-arms and repeated expiry.
-    #[test]
-    fn indexed_table_matches_naive_on_long_sequences() {
-        for seed in [7, 1234, 987654] {
-            check_seed(seed, 400);
-        }
-    }
 }

@@ -1,18 +1,15 @@
-//! The original linear-scan flow table, kept as a behavioral reference.
+//! The seed's linear-scan flow table, kept as the behavioural reference.
 //!
-//! [`NaiveFlowTable`] is the seed implementation that [`crate::table::FlowTable`]
-//! replaced: a priority-sorted `Vec` scanned linearly on every lookup, fully
-//! drained on every expiry sweep, and globally re-sorted on every add. It is
+//! [`NaiveFlowTable`] is the implementation `openflow::FlowTable` replaced:
+//! a priority-sorted `Vec` scanned linearly on every lookup, fully drained
+//! on every expiry sweep, and globally re-sorted on every add. It is
 //! semantically authoritative and obviously correct, which makes it the
-//! oracle for the differential tests (`crate::diff`) and the baseline the
-//! flow-table benchmarks measure speedups against. It must stay simple —
-//! do not optimize this type.
+//! oracle the differential test (`super::diff`) replays against. It must
+//! stay simple — do not optimize this type.
 
-use crate::actions::Actions;
-use crate::messages::RemovedReason;
-use crate::oxm::{Match, MatchView};
-use crate::table::{FlowEntry, Removed};
 use desim::{Duration, SimTime};
+use openflow::table::{FlowEntry, Removed};
+use openflow::{Actions, Match, MatchView, RemovedReason};
 
 /// The reference flow table: every operation is a scan over a sorted `Vec`.
 #[derive(Default)]
@@ -31,35 +28,10 @@ impl NaiveFlowTable {
         self.entries.len()
     }
 
-    /// `true` if no flows are installed.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Iterates over entries in priority order (descending; first-added
     /// first among equal priorities).
     pub fn entries(&self) -> impl Iterator<Item = &FlowEntry> {
         self.entries.iter()
-    }
-
-    /// Bulk constructor for benchmarks: installs `entries` with counters
-    /// reset at `now`, sorting once instead of per-add (the per-add path is
-    /// O(n log n) each, which makes building 100k-entry baselines painful).
-    pub fn with_entries(entries: Vec<FlowEntry>, now: SimTime) -> NaiveFlowTable {
-        let mut t = NaiveFlowTable {
-            entries: entries
-                .into_iter()
-                .map(|mut e| {
-                    e.installed_at = now;
-                    e.last_hit = now;
-                    e.packet_count = 0;
-                    e.byte_count = 0;
-                    e
-                })
-                .collect(),
-        };
-        t.entries.sort_by_key(|e| std::cmp::Reverse(e.priority));
-        t
     }
 
     /// Adds a flow. An existing entry with identical match and priority is

@@ -5,7 +5,7 @@
 
 use super::Harness;
 use crate::topology::C3Topology;
-use desim::{Duration, Engine, FaultPlan};
+use desim::{Duration, FaultPlan};
 use dockersim::DockerEngine;
 use edgectl::{Controller, ControllerConfig, DockerCluster, K8sEdgeCluster, PortMap};
 use k8ssim::K8sCluster;
@@ -210,10 +210,6 @@ impl<S: Spans> Harness<C3Topology, S> {
             );
         }
         let mut tb = Harness::assemble(
-            // Pre-size the event arena from the population: each client keeps
-            // a handful of in-flight events (frames, ticks, expiries). Grown
-            // on demand instead, it made `deploy_churn` 749 B/op, not 517.
-            Engine::with_capacity(config.n_clients * 64 + 1024),
             c3,
             vec![switch],
             controller,

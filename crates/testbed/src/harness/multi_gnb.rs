@@ -8,7 +8,7 @@
 
 use super::{Ev, Harness, Session, FIRST_SRC_PORT};
 use crate::topology::MultiGnbTopology;
-use desim::{Duration, Engine, FaultPlan, SimTime};
+use desim::{Duration, FaultPlan, SimTime};
 use dockersim::DockerEngine;
 use edgectl::{
     Controller, ControllerConfig, DockerCluster, HandoverPolicy, IngressId, PortMap, RecoveryMode,
@@ -140,7 +140,6 @@ impl<S: Spans> Harness<MultiGnbTopology, S> {
             }
         }
         let mut tb = Harness::assemble(
-            Engine::new(),
             net,
             switches,
             controller,

@@ -31,8 +31,7 @@ cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 # Fields whose values are wall-clock measurements, in any artifact: ha, scale,
 # engine, fastpath.
 WALL_CLOCK='replay_wall_ns|replay_events_per_sec|wall_s|packet_ins_per_sec|peak_rss_mb'
-WALL_CLOCK+='|calendar_events_per_sec|naive_events_per_sec|speedup'
-WALL_CLOCK+='|naive_lookup_ns|indexed_lookup_ns|switch_hit_ns|indexed_100k_over_10_ratio'
+WALL_CLOCK+='|calendar_events_per_sec|indexed_lookup_ns|switch_hit_ns|indexed_100k_over_10_ratio'
 
 mask() { # <file under $out>
   sed -E -e "s#$PWD#<checkout>#g" -e "s/(\"($WALL_CLOCK)\": ?)[^,}]*/\1MASKED/g" \

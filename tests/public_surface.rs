@@ -31,7 +31,6 @@ use std::path::{Path, PathBuf};
 /// that need it.
 #[rustfmt::skip]
 const KEPT: &[(&str, &str)] = &[
-    ("openflow::check_seed", "table_diff replays seeds of the naive-vs-indexed differential"),
     ("edgectl::journal_rebuild_digest", "journal_oracle, recovery_props and transcript compare a rebuilt state"),
     ("edgectl::state_digest", "journal_oracle, recovery_props and transcript digest the live state"),
     ("k8ssim::store_stats", "reconcile_props bounds the object store"),
