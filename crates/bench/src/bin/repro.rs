@@ -55,41 +55,28 @@ fn main() -> ExitCode {
             Ok(())
         }
         "list" => {
-            for id in bench::FIGURE_IDS
-                .iter()
-                .copied()
-                .chain(BENCHES.iter().map(|b| b.id))
-            {
+            for id in bench::figure_ids().chain(BENCHES.iter().map(|b| b.id)) {
                 println!("{id}");
-            }
-            Ok(())
-        }
-        "all" => {
-            println!("transparent-edge-rs — reproducing the full evaluation (seed {seed})\n");
-            for fig in bench::all_figures(seed) {
-                if opts.csv {
-                    println!("# {}: {}", fig.id, fig.title);
-                    print!("{}", fig.table.to_csv());
-                    println!();
-                } else {
-                    println!("{}", fig.body);
-                }
             }
             Ok(())
         }
         other => match BENCHES.iter().find(|b| b.id == other) {
             Some(b) => b.execute(&opts),
-            None => match bench::figure_by_id(other, seed) {
-                Some(fig) => {
-                    if opts.csv {
-                        print!("{}", fig.table.to_csv());
-                    } else {
-                        println!("{}", fig.body);
-                    }
-                    Ok(())
+            None => {
+                let all = other == "all";
+                if all {
+                    println!("transparent-edge-rs — reproducing the full evaluation (seed {seed})\n");
                 }
-                None => Err(format!("unknown figure `{other}`; try `repro list`")),
-            },
+                let figures = bench::figures(other, seed);
+                for fig in figures.iter().flatten() {
+                    match (opts.csv, all) {
+                        (true, true) => println!("# {}: {}\n{}", fig.id, fig.title, fig.table.to_csv()),
+                        (true, false) => print!("{}", fig.table.to_csv()),
+                        (false, _) => println!("{}", fig.body),
+                    }
+                }
+                figures.map(drop).ok_or_else(|| format!("unknown figure `{other}`; try `repro list`"))
+            }
         },
     };
     match done {

@@ -21,7 +21,7 @@
 use crate::artifact::{self, num};
 use crate::mobility::pct;
 use edgectl::RecoveryMode;
-use testbed::experiments::{self, HaStats};
+use testbed::experiments::{self, HaStats, SessionCounts};
 use yamlite::Value;
 
 /// The artifact's gate: the module's acceptance gates, and that the sweep
@@ -105,6 +105,7 @@ fn artifact(seed: u64, smoke: bool, panics: u64, sizes: &[(usize, HaStats, HaSta
         o.num("crash_rate", CRASH_RATE);
         o.bool("smoke", smoke);
         o.rows("sizes", sizes, |r, (n, w, c)| {
+            let both = |count: fn(&SessionCounts) -> u64| count(&w.session) + count(&c.session);
             r.int("sessions", *n as u64);
             r.fixed("blackout_ms", w.blackout_secs * 1e3, 3);
             r.int("journal_appended", w.journal_appended);
@@ -123,11 +124,11 @@ fn artifact(seed: u64, smoke: bool, panics: u64, sizes: &[(usize, HaStats, HaSta
             r.int("cold_restart_fixes", c.restart_fixes);
             r.int("aborted_migrations", w.aborted_migrations + c.aborted_migrations);
             r.int("missed_handovers", w.missed_handovers + c.missed_handovers);
-            r.int("ctrl_dropped", w.ctrl_dropped + c.ctrl_dropped);
-            r.int("retransmits", w.retransmits + c.retransmits);
-            r.int("stranded", w.stranded + c.stranded);
-            r.int("reconcile_fixes", w.reconcile_fixes + c.reconcile_fixes);
-            r.int("reconcile_residual", w.reconcile_residual + c.reconcile_residual);
+            r.int("ctrl_dropped", both(|s| s.ctrl_dropped));
+            r.int("retransmits", both(|s| s.retransmits));
+            r.int("stranded", both(|s| s.stranded));
+            r.int("reconcile_fixes", both(|s| s.reconcile_fixes));
+            r.int("reconcile_residual", both(|s| s.reconcile_residual));
         });
         o.int("panics", panics);
     })
@@ -154,9 +155,7 @@ mod tests {
             recovery_secs: recoveries(warm_p99),
             aborted_migrations: 1,
             missed_handovers: 2,
-            ctrl_dropped: 5,
-            retransmits: 4,
-            reconcile_fixes: 3,
+            session: SessionCounts { ctrl_dropped: 5, retransmits: 4, reconcile_fixes: 3, ..SessionCounts::default() },
             ..HaStats::default()
         };
         let cold = HaStats {

@@ -14,57 +14,66 @@ pub mod scale;
 pub mod summary;
 mod tournament;
 
-use testbed::experiments::{self, EvalRuns, Figure};
+use testbed::experiments::{self as ex, DeploymentRun as Run, EvalRuns, Figure};
+use Build::{Fixed, Matrix, Seeded};
 
-/// Regenerates every table/figure of the paper (and the ablations) for one
-/// seed, in publication order.
-pub fn all_figures(seed: u64) -> Vec<Figure> {
-    let mut out = Vec::new();
-    out.push(experiments::table1());
-    out.push(experiments::fig9(seed));
-    out.push(experiments::fig10(seed));
-    let scale_up = EvalRuns::collect(true, seed);
-    let create_scale = EvalRuns::collect(false, seed);
-    out.push(experiments::fig11(&scale_up));
-    out.push(experiments::fig12(&create_scale));
-    out.push(experiments::fig13(32));
-    out.push(experiments::fig14(&scale_up));
-    out.push(experiments::fig15(&create_scale));
-    out.push(experiments::fig16(&scale_up));
-    out.push(experiments::hybrid(seed));
-    out.push(experiments::waiting_comparison(seed));
-    out.push(experiments::timeout_sweep(seed));
-    out.push(experiments::proactive(seed));
-    out.push(experiments::local_scheduler(seed));
-    out.push(experiments::hierarchy(seed));
-    out
+/// How a figure is built.
+#[derive(Clone, Copy)]
+enum Build {
+    /// From nothing: the figure does not read `--seed`.
+    Fixed(fn() -> Figure),
+    /// From the seed.
+    Seeded(fn(u64) -> Figure),
+    /// One metric of a trace-replay matrix, with services pre-created or
+    /// not, under a title.
+    Matrix(bool, fn(&Run) -> f64, &'static str),
 }
 
-/// Regenerates a single figure by id, one of [`FIGURE_IDS`]: `table1`, `fig9` ... `fig16`,
-/// `hybrid`, `waiting`, `timeout-sweep`, `proactive`, `local-scheduler`, `hierarchy`.
-pub fn figure_by_id(id: &str, seed: u64) -> Option<Figure> {
-    Some(match id {
-        "table1" => experiments::table1(),
-        "fig9" => experiments::fig9(seed),
-        "fig10" => experiments::fig10(seed),
-        "fig11" => experiments::fig11(&EvalRuns::collect(true, seed)),
-        "fig12" => experiments::fig12(&EvalRuns::collect(false, seed)),
-        "fig13" => experiments::fig13(32),
-        "fig14" => experiments::fig14(&EvalRuns::collect(true, seed)),
-        "fig15" => experiments::fig15(&EvalRuns::collect(false, seed)),
-        "fig16" => experiments::fig16(&EvalRuns::collect(true, seed)),
-        "hybrid" => experiments::hybrid(seed),
-        "waiting" => experiments::waiting_comparison(seed),
-        "timeout-sweep" => experiments::timeout_sweep(seed),
-        "proactive" => experiments::proactive(seed),
-        "local-scheduler" => experiments::local_scheduler(seed),
-        "hierarchy" => experiments::hierarchy(seed),
-        _ => return None,
-    })
-}
-
-/// The figure ids `figure_by_id` accepts, in order.
-pub const FIGURE_IDS: &[&str] = &[
-    "table1", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "hybrid",
-    "waiting", "timeout-sweep", "proactive", "local-scheduler", "hierarchy",
+/// Every table and figure of the paper and the ablations, in publication
+/// order: its id and how to build it.
+const FIGURES: &[(&str, Build)] = &[
+    ("table1", Fixed(ex::table1)),
+    ("fig9", Seeded(ex::fig9)),
+    ("fig10", Seeded(ex::fig10)),
+    ("fig11", Matrix(true, Run::median_first, "Total time (median) to scale up four services on two clusters")),
+    ("fig12", Matrix(false, Run::median_first, "Total time (median) to create + scale up four services on two clusters")),
+    ("fig13", Fixed(|| ex::fig13(32))),
+    ("fig14", Matrix(true, Run::median_wait, "Wait time (median) until services are ready after being scaled up")),
+    ("fig15", Matrix(false, Run::median_wait, "Wait time (median) until services are ready after create + scale up")),
+    ("fig16", Matrix(true, Run::median_warm, "Total time (median) for client requests once the instance is running")),
+    ("hybrid", Seeded(ex::hybrid)),
+    ("waiting", Seeded(ex::waiting_comparison)),
+    ("timeout-sweep", Seeded(ex::timeout_sweep)),
+    ("proactive", Seeded(ex::proactive)),
+    ("local-scheduler", Seeded(ex::local_scheduler)),
+    ("hierarchy", Seeded(ex::hierarchy)),
 ];
+
+/// The figure ids, in publication order.
+pub fn figure_ids() -> impl Iterator<Item = &'static str> {
+    FIGURES.iter().map(|(id, _)| *id)
+}
+
+/// Whether `id` names a figure that reads `--seed`.
+pub(crate) fn seeded_figure(id: &str) -> bool {
+    FIGURES.iter().any(|(f, build)| *f == id && !matches!(build, Fixed(_)))
+}
+
+/// Builds the figure `id` for `seed`, or every figure in publication order
+/// for `all`; `None` for any other id. Each trace-replay matrix is replayed
+/// at most once, however many figures read it.
+pub fn figures(id: &str, seed: u64) -> Option<Vec<Figure>> {
+    let mut matrices: [Option<EvalRuns>; 2] = [None, None];
+    let figures: Vec<Figure> = FIGURES
+        .iter()
+        .filter(|(f, _)| id == "all" || *f == id)
+        .map(|&(id, build)| match build {
+            Fixed(build) => build(),
+            Seeded(build) => build(seed),
+            Matrix(pre_create, metric, title) => matrices[usize::from(pre_create)]
+                .get_or_insert_with(|| EvalRuns::collect(pre_create, seed))
+                .figure(id, title, metric),
+        })
+        .collect();
+    (!figures.is_empty()).then_some(figures)
+}

@@ -18,7 +18,7 @@
 //! every swept size.
 
 use crate::artifact;
-use crate::mobility::pct;
+use crate::mobility::{dropped, pct};
 use testbed::experiments::{self, MigrationStats};
 use yamlite::Value;
 
@@ -67,8 +67,6 @@ pub fn run(seed: u64, smoke: bool) -> String {
 /// than cold p99 there, otherwise migrating the state bought nothing over
 /// re-deploying cold.
 fn artifact(seed: u64, smoke: bool, sizes: &[(u64, MigrationStats, MigrationStats)]) -> String {
-    // Pings lost plus frames dropped (want 0).
-    let dropped = |s: &MigrationStats| (s.pings_sent - s.pings_done) + s.drops;
     let p99 = |s: &MigrationStats| pct(&s.interruptions, 99.0);
     artifact::object(|o| {
         o.str("bench", "migrate");
@@ -84,12 +82,12 @@ fn artifact(seed: u64, smoke: bool, sizes: &[(u64, MigrationStats, MigrationStat
             r.fixed("transfer_p99_ms", pct(&live.transfers, 99.0), 3);
             r.fixed("interruption_p50_ms", pct(&live.interruptions, 50.0), 3);
             r.fixed("interruption_p99_ms", p99(live), 3);
-            r.int("pings", live.pings_done);
-            r.int("dropped", dropped(live));
-            r.int("cold_handovers", cold.handovers);
+            r.int("pings", live.session.pings_done);
+            r.int("dropped", dropped(&live.session));
+            r.int("cold_handovers", cold.session.handovers);
             r.fixed("cold_interruption_p50_ms", pct(&cold.interruptions, 50.0), 3);
             r.fixed("cold_interruption_p99_ms", p99(cold), 3);
-            r.int("cold_dropped", dropped(cold));
+            r.int("cold_dropped", dropped(&cold.session));
         });
     })
 }
@@ -97,6 +95,7 @@ fn artifact(seed: u64, smoke: bool, sizes: &[(u64, MigrationStats, MigrationStat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use testbed::experiments::SessionCounts;
 
     const FIXTURE: &str = r#"{
   "bench": "migrate",
@@ -123,17 +122,16 @@ mod tests {
         cold_p99: f64,
     ) -> (u64, MigrationStats, MigrationStats) {
         let live = MigrationStats {
+            session: SessionCounts { pings_sent: 300, pings_done: 300, ..SessionCounts::default() },
             migrations: 5,
             state_bytes_transferred: bytes * 100,
             flows_flipped: 18,
             interruptions: spread(p99),
             transfers: spread(transfer_p99),
-            pings_sent: 300,
-            pings_done: 300,
             ..MigrationStats::default()
         };
         let cold = MigrationStats {
-            handovers: 9,
+            session: SessionCounts { handovers: 9, ..SessionCounts::default() },
             interruptions: spread(cold_p99),
             ..MigrationStats::default()
         };

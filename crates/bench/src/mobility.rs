@@ -8,7 +8,7 @@
 
 use crate::artifact;
 use desim::Summary;
-use testbed::experiments::{self, Experiment, MobilityStats};
+use testbed::experiments::{self, Experiment, MobilityStats, SessionCounts};
 use yamlite::Value;
 
 /// The `p`-th percentile of a sample of seconds, in milliseconds; 0 for an
@@ -18,6 +18,11 @@ pub(crate) fn pct(xs: &[f64], p: f64) -> f64 {
         return 0.0;
     }
     Summary::new(xs.to_vec()).percentile(p).unwrap_or(0.0) * 1e3
+}
+
+/// Pings lost plus frames dropped (want 0).
+pub(crate) fn dropped(s: &SessionCounts) -> u64 {
+    (s.pings_sent - s.pings_done) + s.drops
 }
 
 /// The artifact's gate: session continuity — under every policy nothing
@@ -41,26 +46,24 @@ pub fn run(seed: u64, smoke: bool, telemetry: bool) -> (Experiment<MobilityStats
 
 /// The `BENCH_mobility.json` text: one row per policy, times in ms.
 fn artifact(seed: u64, smoke: bool, runs: &[(&'static str, MobilityStats)]) -> String {
-    // Pings lost plus frames dropped (want 0).
-    let dropped = |s: &MobilityStats| (s.pings_sent - s.pings_done) + s.drops;
     artifact::object(|o| {
         o.str("bench", "mobility");
         o.int("seed", seed);
         o.bool("smoke", smoke);
         o.rows("policies", runs, |r, (policy, s)| {
             r.str("policy", policy);
-            r.int("handovers", s.handovers);
+            r.int("handovers", s.session.handovers);
             r.int("flows_migrated", s.flows_migrated);
             r.int("redispatched", s.redispatched);
             r.fixed("interruption_p50_ms", pct(&s.interruptions, 50.0), 3);
             r.fixed("interruption_p95_ms", pct(&s.interruptions, 95.0), 3);
             r.fixed("interruption_p99_ms", pct(&s.interruptions, 99.0), 3);
-            r.int("pings_sent", s.pings_sent);
-            r.int("pings", s.pings_done);
-            r.int("dropped", dropped(s));
-            r.int("double_answered", s.double_answered);
+            r.int("pings_sent", s.session.pings_sent);
+            r.int("pings", s.session.pings_done);
+            r.int("dropped", dropped(&s.session));
+            r.int("double_answered", s.session.double_answered);
             r.int("resets", s.resets);
-            r.int("transparency_violations", s.transparency_violations);
+            r.int("transparency_violations", s.session.transparency_violations);
         });
     })
 }
@@ -83,14 +86,8 @@ mod tests {
     fn json_shape_is_stable() {
         // Ten handovers at 0.3 ms and ten at 0.4 ms.
         let interruptions = [vec![3e-4; 10], vec![4e-4; 10]].concat();
-        let anchored = MobilityStats {
-            handovers: 4,
-            flows_migrated: 4,
-            interruptions,
-            pings_sent: 300,
-            pings_done: 300,
-            ..MobilityStats::default()
-        };
+        let session = SessionCounts { handovers: 4, pings_sent: 300, pings_done: 300, ..SessionCounts::default() };
+        let anchored = MobilityStats { session, flows_migrated: 4, interruptions, ..MobilityStats::default() };
         assert_eq!(artifact(7, true, &[("anchored", anchored)]), FIXTURE);
     }
 

@@ -51,11 +51,12 @@ fn artifact(
         o.int("seed", seed);
         o.num("fault_rate", fault_rate);
         o.bool("smoke", smoke);
-        o.rows("policies", runs, |r, (policy, s)| {
+        o.rows("policies", runs, |r, (policy, run)| {
+            let s = &run.session;
             r.str("policy", policy);
-            r.int("crashes", s.instance_crashes);
-            r.int("outages", s.zone_outages);
-            r.int("channel_losses", s.channel_losses);
+            r.int("crashes", run.instance_crashes);
+            r.int("outages", run.zone_outages);
+            r.int("channel_losses", run.channel_losses);
             r.int("ctrl_dropped", s.ctrl_dropped);
             r.int("retransmits", s.retransmits);
             r.int("pings_sent", s.pings_sent);
@@ -71,6 +72,7 @@ fn artifact(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use testbed::experiments::SessionCounts;
 
     const FIXTURE: &str = r#"{
   "bench": "recovery",
@@ -85,17 +87,15 @@ mod tests {
 
     #[test]
     fn json_shape_is_stable() {
-        let anchored = RecoveryStats {
-            instance_crashes: 2,
-            zone_outages: 3,
-            channel_losses: 3,
+        let session = SessionCounts {
             ctrl_dropped: 5,
             retransmits: 4,
             pings_sent: 300,
             pings_done: 300,
             reconcile_fixes: 1,
-            ..RecoveryStats::default()
+            ..SessionCounts::default()
         };
+        let anchored = RecoveryStats { session, instance_crashes: 2, zone_outages: 3, channel_losses: 3 };
         assert_eq!(artifact(7, 1.0, true, &[("anchored", anchored)]), FIXTURE);
     }
 

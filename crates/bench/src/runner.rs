@@ -249,7 +249,7 @@ pub fn parse_args(args: &[String]) -> Result<(String, Vec<String>, Opts), String
     let known = || {
         ["all", "summary", "check", "list"]
             .into_iter()
-            .chain(crate::FIGURE_IDS.iter().copied())
+            .chain(crate::figure_ids())
             .chain(BENCHES.iter().map(|b| b.id))
     };
     if let Some(flag) = given.into_iter().find(|f| known().any(|k| k == id) && !reads(&id, f)) {
@@ -260,19 +260,19 @@ pub fn parse_args(args: &[String]) -> Result<(String, Vec<String>, Opts), String
     Ok((id, positional, opts))
 }
 
-/// Whether subcommand `id` reads `flag`: `--seed` every seeded figure (not
-/// `table1` or `fig13`), `summary` and every bench that simulates;
+/// Whether subcommand `id` reads `flag`: `--seed` `all`, every figure the
+/// figure table builds from the seed, `summary` and every bench that simulates;
 /// `--smoke` every bench with a CI-sized variant; `--fault-rate` `chaos`
 /// and `recovery`; `--csv` the figures and `chaos`, the one bench that
 /// prints a figure; `--telemetry` the three experiments that record.
 fn reads(id: &str, flag: &str) -> bool {
-    let figure = id == "all" || crate::FIGURE_IDS.contains(&id);
+    let figure = id == "all" || crate::figure_ids().any(|f| f == id);
     let experiment = matches!(id, "chaos" | "mobility" | "recovery");
     let sized = experiment || matches!(id, "engine" | "scale" | "tournament" | "migrate" | "ha");
     match flag {
         "--seed" => {
-            (figure && !matches!(id, "table1" | "fig13"))
-                || id == "summary"
+            matches!(id, "all" | "summary")
+                || crate::seeded_figure(id)
                 || (sized && id != "engine")
         }
         "--smoke" => sized,
@@ -383,6 +383,8 @@ mod tests {
             "check BENCH_ha.json",
             "fastpath",
             "engine --smoke",
+            "all --seed 7",
+            "all --seed 7 --csv",
             "fig11",
             "fig11 --csv",
             "summary",
@@ -417,6 +419,7 @@ mod tests {
             ("mobility --fault-rate 0.5", "--fault-rate"),
             ("scale --csv", "--csv"),
             ("fig13 --seed 3", "--seed"),
+            ("table1 --seed 7", "--seed"),
             ("summary --telemetry", "--telemetry"),
         ] {
             let err = parse(line).unwrap_err();

@@ -13,7 +13,6 @@ use crate::topology::{client_ip_for, C3Topology, MultiGnbTopology, Net};
 use containerd::{ContentStore, ServiceProfile, ServiceSet};
 use desim::{Duration, SimRng, SimTime, Summary};
 use edgectl::controller::RequestKind;
-use edgectl::ControllerConfig;
 use netsim::{Ipv4Addr, ServiceAddr};
 use registry::RegistryProfile;
 use std::collections::{BTreeMap, VecDeque};
@@ -58,16 +57,21 @@ enum Warmth {
     Created,
 }
 
-/// Replays `trace` on `tb` until `until`: one service per trace service,
-/// all bound to `profile` and deployed as far as `warmth` says, every
-/// request offset by 1 s so setup happens strictly before traffic.
+/// Replays `trace` until `until` on a testbed built from `cfg` with
+/// FlowMemory's idle timeout at `idle_s` seconds, and returns it: one
+/// service per trace service, all bound to `profile` and deployed as far as
+/// `warmth` says, every request offset by 1 s so setup happens strictly
+/// before traffic.
 fn replay<S: Spans>(
-    tb: &mut Harness<C3Topology, S>,
+    mut cfg: TestbedConfig,
+    idle_s: u64,
     profile: &ServiceProfile,
     warmth: Warmth,
     trace: &Trace,
     until: SimTime,
-) {
+) -> Harness<C3Topology, S> {
+    cfg.controller.memory_idle = Duration::from_secs(idle_s);
+    let mut tb = Harness::<C3Topology, S>::new(cfg);
     let addrs: Vec<ServiceAddr> = (0..trace.config.n_services)
         .map(|i| {
             let addr = addr_of(profile, i);
@@ -85,6 +89,13 @@ fn replay<S: Spans>(
         tb.request_at(r.at + Duration::from_secs(1), r.client, addrs[r.service]);
     }
     tb.run_until(until);
+    tb
+}
+
+/// A C3 testbed config: the cluster kind, the Global Scheduler and the
+/// seed, everything else at its default.
+fn config(cluster: ClusterKind, scheduler: &str, seed: u64) -> TestbedConfig {
+    TestbedConfig { cluster, scheduler: scheduler.to_owned(), seed, ..TestbedConfig::default() }
 }
 
 /// A replay's completed requests in the order they arrived, which is not the
@@ -220,13 +231,16 @@ impl DeploymentRun {
         DeploymentRun { firsts: first_done.into_values().collect(), waits, warm, resets: tb.resets }
     }
 
-    fn median_first(&self) -> f64 {
+    /// The median first-request `time_total` (Figs. 11, 12).
+    pub fn median_first(&self) -> f64 {
         Summary::new(self.firsts.clone()).median().unwrap_or(f64::NAN)
     }
-    fn median_wait(&self) -> f64 {
+    /// The median wait-until-ready (Figs. 14, 15).
+    pub fn median_wait(&self) -> f64 {
         Summary::new(self.waits.clone()).median().unwrap_or(f64::NAN)
     }
-    fn median_warm(&self) -> f64 {
+    /// The median warm-request `time_total` (Fig. 16).
+    pub fn median_warm(&self) -> f64 {
         Summary::new(self.warm.clone()).median().unwrap_or(f64::NAN)
     }
 }
@@ -242,32 +256,18 @@ pub fn run_trace_experiment(
     seed: u64,
 ) -> DeploymentRun {
     let trace = Trace::generate(TraceConfig::default(), seed);
-    let mut tb = Testbed::new(TestbedConfig {
-        cluster: kind,
-        seed,
-        controller: ControllerConfig {
-            // Keep all 42 services alive for the whole trace so the run
-            // produces exactly the 42 deployments of Fig. 10.
-            memory_idle: Duration::from_secs(400),
-            ..ControllerConfig::default()
-        },
-        ..TestbedConfig::default()
-    });
-    let warmth = if pre_create {
-        Warmth::Created
-    } else {
-        Warmth::Pulled
-    };
-    replay(&mut tb, profile, warmth, &trace, SimTime::from_secs(400));
-    DeploymentRun::of(&tb)
+    let warmth = if pre_create { Warmth::Created } else { Warmth::Pulled };
+    // A 400 s idle timeout keeps all 42 services alive for the whole trace,
+    // so the run produces exactly the 42 deployments of Fig. 10.
+    let cfg = config(kind, "proximity", seed);
+    DeploymentRun::of(&replay(cfg, 400, profile, warmth, &trace, SimTime::from_secs(400)))
 }
 
-/// All eight trace replays (4 services × 2 clusters) for one scenario.
+/// All eight trace replays (4 services × 2 clusters) for one scenario: the
+/// matrix Figs. 11, 12 and 14–16 each read one metric of.
 pub struct EvalRuns {
     /// `(cluster, service key)` → run.
     pub runs: BTreeMap<(&'static str, &'static str), DeploymentRun>,
-    /// Whether services were pre-created (Fig. 11) or not (Fig. 12).
-    pub(crate) pre_created: bool,
 }
 
 impl EvalRuns {
@@ -280,100 +280,24 @@ impl EvalRuns {
                 runs.insert((kind.label(), profile.key), run);
             }
         }
-        EvalRuns {
-            runs,
-            pre_created: pre_create,
-        }
+        EvalRuns { runs }
     }
 
-    fn matrix_figure(
-        &self,
-        id: &'static str,
-        title: &str,
-        value: impl Fn(&DeploymentRun) -> f64,
-        unit: &str,
-    ) -> Figure {
+    /// The figure `id`: `metric` of every run, in seconds, per service and
+    /// cluster.
+    pub fn figure(&self, id: &'static str, title: &str, metric: fn(&DeploymentRun) -> f64) -> Figure {
         let mut t = Table::new(&["Service", "Docker", "K8s"]);
-        let mut labels = Vec::new();
-        let mut docker_vals = Vec::new();
-        let mut k8s_vals = Vec::new();
+        let (mut labels, mut values) = (Vec::new(), Vec::new());
         for profile in ServiceSet::all() {
-            let d = value(&self.runs[&("Docker", profile.key)]);
-            let k = value(&self.runs[&("K8s", profile.key)]);
-            t.row(vec![
-                profile.key.to_string(),
-                format!("{d:.3} {unit}"),
-                format!("{k:.3} {unit}"),
-            ]);
-            labels.push(format!("{} (Docker)", profile.key));
-            docker_vals.push(d);
-            labels.push(format!("{} (K8s)", profile.key));
-            k8s_vals.push(k);
+            let d = metric(&self.runs[&("Docker", profile.key)]);
+            let k = metric(&self.runs[&("K8s", profile.key)]);
+            t.row(vec![profile.key.to_string(), format!("{d:.3} s"), format!("{k:.3} s")]);
+            labels.extend([format!("{} (Docker)", profile.key), format!("{} (K8s)", profile.key)]);
+            values.extend([d, k]);
         }
-        let mut values = Vec::new();
-        for i in 0..docker_vals.len() {
-            values.push(docker_vals[i]);
-            values.push(k8s_vals[i]);
-        }
-        let chart = format!("\n{}", bar_chart(&labels, &values, 50, unit));
+        let chart = format!("\n{}", bar_chart(&labels, &values, 50, "s"));
         Figure::new(id, title.to_owned(), t).with_extra(&chart)
     }
-}
-
-/// Fig. 11: median total time to *scale up* on both clusters (images pulled,
-/// services created; 42 instances per test).
-pub fn fig11(runs: &EvalRuns) -> Figure {
-    assert!(runs.pre_created, "fig11 needs the pre-created scenario");
-    runs.matrix_figure(
-        "fig11",
-        "Total time (median) to scale up four services on two clusters",
-        DeploymentRun::median_first,
-        "s",
-    )
-}
-
-/// Fig. 12: median total time to *create + scale up* (images pulled only).
-pub fn fig12(runs: &EvalRuns) -> Figure {
-    assert!(!runs.pre_created, "fig12 needs the non-pre-created scenario");
-    runs.matrix_figure(
-        "fig12",
-        "Total time (median) to create + scale up four services on two clusters",
-        DeploymentRun::median_first,
-        "s",
-    )
-}
-
-/// Fig. 14: median wait-until-ready after scale-up (component of Fig. 11).
-pub fn fig14(runs: &EvalRuns) -> Figure {
-    assert!(runs.pre_created);
-    runs.matrix_figure(
-        "fig14",
-        "Wait time (median) until services are ready after being scaled up",
-        DeploymentRun::median_wait,
-        "s",
-    )
-}
-
-/// Fig. 15: median wait-until-ready after create + scale-up (component of
-/// Fig. 12).
-pub fn fig15(runs: &EvalRuns) -> Figure {
-    assert!(!runs.pre_created);
-    runs.matrix_figure(
-        "fig15",
-        "Wait time (median) until services are ready after create + scale up",
-        DeploymentRun::median_wait,
-        "s",
-    )
-}
-
-/// Fig. 16: median total request time once the instance runs.
-pub fn fig16(runs: &EvalRuns) -> Figure {
-    runs.matrix_figure(
-        "fig16",
-        "Total time (median) for client requests once the instance is running",
-        DeploymentRun::median_warm,
-        "s",
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -438,54 +362,22 @@ pub fn hybrid(seed: u64) -> Figure {
         "Later client served by",
     ]);
     for profile in ServiceSet::all() {
-        let mut tb = Testbed::new(TestbedConfig {
-            cluster: ClusterKind::Docker,
-            scheduler: "docker-first".to_owned(),
-            seed,
-            ..TestbedConfig::default()
-        });
+        let mut tb = Testbed::new(config(ClusterKind::Docker, "docker-first", seed));
         tb.add_hybrid_k8s();
-        let addr = addr_of(&profile, 0);
-        tb.register_service(profile.clone(), addr);
-        tb.pre_pull(addr);
-        tb.pre_create(addr);
-        tb.pre_pull_on(addr, 1);
-        let t0 = SimTime::from_secs(1);
-        tb.request_at(t0, 0, addr);
         // A fresh client well after the background deployment finished.
-        tb.request_at(SimTime::from_secs(30), 1, addr);
-        tb.run_until(SimTime::from_secs(90));
-
-        let first = tb
-            .completed
-            .iter()
-            .find(|c| c.client == 0)
-            .and_then(|c| c.timing.time_total())
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(f64::NAN);
-        let bg_ready = tb
-            .controller
-            .records
-            .first()
-            .and_then(|r| tb.controller.deployment(r)?.background_ready)
-            .map(|at| at.saturating_since(t0).as_secs_f64());
-        let later_cluster = tb
-            .controller
-            .records
-            .iter()
-            .find(|r| r.client == tb.topology().client_ip(1))
-            .and_then(|r| r.cluster())
-            .map(|i| tb.controller.cluster(i).name().to_owned())
-            .unwrap_or_else(|| "-".to_owned());
+        let at = [SimTime::from_secs(1), SimTime::from_secs(30)];
+        let (tb, totals) = probe(tb, &profile, |tb, addr| tb.pre_pull_on(addr, 1), &at, 90);
+        let first_deployment = tb.controller.records.first().and_then(|r| tb.controller.deployment(r));
+        let bg_ready = first_deployment.and_then(|d| d.background_ready);
+        let later = tb.controller.records.iter().find(|r| r.client == tb.topology().client_ip(1));
+        let later_cluster = later.and_then(|r| r.cluster()).map(|i| tb.controller.cluster(i).name());
         let (k8s_only, _) = first_request_under(ClusterKind::K8s, &profile, "proximity", seed);
         t.row(vec![
             profile.key.to_string(),
-            format!("{first:.3} s"),
-            bg_ready
-                .map(|b| format!("{b:.3} s"))
-                .unwrap_or_else(|| "-".to_owned()),
+            format!("{:.3} s", totals[0]),
+            secs_since(bg_ready, at[0]),
             format!("{k8s_only:.3} s"),
-            later_cluster,
+            later_cluster.unwrap_or("-").to_owned(),
         ]);
     }
     Figure::new(
@@ -516,9 +408,7 @@ pub fn waiting_comparison(seed: u64) -> Figure {
             profile.key.to_string(),
             format!("{with_wait:.3} s"),
             format!("{without_wait:.3} s"),
-            bg_ready
-                .map(|b| format!("{b:.3} s"))
-                .unwrap_or_else(|| "-".to_owned()),
+            bg_ready,
         ]);
     }
     Figure::new(
@@ -528,40 +418,56 @@ pub fn waiting_comparison(seed: u64) -> Figure {
     )
 }
 
-/// First-request `time_total`, and when the near instance became ready,
-/// on a cluster of `kind` under a given Global Scheduler, in a two-edge
-/// scenario: the near edge is empty (images cached, containers created) and
-/// a *far* instance is already running — emulated by the cloud hosting the
-/// service.
+/// The probe the ablations share: one service on `tb`, its images pulled
+/// and its containers created on the edge cluster, `more(tb, addr)` for
+/// what the scenario adds, then client `i`'s request at `at[i]`, run until
+/// `until_s` seconds. Returns the finished testbed and each client's
+/// `time_total` in seconds (NaN when it never completed).
+fn probe(
+    mut tb: Testbed,
+    profile: &ServiceProfile,
+    more: impl FnOnce(&mut Testbed, ServiceAddr),
+    at: &[SimTime],
+    until_s: u64,
+) -> (Testbed, Vec<f64>) {
+    let addr = addr_of(profile, 0);
+    tb.register_service(profile.clone(), addr);
+    tb.pre_pull(addr);
+    tb.pre_create(addr);
+    more(&mut tb, addr);
+    for (client, &t) in at.iter().enumerate() {
+        tb.request_at(t, client, addr);
+    }
+    tb.run_until(SimTime::from_secs(until_s));
+    let total = |client| {
+        let done = tb.completed.iter().find(|c| c.client == client);
+        done.and_then(|c| c.timing.time_total()).map_or(f64::NAN, |d| d.as_secs_f64())
+    };
+    let totals = (0..at.len()).map(total).collect();
+    (tb, totals)
+}
+
+/// `at` as seconds after `t0`, formatted as a cell; `-` when there is none.
+fn secs_since(at: Option<SimTime>, t0: SimTime) -> String {
+    at.map_or_else(|| "-".to_owned(), |at| format!("{:.3} s", at.saturating_since(t0).as_secs_f64()))
+}
+
+/// First-request `time_total`, and when the near instance became ready (a
+/// cell), on a cluster of `kind` under a given Global Scheduler, in a
+/// two-edge scenario: the near edge is empty (images cached, containers
+/// created) and a *far* instance is already running — emulated by the
+/// cloud hosting the service.
 fn first_request_under(
     kind: ClusterKind,
     profile: &ServiceProfile,
     scheduler: &str,
     seed: u64,
-) -> (f64, Option<f64>) {
-    let mut tb = Testbed::new(TestbedConfig {
-        cluster: kind,
-        scheduler: scheduler.to_owned(),
-        seed,
-        ..TestbedConfig::default()
-    });
-    let addr = addr_of(profile, 0);
-    tb.register_service(profile.clone(), addr);
-    tb.pre_pull(addr);
-    tb.pre_create(addr);
+) -> (f64, String) {
+    let tb = Testbed::new(config(kind, scheduler, seed));
     let t0 = SimTime::from_secs(1);
-    tb.request_at(t0, 0, addr);
-    tb.run_until(SimTime::from_secs(60));
-    let total = tb
-        .completed
-        .first()
-        .and_then(|c| c.timing.time_total())
-        .map(|d| d.as_secs_f64())
-        .unwrap_or(f64::NAN);
+    let (tb, totals) = probe(tb, profile, |_, _| {}, &[t0], 60);
     let first = tb.controller.records.first().and_then(|r| tb.controller.deployment(r));
-    let bg = first.and_then(|d| d.background_ready.or(d.phases.instance_ready));
-    let bg = bg.map(|t| t.saturating_since(t0).as_secs_f64());
-    (total, bg)
+    (totals[0], secs_since(first.and_then(|d| d.background_ready.or(d.phases.instance_ready)), t0))
 }
 
 /// FlowMemory idle-timeout sweep (Section V): shorter timeouts scale idle
@@ -586,22 +492,8 @@ pub fn timeout_sweep(seed: u64) -> Figure {
         "Median first-req [s]",
     ]);
     for timeout_s in [5u64, 15, 30, 60, 120, 300] {
-        let mut tb = Testbed::new(TestbedConfig {
-            cluster: ClusterKind::Docker,
-            seed,
-            controller: ControllerConfig {
-                memory_idle: Duration::from_secs(timeout_s),
-                ..ControllerConfig::default()
-            },
-            ..TestbedConfig::default()
-        });
-        replay(
-            &mut tb,
-            &profile,
-            Warmth::Created,
-            &trace,
-            SimTime::from_secs(400),
-        );
+        let cfg = config(ClusterKind::Docker, "proximity", seed);
+        let tb: Testbed = replay(cfg, timeout_s, &profile, Warmth::Created, &trace, SimTime::from_secs(400));
         // A deployment = a record that actually issued a scale-up (several
         // concurrent requests may wait on one in-flight deployment).
         let scaled_up = |r| tb.controller.deployment(r).is_some_and(|d| d.phases.scale_up_at.is_some());
@@ -665,23 +557,8 @@ pub fn proactive(seed: u64) -> Figure {
         "p90 time_total [s]",
     ]);
     for predictor in ["none", "recency", "frequency", "markov"] {
-        let mut tb = Testbed::new(TestbedConfig {
-            cluster: ClusterKind::Docker,
-            seed,
-            predictor: predictor.to_owned(),
-            controller: ControllerConfig {
-                memory_idle: Duration::from_secs(20),
-                ..ControllerConfig::default()
-            },
-            ..TestbedConfig::default()
-        });
-        replay(
-            &mut tb,
-            &profile,
-            Warmth::Created,
-            &trace,
-            SimTime::from_secs(400),
-        );
+        let cfg = TestbedConfig { predictor: predictor.to_owned(), ..config(ClusterKind::Docker, "proximity", seed) };
+        let tb: Testbed = replay(cfg, 20, &profile, Warmth::Created, &trace, SimTime::from_secs(400));
         let waited = tb
             .controller
             .records
@@ -825,15 +702,22 @@ pub fn hierarchy(seed: u64) -> Figure {
         "Steady state (near edge)",
     ]);
     for profile in ServiceSet::all() {
-        let far = hierarchy_run(&profile, true, "latency-aware", seed);
-        let cloud = hierarchy_run(&profile, false, "latency-aware", seed);
-        let held = hierarchy_run(&profile, false, "proximity", seed);
+        let run = |far_edge, scheduler| {
+            let tb = Testbed::new(TestbedConfig { far_edge, ..config(ClusterKind::Docker, scheduler, seed) });
+            let far = |tb: &mut Testbed, addr| if far_edge { tb.pre_deploy_on(addr, 1) };
+            // Setup (including the far edge's own cold pull) finishes well
+            // before t = 10 s; the steady-state probe runs after the
+            // background deployment.
+            probe(tb, &profile, far, &[SimTime::from_secs(10), SimTime::from_secs(40)], 90).1
+        };
+        let far = run(true, "latency-aware");
+        let (cloud, held) = (run(false, "latency-aware"), run(false, "proximity"));
         t.row(vec![
             profile.key.to_string(),
-            format!("{:.4} s", far.0),
-            format!("{:.4} s", cloud.0),
-            format!("{:.4} s", held.0),
-            format!("{:.4} s", far.1),
+            format!("{:.4} s", far[0]),
+            format!("{:.4} s", cloud[0]),
+            format!("{:.4} s", held[0]),
+            format!("{:.4} s", far[1]),
         ]);
     }
     Figure::new(
@@ -842,43 +726,6 @@ pub fn hierarchy(seed: u64) -> Figure {
         t,
     )
     .with_extra("\nThe far edge answers the first request ~an order of magnitude faster than the cloud and without any deployment hold; future requests move to the near edge once it is up.\n")
-}
-
-/// Returns `(first request total, steady-state total)` for one scenario.
-fn hierarchy_run(
-    profile: &ServiceProfile,
-    far_edge: bool,
-    scheduler: &str,
-    seed: u64,
-) -> (f64, f64) {
-    let mut tb = Testbed::new(TestbedConfig {
-        cluster: ClusterKind::Docker,
-        scheduler: scheduler.to_owned(),
-        far_edge,
-        seed,
-        ..TestbedConfig::default()
-    });
-    let addr = addr_of(profile, 0);
-    tb.register_service(profile.clone(), addr);
-    tb.pre_pull(addr);
-    tb.pre_create(addr);
-    if far_edge {
-        tb.pre_deploy_on(addr, 1);
-    }
-    // Setup (including the far edge's own cold pull) finishes well before
-    // t = 10 s; the steady-state probe runs after the background deployment.
-    tb.request_at(SimTime::from_secs(10), 0, addr);
-    tb.request_at(SimTime::from_secs(40), 1, addr);
-    tb.run_until(SimTime::from_secs(90));
-    let total_of = |client: usize| {
-        tb.completed
-            .iter()
-            .find(|c| c.client == client)
-            .and_then(|c| c.timing.time_total())
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(f64::NAN)
-    };
-    (total_of(0), total_of(1))
 }
 
 // ---------------------------------------------------------------------------
@@ -953,22 +800,14 @@ fn chaos_run<S: Spans>(
     };
     let trace = Trace::generate(trace_cfg, seed);
     let profile = ServiceSet::by_key("asm").expect("asm profile");
-    let mut tb = Harness::<C3Topology, S>::new(TestbedConfig {
-        cluster: kind,
-        seed,
-        faults: desim::FaultPlan::uniform(fault_rate, seed ^ 0xC4A0_5EED),
-        controller: ControllerConfig {
-            // Aggressive idle timeout: services cycle down and redeploy,
-            // giving every fault site repeated chances to fire.
-            memory_idle: Duration::from_secs(30),
-            ..ControllerConfig::default()
-        },
-        ..TestbedConfig::default()
-    });
-    // Deliberately cold: the pulls keep the Pull phase (and its faults) on
-    // the critical path.
+    let faults = desim::FaultPlan::uniform(fault_rate, seed ^ 0xC4A0_5EED);
+    let cfg = TestbedConfig { faults, ..config(kind, "proximity", seed) };
+    // Deliberately cold, and an aggressive 30 s idle timeout: services
+    // cycle down and redeploy, and the pulls keep the Pull phase (and its
+    // faults) on the critical path, giving every fault site repeated
+    // chances to fire.
     let until = SimTime::ZERO + trace.config.duration + Duration::from_secs(120);
-    replay(&mut tb, &profile, Warmth::Cold, &trace, until);
+    let mut tb = replay::<S>(cfg, 30, &profile, Warmth::Cold, &trace, until);
 
     let mut run = ChaosRun {
         requests: tb.controller.records.len() as u64,
@@ -1117,30 +956,71 @@ fn run_mobility_family<S: Spans>(
     tb
 }
 
-/// Aggregates of one mobility run (one policy). Also consumed by the
-/// `bench` crate to emit `BENCH_mobility.json`.
-#[derive(Clone, Debug, Default)]
-pub struct MobilityStats {
-    /// Inter-gNB handovers performed.
+/// The session counters every member of the mobility family reports, read
+/// off its finished testbed by [`SessionCounts::read`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SessionCounts {
+    /// Inter-gNB handovers the controller heard about.
     pub handovers: u64,
-    /// FlowMemory entries migrated across all handovers.
-    pub flows_migrated: u64,
-    /// Sessions re-placed through the Global Scheduler.
-    pub redispatched: u64,
-    /// Control-plane interruption per handover, seconds.
-    pub interruptions: Vec<f64>,
     /// Pings sent across all sessions.
     pub pings_sent: u64,
     /// Pings answered across all sessions.
     pub pings_done: u64,
     /// Frames dropped by the data plane.
     pub drops: u64,
-    /// Responses arriving with no ping outstanding.
+    /// Responses arriving with no ping outstanding (a retransmitted ping
+    /// answered twice — expected under loss, must stay small).
     pub double_answered: u64,
-    /// RST replies seen by clients.
-    pub resets: u64,
     /// Frames reaching a client with a non-cloud source address.
     pub transparency_violations: u64,
+    /// Client retransmissions (lost SYNs and pings resent).
+    pub retransmits: u64,
+    /// Control messages lost to a down channel or a dead controller.
+    pub ctrl_dropped: u64,
+    /// Sessions permanently stranded after the drain window (must be 0).
+    pub stranded: u64,
+    /// Fix messages issued by the final switch-table reconciliation pass.
+    pub reconcile_fixes: u64,
+    /// Fix messages the *second* pass still wanted (must be 0: the tables
+    /// diff clean against the controller's bookkeeping).
+    pub reconcile_residual: u64,
+}
+
+impl SessionCounts {
+    /// Reconciles every switch table twice, then reads the counters.
+    fn read<S: Spans>(tb: &mut Harness<MultiGnbTopology, S>) -> SessionCounts {
+        let reconcile_fixes = tb.reconcile_now() as u64;
+        let reconcile_residual = tb.reconcile_now() as u64;
+        SessionCounts {
+            handovers: tb.handovers.len() as u64,
+            pings_sent: tb.pings_sent(),
+            pings_done: tb.pings_done(),
+            drops: tb.drops,
+            double_answered: tb.double_answered,
+            transparency_violations: tb.transparency_violations,
+            retransmits: tb.retransmits,
+            ctrl_dropped: tb.ctrl_dropped,
+            stranded: tb.stranded(),
+            reconcile_fixes,
+            reconcile_residual,
+        }
+    }
+}
+
+/// Aggregates of one mobility run (one policy). Also consumed by the
+/// `bench` crate to emit `BENCH_mobility.json`.
+#[derive(Clone, Debug, Default)]
+pub struct MobilityStats {
+    /// The session counters.
+    pub session: SessionCounts,
+    /// FlowMemory entries migrated across all handovers.
+    pub flows_migrated: u64,
+    /// Sessions re-placed through the Global Scheduler.
+    pub redispatched: u64,
+    /// Control-plane interruption per handover, seconds.
+    pub interruptions: Vec<f64>,
+    /// RST replies seen by clients.
+    pub resets: u64,
 }
 
 fn mobility_run<S: Spans>(
@@ -1153,16 +1033,7 @@ fn mobility_run<S: Spans>(
         ..mobility_family(smoke, seed)
     };
     let mut tb = run_mobility_family::<S>(cfg, smoke, Duration::ZERO);
-    let mut run = MobilityStats {
-        handovers: tb.handovers.len() as u64,
-        pings_sent: tb.pings_sent(),
-        pings_done: tb.pings_done(),
-        drops: tb.drops,
-        double_answered: tb.double_answered,
-        resets: tb.resets,
-        transparency_violations: tb.transparency_violations,
-        ..MobilityStats::default()
-    };
+    let mut run = MobilityStats { resets: tb.resets, ..MobilityStats::default() };
     for h in &tb.handovers {
         run.flows_migrated += h.flows_migrated as u64;
         run.redispatched += h.redispatched as u64;
@@ -1173,6 +1044,9 @@ fn mobility_run<S: Spans>(
         let p99 = Summary::new(run.interruptions.clone()).percentile(99.0).unwrap_or(0.0);
         m.set_gauge("handover_interruption_p99_ms", p99 * 1e3);
     }
+    // Read after the recording is taken: the reconciliation it ends with
+    // records spans of its own.
+    run.session = SessionCounts::read(&mut tb);
     (run, recording)
 }
 
@@ -1212,8 +1086,8 @@ pub fn mobility(seed: u64, smoke: bool, telemetry: bool) -> Experiment<MobilityS
 /// crate to emit `BENCH_migrate.json`.
 #[derive(Clone, Debug, Default)]
 pub struct MigrationStats {
-    /// Inter-gNB handovers performed.
-    pub handovers: u64,
+    /// The session counters.
+    pub session: SessionCounts,
     /// Live migrations completed.
     pub migrations: u64,
     /// Migrations abandoned (source retired mid-transfer).
@@ -1228,14 +1102,6 @@ pub struct MigrationStats {
     /// Background state-transfer time per migration, seconds — the source
     /// keeps serving throughout, so this is cost, not interruption.
     pub transfers: Vec<f64>,
-    /// Pings sent across all sessions.
-    pub pings_sent: u64,
-    /// Pings answered across all sessions.
-    pub pings_done: u64,
-    /// Frames dropped by the data plane.
-    pub drops: u64,
-    /// Frames reaching a client with a non-cloud source address.
-    pub transparency_violations: u64,
 }
 
 /// One migration run's aggregates — the building block behind the bench
@@ -1282,15 +1148,11 @@ pub fn migration_stats(
     }
     // The drain lets in-flight transfers reach their flip before the
     // records are read.
-    let tb: MobilityTestbed = run_mobility_family(cfg, smoke, Duration::from_secs(10));
+    let mut tb: MobilityTestbed = run_mobility_family(cfg, smoke, Duration::from_secs(10));
     let mut run = MigrationStats {
-        handovers: tb.handovers.len() as u64,
+        session: SessionCounts::read(&mut tb),
         migrations: tb.controller.migrate().records.len() as u64,
         migrations_aborted: tb.controller.migrate().aborted,
-        pings_sent: tb.pings_sent(),
-        pings_done: tb.pings_done(),
-        drops: tb.drops,
-        transparency_violations: tb.transparency_violations,
         ..MigrationStats::default()
     };
     let session_start = SimTime::from_secs(1);
@@ -1323,32 +1185,14 @@ pub fn migration_stats(
 /// `bench` crate to emit `BENCH_recovery.json`.
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryStats {
-    /// Inter-gNB handovers performed (chaos composes with mobility).
-    pub handovers: u64,
-    /// Pings sent across all sessions.
-    pub pings_sent: u64,
-    /// Pings answered across all sessions.
-    pub pings_done: u64,
-    /// Client retransmissions (lost SYNs and pings resent).
-    pub retransmits: u64,
+    /// The session counters (chaos composes with mobility).
+    pub session: SessionCounts,
     /// Ready instances killed mid-run.
     pub instance_crashes: u64,
     /// Whole-zone outage windows injected.
     pub zone_outages: u64,
     /// Switch↔controller channel drops injected.
     pub channel_losses: u64,
-    /// Control messages lost to a down channel.
-    pub ctrl_dropped: u64,
-    /// Responses arriving with no ping outstanding (a retransmitted ping
-    /// answered twice — expected under loss, must stay small).
-    pub double_answered: u64,
-    /// Sessions permanently stranded after the drain window (must be 0).
-    pub stranded: u64,
-    /// Fix messages issued by the final switch-table reconciliation pass.
-    pub reconcile_fixes: u64,
-    /// Fix messages the *second* pass still wanted (must be 0: the tables
-    /// diff clean against the controller's bookkeeping).
-    pub reconcile_residual: u64,
 }
 
 fn recovery_run<S: Spans>(
@@ -1366,21 +1210,11 @@ fn recovery_run<S: Spans>(
     // The drain lets recovery settle: the longest channel-reconnect window
     // plus detection, redeployment, and a client retransmit all fit in 15 s.
     let mut tb = run_mobility_family::<S>(cfg, smoke, Duration::from_secs(15));
-    let reconcile_fixes = tb.reconcile_now() as u64;
-    let reconcile_residual = tb.reconcile_now() as u64;
     let run = RecoveryStats {
-        handovers: tb.handovers.len() as u64,
-        pings_sent: tb.pings_sent(),
-        pings_done: tb.pings_done(),
-        retransmits: tb.retransmits,
+        session: SessionCounts::read(&mut tb),
         instance_crashes: tb.instance_crashes,
         zone_outages: tb.zone_outages,
         channel_losses: tb.channel_losses,
-        ctrl_dropped: tb.ctrl_dropped,
-        double_answered: tb.double_answered,
-        stranded: tb.stranded(),
-        reconcile_fixes,
-        reconcile_residual,
     };
     (run, take_recording(&mut tb))
 }
@@ -1395,20 +1229,11 @@ fn recovery_run<S: Spans>(
 pub struct HaStats {
     /// Client sessions driven (the recoverable-state-size knob).
     pub sessions: u64,
-    /// Inter-gNB handovers the controller heard about.
-    pub handovers: u64,
+    /// The session counters.
+    pub session: SessionCounts,
     /// Attachment changes that happened during the blackout — physical
     /// moves the controller only learns of from post-restart traffic.
     pub missed_handovers: u64,
-    /// Pings sent across all sessions.
-    pub pings_sent: u64,
-    /// Pings answered across all sessions.
-    pub pings_done: u64,
-    /// Client retransmissions (lost SYNs and pings resent).
-    pub retransmits: u64,
-    /// Control messages lost while the controller was dead (unanswered
-    /// packet-ins, dropped flow-removed notifications).
-    pub ctrl_dropped: u64,
     /// Control-plane blackout: crash instant → restart instant.
     pub blackout_secs: f64,
     /// Per-session recovery times: first ping completed after the restart,
@@ -1429,16 +1254,10 @@ pub struct HaStats {
     pub snapshots_taken: u64,
     /// In-flight migrations the restart had to abort.
     pub aborted_migrations: u64,
-    /// Sessions permanently stranded after the drain window (must be 0).
-    pub stranded: u64,
     /// Flow mods the restart-time reconcile issued. Warm restarts find the
     /// tables already matching the replayed state (≈0); cold restarts tear
     /// down every surviving rule, scaling with state size.
     pub restart_fixes: u64,
-    /// Fix messages issued by the final reconciliation pass.
-    pub reconcile_fixes: u64,
-    /// Fix messages the second pass still wanted (must be 0).
-    pub reconcile_residual: u64,
 }
 
 /// One controller-crash run: the mobility scenario with the write-ahead
@@ -1491,17 +1310,11 @@ pub fn ha_stats(
     // and client retransmits settle before judging strandedness.
     let mut tb: MobilityTestbed = run_mobility_family(cfg, smoke, Duration::from_secs(15));
     let journal = tb.controller.journal_stats();
-    let reconcile_fixes = tb.reconcile_now() as u64;
-    let reconcile_residual = tb.reconcile_now() as u64;
     let report = tb.recovery_report;
     HaStats {
         sessions: n_clients as u64,
-        handovers: tb.handovers.len() as u64,
+        session: SessionCounts::read(&mut tb),
         missed_handovers: tb.missed_handovers,
-        pings_sent: tb.pings_sent(),
-        pings_done: tb.pings_done(),
-        retransmits: tb.retransmits,
-        ctrl_dropped: tb.ctrl_dropped,
         blackout_secs: tb.blackout.as_secs_f64(),
         recovery_secs: tb.recovery_times_secs(),
         replayed_events: report.map_or(0, |r| r.replayed_events as u64),
@@ -1510,10 +1323,7 @@ pub fn ha_stats(
         journal_appended: journal.appended,
         snapshots_taken: journal.snapshots_taken,
         aborted_migrations: report.map_or(0, |r| r.aborted_migrations as u64),
-        stranded: tb.stranded(),
         restart_fixes: tb.restart_fixes,
-        reconcile_fixes,
-        reconcile_residual,
     }
 }
 
@@ -1781,13 +1591,14 @@ mod tests {
         let again = mobility(7, true, false);
         assert_eq!(format!("{:?}", e.runs), format!("{:?}", again.runs), "deterministic per seed");
         for (label, run) in &e.runs {
-            assert_eq!(run.pings_sent, run.pings_done, "{label}: every ping answered");
+            let s = &run.session;
+            assert_eq!(s.pings_sent, s.pings_done, "{label}: every ping answered");
             assert_eq!(
-                (run.drops, run.double_answered, run.resets, run.transparency_violations),
+                (s.drops, s.double_answered, run.resets, s.transparency_violations),
                 (0, 0, 0, 0),
                 "{label}: no drop, duplicate, reset or edge address"
             );
-            assert!(run.handovers > 0, "{label}: mobile clients must hand over");
+            assert!(s.handovers > 0, "{label}: mobile clients must hand over");
             assert!(run.flows_migrated > 0, "{label}");
         }
     }
@@ -1820,15 +1631,15 @@ mod tests {
         let again = recovery(7, 1.0, true, false);
         assert_eq!(format!("{:?}", e.runs), format!("{:?}", again.runs), "same seed ⇒ same runs");
         let total = |field: fn(&RecoveryStats) -> u64| e.runs.iter().map(|(_, r)| field(r)).sum::<u64>();
-        assert_eq!(total(|r| r.stranded), 0, "nothing stranded");
-        assert_eq!(total(|r| r.reconcile_residual), 0, "tables reconcile clean");
+        assert_eq!(total(|r| r.session.stranded), 0, "nothing stranded");
+        assert_eq!(total(|r| r.session.reconcile_residual), 0, "tables reconcile clean");
         // At rate 1.0 every zone suffers an outage and every channel drops:
         // the run must actually exercise all three failure modes and still
         // strand nothing.
         assert!(total(|r| r.instance_crashes) > 0, "instances crashed mid-serve");
         assert!(total(|r| r.zone_outages) > 0, "zone outages fired");
         assert!(total(|r| r.channel_losses) > 0, "channels dropped");
-        assert!(total(|r| r.handovers) > 0, "chaos composes with mobility");
+        assert!(total(|r| r.session.handovers) > 0, "chaos composes with mobility");
     }
 
     #[test]
@@ -1864,18 +1675,12 @@ mod tests {
             edgectl::HandoverPolicy::Anchored,
             edgectl::HandoverPolicy::Redispatch,
         ] {
-            let base = mobility_run::<Off>(policy, true, 7).0;
+            let base = mobility_run::<Off>(policy, true, 7).0.session;
             let quiet = recovery_run::<Off>(policy, 0.0, true, 7).0;
-            assert_eq!(quiet.pings_sent, base.pings_sent);
-            assert_eq!(quiet.pings_done, base.pings_done);
-            assert_eq!(quiet.handovers, base.handovers);
-            assert_eq!(quiet.instance_crashes, 0);
-            assert_eq!(quiet.zone_outages, 0);
-            assert_eq!(quiet.channel_losses, 0);
-            assert_eq!(quiet.retransmits, 0);
-            assert_eq!(quiet.stranded, 0);
-            assert_eq!(quiet.reconcile_fixes, 0);
-            assert_eq!(quiet.reconcile_residual, 0);
+            assert_eq!((quiet.instance_crashes, quiet.zone_outages, quiet.channel_losses), (0, 0, 0));
+            let q = quiet.session;
+            assert_eq!((q.pings_sent, q.pings_done, q.handovers), (base.pings_sent, base.pings_done, base.handovers));
+            assert_eq!((q.retransmits, q.stranded, q.reconcile_fixes, q.reconcile_residual), (0, 0, 0, 0));
         }
     }
 
@@ -1887,7 +1692,7 @@ mod tests {
         // only the restart path differs.
         assert!(warm.blackout_secs > 0.0, "the crash fired");
         assert_eq!(warm.blackout_secs, cold.blackout_secs, "a fair race");
-        assert_eq!(warm.pings_sent, cold.pings_sent, "identical pre-crash runs");
+        assert_eq!(warm.session.pings_sent, cold.session.pings_sent, "identical pre-crash runs");
         // Warm recovered real state from the journal; cold threw it away.
         assert!(warm.replayed_events + warm.snapshot_entries > 0);
         assert_eq!(cold.replayed_events, 0);
@@ -1895,8 +1700,8 @@ mod tests {
         assert!(warm.journal_appended > 0);
         // The acceptance gates hold in both modes.
         for (label, s) in [("warm", &warm), ("cold", &cold)] {
-            assert_eq!(s.stranded, 0, "{label}: no session permanently stranded");
-            assert_eq!(s.reconcile_residual, 0, "{label}: tables converged");
+            assert_eq!(s.session.stranded, 0, "{label}: no session permanently stranded");
+            assert_eq!(s.session.reconcile_residual, 0, "{label}: tables converged");
         }
     }
 
@@ -1906,9 +1711,7 @@ mod tests {
         assert_eq!(s.blackout_secs, 0.0);
         assert!(s.recovery_secs.is_empty());
         assert_eq!(s.replayed_events, 0);
-        assert_eq!(s.ctrl_dropped, 0);
-        assert_eq!(s.stranded, 0);
-        assert_eq!(s.reconcile_residual, 0);
+        assert_eq!((s.session.ctrl_dropped, s.session.stranded, s.session.reconcile_residual), (0, 0, 0));
         assert!(s.journal_appended > 0, "the journal still records");
     }
 

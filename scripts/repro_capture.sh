@@ -7,7 +7,8 @@
 # Runs every bench subcommand with the flags it reads, at `--smoke --seed 7`
 # (fastpath reads none, engine no seed; chaos / mobility / recovery also
 # with `--telemetry`, chaos also with `--csv`, chaos and recovery at CI's
-# fault rates), plus `fig11`, `summary`, `list` and an unknown id, and saves
+# fault rates), plus every figure (`all`, as text and as CSV), `fig11`,
+# `summary`, `list`, an unknown id and a refused flag, and saves
 # per run: stdout (`<name>.out`), stderr (`.err`), exit status (`.status`)
 # and the artifact it wrote (`<name>.BENCH_x.json`). The committed artifacts
 # are restored (`git checkout`) before and after every run, so `summary`
@@ -65,8 +66,11 @@ run scale BENCH_scale.json scale --smoke --seed 7
 run ha BENCH_ha.json ha --smoke --seed 7
 run engine BENCH_engine.json engine --smoke
 run fastpath BENCH_flowtable.json fastpath
+run all '' all --seed 7
+run all-csv '' all --seed 7 --csv
 run fig11 '' fig11
 run fig11-csv '' fig11 --csv
 run summary '' summary
 run list '' list
 run unknown '' no-such-figure
+run refused '' table1 --seed 7
