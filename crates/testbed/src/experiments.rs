@@ -1227,8 +1227,6 @@ fn recovery_run<S: Spans>(
 /// the `bench` crate to emit `BENCH_ha.json`.
 #[derive(Clone, Debug, Default)]
 pub struct HaStats {
-    /// Client sessions driven (the recoverable-state-size knob).
-    pub sessions: u64,
     /// The session counters.
     pub session: SessionCounts,
     /// Attachment changes that happened during the blackout — physical
@@ -1312,7 +1310,6 @@ pub fn ha_stats(
     let journal = tb.controller.journal_stats();
     let report = tb.recovery_report;
     HaStats {
-        sessions: n_clients as u64,
         session: SessionCounts::read(&mut tb),
         missed_handovers: tb.missed_handovers,
         blackout_secs: tb.blackout.as_secs_f64(),
