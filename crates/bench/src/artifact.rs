@@ -104,7 +104,7 @@ pub fn path(name: &str) -> PathBuf {
 pub fn write(name: &str, text: &str) -> Result<(), String> {
     let path = path(name);
     std::fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    println!("wrote {}", path.display());
+    crate::runner::print(&format!("wrote {}\n", path.display()));
     Ok(())
 }
 

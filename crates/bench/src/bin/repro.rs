@@ -29,7 +29,7 @@
 //! simulate; `--smoke` by the benches with a CI size; `--fault-rate` by
 //! `chaos` and `recovery`; `--csv` by the figures and `chaos`.
 
-use bench::runner::{self, BENCHES};
+use bench::runner::{self, print, BENCHES};
 use std::env;
 use std::process::ExitCode;
 
@@ -44,11 +44,11 @@ fn main() -> ExitCode {
     let done = match id.as_str() {
         "check" => runner::check(&rest),
         "summary" => {
-            println!("transparent-edge-rs — paper claims, measured fresh (seed {seed})\n");
+            print(&format!("transparent-edge-rs — paper claims, measured fresh (seed {seed})\n\n"));
             let claims = bench::summary::verify_claims(seed);
-            print!("{}", bench::summary::render(&claims));
+            print(&bench::summary::render(&claims));
             let holding = claims.iter().filter(|c| c.holds).count();
-            println!("\n{holding} / {} claims hold", claims.len());
+            print(&format!("\n{holding} / {} claims hold\n", claims.len()));
             if holding < claims.len() {
                 return ExitCode::FAILURE;
             }
@@ -56,7 +56,7 @@ fn main() -> ExitCode {
         }
         "list" => {
             for id in bench::figure_ids().chain(BENCHES.iter().map(|b| b.id)) {
-                println!("{id}");
+                print(&format!("{id}\n"));
             }
             Ok(())
         }
@@ -65,14 +65,14 @@ fn main() -> ExitCode {
             None => {
                 let all = other == "all";
                 if all {
-                    println!("transparent-edge-rs — reproducing the full evaluation (seed {seed})\n");
+                    print(&format!("transparent-edge-rs — reproducing the full evaluation (seed {seed})\n\n"));
                 }
                 let figures = bench::figures(other, seed);
                 for fig in figures.iter().flatten() {
                     match (opts.csv, all) {
-                        (true, true) => println!("# {}: {}\n{}", fig.id, fig.title, fig.table.to_csv()),
-                        (true, false) => print!("{}", fig.table.to_csv()),
-                        (false, _) => println!("{}", fig.body),
+                        (true, true) => print(&format!("# {}: {}\n{}\n", fig.id, fig.title, fig.table.to_csv())),
+                        (true, false) => print(&fig.table.to_csv()),
+                        (false, _) => print(&format!("{}\n", fig.body)),
                     }
                 }
                 figures.map(drop).ok_or_else(|| format!("unknown figure `{other}`; try `repro list`"))

@@ -8,6 +8,7 @@
 
 use crate::{artifact, engine, fastpath, ha, migrate, mobility, recovery, scale, tournament};
 use std::fmt::Write as _;
+use std::io::{ErrorKind, Write as _};
 use testbed::experiments::{self, ChaosRun, Experiment};
 use yamlite::Value;
 
@@ -24,6 +25,17 @@ pub struct Opts {
     pub csv: bool,
     /// `--telemetry`: record spans and metrics (chaos, mobility, recovery).
     pub telemetry: bool,
+}
+
+/// Writes `text` to stdout: everything `repro` prints goes through here. A
+/// reader that has gone away (`repro list | head -1`) ends the process
+/// quietly with status 1, where `print!` would panic.
+pub fn print(text: &str) {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(1),
+        done => done.expect("failed printing to stdout"),
+    }
 }
 
 /// Judges a parsed artifact: `Err` names the first clause that fails.
@@ -197,11 +209,11 @@ impl Bench {
             .replace("{seed}", &o.seed.to_string())
             .replace("{rate}", &o.fault_rate.to_string())
             .replace("{, smoke}", if o.smoke { ", smoke" } else { "" });
-        println!("transparent-edge-rs — {banner}\n");
+        print(&format!("transparent-edge-rs — {banner}\n\n"));
         let outcome = (self.run)(o);
-        print!("{}{}", outcome.text, outcome.artifact);
+        print(&format!("{}{}", outcome.text, outcome.artifact));
         if let Some((file, gates)) = self.artifact {
-            println!();
+            print("\n");
             artifact::write(file, &outcome.artifact)?;
             judge(file, gates, &artifact::read(file)?)?;
         }
@@ -298,7 +310,7 @@ pub fn check(names: &[String]) -> Result<(), String> {
             .find(|(file, _)| file == name)
             .ok_or_else(|| format!("unknown artifact `{name}`; known: {}", all.join(" ")))?;
         judge(file, gates, &artifact::read(file)?)?;
-        println!("{file} OK");
+        print(&format!("{file} OK\n"));
     }
     Ok(())
 }
