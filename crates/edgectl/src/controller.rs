@@ -3331,4 +3331,42 @@ mod tests {
         let readds = ctl.reconcile(IngressId::DEFAULT, &[], later);
         assert_eq!(readds.len(), 6, "all three pairs are expected on the switch");
     }
+
+    /// ROADMAP item 1's open question, pinned as the dispatcher answers it
+    /// today: a packet-in whose memorized instance no longer serves forgets
+    /// the memorized flows of its service for *every* client, not only its
+    /// own. Client B's entry goes too, although B is memorized on another
+    /// cluster that still serves. Whether it should survive is undecided;
+    /// this is where a change to that answer shows.
+    #[test]
+    fn a_stale_memorized_flow_forgets_every_clients_flow_of_its_service() {
+        let mut rng = SimRng::new(74);
+        let (mut ctl, mut sw) = setup(&mut rng);
+        let mut engine = DockerEngine::with_defaults();
+        engine.pull(&containerd::ServiceSet::by_key("asm").unwrap().manifests, &mut rng);
+        let (mac, ip) = (MacAddr::from_id(201), Ipv4Addr::new(10, 0, 0, 11));
+        let far = DockerCluster::new("edge-docker-2", engine, mac, ip, Duration::from_micros(300));
+        ctl.add_cluster(Box::new(far), 4);
+        let svc = make_service("asm", 80);
+        let created = ctl.cluster_mut(1).create(&svc, SimTime::ZERO, &mut rng).unwrap();
+        let (_, ready) = ctl.cluster_mut(1).scale_up(&svc, created, &mut rng).unwrap();
+        let now = ready + Duration::from_secs(1);
+        let serving = ctl.cluster(1).instance_addr(&svc).unwrap();
+        let stale = InstanceAddr { mac: MacAddr::from_id(200), ip: Ipv4Addr::new(10, 0, 0, 10), port: 31000 };
+        assert_eq!(ctl.serving(1, svc.addr, serving, now), Serving::Yes);
+        assert_eq!(ctl.serving(0, svc.addr, stale, now), Serving::Gone);
+        // Client A, the SYN's source, memorized on cluster 0, where nothing
+        // runs; client B on cluster 1.
+        let (a, b) = (Ipv4Addr::new(192, 168, 1, 20), Ipv4Addr::new(192, 168, 1, 21));
+        let key = |client_ip| FlowKey { ingress: IngressId::DEFAULT, client_ip, service: svc.addr };
+        ctl.state.memory_mut().memorize(key(a), stale, 0, now);
+        ctl.state.memory_mut().memorize(key(b), serving, 1, now);
+        let b_memorized = |ctl: &Controller| ctl.memory().entries_at(svc.addr, 1).iter().any(|(k, _)| k.client_ip == b);
+        assert!(b_memorized(&ctl));
+
+        let effects = sw.handle_frame(now, CLIENT_PORT, &client_syn(50000).encode());
+        let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
+        ctl.handle_switch_message(now, pkt_in, &mut rng).unwrap();
+        assert!(!b_memorized(&ctl), "A's stale entry took B's with it");
+    }
 }
