@@ -366,7 +366,8 @@ pub fn hybrid(seed: u64) -> Figure {
         tb.add_hybrid_k8s();
         // A fresh client well after the background deployment finished.
         let at = [SimTime::from_secs(1), SimTime::from_secs(30)];
-        let (tb, totals) = probe(tb, &profile, |tb, addr| tb.pre_pull_on(addr, 1), &at, 90);
+        let until = SimTime::from_secs(90);
+        let (tb, totals) = probe(tb, &profile, |tb, addr| tb.pre_pull_on(addr, 1), &at, until);
         let first_deployment = tb.controller.records.first().and_then(|r| tb.controller.deployment(r));
         let bg_ready = first_deployment.and_then(|d| d.background_ready);
         let later = tb.controller.records.iter().find(|r| r.client == tb.topology().client_ip(1));
@@ -419,26 +420,26 @@ pub fn waiting_comparison(seed: u64) -> Figure {
 }
 
 /// The probe the ablations share: one service on `tb`, its images pulled
-/// and its containers created on the edge cluster, `more(tb, addr)` for
+/// and its containers created on the edge cluster, `setup(tb, addr)` for
 /// what the scenario adds, then client `i`'s request at `at[i]`, run until
-/// `until_s` seconds. Returns the finished testbed and each client's
-/// `time_total` in seconds (NaN when it never completed).
+/// `until`. Returns the finished testbed and each client's `time_total` in
+/// seconds (NaN when it never completed).
 fn probe(
     mut tb: Testbed,
     profile: &ServiceProfile,
-    more: impl FnOnce(&mut Testbed, ServiceAddr),
+    setup: impl FnOnce(&mut Testbed, ServiceAddr),
     at: &[SimTime],
-    until_s: u64,
+    until: SimTime,
 ) -> (Testbed, Vec<f64>) {
     let addr = addr_of(profile, 0);
     tb.register_service(profile.clone(), addr);
     tb.pre_pull(addr);
     tb.pre_create(addr);
-    more(&mut tb, addr);
+    setup(&mut tb, addr);
     for (client, &t) in at.iter().enumerate() {
         tb.request_at(t, client, addr);
     }
-    tb.run_until(SimTime::from_secs(until_s));
+    tb.run_until(until);
     let total = |client| {
         let done = tb.completed.iter().find(|c| c.client == client);
         done.and_then(|c| c.timing.time_total()).map_or(f64::NAN, |d| d.as_secs_f64())
@@ -465,9 +466,10 @@ fn first_request_under(
 ) -> (f64, String) {
     let tb = Testbed::new(config(kind, scheduler, seed));
     let t0 = SimTime::from_secs(1);
-    let (tb, totals) = probe(tb, profile, |_, _| {}, &[t0], 60);
+    let (tb, totals) = probe(tb, profile, |_, _| {}, &[t0], SimTime::from_secs(60));
     let first = tb.controller.records.first().and_then(|r| tb.controller.deployment(r));
-    (totals[0], secs_since(first.and_then(|d| d.background_ready.or(d.phases.instance_ready)), t0))
+    let near_ready = first.and_then(|d| d.background_ready.or(d.phases.instance_ready));
+    (totals[0], secs_since(near_ready, t0))
 }
 
 /// FlowMemory idle-timeout sweep (Section V): shorter timeouts scale idle
@@ -708,10 +710,12 @@ pub fn hierarchy(seed: u64) -> Figure {
             // Setup (including the far edge's own cold pull) finishes well
             // before t = 10 s; the steady-state probe runs after the
             // background deployment.
-            probe(tb, &profile, far, &[SimTime::from_secs(10), SimTime::from_secs(40)], 90).1
+            let at = [SimTime::from_secs(10), SimTime::from_secs(40)];
+            probe(tb, &profile, far, &at, SimTime::from_secs(90)).1
         };
         let far = run(true, "latency-aware");
-        let (cloud, held) = (run(false, "latency-aware"), run(false, "proximity"));
+        let cloud = run(false, "latency-aware");
+        let held = run(false, "proximity");
         t.row(vec![
             profile.key.to_string(),
             format!("{:.4} s", far[0]),
