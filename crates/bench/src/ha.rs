@@ -24,7 +24,8 @@ use edgectl::RecoveryMode;
 use testbed::experiments::{self, HaStats, SessionCounts};
 use yamlite::Value;
 
-/// The artifact's gate: the module's acceptance gates, and that the sweep
+/// The artifact's gate: the module's acceptance gates, the paper's promise
+/// (no reset, no edge address seen by a client), and that the sweep
 /// measured what it claims — the crash fired, the journal recorded, the warm
 /// restart replayed it and left the reconcile less to fix than cold did.
 pub(crate) fn gates(v: &Value) -> Result<(), String> {
@@ -41,6 +42,7 @@ pub(crate) fn gates(v: &Value) -> Result<(), String> {
         Some(num(p, "replayed_events")? + num(p, "snapshot_entries")? > 0.0)
     })?;
     artifact::zero(v, "sizes", &["stranded", "reconcile_residual"])?;
+    artifact::zero(v, "sizes", &["resets", "transparency_violations"])?;
     artifact::each_row(v, "sizes", "warm_restart_fixes < cold_restart_fixes", |p| {
         Some(num(p, "warm_restart_fixes")? < num(p, "cold_restart_fixes")?)
     })?;
@@ -127,6 +129,8 @@ fn artifact(seed: u64, smoke: bool, panics: u64, sizes: &[(usize, HaStats, HaSta
             r.int("ctrl_dropped", both(|s| s.ctrl_dropped));
             r.int("retransmits", both(|s| s.retransmits));
             r.int("stranded", both(|s| s.stranded));
+            r.int("resets", both(|s| s.resets));
+            r.int("transparency_violations", both(|s| s.transparency_violations));
             r.int("reconcile_fixes", both(|s| s.reconcile_fixes));
             r.int("reconcile_residual", both(|s| s.reconcile_residual));
         });
@@ -172,8 +176,8 @@ mod tests {
   "crash_rate": 1,
   "smoke": true,
   "sizes": [
-    {"sessions": 3, "blackout_ms": 3000.000, "journal_appended": 400, "snapshots_taken": 3, "replayed_events": 20, "snapshot_entries": 60, "replay_wall_ns": 40000, "replay_events_per_sec": 2000000, "warm_recovery_p50_ms": 2.500, "warm_recovery_p99_ms": 4.950, "warm_recovered": 3, "cold_recovery_p50_ms": 20.000, "cold_recovery_p99_ms": 39.600, "cold_recovered": 3, "warm_restart_fixes": 0, "cold_restart_fixes": 12, "aborted_migrations": 1, "missed_handovers": 2, "ctrl_dropped": 5, "retransmits": 4, "stranded": 0, "reconcile_fixes": 3, "reconcile_residual": 0},
-    {"sessions": 6, "blackout_ms": 3000.000, "journal_appended": 400, "snapshots_taken": 3, "replayed_events": 20, "snapshot_entries": 60, "replay_wall_ns": 40000, "replay_events_per_sec": 2000000, "warm_recovery_p50_ms": 4.500, "warm_recovery_p99_ms": 6.000, "warm_recovered": 6, "cold_recovery_p50_ms": 67.500, "cold_recovery_p99_ms": 90.000, "cold_recovered": 6, "warm_restart_fixes": 0, "cold_restart_fixes": 12, "aborted_migrations": 1, "missed_handovers": 2, "ctrl_dropped": 5, "retransmits": 4, "stranded": 0, "reconcile_fixes": 3, "reconcile_residual": 0}
+    {"sessions": 3, "blackout_ms": 3000.000, "journal_appended": 400, "snapshots_taken": 3, "replayed_events": 20, "snapshot_entries": 60, "replay_wall_ns": 40000, "replay_events_per_sec": 2000000, "warm_recovery_p50_ms": 2.500, "warm_recovery_p99_ms": 4.950, "warm_recovered": 3, "cold_recovery_p50_ms": 20.000, "cold_recovery_p99_ms": 39.600, "cold_recovered": 3, "warm_restart_fixes": 0, "cold_restart_fixes": 12, "aborted_migrations": 1, "missed_handovers": 2, "ctrl_dropped": 5, "retransmits": 4, "stranded": 0, "resets": 0, "transparency_violations": 0, "reconcile_fixes": 3, "reconcile_residual": 0},
+    {"sessions": 6, "blackout_ms": 3000.000, "journal_appended": 400, "snapshots_taken": 3, "replayed_events": 20, "snapshot_entries": 60, "replay_wall_ns": 40000, "replay_events_per_sec": 2000000, "warm_recovery_p50_ms": 4.500, "warm_recovery_p99_ms": 6.000, "warm_recovered": 6, "cold_recovery_p50_ms": 67.500, "cold_recovery_p99_ms": 90.000, "cold_recovered": 6, "warm_restart_fixes": 0, "cold_restart_fixes": 12, "aborted_migrations": 1, "missed_handovers": 2, "ctrl_dropped": 5, "retransmits": 4, "stranded": 0, "resets": 0, "transparency_violations": 0, "reconcile_fixes": 3, "reconcile_residual": 0}
   ],
   "panics": 0
 }
@@ -230,6 +234,12 @@ mod tests {
                     "\"stranded\": 0",
                     "\"stranded\": 1",
                     "sizes[0]: stranded == 0",
+                ),
+                ("\"resets\": 0", "\"resets\": 1", "sizes[0]: resets == 0"),
+                (
+                    "\"transparency_violations\": 0",
+                    "\"transparency_violations\": 1",
+                    "sizes[0]: transparency_violations == 0",
                 ),
                 (
                     "\"reconcile_residual\": 0}",

@@ -23,12 +23,14 @@ use testbed::experiments::{self, MigrationStats};
 use yamlite::Value;
 
 /// The artifact's gate: an ascending sweep in which every size migrated
-/// live, handed over cold and dropped nothing, and live interruption p99 at
+/// live, handed over cold, and dropped, reset and exposed an edge address
+/// to nothing on either arm, and live interruption p99 at
 /// the largest state no worse than the cold baseline's.
 pub(crate) fn gates(v: &Value) -> Result<(), String> {
     let largest = artifact::ascending(v, "sizes", "state_bytes_per_request")?;
     artifact::positive(v, "sizes", &["migrations", "cold_handovers"])?;
-    artifact::zero(v, "sizes", &["dropped", "cold_dropped"])?;
+    artifact::zero(v, "sizes", &["dropped", "resets", "transparency_violations"])?;
+    artifact::zero(v, "sizes", &["cold_dropped", "cold_resets", "cold_transparency_violations"])?;
     artifact::clause(
         "largest size: interruption_p99_ms <= cold_interruption_p99_ms",
         artifact::le(largest, "interruption_p99_ms", "cold_interruption_p99_ms"),
@@ -84,10 +86,14 @@ fn artifact(seed: u64, smoke: bool, sizes: &[(u64, MigrationStats, MigrationStat
             r.fixed("interruption_p99_ms", p99(live), 3);
             r.int("pings", live.session.pings_done);
             r.int("dropped", dropped(&live.session));
+            r.int("resets", live.session.resets);
+            r.int("transparency_violations", live.session.transparency_violations);
             r.int("cold_handovers", cold.session.handovers);
             r.fixed("cold_interruption_p50_ms", pct(&cold.interruptions, 50.0), 3);
             r.fixed("cold_interruption_p99_ms", p99(cold), 3);
             r.int("cold_dropped", dropped(&cold.session));
+            r.int("cold_resets", cold.session.resets);
+            r.int("cold_transparency_violations", cold.session.transparency_violations);
         });
     })
 }
@@ -102,8 +108,8 @@ mod tests {
   "seed": 7,
   "smoke": true,
   "sizes": [
-    {"state_bytes_per_request": 0, "migrations": 5, "aborted": 0, "state_bytes_transferred": 0, "flows_flipped": 18, "transfer_p50_ms": 1.000, "transfer_p99_ms": 2.000, "interruption_p50_ms": 1.700, "interruption_p99_ms": 3.400, "pings": 300, "dropped": 0, "cold_handovers": 9, "cold_interruption_p50_ms": 251.000, "cold_interruption_p99_ms": 502.000, "cold_dropped": 0},
-    {"state_bytes_per_request": 65536, "migrations": 5, "aborted": 0, "state_bytes_transferred": 6553600, "flows_flipped": 18, "transfer_p50_ms": 425.000, "transfer_p99_ms": 850.000, "interruption_p50_ms": 1.700, "interruption_p99_ms": 3.400, "pings": 300, "dropped": 0, "cold_handovers": 9, "cold_interruption_p50_ms": 450.000, "cold_interruption_p99_ms": 900.000, "cold_dropped": 0}
+    {"state_bytes_per_request": 0, "migrations": 5, "aborted": 0, "state_bytes_transferred": 0, "flows_flipped": 18, "transfer_p50_ms": 1.000, "transfer_p99_ms": 2.000, "interruption_p50_ms": 1.700, "interruption_p99_ms": 3.400, "pings": 300, "dropped": 0, "resets": 0, "transparency_violations": 0, "cold_handovers": 9, "cold_interruption_p50_ms": 251.000, "cold_interruption_p99_ms": 502.000, "cold_dropped": 0, "cold_resets": 0, "cold_transparency_violations": 0},
+    {"state_bytes_per_request": 65536, "migrations": 5, "aborted": 0, "state_bytes_transferred": 6553600, "flows_flipped": 18, "transfer_p50_ms": 425.000, "transfer_p99_ms": 850.000, "interruption_p50_ms": 1.700, "interruption_p99_ms": 3.400, "pings": 300, "dropped": 0, "resets": 0, "transparency_violations": 0, "cold_handovers": 9, "cold_interruption_p50_ms": 450.000, "cold_interruption_p99_ms": 900.000, "cold_dropped": 0, "cold_resets": 0, "cold_transparency_violations": 0}
   ]
 }
 "#;
@@ -166,10 +172,26 @@ mod tests {
                     "sizes[0]: cold_handovers > 0",
                 ),
                 ("\"dropped\": 0", "\"dropped\": 1", "sizes[0]: dropped == 0"),
+                ("\"resets\": 0", "\"resets\": 1", "sizes[0]: resets == 0"),
+                (
+                    "\"transparency_violations\": 0",
+                    "\"transparency_violations\": 1",
+                    "sizes[0]: transparency_violations == 0",
+                ),
                 (
                     "\"cold_dropped\": 0",
                     "\"cold_dropped\": 1",
                     "sizes[0]: cold_dropped == 0",
+                ),
+                (
+                    "\"cold_resets\": 0",
+                    "\"cold_resets\": 1",
+                    "sizes[0]: cold_resets == 0",
+                ),
+                (
+                    "\"cold_transparency_violations\": 0",
+                    "\"cold_transparency_violations\": 1",
+                    "sizes[0]: cold_transparency_violations == 0",
                 ),
                 (
                     "\"cold_interruption_p99_ms\": 900.000",

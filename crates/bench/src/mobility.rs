@@ -62,7 +62,7 @@ fn artifact(seed: u64, smoke: bool, runs: &[(&'static str, MobilityStats)]) -> S
             r.int("pings", s.session.pings_done);
             r.int("dropped", dropped(&s.session));
             r.int("double_answered", s.session.double_answered);
-            r.int("resets", s.resets);
+            r.int("resets", s.session.resets);
             r.int("transparency_violations", s.session.transparency_violations);
         });
     })

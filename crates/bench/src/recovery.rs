@@ -11,12 +11,14 @@ use crate::artifact;
 use testbed::experiments::{self, Experiment, RecoveryStats};
 use yamlite::Value;
 
-/// The artifact's gate: the two acceptance counts, every policy served
+/// The artifact's gate: the two acceptance counts and the paper's promise
+/// (no reset, no edge address seen by a client), every policy served
 /// pings, and a run at fault rate 1 — where every zone suffers an outage and
 /// every channel drops — exercised both under every policy (a lower rate may
 /// draw no fault).
 pub(crate) fn gates(v: &Value) -> Result<(), String> {
     artifact::zero(v, "policies", &["stranded", "reconcile_residual"])?;
+    artifact::zero(v, "policies", &["resets", "transparency_violations"])?;
     artifact::positive(v, "policies", &["pings_done"])?;
     let rate = artifact::num(v, "fault_rate");
     artifact::clause("has fault_rate", rate.map(|_| true))?;
@@ -62,6 +64,8 @@ fn artifact(
             r.int("pings_sent", s.pings_sent);
             r.int("pings_done", s.pings_done);
             r.int("double_answered", s.double_answered);
+            r.int("resets", s.resets);
+            r.int("transparency_violations", s.transparency_violations);
             r.int("stranded", s.stranded);
             r.int("reconcile_fixes", s.reconcile_fixes);
             r.int("reconcile_residual", s.reconcile_residual);
@@ -80,7 +84,7 @@ mod tests {
   "fault_rate": 1,
   "smoke": true,
   "policies": [
-    {"policy": "anchored", "crashes": 2, "outages": 3, "channel_losses": 3, "ctrl_dropped": 5, "retransmits": 4, "pings_sent": 300, "pings_done": 300, "double_answered": 0, "stranded": 0, "reconcile_fixes": 1, "reconcile_residual": 0}
+    {"policy": "anchored", "crashes": 2, "outages": 3, "channel_losses": 3, "ctrl_dropped": 5, "retransmits": 4, "pings_sent": 300, "pings_done": 300, "double_answered": 0, "resets": 0, "transparency_violations": 0, "stranded": 0, "reconcile_fixes": 1, "reconcile_residual": 0}
   ]
 }
 "#;
@@ -114,6 +118,12 @@ mod tests {
                     "\"reconcile_residual\": 0",
                     "\"reconcile_residual\": 3",
                     "policies[0]: reconcile_residual == 0",
+                ),
+                ("\"resets\": 0", "\"resets\": 1", "policies[0]: resets == 0"),
+                (
+                    "\"transparency_violations\": 0",
+                    "\"transparency_violations\": 1",
+                    "policies[0]: transparency_violations == 0",
                 ),
                 (
                     "\"pings_done\": 300",

@@ -975,6 +975,8 @@ pub struct SessionCounts {
     /// Responses arriving with no ping outstanding (a retransmitted ping
     /// answered twice — expected under loss, must stay small).
     pub double_answered: u64,
+    /// RST replies seen by clients.
+    pub resets: u64,
     /// Frames reaching a client with a non-cloud source address.
     pub transparency_violations: u64,
     /// Client retransmissions (lost SYNs and pings resent).
@@ -1001,6 +1003,7 @@ impl SessionCounts {
             pings_done: tb.pings_done(),
             drops: tb.drops,
             double_answered: tb.double_answered,
+            resets: tb.resets,
             transparency_violations: tb.transparency_violations,
             retransmits: tb.retransmits,
             ctrl_dropped: tb.ctrl_dropped,
@@ -1023,8 +1026,6 @@ pub struct MobilityStats {
     pub redispatched: u64,
     /// Control-plane interruption per handover, seconds.
     pub interruptions: Vec<f64>,
-    /// RST replies seen by clients.
-    pub resets: u64,
 }
 
 fn mobility_run<S: Spans>(
@@ -1037,7 +1038,7 @@ fn mobility_run<S: Spans>(
         ..mobility_family(smoke, seed)
     };
     let mut tb = run_mobility_family::<S>(cfg, smoke, Duration::ZERO);
-    let mut run = MobilityStats { resets: tb.resets, ..MobilityStats::default() };
+    let mut run = MobilityStats::default();
     for h in &tb.handovers {
         run.flows_migrated += h.flows_migrated as u64;
         run.redispatched += h.redispatched as u64;
@@ -1595,7 +1596,7 @@ mod tests {
             let s = &run.session;
             assert_eq!(s.pings_sent, s.pings_done, "{label}: every ping answered");
             assert_eq!(
-                (s.drops, s.double_answered, run.resets, s.transparency_violations),
+                (s.drops, s.double_answered, s.resets, s.transparency_violations),
                 (0, 0, 0, 0),
                 "{label}: no drop, duplicate, reset or edge address"
             );
