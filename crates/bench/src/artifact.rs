@@ -177,7 +177,7 @@ pub(crate) fn each_row(
 }
 
 /// Every listed field is `> 0` on every row of the array at `key`.
-pub fn positive(v: &Value, key: &str, fields: &[&str]) -> Result<(), String> {
+pub(crate) fn positive(v: &Value, key: &str, fields: &[&str]) -> Result<(), String> {
     fields
         .iter()
         .try_for_each(|f| each_row(v, key, &format!("{f} > 0"), |r| Some(num(r, f)? > 0.0)))

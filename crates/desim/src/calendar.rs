@@ -505,7 +505,7 @@ mod tests {
     #[test]
     fn events_cross_every_level() {
         let mut q = EventQueue::new();
-        q.push(SimTime::from_micros(50), 0); // current bucket
+        q.push(SimTime::from_nanos(50_000), 0); // current bucket
         q.push(SimTime::from_millis(1), 1); // near ring
         q.push(SimTime::from_secs(1), 2); // far ring
         q.push(SimTime::from_secs(3600), 3); // spill (beyond ~137 s)

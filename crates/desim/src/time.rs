@@ -29,12 +29,6 @@ impl SimTime {
         SimTime(ns)
     }
 
-    /// Creates an instant from microseconds.
-    #[inline]
-    pub const fn from_micros(us: u64) -> Self {
-        SimTime(us * 1_000)
-    }
-
     /// Creates an instant from milliseconds.
     #[inline]
     pub const fn from_millis(ms: u64) -> Self {
@@ -267,7 +261,6 @@ mod tests {
     fn construction_roundtrips() {
         assert_eq!(SimTime::from_secs(3).as_nanos(), 3_000_000_000);
         assert_eq!(SimTime::from_millis(3).as_nanos(), 3_000_000);
-        assert_eq!(SimTime::from_micros(3).as_nanos(), 3_000);
         assert_eq!(Duration::from_secs(1), Duration::from_millis(1000));
         assert_eq!(Duration::from_millis(1), Duration::from_micros(1000));
     }

@@ -81,8 +81,8 @@ struct Ingress {
 /// Priority of installed redirect flows.
 pub const FLOW_PRIORITY: u16 = 100;
 
-/// Controller configuration (the reference implementation reads these from
-/// its config file; see [`crate::config::EdgeConfig`]).
+/// Controller configuration; a run sets it as a struct literal over the
+/// defaults (DESIGN.md "Configuration").
 #[derive(Clone, Debug, PartialEq)]
 pub struct ControllerConfig {
     /// Idle timeout installed into switch flows (kept low; the FlowMemory

@@ -12,9 +12,10 @@
 //! * [`service`] — the registry of edge services, keyed by their unique
 //!   cloud `ip:port` (Section II);
 //! * `annotate` — automated annotation of Kubernetes-style service
-//!   definition files: unique worldwide name, `matchLabels`, the
-//!   `edge.service` label, `replicas: 0` (scale-to-zero), `schedulerName`,
-//!   and a generated `Service` object (Section V);
+//!   definition files, the one text input the controller reads: unique
+//!   worldwide name, `matchLabels`, the `edge.service` label, `replicas: 0`
+//!   (scale-to-zero), `schedulerName`, and a generated `Service` object
+//!   (Section V);
 //! * [`cluster`] — the [`cluster::EdgeCluster`] abstraction over Docker and
 //!   Kubernetes with the paper's deployment phases: **Pull**, **Create**,
 //!   **Scale Up**, **Scale Down**, **Remove** (Fig. 4);
@@ -47,7 +48,6 @@
 //! * `rules` — the rule builder: match granularity × target → one
 //!   forward/reverse pair, and the OpenFlow messages that carry them;
 //! * [`predict`] — proactive-deployment predictors (Sections I/VII);
-//! * [`config`] — the controller's YAML configuration file;
 //! * [`dispatch`] — the Dispatcher: the flow chart of Fig. 7, including
 //!   on-demand deployment **with** and **without waiting** (Figs. 2/3/5);
 //! * [`controller`] — the OpenFlow-facing controller binding everything
@@ -66,7 +66,6 @@ mod annotate;
 pub mod autoscale;
 pub mod clients;
 pub mod cluster;
-pub mod config;
 pub mod controller;
 pub mod dispatch;
 pub mod flowmemory;
@@ -93,6 +92,5 @@ pub use scheduler::{
     LeastConnectionsScheduler, ProximityScheduler, RequestClass, SchedulingContext, ServiceRef,
     Target,
 };
-pub use config::EdgeConfig;
 pub use predict::{predictor_by_name, DeploymentPredictor};
 pub use service::{EdgeService, ServiceRegistry};

@@ -18,7 +18,7 @@
 //!   rectangular [`CellGrid`]: pick a waypoint, walk to it at constant
 //!   speed, pause, repeat; the attachment is the cell the position falls in;
 //! * [`CellHops`] — trace-driven: an explicit list of `(time, client, cell)`
-//!   hops, parseable from a tiny text format for replaying recorded traces.
+//!   hops.
 
 #![warn(missing_docs)]
 
@@ -285,51 +285,6 @@ impl CellHops {
             .collect();
         CellHops { initial, hops }
     }
-
-    /// Parses the trace text format: one `initial <cell> <cell> ...` line
-    /// (one cell per client), then `hop <at_secs> <client> <to_cell>` lines.
-    /// Blank lines and `#` comments are ignored.
-    pub fn parse(text: &str) -> Result<CellHops, String> {
-        let mut initial: Option<Vec<usize>> = None;
-        let mut hops: Vec<(SimTime, usize, usize)> = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            match parts.next() {
-                Some("initial") => {
-                    let cells: Result<Vec<usize>, _> = parts.map(str::parse).collect();
-                    initial = Some(cells.map_err(|e| format!("line {}: {e}", lineno + 1))?);
-                }
-                Some("hop") => {
-                    let mut field = |name: &str| {
-                        parts
-                            .next()
-                            .ok_or_else(|| format!("line {}: missing {name}", lineno + 1))
-                    };
-                    let at: f64 = field("at")?
-                        .parse()
-                        .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-                    let client: usize = field("client")?
-                        .parse()
-                        .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-                    let cell: usize = field("cell")?
-                        .parse()
-                        .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-                    hops.push((SimTime::from_nanos((at * 1e9) as u64), client, cell));
-                }
-                Some(other) => return Err(format!("line {}: unknown directive `{other}`", lineno + 1)),
-                None => unreachable!("empty lines are skipped"),
-            }
-        }
-        let initial = initial.ok_or_else(|| "missing `initial` line".to_owned())?;
-        if let Some(&(_, client, _)) = hops.iter().find(|&&(_, c, _)| c >= initial.len()) {
-            return Err(format!("hop for unknown client {client}"));
-        }
-        Ok(CellHops::new(initial, &hops))
-    }
 }
 
 impl MobilityModel for CellHops {
@@ -432,19 +387,5 @@ mod tests {
         );
         // Repeated calls replay identically.
         assert_eq!(m.events(Duration::from_secs(15)), ev);
-    }
-
-    #[test]
-    fn cell_hops_parse_round_trip() {
-        let text = "# two clients\ninitial 0 1\nhop 5 0 1\nhop 10.5 1 0\n";
-        let mut m = CellHops::parse(text).unwrap();
-        assert_eq!(m.n_clients(), 2);
-        assert_eq!(m.initial_cell(1), 1);
-        let ev = m.events(Duration::from_secs(60));
-        assert_eq!(ev.len(), 2);
-        assert_eq!(ev[1].at, SimTime::from_nanos(10_500_000_000));
-        assert!(CellHops::parse("hop 1 0 1\n").is_err(), "initial required");
-        assert!(CellHops::parse("initial 0\nhop 1 5 1\n").is_err(), "unknown client");
-        assert!(CellHops::parse("initial 0\nwat\n").is_err(), "unknown directive");
     }
 }

@@ -1,7 +1,6 @@
 //! Network addressing: MAC, IPv4 and `ip:port` service addresses.
 
 use std::fmt;
-use std::str::FromStr;
 
 /// A 48-bit Ethernet MAC address.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -80,36 +79,6 @@ impl fmt::Display for Ipv4Addr {
     }
 }
 
-/// Error parsing an address from text.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AddrParseError(pub String);
-
-impl fmt::Display for AddrParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid address: {}", self.0)
-    }
-}
-
-impl std::error::Error for AddrParseError {}
-
-impl FromStr for Ipv4Addr {
-    type Err = AddrParseError;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut parts = s.split('.');
-        let mut out = [0u8; 4];
-        for slot in &mut out {
-            let part = parts
-                .next()
-                .ok_or_else(|| AddrParseError(s.to_owned()))?;
-            *slot = part.parse().map_err(|_| AddrParseError(s.to_owned()))?;
-        }
-        if parts.next().is_some() {
-            return Err(AddrParseError(s.to_owned()));
-        }
-        Ok(Ipv4Addr(out))
-    }
-}
-
 /// The identity of a registered edge service: the *cloud-facing* IPv4 address
 /// and TCP port that clients believe they are talking to. This pair is the
 /// key under which services are registered with the MEC platform (Section II
@@ -141,19 +110,6 @@ impl fmt::Display for ServiceAddr {
     }
 }
 
-impl FromStr for ServiceAddr {
-    type Err = AddrParseError;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (ip, port) = s
-            .rsplit_once(':')
-            .ok_or_else(|| AddrParseError(s.to_owned()))?;
-        Ok(ServiceAddr {
-            ip: ip.parse()?,
-            port: port.parse().map_err(|_| AddrParseError(s.to_owned()))?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,22 +130,9 @@ mod tests {
     }
 
     #[test]
-    fn ipv4_parses() {
-        assert_eq!("192.168.1.20".parse::<Ipv4Addr>().unwrap(), Ipv4Addr::new(192, 168, 1, 20));
-        assert!("192.168.1".parse::<Ipv4Addr>().is_err());
-        assert!("192.168.1.20.5".parse::<Ipv4Addr>().is_err());
-        assert!("192.168.1.999".parse::<Ipv4Addr>().is_err());
-        assert!("a.b.c.d".parse::<Ipv4Addr>().is_err());
-    }
-
-    #[test]
-    fn service_addr_parse_display() {
-        let sa: ServiceAddr = "203.0.113.10:80".parse().unwrap();
-        assert_eq!(sa.ip, Ipv4Addr::new(203, 0, 113, 10));
-        assert_eq!(sa.port, 80);
+    fn service_addr_display() {
+        let sa = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80);
         assert_eq!(sa.to_string(), "203.0.113.10:80");
-        assert!("203.0.113.10".parse::<ServiceAddr>().is_err());
-        assert!("203.0.113.10:xx".parse::<ServiceAddr>().is_err());
     }
 
     #[test]

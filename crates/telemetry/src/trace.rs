@@ -94,11 +94,6 @@ pub struct SpanLog {
 }
 
 impl SpanLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        SpanLog::default()
-    }
-
     /// Number of spans recorded.
     pub fn len(&self) -> usize {
         self.spans.len()
@@ -339,7 +334,7 @@ mod tests {
     use super::*;
 
     fn sample_log() -> SpanLog {
-        let mut t = SpanLog::new();
+        let mut t = SpanLog::default();
         let r0 = t.open(0, SpanId::NONE, "request", SimTime::from_secs(1));
         let d = t.open(0, r0, "deploy-pull", SimTime::from_secs(1));
         t.event(d, "retry", SimTime::from_millis(1200), || {
@@ -368,7 +363,7 @@ mod tests {
 
     #[test]
     fn check_flags_unclosed_and_orphans() {
-        let mut t = SpanLog::new();
+        let mut t = SpanLog::default();
         let r = t.open(0, SpanId::NONE, "request", SimTime::ZERO);
         // Parent id 99 does not exist.
         t.open(0, SpanId(99), "deploy", SimTime::ZERO);
@@ -390,9 +385,9 @@ mod tests {
         assert!(e.contains("no `pull` span"), "the whole name, not its tail: {e}");
         let e = log.check_export(Some("handover")).unwrap_err();
         assert!(e.contains("no `handover` span"), "{e}");
-        let e = SpanLog::new().check_export(None).unwrap_err();
+        let e = SpanLog::default().check_export(None).unwrap_err();
         assert!(e.contains("empty"), "{e}");
-        let mut t = SpanLog::new();
+        let mut t = SpanLog::default();
         let done = t.open(0, SpanId::NONE, "handover", SimTime::ZERO);
         t.close(done, SimTime::ZERO);
         t.open(1, SpanId::NONE, "request", SimTime::ZERO);
@@ -402,7 +397,7 @@ mod tests {
 
     #[test]
     fn json_export_is_one_line_and_escaped() {
-        let mut t = SpanLog::new();
+        let mut t = SpanLog::default();
         let s = t.open(0, SpanId::NONE, "request", SimTime::from_millis(5));
         t.event(s, "fault", SimTime::from_millis(6), || {
             "say \"no\"\n".into()
@@ -413,7 +408,7 @@ mod tests {
         assert!(json.contains("\"start_ns\":5000000"));
         assert!(json.contains("say \\\"no\\\"\\n"));
         // An open span exports end_ns:null.
-        let mut t2 = SpanLog::new();
+        let mut t2 = SpanLog::default();
         t2.open(0, SpanId::NONE, "request", SimTime::ZERO);
         assert!(t2.to_json().contains("\"end_ns\":null"));
     }

@@ -1247,9 +1247,6 @@ pub struct HaStats {
     pub replayed_events: u64,
     /// Entries restored from the compacted snapshot (0 for cold).
     pub snapshot_entries: u64,
-    /// Wall-clock nanoseconds the journal rebuild took (throughput only;
-    /// not simulated time, not deterministic across machines).
-    pub replay_wall_ns: u64,
     /// Events the journal appended over the whole run (state-mutation
     /// volume — the work a cold restart throws away).
     pub journal_appended: u64,
@@ -1269,9 +1266,9 @@ pub struct HaStats {
 /// installed rules while packet-ins go unanswered; on restart the controller
 /// recovers (warm: snapshot + tail replay; cold: empty state), reconciles
 /// every switch table, and aborts whatever migrations were pinned in flight.
-/// `n_clients` scales the recoverable state. Deterministic per seed except
-/// `replay_wall_ns`. Identical fault seeds give warm and cold the *same*
-/// blackout window, so the two modes race the same crash.
+/// `n_clients` scales the recoverable state. Deterministic per seed.
+/// Identical fault seeds give warm and cold the *same* blackout window, so
+/// the two modes race the same crash.
 pub fn ha_stats(
     mode: edgectl::RecoveryMode,
     n_clients: usize,
@@ -1321,7 +1318,6 @@ pub fn ha_stats(
         recovery_secs: tb.recovery_times_secs(),
         replayed_events: report.map_or(0, |r| r.replayed_events as u64),
         snapshot_entries: report.map_or(0, |r| r.snapshot_entries as u64),
-        replay_wall_ns: tb.replay_wall_ns,
         journal_appended: journal.appended,
         snapshots_taken: journal.snapshots_taken,
         aborted_migrations: report.map_or(0, |r| r.aborted_migrations as u64),

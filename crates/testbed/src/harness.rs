@@ -270,9 +270,6 @@ pub struct Harness<T: Net, S: Spans = Off> {
     pub restarted_at: Option<SimTime>,
     /// The last restart's recovery report.
     pub recovery_report: Option<RecoveryReport>,
-    /// Wall-clock nanoseconds the last restart's state rebuild took (replay
-    /// throughput for the HA bench; feeds nothing inside the simulation).
-    pub replay_wall_ns: u64,
     /// Attachment changes that happened while the controller was down —
     /// the physical move still happens; the controller only learns of it
     /// from post-restart traffic (the unannounced-move path).
@@ -358,7 +355,6 @@ impl<T: Net, S: Spans> Harness<T, S> {
             blackout: Duration::ZERO,
             restarted_at: None,
             recovery_report: None,
-            replay_wall_ns: 0,
             missed_handovers: 0,
             restart_fixes: 0,
             switches,
@@ -839,9 +835,7 @@ impl<T: Net, S: Spans> Harness<T, S> {
                 self.ctrl_blackout_until = None;
                 // The old process's queue died with it.
                 self.ctrl_busy_until = now;
-                let wall = std::time::Instant::now();
                 let report = self.controller.crash_restart(self.recovery);
-                self.replay_wall_ns = wall.elapsed().as_nanos() as u64;
                 self.recovery_report = Some(report);
                 self.restarted_at = Some(now);
                 for s in &mut self.sessions {

@@ -75,52 +75,7 @@ impl Default for TestbedConfig {
     }
 }
 
-impl TestbedConfig {
-    /// Maps a parsed controller configuration file ([`edgectl::EdgeConfig`])
-    /// to a testbed configuration. The first declared cluster decides the
-    /// primary cluster kind (default Docker); a declared second cluster of
-    /// the other kind is reported back so callers can add it (hybrid setup).
-    pub fn from_edge_config(cfg: &edgectl::EdgeConfig, seed: u64) -> (TestbedConfig, bool) {
-        let primary = cfg
-            .clusters
-            .first()
-            .map(|c| {
-                if c.kind == "k8s" {
-                    ClusterKind::K8s
-                } else {
-                    ClusterKind::Docker
-                }
-            })
-            .unwrap_or(ClusterKind::Docker);
-        let wants_hybrid = cfg.clusters.len() > 1
-            && primary == ClusterKind::Docker
-            && cfg.clusters[1].kind == "k8s";
-        (
-            TestbedConfig {
-                cluster: primary,
-                scheduler: cfg.scheduler.clone(),
-                predictor: cfg.predictor.clone(),
-                controller: cfg.controller.clone(),
-                faults: cfg.faults.clone(),
-                seed,
-                ..TestbedConfig::default()
-            },
-            wants_hybrid,
-        )
-    }
-}
-
 impl<S: Spans> Harness<C3Topology, S> {
-    /// Builds a testbed straight from a controller configuration file.
-    pub fn from_edge_config(cfg: &edgectl::EdgeConfig, seed: u64) -> Self {
-        let (tc, hybrid) = TestbedConfig::from_edge_config(cfg, seed);
-        let mut tb = Self::new(tc);
-        if hybrid {
-            tb.add_hybrid_k8s();
-        }
-        tb
-    }
-
     /// Builds a testbed per `config`.
     pub fn new(config: TestbedConfig) -> Self {
         let c3 = C3Topology::build_with_far_edge(config.n_clients, config.far_edge);

@@ -289,7 +289,7 @@ mod tests {
 
     #[test]
     fn span_timeline_handles_missing_and_open_spans() {
-        let log = SpanLog::new();
+        let log = SpanLog::default();
         assert_eq!(span_timeline(&log, 9, 10), "request 9: no spans recorded\n");
         use telemetry::{SpanId, Telemetry};
         let mut t = Telemetry::<SpanLog>::default();

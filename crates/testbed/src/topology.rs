@@ -124,15 +124,10 @@ pub struct C3Topology {
 
 impl C3Topology {
     /// Builds the evaluation topology with `n_clients` Pis (the paper uses
-    /// 20).
-    pub fn build(n_clients: usize) -> C3Topology {
-        Self::build_with_far_edge(n_clients, false)
-    }
-
-    /// Builds the topology, optionally with a hierarchical *far edge*: a
-    /// larger cluster further away, on the route toward the cloud
-    /// (Section IV-A-2: such clusters are "much more likely to have the
-    /// requested service cached or even running already").
+    /// 20), optionally with a hierarchical *far edge*: a larger cluster
+    /// further away, on the route toward the cloud (Section IV-A-2: such
+    /// clusters are "much more likely to have the requested service cached
+    /// or even running already").
     pub(crate) fn build_with_far_edge(n_clients: usize, far_edge: bool) -> C3Topology {
         assert!(n_clients > 0 && n_clients <= 250, "client count out of range");
         let mut topo = Topology::new();
@@ -414,7 +409,7 @@ mod tests {
 
     #[test]
     fn shape_matches_fig8() {
-        let t = C3Topology::build(20);
+        let t = C3Topology::build_with_far_edge(20, false);
         assert_eq!(t.clients.len(), 20);
         assert_eq!(t.client_ports.len(), 20);
         assert_eq!(t.ovs_ports().len(), 22);
@@ -428,7 +423,7 @@ mod tests {
 
     #[test]
     fn client_addressing() {
-        let t = C3Topology::build(3);
+        let t = C3Topology::build_with_far_edge(3, false);
         assert_eq!(t.client_ip(0), Ipv4Addr::new(192, 168, 1, 20));
         assert_eq!(t.client_ip(2), Ipv4Addr::new(192, 168, 1, 22));
         // Ports are distinct per client.
@@ -441,7 +436,7 @@ mod tests {
     /// addresses without octet overflow (`i = 236..250` used to wrap).
     #[test]
     fn client_addressing_does_not_overflow_at_250() {
-        let t = C3Topology::build(250);
+        let t = C3Topology::build_with_far_edge(250, false);
         let mut ips: Vec<Ipv4Addr> = (0..250).map(|i| t.client_ip(i)).collect();
         // The historical scheme is preserved for the first 236 clients...
         assert_eq!(ips[235], Ipv4Addr::new(192, 168, 1, 255));

@@ -10,12 +10,13 @@
 # fault rates), plus every figure (`all`, as text and as CSV), `fig11`,
 # `summary`, `list`, an unknown id and a refused flag, and saves
 # per run: stdout (`<name>.out`), stderr (`.err`), exit status (`.status`)
-# and the artifact it wrote (`<name>.BENCH_x.json`). The committed artifacts
-# are restored (`git checkout`) before and after every run, so `summary`
-# always reads the committed ones. A binary writes its artifacts into the
-# checkout it was built in (the path is compiled in), so capture the parent
-# with the copy of this script in the parent's clone, the change with this
-# one.
+# and the artifact it wrote (`<name>.BENCH_x.json`). The artifacts in the
+# working tree, committed or not, are copied once at the start and restored
+# from that copy before and after every run, so `summary` always reads them
+# and the capture leaves them as it found them. A binary writes its
+# artifacts into the checkout it was built in (the path is compiled in), so
+# capture the parent with the copy of this script in the parent's clone, the
+# change with this one.
 #
 # Beside every `.out` and artifact, `<outdir>/masked/` holds a copy with the
 # checkout path replaced by `<checkout>` and the value of every field named in
@@ -29,10 +30,15 @@ set -u
 bin=$(realpath "$1"); out=$(realpath -m "$2"); mkdir -p "$out/masked"
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 
-# Fields whose values are wall-clock measurements, in any artifact: ha, scale,
+# Fields whose values are wall-clock measurements, in any artifact: scale,
 # engine, fastpath.
-WALL_CLOCK='replay_wall_ns|replay_events_per_sec|wall_s|packet_ins_per_sec|peak_rss_mb'
+WALL_CLOCK='wall_s|packet_ins_per_sec|peak_rss_mb'
 WALL_CLOCK+='|calendar_events_per_sec|indexed_lookup_ns|switch_hit_ns|indexed_100k_over_10_ratio'
+
+saved=$(mktemp -d)
+cp BENCH_*.json "$saved"
+restore() { cp "$saved"/BENCH_*.json .; }
+trap 'restore; rm -rf "$saved"' EXIT
 
 mask() { # <file under $out>
   sed -E -e "s#$PWD#<checkout>#g" -e "s/(\"($WALL_CLOCK)\": ?)[^,}]*/\1MASKED/g" \
@@ -41,7 +47,7 @@ mask() { # <file under $out>
 
 run() { # <name> <artifact or ''> <repro args...>
   local name=$1 artifact=$2; shift 2
-  git checkout -q -- 'BENCH_*.json'
+  restore
   "$bin" "$@" > "$out/$name.out" 2> "$out/$name.err"
   echo $? > "$out/$name.status"
   mask "$name.out"
@@ -49,7 +55,7 @@ run() { # <name> <artifact or ''> <repro args...>
     cp "$artifact" "$out/$name.$artifact"
     mask "$name.$artifact"
   fi
-  git checkout -q -- 'BENCH_*.json'
+  restore
 }
 
 run chaos '' chaos --smoke --seed 7

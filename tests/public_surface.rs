@@ -7,8 +7,11 @@
 //!    tests need it. A caller is any other occurrence of the name as a word in
 //!    code: comments, string literals, `#[cfg(test)]` items and
 //!    `#[cfg(test)] mod x;` files do not count, and neither does a definition
-//!    `fn name`. So a new uncalled function fails here, and so does a kept one
-//!    that gains a caller and is still listed.
+//!    `fn name`. A function of an `impl` block that takes no `self` is called
+//!    only where a path names it outside its own body: `Type::name`,
+//!    `Type::<..>::name`, `Alias::name` for a `type Alias = Type<..>`, or
+//!    `Self::name`. So a new uncalled function fails here, and so does a kept
+//!    one that gains a caller and is still listed.
 //! 2. Every `pub fn`, `pub const`, `pub static`, `pub` field and `pub use` name
 //!    of a library must appear in code outside that library: another crate
 //!    (test code included), the crate's own `src/bin/*`, `tests/*` or doc
@@ -18,17 +21,17 @@
 //!    its own crate is `pub(crate)`, and for those rustc's `dead_code` lint
 //!    judges whether anything calls them.
 //!
-//! A word match cannot tell two items with one name apart: a `pub fn` whose
-//! name another crate uses for something else (a field, a method of another
-//! type, `u64::saturating_add`) passes both checks. The compiler sees those
+//! A word match cannot tell two items with one name apart: a method or free
+//! `pub fn` whose name another crate uses for something else (a field, a
+//! method of another type, `u64::saturating_add`) passes both checks. The compiler sees those
 //! only once the item is `pub(crate)`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Public functions only tests call, keyed `crate::name`, each with the tests
-/// that need it.
+/// Public functions only tests call, keyed `crate::name` (`crate::Type::name`
+/// for one that takes no `self`), each with the tests that need it.
 #[rustfmt::skip]
 const KEPT: &[(&str, &str)] = &[
     ("edgectl::journal_rebuild_digest", "journal_oracle, recovery_props and transcript compare a rebuilt state"),
@@ -41,7 +44,12 @@ const KEPT: &[(&str, &str)] = &[
     ("k8ssim::pod_name", "multinode and reconcile_props check pods by the name a handle renders"),
     ("netsim::path_latency", "the topology tests and wire_props price paths"),
     ("netsim::rewrite_dst", "the frame tests and wire_props rewrite a destination"),
-    ("mobility::round_robin", "the harness and frame_allocs tests place clients on gNBs"),
+    ("mobility::Static::round_robin", "the harness and frame_allocs tests place clients on gNBs"),
+    ("mobility::Static::new", "determinism pins every client to one cell"),
+    ("desim::SimTime::from_millis", "tests across the workspace write instants in milliseconds"),
+    ("desim::LogHistogram::new", "the stats tests build an empty histogram"),
+    ("edgectl::LoadTracker::new", "the autoscale and controller tests build a tracker under a config"),
+    ("telemetry::MetricsRegistry::new", "frame_allocs and e2ebench's tests build an empty registry"),
     ("ovs::buffered", "switch_props, work_ledger, frame_allocs and end_to_end check buffer slots drain"),
     ("edgectl::flows_removed", "journal_oracle, transcript, work_ledger and frame_allocs count FLOW_REMOVEDs"),
     ("telemetry::histogram", "the metrics, controller, harness and frame_allocs tests read one histogram"),
@@ -55,47 +63,15 @@ fn every_public_function_has_a_caller_or_a_reason() {
         .map(|e| e.expect("crates/ entry").path())
         .collect();
     crates.sort();
-
-    let mut defined: BTreeSet<String> = BTreeSet::new();
-    let mut calls: BTreeMap<String, usize> = BTreeMap::new();
-    for dir in crates
+    let sources = crates
         .iter()
         .map(|c| c.join("src"))
         .chain([root.join("src"), root.join("examples")])
-    {
-        let library =
-            dir.starts_with(root.join("crates")) && !dir.starts_with(root.join("crates/e2ebench"));
-        let krate = dir
-            .parent()
-            .and_then(Path::file_name)
-            .and_then(|n| n.to_str())
-            .unwrap_or("");
-        for (_, code) in non_test_code(read_sources(&dir)) {
-            let tokens = tokens(&code);
-            for (i, t) in tokens.iter().enumerate() {
-                if i > 0 && tokens[i - 1] == "fn" {
-                    continue;
-                }
-                if t.starts_with(|c: char| c.is_alphabetic() || c == '_') {
-                    *calls.entry(t.to_string()).or_default() += 1;
-                }
-            }
-            if library {
-                defined.extend(
-                    public_fns(&tokens)
-                        .into_iter()
-                        .map(|name| format!("{krate}::{name}")),
-                );
-            }
-        }
-    }
-
-    let uncalled: BTreeSet<&str> = defined
-        .iter()
-        .filter(|key| !calls.contains_key(key.rsplit("::").next().unwrap_or(key)))
-        .map(String::as_str)
+        .flat_map(|dir| read_sources(&dir))
         .collect();
-    let kept: BTreeSet<&str> = KEPT.iter().map(|(key, _)| *key).collect();
+
+    let uncalled = uncalled(root, sources);
+    let kept: BTreeSet<String> = KEPT.iter().map(|(key, _)| key.to_string()).collect();
     let new: Vec<_> = uncalled.difference(&kept).collect();
     let stale: Vec<_> = kept.difference(&uncalled).collect();
     assert!(
@@ -103,6 +79,310 @@ fn every_public_function_has_a_caller_or_a_reason() {
         "public functions nothing outside tests calls, not in KEPT (delete them, or add a reason): {new:?}\n\
          KEPT entries that are gone or now have a caller (drop them from KEPT): {stale:?}"
     );
+}
+
+#[test]
+fn the_caller_check_wants_a_path_for_an_associated_function() {
+    let root = Path::new("/fixture");
+    let file = |path: &str, src: &str| (root.join(path), strip_literals(src));
+    let library = file(
+        "crates/alpha/src/lib.rs",
+        "pub struct Thing<T = u8>(T);\n\
+         pub type Bytes = Thing<u8>;\n\
+         impl<T: Copy> Thing<T> {\n\
+             pub fn only_tests() {}\n\
+             pub fn only_itself(n: u32) { if n > 0 { Thing::only_itself(n - 1) } }\n\
+             pub fn by_path() {}\n\
+             pub fn by_turbofish() {}\n\
+             pub fn by_alias() {}\n\
+             pub fn by_self() {}\n\
+             pub fn get(&self) -> T { Self::by_self(); self.0 }\n\
+         }\n\
+         pub fn free() {}\n\
+         #[cfg(test)]\n\
+         mod tests { fn t() { super::Thing::<u8>::only_tests(); } }\n",
+    );
+    // Each name is also a word here; only a path to the type is a call.
+    let caller = file(
+        "examples/demo.rs",
+        "fn main() {\n\
+             let (only_tests, only_itself) = (1, 2);\n\
+             alpha::Thing::by_path();\n\
+             alpha::Thing::<u8>::by_turbofish();\n\
+             alpha::Bytes::by_alias();\n\
+             alpha::Thing(1).get();\n\
+             alpha::free();\n\
+         }\n",
+    );
+    assert_eq!(
+        uncalled(root, vec![library.clone(), caller]),
+        BTreeSet::from([
+            "alpha::Thing::only_itself".into(),
+            "alpha::Thing::only_tests".into()
+        ])
+    );
+    // Without the caller, a method and a free function are judged by their name
+    // alone, and `by_self` still has `get`.
+    let named = file("src/lib.rs", "fn f() { let (get, free) = (1, 2); }");
+    let by = [
+        "only_itself",
+        "only_tests",
+        "by_alias",
+        "by_path",
+        "by_turbofish",
+    ];
+    assert_eq!(
+        uncalled(root, vec![library, named]),
+        by.iter()
+            .map(|name| format!("alpha::Thing::{name}"))
+            .collect()
+    );
+}
+
+/// The `pub fn`s of the libraries under `root/crates` (`e2ebench` aside) that
+/// no code in `stripped` calls outside tests, keyed `crate::name`, or
+/// `crate::Type::name` for a function of an `impl` block with no `self`
+/// receiver. Such a function is called only where a path names it:
+/// `Type::name`, `Type::<..>::name`, `Alias::name` for a `type Alias = Type<..>`,
+/// or `Self::name`, outside the function's own body. Any other function is
+/// called wherever its name is a word of code other than its definition.
+fn uncalled(root: &Path, stripped: Vec<(PathBuf, String)>) -> BTreeSet<String> {
+    let library = |file: &Path| -> Option<String> {
+        match file
+            .strip_prefix(root.join("crates"))
+            .ok()?
+            .iter()
+            .next()?
+            .to_str()?
+        {
+            "e2ebench" => None,
+            krate => Some(krate.to_string()),
+        }
+    };
+    let code = non_test_code(stripped);
+    let files: Vec<_> = code
+        .iter()
+        .map(|(f, c)| {
+            let tokens = tokens(c);
+            let impls = impl_blocks(&tokens);
+            (f.as_path(), tokens, impls)
+        })
+        .collect();
+
+    let mut aliases: BTreeMap<&str, &str> = BTreeMap::new();
+    for (_, tokens, impls) in &files {
+        // An associated type (`type Target = [Action];`) is no alias of a path's type.
+        aliases.extend(
+            type_aliases(tokens)
+                .into_iter()
+                .filter(|&(i, _, _)| enclosing(impls, i).is_none())
+                .map(|(_, alias, ty)| (alias, ty)),
+        );
+    }
+    let mut words: BTreeSet<&str> = BTreeSet::new();
+    // Each `(Type, name)` path, with the file and token index it is at.
+    let mut paths: BTreeMap<(&str, &str), Vec<(&Path, usize)>> = BTreeMap::new();
+    for (file, tokens, impls) in &files {
+        for (i, t) in tokens.iter().enumerate() {
+            if t.starts_with(|c: char| c.is_alphabetic() || c == '_')
+                && (i == 0 || tokens[i - 1] != "fn")
+            {
+                words.insert(t);
+            }
+            let Some(mut ty) = path_type(tokens, i) else {
+                continue;
+            };
+            if ty == "Self" {
+                match enclosing(impls, i) {
+                    Some(own) => ty = own,
+                    None => continue,
+                }
+            }
+            let ty = aliases.get(ty).copied().unwrap_or(ty);
+            paths.entry((ty, t)).or_default().push((file, i));
+        }
+    }
+
+    let mut out = BTreeSet::new();
+    for (file, tokens, impls) in &files {
+        let Some(krate) = library(file) else {
+            continue;
+        };
+        for (at, name) in public_fn_sites(tokens) {
+            let ty = enclosing(impls, at).filter(|_| !has_receiver(tokens, at));
+            let called = match ty {
+                None => words.contains(name),
+                Some(ty) => {
+                    let body = item_span(tokens, at);
+                    paths.get(&(ty, name)).is_some_and(|sites| {
+                        sites.iter().any(|&(f, i)| f != *file || !body.contains(&i))
+                    })
+                }
+            };
+            if !called {
+                out.insert(match ty {
+                    None => format!("{krate}::{name}"),
+                    Some(ty) => format!("{krate}::{ty}::{name}"),
+                });
+            }
+        }
+    }
+    out
+}
+
+/// The index of each `type Alias = Type<..>;`, with the alias and the type it
+/// names (the last word of its path).
+fn type_aliases<'a>(tokens: &[&'a str]) -> Vec<(usize, &'a str, &'a str)> {
+    let mut out = Vec::new();
+    for i in (0..tokens.len()).filter(|&i| tokens[i] == "type") {
+        let Some(&alias) = tokens.get(i + 1) else {
+            continue;
+        };
+        let mut k = i + 2;
+        if tokens.get(k) == Some(&"<") {
+            k = close_angle(tokens, k) + 1;
+        }
+        if tokens.get(k) != Some(&"=") {
+            continue;
+        }
+        let end = (k..tokens.len()).find(|&e| matches!(tokens[e], "<" | ";"));
+        if let Some(&target) = end.and_then(|e| tokens[k + 1..e].last()) {
+            out.push((i, alias, target));
+        }
+    }
+    out
+}
+
+/// Each inherent or trait `impl` block: the type it is for and its token span.
+fn impl_blocks<'a>(tokens: &[&'a str]) -> Vec<(&'a str, std::ops::Range<usize>)> {
+    let mut out = Vec::new();
+    for i in 0..tokens.len() {
+        // An `impl` in argument or return position is not an item.
+        let item = i == 0 || matches!(tokens[i - 1], "{" | "}" | ";" | "]" | "unsafe");
+        if tokens[i] != "impl" || !item {
+            continue;
+        }
+        let mut k = i + 1;
+        if tokens.get(k) == Some(&"<") {
+            k = close_angle(tokens, k) + 1;
+        }
+        let mut ty = None;
+        while k < tokens.len() && !matches!(tokens[k], "{" | "where") {
+            match tokens[k] {
+                "<" => k = close_angle(tokens, k),
+                "for" => ty = None,
+                t if t.starts_with(|c: char| c.is_alphabetic() || c == '_') => ty = Some(t),
+                _ => {}
+            }
+            k += 1;
+        }
+        if let Some(ty) = ty {
+            out.push((ty, i..item_span(tokens, i).end));
+        }
+    }
+    out
+}
+
+/// The type of the innermost `impl` block around token `i`.
+fn enclosing<'a>(impls: &[(&'a str, std::ops::Range<usize>)], i: usize) -> Option<&'a str> {
+    impls
+        .iter()
+        .rev()
+        .find(|(_, span)| span.contains(&i))
+        .map(|(ty, _)| *ty)
+}
+
+/// The index of each `pub fn`'s `fn` token, with the function's name.
+fn public_fn_sites<'a>(tokens: &[&'a str]) -> Vec<(usize, &'a str)> {
+    (0..tokens.len())
+        .filter(|&i| tokens[i] == "pub")
+        .filter_map(|i| {
+            let mut k = i + 1;
+            while matches!(tokens.get(k), Some(&("const" | "unsafe" | "async"))) {
+                k += 1;
+            }
+            if tokens.get(k) != Some(&"fn") {
+                return None;
+            }
+            Some((k, *tokens.get(k + 1)?))
+        })
+        .collect()
+}
+
+/// Whether the function whose `fn` token is at `at` takes `self`.
+fn has_receiver(tokens: &[&str], at: usize) -> bool {
+    let Some(open) = (at..tokens.len()).find(|&k| tokens[k] == "(") else {
+        return false;
+    };
+    tokens[open + 1..]
+        .iter()
+        .take_while(|t| !matches!(**t, "," | ")"))
+        .any(|t| *t == "self")
+}
+
+/// The type of a path `Type::name` or `Type::<..>::name` whose `name` is at `i`.
+fn path_type<'a>(tokens: &[&'a str], i: usize) -> Option<&'a str> {
+    let colons = |k: usize| k >= 2 && tokens[k - 1] == ":" && tokens[k - 2] == ":";
+    if !colons(i) {
+        return None;
+    }
+    let mut k = i - 2;
+    if k > 0 && tokens[k - 1] == ">" {
+        // Back to the `<` that opens the turbofish.
+        let mut depth = 0;
+        k = (0..k).rev().find(|&j| {
+            depth += match tokens[j] {
+                ">" if j == 0 || tokens[j - 1] != "-" => 1,
+                "<" => -1,
+                _ => 0,
+            };
+            depth == 0
+        })?;
+        if !colons(k) {
+            return None;
+        }
+        k -= 2;
+    }
+    let ty = *tokens.get(k.checked_sub(1)?)?;
+    ty.starts_with(|c: char| c.is_ascii_uppercase())
+        .then_some(ty)
+}
+
+/// The index of the `>` that closes the `<` at `open` (`->` inside does not count).
+fn close_angle(tokens: &[&str], open: usize) -> usize {
+    let mut depth = 0;
+    for k in open..tokens.len() {
+        match tokens[k] {
+            "<" => depth += 1,
+            ">" if tokens[k - 1] != "-" => {
+                depth -= 1;
+                if depth == 0 {
+                    return k;
+                }
+            }
+            _ => {}
+        }
+    }
+    tokens.len()
+}
+
+/// From the item starting at `at` to the `}` closing its body, or to its `;`.
+fn item_span(tokens: &[&str], at: usize) -> std::ops::Range<usize> {
+    let mut depth = 0;
+    for (k, t) in tokens.iter().enumerate().skip(at) {
+        match *t {
+            ";" if depth == 0 => return at..k + 1,
+            "{" => depth += 1,
+            "}" => {
+                depth -= 1;
+                if depth == 0 {
+                    return at..k + 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    at..tokens.len()
 }
 
 #[test]
@@ -391,19 +671,9 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 
 /// Names defined `pub fn` (optionally `const`, `unsafe` or `async`); `pub(crate)` is not public.
 fn public_fns<'a>(tokens: &[&'a str]) -> Vec<&'a str> {
-    (0..tokens.len())
-        .filter_map(|i| {
-            if tokens[i] != "pub" {
-                return None;
-            }
-            let mut k = i + 1;
-            while matches!(tokens.get(k), Some(&("const" | "unsafe" | "async"))) {
-                k += 1;
-            }
-            (tokens.get(k) == Some(&"fn"))
-                .then(|| tokens.get(k + 1).copied())
-                .flatten()
-        })
+    public_fn_sites(tokens)
+        .into_iter()
+        .map(|(_, name)| name)
         .collect()
 }
 
