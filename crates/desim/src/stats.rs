@@ -98,7 +98,7 @@ const LOG_SUB: u64 = 8;
 ///
 /// Unlike [`Summary`] it never stores observations, so it can sit on the
 /// telemetry hot path without unbounded growth.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct LogHistogram {
     counts: Vec<u64>,
     count: u64,
@@ -107,9 +107,11 @@ pub struct LogHistogram {
     max: u64,
 }
 
-impl LogHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
+/// An empty histogram. `min` starts above every observation, so the first
+/// one sets it (a derived `Default` would start it at 0 and clamp every
+/// percentile down to 0).
+impl Default for LogHistogram {
+    fn default() -> Self {
         LogHistogram {
             counts: Vec::new(),
             count: 0,
@@ -118,7 +120,9 @@ impl LogHistogram {
             max: 0,
         }
     }
+}
 
+impl LogHistogram {
     /// Bucket index for `value`: octave (floor log2) plus a linear
     /// sub-position within the octave.
     fn bucket(value: u64) -> usize {
@@ -262,7 +266,7 @@ mod tests {
 
     #[test]
     fn log_histogram_small_values_are_exact() {
-        let mut h = LogHistogram::new();
+        let mut h = LogHistogram::default();
         for v in 0..8u64 {
             h.record(v);
         }
@@ -271,12 +275,12 @@ mod tests {
         assert_eq!(h.max(), Some(7));
         assert_eq!(h.percentile(0.0), Some(0));
         assert_eq!(h.percentile(100.0), Some(7));
-        assert!(LogHistogram::new().percentile(50.0).is_none());
+        assert!(LogHistogram::default().percentile(50.0).is_none());
     }
 
     #[test]
     fn log_histogram_quantiles_within_sub_bucket_error() {
-        let mut h = LogHistogram::new();
+        let mut h = LogHistogram::default();
         // Uniform 1..=100_000 ns: p50 ≈ 50_000, p99 ≈ 99_000.
         for v in 1..=100_000u64 {
             h.record(v);

@@ -678,20 +678,20 @@ fn flow_removed_takes_the_pair() {
 // went: their messages and metrics are unchanged, their `state_digest()`
 // lost its dead pairs and gained pair ids and `next_pair`. ---------------
 
-const EXACT_REDIRECT_BUFFERED: u64 = 0xfb38_3090_351b_b6a2;
-const EXACT_REDIRECT_UNBUFFERED: u64 = 0xaea2_c35e_a59b_601f;
-const CLOUD_AND_UNREGISTERED: u64 = 0xd4d0_6aae_8745_bf5f;
-const FALLBACK_CLOUD: u64 = 0x651b_3b27_11c5_ce7f;
+const EXACT_REDIRECT_BUFFERED: u64 = 0x3b13_cf29_eb53_0d38;
+const EXACT_REDIRECT_UNBUFFERED: u64 = 0xeca0_b1f0_46cb_62a1;
+const CLOUD_AND_UNREGISTERED: u64 = 0x8b18_940b_992c_de22;
+const FALLBACK_CLOUD: u64 = 0xff7a_f7a6_6066_e8ab;
 const AGGREGATE_FIRST: u64 = 0x8a2a_b72e_7d0f_f5e7;
 const AGGREGATE_COVERED: u64 = 0xd031_6aaa_7c61_33dc;
 const AGGREGATE_DIVERGENT: u64 = 0x07af_a924_a697_3e96;
-const HANDOVER_ANCHORED: u64 = 0x6de8_512f_aa7c_8d24;
-const HANDOVER_REDISPATCHED: u64 = 0x2657_2c3f_1497_7917;
+const HANDOVER_ANCHORED: u64 = 0x4040_e0df_eb46_de36;
+const HANDOVER_REDISPATCHED: u64 = 0x1a11_e0cb_c521_f61c;
 const HANDOVER_CLOUD: u64 = 0x2590_29ea_fd07_5abe;
 const MIGRATION_FLIP_EXACT: u64 = 0xe05c_2c86_8031_2e3a;
 const MIGRATION_FLIP_REPLACED_FORWARD: u64 = 0x791a_65c6_3f24_9a64;
-const DEAD_INSTANCE_REPAIR: u64 = 0x6dc3_fd29_193c_c80e;
-const ZONE_OUTAGE: u64 = 0x663b_2727_12e7_1746;
+const DEAD_INSTANCE_REPAIR: u64 = 0xdbd7_7a64_7ea7_1448;
+const ZONE_OUTAGE: u64 = 0xfde6_a7ad_30fa_d749;
 const RECONCILE: u64 = 0x634c_c0eb_c319_e9c2;
 const FLOW_REMOVED_TAKES_THE_PAIR: u64 = 0x7b64_bf3d_06ad_49b9;
 

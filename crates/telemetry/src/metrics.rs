@@ -150,6 +150,17 @@ mod tests {
     }
 
     #[test]
+    fn a_histogram_reads_no_lower_than_its_smallest_observation() {
+        let mut m = MetricsRegistry::new();
+        for _ in 0..10 {
+            m.observe("lat_ns", Duration::from_nanos(1_000));
+        }
+        let h = m.histogram("lat_ns").unwrap();
+        assert_eq!(h.min(), Some(1_000));
+        assert_eq!(h.percentile(50.0), Some(1_000));
+    }
+
+    #[test]
     fn json_snapshot_is_deterministic_and_sorted() {
         let mut m = MetricsRegistry::new();
         m.inc("z_total");

@@ -47,7 +47,6 @@ const KEPT: &[(&str, &str)] = &[
     ("mobility::Static::round_robin", "the harness and frame_allocs tests place clients on gNBs"),
     ("mobility::Static::new", "determinism pins every client to one cell"),
     ("desim::SimTime::from_millis", "tests across the workspace write instants in milliseconds"),
-    ("desim::LogHistogram::new", "the stats tests build an empty histogram"),
     ("edgectl::LoadTracker::new", "the autoscale and controller tests build a tracker under a config"),
     ("telemetry::MetricsRegistry::new", "frame_allocs and e2ebench's tests build an empty registry"),
     ("ovs::buffered", "switch_props, work_ledger, frame_allocs and end_to_end check buffer slots drain"),
