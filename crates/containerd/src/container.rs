@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ContainerId(pub u64);
 
-/// What to run: image, listening port, environment and host mounts.
+/// What to run: image, listening port and labels.
 ///
 /// This is the subset of an OCI spec the edge services need — it is produced
 /// from the (annotated) Kubernetes-style service definition for both cluster
@@ -22,10 +22,6 @@ pub struct ContainerSpec {
     /// TCP port the application listens on (`None` for sidecars that serve
     /// no traffic, like the env-writer).
     pub listen_port: Option<u16>,
-    /// Environment variables.
-    pub env: BTreeMap<String, String>,
-    /// Host-path volume mounts: `(host_path, container_path)`.
-    pub mounts: Vec<(String, String)>,
     /// Labels (the controller adds `edge.service` to address its services).
     pub labels: BTreeMap<String, String>,
 }
@@ -37,8 +33,6 @@ impl ContainerSpec {
             name: name.into(),
             image,
             listen_port,
-            env: BTreeMap::new(),
-            mounts: Vec::new(),
             labels: BTreeMap::new(),
         }
     }
@@ -46,18 +40,6 @@ impl ContainerSpec {
     /// Builder: adds a label.
     pub fn with_label(mut self, k: impl Into<String>, v: impl Into<String>) -> Self {
         self.labels.insert(k.into(), v.into());
-        self
-    }
-
-    /// Builder: adds an environment variable.
-    pub fn with_env(mut self, k: impl Into<String>, v: impl Into<String>) -> Self {
-        self.env.insert(k.into(), v.into());
-        self
-    }
-
-    /// Builder: adds a host mount.
-    pub fn with_mount(mut self, host: impl Into<String>, guest: impl Into<String>) -> Self {
-        self.mounts.push((host.into(), guest.into()));
         self
     }
 }
@@ -106,13 +88,9 @@ mod tests {
     #[test]
     fn spec_builders() {
         let spec = ContainerSpec::new("web", ImageRef::parse("nginx:1.23.2"), Some(80))
-            .with_label("edge.service", "svc-1")
-            .with_env("MODE", "edge")
-            .with_mount("/srv/content", "/usr/share/nginx/html");
+            .with_label("edge.service", "svc-1");
         assert_eq!(spec.listen_port, Some(80));
         assert_eq!(spec.labels["edge.service"], "svc-1");
-        assert_eq!(spec.env["MODE"], "edge");
-        assert_eq!(spec.mounts.len(), 1);
     }
 
     #[test]

@@ -173,16 +173,11 @@ pub struct EventQueue<E> {
 
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
-        Self::new()
+        Self::with_capacity(0)
     }
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
     /// Creates an empty queue whose arena is pre-sized for `cap` pending
     /// events, so a simulation that knows its population does not re-grow
     /// the arena while it ramps up.
@@ -247,21 +242,6 @@ impl<E> EventQueue<E> {
     /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Removes all pending events (sequence numbering continues, matching
-    /// [`NaiveEventQueue::clear`](crate::queue::NaiveEventQueue::clear)).
-    pub fn clear(&mut self) {
-        self.cur.clear();
-        self.slots.clear();
-        self.blocks.clear();
-        self.free = NIL;
-        self.l0.fill(NIL);
-        self.l1.fill(NIL);
-        self.occ0 = [0; OCC_WORDS];
-        self.occ1 = [0; OCC_WORDS];
-        self.overflow.clear();
-        self.len = 0;
     }
 
     /// Files `e` into the level its time calls for, relative to the current
@@ -445,7 +425,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.push(SimTime::from_millis(30), "c");
         q.push(SimTime::from_millis(10), "a");
         q.push(SimTime::from_millis(20), "b");
@@ -457,7 +437,7 @@ mod tests {
 
     #[test]
     fn ties_are_fifo() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         let t = SimTime::from_millis(5);
         for i in 0..100 {
             q.push(t, i);
@@ -469,19 +449,19 @@ mod tests {
 
     #[test]
     fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.push(SimTime::from_secs(1), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
-        q.clear();
+        q.pop();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
     }
 
     #[test]
     fn interleaved_push_pop_stays_ordered() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.push(SimTime::from_millis(10), 1);
         q.push(SimTime::from_millis(5), 0);
         assert_eq!(q.pop().unwrap().1, 0);
@@ -492,7 +472,7 @@ mod tests {
 
     #[test]
     fn past_pushes_pop_first() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.push(SimTime::from_secs(100), "future");
         assert_eq!(q.pop().unwrap().1, "future");
         // The cursor sits near t=100s; a push far before it must still win.
@@ -504,7 +484,7 @@ mod tests {
 
     #[test]
     fn events_cross_every_level() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.push(SimTime::from_nanos(50_000), 0); // current bucket
         q.push(SimTime::from_millis(1), 1); // near ring
         q.push(SimTime::from_secs(1), 2); // far ring
@@ -518,7 +498,7 @@ mod tests {
 
     #[test]
     fn far_events_overtaken_by_near_pushes() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         // A lone far event primes the cursor near its own time...
         q.push(SimTime::from_secs(10), "far");
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(10)));
@@ -530,7 +510,7 @@ mod tests {
 
     #[test]
     fn simtime_max_is_representable() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.push(SimTime::MAX, "end");
         q.push(SimTime::ZERO, "start");
         assert_eq!(q.pop().unwrap().1, "start");
@@ -544,9 +524,9 @@ mod tests {
     fn random_schedules_match_naive_queue() {
         for seed in 0..30u64 {
             let mut rng = SimRng::new(seed);
-            let mut fast = EventQueue::new();
+            let mut fast = EventQueue::default();
             let mut naive = NaiveEventQueue::new();
-            let mut clock = 0u64;
+            let (mut clock, mut pending) = (0u64, 0usize);
             for step in 0..2_000 {
                 if rng.below(3) < 2 || fast.is_empty() {
                     // Mixed horizon: same-instant, current-bucket, near-ring,
@@ -561,16 +541,19 @@ mod tests {
                     let t = SimTime::from_nanos(clock + delay);
                     fast.push(t, step);
                     naive.push(t, step);
+                    pending += 1;
                 } else {
+                    let peeked = fast.peek_time();
                     let a = fast.pop();
                     let b = naive.pop();
                     assert_eq!(a, b, "seed {seed} step {step}");
+                    assert_eq!(peeked, a.map(|(t, _)| t));
                     if let Some((t, _)) = a {
                         clock = t.as_nanos();
+                        pending -= 1;
                     }
                 }
-                assert_eq!(fast.len(), naive.len());
-                assert_eq!(fast.peek_time(), naive.peek_time());
+                assert_eq!(fast.len(), pending);
             }
             loop {
                 let a = fast.pop();
@@ -590,7 +573,7 @@ mod tests {
     #[test]
     fn far_cascade_into_cur_then_near_bucket_primes() {
         let span1 = 1u64 << L1_BITS;
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.push(SimTime::from_nanos(5), "p"); // primes the cursor at 0
         q.push(SimTime::from_nanos(span1 + 3), "f"); // far ring, span 1
         q.push(SimTime::from_nanos(100 * L0_W), "q"); // near ring

@@ -8,7 +8,7 @@
 //!
 //! enum Ev { Tick(u32) }
 //!
-//! let mut engine = Engine::new();
+//! let mut engine = Engine::default();
 //! engine.schedule_in(Duration::from_secs(1), Ev::Tick(0));
 //! let mut ticks = 0;
 //! while let Some((now, ev)) = engine.pop() {
@@ -37,17 +37,12 @@ pub struct Engine<E> {
 
 impl<E> Default for Engine<E> {
     fn default() -> Self {
-        Self::new()
+        Self::with_capacity(0)
     }
 }
 
 impl<E> Engine<E> {
-    /// Creates an engine at time zero with an empty queue.
-    pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates an engine whose queue is pre-sized for `cap` pending events,
+    /// Creates an engine at time zero whose queue is pre-sized for `cap` pending events,
     /// so steady-state simulations never re-grow event storage mid-run.
     pub fn with_capacity(cap: usize) -> Self {
         Engine {
@@ -69,12 +64,6 @@ impl<E> Engine<E> {
     #[inline]
     pub fn processed(&self) -> u64 {
         self.processed
-    }
-
-    /// Number of events still pending.
-    #[inline]
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 
     /// High-water mark of the pending-event count over the engine's life.
@@ -145,7 +134,7 @@ mod tests {
 
     #[test]
     fn clock_follows_events() {
-        let mut e: Engine<u8> = Engine::new();
+        let mut e: Engine<u8> = Engine::default();
         e.schedule_in(Duration::from_millis(10), 1);
         e.schedule_in(Duration::from_millis(20), 2);
         assert_eq!(e.now(), SimTime::ZERO);
@@ -159,17 +148,17 @@ mod tests {
 
     #[test]
     fn pop_until_respects_deadline() {
-        let mut e: Engine<u8> = Engine::new();
+        let mut e: Engine<u8> = Engine::default();
         e.schedule_in(Duration::from_secs(1), 1);
         e.schedule_in(Duration::from_secs(3), 2);
         assert!(e.pop_until(SimTime::from_secs(2)).is_some());
         assert!(e.pop_until(SimTime::from_secs(2)).is_none());
-        assert_eq!(e.pending(), 1);
+        assert_eq!(e.pop(), Some((SimTime::from_secs(3), 2)));
     }
 
     #[test]
     fn past_schedule_clamps_and_counts() {
-        let mut e: Engine<u8> = Engine::new();
+        let mut e: Engine<u8> = Engine::default();
         e.schedule_at(SimTime::from_secs(5), 1);
         e.pop().unwrap();
         assert_eq!(e.clamped_events(), 0);
@@ -191,13 +180,12 @@ mod tests {
         }
         assert_eq!(e.peak_pending(), 10);
         while e.pop().is_some() {}
-        assert_eq!(e.pending(), 0);
         assert_eq!(e.peak_pending(), 10, "peak survives the drain");
     }
 
     #[test]
     fn relative_scheduling_uses_current_clock() {
-        let mut e: Engine<u8> = Engine::new();
+        let mut e: Engine<u8> = Engine::default();
         e.schedule_in(Duration::from_secs(1), 1);
         e.pop().unwrap();
         e.schedule_in(Duration::from_secs(1), 2);

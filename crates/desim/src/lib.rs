@@ -17,7 +17,7 @@
 //! #[derive(Debug, PartialEq)]
 //! enum Ev { Ping(u32) }
 //!
-//! let mut engine: Engine<Ev> = Engine::new();
+//! let mut engine: Engine<Ev> = Engine::default();
 //! engine.schedule_in(Duration::from_millis(5), Ev::Ping(1));
 //! engine.schedule_in(Duration::from_millis(2), Ev::Ping(2));
 //!

@@ -91,15 +91,6 @@ impl SimRng {
     pub(crate) fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p.clamp(0.0, 1.0)
     }
-
-    /// Picks a uniformly random element, or `None` if `items` is empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.below(items.len() as u64) as usize])
-        }
-    }
 }
 
 #[cfg(test)]
@@ -167,14 +158,6 @@ mod tests {
         let mut r = SimRng::new(1);
         assert!(!(0..1000).any(|_| r.chance(0.0)));
         assert!((0..1000).all(|_| r.chance(1.0)));
-    }
-
-    #[test]
-    fn choose_handles_empty() {
-        let mut r = SimRng::new(1);
-        let empty: [u8; 0] = [];
-        assert!(r.choose(&empty).is_none());
-        assert_eq!(r.choose(&[42]), Some(&42));
     }
 
     #[test]

@@ -36,27 +36,30 @@ proptest! {
     /// on.
     #[test]
     fn calendar_matches_naive_reference(ops in prop::collection::vec(queue_op(), 1..400)) {
-        let mut fast = EventQueue::new();
+        let mut fast = EventQueue::default();
         let mut naive = NaiveEventQueue::new();
-        let mut clock = 0u64;
+        let (mut clock, mut pending) = (0u64, 0usize);
         for (i, op) in ops.iter().enumerate() {
             match op {
                 QueueOp::Push(delay) => {
                     let t = SimTime::from_nanos(clock + delay);
                     fast.push(t, i);
                     naive.push(t, i);
+                    pending += 1;
                 }
                 QueueOp::Pop => {
+                    let peeked = fast.peek_time();
                     let a = fast.pop();
                     let b = naive.pop();
                     prop_assert_eq!(a, b, "divergence at op {}", i);
+                    prop_assert_eq!(peeked, a.map(|(t, _)| t));
                     if let Some((t, _)) = a {
                         clock = t.as_nanos();
+                        pending -= 1;
                     }
                 }
             }
-            prop_assert_eq!(fast.len(), naive.len());
-            prop_assert_eq!(fast.peek_time(), naive.peek_time());
+            prop_assert_eq!(fast.len(), pending);
         }
         loop {
             let a = fast.pop();
@@ -72,7 +75,7 @@ proptest! {
     /// FIFO among equal timestamps.
     #[test]
     fn queue_pops_sorted_stable(times in prop::collection::vec(0u64..1000, 1..200)) {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         for (i, &t) in times.iter().enumerate() {
             q.push(SimTime::from_nanos(t), i);
         }

@@ -76,7 +76,7 @@ const CYCLES: u64 = 200_000;
 /// one turnover of the population.
 fn steady_state_heap_calls(max_delay_ns: u64) -> u64 {
     let mut rng = SimRng::new(9);
-    let mut q = EventQueue::new();
+    let mut q = EventQueue::default();
     for i in 0..PENDING {
         q.push(SimTime::from_nanos(rng.below(max_delay_ns)), i);
     }

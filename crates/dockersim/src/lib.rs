@@ -203,18 +203,6 @@ impl DockerEngine {
             .copied()
             .ok_or_else(|| DockerError::NoSuchContainer(name.to_owned()))
     }
-
-    /// Readiness probe against a named container's port.
-    pub fn port_open(&self, name: &str, port: u16, now: SimTime) -> bool {
-        self.names
-            .get(name)
-            .is_some_and(|id| self.node.port_open(*id, port, now))
-    }
-
-    /// Number of containers known to the engine.
-    pub fn container_count(&self) -> usize {
-        self.names.len()
-    }
 }
 
 #[cfg(test)]
@@ -227,6 +215,11 @@ mod tests {
         let mut e = DockerEngine::with_defaults();
         e.pull(&[catalog::nginx()], rng);
         e
+    }
+
+    /// Readiness probe against container `web`'s port 80.
+    fn web_open(e: &DockerEngine, now: SimTime) -> bool {
+        e.node().port_open(e.id_of("web").unwrap(), 80, now)
     }
 
     fn spec(name: &str) -> Rc<ContainerSpec> {
@@ -248,8 +241,8 @@ mod tests {
         // The headline Docker result: create+start+ready well under 1 s.
         let total = ready - t0;
         assert!(total < Duration::from_secs(1), "took {total}");
-        assert!(e.port_open("web", 80, ready));
-        assert!(!e.port_open("web", 80, started));
+        assert!(web_open(&e, ready));
+        assert!(!web_open(&e, started));
     }
 
     #[test]
@@ -279,7 +272,7 @@ mod tests {
             .create(spec("web"), &catalog::nginx(), SimTime::ZERO, &mut rng)
             .unwrap_err();
         assert!(matches!(err, DockerError::Runtime(RuntimeError::Injected { .. })), "{err}");
-        assert_eq!(e.container_count(), 0);
+        assert_eq!(e.names.len(), 0);
         // Retry under a clean injector reuses the name without conflict.
         e.node_mut().set_faults(FaultPlan::default().injector(0x8));
         e.create(spec("web"), &catalog::nginx(), SimTime::from_secs(1), &mut rng)
@@ -310,7 +303,7 @@ mod tests {
         let mut e = engine_with_nginx(&mut rng);
         e.create(spec("web"), &catalog::nginx(), SimTime::ZERO, &mut rng).unwrap();
         e.remove("web", SimTime::from_secs(1), &mut rng).unwrap();
-        assert_eq!(e.container_count(), 0);
+        assert_eq!(e.names.len(), 0);
         // Name can be reused.
         e.create(spec("web"), &catalog::nginx(), SimTime::from_secs(2), &mut rng).unwrap();
     }
@@ -321,8 +314,8 @@ mod tests {
         let mut e = engine_with_nginx(&mut rng);
         let (_, c) = e.create(spec("web"), &catalog::nginx(), SimTime::ZERO, &mut rng).unwrap();
         let (_, ready) = e.start("web", c, Duration::ZERO, &mut rng).unwrap();
-        assert!(e.port_open("web", 80, ready));
+        assert!(web_open(&e, ready));
         let stopped = e.stop("web", ready + Duration::from_secs(30), &mut rng).unwrap();
-        assert!(!e.port_open("web", 80, stopped + Duration::from_secs(1)));
+        assert!(!web_open(&e, stopped + Duration::from_secs(1)));
     }
 }

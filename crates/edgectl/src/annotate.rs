@@ -235,9 +235,9 @@ fn generate_service(name: &str, labels: &Value, port: u16, target_port: u16) -> 
     svc
 }
 
-/// Extracts the container subset both cluster types understand. For Docker,
-/// only a subset of the Deployment values (volume mounts, env, ports) is
-/// parsed — mirroring the reference implementation.
+/// Extracts the container subset both cluster types understand: name, image
+/// and first container port. Other container values (env, volume mounts,
+/// resources) are accepted and ignored: nothing in the simulation reads them.
 fn parse_containers(
     deployment: &Value,
     name: &str,
@@ -251,19 +251,6 @@ fn parse_containers(
         return Err(AnnotateError::MissingImage);
     }
 
-    // hostPath volumes by name, for mount resolution.
-    let volumes = deployment
-        .path("spec/template/spec/volumes")
-        .and_then(Value::as_seq)
-        .unwrap_or(&[]);
-    let host_path_of = |vol_name: &str| -> Option<String> {
-        volumes.iter().find_map(|v| {
-            (v["name"].as_str() == Some(vol_name))
-                .then(|| v["hostPath"]["path"].as_str().map(str::to_owned))
-                .flatten()
-        })
-    };
-
     let mut out = Vec::with_capacity(containers.len());
     for (i, c) in containers.iter().enumerate() {
         let image = c["image"].as_str().ok_or(AnnotateError::MissingImage)?;
@@ -274,28 +261,12 @@ fn parse_containers(
         let listen_port = c["ports"][0]["containerPort"]
             .as_i64()
             .and_then(|p| u16::try_from(p).ok());
-        let mut spec = ContainerSpec::new(
+        let spec = ContainerSpec::new(
             format!("{name}-{cname}"),
             ImageRef::parse(image),
             listen_port,
         )
         .with_label(EDGE_SERVICE_LABEL, label);
-        if let Some(envs) = c["env"].as_seq() {
-            for e in envs {
-                if let (Some(k), Some(v)) = (e["name"].as_str(), e["value"].as_str()) {
-                    spec = spec.with_env(k, v);
-                }
-            }
-        }
-        if let Some(mounts) = c["volumeMounts"].as_seq() {
-            for m in mounts {
-                if let (Some(vol), Some(path)) = (m["name"].as_str(), m["mountPath"].as_str()) {
-                    if let Some(host) = host_path_of(vol) {
-                        spec = spec.with_mount(host, path);
-                    }
-                }
-            }
-        }
         out.push(Rc::new(spec));
     }
     Ok(out)
@@ -393,11 +364,6 @@ spec:
         let c = &a.containers[0];
         assert_eq!(c.image.to_string(), "docker.io/nginx:1.23.2");
         assert_eq!(c.listen_port, Some(80));
-        assert_eq!(c.env["MODE"], "edge");
-        assert_eq!(
-            c.mounts,
-            vec![("/srv/edge/content".to_owned(), "/usr/share/nginx/html".to_owned())]
-        );
         assert_eq!(c.labels[EDGE_SERVICE_LABEL], "203.0.113.10_80");
     }
 

@@ -162,11 +162,6 @@ impl ServicePool {
         }
     }
 
-    /// Current replica count.
-    pub fn replicas(&self) -> usize {
-        self.queues.len()
-    }
-
     /// The address replica `i` answers on (see the module docs for the
     /// collision-freedom argument).
     pub fn addr(&self, instance: usize) -> InstanceAddr {
@@ -264,19 +259,9 @@ pub struct LoadTracker {
 }
 
 impl LoadTracker {
-    /// A tracker under `cfg`.
-    pub fn new(cfg: AutoscaleConfig) -> LoadTracker {
-        LoadTracker { cfg, ..LoadTracker::default() }
-    }
-
     /// Whether instance tracking (and thus autoscaling) is on at all.
     pub fn enabled(&self) -> bool {
         self.cfg.enabled
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &AutoscaleConfig {
-        &self.cfg
     }
 
     /// Replaces the configuration (controller construction time only).
@@ -309,7 +294,8 @@ impl LoadTracker {
     }
 
     /// The pool for `(service, cluster)`, if one exists.
-    pub fn pool(&self, service: ServiceAddr, cluster: usize) -> Option<&ServicePool> {
+    #[cfg(test)]
+    pub(crate) fn pool(&self, service: ServiceAddr, cluster: usize) -> Option<&ServicePool> {
         self.pools.get(&(service, cluster))
     }
 
@@ -552,7 +538,8 @@ mod tests {
             queue: qcfg(),
             ..AutoscaleConfig::default()
         };
-        let mut tr = LoadTracker::new(cfg);
+        let mut tr = LoadTracker::default();
+        tr.set_config(cfg);
         let t0 = SimTime::from_secs(10);
         assert_eq!(tr.next_sweep_at(), None, "no pool, nothing to flex");
         tr.ensure_pool(svc(1), 0, base(), t0);
@@ -596,7 +583,8 @@ mod tests {
     #[test]
     fn replica_seconds_accrue_by_pool_size() {
         let cfg = AutoscaleConfig { enabled: true, queue: qcfg(), ..AutoscaleConfig::default() };
-        let mut tr = LoadTracker::new(cfg);
+        let mut tr = LoadTracker::default();
+        tr.set_config(cfg);
         let t0 = SimTime::from_secs(0);
         tr.ensure_pool(svc(1), 0, base(), t0);
         // 10 s at one replica.
@@ -616,7 +604,8 @@ mod tests {
     #[test]
     fn redeployed_base_resets_the_pool() {
         let cfg = AutoscaleConfig { enabled: true, queue: qcfg(), ..AutoscaleConfig::default() };
-        let mut tr = LoadTracker::new(cfg);
+        let mut tr = LoadTracker::default();
+        tr.set_config(cfg);
         let t0 = SimTime::from_secs(0);
         tr.ensure_pool(svc(1), 0, base(), t0);
         tr.admit(svc(1), 0, 0, t0);
@@ -625,7 +614,7 @@ mod tests {
         tr.ensure_pool(svc(1), 0, reborn, t0 + Duration::from_secs(5));
         let pool = tr.pool(svc(1), 0).unwrap();
         assert_eq!(pool.addr(0), reborn);
-        assert_eq!(pool.replicas(), 1);
+        assert_eq!(pool.queues.len(), 1);
         assert_eq!(tr.views(svc(1), 0, t0 + Duration::from_secs(5))[0].queue_depth(), 0);
         // The old pool's replica-time was retired, not dropped.
         assert!(tr.replica_seconds(t0 + Duration::from_secs(5)) >= 5.0 - 1e-9);
@@ -634,7 +623,8 @@ mod tests {
     #[test]
     fn admit_clamps_instance_and_tracks_rates() {
         let cfg = AutoscaleConfig { enabled: true, queue: qcfg(), ..AutoscaleConfig::default() };
-        let mut tr = LoadTracker::new(cfg);
+        let mut tr = LoadTracker::default();
+        tr.set_config(cfg);
         let t0 = SimTime::from_secs(1);
         tr.ensure_pool(svc(1), 0, base(), t0);
         // Instance 7 does not exist: clamps to the last (only) replica.

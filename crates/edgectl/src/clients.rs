@@ -86,16 +86,6 @@ impl ClientTracker {
         self.locations.get(&client).map(|l| (l.ingress, l.in_port))
     }
 
-    /// Number of tracked clients.
-    pub fn len(&self) -> usize {
-        self.locations.len()
-    }
-
-    /// `true` if no client has been seen.
-    pub fn is_empty(&self) -> bool {
-        self.locations.is_empty()
-    }
-
     /// Exports every tracked location, sorted by client address, for
     /// journal snapshots. A warm-restarted controller re-derives
     /// post-snapshot moves by replaying the journal's sighting events
@@ -194,6 +184,6 @@ mod tests {
         let mut t = ClientTracker::new();
         t.observe(ip(20), G0, 3, SimTime::from_secs(1));
         assert!(t.observe(ip(21), G1, 7, SimTime::from_secs(2)).is_none());
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.locations.len(), 2);
     }
 }

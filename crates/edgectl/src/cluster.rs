@@ -525,8 +525,9 @@ impl K8sEdgeCluster {
         }
     }
 
-    /// Access to the underlying cluster (pre-pulls, assertions).
-    pub fn cluster_mut(&mut self) -> &mut K8sCluster {
+    /// Access to the underlying cluster (fault injection in the tests).
+    #[cfg(test)]
+    pub(crate) fn cluster_mut(&mut self) -> &mut K8sCluster {
         &mut self.cluster
     }
 
@@ -931,7 +932,7 @@ mod tests {
         let t = d.create(&svc, t, &mut rng).unwrap();
         let (_, ready) = d.scale_up(&svc, t, &mut rng).unwrap();
         assert!(d.state(&svc, ready).is_ready());
-        assert_eq!(d.engine.container_count(), 2);
+        assert!(svc.annotated.containers.iter().all(|c| d.engine.id_of(&c.name).is_ok()));
 
         let mut k = k8s_cluster();
         let t = k.pull(&svc, SimTime::ZERO, &mut rng).unwrap();
@@ -1009,7 +1010,10 @@ mod tests {
         assert_eq!(err.phase, DeployPhase::Create);
         assert!(err.at >= t);
         assert_eq!(c.state(&svc, err.at), InstanceState::NotDeployed);
-        assert_eq!(c.engine.container_count(), 0, "partial create rolled back");
+        assert!(
+            svc.annotated.containers.iter().all(|k| c.engine.id_of(&k.name).is_err()),
+            "partial create rolled back"
+        );
         // Retry without faults succeeds from the failure instant.
         c.engine.node_mut().set_faults(FaultPlan::default().injector(0x32));
         let done = c.create(&svc, err.at, &mut rng).unwrap();
@@ -1087,7 +1091,7 @@ mod tests {
             Some(e) => {
                 let serving = serving_container(svc);
                 let port = serving.listen_port.unwrap_or(svc.annotated.target_port);
-                if c.engine.port_open(&serving.name, port, now) {
+                if c.engine.id_of(&serving.name).is_ok_and(|id| c.engine.node().port_open(id, port, now)) {
                     InstanceState::Ready(InstanceAddr { mac: c.host_mac, ip: c.host_ip, port: e.host_port })
                 } else {
                     InstanceState::Starting { ready_at: e.ready_at }
@@ -1177,7 +1181,7 @@ mod tests {
                 Err(e) => {
                     t = e.at;
                     assert_eq!(probed(&c, &svc, t), InstanceState::NotDeployed);
-                    assert_eq!(c.engine.container_count(), 0);
+                    assert!(svc.annotated.containers.iter().all(|k| c.engine.id_of(&k.name).is_err()));
                     if c.engine.ops.removes > removes {
                         break; // the serving container had been created
                     }

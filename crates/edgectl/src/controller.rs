@@ -36,7 +36,6 @@ mod migration;
 mod repair;
 
 use crate::autoscale::{AutoscaleConfig, LoadTracker};
-use crate::clients::ClientTracker;
 use crate::cluster::{EdgeCluster, InstanceAddr};
 use crate::dispatch::{DispatchDecision, DispatchOutcome, Dispatcher, Serving};
 use crate::flowmemory::{FlowKey, FlowMemory, IngressId, MemorizedFlow};
@@ -345,11 +344,6 @@ impl<S: Spans> Controller<S> {
         self.flow_adds
     }
 
-    /// `FLOW_REMOVED` notifications seen (the `flows_removed` counter).
-    pub fn flows_removed(&self) -> u64 {
-        self.telemetry.metrics.counter("flows_removed")
-    }
-
     /// Control-plane inconsistencies survived (see [`ControlPlaneError`]).
     pub fn control_errors(&self) -> &[ControlPlaneError] {
         &self.control_errors
@@ -542,7 +536,8 @@ impl<S: Spans> Controller<S> {
     }
 
     /// Client location tracking (moves flush the client's memorized flows).
-    pub fn clients(&self) -> &ClientTracker {
+    #[cfg(test)]
+    pub(crate) fn clients(&self) -> &crate::clients::ClientTracker {
         self.state.clients()
     }
 
@@ -1753,7 +1748,7 @@ mod tests {
         };
         ctl.handle_switch_message(SimTime::ZERO, &fr.encode(9), &mut rng)
             .unwrap();
-        assert_eq!(ctl.flows_removed(), 1);
+        assert_eq!(ctl.telemetry.metrics.counter("flows_removed"), 1);
     }
 
     /// A with-waiting deployment that exhausts its retries releases the held
@@ -2386,7 +2381,7 @@ mod tests {
                 ctl.handle_switch_message(expire_at, &bytes, &mut rng).unwrap();
             }
         }
-        assert!(ctl.flows_removed() > 0);
+        assert!(ctl.telemetry.metrics.counter("flows_removed") > 0);
         assert_eq!(sw.table().entries().count(), 0);
 
         // Reconciliation agrees with the switch: nothing to re-install.
@@ -2407,13 +2402,13 @@ mod tests {
             let answered = serve_one(&mut ctl, &mut sw, now, 10_000 + cycle, &mut rng);
             assert_eq!(ctl.state_stats().pairs, 1);
             now = answered + ctl.config.switch_flow_idle + Duration::from_secs(1);
-            let (before, removed) = (ctl.state.pairs_examined(), ctl.flows_removed());
+            let (before, removed) = (ctl.state.pairs_examined(), ctl.telemetry.metrics.counter("flows_removed"));
             for fx in sw.expire_flows(now) {
                 if let Effect::ToController(bytes) = fx {
                     ctl.handle_switch_message(now, &bytes, &mut rng).unwrap();
                 }
             }
-            assert_eq!(ctl.flows_removed() - removed, 1, "cycle {cycle}: one FLOW_REMOVED");
+            assert_eq!(ctl.telemetry.metrics.counter("flows_removed") - removed, 1, "cycle {cycle}: one FLOW_REMOVED");
             assert_eq!(ctl.state.pairs_examined() - before, 1, "cycle {cycle}: one candidate");
         }
         let stats = ctl.state_stats();
@@ -2438,7 +2433,7 @@ mod tests {
                 ctl.handle_switch_message(idle, &bytes, &mut rng).unwrap();
             }
         }
-        assert_eq!(ctl.flows_removed(), 1, "the first connection idled out");
+        assert_eq!(ctl.telemetry.metrics.counter("flows_removed"), 1, "the first connection idled out");
         let second = serve_one(&mut ctl, &mut sw, idle, 50001, &mut rng);
         let ho = ctl.handle_attachment_change(
             second + Duration::from_secs(1),
@@ -2882,7 +2877,7 @@ mod tests {
         });
         let mut frame = client_syn(50000);
         let packet_in_overhead = 42;
-        frame.payload = vec![0x5a; Message::MAX_LEN - packet_in_overhead - frame.wire_len()];
+        frame.payload = vec![0x5a; Message::MAX_LEN - packet_in_overhead - frame.headers().wire_len()];
         let effects = sw.handle_frame(SimTime::from_secs(1), CLIENT_PORT, &frame.encode());
         let [Effect::ToController(pkt_in)] = &effects[..] else {
             panic!("the frame fits one PACKET_IN exactly: {effects:?}");
@@ -3059,7 +3054,8 @@ mod tests {
                     // What the dispatcher does when it first sees the instance.
                     ctl.load_mut().ensure_pool(svc.addr, 0, base, now);
                 }
-                let mut pools = LoadTracker::new(ctl.config.autoscale.clone());
+                let mut pools = LoadTracker::default();
+                pools.set_config(ctl.config.autoscale.clone());
                 pools.ensure_pool(svc.addr, 0, base, now);
                 let replica = pools.pool(svc.addr, 0).unwrap().addr(1);
                 let stale = InstanceAddr { port: base.port - 1, ..base };

@@ -67,7 +67,7 @@ const MAX_CONCURRENT: usize = 2;
 /// least this many cluster-hops from its serving instance.
 pub(crate) const MOBILITY_HOPS: usize = 1;
 
-/// The `migration:` block of the controller's YAML config.
+/// Live-migration settings (`ControllerConfig::migration`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct MigrationConfig {
     /// Continuity policy; anything but [`MigrationPolicy::Live`] leaves the
@@ -152,11 +152,6 @@ impl SessionLedger {
         self.bytes.get(&(service, cluster)).copied().unwrap_or(0)
     }
 
-    /// Total session state across all zones (conservation checks).
-    pub fn total(&self) -> u64 {
-        self.bytes.values().sum()
-    }
-
     /// Moves everything at `(service, from)` to `(service, to)` — the
     /// switchover sync: state accrued during the transfer window moves too,
     /// so nothing is lost.
@@ -217,7 +212,7 @@ pub(crate) struct MigrationSnapshot {
     /// Session-state bytes per `(service, cluster)`.
     pub ledger: Vec<((ServiceAddr, usize), u64)>,
     /// In-flight migrations, in start order.
-    pub active: Vec<Migration>,
+    pub(crate) active: Vec<Migration>,
     /// Per-service flip-cooldown deadlines.
     pub(crate) cooled: Vec<(ServiceAddr, SimTime)>,
 }
@@ -316,11 +311,6 @@ impl MigrationManager {
             config,
             ..MigrationManager::default()
         }
-    }
-
-    /// The configuration the manager was built with.
-    pub fn config(&self) -> &MigrationConfig {
-        &self.config
     }
 
     /// `true` when live migration is on.
@@ -468,11 +458,6 @@ impl MigrationManager {
         m
     }
 
-    /// In-flight migrations.
-    pub fn active(&self) -> &[Migration] {
-        &self.active
-    }
-
     /// `true` while `(service, cluster)` is the source or target of an
     /// in-flight migration — the pool must not be retired underneath it.
     pub fn pinned(&self, service: ServiceAddr, cluster: usize) -> bool {
@@ -600,7 +585,7 @@ mod tests {
         let mut m = MigrationManager::new(c);
         m.note_served(svc(1), 0);
         m.note_served(svc(1), 0);
-        assert_eq!(m.ledger().total(), 0, "0 bytes/request never touches the ledger");
+        assert!(m.ledger.bytes.is_empty(), "0 bytes/request never touches the ledger");
     }
 
     #[test]
@@ -627,12 +612,12 @@ mod tests {
         l.credit(svc(1), 0, 700);
         l.credit(svc(1), 1, 50);
         l.credit(svc(2), 0, 11);
-        assert_eq!(l.total(), 761);
+        assert_eq!(l.bytes.values().sum::<u64>(), 761);
         let moved = l.transfer(svc(1), 0, 2);
         assert_eq!(moved, 700);
         assert_eq!(l.bytes_at(svc(1), 0), 0);
         assert_eq!(l.bytes_at(svc(1), 2), 700);
-        assert_eq!(l.total(), 761, "transfer conserves total state");
+        assert_eq!(l.bytes.values().sum::<u64>(), 761, "transfer conserves total state");
     }
 
     #[test]
@@ -654,7 +639,7 @@ mod tests {
         m.note_served(svc(1), 0);
         let due = m.take_due(mig.transfer_done);
         assert_eq!(due.len(), 1);
-        assert!(m.active().is_empty());
+        assert!(m.active.is_empty());
         let moved = m.complete(&due[0], mig.transfer_done, 3);
         assert_eq!(moved, 700, "switchover sync ships the delta too");
         assert_eq!(m.ledger().bytes_at(svc(1), 1), 700);

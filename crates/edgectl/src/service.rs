@@ -96,16 +96,6 @@ impl ServiceRegistry {
     pub fn iter(&self) -> impl Iterator<Item = &EdgeService> {
         self.services.values().map(|rc| rc.as_ref())
     }
-
-    /// Number of registered services.
-    pub fn len(&self) -> usize {
-        self.services.len()
-    }
-
-    /// `true` if nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.services.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -121,12 +111,12 @@ mod tests {
     #[test]
     fn register_and_lookup() {
         let mut r = ServiceRegistry::new();
-        assert!(r.is_empty());
+        assert!(r.services.is_empty());
         let svc = service([203, 0, 113, 10], 80, "nginx");
         let addr = svc.addr;
         assert!(r.register(svc).is_none());
         assert_eq!(r.get(addr).unwrap().profile.key, "nginx");
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.services.len(), 1);
         assert!(r.get(ServiceAddr::new(Ipv4Addr([203, 0, 113, 10]), 443)).is_none());
     }
 
@@ -135,7 +125,7 @@ mod tests {
         let mut r = ServiceRegistry::new();
         r.register(service([203, 0, 113, 10], 80, "nginx"));
         r.register(service([203, 0, 113, 10], 8501, "resnet"));
-        assert_eq!(r.len(), 2);
+        assert_eq!(r.services.len(), 2);
         let keys: Vec<&str> = r.iter().map(|s| s.profile.key).collect();
         assert_eq!(keys, ["nginx", "resnet"]);
     }

@@ -42,11 +42,12 @@ proptest! {
         bystanders in prop::collection::vec((1u8..20, 0usize..4, 1u64..100), 0..6),
     ) {
         let to = (from + hop) % 4;
-        let mut m = MigrationManager::new(MigrationConfig {
+        let config = MigrationConfig {
             policy: MigrationPolicy::Live,
             state_bytes_per_request: bytes_per_request,
             ..MigrationConfig::default()
-        });
+        };
+        let mut m = MigrationManager::new(config.clone());
         let mover = svc(200);
         for _ in 0..served_before {
             m.note_served(mover, from);
@@ -71,7 +72,7 @@ proptest! {
         // exact serialization term.
         prop_assert_eq!(
             mig.transfer_done.saturating_since(t0),
-            m.config().transfer_time(snapshot)
+            config.transfer_time(snapshot)
         );
         prop_assert!(m.pinned(mover, from) && m.pinned(mover, to));
 
@@ -79,7 +80,12 @@ proptest! {
         for _ in 0..served_during {
             m.note_served(mover, from);
         }
-        let total_before_flip = m.ledger().total();
+        // Every key that can hold state: the mover and the bystanders, at each zone.
+        let total = |m: &MigrationManager| -> u64 {
+            (1u8..20).chain([200]).flat_map(|s| (0..4).map(move |c| (svc(s), c)))
+                .map(|(s, c)| m.ledger().bytes_at(s, c)).sum()
+        };
+        let total_before_flip = total(&m);
 
         let due = m.take_due(mig.transfer_done);
         prop_assert_eq!(due.len(), 1);
@@ -91,11 +97,11 @@ proptest! {
         );
         prop_assert_eq!(m.ledger().bytes_at(mover, to), moved);
         prop_assert_eq!(m.ledger().bytes_at(mover, from), 0);
-        prop_assert_eq!(m.ledger().total(), total_before_flip, "bytes conserved");
+        prop_assert_eq!(total(&m), total_before_flip, "bytes conserved");
         prop_assert!(!m.pinned(mover, from) && !m.pinned(mover, to), "pin lifted");
         // Bystander services still hold exactly what they accrued.
         let mover_bytes = m.ledger().bytes_at(mover, to);
-        prop_assert_eq!(m.ledger().total() - mover_bytes, bystander_total);
+        prop_assert_eq!(total(&m) - mover_bytes, bystander_total);
     }
 
     /// The FlowMemory half: after the flip, the target holds exactly the

@@ -406,11 +406,6 @@ impl K8sCluster {
         &mut self.workers[0].node
     }
 
-    /// Worker by name.
-    pub fn worker(&self, name: &str) -> Option<&WorkerNode> {
-        self.workers.iter().find(|w| w.name == name)
-    }
-
     /// Mutable worker by name.
     pub fn worker_mut(&mut self, name: &str) -> Option<&mut WorkerNode> {
         self.workers.iter_mut().find(|w| w.name == name)
@@ -937,7 +932,8 @@ impl K8sCluster {
     }
 
     /// Looks up a (live) pod.
-    pub fn pod(&self, id: PodId) -> Option<&Pod> {
+    #[cfg(test)]
+    pub(crate) fn pod(&self, id: PodId) -> Option<&Pod> {
         self.slot_of(id).map(|slot| &self.pods[slot].pod)
     }
 

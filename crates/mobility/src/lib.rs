@@ -10,15 +10,14 @@
 //! produces the byte-identical event stream, which keeps every figure built
 //! on top reproducible.
 //!
-//! Three models mirror the standard mobility literature:
+//! Two models mirror the standard mobility literature:
 //!
-//! * [`Static`] — nobody moves (the degenerate model; with it, a multi-cell
-//!   run must behave exactly like the single-ingress testbed);
 //! * [`RandomWaypoint`] — the classic random-waypoint walk over a
 //!   rectangular [`CellGrid`]: pick a waypoint, walk to it at constant
 //!   speed, pause, repeat; the attachment is the cell the position falls in;
 //! * [`CellHops`] — trace-driven: an explicit list of `(time, client, cell)`
-//!   hops.
+//!   hops. With no hops nobody moves, and a multi-cell run must behave
+//!   exactly like the single-ingress testbed.
 
 #![warn(missing_docs)]
 
@@ -107,44 +106,6 @@ pub trait MobilityModel {
     /// stream (models pre-compute or derive from an owned seeded RNG that is
     /// re-seeded per call).
     fn events(&mut self, horizon: Duration) -> Vec<AttachmentEvent>;
-}
-
-/// The degenerate model: every client stays on its initial cell forever.
-pub struct Static {
-    homes: Vec<usize>,
-}
-
-impl Static {
-    /// Clients `i` pinned to `homes[i]`.
-    pub fn new(homes: Vec<usize>) -> Static {
-        Static { homes }
-    }
-
-    /// `n_clients` spread round-robin over `n_cells` (deterministic).
-    pub fn round_robin(n_clients: usize, n_cells: usize) -> Static {
-        assert!(n_cells > 0);
-        Static {
-            homes: (0..n_clients).map(|i| i % n_cells).collect(),
-        }
-    }
-}
-
-impl MobilityModel for Static {
-    fn name(&self) -> &str {
-        "static"
-    }
-
-    fn n_clients(&self) -> usize {
-        self.homes.len()
-    }
-
-    fn initial_cell(&self, client: usize) -> usize {
-        self.homes[client]
-    }
-
-    fn events(&mut self, _horizon: Duration) -> Vec<AttachmentEvent> {
-        Vec::new()
-    }
 }
 
 /// Classic random waypoint over a [`CellGrid`]: each client starts at the
@@ -322,15 +283,6 @@ mod tests {
         assert_eq!(g.cell_at(-1.0, -1.0), 0);
         assert_eq!(g.cell_at(1e9, 1e9), 5);
         assert_eq!(g.center_of(4), (150.0, 150.0));
-    }
-
-    #[test]
-    fn static_never_moves() {
-        let mut m = Static::round_robin(5, 3);
-        assert_eq!(m.n_clients(), 5);
-        assert_eq!(m.initial_cell(0), 0);
-        assert_eq!(m.initial_cell(4), 1);
-        assert!(m.events(Duration::from_secs(3600)).is_empty());
     }
 
     #[test]

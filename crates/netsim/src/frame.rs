@@ -37,11 +37,6 @@ impl TcpFlags {
     pub fn contains(self, other: TcpFlags) -> bool {
         self.0 & other.0 == other.0
     }
-
-    /// Union of two flag sets.
-    pub fn with(self, other: TcpFlags) -> TcpFlags {
-        TcpFlags(self.0 | other.0)
-    }
 }
 
 /// A TCP segment inside an IPv4 packet inside an Ethernet frame.
@@ -136,13 +131,6 @@ impl TcpFrame {
         self.src_mac = mac;
         self.src_ip = ip;
         self.src_port = port;
-    }
-
-    /// Total frame size on the wire in bytes (used for serialization-delay
-    /// modelling). Only frames whose payload is at most
-    /// [`TcpFrame::MAX_PAYLOAD`] bytes have an encoding of this length.
-    pub fn wire_len(&self) -> usize {
-        self.headers().wire_len()
     }
 
     /// Encodes to real frame bytes with valid checksums.
@@ -269,20 +257,13 @@ impl TcpHeaders {
         ETH_HEADER_LEN + IPV4_HEADER_LEN + TCP_HEADER_LEN + self.payload_len
     }
 
-    /// Encodes the frame whose payload is `payload_len` bytes of `fill` —
-    /// the same bytes as [`TcpFrame::encode`] on that frame, written without
-    /// a payload buffer in between and, because the encoder knows what it
-    /// generates, without a pass over the payload to sum it: the TCP
+    /// Encodes into `buf` the frame whose payload is `payload_len` bytes of
+    /// `fill` — the same bytes as [`TcpFrame::encode`] on that frame, written
+    /// without a payload buffer in between and, because the encoder knows
+    /// what it generates, without a pass over the payload to sum it: the TCP
     /// checksum is seeded with the payload's sum in closed form. Receivers
-    /// verify every byte as for any other frame.
-    pub fn encode_filled(&self, fill: u8) -> Vec<u8> {
-        let mut buf = Vec::new();
-        self.encode_filled_into(fill, &mut buf);
-        buf
-    }
-
-    /// [`TcpHeaders::encode_filled`] into `buf`: what it held is discarded,
-    /// its capacity reused.
+    /// verify every byte as for any other frame. What `buf` held is
+    /// discarded, its capacity reused.
     fn encode_filled_into(&self, fill: u8, buf: &mut Vec<u8>) {
         self.encode_around(buf, |out, tcp| {
             wire::encode_tcp_filled(out, tcp, fill, self.payload_len, self.src_ip, self.dst_ip)
@@ -438,9 +419,9 @@ impl WireFrame {
 /// takes malloc's slow path.
 ///
 /// A recycled buffer keeps nothing but its capacity — it is cleared and
-/// every byte of the new frame written — so the encoding is the one
-/// [`TcpHeaders::encode_filled`] returns whatever frame (longer, shorter,
-/// corrupted) the buffer carried before.
+/// every byte of the new frame written — so the encoding is the one a
+/// fresh buffer gets, whatever frame (longer, shorter, corrupted) the
+/// buffer carried before.
 #[derive(Debug)]
 pub struct FramePool {
     free: Vec<Vec<u8>>,
@@ -470,8 +451,9 @@ impl FramePool {
         }
     }
 
-    /// [`TcpHeaders::encode_filled`] into a recycled buffer, or into a new
-    /// one when the pool is empty.
+    /// Encodes the frame `headers` describe, its payload `payload_len` bytes
+    /// of `fill`, into a recycled buffer, or into a new one when the pool is
+    /// empty (see `TcpHeaders::encode_filled_into`).
     pub fn encode_filled(&mut self, headers: &TcpHeaders, fill: u8) -> Vec<u8> {
         let mut buf = self.take();
         headers.encode_filled_into(fill, &mut buf);
@@ -522,7 +504,6 @@ mod tests {
         assert!(TcpFlags::SYN_ACK.contains(TcpFlags::SYN));
         assert!(TcpFlags::SYN_ACK.contains(TcpFlags::ACK));
         assert!(!TcpFlags::SYN.contains(TcpFlags::ACK));
-        assert_eq!(TcpFlags::SYN.with(TcpFlags::ACK), TcpFlags::SYN_ACK);
     }
 
     #[test]
@@ -579,8 +560,8 @@ mod tests {
     fn wire_len_matches_encoding() {
         let mut f = client_syn();
         f.payload = vec![0xab; 100];
-        assert_eq!(f.encode().len(), f.wire_len());
-        assert_eq!(f.wire_len(), 14 + 20 + 20 + 100);
+        assert_eq!(f.encode().len(), f.headers().wire_len());
+        assert_eq!(f.headers().wire_len(), 14 + 20 + 20 + 100);
     }
 
     #[test]
@@ -602,7 +583,7 @@ mod tests {
         let mut f = client_syn();
         f.payload = vec![0; TcpFrame::MAX_PAYLOAD + 1];
         let bytes = f.encode();
-        assert_eq!(bytes.len(), f.wire_len());
+        assert_eq!(bytes.len(), f.headers().wire_len());
         assert_eq!(&bytes[16..18], &[0, 0], "total_len wrapped");
         assert!(TcpFrame::decode(&bytes).is_err());
     }

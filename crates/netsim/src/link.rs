@@ -59,11 +59,6 @@ impl Link {
         Link { spec }
     }
 
-    /// The underlying spec.
-    pub fn spec(&self) -> &LinkSpec {
-        &self.spec
-    }
-
     /// Pure serialization delay for `bytes` at this link's bandwidth.
     pub fn serialization_delay(&self, bytes: usize) -> Duration {
         let bits = bytes as f64 * 8.0;
@@ -89,16 +84,17 @@ mod tests {
 
     #[test]
     fn serialization_scales_with_size_and_bandwidth() {
-        let gig = Link::new(LinkSpec {
+        let spec = LinkSpec {
             propagation: Duration::ZERO,
             bandwidth_bps: 1_000_000_000,
             jitter_max: Duration::ZERO,
-        });
+        };
+        let gig = Link::new(spec.clone());
         // 1250 bytes = 10_000 bits = 10 us at 1 Gbps.
         assert_eq!(gig.serialization_delay(1250), Duration::from_micros(10));
         let ten = Link::new(LinkSpec {
             bandwidth_bps: 10_000_000_000,
-            ..gig.spec().clone()
+            ..spec
         });
         assert_eq!(ten.serialization_delay(1250), Duration::from_micros(1));
     }

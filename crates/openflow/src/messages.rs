@@ -100,26 +100,20 @@ impl RemovedReason {
     }
 }
 
-/// High-level error categories (a condensed `ofp_error_type`).
+/// High-level error categories (a condensed `ofp_error_type`); the
+/// discriminant is the wire value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u16)]
 pub enum ErrorType {
     /// Request could not be parsed.
-    BadRequest,
+    BadRequest = 1,
     /// An action was malformed or unsupported.
-    BadAction,
+    BadAction = 2,
     /// A flow modification failed.
-    FlowModFailed,
+    FlowModFailed = 5,
 }
 
 impl ErrorType {
-    fn to_u16(self) -> u16 {
-        match self {
-            ErrorType::BadRequest => 1,
-            ErrorType::BadAction => 2,
-            ErrorType::FlowModFailed => 5,
-        }
-    }
-
     fn from_u16(v: u16) -> Result<Self, OfError> {
         match v {
             1 => Ok(ErrorType::BadRequest),
@@ -385,7 +379,7 @@ impl<B: AsRef<[u8]>> Message<B> {
                 }
             }
             Message::Error { error_type, code, data } => {
-                out.extend_from_slice(&error_type.to_u16().to_be_bytes());
+                out.extend_from_slice(&(*error_type as u16).to_be_bytes());
                 out.extend_from_slice(&code.to_be_bytes());
                 let data = data.as_ref();
                 out.extend_from_slice(&data[..data.len().min(64)]);
@@ -771,7 +765,7 @@ mod two_buffer {
                 }
             }
             Message::Error { error_type, code, data } => {
-                body.extend_from_slice(&error_type.to_u16().to_be_bytes());
+                body.extend_from_slice(&(*error_type as u16).to_be_bytes());
                 body.extend_from_slice(&code.to_be_bytes());
                 body.extend_from_slice(&data[..data.len().min(64)]);
             }

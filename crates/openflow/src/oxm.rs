@@ -289,11 +289,6 @@ impl Match {
         self.kinds().map(|(i, kind)| OxmField::from_value(i, &self.values[kind.range()]))
     }
 
-    /// Number of fields (used as a specificity tiebreaker in tests).
-    pub fn len(&self) -> usize {
-        self.mask.count_ones() as usize
-    }
-
     /// `true` if this is the wildcard match.
     pub fn is_empty(&self) -> bool {
         self.mask == 0
@@ -481,7 +476,7 @@ mod tests {
         v.tcp_src = 50001;
         assert!(svc.matches(&v));
         assert!(!conn.matches(&v));
-        assert!(conn.len() > svc.len());
+        assert!(conn.fields().count() > svc.fields().count());
     }
 
     #[test]
@@ -489,7 +484,7 @@ mod tests {
         let m = Match::any()
             .with(OxmField::TcpDst(80))
             .with(OxmField::TcpDst(443));
-        assert_eq!(m.len(), 1);
+        assert_eq!(m.fields().count(), 1);
         assert_eq!(m.fields().collect::<Vec<_>>(), [OxmField::TcpDst(443)]);
     }
 

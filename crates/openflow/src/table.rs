@@ -19,7 +19,7 @@
 //!   shape and the service shape, plus the table-miss wildcard), not one
 //!   comparison per entry.
 //! * A [`TimerHeap`] holds one copy per timed entry, never later than its
-//!   idle expiry, so [`FlowTable::expire`] pops only entries actually due
+//!   idle expiry, so [`FlowTable::expire_into`] pops only entries actually due
 //!   and [`FlowTable::next_expiry`] is O(1). Ids are never reused, so a copy
 //!   is current iff its id resolves. Idle refreshes are lazy: a packet hit
 //!   does not touch the heap; a sweep re-arms a refreshed entry.
@@ -408,13 +408,6 @@ impl FlowTable {
         self.classify(view).map(|id| &self.flows[id])
     }
 
-    /// [`FlowTable::expire_into`] with a fresh buffer.
-    pub fn expire(&mut self, now: SimTime) -> Vec<Removed> {
-        let mut removed = Vec::new();
-        self.expire_into(now, &mut removed);
-        removed
-    }
-
     /// Removes every flow whose idle timeout has elapsed at `now`, appending
     /// removal records to `out` in priority order. Visits only entries whose
     /// heap deadline is due — entries whose idle timer was refreshed by traffic
@@ -480,6 +473,13 @@ pub fn entry(
 mod tests {
     use super::*;
     use crate::oxm::OxmField;
+
+    /// [`FlowTable::expire_into`] with a fresh buffer.
+    fn expire(t: &mut FlowTable, now: SimTime) -> Vec<Removed> {
+        let mut removed = Vec::new();
+        t.expire_into(now, &mut removed);
+        removed
+    }
 
     /// [`FlowTable::delete_into`] with a fresh buffer.
     fn delete(t: &mut FlowTable, match_: &Match, now: SimTime) -> Vec<Removed> {
@@ -599,8 +599,8 @@ mod tests {
             ),
             SimTime::ZERO,
         );
-        assert!(t.expire(SimTime::ZERO + Duration::from_secs(9)).is_empty());
-        let removed = t.expire(SimTime::ZERO + Duration::from_secs(10));
+        assert!(expire(&mut t, SimTime::ZERO + Duration::from_secs(9)).is_empty());
+        let removed = expire(&mut t, SimTime::ZERO + Duration::from_secs(10));
         assert_eq!(removed.len(), 1);
         assert_eq!(removed[0].reason, RemovedReason::IdleTimeout);
         assert!(removed[0].entry.wants_removed_msg());
@@ -616,8 +616,8 @@ mod tests {
         );
         // Hit at t=8s: timer restarts.
         t.lookup(&view(80), 64, SimTime::ZERO + Duration::from_secs(8));
-        assert!(t.expire(SimTime::ZERO + Duration::from_secs(15)).is_empty());
-        assert_eq!(t.expire(SimTime::ZERO + Duration::from_secs(18)).len(), 1);
+        assert!(expire(&mut t, SimTime::ZERO + Duration::from_secs(15)).is_empty());
+        assert_eq!(expire(&mut t, SimTime::ZERO + Duration::from_secs(18)).len(), 1);
     }
 
     #[test]
@@ -680,7 +680,7 @@ mod tests {
         let idle = Duration::from_secs(1);
         t.add(entry(Match::any(), 0, 1, fwd(1), idle, 0), SimTime::ZERO);
         let old = t.classify(&view(80)).unwrap();
-        assert_eq!(t.expire(SimTime::from_secs(2)).len(), 1);
+        assert_eq!(expire(&mut t, SimTime::from_secs(2)).len(), 1);
         t.add(plain(Match::any(), 0, 2), SimTime::from_secs(2));
         let new = t.classify(&view(80)).unwrap();
         assert_eq!(slot_of(new), slot_of(old), "the vacated slot was reused");

@@ -890,7 +890,7 @@ mod tests {
                 s.handle_controller(now, &fm.encode(1)).unwrap();
             }
             s.expire_flows(now);
-            reference.expire(now);
+            reference.expire_into(now, &mut Vec::new());
             let want = reference.lookup(&view, data.len(), now).map(|(_, a)| a);
             match (&s.handle_frame(now, 1, &data)[0], want) {
                 (Effect::Forward { port, .. }, Some(a)) => assert_eq!(a, &out(*port)[..], "{now:?}"),

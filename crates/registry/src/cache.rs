@@ -31,11 +31,6 @@ impl LayerCache {
         self.layers.insert(layer.digest, layer.size);
     }
 
-    /// Removes a layer by digest, returning whether it was present.
-    pub fn remove(&mut self, digest: &Digest) -> bool {
-        self.layers.remove(digest).is_some()
-    }
-
     /// Splits a manifest into the number of cached layers and the missing
     /// layers, recording hit/miss statistics. A fully cached image is
     /// answered without touching the heap.
@@ -64,21 +59,6 @@ impl LayerCache {
         self.layers.values().sum()
     }
 
-    /// Number of stored layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// `true` if the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-
-    /// `(hits, misses)` accumulated by [`LayerCache::plan`].
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
     /// Fraction of planned layers served from cache, or `None` before any
     /// planning ran (telemetry snapshots report this per cluster).
     pub fn hit_rate(&self) -> Option<f64> {
@@ -100,7 +80,7 @@ mod tests {
         let (cached, missing) = c.plan(&m);
         assert_eq!(cached, 0);
         assert_eq!(missing.len(), 6);
-        assert_eq!(c.stats(), (0, 6));
+        assert_eq!((c.hits, c.misses), (0, 6));
         assert_eq!(c.hit_rate(), Some(0.0));
         assert_eq!(LayerCache::new().hit_rate(), None);
     }
@@ -141,10 +121,7 @@ mod tests {
         for l in m.layers.iter().chain(&m.layers) {
             c.insert(*l);
         }
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.layers.len(), 1);
         assert_eq!(c.disk_usage(), 6328);
-        assert!(c.remove(&m.layers[0].digest));
-        assert!(!c.remove(&m.layers[0].digest));
-        assert!(c.is_empty());
     }
 }

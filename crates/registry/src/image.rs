@@ -26,16 +26,6 @@ impl Digest {
         }
         Digest(out)
     }
-
-    /// Hex rendering without the `sha256:` prefix.
-    pub(crate) fn hex(&self) -> String {
-        self.0.iter().map(|b| format!("{b:02x}")).collect()
-    }
-
-    /// Short (12-hex-char) form used in logs, mirroring Docker's UI.
-    pub fn short(&self) -> String {
-        self.hex()[..12].to_owned()
-    }
 }
 
 fn splitmix(mut z: u64) -> u64 {
@@ -45,15 +35,18 @@ fn splitmix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The short (12-hex-char) form used in logs, mirroring Docker's UI.
 impl fmt::Debug for Digest {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "sha256:{}", self.short())
+        write!(f, "sha256:")?;
+        self.0[..6].iter().try_for_each(|b| write!(f, "{b:02x}"))
     }
 }
 
 impl fmt::Display for Digest {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "sha256:{}", self.hex())
+        write!(f, "sha256:")?;
+        self.0.iter().try_for_each(|b| write!(f, "{b:02x}"))
     }
 }
 
@@ -209,8 +202,8 @@ mod tests {
         let c = Digest::of("nginx:1.23.2/layer1");
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_eq!(a.hex().len(), 64);
-        assert_eq!(a.short().len(), 12);
+        assert_eq!(a.to_string().len(), 7 + 64);
+        assert_eq!(format!("{a:?}").len(), 7 + 12);
         assert!(a.to_string().starts_with("sha256:"));
     }
 

@@ -94,16 +94,6 @@ pub struct SpanLog {
 }
 
 impl SpanLog {
-    /// Number of spans recorded.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// `true` if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
     /// All spans, in creation order.
     pub fn spans(&self) -> impl Iterator<Item = &Span> {
         self.spans.iter()

@@ -1368,7 +1368,7 @@ impl ListenerIndex {
 mod tests {
     use super::*;
     use edgectl::ControllerConfig;
-    use mobility::{CellHops, Static};
+    use mobility::CellHops;
 
     fn svc_addr(i: u8) -> ServiceAddr {
         ServiceAddr::new(Ipv4Addr::new(203, 0, 113, i), 80)
@@ -1447,7 +1447,7 @@ mod tests {
             let mut carried = 0;
             let mut count = 0;
             for segment in segments(template, total) {
-                let bytes = segment.encode_filled(PAYLOAD_FILL);
+                let bytes = FramePool::new().encode_filled(&segment, PAYLOAD_FILL);
                 let h = TcpHeaders::parse(&bytes).expect("segment verifies");
                 assert_eq!(h, segment);
                 assert!((1..=MSS).contains(&h.payload_len), "{total}: segment of {}", h.payload_len);
@@ -1689,7 +1689,8 @@ mod tests {
             tb.request_at(SimTime::from_secs(60), client, addr);
         }
         let load = tb.controller.load();
-        let replicas = if load.enabled() { load.config().max_replicas } else { 1 };
+        // The autoscaled run keeps the default ceiling.
+        let replicas = if load.enabled() { edgectl::AutoscaleConfig::default().max_replicas } else { 1 };
         let mut instance_addrs = Vec::new();
         let (mut answered, mut replica_answered) = (0, 0);
         run_inspecting(&mut tb, SimTime::from_secs(120), |tb, now, ev| {
@@ -1741,7 +1742,7 @@ mod tests {
         tb.register_service(profile, addr);
         tb.warm_all_zones();
         tb.pre_deploy_on(0);
-        tb.run(&mut Static::round_robin(1, 3), SimTime::from_secs(1), SimTime::from_secs(10));
+        tb.run(&mut CellHops::new(vec![0], &[]), SimTime::from_secs(1), SimTime::from_secs(10));
         assert!(tb.pings_done() > 10, "the session pings steadily");
         assert_eq!(tb.pings_sent(), tb.pings_done(), "every ping answered");
         assert_eq!((tb.double_answered, tb.stranded()), (0, 0));

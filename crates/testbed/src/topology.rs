@@ -347,11 +347,6 @@ impl MultiGnbTopology {
         }
     }
 
-    /// The IPv4 address of client `i`.
-    pub fn client_ip(&self, i: usize) -> Ipv4Addr {
-        self.topo.node(self.clients[i]).ip
-    }
-
     /// All port numbers of gNB `g` (for the switch FLOOD config).
     pub fn gnb_ports(&self, g: usize) -> Vec<u32> {
         let mut v: Vec<u32> = self.client_ports[g].iter().map(|p| p.0).collect();
@@ -407,6 +402,16 @@ mod tests {
     use super::*;
     use desim::SimRng;
 
+    /// One-way time for a 64-byte frame over the link from `from` to its
+    /// neighbour `to`.
+    fn hop(topo: &Topology, from: NodeId, to: NodeId, rng: &mut SimRng) -> Duration {
+        let port = (1..=topo.nodes().len() as u32)
+            .map(PortNo)
+            .find(|&p| topo.peer_of(from, p).is_some_and(|(n, _)| n == to))
+            .expect("the nodes are neighbours");
+        topo.link_at(from, port).unwrap().traversal_time(64, rng)
+    }
+
     #[test]
     fn shape_matches_fig8() {
         let t = C3Topology::build_with_far_edge(20, false);
@@ -415,10 +420,10 @@ mod tests {
         assert_eq!(t.ovs_ports().len(), 22);
         // Edge path is much faster than the cloud path.
         let mut rng = SimRng::new(1);
-        let to_edge = t.topo.path_latency(t.clients[0], t.egs, 64, &mut rng).unwrap();
-        let to_cloud = t.topo.path_latency(t.clients[0], t.cloud, 64, &mut rng).unwrap();
+        let to_edge = hop(&t.topo, t.clients[0], t.ovs, &mut rng) + hop(&t.topo, t.ovs, t.egs, &mut rng);
+        let to_cloud = hop(&t.topo, t.clients[0], t.ovs, &mut rng) + hop(&t.topo, t.ovs, t.cloud, &mut rng);
         assert!(to_cloud > to_edge * 10, "edge {to_edge} vs cloud {to_cloud}");
-        assert!(to_edge < desim::Duration::from_millis(1));
+        assert!(to_edge < Duration::from_millis(1));
     }
 
     #[test]
@@ -490,7 +495,7 @@ mod tests {
             // clients + 3 zones + cloud per gNB.
             assert_eq!(t.gnb_ports(g).len(), 6 + 3 + 1);
         }
-        assert_eq!(t.client_ip(0), Ipv4Addr::new(192, 168, 1, 20));
+        assert_eq!(t.topo.node(t.clients[0]).ip, Ipv4Addr::new(192, 168, 1, 20));
     }
 
     /// A gNB's own zone is closest, a neighbour zone farther, the cloud
@@ -499,9 +504,9 @@ mod tests {
     fn multi_gnb_latency_gradient() {
         let t = MultiGnbTopology::build(2, 1);
         let mut rng = SimRng::new(1);
-        let own = t.topo.path_latency(t.gnbs[0], t.zones[0], 64, &mut rng).unwrap();
-        let other = t.topo.path_latency(t.gnbs[0], t.zones[1], 64, &mut rng).unwrap();
-        let cloud = t.topo.path_latency(t.gnbs[0], t.cloud, 64, &mut rng).unwrap();
+        // Each is one direct link from the gNB.
+        let mut from_gnb = |to| hop(&t.topo, t.gnbs[0], to, &mut rng);
+        let (own, other, cloud) = (from_gnb(t.zones[0]), from_gnb(t.zones[1]), from_gnb(t.cloud));
         assert!(own < other, "own zone closest: {own} vs {other}");
         assert!(other < cloud, "neighbour zone beats cloud: {other} vs {cloud}");
     }

@@ -46,7 +46,6 @@ fn emit_value_after_key(out: &mut String, v: &Value, indent: usize) {
         }
         Value::Map(_) => out.push_str(" {}\n"),
         Value::Seq(_) => out.push_str(" []\n"),
-        Value::Str(s) if s.contains('\n') => emit_literal_block(out, s, indent + 2),
         scalar => {
             out.push(' ');
             out.push_str(&scalar_repr(scalar));
@@ -76,27 +75,11 @@ fn emit_seq(out: &mut String, items: &[Value], indent: usize) {
             }
             Value::Map(_) => out.push_str(" {}\n"),
             Value::Seq(_) => out.push_str(" []\n"),
-            Value::Str(s) if s.contains('\n') => emit_literal_block(out, s, indent + 2),
-            scalar => {
+                scalar => {
                 out.push(' ');
                 out.push_str(&scalar_repr(scalar));
                 out.push('\n');
             }
-        }
-    }
-}
-
-fn emit_literal_block(out: &mut String, text: &str, indent: usize) {
-    let strip = !text.ends_with('\n');
-    out.push_str(if strip { " |-\n" } else { " |\n" });
-    let body = if strip { text } else { &text[..text.len() - 1] };
-    for line in body.split('\n') {
-        if line.is_empty() {
-            out.push('\n');
-        } else {
-            out.push_str(&indent_str(indent));
-            out.push_str(line);
-            out.push('\n');
         }
     }
 }
@@ -236,13 +219,12 @@ mod tests {
     }
 
     #[test]
-    fn multiline_strings_become_literal_blocks() {
+    fn multiline_strings_round_trip_double_quoted() {
         let mut root = Value::new_map();
         root.insert("script", Value::from("line one\nline two\n"));
         root.insert("nonl", Value::from("a\nb"));
         let text = to_string(&root);
-        assert!(text.contains("script: |\n"), "{text}");
-        assert!(text.contains("nonl: |-\n"), "{text}");
+        assert_eq!(text, "script: \"line one\\nline two\\n\"\nnonl: \"a\\nb\"\n");
         assert_eq!(roundtrip(&root), root);
     }
 

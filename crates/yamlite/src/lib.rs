@@ -3,18 +3,22 @@
 //! The transparent-edge controller consumes Kubernetes-`Deployment`-style
 //! service definition files and re-emits annotated manifests. Those files use
 //! a well-behaved subset of YAML 1.2, which this crate implements from
-//! scratch:
+//! scratch. The subset, exactly:
 //!
-//! * block mappings and sequences with indentation-based nesting,
-//! * plain / single-quoted / double-quoted scalars with type resolution
-//!   (null, bool, int, float, string),
+//! * block mappings and sequences with indentation-based nesting (spaces
+//!   only; a sequence may sit at its key's indent, Kubernetes style),
+//! * plain and double-quoted scalars (escapes `\n \t \r \0 \" \\`) with
+//!   type resolution (null, bool, int, float, string),
 //! * flow collections (`[a, b]`, `{k: v}`), which may span lines — so the
 //!   JSON the bench artifacts are written in parses as-is,
-//! * literal (`|`) and folded (`>`) block scalars,
-//! * comments, blank lines and multi-document streams (`---`).
+//! * `#` comments, blank lines and multi-document streams (`---`, `...`).
 //!
-//! Anchors, aliases, tags and complex keys are intentionally out of scope —
-//! Kubernetes manifests do not use them.
+//! Block scalars (a block value starting with `|` or `>`) and single-quoted
+//! scalars are refused: a [`ParseError`] naming the line, never a plain
+//! string, because service definitions come from outside the program.
+//! The emitter writes a multi-line string double-quoted. Anchors, aliases,
+//! tags and complex keys are out of scope — Kubernetes manifests do not use
+//! them — and are not recognised: `&a`, `*a` and `!tag` read as plain text.
 //!
 //! ```
 //! let doc = yamlite::parse_str("

@@ -59,8 +59,6 @@ struct Line {
     indent: usize,
     /// Structural content: comment-stripped, right-trimmed.
     content: String,
-    /// Raw line text (needed verbatim inside block scalars).
-    raw: String,
 }
 
 fn parse_chunk(lines: &[(usize, &str)]) -> Result<Value> {
@@ -76,7 +74,6 @@ fn parse_chunk(lines: &[(usize, &str)]) -> Result<Value> {
             number,
             indent,
             content: content.trim_start().to_owned(),
-            raw: raw.to_owned(),
         });
     }
     let mut p = Parser {
@@ -101,11 +98,11 @@ fn parse_chunk(lines: &[(usize, &str)]) -> Result<Value> {
     Ok(v)
 }
 
-/// The bytes of `s` outside quoted scalars, with their offsets (the quote
-/// characters themselves are skipped too): what structural scanning —
+/// The bytes of `s` outside double-quoted scalars, with their offsets (the
+/// quote characters themselves are skipped too): what structural scanning —
 /// comments, `key:` splits, flow brackets — has to look at.
 fn unquoted(s: &str) -> impl Iterator<Item = (usize, u8)> + '_ {
-    let (mut in_single, mut in_double, mut escaped) = (false, false, false);
+    let (mut in_double, mut escaped) = (false, false);
     s.bytes().enumerate().filter(move |&(_, b)| {
         if in_double {
             if escaped {
@@ -116,13 +113,9 @@ fn unquoted(s: &str) -> impl Iterator<Item = (usize, u8)> + '_ {
                 in_double = false;
             }
             false
-        } else if in_single {
-            in_single = b != b'\'';
-            false
         } else {
             in_double = b == b'"';
-            in_single = b == b'\'';
-            !(in_double || in_single)
+            !in_double
         }
     })
 }
@@ -194,11 +187,6 @@ impl Parser {
 
     fn parse_block_node(&mut self, indent: usize) -> Result<Value> {
         let line = self.peek();
-        if let Some(style) = block_scalar_header(&line.content) {
-            let number = line.number;
-            self.pos += 1;
-            return self.parse_block_scalar(indent, style, number);
-        }
         if is_seq_entry(&line.content) {
             self.parse_sequence(indent)
         } else if split_key(&line.content).is_some() {
@@ -249,7 +237,6 @@ impl Parser {
                 }
                 break;
             }
-            let number = line.number;
             let rest = line.content[1..].trim_start().to_owned();
             let rest_offset = line.content.len() - rest.len(); // width of "- " prefix
             if rest.is_empty() {
@@ -262,23 +249,14 @@ impl Parser {
                 } else {
                     items.push(Value::Null);
                 }
-            } else if let Some(style) = block_scalar_header(&rest) {
-                // `- |` — block scalar item; its body only needs to be deeper
-                // than the dash itself.
-                self.pos += 1;
-                items.push(self.parse_block_scalar(indent, style, number)?);
             } else {
                 // Rewrite the entry in place as if the payload were its own
                 // line at the dash-adjusted indent; `key: value` payloads may
                 // continue as a mapping on the following lines.
                 let item_indent = indent + rest_offset;
-                {
-                    let slot = &mut self.lines[self.pos];
-                    slot.indent = item_indent;
-                    slot.content = rest;
-                    slot.raw = format!("{}{}", " ".repeat(item_indent), slot.content);
-                    let _ = number;
-                }
+                let slot = &mut self.lines[self.pos];
+                slot.indent = item_indent;
+                slot.content = rest;
                 items.push(self.parse_node(item_indent)?);
             }
         }
@@ -330,98 +308,12 @@ impl Parser {
                 } else {
                     Value::Null
                 }
-            } else if let Some(style) = block_scalar_header(&rest) {
-                self.parse_block_scalar(indent, style, number)?
             } else {
                 parse_scalar_or_flow(&self.join_flow(rest), number)?
             };
             map.push((key, value));
         }
         Ok(Value::Map(map))
-    }
-
-    fn parse_block_scalar(
-        &mut self,
-        key_indent: usize,
-        style: BlockStyle,
-        header_line: usize,
-    ) -> Result<Value> {
-        // Collect raw lines strictly deeper than the key, preserving blanks.
-        let mut raw_lines: Vec<String> = Vec::new();
-        let mut body_indent: Option<usize> = None;
-        while !self.eof() {
-            let line = &self.lines[self.pos];
-            let raw_trim_len = line.raw.trim_end().len();
-            if raw_trim_len == 0 {
-                raw_lines.push(String::new());
-                self.pos += 1;
-                continue;
-            }
-            let ind = line.raw.len() - line.raw.trim_start().len();
-            if ind <= key_indent {
-                break;
-            }
-            let bi = *body_indent.get_or_insert(ind);
-            if ind < bi {
-                return Err(ParseError::new(
-                    line.number,
-                    "block scalar line under-indented",
-                ));
-            }
-            raw_lines.push(line.raw.trim_end()[bi.min(raw_trim_len)..].to_owned());
-            self.pos += 1;
-        }
-        if body_indent.is_none() {
-            return Err(ParseError::new(header_line, "empty block scalar"));
-        }
-        // Drop trailing blank lines (clip/strip chomping both remove them).
-        while raw_lines.last().is_some_and(String::is_empty) {
-            raw_lines.pop();
-        }
-        let mut text = match style.folded {
-            false => raw_lines.join("\n"),
-            true => {
-                // Folded: single newlines become spaces, blank lines become newlines.
-                let mut out = String::new();
-                let mut pending_blank = 0usize;
-                for (i, l) in raw_lines.iter().enumerate() {
-                    if l.is_empty() {
-                        pending_blank += 1;
-                        continue;
-                    }
-                    if i > 0 {
-                        if pending_blank > 0 {
-                            out.extend(std::iter::repeat_n('\n', pending_blank));
-                        } else {
-                            out.push(' ');
-                        }
-                    }
-                    pending_blank = 0;
-                    out.push_str(l);
-                }
-                out
-            }
-        };
-        if !style.strip {
-            text.push('\n');
-        }
-        Ok(Value::Str(text))
-    }
-}
-
-#[derive(Clone, Copy)]
-struct BlockStyle {
-    folded: bool,
-    strip: bool,
-}
-
-fn block_scalar_header(rest: &str) -> Option<BlockStyle> {
-    match rest {
-        "|" => Some(BlockStyle { folded: false, strip: false }),
-        "|-" => Some(BlockStyle { folded: false, strip: true }),
-        ">" => Some(BlockStyle { folded: true, strip: false }),
-        ">-" => Some(BlockStyle { folded: true, strip: true }),
-        _ => None,
     }
 }
 
@@ -490,12 +382,11 @@ fn parse_scalar_or_flow(s: &str, line: usize) -> Result<Value> {
         }
         return Ok(v);
     }
-    if let Some(stripped) = s.strip_prefix('\'') {
-        let (v, used) = parse_single_quoted(stripped, line)?;
-        if used != stripped.len() {
-            return Err(ParseError::new(line, "trailing characters after quoted scalar"));
-        }
-        return Ok(v);
+    if s.starts_with(['|', '>']) {
+        return Err(ParseError::new(line, "block scalars (`|`, `>`) are not supported"));
+    }
+    if s.starts_with('\'') {
+        return Err(ParseError::new(line, "single-quoted scalars are not supported"));
     }
     Ok(resolve_plain(s))
 }
@@ -522,27 +413,6 @@ fn parse_double_quoted(rest: &str, line: usize) -> Result<(Value, usize)> {
         }
     }
     Err(ParseError::new(line, "unterminated double-quoted string"))
-}
-
-fn parse_single_quoted(rest: &str, line: usize) -> Result<(Value, usize)> {
-    let mut out = String::new();
-    let chars: Vec<(usize, char)> = rest.char_indices().collect();
-    let mut idx = 0;
-    while idx < chars.len() {
-        let (i, c) = chars[idx];
-        if c == '\'' {
-            // `''` is an escaped quote inside single-quoted style.
-            if chars.get(idx + 1).map(|&(_, c2)| c2) == Some('\'') {
-                out.push('\'');
-                idx += 2;
-                continue;
-            }
-            return Ok((Value::Str(out), i + 1));
-        }
-        out.push(c);
-        idx += 1;
-    }
-    Err(ParseError::new(line, "unterminated single-quoted string"))
 }
 
 /// YAML 1.2 core-schema-ish plain scalar resolution.
@@ -592,10 +462,6 @@ impl FlowParser<'_> {
         self.chars.get(self.pos).map(|&(_, c)| c)
     }
 
-    fn err(&self, msg: &str) -> ParseError {
-        ParseError::new(self.line, msg.to_owned())
-    }
-
     fn parse_value(&mut self) -> Result<Value> {
         self.skip_ws();
         match self.peek() {
@@ -619,13 +485,7 @@ impl FlowParser<'_> {
                 self.advance_bytes(used);
                 Ok(v)
             }
-            Some('\'') => {
-                self.pos += 1;
-                let start = self.byte_offset();
-                let (v, used) = parse_single_quoted(&self.src[start..], self.line)?;
-                self.advance_bytes(used);
-                Ok(v)
-            }
+            Some('\'') => Err(ParseError::new(self.line, "single-quoted scalars are not supported")),
             Some(_) => {
                 let start = self.byte_offset();
                 while let Some(c) = self.peek() {
@@ -637,7 +497,7 @@ impl FlowParser<'_> {
                 let end = self.byte_offset();
                 Ok(resolve_plain(self.src[start..end].trim()))
             }
-            None => Err(self.err("unexpected end of flow value")),
+            None => Err(ParseError::new(self.line, "unexpected end of flow value")),
         }
     }
 
@@ -665,7 +525,7 @@ impl FlowParser<'_> {
                     self.pos += 1;
                     return Ok(Value::Seq(items));
                 }
-                None => return Err(self.err("unterminated flow sequence")),
+                None => return Err(ParseError::new(self.line, "unterminated flow sequence")),
                 _ => {}
             }
             items.push(self.parse_value()?);
@@ -675,7 +535,7 @@ impl FlowParser<'_> {
                     self.pos += 1;
                 }
                 Some(']') => {}
-                _ => return Err(self.err("expected `,` or `]` in flow sequence")),
+                _ => return Err(ParseError::new(self.line, "expected `,` or `]` in flow sequence")),
             }
         }
     }
@@ -690,7 +550,7 @@ impl FlowParser<'_> {
                     self.pos += 1;
                     return Ok(Value::Map(map));
                 }
-                None => return Err(self.err("unterminated flow mapping")),
+                None => return Err(ParseError::new(self.line, "unterminated flow mapping")),
                 _ => {}
             }
             let key = match self.parse_value()? {
@@ -699,11 +559,11 @@ impl FlowParser<'_> {
                 Value::Bool(b) => b.to_string(),
                 Value::Float(f) => f.to_string(),
                 Value::Null => "null".to_owned(),
-                _ => return Err(self.err("collection keys are not supported")),
+                _ => return Err(ParseError::new(self.line, "collection keys are not supported")),
             };
             self.skip_ws();
             if self.peek() != Some(':') {
-                return Err(self.err("expected `:` in flow mapping"));
+                return Err(ParseError::new(self.line, "expected `:` in flow mapping"));
             }
             self.pos += 1;
             let value = self.parse_value()?;
@@ -714,7 +574,7 @@ impl FlowParser<'_> {
                     self.pos += 1;
                 }
                 Some('}') => {}
-                _ => return Err(self.err("expected `,` or `}` in flow mapping")),
+                _ => return Err(ParseError::new(self.line, "expected `,` or `}` in flow mapping")),
             }
         }
     }
@@ -774,10 +634,7 @@ mod tests {
 
     #[test]
     fn quoted_strings() {
-        let v = parse_str(
-            "a: \"hello: world # not comment\"\nb: 'it''s'\nc: \"tab\\there\"",
-        )
-        .unwrap();
+        let v = parse_str("a: \"hello: world # not comment\"\nb: it's\nc: \"tab\\there\"").unwrap();
         assert_eq!(v["a"].as_str(), Some("hello: world # not comment"));
         assert_eq!(v["b"].as_str(), Some("it's"));
         assert_eq!(v["c"].as_str(), Some("tab\there"));
@@ -813,22 +670,25 @@ mod tests {
     }
 
     #[test]
-    fn literal_block_scalar() {
-        let v = parse_str("script: |\n  line one\n  line two\nafter: 1").unwrap();
-        assert_eq!(v["script"].as_str(), Some("line one\nline two\n"));
-        assert_eq!(v["after"].as_i64(), Some(1));
+    fn block_scalars_are_refused_at_their_line() {
+        for (text, line) in [
+            ("a: 1\nscript: |\n  line one", 2),
+            ("msg: >-\n  folded", 1),
+            ("items:\n  - x\n  - |\n    body", 3),
+        ] {
+            let e = parse_str(text).unwrap_err();
+            assert_eq!(e.line, line, "{text:?}");
+            assert!(e.message.contains("block scalars"), "{e}");
+        }
     }
 
     #[test]
-    fn literal_block_scalar_strip() {
-        let v = parse_str("script: |-\n  just this").unwrap();
-        assert_eq!(v["script"].as_str(), Some("just this"));
-    }
-
-    #[test]
-    fn folded_block_scalar() {
-        let v = parse_str("msg: >\n  folded into\n  one line\n\n  second para").unwrap();
-        assert_eq!(v["msg"].as_str(), Some("folded into one line\nsecond para\n"));
+    fn single_quoted_scalars_are_refused_at_their_line() {
+        for (text, line) in [("a: 1\nb: 'it''s'", 2), ("'key': 1", 1), ("a:\n  - ['x']", 2)] {
+            let e = parse_str(text).unwrap_err();
+            assert_eq!(e.line, line, "{text:?}");
+            assert!(e.message.contains("single-quoted"), "{e}");
+        }
     }
 
     #[test]
@@ -873,7 +733,6 @@ mod tests {
     #[test]
     fn unterminated_quote_rejected() {
         assert!(parse_str("a: \"oops").is_err());
-        assert!(parse_str("a: 'oops").is_err());
     }
 
     #[test]

@@ -118,17 +118,6 @@ impl Value {
         }
     }
 
-    /// Removes `key` from a mapping, returning the removed value.
-    pub fn remove(&mut self, key: &str) -> Option<Value> {
-        match self {
-            Value::Map(m) => {
-                let idx = m.iter().position(|(k, _)| k == key)?;
-                Some(m.remove(idx).1)
-            }
-            _ => None,
-        }
-    }
-
     /// `true` if a mapping contains `key`.
     pub fn contains_key(&self, key: &str) -> bool {
         self.get(key).is_some()
@@ -260,12 +249,11 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_contains() {
-        let mut v = sample();
+    fn contains_key() {
+        let v = sample();
         assert!(v.contains_key("ratio"));
-        assert_eq!(v.remove("ratio"), Some(Value::Float(0.5)));
-        assert!(!v.contains_key("ratio"));
-        assert_eq!(v.remove("ratio"), None);
+        assert!(!v.contains_key("missing"));
+        assert!(!Value::Int(1).contains_key("ratio"));
     }
 
     #[test]

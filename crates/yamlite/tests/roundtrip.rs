@@ -51,9 +51,7 @@ fn value_strategy() -> impl Strategy<Value = Value> {
     })
 }
 
-/// Multi-line strings survive only in value position (block scalars); a
-/// sequence of bare scalars can't represent them. Restrict top level to maps
-/// like real manifests.
+/// Top level is a map, like real manifests.
 fn doc_strategy() -> impl Strategy<Value = Value> {
     prop::collection::vec((key_strategy(), value_strategy()), 1..6).prop_map(|pairs| {
         let mut seen = std::collections::HashSet::new();

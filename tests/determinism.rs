@@ -88,7 +88,7 @@ fn zero_move_mobility_leaves_single_ingress_behaviour_intact() {
     // byte-identical. Those figures never construct a mobility model, so it
     // suffices that a zero-move run touches nothing beyond its own testbed.
     use testbed::{MobilityConfig, MobilityTestbed};
-    use transparent_edge::mobility::Static;
+    use transparent_edge::mobility::CellHops;
     let fig_before = testbed::experiments::fig13(8);
     let mut tb = MobilityTestbed::new(MobilityConfig {
         n_gnbs: 2,
@@ -99,7 +99,7 @@ fn zero_move_mobility_leaves_single_ingress_behaviour_intact() {
     tb.register_service(ServiceSet::by_key("asm").unwrap(), addr);
     tb.warm_all_zones();
     tb.pre_deploy_on(0);
-    let mut model = Static::new(vec![0; 4]);
+    let mut model = CellHops::new(vec![0; 4], &[]);
     tb.run(&mut model, SimTime::from_secs(1), SimTime::from_secs(10));
     assert!(tb.handovers.is_empty(), "zero moves, zero handovers");
     assert_eq!(tb.pings_sent(), tb.pings_done());

@@ -42,15 +42,10 @@ const KEPT: &[(&str, &str)] = &[
     ("k8ssim::has_deployment", "reconcile_props and the full-recompute oracle check Deployments"),
     ("k8ssim::worker_mut", "multinode pre-pulls images onto one worker"),
     ("k8ssim::pod_name", "multinode and reconcile_props check pods by the name a handle renders"),
-    ("netsim::path_latency", "the topology tests and wire_props price paths"),
     ("netsim::rewrite_dst", "the frame tests and wire_props rewrite a destination"),
-    ("mobility::Static::round_robin", "the harness and frame_allocs tests place clients on gNBs"),
-    ("mobility::Static::new", "determinism pins every client to one cell"),
     ("desim::SimTime::from_millis", "tests across the workspace write instants in milliseconds"),
-    ("edgectl::LoadTracker::new", "the autoscale and controller tests build a tracker under a config"),
     ("telemetry::MetricsRegistry::new", "frame_allocs and e2ebench's tests build an empty registry"),
     ("ovs::buffered", "switch_props, work_ledger, frame_allocs and end_to_end check buffer slots drain"),
-    ("edgectl::flows_removed", "journal_oracle, transcript, work_ledger and frame_allocs count FLOW_REMOVEDs"),
     ("telemetry::histogram", "the metrics, controller, harness and frame_allocs tests read one histogram"),
 ];
 
