@@ -83,6 +83,21 @@ impl<E> NaiveEventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
+
+    /// The timestamp of the next event without removing it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.time)
+    }
+
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// `true` if no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
 }
 
 #[cfg(test)]
@@ -112,6 +127,18 @@ mod tests {
         for i in 0..100 {
             assert_eq!(q.pop().unwrap().1, i);
         }
+    }
+
+    #[test]
+    fn peek_does_not_remove() {
+        let mut q = NaiveEventQueue::new();
+        q.push(SimTime::from_secs(1), ());
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
+        q.pop();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

@@ -264,6 +264,11 @@ impl LoadTracker {
         self.cfg.enabled
     }
 
+    /// The active configuration.
+    pub fn config(&self) -> &AutoscaleConfig {
+        &self.cfg
+    }
+
     /// Replaces the configuration (controller construction time only).
     pub(crate) fn set_config(&mut self, cfg: AutoscaleConfig) {
         self.cfg = cfg;

@@ -344,6 +344,11 @@ impl<S: Spans> Controller<S> {
         self.flow_adds
     }
 
+    /// `FLOW_REMOVED` notifications seen (the `flows_removed` counter).
+    pub fn flows_removed(&self) -> u64 {
+        self.telemetry.metrics.counter("flows_removed")
+    }
+
     /// Control-plane inconsistencies survived (see [`ControlPlaneError`]).
     pub fn control_errors(&self) -> &[ControlPlaneError] {
         &self.control_errors
@@ -1748,7 +1753,7 @@ mod tests {
         };
         ctl.handle_switch_message(SimTime::ZERO, &fr.encode(9), &mut rng)
             .unwrap();
-        assert_eq!(ctl.telemetry.metrics.counter("flows_removed"), 1);
+        assert_eq!(ctl.flows_removed(), 1);
     }
 
     /// A with-waiting deployment that exhausts its retries releases the held
@@ -2381,7 +2386,7 @@ mod tests {
                 ctl.handle_switch_message(expire_at, &bytes, &mut rng).unwrap();
             }
         }
-        assert!(ctl.telemetry.metrics.counter("flows_removed") > 0);
+        assert!(ctl.flows_removed() > 0);
         assert_eq!(sw.table().entries().count(), 0);
 
         // Reconciliation agrees with the switch: nothing to re-install.
@@ -2402,13 +2407,13 @@ mod tests {
             let answered = serve_one(&mut ctl, &mut sw, now, 10_000 + cycle, &mut rng);
             assert_eq!(ctl.state_stats().pairs, 1);
             now = answered + ctl.config.switch_flow_idle + Duration::from_secs(1);
-            let (before, removed) = (ctl.state.pairs_examined(), ctl.telemetry.metrics.counter("flows_removed"));
+            let (before, removed) = (ctl.state.pairs_examined(), ctl.flows_removed());
             for fx in sw.expire_flows(now) {
                 if let Effect::ToController(bytes) = fx {
                     ctl.handle_switch_message(now, &bytes, &mut rng).unwrap();
                 }
             }
-            assert_eq!(ctl.telemetry.metrics.counter("flows_removed") - removed, 1, "cycle {cycle}: one FLOW_REMOVED");
+            assert_eq!(ctl.flows_removed() - removed, 1, "cycle {cycle}: one FLOW_REMOVED");
             assert_eq!(ctl.state.pairs_examined() - before, 1, "cycle {cycle}: one candidate");
         }
         let stats = ctl.state_stats();
@@ -2433,7 +2438,7 @@ mod tests {
                 ctl.handle_switch_message(idle, &bytes, &mut rng).unwrap();
             }
         }
-        assert_eq!(ctl.telemetry.metrics.counter("flows_removed"), 1, "the first connection idled out");
+        assert_eq!(ctl.flows_removed(), 1, "the first connection idled out");
         let second = serve_one(&mut ctl, &mut sw, idle, 50001, &mut rng);
         let ho = ctl.handle_attachment_change(
             second + Duration::from_secs(1),

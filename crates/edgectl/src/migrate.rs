@@ -152,6 +152,11 @@ impl SessionLedger {
         self.bytes.get(&(service, cluster)).copied().unwrap_or(0)
     }
 
+    /// Total session state across all zones (conservation checks).
+    pub fn total(&self) -> u64 {
+        self.bytes.values().sum()
+    }
+
     /// Moves everything at `(service, from)` to `(service, to)` — the
     /// switchover sync: state accrued during the transfer window moves too,
     /// so nothing is lost.
@@ -458,6 +463,11 @@ impl MigrationManager {
         m
     }
 
+    /// In-flight migrations.
+    pub fn active(&self) -> &[Migration] {
+        &self.active
+    }
+
     /// `true` while `(service, cluster)` is the source or target of an
     /// in-flight migration — the pool must not be retired underneath it.
     pub fn pinned(&self, service: ServiceAddr, cluster: usize) -> bool {
@@ -585,7 +595,7 @@ mod tests {
         let mut m = MigrationManager::new(c);
         m.note_served(svc(1), 0);
         m.note_served(svc(1), 0);
-        assert!(m.ledger.bytes.is_empty(), "0 bytes/request never touches the ledger");
+        assert_eq!(m.ledger().total(), 0, "0 bytes/request never touches the ledger");
     }
 
     #[test]
@@ -612,12 +622,12 @@ mod tests {
         l.credit(svc(1), 0, 700);
         l.credit(svc(1), 1, 50);
         l.credit(svc(2), 0, 11);
-        assert_eq!(l.bytes.values().sum::<u64>(), 761);
+        assert_eq!(l.total(), 761);
         let moved = l.transfer(svc(1), 0, 2);
         assert_eq!(moved, 700);
         assert_eq!(l.bytes_at(svc(1), 0), 0);
         assert_eq!(l.bytes_at(svc(1), 2), 700);
-        assert_eq!(l.bytes.values().sum::<u64>(), 761, "transfer conserves total state");
+        assert_eq!(l.total(), 761, "transfer conserves total state");
     }
 
     #[test]
@@ -639,7 +649,7 @@ mod tests {
         m.note_served(svc(1), 0);
         let due = m.take_due(mig.transfer_done);
         assert_eq!(due.len(), 1);
-        assert!(m.active.is_empty());
+        assert!(m.active().is_empty());
         let moved = m.complete(&due[0], mig.transfer_done, 3);
         assert_eq!(moved, 700, "switchover sync ships the delta too");
         assert_eq!(m.ledger().bytes_at(svc(1), 1), 700);

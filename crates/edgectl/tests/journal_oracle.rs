@@ -357,13 +357,13 @@ fn rebuilt_state_answers_flow_removed_like_the_live_one() {
         if crash {
             ctl.crash_restart(RecoveryMode::Warm);
         }
-        let before = ctl.telemetry.metrics.counter("flows_removed");
+        let before = ctl.flows_removed();
         now += Duration::from_secs(60);
         for (g, sw) in sws.iter_mut().enumerate() {
             let effects = sw.expire_flows(now);
             deliver(&mut ctl, sw, IngressId(g as u32), now, effects, &mut rng);
         }
-        assert!(ctl.telemetry.metrics.counter("flows_removed") > before, "flows expired and were reported");
+        assert!(ctl.flows_removed() > before, "flows expired and were reported");
         assert_oracle(&ctl, "flow-removed after the handover");
         ctl.state_digest()
     };

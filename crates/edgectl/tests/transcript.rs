@@ -664,7 +664,7 @@ fn flow_removed_takes_the_pair() {
         let mut r = Rig::new(115, RigOpts { n_buffers: 64, ..base });
         let answered = r.serve(G0, SimTime::from_secs(1), &syn(20, 50_000, ASM));
         r.expire(G0, answered + secs(11));
-        assert_eq!(r.ctl.telemetry.metrics.counter("flows_removed"), 1);
+        assert_eq!(r.ctl.flows_removed(), 1);
         assert_eq!(r.reconcile(G0, answered + secs(12)), 0);
         r.finish()
     });

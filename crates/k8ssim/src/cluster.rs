@@ -406,6 +406,11 @@ impl K8sCluster {
         &mut self.workers[0].node
     }
 
+    /// Worker by name.
+    pub fn worker(&self, name: &str) -> Option<&WorkerNode> {
+        self.workers.iter().find(|w| w.name == name)
+    }
+
     /// Mutable worker by name.
     pub fn worker_mut(&mut self, name: &str) -> Option<&mut WorkerNode> {
         self.workers.iter_mut().find(|w| w.name == name)

@@ -163,14 +163,11 @@ fn terminate_releases_containers_on_the_right_node() {
     let mut events = Vec::new();
     settle_into(&mut c, &mut rng, &mut events);
     let node = placements(&c, &events)[0].clone();
-    let containers_on = |c: &K8sCluster| {
-        c.workers().iter().find(|w| w.name == node).unwrap().node.container_count()
-    };
-    assert_eq!(containers_on(&c), 1);
+    assert_eq!(c.worker(&node).unwrap().node.container_count(), 1);
 
     c.scale(id, 0, SimTime::from_secs(60), &mut rng);
     settle_into(&mut c, &mut rng, &mut Vec::new());
-    assert_eq!(containers_on(&c), 0);
+    assert_eq!(c.worker(&node).unwrap().node.container_count(), 0);
     for w in c.workers() {
         assert_eq!(w.node.container_count(), 0);
     }

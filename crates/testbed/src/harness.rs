@@ -1689,8 +1689,7 @@ mod tests {
             tb.request_at(SimTime::from_secs(60), client, addr);
         }
         let load = tb.controller.load();
-        // The autoscaled run keeps the default ceiling.
-        let replicas = if load.enabled() { edgectl::AutoscaleConfig::default().max_replicas } else { 1 };
+        let replicas = if load.enabled() { load.config().max_replicas } else { 1 };
         let mut instance_addrs = Vec::new();
         let (mut answered, mut replica_answered) = (0, 0);
         run_inspecting(&mut tb, SimTime::from_secs(120), |tb, now, ev| {

@@ -347,6 +347,11 @@ impl MultiGnbTopology {
         }
     }
 
+    /// The IPv4 address of client `i`.
+    pub fn client_ip(&self, i: usize) -> Ipv4Addr {
+        self.topo.node(self.clients[i]).ip
+    }
+
     /// All port numbers of gNB `g` (for the switch FLOOD config).
     pub fn gnb_ports(&self, g: usize) -> Vec<u32> {
         let mut v: Vec<u32> = self.client_ports[g].iter().map(|p| p.0).collect();
@@ -495,7 +500,7 @@ mod tests {
             // clients + 3 zones + cloud per gNB.
             assert_eq!(t.gnb_ports(g).len(), 6 + 3 + 1);
         }
-        assert_eq!(t.topo.node(t.clients[0]).ip, Ipv4Addr::new(192, 168, 1, 20));
+        assert_eq!(t.client_ip(0), Ipv4Addr::new(192, 168, 1, 20));
     }
 
     /// A gNB's own zone is closest, a neighbour zone farther, the cloud

@@ -227,8 +227,7 @@ fn spans_off_cost_no_heap_call_and_run_no_detail_closure() {
     let mut off = Telemetry::<Off>::default();
     let (calls, ()) = heap_calls(|| (0..1000).for_each(|k| request(&mut off, k, &ran)));
     assert_eq!((calls, ran.get()), (0, 0), "heap calls and detail closures run with spans off");
-    assert!(off.span_log().is_none());
-    assert_eq!(off.metrics.to_json(), MetricsRegistry::new().to_json(), "no metric recorded");
+    assert!(off.span_log().is_none() && off.metrics.is_empty());
     assert_eq!(off.span(0, SpanId::NONE, "request", SimTime::ZERO), SpanId::NONE);
     let mut on = Telemetry::<SpanLog>::default();
     (0..1000).for_each(|k| request(&mut on, k, &ran));
@@ -458,12 +457,12 @@ fn a_warm_short_connection_costs_at_most_seven_heap_calls() {
     assert!(tb.switch().table().is_empty(), "warm-up flows idled out");
 
     tb.request_at(SimTime::from_secs(60), 4, addr);
-    let (misses, removed) = (tb.switch().table_misses, tb.controller.telemetry.metrics.counter("flows_removed"));
+    let (misses, removed) = (tb.switch().table_misses, tb.controller.flows_removed());
     let (calls, _) = heap_calls(|| tb.run_until(SimTime::from_secs(75)));
 
     assert_eq!((tb.completed.len(), tb.drops, tb.resets), (5, 0, 0));
     assert_eq!(tb.switch().table_misses - misses, 1, "one packet-in");
-    assert_eq!(tb.controller.telemetry.metrics.counter("flows_removed") - removed, 1, "the pair idled out and said so");
+    assert_eq!(tb.controller.flows_removed() - removed, 1, "the pair idled out and said so");
     assert!(tb.switch().table().is_empty());
     println!("one warm nginx connection, miss to FLOW_REMOVED: {calls} heap calls");
     assert!(calls <= 7, "{calls} heap calls for one warm short connection");
@@ -492,7 +491,7 @@ fn one_redispatch_handover(n_gnbs: usize) -> u64 {
     // The session's first pings place it on zone 0 through gNB 0.
     let mut home = mobility::CellHops::new(vec![0], &[]);
     tb.run(&mut home, SimTime::from_secs(1), SimTime::from_secs(5));
-    let client = testbed::client_ip_for(0);
+    let client = tb.topology().client_ip(0);
     assert_eq!(tb.controller.memory().flows_of_client_at(client, IngressId(0)).len(), 1);
     let mut rng = desim::SimRng::new(1);
     let (mac, gw) = (MacAddr::from_id(1), MacAddr::from_id(2));

@@ -46,7 +46,7 @@ impl Ledger {
             memory_lookups: memory.lookups,
             memory_hits: memory.hits,
             flow_adds: tb.controller.flow_adds(),
-            flows_removed: tb.controller.telemetry.metrics.counter("flows_removed"),
+            flows_removed: tb.controller.flows_removed(),
         }
     }
 

@@ -75,7 +75,7 @@ fn emit_seq(out: &mut String, items: &[Value], indent: usize) {
             }
             Value::Map(_) => out.push_str(" {}\n"),
             Value::Seq(_) => out.push_str(" []\n"),
-                scalar => {
+            scalar => {
                 out.push(' ');
                 out.push_str(&scalar_repr(scalar));
                 out.push('\n');
@@ -224,7 +224,10 @@ mod tests {
         root.insert("script", Value::from("line one\nline two\n"));
         root.insert("nonl", Value::from("a\nb"));
         let text = to_string(&root);
-        assert_eq!(text, "script: \"line one\\nline two\\n\"\nnonl: \"a\\nb\"\n");
+        assert_eq!(
+            text,
+            "script: \"line one\\nline two\\n\"\nnonl: \"a\\nb\"\n"
+        );
         assert_eq!(roundtrip(&root), root);
     }
 

@@ -383,10 +383,16 @@ fn parse_scalar_or_flow(s: &str, line: usize) -> Result<Value> {
         return Ok(v);
     }
     if s.starts_with(['|', '>']) {
-        return Err(ParseError::new(line, "block scalars (`|`, `>`) are not supported"));
+        return Err(ParseError::new(
+            line,
+            "block scalars (`|`, `>`) are not supported",
+        ));
     }
     if s.starts_with('\'') {
-        return Err(ParseError::new(line, "single-quoted scalars are not supported"));
+        return Err(ParseError::new(
+            line,
+            "single-quoted scalars are not supported",
+        ));
     }
     Ok(resolve_plain(s))
 }
@@ -485,7 +491,10 @@ impl FlowParser<'_> {
                 self.advance_bytes(used);
                 Ok(v)
             }
-            Some('\'') => Err(ParseError::new(self.line, "single-quoted scalars are not supported")),
+            Some('\'') => Err(ParseError::new(
+                self.line,
+                "single-quoted scalars are not supported",
+            )),
             Some(_) => {
                 let start = self.byte_offset();
                 while let Some(c) = self.peek() {
@@ -535,7 +544,12 @@ impl FlowParser<'_> {
                     self.pos += 1;
                 }
                 Some(']') => {}
-                _ => return Err(ParseError::new(self.line, "expected `,` or `]` in flow sequence")),
+                _ => {
+                    return Err(ParseError::new(
+                        self.line,
+                        "expected `,` or `]` in flow sequence",
+                    ))
+                }
             }
         }
     }
@@ -559,7 +573,12 @@ impl FlowParser<'_> {
                 Value::Bool(b) => b.to_string(),
                 Value::Float(f) => f.to_string(),
                 Value::Null => "null".to_owned(),
-                _ => return Err(ParseError::new(self.line, "collection keys are not supported")),
+                _ => {
+                    return Err(ParseError::new(
+                        self.line,
+                        "collection keys are not supported",
+                    ))
+                }
             };
             self.skip_ws();
             if self.peek() != Some(':') {
@@ -574,7 +593,12 @@ impl FlowParser<'_> {
                     self.pos += 1;
                 }
                 Some('}') => {}
-                _ => return Err(ParseError::new(self.line, "expected `,` or `}` in flow mapping")),
+                _ => {
+                    return Err(ParseError::new(
+                        self.line,
+                        "expected `,` or `}` in flow mapping",
+                    ))
+                }
             }
         }
     }
@@ -684,7 +708,11 @@ mod tests {
 
     #[test]
     fn single_quoted_scalars_are_refused_at_their_line() {
-        for (text, line) in [("a: 1\nb: 'it''s'", 2), ("'key': 1", 1), ("a:\n  - ['x']", 2)] {
+        for (text, line) in [
+            ("a: 1\nb: 'it''s'", 2),
+            ("'key': 1", 1),
+            ("a:\n  - ['x']", 2),
+        ] {
             let e = parse_str(text).unwrap_err();
             assert_eq!(e.line, line, "{text:?}");
             assert!(e.message.contains("single-quoted"), "{e}");

@@ -18,6 +18,8 @@
 #   - a method of a std-trait impl (`Display`, `PartialEq`, `Sub`, `FromIterator`,
 #     ...; the list is in the Perl below): the trait decides its name, and the
 #     language reaches it through `{}`, `==`, `-` or `collect`;
+#   - a function `tests/public_surface.rs` keeps for tests: its `KEPT` list
+#     gives the reason, and a function of that name in that crate is kept here;
 #   - a `file::fn` line of REACH_KEPT below, which says why it stays.
 # A REACH_KEPT line no longer needed (the function is gone or a run reaches it)
 # is printed too. Exit status 1 when either list is non-empty.
@@ -29,22 +31,25 @@
 set -uo pipefail
 
 # file::fn — why the function stays although no run enters it. One key covers
-# every function of that name in the file.
+# every function of that name in the file. A function public_surface's `KEPT`
+# already names needs no line here.
 REACH_KEPT=$(cat <<'EOF'
 crates/containerd/src/node.rs::container_count — k8ssim's multinode test counts the containers a worker holds
 crates/containerd/src/node.rs::state — the lifecycle tests and props read each container's state
 crates/desim/src/calendar.rs::is_empty — clippy pairs it with the reached len
 crates/desim/src/fault.rs::partial_fraction — a failed layer pull's progress; no run fails a pull (item 22)
+crates/desim/src/queue.rs::is_empty — the reference queue's reader; clippy pairs it with len
+crates/desim/src/queue.rs::len — the reference queue's reader; the calendar tests compare it with the calendar's after every step
+crates/desim/src/queue.rs::peek_time — the reference queue's reader; the calendar tests compare it with the calendar's after every step
 crates/desim/src/stats.rs::min — the telemetry test pins that a histogram's min starts above every observation
 crates/desim/src/timers.rs::heap_bytes — the state sizes of items 1 and 22 (state_stats)
 crates/dockersim/src/lib.rs::node_mut — the cluster and controller tests re-arm a node's fault injector mid-run
 crates/dockersim/src/lib.rs::remove — the Remove phase (PAPER.md step 5; ROADMAP item 19); no run sets ControllerConfig::remove_after
+crates/edgectl/src/autoscale.rs::config — the harness tests read the replica ceiling of the tracker under test
 crates/edgectl/src/cluster.rs::remove — the Remove phase (PAPER.md step 5; ROADMAP item 19); no run sets ControllerConfig::remove_after
 crates/edgectl/src/cluster.rs::telemetry_stats — e2ebench's tracing cluster wrapper forwards it
 crates/edgectl/src/controller.rs::control_errors — no run meets a control-plane inconsistency; the controller tests provoke them (item 22)
-crates/edgectl/src/controller.rs::journal_rebuild_digest — item 22's crash oracle; journal_oracle and recovery_props compare it
 crates/edgectl/src/controller.rs::note_error — no run meets a control-plane inconsistency; the controller tests provoke them (item 22)
-crates/edgectl/src/controller.rs::state_digest — item 22's crash oracle; journal_oracle and recovery_props compare it
 crates/edgectl/src/controller.rs::state_stats — item 1's invariant reads; the soak tests bound the bookkeeping
 crates/edgectl/src/dispatch.rs::give_up — item 22: no run exhausts a deployment's retries
 crates/edgectl/src/flowmemory.rs::apply — item 22: journal replay of flow ops; no run's replayed tail holds them
@@ -57,8 +62,10 @@ crates/edgectl/src/journal.rs::encode — item 22's crash oracle (state_digest)
 crates/edgectl/src/journal.rs::scaled_down — the Remove phase's wait list (PAPER.md step 5); no run sets remove_after
 crates/edgectl/src/journal.rs::state_stats — item 1's state sizes (state_stats)
 crates/edgectl/src/migrate.rs::abort — item 22: no run loses a target zone mid-transfer
+crates/edgectl/src/migrate.rs::active — the migration tests check that an aborted migration lifts its pin
 crates/edgectl/src/migrate.rs::label — span details, written only when a run records spans through a migration
 crates/edgectl/src/migrate.rs::ledger — the migration props check that session state is conserved
+crates/edgectl/src/migrate.rs::total — the migration props and harness tests check that session state is conserved
 crates/edgectl/src/predict.rs::observe — the `none` predictor's no-op; the harness never feeds a predictor named none
 crates/edgectl/src/predict.rs::predict — the `none` predictor's no-op; the harness never polls a predictor named none
 crates/edgectl/src/rules.rs::drop_buffered — safety: frees a switch buffer when a packet-in is dropped
@@ -67,26 +74,19 @@ crates/edgectl/src/scheduler.rs::name — CloudOnlyScheduler, the cloud-only bas
 crates/k8ssim/src/cluster.rs::delete_deployment — the Remove phase (PAPER.md step 5) on Kubernetes
 crates/k8ssim/src/cluster.rs::delete_service — the Remove phase (PAPER.md step 5) on Kubernetes
 crates/k8ssim/src/cluster.rs::endpoints — reconcile_props and the full-recompute oracle compare Endpoints objects
-crates/k8ssim/src/cluster.rs::has_deployment — reconcile_props and the full-recompute oracle check Deployments
-crates/k8ssim/src/cluster.rs::live_pods — reconcile_props and the full-recompute oracle count pods
-crates/k8ssim/src/cluster.rs::pod_name — multinode and reconcile_props check pods by the name a handle renders
-crates/k8ssim/src/cluster.rs::ready_endpoints — reconcile_props and the full-recompute oracle read endpoints
 crates/k8ssim/src/cluster.rs::remove — the Remove phase: a deleted service leaves the selector index
-crates/k8ssim/src/cluster.rs::store_stats — reconcile_props bounds the object store
-crates/k8ssim/src/cluster.rs::worker_mut — multinode pre-pulls images onto one worker
+crates/k8ssim/src/cluster.rs::worker — multinode counts the containers on the worker a pod was placed on
 crates/mobility/src/lib.rs::name — the model trait's label; e2ebench's recorded model implements it
 crates/netsim/src/frame.rs::held — wire_props and the harness tests check that frame buffers are recycled
-crates/netsim/src/frame.rs::rewrite_dst — the frame tests and wire_props rewrite a destination the way the switch does
 crates/netsim/src/pcap.rs::is_empty — clippy pairs it with the reached len
 crates/openflow/src/messages.rs::from_u16 — decode-error path: no run receives an OpenFlow ERROR (item 1's fuzzing)
 crates/openflow/src/oxm.rs::matches — the naive flow table the diff tests compare against matches this way
 crates/openflow/src/table.rs::is_empty — clippy pairs it with the reached len
 crates/openflow/src/table.rs::peek — the diff tests compare a read-only lookup against the naive table (ROADMAP item 2)
-crates/ovs/src/switch.rs::buffered — safety: switch_props, work_ledger, frame_allocs and end_to_end check buffer slots drain
-crates/telemetry/src/metrics.rs::histogram — the metrics, controller, harness and frame_allocs tests read one histogram
-crates/telemetry/src/metrics.rs::new — e2ebench builds an empty registry
+crates/telemetry/src/metrics.rs::is_empty — the metrics test and frame_allocs check that spans-off telemetry records nothing
 crates/telemetry/src/trace.rs::into_log — the trait method of telemetry::Off, the zero-sized recorder; spans-off runs never ask for a log
 crates/telemetry/src/trace.rs::spans — the span tests read every recorded span
+crates/testbed/src/topology.rs::client_ip — the handover tests and frame_allocs look up a client's flows by its address
 crates/testbed/src/topology.rs::client_port — the Net trait's handover hook; only multi-gNB runs hand over, and C3 has one switch
 crates/yamlite/src/error.rs::new — decode-error path: no run reads malformed YAML (item 1's fuzzing)
 crates/yamlite/src/parser.rs::too_deep — decode-error path: no run reads YAML nested past MAX_DEPTH
@@ -311,15 +311,20 @@ sed -n 's/^REACH_PROBE //p' "$dir"/logs/*.err | sort -u > "$dir/reached"
 cut -d' ' -f1 "$dir/probes" | sort -u | comm -23 - "$dir/reached" > "$dir/unreached"
 sed -n 's/ std$//p' "$dir/probes" | sort -u > "$dir/std"
 kept=$(echo "$REACH_KEPT" | sed -n 's/^\([^ ]*::[A-Za-z_0-9]*\) — .*/\1/p' | sort -u)
+# public_surface's KEPT keys (`crate::name`, `crate::Type::name`) as `crate name`.
+surface=$(sed -n '/^const KEPT/,/^];/p' "$src/tests/public_surface.rs" \
+  | sed -n 's/^ *("\([a-z_0-9]*\)::\([A-Za-z_0-9]*::\)\{0,1\}\([A-Za-z_0-9]*\)", .*/\1 \3/p')
 keyed() { sed -E 's/^([^:]*):[0-9]+:(.*)$/\1::\2/' "$@"; }
-listed=$(awk -v kept="$kept" -v std="$dir/std" '
+listed=$(awk -v kept="$kept" -v surface="$surface" -v std="$dir/std" '
   BEGIN { n = split(kept, k, "\n"); for (i = 1; i <= n; i++) keep[k[i]] = 1
+          n = split(surface, k, "\n"); for (i = 1; i <= n; i++) named[k[i]] = 1
           while ((getline id < std) > 0) exempt[id] = 1 }
-  { key = $0; sub(/:[0-9]+:/, "::", key) }
-  !($0 in exempt) && !(key in keep)' "$dir/unreached")
+  { key = $0; sub(/:[0-9]+:/, "::", key)
+    split($0, part, "/"); name = $0; sub(/.*:/, "", name) }
+  !($0 in exempt) && !(key in keep) && !((part[2] " " name) in named)' "$dir/unreached")
 stale=$(comm -23 <(echo "$kept" | grep -v '^$') <(keyed "$dir/unreached" | sort -u))
 
-echo "probed $(wc -l < "$dir/probes"), reached $(wc -l < "$dir/reached"), unreached $(wc -l < "$dir/unreached") ($(echo "$kept" | grep -c .) REACH_KEPT keys)"
+echo "probed $(wc -l < "$dir/probes"), reached $(wc -l < "$dir/reached"), unreached $(wc -l < "$dir/unreached") ($(echo "$kept" | grep -c .) REACH_KEPT keys, $(echo "$surface" | grep -c .) public_surface KEPT names)"
 echo "unreached, neither a std-trait method nor in REACH_KEPT: $(echo "$listed" | grep -c .)"
 [ -n "$listed" ] && echo "$listed" | sed 's/^/  /'
 echo "REACH_KEPT keys that are gone or reached: $(echo "$stale" | grep -c .)"

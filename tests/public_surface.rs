@@ -47,6 +47,7 @@ const KEPT: &[(&str, &str)] = &[
     ("telemetry::MetricsRegistry::new", "frame_allocs and e2ebench's tests build an empty registry"),
     ("ovs::buffered", "switch_props, work_ledger, frame_allocs and end_to_end check buffer slots drain"),
     ("telemetry::histogram", "the metrics, controller, harness and frame_allocs tests read one histogram"),
+    ("edgectl::flows_removed", "journal_oracle, transcript, work_ledger and frame_allocs count FLOW_REMOVEDs"),
 ];
 
 #[test]
