@@ -15,12 +15,14 @@
 use crate::annotate::EDGE_SERVICE_LABEL;
 use crate::service::EdgeService;
 use containerd::{ContainerId, RuntimeError, ServiceProfile};
-use desim::{Duration, LogNormal, Sample, SimRng, SimTime};
+use desim::{Duration, FastMap, FastSet, LogNormal, Sample, SimRng, SimTime};
 use dockersim::{DockerEngine, DockerError};
 use k8ssim::objects::{PodContainer, PodTemplate};
 use k8ssim::{ClusterEvent, DeploymentId, K8sCluster};
 use netsim::addr::{Ipv4Addr, MacAddr};
+use netsim::ServiceAddr;
 use registry::{ImageManifest, ImageRef};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -181,7 +183,8 @@ pub trait EdgeCluster {
     /// The address a (ready or starting) instance serves at.
     fn instance_addr(&self, svc: &EdgeService) -> Option<InstanceAddr>;
 
-    /// Number of services currently scaled up (scheduler load metric).
+    /// Number of services currently scaled up: the source of the
+    /// `cluster.<name>.load` gauge.
     fn load(&self) -> usize;
 
     /// Point-in-time operation counters and cache rates for telemetry
@@ -204,6 +207,27 @@ fn manifest_for<'a>(image: &ImageRef, profile: &'a ServiceProfile) -> &'a ImageM
         .iter()
         .find(|m| m.reference == *image)
         .unwrap_or_else(|| panic!("image {image} not part of service profile {}", profile.key))
+}
+
+/// The services an adapter has found every image layer of on disk, by
+/// address: like the adapters' entries, an address names one service and
+/// its images (Section II). No layer cache evicts ([`registry::LayerCache`]),
+/// so a true verdict is final and is latched; a false one is probed again.
+#[derive(Default)]
+struct ImageVerdicts(RefCell<FastSet<ServiceAddr>>);
+
+impl ImageVerdicts {
+    /// The latched verdict for `svc`, else `probe`'s (latched when true).
+    fn cached(&self, svc: &EdgeService, probe: impl FnOnce() -> bool) -> bool {
+        if self.0.borrow().contains(&svc.addr) {
+            return true;
+        }
+        let cached = probe();
+        if cached {
+            self.0.borrow_mut().insert(svc.addr);
+        }
+        cached
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -231,7 +255,8 @@ pub struct DockerCluster {
     host_ip: Ipv4Addr,
     latency: Duration,
     next_port: u16,
-    entries: BTreeMap<String, DockerEntry>,
+    entries: FastMap<ServiceAddr, DockerEntry>,
+    images: ImageVerdicts,
 }
 
 impl DockerCluster {
@@ -251,7 +276,8 @@ impl DockerCluster {
             host_ip,
             latency,
             next_port: 31000,
-            entries: BTreeMap::new(),
+            entries: FastMap::default(),
+            images: ImageVerdicts::default(),
         }
     }
 }
@@ -270,14 +296,12 @@ impl EdgeCluster for DockerCluster {
     }
 
     fn has_image_cached(&self, svc: &EdgeService) -> bool {
-        svc.profile
-            .manifests
-            .iter()
-            .all(|m| self.engine.node().store().has_image(m))
+        let store = self.engine.node().store();
+        self.images.cached(svc, || svc.profile.manifests.iter().all(|m| store.has_image(m)))
     }
 
     fn state(&self, svc: &EdgeService, now: SimTime) -> InstanceState {
-        match self.entries.get(&svc.name) {
+        match self.entries.get(&svc.addr) {
             None => InstanceState::NotDeployed,
             Some(e) if !e.running => InstanceState::Created,
             Some(e) => {
@@ -308,7 +332,7 @@ impl EdgeCluster for DockerCluster {
 
     fn create(&mut self, svc: &EdgeService, now: SimTime, rng: &mut SimRng) -> Result<SimTime, DeployError> {
         assert!(
-            !self.entries.contains_key(&svc.name),
+            !self.entries.contains_key(&svc.addr),
             "service {} already created on {}",
             svc.name,
             self.name
@@ -351,7 +375,7 @@ impl EdgeCluster for DockerCluster {
         let host_port = self.next_port;
         self.next_port += 1;
         self.entries.insert(
-            svc.name.clone(),
+            svc.addr,
             DockerEntry {
                 host_port,
                 containers: names,
@@ -372,7 +396,7 @@ impl EdgeCluster for DockerCluster {
     ) -> Result<(SimTime, SimTime), DeployError> {
         let entry = self
             .entries
-            .get(&svc.name)
+            .get(&svc.addr)
             .unwrap_or_else(|| panic!("scale_up before create for {}", svc.name));
         assert!(entry.created && !entry.running, "bad phase order");
         let containers = entry.containers.clone();
@@ -416,7 +440,7 @@ impl EdgeCluster for DockerCluster {
                 }
             }
         }
-        let entry = self.entries.get_mut(&svc.name).expect("entry exists");
+        let entry = self.entries.get_mut(&svc.addr).expect("entry exists");
         entry.running = true;
         entry.ready_at = ready.max(t);
         // `docker start` returns once every task is launched (t); the app
@@ -425,7 +449,7 @@ impl EdgeCluster for DockerCluster {
     }
 
     fn scale_down(&mut self, svc: &EdgeService, now: SimTime, rng: &mut SimRng) -> SimTime {
-        let Some(entry) = self.entries.get_mut(&svc.name) else {
+        let Some(entry) = self.entries.get_mut(&svc.addr) else {
             return now;
         };
         if !entry.running {
@@ -442,7 +466,7 @@ impl EdgeCluster for DockerCluster {
     }
 
     fn remove(&mut self, svc: &EdgeService, now: SimTime, rng: &mut SimRng) -> SimTime {
-        let Some(entry) = self.entries.remove(&svc.name) else {
+        let Some(entry) = self.entries.remove(&svc.addr) else {
             return now;
         };
         let mut t = now;
@@ -453,7 +477,7 @@ impl EdgeCluster for DockerCluster {
     }
 
     fn instance_addr(&self, svc: &EdgeService) -> Option<InstanceAddr> {
-        self.entries.get(&svc.name).map(|e| InstanceAddr {
+        self.entries.get(&svc.addr).map(|e| InstanceAddr {
             mac: self.host_mac,
             ip: self.host_ip,
             port: e.host_port,
@@ -498,7 +522,8 @@ pub struct K8sEdgeCluster {
     host_mac: MacAddr,
     latency: Duration,
     scheduler_name: Option<String>,
-    entries: BTreeMap<String, K8sEntry>,
+    entries: FastMap<ServiceAddr, K8sEntry>,
+    images: ImageVerdicts,
     /// The trail of the last `settle`, its capacity kept for the next.
     events: Vec<ClusterEvent>,
 }
@@ -520,7 +545,8 @@ impl K8sEdgeCluster {
             host_mac,
             latency,
             scheduler_name,
-            entries: BTreeMap::new(),
+            entries: FastMap::default(),
+            images: ImageVerdicts::default(),
             events: Vec::new(),
         }
     }
@@ -603,11 +629,11 @@ impl EdgeCluster for K8sEdgeCluster {
     fn has_image_cached(&self, svc: &EdgeService) -> bool {
         // Caches are per worker node: the image counts as cached when some
         // node could start the service without pulling.
-        self.cluster.any_worker_has(&svc.profile.manifests)
+        self.images.cached(svc, || self.cluster.any_worker_has(&svc.profile.manifests))
     }
 
     fn state(&self, svc: &EdgeService, now: SimTime) -> InstanceState {
-        match self.entries.get(&svc.name) {
+        match self.entries.get(&svc.addr) {
             None => InstanceState::NotDeployed,
             Some(e) if !e.scaled_up => InstanceState::Created,
             Some(e) => match self.cluster.first_ready_endpoint(e.deployment, now) {
@@ -634,7 +660,7 @@ impl EdgeCluster for K8sEdgeCluster {
 
     fn create(&mut self, svc: &EdgeService, now: SimTime, rng: &mut SimRng) -> Result<SimTime, DeployError> {
         assert!(
-            !self.entries.contains_key(&svc.name),
+            !self.entries.contains_key(&svc.addr),
             "service {} already created on {}",
             svc.name,
             self.name
@@ -654,7 +680,7 @@ impl EdgeCluster for K8sEdgeCluster {
             .max()
             .unwrap_or(acked);
         self.entries.insert(
-            svc.name.clone(),
+            svc.addr,
             K8sEntry {
                 deployment,
                 scaled_up: false,
@@ -673,7 +699,7 @@ impl EdgeCluster for K8sEdgeCluster {
     ) -> Result<(SimTime, SimTime), DeployError> {
         let entry = self
             .entries
-            .get(&svc.name)
+            .get(&svc.addr)
             .unwrap_or_else(|| panic!("scale_up before create for {}", svc.name));
         assert!(!entry.scaled_up, "bad phase order");
         let deployment = entry.deployment;
@@ -709,7 +735,7 @@ impl EdgeCluster for K8sEdgeCluster {
                 reason: "scheduler rejected the scale-up".to_owned(),
             });
         }
-        let entry = self.entries.get_mut(&svc.name).expect("entry exists");
+        let entry = self.entries.get_mut(&svc.addr).expect("entry exists");
         entry.scaled_up = true;
         match ready {
             Some((at, ip)) => {
@@ -727,7 +753,7 @@ impl EdgeCluster for K8sEdgeCluster {
     }
 
     fn scale_down(&mut self, svc: &EdgeService, now: SimTime, rng: &mut SimRng) -> SimTime {
-        let Some(entry) = self.entries.get_mut(&svc.name) else {
+        let Some(entry) = self.entries.get_mut(&svc.addr) else {
             return now;
         };
         if !entry.scaled_up {
@@ -742,7 +768,7 @@ impl EdgeCluster for K8sEdgeCluster {
     }
 
     fn remove(&mut self, svc: &EdgeService, now: SimTime, rng: &mut SimRng) -> SimTime {
-        let Some(entry) = self.entries.remove(&svc.name) else {
+        let Some(entry) = self.entries.remove(&svc.addr) else {
             return now;
         };
         let t = self.cluster.delete_deployment(entry.deployment, now, rng);
@@ -752,7 +778,7 @@ impl EdgeCluster for K8sEdgeCluster {
     }
 
     fn instance_addr(&self, svc: &EdgeService) -> Option<InstanceAddr> {
-        let entry = self.entries.get(&svc.name)?;
+        let entry = self.entries.get(&svc.addr)?;
         let (ip, port) = entry.pod_addr?;
         Some(InstanceAddr {
             mac: self.host_mac,
@@ -1085,7 +1111,7 @@ mod tests {
     /// serving container's id: find the serving container in the service
     /// definition and probe the engine by *name*. Kept as the oracle.
     fn state_by_name(c: &DockerCluster, svc: &EdgeService, now: SimTime) -> InstanceState {
-        match c.entries.get(&svc.name) {
+        match c.entries.get(&svc.addr) {
             None => InstanceState::NotDeployed,
             Some(e) if !e.running => InstanceState::Created,
             Some(e) => {
@@ -1129,10 +1155,10 @@ mod tests {
             let t = c.pull(&svc, t, &mut rng).unwrap();
             let t = c.create(&svc, t, &mut rng).unwrap();
             assert_eq!(probed(&c, &svc, t), InstanceState::Created);
-            let first_id = c.entries[&svc.name].serving.0;
+            let first_id = c.entries[&svc.addr].serving.0;
             let serving = serving_container(&svc);
             assert_eq!(c.engine.id_of(&serving.name), Ok(first_id));
-            assert_eq!(c.entries[&svc.name].containers[0], serving.name);
+            assert_eq!(c.entries[&svc.addr].containers[0], serving.name);
 
             let (_, ready) = c.scale_up(&svc, t, &mut rng).unwrap();
             assert_eq!(probed(&c, &svc, t), InstanceState::Starting { ready_at: ready });
@@ -1144,14 +1170,14 @@ mod tests {
             assert_eq!(probed(&c, &svc, t), InstanceState::Created, "nothing left to scale down");
             let (_, ready) = c.scale_up(&svc, t, &mut rng).unwrap();
             assert!(probed(&c, &svc, ready).is_ready(), "same container, started again");
-            assert_eq!(c.entries[&svc.name].serving.0, first_id);
+            assert_eq!(c.entries[&svc.addr].serving.0, first_id);
 
             // Removed while running, created again: a new container id.
             let t = c.remove(&svc, ready + Duration::from_secs(1), &mut rng);
             assert_eq!(probed(&c, &svc, t), InstanceState::NotDeployed);
             let t = c.create(&svc, t, &mut rng).unwrap();
             assert_eq!(probed(&c, &svc, t), InstanceState::Created);
-            assert_ne!(c.entries[&svc.name].serving.0, first_id);
+            assert_ne!(c.entries[&svc.addr].serving.0, first_id);
             let (_, ready) = c.scale_up(&svc, t, &mut rng).unwrap();
             assert!(probed(&c, &svc, ready).is_ready());
             assert!(probed(&c, &other, ready).is_ready(), "the neighbour is still its own");
@@ -1174,7 +1200,7 @@ mod tests {
             let removes = c.engine.ops.removes;
             match c.create(&svc, t, &mut rng) {
                 Ok(done) => {
-                    earlier_ids.push(c.entries[&svc.name].serving.0);
+                    earlier_ids.push(c.entries[&svc.addr].serving.0);
                     assert_eq!(probed(&c, &svc, done), InstanceState::Created);
                     t = c.remove(&svc, done, &mut rng);
                 }
@@ -1190,7 +1216,7 @@ mod tests {
         }
         c.engine.node_mut().set_faults(FaultPlan::default().injector(0x38));
         let done = c.create(&svc, t, &mut rng).unwrap();
-        assert!(!earlier_ids.contains(&c.entries[&svc.name].serving.0));
+        assert!(!earlier_ids.contains(&c.entries[&svc.addr].serving.0));
         let (_, ready) = c.scale_up(&svc, done, &mut rng).unwrap();
         assert!(probed(&c, &svc, ready).is_ready());
     }
@@ -1218,5 +1244,93 @@ mod tests {
         let (_, ready) = c.scale_up(&svc, err.at, &mut rng).unwrap();
         assert!(ready < SimTime::MAX);
         assert!(c.state(&svc, ready).is_ready());
+    }
+
+    /// Every image layer of `svc` on the Docker host's disk, asked of the
+    /// store itself.
+    fn docker_on_disk(c: &DockerCluster, svc: &EdgeService) -> bool {
+        let store = c.engine.node().store();
+        svc.profile.manifests.iter().all(|m| store.has_image(m))
+    }
+
+    /// Every image layer of `svc` on some K8s worker's disk.
+    fn k8s_on_disk(c: &K8sEdgeCluster, svc: &EdgeService) -> bool {
+        c.cluster.any_worker_has(&svc.profile.manifests)
+    }
+
+    fn docker_store(c: &mut DockerCluster) -> &mut containerd::ContentStore {
+        c.engine.node_mut().store_mut()
+    }
+
+    fn k8s_store(c: &mut K8sEdgeCluster) -> &mut containerd::ContentStore {
+        c.cluster.node_mut().store_mut()
+    }
+
+    /// The adapter's image verdict for `svc` — asked twice, so a latched
+    /// answer is read too — equals a fresh probe of the stores and `expect`.
+    fn verdict<C: EdgeCluster>(c: &C, on_disk: fn(&C, &EdgeService) -> bool, svc: &EdgeService, expect: bool) {
+        for _ in 0..2 {
+            assert_eq!(c.has_image_cached(svc), on_disk(c, svc), "{} on {}", svc.name, c.kind());
+            assert_eq!(c.has_image_cached(svc), expect, "{} on {}", svc.name, c.kind());
+        }
+    }
+
+    /// The cases a shortcut for the latched verdict would get wrong: a
+    /// verdict set at pull time misses a service that shares the pulled
+    /// image, and one that remembered a failed pull would answer true.
+    fn image_verdict_tracks_the_layer_stores<C: EdgeCluster>(
+        mut c: C,
+        on_disk: fn(&C, &EdgeService) -> bool,
+        store: fn(&mut C) -> &mut containerd::ContentStore,
+    ) -> (C, SimTime) {
+        use desim::FaultPlan;
+        let mut rng = SimRng::new(14);
+        let a = make_service("nginx", 80);
+        let b = make_service("nginx", 81); // A's image at another address
+        let r = make_service("resnet", 8501);
+        for svc in [&a, &b, &r] {
+            verdict(&c, on_disk, svc, false);
+        }
+
+        let plan = FaultPlan { pull_failure: 1.0, ..FaultPlan::default() };
+        store(&mut c).set_faults(plan.injector(0x39));
+        let err = c.pull(&r, SimTime::ZERO, &mut rng).unwrap_err();
+        assert_eq!(err.phase, DeployPhase::Pull);
+        verdict(&c, on_disk, &r, false);
+        store(&mut c).set_faults(FaultPlan::default().injector(0x3a));
+        let t = c.pull(&r, err.at, &mut rng).unwrap();
+        verdict(&c, on_disk, &r, true);
+
+        let t = c.pull(&a, t, &mut rng).unwrap();
+        verdict(&c, on_disk, &a, true);
+        verdict(&c, on_disk, &b, true);
+
+        let t = c.create(&a, t, &mut rng).unwrap();
+        let (_, ready) = c.scale_up(&a, t, &mut rng).unwrap();
+        verdict(&c, on_disk, &a, true);
+        assert!(c.fail_instance(&a, ready, &mut rng));
+        verdict(&c, on_disk, &a, true);
+        let (_, ready) = c.scale_up(&a, ready, &mut rng).unwrap();
+        let t = c.scale_down(&a, ready, &mut rng);
+        verdict(&c, on_disk, &a, true);
+        let t = c.remove(&a, t, &mut rng);
+        assert_eq!(c.state(&a, t), InstanceState::NotDeployed);
+        for svc in [&a, &b, &r] {
+            verdict(&c, on_disk, svc, true);
+        }
+        (c, t)
+    }
+
+    #[test]
+    fn the_image_verdict_is_the_layer_stores_on_docker_and_k8s() {
+        image_verdict_tracks_the_layer_stores(docker_cluster(), docker_on_disk, docker_store);
+        let (mut k, t) = image_verdict_tracks_the_layer_stores(k8s_cluster(), k8s_on_disk, k8s_store);
+        // A K8s create needs no image: a verdict read off the deployment
+        // state would answer true here.
+        let mut rng = SimRng::new(15);
+        let s = make_service("asm", 82);
+        let t = k.create(&s, t, &mut rng).unwrap();
+        assert_eq!(k.state(&s, t), InstanceState::Created);
+        verdict(&k, k8s_on_disk, &s, false);
     }
 }

@@ -403,7 +403,6 @@ impl Dispatcher {
                 distance: distances.get(i).copied().flatten().unwrap_or_else(|| c.latency()),
                 image_cached: c.has_image_cached(svc),
                 state,
-                load: c.load(),
                 breaker: health.breaker_state(i),
                 instances,
             });

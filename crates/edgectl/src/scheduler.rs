@@ -75,8 +75,6 @@ pub struct ClusterView {
     pub image_cached: bool,
     /// Deployment state of the requested service there.
     pub state: InstanceState,
-    /// Services currently scaled up (load).
-    pub load: usize,
     /// The cluster's circuit-breaker state. Dispatch withholds unavailable
     /// clusters from its candidate views entirely, but call sites that build
     /// views themselves (migration target selection) rely on load-aware
@@ -549,7 +547,6 @@ mod tests {
             } else {
                 InstanceState::NotDeployed
             },
-            load: 0,
             breaker: BreakerState::Closed,
             instances: Vec::new(),
         }

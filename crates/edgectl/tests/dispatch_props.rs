@@ -403,7 +403,6 @@ proptest! {
                 } else {
                     InstanceState::NotDeployed
                 },
-                load: 0,
                 breaker: edgectl::BreakerState::Closed,
                 instances: loads
                     .iter()
@@ -516,7 +515,6 @@ proptest! {
                 } else {
                     InstanceState::NotDeployed
                 },
-                load: 0,
                 breaker: match breaker {
                     0 => BreakerState::Closed,
                     1 => BreakerState::Open,

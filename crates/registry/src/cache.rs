@@ -7,7 +7,9 @@
 use crate::image::{Digest, ImageManifest, Layer};
 use std::collections::HashMap;
 
-/// A content-addressed layer store with hit/miss accounting.
+/// A content-addressed layer store with hit/miss accounting. Layers are
+/// never evicted: the edge cluster adapters latch a true "every image layer
+/// cached" verdict per service and rely on it staying true.
 #[derive(Clone, Debug, Default)]
 pub struct LayerCache {
     layers: HashMap<Digest, u64>, // digest -> size

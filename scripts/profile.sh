@@ -13,7 +13,8 @@
 # The kernel delivers ITIMER_PROF on its own tick, about 190 samples per
 # `rep` run, so [runs] (default 40) repetitions are pooled. Printed: self
 # time by innermost (inlined) function, self time by physical function,
-# inclusive time (one row per function, however many ways it was inlined),
+# inclusive time (one row per function, however many ways it was inlined,
+# every function on the stack of >= 0.5 % of the samples),
 # and the self time spent outside the binary — libc's allocator and mem*
 # internals, which the stripped library gives no names for — by nearest
 # exported symbol and by first caller inside the binary. Everything is
@@ -234,7 +235,10 @@ for title, table in [("self time, by innermost (inlined) function", self_inl),
                      ("self time, by physical function", self_phys),
                      ("inclusive time (a function counts once per sample it is on the stack of)", incl)]:
     print(f"\n== {title} ==")
-    for name, n in table.most_common(60 if table is incl else 30):
+    # Every inclusive row at >= 0.5 % of the samples: a fixed row count cuts
+    # at a share that moves with the number of runs.
+    rows = [r for r in table.most_common() if 200 * r[1] >= total] if table is incl else table.most_common(30)
+    for name, n in rows:
         print(f"{100 * n / total:6.2f} %  {n:6d}  {name}")
 n_outside = sum(row[0] for row in outside.values())
 print(f"\n== self time outside the benchmark binary ({100 * n_outside / total:.2f} %): nearest exported symbol at or "
