@@ -15,14 +15,13 @@
 use crate::annotate::EDGE_SERVICE_LABEL;
 use crate::service::EdgeService;
 use containerd::{ContainerId, RuntimeError, ServiceProfile};
-use desim::{Duration, FastMap, FastSet, LogNormal, Sample, SimRng, SimTime};
+use desim::{Duration, FastMap, LogNormal, Sample, SimRng, SimTime};
 use dockersim::{DockerEngine, DockerError};
 use k8ssim::objects::{PodContainer, PodTemplate};
 use k8ssim::{ClusterEvent, DeploymentId, K8sCluster};
 use netsim::addr::{Ipv4Addr, MacAddr};
 use netsim::ServiceAddr;
 use registry::{ImageManifest, ImageRef};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -122,7 +121,9 @@ pub trait EdgeCluster {
     /// larger values).
     fn latency(&self) -> Duration;
 
-    /// `true` if every image layer of the service is cached here.
+    /// `true` if every image layer of the service is cached here, asked of
+    /// the layer stores. No layer cache evicts ([`registry::LayerCache`]), so
+    /// a true answer is final: the dispatcher latches it per cluster.
     fn has_image_cached(&self, svc: &EdgeService) -> bool;
 
     /// Deployment state of `svc` at `now`.
@@ -209,27 +210,6 @@ fn manifest_for<'a>(image: &ImageRef, profile: &'a ServiceProfile) -> &'a ImageM
         .unwrap_or_else(|| panic!("image {image} not part of service profile {}", profile.key))
 }
 
-/// The services an adapter has found every image layer of on disk, by
-/// address: like the adapters' entries, an address names one service and
-/// its images (Section II). No layer cache evicts ([`registry::LayerCache`]),
-/// so a true verdict is final and is latched; a false one is probed again.
-#[derive(Default)]
-struct ImageVerdicts(RefCell<FastSet<ServiceAddr>>);
-
-impl ImageVerdicts {
-    /// The latched verdict for `svc`, else `probe`'s (latched when true).
-    fn cached(&self, svc: &EdgeService, probe: impl FnOnce() -> bool) -> bool {
-        if self.0.borrow().contains(&svc.addr) {
-            return true;
-        }
-        let cached = probe();
-        if cached {
-            self.0.borrow_mut().insert(svc.addr);
-        }
-        cached
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Docker
 // ---------------------------------------------------------------------------
@@ -256,7 +236,6 @@ pub struct DockerCluster {
     latency: Duration,
     next_port: u16,
     entries: FastMap<ServiceAddr, DockerEntry>,
-    images: ImageVerdicts,
 }
 
 impl DockerCluster {
@@ -277,7 +256,6 @@ impl DockerCluster {
             latency,
             next_port: 31000,
             entries: FastMap::default(),
-            images: ImageVerdicts::default(),
         }
     }
 }
@@ -297,7 +275,7 @@ impl EdgeCluster for DockerCluster {
 
     fn has_image_cached(&self, svc: &EdgeService) -> bool {
         let store = self.engine.node().store();
-        self.images.cached(svc, || svc.profile.manifests.iter().all(|m| store.has_image(m)))
+        svc.profile.manifests.iter().all(|m| store.has_image(m))
     }
 
     fn state(&self, svc: &EdgeService, now: SimTime) -> InstanceState {
@@ -523,7 +501,6 @@ pub struct K8sEdgeCluster {
     latency: Duration,
     scheduler_name: Option<String>,
     entries: FastMap<ServiceAddr, K8sEntry>,
-    images: ImageVerdicts,
     /// The trail of the last `settle`, its capacity kept for the next.
     events: Vec<ClusterEvent>,
 }
@@ -546,7 +523,6 @@ impl K8sEdgeCluster {
             latency,
             scheduler_name,
             entries: FastMap::default(),
-            images: ImageVerdicts::default(),
             events: Vec::new(),
         }
     }
@@ -629,7 +605,7 @@ impl EdgeCluster for K8sEdgeCluster {
     fn has_image_cached(&self, svc: &EdgeService) -> bool {
         // Caches are per worker node: the image counts as cached when some
         // node could start the service without pulling.
-        self.images.cached(svc, || self.cluster.any_worker_has(&svc.profile.manifests))
+        self.cluster.any_worker_has(&svc.profile.manifests)
     }
 
     fn state(&self, svc: &EdgeService, now: SimTime) -> InstanceState {

@@ -275,6 +275,9 @@ pub struct Controller<S: Spans = Off> {
     /// Recycled buffers of a handover: the sessions it moves, and the
     /// installs it makes at the new ingress.
     handover_scratch: (Vec<(FlowKey, MemorizedFlow)>, Vec<OutboundMessage>),
+    /// The list a handover's messages travel in, once its caller hands it
+    /// back ([`Controller::recycle_messages`]).
+    handover_messages: Vec<(IngressId, OutboundMessage)>,
     /// Recycled buffer of the idle sweep: the `(service, cluster)`s whose
     /// last memorized flow expired.
     idle_scratch: Vec<(ServiceAddr, usize)>,
@@ -325,6 +328,7 @@ impl<S: Spans> Controller<S> {
             next_request: 0,
             crash_records: FastMap::default(),
             handover_scratch: Default::default(),
+            handover_messages: Vec::new(),
             idle_scratch: Vec::new(),
             migration_spans: FastMap::default(),
             journal,
@@ -486,6 +490,7 @@ impl<S: Spans> Controller<S> {
     pub fn add_cluster(&mut self, cluster: Box<dyn EdgeCluster>, switch_port: u32) -> usize {
         self.map_cluster_port(IngressId::DEFAULT, cluster.name(), switch_port);
         self.clusters.push(cluster);
+        self.dispatcher.size_image_verdicts(None, self.clusters.len());
         self.clusters.len() - 1
     }
 
@@ -527,6 +532,7 @@ impl<S: Spans> Controller<S> {
 
     /// Registers an edge service.
     pub fn register_service(&mut self, service: EdgeService) {
+        self.dispatcher.size_image_verdicts(Some(service.addr), self.clusters.len());
         self.services.register(service);
     }
 
@@ -611,6 +617,12 @@ impl<S: Spans> Controller<S> {
     /// Takes back the buffer of an [`OutboundMessage`] the switch has read.
     pub fn recycle(&mut self, buf: Vec<u8>) {
         self.spare.recycle(buf);
+    }
+
+    /// Takes back a [`HandoverOutcome::messages`] list once its messages are on their way.
+    pub fn recycle_messages(&mut self, mut messages: Vec<(IngressId, OutboundMessage)>) {
+        messages.clear();
+        self.handover_messages = messages;
     }
 
     /// Handles one encoded message from the default ingress switch.
@@ -1100,28 +1112,14 @@ impl<S: Spans> Controller<S> {
         self.synced(|ctl| {
             let (request, root) = ctl.open_request("handover", now);
             ctl.telemetry.event(root, "attachment-change", now, || {
-                format!(
-                    "client={client} gnb {} -> {} ({})",
-                    from.0,
-                    to.0,
-                    policy.label()
-                )
+                format!("client={client} gnb {} -> {} ({})", from.0, to.0, policy.label())
             });
             let t = now + ctl.processing.sample_duration(rng);
             // The tracker learns the new location *now*, so the client's first
             // packet-in at the new switch is not mistaken for an unannounced
             // move (which would flush the very memory we are migrating).
-            ctl.commit(JournalEvent::ClientSeen {
-                client,
-                ingress: to,
-                in_port: new_in_port,
-                at: t,
-            });
-            ctl.commit(JournalEvent::MacsSeen {
-                client,
-                client_mac,
-                gw_mac,
-            });
+            ctl.commit(JournalEvent::ClientSeen { client, ingress: to, in_port: new_in_port, at: t });
+            ctl.commit(JournalEvent::MacsSeen { client, client_mac, gw_mac });
             // Retire the old switch's pairs before any new installs: with
             // `from == to` (a re-attach to the same cell) the new wildcard
             // pairs must not end up in their own teardown list. Cloud
@@ -1197,7 +1195,8 @@ impl<S: Spans> Controller<S> {
             // here costs nothing.
             let break_at = completed_at + Duration::from_millis(50);
             let n_old = old_pairs.len();
-            let mut messages = Vec::with_capacity(made.len() + 2 * n_old);
+            let mut messages = std::mem::take(&mut ctl.handover_messages);
+            messages.reserve_exact(made.len() + 2 * n_old);
             messages.extend(made.drain(..).map(|m| (to, m)));
             for (fwd, rev) in old_pairs.drain(..).map(|p| p.flows()) {
                 for m in [fwd.match_, rev.match_] {
@@ -1225,13 +1224,7 @@ impl<S: Spans> Controller<S> {
             if ctl.state.migrate().live() {
                 ctl.migrate_lagging_sessions(t, client, to, rng);
             }
-            HandoverOutcome {
-                at: now,
-                completed_at,
-                flows_migrated,
-                redispatched,
-                messages,
-            }
+            HandoverOutcome { at: now, completed_at, flows_migrated, redispatched, messages }
         })
     }
 

@@ -69,7 +69,6 @@ impl PhaseTimes {
     pub(crate) fn total_retries(&self) -> u32 {
         self.pull_retries + self.create_retries + self.scale_up_retries
     }
-
 }
 
 /// The outcome of dispatching one request.
@@ -205,6 +204,10 @@ pub struct Dispatcher {
     /// cluster index behind each.
     views: Vec<ClusterView>,
     candidates: Vec<usize>,
+    /// Per registered service, one image verdict per cluster: latched once
+    /// true (no layer cache evicts), probed while false. Sized when a service
+    /// registers or a cluster is added, so a decision only reads and sets it.
+    images: FastMap<ServiceAddr, Vec<bool>>,
 }
 
 impl Dispatcher {
@@ -218,6 +221,7 @@ impl Dispatcher {
             tracker: LoadTracker::default(),
             views: Vec::new(),
             candidates: Vec::new(),
+            images: FastMap::default(),
         }
     }
 
@@ -250,6 +254,14 @@ impl Dispatcher {
     /// dispatch.
     pub(crate) fn reset_volatile(&mut self) {
         self.in_flight.clear();
+    }
+
+    /// Sizes every service's image verdicts to `n` clusters; a `fresh` registration starts all false.
+    pub(crate) fn size_image_verdicts(&mut self, fresh: Option<ServiceAddr>, n: usize) {
+        if let Some(addr) = fresh {
+            self.images.insert(addr, Vec::new());
+        }
+        self.images.values_mut().for_each(|v| v.resize(n, false));
     }
 
     /// Does `instance` on `cluster` serve `svc` at `now`? An address is the
@@ -372,6 +384,7 @@ impl Dispatcher {
         // zone. `candidates` maps view indices back to cluster indices.
         let tracker = &mut self.tracker;
         let (views, candidates) = (&mut self.views, &mut self.candidates);
+        let mut images = self.images.get_mut(&svc.addr);
         views.clear();
         candidates.clear();
         for (i, c) in clusters.iter().enumerate() {
@@ -397,11 +410,18 @@ impl Dispatcher {
                 }
                 _ => Vec::new(),
             };
+            let image_cached = match images.as_mut().and_then(|v| v.get_mut(i)) {
+                Some(latched) => {
+                    *latched = *latched || c.has_image_cached(svc);
+                    *latched
+                }
+                None => c.has_image_cached(svc),
+            };
             candidates.push(i);
             views.push(ClusterView {
                 kind: c.kind(),
                 distance: distances.get(i).copied().flatten().unwrap_or_else(|| c.latency()),
-                image_cached: c.has_image_cached(svc),
+                image_cached,
                 state,
                 breaker: health.breaker_state(i),
                 instances,
@@ -506,16 +526,7 @@ impl Dispatcher {
         // On-demand deployment with waiting.
         let deploy_span = tele.span(request, parent, "deploy", now);
         let outcome = self.ensure_ready(
-            svc,
-            cluster,
-            now,
-            clusters,
-            health,
-            &mut phases,
-            rng,
-            tele,
-            request,
-            deploy_span,
+            svc, cluster, now, clusters, health, &mut phases, rng, tele, request, deploy_span,
         );
         let ready_at = match outcome {
             EnsureOutcome::Ready(t) => {
@@ -557,12 +568,7 @@ impl Dispatcher {
             (base, ready_at)
         };
         memory.memorize(key, instance, cluster, ready_at);
-        let decision = DispatchDecision::WaitThenRedirect {
-            instance,
-            cluster,
-            ready_at,
-        };
-        answer(decision, phases)
+        answer(DispatchDecision::WaitThenRedirect { instance, cluster, ready_at }, phases)
     }
 
     /// Drives the missing phases on `cluster` until the instance is ready,
@@ -680,13 +686,7 @@ impl Dispatcher {
         // Breaker feedback: coalesced joiners don't re-record — one
         // exhausted deployment is one failure.
         health.record_failure(key.1, at);
-        self.in_flight.insert(
-            key,
-            FailedDeploy {
-                gave_up_at: at,
-                phases: *phases,
-            },
-        );
+        self.in_flight.insert(key, FailedDeploy { gave_up_at: at, phases: *phases });
         EnsureOutcome::GaveUp(at)
     }
 }
@@ -1219,4 +1219,84 @@ mod tests {
         );
     }
 
+    /// A cluster whose layer store is one flag, counting how often it is asked.
+    struct ImageFlag {
+        cached: std::rc::Rc<std::cell::Cell<bool>>,
+        probes: std::rc::Rc<std::cell::Cell<u32>>,
+    }
+
+    impl EdgeCluster for ImageFlag {
+        fn name(&self) -> &str { "edge" }
+        fn kind(&self) -> &'static str { "docker" }
+        fn latency(&self) -> Duration { Duration::from_micros(150) }
+        fn has_image_cached(&self, _: &EdgeService) -> bool {
+            self.probes.set(self.probes.get() + 1);
+            self.cached.get()
+        }
+        fn state(&self, _: &EdgeService, _: SimTime) -> InstanceState { InstanceState::NotDeployed }
+        fn pull(&mut self, _: &EdgeService, now: SimTime, _: &mut SimRng) -> Result<SimTime, DeployError> {
+            Ok(now)
+        }
+        fn create(&mut self, _: &EdgeService, now: SimTime, _: &mut SimRng) -> Result<SimTime, DeployError> {
+            Ok(now)
+        }
+        fn scale_up(
+            &mut self,
+            _: &EdgeService,
+            now: SimTime,
+            _: &mut SimRng,
+        ) -> Result<(SimTime, SimTime), DeployError> {
+            Ok((now, now))
+        }
+        fn scale_down(&mut self, _: &EdgeService, now: SimTime, _: &mut SimRng) -> SimTime { now }
+        fn remove(&mut self, _: &EdgeService, now: SimTime, _: &mut SimRng) -> SimTime { now }
+        fn instance_addr(&self, _: &EdgeService) -> Option<InstanceAddr> { None }
+        fn load(&self) -> usize { 0 }
+    }
+
+    /// A scheduler that sends every request to the cloud and records the
+    /// image verdict of the one view it is shown.
+    struct SeenVerdicts(std::sync::Arc<std::sync::Mutex<Vec<bool>>>);
+
+    impl GlobalScheduler for SeenVerdicts {
+        fn name(&self) -> &str { "seen-verdicts" }
+        fn choose(&mut self, ctx: &SchedulingContext) -> crate::scheduler::Choice {
+            self.0.lock().unwrap().extend(ctx.clusters.iter().map(|v| v.image_cached));
+            crate::scheduler::Choice { fast: None, best: None }
+        }
+    }
+
+    /// A decision asks the cluster's layer store while the verdict is
+    /// false and latches it once true: no layer cache evicts, so a store
+    /// that answered true is not asked again. A (re-)registration starts
+    /// the service unlatched, and a service no registration sized is asked
+    /// on every decision.
+    #[test]
+    fn a_decision_latches_a_true_image_verdict_and_asks_again_while_false() {
+        let mut rng = SimRng::new(16);
+        let (cached, probes) = (std::rc::Rc::default(), std::rc::Rc::default());
+        let flag = ImageFlag { cached: std::rc::Rc::clone(&cached), probes: std::rc::Rc::clone(&probes) };
+        let mut clusters: Vec<Box<dyn EdgeCluster>> = vec![Box::new(flag)];
+        let seen = std::sync::Arc::default();
+        let mut d = Dispatcher::new(Box::new(SeenVerdicts(std::sync::Arc::clone(&seen))));
+        let mut memory = FlowMemory::new(Duration::from_secs(30));
+        let svc = make_service("asm");
+        d.size_image_verdicts(Some(svc.addr), 1);
+        let mut decide = |d: &mut Dispatcher, svc: &EdgeService, on_disk: bool| {
+            cached.set(on_disk);
+            let now = SimTime::from_secs(1);
+            let out = dispatch(d, svc, Ipv4Addr::new(192, 168, 1, 20), now, &mut clusters, &mut memory, &mut rng);
+            assert!(matches!(out.decision, DispatchDecision::ForwardToCloud));
+            (seen.lock().unwrap().pop().unwrap(), probes.get())
+        };
+        assert_eq!(decide(&mut d, &svc, false), (false, 1));
+        assert_eq!(decide(&mut d, &svc, false), (false, 2), "a false verdict is asked again");
+        assert_eq!(decide(&mut d, &svc, true), (true, 3));
+        assert_eq!(decide(&mut d, &svc, false), (true, 3), "a true verdict is latched");
+        d.size_image_verdicts(Some(svc.addr), 1);
+        assert_eq!(decide(&mut d, &svc, false), (false, 4), "re-registered: unlatched");
+        let other = EdgeService { addr: ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 11), 80), ..svc };
+        assert_eq!(decide(&mut d, &other, true), (true, 5));
+        assert_eq!(decide(&mut d, &other, true), (true, 6), "unsized: asked every time");
+    }
 }

@@ -431,16 +431,19 @@ impl FramePool {
     /// The most buffers the pool holds; one recycled beyond that is freed.
     ///
     /// A constant, not a setting, because one value serves every caller:
-    /// on `e2ebench`'s `bulk_transfer` (62 frames per request, the 59
-    /// segments of an upload in flight together, uploads overlapping) a
-    /// request costs 154.05 heap calls and 98 402 B without a pool, 137.04 / 75 987
-    /// with 16 buffers, 96.70 / 15 780 with 64, 92.10 / 8 929 with 256 —
-    /// and the same 92.10 / 8 929 with 1 024 or 4 096. Beyond the hit rate
-    /// a larger cap only raises what a burst can leave pinned here (a
-    /// buffer grows to the longest frame it ever carried, so 256 of them
-    /// are ≈ 384 kB of 1.5 kB segments; 4 096 would be 6 MB that malloc
-    /// could otherwise hand to the growing flow table — `peak_rss_mb` is a
-    /// gated metric).
+    /// on `e2ebench`'s `bulk_transfer` at seed 1 (62 frames per request, the
+    /// 59 segments of an upload in flight together, uploads overlapping) a
+    /// request costs 45.17 heap calls and 69 027 B with 16 buffers, 4.82 /
+    /// 8 820 with 64, 0.22 / 1 969 with 256 — and the same 0.22 / 1 969
+    /// with 1 024; `peak_rss_mb` reads 10.1–10.4 at every cap (x86-64
+    /// Linux, glibc malloc). These are exact counts of the whole stack as it
+    /// stands; the sweep that first sized the pool, with far more of the
+    /// stack on the heap, read 154.05 calls without a pool and 92.10 from
+    /// 256 up (EXPERIMENTS.md, both sweeps). Beyond the hit rate a larger
+    /// cap only raises what a burst can leave pinned here (a buffer grows
+    /// to the longest frame it ever carried, so 256 of them are ≈ 384 kB of
+    /// 1.5 kB segments; 4 096 would be 6 MB that malloc could otherwise
+    /// hand to the growing flow table — `peak_rss_mb` is a gated metric).
     pub const CAP: usize = 256;
 
     /// An empty pool. Its own storage is sized for [`FramePool::CAP`] here,

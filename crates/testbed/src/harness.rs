@@ -622,9 +622,9 @@ impl<T: Net, S: Spans> Harness<T, S> {
         self.engine.schedule_at(at, Ev::CtrlDown { sw, bytes: m.data });
     }
 
-    /// [`Self::send_down`] for messages tagged with their switch.
-    fn send_down_each(&mut self, msgs: Vec<(IngressId, OutboundMessage)>) {
-        for (ingress, m) in msgs {
+    /// [`Self::send_down`] for messages tagged with their switch, drained in place.
+    fn send_down_each(&mut self, msgs: &mut Vec<(IngressId, OutboundMessage)>) {
+        for (ingress, m) in msgs.drain(..) {
             self.send_down(ingress.0 as usize, m);
         }
     }
@@ -753,8 +753,8 @@ impl<T: Net, S: Spans> Harness<T, S> {
                 if !self.migration.fires(at) || !self.controller_up(now) {
                     return; // stale, or in-flight migrations are pinned until restart
                 }
-                let flips = self.controller.migration_tick(now, &mut self.rng);
-                self.send_down_each(flips);
+                let mut flips = self.controller.migration_tick(now, &mut self.rng);
+                self.send_down_each(&mut flips);
                 self.reschedule_migration();
                 // The flip repoints memorized flows; their next expiry moved.
                 self.reschedule_tick();
@@ -804,8 +804,8 @@ impl<T: Net, S: Spans> Harness<T, S> {
             }
             Ev::OutageBegin { zone, until } => {
                 self.zone_outages += 1;
-                let repairs = self.controller.begin_zone_outage(zone, now, until, &mut self.rng);
-                self.send_down_each(repairs);
+                let mut repairs = self.controller.begin_zone_outage(zone, now, until, &mut self.rng);
+                self.send_down_each(&mut repairs);
                 self.engine.schedule_at(until, Ev::OutageEnd { zone });
             }
             Ev::OutageEnd { zone } => self.controller.end_zone_outage(zone),
@@ -869,8 +869,8 @@ impl<T: Net, S: Spans> Harness<T, S> {
                 // The sweep keeps its cadence through a blackout so detection
                 // resumes immediately after the restart.
                 if self.controller_up(now) {
-                    let repairs = self.controller.health_check(now);
-                    self.send_down_each(repairs);
+                    let mut repairs = self.controller.health_check(now);
+                    self.send_down_each(&mut repairs);
                     // A sweep that tripped a breaker open evacuates the zone:
                     // every service still anchored there live-migrates to the
                     // nearest serving cluster (a no-op unless policy is live).
@@ -998,7 +998,7 @@ impl<T: Net, S: Spans> Harness<T, S> {
         }
         let topo = self.net.topo();
         let client = topo.node(self.net.client_node(ev.client));
-        let outcome = self.controller.handle_attachment_change(
+        let mut outcome = self.controller.handle_attachment_change(
             now,
             client.ip,
             client.mac,
@@ -1018,7 +1018,8 @@ impl<T: Net, S: Spans> Harness<T, S> {
             flows_migrated: outcome.flows_migrated,
             redispatched: outcome.redispatched,
         });
-        self.send_down_each(outcome.messages);
+        self.send_down_each(&mut outcome.messages);
+        self.controller.recycle_messages(outcome.messages);
         // A redispatch may have started an on-demand deployment.
         self.reschedule_tick();
         // The move may have started a mobility-triggered live migration.

@@ -139,13 +139,7 @@ impl<S: Spans> Harness<MultiGnbTopology, S> {
                 controller.set_ingress_distance(ingress, z, d);
             }
         }
-        let mut tb = Harness::assemble(
-            net,
-            switches,
-            controller,
-            config.n_clients,
-            config.seed,
-        );
+        let mut tb = Harness::assemble(net, switches, controller, config.n_clients, config.seed);
         tb.policy = config.policy;
         tb.ping_interval = config.ping_interval;
         tb.faults = config.faults;
@@ -186,14 +180,18 @@ impl<S: Spans> Harness<MultiGnbTopology, S> {
         deadline: SimTime,
     ) -> u64 {
         let n_clients = self.attachment.len();
-        assert_eq!(
-            model.n_clients(),
-            n_clients,
-            "model must cover every client"
-        );
+        assert_eq!(model.n_clients(), n_clients, "model must cover every client");
         let n_gnbs = self.switches.len();
         let addr = self.service.expect("service registered");
         let (request_bytes, expected_bytes) = (self.request_bytes(addr), self.answer_bytes(addr));
+        // Last ping no later than two seconds before the deadline, so
+        // whatever is in flight when we stop sending still drains.
+        self.ping_end =
+            SimTime::ZERO + deadline.saturating_since(SimTime::ZERO + Duration::from_secs(2));
+        // Each ping after a session's first leaves at least one interval
+        // after the one before and before `ping_end`: the RTT log's bound.
+        let span = self.ping_end.saturating_since(start).as_nanos();
+        let pings = span.checked_div(self.ping_interval.as_nanos()).map_or(0, |n| n as usize + 1);
         for c in 0..n_clients {
             self.attachment[c] = model.initial_cell(c) % n_gnbs;
             self.sessions.push(Session {
@@ -207,7 +205,7 @@ impl<S: Spans> Harness<MultiGnbTopology, S> {
                 request_bytes,
                 pings_sent: 0,
                 pings_done: 0,
-                rtts: Vec::new(),
+                rtts: Vec::with_capacity(pings),
                 first_done_after_restart: None,
             });
             // Stagger session starts so the initial deployment burst is a
@@ -215,10 +213,6 @@ impl<S: Spans> Harness<MultiGnbTopology, S> {
             let at = start + Duration::from_millis(50) * c as u64;
             self.engine.schedule_at(at, Ev::StartSession { client: c });
         }
-        // Last ping no later than two seconds before the deadline, so
-        // whatever is in flight when we stop sending still drains.
-        self.ping_end =
-            SimTime::ZERO + deadline.saturating_since(SimTime::ZERO + Duration::from_secs(2));
         for ev in model.events(deadline.saturating_since(SimTime::ZERO)) {
             self.engine.schedule_at(ev.at, Ev::Attach(ev));
         }
@@ -491,40 +485,7 @@ mod tests {
     #[test]
     fn controller_crash_blackout_recovers_and_strands_no_session() {
         for (mode, journal_on) in [(RecoveryMode::Warm, true), (RecoveryMode::Cold, false)] {
-            let controller = ControllerConfig {
-                journal: edgectl::JournalConfig {
-                    enabled: journal_on,
-                    snapshot_every: 32,
-                },
-                ..ControllerConfig::default()
-            };
-            let mut tb = MobilityTestbed::new(MobilityConfig {
-                policy: HandoverPolicy::Anchored,
-                n_gnbs: 3,
-                n_clients: 3,
-                seed: 2,
-                controller,
-                faults: FaultPlan {
-                    controller_crash: 1.0,
-                    seed: 11,
-                    ..FaultPlan::default()
-                },
-                retransmit: Some(Duration::from_secs(1)),
-                recovery: mode,
-                ..MobilityConfig::default()
-            });
-            let profile = containerd::ServiceSet::by_key("asm").unwrap();
-            tb.register_service(profile, ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80));
-            tb.warm_all_zones();
-            tb.pre_deploy_on(0);
-            let mut model = CellHops::new(
-                vec![0, 1, 2],
-                &[
-                    (SimTime::from_secs(6), 0, 1),
-                    (SimTime::from_secs(12), 0, 2),
-                ],
-            );
-            tb.run(&mut model, SimTime::from_secs(1), SimTime::from_secs(20));
+            let mut tb = crash_run(mode, journal_on);
             tb.run_until(SimTime::from_secs(40));
             assert_eq!(tb.controller_crashes, 1, "{mode:?}: the crash fired");
             assert!(tb.blackout > Duration::ZERO, "{mode:?}: a real blackout");
@@ -541,6 +502,64 @@ mod tests {
             assert!(!tb.recovery_times_secs().is_empty(), "recovery was measured");
             tb.reconcile_now();
             assert_eq!(tb.reconcile_now(), 0, "{mode:?}: tables converged");
+        }
+    }
+
+    /// The hop run with the controller crashing once mid-run, recovering
+    /// warm from its journal or cold.
+    fn crash_run(mode: RecoveryMode, journal_on: bool) -> MobilityTestbed {
+        let controller = ControllerConfig {
+            journal: edgectl::JournalConfig { enabled: journal_on, snapshot_every: 32 },
+            ..ControllerConfig::default()
+        };
+        let mut tb = MobilityTestbed::new(MobilityConfig {
+            policy: HandoverPolicy::Anchored,
+            n_gnbs: 3,
+            n_clients: 3,
+            seed: 2,
+            controller,
+            faults: FaultPlan { controller_crash: 1.0, seed: 11, ..FaultPlan::default() },
+            retransmit: Some(Duration::from_secs(1)),
+            recovery: mode,
+            ..MobilityConfig::default()
+        });
+        let profile = containerd::ServiceSet::by_key("asm").unwrap();
+        tb.register_service(profile, ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80));
+        tb.warm_all_zones();
+        tb.pre_deploy_on(0);
+        let mut model = CellHops::new(
+            vec![0, 1, 2],
+            &[(SimTime::from_secs(6), 0, 1), (SimTime::from_secs(12), 0, 2)],
+        );
+        tb.run(&mut model, SimTime::from_secs(1), SimTime::from_secs(20));
+        tb
+    }
+
+    /// `run` sizes each session's RTT log once, for every ping its pacing
+    /// allows between `start` (1 s) and `ping_end` (18 s) at the default
+    /// 200 ms interval: 85 intervals and the first ping. Under chaos,
+    /// retransmits and a controller crash, and after the runs settle, no
+    /// log outgrew it: a log that had grown would hold more than its
+    /// presized capacity.
+    #[test]
+    fn the_rtt_log_is_sized_once_for_every_ping_a_session_can_send() {
+        let bound = (18_000 - 1_000) / 200 + 1;
+        let chaos = |retransmit| chaos_run(FaultPlan::runtime(1.0, 7), retransmit);
+        let mut runs = [
+            hop_run(HandoverPolicy::Anchored),
+            hop_run(HandoverPolicy::Redispatch),
+            chaos(None),
+            chaos(Some(Duration::from_secs(1))),
+            crash_run(RecoveryMode::Warm, true),
+            crash_run(RecoveryMode::Cold, false),
+        ];
+        for (k, tb) in runs.iter_mut().enumerate() {
+            tb.run_until(SimTime::from_secs(40));
+            assert!(tb.pings_done() > 0, "run {k} pinged");
+            for (c, s) in tb.sessions.iter().enumerate() {
+                assert!(s.rtts.len() <= bound, "run {k}, session {c}: {} pings", s.rtts.len());
+                assert_eq!(s.rtts.capacity(), bound, "run {k}, session {c}: the log grew");
+            }
         }
     }
 
