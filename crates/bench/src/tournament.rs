@@ -25,7 +25,7 @@ use crate::artifact::{self, num};
 use crate::mobility::pct;
 use desim::{Duration, SimTime};
 use edgectl::controller::RequestKind;
-use edgectl::{AutoscaleConfig, ControllerConfig, QueueConfig};
+use edgectl::ControllerConfig;
 use netsim::{Ipv4Addr, ServiceAddr};
 use testbed::{Testbed, TestbedConfig};
 use workload::BurstConfig;
@@ -98,24 +98,6 @@ pub(crate) fn gates(v: &Value) -> Result<(), String> {
     )
 }
 
-/// The tournament's autoscale policy: replicas of 100 req/s each
-/// (20 ms service time, 2 in-flight slots), a short backlog, and a sweep
-/// fast enough to react inside a burst.
-fn autoscale_policy() -> AutoscaleConfig {
-    AutoscaleConfig {
-        enabled: true,
-        min_replicas: 1,
-        max_replicas: 4,
-        cooldown: Duration::from_millis(300),
-        sweep_interval: Duration::from_millis(100),
-        queue: QueueConfig {
-            service_time: Duration::from_millis(20),
-            concurrency: 2,
-            backlog: 6,
-        },
-    }
-}
-
 /// Runs one arm: the far-edge testbed under `arm`, the `asm` service at
 /// `203.0.113.20:9000+s` pre-pulled on both clusters, the bursty trace
 /// replayed through it until the last answer is in.
@@ -123,7 +105,7 @@ fn run_arm(arm: &'static str, workload: &BurstConfig, seed: u64) -> ArmStats {
     let mut tb = Testbed::new(TestbedConfig {
         n_clients: workload.n_clients,
         scheduler: arm.to_owned(),
-        controller: ControllerConfig { autoscale: autoscale_policy(), ..ControllerConfig::default() },
+        controller: ControllerConfig { autoscale: true, ..ControllerConfig::default() },
         far_edge: true,
         seed,
         ..TestbedConfig::default()

@@ -10,9 +10,10 @@
 //!
 //! Everything here is deterministic: admissions use FIFO arithmetic over
 //! recorded finish times (no sampling), and the autoscaler sweep iterates
-//! pools in sorted key order. With [`AutoscaleConfig::enabled`] left `false`
-//! (the default) the tracker is never consulted and every committed figure
-//! stays byte-identical.
+//! pools in sorted key order. With
+//! [`ControllerConfig::autoscale`](crate::ControllerConfig::autoscale) left
+//! `false` (the default) the tracker is never consulted and every committed
+//! figure stays byte-identical.
 //!
 //! Replica addressing: replica 0 *is* the cluster's real instance address;
 //! replica `i > 0` reuses its MAC and IP with port `base + 131·i`. Service
@@ -29,28 +30,33 @@ use std::collections::VecDeque;
 /// Port stride between synthetic replica addresses of one pool.
 const REPLICA_PORT_STRIDE: u16 = 131;
 
-/// The queueing model every instance runs: deterministic service time, a
-/// concurrency limit, and a bounded backlog.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct QueueConfig {
-    /// How long one request occupies a service slot.
-    pub service_time: Duration,
-    /// Requests served simultaneously.
-    pub concurrency: usize,
-    /// Requests that may wait behind the concurrency limit before the
-    /// instance starts rejecting.
-    pub backlog: usize,
-}
+// The policy: replicas of 100 req/s each (20 ms service time, two slots), a
+// short backlog, and a sweep fast enough to react inside a burst.
 
-impl Default for QueueConfig {
-    fn default() -> Self {
-        QueueConfig {
-            service_time: Duration::from_millis(20),
-            concurrency: 4,
-            backlog: 8,
-        }
-    }
-}
+/// Floor on replicas per (service, cluster).
+const MIN_REPLICAS: usize = 1;
+/// Ceiling on replicas per (service, cluster).
+pub const MAX_REPLICAS: usize = 4;
+/// Minimum time between scale operations on one pool.
+const COOLDOWN: Duration = Duration::from_millis(300);
+/// How often the controller runs the autoscaler sweep.
+const SWEEP_INTERVAL: Duration = Duration::from_millis(100);
+/// How long one request occupies a service slot.
+const SERVICE_TIME: Duration = Duration::from_millis(20);
+/// Requests one replica serves simultaneously.
+const CONCURRENCY: usize = 2;
+/// Requests that may wait behind the concurrency limit before a replica
+/// starts rejecting.
+const BACKLOG: usize = 6;
+
+/// Scale up when a pool's mean utilization exceeds this fraction.
+const SCALE_UP_UTILIZATION: f64 = 0.8;
+/// Scale down only when mean utilization is below this fraction — the gap to
+/// `SCALE_UP_UTILIZATION` is the hysteresis band.
+const SCALE_DOWN_UTILIZATION: f64 = 0.2;
+/// Scale up when a pool's total backlog reaches this many requests even if
+/// utilization looks fine (bursts queue faster than they busy).
+const SCALE_UP_BACKLOG: usize = 4;
 
 /// What happened to one admission attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,25 +76,14 @@ pub(crate) enum Admission {
 
 /// One instance's deterministic FIFO queue, tracked as the sorted finish
 /// times of its admitted requests.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct InstanceQueue {
-    cfg: QueueConfig,
     finish_times: VecDeque<SimTime>,
     ewma_ns: f64,
     served: u64,
 }
 
 impl InstanceQueue {
-    /// An empty queue under `cfg`.
-    pub fn new(cfg: QueueConfig) -> InstanceQueue {
-        InstanceQueue {
-            cfg,
-            finish_times: VecDeque::new(),
-            ewma_ns: 0.0,
-            served: 0,
-        }
-    }
-
     /// Offers one request at `now`: FIFO admission against the concurrency
     /// limit and bounded backlog. Deterministic — the start instant is pure
     /// arithmetic over previously recorded finish times.
@@ -97,17 +92,17 @@ impl InstanceQueue {
             self.finish_times.pop_front();
         }
         let depth = self.finish_times.len();
-        if depth >= self.cfg.concurrency + self.cfg.backlog {
+        if depth >= CONCURRENCY + BACKLOG {
             return Admission::Rejected;
         }
-        let start = if depth < self.cfg.concurrency {
+        let start = if depth < CONCURRENCY {
             now
         } else {
             // FIFO: this request takes the slot freed by the job finishing
-            // `concurrency` positions ahead of it.
-            self.finish_times[depth - self.cfg.concurrency]
+            // `CONCURRENCY` positions ahead of it.
+            self.finish_times[depth - CONCURRENCY]
         };
-        let finish = start + self.cfg.service_time;
+        let finish = start + SERVICE_TIME;
         self.finish_times.push_back(finish);
         let sojourn = finish.saturating_since(now);
         self.ewma_ns = if self.served == 0 {
@@ -128,13 +123,13 @@ impl InstanceQueue {
     /// The queue's observable state at `now` as the scheduler sees it.
     pub fn view(&self, instance: usize, now: SimTime) -> InstanceView {
         let depth = self.occupancy(now);
-        let in_flight = depth.min(self.cfg.concurrency);
+        let in_flight = depth.min(CONCURRENCY);
         InstanceView {
             instance,
             in_flight,
             backlog: depth - in_flight,
-            concurrency: self.cfg.concurrency,
-            utilization: in_flight as f64 / self.cfg.concurrency.max(1) as f64,
+            concurrency: CONCURRENCY,
+            utilization: in_flight as f64 / CONCURRENCY as f64,
             ewma_latency: Duration::from_nanos(self.ewma_ns as u64),
         }
     }
@@ -152,10 +147,10 @@ pub struct ServicePool {
 }
 
 impl ServicePool {
-    fn new(base: InstanceAddr, replicas: usize, queue: QueueConfig, now: SimTime) -> ServicePool {
+    fn new(base: InstanceAddr, replicas: usize, now: SimTime) -> ServicePool {
         ServicePool {
             base,
-            queues: vec![InstanceQueue::new(queue); replicas.max(1)],
+            queues: vec![InstanceQueue::default(); replicas],
             last_scale: now,
             replica_seconds: 0.0,
             accounted_to: now,
@@ -205,51 +200,11 @@ impl ServicePool {
     }
 }
 
-/// Scale up when a pool's mean utilization exceeds this fraction.
-const SCALE_UP_UTILIZATION: f64 = 0.8;
-/// Scale down only when mean utilization is below this fraction — the gap to
-/// `SCALE_UP_UTILIZATION` is the hysteresis band.
-const SCALE_DOWN_UTILIZATION: f64 = 0.2;
-/// Scale up when a pool's total backlog reaches this many requests even if
-/// utilization looks fine (bursts queue faster than they busy).
-const SCALE_UP_BACKLOG: usize = 4;
-
-/// When and how far the autoscaler flexes each service's replica count.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AutoscaleConfig {
-    /// Master switch. `false` (the default) keeps the tracker entirely out
-    /// of the dispatch path — committed figures stay byte-identical.
-    pub enabled: bool,
-    /// Floor on replicas per (service, cluster).
-    pub min_replicas: usize,
-    /// Ceiling on replicas per (service, cluster).
-    pub max_replicas: usize,
-    /// Minimum time between scale operations on one pool.
-    pub cooldown: Duration,
-    /// How often the controller runs the autoscaler sweep.
-    pub sweep_interval: Duration,
-    /// The queue model every replica runs.
-    pub queue: QueueConfig,
-}
-
-impl Default for AutoscaleConfig {
-    fn default() -> Self {
-        AutoscaleConfig {
-            enabled: false,
-            min_replicas: 1,
-            max_replicas: 4,
-            cooldown: Duration::from_secs(5),
-            sweep_interval: Duration::from_secs(1),
-            queue: QueueConfig::default(),
-        }
-    }
-}
-
 /// Tracks every (service, cluster) replica pool: admissions, queue state
 /// for the scheduler, the autoscaler sweep, and replica-time cost.
 #[derive(Debug, Default)]
 pub struct LoadTracker {
-    cfg: AutoscaleConfig,
+    enabled: bool,
     pools: FastMap<(ServiceAddr, usize), ServicePool>,
     last_sweep: SimTime,
     retired_replica_seconds: f64,
@@ -261,17 +216,12 @@ pub struct LoadTracker {
 impl LoadTracker {
     /// Whether instance tracking (and thus autoscaling) is on at all.
     pub fn enabled(&self) -> bool {
-        self.cfg.enabled
+        self.enabled
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &AutoscaleConfig {
-        &self.cfg
-    }
-
-    /// Replaces the configuration (controller construction time only).
-    pub(crate) fn set_config(&mut self, cfg: AutoscaleConfig) {
-        self.cfg = cfg;
+    /// Turns autoscaling on or off (controller construction time only).
+    pub(crate) fn set_enabled(&mut self, on: bool) {
+        self.enabled = on;
     }
 
     /// Ensures a pool exists for `(service, cluster)` anchored at `base`.
@@ -284,14 +234,12 @@ impl LoadTracker {
         base: InstanceAddr,
         now: SimTime,
     ) {
-        let min = self.cfg.min_replicas;
-        let queue = self.cfg.queue;
         let pool = self
             .pools
             .entry((service, cluster))
-            .or_insert_with(|| ServicePool::new(base, min, queue, now));
+            .or_insert_with(|| ServicePool::new(base, MIN_REPLICAS, now));
         if pool.base != base {
-            let mut fresh = ServicePool::new(base, min, queue, now);
+            let mut fresh = ServicePool::new(base, MIN_REPLICAS, now);
             std::mem::swap(pool, &mut fresh);
             fresh.accrue(now);
             self.retired_replica_seconds += fresh.replica_seconds;
@@ -302,6 +250,14 @@ impl LoadTracker {
     #[cfg(test)]
     pub(crate) fn pool(&self, service: ServiceAddr, cluster: usize) -> Option<&ServicePool> {
         self.pools.get(&(service, cluster))
+    }
+
+    /// Fills replica 0 of `(service, cluster)` to its last backlog place.
+    #[cfg(test)]
+    pub(crate) fn saturate(&mut self, service: ServiceAddr, cluster: usize, now: SimTime) {
+        for _ in 0..CONCURRENCY + BACKLOG {
+            self.admit(service, cluster, 0, now);
+        }
     }
 
     /// Per-replica queue state for the scheduler's [`ClusterView`]
@@ -353,13 +309,13 @@ impl LoadTracker {
     }
 
     /// When the next autoscaler pass is due: the first multiple of
-    /// `sweep_interval` after the last pass. `None` while autoscaling is off
+    /// [`SWEEP_INTERVAL`] after the last pass. `None` while autoscaling is off
     /// or no pool exists — there is nothing to flex.
     pub(crate) fn next_sweep_at(&self) -> Option<SimTime> {
-        if !self.cfg.enabled || self.pools.is_empty() {
+        if !self.enabled || self.pools.is_empty() {
             return None;
         }
-        let step = self.cfg.sweep_interval.as_nanos().max(1);
+        let step = SWEEP_INTERVAL.as_nanos();
         Some(SimTime::from_nanos((self.last_sweep.as_nanos() / step + 1) * step))
     }
 
@@ -368,27 +324,26 @@ impl LoadTracker {
     /// per-pool cooldown; the scale operations land in
     /// [`scale_ups`](Self::scale_ups) / [`scale_downs`](Self::scale_downs).
     pub(crate) fn sweep(&mut self, now: SimTime) {
-        if !self.cfg.enabled {
+        if !self.enabled {
             return;
         }
         self.last_sweep = now;
-        let cfg = &self.cfg;
         let mut keys: Vec<(ServiceAddr, usize)> = self.pools.keys().copied().collect();
         keys.sort();
         for key in keys {
             let pool = self.pools.get_mut(&key).expect("key just listed");
-            if now.saturating_since(pool.last_scale) < cfg.cooldown {
+            if now.saturating_since(pool.last_scale) < COOLDOWN {
                 continue;
             }
             let util = pool.mean_utilization(now);
             let backlog = pool.total_backlog(now);
             let n = pool.queues.len();
-            if n < cfg.max_replicas && (util > SCALE_UP_UTILIZATION || backlog >= SCALE_UP_BACKLOG) {
+            if n < MAX_REPLICAS && (util > SCALE_UP_UTILIZATION || backlog >= SCALE_UP_BACKLOG) {
                 pool.accrue(now);
-                pool.queues.push(InstanceQueue::new(cfg.queue));
+                pool.queues.push(InstanceQueue::default());
                 pool.last_scale = now;
                 self.scale_ups += 1;
-            } else if n > cfg.min_replicas
+            } else if n > MIN_REPLICAS
                 && util < SCALE_DOWN_UTILIZATION
                 && backlog == 0
                 && pool.queues.last().is_some_and(|q| q.occupancy(now) == 0)
@@ -439,14 +394,6 @@ mod tests {
     use super::*;
     use netsim::addr::{Ipv4Addr, MacAddr};
 
-    fn qcfg() -> QueueConfig {
-        QueueConfig {
-            service_time: Duration::from_millis(10),
-            concurrency: 2,
-            backlog: 2,
-        }
-    }
-
     fn base() -> InstanceAddr {
         InstanceAddr {
             mac: MacAddr::from_id(7),
@@ -461,38 +408,24 @@ mod tests {
 
     #[test]
     fn fifo_admission_is_exact() {
-        let mut q = InstanceQueue::new(qcfg());
+        let mut q = InstanceQueue::default();
         let t0 = SimTime::from_secs(1);
-        // Two slots: both start immediately.
-        assert_eq!(
-            q.offer(t0),
-            Admission::Served { start: t0, finish: t0 + Duration::from_millis(10) }
-        );
-        assert_eq!(
-            q.offer(t0),
-            Admission::Served { start: t0, finish: t0 + Duration::from_millis(10) }
-        );
-        // Third queues behind the first finish; fourth behind the second.
-        let first_free = t0 + Duration::from_millis(10);
-        assert_eq!(
-            q.offer(t0),
-            Admission::Served { start: first_free, finish: first_free + Duration::from_millis(10) }
-        );
-        assert_eq!(
-            q.offer(t0),
-            Admission::Served { start: first_free, finish: first_free + Duration::from_millis(10) }
-        );
-        // Concurrency (2) + backlog (2) exhausted: reject.
+        // Two slots, six backlog places: pairs start one service time apart.
+        for k in 0..(CONCURRENCY + BACKLOG) as u64 {
+            let start = t0 + Duration::from_millis(20 * (k / 2));
+            assert_eq!(q.offer(t0), Admission::Served { start, finish: start + SERVICE_TIME }, "job {k}");
+        }
+        // Concurrency (2) + backlog (6) exhausted: reject.
         assert_eq!(q.offer(t0), Admission::Rejected);
-        // At t0+11ms the first wave drained but the queued pair still holds
-        // both slots: a new arrival queues behind their t0+20ms finishes.
-        let busy = t0 + Duration::from_millis(11);
+        // At t0+21ms the first pair drained but the six queued jobs still
+        // hold both slots: a new arrival queues behind the last pair's start.
+        let busy = t0 + Duration::from_millis(21);
         let Admission::Served { start, .. } = q.offer(busy) else {
             panic!("should admit into backlog");
         };
-        assert_eq!(start, t0 + Duration::from_millis(20), "queues behind the pair");
+        assert_eq!(start, t0 + Duration::from_millis(80), "queues behind the last pair");
         // Once everything drains, admission is immediate again.
-        let later = t0 + Duration::from_millis(31);
+        let later = t0 + Duration::from_millis(101);
         let Admission::Served { start, .. } = q.offer(later) else {
             panic!("should admit after drain");
         };
@@ -501,7 +434,7 @@ mod tests {
 
     #[test]
     fn view_reports_in_flight_and_backlog() {
-        let mut q = InstanceQueue::new(qcfg());
+        let mut q = InstanceQueue::default();
         let t0 = SimTime::from_secs(1);
         for _ in 0..3 {
             q.offer(t0);
@@ -520,8 +453,8 @@ mod tests {
 
     #[test]
     fn replica_addresses_are_distinct_and_reversible() {
-        let pool = ServicePool::new(base(), 4, qcfg(), SimTime::ZERO);
-        let addrs: Vec<InstanceAddr> = (0..4).map(|i| pool.addr(i)).collect();
+        let pool = ServicePool::new(base(), MAX_REPLICAS, SimTime::ZERO);
+        let addrs: Vec<InstanceAddr> = (0..MAX_REPLICAS).map(|i| pool.addr(i)).collect();
         assert_eq!(addrs[0], base(), "replica 0 is the real instance");
         for (i, a) in addrs.iter().enumerate() {
             assert_eq!(pool.index_of(*a), Some(i));
@@ -536,40 +469,42 @@ mod tests {
 
     #[test]
     fn sweep_scales_up_on_backlog_and_down_when_idle() {
-        let cfg = AutoscaleConfig {
-            enabled: true,
-            max_replicas: 3,
-            cooldown: Duration::from_secs(1),
-            queue: qcfg(),
-            ..AutoscaleConfig::default()
-        };
         let mut tr = LoadTracker::default();
-        tr.set_config(cfg);
+        tr.set_enabled(true);
         let t0 = SimTime::from_secs(10);
         assert_eq!(tr.next_sweep_at(), None, "no pool, nothing to flex");
         tr.ensure_pool(svc(1), 0, base(), t0);
-        assert_eq!(tr.next_sweep_at(), Some(SimTime::from_secs(1)), "one interval after none");
+        assert_eq!(tr.next_sweep_at(), Some(SimTime::from_millis(100)), "one interval after none");
         // Saturate replica 0 (full concurrency + backlog) just before the
         // sweep so the queue is still busy when the autoscaler looks.
         let t1 = t0 + Duration::from_secs(2);
-        for _ in 0..4 {
-            tr.admit(svc(1), 0, 0, t1);
-        }
+        tr.saturate(svc(1), 0, t1);
         let replicas = |tr: &LoadTracker| tr.replica_counts()[0].1;
         tr.sweep(t1);
         assert_eq!((tr.scale_ups(), replicas(&tr)), (1, 2));
-        assert_eq!(tr.next_sweep_at(), Some(t1 + Duration::from_secs(1)));
-        // Cooldown: an immediate second sweep does nothing.
-        tr.sweep(t1);
+        assert_eq!(tr.next_sweep_at(), Some(t1 + SWEEP_INTERVAL));
+        // Cooldown: a second sweep inside it does nothing.
+        tr.sweep(t1 + (COOLDOWN - Duration::from_millis(1)));
         assert_eq!((tr.scale_ups(), replicas(&tr)), (1, 2));
-        // Long idle: scales back down to the floor, one step per sweep, and
-        // the next pass lands on the interval grid.
-        let idle = t0 + Duration::from_millis(100_300);
+        // Saturated once per cooldown, the pool grows one step a sweep up to
+        // its ceiling and no further.
+        let mut t = t1;
+        for _ in 0..MAX_REPLICAS {
+            t += COOLDOWN;
+            tr.saturate(svc(1), 0, t);
+            tr.sweep(t);
+        }
+        assert_eq!((tr.scale_ups(), replicas(&tr)), (MAX_REPLICAS as u64 - 1, MAX_REPLICAS));
+        // Long idle: scales back down one step per sweep, and the next pass
+        // lands on the interval grid.
+        let idle = t0 + Duration::from_millis(100_350);
         tr.sweep(idle);
-        assert_eq!((tr.scale_downs(), replicas(&tr)), (1, 1));
-        assert_eq!(tr.next_sweep_at(), Some(SimTime::from_secs(111)));
-        tr.sweep(t0 + Duration::from_secs(200));
-        assert_eq!((tr.scale_ups(), tr.scale_downs(), replicas(&tr)), (1, 1, 1), "at the floor");
+        assert_eq!((tr.scale_downs(), replicas(&tr)), (1, MAX_REPLICAS - 1));
+        assert_eq!(tr.next_sweep_at(), Some(SimTime::from_millis(110_400)));
+        for k in 1..=MAX_REPLICAS as u64 {
+            tr.sweep(idle + Duration::from_secs(k));
+        }
+        assert_eq!((tr.scale_downs(), replicas(&tr)), (MAX_REPLICAS as u64 - 1, 1), "at the floor");
     }
 
     #[test]
@@ -587,17 +522,14 @@ mod tests {
 
     #[test]
     fn replica_seconds_accrue_by_pool_size() {
-        let cfg = AutoscaleConfig { enabled: true, queue: qcfg(), ..AutoscaleConfig::default() };
         let mut tr = LoadTracker::default();
-        tr.set_config(cfg);
+        tr.set_enabled(true);
         let t0 = SimTime::from_secs(0);
         tr.ensure_pool(svc(1), 0, base(), t0);
         // 10 s at one replica.
         assert!((tr.replica_seconds(t0 + Duration::from_secs(10)) - 10.0).abs() < 1e-9);
         // Force a scale-up, then 10 more seconds at two replicas.
-        for _ in 0..8 {
-            tr.admit(svc(1), 0, 0, t0 + Duration::from_secs(10));
-        }
+        tr.saturate(svc(1), 0, t0 + Duration::from_secs(10));
         tr.sweep(t0 + Duration::from_secs(10));
         let total = tr.replica_seconds(t0 + Duration::from_secs(20));
         assert!((total - 30.0).abs() < 1e-9, "10·1 + 10·2 = 30, got {total}");
@@ -608,9 +540,8 @@ mod tests {
 
     #[test]
     fn redeployed_base_resets_the_pool() {
-        let cfg = AutoscaleConfig { enabled: true, queue: qcfg(), ..AutoscaleConfig::default() };
         let mut tr = LoadTracker::default();
-        tr.set_config(cfg);
+        tr.set_enabled(true);
         let t0 = SimTime::from_secs(0);
         tr.ensure_pool(svc(1), 0, base(), t0);
         tr.admit(svc(1), 0, 0, t0);
@@ -627,19 +558,18 @@ mod tests {
 
     #[test]
     fn admit_clamps_instance_and_tracks_rates() {
-        let cfg = AutoscaleConfig { enabled: true, queue: qcfg(), ..AutoscaleConfig::default() };
         let mut tr = LoadTracker::default();
-        tr.set_config(cfg);
+        tr.set_enabled(true);
         let t0 = SimTime::from_secs(1);
         tr.ensure_pool(svc(1), 0, base(), t0);
         // Instance 7 does not exist: clamps to the last (only) replica.
         let (outcome, addr) = tr.admit(svc(1), 0, 7, t0).unwrap();
         assert!(matches!(outcome, Admission::Served { .. }));
         assert_eq!(addr, base());
-        for _ in 0..8 {
+        for _ in 0..12 {
             tr.admit(svc(1), 0, 0, t0);
         }
-        assert_eq!(tr.rejections(), 5);
+        assert_eq!(tr.rejections(), 5, "1 + 12 offers, 8 places");
         assert_eq!(tr.index_of(svc(1), 0, base()), Some(0));
         assert_eq!(tr.index_of(svc(1), 0, InstanceAddr { port: 999, ..base() }), None);
     }

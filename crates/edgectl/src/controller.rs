@@ -35,7 +35,7 @@ mod lifecycle;
 mod migration;
 mod repair;
 
-use crate::autoscale::{AutoscaleConfig, LoadTracker};
+use crate::autoscale::LoadTracker;
 use crate::cluster::{EdgeCluster, InstanceAddr};
 use crate::dispatch::{DispatchDecision, DispatchOutcome, Dispatcher, Serving};
 use crate::flowmemory::{FlowKey, FlowMemory, IngressId, MemorizedFlow};
@@ -106,16 +106,16 @@ pub struct ControllerConfig {
     /// per-request allocation and unbounded retention, which matters when a
     /// fleet-scale run pushes 10M+ packet-ins through one controller.
     pub record_requests: bool,
-    /// Per-instance queueing and horizontal autoscaling (the `autoscale:`
-    /// YAML block). Off by default: the dispatch path never consults the
-    /// load tracker then, and every published figure stays byte-identical.
-    pub autoscale: AutoscaleConfig,
-    /// Live stateful migration between zones (the `migration:` YAML
-    /// block). Off by default (`policy: anchored`, zero state per
-    /// request): no ledger entry is ever written, no migration ever
-    /// starts, and every published figure stays byte-identical.
+    /// Per-instance queueing and horizontal autoscaling, policy fixed in
+    /// [`crate::autoscale`]. Off by default: the dispatch path never consults
+    /// the load tracker then, and every published figure stays byte-identical.
+    pub autoscale: bool,
+    /// Live stateful migration between zones. Off by default
+    /// ([`MigrationPolicy::Anchored`](crate::MigrationPolicy::Anchored), zero
+    /// state per request): no ledger entry is ever written, no migration
+    /// ever starts, and every published figure stays byte-identical.
     pub migration: MigrationConfig,
-    /// Crash-recovery write-ahead journal (the `journal:` YAML block).
+    /// Crash-recovery write-ahead journal.
     /// Off by default: no component logs ops, no event is ever recorded,
     /// and every published figure stays byte-identical.
     pub journal: JournalConfig,
@@ -129,7 +129,7 @@ impl Default for ControllerConfig {
             remove_after: None,
             aggregate_rules: false,
             record_requests: true,
-            autoscale: AutoscaleConfig::default(),
+            autoscale: false,
             migration: MigrationConfig::default(),
             journal: JournalConfig::default(),
         }
@@ -306,7 +306,7 @@ impl<S: Spans> Controller<S> {
         config: ControllerConfig,
     ) -> Self {
         let mut dispatcher = Dispatcher::new(scheduler);
-        dispatcher.set_autoscale(config.autoscale.clone());
+        dispatcher.load_mut().set_enabled(config.autoscale);
         let journal = Journal::new(config.journal);
         let mut state = ControlState::new(&config);
         state.set_logging(journal.enabled());
@@ -3031,9 +3031,7 @@ mod tests {
         for autoscale in [false, true] {
             for state in ["not-deployed", "created", "starting", "ready"] {
                 let mut rng = SimRng::new(70);
-                let mut config = ControllerConfig::default();
-                config.autoscale.enabled = autoscale;
-                config.autoscale.min_replicas = 2;
+                let config = ControllerConfig { autoscale, ..ControllerConfig::default() };
                 let (mut ctl, _) = setup_with(&mut rng, config);
                 let mut now = SimTime::from_secs(1);
                 if state != "not-deployed" {
@@ -3049,11 +3047,15 @@ mod tests {
                     port: 31000,
                 });
                 if autoscale && state != "not-deployed" {
-                    // What the dispatcher does when it first sees the instance.
-                    ctl.load_mut().ensure_pool(svc.addr, 0, base, now);
+                    // What the dispatcher does when it first sees the
+                    // instance, and a burst a sweep past the cooldown answers
+                    // with a second replica.
+                    let load = ctl.load_mut();
+                    load.ensure_pool(svc.addr, 0, base, SimTime::ZERO);
+                    load.saturate(svc.addr, 0, now);
+                    load.sweep(now);
                 }
                 let mut pools = LoadTracker::default();
-                pools.set_config(ctl.config.autoscale.clone());
                 pools.ensure_pool(svc.addr, 0, base, now);
                 let replica = pools.pool(svc.addr, 0).unwrap().addr(1);
                 let stale = InstanceAddr { port: base.port - 1, ..base };
@@ -3303,12 +3305,15 @@ mod tests {
     #[test]
     fn reconcile_vouches_for_replica_addresses() {
         let mut rng = SimRng::new(73);
-        let mut config = ControllerConfig::default();
-        config.autoscale.enabled = true;
-        config.autoscale.min_replicas = 2;
+        let config = ControllerConfig { autoscale: true, ..ControllerConfig::default() };
         let scheduler = Box::<crate::scheduler::LeastConnectionsScheduler>::default();
         let (mut ctl, mut sw) = setup_scheduled::<Off>(&mut rng, config, scheduler);
         let up = serve_one(&mut ctl, &mut sw, SimTime::from_secs(1), 50000, &mut rng);
+        // A burst a sweep past the cooldown answers with a second replica.
+        let burst = up + Duration::from_millis(500);
+        let asm = make_service("asm", 80).addr;
+        ctl.load_mut().saturate(asm, 0, burst);
+        ctl.load_mut().sweep(burst);
         // Two more clients at one instant: the second goes to replica 1.
         let at = up + Duration::from_secs(1);
         for client in [21, 22] {

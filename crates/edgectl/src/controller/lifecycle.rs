@@ -177,7 +177,7 @@ impl<S: Spans> Controller<S> {
     }
 
     /// One horizontal-autoscaler pass, run by `tick` once per
-    /// `autoscale.sweep_interval`: flexes each service's replica pool on
+    /// `autoscale::SWEEP_INTERVAL`: flexes each service's replica pool on
     /// queue depth and utilization (hysteresis + cooldown live in
     /// `LoadTracker::sweep`), counts `autoscale_ups` / `autoscale_downs`,
     /// and refreshes the per-pool `replicas.{service}.{cluster}` gauges.

@@ -16,7 +16,7 @@
 //! controller repeatedly probes the service port and only installs the
 //! redirect flows once the port answers (Section VI).
 
-use crate::autoscale::{Admission, AutoscaleConfig, LoadTracker};
+use crate::autoscale::{Admission, LoadTracker};
 use crate::cluster::{DeployError, EdgeCluster, InstanceAddr, InstanceState};
 use crate::flowmemory::{FlowKey, FlowMemory, IngressId};
 use crate::health::HealthMonitor;
@@ -229,12 +229,6 @@ impl Dispatcher {
     /// instead of re-driving the phases (single-flight hits).
     pub fn coalesced_count(&self) -> u64 {
         self.coalesced
-    }
-
-    /// Replaces the autoscale/queueing configuration (controller
-    /// construction time).
-    pub(crate) fn set_autoscale(&mut self, cfg: AutoscaleConfig) {
-        self.tracker.set_config(cfg);
     }
 
     /// The per-instance load tracker (queue state, replica pools).

@@ -49,7 +49,7 @@ use openflow::oxm::Match;
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
-/// Write-ahead journal configuration (the `journal:` YAML block).
+/// Write-ahead journal settings (`ControllerConfig::journal`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JournalConfig {
     /// Whether the journal records at all. Off by default: every component

@@ -79,7 +79,6 @@ pub mod scheduler;
 pub mod service;
 
 pub use annotate::annotate_deployment;
-pub use autoscale::{AutoscaleConfig, QueueConfig};
 pub use cluster::{DockerCluster, EdgeCluster, InstanceAddr, InstanceState, K8sEdgeCluster};
 pub use controller::{Controller, ControllerConfig, HandoverPolicy, OutboundMessage, PortMap};
 pub use dispatch::{DispatchDecision, Dispatcher};

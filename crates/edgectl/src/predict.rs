@@ -16,32 +16,12 @@ use std::collections::VecDeque;
 
 /// Observes requests and nominates services worth pre-deploying.
 pub trait DeploymentPredictor: Send {
-    /// The name this predictor is loaded under.
-    fn name(&self) -> &str;
-
     /// Records one observed request.
     fn observe(&mut self, service: ServiceAddr, now: SimTime);
 
     /// Services predicted to be needed soon (deduplicated, best first).
     /// Called periodically; implementations should be cheap.
     fn predict(&mut self, now: SimTime) -> Vec<ServiceAddr>;
-}
-
-/// Never predicts — pure reactive on-demand deployment (the paper's
-/// baseline).
-#[derive(Default)]
-pub(crate) struct NoPredictor;
-
-impl DeploymentPredictor for NoPredictor {
-    fn name(&self) -> &str {
-        "none"
-    }
-
-    fn observe(&mut self, _service: ServiceAddr, _now: SimTime) {}
-
-    fn predict(&mut self, _now: SimTime) -> Vec<ServiceAddr> {
-        Vec::new()
-    }
 }
 
 /// Predicts that recently seen services will be requested again: keeps each
@@ -63,10 +43,6 @@ impl RecencyPredictor {
 }
 
 impl DeploymentPredictor for RecencyPredictor {
-    fn name(&self) -> &str {
-        "recency"
-    }
-
     fn observe(&mut self, service: ServiceAddr, now: SimTime) {
         self.last_seen.insert(service, now);
     }
@@ -101,10 +77,6 @@ impl FrequencyPredictor {
 }
 
 impl DeploymentPredictor for FrequencyPredictor {
-    fn name(&self) -> &str {
-        "frequency"
-    }
-
     fn observe(&mut self, service: ServiceAddr, now: SimTime) {
         self.history.push_back((now, service));
     }
@@ -150,10 +122,6 @@ impl MarkovPredictor {
 }
 
 impl DeploymentPredictor for MarkovPredictor {
-    fn name(&self) -> &str {
-        "markov"
-    }
-
     fn observe(&mut self, service: ServiceAddr, _now: SimTime) {
         if let Some(prev) = self.last {
             *self
@@ -183,21 +151,24 @@ impl DeploymentPredictor for MarkovPredictor {
 /// Names [`predictor_by_name`] accepts, in documentation order.
 pub(crate) const KNOWN_PREDICTORS: &[&str] = &["none", "recency", "frequency", "markov"];
 
-/// Loads a predictor by configured name. Shares the typed
+/// Loads a predictor by configured name; `"none"` is no predictor, pure
+/// reactive on-demand deployment (the paper's baseline). Shares the typed
 /// [`UnknownComponent`](crate::scheduler::UnknownComponent) error with
 /// [`scheduler_by_name`](crate::scheduler::scheduler_by_name), so both
 /// registries report unknown names (and the accepted list) identically.
 pub fn predictor_by_name(
     name: &str,
-) -> Result<Box<dyn DeploymentPredictor>, crate::scheduler::UnknownComponent> {
+) -> Result<Option<Box<dyn DeploymentPredictor>>, crate::scheduler::UnknownComponent> {
     match name {
-        "none" => Ok(Box::<NoPredictor>::default()),
-        "recency" => Ok(Box::new(RecencyPredictor::new(Duration::from_secs(60)))),
-        "frequency" => Ok(Box::new(FrequencyPredictor::new(
+        "none" => Ok(None),
+        "recency" => Ok(Some(Box::new(RecencyPredictor::new(Duration::from_secs(
+            60,
+        ))))),
+        "frequency" => Ok(Some(Box::new(FrequencyPredictor::new(
             Duration::from_secs(120),
             8,
-        ))),
-        "markov" => Ok(Box::new(MarkovPredictor::new(3))),
+        )))),
+        "markov" => Ok(Some(Box::new(MarkovPredictor::new(3)))),
         _ => Err(crate::scheduler::UnknownComponent {
             kind: "predictor",
             requested: name.to_owned(),
@@ -213,13 +184,6 @@ mod tests {
 
     fn svc(i: u8) -> ServiceAddr {
         ServiceAddr::new(Ipv4Addr::new(203, 0, 113, i), 80)
-    }
-
-    #[test]
-    fn none_predicts_nothing() {
-        let mut p = NoPredictor;
-        p.observe(svc(1), SimTime::ZERO);
-        assert!(p.predict(SimTime::from_secs(1)).is_empty());
     }
 
     #[test]
@@ -282,8 +246,12 @@ mod tests {
 
     #[test]
     fn loading_by_name() {
-        for name in KNOWN_PREDICTORS {
-            assert_eq!(predictor_by_name(name).unwrap().name(), *name);
+        assert!(
+            predictor_by_name("none").unwrap().is_none(),
+            "`none` is no predictor"
+        );
+        for name in &KNOWN_PREDICTORS[1..] {
+            assert!(predictor_by_name(name).unwrap().is_some(), "{name}");
         }
         let err = predictor_by_name("crystal-ball").err().unwrap();
         assert_eq!(err.kind, "predictor");

@@ -148,7 +148,7 @@ enum Ev {
     /// A live migration's transfer (and warm start) lands: flip the flows.
     /// Never scheduled unless the controller's migration policy is live.
     MigrationTick(SimTime),
-    /// Never scheduled unless a predictor other than `none` is configured.
+    /// Never scheduled unless a predictor is configured.
     PredictTick,
     SwitchExpiry { sw: usize, at: SimTime },
     /// A server's reply leaves through the port its request came in by.
@@ -182,7 +182,6 @@ pub struct Harness<T: Net, S: Spans = Off> {
     /// ingress switch).
     pub controller: Controller<S>,
     rng: SimRng,
-    profiles: FastMap<ServiceAddr, ServiceProfile>,
     /// Server-side request reassembly: bytes received per connection 4-tuple.
     server_rx: FastMap<(Ipv4Addr, u16, Ipv4Addr, u16), usize>,
     tick: Deadline,
@@ -214,7 +213,8 @@ pub struct Harness<T: Net, S: Spans = Off> {
     next_src_port: Vec<u16>,
     /// Completed requests, in completion order.
     pub completed: Vec<CompletedRequest>,
-    predictor: Box<dyn edgectl::DeploymentPredictor>,
+    /// `None`: pure reactive on-demand deployment.
+    predictor: Option<Box<dyn edgectl::DeploymentPredictor>>,
     predict_interval: Duration,
     predict_scheduled: bool,
     last_request_at: SimTime,
@@ -306,7 +306,6 @@ impl<T: Net, S: Spans> Harness<T, S> {
             net,
             controller,
             rng: SimRng::new(seed).fork(0xbed),
-            profiles: FastMap::default(),
             server_rx: FastMap::default(),
             tick: Deadline::default(),
             migration: Deadline::default(),
@@ -326,7 +325,7 @@ impl<T: Net, S: Spans> Harness<T, S> {
             conns: FastMap::default(),
             next_src_port: vec![FIRST_SRC_PORT; n_clients],
             completed: Vec::new(),
-            predictor: edgectl::predictor_by_name("none").expect("the null predictor exists"),
+            predictor: None,
             predict_interval: Duration::from_millis(500),
             predict_scheduled: false,
             last_request_at: SimTime::ZERO,
@@ -428,8 +427,7 @@ impl<T: Net, S: Spans> Harness<T, S> {
     /// Registers `profile` as an edge service at `addr` and returns the
     /// created registration. Sessions talk to the service registered last.
     pub fn register_service(&mut self, profile: ServiceProfile, addr: ServiceAddr) -> EdgeService {
-        let svc = EdgeService::from_profile(profile.clone(), addr);
-        self.profiles.insert(addr, profile);
+        let svc = EdgeService::from_profile(profile, addr);
         self.service = Some(addr);
         self.controller.register_service(svc.clone());
         svc
@@ -473,7 +471,7 @@ impl<T: Net, S: Spans> Harness<T, S> {
         self.last_request_at = self.last_request_at.max(at);
         self.engine
             .schedule_at(at, Ev::StartRequest { client, service });
-        if !self.predict_scheduled && self.predictor.name() != "none" {
+        if !self.predict_scheduled && self.predictor.is_some() {
             self.predict_scheduled = true;
             self.engine.schedule_at(at, Ev::PredictTick);
         }
@@ -760,16 +758,17 @@ impl<T: Net, S: Spans> Harness<T, S> {
                 self.reschedule_tick();
             }
             Ev::PredictTick => {
+                let predictor = self.predictor.as_mut().expect("scheduled only with a predictor");
                 // Feed new observations to the predictor, then act on its
                 // nominations.
                 while self.observed_records < self.controller.records.len() {
                     let rec = &self.controller.records[self.observed_records];
                     if rec.kind != edgectl::controller::RequestKind::Unregistered {
-                        self.predictor.observe(rec.service, rec.at);
+                        predictor.observe(rec.service, rec.at);
                     }
                     self.observed_records += 1;
                 }
-                for addr in self.predictor.predict(now) {
+                for addr in predictor.predict(now) {
                     if self
                         .controller
                         .proactive_deploy(addr, now, &mut self.rng)
@@ -911,15 +910,17 @@ impl<T: Net, S: Spans> Harness<T, S> {
     /// (see [`segments`]), or a zero-byte answer could never be told apart
     /// from no answer.
     fn answer_bytes(&self, service: ServiceAddr) -> usize {
-        self.profiles
-            .get(&service)
-            .map_or(500, |p| p.response_bytes)
-            .max(1)
+        self.profile(service).map_or(500, |p| p.response_bytes).max(1)
     }
 
     /// Bytes of one request to `service` (120 for an unregistered address).
     fn request_bytes(&self, service: ServiceAddr) -> usize {
-        self.profiles.get(&service).map_or(120, |p| p.request_bytes)
+        self.profile(service).map_or(120, |p| p.request_bytes)
+    }
+
+    /// The profile of the service registered at `service`, if any.
+    fn profile(&self, service: ServiceAddr) -> Option<&ServiceProfile> {
+        self.controller.services().get(service).map(|s| &s.profile)
     }
 
     /// Allocates `client`'s next request source port, skipping the one its
@@ -1046,7 +1047,7 @@ impl<T: Net, S: Spans> Harness<T, S> {
         let (processing, request_bytes, response_bytes, listening) = if is_cloud {
             // The real cloud hosts every registered service (and a generic
             // web server for everything else) — the "perceived cloud".
-            match self.profiles.get(&frame.dst_service()) {
+            match self.profile(frame.dst_service()) {
                 Some(p) => (p.request_processing, p.request_bytes, p.response_bytes, true),
                 None => (self.cloud_processing, 1, 500, true),
             }
@@ -1663,19 +1664,19 @@ mod tests {
         // Docker zones keep their address across a redeploy; each of the
         // three zones runs its own instance.
         listener_lookup_equals_the_scan(three_gnbs(controller.clone(), 1), 3);
-        // With autoscaling on, each zone's pool has a second replica, which
-        // answers at an address of its own.
-        let mut autoscaled = controller;
-        autoscaled.autoscale.enabled = true;
-        autoscaled.autoscale.min_replicas = 2;
+        // With autoscaling on, each zone's pool scales up under the burst,
+        // and its second replica answers at an address of its own.
+        let autoscaled = ControllerConfig { autoscale: true, ..controller };
         listener_lookup_equals_the_scan(three_gnbs(autoscaled, 1), 3);
     }
 
     /// Clients 0, 1 and 2 (one per switch, where there are three) request
-    /// the service twice, an idle scale-down apart; `want_addrs` is the
-    /// number of distinct addresses its instances serve at over the run.
-    /// Every instance address is probed with its replica-1 address beside
-    /// it, which answers exactly when autoscaling is on.
+    /// the service twice, an idle scale-down apart, and in between each
+    /// sends a burst that fills its instance's queue across an autoscaler
+    /// sweep; `want_addrs` is the number of distinct addresses its instances
+    /// serve at over the run. Every instance address is probed with its
+    /// replica-1 address beside it, which answers exactly when autoscaling
+    /// is on.
     fn listener_lookup_equals_the_scan<T: Net>(mut tb: Harness<T>, want_addrs: usize) {
         let addr = svc_addr(10);
         let svc = tb.register_service(containerd::ServiceSet::by_key("asm").unwrap(), addr);
@@ -1685,12 +1686,15 @@ mod tests {
                 cluster.pull(svc, now, rng).expect("pre-pull");
             });
         }
+        const BURST: usize = 8;
         for client in 0..3 {
             tb.request_at(SimTime::from_secs(1), client, addr);
+            for _ in 0..BURST {
+                tb.request_at(SimTime::from_millis(5_050), client, addr);
+            }
             tb.request_at(SimTime::from_secs(60), client, addr);
         }
-        let load = tb.controller.load();
-        let replicas = if load.enabled() { load.config().max_replicas } else { 1 };
+        let replicas = if tb.controller.load().enabled() { edgectl::autoscale::MAX_REPLICAS } else { 1 };
         let mut instance_addrs = Vec::new();
         let (mut answered, mut replica_answered) = (0, 0);
         run_inspecting(&mut tb, SimTime::from_secs(120), |tb, now, ev| {
@@ -1717,7 +1721,7 @@ mod tests {
             }
             assert!(tb.listeners.len() <= clusters * replicas, "one replica, one remembered address");
         });
-        assert_eq!(tb.completed.len(), 6);
+        assert_eq!(tb.completed.len(), 3 * (2 + BURST));
         assert_eq!(instance_addrs.len(), want_addrs, "{instance_addrs:?}");
         assert!(answered > 0);
         assert_eq!(replica_answered > 0, replicas > 1, "replica 1 answers iff autoscaling is on");

@@ -11,7 +11,8 @@ use crate::topology::MultiGnbTopology;
 use desim::{Duration, FaultPlan, SimTime};
 use dockersim::DockerEngine;
 use edgectl::{
-    Controller, ControllerConfig, DockerCluster, HandoverPolicy, IngressId, PortMap, RecoveryMode,
+    Controller, ControllerConfig, DockerCluster, HandoverPolicy, IngressId, PortMap,
+    ProximityScheduler, RecoveryMode,
 };
 use mobility::MobilityModel;
 use ovs::{Switch, SwitchConfig};
@@ -27,8 +28,6 @@ pub struct MobilityConfig {
     pub n_clients: usize,
     /// Handover policy applied on every attachment change.
     pub policy: HandoverPolicy,
-    /// Global Scheduler name (see [`edgectl::scheduler_by_name`]).
-    pub scheduler: String,
     /// Controller configuration.
     pub controller: ControllerConfig,
     /// Interval between pings on each client's session.
@@ -67,7 +66,6 @@ impl Default for MobilityConfig {
             n_gnbs: 3,
             n_clients: 6,
             policy: HandoverPolicy::Anchored,
-            scheduler: "proximity".to_owned(),
             controller: ControllerConfig::default(),
             ping_interval: Duration::from_millis(200),
             seed: 1,
@@ -95,10 +93,8 @@ impl<S: Spans> Harness<MultiGnbTopology, S> {
                 })
             })
             .collect();
-        let scheduler =
-            edgectl::scheduler_by_name(&config.scheduler).unwrap_or_else(|e| panic!("{e}"));
         let mut controller = Controller::with_spans(
-            scheduler,
+            Box::new(ProximityScheduler),
             PortMap {
                 cluster_ports: HashMap::new(),
                 cloud_port: net.cloud_ports[0].0,

@@ -45,7 +45,6 @@ crates/desim/src/stats.rs::min — the telemetry test pins that a histogram's mi
 crates/desim/src/timers.rs::heap_bytes — the state sizes of items 1 and 22 (state_stats)
 crates/dockersim/src/lib.rs::node_mut — the cluster and controller tests re-arm a node's fault injector mid-run
 crates/dockersim/src/lib.rs::remove — the Remove phase (PAPER.md step 5; ROADMAP item 19); no run sets ControllerConfig::remove_after
-crates/edgectl/src/autoscale.rs::config — the harness tests read the replica ceiling of the tracker under test
 crates/edgectl/src/cluster.rs::remove — the Remove phase (PAPER.md step 5; ROADMAP item 19); no run sets ControllerConfig::remove_after
 crates/edgectl/src/cluster.rs::telemetry_stats — e2ebench's tracing cluster wrapper forwards it
 crates/edgectl/src/controller.rs::control_errors — no run meets a control-plane inconsistency; the controller tests provoke them (item 22)
@@ -66,8 +65,6 @@ crates/edgectl/src/migrate.rs::active — the migration tests check that an abor
 crates/edgectl/src/migrate.rs::label — span details, written only when a run records spans through a migration
 crates/edgectl/src/migrate.rs::ledger — the migration props check that session state is conserved
 crates/edgectl/src/migrate.rs::total — the migration props and harness tests check that session state is conserved
-crates/edgectl/src/predict.rs::observe — the `none` predictor's no-op; the harness never feeds a predictor named none
-crates/edgectl/src/predict.rs::predict — the `none` predictor's no-op; the harness never polls a predictor named none
 crates/edgectl/src/rules.rs::drop_buffered — safety: frees a switch buffer when a packet-in is dropped
 crates/edgectl/src/scheduler.rs::choose — CloudOnlyScheduler, the cloud-only baseline (ROADMAP item 5 decides it)
 crates/edgectl/src/scheduler.rs::name — CloudOnlyScheduler, the cloud-only baseline (ROADMAP item 5 decides it)
