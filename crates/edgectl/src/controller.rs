@@ -186,8 +186,8 @@ pub struct HandoverOutcome {
     /// Of those, sessions the scheduler re-placed (possibly on a new
     /// cluster) rather than kept anchored.
     pub redispatched: usize,
-    /// OpenFlow messages to deliver, each tagged with the ingress switch it
-    /// goes to. New-ingress installs precede old-ingress teardowns.
+    /// The messages, tagged with their switch, from [`Controller::handle_attachment_change`]
+    /// only: [`Controller::handle_attachment_change_into`] appends them to its sink.
     pub messages: Vec<(IngressId, OutboundMessage)>,
 }
 
@@ -272,12 +272,8 @@ pub struct Controller<S: Spans = Off> {
     /// When each instance crashed (fault injection), so the repair sweep's
     /// `stale_redirect_repair_ns` histogram measures crash→repair latency.
     crash_records: FastMap<InstanceAddr, SimTime>,
-    /// Recycled buffers of a handover: the sessions it moves, and the
-    /// installs it makes at the new ingress.
-    handover_scratch: (Vec<(FlowKey, MemorizedFlow)>, Vec<OutboundMessage>),
-    /// The list a handover's messages travel in, once its caller hands it
-    /// back ([`Controller::recycle_messages`]).
-    handover_messages: Vec<(IngressId, OutboundMessage)>,
+    /// Recycled buffer of a handover: the sessions it moves.
+    handover_scratch: Vec<(FlowKey, MemorizedFlow)>,
     /// Recycled buffer of the idle sweep: the `(service, cluster)`s whose
     /// last memorized flow expired.
     idle_scratch: Vec<(ServiceAddr, usize)>,
@@ -327,8 +323,7 @@ impl<S: Spans> Controller<S> {
             telemetry: Telemetry::default(),
             next_request: 0,
             crash_records: FastMap::default(),
-            handover_scratch: Default::default(),
-            handover_messages: Vec::new(),
+            handover_scratch: Vec::new(),
             idle_scratch: Vec::new(),
             migration_spans: FastMap::default(),
             journal,
@@ -473,7 +468,7 @@ impl<S: Spans> Controller<S> {
             }
             // In-flight migrations lost their coordinator: abort them (state
             // stays at the source; the breaker/mobility trigger re-fires).
-            let aborted_migrations = ctl.state.migrate_mut().abort_all();
+            let aborted_migrations = ctl.state.migrate_mut().abort_where(|_| true);
             ctl.count("migrations_aborted", aborted_migrations);
             ctl.telemetry.metrics.inc("controller_restarts");
             RecoveryReport {
@@ -619,22 +614,6 @@ impl<S: Spans> Controller<S> {
         self.spare.recycle(buf);
     }
 
-    /// Takes back a [`HandoverOutcome::messages`] list once its messages are on their way.
-    pub fn recycle_messages(&mut self, mut messages: Vec<(IngressId, OutboundMessage)>) {
-        messages.clear();
-        self.handover_messages = messages;
-    }
-
-    /// Handles one encoded message from the default ingress switch.
-    pub fn handle_switch_message(
-        &mut self,
-        now: SimTime,
-        bytes: &[u8],
-        rng: &mut SimRng,
-    ) -> Result<Vec<OutboundMessage>, OfError> {
-        self.handle_switch_message_from(IngressId::DEFAULT, now, bytes, rng)
-    }
-
     /// Wraps [`Self::handle_switch_message_into`]: not the harness's path, and ROADMAP item 2 retires it.
     pub fn handle_switch_message_from(
         &mut self,
@@ -645,11 +624,12 @@ impl<S: Spans> Controller<S> {
     ) -> Result<Vec<OutboundMessage>, OfError> {
         let mut out = Vec::new();
         self.handle_switch_message_into(ingress, now, bytes, rng, &mut out)?;
-        Ok(out)
+        Ok(out.into_iter().map(|(_, m)| m).collect())
     }
 
     /// Handles one encoded message from a specific ingress switch, appending
-    /// the messages that go back to that same switch to `out` — a sink as
+    /// its answers to `out`: the one sink every entry point that sends appends
+    /// to, each message tagged with its switch, in send order — a sink as
     /// `ovs::Switch` defines one: never cleared or read, untouched on `Err`.
     pub fn handle_switch_message_into(
         &mut self,
@@ -657,7 +637,7 @@ impl<S: Spans> Controller<S> {
         now: SimTime,
         bytes: &[u8],
         rng: &mut SimRng,
-        out: &mut Vec<OutboundMessage>,
+        out: &mut Vec<(IngressId, OutboundMessage)>,
     ) -> Result<(), OfError> {
         let (_xid, msg, _) = Message::parse(bytes)?;
         self.synced(|ctl| match msg {
@@ -711,7 +691,7 @@ impl<S: Spans> Controller<S> {
         match_: &Match,
         data: &[u8],
         rng: &mut SimRng,
-        out: &mut Vec<OutboundMessage>,
+        out: &mut Vec<(IngressId, OutboundMessage)>,
     ) {
         let in_port = Self::in_port_of(match_);
         let Ok(frame) = TcpFrame::decode(data) else {
@@ -719,10 +699,10 @@ impl<S: Spans> Controller<S> {
             // buffer the switch parked the packet in: have it dropped.
             self.note_error(ControlPlaneError::UndecodablePacketIn { ingress });
             let release = rules::drop_buffered(buffer_id);
-            return out.extend(release.map(|m| self.outbound(now, &m)));
+            return out.extend(release.map(|m| (ingress, self.outbound(now, &m))));
         };
         // Location tracking: a client arriving at a new location moved. An
-        // *announced* move goes through [`Controller::handle_attachment_change`]
+        // *announced* move goes through [`Controller::handle_attachment_change_into`]
         // (which updates the tracker itself, so the next packet-in here sees
         // no move); an unannounced one falls back to the pre-handover
         // behavior — flush the client's memorized redirects and re-schedule,
@@ -953,7 +933,7 @@ impl<S: Spans> Controller<S> {
         mut spec: PairSpec,
         to: Placement,
         release: Option<Release>,
-        out: &mut Vec<OutboundMessage>,
+        out: &mut Vec<(IngressId, OutboundMessage)>,
     ) {
         let Some(target) = self.resolve(ingress, to) else {
             return;
@@ -987,8 +967,8 @@ impl<S: Spans> Controller<S> {
         // is re-injected by a `PACKET_OUT` after them.
         let buffer_id = release.map_or(OFP_NO_BUFFER, |(id, _)| id);
         self.flow_adds += 2;
-        out.push(self.flow_add(at, &rev, OFP_NO_BUFFER));
-        out.push(self.flow_add(at, &fwd, buffer_id));
+        out.push((ingress, self.flow_add(at, &rev, OFP_NO_BUFFER)));
+        out.push((ingress, self.flow_add(at, &fwd, buffer_id)));
         if let Some(carried) = release.filter(|(id, _)| *id == OFP_NO_BUFFER) {
             self.packet_out(ingress, at, carried, fwd.actions, out);
         }
@@ -1024,7 +1004,7 @@ impl<S: Spans> Controller<S> {
         spec: PairSpec,
         (instance, cluster): (InstanceAddr, usize),
         release: Release,
-        out: &mut Vec<OutboundMessage>,
+        out: &mut Vec<(IngressId, OutboundMessage)>,
     ) {
         let granularity = match self.state.aggregate(ingress, spec.service) {
             Some(r)
@@ -1055,10 +1035,10 @@ impl<S: Spans> Controller<S> {
         at: SimTime,
         (buffer_id, frame): Release,
         actions: openflow::Actions,
-        out: &mut Vec<OutboundMessage>,
+        out: &mut Vec<(IngressId, OutboundMessage)>,
     ) {
         match rules::packet_out(buffer_id, actions, frame) {
-            Some(msg) => out.push(self.outbound(at, &msg)),
+            Some(msg) => out.push((ingress, self.outbound(at, &msg))),
             None => self.note_error(ControlPlaneError::OversizePacketOut { ingress }),
         }
     }
@@ -1094,10 +1074,10 @@ impl<S: Spans> Controller<S> {
     ///
     /// `client_mac`/`gw_mac` parameterize the wildcard reverse rewrite (no
     /// triggering frame exists to read them from); `new_in_port` is the
-    /// client's uplink port at the new switch. The caller delivers
-    /// `messages` to the switches they are tagged with.
+    /// client's uplink port at the new switch. The new-ingress installs, then
+    /// the old-ingress teardowns, go to `out`.
     #[allow(clippy::too_many_arguments)]
-    pub fn handle_attachment_change(
+    pub fn handle_attachment_change_into(
         &mut self,
         now: SimTime,
         client: Ipv4Addr,
@@ -1108,6 +1088,7 @@ impl<S: Spans> Controller<S> {
         new_in_port: u32,
         policy: HandoverPolicy,
         rng: &mut SimRng,
+        out: &mut Vec<(IngressId, OutboundMessage)>,
     ) -> HandoverOutcome {
         self.synced(|ctl| {
             let (request, root) = ctl.open_request("handover", now);
@@ -1128,7 +1109,7 @@ impl<S: Spans> Controller<S> {
             // reconciliation still needs to claim them until then.
             let mut old_pairs = ctl.commit(JournalEvent::HandoverSweep { client, from }).retired;
 
-            let (mut flows, mut made) = std::mem::take(&mut ctl.handover_scratch);
+            let mut flows = std::mem::take(&mut ctl.handover_scratch);
             let mut completed_at = t;
             let mut flows_migrated = 0usize;
             let mut redispatched = 0usize;
@@ -1182,7 +1163,7 @@ impl<S: Spans> Controller<S> {
                     in_port: new_in_port,
                     service: svc.addr,
                 };
-                ctl.install(to, installed_at, spec, placement, None, &mut made);
+                ctl.install(to, installed_at, spec, placement, None, out);
                 flows_migrated += 1;
                 completed_at = completed_at.max(installed_at);
             }
@@ -1195,16 +1176,13 @@ impl<S: Spans> Controller<S> {
             // here costs nothing.
             let break_at = completed_at + Duration::from_millis(50);
             let n_old = old_pairs.len();
-            let mut messages = std::mem::take(&mut ctl.handover_messages);
-            messages.reserve_exact(made.len() + 2 * n_old);
-            messages.extend(made.drain(..).map(|m| (to, m)));
             for (fwd, rev) in old_pairs.drain(..).map(|p| p.flows()) {
                 for m in [fwd.match_, rev.match_] {
-                    messages.push((from, ctl.flow_delete(break_at, m)));
+                    out.push((from, ctl.flow_delete(break_at, m)));
                 }
             }
             ctl.state.recycle_retired(old_pairs);
-            ctl.handover_scratch = (flows, made);
+            ctl.handover_scratch = flows;
 
             let m = &mut ctl.telemetry.metrics;
             m.inc("handovers_total");
@@ -1224,8 +1202,30 @@ impl<S: Spans> Controller<S> {
             if ctl.state.migrate().live() {
                 ctl.migrate_lagging_sessions(t, client, to, rng);
             }
-            HandoverOutcome { at: now, completed_at, flows_migrated, redispatched, messages }
+            HandoverOutcome { at: now, completed_at, flows_migrated, redispatched, messages: Vec::new() }
         })
+    }
+
+    /// Wraps [`Self::handle_attachment_change_into`], returning the messages in
+    /// [`HandoverOutcome::messages`]: not the harness's path, and ROADMAP item 2 retires it.
+    #[allow(clippy::too_many_arguments)]
+    pub fn handle_attachment_change(
+        &mut self,
+        now: SimTime,
+        client: Ipv4Addr,
+        client_mac: MacAddr,
+        gw_mac: MacAddr,
+        from: IngressId,
+        to: IngressId,
+        new_in_port: u32,
+        policy: HandoverPolicy,
+        rng: &mut SimRng,
+    ) -> HandoverOutcome {
+        let mut messages = Vec::new();
+        let outcome = self.handle_attachment_change_into(
+            now, client, client_mac, gw_mac, from, to, new_in_port, policy, rng, &mut messages,
+        );
+        HandoverOutcome { messages, ..outcome }
     }
 
     /// The load tracker: per-instance queues, admission counters, pools.
@@ -1267,6 +1267,13 @@ mod tests {
         let profile = containerd::ServiceSet::by_key(key).unwrap();
         let addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), port);
         EdgeService::from_profile(profile, addr)
+    }
+
+    /// What `emit` appends to a fresh sink.
+    fn sent(emit: impl FnOnce(&mut Vec<(IngressId, OutboundMessage)>)) -> Vec<(IngressId, OutboundMessage)> {
+        let mut out = Vec::new();
+        emit(&mut out);
+        out
     }
 
     fn setup(rng: &mut SimRng) -> (Controller, Switch) {
@@ -1337,7 +1344,7 @@ mod tests {
         let Effect::ToController(pkt_in) = &effects[0] else {
             panic!("expected packet-in");
         };
-        let out = ctl.handle_switch_message(t0, pkt_in, &mut rng).unwrap();
+        let out = ctl.handle_switch_message_from(IngressId::DEFAULT, t0, pkt_in, &mut rng).unwrap();
         assert_eq!(out.len(), 2, "reverse + forward flow (buffered packet)");
         let answered = out[0].at;
         assert!(answered > t0, "with waiting: answered later");
@@ -1399,7 +1406,7 @@ mod tests {
         let t0 = SimTime::from_secs(1);
         let effects = sw.handle_frame(t0, CLIENT_PORT, &client_syn(50000).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        let out = ctl.handle_switch_message(t0, pkt_in, &mut rng).unwrap();
+        let out = ctl.handle_switch_message_from(IngressId::DEFAULT, t0, pkt_in, &mut rng).unwrap();
         let answered = out[0].at;
         for m in &out {
             sw.handle_controller(m.at, &m.data).unwrap();
@@ -1410,7 +1417,7 @@ mod tests {
         let t1 = answered + Duration::from_secs(5);
         let effects = sw.handle_frame(t1, CLIENT_PORT, &client_syn(50001).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        let out = ctl.handle_switch_message(t1, pkt_in, &mut rng).unwrap();
+        let out = ctl.handle_switch_message_from(IngressId::DEFAULT, t1, pkt_in, &mut rng).unwrap();
         assert!(out[0].at - t1 < Duration::from_millis(20), "instant answer");
         assert_eq!(ctl.records[1].kind, RequestKind::MemoryHit);
     }
@@ -1424,7 +1431,7 @@ mod tests {
         let effects = sw.handle_frame(SimTime::from_secs(1), CLIENT_PORT, &frame.encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
         let out = ctl
-            .handle_switch_message(SimTime::from_secs(1), pkt_in, &mut rng)
+            .handle_switch_message_from(IngressId::DEFAULT, SimTime::from_secs(1), pkt_in, &mut rng)
             .unwrap();
         let mut released = Vec::new();
         for m in &out {
@@ -1447,7 +1454,7 @@ mod tests {
         let t0 = SimTime::from_secs(1);
         let effects = sw.handle_frame(t0, CLIENT_PORT, &client_syn(50000).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        let out = ctl.handle_switch_message(t0, pkt_in, &mut rng).unwrap();
+        let out = ctl.handle_switch_message_from(IngressId::DEFAULT, t0, pkt_in, &mut rng).unwrap();
         let answered = out[0].at;
         assert_eq!(ctl.memory().len(), 1);
 
@@ -1461,7 +1468,7 @@ mod tests {
         let t1 = idle_at + Duration::from_secs(5);
         let effects = sw.handle_frame(t1, CLIENT_PORT, &client_syn(50002).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        ctl.handle_switch_message(t1, pkt_in, &mut rng).unwrap();
+        ctl.handle_switch_message_from(IngressId::DEFAULT, t1, pkt_in, &mut rng).unwrap();
         assert_eq!(ctl.records[1].kind, RequestKind::Waited);
     }
 
@@ -1474,7 +1481,7 @@ mod tests {
             code: 6,
             data: vec![1, 2, 3],
         };
-        ctl.handle_switch_message(SimTime::ZERO, &err.encode(4), &mut rng)
+        ctl.handle_switch_message_from(IngressId::DEFAULT, SimTime::ZERO, &err.encode(4), &mut rng)
             .unwrap();
         assert_eq!(ctl.telemetry.metrics.counter("switch_errors"), 1);
     }
@@ -1487,7 +1494,7 @@ mod tests {
         // First request from port 1.
         let effects = sw.handle_frame(t0, CLIENT_PORT, &client_syn(50000).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        let out = ctl.handle_switch_message(t0, pkt_in, &mut rng).unwrap();
+        let out = ctl.handle_switch_message_from(IngressId::DEFAULT, t0, pkt_in, &mut rng).unwrap();
         let answered = out[0].at;
         assert_eq!(ctl.memory().len(), 1);
         assert_eq!(
@@ -1500,7 +1507,7 @@ mod tests {
         let t1 = answered + Duration::from_secs(3);
         let effects = sw.handle_frame(t1, CLOUD_PORT, &client_syn(50001).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        ctl.handle_switch_message(t1, pkt_in, &mut rng).unwrap();
+        ctl.handle_switch_message_from(IngressId::DEFAULT, t1, pkt_in, &mut rng).unwrap();
         assert_eq!(
             ctl.clients().location(Ipv4Addr::new(192, 168, 1, 20)),
             Some((IngressId::DEFAULT, CLOUD_PORT))
@@ -1532,7 +1539,7 @@ mod tests {
         let t0 = SimTime::from_secs(1);
         let effects = sw0.handle_frame(t0, CLIENT_PORT, &client_syn(50000).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        let out = ctl.handle_switch_message(t0, pkt_in, &mut rng).unwrap();
+        let out = ctl.handle_switch_message_from(IngressId::DEFAULT, t0, pkt_in, &mut rng).unwrap();
         for m in &out {
             sw0.handle_controller(m.at, &m.data).unwrap();
         }
@@ -1635,7 +1642,7 @@ mod tests {
         let t0 = SimTime::from_secs(1);
         let effects = sw0.handle_frame(t0, CLIENT_PORT, &client_syn(50000).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        let out = ctl.handle_switch_message(t0, pkt_in, &mut rng).unwrap();
+        let out = ctl.handle_switch_message_from(IngressId::DEFAULT, t0, pkt_in, &mut rng).unwrap();
         let answered = out.iter().map(|m| m.at).max().unwrap();
         assert_eq!(ctl.memory().len(), 1);
 
@@ -1695,7 +1702,7 @@ mod tests {
         let t0 = SimTime::from_secs(1);
         let effects = sw.handle_frame(t0, CLIENT_PORT, &client_syn(50000).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        ctl.handle_switch_message(t0, pkt_in, &mut rng).unwrap();
+        ctl.handle_switch_message_from(IngressId::DEFAULT, t0, pkt_in, &mut rng).unwrap();
 
         // Idle sweep at t=25: scale-down only.
         ctl.tick(SimTime::from_secs(25), &mut rng);
@@ -1721,7 +1728,7 @@ mod tests {
         let t1 = SimTime::from_secs(60);
         let effects = sw.handle_frame(t1, CLIENT_PORT, &client_syn(50002).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        ctl.handle_switch_message(t1, pkt_in, &mut rng).unwrap();
+        ctl.handle_switch_message_from(IngressId::DEFAULT, t1, pkt_in, &mut rng).unwrap();
         let rec = ctl.records.last().unwrap();
         assert_eq!(rec.kind, RequestKind::Waited);
         assert!(ctl.deployment(rec).unwrap().phases.create_done.is_some(), "create ran again");
@@ -1744,7 +1751,7 @@ mod tests {
             byte_count: 500,
             match_: Match::any(),
         };
-        ctl.handle_switch_message(SimTime::ZERO, &fr.encode(9), &mut rng)
+        ctl.handle_switch_message_from(IngressId::DEFAULT, SimTime::ZERO, &fr.encode(9), &mut rng)
             .unwrap();
         assert_eq!(ctl.flows_removed(), 1);
     }
@@ -1786,7 +1793,7 @@ mod tests {
         let t0 = SimTime::from_secs(1);
         let effects = sw.handle_frame(t0, CLIENT_PORT, &client_syn(50000).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        let out = ctl.handle_switch_message(t0, pkt_in, &mut rng).unwrap();
+        let out = ctl.handle_switch_message_from(IngressId::DEFAULT, t0, pkt_in, &mut rng).unwrap();
 
         let rec = &ctl.records[0];
         assert_eq!(rec.kind, RequestKind::FallbackCloud);
@@ -1824,7 +1831,7 @@ mod tests {
         let t1 = t0 + Duration::from_millis(5);
         let effects = sw.handle_frame(t1, CLIENT_PORT, &client_syn(50001).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        ctl.handle_switch_message(t1, pkt_in, &mut rng).unwrap();
+        ctl.handle_switch_message_from(IngressId::DEFAULT, t1, pkt_in, &mut rng).unwrap();
         assert_eq!(ctl.coalesced_count(), 1);
         assert_eq!(ctl.records[1].kind, RequestKind::FallbackCloud);
         assert_eq!(ctl.records[1].answered_at, ctl.records[0].answered_at);
@@ -1866,7 +1873,7 @@ mod tests {
         let t0 = SimTime::from_secs(1);
         let effects = sw.handle_frame(t0, CLIENT_PORT, &client_syn(50000).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        let out = ctl.handle_switch_message(t0, pkt_in, &mut rng).unwrap();
+        let out = ctl.handle_switch_message_from(IngressId::DEFAULT, t0, pkt_in, &mut rng).unwrap();
         assert_eq!(ctl.records[0].kind, RequestKind::Waited);
         let held_until = out[0].at;
 
@@ -2014,7 +2021,7 @@ mod tests {
         let t0 = SimTime::from_secs(1);
         let effects = sw.handle_frame(t0, CLIENT_PORT, &client_syn(50000).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        let out = ctl.handle_switch_message(t0, pkt_in, &mut rng).unwrap();
+        let out = ctl.handle_switch_message_from(IngressId::DEFAULT, t0, pkt_in, &mut rng).unwrap();
         assert_eq!(ctl.records[0].kind, RequestKind::Waited);
         let held_until = out[0].at;
 
@@ -2047,7 +2054,7 @@ mod tests {
         let t1 = after + Duration::from_secs(1);
         let effects = sw.handle_frame(t1, CLIENT_PORT, &client_syn(50002).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        ctl.handle_switch_message(t1, pkt_in, &mut rng).unwrap();
+        ctl.handle_switch_message_from(IngressId::DEFAULT, t1, pkt_in, &mut rng).unwrap();
         assert_eq!(ctl.records[1].kind, RequestKind::Waited);
 
         // The span ledger: one root span per request, each closed exactly
@@ -2103,14 +2110,14 @@ mod tests {
         let t0 = SimTime::from_secs(1);
         let effects = sw.handle_frame(t0, CLIENT_PORT, &client_syn(50000).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        ctl.handle_switch_message(t0, pkt_in, &mut rng).unwrap();
+        ctl.handle_switch_message_from(IngressId::DEFAULT, t0, pkt_in, &mut rng).unwrap();
         assert_eq!(ctl.records[0].kind, RequestKind::FallbackCloud);
 
         // Second request coalesces onto the cached failure.
         let t1 = t0 + Duration::from_millis(5);
         let effects = sw.handle_frame(t1, CLIENT_PORT, &client_syn(50001).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        ctl.handle_switch_message(t1, pkt_in, &mut rng).unwrap();
+        ctl.handle_switch_message_from(IngressId::DEFAULT, t1, pkt_in, &mut rng).unwrap();
         assert_eq!(ctl.records[1].kind, RequestKind::FallbackCloud);
 
         let log = ctl.telemetry.span_log().unwrap();
@@ -2150,7 +2157,7 @@ mod tests {
     ) -> SimTime {
         let effects = sw.handle_frame(at, CLIENT_PORT, &client_syn(src_port).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        let out = ctl.handle_switch_message(at, pkt_in, rng).unwrap();
+        let out = ctl.handle_switch_message_from(IngressId::DEFAULT, at, pkt_in, rng).unwrap();
         let answered = out[0].at;
         for m in &out {
             sw.handle_controller(m.at, &m.data).unwrap();
@@ -2180,7 +2187,7 @@ mod tests {
 
         // Detection sweep: memory purged, exact deletes emitted.
         let detect_at = crash_at + DETECT_INTERVAL;
-        let repairs = ctl.health_check(detect_at);
+        let repairs = sent(|out| ctl.health_check(detect_at, out));
         assert!(ctl.memory().is_empty(), "no lookup returns the dead address");
         assert_eq!(repairs.len(), 2, "fwd + rev delete");
         for (ing, m) in &repairs {
@@ -2189,7 +2196,7 @@ mod tests {
         }
         assert_eq!(sw.table().entries().count(), flows_before - 2);
         // A second sweep finds nothing left to repair.
-        assert!(ctl.health_check(detect_at + DETECT_INTERVAL).is_empty());
+        assert!(sent(|out| ctl.health_check(detect_at + DETECT_INTERVAL, out)).is_empty());
 
         // One failure is below the breaker threshold: cluster still offered.
         assert_eq!(ctl.breaker_state(0), BreakerState::Closed);
@@ -2227,7 +2234,7 @@ mod tests {
             let crash_at = answered + Duration::from_secs(1);
             assert!(ctl.inject_instance_crash(0, svc_addr, crash_at, &mut rng));
             t = crash_at + DETECT_INTERVAL;
-            for (_, m) in ctl.health_check(t) {
+            for (_, m) in sent(|out| ctl.health_check(t, out)) {
                 sw.handle_controller(m.at, &m.data).unwrap();
             }
             t += Duration::from_secs(1);
@@ -2268,7 +2275,7 @@ mod tests {
 
         let dark_at = answered + Duration::from_secs(1);
         let until = dark_at + Duration::from_secs(30);
-        let repairs = ctl.begin_zone_outage(0, dark_at, until, &mut rng);
+        let repairs = sent(|out| ctl.begin_zone_outage(0, dark_at, until, &mut rng, out));
         assert!(ctl.memory().is_empty());
         assert_eq!(repairs.len(), 2);
         for (_, m) in &repairs {
@@ -2289,7 +2296,7 @@ mod tests {
 
         // An explicit early end also restores the zone.
         let dark2 = until + Duration::from_secs(40);
-        ctl.begin_zone_outage(0, dark2, dark2 + Duration::from_secs(60), &mut rng);
+        sent(|out| ctl.begin_zone_outage(0, dark2, dark2 + Duration::from_secs(60), &mut rng, out));
         ctl.end_zone_outage(0);
         serve_one(&mut ctl, &mut sw, dark2 + Duration::from_secs(1), 50003, &mut rng);
         assert_eq!(ctl.records.last().unwrap().kind, RequestKind::Waited);
@@ -2331,9 +2338,9 @@ mod tests {
         // Reconnect: diff the switch table against the bookkeeping.
         let reconnect_at = lost_at + Duration::from_secs(1);
         let table: Vec<FlowEntry> = sw.table().entries().cloned().collect();
-        let fixes = ctl.reconcile(IngressId::DEFAULT, &table, reconnect_at);
+        let fixes = sent(|out| ctl.reconcile(IngressId::DEFAULT, &table, reconnect_at, out));
         assert_eq!(fixes.len(), 3, "2 re-adds + 1 orphan delete");
-        for m in &fixes {
+        for (_, m) in &fixes {
             sw.handle_controller(m.at, &m.data).unwrap();
         }
 
@@ -2361,7 +2368,7 @@ mod tests {
 
         // Convergence: a second pass finds nothing to fix.
         let table: Vec<FlowEntry> = sw.table().entries().cloned().collect();
-        assert!(ctl.reconcile(IngressId::DEFAULT, &table, reconnect_at + Duration::from_secs(1)).is_empty());
+        assert!(sent(|out| ctl.reconcile(IngressId::DEFAULT, &table, reconnect_at + Duration::from_secs(1), out)).is_empty());
     }
 
     /// A delivered FLOW_REMOVED removes its pair: reconciliation does not
@@ -2376,7 +2383,7 @@ mod tests {
         let expire_at = answered + ctl.config.switch_flow_idle + Duration::from_secs(1);
         for fx in sw.expire_flows(expire_at) {
             if let Effect::ToController(bytes) = fx {
-                ctl.handle_switch_message(expire_at, &bytes, &mut rng).unwrap();
+                ctl.handle_switch_message_from(IngressId::DEFAULT, expire_at, &bytes, &mut rng).unwrap();
             }
         }
         assert!(ctl.flows_removed() > 0);
@@ -2384,7 +2391,7 @@ mod tests {
 
         // Reconciliation agrees with the switch: nothing to re-install.
         let table: Vec<FlowEntry> = sw.table().entries().cloned().collect();
-        let fixes = ctl.reconcile(IngressId::DEFAULT, &table, expire_at + Duration::from_secs(1));
+        let fixes = sent(|out| ctl.reconcile(IngressId::DEFAULT, &table, expire_at + Duration::from_secs(1), out));
         assert!(fixes.is_empty(), "expired pairs are removed, not resurrected: {}", fixes.len());
     }
 
@@ -2403,7 +2410,7 @@ mod tests {
             let (before, removed) = (ctl.state.pairs_examined(), ctl.flows_removed());
             for fx in sw.expire_flows(now) {
                 if let Effect::ToController(bytes) = fx {
-                    ctl.handle_switch_message(now, &bytes, &mut rng).unwrap();
+                    ctl.handle_switch_message_from(IngressId::DEFAULT, now, &bytes, &mut rng).unwrap();
                 }
             }
             assert_eq!(ctl.flows_removed() - removed, 1, "cycle {cycle}: one FLOW_REMOVED");
@@ -2428,7 +2435,7 @@ mod tests {
         let idle = first + ctl.config.switch_flow_idle + Duration::from_secs(1);
         for fx in sw.expire_flows(idle) {
             if let Effect::ToController(bytes) = fx {
-                ctl.handle_switch_message(idle, &bytes, &mut rng).unwrap();
+                ctl.handle_switch_message_from(IngressId::DEFAULT, idle, &bytes, &mut rng).unwrap();
             }
         }
         assert_eq!(ctl.flows_removed(), 1, "the first connection idled out");
@@ -2476,14 +2483,14 @@ mod tests {
 
         // On reconnect, reconciliation deletes them instead of re-adding.
         let table: Vec<FlowEntry> = sw.table().entries().cloned().collect();
-        let fixes = ctl.reconcile(IngressId::DEFAULT, &table, crash_at + Duration::from_secs(2));
+        let fixes = sent(|out| ctl.reconcile(IngressId::DEFAULT, &table, crash_at + Duration::from_secs(2), out));
         assert!(!fixes.is_empty());
-        for m in &fixes {
+        for (_, m) in &fixes {
             sw.handle_controller(m.at, &m.data).unwrap();
         }
         assert_eq!(sw.table().entries().count(), 0, "stale redirects purged");
         let table: Vec<FlowEntry> = sw.table().entries().cloned().collect();
-        assert!(ctl.reconcile(IngressId::DEFAULT, &table, crash_at + Duration::from_secs(3)).is_empty());
+        assert!(sent(|out| ctl.reconcile(IngressId::DEFAULT, &table, crash_at + Duration::from_secs(3), out)).is_empty());
     }
 
     /// A SYN from an arbitrary client toward the registered service.
@@ -2523,7 +2530,7 @@ mod tests {
         let t1 = answered + Duration::from_secs(1);
         let effects = sw.handle_frame(t1, CLIENT_PORT, &syn_from(21, 51000).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        let out = ctl.handle_switch_message(t1, pkt_in, &mut rng).unwrap();
+        let out = ctl.handle_switch_message_from(IngressId::DEFAULT, t1, pkt_in, &mut rng).unwrap();
         let mut released = Vec::new();
         for m in &out {
             released.extend(sw.handle_controller(m.at, &m.data).unwrap());
@@ -2583,7 +2590,7 @@ mod tests {
         let t1 = answered + Duration::from_secs(1);
         let effects = sw.handle_frame(t1, CLIENT_PORT, &syn_from(21, 51000).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        for m in ctl.handle_switch_message(t1, pkt_in, &mut rng).unwrap() {
+        for m in ctl.handle_switch_message_from(IngressId::DEFAULT, t1, pkt_in, &mut rng).unwrap() {
             sw.handle_controller(m.at, &m.data).unwrap();
         }
         let table_before = sw.table().entries().count();
@@ -2603,7 +2610,7 @@ mod tests {
         }
         .encode(777);
         let t2 = t1 + Duration::from_secs(1);
-        let out = ctl.handle_switch_message(t2, &pkt_in, &mut rng).unwrap();
+        let out = ctl.handle_switch_message_from(IngressId::DEFAULT, t2, &pkt_in, &mut rng).unwrap();
         assert_eq!(out.len(), 1, "one PACKET_OUT, no FlowMods: {out:?}");
         let (_, decoded, _) = Message::decode(&out[0].data).unwrap();
         assert!(matches!(decoded, Message::PacketOut { .. }));
@@ -2630,7 +2637,7 @@ mod tests {
         let t1 = answered + Duration::from_secs(1);
         let effects = sw.handle_frame(t1, CLIENT_PORT, &syn_from(21, 51000).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        for m in ctl.handle_switch_message(t1, pkt_in, &mut rng).unwrap() {
+        for m in ctl.handle_switch_message_from(IngressId::DEFAULT, t1, pkt_in, &mut rng).unwrap() {
             sw.handle_controller(m.at, &m.data).unwrap();
         }
 
@@ -2649,7 +2656,7 @@ mod tests {
         }
         .encode(778);
         let t2 = t1 + Duration::from_secs(1);
-        let out = ctl.handle_switch_message(t2, &pkt_in, &mut rng).unwrap();
+        let out = ctl.handle_switch_message_from(IngressId::DEFAULT, t2, &pkt_in, &mut rng).unwrap();
         let kinds: Vec<&'static str> = out
             .iter()
             .map(|m| match Message::decode(&m.data).unwrap().1 {
@@ -2675,7 +2682,7 @@ mod tests {
         let t1 = answered + Duration::from_secs(1);
         let effects = sw.handle_frame(t1, CLIENT_PORT, &syn_from(21, 51000).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        for m in ctl.handle_switch_message(t1, pkt_in, &mut rng).unwrap() {
+        for m in ctl.handle_switch_message_from(IngressId::DEFAULT, t1, pkt_in, &mut rng).unwrap() {
             sw.handle_controller(m.at, &m.data).unwrap();
         }
         assert_eq!(sw.table().entries().count(), 4, "exact pair + aggregate pair");
@@ -2684,7 +2691,7 @@ mod tests {
         let crash_at = t1 + Duration::from_secs(1);
         assert!(ctl.inject_instance_crash(0, svc_addr, crash_at, &mut rng));
         let detect_at = crash_at + DETECT_INTERVAL;
-        let repairs = ctl.health_check(detect_at);
+        let repairs = sent(|out| ctl.health_check(detect_at, out));
         assert_eq!(repairs.len(), 4, "deletes for the exact AND the aggregate pair");
         for (_, m) in &repairs {
             sw.handle_controller(m.at, &m.data).unwrap();
@@ -2703,7 +2710,7 @@ mod tests {
         let t1 = answered + Duration::from_secs(1);
         let effects = sw.handle_frame(t1, CLIENT_PORT, &syn_from(21, 51000).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        for m in ctl.handle_switch_message(t1, pkt_in, &mut rng).unwrap() {
+        for m in ctl.handle_switch_message_from(IngressId::DEFAULT, t1, pkt_in, &mut rng).unwrap() {
             sw.handle_controller(m.at, &m.data).unwrap();
         }
         let flows_before: Vec<FlowEntry> = sw.table().entries().cloned().collect();
@@ -2715,9 +2722,9 @@ mod tests {
         assert_eq!(sw.table().entries().count(), 0);
 
         let table: Vec<FlowEntry> = sw.table().entries().cloned().collect();
-        let fixes = ctl.reconcile(IngressId::DEFAULT, &table, lost_at + Duration::from_secs(1));
+        let fixes = sent(|out| ctl.reconcile(IngressId::DEFAULT, &table, lost_at + Duration::from_secs(1), out));
         assert_eq!(fixes.len(), 4, "both pairs re-added");
-        for m in &fixes {
+        for (_, m) in &fixes {
             sw.handle_controller(m.at, &m.data).unwrap();
         }
         let repaired: Vec<FlowEntry> = sw.table().entries().cloned().collect();
@@ -2728,9 +2735,7 @@ mod tests {
                 .any(|a| a.match_ == b.match_ && a.priority == b.priority));
         }
         let table: Vec<FlowEntry> = sw.table().entries().cloned().collect();
-        assert!(ctl
-            .reconcile(IngressId::DEFAULT, &table, lost_at + Duration::from_secs(2))
-            .is_empty());
+        assert!(sent(|out| ctl.reconcile(IngressId::DEFAULT, &table, lost_at + Duration::from_secs(2), out)).is_empty());
     }
 
     /// Regression for the idle-timeout truncation bug: a sub-second
@@ -2748,7 +2753,7 @@ mod tests {
         let t0 = SimTime::from_secs(1);
         let effects = sw.handle_frame(t0, CLIENT_PORT, &client_syn(50000).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        let out = ctl.handle_switch_message(t0, pkt_in, &mut rng).unwrap();
+        let out = ctl.handle_switch_message_from(IngressId::DEFAULT, t0, pkt_in, &mut rng).unwrap();
         let answered = out[0].at;
         for m in &out {
             let (_, decoded, _) = Message::decode(&m.data).unwrap();
@@ -2781,7 +2786,7 @@ mod tests {
         let t0 = SimTime::from_secs(1);
         let effects = sw.handle_frame(t0, CLIENT_PORT, &client_syn(50000).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        let out = ctl.handle_switch_message(t0, pkt_in, &mut rng).unwrap();
+        let out = ctl.handle_switch_message_from(IngressId::DEFAULT, t0, pkt_in, &mut rng).unwrap();
         let answered = out[0].at;
         for m in &out {
             let (_, decoded, _) = Message::decode(&m.data).unwrap();
@@ -2883,7 +2888,7 @@ mod tests {
         assert_eq!(pkt_in.len(), Message::MAX_LEN);
 
         let out = ctl
-            .handle_switch_message(SimTime::from_secs(1), pkt_in, &mut rng)
+            .handle_switch_message_from(IngressId::DEFAULT, SimTime::from_secs(1), pkt_in, &mut rng)
             .unwrap();
         assert_eq!(out.len(), 2, "the pair's two FLOW_MODs, no PACKET_OUT");
         for m in &out {
@@ -2919,7 +2924,7 @@ mod tests {
         };
         assert_eq!(sw.buffered(), 1);
 
-        let out = ctl.handle_switch_message(t0, pkt_in, &mut rng).unwrap();
+        let out = ctl.handle_switch_message_from(IngressId::DEFAULT, t0, pkt_in, &mut rng).unwrap();
         let [release] = &out[..] else {
             panic!("one PACKET_OUT, got {} messages", out.len());
         };
@@ -2943,7 +2948,7 @@ mod tests {
             match_: Match::any().with(OxmField::InPort(CLIENT_PORT)),
             data: vec![1, 2, 3],
         };
-        let out = ctl.handle_switch_message(t0, &junk.encode(7), &mut rng).unwrap();
+        let out = ctl.handle_switch_message_from(IngressId::DEFAULT, t0, &junk.encode(7), &mut rng).unwrap();
         assert!(out.is_empty());
 
         let undecodable = ControlPlaneError::UndecodablePacketIn {
@@ -3115,7 +3120,7 @@ mod tests {
         let t0 = SimTime::from_secs(1);
         let effects = sw.handle_frame(t0, CLIENT_PORT, &client_syn(50000).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        let answered = ctl.handle_switch_message(t0, pkt_in, &mut rng).unwrap()[0].at;
+        let answered = ctl.handle_switch_message_from(IngressId::DEFAULT, t0, pkt_in, &mut rng).unwrap()[0].at;
         let inst = ctl.cluster(0).instance_addr(&svc).unwrap();
         let at = match case {
             "pending" => t0 + Duration::from_millis(50),
@@ -3158,7 +3163,7 @@ mod tests {
                 match_: Match::any().with(OxmField::InPort(CLIENT_PORT)),
                 data: client_syn(50001).encode(),
             };
-            ctl.handle_switch_message(at, &pkt_in.encode(9), &mut rng).unwrap();
+            ctl.handle_switch_message_from(IngressId::DEFAULT, at, &pkt_in.encode(9), &mut rng).unwrap();
             ctl.records.last().unwrap().kind
         };
         assert_eq!(memory_hit("yes"), RequestKind::MemoryHit);
@@ -3183,7 +3188,7 @@ mod tests {
         // progress is not a dead instance.
         let repaired = |case| {
             let (mut ctl, _, at) = on(case);
-            let deletes = ctl.health_check(at).len();
+            let deletes = sent(|out| ctl.health_check(at, out)).len();
             let failures = ctl.telemetry.metrics.counter("instance_failures_total");
             (deletes, ctl.memory().len(), failures)
         };
@@ -3197,7 +3202,7 @@ mod tests {
         // one whose instance is gone is removed.
         let reinstalled = |case| {
             let (mut ctl, _, at) = on(case);
-            let adds = ctl.reconcile(IngressId::DEFAULT, &[], at).len();
+            let adds = sent(|out| ctl.reconcile(IngressId::DEFAULT, &[], at, out)).len();
             (adds, ctl.state.pairs(client, IngressId::DEFAULT).count())
         };
         assert_eq!(reinstalled("yes"), (2, 1));
@@ -3224,7 +3229,7 @@ mod tests {
             if target_dies {
                 assert!(ctl.inject_instance_crash(1, svc_addr, due, &mut rng));
             }
-            ctl.migration_tick(due, &mut rng);
+            sent(|out| ctl.migration_tick(due, &mut rng, out));
             let m = &ctl.telemetry.metrics;
             (m.counter("migration_flows_flipped"), m.counter("migrations_aborted"))
         };
@@ -3248,7 +3253,7 @@ mod tests {
     #[test]
     fn the_sweep_leaves_a_deployment_in_progress_alone() {
         let (mut ctl, _, at) = session_whose_instance_is("pending", ControllerConfig::default());
-        assert!(ctl.health_check(at).is_empty());
+        assert!(sent(|out| ctl.health_check(at, out)).is_empty());
         assert_eq!(ctl.memory().len(), 1);
         assert_eq!(held_adds(&ctl).1, 1, "the pair stays live");
         assert_eq!(ctl.telemetry.metrics.counter("instance_failures_total"), 0);
@@ -3262,7 +3267,7 @@ mod tests {
     fn an_outage_during_a_hold_deletes_no_earlier_than_the_held_adds() {
         let (mut ctl, mut rng, at) = session_whose_instance_is("pending", ControllerConfig::default());
         let (adds_at, _) = held_adds(&ctl);
-        let deletes = ctl.begin_zone_outage(0, at, at + Duration::from_secs(5), &mut rng);
+        let deletes = sent(|out| ctl.begin_zone_outage(0, at, at + Duration::from_secs(5), &mut rng, out));
         assert_eq!(deletes.len(), 2, "fwd + rev");
         for (_, m) in &deletes {
             assert!(at < adds_at && m.at >= adds_at, "Delete at {:?}, Adds at {adds_at:?}", m.at);
@@ -3270,7 +3275,7 @@ mod tests {
         assert_eq!(held_adds(&ctl).1, 0, "removed");
         // A pair whose Adds are already out is deleted on the spot.
         let (mut ctl, mut rng, at) = session_whose_instance_is("yes", ControllerConfig::default());
-        let deletes = ctl.begin_zone_outage(0, at, at + Duration::from_secs(5), &mut rng);
+        let deletes = sent(|out| ctl.begin_zone_outage(0, at, at + Duration::from_secs(5), &mut rng, out));
         assert!(deletes.iter().all(|(_, m)| m.at == at) && deletes.len() == 2);
     }
 
@@ -3284,17 +3289,17 @@ mod tests {
         let t0 = SimTime::from_secs(1);
         let effects = sw.handle_frame(t0, CLIENT_PORT, &client_syn(50000).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        let adds = ctl.handle_switch_message(t0, pkt_in, &mut rng).unwrap();
+        let adds = ctl.handle_switch_message_from(IngressId::DEFAULT, t0, pkt_in, &mut rng).unwrap();
         let during = t0 + Duration::from_millis(50);
         assert!(during < adds[0].at);
-        assert!(ctl.reconcile(IngressId::DEFAULT, &[], during).is_empty(), "nothing early");
+        assert!(sent(|out| ctl.reconcile(IngressId::DEFAULT, &[], during, out)).is_empty(), "nothing early");
         for m in &adds {
             sw.handle_controller(m.at, &m.data).unwrap();
         }
         let table: Vec<FlowEntry> = sw.table().entries().cloned().collect();
         assert_eq!(table.len(), 2);
         let after = adds[0].at + Duration::from_secs(1);
-        assert!(ctl.reconcile(IngressId::DEFAULT, &table, after).is_empty());
+        assert!(sent(|out| ctl.reconcile(IngressId::DEFAULT, &table, after, out)).is_empty());
     }
 
     /// With autoscaling on, a session may be memorized — and its pair aimed —
@@ -3319,15 +3324,15 @@ mod tests {
         for client in [21, 22] {
             let effects = sw.handle_frame(at, CLIENT_PORT, &syn_from(client, 50000).encode());
             let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-            ctl.handle_switch_message(at, pkt_in, &mut rng).unwrap();
+            ctl.handle_switch_message_from(IngressId::DEFAULT, at, pkt_in, &mut rng).unwrap();
         }
         let base = ctl.cluster(0).instance_addr(&make_service("asm", 80)).unwrap();
         let replicas: Vec<InstanceAddr> =
             ctl.memory().instances().into_iter().map(|(_, inst, _)| inst).collect();
         assert!(replicas.iter().any(|&inst| inst != base), "{replicas:?}");
         let later = at + Duration::from_secs(1);
-        assert!(ctl.health_check(later).is_empty(), "the sweep vouches for them");
-        let readds = ctl.reconcile(IngressId::DEFAULT, &[], later);
+        assert!(sent(|out| ctl.health_check(later, out)).is_empty(), "the sweep vouches for them");
+        let readds = sent(|out| ctl.reconcile(IngressId::DEFAULT, &[], later, out));
         assert_eq!(readds.len(), 6, "all three pairs are expected on the switch");
     }
 
@@ -3365,7 +3370,7 @@ mod tests {
 
         let effects = sw.handle_frame(now, CLIENT_PORT, &client_syn(50000).encode());
         let Effect::ToController(pkt_in) = &effects[0] else { panic!() };
-        ctl.handle_switch_message(now, pkt_in, &mut rng).unwrap();
+        ctl.handle_switch_message_from(IngressId::DEFAULT, now, pkt_in, &mut rng).unwrap();
         assert!(!b_memorized(&ctl), "A's stale entry took B's with it");
     }
 }

@@ -92,19 +92,18 @@ impl<S: Spans> Controller<S> {
     /// `now`: repoints the memorized flows at the new instance, installs
     /// wildcard redirects at each affected client's switch, and deletes
     /// the old pairs strictly later (the same make-before-break guard
-    /// interval the handover uses). Returns the FlowMods per ingress.
+    /// interval the handover uses). The FlowMods go to `out`, tagged with
+    /// their ingress.
     pub fn migration_tick(
         &mut self,
         now: SimTime,
         rng: &mut SimRng,
-    ) -> Vec<(IngressId, OutboundMessage)> {
+        out: &mut Vec<(IngressId, OutboundMessage)>,
+    ) {
         self.synced(|ctl| {
-            let due = ctl.state.migrate_mut().take_due(now);
-            let mut out = Vec::new();
-            for m in due {
-                out.extend(ctl.finish_migration(&m, now, rng));
+            for m in ctl.state.migrate_mut().take_due(now) {
+                ctl.finish_migration(&m, now, rng, out);
             }
-            out
         })
     }
 
@@ -114,7 +113,8 @@ impl<S: Spans> Controller<S> {
         m: &Migration,
         now: SimTime,
         rng: &mut SimRng,
-    ) -> Vec<(IngressId, OutboundMessage)> {
+        out: &mut Vec<(IngressId, OutboundMessage)>,
+    ) {
         let root = self
             .migration_spans
             .remove(&m.request)
@@ -131,12 +131,10 @@ impl<S: Spans> Controller<S> {
             self.telemetry.event(root, "aborted", now, || {
                 "target not ready at flip time".to_owned()
             });
-            self.telemetry.end_span(root, now);
-            return Vec::new();
+            return self.telemetry.end_span(root, now);
         };
         let t = now + self.processing.sample_duration(rng);
         let break_at = t + Duration::from_millis(50);
-        let mut out: Vec<(IngressId, OutboundMessage)> = Vec::new();
         let mut flipped = 0usize;
         for (key, _flow) in self.state.memory().entries_at(m.service, m.from) {
             // Make: repoint the memorized flow, and — where the client's
@@ -162,9 +160,7 @@ impl<S: Spans> Controller<S> {
                         in_port,
                         service: m.service,
                     };
-                    let mut msgs = Vec::new();
-                    self.install(key.ingress, t, spec, Some((new_inst, m.to)), None, &mut msgs);
-                    out.extend(msgs.into_iter().map(|msg| (key.ingress, msg)));
+                    self.install(key.ingress, t, spec, Some((new_inst, m.to)), None, out);
                     // A leftover handover wildcard for the same client and
                     // service has this very forward match, so the ADD above
                     // already replaced it *in place* — the switch keys flows
@@ -179,13 +175,14 @@ impl<S: Spans> Controller<S> {
             // Break, strictly later: the old pairs toward the source
             // outlive the installs by the guard interval, so replies to
             // requests still in flight find their reverse flows intact.
-            out.extend(self.teardown_pairs(
+            self.teardown_pairs(
                 client,
                 key.ingress,
                 |p| p.service() == m.service && p.cluster() == Some(m.from),
                 replaced_fwd.as_ref(),
                 break_at,
-            ));
+                out,
+            );
         }
         let moved = self.state.migrate_mut().complete(m, t, flipped);
         let metrics = &mut self.telemetry.metrics;
@@ -206,7 +203,6 @@ impl<S: Spans> Controller<S> {
             )
         });
         self.telemetry.end_span(root, t);
-        out
     }
 
     /// The breaker-open trigger: every service the FlowMemory still

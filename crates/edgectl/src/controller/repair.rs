@@ -57,7 +57,8 @@ impl<S: Spans> Controller<S> {
     /// removes the matching pairs and deletes their switch flows, and feeds
     /// the cluster's circuit breaker. Subsequent packets from the affected
     /// clients miss the table and re-enter the ordinary dispatch pipeline.
-    /// Returns the Delete FlowMods, tagged with the ingress they go to.
+    /// The Delete FlowMods go to `out`, tagged with the ingress they go to
+    /// (the sink [`Controller::handle_switch_message_into`] describes).
     ///
     /// Neither of the controller's own doings false-positives here. Idle
     /// scale-down: a service is only scaled down after its last memorized
@@ -65,9 +66,8 @@ impl<S: Spans> Controller<S> {
     /// On-demand deployment: a flow is memorized as soon as its request is
     /// held, while its instance is still Starting — which [`Serving`] reports
     /// as `Pending`, not `Gone`.
-    pub fn health_check(&mut self, now: SimTime) -> Vec<(IngressId, OutboundMessage)> {
+    pub fn health_check(&mut self, now: SimTime, out: &mut Vec<(IngressId, OutboundMessage)>) {
         self.synced(|ctl| {
-            let mut out: Vec<(IngressId, OutboundMessage)> = Vec::new();
             for (cluster, inst, svc_addr) in ctl.state.memory().instances() {
                 // A deployment in progress is not a dead instance (a crashed
                 // one is Created, never Starting, so detection loses nothing).
@@ -78,14 +78,16 @@ impl<S: Spans> Controller<S> {
                 // migration: abandon it first (the pin lifts; session state
                 // stays in the source ledger), then repair normally — repair
                 // never runs *while* a migration holds the pool.
-                let aborted = ctl.state.migrate_mut().abort_involving(svc_addr, cluster);
+                let aborted = ctl
+                    .state
+                    .migrate_mut()
+                    .abort_where(|m| m.service == svc_addr && (m.from == cluster || m.to == cluster));
                 ctl.count("migrations_aborted", aborted);
                 ctl.dispatcher
                     .load_mut()
                     .remove_pool(svc_addr, cluster, now);
-                out.extend(ctl.repair_dead_instance(cluster, inst, now));
+                ctl.repair_dead_instance(cluster, inst, now, out);
             }
-            out
         })
     }
 
@@ -97,7 +99,8 @@ impl<S: Spans> Controller<S> {
         cluster: usize,
         inst: InstanceAddr,
         now: SimTime,
-    ) -> Vec<(IngressId, OutboundMessage)> {
+        out: &mut Vec<(IngressId, OutboundMessage)>,
+    ) {
         let n = self.state.memory_mut().forget_instance(inst).len();
         let (_, root) = self.open_request("recovery", now);
         self.telemetry.event(root, "instance-failure", now, || {
@@ -107,7 +110,8 @@ impl<S: Spans> Controller<S> {
             )
         });
         let retain = JournalEvent::AggregateRetainInstance { instance: inst };
-        let out = self.teardown_everywhere(|p| p.instance() == Some(inst), retain, now);
+        let before = out.len();
+        self.teardown_everywhere(|p| p.instance() == Some(inst), retain, now, out);
         self.state.health_mut().record_failure(cluster, now);
         self.count("stale_redirects_repaired", n);
         let m = &mut self.telemetry.metrics;
@@ -120,18 +124,16 @@ impl<S: Spans> Controller<S> {
             m.set_gauge(&format!("breaker_state.{i}"), breaker.gauge());
         }
         self.telemetry.event(root, "repaired", now, || {
-            format!("{} flow delete(s) toward the switches", out.len())
+            format!("{} flow delete(s) toward the switches", out.len() - before)
         });
         self.telemetry.end_span(root, now);
-        out
     }
 
     /// Declares `cluster` dark until `until` — the zone-outage fault: every
     /// Ready/Starting instance in the zone fails at once, all memorized
     /// redirects into it are forgotten, their switch flows torn down, and
     /// the zone is blocked for scheduling until the window passes (or
-    /// [`end_zone_outage`] is called). Returns the Delete FlowMods per
-    /// ingress.
+    /// [`end_zone_outage`] is called). The Delete FlowMods go to `out`.
     ///
     /// [`end_zone_outage`]: Self::end_zone_outage
     pub fn begin_zone_outage(
@@ -140,9 +142,10 @@ impl<S: Spans> Controller<S> {
         now: SimTime,
         until: SimTime,
         rng: &mut SimRng,
-    ) -> Vec<(IngressId, OutboundMessage)> {
+        out: &mut Vec<(IngressId, OutboundMessage)>,
+    ) {
         if cluster >= self.clusters.len() {
-            return vec![];
+            return;
         }
         self.synced(|ctl| {
             let (_, root) = ctl.open_request("zone-outage", now);
@@ -155,7 +158,7 @@ impl<S: Spans> Controller<S> {
             }
             let victims = ctl.state.memory_mut().forget_cluster(cluster);
             // Migrations into or out of the dark zone cannot finish.
-            let aborted = ctl.state.migrate_mut().abort_cluster(cluster);
+            let aborted = ctl.state.migrate_mut().abort_where(|m| m.from == cluster || m.to == cluster);
             ctl.count("migrations_aborted", aborted);
             ctl.telemetry.event(root, "zone-dark", now, || {
                 format!(
@@ -164,12 +167,11 @@ impl<S: Spans> Controller<S> {
                 )
             });
             let retain = JournalEvent::AggregateRetainCluster { cluster };
-            let out = ctl.teardown_everywhere(|p| p.cluster() == Some(cluster), retain, now);
+            ctl.teardown_everywhere(|p| p.cluster() == Some(cluster), retain, now, out);
             ctl.state.health_mut().begin_outage(cluster, until);
             ctl.telemetry.metrics.inc("zone_outages_total");
             ctl.count("stale_redirects_repaired", victims.len());
             ctl.telemetry.end_span(root, now);
-            out
         })
     }
 
@@ -190,14 +192,15 @@ impl<S: Spans> Controller<S> {
     /// re-installed verbatim, and switch entries the controller does not
     /// claim are strict-deleted. Expected pairs whose instance died while
     /// the channel was down are removed here (their switch entries, if any,
-    /// become orphans). A second pass right after the returned FlowMods are
-    /// applied returns nothing.
+    /// become orphans). The fixes go to `out`; a second pass right after
+    /// they are applied sends nothing.
     pub fn reconcile(
         &mut self,
         ingress: IngressId,
         switch_flows: &[FlowEntry],
         now: SimTime,
-    ) -> Vec<OutboundMessage> {
+        out: &mut Vec<(IngressId, OutboundMessage)>,
+    ) {
         self.synced(|ctl| {
             let mut expected: Vec<(InstalledFlow, bool)> = Vec::new();
             for client in ctl.state.clients_at(ingress) {
@@ -221,8 +224,8 @@ impl<S: Spans> Controller<S> {
             }
             let (missing, deletes, n_orphans) = reconcile_diff(&expected, switch_flows);
             let n_missing = missing.len();
-            let mut msgs: Vec<_> = missing.iter().map(|f| ctl.flow_add(now, f, OFP_NO_BUFFER)).collect();
-            msgs.extend(deletes.into_iter().map(|m| ctl.flow_delete(now, m)));
+            out.extend(missing.iter().map(|f| (ingress, ctl.flow_add(now, f, OFP_NO_BUFFER))));
+            out.extend(deletes.into_iter().map(|m| (ingress, ctl.flow_delete(now, m))));
 
             let (_, root) = ctl.open_request("reconcile", now);
             ctl.telemetry.event(root, "diff", now, || {
@@ -235,7 +238,6 @@ impl<S: Spans> Controller<S> {
             ctl.telemetry.metrics.inc("reconciliations_total");
             ctl.count("reconcile_reinstalled", n_missing);
             ctl.count("reconcile_orphans_deleted", n_orphans);
-            msgs
         })
     }
 
@@ -259,13 +261,12 @@ impl<S: Spans> Controller<S> {
         pick: impl Fn(&InstalledPair) -> bool,
         retain: JournalEvent,
         at: SimTime,
-    ) -> Vec<(IngressId, OutboundMessage)> {
-        let mut out = Vec::new();
+        out: &mut Vec<(IngressId, OutboundMessage)>,
+    ) {
         for (client, ingress) in self.state.installed_keys_sorted() {
-            out.extend(self.teardown_pairs(client, ingress, &pick, None, at));
+            self.teardown_pairs(client, ingress, &pick, None, at, out);
         }
         self.commit(retain);
-        out
     }
 
     /// Takes the pair `id` of `(client, ingress)` out of the bookkeeping and
@@ -293,8 +294,8 @@ impl<S: Spans> Controller<S> {
         pick: impl Fn(&InstalledPair) -> bool,
         replaced_fwd: Option<&Match>,
         at: SimTime,
-    ) -> Vec<(IngressId, OutboundMessage)> {
-        let mut out = Vec::new();
+        out: &mut Vec<(IngressId, OutboundMessage)>,
+    ) {
         for id in self.state.ids_where(client, ingress, pick) {
             let Some(p) = self.remove_pair(client, ingress, id) else { continue };
             let hold = p.cluster().and_then(|c| self.held.get(&(p.service(), c)));
@@ -305,7 +306,6 @@ impl<S: Spans> Controller<S> {
             }
             out.push((ingress, self.flow_delete(at, rev.match_)));
         }
-        out
     }
 }
 

@@ -382,20 +382,6 @@ impl MigrationManager {
         }
     }
 
-    /// Abandons every in-flight migration — the warm-restart policy: a
-    /// transfer interrupted by a controller crash cannot be trusted to
-    /// flip, so state and flows stay at the source and the pins lift.
-    /// Returns how many were dropped.
-    pub(crate) fn abort_all(&mut self) -> usize {
-        let dropped = std::mem::take(&mut self.active);
-        let n = dropped.len();
-        self.aborted += n as u64;
-        if let Some(log) = &mut self.log {
-            log.extend(dropped.into_iter().map(|m| MigrationOp::Aborted { migration: m }));
-        }
-        n
-    }
-
     /// Records one served request at `(service, cluster)`. No-op at the
     /// default 0 bytes/request.
     pub fn note_served(&mut self, service: ServiceAddr, cluster: usize) {
@@ -533,46 +519,22 @@ impl MigrationManager {
         }
     }
 
-    /// Abandons every in-flight migration touching `(service, cluster)` —
-    /// called when a crash retires the pool mid-transfer. The pin lifts;
-    /// session state and flows stay wherever they currently are. Returns
-    /// how many migrations were dropped.
-    pub(crate) fn abort_involving(&mut self, service: ServiceAddr, cluster: usize) -> usize {
-        let mut dropped = Vec::new();
+    /// Abandons every in-flight migration `pick` selects: the pins lift,
+    /// and session state and flows stay wherever they currently are — a
+    /// crash retired a pool mid-transfer, a zone went dark, or (all of
+    /// them) a warm restart, whose interrupted transfers cannot be trusted
+    /// to flip. Returns how many were dropped.
+    pub(crate) fn abort_where(&mut self, pick: impl Fn(&Migration) -> bool) -> usize {
+        let before = self.active.len();
         self.active.retain(|m| {
-            if m.service == service && (m.from == cluster || m.to == cluster) {
-                dropped.push(*m);
-                false
-            } else {
-                true
+            let abort = pick(m);
+            if let (true, Some(log)) = (abort, self.log.as_mut()) {
+                log.push(MigrationOp::Aborted { migration: *m });
             }
+            !abort
         });
-        let n = dropped.len();
+        let n = before - self.active.len();
         self.aborted += n as u64;
-        if let Some(log) = &mut self.log {
-            log.extend(dropped.into_iter().map(|m| MigrationOp::Aborted { migration: m }));
-        }
-        n
-    }
-
-    /// Abandons every in-flight migration into or out of `cluster` — the
-    /// zone-outage fault takes the whole zone dark at once. Returns how
-    /// many migrations were dropped.
-    pub(crate) fn abort_cluster(&mut self, cluster: usize) -> usize {
-        let mut dropped = Vec::new();
-        self.active.retain(|m| {
-            if m.from == cluster || m.to == cluster {
-                dropped.push(*m);
-                false
-            } else {
-                true
-            }
-        });
-        let n = dropped.len();
-        self.aborted += n as u64;
-        if let Some(log) = &mut self.log {
-            log.extend(dropped.into_iter().map(|m| MigrationOp::Aborted { migration: m }));
-        }
         n
     }
 }

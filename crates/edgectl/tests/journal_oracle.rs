@@ -188,8 +188,9 @@ fn run_mutation_sequence(aggregate: bool) {
     assert!(ctl.begin_migration(now, asm, 0, 1, MigrationReason::Explicit, &mut rng));
     assert_oracle(&ctl, "begin_migration");
     let due = ctl.next_migration_at().expect("one migration in flight");
-    let out = ctl.migration_tick(due, &mut rng);
-    for (g, m) in &out {
+    let mut out = Vec::new();
+    ctl.migration_tick(due, &mut rng, &mut out);
+    for (g, m) in out.drain(..) {
         let _ = sws[g.0 as usize].handle_controller(m.at, &m.data);
     }
     assert_oracle(&ctl, "migration_tick");
@@ -209,8 +210,8 @@ fn run_mutation_sequence(aggregate: bool) {
     assert_oracle(&ctl, "tick");
 
     // A zone outage begins and ends: breaker ops + aggregate retains.
-    let msgs = ctl.begin_zone_outage(1, now, now + Duration::from_secs(30), &mut rng);
-    for (g, m) in &msgs {
+    ctl.begin_zone_outage(1, now, now + Duration::from_secs(30), &mut rng, &mut out);
+    for (g, m) in out.drain(..) {
         let _ = sws[g.0 as usize].handle_controller(m.at, &m.data);
     }
     assert_oracle(&ctl, "begin_zone_outage");
@@ -224,8 +225,8 @@ fn run_mutation_sequence(aggregate: bool) {
     assert_oracle(&ctl, "packet-in (redeploy)");
     now += Duration::from_secs(5);
     ctl.inject_instance_crash(0, asm, now, &mut rng);
-    let msgs = ctl.health_check(now + Duration::from_secs(1));
-    for (g, m) in &msgs {
+    ctl.health_check(now + Duration::from_secs(1), &mut out);
+    for (g, m) in out.drain(..) {
         let _ = sws[g.0 as usize].handle_controller(m.at, &m.data);
     }
     assert_oracle(&ctl, "health_check");
@@ -289,16 +290,14 @@ fn warm_restart_preserves_recoverable_state_and_cold_does_not() {
     let t = now + Duration::from_secs(3);
     for (g, sw) in sws.iter_mut().enumerate() {
         let flows: Vec<FlowEntry> = sw.table().entries().cloned().collect();
-        let out = ctl.reconcile(IngressId(g as u32), &flows, t);
-        for m in out {
+        let mut out = Vec::new();
+        ctl.reconcile(IngressId(g as u32), &flows, t, &mut out);
+        for (_, m) in out.drain(..) {
             let _ = sw.handle_controller(m.at, &m.data);
         }
         let flows: Vec<FlowEntry> = sw.table().entries().cloned().collect();
-        assert!(
-            ctl.reconcile(IngressId(g as u32), &flows, t + Duration::from_secs(1))
-                .is_empty(),
-            "cold-restart reconcile converges in one pass"
-        );
+        ctl.reconcile(IngressId(g as u32), &flows, t + Duration::from_secs(1), &mut out);
+        assert!(out.is_empty(), "cold-restart reconcile converges in one pass");
     }
 }
 

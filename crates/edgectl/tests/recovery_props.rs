@@ -160,7 +160,8 @@ fn apply_op(
         }
         // Flip whatever migration came due.
         4 => {
-            let out = ctl.migration_tick(now, rng);
+            let mut out = Vec::new();
+            ctl.migration_tick(now, rng, &mut out);
             for (gi, m) in &out {
                 let _ = sws[gi.0 as usize].handle_controller(m.at, &m.data);
             }
@@ -238,15 +239,17 @@ proptest! {
         now += Duration::from_secs(1);
         for (g, sw) in sws.iter_mut().enumerate() {
             let flows: Vec<FlowEntry> = sw.table().entries().cloned().collect();
-            let out = ctl.reconcile(IngressId(g as u32), &flows, now);
-            for m in out {
+            let mut out = Vec::new();
+            ctl.reconcile(IngressId(g as u32), &flows, now, &mut out);
+            for (_, m) in out {
                 let _ = sw.handle_controller(m.at, &m.data);
             }
         }
         now += Duration::from_secs(1);
         for (g, sw) in sws.iter_mut().enumerate() {
             let flows: Vec<FlowEntry> = sw.table().entries().cloned().collect();
-            let residual = ctl.reconcile(IngressId(g as u32), &flows, now);
+            let mut residual = Vec::new();
+            ctl.reconcile(IngressId(g as u32), &flows, now, &mut residual);
             prop_assert!(
                 residual.is_empty(),
                 "second reconcile pass must find nothing (mode {:?}, residual {})",

@@ -8,10 +8,12 @@
 //!
 //! Every scenario runs with the journal off and on: the two transcripts
 //! must be equal, and with the journal on a rebuild from it must digest
-//! equal to the live state. A third run hands the controller an outbox that
-//! already holds messages (`handle_switch_message_into`, the harness's entry
-//! point): they must come back untouched and what is appended behind them
-//! must hash to the same pinned transcript the `Vec`-returning wrapper gives.
+//! equal to the live state. A third run hands every call that sends an
+//! outbox that already holds messages (the `_into` entry points the harness
+//! calls, and the repair, outage, reconcile and migration calls): they must
+//! come back untouched and what is appended behind them must hash to the
+//! same pinned transcript the `Vec`-returning wrappers and an empty outbox
+//! give.
 //!
 //! Re-pin a constant only when a change *means* to alter what goes on the
 //! wire for that shape, and say so in the commit.
@@ -76,8 +78,8 @@ struct RigOpts {
     edge_b_faulty: bool,
     /// `edge-b` is the nearest cluster as seen from ingress 1.
     edge_b_near_g1: bool,
-    /// Switch messages reach the controller through
-    /// `handle_switch_message_into`, with an outbox that is not empty.
+    /// Every call that sends appends to an outbox that is not empty, switch
+    /// messages and handovers through their `_into` entry points.
     prefilled_outbox: bool,
 }
 
@@ -89,8 +91,8 @@ struct Rig {
     rng: SimRng,
     hash: u64,
     journal: bool,
-    /// What the outbox holds before each switch message (see [`RigOpts`]).
-    prefill: Option<Vec<OutboundMessage>>,
+    /// What the outbox holds before each call that sends (see [`RigOpts`]).
+    prefill: Option<Vec<(IngressId, OutboundMessage)>>,
 }
 
 impl Rig {
@@ -160,27 +162,40 @@ impl Rig {
             hash: FNV_OFFSET,
             journal: opts.journal,
             prefill: opts.prefilled_outbox.then(|| {
-                let held = |at, data| OutboundMessage { at: SimTime::from_secs(at), data };
+                let held = |at, data| (G1, OutboundMessage { at: SimTime::from_secs(at), data });
                 vec![held(3, vec![0xde, 0xad]), held(1, Vec::new())]
             }),
         }
     }
 
+    /// Runs one call that sends into an outbox — empty, or (`prefilled_outbox`)
+    /// holding messages that must stay — and returns what it appended.
+    fn sunk<T>(
+        &mut self,
+        send: impl FnOnce(&mut Controller, &mut SimRng, &mut Vec<(IngressId, OutboundMessage)>) -> T,
+    ) -> (T, Vec<(IngressId, OutboundMessage)>) {
+        let held = self.prefill.clone().unwrap_or_default();
+        let mut out = held.clone();
+        let sent = send(&mut self.ctl, &mut self.rng, &mut out);
+        assert_eq!(&out[..held.len()], &held[..], "the outbox's contents were touched");
+        (sent, out.split_off(held.len()))
+    }
+
     /// One switch message into the controller: through the wrapper, or —
     /// `prefilled_outbox` — appended to an outbox whose contents must stay.
     fn answer(&mut self, g: IngressId, now: SimTime, bytes: &[u8]) -> Vec<OutboundMessage> {
-        let Some(held) = &self.prefill else {
+        if self.prefill.is_none() {
             return self
                 .ctl
                 .handle_switch_message_from(g, now, bytes, &mut self.rng)
                 .expect("controller accepts the switch's bytes");
-        };
-        let mut out = held.clone();
-        self.ctl
-            .handle_switch_message_into(g, now, bytes, &mut self.rng, &mut out)
-            .expect("controller accepts the switch's bytes");
-        assert_eq!(&out[..held.len()], &held[..], "the outbox's contents were touched");
-        out.split_off(held.len())
+        }
+        let (_, out) = self.sunk(|ctl, rng, out| {
+            ctl.handle_switch_message_into(g, now, bytes, rng, out)
+                .expect("controller accepts the switch's bytes")
+        });
+        assert!(out.iter().all(|(to, _)| *to == g), "a switch message is answered to its own switch");
+        out.into_iter().map(|(_, m)| m).collect()
     }
 
     fn fold(&mut self, bytes: &[u8]) {
@@ -265,30 +280,28 @@ impl Rig {
         to: IngressId,
         policy: HandoverPolicy,
     ) -> SimTime {
-        let ho = self.ctl.handle_attachment_change(
-            now,
-            client_ip(client),
-            MacAddr::from_id(client as u32),
-            MacAddr::from_id(99),
-            from,
-            to,
-            CLIENT_PORT,
-            policy,
-            &mut self.rng,
-        );
+        let (ip, mac, gw) = (client_ip(client), MacAddr::from_id(client as u32), MacAddr::from_id(99));
+        let (ho, messages) = match self.prefill {
+            None => {
+                let mut ho =
+                    self.ctl.handle_attachment_change(now, ip, mac, gw, from, to, CLIENT_PORT, policy, &mut self.rng);
+                let messages = std::mem::take(&mut ho.messages);
+                (ho, messages)
+            }
+            Some(_) => self.sunk(|ctl, rng, out| {
+                ctl.handle_attachment_change_into(now, ip, mac, gw, from, to, CLIENT_PORT, policy, rng, out)
+            }),
+        };
         self.fold(&ho.completed_at.as_nanos().to_be_bytes());
         self.fold(&[ho.flows_migrated as u8, ho.redispatched as u8]);
-        self.emit_tagged(ho.messages);
+        self.emit_tagged(messages);
         ho.completed_at
     }
 
     fn reconcile(&mut self, g: IngressId, now: SimTime) -> usize {
         let table: Vec<FlowEntry> = self.sws[g.0 as usize].table().entries().cloned().collect();
-        let fixes = self.ctl.reconcile(g, &table, now);
-        for m in &fixes {
-            self.emit(g, m);
-        }
-        fixes.len()
+        let (_, fixes) = self.sunk(|ctl, _, out| ctl.reconcile(g, &table, now, out));
+        self.emit_tagged(fixes)
     }
 
     /// Starts the `asm` migration edge-a → edge-b and runs its flow flip.
@@ -305,7 +318,7 @@ impl Rig {
             &mut self.rng
         ));
         let due = self.ctl.next_migration_at().expect("one migration in flight");
-        let out = self.ctl.migration_tick(due, &mut self.rng);
+        let (_, out) = self.sunk(|ctl, rng, out| ctl.migration_tick(due, rng, out));
         self.emit_tagged(out)
     }
 
@@ -394,7 +407,7 @@ fn cloud_and_unregistered() {
         frame.dst_port = 443;
         r.serve(G0, t0, &frame);
         for c in 0..2 {
-            let msgs = r.ctl.begin_zone_outage(c, t0 + secs(1), t0 + secs(60), &mut r.rng);
+            let (_, msgs) = r.sunk(|ctl, rng, out| ctl.begin_zone_outage(c, t0 + secs(1), t0 + secs(60), rng, out));
             assert_eq!(r.emit_tagged(msgs), 0, "nothing installed toward the zones yet");
         }
         r.serve(G0, t0 + secs(2), &syn(20, 50_001, ASM));
@@ -595,7 +608,7 @@ fn dead_instance_repair() {
         r.serve(G1, answered + secs(1), &syn(21, 51_000, ASM));
         let crash_at = answered + secs(2);
         assert!(r.ctl.inject_instance_crash(0, svc_addr(ASM), crash_at, &mut r.rng));
-        let msgs = r.ctl.health_check(crash_at + secs(1));
+        let (_, msgs) = r.sunk(|ctl, _, out| ctl.health_check(crash_at + secs(1), out));
         assert_eq!(r.emit_tagged(msgs), 4, "both pairs, both switches");
         r.serve(G0, crash_at + secs(2), &syn(20, 50_001, ASM));
         assert_eq!(r.ctl.telemetry.metrics.counter("requests_waited"), 2);
@@ -611,7 +624,7 @@ fn zone_outage() {
         let mut r = Rig::new(113, RigOpts { n_buffers: 64, ..base });
         let answered = r.serve(G0, SimTime::from_secs(1), &syn(20, 50_000, ASM));
         let dark_at = r.serve(G0, answered + secs(1), &syn(21, 51_000, NGINX)) + secs(1);
-        let msgs = r.ctl.begin_zone_outage(0, dark_at, dark_at + secs(30), &mut r.rng);
+        let (_, msgs) = r.sunk(|ctl, rng, out| ctl.begin_zone_outage(0, dark_at, dark_at + secs(30), rng, out));
         assert_eq!(r.emit_tagged(msgs), 4);
         r.serve(G0, dark_at + secs(1), &syn(20, 50_001, ASM));
         assert_eq!(r.ctl.records.last().unwrap().cluster(), Some(1), "served from edge-b");
@@ -701,7 +714,7 @@ const FLOW_REMOVED_TAKES_THE_PAIR: u64 = 0x7b64_bf3d_06ad_49b9;
 #[test]
 fn an_outbox_keeps_what_it_holds_when_the_switch_sends_nonsense() {
     let mut r = Rig::new(116, RigOpts { n_buffers: 64, ..RigOpts::default() });
-    let held = OutboundMessage { at: SimTime::from_secs(9), data: vec![1, 2, 3] };
+    let held = (G1, OutboundMessage { at: SimTime::from_secs(9), data: vec![1, 2, 3] });
     let mut out = vec![held.clone()];
     let now = SimTime::from_secs(1);
     assert!(r.ctl.handle_switch_message_into(G0, now, &[0xff; 7], &mut r.rng, &mut out).is_err());

@@ -9,9 +9,6 @@ use desim::{FaultInjector, LogNormal, NaiveEventQueue, Sample, SimRng, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-#[cfg(test)]
-mod oracle;
-
 type Labels = BTreeMap<String, String>;
 
 /// Control-plane latency model. Each reconciliation arrow pays a watch
@@ -969,6 +966,9 @@ impl K8sCluster {
         }
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

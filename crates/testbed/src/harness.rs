@@ -193,7 +193,7 @@ pub struct Harness<T: Net, S: Spans = Off> {
     frames: FramePool,
     /// What a switch / the controller appends to; the event that fills one empties it again.
     effects: Vec<Effect>,
-    outbox: Vec<OutboundMessage>,
+    outbox: Vec<(IngressId, OutboundMessage)>,
     accept_latency: LogNormal,
     cloud_processing: LogNormal,
     capture: Option<netsim::PcapCapture>,
@@ -546,14 +546,16 @@ impl<T: Net, S: Spans> Harness<T, S> {
         let now = self.engine.now();
         let mut fixes = 0;
         for sw in 0..self.switches.len() {
-            let out = self.reconcile(sw, now);
+            self.reconcile(sw, now);
+            let mut out = std::mem::take(&mut self.outbox);
             fixes += out.len();
-            for m in out {
+            for (_, m) in out.drain(..) {
                 if self.switches[sw].handle_controller_into(now, &m.data, &mut self.effects).is_ok() {
                     self.process_switch_effects(sw);
                 }
                 self.controller.recycle(m.data);
             }
+            self.outbox = out;
         }
         fixes
     }
@@ -620,18 +622,20 @@ impl<T: Net, S: Spans> Harness<T, S> {
         self.engine.schedule_at(at, Ev::CtrlDown { sw, bytes: m.data });
     }
 
-    /// [`Self::send_down`] for messages tagged with their switch, drained in place.
-    fn send_down_each(&mut self, msgs: &mut Vec<(IngressId, OutboundMessage)>) {
-        for (ingress, m) in msgs.drain(..) {
+    /// [`Self::send_down`] for each message in the outbox, to the switch it is tagged with.
+    fn flush(&mut self) {
+        let mut out = std::mem::take(&mut self.outbox);
+        for (ingress, m) in out.drain(..) {
             self.send_down(ingress.0 as usize, m);
         }
+        self.outbox = out;
     }
 
     /// Diffs switch `sw`'s table against the controller's bookkeeping and
-    /// returns the controller's fixes, not yet sent.
-    fn reconcile(&mut self, sw: usize, now: SimTime) -> Vec<OutboundMessage> {
+    /// appends the controller's fixes to the outbox, not yet sent.
+    fn reconcile(&mut self, sw: usize, now: SimTime) {
         let flows: Vec<FlowEntry> = self.switches[sw].table().entries().copied().collect();
-        self.controller.reconcile(IngressId(sw as u32), &flows, now)
+        self.controller.reconcile(IngressId(sw as u32), &flows, now, &mut self.outbox);
     }
 
     /// Whether switch `sw`'s control channel is up at `now`.
@@ -650,16 +654,12 @@ impl<T: Net, S: Spans> Harness<T, S> {
     /// straight from `Ev::CtrlUp` when service time is zero, or from
     /// `Ev::CtrlProcess` once its turn in the controller queue comes up.
     fn process_ctrl_up(&mut self, now: SimTime, sw: usize, bytes: Vec<u8>) {
-        let mut out = std::mem::take(&mut self.outbox);
         let (ingress, rng) = (IngressId(sw as u32), &mut self.rng);
-        if self.controller.handle_switch_message_into(ingress, now, &bytes, rng, &mut out).is_err() {
+        if self.controller.handle_switch_message_into(ingress, now, &bytes, rng, &mut self.outbox).is_err() {
             self.drops += 1;
         }
         self.switches[sw].recycle(bytes);
-        for m in out.drain(..) {
-            self.send_down(sw, m);
-        }
-        self.outbox = out;
+        self.flush();
         self.reschedule_tick();
     }
 
@@ -751,8 +751,8 @@ impl<T: Net, S: Spans> Harness<T, S> {
                 if !self.migration.fires(at) || !self.controller_up(now) {
                     return; // stale, or in-flight migrations are pinned until restart
                 }
-                let mut flips = self.controller.migration_tick(now, &mut self.rng);
-                self.send_down_each(&mut flips);
+                self.controller.migration_tick(now, &mut self.rng, &mut self.outbox);
+                self.flush();
                 self.reschedule_migration();
                 // The flip repoints memorized flows; their next expiry moved.
                 self.reschedule_tick();
@@ -803,8 +803,8 @@ impl<T: Net, S: Spans> Harness<T, S> {
             }
             Ev::OutageBegin { zone, until } => {
                 self.zone_outages += 1;
-                let mut repairs = self.controller.begin_zone_outage(zone, now, until, &mut self.rng);
-                self.send_down_each(&mut repairs);
+                self.controller.begin_zone_outage(zone, now, until, &mut self.rng, &mut self.outbox);
+                self.flush();
                 self.engine.schedule_at(until, Ev::OutageEnd { zone });
             }
             Ev::OutageEnd { zone } => self.controller.end_zone_outage(zone),
@@ -820,9 +820,8 @@ impl<T: Net, S: Spans> Harness<T, S> {
                 }
                 // The switch's table and the controller's bookkeeping both
                 // drifted while the channel was down.
-                for m in self.reconcile(sw, now) {
-                    self.send_down(sw, m);
-                }
+                self.reconcile(sw, now);
+                self.flush();
             }
             Ev::ControllerCrash { restart_at } => {
                 self.controller_crashes += 1;
@@ -848,18 +847,15 @@ impl<T: Net, S: Spans> Harness<T, S> {
                 // a warm restart finds the tables consistent and serves
                 // them immediately.
                 for sw in 0..self.switches.len() {
-                    let out = self.reconcile(sw, now);
-                    self.restart_fixes += out.len() as u64;
-                    for m in out {
-                        let mut at = m.at.max(now);
-                        if self.ctrl_service_time > Duration::ZERO {
-                            self.ctrl_busy_until =
-                                self.ctrl_busy_until.max(at) + self.ctrl_service_time;
-                            at = self.ctrl_busy_until;
+                    self.reconcile(sw, now);
+                    self.restart_fixes += self.outbox.len() as u64;
+                    if self.ctrl_service_time > Duration::ZERO {
+                        for (_, m) in &mut self.outbox {
+                            self.ctrl_busy_until = self.ctrl_busy_until.max(m.at.max(now)) + self.ctrl_service_time;
+                            m.at = self.ctrl_busy_until;
                         }
-                        self.engine
-                            .schedule_at(at + self.ctrl_latency, Ev::CtrlDown { sw, bytes: m.data });
                     }
+                    self.flush();
                 }
                 self.reschedule_tick();
                 self.reschedule_migration();
@@ -868,8 +864,8 @@ impl<T: Net, S: Spans> Harness<T, S> {
                 // The sweep keeps its cadence through a blackout so detection
                 // resumes immediately after the restart.
                 if self.controller_up(now) {
-                    let mut repairs = self.controller.health_check(now);
-                    self.send_down_each(&mut repairs);
+                    self.controller.health_check(now, &mut self.outbox);
+                    self.flush();
                     // A sweep that tripped a breaker open evacuates the zone:
                     // every service still anchored there live-migrates to the
                     // nearest serving cluster (a no-op unless policy is live).
@@ -999,7 +995,7 @@ impl<T: Net, S: Spans> Harness<T, S> {
         }
         let topo = self.net.topo();
         let client = topo.node(self.net.client_node(ev.client));
-        let mut outcome = self.controller.handle_attachment_change(
+        let outcome = self.controller.handle_attachment_change_into(
             now,
             client.ip,
             client.mac,
@@ -1009,6 +1005,7 @@ impl<T: Net, S: Spans> Harness<T, S> {
             self.net.client_port(to, ev.client).0,
             self.policy,
             &mut self.rng,
+            &mut self.outbox,
         );
         self.handovers.push(HandoverRecord {
             client: ev.client,
@@ -1019,8 +1016,7 @@ impl<T: Net, S: Spans> Harness<T, S> {
             flows_migrated: outcome.flows_migrated,
             redispatched: outcome.redispatched,
         });
-        self.send_down_each(&mut outcome.messages);
-        self.controller.recycle_messages(outcome.messages);
+        self.flush();
         // A redispatch may have started an on-demand deployment.
         self.reschedule_tick();
         // The move may have started a mobility-triggered live migration.
@@ -1302,12 +1298,6 @@ fn listener<S: Spans>(controller: &Controller<S>, svc: &EdgeService, idx: usize,
     }
 }
 
-/// The answer [`ListenerIndex::lookup`] must give, by scan alone.
-#[cfg(test)]
-fn scan_listener<S: Spans>(controller: &Controller<S>, ip: Ipv4Addr, port: u16, now: SimTime) -> Option<Listener> {
-    scan(controller, ip, port).map(|(svc, idx, _)| listener(controller, svc, idx, now))
-}
-
 /// `(ip, port)` → listening instance, remembered between frames. An entry
 /// is only trusted while the replica still answers at that address, and
 /// every cluster hands out addresses from its own host or pod range, so a
@@ -1364,6 +1354,12 @@ impl ListenerIndex {
         self.by_addr.insert(key, (svc.addr, idx, replica));
         Some((svc, idx))
     }
+}
+
+/// The answer [`ListenerIndex::lookup`] must give, by scan alone.
+#[cfg(test)]
+fn scan_listener<S: Spans>(controller: &Controller<S>, ip: Ipv4Addr, port: u16, now: SimTime) -> Option<Listener> {
+    scan(controller, ip, port).map(|(svc, idx, _)| listener(controller, svc, idx, now))
 }
 
 #[cfg(test)]

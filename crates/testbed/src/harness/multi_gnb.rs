@@ -3,7 +3,7 @@
 //! managing them all, and one long-lived pinging session per client. A
 //! [`mobility::MobilityModel`] emits timed cell-attachment changes; each
 //! change that crosses gNBs triggers the controller's make-before-break
-//! handover ([`Controller::handle_attachment_change`]) under the configured
+//! handover ([`Controller::handle_attachment_change_into`]) under the configured
 //! [`HandoverPolicy`].
 
 use super::{Ev, Harness, Session, FIRST_SRC_PORT};

@@ -35,10 +35,12 @@
 //! nor a `Vec` per switch or controller call can come back unnoticed. A
 //! handover, `Redispatch` or `Anchored`, costs no heap call at 4 or at 16
 //! zones (22 and 34 calls once, then 11, 7 and 1 — the `Vec` the four
-//! messages travel in: recycled, 0), and an idle scale-down shares the
-//! service definition and reuses its expiry report, so neither a per-cluster
-//! copy in the scheduler's views, a fresh message list per handover, a deep
-//! `EdgeService` copy nor a fresh report per sweep can come back either. A warm Kubernetes deploy
+//! messages travel in: now the caller's outbox, 0), the repair, outage,
+//! flip and reconcile append to that outbox too, and an idle scale-down
+//! shares the service definition and reuses its expiry report, so neither a
+//! per-cluster copy in the scheduler's views, a fresh message list per
+//! handover or per repair, outage, flip and reconcile, a deep `EdgeService`
+//! copy nor a fresh report per sweep can come back either. A warm Kubernetes deploy
 //! cycle — scale-up, readiness, scale-down — keeps its objects by handle in
 //! stores that reuse their capacity, so neither a `String`-named object or
 //! work item, a pod map entry, a fresh event trail, a deep-copied container
@@ -477,9 +479,9 @@ fn a_warm_short_connection_costs_at_most_seven_heap_calls() {
 /// the multi-gNB testbed with one zone per gNB, the service running in every
 /// zone and `n_gnbs` clusters for the scheduler to weigh. The client hops
 /// between gNBs 0 and 1; the last hop is measured, at the same instant
-/// whatever the zone count. The warm-up hops' messages go back to the
-/// controller's spare buffers, and the list they travelled in to the
-/// controller, as the harness returns both once a switch has read them.
+/// whatever the zone count. The messages go to a sink the warm-up hops
+/// grew, and their buffers back to the controller's spares, as the harness
+/// empties its outbox and returns each buffer once a switch has read it.
 fn one_handover(policy: edgectl::HandoverPolicy, n_gnbs: usize) -> u64 {
     use edgectl::{HandoverPolicy, IngressId};
     use testbed::{MobilityConfig, MobilityTestbed};
@@ -498,24 +500,24 @@ fn one_handover(policy: edgectl::HandoverPolicy, n_gnbs: usize) -> u64 {
     assert_eq!(tb.controller.memory().flows_of_client_at(client, IngressId(0)).len(), 1);
     let mut rng = desim::SimRng::new(1);
     let (mac, gw) = (MacAddr::from_id(1), MacAddr::from_id(2));
-    let mut hop = |tb: &mut MobilityTestbed, k: u64| {
+    let mut out = Vec::new();
+    let mut hop = |tb: &mut MobilityTestbed, k: u64, out: &mut Vec<_>| {
         let (from, to) = (IngressId((k % 2) as u32), IngressId(((k + 1) % 2) as u32));
         let at = SimTime::from_secs(6 + k);
-        tb.controller.handle_attachment_change(at, client, mac, gw, from, to, 1, policy, &mut rng)
+        tb.controller.handle_attachment_change_into(at, client, mac, gw, from, to, 1, policy, &mut rng, out)
     };
     // Warm: both gNBs have filed the client's pairs, and the measured hop
     // neither grows the tracker's move log nor a timer heap.
     for k in 0..5 {
-        let mut outcome = hop(&mut tb, k);
+        let outcome = hop(&mut tb, k, &mut out);
         assert_eq!((outcome.flows_migrated, outcome.redispatched), (1, redispatched));
         // What the harness does once a switch has read a message.
-        for (_, m) in outcome.messages.drain(..) {
+        for (_, m) in out.drain(..) {
             tb.controller.recycle(m.data);
         }
-        tb.controller.recycle_messages(outcome.messages);
     }
-    let (calls, outcome) = heap_calls(|| hop(&mut tb, 5));
-    let shape = (outcome.flows_migrated, outcome.redispatched, outcome.messages.len());
+    let (calls, outcome) = heap_calls(|| hop(&mut tb, 5, &mut out));
+    let shape = (outcome.flows_migrated, outcome.redispatched, out.len());
     assert_eq!(shape, (1, redispatched, 4), "two Adds, two Deletes");
     calls
 }
@@ -530,9 +532,8 @@ fn one_handover(policy: edgectl::HandoverPolicy, n_gnbs: usize) -> u64 {
 /// matches off the heap with no instruction lists 7 (the new pair's two
 /// action lists, its two Adds, the old pair's two Deletes and the `Vec` they
 /// travel in), and inline action lists and messages encoded into spare
-/// buffers made it 1: the `Vec` the four messages travel in. That list is
-/// now the controller's, handed back by the harness once the messages are on
-/// their way, so a handover under either policy makes none.
+/// buffers made it 1: the `Vec` the four messages travel in. They now go to
+/// the caller's outbox, so a handover under either policy makes none.
 #[test]
 fn a_handover_costs_no_heap_call_under_either_policy_at_any_zone_count() {
     use edgectl::HandoverPolicy;
@@ -541,6 +542,63 @@ fn a_handover_costs_no_heap_call_under_either_policy_at_any_zone_count() {
         println!("one {} handover: {four} heap calls at 4 gNBs, {sixteen} at 16", policy.label());
         assert_eq!((four, sixteen), (0, 0), "{} handover", policy.label());
     }
+}
+
+/// The calls that send outside a switch message or a handover, each into a
+/// sink with room: a reconcile of gNB 0 against an empty table (client 0's
+/// pair re-added), a live-migration flip of zone 0's sessions to zone 1, the
+/// health sweep after zone 1's instance crashed (both pairs it now serves
+/// deleted), and an outage of zone 2 (client 2's pair deleted) — on the
+/// multi-gNB testbed with three zones and one session placed on each. Each
+/// call appends to its caller's outbox and measures 6, 12, 18 and 6 heap
+/// calls; when each returned a fresh list, the flip, the repair and the
+/// outage built from a list per session or switch they tore down, they
+/// cost 7, 16, 22 and 8.
+#[test]
+fn repair_outage_flip_and_reconcile_append_to_a_sink_with_room() {
+    use edgectl::{IngressId, MigrationConfig, MigrationPolicy, MigrationReason};
+    use testbed::{MobilityConfig, MobilityTestbed};
+    let migration = MigrationConfig { policy: MigrationPolicy::Live, ..MigrationConfig::default() };
+    let controller = edgectl::ControllerConfig { migration, ..edgectl::ControllerConfig::default() };
+    let config = MobilityConfig { n_gnbs: 3, n_clients: 3, controller, ..MobilityConfig::default() };
+    let mut tb = MobilityTestbed::new(config);
+    let profile = containerd::ServiceSet::by_key("asm").unwrap();
+    let addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), 80);
+    tb.register_service(profile, addr);
+    for z in 0..3 {
+        tb.pre_deploy_on(z);
+    }
+    // Client `i` pings through gNB `i`, so its session is placed on zone `i`.
+    let mut home = mobility::CellHops::new(vec![0, 1, 2], &[]);
+    tb.run(&mut home, SimTime::from_secs(1), SimTime::from_secs(5));
+    let (ctl, mut rng) = (&mut tb.controller, desim::SimRng::new(1));
+    let mut out = Vec::with_capacity(64);
+    let sent = |out: &mut Vec<(IngressId, edgectl::OutboundMessage)>, ctl: &mut edgectl::Controller| {
+        let n = out.len();
+        for (_, m) in out.drain(..) {
+            ctl.recycle(m.data);
+        }
+        n
+    };
+    let at = SimTime::from_secs;
+
+    let (reconcile, ()) = heap_calls(|| ctl.reconcile(IngressId(0), &[], at(6), &mut out));
+    assert_eq!(sent(&mut out, ctl), 2, "client 0's pair re-added");
+    assert!(ctl.begin_migration(at(7), addr, 0, 1, MigrationReason::Explicit, &mut rng));
+    let due = ctl.next_migration_at().expect("one migration in flight");
+    let (flip, ()) = heap_calls(|| ctl.migration_tick(due, &mut rng, &mut out));
+    assert_eq!(sent(&mut out, ctl), 4, "two Adds toward zone 1, two Deletes toward zone 0");
+    assert!(ctl.inject_instance_crash(1, addr, at(9), &mut rng));
+    let (repair, ()) = heap_calls(|| ctl.health_check(at(10), &mut out));
+    assert_eq!(sent(&mut out, ctl), 4, "the pairs of clients 0 and 1 deleted");
+    let (outage, ()) = heap_calls(|| ctl.begin_zone_outage(2, at(11), at(40), &mut rng, &mut out));
+    assert_eq!(sent(&mut out, ctl), 2, "client 2's pair deleted");
+
+    println!("heap calls: reconcile {reconcile}, flip {flip}, repair {repair}, outage {outage}");
+    assert!(reconcile <= 6, "{reconcile} heap calls for a reconcile");
+    assert!(flip <= 12, "{flip} heap calls for a migration flip");
+    assert!(repair <= 18, "{repair} heap calls for a health repair");
+    assert!(outage <= 6, "{outage} heap calls for a zone outage");
 }
 
 /// The idle sweep's scale-down of a service whose last flow expired. It

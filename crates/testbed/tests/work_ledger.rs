@@ -14,7 +14,7 @@
 //! `alloc_sites.rs` that says where those calls are made.
 
 use desim::{SimRng, SimTime};
-use edgectl::{Controller, ControllerConfig, PortMap};
+use edgectl::{Controller, ControllerConfig, IngressId, PortMap};
 use netsim::{Ipv4Addr, MacAddr, ServiceAddr, TcpFrame};
 use openflow::messages::Message;
 use ovs::{Effect, Switch, SwitchConfig};
@@ -187,7 +187,7 @@ fn control_messages_and_bytes_each_way() {
             })
             .collect();
         assert_eq!(up.len(), 1, "one packet-in");
-        let down = ctl.handle_switch_message(at, up[0], &mut rng).unwrap();
+        let down = ctl.handle_switch_message_from(IngressId::DEFAULT, at, up[0], &mut rng).unwrap();
         for m in &down {
             sw.handle_controller(m.at, &m.data).unwrap();
         }
@@ -215,7 +215,7 @@ fn control_messages_and_bytes_each_way() {
     for bytes in &removed {
         assert!(matches!(Message::decode(bytes).unwrap().1, Message::FlowRemoved { .. }));
         assert_eq!(bytes.len(), 96, "FLOW_REMOVED bytes");
-        assert!(ctl.handle_switch_message(idle, bytes, &mut rng).unwrap().is_empty());
+        assert!(ctl.handle_switch_message_from(IngressId::DEFAULT, idle, bytes, &mut rng).unwrap().is_empty());
     }
     assert!(sw.table().is_empty());
 }

@@ -14,7 +14,7 @@
 use desim::{Duration, SimRng, SimTime};
 use std::collections::HashMap;
 use transparent_edge::prelude::*;
-use edgectl::{Choice, SchedulingContext, Target};
+use edgectl::{Choice, IngressId, SchedulingContext, Target};
 
 /// Deploy only where images are cached; otherwise answer from the cloud and
 /// warm the nearest cluster in the background.
@@ -108,7 +108,7 @@ fn main() {
         let Effect::ToController(pkt_in) = &effects[0] else {
             panic!("expected packet-in");
         };
-        let out = ctl.handle_switch_message(t, pkt_in, &mut rng).unwrap();
+        let out = ctl.handle_switch_message_from(IngressId::DEFAULT, t, pkt_in, &mut rng).unwrap();
         for m in &out {
             sw.handle_controller(m.at, &m.data).unwrap();
         }

@@ -3,6 +3,7 @@
 //! containerd/registry → ovs/openflow → netsim in one flow.
 
 use desim::{Duration, SimRng, SimTime};
+use edgectl::IngressId;
 use transparent_edge::prelude::*;
 
 const USER_YAML: &str = "
@@ -186,7 +187,7 @@ fn manual_openflow_drive_matches_harness() {
     let Effect::ToController(pkt_in) = &effects[0] else {
         panic!("no packet-in")
     };
-    let out = ctl.handle_switch_message(t0, pkt_in, &mut rng).unwrap();
+    let out = ctl.handle_switch_message_from(IngressId::DEFAULT, t0, pkt_in, &mut rng).unwrap();
     let answered = out[0].at;
     assert!(answered > t0 && answered - t0 < Duration::from_secs(1));
 
