@@ -2311,7 +2311,7 @@ mod tests {
         let mut rng = SimRng::new(34);
         let (mut ctl, mut sw) = setup(&mut rng);
         let answered = serve_one(&mut ctl, &mut sw, SimTime::from_secs(1), 50000, &mut rng);
-        let flows_before: Vec<FlowEntry> = sw.table().entries().cloned().collect();
+        let flows_before: Vec<FlowEntry> = sw.table().entries().collect();
         assert!(flows_before.len() >= 2);
 
         // The switch flows idle out *with the channel down*: the
@@ -2337,7 +2337,7 @@ mod tests {
 
         // Reconnect: diff the switch table against the bookkeeping.
         let reconnect_at = lost_at + Duration::from_secs(1);
-        let table: Vec<FlowEntry> = sw.table().entries().cloned().collect();
+        let table: Vec<FlowEntry> = sw.table().entries().collect();
         let fixes = sent(|out| ctl.reconcile(IngressId::DEFAULT, &table, reconnect_at, out));
         assert_eq!(fixes.len(), 3, "2 re-adds + 1 orphan delete");
         for (_, m) in &fixes {
@@ -2346,7 +2346,7 @@ mod tests {
 
         // The repaired table matches what was installed originally, modulo
         // bookkeeping fields the switch resets (timestamps, counters).
-        let repaired: Vec<FlowEntry> = sw.table().entries().cloned().collect();
+        let repaired: Vec<FlowEntry> = sw.table().entries().collect();
         assert_eq!(repaired.len(), flows_before.len());
         for b in &flows_before {
             assert!(
@@ -2367,7 +2367,7 @@ mod tests {
         assert_eq!(sw.table_misses, misses_before);
 
         // Convergence: a second pass finds nothing to fix.
-        let table: Vec<FlowEntry> = sw.table().entries().cloned().collect();
+        let table: Vec<FlowEntry> = sw.table().entries().collect();
         assert!(sent(|out| ctl.reconcile(IngressId::DEFAULT, &table, reconnect_at + Duration::from_secs(1), out)).is_empty());
     }
 
@@ -2390,7 +2390,7 @@ mod tests {
         assert_eq!(sw.table().entries().count(), 0);
 
         // Reconciliation agrees with the switch: nothing to re-install.
-        let table: Vec<FlowEntry> = sw.table().entries().cloned().collect();
+        let table: Vec<FlowEntry> = sw.table().entries().collect();
         let fixes = sent(|out| ctl.reconcile(IngressId::DEFAULT, &table, expire_at + Duration::from_secs(1), out));
         assert!(fixes.is_empty(), "expired pairs are removed, not resurrected: {}", fixes.len());
     }
@@ -2482,14 +2482,14 @@ mod tests {
         assert!(sw.table().entries().count() >= 2, "stale flows survive on the switch");
 
         // On reconnect, reconciliation deletes them instead of re-adding.
-        let table: Vec<FlowEntry> = sw.table().entries().cloned().collect();
+        let table: Vec<FlowEntry> = sw.table().entries().collect();
         let fixes = sent(|out| ctl.reconcile(IngressId::DEFAULT, &table, crash_at + Duration::from_secs(2), out));
         assert!(!fixes.is_empty());
         for (_, m) in &fixes {
             sw.handle_controller(m.at, &m.data).unwrap();
         }
         assert_eq!(sw.table().entries().count(), 0, "stale redirects purged");
-        let table: Vec<FlowEntry> = sw.table().entries().cloned().collect();
+        let table: Vec<FlowEntry> = sw.table().entries().collect();
         assert!(sent(|out| ctl.reconcile(IngressId::DEFAULT, &table, crash_at + Duration::from_secs(3), out)).is_empty());
     }
 
@@ -2713,7 +2713,7 @@ mod tests {
         for m in ctl.handle_switch_message_from(IngressId::DEFAULT, t1, pkt_in, &mut rng).unwrap() {
             sw.handle_controller(m.at, &m.data).unwrap();
         }
-        let flows_before: Vec<FlowEntry> = sw.table().entries().cloned().collect();
+        let flows_before: Vec<FlowEntry> = sw.table().entries().collect();
         assert_eq!(flows_before.len(), 4);
 
         // The whole table idles out with the channel down.
@@ -2721,20 +2721,20 @@ mod tests {
         let _undelivered = sw.expire_flows(lost_at);
         assert_eq!(sw.table().entries().count(), 0);
 
-        let table: Vec<FlowEntry> = sw.table().entries().cloned().collect();
+        let table: Vec<FlowEntry> = sw.table().entries().collect();
         let fixes = sent(|out| ctl.reconcile(IngressId::DEFAULT, &table, lost_at + Duration::from_secs(1), out));
         assert_eq!(fixes.len(), 4, "both pairs re-added");
         for (_, m) in &fixes {
             sw.handle_controller(m.at, &m.data).unwrap();
         }
-        let repaired: Vec<FlowEntry> = sw.table().entries().cloned().collect();
+        let repaired: Vec<FlowEntry> = sw.table().entries().collect();
         assert_eq!(repaired.len(), flows_before.len());
         for b in &flows_before {
             assert!(repaired
                 .iter()
                 .any(|a| a.match_ == b.match_ && a.priority == b.priority));
         }
-        let table: Vec<FlowEntry> = sw.table().entries().cloned().collect();
+        let table: Vec<FlowEntry> = sw.table().entries().collect();
         assert!(sent(|out| ctl.reconcile(IngressId::DEFAULT, &table, lost_at + Duration::from_secs(2), out)).is_empty());
     }
 
@@ -3296,7 +3296,7 @@ mod tests {
         for m in &adds {
             sw.handle_controller(m.at, &m.data).unwrap();
         }
-        let table: Vec<FlowEntry> = sw.table().entries().cloned().collect();
+        let table: Vec<FlowEntry> = sw.table().entries().collect();
         assert_eq!(table.len(), 2);
         let after = adds[0].at + Duration::from_secs(1);
         assert!(sent(|out| ctl.reconcile(IngressId::DEFAULT, &table, after, out)).is_empty());

@@ -289,13 +289,13 @@ fn warm_restart_preserves_recoverable_state_and_cold_does_not() {
     // second pass has nothing left to fix.
     let t = now + Duration::from_secs(3);
     for (g, sw) in sws.iter_mut().enumerate() {
-        let flows: Vec<FlowEntry> = sw.table().entries().cloned().collect();
+        let flows: Vec<FlowEntry> = sw.table().entries().collect();
         let mut out = Vec::new();
         ctl.reconcile(IngressId(g as u32), &flows, t, &mut out);
         for (_, m) in out.drain(..) {
             let _ = sw.handle_controller(m.at, &m.data);
         }
-        let flows: Vec<FlowEntry> = sw.table().entries().cloned().collect();
+        let flows: Vec<FlowEntry> = sw.table().entries().collect();
         ctl.reconcile(IngressId(g as u32), &flows, t + Duration::from_secs(1), &mut out);
         assert!(out.is_empty(), "cold-restart reconcile converges in one pass");
     }

@@ -238,7 +238,7 @@ proptest! {
         // empty in BOTH modes — that is the convergence contract.
         now += Duration::from_secs(1);
         for (g, sw) in sws.iter_mut().enumerate() {
-            let flows: Vec<FlowEntry> = sw.table().entries().cloned().collect();
+            let flows: Vec<FlowEntry> = sw.table().entries().collect();
             let mut out = Vec::new();
             ctl.reconcile(IngressId(g as u32), &flows, now, &mut out);
             for (_, m) in out {
@@ -247,7 +247,7 @@ proptest! {
         }
         now += Duration::from_secs(1);
         for (g, sw) in sws.iter_mut().enumerate() {
-            let flows: Vec<FlowEntry> = sw.table().entries().cloned().collect();
+            let flows: Vec<FlowEntry> = sw.table().entries().collect();
             let mut residual = Vec::new();
             ctl.reconcile(IngressId(g as u32), &flows, now, &mut residual);
             prop_assert!(

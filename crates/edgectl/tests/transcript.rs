@@ -299,7 +299,7 @@ impl Rig {
     }
 
     fn reconcile(&mut self, g: IngressId, now: SimTime) -> usize {
-        let table: Vec<FlowEntry> = self.sws[g.0 as usize].table().entries().cloned().collect();
+        let table: Vec<FlowEntry> = self.sws[g.0 as usize].table().entries().collect();
         let (_, fixes) = self.sunk(|ctl, _, out| ctl.reconcile(g, &table, now, out));
         self.emit_tagged(fixes)
     }

@@ -236,6 +236,77 @@ impl std::fmt::Debug for Actions {
     }
 }
 
+/// An [`Actions`] as a [`crate::FlowTable`] slot keeps it: eight bytes an
+/// action and no length, 40 bytes in all where the list takes 64.
+///
+/// An [`Action`] is 12 bytes because `SetField`'s [`OxmField`] carries its
+/// own tag, four-byte aligned, so `Output` cannot share it. Packed, byte 0
+/// says what the action is — 0 none (the list ends there), 1–9 a `SET_FIELD`
+/// of one field kind, [`PACKED_OUTPUT`] an `OUTPUT` — and the next bytes its
+/// value in native order, every kind at a fixed offset, so a lookup unpacks
+/// the list with one jump per action and no length check.
+#[derive(Clone, Copy)]
+pub(crate) struct PackedActions([[u8; 8]; Actions::CAP]);
+
+/// Byte 0 of a packed `OUTPUT`.
+const PACKED_OUTPUT: u8 = 10;
+
+/// `value` in the six value bytes of a cell, zero-padded.
+fn padded<const N: usize>(value: [u8; N]) -> [u8; 6] {
+    let mut out = [0; 6];
+    out[..N].copy_from_slice(&value);
+    out
+}
+
+impl PackedActions {
+    /// Packs `actions`.
+    pub(crate) fn pack(actions: &Actions) -> PackedActions {
+        let mut packed = [[0u8; 8]; Actions::CAP];
+        for (at, action) in packed.iter_mut().zip(actions.iter()) {
+            let (tag, [b1, b2, b3, b4, b5, b6]) = match *action {
+                Action::SetField(OxmField::InPort(port)) => (1, padded(port.to_ne_bytes())),
+                Action::SetField(OxmField::EthDst(mac)) => (2, mac),
+                Action::SetField(OxmField::EthSrc(mac)) => (3, mac),
+                Action::SetField(OxmField::EthType(v)) => (4, padded(v.to_ne_bytes())),
+                Action::SetField(OxmField::IpProto(v)) => (5, padded([v])),
+                Action::SetField(OxmField::Ipv4Src(ip)) => (6, padded(ip)),
+                Action::SetField(OxmField::Ipv4Dst(ip)) => (7, padded(ip)),
+                Action::SetField(OxmField::TcpSrc(v)) => (8, padded(v.to_ne_bytes())),
+                Action::SetField(OxmField::TcpDst(v)) => (9, padded(v.to_ne_bytes())),
+                Action::Output { port, max_len } => {
+                    let ([p0, p1, p2, p3], [m0, m1]) = (port.to_ne_bytes(), max_len.to_ne_bytes());
+                    (PACKED_OUTPUT, [p0, p1, p2, p3, m0, m1])
+                }
+            };
+            *at = [tag, b1, b2, b3, b4, b5, b6, 0];
+        }
+        PackedActions(packed)
+    }
+
+    /// The list [`PackedActions::pack`] was given.
+    pub(crate) fn unpack(&self) -> Actions {
+        let mut out = Actions::new();
+        for (at, &[tag, b1, b2, b3, b4, b5, b6, _]) in out.list.iter_mut().zip(&self.0) {
+            let (u16_at, ip, mac) = (u16::from_ne_bytes([b1, b2]), [b1, b2, b3, b4], [b1, b2, b3, b4, b5, b6]);
+            *at = match tag {
+                0 => break,
+                1 => Action::SetField(OxmField::InPort(u32::from_ne_bytes(ip))),
+                2 => Action::SetField(OxmField::EthDst(mac)),
+                3 => Action::SetField(OxmField::EthSrc(mac)),
+                4 => Action::SetField(OxmField::EthType(u16_at)),
+                5 => Action::SetField(OxmField::IpProto(b1)),
+                6 => Action::SetField(OxmField::Ipv4Src(ip)),
+                7 => Action::SetField(OxmField::Ipv4Dst(ip)),
+                8 => Action::SetField(OxmField::TcpSrc(u16_at)),
+                9 => Action::SetField(OxmField::TcpDst(u16_at)),
+                _ => Action::Output { port: u32::from_ne_bytes(ip), max_len: u16::from_ne_bytes([b5, b6]) },
+            };
+            out.len += 1;
+        }
+        out
+    }
+}
+
 /// Bytes [`encode_apply_actions`] appends for `actions`.
 pub(crate) fn apply_actions_len(actions: &Actions) -> usize {
     8 + actions.encoded_len()
@@ -390,6 +461,34 @@ mod tests {
     fn an_action_is_12_bytes_and_a_list_at_most_64() {
         assert_eq!(std::mem::size_of::<Action>(), 12);
         assert!(std::mem::size_of::<Actions>() <= 64);
+    }
+
+    /// Every action kind, at every length up to five, packs into 40 bytes
+    /// and back unchanged: the bytes a flow table slot keeps its list in.
+    #[test]
+    fn a_packed_list_unpacks_to_itself() {
+        assert_eq!(std::mem::size_of::<PackedActions>(), 40);
+        let every_kind = [
+            OxmField::InPort(0xfffe_fffd),
+            OxmField::EthDst([1, 2, 3, 4, 5, 6]),
+            OxmField::EthSrc([6, 5, 4, 3, 2, 1]),
+            OxmField::EthType(0x0800),
+            OxmField::IpProto(6),
+            OxmField::Ipv4Src([203, 0, 113, 10]),
+            OxmField::Ipv4Dst([10, 0, 0, 5]),
+            OxmField::TcpSrc(80),
+            OxmField::TcpDst(0xffff),
+        ];
+        let outputs = [Action::output(crate::OFPP_CONTROLLER), Action::Output { port: 0, max_len: 0 }];
+        let all: [Action; 11] =
+            std::array::from_fn(|i| every_kind.get(i).map_or(outputs[i % 2], |&f| Action::SetField(f)));
+        for n in 0..=Actions::CAP {
+            for chunk in all.chunks(n.max(1)) {
+                let list: Actions = chunk.iter().copied().take(n).collect();
+                assert_eq!(PackedActions::pack(&list).unpack(), list);
+            }
+        }
+        assert_eq!(PackedActions::pack(&reverse_rewrite()).unpack(), reverse_rewrite());
     }
 
     #[test]

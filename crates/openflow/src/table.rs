@@ -26,33 +26,28 @@
 //!
 //! # Storage
 //!
-//! Entries live in a **slab**: a `Vec` of slots, vacated slots recycled
-//! through a free list, so installing and removing a flow moves no other
-//! entry and resolving a `FlowId` is an array index, not a hash probe. A
-//! `FlowId` is `sequence << 28 | slot`: the low 28 bits say where the entry
-//! sits, the high bits count insertions. Ids therefore still grow with
-//! insertion order — the first-added tie-break and every sort key compare
-//! ids exactly as before, whichever slot an entry happens to occupy — and a
-//! slot remembers its tenant's id, so the id of a removed flow (one the
-//! timer heap still holds, say) never resolves to the flow that took its
-//! slot.
-//!
-//! An index bucket holds its best candidate **inline** (`head`) and any
-//! others in a `Vec` that stays unallocated until it is needed. A bucket has
-//! more than one id only while one match is installed at several priorities
-//! (a permuted spelling of a match *is* that match, so its Add replaces), so
-//! the usual flow costs no heap call to file, and [`FlowTable::add`] and
-//! removal probe the index once each, through the map's entry API.
+//! Entries live in a **slab**: a `Vec` of `Flow` slots, vacated ones
+//! recycled through a free list, so a flow's install or removal moves no
+//! other entry and resolving a `FlowId` — `sequence << 28 | slot` — is an
+//! array index. Ids grow with insertion order whichever slot an entry lands
+//! in, and a slot keeps its tenant's sequence (0 once vacated), so a stale
+//! id — one the timer heap still holds, say — never resolves to the slot's
+//! next tenant. The index maps a match to the slot of its best entry; the
+//! match's entries at other priorities (a permuted spelling of a match *is*
+//! that match, so its Add replaces) chain through the slots by (priority
+//! desc, id asc), so filing and unfiling a flow takes no heap call and one
+//! index probe.
 //!
 //! Observable semantics are identical to the naive table: priority order,
 //! first-added-wins among equal priorities, set equality of matches for
 //! ADD/DELETE, and per-entry counters. `tests/table_diff.rs` replays
 //! randomized operation sequences against both implementations to prove it.
 
-use crate::actions::{Action, Actions};
+use crate::actions::{Actions, PackedActions};
 use crate::messages::{RemovedReason, OFPFF_SEND_FLOW_REM};
 use crate::oxm::{Match, MatchView};
 use desim::{Duration, FastMap, SimTime, TimerHeap};
+use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 
 /// One installed flow.
@@ -85,17 +80,6 @@ impl FlowEntry {
     pub fn wants_removed_msg(&self) -> bool {
         self.flags & OFPFF_SEND_FLOW_REM != 0
     }
-
-    /// `true` if this entry's idle timeout has elapsed at `now`.
-    fn idled_out(&self, now: SimTime) -> bool {
-        self.idle_timeout != Duration::ZERO && now - self.last_hit >= self.idle_timeout
-    }
-
-    /// The earliest instant this entry could time out given its current
-    /// timer, or `None` if it has no timeout.
-    fn next_deadline(&self) -> Option<SimTime> {
-        (self.idle_timeout != Duration::ZERO).then(|| self.last_hit + self.idle_timeout)
-    }
 }
 
 /// A removal record produced by expiry or deletion.
@@ -122,118 +106,142 @@ impl Removed {
 type FlowId = u64;
 
 /// Low bits of a [`FlowId`] that name the slab slot; the rest count
-/// insertions. 2²⁸ resident flows and 2³⁶ insertions per table.
+/// insertions. 2²⁸ − 1 resident flows and 2³⁶ − 1 insertions per table.
 const SLOT_BITS: u32 = 28;
 const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 
-/// One slab cell: the id of its tenant (of its last tenant, once vacated)
-/// and the tenant itself.
-struct SlabSlot {
-    id: FlowId,
-    entry: Option<FlowEntry>,
+/// The link that ends a chain: no slot has this number.
+const NIL: usize = SLOT_MASK as usize;
+
+fn slot_of(id: FlowId) -> usize {
+    (id & SLOT_MASK) as usize
+}
+
+/// One slab slot: a [`FlowEntry`] as the table keeps it.
+#[derive(Clone, Copy)]
+struct Flow {
+    /// `sequence << SLOT_BITS | next`: the tenant's insertion number (0 once
+    /// vacated) and the slot of the next entry of its match, or [`NIL`].
+    link: u64,
+    cookie: u64,
+    installed_at: SimTime,
+    last_hit: SimTime,
+    packet_count: u64,
+    byte_count: u64,
+    match_: Match,
+    priority: u16,
+    flags: u16,
+    /// Whole seconds, 0 for none.
+    idle_secs: u16,
+    actions: PackedActions,
+}
+
+// A flow costs a slot and at most one index key: 128 + 40 bytes, not 160 + 72.
+const _: () = assert!(std::mem::size_of::<Flow>() == 128);
+const _: () = assert!(std::mem::size_of::<(Match, u32)>() == 40);
+
+impl Flow {
+    /// The slot of `e` installed at `now`: counters zeroed, in no chain.
+    fn installed(e: &FlowEntry, now: SimTime) -> Flow {
+        let ns = e.idle_timeout.as_nanos();
+        let secs = u16::try_from(ns / 1_000_000_000).ok().filter(|_| ns.is_multiple_of(1_000_000_000));
+        Flow {
+            link: 0,
+            cookie: e.cookie,
+            installed_at: now,
+            last_hit: now,
+            packet_count: 0,
+            byte_count: 0,
+            match_: e.match_,
+            priority: e.priority,
+            flags: e.flags,
+            idle_secs: secs.expect("an idle timeout is whole seconds up to 65 535, as in a FLOW_MOD"),
+            actions: PackedActions::pack(&e.actions),
+        }
+    }
+
+    /// The public view of this flow.
+    fn entry(&self) -> FlowEntry {
+        let idle = Duration::from_secs(u64::from(self.idle_secs));
+        FlowEntry {
+            installed_at: self.installed_at,
+            last_hit: self.last_hit,
+            packet_count: self.packet_count,
+            byte_count: self.byte_count,
+            ..entry(self.match_, self.priority, self.cookie, self.actions.unpack(), idle, self.flags)
+        }
+    }
+
+    /// The earliest instant this flow could time out given its current
+    /// timer, or `None` if it has no timeout.
+    fn deadline(&self) -> Option<SimTime> {
+        (self.idle_secs != 0).then(|| self.last_hit + Duration::from_secs(u64::from(self.idle_secs)))
+    }
 }
 
 /// Entry storage: slots addressed by the low bits of a [`FlowId`], vacated
 /// ones reused last-out-first-in.
 #[derive(Default)]
 struct Slab {
-    slots: Vec<SlabSlot>,
+    slots: Vec<Flow>,
     /// Vacant slot numbers.
     free: Vec<u32>,
-    /// Insertions so far — the high bits of the next id, so id order is
-    /// insertion order (the OpenFlow tiebreak among equal priorities)
-    /// whichever slots get reused.
-    next_seq: u64,
+    /// Insertions so far: the latest one's sequence.
+    inserted: u64,
 }
 
 impl Slab {
-    fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
-    fn insert(&mut self, entry: FlowEntry) -> FlowId {
-        let slot = self.free.pop().unwrap_or(self.slots.len() as u32);
+    /// Stores `flow` at the end of a chain of its own; returns its id.
+    fn insert(&mut self, mut flow: Flow) -> FlowId {
+        let slot = self.free.pop().map_or(self.slots.len(), |s| s as usize);
+        self.inserted += 1;
         // Ids must stay unique and ordered: lookups and tie-breaks rely on it.
-        assert!(
-            u64::from(slot) <= SLOT_MASK && self.next_seq < 1 << (64 - SLOT_BITS),
-            "flow table id space exhausted"
-        );
-        let id = self.next_seq << SLOT_BITS | u64::from(slot);
-        self.next_seq += 1;
-        let cell = SlabSlot { id, entry: Some(entry) };
-        match self.slots.get_mut(slot as usize) {
-            Some(vacant) => *vacant = cell,
-            None => self.slots.push(cell),
+        assert!(slot < NIL && self.inserted < 1 << (64 - SLOT_BITS), "flow table id space exhausted");
+        flow.link = self.inserted << SLOT_BITS | NIL as u64;
+        match self.slots.get_mut(slot) {
+            Some(vacant) => *vacant = flow,
+            None => self.slots.push(flow),
         }
-        id
+        self.id(slot)
     }
 
-    fn get(&self, id: FlowId) -> Option<&FlowEntry> {
-        let cell = self.slots.get((id & SLOT_MASK) as usize)?;
-        if cell.id == id { cell.entry.as_ref() } else { None }
+    /// The id of the flow in `slot`.
+    fn id(&self, slot: usize) -> FlowId {
+        self.slots[slot].link & !SLOT_MASK | slot as u64
     }
 
-    fn get_mut(&mut self, id: FlowId) -> Option<&mut FlowEntry> {
-        let cell = self.slots.get_mut((id & SLOT_MASK) as usize)?;
-        if cell.id == id { cell.entry.as_mut() } else { None }
+    /// The flow `id` names, unless it has been removed.
+    fn get(&self, id: FlowId) -> Option<&Flow> {
+        let flow = self.slots.get(slot_of(id))?;
+        (flow.link >> SLOT_BITS == id >> SLOT_BITS).then_some(flow)
     }
 
-    fn remove(&mut self, id: FlowId) -> Option<FlowEntry> {
-        let slot = (id & SLOT_MASK) as usize;
-        let cell = self.slots.get_mut(slot)?;
-        if cell.id != id {
-            return None;
-        }
-        let entry = cell.entry.take()?;
+    /// Empties `slot`, returning its flow.
+    fn vacate(&mut self, slot: usize) -> Flow {
+        let flow = self.slots[slot];
+        self.slots[slot].link = NIL as u64;
         self.free.push(slot as u32);
-        Some(entry)
+        flow
     }
 
-    fn iter(&self) -> impl Iterator<Item = (FlowId, &FlowEntry)> {
-        self.slots.iter().filter_map(|c| Some((c.id, c.entry.as_ref()?)))
-    }
-}
-
-impl std::ops::Index<FlowId> for Slab {
-    type Output = FlowEntry;
-
-    fn index(&self, id: FlowId) -> &FlowEntry {
-        self.get(id).expect("live flow id")
-    }
-}
-
-/// The ids filed under one [`Match`], sorted by (priority desc, id asc):
-/// `head` is the bucket's best candidate, `rest` everything after it.
-struct Bucket {
-    head: FlowId,
-    rest: Vec<FlowId>,
-}
-
-impl Bucket {
-    fn iter(&self) -> impl Iterator<Item = FlowId> + '_ {
-        std::iter::once(self.head).chain(self.rest.iter().copied())
+    /// The slot after `slot` in its match's chain, or [`NIL`].
+    fn next(&self, slot: usize) -> usize {
+        (self.slots[slot].link & SLOT_MASK) as usize
     }
 
-    /// Files `id` keeping the order. `id` is always the newest, so it goes
-    /// after every equal priority.
-    fn file(&mut self, flows: &Slab, id: FlowId) {
-        let prio = flows[id].priority;
-        if flows[self.head].priority < prio {
-            self.rest.insert(0, std::mem::replace(&mut self.head, id));
-        } else {
-            let rest = &mut self.rest;
-            let pos = rest.iter().position(|&other| flows[other].priority < prio);
-            rest.insert(pos.unwrap_or(rest.len()), id);
-        }
+    fn set_next(&mut self, slot: usize, next: usize) {
+        let link = &mut self.slots[slot].link;
+        *link = *link & !SLOT_MASK | next as u64;
     }
 
-    /// Unfiles `id`; the bucket must hold another.
-    fn unfile(&mut self, id: FlowId) {
-        if self.head == id {
-            self.head = self.rest.remove(0);
-        } else {
-            self.rest.retain(|&x| x != id);
-        }
+    /// The ids of every installed flow.
+    fn ids(&self) -> impl Iterator<Item = FlowId> + '_ {
+        (0..self.slots.len()).filter(|&s| self.slots[s].link >> SLOT_BITS != 0).map(|s| self.id(s))
+    }
+
+    /// The ids of the chain that starts at `head`, best first.
+    fn chain(&self, head: usize) -> impl Iterator<Item = FlowId> + '_ {
+        std::iter::successors(Some(head), |&s| Some(self.next(s)).filter(|&n| n != NIL)).map(|s| self.id(s))
     }
 }
 
@@ -242,9 +250,9 @@ impl Bucket {
 pub struct FlowTable {
     /// Entry storage, addressed by stable id.
     flows: Slab,
-    /// Exact-match index: match → the ids carrying it.
-    index: FastMap<Match, Bucket>,
-    /// Live entry count per shape mask — the set of probes a lookup makes.
+    /// Exact-match index: match → the slot at the head of its chain.
+    index: FastMap<Match, u32>,
+    /// Index keys per shape mask — the set of probes a lookup makes.
     shape_counts: FastMap<u16, usize>,
     /// Expiry heap, one copy per entry with a timeout, never later than its
     /// true expiry (idle refreshes are applied lazily on sweep).
@@ -252,12 +260,6 @@ pub struct FlowTable {
     /// Recycled id buffer of expiry sweeps and deletes, so neither allocates
     /// in the steady state.
     id_scratch: Vec<FlowId>,
-}
-
-/// `true` if candidate `(priority, id)` `a` beats `b` (higher priority wins;
-/// first-added — lower id — wins ties).
-fn beats(a: (u16, FlowId), b: (u16, FlowId)) -> bool {
-    a.0 > b.0 || (a.0 == b.0 && a.1 < b.1)
 }
 
 impl FlowTable {
@@ -268,84 +270,98 @@ impl FlowTable {
 
     /// Number of installed flows.
     pub fn len(&self) -> usize {
-        self.flows.len()
+        self.flows.slots.len() - self.flows.free.len()
     }
 
     /// `true` if no flows are installed.
     pub fn is_empty(&self) -> bool {
-        self.flows.len() == 0
+        self.len() == 0
     }
 
     /// Iterates over entries in priority order (descending; first-added
     /// first among equal priorities) — diagnostics / stats.
-    pub fn entries(&self) -> impl Iterator<Item = &FlowEntry> {
-        let mut ids: Vec<(FlowId, &FlowEntry)> = self.flows.iter().collect();
-        ids.sort_by_key(|&(id, e)| (std::cmp::Reverse(e.priority), id));
-        ids.into_iter().map(|(_, e)| e)
+    pub fn entries(&self) -> impl Iterator<Item = FlowEntry> + '_ {
+        let mut ids: Vec<FlowId> = self.flows.ids().collect();
+        self.sort_by_priority(&mut ids);
+        ids.into_iter().map(|id| self.flows.slots[slot_of(id)].entry())
     }
 
-    /// Unfiles and drops entry `id`; disarms its timer unless a sweep claimed it.
-    fn remove_entry(&mut self, id: FlowId, swept: bool) -> FlowEntry {
-        let entry = self.flows.remove(id).expect("live flow id");
-        let Entry::Occupied(mut bucket) = self.index.entry(entry.match_) else {
-            unreachable!("indexed entry has bucket");
+    /// The flow in `slot`'s rank, lowest first: higher priority wins, and
+    /// first-added — lower id — wins ties.
+    fn rank(&self, slot: usize) -> (Reverse<u16>, FlowId) {
+        (Reverse(self.flows.slots[slot].priority), self.flows.id(slot))
+    }
+
+    /// Sorts `ids` by rank. Ids are unique, so the unstable sort (no merge
+    /// buffer) is exact.
+    fn sort_by_priority(&self, ids: &mut [FlowId]) {
+        ids.sort_unstable_by_key(|&id| self.rank(slot_of(id)));
+    }
+
+    /// Unchains and drops the flow in `slot`; disarms its timer unless a
+    /// sweep claimed it.
+    fn remove_entry(&mut self, slot: usize, swept: bool) -> FlowEntry {
+        let (match_, next) = (self.flows.slots[slot].match_, self.flows.next(slot));
+        let Entry::Occupied(mut head) = self.index.entry(match_) else {
+            unreachable!("indexed entry has a chain");
         };
-        if bucket.get().rest.is_empty() {
-            debug_assert_eq!(bucket.get().head, id);
-            bucket.remove();
+        if *head.get() as usize != slot {
+            let mut prev = *head.get() as usize;
+            while self.flows.next(prev) != slot {
+                prev = self.flows.next(prev);
+            }
+            self.flows.set_next(prev, next);
+        } else if next != NIL {
+            *head.get_mut() = next as u32;
         } else {
-            bucket.get_mut().unfile(id);
+            head.remove();
+            let n = self.shape_counts.get_mut(&match_.mask()).expect("shape count");
+            *n -= 1;
+            if *n == 0 {
+                self.shape_counts.remove(&match_.mask());
+            }
         }
-        let mask = entry.match_.mask();
-        let n = self.shape_counts.get_mut(&mask).expect("shape count");
-        *n -= 1;
-        if *n == 0 {
-            self.shape_counts.remove(&mask);
-        }
-        if !swept && entry.next_deadline().is_some() {
+        let flow = self.flows.vacate(slot);
+        if !swept && flow.deadline().is_some() {
             self.timers.disarm();
         }
-        entry
+        flow.entry()
     }
 
     /// Adds a flow. An existing entry with identical match and priority is
     /// replaced (OpenFlow ADD semantics), preserving nothing.
-    pub fn add(&mut self, mut entry: FlowEntry, now: SimTime) {
-        entry.installed_at = now;
-        entry.last_hit = now;
-        entry.packet_count = 0;
-        entry.byte_count = 0;
-        let match_ = entry.match_;
-        let deadline = entry.next_deadline();
-        let id = self.flows.insert(entry);
-        if let Some(deadline) = deadline {
+    ///
+    /// # Panics
+    ///
+    /// When the idle timeout is not whole seconds up to 65 535.
+    pub fn add(&mut self, entry: FlowEntry, now: SimTime) {
+        let flow = Flow::installed(&entry, now);
+        let id = self.flows.insert(flow);
+        if let Some(deadline) = flow.deadline() {
             self.timers.arm(id, deadline);
         }
-        // ADD keeps `(priority, match)` unique, so it replaces at most one
-        // flow — found in the bucket of the new one's match.
-        let flows = &self.flows;
-        let replaced = match self.index.entry(match_) {
+        let (slot, prio, flows) = (slot_of(id), entry.priority, &mut self.flows);
+        let head = match self.index.entry(entry.match_) {
             Entry::Vacant(v) => {
-                v.insert(Bucket {
-                    head: id,
-                    rest: Vec::new(),
-                });
-                *self.shape_counts.entry(match_.mask()).or_insert(0) += 1;
-                None
+                v.insert(slot as u32);
+                *self.shape_counts.entry(entry.match_.mask()).or_insert(0) += 1;
+                return;
             }
-            Entry::Occupied(o) => {
-                let bucket = o.into_mut();
-                let prio = flows[id].priority;
-                let replaced = bucket.iter().find(|&old| flows[old].priority == prio);
-                bucket.file(flows, id);
-                match replaced {
-                    Some(old) => bucket.unfile(old),
-                    None => *self.shape_counts.get_mut(&match_.mask()).expect("shape count") += 1,
-                }
-                replaced
-            }
+            Entry::Occupied(o) => o.into_mut(),
         };
-        if replaced.and_then(|old| self.flows.remove(old)?.next_deadline()).is_some() {
+        // The newest flow goes after every entry of its priority: in place of
+        // the one ADD replaces, if there is one.
+        let (mut prev, mut at) = (None, *head as usize);
+        while at != NIL && flows.slots[at].priority > prio {
+            (prev, at) = (Some(at), flows.next(at));
+        }
+        let replaced = (at != NIL && flows.slots[at].priority == prio).then_some(at);
+        flows.set_next(slot, replaced.map_or(at, |old| flows.next(old)));
+        match prev {
+            Some(prev) => flows.set_next(prev, slot),
+            None => *head = slot as u32,
+        }
+        if replaced.and_then(|old| self.flows.vacate(old).deadline()).is_some() {
             self.timers.disarm();
         }
     }
@@ -358,14 +374,13 @@ impl FlowTable {
         let mut ids = std::mem::take(&mut self.id_scratch);
         ids.clear();
         if match_.is_empty() {
-            ids.extend(self.flows.iter().map(|(id, _)| id));
-        } else if let Some(bucket) = self.index.get(match_) {
-            ids.extend(bucket.iter());
+            ids.extend(self.flows.ids());
+            self.sort_by_priority(&mut ids);
+        } else if let Some(&head) = self.index.get(match_) {
+            ids.extend(self.flows.chain(head as usize));
         }
-        // Ids are unique, so the unstable sort (no merge buffer) is exact.
-        ids.sort_unstable_by_key(|&id| (std::cmp::Reverse(self.flows[id].priority), id));
         for id in ids.drain(..) {
-            let entry = self.remove_entry(id, false);
+            let entry = self.remove_entry(slot_of(id), false);
             out.push(Removed { entry, reason: RemovedReason::Delete, at: now });
         }
         self.id_scratch = ids;
@@ -374,38 +389,25 @@ impl FlowTable {
     /// The winning entry id for `view`: one hash probe per live shape —
     /// independent of how many flows are installed.
     fn classify(&self, view: &MatchView) -> Option<FlowId> {
-        let mut best: Option<(u16, FlowId)> = None;
-        for &mask in self.shape_counts.keys() {
-            if let Some(id) = self.index.get(&Match::of_view(mask, view)).map(|b| b.head) {
-                let cand = (self.flows[id].priority, id);
-                if best.is_none_or(|b| beats(cand, b)) {
-                    best = Some(cand);
-                }
-            }
-        }
-        best.map(|(_, id)| id)
+        let shapes = self.shape_counts.keys();
+        let heads = shapes.filter_map(|&mask| self.index.get(&Match::of_view(mask, view)));
+        heads.map(|&head| self.rank(head as usize)).min().map(|(_, id)| id)
     }
 
     /// Looks up the highest-priority matching flow, updating its counters and
-    /// idle timer. Returns the matched entry's cookie and a borrow of its
-    /// actions — the per-packet path never clones them.
-    pub fn lookup(
-        &mut self,
-        view: &MatchView,
-        frame_len: usize,
-        now: SimTime,
-    ) -> Option<(u64, &[Action])> {
+    /// idle timer. Returns the matched entry's cookie and its actions.
+    pub fn lookup(&mut self, view: &MatchView, frame_len: usize, now: SimTime) -> Option<(u64, Actions)> {
         let id = self.classify(view)?;
-        let e = self.flows.get_mut(id)?;
-        e.packet_count += 1;
-        e.byte_count += frame_len as u64;
-        e.last_hit = now;
-        Some((e.cookie, &e.actions))
+        let f = &mut self.flows.slots[slot_of(id)];
+        f.packet_count += 1;
+        f.byte_count += frame_len as u64;
+        f.last_hit = now;
+        Some((f.cookie, f.actions.unpack()))
     }
 
     /// Read-only lookup (no counter updates).
-    pub fn peek(&self, view: &MatchView) -> Option<&FlowEntry> {
-        self.classify(view).map(|id| &self.flows[id])
+    pub fn peek(&self, view: &MatchView) -> Option<FlowEntry> {
+        self.classify(view).map(|id| self.flows.slots[slot_of(id)].entry())
     }
 
     /// Removes every flow whose idle timeout has elapsed at `now`, appending
@@ -417,19 +419,16 @@ impl FlowTable {
         due.clear();
         self.timers.expired_into(now, &mut due, |&id, _, _| self.flows.get(id).is_some());
         due.retain(|&id| {
-            let e = &self.flows[id];
-            let expired = e.idled_out(now);
-            if !expired {
+            let deadline = self.flows.slots[slot_of(id)].deadline().expect("scheduled entry has a timeout");
+            if now < deadline {
                 // Idle timer was refreshed since this deadline was set.
-                let deadline = e.next_deadline().expect("scheduled entry has a timeout");
                 self.timers.arm(id, deadline);
             }
-            expired
+            now >= deadline
         });
-        // Ids are unique, so the unstable sort (no merge buffer) is exact.
-        due.sort_unstable_by_key(|&id| (std::cmp::Reverse(self.flows[id].priority), id));
+        self.sort_by_priority(&mut due);
         for id in due.drain(..) {
-            let entry = self.remove_entry(id, true);
+            let entry = self.remove_entry(slot_of(id), true);
             out.push(Removed { entry, reason: RemovedReason::IdleTimeout, at: now });
         }
         self.id_scratch = due;
@@ -472,6 +471,7 @@ pub fn entry(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actions::Action;
     use crate::oxm::OxmField;
 
     /// [`FlowTable::expire_into`] with a fresh buffer.
@@ -668,10 +668,6 @@ mod tests {
         entry(match_, priority, cookie, fwd(1), Duration::ZERO, 0)
     }
 
-    fn slot_of(id: FlowId) -> u64 {
-        id & SLOT_MASK
-    }
-
     /// An id kept from before its flow expired must not resolve to the flow
     /// that took over the slot.
     #[test]
@@ -685,9 +681,11 @@ mod tests {
         let new = t.classify(&view(80)).unwrap();
         assert_eq!(slot_of(new), slot_of(old), "the vacated slot was reused");
         assert!(new > old, "ids still grow with insertion order");
-        assert!(t.flows.get(old).is_none() && t.flows.get_mut(old).is_none(), "stale id");
-        assert!(t.flows.remove(old).is_none(), "a stale id evicts nobody");
-        assert_eq!(t.flows[new].cookie, 2);
+        assert!(t.flows.get(old).is_none(), "stale id");
+        assert_eq!(t.flows.get(new).map(|f| f.cookie), Some(2));
+        // Vacated, the slot answers to no id at all.
+        assert_eq!(delete(&mut t, &Match::any(), SimTime::from_secs(2)).len(), 1);
+        assert!(t.flows.get(new).is_none() && t.flows.get(old).is_none());
     }
 
     /// Insertion order — not slot order — breaks priority ties and orders
@@ -706,7 +704,7 @@ mod tests {
         t.add(plain(by_ip, 5, 4), SimTime::ZERO); // slot 0 again
         // Both shapes match the view at one priority: the older flow wins.
         let older = t.classify(&view(80)).unwrap();
-        assert_eq!(t.flows[older].cookie, 2, "first-added wins the tie");
+        assert_eq!(t.flows.slots[slot_of(older)].cookie, 2, "first-added wins the tie");
         assert_eq!(
             t.entries().map(|e| e.cookie).collect::<Vec<_>>(),
             vec![3, 2, 4],
@@ -714,35 +712,109 @@ mod tests {
         );
         assert_eq!(delete(&mut t, &by_port, SimTime::ZERO).len(), 1);
         let newer = t.classify(&view(80)).unwrap();
-        assert_eq!(t.flows[newer].cookie, 4);
+        assert_eq!(t.flows.slots[slot_of(newer)].cookie, 4);
         assert!(slot_of(older) > slot_of(newer) && older < newer);
     }
 
-    /// Several ids under one index key — one match at three priorities —
-    /// stay sorted as the head is replaced, unfiled and re-filed; a permuted
-    /// spelling of the match is the same match, so its Add replaces.
-    #[test]
-    fn a_bucket_of_several_ids_keeps_its_best_at_the_head() {
-        let mut t = FlowTable::new();
+    /// One match at priorities 9, 5 and 1, added out of order: the chain
+    /// behind its index key.
+    fn three_priorities(t: &mut FlowTable, idle: Duration) -> Match {
         let m = Match::service([203, 0, 113, 10], 80);
+        for (prio, cookie) in [(5, 1), (9, 2), (1, 3)] {
+            t.add(entry(m, prio, cookie, fwd(1), idle, 0), SimTime::ZERO);
+        }
+        m
+    }
+
+    fn cookies(t: &FlowTable) -> Vec<u64> {
+        t.entries().map(|e| e.cookie).collect()
+    }
+
+    #[test]
+    fn a_lookup_takes_the_highest_of_three_priorities() {
+        let mut t = FlowTable::new();
+        three_priorities(&mut t, Duration::ZERO);
+        assert_eq!(t.lookup(&view(80), 64, SimTime::ZERO).unwrap().0, 2);
+        assert_eq!(t.peek(&view(80)).unwrap().priority, 9);
+        assert_eq!(cookies(&t), vec![2, 1, 3]);
+    }
+
+    /// An Add at a priority the match already has replaces that flow only —
+    /// head, middle or tail of the chain — and disarms its timer; a permuted
+    /// spelling of the match is the same match.
+    #[test]
+    fn an_add_at_an_existing_priority_replaces_only_that_flow() {
+        let mut t = FlowTable::new();
+        let m = three_priorities(&mut t, Duration::from_secs(10));
         let reordered = Match::any()
             .with(OxmField::TcpDst(80))
             .with(OxmField::Ipv4Dst([203, 0, 113, 10]))
             .with(OxmField::IpProto(6))
             .with(OxmField::EthType(0x0800));
-        let winner = |t: &mut FlowTable| t.lookup(&view(80), 64, SimTime::ZERO).unwrap().0;
-        t.add(plain(m, 5, 1), SimTime::ZERO);
-        t.add(plain(m, 9, 2), SimTime::ZERO); // new head
-        t.add(plain(m, 1, 3), SimTime::ZERO);
-        assert_eq!(winner(&mut t), 2);
-        t.add(plain(reordered, 9, 4), SimTime::ZERO); // replaces the head
+        t.add(plain(reordered, 9, 4), SimTime::ZERO); // the head
+        t.add(plain(m, 5, 5), SimTime::ZERO); // the middle
+        t.add(plain(m, 1, 6), SimTime::ZERO); // the tail
         assert_eq!(t.len(), 3);
-        assert_eq!(winner(&mut t), 4, "the permuted spelling replaced the head");
-        t.add(plain(m, 5, 5), SimTime::ZERO); // replaces the middle
-        assert_eq!(t.entries().map(|e| e.cookie).collect::<Vec<_>>(), vec![4, 5, 3]);
-        let removed = delete(&mut t, &reordered, SimTime::ZERO);
-        assert_eq!(removed.iter().map(|r| r.entry.cookie).collect::<Vec<_>>(), vec![4, 5, 3]);
-        assert!(t.is_empty() && t.peek(&view(80)).is_none());
+        assert_eq!(cookies(&t), vec![4, 5, 6]);
+        assert_eq!(t.lookup(&view(80), 64, SimTime::ZERO).unwrap().0, 4);
+        assert_eq!(t.next_expiry(), None, "the three replaced timers are disarmed");
+        assert!(expire(&mut t, SimTime::from_secs(10)).is_empty(), "and never fire");
+    }
+
+    #[test]
+    fn a_delete_by_match_returns_all_three_in_priority_order() {
+        let mut t = FlowTable::new();
+        let m = three_priorities(&mut t, Duration::ZERO);
+        t.add(plain(Match::service([203, 0, 113, 11], 80), 5, 4), SimTime::ZERO);
+        let removed = delete(&mut t, &m, SimTime::ZERO);
+        assert_eq!(removed.iter().map(|r| r.entry.cookie).collect::<Vec<_>>(), vec![2, 1, 3]);
+        assert_eq!(cookies(&t), vec![4], "another match's flow stays");
+        assert!(t.peek(&view(80)).is_none() && !t.index.contains_key(&m));
+    }
+
+    /// The head times out first; the next entry of the chain takes its
+    /// place in the index, and a lookup finds it.
+    #[test]
+    fn expiring_the_head_promotes_the_next_entry() {
+        let mut t = FlowTable::new();
+        let m = Match::service([203, 0, 113, 10], 80);
+        t.add(entry(m, 5, 1, fwd(1), Duration::from_secs(20), 0), SimTime::ZERO);
+        t.add(entry(m, 9, 2, fwd(2), Duration::from_secs(10), 0), SimTime::ZERO);
+        t.add(entry(m, 1, 3, fwd(3), Duration::ZERO, 0), SimTime::ZERO);
+        let removed = expire(&mut t, SimTime::from_secs(10));
+        assert_eq!(removed.iter().map(|r| r.entry.cookie).collect::<Vec<_>>(), vec![2]);
+        assert_eq!(t.lookup(&view(80), 64, SimTime::from_secs(10)).unwrap().0, 1);
+        assert_eq!(expire(&mut t, SimTime::from_secs(30)).len(), 1);
+        assert_eq!(t.lookup(&view(80), 64, SimTime::from_secs(30)).unwrap().0, 3);
+    }
+
+    /// The slot holds the `FLOW_MOD`'s view of the flow: whole seconds of
+    /// idle timeout and the packed actions come back as they went in.
+    #[test]
+    fn an_entry_comes_back_as_it_was_added() {
+        let mut t = FlowTable::new();
+        let actions = Actions::from([
+            Action::SetField(OxmField::EthDst([2, 0, 0, 0, 0, 7])),
+            Action::SetField(OxmField::Ipv4Dst([10, 0, 0, 5])),
+            Action::SetField(OxmField::TcpDst(31080)),
+            Action::output(4),
+        ]);
+        let idle = Duration::from_secs(u64::from(u16::MAX));
+        let added = entry(Match::service([203, 0, 113, 10], 80), 7, 42, actions, idle, OFPFF_SEND_FLOW_REM);
+        t.add(added, SimTime::from_secs(3));
+        let back = t.peek(&view(80)).unwrap();
+        assert_eq!(
+            (back.match_, back.priority, back.cookie, back.actions, back.idle_timeout, back.flags),
+            (added.match_, 7, 42, actions, idle, OFPFF_SEND_FLOW_REM)
+        );
+        assert_eq!((back.installed_at, back.last_hit), (SimTime::from_secs(3), SimTime::from_secs(3)));
+        assert_eq!(t.lookup(&view(80), 64, SimTime::from_secs(4)).unwrap().1, actions);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole seconds")]
+    fn a_sub_second_idle_timeout_is_refused() {
+        FlowTable::new().add(entry(Match::any(), 0, 1, fwd(1), Duration::from_millis(1500), 0), SimTime::ZERO);
     }
 
     /// The index key under the deterministic hasher: 4 096 connections of

@@ -158,7 +158,7 @@ impl Switch {
     fn packet_in(&mut self, in_port: u32, data: Vec<u8>) -> Effect {
         let (buffer_id, n) = if (self.buffers.len() as u32) < self.config.n_buffers {
             let id = self.next_buffer;
-            self.next_buffer = self.next_buffer.wrapping_add(1).max(1);
+            self.next_buffer = id % (OFP_NO_BUFFER - 1) + 1; // 1..=0xffff_fffe, never OFP_NO_BUFFER
             (id, (self.config.miss_send_len as usize).min(data.len()))
         } else {
             (OFP_NO_BUFFER, data.len())
@@ -367,8 +367,7 @@ fn packet_in_msg(
 /// `effects` — the one executor behind table hits and `PACKET_OUT`.
 /// `SET_FIELD`s patch the buffer in place; the last `OUTPUT` of the list,
 /// when it names a plain port, moves the buffer into its effect, every other
-/// output copies what the frame looks like at that point. A free function so
-/// the actions can stay borrowed from the flow table while the xid advances.
+/// output copies what the frame looks like at that point.
 fn execute<'a>(
     ports: &[u32],
     upstream: &mut Upstream,
@@ -708,6 +707,47 @@ mod tests {
         ));
     }
 
+    /// Buffer ids wrap from 0xffff_fffe to 1: neither 0 nor OFP_NO_BUFFER
+    /// is handed out, so a long run's missed frame is still parked and its
+    /// FLOW_MOD still releases it.
+    #[test]
+    fn buffer_ids_wrap_past_no_buffer() {
+        let mut s = sw();
+        s.next_buffer = OFP_NO_BUFFER - 1;
+        let frames: Vec<Vec<u8>> = (0..2u16)
+            .map(|i| {
+                let mut f = client_frame();
+                f.src_port = 50000 + i;
+                f.encode()
+            })
+            .collect();
+        let ids: Vec<u32> = frames
+            .iter()
+            .map(|data| match decode_controller(&s.handle_frame(SimTime::ZERO, 1, data)[0]) {
+                Message::PacketIn { buffer_id, .. } => buffer_id,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(ids, vec![0xffff_fffe, 1]);
+        assert_eq!(s.buffered(), 2, "both frames parked");
+        for (i, &buffer_id) in ids.iter().enumerate() {
+            let fm = Message::FlowMod {
+                cookie: i as u64,
+                table_id: 0,
+                command: FlowModCommand::Add,
+                idle_timeout: 0,
+                priority: 100,
+                buffer_id,
+                flags: 0,
+                match_: Match::connection([192, 168, 1, 20], 50000 + i as u16, [203, 0, 113, 10], 80),
+                actions: Actions::from([Action::output(3)]),
+            };
+            let effects = s.handle_controller(SimTime::ZERO, &fm.encode(1)).unwrap();
+            assert!(matches!(&effects[..], [Effect::Forward { port: 3, data }] if *data == frames[i]));
+        }
+        assert_eq!(s.buffered(), 0, "both released");
+    }
+
     #[test]
     fn buffer_exhaustion_ships_full_frame() {
         let mut s = sw(); // 4 buffers
@@ -893,7 +933,7 @@ mod tests {
             reference.expire_into(now, &mut Vec::new());
             let want = reference.lookup(&view, data.len(), now).map(|(_, a)| a);
             match (&s.handle_frame(now, 1, &data)[0], want) {
-                (Effect::Forward { port, .. }, Some(a)) => assert_eq!(a, &out(*port)[..], "{now:?}"),
+                (Effect::Forward { port, .. }, Some(a)) => assert_eq!(a, out(*port), "{now:?}"),
                 (Effect::ToController(_), None) => {}
                 (got, want) => panic!("{now:?}: switch {got:?}, reference {want:?}"),
             }

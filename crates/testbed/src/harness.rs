@@ -634,7 +634,7 @@ impl<T: Net, S: Spans> Harness<T, S> {
     /// Diffs switch `sw`'s table against the controller's bookkeeping and
     /// appends the controller's fixes to the outbox, not yet sent.
     fn reconcile(&mut self, sw: usize, now: SimTime) {
-        let flows: Vec<FlowEntry> = self.switches[sw].table().entries().copied().collect();
+        let flows: Vec<FlowEntry> = self.switches[sw].table().entries().collect();
         self.controller.reconcile(IngressId(sw as u32), &flows, now, &mut self.outbox);
     }
 
