@@ -9,9 +9,9 @@
 //! repro <bench> [--seed N] [--smoke] [--fault-rate F] [--csv] [--telemetry]
 //! ```
 //!
-//! The benches are the rows of `bench::runner::BENCHES` (`fastpath`,
-//! `engine`, `chaos`, `mobility`, `recovery`, `scale`, `tournament`,
-//! `migrate`, `ha`): each prints its own text (chaos its
+//! The benches are the rows of `bench::runner::BENCHES` (`engine`,
+//! `chaos`, `mobility`, `recovery`, `scale`, `tournament`, `migrate`,
+//! `ha`): each prints its own text (chaos its
 //! figure) and then, if it has one, its `BENCH_*.json` artifact, writes that
 //! artifact and exits non-zero if what it wrote fails the artifact's gate —
 //! the gate `check` applies to the files as committed.

@@ -4,7 +4,6 @@
 
 mod artifact;
 pub mod engine;
-mod fastpath;
 mod ha;
 pub mod migrate;
 pub mod mobility;

@@ -6,7 +6,7 @@
 //! [`parse_args`] reads `repro`'s command line and refuses a flag its
 //! subcommand does not read.
 
-use crate::{artifact, engine, fastpath, ha, migrate, mobility, recovery, scale, tournament};
+use crate::{artifact, engine, ha, migrate, mobility, recovery, scale, tournament};
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Write as _};
 use testbed::experiments::{self, ChaosRun, Experiment};
@@ -121,12 +121,6 @@ fn every_request_completed(runs: &[(&'static str, ChaosRun)]) -> Result<(), Stri
 
 /// Every bench subcommand, in `repro list` order.
 pub const BENCHES: &[Bench] = &[
-    Bench {
-        id: "fastpath",
-        banner: "data-plane fast path (indexed lookup, warm hit through the full switch path)",
-        artifact: Some(("BENCH_flowtable.json", fastpath::gates)),
-        run: |_| report(fastpath::run()),
-    },
     Bench {
         id: "engine",
         banner: "event-core throughput (calendar queue)",
@@ -324,19 +318,9 @@ mod tests {
         let ids: Vec<_> = BENCHES.iter().map(|b| b.id).collect();
         assert_eq!(
             ids,
-            [
-                "fastpath",
-                "engine",
-                "chaos",
-                "mobility",
-                "recovery",
-                "scale",
-                "tournament",
-                "migrate",
-                "ha"
-            ]
+            ["engine", "chaos", "mobility", "recovery", "scale", "tournament", "migrate", "ha"]
         );
-        assert_eq!(BENCHES.iter().filter(|b| b.artifact.is_some()).count(), 8);
+        assert_eq!(BENCHES.iter().filter(|b| b.artifact.is_some()).count(), 7);
     }
 
     #[test]
@@ -393,7 +377,6 @@ mod tests {
         for line in [
             "check",
             "check BENCH_ha.json",
-            "fastpath",
             "engine --smoke",
             "all --seed 7",
             "all --seed 7 --csv",
@@ -426,7 +409,7 @@ mod tests {
     #[test]
     fn a_flag_the_subcommand_does_not_read_is_refused() {
         for (line, flag) in [
-            ("fastpath --smoke", "--smoke"),
+            ("summary --smoke", "--smoke"),
             ("engine --seed 3", "--seed"),
             ("mobility --fault-rate 0.5", "--fault-rate"),
             ("scale --csv", "--csv"),

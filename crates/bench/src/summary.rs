@@ -1,56 +1,57 @@
 //! The claim-by-claim verdict table: every quantitative statement in the
 //! paper's evaluation text, measured fresh and judged.
 
-use desim::Summary;
+use desim::SimTime;
 use testbed::experiments::{self, run_trace_experiment};
 use testbed::report::Table;
-use testbed::ClusterKind;
+use testbed::ClusterKind::{self, Docker, K8s};
 use workload::{Trace, TraceConfig};
-
-fn median(v: &[f64]) -> f64 {
-    Summary::new(v.to_vec()).median().unwrap_or(f64::NAN)
-}
 
 /// One verified claim.
 pub struct Claim {
     /// Where the paper states it.
     pub source: &'static str,
     /// The claim, paraphrased.
-    pub(crate) statement: &'static str,
+    pub statement: &'static str,
     /// What we measured.
     pub measured: String,
     /// Whether the measurement supports the claim.
     pub holds: bool,
 }
 
-/// Measures every textual claim of the evaluation section for `seed`.
+/// Measures every textual claim of the evaluation section for `seed`: the
+/// one list `repro summary` prints and the root package's tests assert.
 pub fn verify_claims(seed: u64) -> Vec<Claim> {
-    let d_nginx = run_trace_experiment(ClusterKind::Docker, &svc("nginx"), true, seed);
-    let d_asm = run_trace_experiment(ClusterKind::Docker, &svc("asm"), true, seed);
-    let d_resnet = run_trace_experiment(ClusterKind::Docker, &svc("resnet"), true, seed);
-    let k_nginx = run_trace_experiment(ClusterKind::K8s, &svc("nginx"), true, seed);
-    let d_nginx_cs = run_trace_experiment(ClusterKind::Docker, &svc("nginx"), false, seed);
+    let run = |kind: ClusterKind, key: &str, pre_create| run_trace_experiment(kind, &svc(key), pre_create, seed);
+    let d_nginx = run(Docker, "nginx", true);
+    let d_asm = run(Docker, "asm", true);
+    let d_nginx_py = run(Docker, "nginx-py", true);
+    let d_resnet = run(Docker, "resnet", true);
+    let k_nginx = run(K8s, "nginx", true);
+    let k_asm = run(K8s, "asm", true);
+    let d_nginx_cs = run(Docker, "nginx", false);
+    let replays = [&d_nginx, &d_asm, &d_nginx_py, &d_resnet, &k_nginx, &k_asm, &d_nginx_cs];
 
-    let dn = median(&d_nginx.firsts);
-    let da = median(&d_asm.firsts);
-    let kn = median(&k_nginx.firsts);
-    let create_delta = median(&d_nginx_cs.firsts) - dn;
-    let resnet_total = median(&d_resnet.firsts);
-    let resnet_wait = median(&d_resnet.waits);
-    let warm_n = median(&d_nginx.warm);
-    let warm_r = median(&d_resnet.warm);
+    let (dn, da, dp) = (d_nginx.median_first(), d_asm.median_first(), d_nginx_py.median_first());
+    let (kn, ka) = (k_nginx.median_first(), k_asm.median_first());
+    let create_delta = d_nginx_cs.median_first() - dn;
+    let (resnet_total, resnet_wait) = (d_resnet.median_first(), d_resnet.median_wait());
+    let (warm_n, warm_k, warm_r) = (d_nginx.median_warm(), k_nginx.median_warm(), d_resnet.median_warm());
+    let resets: u64 = replays.iter().map(|r| r.resets).sum();
+    let requests: usize = replays.iter().map(|r| r.firsts.len() + r.warm.len()).sum();
+    let nginx_complete = [&d_nginx, &k_nginx].iter().all(|r| r.firsts.len() == 42 && r.warm.len() > 1600);
 
     let fig13 = experiments::fig13(32);
-    let saving: f64 = fig13
-        .table
-        .rows
-        .iter()
-        .find(|r| r[0] == "nginx")
-        .map(|r| r[3].trim_end_matches(" s").parse().unwrap())
-        .unwrap_or(f64::NAN);
+    let saving = |key: &str| -> f64 {
+        let row = fig13.table.rows.iter().find(|r| r[0] == key);
+        row.map_or(f64::NAN, |r| r[3].trim_end_matches(" s").parse().unwrap())
+    };
+    let (sn, sr, sp) = (saving("nginx"), saving("resnet"), saving("nginx-py"));
 
     let trace = Trace::generate(TraceConfig::default(), seed);
     let counts = trace.per_service_counts();
+    let least = counts.iter().min().copied().unwrap_or(0);
+    let early = trace.deployment_times().iter().filter(|&&t| t <= SimTime::from_secs(30)).count();
 
     vec![
         Claim {
@@ -62,14 +63,14 @@ pub fn verify_claims(seed: u64) -> Vec<Claim> {
         Claim {
             source: "§VI (Fig. 11)",
             statement: "Docker scale-up stays under one second (cached images)",
-            measured: format!("asm {da:.3} s, nginx {dn:.3} s"),
-            holds: da < 1.0 && dn < 1.0,
+            measured: format!("asm {da:.3} s, nginx {dn:.3} s, nginx-py {dp:.3} s"),
+            holds: da < 1.0 && dn < 1.0 && dp < 1.0,
         },
         Claim {
             source: "§VI (Fig. 11)",
             statement: "Kubernetes takes around three seconds for the same container",
-            measured: format!("{kn:.3} s ({:.1}x Docker)", kn / dn),
-            holds: (2.0..4.0).contains(&kn) && kn / dn > 3.0,
+            measured: format!("asm {ka:.3} s, nginx {kn:.3} s ({:.1}x Docker)", kn / dn),
+            holds: (2.0..4.0).contains(&ka) && (2.0..4.0).contains(&kn) && kn / dn > 3.0,
         },
         Claim {
             source: "§VI",
@@ -90,42 +91,40 @@ pub fn verify_claims(seed: u64) -> Vec<Claim> {
                 "wait {resnet_wait:.3} s / total {resnet_total:.3} s = {:.0} %",
                 100.0 * resnet_wait / resnet_total
             ),
-            holds: resnet_wait / resnet_total > 0.25,
+            holds: resnet_total > 2.0 && resnet_wait / resnet_total > 0.25,
         },
         Claim {
             source: "§VI (Fig. 13)",
             statement: "private registry improves pulls by about 1.5–2 s",
-            measured: format!("{saving:.2} s (nginx)"),
-            holds: (1.0..3.0).contains(&saving),
+            measured: format!("nginx {sn:.2} s, resnet {sr:.2} s, nginx-py {sp:.2} s"),
+            holds: (1.0..3.0).contains(&sn) && (1.0..3.5).contains(&sr) && (1.0..3.5).contains(&sp),
         },
         Claim {
             source: "§VI (Fig. 16)",
             statement: "short responses ~milliseconds; ResNet significantly longer",
-            measured: format!("nginx {:.1} ms, resnet {:.0} ms", warm_n * 1e3, warm_r * 1e3),
-            holds: warm_n < 0.01 && warm_r / warm_n > 20.0,
+            measured: format!(
+                "nginx {:.1} ms Docker, {:.1} ms K8s; resnet {:.0} ms",
+                warm_n * 1e3,
+                warm_k * 1e3,
+                warm_r * 1e3
+            ),
+            holds: warm_n < 0.01 && warm_k < 0.01 && (warm_n - warm_k).abs() < 0.005 && warm_r / warm_n > 20.0,
         },
         Claim {
             source: "§VI (Figs. 9/10)",
             statement: "1708 requests, 42 services, ≥20 requests each",
             measured: format!(
-                "{} requests, {} services, min {}",
+                "{} requests, {} services, min {least}, {early} first in 30 s",
                 trace.requests.len(),
-                counts.len(),
-                counts.iter().min().unwrap()
+                counts.len()
             ),
-            holds: trace.requests.len() == 1708
-                && counts.len() == 42
-                && *counts.iter().min().unwrap() >= 20,
+            holds: trace.requests.len() == 1708 && counts.len() == 42 && least >= 20 && early >= 30,
         },
         Claim {
             source: "§VI (port polling)",
             statement: "held requests never hit a closed port (no RSTs)",
-            measured: format!(
-                "{} resets over {} requests",
-                d_nginx.resets + k_nginx.resets + d_resnet.resets,
-                d_nginx.warm.len() + d_nginx.firsts.len()
-            ),
-            holds: d_nginx.resets + k_nginx.resets + d_resnet.resets == 0,
+            measured: format!("{resets} resets over {requests} requests in {} replays", replays.len()),
+            holds: resets == 0 && nginx_complete,
         },
     ]
 }
@@ -152,15 +151,13 @@ pub fn render(claims: &[Claim]) -> String {
 mod tests {
     use super::*;
 
+    /// Whether each claim holds is asserted at two seeds by the root
+    /// package's `tests/paper_claims.rs`; here only the table's verdicts.
     #[test]
-    fn every_claim_holds() {
-        let claims = verify_claims(7);
-        assert_eq!(claims.len(), 10);
-        for c in &claims {
-            assert!(c.holds, "{}: {} — measured {}", c.source, c.statement, c.measured);
-        }
-        let text = render(&claims);
-        assert!(text.contains("HOLDS"));
-        assert!(!text.contains("FAILS"));
+    fn the_table_gives_each_claim_its_verdict() {
+        let claim = |holds| Claim { source: "§VI", statement: "s", measured: "m".into(), holds };
+        let text = render(&[claim(true), claim(false)]);
+        let verdicts: Vec<_> = text.lines().filter_map(|l| l.split_whitespace().last()).collect();
+        assert!(verdicts.ends_with(&["HOLDS", "FAILS"]), "{text}");
     }
 }

@@ -837,4 +837,32 @@ mod tests {
         assert!(buckets.len() >= 905, "{} of 1024 buckets", buckets.len());
         assert!(tags.len() > 1, "constant control tag");
     }
+
+    /// Lookup cost does not grow with the table: `classify` makes one index
+    /// probe per live match shape, and however many per-connection flows the
+    /// controller installs, they share one shape. The service flow's shape
+    /// adds exactly one probe, and every sampled connection still finds its
+    /// own flow over it.
+    #[test]
+    fn a_lookup_probes_as_many_shapes_at_100_000_connections_as_at_10() {
+        let src = |i: u32| [10, (i >> 16) as u8, (i >> 8) as u8, i as u8];
+        let mut shapes = Vec::new();
+        for size in [10, 1_000, 100_000] {
+            let mut t = FlowTable::new();
+            for i in 0..size {
+                let m = Match::connection(src(i), 50_000, [203, 0, 113, 10], 80);
+                t.add(entry(m, 100, u64::from(i), fwd(2), Duration::ZERO, 0), SimTime::ZERO);
+            }
+            let connections = t.shape_counts.len();
+            let service = Match::service([203, 0, 113, 10], 80);
+            t.add(entry(service, 10, u64::MAX, fwd(3), Duration::ZERO, 0), SimTime::ZERO);
+            assert_eq!(t.shape_counts.len(), connections + 1, "{size} flows: the service shape");
+            for i in (0..size).step_by(size as usize / 10) {
+                let v = MatchView { ipv4_src: src(i), ..view(80) };
+                assert_eq!(t.lookup(&v, 64, SimTime::ZERO).map(|(c, _)| c), Some(u64::from(i)), "{size} flows");
+            }
+            shapes.push(connections);
+        }
+        assert_eq!(shapes, [1, 1, 1], "shapes probed at 10, 1 000 and 100 000 connection flows");
+    }
 }

@@ -270,7 +270,6 @@ bin=$CARGO_TARGET_DIR/release
 # The fixed list: CI's runs, every bench at full size, the figures, a
 # command line `repro` refuses, the examples and e2ebench's smoke commands.
 runs=(
-  "repro fastpath"
   "repro engine --smoke" "repro engine"
   "repro chaos --smoke --fault-rate 0.15 --seed 7" "repro chaos --smoke --fault-rate 0.15 --seed 7 --telemetry"
   "repro chaos" "repro chaos --csv"

@@ -5,7 +5,7 @@
 #   scripts/repro_capture.sh <repro-binary> <outdir>
 #
 # Runs every bench subcommand with the flags it reads, at `--smoke --seed 7`
-# (fastpath reads none, engine no seed; chaos / mobility / recovery also
+# (engine reads no seed; chaos / mobility / recovery also
 # with `--telemetry`, chaos also with `--csv`, chaos and recovery at CI's
 # fault rates), plus every figure (`all`, as text and as CSV), `fig11`,
 # `summary`, `list`, an unknown id and a refused flag, and saves
@@ -31,9 +31,8 @@ bin=$(realpath "$1"); out=$(realpath -m "$2"); mkdir -p "$out/masked"
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 
 # Fields whose values are wall-clock measurements, in any artifact: scale,
-# engine, fastpath.
-WALL_CLOCK='wall_s|packet_ins_per_sec|peak_rss_mb'
-WALL_CLOCK+='|calendar_events_per_sec|indexed_lookup_ns|switch_hit_ns|indexed_100k_over_10_ratio'
+# engine.
+WALL_CLOCK='wall_s|packet_ins_per_sec|peak_rss_mb|calendar_events_per_sec'
 
 saved=$(mktemp -d)
 cp BENCH_*.json "$saved"
@@ -71,7 +70,6 @@ run tournament BENCH_tournament.json tournament --smoke --seed 7
 run scale BENCH_scale.json scale --smoke --seed 7
 run ha BENCH_ha.json ha --smoke --seed 7
 run engine BENCH_engine.json engine --smoke
-run fastpath BENCH_flowtable.json fastpath
 run all '' all --seed 7
 run all-csv '' all --seed 7 --csv
 run fig11 '' fig11
