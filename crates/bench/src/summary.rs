@@ -69,8 +69,8 @@ pub fn verify_claims(seed: u64) -> Vec<Claim> {
         Claim {
             source: "§VI (Fig. 11)",
             statement: "Kubernetes takes around three seconds for the same container",
-            measured: format!("asm {ka:.3} s, nginx {kn:.3} s ({:.1}x Docker)", kn / dn),
-            holds: (2.0..4.0).contains(&ka) && (2.0..4.0).contains(&kn) && kn / dn > 3.0,
+            measured: format!("asm {ka:.3} s, nginx {kn:.3} s"),
+            holds: (2.0..4.0).contains(&ka) && (2.0..4.0).contains(&kn),
         },
         Claim {
             source: "§VI",
@@ -125,6 +125,12 @@ pub fn verify_claims(seed: u64) -> Vec<Claim> {
             statement: "held requests never hit a closed port (no RSTs)",
             measured: format!("{resets} resets over {requests} requests in {} replays", replays.len()),
             holds: resets == 0 && nginx_complete,
+        },
+        Claim {
+            source: "§VI (Fig. 11)",
+            statement: "orchestration dominates: Kubernetes > 3x Docker, same containerd",
+            measured: format!("nginx {kn:.3} s / {dn:.3} s = {:.1}x", kn / dn),
+            holds: kn / dn > 3.0,
         },
     ]
 }

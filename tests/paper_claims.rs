@@ -18,7 +18,7 @@ fn holds(k: usize) {
     static CLAIMS: OnceLock<Vec<(u64, Vec<Claim>)>> = OnceLock::new();
     let runs = CLAIMS.get_or_init(|| SEEDS.iter().map(|&seed| (seed, verify_claims(seed))).collect());
     for (seed, claims) in runs {
-        assert_eq!(claims.len(), 10, "seed {seed}: the ten claims of the evaluation");
+        assert_eq!(claims.len(), 11, "seed {seed}: the eleven claims of the evaluation");
         let c = &claims[k];
         assert!(c.holds, "seed {seed}: {} — {}: measured {}", c.source, c.statement, c.measured);
     }
@@ -34,12 +34,20 @@ fn docker_first_request_under_one_second() {
 }
 
 /// "When deploying to a Kubernetes cluster, it takes significantly longer to
-/// start a new service instance — about three seconds": asm and nginx, more
-/// than three times Docker's, the same containerd underneath, so the gap is
-/// pure orchestration.
+/// start a new service instance — about three seconds" (asm and nginx).
 #[test]
 fn k8s_scale_up_about_three_seconds() {
     holds(2);
+}
+
+/// "The numbers highlight the significant difference between just starting a
+/// container via Docker (less than one second) and the overhead of starting
+/// the same container on a complex orchestrator like Kubernetes (around
+/// three seconds)" — same containerd underneath, so the gap is pure
+/// orchestration.
+#[test]
+fn orchestrator_overhead_dominates() {
+    holds(10);
 }
 
 /// "Interestingly, there is no notable difference between starting the tiny
