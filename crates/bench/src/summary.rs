@@ -58,7 +58,7 @@ pub fn verify_claims(seed: u64) -> Vec<Claim> {
             source: "Abstract / §VII",
             statement: "nginx first request via Docker can be as low as ~0.5 s",
             measured: format!("{dn:.3} s"),
-            holds: (0.35..0.75).contains(&dn),
+            holds: (0.40..0.60).contains(&dn),
         },
         Claim {
             source: "§VI (Fig. 11)",
@@ -76,7 +76,7 @@ pub fn verify_claims(seed: u64) -> Vec<Claim> {
             source: "§VI",
             statement: "no notable difference between asm and nginx start",
             measured: format!("|{da:.3} - {dn:.3}| = {:.3} s", (da - dn).abs()),
-            holds: (da - dn).abs() < 0.25,
+            holds: (da - dn).abs() < 0.1,
         },
         Claim {
             source: "§VI (Fig. 12)",
@@ -87,10 +87,7 @@ pub fn verify_claims(seed: u64) -> Vec<Claim> {
         Claim {
             source: "§VI (Fig. 14)",
             statement: "ResNet wait alone exceeds a fourth of its total",
-            measured: format!(
-                "wait {resnet_wait:.3} s / total {resnet_total:.3} s = {:.0} %",
-                100.0 * resnet_wait / resnet_total
-            ),
+            measured: format!("wait {resnet_wait:.3} s / total {resnet_total:.3} s = {:.0} %", 100.0 * resnet_wait / resnet_total),
             holds: resnet_total > 2.0 && resnet_wait / resnet_total > 0.25,
         },
         Claim {
@@ -102,22 +99,13 @@ pub fn verify_claims(seed: u64) -> Vec<Claim> {
         Claim {
             source: "§VI (Fig. 16)",
             statement: "short responses ~milliseconds; ResNet significantly longer",
-            measured: format!(
-                "nginx {:.1} ms Docker, {:.1} ms K8s; resnet {:.0} ms",
-                warm_n * 1e3,
-                warm_k * 1e3,
-                warm_r * 1e3
-            ),
+            measured: format!("nginx {:.1} ms Docker, {:.1} ms K8s; resnet {:.0} ms", warm_n * 1e3, warm_k * 1e3, warm_r * 1e3),
             holds: warm_n < 0.01 && warm_k < 0.01 && (warm_n - warm_k).abs() < 0.005 && warm_r / warm_n > 20.0,
         },
         Claim {
             source: "§VI (Figs. 9/10)",
             statement: "1708 requests, 42 services, ≥20 requests each",
-            measured: format!(
-                "{} requests, {} services, min {least}, {early} first in 30 s",
-                trace.requests.len(),
-                counts.len()
-            ),
+            measured: format!("{} requests, {} services, min {least}, {early} first in 30 s", trace.requests.len(), counts.len()),
             holds: trace.requests.len() == 1708 && counts.len() == 42 && least >= 20 && early >= 30,
         },
         Claim {

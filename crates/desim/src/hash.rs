@@ -27,6 +27,14 @@ pub type FastSet<K> = HashSet<K, FastBuildHasher>;
 /// The `BuildHasher` of [`FastMap`] / [`FastSet`].
 pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
+/// Sizes `map`, whose keys come and go, for at most `live` keys at once.
+/// A table that has dropped keys reuses their slots by rehashing in place
+/// only while it is at most half full, and grows otherwise; room for twice
+/// `live` keeps it from growing while they churn.
+pub fn reserve_churned<K: Eq + std::hash::Hash, V>(map: &mut FastMap<K, V>, live: usize) {
+    map.reserve((2 * live).saturating_sub(map.len()));
+}
+
 /// Odd multiplier with well-spread bits (the 64-bit FxHash constant).
 const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
@@ -185,5 +193,23 @@ mod tests {
         assert_eq!(m.len(), 10_000);
         assert!((0..10_000u64).all(|k| m[&k] == k * 3));
         assert!(m.remove(&17).is_some() && !m.contains_key(&17));
+    }
+
+    /// Keys filed and dropped a window of `live` at a time, ever new ones:
+    /// sized by `reserve_churned`, the table keeps its first allocation.
+    #[test]
+    fn a_churned_table_sized_for_its_live_keys_never_grows() {
+        for live in [1usize, 7, 60, 100, 500] {
+            let mut m: FastMap<u64, u64> = FastMap::default();
+            reserve_churned(&mut m, live);
+            let capacity = m.capacity();
+            for k in 0..50_000u64 {
+                m.insert(k, k);
+                if k >= live as u64 - 1 {
+                    m.remove(&(k + 1 - live as u64));
+                }
+                assert_eq!(m.capacity(), capacity, "live {live}, key {k}");
+            }
+        }
     }
 }

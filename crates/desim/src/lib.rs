@@ -46,7 +46,7 @@ pub use calendar::EventQueue;
 pub use dist::{Exponential, LogNormal, Sample, Uniform};
 pub use engine::Engine;
 pub use fault::{FaultInjector, FaultPlan, RetryPolicy};
-pub use hash::{FastMap, FastSet};
+pub use hash::{reserve_churned, FastMap, FastSet};
 pub use queue::NaiveEventQueue;
 pub use rng::SimRng;
 pub use stats::{LogHistogram, Summary};

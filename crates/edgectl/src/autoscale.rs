@@ -24,6 +24,7 @@
 use crate::cluster::InstanceAddr;
 use crate::scheduler::InstanceView;
 use desim::{Duration, FastMap, SimTime};
+use netsim::addr::Ipv4Addr;
 use netsim::ServiceAddr;
 use std::collections::VecDeque;
 
@@ -206,6 +207,10 @@ impl ServicePool {
 pub struct LoadTracker {
     enabled: bool,
     pools: FastMap<(ServiceAddr, usize), ServicePool>,
+    /// `(cluster, base ip, base port)` → the service whose pool is anchored
+    /// there: the reverse of every pool's base, so an address resolves to
+    /// its pool without a walk over the pools.
+    bases: FastMap<(usize, Ipv4Addr, u16), ServiceAddr>,
     last_sweep: SimTime,
     retired_replica_seconds: f64,
     rejections: u64,
@@ -234,15 +239,17 @@ impl LoadTracker {
         base: InstanceAddr,
         now: SimTime,
     ) {
-        let pool = self
-            .pools
-            .entry((service, cluster))
-            .or_insert_with(|| ServicePool::new(base, MIN_REPLICAS, now));
+        let pool = self.pools.entry((service, cluster)).or_insert_with(|| {
+            self.bases.insert((cluster, base.ip, base.port), service);
+            ServicePool::new(base, MIN_REPLICAS, now)
+        });
         if pool.base != base {
             let mut fresh = ServicePool::new(base, MIN_REPLICAS, now);
             std::mem::swap(pool, &mut fresh);
             fresh.accrue(now);
             self.retired_replica_seconds += fresh.replica_seconds;
+            unfile_base(&mut self.bases, cluster, fresh.base, service);
+            self.bases.insert((cluster, base.ip, base.port), service);
         }
     }
 
@@ -299,12 +306,24 @@ impl LoadTracker {
         self.pools.get(&(service, cluster))?.index_of(addr)
     }
 
+    /// The services whose pool on `cluster` answers at `(ip, port)` on one
+    /// of its replicas, by at most [`MAX_REPLICAS`] probes of the pools'
+    /// bases: each candidate's [`index_of`](Self::index_of) still decides.
+    pub fn pools_at(&self, cluster: usize, ip: Ipv4Addr, port: u16) -> impl Iterator<Item = ServiceAddr> + '_ {
+        let candidates = if self.bases.is_empty() { 0 } else { MAX_REPLICAS };
+        (0..candidates).filter_map(move |i| {
+            let base = port.checked_sub(REPLICA_PORT_STRIDE.checked_mul(i as u16)?)?;
+            self.bases.get(&(cluster, ip, base)).copied()
+        })
+    }
+
     /// Drops the pool for `(service, cluster)` (service scaled to zero or
     /// its zone died), retiring its replica-time into the running total.
     pub(crate) fn remove_pool(&mut self, service: ServiceAddr, cluster: usize, now: SimTime) {
         if let Some(mut pool) = self.pools.remove(&(service, cluster)) {
             pool.accrue(now);
             self.retired_replica_seconds += pool.replica_seconds;
+            unfile_base(&mut self.bases, cluster, pool.base, service);
         }
     }
 
@@ -389,10 +408,24 @@ impl LoadTracker {
     }
 }
 
+/// Drops `service`'s pool anchored at `base` on `cluster` from the reverse
+/// index, unless another pool has since been filed there.
+fn unfile_base(
+    bases: &mut FastMap<(usize, Ipv4Addr, u16), ServiceAddr>,
+    cluster: usize,
+    base: InstanceAddr,
+    service: ServiceAddr,
+) {
+    let key = (cluster, base.ip, base.port);
+    if bases.get(&key) == Some(&service) {
+        bases.remove(&key);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::addr::{Ipv4Addr, MacAddr};
+    use netsim::addr::MacAddr;
 
     fn base() -> InstanceAddr {
         InstanceAddr {
@@ -554,6 +587,36 @@ mod tests {
         assert_eq!(tr.views(svc(1), 0, t0 + Duration::from_secs(5))[0].queue_depth(), 0);
         // The old pool's replica-time was retired, not dropped.
         assert!(tr.replica_seconds(t0 + Duration::from_secs(5)) >= 5.0 - 1e-9);
+    }
+
+    /// `pools_at` finds a pool from any of its replica addresses, follows a
+    /// re-anchored base, and forgets a removed pool; `index_of` agrees.
+    #[test]
+    fn pools_at_follows_the_bases() {
+        let mut tr = LoadTracker::default();
+        tr.set_enabled(true);
+        let t0 = SimTime::ZERO;
+        let at = |tr: &LoadTracker, cluster, a: InstanceAddr| tr.pools_at(cluster, a.ip, a.port).collect::<Vec<_>>();
+        tr.ensure_pool(svc(1), 0, base(), t0);
+        let t1 = t0 + COOLDOWN;
+        tr.saturate(svc(1), 0, t1);
+        tr.sweep(t1);
+        let pool = tr.pool(svc(1), 0).unwrap().clone();
+        assert_eq!(pool.queues.len(), 2);
+        for i in 0..2 {
+            assert_eq!(at(&tr, 0, pool.addr(i)), [svc(1)], "replica {i}");
+            assert_eq!(tr.index_of(svc(1), 0, pool.addr(i)), Some(i));
+        }
+        assert!(at(&tr, 1, base()).is_empty(), "another cluster's address space");
+        // A candidate past the pool's size is named, and `index_of` refuses it.
+        assert_eq!(at(&tr, 0, pool.addr(3)), [svc(1)]);
+        assert_eq!(tr.index_of(svc(1), 0, pool.addr(3)), None);
+        let reborn = InstanceAddr { port: 31007, ..base() };
+        tr.ensure_pool(svc(1), 0, reborn, SimTime::from_secs(2));
+        assert!(at(&tr, 0, base()).is_empty());
+        assert_eq!(at(&tr, 0, reborn), [svc(1)]);
+        tr.remove_pool(svc(1), 0, SimTime::from_secs(3));
+        assert!(at(&tr, 0, reborn).is_empty());
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! The same annotated service definition drives both implementations.
 
 use crate::annotate::EDGE_SERVICE_LABEL;
-use crate::service::EdgeService;
+use crate::service::{EdgeService, ServiceRegistry};
 use containerd::{ContainerId, RuntimeError, ServiceProfile};
-use desim::{Duration, FastMap, LogNormal, Sample, SimRng, SimTime};
+use desim::{reserve_churned, Duration, FastMap, LogNormal, Sample, SimRng, SimTime};
 use dockersim::{DockerEngine, DockerError};
 use k8ssim::objects::{PodContainer, PodTemplate};
 use k8ssim::{ClusterEvent, DeploymentId, K8sCluster};
@@ -184,6 +184,26 @@ pub trait EdgeCluster {
     /// The address a (ready or starting) instance serves at.
     fn instance_addr(&self, svc: &EdgeService) -> Option<InstanceAddr>;
 
+    /// The service whose [`instance_addr`](Self::instance_addr) here is
+    /// `(ip, port)`, if any: what a server resolves an address it has not
+    /// seen before through. The Docker and Kubernetes adapters answer from a
+    /// reverse index they keep as they hand addresses out and take them
+    /// back, at the cost of one hash probe. This default, for an adapter
+    /// that keeps none (a decorator that does not forward the call), asks
+    /// every service of `services` in address order.
+    fn service_at(&self, ip: Ipv4Addr, port: u16, services: &ServiceRegistry) -> Option<ServiceAddr> {
+        services
+            .iter()
+            .find(|svc| self.instance_addr(svc).is_some_and(|a| (a.ip, a.port) == (ip, port)))
+            .map(|svc| svc.addr)
+    }
+
+    /// Sizes the reverse index behind [`service_at`](Self::service_at) for
+    /// `services` registered services, so it grows while services register
+    /// and not while traffic runs. The controller calls it at every
+    /// registration.
+    fn reserve(&mut self, _services: usize) {}
+
     /// Number of services currently scaled up: the source of the
     /// `cluster.<name>.load` gauge.
     fn load(&self) -> usize;
@@ -236,6 +256,9 @@ pub struct DockerCluster {
     latency: Duration,
     next_port: u16,
     entries: FastMap<ServiceAddr, DockerEntry>,
+    /// Host port → the service created on it: the reverse of `entries`'
+    /// `host_port`, filed at create and dropped at remove.
+    by_port: FastMap<u16, ServiceAddr>,
 }
 
 impl DockerCluster {
@@ -256,6 +279,7 @@ impl DockerCluster {
             latency,
             next_port: 31000,
             entries: FastMap::default(),
+            by_port: FastMap::default(),
         }
     }
 }
@@ -352,6 +376,7 @@ impl EdgeCluster for DockerCluster {
         }
         let host_port = self.next_port;
         self.next_port += 1;
+        self.by_port.insert(host_port, svc.addr);
         self.entries.insert(
             svc.addr,
             DockerEntry {
@@ -447,6 +472,7 @@ impl EdgeCluster for DockerCluster {
         let Some(entry) = self.entries.remove(&svc.addr) else {
             return now;
         };
+        self.by_port.remove(&entry.host_port);
         let mut t = now;
         for name in &entry.containers {
             t = self.engine.remove(name, t, rng).expect("container exists");
@@ -460,6 +486,17 @@ impl EdgeCluster for DockerCluster {
             ip: self.host_ip,
             port: e.host_port,
         })
+    }
+
+    fn service_at(&self, ip: Ipv4Addr, port: u16, _: &ServiceRegistry) -> Option<ServiceAddr> {
+        if ip != self.host_ip {
+            return None;
+        }
+        self.by_port.get(&port).copied()
+    }
+
+    fn reserve(&mut self, services: usize) {
+        reserve_churned(&mut self.by_port, services);
     }
 
     fn load(&self) -> usize {
@@ -501,6 +538,9 @@ pub struct K8sEdgeCluster {
     latency: Duration,
     scheduler_name: Option<String>,
     entries: FastMap<ServiceAddr, K8sEntry>,
+    /// Pod `(ip, port)` → the service it serves: the reverse of the entries'
+    /// `pod_addr`, filed at scale-up and dropped at scale-down and remove.
+    by_pod: FastMap<([u8; 4], u16), ServiceAddr>,
     /// The trail of the last `settle`, its capacity kept for the next.
     events: Vec<ClusterEvent>,
 }
@@ -523,6 +563,7 @@ impl K8sEdgeCluster {
             latency,
             scheduler_name,
             entries: FastMap::default(),
+            by_pod: FastMap::default(),
             events: Vec::new(),
         }
     }
@@ -716,7 +757,9 @@ impl EdgeCluster for K8sEdgeCluster {
         match ready {
             Some((at, ip)) => {
                 entry.ready_at = at;
-                entry.pod_addr = Some((ip, svc.annotated.target_port));
+                let pod = (ip, svc.annotated.target_port);
+                entry.pod_addr = Some(pod);
+                self.by_pod.insert(pod, svc.addr);
                 Ok((acked, at))
             }
             None => {
@@ -737,7 +780,9 @@ impl EdgeCluster for K8sEdgeCluster {
         }
         entry.scaled_up = false;
         entry.ready_at = SimTime::MAX;
-        entry.pod_addr = None;
+        if let Some(pod) = entry.pod_addr.take() {
+            self.by_pod.remove(&pod);
+        }
         self.cluster.scale(entry.deployment, 0, now, rng);
         self.cluster.settle(rng, &mut self.events);
         last_termination(&self.events).unwrap_or(now)
@@ -747,6 +792,9 @@ impl EdgeCluster for K8sEdgeCluster {
         let Some(entry) = self.entries.remove(&svc.addr) else {
             return now;
         };
+        if let Some(pod) = entry.pod_addr {
+            self.by_pod.remove(&pod);
+        }
         let t = self.cluster.delete_deployment(entry.deployment, now, rng);
         let t = self.cluster.delete_service(entry.deployment, t, rng);
         self.cluster.settle(rng, &mut self.events);
@@ -761,6 +809,14 @@ impl EdgeCluster for K8sEdgeCluster {
             ip: Ipv4Addr(ip),
             port,
         })
+    }
+
+    fn service_at(&self, ip: Ipv4Addr, port: u16, _: &ServiceRegistry) -> Option<ServiceAddr> {
+        self.by_pod.get(&(ip.octets(), port)).copied()
+    }
+
+    fn reserve(&mut self, services: usize) {
+        reserve_churned(&mut self.by_pod, services);
     }
 
     fn load(&self) -> usize {

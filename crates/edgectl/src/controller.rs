@@ -277,6 +277,10 @@ pub struct Controller<S: Spans = Off> {
     /// Recycled buffer of the idle sweep: the `(service, cluster)`s whose
     /// last memorized flow expired.
     idle_scratch: Vec<(ServiceAddr, usize)>,
+    /// Recycled work list of the health sweep, and the name of each
+    /// cluster's `breaker_state.{i}` gauge, made when the cluster is added.
+    sweep_scratch: Vec<(usize, InstanceAddr, ServiceAddr)>,
+    breaker_gauges: Vec<String>,
     /// Open telemetry spans of in-flight migrations, by request id.
     migration_spans: FastMap<u64, SpanId>,
     /// The crash-recovery write-ahead journal (inert unless
@@ -325,6 +329,8 @@ impl<S: Spans> Controller<S> {
             crash_records: FastMap::default(),
             handover_scratch: Vec::new(),
             idle_scratch: Vec::new(),
+            sweep_scratch: Vec::new(),
+            breaker_gauges: Vec::new(),
             migration_spans: FastMap::default(),
             journal,
             control_errors: Vec::new(),
@@ -471,12 +477,7 @@ impl<S: Spans> Controller<S> {
             let aborted_migrations = ctl.state.migrate_mut().abort_where(|_| true);
             ctl.count("migrations_aborted", aborted_migrations);
             ctl.telemetry.metrics.inc("controller_restarts");
-            RecoveryReport {
-                mode,
-                replayed_events,
-                snapshot_entries,
-                aborted_migrations,
-            }
+            RecoveryReport { mode, replayed_events, snapshot_entries, aborted_migrations }
         })
     }
 
@@ -484,8 +485,10 @@ impl<S: Spans> Controller<S> {
     /// ingress. Returns its index.
     pub fn add_cluster(&mut self, cluster: Box<dyn EdgeCluster>, switch_port: u32) -> usize {
         self.map_cluster_port(IngressId::DEFAULT, cluster.name(), switch_port);
+        self.breaker_gauges.push(format!("breaker_state.{}", self.clusters.len()));
         self.clusters.push(cluster);
         self.dispatcher.size_image_verdicts(None, self.clusters.len());
+        self.reserve();
         self.clusters.len() - 1
     }
 
@@ -499,10 +502,7 @@ impl<S: Spans> Controller<S> {
     /// Maps a cluster to an egress port on one specific ingress (a cluster
     /// may be reachable from every gNB, through different ports).
     pub fn map_cluster_port(&mut self, ingress: IngressId, cluster_name: &str, port: u32) {
-        self.ingresses[ingress.0 as usize]
-            .ports
-            .cluster_ports
-            .insert(cluster_name.to_owned(), port);
+        self.ingresses[ingress.0 as usize].ports.cluster_ports.insert(cluster_name.to_owned(), port);
     }
 
     /// Overrides the latency toward `cluster` as seen from `ingress`. The
@@ -529,6 +529,15 @@ impl<S: Spans> Controller<S> {
     pub fn register_service(&mut self, service: EdgeService) {
         self.dispatcher.size_image_verdicts(Some(service.addr), self.clusters.len());
         self.services.register(service);
+        self.reserve();
+    }
+
+    /// Sizes the cluster adapters' reverse indexes and the FlowMemory's
+    /// per-instance counts for every registered service on every cluster.
+    fn reserve(&mut self) {
+        let n = self.services.len();
+        self.clusters.iter_mut().for_each(|c| c.reserve(n));
+        self.state.memory_mut().reserve_instances(n * self.clusters.len());
     }
 
     /// The service registry.
@@ -588,13 +597,7 @@ impl<S: Spans> Controller<S> {
     /// Does the `instance` a bookkept redirect points at on `cluster` still
     /// serve `service` ([`Dispatcher::serving`])? A service that is no longer
     /// registered is served nowhere.
-    fn serving(
-        &self,
-        cluster: usize,
-        service: ServiceAddr,
-        instance: InstanceAddr,
-        now: SimTime,
-    ) -> Serving {
+    fn serving(&self, cluster: usize, service: ServiceAddr, instance: InstanceAddr, now: SimTime) -> Serving {
         match self.services.get(service) {
             Some(svc) => self.dispatcher.serving(&self.clusters, svc, cluster, instance, now),
             None => Serving::Gone,
@@ -632,11 +635,7 @@ impl<S: Spans> Controller<S> {
     /// to, each message tagged with its switch, in send order — a sink as
     /// `ovs::Switch` defines one: never cleared or read, untouched on `Err`.
     pub fn handle_switch_message_into(
-        &mut self,
-        ingress: IngressId,
-        now: SimTime,
-        bytes: &[u8],
-        rng: &mut SimRng,
+        &mut self, ingress: IngressId, now: SimTime, bytes: &[u8], rng: &mut SimRng,
         out: &mut Vec<(IngressId, OutboundMessage)>,
     ) -> Result<(), OfError> {
         let (_xid, msg, _) = Message::parse(bytes)?;

@@ -68,7 +68,9 @@ impl<S: Spans> Controller<S> {
     /// as `Pending`, not `Gone`.
     pub fn health_check(&mut self, now: SimTime, out: &mut Vec<(IngressId, OutboundMessage)>) {
         self.synced(|ctl| {
-            for (cluster, inst, svc_addr) in ctl.state.memory().instances() {
+            let mut work = std::mem::take(&mut ctl.sweep_scratch);
+            ctl.state.memory().instances_into(&mut work);
+            for &(cluster, inst, svc_addr) in &work {
                 // A deployment in progress is not a dead instance (a crashed
                 // one is Created, never Starting, so detection loses nothing).
                 if ctl.serving(cluster, svc_addr, inst, now) != Serving::Gone {
@@ -83,11 +85,10 @@ impl<S: Spans> Controller<S> {
                     .migrate_mut()
                     .abort_where(|m| m.service == svc_addr && (m.from == cluster || m.to == cluster));
                 ctl.count("migrations_aborted", aborted);
-                ctl.dispatcher
-                    .load_mut()
-                    .remove_pool(svc_addr, cluster, now);
+                ctl.dispatcher.load_mut().remove_pool(svc_addr, cluster, now);
                 ctl.repair_dead_instance(cluster, inst, now, out);
             }
+            ctl.sweep_scratch = work;
         })
     }
 
@@ -119,9 +120,8 @@ impl<S: Spans> Controller<S> {
         if let Some(crashed_at) = self.crash_records.remove(&inst) {
             m.observe("stale_redirect_repair_ns", now.saturating_since(crashed_at));
         }
-        for i in 0..self.clusters.len() {
-            let breaker = self.state.health().breaker_state(i);
-            m.set_gauge(&format!("breaker_state.{i}"), breaker.gauge());
+        for (i, name) in self.breaker_gauges.iter().enumerate() {
+            m.set_gauge(name, self.state.health().breaker_state(i).gauge());
         }
         self.telemetry.event(root, "repaired", now, || {
             format!("{} flow delete(s) toward the switches", out.len() - before)

@@ -366,9 +366,7 @@ impl Dispatcher {
             if class == RequestClass::NewFlow {
                 class = RequestClass::Rescheduled;
             }
-            tele.event(parent, "memory-stale", now, || {
-                "memorized instance vanished; rescheduling".to_owned()
-            });
+            tele.event(parent, "memory-stale", now, || "memorized instance vanished; rescheduling".to_owned());
         }
 
         // 2. Gather views and consult the Global Scheduler. Clusters the
@@ -444,6 +442,8 @@ impl Dispatcher {
             )
         });
         tele.end_span(sched_span, now);
+        // FAST's state as its view read it: the background deployment runs on another cluster.
+        let fast_state = choice.fast.map(|t| views[t.cluster].state);
         // The scheduler chose among the *available* candidates; translate
         // its view indices back to controller cluster indices (replica
         // indices pass through unchanged).
@@ -488,7 +488,7 @@ impl Dispatcher {
             return answer(DispatchDecision::ForwardToCloud, phases);
         };
         let cluster = f.cluster;
-        if let InstanceState::Ready(base) = clusters[cluster].state(svc, now) {
+        if let Some(InstanceState::Ready(base)) = fast_state {
             if !self.tracker.enabled() {
                 memory.memorize(key, base, cluster, now);
                 let decision = DispatchDecision::Redirect { instance: base, cluster };

@@ -17,13 +17,14 @@
 //! re-arming; a sweep that reaches a refreshed entry re-arms it instead of
 //! expiring it. Per-service
 //! live counts are maintained incrementally, making the "service has zero
-//! remaining flows" scale-down check O(1) per expired service.
+//! remaining flows" scale-down check O(1) per expired service; so are
+//! per-instance counts, so the health sweep's work list costs the distinct
+//! instances, not the flows.
 
 use crate::cluster::InstanceAddr;
-use desim::{Duration, FastMap, SimTime, TimerHeap};
+use desim::{reserve_churned, Duration, FastMap, SimTime, TimerHeap};
 use netsim::addr::Ipv4Addr;
 use netsim::ServiceAddr;
-use std::collections::BTreeSet;
 
 /// Identifies one ingress switch (gNB) managed by the controller.
 ///
@@ -78,6 +79,14 @@ impl MemorizedFlow {
 /// `cluster` packed for a [`MemorizedFlow`].
 fn packed(cluster: usize) -> u32 {
     u32::try_from(cluster).expect("a cluster index fits 32 bits")
+}
+
+/// One instance flows are redirected at: `(cluster, instance, service)`.
+type Instance = (usize, InstanceAddr, ServiceAddr);
+
+/// The instance `flow` (toward `service`) is redirected at.
+fn instance_of(flow: &MemorizedFlow, service: ServiceAddr) -> Instance {
+    (flow.cluster(), flow.instance, service)
 }
 
 /// Plain counters over the memory's lifetime, read when a telemetry
@@ -180,6 +189,11 @@ pub struct FlowMemory {
     /// serves every cell); an expiring service is a scale-down candidate
     /// exactly when its count reaches zero.
     per_service: FastMap<ServiceAddr, usize>,
+    /// Live flow count per `(cluster, instance, service)` triple, across all
+    /// ingresses: its keys are the health sweep's work list
+    /// ([`FlowMemory::instances_into`]). Sized by
+    /// [`FlowMemory::reserve_instances`], so filing a flow grows nothing.
+    per_instance: FastMap<Instance, usize>,
     /// Recycled buffer for expiry sweeps so periodic ticks allocate nothing
     /// in the steady state.
     expiry_scratch: Vec<FlowKey>,
@@ -198,6 +212,7 @@ impl FlowMemory {
             shards: Vec::new(),
             len: 0,
             per_service: FastMap::default(),
+            per_instance: FastMap::default(),
             expiry_scratch: Vec::new(),
             log: None,
         }
@@ -316,6 +331,8 @@ impl FlowMemory {
                 *self.per_service.entry(key.service).or_insert(0) += 1;
             }
         }
+        let was = prev.map(|p| instance_of(&p.flow, key.service));
+        self.refile(was, Some(instance_of(&flow, key.service)));
         if let Some(log) = &mut self.log {
             log.push(FlowOp::Memorize {
                 key,
@@ -351,9 +368,9 @@ impl FlowMemory {
         let Some(shard) = self.shards.get_mut(key.ingress.0 as usize) else {
             return false;
         };
-        if shard.flows.remove(key).is_none() {
+        let Some(filed) = shard.flows.remove(key) else {
             return false;
-        }
+        };
         if !swept {
             shard.timers.disarm();
         }
@@ -363,6 +380,7 @@ impl FlowMemory {
         if *n == 0 {
             self.per_service.remove(&key.service);
         }
+        self.refile(Some(instance_of(&filed.flow, key.service)), None);
         if let Some(log) = &mut self.log {
             log.push(FlowOp::Forget { key: *key });
         }
@@ -529,9 +547,11 @@ impl FlowMemory {
         else {
             return false;
         };
+        let was = instance_of(flow, key.service);
         flow.instance = instance;
         flow.cluster = packed(cluster);
         flow.last_used = now;
+        self.refile(Some(was), Some((cluster, instance, key.service)));
         if let Some(log) = &mut self.log {
             log.push(FlowOp::Repoint {
                 key: *key,
@@ -543,18 +563,49 @@ impl FlowMemory {
         true
     }
 
-    /// The distinct `(cluster, instance, service)` triples currently
-    /// memorized, sorted — the health sweep's work list: every instance that
-    /// appears here has at least one client actively redirected at it, so a
-    /// crash of that instance strands real traffic until repaired.
-    pub fn instances(&self) -> Vec<(usize, InstanceAddr, ServiceAddr)> {
-        let mut out: BTreeSet<(usize, InstanceAddr, ServiceAddr)> = BTreeSet::new();
-        for shard in &self.shards {
-            for (k, f) in &shard.flows {
-                out.insert((f.flow.cluster(), f.flow.instance, k.service));
+    /// Moves one flow's count from the instance it was redirected at (`was`)
+    /// to the one it is redirected at now (`now`); `None` on either side
+    /// for a flow filed or unfiled.
+    fn refile(&mut self, was: Option<Instance>, now: Option<Instance>) {
+        if was == now {
+            return;
+        }
+        if let Some(was) = was {
+            let n = self.per_instance.get_mut(&was).expect("instance count");
+            *n -= 1;
+            if *n == 0 {
+                self.per_instance.remove(&was);
             }
         }
-        out.into_iter().collect()
+        if let Some(now) = now {
+            *self.per_instance.entry(now).or_insert(0) += 1;
+        }
+    }
+
+    /// Room for `instances` distinct redirect targets live at once, so that
+    /// filing flows while traffic runs grows no table: the controller
+    /// reserves services × clusters as services and clusters are added.
+    pub(crate) fn reserve_instances(&mut self, instances: usize) {
+        reserve_churned(&mut self.per_instance, instances);
+    }
+
+    /// The distinct `(cluster, instance, service)` triples currently
+    /// memorized, sorted, into `out` (cleared first) — the health sweep's
+    /// work list: every instance that appears here has at least one client
+    /// actively redirected at it, so a crash of that instance strands real
+    /// traffic until repaired. Costs the distinct instances, not the flows.
+    pub(crate) fn instances_into(&self, out: &mut Vec<(usize, InstanceAddr, ServiceAddr)>) {
+        out.clear();
+        out.extend(self.per_instance.keys().copied());
+        // The keys are distinct, so the unstable sort is exact.
+        out.sort_unstable();
+    }
+
+    /// [`FlowMemory::instances_into`] into a fresh list.
+    pub fn instances(&self) -> Vec<(usize, InstanceAddr, ServiceAddr)> {
+        let mut out = Vec::new();
+        self.instances_into(&mut out);
+        out
     }
 
     /// Removes expired entries; fills `idle` (cleared first) with the
@@ -644,6 +695,7 @@ impl FlowMemory {
 mod tests {
     use super::*;
     use netsim::addr::MacAddr;
+    use std::collections::BTreeSet;
 
     fn key(client: u8, port: u16) -> FlowKey {
         key_at(0, client, port)
@@ -910,6 +962,33 @@ mod tests {
         assert_eq!(list[1], (1, inst(2), key(20, 80).service));
         m.forget_instance(inst(2));
         assert_eq!(m.instances().len(), 1);
+    }
+
+    /// The per-instance counts behind `instances` follow every mutation:
+    /// after each step of a seeded mix of memorize (new and replacing),
+    /// repoint, rekey, forget, forget_instance, forget_cluster and expiry
+    /// sweeps, the list is the distinct triples of the filed flows.
+    #[test]
+    fn instances_are_the_filed_flows_after_every_mutation() {
+        let mut m = FlowMemory::new(Duration::from_secs(10));
+        let mut rng = desim::SimRng::new(5);
+        for step in 0..4_000u64 {
+            let now = SimTime::from_millis(step * 25);
+            let mut pick = |n: u64| rng.below(n);
+            let k = key_at(pick(3) as u32, 20 + pick(6) as u8, 80 + pick(3) as u16);
+            let (i, c, to) = (inst(1 + pick(4) as u16), pick(3) as usize, IngressId(pick(3) as u32));
+            match pick(12) {
+                0..=4 => m.memorize(k, i, c, now),
+                5 => drop(m.repoint(&k, i, c, now)),
+                6 => drop(m.rekey(&k, to, now)),
+                7 => drop(m.forget(&k)),
+                8 => drop(m.forget_instance(i)),
+                9 => drop(m.forget_cluster(c)),
+                _ => drop(expired(&mut m, now)),
+            }
+            let filed: BTreeSet<_> = m.export_entries().iter().map(|(k, f)| instance_of(f, k.service)).collect();
+            assert_eq!(m.instances(), filed.into_iter().collect::<Vec<_>>(), "step {step}");
+        }
     }
 
     /// A key forgotten and memorized again at the same instant leaves two

@@ -8,7 +8,9 @@
 
 use crate::annotate::{annotate_deployment, AnnotatedService};
 use containerd::ServiceProfile;
+use desim::FastMap;
 use netsim::ServiceAddr;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -64,9 +66,20 @@ impl EdgeService {
 /// Entries are reference-counted so the controller's packet-in fast path can
 /// take a cheap shared handle ([`ServiceRegistry::get_shared`]) instead of
 /// deep-cloning the annotated YAML and manifest strings per packet.
+///
+/// Every entry is filed twice: lookups by address (every packet-in, every
+/// frame a server resolves) probe a hash map, so they cost the same at 10
+/// services as at 10 000; iteration walks the address-ordered map, because
+/// the order services are visited in is observable (zone outages, journal
+/// replay, the listener oracle).
 #[derive(Default)]
 pub struct ServiceRegistry {
     services: BTreeMap<ServiceAddr, Rc<EdgeService>>,
+    by_addr: FastMap<ServiceAddr, Rc<EdgeService>>,
+    /// Lookups by address and walks in address order so far: the work
+    /// ledger's view of what a decision costs the registry.
+    probes: Cell<u64>,
+    walks: Cell<u64>,
 }
 
 impl ServiceRegistry {
@@ -78,23 +91,38 @@ impl ServiceRegistry {
     /// Registers a service; replaces an existing registration for the same
     /// address and returns the previous one, if any.
     pub fn register(&mut self, service: EdgeService) -> Option<Rc<EdgeService>> {
-        self.services.insert(service.addr, Rc::new(service))
+        let service = Rc::new(service);
+        self.by_addr.insert(service.addr, Rc::clone(&service));
+        self.services.insert(service.addr, service)
     }
 
     /// Looks up the service registered at `addr`.
     pub fn get(&self, addr: ServiceAddr) -> Option<&EdgeService> {
-        self.services.get(&addr).map(|rc| rc.as_ref())
+        self.probes.set(self.probes.get() + 1);
+        self.by_addr.get(&addr).map(|rc| rc.as_ref())
     }
 
     /// Shared-handle lookup for hot paths: clones an `Rc`, never the
     /// underlying service definition.
     pub(crate) fn get_shared(&self, addr: ServiceAddr) -> Option<Rc<EdgeService>> {
-        self.services.get(&addr).map(Rc::clone)
+        self.probes.set(self.probes.get() + 1);
+        self.by_addr.get(&addr).map(Rc::clone)
     }
 
     /// All registered services in address order.
     pub fn iter(&self) -> impl Iterator<Item = &EdgeService> {
+        self.walks.set(self.walks.get() + 1);
         self.services.values().map(|rc| rc.as_ref())
+    }
+
+    /// Number of registered services.
+    pub(crate) fn len(&self) -> usize {
+        self.by_addr.len()
+    }
+
+    /// `(lookups by address, walks in address order)` so far.
+    pub fn work(&self) -> (u64, u64) {
+        (self.probes.get(), self.walks.get())
     }
 }
 
@@ -137,5 +165,31 @@ mod tests {
         let old = r.register(service([203, 0, 113, 10], 80, "asm"));
         assert_eq!(old.unwrap().profile.key, "nginx");
         assert_eq!(r.get(ServiceAddr::new(Ipv4Addr([203, 0, 113, 10]), 80)).unwrap().profile.key, "asm");
+    }
+
+    /// The hash index and the ordered map hold the same entries: iteration
+    /// stays in address order whatever the registration order, and `get` and
+    /// `get_shared` answer with the current registration after a replace.
+    #[test]
+    fn iteration_is_address_ordered_and_both_lookups_agree() {
+        let mut r = ServiceRegistry::new();
+        let addrs = [([203, 0, 113, 30], 80), ([198, 51, 100, 7], 443), ([203, 0, 113, 10], 8501), ([203, 0, 113, 10], 80)];
+        for (ip, port) in addrs {
+            r.register(service(ip, port, "nginx"));
+        }
+        r.register(service([198, 51, 100, 7], 443, "asm"));
+        let order: Vec<ServiceAddr> = r.iter().map(|s| s.addr).collect();
+        let mut sorted = order.clone();
+        sorted.sort();
+        assert_eq!(order, sorted);
+        assert_eq!((order.len(), r.len()), (4, 4));
+        for (ip, port) in addrs {
+            let addr = ServiceAddr::new(Ipv4Addr(ip), port);
+            let (got, shared) = (r.get(addr).unwrap(), r.get_shared(addr).unwrap());
+            assert!(std::ptr::eq(got, shared.as_ref()), "{addr:?}: one registration behind both");
+            let want = if port == 443 { "asm" } else { "nginx" };
+            assert_eq!(got.profile.key, want);
+        }
+        assert_eq!(r.work(), (8, 1));
     }
 }

@@ -1267,12 +1267,29 @@ struct Listener {
 }
 
 /// The (service, cluster) pair whose instance serves at `(ip, port)`, and
-/// the replica answering there: the first match in registry × cluster order.
-fn scan<S: Spans>(controller: &Controller<S>, ip: Ipv4Addr, port: u16) -> Option<(&EdgeService, usize, u16)> {
-    controller.services().iter().find_map(|svc| {
-        (0..controller.cluster_count())
-            .find_map(|idx| Some((svc, idx, replica_at(controller, svc, idx, ip, port)?)))
-    })
+/// the replica answering there: the first match in registry × cluster order,
+/// found without walking either. Per cluster, the adapter names the service
+/// whose instance has that address (`EdgeCluster::service_at`, replica 0)
+/// and the load tracker the pools with a replica there
+/// (`LoadTracker::pools_at`, each decided by [`replica_at`]).
+fn locate<S: Spans>(controller: &Controller<S>, ip: Ipv4Addr, port: u16) -> Option<(&EdgeService, usize, u16)> {
+    let services = controller.services();
+    let mut best: Option<(&EdgeService, usize, u16)> = None;
+    for idx in 0..controller.cluster_count() {
+        let based = controller.cluster(idx).service_at(ip, port, services).map(|a| (a, true));
+        let pooled = controller.load().pools_at(idx, ip, port).map(|a| (a, false));
+        for (addr, known_base) in based.into_iter().chain(pooled) {
+            if best.is_some_and(|(svc, _, _)| svc.addr <= addr) {
+                continue;
+            }
+            let Some(svc) = services.get(addr) else { continue };
+            let replica = if known_base { Some(0) } else { replica_at(controller, svc, idx, ip, port) };
+            if let Some(replica) = replica {
+                best = Some((svc, idx, replica));
+            }
+        }
+    }
+    best
 }
 
 /// Which replica of `svc` on cluster `idx` answers at `(ip, port)`: 0 at the
@@ -1301,7 +1318,7 @@ fn listener<S: Spans>(controller: &Controller<S>, svc: &EdgeService, idx: usize,
 /// `(ip, port)` → listening instance, remembered between frames. An entry
 /// is only trusted while the replica still answers at that address, and
 /// every cluster hands out addresses from its own host or pod range, so a
-/// valid entry is the scan's answer; anything else falls back to the scan.
+/// valid entry is the scan's answer; anything else is located afresh.
 /// One entry per (service, cluster, replica): a replica that comes back at a
 /// new address (a new pod) replaces its old entry.
 #[derive(Default)]
@@ -1313,53 +1330,24 @@ struct ListenerIndex {
 impl ListenerIndex {
     /// Which instance (if any) listens at `(ip, port)`, and is it ready at
     /// `now`?
-    fn lookup<S: Spans>(
-        &mut self,
-        controller: &Controller<S>,
-        ip: Ipv4Addr,
-        port: u16,
-        now: SimTime,
-    ) -> Option<Listener> {
-        let (svc, idx) = self.resolve(controller, ip, port)?;
-        Some(listener(controller, svc, idx, now))
-    }
-
-    /// Remembered addresses (bounded by services × clusters × replicas).
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        assert_eq!(self.by_addr.len(), self.addr_of.len());
-        self.by_addr.len()
-    }
-
-    fn resolve<'a, S: Spans>(
-        &mut self,
-        controller: &'a Controller<S>,
-        ip: Ipv4Addr,
-        port: u16,
-    ) -> Option<(&'a EdgeService, usize)> {
+    fn lookup<S: Spans>(&mut self, controller: &Controller<S>, ip: Ipv4Addr, port: u16, now: SimTime) -> Option<Listener> {
         let key = (ip, port);
         if let Some(&(addr, idx, replica)) = self.by_addr.get(&key) {
             if let Some(svc) = controller.services().get(addr) {
                 if replica_at(controller, svc, idx, ip, port) == Some(replica) {
-                    return Some((svc, idx));
+                    return Some(listener(controller, svc, idx, now));
                 }
             }
             self.by_addr.remove(&key);
             self.addr_of.remove(&(addr, idx, replica));
         }
-        let (svc, idx, replica) = scan(controller, ip, port)?;
+        let (svc, idx, replica) = locate(controller, ip, port)?;
         if let Some(old) = self.addr_of.insert((svc.addr, idx, replica), key) {
             self.by_addr.remove(&old);
         }
         self.by_addr.insert(key, (svc.addr, idx, replica));
-        Some((svc, idx))
+        Some(listener(controller, svc, idx, now))
     }
-}
-
-/// The answer [`ListenerIndex::lookup`] must give, by scan alone.
-#[cfg(test)]
-fn scan_listener<S: Spans>(controller: &Controller<S>, ip: Ipv4Addr, port: u16, now: SimTime) -> Option<Listener> {
-    scan(controller, ip, port).map(|(svc, idx, _)| listener(controller, svc, idx, now))
 }
 
 #[cfg(test)]
@@ -1370,6 +1358,29 @@ mod tests {
 
     fn svc_addr(i: u8) -> ServiceAddr {
         ServiceAddr::new(Ipv4Addr::new(203, 0, 113, i), 80)
+    }
+
+    /// The (service, cluster) pair whose instance serves at `(ip, port)`,
+    /// and the replica answering there, by walking registry × cluster
+    /// order: the oracle [`locate`] answers as.
+    fn scan<S: Spans>(controller: &Controller<S>, ip: Ipv4Addr, port: u16) -> Option<(&EdgeService, usize, u16)> {
+        controller.services().iter().find_map(|svc| {
+            (0..controller.cluster_count())
+                .find_map(|idx| Some((svc, idx, replica_at(controller, svc, idx, ip, port)?)))
+        })
+    }
+
+    /// The answer [`ListenerIndex::lookup`] must give, by scan alone.
+    fn scan_listener<S: Spans>(controller: &Controller<S>, ip: Ipv4Addr, port: u16, now: SimTime) -> Option<Listener> {
+        scan(controller, ip, port).map(|(svc, idx, _)| listener(controller, svc, idx, now))
+    }
+
+    impl ListenerIndex {
+        /// Remembered addresses (bounded by services × clusters × replicas).
+        fn len(&self) -> usize {
+            assert_eq!(self.by_addr.len(), self.addr_of.len());
+            self.by_addr.len()
+        }
     }
 
     /// Three gNBs with 20 clients spread over them, driven — like the C³
@@ -1672,16 +1683,21 @@ mod tests {
     /// sweep; `want_addrs` is the number of distinct addresses its instances
     /// serve at over the run. Every instance address is probed with its
     /// replica-1 address beside it, which answers exactly when autoscaling
-    /// is on.
+    /// is on. A second service, first in address order, serves on cluster 0
+    /// throughout and takes no request; its address is probed too. Every
+    /// probe also asks the resolution a new address goes through.
     fn listener_lookup_equals_the_scan<T: Net>(mut tb: Harness<T>, want_addrs: usize) {
         let addr = svc_addr(10);
+        let idle = tb.register_service(containerd::ServiceSet::by_key("nginx").unwrap(), svc_addr(9));
         let svc = tb.register_service(containerd::ServiceSet::by_key("asm").unwrap(), addr);
+        tb.pre_deploy(idle.addr, 0);
         let clusters = tb.controller.cluster_count();
         for idx in 0..clusters {
             tb.on_cluster(addr, idx, |cluster, svc, now, rng| {
                 cluster.pull(svc, now, rng).expect("pre-pull");
             });
         }
+        let idle = tb.controller.cluster(0).instance_addr(&idle).expect("deployed");
         const BURST: usize = 8;
         for client in 0..3 {
             tb.request_at(SimTime::from_secs(1), client, addr);
@@ -1709,13 +1725,17 @@ mod tests {
             // ever had and at that instance's replica 1 (131 ports above).
             let frame = TcpFrame::decode(data).unwrap();
             let probes = instance_addrs.iter().flat_map(|a| [(a.ip, a.port, 0), (a.ip, a.port + 131, 1)]);
-            for (ip, port, replica) in probes.chain([(frame.dst_ip, frame.dst_port, 0)]) {
+            let others = [(frame.dst_ip, frame.dst_port, 0), (idle.ip, idle.port, 0)];
+            for (ip, port, replica) in probes.chain(others) {
+                // The resolution a new address goes through, on every probe.
+                let named = |found: Option<(&EdgeService, usize, u16)>| found.map(|(svc, idx, r)| (svc.addr, idx, r));
+                assert_eq!(named(locate(&tb.controller, ip, port)), named(scan(&tb.controller, ip, port)));
                 let got = tb.listeners.lookup(&tb.controller, ip, port, now);
                 assert_eq!(got, scan_listener(&tb.controller, ip, port, now), "{ip:?}:{port} at {now:?}");
                 answered += usize::from(got.is_some());
                 replica_answered += replica * usize::from(got.is_some());
             }
-            assert!(tb.listeners.len() <= clusters * replicas, "one replica, one remembered address");
+            assert!(tb.listeners.len() <= clusters * replicas + 1, "one replica, one remembered address");
         });
         assert_eq!(tb.completed.len(), 3 * (2 + BURST));
         assert_eq!(instance_addrs.len(), want_addrs, "{instance_addrs:?}");

@@ -2,6 +2,7 @@
 # Sampling profile of one e2ebench workload, for boxes without `perf`.
 #
 #   scripts/profile.sh <workload> [runs]
+#   FOCUS=<function> scripts/profile.sh <workload> [runs]
 #
 # `e2ebench trace` prices whole calls at the layer boundaries; this says
 # where inside them the time goes. It profiles the unmodified program: a
@@ -19,9 +20,16 @@
 # internals, which the stripped library gives no names for — by nearest
 # exported symbol and by first caller inside the binary. Everything is
 # written under $SCRATCH (default /root/scratch)/profile.
+#
+# With FOCUS set to a function's short name (`dispatch_at`,
+# `handle_attachment_change_into`), it keeps only the samples whose stack
+# passes through that function and prints one table instead: its share of
+# all samples, then the inclusive time of every function on the stack
+# inside it (itself included), as shares of the kept samples, at >= 0.5 %
+# of them.
 set -euo pipefail
 
-[ $# -ge 1 ] || { sed -n '2,5p' "$0"; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,6p' "$0"; exit 2; }
 WORKLOAD=$1
 RUNS=${2:-40}
 SEED=${SEED:-1}
@@ -231,6 +239,27 @@ for s in stacks:
         row[3][first_caller(s)] += 1
 total = len(stacks)
 print(f"{total} samples over {len(files)} runs ({total / len(files):.0f} per run)")
+focus = os.environ.get("FOCUS")
+if focus:
+    # A name matches by its short form (`dispatch_at [dispatch.rs]` and
+    # `edgectl::dispatch::Dispatcher::dispatch_at` both read `dispatch_at`).
+    is_focus = lambda n: short(n.split(" [")[0]) == focus
+    inside, kept = collections.Counter(), 0
+    for s in stacks:
+        frames = [names(f) for f in s]   # innermost frame first, each innermost inlined first
+        hit = [i for i, ns in enumerate(frames) if any(map(is_focus, ns))]
+        if not hit:
+            continue
+        kept += 1
+        outer = hit[-1]   # under recursion, everything below its outermost call
+        k = max(j for j, n in enumerate(frames[outer]) if is_focus(n))
+        inside.update({n for ns in frames[:outer] for n in ns} | set(frames[outer][:k + 1]))
+    print(f"\n== inside {focus}: {kept} samples, {100 * kept / max(total, 1):.2f} % of all; "
+          "inclusive time as shares of those ==")
+    for name, n in inside.most_common():
+        if 200 * n >= kept:
+            print(f"{100 * n / kept:6.2f} %  {n:6d}  {name}")
+    sys.exit(0 if kept else 1)
 for title, table in [("self time, by innermost (inlined) function", self_inl),
                      ("self time, by physical function", self_phys),
                      ("inclusive time (a function counts once per sample it is on the stack of)", incl)]:

@@ -45,6 +45,7 @@ crates/desim/src/stats.rs::min — the telemetry test pins that a histogram's mi
 crates/desim/src/timers.rs::heap_bytes — the state sizes of items 1 and 22 (state_stats)
 crates/dockersim/src/lib.rs::node_mut — the cluster and controller tests re-arm a node's fault injector mid-run
 crates/dockersim/src/lib.rs::remove — the Remove phase (PAPER.md step 5; ROADMAP item 19); no run sets ControllerConfig::remove_after
+crates/edgectl/src/autoscale.rs::unfile_base — no run removes or re-anchors an autoscaled pool; autoscale's pools_at test does
 crates/edgectl/src/cluster.rs::remove — the Remove phase (PAPER.md step 5; ROADMAP item 19); no run sets ControllerConfig::remove_after
 crates/edgectl/src/cluster.rs::telemetry_stats — e2ebench's tracing cluster wrapper forwards it
 crates/edgectl/src/controller.rs::control_errors — no run meets a control-plane inconsistency; the controller tests provoke them (item 22)
@@ -68,6 +69,7 @@ crates/edgectl/src/migrate.rs::total — the migration props and harness tests c
 crates/edgectl/src/rules.rs::drop_buffered — safety: frees a switch buffer when a packet-in is dropped
 crates/edgectl/src/scheduler.rs::choose — CloudOnlyScheduler, the cloud-only baseline (ROADMAP item 5 decides it)
 crates/edgectl/src/scheduler.rs::name — CloudOnlyScheduler, the cloud-only baseline (ROADMAP item 5 decides it)
+crates/edgectl/src/service.rs::work — work_ledger reads the registry's lookups by address and walks per decision
 crates/k8ssim/src/cluster.rs::delete_deployment — the Remove phase (PAPER.md step 5) on Kubernetes
 crates/k8ssim/src/cluster.rs::delete_service — the Remove phase (PAPER.md step 5) on Kubernetes
 crates/k8ssim/src/cluster.rs::endpoints — reconcile_props and the full-recompute oracle compare Endpoints objects
