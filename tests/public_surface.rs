@@ -26,9 +26,12 @@
 //! method of another type, `u64::saturating_add`) passes both checks. The compiler sees those
 //! only once the item is `pub(crate)`.
 
+mod support;
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
+use support::{blank_test_items, read_sources, rust_files, strip_literals, tokens, tokens_of};
 
 /// Public functions only tests call, keyed `crate::name` (`crate::Type::name`
 /// for one that takes no `self`), each with the tests that need it.
@@ -387,9 +390,11 @@ fn every_public_item_crosses_a_crate_boundary() {
     for dir in ["crates", "src", "tests", "examples"] {
         let mut files = Vec::new();
         rust_files(&root.join(dir), &mut files);
+        // The tests that read the sources as text name items without using them.
+        let readers = ["tests/public_surface.rs", "tests/architecture.rs", "tests/support"];
         for file in files
             .into_iter()
-            .filter(|f| !f.ends_with("tests/public_surface.rs"))
+            .filter(|f| !readers.iter().any(|r| f.starts_with(root.join(r))))
         {
             let src = fs::read_to_string(&file).expect("source file is readable");
             // rustdoc builds each doc test as a crate of its own: file its code outside.
@@ -605,19 +610,6 @@ fn frozen_names(readme: &str) -> String {
         .join(" ")
 }
 
-/// Each `.rs` file under `dir` with its comments and literals blanked.
-fn read_sources(dir: &Path) -> Vec<(PathBuf, String)> {
-    let mut files = Vec::new();
-    rust_files(dir, &mut files);
-    files
-        .into_iter()
-        .map(|f| {
-            let src = fs::read_to_string(&f).expect("source file is readable");
-            (f, strip_literals(&src))
-        })
-        .collect()
-}
-
 /// The files that are not test modules, with their test items blanked.
 fn non_test_code(stripped: Vec<(PathBuf, String)>) -> Vec<(PathBuf, String)> {
     // `#[cfg(test)] mod name;` makes `name.rs` (and anything under `name/`) test code.
@@ -645,23 +637,6 @@ fn non_test_code(stripped: Vec<(PathBuf, String)>) -> Vec<(PathBuf, String)> {
         .filter(|(f, _)| !test_files.iter().any(|t| f == t || f.starts_with(t)))
         .map(|(f, code)| (f, blank_test_items(&code)))
         .collect()
-}
-
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return;
-    };
-    let mut paths: Vec<PathBuf> = entries
-        .map(|e| e.expect("directory entry").path())
-        .collect();
-    paths.sort();
-    for p in paths {
-        if p.is_dir() {
-            rust_files(&p, out);
-        } else if p.extension().is_some_and(|e| e == "rs") {
-            out.push(p);
-        }
-    }
 }
 
 /// Names defined `pub fn` (optionally `const`, `unsafe` or `async`); `pub(crate)` is not public.
@@ -738,130 +713,6 @@ fn built_with_base<'a>(tokens: &[&'a str]) -> Vec<&'a str> {
                 _ => {}
             }
         }
-    }
-    out
-}
-
-/// Words and single punctuation characters.
-fn tokens(code: &str) -> Vec<&str> {
-    tokens_of(code, usize::MAX)
-}
-
-fn tokens_of(code: &str, limit: usize) -> Vec<&str> {
-    let word = |c: char| c.is_alphanumeric() || c == '_';
-    let mut out = Vec::new();
-    let mut rest = code.trim_start();
-    while !rest.is_empty() && out.len() < limit {
-        let len = match rest.find(|c: char| !word(c)) {
-            Some(0) => rest.chars().next().map_or(1, char::len_utf8),
-            Some(n) => n,
-            None => rest.len(),
-        };
-        out.push(&rest[..len]);
-        rest = rest[len..].trim_start();
-    }
-    out
-}
-
-/// Blanks comments, string literals and char literals, keeping newlines, so
-/// that what remains is code.
-fn strip_literals(src: &str) -> String {
-    let b = src.as_bytes();
-    let mut out = String::with_capacity(src.len());
-    let blank = |out: &mut String, s: &str| {
-        out.extend(s.chars().map(|c| if c == '\n' { '\n' } else { ' ' }))
-    };
-    let mut i = 0;
-    while i < b.len() {
-        let ident_before = out
-            .chars()
-            .next_back()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let rest = &src[i..];
-        let end = if rest.starts_with("//") {
-            rest.find('\n').unwrap_or(rest.len())
-        } else if rest.starts_with("/*") {
-            rest.find("*/").map_or(rest.len(), |e| e + 2)
-        } else if !ident_before
-            && ["b\"", "b'", "br\"", "br#"]
-                .iter()
-                .any(|p| rest.starts_with(p))
-        {
-            1
-        } else if !ident_before
-            && rest.starts_with('r')
-            && rest[1..].trim_start_matches('#').starts_with('"')
-        {
-            let hashes = rest[1..].len() - rest[1..].trim_start_matches('#').len();
-            let close = format!("\"{}", "#".repeat(hashes));
-            let body = 2 + hashes;
-            rest[body..]
-                .find(&close)
-                .map_or(rest.len(), |e| body + e + close.len())
-        } else if rest.starts_with('"') {
-            let mut k = 1;
-            while k < rest.len() && b[i + k] != b'"' {
-                k += if b[i + k] == b'\\' { 2 } else { 1 };
-            }
-            (k + 1).min(rest.len())
-        } else if let Some(quoted) = rest.strip_prefix('\'') {
-            let mut chars = quoted.chars();
-            match (chars.next(), chars.next()) {
-                (Some('\\'), _) => rest[3..].find('\'').map_or(rest.len(), |e| 3 + e + 1),
-                (Some(c), Some('\'')) => 1 + c.len_utf8() + 1,
-                _ => 0, // a lifetime
-            }
-        } else {
-            0
-        };
-        if end == 0 {
-            let c = rest.chars().next().expect("non-empty");
-            out.push(c);
-            i += c.len_utf8();
-        } else {
-            blank(&mut out, &rest[..end]);
-            i += end;
-        }
-    }
-    out
-}
-
-/// Blanks each item, field or statement that follows `#[cfg(test)]`.
-fn blank_test_items(code: &str) -> String {
-    let mut out = code.to_string();
-    let mut from = 0;
-    while let Some(at) = out[from..].find("#[cfg(test)]").map(|a| from + a) {
-        let b = out.as_bytes();
-        let (mut depth, mut angle, mut k) = (0i32, 0i32, at + "#[cfg(test)]".len());
-        while k < b.len() {
-            match b[k] {
-                b'{' | b'(' | b'[' => depth += 1,
-                b'}' | b')' | b']' if depth == 0 => break,
-                b'}' if depth == 1 => {
-                    k += 1;
-                    break;
-                }
-                b'}' | b')' | b']' => depth -= 1,
-                b'<' => angle += 1,
-                b'>' if !matches!(b[k - 1], b'-' | b'=') => angle -= 1,
-                b';' if depth == 0 => {
-                    k += 1;
-                    break;
-                }
-                b',' if depth == 0 && angle <= 0 => {
-                    k += 1;
-                    break;
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        let blanked: String = out[at..k]
-            .chars()
-            .map(|c| if c == '\n' { '\n' } else { ' ' })
-            .collect();
-        out.replace_range(at..k, &blanked);
-        from = at + blanked.len();
     }
     out
 }
