@@ -5,7 +5,7 @@
 //! the counters of `telemetry_snapshot()`.
 //!
 //! The scenarios are the configurations `e2ebench`'s four workloads do not
-//! reach: Kubernetes with the private registry, the far edge, the hybrid
+//! reach: Kubernetes on the public registry, the far edge, the hybrid
 //! cluster, the predictors, deployment-phase faults, span recording,
 //! rule aggregation; mobility under both handover policies, runtime chaos
 //! with client retransmission, a controller crash restarted warm and cold
@@ -153,9 +153,9 @@ fn docker_first(seed: u64) -> TestbedConfig {
 }
 
 #[test]
-fn kubernetes_with_the_private_registry() {
-    let config = TestbedConfig { cluster: ClusterKind::K8s, private_registry: true, ..seeded(21) };
-    pinned("k8s", 0xeacf_aff8_6c30_edee, request_run(config, false, cold));
+fn kubernetes_on_the_public_registry() {
+    let config = TestbedConfig { cluster: ClusterKind::K8s, ..seeded(21) };
+    pinned("k8s", 0x5bc5_038d_b1a1_3834, request_run(config, false, cold));
 }
 
 #[test]
