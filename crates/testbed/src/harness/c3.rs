@@ -44,8 +44,6 @@ pub struct TestbedConfig {
     pub scheduler: String,
     /// Controller configuration.
     pub controller: ControllerConfig,
-    /// Use the private in-network registry instead of public ones.
-    pub private_registry: bool,
     /// Proactive-deployment predictor name (see
     /// [`edgectl::predictor_by_name`]); `"none"` = pure reactive.
     pub predictor: String,
@@ -66,7 +64,6 @@ impl Default for TestbedConfig {
             cluster: ClusterKind::Docker,
             scheduler: "proximity".to_owned(),
             controller: ControllerConfig::default(),
-            private_registry: false,
             predictor: "none".to_owned(),
             far_edge: false,
             faults: FaultPlan::default(),
@@ -98,12 +95,7 @@ impl<S: Spans> Harness<C3Topology, S> {
         let egs_mac = c3.topo.node(c3.egs).mac;
         let egs_ip = c3.topo.node(c3.egs).ip;
         let edge_latency = Duration::from_micros(50);
-        let store = if config.private_registry {
-            containerd::ContentStore::with_mirror(registry::RegistryProfile::private_local())
-        } else {
-            containerd::ContentStore::new()
-        };
-        let mut node = containerd::ContainerdNode::new(store, containerd::RuntimeTimings::default());
+        let mut node = containerd::ContainerdNode::new(containerd::ContentStore::new(), containerd::RuntimeTimings::default());
         // Fault injectors get one label per site so their draw streams stay
         // independent; with all rates at zero nothing is wired at all,
         // keeping fault-free runs byte-identical.

@@ -23,7 +23,7 @@ const DISPATCH_RS: usize = 757;
 /// Four build a redirect or pick a phase; the fifth is `Dispatcher::serving`.
 const READY_MENTIONS: usize = 5;
 /// A value is settable only when two runs outside the tests set it differently.
-const KNOBS: usize = 42;
+const KNOBS: usize = 41;
 /// One event loop for both testbeds.
 const HARNESS: usize = 1843;
 /// Scenario to gated artifact, each value written once.
