@@ -6,17 +6,17 @@
 #
 # The box drifts by 20-40 % over minutes, so only alternating pairs resolve a
 # claim. Both sides are built once under $SCRATCH (default /root/scratch) and
-# the binaries copied, so a later rebuild cannot swap one under a running
-# series. Per workload (default: all four) and per seed in $SEEDS (default
-# 1..10; pass a seed never used while developing to check the claim holds on
-# it) one `measure` runs on each side, odd seeds parent first, even seeds
-# change first, each for BENCHMARK.json's run_seconds. Printed per workload:
-# every pair's ops_per_s and ratio, wins, both medians, the parent's
-# inter-quartile range, the other end-to-end metrics' medians, and whether
-# sim_digest, the sim_* metrics and the operation counts matched in every
-# pair. A gain counts when the change wins >= 9 of 10 pairs and the medians
-# differ by more than the parent's IQR. 4 workloads x 10 seeds x 2 sides x
-# 25 s is about 35 minutes.
+# each runs where cargo wrote it (a copied binary reads a different
+# peak_rss_mb), so rebuild neither side while a series runs. Per workload
+# (default: all four) and per seed in $SEEDS (default 1..10; pass a seed never
+# used while developing to check the claim holds on it) one `measure` runs on
+# each side, odd seeds parent first, even seeds change first, each for
+# BENCHMARK.json's run_seconds. Printed per workload: every pair's ops_per_s
+# and ratio, wins, both medians, the parent's inter-quartile range, the other
+# end-to-end metrics' medians, and whether sim_digest, the sim_* metrics and
+# the operation counts matched in every pair. A gain counts when the change
+# wins >= 9 of 10 pairs and the medians differ by more than the parent's IQR. 4
+# workloads x 10 seeds x 2 sides x 25 s is about 35 minutes.
 #
 #   scripts/e2e_pairs.sh --fine <parent-sha|self> [workload...]
 #
@@ -30,8 +30,9 @@
 # the exact counters of each side, which must not vary within a side. It
 # resolves what the 25 s pairs cannot; it is not the acceptance rule - a
 # claimed gain still needs the pairs above. `self` as the parent runs the
-# working tree's binary against a copy of itself: the A/A check that says
-# what this method reads when nothing differs (it should read 1.00 +- 0.02).
+# working tree's one binary on both sides: the A/A check that says what this
+# method reads when nothing differs (1.00 ideally; on bulk_transfer it has
+# read 1.09 [1.00, 1.12]).
 # 4 workloads x 120 repetitions is about six minutes.
 set -euo pipefail
 
@@ -46,11 +47,11 @@ REPO=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 RUN_SECONDS=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$REPO/BENCHMARK.json")
 export CARGO_NET_OFFLINE=true
 
-mkdir -p "$SCRATCH/pairs/parent" "$SCRATCH/pairs/change" "$SCRATCH/pairs/out"
+mkdir -p "$SCRATCH/pairs/out"
 (cd "$REPO" && CARGO_TARGET_DIR="$SCRATCH/pairs/change-target" cargo build --release --offline --quiet -p e2ebench)
-cp "$SCRATCH/pairs/change-target/release/e2ebench" "$SCRATCH/pairs/change/e2ebench"
+declare -A BIN=([change]="$SCRATCH/pairs/change-target/release/e2ebench")
 if [ "$PARENT_SHA" = self ]; then
-  cp "$SCRATCH/pairs/change/e2ebench" "$SCRATCH/pairs/parent/e2ebench"
+  BIN[parent]=${BIN[change]}
 else
   if [ ! -d "$SCRATCH/pairs/parent-src" ]; then
     git clone -q "$REPO" "$SCRATCH/pairs/parent-src"
@@ -58,7 +59,7 @@ else
   git -C "$SCRATCH/pairs/parent-src" fetch -q origin
   git -C "$SCRATCH/pairs/parent-src" checkout -q "$PARENT_SHA"
   (cd "$SCRATCH/pairs/parent-src" && cargo build --release --offline --quiet -p e2ebench)
-  cp "$SCRATCH/pairs/parent-src/target/release/e2ebench" "$SCRATCH/pairs/parent/e2ebench"
+  BIN[parent]="$SCRATCH/pairs/parent-src/target/release/e2ebench"
 fi
 
 cd "$SCRATCH/pairs"   # e2ebench writes its artifacts under ./target/e2ebench
@@ -69,7 +70,7 @@ if [ "$FINE" -eq 1 ]; then
     : > "out/$W.fine"
     for B in $(seq 1 "$BLOCKS"); do
       for SIDE in parent change change parent; do
-        echo "$B $SIDE $("$SIDE/e2ebench" rep --workload "$W" --seed "$SEED" | grep '^REP ')" >> "out/$W.fine"
+        echo "$B $SIDE $("${BIN[$SIDE]}" rep --workload "$W" --seed "$SEED" | grep '^REP ')" >> "out/$W.fine"
       done
     done
     python3 - "$W" "$PARENT_SHA" "$SEED" <<'FINE_EOF'
@@ -115,7 +116,7 @@ for W in $WORKLOADS; do
     ORDER="parent change"
     [ $((S % 2)) -eq 0 ] && ORDER="change parent"
     for SIDE in $ORDER; do
-      "$SIDE/e2ebench" measure --workload "$W" --seed "$S" --seconds "$RUN_SECONDS" --trace 0 \
+      "${BIN[$SIDE]}" measure --workload "$W" --seed "$S" --seconds "$RUN_SECONDS" --trace 0 \
         | grep -E 'sim_digest|^\{' > "out/$W.$S.$SIDE"
     done
   done

@@ -64,11 +64,11 @@ enum Cut {
 #[derive(Clone, Copy)]
 enum Pick {
     All,
-    /// From each line holding the needle through a column-0 `}`; one must be.
+    /// From each line holding the needle through a column-0 `}`; one must exist.
     Block(&'static str),
-    /// From each line holding the needle through one holding `{`, joined; one must be.
+    /// From each line holding the needle through one holding `{`, joined; one must exist.
     Sig(&'static str),
-    /// The `pub` fields of these structs (each must be) typed none of them.
+    /// The `pub` fields of these structs (each must exist) typed none of them.
     Fields(&'static [&'static str]),
     /// Each CI step holding a needle, as one line.
     Steps(&'static [&'static str]),
