@@ -1,8 +1,7 @@
-//! Timer heap for idle expiries: a binary min-heap of `(deadline, key)`
-//! copies and a count of armed keys. Which copy is current is the owner's
-//! knowledge, asked through `expired_into`'s `live` callback. A disarm is
-//! lazy; a sweep pops the due copies, then stale ones off the top, so after
-//! it [`TimerHeap::next_deadline`] is the earliest current copy.
+//! Timer heap for idle expiries: a binary min-heap of `(deadline, key)` copies
+//! and a count of armed keys. Disarms and idle refreshes are lazy: the owner
+//! knows which copy is current and the key's deadline now, and a sweep refiles
+//! a refreshed copy, so after it [`TimerHeap::next_deadline`] is exact.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -35,12 +34,10 @@ impl<K> PartialEq for Filed<K> {
 
 impl<K> Eq for Filed<K> {}
 
-/// A timer heap over keys of type `K`: copies, the armed count and the
-/// latest instant swept (time never moves backwards).
+/// A timer heap over keys of type `K`: copies and the armed count.
 pub struct TimerHeap<K> {
     heap: BinaryHeap<Filed<K>>,
     live: usize,
-    now_ns: u64,
 }
 
 impl<K> TimerHeap<K> {
@@ -61,31 +58,29 @@ impl<K> TimerHeap<K> {
         self.heap.capacity() * std::mem::size_of::<Filed<K>>()
     }
 
-    /// Appends every current key due by `now` to `out`, then pops stale copies
-    /// off the top. `live(key, deadline_ns, due)` says if a copy is current; a
-    /// due current one is disarmed, so its owner refuses the key's other copies.
-    pub fn expired_into(
-        &mut self,
-        now: SimTime,
-        out: &mut Vec<K>,
-        mut live: impl FnMut(&K, u64, bool) -> bool,
-    ) {
-        self.now_ns = self.now_ns.max(now.as_nanos());
-        while let Some(top) = self.heap.peek_mut() {
-            let due = top.deadline_ns <= self.now_ns;
-            if !due && live(&top.key, top.deadline_ns, false) {
-                break;
-            }
-            let Filed { deadline_ns, key } = PeekMut::pop(top);
-            if due && live(&key, deadline_ns, true) {
-                self.live -= 1;
-                out.push(key);
+    /// Appends every current key due by `now` to `out`, walking the top
+    /// until a current copy that is not due. `current(key, filed_ns)` is the
+    /// key's deadline now if the copy filed at `filed_ns` is current, else
+    /// `None` (the copy is dropped). A deadline due by `now` claims and
+    /// disarms the key, so its owner refuses the key's other copies; a later
+    /// one than filed is refiled in place.
+    pub fn expired_into(&mut self, now: SimTime, out: &mut Vec<K>, mut current: impl FnMut(&K, u64) -> Option<u64>) {
+        let at = now.as_nanos();
+        while let Some(mut top) = self.heap.peek_mut() {
+            match current(&top.key, top.deadline_ns) {
+                Some(d) if d <= at => {
+                    self.live -= 1;
+                    out.push(PeekMut::pop(top).key);
+                }
+                Some(d) if d != top.deadline_ns => top.deadline_ns = d,
+                Some(_) => break,
+                None => drop(PeekMut::pop(top)),
             }
         }
     }
 
-    /// The top copy's deadline, never later than the earliest armed one and
-    /// equal to it after a sweep; `None` iff no key is armed.
+    /// The top copy's deadline, never later than the earliest current one
+    /// and equal to it after a sweep; `None` iff no key is armed.
     pub fn next_deadline(&self) -> Option<SimTime> {
         let top = self.heap.peek().filter(|_| self.live > 0)?;
         Some(SimTime::from_nanos(top.deadline_ns))
@@ -94,7 +89,7 @@ impl<K> TimerHeap<K> {
 
 impl<K> Default for TimerHeap<K> {
     fn default() -> Self {
-        TimerHeap { heap: BinaryHeap::new(), live: 0, now_ns: 0 }
+        TimerHeap { heap: BinaryHeap::new(), live: 0 }
     }
 }
 
@@ -105,13 +100,15 @@ mod tests {
     use crate::time::Duration;
     use std::collections::{BTreeMap, BTreeSet};
 
-    /// The owner every caller is: it keeps each armed key's deadline and
-    /// answers the heap's liveness question from it (an unchanged deadline
-    /// files no copy; a due copy disarms its key). Its map of armed
-    /// deadlines is also the oracle the heap is checked against.
+    /// The owner every caller is: it keeps each armed key's filed deadline
+    /// and its deadline now (later after a lazy refresh), and answers the
+    /// heap from them (an unchanged deadline files no copy; a due copy
+    /// unfiles its key; a refiled one moves the filed deadline). Its map is
+    /// also the oracle the heap is checked against.
     struct Owner<K> {
         timers: TimerHeap<K>,
-        armed: BTreeMap<K, u64>,
+        /// Key → (filed deadline, deadline now).
+        armed: BTreeMap<K, (u64, u64)>,
     }
 
     impl<K> Default for Owner<K> {
@@ -123,12 +120,20 @@ mod tests {
     impl<K: Ord + Copy> Owner<K> {
         fn schedule(&mut self, key: K, deadline: SimTime) {
             let ns = deadline.as_nanos();
-            match self.armed.insert(key, ns) {
-                Some(old) if old == ns => return,
+            match self.armed.insert(key, (ns, ns)) {
+                Some((filed, _)) if filed == ns => return,
                 Some(_) => self.timers.disarm(),
                 None => {}
             }
             self.timers.arm(key, deadline);
+        }
+
+        /// Moves an armed key's deadline later without touching the heap,
+        /// as traffic refreshes an idle timer.
+        fn refresh(&mut self, key: &K, deadline: SimTime) {
+            if let Some((_, now)) = self.armed.get_mut(key) {
+                *now = (*now).max(deadline.as_nanos());
+            }
         }
 
         fn cancel(&mut self, key: &K) -> bool {
@@ -142,27 +147,29 @@ mod tests {
         fn expired(&mut self, now: SimTime) -> Vec<K> {
             let mut due = Vec::new();
             let armed = &mut self.armed;
-            self.timers.expired_into(now, &mut due, |k, dl, is_due| {
-                let current = armed.get(k) == Some(&dl);
-                if current && is_due {
+            self.timers.expired_into(now, &mut due, |k, filed_ns| {
+                let (filed, dl) = armed.get_mut(k).filter(|(filed, _)| *filed == filed_ns)?;
+                let dl = *dl;
+                *filed = dl;
+                if dl <= now.as_nanos() {
                     armed.remove(k);
                 }
-                current
+                Some(dl)
             });
             due
         }
 
         fn deadline(&self, key: &K) -> Option<SimTime> {
-            self.armed.get(key).map(|&ns| SimTime::from_nanos(ns))
+            self.armed.get(key).map(|&(_, ns)| SimTime::from_nanos(ns))
         }
 
         fn next_deadline(&self) -> Option<SimTime> {
             self.timers.next_deadline()
         }
 
-        /// The earliest armed deadline, from the owner's own map.
+        /// The earliest deadline now, from the owner's own map.
         fn earliest(&self) -> Option<SimTime> {
-            self.armed.values().min().map(|&ns| SimTime::from_nanos(ns))
+            self.armed.values().map(|&(_, ns)| ns).min().map(SimTime::from_nanos)
         }
 
         fn copies(&self) -> usize {
@@ -246,9 +253,11 @@ mod tests {
         w.expired(SimTime::from_secs(100));
         w.schedule(1, SimTime::from_secs(3)); // already in the past
         assert_eq!(w.expired(SimTime::from_secs(100)), vec![1]);
-        // A sweep at an earlier instant than the last one still fires it.
+        // A sweep fires what is due by its own instant, even one earlier
+        // than the last sweep's: the owners act on the instant they pass.
         w.schedule(2, SimTime::from_secs(50));
-        assert_eq!(w.expired(SimTime::from_secs(20)), vec![2]);
+        assert!(w.expired(SimTime::from_secs(20)).is_empty());
+        assert_eq!(w.expired(SimTime::from_secs(50)), vec![2]);
     }
 
     #[test]
@@ -337,6 +346,8 @@ mod tests {
         /// (Re-)arm `key` at `now + ahead_ns` (0 = already due).
         Schedule { key: u8, ahead_ns: u64 },
         Cancel { key: u8 },
+        /// Lazily move an armed `key`'s deadline to `now + ahead_ns`, if later.
+        Refresh { key: u8, ahead_ns: u64 },
         /// Sweep after advancing the clock by `by_ns`.
         Advance { by_ns: u64 },
     }
@@ -359,15 +370,17 @@ mod tests {
         prop_oneof![
             4 => (0u8..24, arb_span()).prop_map(|(key, ahead_ns)| Op::Schedule { key, ahead_ns }),
             1 => (0u8..24).prop_map(|key| Op::Cancel { key }),
+            3 => (0u8..24, arb_span()).prop_map(|(key, ahead_ns)| Op::Refresh { key, ahead_ns }),
             3 => arb_span().prop_map(|by_ns| Op::Advance { by_ns }),
         ]
     }
 
     /// Replays `ops` through [`Owner`], whose map of armed deadlines is the
-    /// oracle. A sweep returns every armed key whose deadline is at or
+    /// oracle. A sweep returns every armed key whose deadline now is at or
     /// before the clock, once each and no other; the live count is the
     /// map's; the bound is `None` iff nothing is armed, never later than
-    /// the earliest armed deadline, and equal to it right after a sweep.
+    /// the earliest deadline now, and equal to it right after a sweep,
+    /// refreshed keys included.
     fn differential(ops: &[Op]) {
         let mut w: Owner<u8> = Owner::default();
         let mut now = 0u64;
@@ -379,10 +392,11 @@ mod tests {
                 Op::Cancel { key } => {
                     w.cancel(&key);
                 }
+                Op::Refresh { key, ahead_ns } => w.refresh(&key, SimTime::from_nanos(now + ahead_ns)),
                 Op::Advance { by_ns } => {
                     now += by_ns;
                     let due: Vec<u8> =
-                        w.armed.iter().filter(|&(_, &dl)| dl <= now).map(|(&k, _)| k).collect();
+                        w.armed.iter().filter(|&(_, &(_, dl))| dl <= now).map(|(&k, _)| k).collect();
                     let mut got = w.expired(SimTime::from_nanos(now));
                     got.sort_unstable();
                     assert_eq!(got, due, "step {step}: sweep at {now}");
@@ -456,9 +470,53 @@ mod tests {
         assert!(w.is_empty() && w.next_deadline().is_none());
     }
 
+    /// A sweep refiles a refreshed copy in place (no second copy) and walks
+    /// on, so the bound is the earliest deadline now even when nothing was
+    /// due and every copy on top was refreshed.
+    #[test]
+    fn a_sweep_refiles_refreshed_copies_in_place() {
+        let mut w: Owner<u32> = Owner::default();
+        w.schedule(1, t(10));
+        w.schedule(2, t(20));
+        w.schedule(3, t(30));
+        w.refresh(&1, t(40));
+        w.refresh(&2, t(25));
+        assert_eq!(w.next_deadline(), Some(t(10)), "a refresh leaves the heap alone");
+        assert!(w.expired(t(5)).is_empty());
+        assert_eq!(w.next_deadline(), Some(t(25)));
+        assert_eq!(w.copies(), 3, "refiled, not re-armed");
+        assert_eq!(w.expired(t(30)), vec![2, 3]);
+        assert_eq!((w.next_deadline(), w.copies()), (Some(t(40)), 1));
+    }
+
+    /// A refile can land a current copy on a stale one's deadline (A → B →
+    /// A): the key still fires once, and the stale copy is dropped.
+    #[test]
+    fn a_refile_onto_a_stale_copy_fires_once() {
+        use Op::*;
+        differential(&[
+            Schedule { key: 4, ahead_ns: 20 * MS },
+            Cancel { key: 4 },
+            Schedule { key: 4, ahead_ns: 10 * MS },
+            Refresh { key: 4, ahead_ns: 20 * MS },
+            Advance { by_ns: 15 * MS },
+            Advance { by_ns: 5 * MS },
+            Advance { by_ns: MS },
+        ]);
+        let mut w: Owner<u8> = Owner::default();
+        w.schedule(4, SimTime::from_nanos(20 * MS));
+        w.cancel(&4);
+        w.schedule(4, SimTime::from_nanos(10 * MS));
+        w.refresh(&4, SimTime::from_nanos(20 * MS));
+        assert!(w.expired(SimTime::from_nanos(15 * MS)).is_empty());
+        assert_eq!(w.copies(), 2, "two copies at 20 ms, one current");
+        assert_eq!(w.expired(SimTime::from_nanos(20 * MS)), vec![4]);
+        assert!(w.is_empty() && w.copies() == 0);
+    }
+
     proptest::proptest! {
-        /// Random interleavings of arm / re-arm / disarm / sweep give the
-        /// armed map's due set and bound after every step.
+        /// Random interleavings of arm / re-arm / refresh / disarm / sweep
+        /// give the armed map's due set and bound after every step.
         #[test]
         fn heap_equals_the_armed_map(
             ops in proptest::collection::vec(arb_op(), 1..160),

@@ -272,7 +272,7 @@ pub struct Controller<S: Spans = Off> {
     /// When each instance crashed (fault injection), so the repair sweep's
     /// `stale_redirect_repair_ns` histogram measures crash→repair latency.
     crash_records: FastMap<InstanceAddr, SimTime>,
-    /// Recycled buffer of a handover: the sessions it moves.
+    /// Recycled buffer of a handover and of a migration flip: the sessions it moves.
     handover_scratch: Vec<(FlowKey, MemorizedFlow)>,
     /// Recycled buffer of the idle sweep: the `(service, cluster)`s whose
     /// last memorized flow expired.
@@ -281,6 +281,8 @@ pub struct Controller<S: Spans = Off> {
     /// cluster's `breaker_state.{i}` gauge, made when the cluster is added.
     sweep_scratch: Vec<(usize, InstanceAddr, ServiceAddr)>,
     breaker_gauges: Vec<String>,
+    /// Recycled buffers of a reconcile's diff.
+    reconcile_scratch: repair::ReconcileDiff,
     /// Open telemetry spans of in-flight migrations, by request id.
     migration_spans: FastMap<u64, SpanId>,
     /// The crash-recovery write-ahead journal (inert unless
@@ -300,11 +302,7 @@ impl Controller {
 
 impl<S: Spans> Controller<S> {
     /// Creates a controller with the given Global Scheduler, recording spans into `S`.
-    pub fn with_spans(
-        scheduler: Box<dyn GlobalScheduler>,
-        ports: PortMap,
-        config: ControllerConfig,
-    ) -> Self {
+    pub fn with_spans(scheduler: Box<dyn GlobalScheduler>, ports: PortMap, config: ControllerConfig) -> Self {
         let mut dispatcher = Dispatcher::new(scheduler);
         dispatcher.load_mut().set_enabled(config.autoscale);
         let journal = Journal::new(config.journal);
@@ -331,6 +329,7 @@ impl<S: Spans> Controller<S> {
             idle_scratch: Vec::new(),
             sweep_scratch: Vec::new(),
             breaker_gauges: Vec::new(),
+            reconcile_scratch: repair::ReconcileDiff::default(),
             migration_spans: FastMap::default(),
             journal,
             control_errors: Vec::new(),

@@ -94,16 +94,13 @@ impl<S: Spans> Controller<S> {
     /// the old pairs strictly later (the same make-before-break guard
     /// interval the handover uses). The FlowMods go to `out`, tagged with
     /// their ingress.
-    pub fn migration_tick(
-        &mut self,
-        now: SimTime,
-        rng: &mut SimRng,
-        out: &mut Vec<(IngressId, OutboundMessage)>,
-    ) {
+    pub fn migration_tick(&mut self, now: SimTime, rng: &mut SimRng, out: &mut Vec<(IngressId, OutboundMessage)>) {
         self.synced(|ctl| {
-            for m in ctl.state.migrate_mut().take_due(now) {
-                ctl.finish_migration(&m, now, rng, out);
+            let due = ctl.state.migrate_mut().take_due(now);
+            for m in &due {
+                ctl.finish_migration(m, now, rng, out);
             }
+            ctl.state.migrate_mut().recycle_due(due);
         })
     }
 
@@ -115,10 +112,7 @@ impl<S: Spans> Controller<S> {
         rng: &mut SimRng,
         out: &mut Vec<(IngressId, OutboundMessage)>,
     ) {
-        let root = self
-            .migration_spans
-            .remove(&m.request)
-            .unwrap_or(SpanId::NONE);
+        let root = self.migration_spans.remove(&m.request).unwrap_or(SpanId::NONE);
         let target = self.services.get(m.service);
         let new_inst = target
             .and_then(|svc| self.clusters.get(m.to)?.instance_addr(svc))
@@ -136,7 +130,9 @@ impl<S: Spans> Controller<S> {
         let t = now + self.processing.sample_duration(rng);
         let break_at = t + Duration::from_millis(50);
         let mut flipped = 0usize;
-        for (key, _flow) in self.state.memory().entries_at(m.service, m.from) {
+        let mut entries = std::mem::take(&mut self.handover_scratch);
+        self.state.memory().entries_at_into(m.service, m.from, &mut entries);
+        for (key, _) in entries.drain(..) {
             // Make: repoint the memorized flow, and — where the client's
             // port and MACs are known — install the wildcard redirect
             // toward the new instance, one priority below the exact flows
@@ -184,18 +180,13 @@ impl<S: Spans> Controller<S> {
                 out,
             );
         }
+        self.handover_scratch = entries;
         let moved = self.state.migrate_mut().complete(m, t, flipped);
         let metrics = &mut self.telemetry.metrics;
         metrics.add("state_bytes_transferred", moved);
         metrics.add("migration_flows_flipped", flipped as u64);
-        metrics.observe(
-            "migration_transfer_ns",
-            m.transfer_done.saturating_since(m.started_at),
-        );
-        metrics.observe(
-            "migration_interruption_ns",
-            t.saturating_since(m.transfer_done),
-        );
+        metrics.observe("migration_transfer_ns", m.transfer_done.saturating_since(m.started_at));
+        metrics.observe("migration_interruption_ns", t.saturating_since(m.transfer_done));
         self.telemetry.event(root, "flip", t, || {
             format!(
                 "{flipped} flow(s) repointed to cluster {}; {moved} byte(s) moved",

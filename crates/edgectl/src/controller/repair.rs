@@ -194,20 +194,14 @@ impl<S: Spans> Controller<S> {
     /// the channel was down are removed here (their switch entries, if any,
     /// become orphans). The fixes go to `out`; a second pass right after
     /// they are applied sends nothing.
-    pub fn reconcile(
-        &mut self,
-        ingress: IngressId,
-        switch_flows: &[FlowEntry],
-        now: SimTime,
-        out: &mut Vec<(IngressId, OutboundMessage)>,
-    ) {
+    pub fn reconcile(&mut self, ingress: IngressId, switch_flows: &[FlowEntry], now: SimTime, out: &mut Vec<(IngressId, OutboundMessage)>) {
         self.synced(|ctl| {
-            let mut expected: Vec<(InstalledFlow, bool)> = Vec::new();
+            let mut diff = std::mem::take(&mut ctl.reconcile_scratch);
+            diff.expected.clear();
             for client in ctl.state.clients_at(ingress) {
                 // A redirect pair is expected only while its instance serves
                 // or is being deployed.
-                let gone = |p: &InstalledPair| ctl.pair_serving(p, now) == Serving::Gone;
-                for id in ctl.state.ids_where(client, ingress, gone) {
+                while let Some(id) = ctl.state.first_where(client, ingress, |p| ctl.pair_serving(p, now) == Serving::Gone) {
                     ctl.remove_pair(client, ingress, id);
                 }
                 for (_, p) in ctl.state.pairs(client, ingress) {
@@ -219,21 +213,17 @@ impl<S: Spans> Controller<S> {
                     // Reverse before forward, as installs always go out: if both
                     // directions are missing, the reply path comes back first.
                     let (fwd, rev) = p.flows();
-                    expected.extend([(rev, held), (fwd, held)]);
+                    diff.expected.extend([(rev, held), (fwd, held)]);
                 }
             }
-            let (missing, deletes, n_orphans) = reconcile_diff(&expected, switch_flows);
-            let n_missing = missing.len();
-            out.extend(missing.iter().map(|f| (ingress, ctl.flow_add(now, f, OFP_NO_BUFFER))));
-            out.extend(deletes.into_iter().map(|m| (ingress, ctl.flow_delete(now, m))));
+            let (n_orphans, sent) = (diff.run(switch_flows), out.len());
+            out.extend(diff.missing().map(|f| (ingress, ctl.flow_add(now, f, OFP_NO_BUFFER))));
+            let n_missing = out.len() - sent;
+            out.extend(diff.deletes.iter().map(|&m| (ingress, ctl.flow_delete(now, m))));
+            ctl.reconcile_scratch = diff;
 
             let (_, root) = ctl.open_request("reconcile", now);
-            ctl.telemetry.event(root, "diff", now, || {
-                format!(
-                    "ingress {}: {n_missing} missing, {n_orphans} orphan(s)",
-                    ingress.0
-                )
-            });
+            ctl.telemetry.event(root, "diff", now, || format!("ingress {}: {n_missing} missing, {n_orphans} orphan(s)", ingress.0));
             ctl.telemetry.end_span(root, now);
             ctl.telemetry.metrics.inc("reconciliations_total");
             ctl.count("reconcile_reinstalled", n_missing);
@@ -296,8 +286,8 @@ impl<S: Spans> Controller<S> {
         at: SimTime,
         out: &mut Vec<(IngressId, OutboundMessage)>,
     ) {
-        for id in self.state.ids_where(client, ingress, pick) {
-            let Some(p) = self.remove_pair(client, ingress, id) else { continue };
+        while let Some(id) = self.state.first_where(client, ingress, &pick) {
+            let Some(p) = self.remove_pair(client, ingress, id) else { break };
             let hold = p.cluster().and_then(|c| self.held.get(&(p.service(), c)));
             let at = hold.map_or(at, |&release| at.max(release));
             let (fwd, rev) = p.flows();
@@ -309,30 +299,47 @@ impl<S: Spans> Controller<S> {
     }
 }
 
-/// The diff behind [`Controller::reconcile`]: the `expected` flows (install
-/// order, each with whether its pair is held) absent from `switch_flows` and
-/// not held, in order; one Delete per distinct match among the switch entries
-/// no expected flow claims, in table order; and how many such entries there
-/// are. Presence and claims are set lookups by `(match, priority)`, so the
-/// diff is one pass over each side, not one pass over the table per flow.
-fn reconcile_diff(
-    expected: &[(InstalledFlow, bool)],
-    switch_flows: &[FlowEntry],
-) -> (Vec<InstalledFlow>, Vec<Match>, usize) {
-    let on_switch: FastSet<(Match, u16)> = switch_flows.iter().map(|e| (e.match_, e.priority)).collect();
-    let claimed: FastSet<(Match, u16)> = expected.iter().map(|(f, _)| (f.match_, f.priority)).collect();
-    let missing = expected
-        .iter()
-        .filter(|(f, held)| !held && !on_switch.contains(&(f.match_, f.priority)))
-        .map(|&(f, _)| f)
-        .collect();
-    // Switch-side deletion is by exact match across every priority, so one
-    // Delete per distinct match suffices.
-    let mut deleted = FastSet::default();
-    let orphans = switch_flows.iter().filter(|e| !claimed.contains(&(e.match_, e.priority)));
-    let n_orphans = orphans.clone().count();
-    let deletes = orphans.filter(|e| deleted.insert(e.match_)).map(|e| e.match_).collect();
-    (missing, deletes, n_orphans)
+/// The diff behind [`Controller::reconcile`] and its buffers, kept between
+/// calls so a reconcile allocates only what its largest diff outgrew.
+/// `expected` holds the bookkept flows (install order, each with whether its
+/// pair is held); after [`ReconcileDiff::run`], [`ReconcileDiff::missing`]
+/// is those absent from the switch and not held, in order, and `deletes`
+/// one Delete per distinct match among the switch entries no expected flow
+/// claims, in table order.
+#[derive(Default)]
+pub(super) struct ReconcileDiff {
+    expected: Vec<(InstalledFlow, bool)>,
+    deletes: Vec<Match>,
+    on_switch: FastSet<(Match, u16)>,
+    claimed: FastSet<(Match, u16)>,
+    deleted: FastSet<Match>,
+}
+
+impl ReconcileDiff {
+    /// Diffs `expected` against `switch_flows`; returns how many switch
+    /// entries no expected flow claims. Presence and claims are set lookups
+    /// by `(match, priority)`, so the diff is one pass over each side, not
+    /// one pass over the table per flow.
+    fn run(&mut self, switch_flows: &[FlowEntry]) -> usize {
+        let Self { expected, deletes, on_switch, claimed, deleted } = self;
+        on_switch.clear();
+        on_switch.extend(switch_flows.iter().map(|e| (e.match_, e.priority)));
+        claimed.clear();
+        claimed.extend(expected.iter().map(|(f, _)| (f.match_, f.priority)));
+        // Switch-side deletion is by exact match across every priority, so one
+        // Delete per distinct match suffices.
+        let orphans = switch_flows.iter().filter(|e| !claimed.contains(&(e.match_, e.priority)));
+        deleted.clear();
+        deletes.clear();
+        deletes.extend(orphans.clone().filter(|e| deleted.insert(e.match_)).map(|e| e.match_));
+        orphans.count()
+    }
+
+    /// The expected flows absent from the switch and not held, in order.
+    fn missing(&self) -> impl Iterator<Item = &InstalledFlow> {
+        let absent = |f: &InstalledFlow| !self.on_switch.contains(&(f.match_, f.priority));
+        self.expected.iter().filter(move |(f, held)| !held && absent(f)).map(|(f, _)| f)
+    }
 }
 
 #[cfg(test)]
@@ -381,6 +388,19 @@ mod tests {
 
     /// The messages a diff becomes, in the order `reconcile` sends them,
     /// and its orphan count.
+    /// [`ReconcileDiff::run`] on a diff that has run once already on the
+    /// same input (so its buffers hold a result the second run must clear),
+    /// in the shape [`reconcile_diff_scan`] returns.
+    fn reconcile_diff(
+        expected: &[(InstalledFlow, bool)],
+        switch_flows: &[FlowEntry],
+    ) -> (Vec<InstalledFlow>, Vec<Match>, usize) {
+        let mut diff = ReconcileDiff { expected: expected.to_vec(), ..ReconcileDiff::default() };
+        diff.run(switch_flows);
+        let n_orphans = diff.run(switch_flows);
+        (diff.missing().copied().collect(), diff.deletes, n_orphans)
+    }
+
     fn messages(
         (missing, deletes, n_orphans): (Vec<InstalledFlow>, Vec<Match>, usize),
     ) -> (Vec<Message>, usize) {

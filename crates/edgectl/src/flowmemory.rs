@@ -14,8 +14,9 @@
 //! the heap needs no table of its own: a copy is current iff it carries
 //! that deadline. Idle refreshes ([`FlowMemory::lookup`] /
 //! [`FlowMemory::touch`]) are lazy: they update `last_used` without
-//! re-arming; a sweep that reaches a refreshed entry re-arms it instead of
-//! expiring it. Per-service
+//! touching the heap; a sweep that walks past a refreshed entry's copy
+//! refiles it at `last_used` plus the timeout, and the filed deadline
+//! follows, so after a sweep the next expiry is exact. Per-service
 //! live counts are maintained incrementally, making the "service has zero
 //! remaining flows" scale-down check O(1) per expired service; so are
 //! per-instance counts, so the health sweep's work list costs the distinct
@@ -157,9 +158,9 @@ struct Filed {
 }
 
 /// [`Filed::armed`] of an entry whose copy the sweep in progress claimed:
-/// no other copy of it is current until the sweep re-arms or removes it.
-/// Two copies of one key can carry the same deadline (re-armed A → B → A),
-/// and only the first may fire. (`u64::MAX` lies past any deadline a run arms.)
+/// no other copy of it is current until the sweep removes it.
+/// Two copies of one key can carry the same deadline (re-armed A → B → A,
+/// or refiled onto a stale copy's deadline), and only the first may fire. (`u64::MAX` lies past any deadline a run arms.)
 const CLAIMED: u64 = u64::MAX;
 
 /// One per-ingress shard: the flows entering through a single gNB and
@@ -170,7 +171,7 @@ const CLAIMED: u64 = u64::MAX;
 struct Shard {
     flows: FastMap<FlowKey, Filed>,
     /// Expiry heap, one current copy per entry; a copy's deadline is never
-    /// later than the entry's true expiry (refreshes are applied lazily at
+    /// later than the entry's true expiry (refreshes are refiled lazily at
     /// sweep time).
     timers: TimerHeap<FlowKey>,
 }
@@ -511,20 +512,20 @@ impl FlowMemory {
     /// All live flows redirected at `(service, cluster)`, sorted by
     /// `(client, ingress)` — the work list of a migration flow flip. Scans
     /// every shard: the clients of one instance may enter anywhere.
-    pub fn entries_at(
-        &self,
-        service: ServiceAddr,
-        cluster: usize,
-    ) -> Vec<(FlowKey, MemorizedFlow)> {
-        let mut out: Vec<(FlowKey, MemorizedFlow)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.flows.iter())
-            .map(|(k, f)| (*k, f.flow))
-            .filter(|(k, f)| k.service == service && f.cluster() == cluster)
-            .collect();
-        out.sort_by_key(|(k, _)| (k.client_ip, k.ingress));
+    pub fn entries_at(&self, service: ServiceAddr, cluster: usize) -> Vec<(FlowKey, MemorizedFlow)> {
+        let mut out = Vec::new();
+        self.entries_at_into(service, cluster, &mut out);
         out
+    }
+
+    /// [`FlowMemory::entries_at`] into `out` (cleared first) — the flip
+    /// passes a buffer it recycles.
+    pub(crate) fn entries_at_into(&self, service: ServiceAddr, cluster: usize, out: &mut Vec<(FlowKey, MemorizedFlow)>) {
+        out.clear();
+        let flows = self.shards.iter().flat_map(|s| s.flows.iter()).map(|(k, f)| (*k, f.flow));
+        out.extend(flows.filter(|(k, f)| k.service == service && f.cluster() == cluster));
+        // One entry per (client, ingress) here, so the unstable sort is exact.
+        out.sort_unstable_by_key(|(k, _)| (k.client_ip, k.ingress));
     }
 
     /// Re-targets one entry at a new `(instance, cluster)` in place,
@@ -625,30 +626,19 @@ impl FlowMemory {
         for idx in 0..self.shards.len() {
             due.clear();
             let Shard { flows, timers } = &mut self.shards[idx];
-            // A copy is current iff it carries its entry's armed deadline; a
-            // due one is claimed, so no second copy of it passes.
-            timers.expired_into(now, &mut due, |key, dl, is_due| match flows.get_mut(key) {
-                Some(filed) if filed.armed == dl => {
-                    if is_due {
-                        filed.armed = CLAIMED;
-                    }
-                    true
-                }
-                _ => false,
+            // A copy is current iff it carries its entry's armed deadline,
+            // which follows the copy when the sweep claims or refiles it.
+            timers.expired_into(now, &mut due, |key, filed_ns| {
+                let filed = flows.get_mut(key).filter(|f| f.armed == filed_ns)?;
+                let deadline = (filed.flow.last_used + timeout).as_nanos();
+                filed.armed = if deadline <= now.as_nanos() { CLAIMED } else { deadline };
+                Some(deadline)
             });
             for key in due.drain(..) {
-                let shard = &mut self.shards[idx];
-                let filed = shard.flows.get_mut(&key).expect("a claimed entry is filed");
-                let f = filed.flow;
-                if now.saturating_since(f.last_used) >= timeout {
-                    self.unfile(&key, true);
-                    self.stats.expired += 1;
-                    idle.push((key.service, f.cluster()));
-                } else {
-                    // Refreshed since its deadline was set: re-arm.
-                    filed.armed = (f.last_used + timeout).as_nanos();
-                    shard.timers.arm(key, f.last_used + timeout);
-                }
+                let cluster = self.shards[idx].flows[&key].flow.cluster();
+                self.unfile(&key, true);
+                self.stats.expired += 1;
+                idle.push((key.service, cluster));
             }
         }
         self.expiry_scratch = due;
@@ -682,10 +672,10 @@ impl FlowMemory {
     }
 
     /// The earliest instant any entry could expire: a lower bound that costs
-    /// one constant-time heap query per shard (exact when no entry was
-    /// refreshed since it was scheduled); `None` iff the memory is empty. An
-    /// early sweep is harmless — it re-arms refreshed entries and tightens
-    /// the bound.
+    /// one constant-time heap query per shard (exact after a sweep, until
+    /// traffic refreshes an entry); `None` iff the memory is empty. An early
+    /// sweep is harmless — it refiles refreshed entries and tightens the
+    /// bound.
     pub fn next_expiry(&self) -> Option<SimTime> {
         self.shards.iter().filter_map(|s| s.timers.next_deadline()).min()
     }
@@ -825,12 +815,32 @@ mod tests {
         let k = key(20, 80);
         m.memorize(k, inst(1), 0, SimTime::ZERO);
         assert!(m.lookup(k, SimTime::from_secs(6)).is_some()); // refresh
-        assert!(expired(&mut m, SimTime::from_secs(10)).is_empty(), "re-armed, not expired");
+        assert!(expired(&mut m, SimTime::from_secs(10)).is_empty(), "refiled, not expired");
         assert_eq!(m.len(), 1);
-        // The re-armed deadline is exact again.
+        // The refiled deadline is exact again.
         assert_eq!(m.next_expiry(), Some(SimTime::from_secs(16)));
         let idle = expired(&mut m, SimTime::from_secs(16));
         assert_eq!(idle.len(), 1);
+    }
+
+    /// A sweep that expires one entry refiles the refreshed ones it walks
+    /// past, so the next expiry is a real one, not a copy traffic outdated.
+    #[test]
+    fn a_sweep_refiles_refreshed_entries_it_walks_past() {
+        let mut m = FlowMemory::new(Duration::from_secs(10));
+        let (a, b, c) = (key(20, 80), key(21, 80), key(22, 80));
+        m.memorize(a, inst(1), 0, SimTime::ZERO);
+        m.memorize(b, inst(1), 0, SimTime::from_secs(1));
+        m.memorize(c, inst(1), 0, SimTime::from_secs(2));
+        assert!(m.lookup(b, SimTime::from_secs(5)).is_some());
+        m.touch(c, SimTime::from_secs(8));
+        assert_eq!(m.next_expiry(), Some(SimTime::from_secs(10)));
+        assert!(expired(&mut m, SimTime::from_secs(10)).is_empty(), "a's service still has flows");
+        assert_eq!((m.len(), m.stats.expired), (2, 1));
+        assert_eq!(m.next_expiry(), Some(SimTime::from_secs(15)), "b's copy moved from 11 s, c's from 12 s");
+        assert!(expired(&mut m, SimTime::from_secs(15)).is_empty());
+        assert_eq!(m.next_expiry(), Some(SimTime::from_secs(18)));
+        assert_eq!(expired(&mut m, SimTime::from_secs(18)).len(), 1);
     }
 
     #[test]

@@ -680,9 +680,20 @@ impl ControlState {
         self.retired_scratch = retired;
     }
 
+    /// The first pair at `(client, ingress)` that `pick` selects, in filing
+    /// order: a sweep (repair, outage, migration flip, reconcile) removes
+    /// one, asks again, and builds no list of them.
+    pub(crate) fn first_where(
+        &self,
+        client: Ipv4Addr,
+        ingress: IngressId,
+        pick: impl Fn(&InstalledPair) -> bool,
+    ) -> Option<PairId> {
+        self.pairs(client, ingress).find(|(_, p)| pick(p)).map(|(id, _)| id)
+    }
+
     /// The pairs at `(client, ingress)` that `pick` selects, in filing
-    /// order, by walking all of them — for the sweeps (handover, repair,
-    /// outage, migration flip, reconcile), and the oracle of the index above.
+    /// order, by walking all of them — the oracle of the index above.
     pub(crate) fn ids_where(
         &self,
         client: Ipv4Addr,

@@ -297,6 +297,8 @@ pub struct MigrationManager {
     config: MigrationConfig,
     ledger: SessionLedger,
     active: Vec<Migration>,
+    /// An emptied list of migrations, for the next [`MigrationManager::take_due`].
+    spare: Vec<Migration>,
     /// Per-service earliest next start after a flip ([`FLIP_COOLDOWN`]).
     cooled: BTreeMap<ServiceAddr, SimTime>,
     /// Every completed migration, in completion order.
@@ -468,9 +470,16 @@ impl MigrationManager {
     }
 
     /// Removes and returns the migrations whose transfer completed by
-    /// `now`, in start order.
+    /// `now`, in start order, in a list [`MigrationManager::recycle_due`]
+    /// takes back. When every migration in flight is due, as when one is,
+    /// the in-flight list itself is handed out and the spare takes its
+    /// place, so taking them copies nothing.
     pub fn take_due(&mut self, now: SimTime) -> Vec<Migration> {
-        let mut due = Vec::new();
+        let mut due = std::mem::take(&mut self.spare);
+        if self.active.iter().all(|m| m.transfer_done <= now) {
+            std::mem::swap(&mut due, &mut self.active);
+            return due;
+        }
         self.active.retain(|m| {
             if m.transfer_done <= now {
                 due.push(*m);
@@ -480,6 +489,12 @@ impl MigrationManager {
             }
         });
         due
+    }
+
+    /// Takes back the list [`MigrationManager::take_due`] handed out.
+    pub(crate) fn recycle_due(&mut self, mut due: Vec<Migration>) {
+        due.clear();
+        self.spare = due;
     }
 
     /// Finishes a migration taken from [`MigrationManager::take_due`]:

@@ -22,7 +22,9 @@
 //!   idle expiry, so [`FlowTable::expire_into`] pops only entries actually due
 //!   and [`FlowTable::next_expiry`] is O(1). Ids are never reused, so a copy
 //!   is current iff its id resolves. Idle refreshes are lazy: a packet hit
-//!   does not touch the heap; a sweep re-arms a refreshed entry.
+//!   does not touch the heap; a sweep refiles the refreshed copies it walks
+//!   past, and a delete drops its flows' copies off the top, so the next
+//!   sweep is scheduled for a real expiry.
 //!
 //! # Storage
 //!
@@ -255,7 +257,7 @@ pub struct FlowTable {
     /// Index keys per shape mask — the set of probes a lookup makes.
     shape_counts: FastMap<u16, usize>,
     /// Expiry heap, one copy per entry with a timeout, never later than its
-    /// true expiry (idle refreshes are applied lazily on sweep).
+    /// true expiry (idle refreshes are refiled lazily on sweep).
     timers: TimerHeap<FlowId>,
     /// Recycled id buffer of expiry sweeps and deletes, so neither allocates
     /// in the steady state.
@@ -383,6 +385,10 @@ impl FlowTable {
             let entry = self.remove_entry(slot_of(id), false);
             out.push(Removed { entry, reason: RemovedReason::Delete, at: now });
         }
+        // Walk the heap's top at instant zero, when none is due: the next expiry is a real one.
+        let flows = &self.flows;
+        self.timers.expired_into(SimTime::ZERO, &mut ids, |&id, _| Some(flows.get(id)?.deadline()?.as_nanos()));
+        debug_assert!(ids.is_empty(), "an idle timeout is at least a second");
         self.id_scratch = ids;
     }
 
@@ -412,20 +418,13 @@ impl FlowTable {
 
     /// Removes every flow whose idle timeout has elapsed at `now`, appending
     /// removal records to `out` in priority order. Visits only entries whose
-    /// heap deadline is due — entries whose idle timer was refreshed by traffic
-    /// since their deadline was set are rescheduled, not scanned again.
+    /// heap deadline is due; one refreshed by traffic since is refiled at its
+    /// deadline now, not scanned again.
     pub fn expire_into(&mut self, now: SimTime, out: &mut Vec<Removed>) {
         let mut due = std::mem::take(&mut self.id_scratch);
         due.clear();
-        self.timers.expired_into(now, &mut due, |&id, _, _| self.flows.get(id).is_some());
-        due.retain(|&id| {
-            let deadline = self.flows.slots[slot_of(id)].deadline().expect("scheduled entry has a timeout");
-            if now < deadline {
-                // Idle timer was refreshed since this deadline was set.
-                self.timers.arm(id, deadline);
-            }
-            now >= deadline
-        });
+        let flows = &self.flows;
+        self.timers.expired_into(now, &mut due, |&id, _| Some(flows.get(id)?.deadline()?.as_nanos()));
         self.sort_by_priority(&mut due);
         for id in due.drain(..) {
             let entry = self.remove_entry(slot_of(id), true);
@@ -436,9 +435,9 @@ impl FlowTable {
 
     /// The earliest instant at which some flow could expire (for efficient
     /// timer scheduling), or `None` if no flow has a timeout. O(1): reads
-    /// the timer heap's bound, which is never later than the true earliest
-    /// expiry (it can be earlier after idle refreshes or removals; a sweep
-    /// at that instant re-arms or drops what it finds and re-tightens it).
+    /// the timer heap's bound, never later than the true earliest expiry and
+    /// equal to it after a sweep (traffic or a removal since can leave it
+    /// earlier; a sweep at that instant refiles or drops what it finds).
     pub fn next_expiry(&self) -> Option<SimTime> {
         self.timers.next_deadline()
     }
@@ -605,6 +604,26 @@ mod tests {
         assert_eq!(removed[0].reason, RemovedReason::IdleTimeout);
         assert!(removed[0].entry.wants_removed_msg());
         assert!(t.is_empty());
+    }
+
+    /// A sweep refiles a refreshed flow's copy on its way, and a delete
+    /// drops the deleted flow's: either way the next expiry is a flow that
+    /// can expire then, so no sweep is scheduled to find nothing due.
+    #[test]
+    fn the_next_expiry_is_exact_after_a_sweep_and_after_a_delete() {
+        let mut t = FlowTable::new();
+        let (a, b) = (Match::connection([192, 168, 1, 20], 80, [203, 0, 113, 10], 80), Match::any());
+        t.add(entry(a, 1, 1, fwd(1), Duration::from_secs(5), 0), SimTime::ZERO);
+        t.add(entry(b, 0, 2, fwd(1), Duration::from_secs(10), 0), SimTime::ZERO);
+        // Only the any-match flow sees traffic, at 4 s: its deadline is 14 s.
+        t.lookup(&view(81), 64, SimTime::from_secs(4));
+        assert_eq!(t.next_expiry(), Some(SimTime::from_secs(5)));
+        assert_eq!(expire(&mut t, SimTime::from_secs(5)).len(), 1);
+        assert_eq!(t.next_expiry(), Some(SimTime::from_secs(14)), "refiled from 10 s by the sweep at 5 s");
+        t.add(entry(a, 1, 3, fwd(1), Duration::from_secs(5), 0), SimTime::from_secs(6));
+        assert_eq!(t.next_expiry(), Some(SimTime::from_secs(11)));
+        assert_eq!(delete(&mut t, &a, SimTime::from_secs(7)).len(), 1);
+        assert_eq!(t.next_expiry(), Some(SimTime::from_secs(14)), "the deleted flow's copy is gone");
     }
 
     #[test]

@@ -191,6 +191,8 @@ pub struct Harness<T: Net, S: Spans = Off> {
     listeners: ListenerIndex,
     /// Buffers of the frames the endpoints consumed, for the next encoder.
     frames: FramePool,
+    /// Buffers of the control channel's deliveries down to the switches.
+    stream: FramePool,
     /// What a switch / the controller appends to; the event that fills one empties it again.
     effects: Vec<Effect>,
     outbox: Vec<(IngressId, OutboundMessage)>,
@@ -241,7 +243,8 @@ pub struct Harness<T: Net, S: Spans = Off> {
     // -- the control channel (transparent at defaults) ----------------------
     ctrl_latency: Duration,
     /// While `Some(t)`, switch `sw`'s control channel is down until `t`:
-    /// control messages in either direction are dropped, not delayed.
+    /// control messages either way are dropped, not delayed, and counted one
+    /// by one however many a delivery carries.
     channel_down_until: Vec<Option<SimTime>>,
     /// While `Some(t)`, the controller is dead until `t`: packet-ins go
     /// unanswered (clients retransmit), ticks and sweeps are skipped, but
@@ -312,6 +315,7 @@ impl<T: Net, S: Spans> Harness<T, S> {
             expiry: vec![Deadline::default(); switches.len()],
             listeners: ListenerIndex::default(),
             frames: FramePool::new(),
+            stream: FramePool::new(),
             effects: Vec::new(),
             outbox: Vec::new(),
             accept_latency: LogNormal::from_median(0.0001, 0.3),
@@ -441,12 +445,7 @@ impl<T: Net, S: Spans> Harness<T, S> {
         idx: usize,
         phases: impl FnOnce(&mut dyn EdgeCluster, &EdgeService, SimTime, &mut SimRng) -> R,
     ) -> R {
-        let svc = self
-            .controller
-            .services()
-            .get(addr)
-            .cloned()
-            .expect("service registered");
+        let svc = self.controller.services().get(addr).cloned().expect("service registered");
         let now = self.engine.now();
         phases(self.controller.cluster_mut(idx).as_mut(), &svc, now, &mut self.rng)
     }
@@ -469,8 +468,7 @@ impl<T: Net, S: Spans> Harness<T, S> {
     pub fn request_at(&mut self, at: SimTime, client: usize, service: ServiceAddr) {
         assert!(client < self.attachment.len());
         self.last_request_at = self.last_request_at.max(at);
-        self.engine
-            .schedule_at(at, Ev::StartRequest { client, service });
+        self.engine.schedule_at(at, Ev::StartRequest { client, service });
         if !self.predict_scheduled && self.predictor.is_some() {
             self.predict_scheduled = true;
             self.engine.schedule_at(at, Ev::PredictTick);
@@ -616,18 +614,21 @@ impl<T: Net, S: Spans> Harness<T, S> {
         self.reschedule_expiry(sw);
     }
 
-    /// Puts a controller message on the channel down to switch `sw`.
-    fn send_down(&mut self, sw: usize, m: OutboundMessage) {
-        let at = m.at.max(self.engine.now()) + self.ctrl_latency;
-        self.engine.schedule_at(at, Ev::CtrlDown { sw, bytes: m.data });
-    }
-
-    /// [`Self::send_down`] for each message in the outbox, to the switch it is tagged with.
+    /// Puts the outbox on the control channel, each message to the switch it
+    /// is tagged with. The channel is a byte stream: consecutive messages for
+    /// one switch sent at one instant arrive back to back, as one delivery,
+    /// in a buffer of the channel's own sized once for all of them.
     fn flush(&mut self) {
         let mut out = std::mem::take(&mut self.outbox);
-        for (ingress, m) in out.drain(..) {
-            self.send_down(ingress.0 as usize, m);
+        for run in out.chunk_by(|(a, m), (b, n)| a == b && m.at == n.at) {
+            let mut bytes = self.stream.take();
+            bytes.clear();
+            bytes.reserve(run.iter().map(|(_, m)| m.data.len()).sum());
+            run.iter().for_each(|(_, m)| bytes.extend_from_slice(&m.data));
+            let (sw, at) = (run[0].0 .0 as usize, run[0].1.at.max(self.engine.now()) + self.ctrl_latency);
+            self.engine.schedule_at(at, Ev::CtrlDown { sw, bytes });
         }
+        out.drain(..).for_each(|(_, m)| self.controller.recycle(m.data));
         self.outbox = out;
     }
 
@@ -729,15 +730,15 @@ impl<T: Net, S: Spans> Harness<T, S> {
                 self.process_ctrl_up(now, sw, bytes);
             }
             Ev::CtrlDown { sw, bytes } => {
-                if !self.channel_up(sw, now) {
-                    self.ctrl_dropped += 1;
-                    return;
+                let up = self.channel_up(sw, now);
+                for msg in messages(&bytes) {
+                    match up.then(|| self.switches[sw].handle_controller_into(now, msg, &mut self.effects)) {
+                        Some(Ok(())) => self.process_switch_effects(sw),
+                        Some(Err(_)) => self.drops += 1,
+                        None => self.ctrl_dropped += 1,
+                    }
                 }
-                match self.switches[sw].handle_controller_into(now, &bytes, &mut self.effects) {
-                    Ok(()) => self.process_switch_effects(sw),
-                    Err(_) => self.drops += 1,
-                }
-                self.controller.recycle(bytes);
+                self.stream.recycle(bytes);
             }
             Ev::Attach(ev) => self.handle_attach(now, ev),
             Ev::Tick(at) => {
@@ -1034,24 +1035,16 @@ impl<T: Net, S: Spans> Harness<T, S> {
     ) {
         // What serves here? One listener lookup covers the whole frame —
         // both the SYN/response branch and the request-reassembly branch.
-        let edge = if is_cloud {
-            None
-        } else {
-            self.listeners
-                .lookup(&self.controller, frame.dst_ip, frame.dst_port, now)
-        };
-        let (processing, request_bytes, response_bytes, listening) = if is_cloud {
+        let edge = if is_cloud { None } else { self.listeners.lookup(&self.controller, frame.dst_ip, frame.dst_port, now) };
+        let (processing, request_bytes, response_bytes, listening) = match (is_cloud, edge) {
             // The real cloud hosts every registered service (and a generic
             // web server for everything else) — the "perceived cloud".
-            match self.profile(frame.dst_service()) {
+            (true, _) => match self.profile(frame.dst_service()) {
                 Some(p) => (p.request_processing, p.request_bytes, p.response_bytes, true),
                 None => (self.cloud_processing, 1, 500, true),
-            }
-        } else {
-            match edge {
-                Some(l) => (l.processing, l.request_bytes, l.response_bytes, l.ready),
-                None => (self.cloud_processing, 1, 0, false),
-            }
+            },
+            (false, Some(l)) => (l.processing, l.request_bytes, l.response_bytes, l.ready),
+            (false, None) => (self.cloud_processing, 1, 0, false),
         };
         // Replies retrace the link they arrived by — with several ingress
         // switches, the one whose flows carried the request rewrites them
@@ -1063,8 +1056,7 @@ impl<T: Net, S: Spans> Harness<T, S> {
             let flags = if listening { TcpFlags::SYN_ACK } else { TcpFlags::RST };
             let delay = self.accept_latency.sample_duration(&mut self.rng);
             let data = self.frames.encode_filled(&frame.reply(flags, 0), 0);
-            self.engine
-                .schedule_in(delay, Ev::ServerSend { node, port, data });
+            self.engine.schedule_in(delay, Ev::ServerSend { node, port, data });
             return;
         }
         if frame.payload_len != 0 && listening {
@@ -1252,6 +1244,18 @@ impl Deadline {
     }
 }
 
+/// The messages of one control-channel delivery, each as long as its
+/// OpenFlow header says; bytes that frame no message are one last message,
+/// which the switch refuses.
+fn messages(mut bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
+    std::iter::from_fn(move || {
+        let declared = bytes.get(2..4).map_or(0, |n| usize::from(u16::from_be_bytes([n[0], n[1]])));
+        let (msg, rest) = bytes.split_at(if (8..=bytes.len()).contains(&declared) { declared } else { bytes.len() });
+        bytes = rest;
+        (!msg.is_empty()).then_some(msg)
+    })
+}
+
 /// What the server side of a frame needs to know about the instance
 /// listening at its destination: `Copy` scalars only, so the per-frame path
 /// never clones a `ServiceProfile` (manifest strings and all).
@@ -1355,6 +1359,7 @@ mod tests {
     use super::*;
     use edgectl::ControllerConfig;
     use mobility::CellHops;
+    use std::collections::BTreeSet;
 
     fn svc_addr(i: u8) -> ServiceAddr {
         ServiceAddr::new(Ipv4Addr::new(203, 0, 113, i), 80)
@@ -1410,6 +1415,119 @@ mod tests {
             inspect(tb, now, &mut ev);
             tb.handle(now, ev);
         }
+    }
+
+    /// A steady stream of short connections on the C³ testbed: 40 clients,
+    /// one request every 250 ms to a warm nginx, and the engine's events,
+    /// each handled as `run_until` would. Returns, per kind: the live switch
+    /// sweeps that removed no flow, and the control deliveries down to the
+    /// switch with the number of distinct `(switch, instant)`s among them;
+    /// and the packet-ins the controller answered.
+    fn steady_stream() -> (u64, u64, usize, u64) {
+        let mut tb = Testbed::new(TestbedConfig { n_clients: 40, ..TestbedConfig::default() });
+        let profile = containerd::ServiceSet::by_key("nginx").unwrap();
+        let addr = ServiceAddr::new(Ipv4Addr::new(203, 0, 113, 10), profile.listen_port);
+        tb.register_service(profile, addr);
+        tb.pre_deploy_on(addr, 0);
+        for client in 0..40 {
+            tb.request_at(SimTime::from_millis(20_000 + 250 * client as u64), client, addr);
+        }
+        let (mut idle_sweeps, mut deliveries, mut instants) = (0, 0, BTreeSet::new());
+        while let Some((now, ev)) = tb.engine.pop_until(SimTime::from_secs(60)) {
+            let flows = tb.switch().table().len();
+            let sweep = matches!(ev, Ev::SwitchExpiry { sw, at } if tb.expiry[sw] == Deadline(Some(at)));
+            if let Ev::CtrlDown { sw, .. } = ev {
+                deliveries += 1;
+                instants.insert((sw, now));
+            }
+            tb.handle(now, ev);
+            idle_sweeps += u64::from(sweep && tb.switch().table().len() == flows);
+        }
+        assert_eq!((tb.completed.len(), tb.drops, tb.resets), (40, 0, 0));
+        assert!(tb.switch().table().is_empty(), "every pair idled out");
+        (idle_sweeps, deliveries, instants.len(), tb.controller.telemetry.metrics.counter("requests_total"))
+    }
+
+    /// Each connection's pair is installed, refreshed by the connection's
+    /// own frames and idles out later. The sweep that removes one pair
+    /// refiles the install-time copies of the pairs installed after it, so
+    /// only the first connection's sweep finds nothing due (an isolated
+    /// request pays the same one); and the two `FLOW_MOD`s each packet-in
+    /// answers with go down as one delivery.
+    #[test]
+    fn a_steady_stream_sweeps_only_for_expiries_and_delivers_once_per_instant() {
+        let (idle_sweeps, deliveries, instants, packet_ins) = steady_stream();
+        assert_eq!(idle_sweeps, 1, "the first connection's install-time copy, which no earlier sweep refiled");
+        assert_eq!(deliveries as usize, instants, "one delivery per (switch, instant)");
+        assert_eq!((packet_ins, deliveries), (40, 40), "one delivery per packet-in");
+    }
+
+    /// An encoded `FLOW_MOD` Add of client 192.168.1.20's connection to
+    /// 203.0.113.10:`dst`, out of port 1, that reports its removal.
+    fn flow_add(dst: u16, xid: u32) -> Vec<u8> {
+        use openflow::actions::Action;
+        let actions = openflow::Actions::from([Action::Output { port: 1, max_len: 0 }]);
+        let match_ = openflow::Match::connection([192, 168, 1, 20], 50_000, [203, 0, 113, 10], dst);
+        let (command, flags) = (openflow::FlowModCommand::Add, openflow::messages::OFPFF_SEND_FLOW_REM);
+        let buffer_id = openflow::OFP_NO_BUFFER;
+        let add = openflow::Message::FlowMod { cookie: 7, table_id: 0, command, idle_timeout: 5, priority: 100, buffer_id, flags, match_, actions };
+        add.encode(xid)
+    }
+
+    /// `deliveries` reach switch 0 of a fresh C³ testbed at 1 s, in order;
+    /// the run goes on to 10 s, past the flows' idle expiry. Returns the
+    /// testbed and the switch's table as it stood at 2 s.
+    fn delivered(deliveries: Vec<Vec<u8>>) -> (Testbed, String) {
+        let mut tb = Testbed::new(TestbedConfig::default());
+        for bytes in deliveries {
+            tb.engine.schedule_at(SimTime::from_secs(1), Ev::CtrlDown { sw: 0, bytes });
+        }
+        tb.run_until(SimTime::from_secs(2));
+        let table = format!("{:?}", tb.switch().table().entries().collect::<Vec<_>>());
+        tb.run_until(SimTime::from_secs(10));
+        (tb, table)
+    }
+
+    /// Two `FLOW_MOD`s back to back in one delivery leave the table, the
+    /// effects (each flow's `FLOW_REMOVED` at its expiry, as the controller
+    /// counts it) and the switch's counters two deliveries leave.
+    #[test]
+    fn two_flow_mods_in_one_delivery_act_as_two_deliveries() {
+        let (a, b) = (flow_add(80, 1), flow_add(81, 2));
+        let (one, one_table) = delivered(vec![[a.as_slice(), &b].concat()]);
+        let (two, two_table) = delivered(vec![a, b]);
+        assert_eq!(one_table, two_table);
+        assert!(one_table.contains("TcpDst(81)"), "both flows installed: {one_table}");
+        let counters = |tb: &Testbed| {
+            let sw = tb.switch();
+            (sw.fast_path_packets, sw.table_misses, tb.drops, tb.ctrl_dropped, tb.controller.flows_removed())
+        };
+        assert_eq!(counters(&one), counters(&two));
+        assert_eq!(one.controller.telemetry.metrics.to_json(), two.controller.telemetry.metrics.to_json());
+        assert!(one.switch().table().is_empty() && two.switch().table().is_empty());
+    }
+
+    /// A delivery whose second message is cut short applies the first and
+    /// counts one drop for the rest.
+    #[test]
+    fn a_truncated_second_message_is_one_drop_after_the_first_applies() {
+        let (a, b) = (flow_add(80, 1), flow_add(81, 2));
+        let (tb, table) = delivered(vec![[a.as_slice(), &b[..b.len() - 5]].concat()]);
+        assert!(table.contains("TcpDst(80)") && !table.contains("TcpDst(81)"), "{table}");
+        assert_eq!((tb.drops, tb.ctrl_dropped), (1, 0));
+    }
+
+    /// A delivery during a channel outage is lost whole, and counted per
+    /// message it carried.
+    #[test]
+    fn a_delivery_on_a_down_channel_drops_each_message_it_carries() {
+        let mut tb = Testbed::new(TestbedConfig::default());
+        tb.channel_down_until[0] = Some(SimTime::from_secs(5));
+        let bytes = [flow_add(80, 1), flow_add(81, 2), flow_add(82, 3)].concat();
+        tb.engine.schedule_at(SimTime::from_secs(1), Ev::CtrlDown { sw: 0, bytes });
+        tb.run_until(SimTime::from_secs(2));
+        assert_eq!((tb.ctrl_dropped, tb.drops), (3, 0));
+        assert!(tb.switch().table().is_empty());
     }
 
     #[test]

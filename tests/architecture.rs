@@ -278,13 +278,17 @@ fn fixture_faults(rule: &Rule) -> Vec<String> {
         violations(rule, &[(path.clone(), file)]).is_empty()
     };
     let times = |line: &str, n: usize| format!("{line}\n").repeat(n);
-    let filler = if let Fields(_) = rule.2 { "    pub f: u8," } else { "fn f() {}" };
+    // A field the rule counts in each shape it can take.
+    let fields: &[&str] = &["    pub f: u8,", "    pub(crate) f: u8,", "    pub(super) f: u8,", "    pub(in crate::a) f: u8,", "    pub f:\n        Option<u8>,"];
+    let fillers = if let Fields(_) = rule.2 { fields } else { &["fn f() {}"] };
     let (pass, fail): (Vec<String>, Vec<String>) = match rule.3 {
-        Lines(n) => {
+        Lines(n) => fillers.iter().fold((vec![], vec![]), |(mut pass, mut fail), filler| {
             let tests = times(filler, n) + "#[cfg(test)]\nfn t() {}\n";
             let late = [times(filler, n + 1), tests.clone() + "fn shipped() {}\n"];
-            (vec![tests], late[..1 + matches!(rule.1, Lib) as usize].to_vec())
-        }
+            fail.extend_from_slice(&late[..1 + matches!(rule.1, Lib) as usize]);
+            pass.push(tests);
+            (pass, fail)
+        }),
         Width(n) => (vec!["x".repeat(n)], vec!["x".repeat(n + 1)]),
         Pinned(fixes, n) => (fixes.iter().map(|f| times(f.1, n)).collect(), fixes.iter().flat_map(|f| [times(f.1, n + 1), times(f.1, n - 1)]).collect()),
         Forbid(fixes, _) => (vec![], fixes.iter().map(|f| f.1.into()).collect()),
@@ -326,15 +330,22 @@ fn picked<'a>(&(files, cut, pick, _): &Rule, tree: &'a [(String, String)]) -> Re
         All => lines.clone(),
         Block(start) => block(start)?,
         Fields(all) => {
-            let knob = |l: &Line| {
-                let field = l.2.strip_prefix("    pub ").or(l.2.strip_prefix("    pub(crate) "));
-                field.and_then(|f| f.split_once(": ")).is_some_and(|(name, ty)| {
+            let blocks: Result<Vec<_>, _> = all.iter().map(|s| block(&format!("^pub struct {s} {{"))).collect();
+            let fields = blocks?.concat();
+            // Line `k`'s field name and type (read on the next line when it
+            // wraps), under any `pub` visibility.
+            let field = |k: usize| {
+                let vis = fields[k].2.strip_prefix("    pub")?;
+                let (name, ty) = vis.strip_prefix(' ').or(vis.strip_prefix('(').and_then(|v| Some(v.split_once(") ")?.1)))?.split_once(':')?;
+                Some((name, if ty.trim().is_empty() { &*fields.get(k + 1)?.2 } else { ty }))
+            };
+            let knob = |k: &usize| {
+                field(*k).is_some_and(|(name, ty)| {
                     name.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
                         && !all.contains(&ty.trim_end().trim_end_matches(',').trim())
                 })
             };
-            let blocks: Result<Vec<_>, _> = all.iter().map(|s| block(&format!("^pub struct {s} {{"))).collect();
-            blocks?.concat().into_iter().filter(knob).collect()
+            (0..fields.len()).filter(knob).map(|k| fields[k].clone()).collect()
         }
         Sig(start) => {
             let end = |k: usize| lines[k..].iter().position(|l| l.2.contains('{')).map_or(lines.len(), |e| k + e + 1);
