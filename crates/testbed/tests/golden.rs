@@ -155,7 +155,7 @@ fn docker_first(seed: u64) -> TestbedConfig {
 #[test]
 fn kubernetes_on_the_public_registry() {
     let config = TestbedConfig { cluster: ClusterKind::K8s, ..seeded(21) };
-    pinned("k8s", 0x5bc5_038d_b1a1_3834, request_run(config, false, cold));
+    pinned("k8s", 0xb095_42fc_ebde_6ac6, request_run(config, false, cold));
 }
 
 #[test]
@@ -166,7 +166,7 @@ fn far_edge_with_half_the_services_running_there() {
             tb.pre_deploy_on(addr, 1);
         }
     });
-    pinned("far-edge", 0x8c02_0da5_9a32_d08f, got);
+    pinned("far-edge", 0x945b_42fb_cf2d_6879, got);
 }
 
 #[test]
@@ -175,7 +175,7 @@ fn hybrid_docker_first_kubernetes_after() {
         created(tb, i, addr);
         tb.pre_pull_on(addr, 1);
     });
-    pinned("hybrid", 0xa27e_6c8d_adea_dbc4, got);
+    pinned("hybrid", 0xc7b5_96d1_d74d_fa10, got);
 }
 
 #[test]
@@ -185,7 +185,7 @@ fn predictors_deploy_ahead_of_requests() {
         let config = TestbedConfig { predictor: predictor.to_owned(), ..seeded(24) };
         h.u64(request_run(config, false, created));
     }
-    pinned("predictors", 0x956e_7183_4baa_e1f8, h.0);
+    pinned("predictors", 0xde6a_93c4_61bc_3601, h.0);
 }
 
 #[test]
@@ -197,7 +197,7 @@ fn deployment_faults_on_every_cluster_kind() {
     h.u64(request_run(TestbedConfig { faults: faults.clone(), ..far_edge(25) }, false, cold));
     h.u64(request_run(TestbedConfig { faults: faults.clone(), ..docker_first(25) }, true, cold));
     h.u64(request_run(TestbedConfig { cluster: ClusterKind::K8s, faults, ..seeded(25) }, false, cold));
-    pinned("deploy-faults", 0x1559_fb44_8016_44ef, h.0);
+    pinned("deploy-faults", 0x0d6d_3fcf_eb5d_3b1d, h.0);
 }
 
 #[test]
@@ -205,14 +205,14 @@ fn telemetry_recording_changes_nothing() {
     let off = request_run(seeded(26), false, created);
     let (on, _) = requests::<SpanLog>(seeded(26), false, created);
     assert_eq!(off, on, "recording spans changed the run");
-    pinned("telemetry", 0x1298_9ee4_361b_de2f, off);
+    pinned("telemetry", 0xde9d_3d1f_fb92_aeb9, off);
 }
 
 #[test]
 fn aggregated_rules() {
     let mut config = seeded(27);
     config.controller.aggregate_rules = true;
-    pinned("aggregate", 0xae4b_63de_50a2_7ba7, request_run(config, false, created));
+    pinned("aggregate", 0xa616_8ca2_70d1_36fd, request_run(config, false, created));
 }
 
 // -- pinging sessions on the multi-gNB testbed ------------------------------
@@ -322,12 +322,12 @@ fn live_migration(state_bytes_per_request: u64) -> MigrationConfig {
 
 #[test]
 fn anchored_handover() {
-    pinned("anchored", 0x9bd7_52b4_a255_93a7, session_run(policy(HandoverPolicy::Anchored, 31), None));
+    pinned("anchored", 0x99ec_b363_19a6_2377, session_run(policy(HandoverPolicy::Anchored, 31), None));
 }
 
 #[test]
 fn redispatch_handover() {
-    pinned("redispatch", 0x57c8_da32_ff6f_db34, session_run(policy(HandoverPolicy::Redispatch, 32), None));
+    pinned("redispatch", 0x14c9_0355_52c6_f683, session_run(policy(HandoverPolicy::Redispatch, 32), None));
 }
 
 #[test]
@@ -337,7 +337,7 @@ fn runtime_chaos_with_retransmission() {
         retransmit: Some(Duration::from_secs(1)),
         ..policy(HandoverPolicy::Anchored, 33)
     };
-    pinned("runtime-chaos", 0xfc17_d1f4_57db_c078, session_run(config, Some(SimTime::from_secs(40))));
+    pinned("runtime-chaos", 0xd99f_b2b2_4189_4cbb, session_run(config, Some(SimTime::from_secs(40))));
 }
 
 /// The journal records in both modes, the control channel queues (1 ms per
@@ -360,12 +360,12 @@ fn crash_run(recovery: RecoveryMode) -> u64 {
 
 #[test]
 fn controller_crash_restarted_warm() {
-    pinned("crash-warm", 0xa325_17b5_ba92_2605, crash_run(RecoveryMode::Warm));
+    pinned("crash-warm", 0x0b9c_3825_a803_af25, crash_run(RecoveryMode::Warm));
 }
 
 #[test]
 fn controller_crash_restarted_cold() {
-    pinned("crash-cold", 0x8f95_6393_6676_e5b0, crash_run(RecoveryMode::Cold));
+    pinned("crash-cold", 0x4cfa_ddc0_21bc_c590, crash_run(RecoveryMode::Cold));
 }
 
 /// The multi-gNB twin of `telemetry_recording_changes_nothing`: re-dispatched
@@ -403,7 +403,7 @@ fn span_recording_changes_nothing_on_the_multi_gnb_harness() {
     for name in ["handover", "migration", "recovery", "zone-outage", "reconcile"] {
         log.check_export(Some(name)).unwrap_or_else(|e| panic!("{e}"));
     }
-    pinned("spans-multi-gnb", 0x7671_61df_54a0_8bf2, off);
+    pinned("spans-multi-gnb", 0x7b4e_7a34_62fc_d478, off);
 }
 
 #[test]
@@ -412,7 +412,7 @@ fn live_migration_with_session_state() {
         controller: ControllerConfig { migration: live_migration(20_000), ..ControllerConfig::default() },
         ..policy(HandoverPolicy::Anchored, 35)
     };
-    pinned("live-migration", 0xa0b9_5ad9_6ffd_1d49, session_run(config, Some(SimTime::from_secs(30))));
+    pinned("live-migration", 0x2c54_079b_2cd4_ddf0, session_run(config, Some(SimTime::from_secs(30))));
 }
 
 /// The chaos scenario above under a hundred fault schedules: whatever the
