@@ -64,7 +64,12 @@ impl<K> TimerHeap<K> {
     /// `None` (the copy is dropped). A deadline due by `now` claims and
     /// disarms the key, so its owner refuses the key's other copies; a later
     /// one than filed is refiled in place.
-    pub fn expired_into(&mut self, now: SimTime, out: &mut Vec<K>, mut current: impl FnMut(&K, u64) -> Option<u64>) {
+    pub fn expired_into(
+        &mut self,
+        now: SimTime,
+        out: &mut Vec<K>,
+        mut current: impl FnMut(&K, u64) -> Option<u64>,
+    ) {
         let at = now.as_nanos();
         while let Some(mut top) = self.heap.peek_mut() {
             match current(&top.key, top.deadline_ns) {

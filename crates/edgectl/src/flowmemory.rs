@@ -512,7 +512,11 @@ impl FlowMemory {
     /// All live flows redirected at `(service, cluster)`, sorted by
     /// `(client, ingress)` — the work list of a migration flow flip. Scans
     /// every shard: the clients of one instance may enter anywhere.
-    pub fn entries_at(&self, service: ServiceAddr, cluster: usize) -> Vec<(FlowKey, MemorizedFlow)> {
+    pub fn entries_at(
+        &self,
+        service: ServiceAddr,
+        cluster: usize,
+    ) -> Vec<(FlowKey, MemorizedFlow)> {
         let mut out = Vec::new();
         self.entries_at_into(service, cluster, &mut out);
         out
@@ -520,7 +524,12 @@ impl FlowMemory {
 
     /// [`FlowMemory::entries_at`] into `out` (cleared first) — the flip
     /// passes a buffer it recycles.
-    pub(crate) fn entries_at_into(&self, service: ServiceAddr, cluster: usize, out: &mut Vec<(FlowKey, MemorizedFlow)>) {
+    pub(crate) fn entries_at_into(
+        &self,
+        service: ServiceAddr,
+        cluster: usize,
+        out: &mut Vec<(FlowKey, MemorizedFlow)>,
+    ) {
         out.clear();
         let flows = self.shards.iter().flat_map(|s| s.flows.iter()).map(|(k, f)| (*k, f.flow));
         out.extend(flows.filter(|(k, f)| k.service == service && f.cluster() == cluster));
