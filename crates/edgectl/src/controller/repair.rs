@@ -386,8 +386,6 @@ mod tests {
         (missing, deleted, n_orphans)
     }
 
-    /// The messages a diff becomes, in the order `reconcile` sends them,
-    /// and its orphan count.
     /// [`ReconcileDiff::run`] on a diff that has run once already on the
     /// same input (so its buffers hold a result the second run must clear),
     /// in the shape [`reconcile_diff_scan`] returns.
@@ -401,6 +399,8 @@ mod tests {
         (diff.missing().copied().collect(), diff.deletes, n_orphans)
     }
 
+    /// The messages a diff becomes, in the order `reconcile` sends them,
+    /// and its orphan count.
     fn messages(
         (missing, deletes, n_orphans): (Vec<InstalledFlow>, Vec<Match>, usize),
     ) -> (Vec<Message>, usize) {
